@@ -10,8 +10,9 @@
 //! first output reaching the user.
 
 use std::cell::{Cell, RefCell};
-use std::collections::{HashMap, HashSet};
-use std::rc::Rc;
+use std::collections::{HashMap, HashSet, VecDeque};
+use std::rc::{Rc, Weak};
+use std::sync::Arc;
 
 use cg_jdl::{Ad, Interactivity, JobDescription, MachineAccess, Parallelism};
 use cg_net::{rpc_call, Dir, HandshakeProfile, Link, Session};
@@ -168,7 +169,27 @@ pub struct CrossBroker {
     inner: Rc<RefCell<Inner>>,
 }
 
+/// A broker handle that does not keep the broker alive. Callbacks stored
+/// inside something the broker owns — a site's LRMS, an agent's VM, the
+/// information index — hold this: a strong handle there closes a reference
+/// cycle (broker → site → LRMS → callback → broker) and a world dropped
+/// with a job or glide-in agent still live would never be freed. Closures
+/// scheduled on the `Sim` keep their strong handles; the sim owns those.
+#[derive(Clone)]
+struct WeakBroker(Weak<RefCell<Inner>>);
+
+impl WeakBroker {
+    /// The broker, unless every handle to it has been dropped.
+    fn upgrade(&self) -> Option<CrossBroker> {
+        self.0.upgrade().map(|inner| CrossBroker { inner })
+    }
+}
+
 impl CrossBroker {
+    fn downgrade(&self) -> WeakBroker {
+        WeakBroker(Rc::downgrade(&self.inner))
+    }
+
     /// Builds a broker over the given sites and starts the information
     /// index's refresh cycle.
     pub fn new(
@@ -270,14 +291,14 @@ impl CrossBroker {
         // The failure detector's obituaries drive the broker: trace
         // events, dead-site re-matching, streak resets. A weak handle
         // breaks the broker → index → observer reference cycle.
-        let weak = Rc::downgrade(&broker.inner);
+        let weak = broker.downgrade();
         broker
             .inner
             .borrow()
             .index
             .set_membership_observer(move |sim, site_index, tr| {
-                if let Some(inner) = weak.upgrade() {
-                    CrossBroker { inner }.on_membership_transition(sim, site_index, tr);
+                if let Some(broker) = weak.upgrade() {
+                    broker.on_membership_transition(sim, site_index, tr);
                 }
             });
         broker
@@ -1059,14 +1080,16 @@ impl CrossBroker {
             .unwrap_or(self.inner.borrow().config.selection_policy)
     }
 
-    /// Snapshots the per-site signals the policies score against: current
-    /// and forecast LRMS queue depth, nominal broker-link RTT, the
-    /// consecutive lease-failure counter, and the age of the site's
-    /// information-index column.
-    fn site_signals(&self, now: SimTime) -> PolicySignals {
+    /// Snapshots the per-site signals the policies score `candidates`
+    /// against: current and forecast LRMS queue depth, nominal broker-link
+    /// RTT, the consecutive lease-failure counter, and the age of the
+    /// site's information-index column. Selection reads signals at
+    /// candidate indices only, so no other site is sampled.
+    fn site_signals(&self, now: SimTime, candidates: &[Candidate]) -> PolicySignals {
         let inner = self.inner.borrow();
         let mut signals = PolicySignals::new();
-        for (i, s) in inner.sites.iter().enumerate() {
+        for i in candidates.iter().map(|c| c.site_index) {
+            let s = &inner.sites[i];
             signals.set(
                 i,
                 SiteSignals {
@@ -1509,8 +1532,8 @@ impl CrossBroker {
                         this2.resubmit_shared(sim, id, job, runtime, "agent died during dispatch");
                         return;
                     }
-                    let this3 = this2.clone();
-                    let this4 = this2.clone();
+                    let weak3 = this2.downgrade();
+                    let weak4 = this2.downgrade();
                     let ui_link2 = ui_link.clone();
                     let user2 = user.clone();
                     let sites = vec![site_name.clone()];
@@ -1520,6 +1543,9 @@ impl CrossBroker {
                         runtime,
                         pl,
                         move |sim| {
+                            let Some(this3) = weak3.upgrade() else {
+                                return;
+                            };
                             // Application is running: co-resident batch yields,
                             // fair-share charges the interactive user, console
                             // comes up and the first output travels home.
@@ -1549,7 +1575,9 @@ impl CrossBroker {
                             );
                         },
                         move |sim| {
-                            this4.on_interactive_finished(sim, id, aid);
+                            if let Some(this4) = weak4.upgrade() {
+                                this4.on_interactive_finished(sim, id, aid);
+                            }
                         },
                     );
                     if result.is_err() {
@@ -1866,12 +1894,17 @@ impl CrossBroker {
                 })
                 .map(|p| (job.streaming_mode, p))
         };
+        // Both continuations end up inside LRMS and agent-VM callbacks, so
+        // they hold the broker weakly.
         let on_console_up = {
-            let this = self.clone();
+            let weak = self.downgrade();
             let state = Rc::clone(&state);
             let user = job.user.clone();
             let total_nodes = nodes_needed;
             move |sim: &mut Sim, ok: bool| {
+                let Some(this) = weak.upgrade() else {
+                    return;
+                };
                 let mut st = state.borrow_mut();
                 if !ok {
                     if !st.failed {
@@ -1903,9 +1936,12 @@ impl CrossBroker {
         };
         let on_console_up = Rc::new(on_console_up);
         let on_task_done = {
-            let this = self.clone();
+            let weak = self.downgrade();
             let state = Rc::clone(&state);
             move |sim: &mut Sim| {
+                let Some(this) = weak.upgrade() else {
+                    return;
+                };
                 let mut st = state.borrow_mut();
                 st.tasks_done += 1;
                 if st.tasks_done == st.tasks_total {
@@ -1953,8 +1989,8 @@ impl CrossBroker {
                         }
                         let up2 = Rc::clone(&up);
                         let done2 = Rc::clone(&done);
-                        let this3 = this2.clone();
-                        let this4 = this2.clone();
+                        let weak3 = this2.downgrade();
+                        let weak4 = this2.downgrade();
                         let ui2 = ui_link.clone();
                         this2.add_placement(id, Placement::AgentInteractive { aid });
                         let result = agent2.borrow().submit_interactive(
@@ -1962,6 +1998,9 @@ impl CrossBroker {
                             runtime,
                             pl,
                             move |sim| {
+                                let Some(this3) = weak3.upgrade() else {
+                                    return;
+                                };
                                 // Co-resident batch yields; console comes up.
                                 {
                                     let mut inner = this3.inner.borrow_mut();
@@ -1997,6 +2036,9 @@ impl CrossBroker {
                                 );
                             },
                             move |sim| {
+                                let Some(this4) = weak4.upgrade() else {
+                                    return;
+                                };
                                 // Restore the batch job's charging; task done.
                                 {
                                     let mut inner = this4.inner.borrow_mut();
@@ -2041,11 +2083,14 @@ impl CrossBroker {
                 priority: 0,
                 user: job.user.clone(),
             };
-            let this = self.clone();
+            let weak = self.downgrade();
             let up = Rc::clone(&on_console_up);
             let done = Rc::clone(&on_task_done);
             let state2 = Rc::clone(&state);
             site.gatekeeper().submit(sim, broker_link, spec, sandbox, move |sim, ev| {
+                let Some(this) = weak.upgrade() else {
+                    return;
+                };
                 match ev {
                     GramEvent::Accepted { local_id } => {
                         this.add_placement(
@@ -2194,7 +2239,6 @@ impl CrossBroker {
                 this.clone(),
                 id,
                 shortlist.iter().map(|c| c.site_index).collect(),
-                Vec::new(),
                 move |sim, live_ads| {
                     this2.finish_selection(sim, id, job, runtime, live_ads, excluded);
                 },
@@ -2208,7 +2252,7 @@ impl CrossBroker {
         id: JobId,
         job: JobDescription,
         runtime: SimDuration,
-        live_ads: Vec<(usize, Ad)>,
+        live_ads: Vec<(usize, Arc<Ad>)>,
         excluded: HashSet<usize>,
     ) {
         let now = sim.now();
@@ -2219,7 +2263,7 @@ impl CrossBroker {
         let require_full = job.is_interactive() && job.parallelism != Parallelism::MpichG2;
         // Exclude leased sites, and sites the failure detector demoted
         // while the live queries were in flight.
-        let usable: Vec<(usize, Ad)> = {
+        let usable: Vec<(usize, Arc<Ad>)> = {
             let inner = self.inner.borrow();
             live_ads
                 .into_iter()
@@ -2238,7 +2282,7 @@ impl CrossBroker {
         }
 
         let kind = self.policy_for(&job);
-        let signals = self.site_signals(now);
+        let signals = self.site_signals(now, &candidates);
         let policy = kind.policy();
 
         if job.parallelism == Parallelism::MpichG2 && job.node_number > 1 {
@@ -2417,14 +2461,16 @@ impl CrossBroker {
             priority: 0,
             user: job.user.clone(),
         };
-        let this = self.clone();
+        let weak = self.downgrade();
         let site_name = site.name().to_string();
         let smode = job.streaming_mode;
         let started = Rc::new(RefCell::new(false));
         let local_id: Rc<RefCell<Option<cg_site::LocalJobId>>> = Rc::new(RefCell::new(None));
-        let lrms = site.lrms().clone();
         site.gatekeeper()
             .submit(sim, broker_link, spec, sandbox, move |sim, ev| {
+                let Some(this) = weak.upgrade() else {
+                    return;
+                };
                 match ev {
                     GramEvent::Accepted { local_id: lid } => {
                         *local_id.borrow_mut() = Some(*lid);
@@ -2483,6 +2529,7 @@ impl CrossBroker {
                         // kill it here and resubmit elsewhere.
                         // Withdraw the queued copy before resubmitting elsewhere.
                         if let Some(lid) = *local_id.borrow() {
+                            let lrms = this.inner.borrow().sites[site_index].site.lrms().clone();
                             lrms.kill(sim, lid, "withdrawn by broker (on-line scheduling)");
                         }
                         this.note_lease_result(site_index, false);
@@ -2592,9 +2639,12 @@ impl CrossBroker {
                             return;
                         }
                         let broker4 = broker3.clone();
-                        let broker5 = broker3.clone();
+                        let weak5 = broker3.downgrade();
                         let user2 = user.clone();
                         let result = agent.borrow().run_batch(sim, runtime, move |sim| {
+                            let Some(broker5) = weak5.upgrade() else {
+                                return;
+                            };
                             // Batch job done.
                             {
                                 let mut inner = broker5.inner.borrow_mut();
@@ -2723,7 +2773,7 @@ impl CrossBroker {
                 priority: 0,
                 user: job.user.clone(),
             };
-            let this = self.clone();
+            let weak = self.downgrade();
             let ready2 = Rc::clone(&ready);
             let failed2 = Rc::clone(&failed);
             let user = job.user.clone();
@@ -2732,9 +2782,11 @@ impl CrossBroker {
             let interactive = job.is_interactive();
             let subjob_local: Rc<RefCell<Option<cg_site::LocalJobId>>> =
                 Rc::new(RefCell::new(None));
-            let lrms = site.lrms().clone();
             site.gatekeeper()
                 .submit(sim, broker_link, spec, sandbox, move |sim, ev| {
+                    let Some(this) = weak.upgrade() else {
+                        return;
+                    };
                     match ev {
                         GramEvent::Accepted { local_id } => {
                             *subjob_local.borrow_mut() = Some(*local_id);
@@ -2756,6 +2808,8 @@ impl CrossBroker {
                             // interactive job wedged behind a queue.
                             *failed2.borrow_mut() = true;
                             if let Some(lid) = *subjob_local.borrow() {
+                                let lrms =
+                                    this.inner.borrow().sites[site_index].site.lrms().clone();
                                 lrms.kill(sim, lid, "withdrawn by broker (co-allocation)");
                             }
                             this.fail(
@@ -2939,11 +2993,14 @@ impl CrossBroker {
                 aid,
             )
         };
-        let this = self.clone();
+        let weak = self.downgrade();
         let then = Rc::new(RefCell::new(Some(then)));
         let agent_slot: Rc<RefCell<Option<Rc<RefCell<Agent>>>>> = Rc::new(RefCell::new(None));
         let agent_slot2 = Rc::clone(&agent_slot);
         let agent = deploy_agent(sim, aid, &site, &link, share_eff, costs, move |sim, ev| {
+            let Some(this) = weak.upgrade() else {
+                return;
+            };
             match ev {
                 AgentEvent::Submitted { carrier } => {
                     let mut inner = this.inner.borrow_mut();
@@ -3181,7 +3238,7 @@ fn console_startup(
 }
 
 /// Continuation invoked with the index-sorted live ads once a sweep ends.
-type SweepDone = Box<dyn FnOnce(&mut Sim, Vec<(usize, Ad)>)>;
+type SweepDone = Box<dyn FnOnce(&mut Sim, Vec<(usize, Arc<Ad>)>)>;
 
 /// In-flight state of one windowed live-query sweep over the shortlist.
 struct LiveQuerySweep {
@@ -3189,9 +3246,11 @@ struct LiveQuerySweep {
     /// The job this sweep selects for — seeds the retry-jitter stream.
     job: JobId,
     /// Site indices not yet queried, in shortlist order.
-    pending: Vec<usize>,
+    pending: VecDeque<usize>,
     in_flight: usize,
-    collected: Vec<(usize, Ad)>,
+    /// Each answering site's shared machine ad — the allocation the site
+    /// itself and (until the site changes) the MDS snapshot hold.
+    collected: Vec<(usize, Arc<Ad>)>,
     done: Option<SweepDone>,
 }
 
@@ -3210,16 +3269,15 @@ fn live_query_chain(
     sim: &mut Sim,
     broker: CrossBroker,
     job: JobId,
-    pending: Vec<usize>,
-    collected: Vec<(usize, Ad)>,
-    done: impl FnOnce(&mut Sim, Vec<(usize, Ad)>) + 'static,
+    pending: VecDeque<usize>,
+    done: impl FnOnce(&mut Sim, Vec<(usize, Arc<Ad>)>) + 'static,
 ) {
     let sweep = Rc::new(RefCell::new(LiveQuerySweep {
         broker,
         job,
         pending,
         in_flight: 0,
-        collected,
+        collected: Vec::new(),
         done: Some(Box::new(done)),
     }));
     live_query_pump(sim, &sweep);
@@ -3232,7 +3290,7 @@ fn live_query_pump(sim: &mut Sim, sweep: &Rc<RefCell<LiveQuerySweep>>) {
     loop {
         let site_index = {
             let mut s = sweep.borrow_mut();
-            if s.pending.is_empty() {
+            let Some(&site_index) = s.pending.front() else {
                 if s.in_flight == 0 {
                     if let Some(done) = s.done.take() {
                         let mut collected = std::mem::take(&mut s.collected);
@@ -3242,12 +3300,12 @@ fn live_query_pump(sim: &mut Sim, sweep: &Rc<RefCell<LiveQuerySweep>>) {
                     }
                 }
                 return;
-            }
+            };
             let fanout = s.broker.inner.borrow().config.live_query_fanout.max(1);
             if s.in_flight >= fanout {
                 return;
             }
-            let site_index = s.pending.remove(0);
+            s.pending.pop_front();
             s.in_flight += 1;
             site_index
         };
@@ -3286,7 +3344,7 @@ fn live_query_attempt(
         if settled_rpc.replace(true) {
             return; // the deadline already wrote this attempt off
         }
-        let ad = r.is_ok().then(|| ad_site.machine_ad());
+        let ad = r.is_ok().then(|| ad_site.machine_ad_arc());
         live_query_settle(sim, &sweep_rpc, site_index, attempt, ad);
     });
 
@@ -3319,7 +3377,7 @@ fn live_query_settle(
     sweep: &Rc<RefCell<LiveQuerySweep>>,
     site_index: usize,
     attempt: u32,
-    ad: Option<Ad>,
+    ad: Option<Arc<Ad>>,
 ) {
     let (broker, job) = {
         let s = sweep.borrow();
@@ -3427,8 +3485,145 @@ fn backoff_delay(
 
 #[cfg(test)]
 mod tests {
-    use super::backoff_delay;
-    use cg_sim::{Sim, SimDuration};
+    use super::{backoff_delay, live_query_chain, BrokerConfig, CrossBroker, JobId, SiteHandle};
+    use cg_jdl::JobDescription;
+    use cg_net::{Link, LinkProfile};
+    use cg_sim::{Sim, SimDuration, SimTime};
+    use cg_site::{LocalJobSpec, Site, SiteConfig};
+    use std::cell::RefCell;
+    use std::rc::Rc;
+    use std::sync::Arc;
+
+    #[test]
+    fn a_world_dropped_with_live_agents_and_running_jobs_is_freed() {
+        // Regression: the callbacks the broker parks inside a site's LRMS and
+        // an agent's VM held it strongly, the gatekeeper's LRMS callback
+        // held the LRMS, and an agent held its site — so a world that ended
+        // with a live glide-in agent (or any job still running) was a knot
+        // of reference cycles and leaked whole.
+        let mut sim = Sim::new(3);
+        let handles = (0..3)
+            .map(|i| SiteHandle {
+                site: Site::new(SiteConfig {
+                    name: format!("site{i}"),
+                    nodes: 4,
+                    ..SiteConfig::default()
+                }),
+                broker_link: Link::new(LinkProfile::campus()),
+                ui_link: Link::new(LinkProfile::campus()),
+            })
+            .collect();
+        let mds = Link::new(LinkProfile::wan_mds());
+        let broker = CrossBroker::new(&mut sim, handles, mds, BrokerConfig::default());
+        let day = SimDuration::from_secs(86_400);
+        for (jdl, runtime) in [
+            // Finishes, and leaves its agent idle in the pool.
+            (
+                r#"Executable = "i"; JobType = "interactive"; MachineAccess = "shared";
+                   PerformanceLoss = 10; User = "alice";"#,
+                SimDuration::from_secs(30),
+            ),
+            // Still on an agent's batch VM when the world ends.
+            (r#"Executable = "b"; JobType = "batch"; User = "bob";"#, day),
+            // Still under an LRMS when the world ends.
+            (
+                r#"Executable = "x"; JobType = "interactive"; MachineAccess = "exclusive";
+                   User = "carol";"#,
+                day,
+            ),
+        ] {
+            broker.submit(&mut sim, JobDescription::parse(jdl).unwrap(), runtime);
+        }
+        sim.run_until(SimTime::from_secs(900));
+        assert_eq!(broker.agent_count(), 2, "both agents are live");
+        assert_eq!(broker.stats().started, 3);
+        assert_eq!(broker.stats().finished, 1);
+
+        let weak = Rc::downgrade(&broker.inner);
+        let agents: Vec<_> = broker
+            .inner
+            .borrow()
+            .agents
+            .values()
+            .map(|e| Rc::downgrade(&e.agent))
+            .collect();
+        drop(broker);
+        drop(sim);
+        assert!(weak.upgrade().is_none(), "the broker outlived its world");
+        for agent in agents {
+            assert!(agent.upgrade().is_none(), "an agent outlived its world");
+        }
+    }
+
+    #[test]
+    fn snapshot_site_and_live_sweep_share_one_machine_ad() {
+        // After a refresh, and until a site's state next changes, the MDS
+        // snapshot's column, the site's own shared ad and the ad a live
+        // query collects are one allocation — in both refresh modes, for a
+        // site that changed before the refresh and for sites that never did.
+        for refresh_fanout in [0, 2] {
+            let mut sim = Sim::new(5);
+            let sites: Vec<Site> = (0..3)
+                .map(|i| {
+                    Site::new(SiteConfig {
+                        name: format!("site{i}"),
+                        nodes: 4,
+                        ..SiteConfig::default()
+                    })
+                })
+                .collect();
+            let handles = sites
+                .iter()
+                .map(|site| SiteHandle {
+                    site: site.clone(),
+                    broker_link: Link::new(LinkProfile::campus()),
+                    ui_link: Link::new(LinkProfile::campus()),
+                })
+                .collect();
+            let config = BrokerConfig {
+                refresh_fanout,
+                ..BrokerConfig::default()
+            };
+            let refresh = config.index_refresh;
+            let mds = Link::new(LinkProfile::wan_mds());
+            let broker = CrossBroker::new(&mut sim, handles, mds, config);
+            let boot = broker.index().snapshot_arc();
+            sites[0].lrms().submit(
+                &mut sim,
+                LocalJobSpec::simple(SimDuration::from_secs(86_400)),
+                |_, _, _| {},
+            );
+            sim.run_until(SimTime::ZERO + refresh + SimDuration::from_secs(10));
+
+            let collected = Rc::new(RefCell::new(Vec::new()));
+            let sink = Rc::clone(&collected);
+            live_query_chain(
+                &mut sim,
+                broker.clone(),
+                JobId(0),
+                (0..sites.len()).collect(),
+                move |_, ads| *sink.borrow_mut() = ads,
+            );
+            sim.run_until(SimTime::ZERO + refresh + SimDuration::from_secs(60));
+
+            let snap = broker.index().snapshot_arc();
+            assert_eq!(snap.free_cpus(0), 3, "the refresh published the busy node");
+            assert!(!Arc::ptr_eq(snap.ad_arc(0), boot.ad_arc(0)));
+            assert!(Arc::ptr_eq(snap.ad_arc(1), boot.ad_arc(1)));
+            let collected = collected.borrow();
+            assert_eq!(collected.len(), sites.len(), "every site answered");
+            for (i, live) in collected.iter() {
+                assert!(
+                    Arc::ptr_eq(live, snap.ad_arc(*i)),
+                    "site {i}: sweep vs snapshot"
+                );
+                assert!(
+                    Arc::ptr_eq(live, &sites[*i].machine_ad_arc()),
+                    "site {i}: sweep vs site"
+                );
+            }
+        }
+    }
 
     #[test]
     fn backoff_spacing_grows_and_is_bounded() {

@@ -76,14 +76,19 @@ fn filter_candidates_inner<A: std::borrow::Borrow<Ad>>(
     let mut out = Vec::new();
     for (site_index, ad) in ads {
         let ad = ad.borrow();
-        let free = ad.get("FreeCpus").and_then(|v| v.as_i64()).unwrap_or(0);
+        // `get_norm` with the lower-cased names: `Ad::get` would allocate a
+        // lower-cased copy of each key per ad.
+        let free = ad
+            .get_norm("freecpus")
+            .and_then(|v| v.as_i64())
+            .unwrap_or(0);
         if require_free_cpus && free < job.node_number as i64 {
             continue;
         }
         if !require_free_cpus {
             // Batch path: the site must at least accept queued jobs.
             let accepts = ad
-                .get("AcceptsQueued")
+                .get_norm("acceptsqueued")
                 .and_then(|v| v.as_bool())
                 .unwrap_or(true);
             if free < job.node_number as i64 && !accepts {
@@ -118,7 +123,7 @@ fn filter_candidates_inner<A: std::borrow::Borrow<Ad>>(
         out.push(Candidate {
             site_index: *site_index,
             site: ad
-                .get("Site")
+                .get_norm("site")
                 .and_then(|v| v.as_str())
                 .unwrap_or("<unnamed>")
                 .to_string(),

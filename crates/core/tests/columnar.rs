@@ -125,6 +125,75 @@ proptest! {
         }
     }
 
+    /// Legacy-refresh equivalence: the information index publishes a tick as
+    /// `apply_delta` over the sites whose shared ad is not the snapshot's
+    /// own allocation. Over arbitrary ad churn — sites that change and
+    /// change back between ticks, sites read by a live query in between,
+    /// sites whose publish path is down — that chain equals the `advance`
+    /// chain over the same inputs: columns, ads, per-site epochs, dirty sets.
+    #[test]
+    fn delta_refresh_is_bit_identical_to_advance(
+        initial in prop::collection::vec(ad_strategy(), 1..8),
+        rounds in prop::collection::vec(
+            (
+                prop::collection::vec((any::<usize>(), ad_strategy(), any::<bool>()), 0..6),
+                any::<u8>(),
+            ),
+            1..6,
+        ),
+    ) {
+        let n = initial.len();
+        // What each site would publish right now, and its memoized shared
+        // ad: rebuilt on a read that finds it out of date, never otherwise.
+        let mut truth = initial.clone();
+        let mut shared: Vec<Arc<Ad>> = initial.iter().cloned().map(Arc::new).collect();
+        fn read(truth: &[Ad], shared: &mut [Arc<Ad>], i: usize) {
+            if *shared[i] != truth[i] {
+                shared[i] = Arc::new(truth[i].clone());
+            }
+        }
+        let mut by_delta = AdSnapshot::build_shared(shared.clone());
+        let mut by_advance = AdSnapshot::build(initial);
+        for (muts, down) in rounds {
+            for (pick, ad, live_query) in muts {
+                let i = pick % n;
+                truth[i] = ad;
+                if live_query {
+                    read(&truth, &mut shared, i);
+                }
+            }
+            let mut changes = Vec::new();
+            let mut fresh = Vec::new();
+            for i in 0..n {
+                if down >> i & 1 == 1 {
+                    // A down publish path keeps the stale column.
+                    fresh.push(by_advance.ad(i).clone());
+                    continue;
+                }
+                read(&truth, &mut shared, i);
+                fresh.push(truth[i].clone());
+                if !Arc::ptr_eq(&shared[i], by_delta.ad_arc(i)) {
+                    changes.push((i, Arc::clone(&shared[i])));
+                }
+            }
+            let before = by_delta.epoch();
+            by_delta = by_delta.apply_delta(&changes);
+            by_advance = by_advance.advance(fresh);
+            prop_assert_eq!(by_delta.epoch(), by_advance.epoch());
+            prop_assert_eq!(
+                by_delta.dirty_since(before).collect::<Vec<_>>(),
+                by_advance.dirty_since(before).collect::<Vec<_>>()
+            );
+            for i in 0..n {
+                prop_assert_eq!(by_delta.ad(i), by_advance.ad(i), "ad of site {}", i);
+                prop_assert_eq!(by_delta.site_epoch(i), by_advance.site_epoch(i));
+                prop_assert_eq!(by_delta.free_cpus(i), by_advance.free_cpus(i));
+                prop_assert_eq!(by_delta.accepts_queued(i), by_advance.accepts_queued(i));
+                prop_assert_eq!(by_delta.site_name(i), by_advance.site_name(i));
+            }
+        }
+    }
+
     /// Epoch deltas: a refresh that changes one site bumps exactly that
     /// site's epoch, the incremental matcher recomputes exactly the dirty
     /// sites, and its assembled candidate list is identical to a full

@@ -258,11 +258,32 @@ pub struct BackendHandle {
     inner: Rc<dyn Backend>,
 }
 
+/// See [`BackendHandle::downgrade`].
+pub(crate) struct WeakBackendHandle {
+    inner: std::rc::Weak<dyn Backend>,
+}
+
+impl WeakBackendHandle {
+    /// The backend, unless every strong handle has been dropped.
+    pub(crate) fn upgrade(&self) -> Option<BackendHandle> {
+        self.inner.upgrade().map(|inner| BackendHandle { inner })
+    }
+}
+
 impl BackendHandle {
     /// Wraps a concrete backend.
     pub fn new(backend: impl Backend + 'static) -> Self {
         BackendHandle {
             inner: Rc::new(backend),
+        }
+    }
+
+    /// A handle that does not keep the backend alive — for callbacks the
+    /// backend itself stores (a strong handle there is a reference cycle
+    /// that leaks the backend while the job is live).
+    pub(crate) fn downgrade(&self) -> WeakBackendHandle {
+        WeakBackendHandle {
+            inner: Rc::downgrade(&self.inner),
         }
     }
 

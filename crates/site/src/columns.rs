@@ -75,6 +75,14 @@ impl AdSnapshot {
     /// ads in site-index order.
     #[must_use]
     pub fn build(ads: Vec<Ad>) -> AdSnapshot {
+        AdSnapshot::build_shared(ads.into_iter().map(Arc::new).collect())
+    }
+
+    /// [`AdSnapshot::build`] over ads that already live behind an `Arc` —
+    /// the information index boots from each site's own shared ad, so the
+    /// snapshot and the site hold one allocation from the start.
+    #[must_use]
+    pub fn build_shared(ads: Vec<Arc<Ad>>) -> AdSnapshot {
         let mut snap = AdSnapshot {
             epoch: 0,
             site_names: Vec::with_capacity(ads.len()),
@@ -86,7 +94,7 @@ impl AdSnapshot {
         for ad in &ads {
             snap.push_columns(ad);
         }
-        snap.ads = ads.into_iter().map(Arc::new).collect();
+        snap.ads = ads;
         snap
     }
 
@@ -102,6 +110,9 @@ impl AdSnapshot {
     /// the predecessor's `Arc<Ad>` (and name `Arc`) and keeps its site
     /// epoch, while a changed site gets the new snapshot epoch. If the site
     /// count changed, every site is treated as dirty.
+    ///
+    /// The information index publishes through [`AdSnapshot::apply_delta`];
+    /// this full-table form is the reference that path is tested against.
     #[must_use]
     pub fn advance(&self, fresh: Vec<Ad>) -> AdSnapshot {
         if fresh.len() != self.ads.len() {
@@ -144,14 +155,17 @@ impl AdSnapshot {
     /// compared, cloned or re-derived unless it appears in `changes`). The
     /// snapshot epoch always advances; a delta entry equal to the current
     /// column keeps its `Arc` and site epoch, exactly like
-    /// [`AdSnapshot::advance`]. Out-of-range indices are ignored.
+    /// [`AdSnapshot::advance`] — and an entry that *is* the current column
+    /// (the site's shared ad, unchanged since it was last published) is
+    /// recognised by pointer before any attribute is compared.
+    /// Out-of-range indices are ignored.
     #[must_use]
     pub fn apply_delta(&self, changes: &[(usize, Arc<Ad>)]) -> AdSnapshot {
         let epoch = self.epoch + 1;
         let mut snap = self.clone();
         snap.epoch = epoch;
         for (i, ad) in changes {
-            if *i >= snap.ads.len() || **ad == *snap.ads[*i] {
+            if *i >= snap.ads.len() || Arc::ptr_eq(ad, &snap.ads[*i]) || **ad == *snap.ads[*i] {
                 continue;
             }
             let (name, free, accepts) = column_values(ad);

@@ -234,8 +234,10 @@ fn stage_and_submit(
                     });
                 };
                 let link2 = link.clone();
-                let lrms_cl = lrms.clone();
-                lrms_cl.submit(sim, spec, move |sim, local_id, ev| {
+                // The LRMS stores this callback for as long as the job is
+                // live; a strong handle in it would keep the LRMS alive.
+                let weak_lrms = lrms.downgrade();
+                lrms.submit(sim, spec, move |sim, local_id, ev| {
                     let mapped = match ev {
                         LrmsEvent::Queued => Some(GramEvent::Accepted { local_id }),
                         LrmsEvent::Started { nodes } => Some(GramEvent::Started {
@@ -252,7 +254,9 @@ fn stage_and_submit(
                     // A job that is queued and not started within the
                     // scheduler cycle is reported as Queued (the broker's
                     // resubmission trigger).
-                    if matches!(ev, LrmsEvent::Queued) && lrms_is_backed_up(&lrms) {
+                    if matches!(ev, LrmsEvent::Queued)
+                        && weak_lrms.upgrade().is_some_and(|l| lrms_is_backed_up(&l))
+                    {
                         forward(sim, GramEvent::Queued, &link2);
                     }
                 });
@@ -333,6 +337,31 @@ mod tests {
         sim.run_until(cg_sim::SimTime::from_secs(4_000));
         let out = log.borrow().clone();
         (out, lrms)
+    }
+
+    #[test]
+    fn a_live_job_does_not_keep_its_lrms_alive() {
+        // Regression: the callback the LRMS stores while a job is live held
+        // a strong handle to that LRMS, so a site dropped with a running
+        // job (a glide-in agent's carrier, say) leaked its backend.
+        let mut sim = Sim::new(7);
+        let gk = Gatekeeper::new(
+            Lrms::new(Policy::Fifo, 1, SimDuration::from_millis(1500)),
+            GramCosts::globus24(),
+        );
+        gk.submit(
+            &mut sim,
+            Link::new(LinkProfile::campus()),
+            LocalJobSpec::simple(SimDuration::from_secs(100_000)),
+            0,
+            |_, _| {},
+        );
+        sim.run_until(cg_sim::SimTime::from_secs(60));
+        assert_eq!(gk.lrms().running_count(), 1);
+        let weak = gk.lrms().downgrade();
+        drop(gk);
+        drop(sim);
+        assert!(weak.upgrade().is_none(), "the LRMS outlived its site");
     }
 
     #[test]

@@ -85,8 +85,9 @@ struct SweepState {
     pending: std::collections::VecDeque<usize>,
     /// Attempted sites whose reply has not yet arrived.
     in_flight: usize,
-    /// Arrived publications, buffered until the sweep closes.
-    arrived: Vec<(usize, Ad)>,
+    /// Arrived publications (each the publishing site's shared ad),
+    /// buffered until the sweep closes.
+    arrived: Vec<(usize, Arc<Ad>)>,
     /// Sites whose path was down at attempt time.
     missed: usize,
 }
@@ -164,12 +165,12 @@ impl InformationIndex {
         publish_faults: Vec<FaultSchedule>,
         membership: MembershipConfig,
     ) -> Self {
-        let ads: Vec<Ad> = sites.iter().map(Site::machine_ad).collect();
+        let ads = sites.iter().map(Site::machine_ad_arc).collect();
         let n = sites.len();
         let index = InformationIndex {
             inner: Rc::new(RefCell::new(Inner {
                 sites,
-                snapshot: Arc::new(AdSnapshot::build(ads)),
+                snapshot: Arc::new(AdSnapshot::build_shared(ads)),
                 refreshed_at: sim.now(),
                 published_at: vec![sim.now(); n],
                 refresh_interval,
@@ -206,14 +207,14 @@ impl InformationIndex {
         membership: MembershipConfig,
     ) -> Self {
         let now = sim.now();
-        let ads: Vec<Ad> = sites
+        let ads = sites
             .iter()
             .enumerate()
             .map(|(i, s)| {
                 if publish_faults.get(i).is_some_and(|f| f.is_down(now)) {
-                    unregistered_ad(s.name())
+                    Arc::new(unregistered_ad(s.name()))
                 } else {
-                    s.machine_ad()
+                    s.machine_ad_arc()
                 }
             })
             .collect();
@@ -221,7 +222,7 @@ impl InformationIndex {
         let index = InformationIndex {
             inner: Rc::new(RefCell::new(Inner {
                 sites,
-                snapshot: Arc::new(AdSnapshot::build(ads)),
+                snapshot: Arc::new(AdSnapshot::build_shared(ads)),
                 refreshed_at: now,
                 published_at: vec![now; n],
                 refresh_interval,
@@ -247,30 +248,26 @@ impl InformationIndex {
         let interval = self.inner.borrow().refresh_interval;
         sim.schedule_in(interval, move |sim| {
             let (transitions, report, snap) = {
-                let mut inner = this.inner.borrow_mut();
+                let mut guard = this.inner.borrow_mut();
+                let inner = &mut *guard;
                 let now = sim.now();
                 let mut transitions = Vec::new();
                 let mut missed = 0;
                 // Each site publishes independently: a down path keeps the
-                // stale column (same Arc, same epoch) and counts a miss.
-                let fresh: Vec<Ad> = inner
-                    .sites
-                    .iter()
-                    .enumerate()
-                    .map(|(i, s)| {
-                        if inner.publish_faults.get(i).is_some_and(|f| f.is_down(now)) {
-                            inner.snapshot.ad(i).clone()
-                        } else {
-                            s.machine_ad()
-                        }
-                    })
-                    .collect();
-                for i in 0..inner.sites.len() {
+                // stale column (same Arc, same epoch) and counts a miss. A
+                // site whose shared ad is still the one in the snapshot has
+                // nothing to publish, so the delta carries only the rest.
+                let mut changes = Vec::new();
+                for (i, site) in inner.sites.iter().enumerate() {
                     let down = inner.publish_faults.get(i).is_some_and(|f| f.is_down(now));
                     let tr = if down {
                         missed += 1;
                         inner.membership.note_refresh_missed(i, now)
                     } else {
+                        let ad = site.machine_ad_arc();
+                        if !Arc::ptr_eq(&ad, inner.snapshot.ad_arc(i)) {
+                            changes.push((i, ad));
+                        }
                         inner.published_at[i] = now;
                         inner.membership.note_refresh_ok(i, now)
                     };
@@ -278,9 +275,9 @@ impl InformationIndex {
                         transitions.push((i, tr));
                     }
                 }
-                // Incremental advance: only sites whose ad changed get a new
-                // epoch; the rest share the previous snapshot's allocations.
-                inner.snapshot = Arc::new(inner.snapshot.advance(fresh));
+                // Only sites whose ad changed get a new epoch; the rest
+                // share the previous snapshot's allocations.
+                inner.snapshot = Arc::new(inner.snapshot.apply_delta(&changes));
                 inner.refreshed_at = now;
                 inner.refreshes += 1;
                 let report = SweepReport {
@@ -332,7 +329,7 @@ impl InformationIndex {
             Close,
             Wait,
             Missed(usize, Option<Transition>),
-            Pull(usize, u64, SimDuration, Ad),
+            Pull(usize, u64, SimDuration, Arc<Ad>),
         }
         loop {
             let step = {
@@ -368,7 +365,7 @@ impl InformationIndex {
                                 .as_ref()
                                 .and_then(|w| w.latency.get(i).copied())
                                 .unwrap_or(SimDuration::ZERO);
-                            Pump::Pull(i, gen, latency, inner.sites[i].machine_ad())
+                            Pump::Pull(i, gen, latency, inner.sites[i].machine_ad_arc())
                         }
                     }
                 }
@@ -400,7 +397,7 @@ impl InformationIndex {
     /// immediately as its own one-site delta. Either way the reply proves
     /// the path is healthy, so the failure detector records a clean
     /// refresh (the late-reply amnesty satellite).
-    fn publish_arrived(&self, sim: &mut Sim, gen: u64, i: usize, ad: Ad) {
+    fn publish_arrived(&self, sim: &mut Sim, gen: u64, i: usize, ad: Arc<Ad>) {
         let (transition, late) = {
             let mut inner = self.inner.borrow_mut();
             let now = sim.now();
@@ -414,7 +411,7 @@ impl InformationIndex {
                     (tr, None)
                 }
                 None => {
-                    inner.snapshot = Arc::new(inner.snapshot.apply_delta(&[(i, Arc::new(ad))]));
+                    inner.snapshot = Arc::new(inner.snapshot.apply_delta(&[(i, ad)]));
                     inner.late_merges += 1;
                     let report = SweepReport {
                         refreshed: 1,
@@ -447,16 +444,11 @@ impl InformationIndex {
             };
             let amnestied = sweep.in_flight + sweep.pending.len();
             inner.amnestied += amnestied as u64;
-            let changes: Vec<(usize, Arc<Ad>)> = sweep
-                .arrived
-                .into_iter()
-                .map(|(i, ad)| (i, Arc::new(ad)))
-                .collect();
-            inner.snapshot = Arc::new(inner.snapshot.apply_delta(&changes));
+            inner.snapshot = Arc::new(inner.snapshot.apply_delta(&sweep.arrived));
             inner.refreshed_at = sim.now();
             inner.refreshes += 1;
             let report = SweepReport {
-                refreshed: changes.len(),
+                refreshed: sweep.arrived.len(),
                 missed: sweep.missed,
                 amnestied,
                 late: false,

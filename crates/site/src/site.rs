@@ -1,5 +1,9 @@
 //! A grid site: gatekeeper + LRMS + worker nodes + the GRIS view of itself.
 
+use std::cell::RefCell;
+use std::rc::Rc;
+use std::sync::Arc;
+
 use cg_jdl::{Ad, Value};
 use cg_sim::SimDuration;
 use serde::{Deserialize, Serialize};
@@ -52,10 +56,24 @@ impl Default for SiteConfig {
     }
 }
 
+/// The only inputs of the machine ad that change after construction:
+/// `(free_nodes, queue_depth, accepts_queued_jobs)` of the backend.
+type AdKey = (usize, usize, bool);
+
+/// What every clone of a [`Site`] shares besides the backend: the immutable
+/// configuration and the memoized machine ad built from it.
+struct Shared {
+    config: SiteConfig,
+    /// The last ad built and the dynamic inputs it was built from. Keyed by
+    /// value, so nothing has to invalidate it: a read whose inputs differ
+    /// rebuilds, every other read hands out the same allocation.
+    ad: RefCell<Option<(AdKey, Arc<Ad>)>>,
+}
+
 /// A grid site handle. Clones share the underlying backend/gatekeeper.
 #[derive(Clone)]
 pub struct Site {
-    config: std::rc::Rc<SiteConfig>,
+    shared: Rc<Shared>,
     backend: BackendHandle,
     gatekeeper: Gatekeeper,
 }
@@ -85,7 +103,10 @@ impl Site {
         )?;
         let gatekeeper = Gatekeeper::new(backend.clone(), config.gram.clone());
         Ok(Site {
-            config: std::rc::Rc::new(config),
+            shared: Rc::new(Shared {
+                config,
+                ad: RefCell::new(None),
+            }),
             backend,
             gatekeeper,
         })
@@ -99,19 +120,19 @@ impl Site {
     /// # Errors
     /// Returns the backend's construction error for invalid specs.
     pub fn with_backend(&self, backend: BackendSpec) -> Result<Self, BackendError> {
-        let mut config = (*self.config).clone();
+        let mut config = self.shared.config.clone();
         config.backend = backend;
         Site::try_new(config)
     }
 
     /// Site name.
     pub fn name(&self) -> &str {
-        &self.config.name
+        &self.shared.config.name
     }
 
     /// The site's configuration.
     pub fn config(&self) -> &SiteConfig {
-        &self.config
+        &self.shared.config
     }
 
     /// The local scheduler (kept under its historical name; any
@@ -136,28 +157,50 @@ impl Site {
     }
 
     /// The machine ad this site's GRIS publishes *right now* (live values;
-    /// the index staleness is applied by [`crate::InformationIndex`]).
+    /// the index staleness is applied by [`crate::InformationIndex`]), as
+    /// the shared immutable value every consumer holds: the MDS snapshot,
+    /// the broker's live sweep and selection all carry this one `Arc`. It
+    /// is rebuilt only when a dynamic input differs from the one the
+    /// memoized ad was built from, so two reads with no state change in
+    /// between return the same allocation.
+    pub fn machine_ad_arc(&self) -> Arc<Ad> {
+        let key: AdKey = (
+            self.backend.free_nodes(),
+            self.backend.queue_depth(),
+            self.backend.accepts_queued_jobs(),
+        );
+        let mut memo = self.shared.ad.borrow_mut();
+        match &*memo {
+            Some((k, ad)) if *k == key => Arc::clone(ad),
+            _ => {
+                let ad = Arc::new(self.build_ad(key));
+                *memo = Some((key, Arc::clone(&ad)));
+                ad
+            }
+        }
+    }
+
+    /// An owned copy of [`Site::machine_ad_arc`].
     pub fn machine_ad(&self) -> Ad {
+        (*self.machine_ad_arc()).clone()
+    }
+
+    fn build_ad(&self, (free, queued, accepts): AdKey) -> Ad {
+        let config = &self.shared.config;
         let mut ad = Ad::new();
-        ad.set_str("Site", self.config.name.clone())
-            .set_str("Arch", self.config.node_spec.arch.clone())
-            .set_str("OpSys", self.config.node_spec.op_sys.clone())
-            .set_int("TotalCpus", self.config.nodes as i64)
-            .set_int("FreeCpus", self.backend.free_nodes() as i64)
-            .set_int("QueueDepth", self.backend.queue_depth() as i64)
-            .set_int("MemoryMb", self.config.node_spec.memory_mb as i64)
-            .set_int("StorageGb", self.config.storage_gb as i64)
-            .set_double("SpeedFactor", self.config.node_spec.speed_factor)
-            .set_bool("AcceptsQueued", self.backend.accepts_queued_jobs())
+        ad.set_str("Site", config.name.clone())
+            .set_str("Arch", config.node_spec.arch.clone())
+            .set_str("OpSys", config.node_spec.op_sys.clone())
+            .set_int("TotalCpus", config.nodes as i64)
+            .set_int("FreeCpus", free as i64)
+            .set_int("QueueDepth", queued as i64)
+            .set_int("MemoryMb", config.node_spec.memory_mb as i64)
+            .set_int("StorageGb", config.storage_gb as i64)
+            .set_double("SpeedFactor", config.node_spec.speed_factor)
+            .set_bool("AcceptsQueued", accepts)
             .set(
                 "Tags",
-                Value::List(
-                    self.config
-                        .tags
-                        .iter()
-                        .map(|t| Value::Str(t.clone()))
-                        .collect(),
-                ),
+                Value::List(config.tags.iter().map(|t| Value::Str(t.clone())).collect()),
             );
         ad
     }
@@ -168,14 +211,14 @@ impl Site {
 /// advertise. The broker's JDL analyzer checks `other.*` references in
 /// `Requirements`/`Rank` against this vocabulary.
 pub fn machine_schema() -> cg_jdl::analyze::Schema {
-    cg_jdl::analyze::Schema::infer_from_ad(&Site::new(SiteConfig::default()).machine_ad())
+    cg_jdl::analyze::Schema::infer_from_ad(&Site::new(SiteConfig::default()).machine_ad_arc())
 }
 
 impl std::fmt::Debug for Site {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Site")
-            .field("name", &self.config.name)
-            .field("nodes", &self.config.nodes)
+            .field("name", &self.shared.config.name)
+            .field("nodes", &self.shared.config.nodes)
             .field("free", &self.backend.free_nodes())
             .finish_non_exhaustive()
     }

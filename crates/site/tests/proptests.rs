@@ -1,12 +1,61 @@
-//! Property tests on the local resource manager: allocation safety and
-//! conservation under arbitrary job mixes.
+//! Property tests on the local resource manager (allocation safety and
+//! conservation under arbitrary job mixes) and on the site's memoized
+//! machine ad (never stale, shared while nothing changes).
 
+use cg_jdl::{Ad, Value};
 use cg_sim::{Sim, SimDuration, SimTime};
-use cg_site::{LocalJobSpec, Lrms, LrmsEvent, Policy};
+use cg_site::{BackendSpec, LocalJobId, LocalJobSpec, Lrms, LrmsEvent, Policy, Site, SiteConfig};
 use proptest::prelude::*;
 use std::cell::RefCell;
 use std::collections::HashMap;
 use std::rc::Rc;
+use std::sync::Arc;
+
+/// The machine ad a GRIS publishes, written out attribute by attribute from
+/// the site's configuration and its backend's live state — the oracle the
+/// memoized ad is held against.
+fn fresh_ad(site: &Site) -> Ad {
+    let config = site.config();
+    let backend = site.backend();
+    let mut ad = Ad::new();
+    ad.set_str("Site", config.name.clone())
+        .set_str("Arch", config.node_spec.arch.clone())
+        .set_str("OpSys", config.node_spec.op_sys.clone())
+        .set_int("TotalCpus", config.nodes as i64)
+        .set_int("FreeCpus", backend.free_nodes() as i64)
+        .set_int("QueueDepth", backend.queue_depth() as i64)
+        .set_int("MemoryMb", config.node_spec.memory_mb as i64)
+        .set_int("StorageGb", config.storage_gb as i64)
+        .set_double("SpeedFactor", config.node_spec.speed_factor)
+        .set_bool("AcceptsQueued", backend.accepts_queued_jobs())
+        .set(
+            "Tags",
+            Value::List(config.tags.iter().cloned().map(Value::Str).collect()),
+        );
+    ad
+}
+
+/// The memo's whole contract at one instant: the shared ad is what a fresh
+/// build would publish, and reading it again is the same allocation.
+fn check_shared_ad(site: &Site, previous: &mut Arc<Ad>) -> Result<(), String> {
+    let ad = site.machine_ad_arc();
+    if *ad != fresh_ad(site) {
+        return Err(format!(
+            "stale shared ad:\n{ad}\nfresh:\n{}",
+            fresh_ad(site)
+        ));
+    }
+    if !Arc::ptr_eq(&ad, &site.machine_ad_arc()) {
+        return Err("two reads with no state change in between differ".into());
+    }
+    if *ad == **previous && !Arc::ptr_eq(&ad, previous) {
+        // Equal by value to the last one handed out: the key did not move,
+        // so it must still be that allocation.
+        return Err("unchanged inputs rebuilt the ad".into());
+    }
+    *previous = ad;
+    Ok(())
+}
 
 fn policy_strategy() -> impl Strategy<Value = Policy> {
     prop::sample::select(vec![Policy::Fifo, Policy::FifoBackfill, Policy::Priority])
@@ -169,6 +218,55 @@ proptest! {
         } else {
             prop_assert!(killed, "overrunning job must be killed");
             prop_assert!((at - walltime as f64).abs() < 1e-9);
+        }
+    }
+
+    /// Under any submit/kill/complete interleaving, on every backend, the
+    /// site's shared machine ad is never stale — checked after every op and
+    /// after every sim event — and is rebuilt only when an input moved.
+    #[test]
+    fn shared_machine_ad_tracks_the_backend(
+        ops in prop::collection::vec((0u8..3u8, 1u64..40u64), 1..25),
+        seed in 1u64..1_000u64,
+    ) {
+        for backend in [
+            BackendSpec::Sim,
+            BackendSpec::ThreadPool { threads: 2 },
+            BackendSpec::Process { program: "true".into() },
+        ] {
+            let mut sim = Sim::new(seed);
+            let site = Site::new(SiteConfig {
+                name: "memo".into(),
+                nodes: 2,
+                policy: Policy::FifoBackfill,
+                backend: backend.clone(),
+                ..SiteConfig::default()
+            });
+            let mut previous = site.machine_ad_arc();
+            let known: Rc<RefCell<Vec<LocalJobId>>> = Rc::new(RefCell::new(Vec::new()));
+            for (i, &(kind, x)) in ops.iter().enumerate() {
+                let b = site.backend().clone();
+                let known = Rc::clone(&known);
+                sim.schedule_at(SimTime::from_secs(i as u64 * 7 + x), move |sim| {
+                    let pick = known.borrow().get(x as usize % known.borrow().len().max(1)).copied();
+                    match (kind, pick) {
+                        (0, _) => {
+                            let spec = LocalJobSpec::simple(SimDuration::from_secs(x));
+                            known.borrow_mut().push(b.submit(sim, spec, |_, _, _| {}));
+                        }
+                        (1, Some(id)) => {
+                            b.kill(sim, id, "interleaving");
+                        }
+                        (_, Some(id)) => b.complete(sim, id),
+                        (_, None) => {}
+                    }
+                });
+            }
+            while sim.step() {
+                let checked = check_shared_ad(&site, &mut previous);
+                prop_assert!(checked.is_ok(), "{backend:?} at {:?}: {checked:?}", sim.now());
+            }
+            prop_assert_eq!(site.machine_ad(), fresh_ad(&site));
         }
     }
 }

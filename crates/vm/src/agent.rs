@@ -83,12 +83,13 @@ impl Default for AgentCosts {
     }
 }
 
-/// A deployed (or deploying) glide-in agent.
+/// A deployed (or deploying) glide-in agent. It holds no handle to the site
+/// it runs at: the site's LRMS keeps the carrier job's callback, which keeps
+/// the agent, so a site handle here would be a reference cycle that leaks
+/// both for as long as the agent lives.
 pub struct Agent {
     /// Broker-side id.
     pub id: AgentId,
-    /// Site it runs at.
-    pub site: Site,
     /// Broker↔site link (direct agent communication uses it too).
     pub link: Link,
     /// The VM slots, once running.
@@ -202,7 +203,6 @@ pub fn deploy_agent(
     let alive = Rc::new(RefCell::new(false));
     let agent = Rc::new(RefCell::new(Agent {
         id,
-        site: site.clone(),
         link: link.clone(),
         vm,
         node: None,
@@ -286,7 +286,9 @@ mod tests {
         })
     }
 
-    fn deploy_and_run(nodes: usize, busy: bool) -> (Sim, Rc<RefCell<Agent>>, EventLog) {
+    /// The site is returned so that it outlives the helper: nothing else in
+    /// these tests holds it once the carrier job has started.
+    fn deploy_and_run(nodes: usize, busy: bool) -> (Sim, Site, Rc<RefCell<Agent>>, EventLog) {
         let mut sim = Sim::new(7);
         let site = make_site(nodes);
         if busy {
@@ -320,12 +322,12 @@ mod tests {
                 log2.borrow_mut().push((tag, sim.now().as_secs_f64()));
             },
         );
-        (sim, agent, log)
+        (sim, site, agent, log)
     }
 
     #[test]
     fn agent_deploys_on_idle_site_and_becomes_ready() {
-        let (mut sim, agent, log) = deploy_and_run(2, false);
+        let (mut sim, _site, agent, log) = deploy_and_run(2, false);
         sim.run_until(SimTime::from_secs(120));
         let log = log.borrow();
         assert!(log.iter().any(|(t, _)| t == "submitted"), "{log:?}");
@@ -336,7 +338,7 @@ mod tests {
 
     #[test]
     fn agent_queues_on_busy_site() {
-        let (mut sim, agent, log) = deploy_and_run(1, true);
+        let (mut sim, _site, agent, log) = deploy_and_run(1, true);
         sim.run_until(SimTime::from_secs(120));
         assert!(
             log.borrow().iter().any(|(t, _)| t == "queued"),
@@ -348,7 +350,7 @@ mod tests {
 
     #[test]
     fn interactive_submission_through_agent_is_fast() {
-        let (mut sim, agent, _log) = deploy_and_run(2, false);
+        let (mut sim, _site, agent, _log) = deploy_and_run(2, false);
         sim.run_until(SimTime::from_secs(120));
         assert!(agent.borrow().is_alive());
         let t0 = sim.now();
@@ -380,7 +382,7 @@ mod tests {
 
     #[test]
     fn batch_and_interactive_share_the_vm() {
-        let (mut sim, agent, _log) = deploy_and_run(2, false);
+        let (mut sim, _site, agent, _log) = deploy_and_run(2, false);
         sim.run_until(SimTime::from_secs(120));
         let done_batch = Rc::new(RefCell::new(None));
         {
@@ -409,7 +411,7 @@ mod tests {
 
     #[test]
     fn second_interactive_refused_never_preempts() {
-        let (mut sim, agent, _log) = deploy_and_run(2, false);
+        let (mut sim, _site, agent, _log) = deploy_and_run(2, false);
         sim.run_until(SimTime::from_secs(120));
         agent
             .borrow()
@@ -425,12 +427,12 @@ mod tests {
 
     #[test]
     fn lrms_kill_marks_agent_dead() {
-        let (mut sim, agent, log) = deploy_and_run(1, false);
+        let (mut sim, site, agent, log) = deploy_and_run(1, false);
         sim.run_until(SimTime::from_secs(120));
         assert!(agent.borrow().is_alive());
-        // The site kills the carrier job (e.g. maintenance drain).
-        let lrms = agent.borrow().site.lrms().clone();
-        // The carrier is the only running job — find it by killing id 0.
+        // The site kills the carrier job (e.g. maintenance drain). The
+        // carrier is the only running job — find it by killing id 0.
+        let lrms = site.lrms();
         assert!(lrms.kill(&mut sim, cg_site::LocalJobId(0), "drained"));
         sim.run_until(SimTime::from_secs(240));
         assert!(!agent.borrow().is_alive());

@@ -164,6 +164,32 @@ fn identical_seeds_give_identical_days() {
     }
 }
 
+/// FNV-1a over the bytes of a JSONL stream.
+fn fnv1a(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, b| {
+        (h ^ u64::from(*b)).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
+/// The whole lifecycle stream of a seeded day, byte for byte: a host-side
+/// optimisation (shared machine ads, PR 13) must not add, drop, reorder or
+/// re-time a single event. The hash was recorded at the parent of that
+/// change; a PR that moves it on purpose records the new one and says why.
+#[test]
+fn same_seed_event_stream_matches_the_recorded_golden() {
+    let (broker, _) = run_day(7, 3);
+    let log = broker.event_log();
+    assert_eq!(log.dropped(), 0, "the ring must hold the whole day");
+    let jsonl = log.to_jsonl();
+    assert!(jsonl.lines().count() > 500, "expected a rich stream");
+    assert_eq!(
+        fnv1a(jsonl.as_bytes()),
+        0xd509_f472_c88a_cfbb,
+        "the seed-7 event stream changed ({} events)",
+        log.recorded()
+    );
+}
+
 #[test]
 fn different_seeds_give_different_days() {
     let (_, a) = run_day(11, 3);
