@@ -372,6 +372,43 @@ fn shared_parallel_fails_when_capacity_short() {
 }
 
 #[test]
+fn shared_parallel_withdraws_a_subjob_that_queued() {
+    let mut sim = Sim::new(14);
+    let (broker, sites) = grid(&mut sim, 1, 2);
+    let mpi = r#"
+        Executable = "a"; JobType = {"interactive", "mpich-p4"};
+        NodeNumber = 2; MachineAccess = "shared"; User = "dora";
+    "#;
+    // The plan takes both idle nodes of the only site; local users grab
+    // them while the subjob is still crossing the Globus layers, so the
+    // LRMS queues it on arrival.
+    let id = broker.submit(&mut sim, job(mpi), SimDuration::from_secs(5_000));
+    let victim = sites[0].clone();
+    sim.schedule_at(SimTime::from_secs(1), move |sim| {
+        for _ in 0..2 {
+            victim.lrms().submit(
+                sim,
+                LocalJobSpec::simple(SimDuration::from_secs(300)),
+                |_, _, _| {},
+            );
+        }
+    });
+    sim.run_until(SimTime::from_secs(600));
+    match broker.record(id).state {
+        JobState::Failed { reason } => assert!(reason.contains("stolen"), "{reason}"),
+        other => panic!("expected clean failure, got {other:?}"),
+    }
+    // Regression: the queued copy used to stay in the LRMS, so the failed
+    // job took both nodes for its whole runtime once the local job ended.
+    assert_eq!(sites[0].lrms().queue_depth(), 0);
+    assert_eq!(
+        sites[0].lrms().free_nodes(),
+        2,
+        "the failed job holds nothing"
+    );
+}
+
+#[test]
 fn shared_parallel_all_on_agents() {
     let mut sim = Sim::new(15);
     let (broker, _) = grid(&mut sim, 2, 2);
@@ -756,4 +793,207 @@ fn live_query_fanout_shrinks_selection_without_changing_the_outcome() {
         "fan-out 8 over 12 sites should overlap the per-site RPCs: \
          sequential {seq_sel}s vs windowed {par_sel}s"
     );
+}
+
+/// Every interactive path is one plan of k slots through the same commit
+/// stage: a lease per slot, one dispatch record, a console per barrier
+/// entry, and a single `JobStarted` behind the last console.
+#[test]
+fn a_plan_of_k_slots_leases_each_slot_dispatches_once_and_starts_behind_its_barrier() {
+    struct Case {
+        name: &'static str,
+        jdl: &'static str,
+        warm_agents: usize,
+        slots: usize,
+        consoles: usize,
+    }
+    let cases = [
+        Case {
+            name: "exclusive, k = 1",
+            jdl: EXCLUSIVE,
+            warm_agents: 0,
+            slots: 1,
+            consoles: 1,
+        },
+        Case {
+            name: "co-allocated, k = 2",
+            jdl: r#"Executable = "a"; JobType = {"interactive", "mpich-g2"};
+                    NodeNumber = 4; User = "carol";"#,
+            warm_agents: 0,
+            slots: 2,
+            consoles: 2,
+        },
+        Case {
+            // One agent slot, then the emptier site covers the other two
+            // nodes with a console each.
+            name: "shared-parallel, agent + site",
+            jdl: r#"Executable = "a"; JobType = {"interactive", "mpich-p4"};
+                    NodeNumber = 3; MachineAccess = "shared"; User = "dora";"#,
+            warm_agents: 1,
+            slots: 2,
+            consoles: 3,
+        },
+    ];
+    for case in cases {
+        let mut sim = Sim::new(21);
+        let (broker, _) = grid(&mut sim, 2, 2);
+        for site in 0..case.warm_agents {
+            broker.predeploy_agent(&mut sim, site, |_, ok| assert!(ok));
+        }
+        sim.run_until(SimTime::from_secs(300));
+        let id = broker.submit(&mut sim, job(case.jdl), SimDuration::from_secs(60));
+        sim.run_until(SimTime::from_secs(2_000));
+        let name = case.name;
+        assert!(
+            matches!(broker.record(id).state, JobState::Done),
+            "{name}: {:?}",
+            broker.record(id).state
+        );
+        let events = broker.event_log().snapshot();
+        let seqs = |wanted: fn(&cg_trace::Event) -> Option<u64>| -> Vec<u64> {
+            events
+                .iter()
+                .filter(|e| wanted(&e.event) == Some(id.0))
+                .map(|e| e.seq)
+                .collect()
+        };
+        let leases = seqs(|e| match e {
+            cg_trace::Event::LeaseGranted { job, .. } => Some(*job),
+            _ => None,
+        });
+        let dispatches = seqs(|e| match e {
+            cg_trace::Event::JobDispatched { job, .. } => Some(*job),
+            _ => None,
+        });
+        let consoles = seqs(|e| match e {
+            cg_trace::Event::ConsoleReady { job } => Some(*job),
+            _ => None,
+        });
+        let starts = seqs(|e| match e {
+            cg_trace::Event::JobStarted { job } => Some(*job),
+            _ => None,
+        });
+        assert_eq!(leases.len(), case.slots, "{name}: one lease per slot");
+        assert_eq!(dispatches.len(), 1, "{name}: one dispatch record");
+        assert!(leases.iter().all(|l| *l < dispatches[0]), "{name}");
+        assert_eq!(consoles.len(), case.consoles, "{name}: barrier entries");
+        assert_eq!(starts.len(), 1, "{name}: a single JobStarted");
+        assert!(
+            consoles.iter().all(|c| *c < starts[0]),
+            "{name}: the job started before its last console was up"
+        );
+        assert!(cg_trace::check_invariants(&events).is_empty(), "{name}");
+    }
+}
+
+/// A site dying under several dispatched-but-queued jobs withdraws and
+/// re-matches them in job-id order, so the stream is the same in every
+/// process — and twice in this one.
+#[test]
+fn a_dead_site_rematches_its_scheduled_jobs_in_id_order() {
+    use cg_net::FaultSchedule;
+    fn day() -> (String, Vec<JobState>) {
+        let mut sim = Sim::new(31);
+        let sites: Vec<Site> = ["alpha", "beta"]
+            .iter()
+            .map(|name| {
+                Site::new(SiteConfig {
+                    name: (*name).into(),
+                    nodes: 4,
+                    policy: Policy::Fifo,
+                    ..SiteConfig::default()
+                })
+            })
+            .collect();
+        let handles = sites
+            .iter()
+            .map(|site| SiteHandle {
+                site: site.clone(),
+                broker_link: Link::new(LinkProfile::campus()),
+                ui_link: Link::new(LinkProfile::campus()),
+            })
+            .collect();
+        // Alpha's publications are lost from t = 20 s: four missed
+        // refreshes (300 … 1 200 s) harden it to `Dead`.
+        let outage =
+            FaultSchedule::from_windows(vec![(SimTime::from_secs(20), SimTime::from_secs(5_000))]);
+        let config = BrokerConfig {
+            lease: SimDuration::ZERO,
+            resubmit_on_queue: false,
+            publish_faults: vec![outage, FaultSchedule::none()],
+            ..BrokerConfig::default()
+        };
+        let mds = Link::new(LinkProfile::wan_mds());
+        let broker = CrossBroker::new(&mut sim, handles, mds, config);
+        // Beta is full until t = 1 000 s, so every job picks alpha …
+        for _ in 0..4 {
+            sites[1].lrms().submit(
+                &mut sim,
+                LocalJobSpec::simple(SimDuration::from_secs(1_000)),
+                |_, _, _| {},
+            );
+        }
+        let ids: Vec<_> = (0..4)
+            .map(|_| broker.submit(&mut sim, job(EXCLUSIVE), SimDuration::from_secs(60)))
+            .collect();
+        // … where local users take every node while the submissions are in
+        // flight: all four queue and, with on-line scheduling off, wait.
+        let alpha = sites[0].clone();
+        sim.schedule_at(SimTime::from_secs(3), move |sim| {
+            for _ in 0..4 {
+                alpha.lrms().submit(
+                    sim,
+                    LocalJobSpec::simple(SimDuration::from_secs(50_000)),
+                    |_, _, _| {},
+                );
+            }
+        });
+        sim.run_until(SimTime::from_secs(1_199));
+        for id in &ids {
+            let state = broker.record(*id).state;
+            assert!(
+                matches!(&state, JobState::Scheduled { site } if site == "alpha"),
+                "{state:?}"
+            );
+        }
+        sim.run_until(SimTime::from_secs(3_000));
+        let log = broker.event_log();
+        let events = log.snapshot();
+        assert!(events.iter().any(|e| matches!(
+            &e.event,
+            cg_trace::Event::SiteDead { site, in_flight } if site == "alpha" && *in_flight == 4
+        )));
+        let died = events
+            .iter()
+            .find(|e| matches!(&e.event, cg_trace::Event::SiteDead { .. }))
+            .expect("alpha was declared dead")
+            .seq;
+        let withdrawn = events
+            .iter()
+            .filter(|e| {
+                matches!(&e.event, cg_trace::Event::LrmsKilled { reason, .. } if reason.contains("dead"))
+            })
+            .count();
+        assert_eq!(withdrawn, 4, "all four queued copies are withdrawn");
+        let rematched: Vec<u64> = events
+            .iter()
+            .filter(|e| e.seq > died)
+            .filter_map(|e| match &e.event {
+                cg_trace::Event::PolicyDecision { job, .. } => Some(*job),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(rematched, [0, 1, 2, 3], "re-matched in job-id order");
+        let states = ids.iter().map(|id| broker.record(*id).state).collect();
+        (log.to_jsonl(), states)
+    }
+    let (first, states) = day();
+    for state in &states {
+        assert!(
+            matches!(state, JobState::Done),
+            "re-matched onto beta: {state:?}"
+        );
+    }
+    let (second, _) = day();
+    assert_eq!(first, second, "same seed, same process, different stream");
 }
