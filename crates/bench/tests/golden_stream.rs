@@ -1,9 +1,11 @@
 //! The event stream of the whole churn suite (four seeded broker days under
 //! flapping, rolling-upgrade, mass-join and correlated-failure churn), byte
 //! for byte: a host-side optimisation must not add, drop, reorder or re-time
-//! a single event. The hash was recorded at the parent of PR 13 (shared
-//! machine ads); a PR that moves it on purpose records the new one and says
-//! why.
+//! a single event. A PR that moves the hash on purpose records the new one
+//! and says why. History: recorded at the parent of PR 13 (shared machine
+//! ads); re-recorded in PR 16 when a finished shared job stopped counting
+//! as in flight on its (still live) agent's site — 8 of the 11 755 lines
+//! changed, every one a `SiteDead.in_flight` value (e.g. `churn00` 7 → 0).
 
 use std::process::Command;
 
@@ -30,7 +32,7 @@ fn churn_suite_event_stream_matches_the_recorded_golden() {
     let _ = std::fs::remove_file(&path);
     assert_eq!(
         fnv1a(&jsonl),
-        0xd5b6_bc09_b599_7d47,
+        0xc6b6_feec_1216_4ea9,
         "the churn suite's event stream changed ({} bytes)",
         jsonl.len()
     );

@@ -389,26 +389,7 @@ impl CrossBroker {
             self.maybe_agent_departs(sim, aid);
             self.task_done(sim, run);
         } else {
-            // PARENT-FAITHFUL QUIRK (removed by the next commit): a finished
-            // shared job's ad and placement stay behind.
-            let kept = {
-                let inner = self.inner.borrow();
-                let side = &inner.side;
-                (
-                    side.ads.get(&run.id).cloned(),
-                    side.placements.get(&run.id).cloned(),
-                )
-            };
             self.mark_done(sim, run.id);
-            {
-                let mut inner = self.inner.borrow_mut();
-                if let Some(ad) = kept.0 {
-                    inner.side.ads.insert(run.id, ad);
-                }
-                if let Some(p) = kept.1 {
-                    inner.side.placements.insert(run.id, p);
-                }
-            }
             self.maybe_agent_departs(sim, aid);
             self.retry_broker_queue(sim);
         }

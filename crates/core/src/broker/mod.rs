@@ -508,23 +508,29 @@ mod tests {
     use cg_jdl::JobDescription;
     use cg_net::{Link, LinkProfile};
     use cg_sim::{Sim, SimDuration, SimTime};
-    use cg_site::{Site, SiteConfig};
+    use cg_site::{LocalJobSpec, Site, SiteConfig};
     use std::rc::Rc;
 
-    pub(super) fn world(sim: &mut Sim, sites: usize, config: BrokerConfig) -> CrossBroker {
-        let handles = (0..sites)
-            .map(|i| SiteHandle {
-                site: Site::new(SiteConfig {
+    fn world(sim: &mut Sim, n: usize, config: BrokerConfig) -> (CrossBroker, Vec<Site>) {
+        let sites: Vec<Site> = (0..n)
+            .map(|i| {
+                Site::new(SiteConfig {
                     name: format!("site{i}"),
                     nodes: 4,
                     ..SiteConfig::default()
-                }),
+                })
+            })
+            .collect();
+        let handles = sites
+            .iter()
+            .map(|site| SiteHandle {
+                site: site.clone(),
                 broker_link: Link::new(LinkProfile::campus()),
                 ui_link: Link::new(LinkProfile::campus()),
             })
             .collect();
         let mds = Link::new(LinkProfile::wan_mds());
-        CrossBroker::new(sim, handles, mds, config)
+        (CrossBroker::new(sim, handles, mds, config), sites)
     }
 
     #[test]
@@ -535,7 +541,7 @@ mod tests {
         // with a live glide-in agent (or any job still running) was a knot
         // of reference cycles and leaked whole.
         let mut sim = Sim::new(3);
-        let broker = world(&mut sim, 3, BrokerConfig::default());
+        let (broker, _) = world(&mut sim, 3, BrokerConfig::default());
         let day = SimDuration::from_secs(86_400);
         for (jdl, runtime) in [
             // Finishes, and leaves its agent idle in the pool.
@@ -574,5 +580,102 @@ mod tests {
         for agent in agents {
             assert!(agent.upgrade().is_none(), "an agent outlived its world");
         }
+    }
+
+    #[test]
+    fn terminal_jobs_leave_no_side_table_entries() {
+        // A mixed day through every submission path and every terminal
+        // transition: finished (five paths), rejected by the JDL gate,
+        // failed, cancelled while running and cancelled while parked.
+        let mut sim = Sim::new(17);
+        let (broker, sites) = world(&mut sim, 3, BrokerConfig::default());
+        broker.predeploy_agent(&mut sim, 0, |_, ok| assert!(ok));
+        sim.run_until(SimTime::from_secs(300));
+        let submit = |sim: &mut Sim, jdl: &str, secs: u64| {
+            let job = JobDescription::parse(jdl).unwrap();
+            broker.submit(sim, job, SimDuration::from_secs(secs))
+        };
+        let shared = r#"Executable = "i"; JobType = "interactive"; MachineAccess = "shared";
+                        PerformanceLoss = 10; User = "alice";"#;
+        let exclusive = r#"Executable = "x"; JobType = "interactive";
+                           MachineAccess = "exclusive"; User = "carol";"#;
+        let batch = r#"Executable = "b"; JobType = "batch"; User = "bob";"#;
+        submit(&mut sim, shared, 60);
+        submit(&mut sim, batch, 120);
+        submit(&mut sim, exclusive, 60);
+        sim.run_until(SimTime::from_secs(900));
+        submit(
+            &mut sim,
+            r#"Executable = "g"; JobType = {"interactive", "mpich-g2"}; NodeNumber = 5;
+               User = "carol";"#,
+            60,
+        );
+        sim.run_until(SimTime::from_secs(1_500));
+        submit(
+            &mut sim,
+            r#"Executable = "p"; JobType = {"interactive", "mpich-p4"}; NodeNumber = 3;
+               MachineAccess = "shared"; User = "dora";"#,
+            60,
+        );
+        submit(
+            &mut sim,
+            r#"Executable = "r"; JobType = "batch"; User = "eve";
+               Requirements = other.NoSuchAttribute > 1;"#,
+            60,
+        );
+        submit(
+            &mut sim,
+            r#"Executable = "f"; JobType = {"interactive", "mpich-g2"}; NodeNumber = 64;
+               User = "carol";"#,
+            60,
+        );
+        let running = submit(&mut sim, exclusive, 5_000);
+        sim.run_until(SimTime::from_secs(2_400));
+        assert!(broker.cancel(&mut sim, running), "cancelled while running");
+        // Saturate every site beyond its queue-admission bound so a batch
+        // job parks in the broker, then cancel it there.
+        for site in &sites {
+            for _ in 0..24 {
+                site.lrms().submit(
+                    &mut sim,
+                    LocalJobSpec::simple(SimDuration::from_secs(400)),
+                    |_, _, _| {},
+                );
+            }
+        }
+        sim.run_until(SimTime::from_secs(2_500));
+        let parked = submit(&mut sim, batch, 60);
+        sim.run_until(SimTime::from_secs(2_600));
+        assert!(matches!(
+            broker.record(parked).state,
+            crate::JobState::BrokerQueued
+        ));
+        assert!(broker.cancel(&mut sim, parked), "cancelled while parked");
+        sim.run_until(SimTime::from_secs(20_000));
+
+        let stats = broker.stats();
+        assert!(stats.finished >= 5, "every path finished a job: {stats:?}");
+        assert!(stats.rejected >= 1 && stats.failed + stats.rejected >= 2);
+        assert_eq!(stats.cancelled, 2);
+        assert_eq!(
+            stats.finished + stats.failed + stats.rejected + stats.cancelled,
+            stats.submitted,
+            "the day drained: {stats:?}"
+        );
+        let inner = broker.inner.borrow();
+        let side = &inner.side;
+        assert!(side.queue.is_empty(), "queue");
+        assert!(
+            side.compiled.is_empty(),
+            "compiled: {}",
+            side.compiled.len()
+        );
+        assert!(side.ads.is_empty(), "ads: {}", side.ads.len());
+        assert!(side.usages.is_empty(), "usages: {}", side.usages.len());
+        assert!(
+            side.placements.is_empty(),
+            "placements: {:?}",
+            side.placements
+        );
     }
 }

@@ -997,3 +997,46 @@ fn a_dead_site_rematches_its_scheduled_jobs_in_id_order() {
     let (second, _) = day();
     assert_eq!(first, second, "same seed, same process, different stream");
 }
+
+/// A finished job is not in flight: a shared job that ran to completion on
+/// an agent still alive in the pool must not count when the agent's site
+/// is later declared dead.
+#[test]
+fn site_dead_in_flight_excludes_a_finished_shared_job_on_a_live_agent() {
+    use cg_net::FaultSchedule;
+    let mut sim = Sim::new(32);
+    let site = Site::new(SiteConfig {
+        name: "alpha".into(),
+        nodes: 2,
+        policy: Policy::Fifo,
+        ..SiteConfig::default()
+    });
+    let handles = vec![SiteHandle {
+        site,
+        broker_link: Link::new(LinkProfile::campus()),
+        ui_link: Link::new(LinkProfile::campus()),
+    }];
+    let outage =
+        FaultSchedule::from_windows(vec![(SimTime::from_secs(400), SimTime::from_secs(9_000))]);
+    let config = BrokerConfig {
+        publish_faults: vec![outage],
+        ..BrokerConfig::default()
+    };
+    let mds = Link::new(LinkProfile::wan_mds());
+    let broker = CrossBroker::new(&mut sim, handles, mds, config);
+    let id = broker.submit(&mut sim, job(SHARED), SimDuration::from_secs(30));
+    sim.run_until(SimTime::from_secs(390));
+    assert!(matches!(broker.record(id).state, JobState::Done));
+    assert_eq!(broker.agent_count(), 1, "its agent stays in the pool");
+    sim.run_until(SimTime::from_secs(3_000));
+    let in_flight = broker
+        .event_log()
+        .snapshot()
+        .iter()
+        .find_map(|e| match &e.event {
+            cg_trace::Event::SiteDead { in_flight, .. } => Some(*in_flight),
+            _ => None,
+        })
+        .expect("alpha was declared dead");
+    assert_eq!(in_flight, 0, "nothing was in flight on alpha");
+}
