@@ -24,6 +24,7 @@ impl CrossBroker {
         // the ad outright — a job whose Requirements can never match must
         // not enter matchmaking and wait forever.
         let analysis = job.analyze();
+        let interactive = job.is_interactive();
         let id = {
             let mut inner = self.inner.borrow_mut();
             let id = JobId(inner.next_job);
@@ -37,7 +38,7 @@ impl CrossBroker {
                 Event::JobSubmitted {
                     job: id.0,
                     user: job.user.clone(),
-                    interactive: job.is_interactive(),
+                    interactive,
                 },
             );
             // The JobAd commit record: together with JobSubmitted it carries
@@ -51,7 +52,6 @@ impl CrossBroker {
                     runtime_ns: runtime.as_nanos(),
                 },
             );
-            let interactive = job.is_interactive();
             inner.side.ads.insert(
                 id,
                 RetainedAd {

@@ -164,7 +164,8 @@ impl CrossBroker {
         &self,
         now: SimTime,
         id: JobId,
-        (scheduled, target): (String, String),
+        scheduled: String,
+        target: String,
         backend_of: Option<usize>,
         restamp: bool,
     ) {
@@ -215,7 +216,7 @@ impl CrossBroker {
         runtime: SimDuration,
         plan: Plan,
     ) {
-        let (run, labels, backend_of) = {
+        let (run, (scheduled, target), backend_of) = {
             let inner = self.inner.borrow();
             let hosts: Vec<usize> = plan
                 .slots
@@ -232,7 +233,7 @@ impl CrossBroker {
             let labels = match (&plan.summary, site_names.first()) {
                 (Some(summary), _) => (summary.clone(), summary.clone()),
                 (None, Some(host)) => (host.clone(), slot_label(&inner, &plan.slots[0])),
-                (None, None) => Default::default(),
+                (None, None) => Default::default(), // its agent vanished; unused
             };
             // One dispatch record covers a mixed plan; label it with the
             // first site slot's backend, else the first agent's site's.
@@ -276,7 +277,8 @@ impl CrossBroker {
             self.agent_refused(sim, &run, "agent vanished before dispatch");
             return;
         }
-        self.record_dispatch(sim.now(), id, labels, backend_of, run.plan.restamp);
+        let restamp = run.plan.restamp;
+        self.record_dispatch(sim.now(), id, scheduled, target, backend_of, restamp);
         for slot in &run.plan.slots {
             match slot {
                 Slot::AgentInteractive(aid) => self.launch_agent_subjob(sim, &run, *aid),
@@ -298,7 +300,7 @@ impl CrossBroker {
         let delegation = SimDuration::from_secs_f64(self.inner.borrow().config.shared_delegation_s);
         let this = self.clone();
         sim.schedule_in(delegation, move |sim| {
-            link.clone().send(sim, Dir::AToB, sandbox, move |sim, r| {
+            link.send(sim, Dir::AToB, sandbox, move |sim, r| {
                 if r.is_err() {
                     this.fail(sim, id, "staging to agent failed", false);
                 } else {
@@ -569,9 +571,10 @@ impl CrossBroker {
             return;
         }
         if !run.plan.charge_at_start {
-            let mut inner = self.inner.borrow_mut();
-            inner.charge_interactive(run.id, &run.job.user, 0, run.job.node_number);
-            drop(inner);
+            let (user, nodes) = (&run.job.user, run.job.node_number);
+            self.inner
+                .borrow_mut()
+                .charge_interactive(run.id, user, 0, nodes);
             self.ensure_fairshare_tick(sim);
         }
         let profile = run.session.clone().unwrap_or_else(|| ui_link.profile());
@@ -595,7 +598,7 @@ impl CrossBroker {
             let target = format!("site:{name}");
             (name, target)
         };
-        self.record_dispatch(sim.now(), id, (site_name, target), Some(site_index), false);
+        self.record_dispatch(sim.now(), id, site_name, target, Some(site_index), false);
         self.deploy_agent_at(sim, site_index, move |sim, broker, aid| {
             let Some(aid) = aid else {
                 broker.fail(sim, id, "agent deployment failed", false);

@@ -217,15 +217,10 @@ impl CrossBroker {
         self.fail(sim, id, reason, false);
     }
 
-    /// Re-runs submit-time static analysis for a restored job so the
-    /// matchmaking loop gets its compiled expressions back. Returns `false`
-    /// (and fails the job, mirroring `submit`) when the ad no longer passes.
-    fn reanalyze_restored(&self, sim: &mut Sim, id: JobId, job: &JobDescription) -> bool {
-        self.jdl_gate(sim.now(), id, job.analyze())
-    }
-
     /// Puts a restored batch job back on the broker queue and arms the
-    /// retry cycle.
+    /// retry cycle — after the same JDL gate as `submit`, which gives the
+    /// matchmaking loop its compiled expressions back (or rejects the job
+    /// when its ad no longer passes).
     pub(crate) fn requeue_restored(
         &self,
         sim: &mut Sim,
@@ -233,7 +228,7 @@ impl CrossBroker {
         job: JobDescription,
         runtime: SimDuration,
     ) {
-        if self.reanalyze_restored(sim, id, &job) {
+        if self.jdl_gate(sim.now(), id, job.analyze()) {
             self.park(sim, id, job, runtime);
         }
     }
@@ -247,7 +242,7 @@ impl CrossBroker {
         job: JobDescription,
         runtime: SimDuration,
     ) {
-        if self.reanalyze_restored(sim, id, &job) {
+        if self.jdl_gate(sim.now(), id, job.analyze()) {
             self.ensure_fairshare_tick(sim);
             self.route(sim, id, job, runtime, HashSet::new());
         }
