@@ -7,8 +7,7 @@ use std::collections::HashSet;
 
 use cg_jdl::JobDescription;
 use cg_sim::{Sim, SimDuration, SimTime};
-use cg_trace::replay::{Phase, ReplayAgent, ReplayJob, ReplayState, SpoolMark};
-use cg_trace::Event;
+use cg_trace::replay::{Phase, ReplayAgent, ReplayJob, ReplayState};
 
 use super::{BrokerStats, CrossBroker, RetainedAd};
 use crate::job::{JobId, JobRecord, JobState};
@@ -18,7 +17,7 @@ impl CrossBroker {
     /// ([`ReplayState`]) used by journal snapshots and the recovery
     /// invariants: the job table (with retained JDL commit records), the
     /// live agent registry, and spool watermarks (seeded recovery marks
-    /// merged with whatever the event ring has seen).
+    /// merged with the event log's whole-stream fold).
     pub fn replay_state(&self) -> ReplayState {
         let inner = self.inner.borrow();
         let mut state = ReplayState::default();
@@ -72,32 +71,19 @@ impl CrossBroker {
                 },
             );
         }
+        // The log folds `(seq, at)` and the spool marks over every event it
+        // ever recorded, so this is O(streams) and sees marks the ring has
+        // long evicted; recovery's seeded watermarks are merged in on top.
+        let fold = inner.trace.stream_fold();
+        state.spools = fold.spools;
         for (stream, acked) in &inner.spool_watermarks {
-            state.spools.insert(
-                stream.clone(),
-                SpoolMark {
-                    appended: *acked,
-                    acked: *acked,
-                },
-            );
+            let m = state.spools.entry(stream.clone()).or_default();
+            m.appended = m.appended.max(*acked);
+            m.acked = m.acked.max(*acked);
         }
-        let ring = inner.trace.snapshot();
-        for te in &ring {
-            match &te.event {
-                Event::SpoolAppend { stream, seq } => {
-                    let m = state.spools.entry(stream.clone()).or_default();
-                    m.appended = m.appended.max(*seq);
-                }
-                Event::SpoolAck { stream, seq } => {
-                    let m = state.spools.entry(stream.clone()).or_default();
-                    m.acked = m.acked.max(*seq);
-                }
-                _ => {}
-            }
-        }
-        if let Some(last) = ring.last() {
-            state.last_seq = Some(last.seq);
-            state.last_at_ns = last.at.as_nanos();
+        if let Some((seq, at)) = fold.last {
+            state.last_seq = Some(seq);
+            state.last_at_ns = at.as_nanos();
         }
         state
     }

@@ -569,6 +569,38 @@ fn reliable_console_survives_transient_ui_outage_fast_does_not() {
     );
 }
 
+/// A snapshot's spool marks are the fold of everything journalled, not of
+/// whatever the ring still holds: here the ring is emptied before the
+/// snapshot, as 65 536 later events would have done.
+#[test]
+fn snapshot_spool_marks_are_the_fold_of_the_whole_journalled_stream() {
+    use cg_trace::journal::{open_journal, Journal, JournalConfig};
+
+    let path = std::env::temp_dir().join(format!("cg-broker-spools-{}", std::process::id()));
+    let mut sim = Sim::new(21);
+    let (broker, _sites) = grid(&mut sim, 2, 2);
+    let log = broker.event_log();
+    log.set_journal(Journal::create(&path, JournalConfig::default()).unwrap());
+    let reliable = r#"Executable = "i"; JobType = "interactive"; MachineAccess = "exclusive";
+                      StreamingMode = "reliable"; User = "u";"#;
+    for _ in 0..2 {
+        broker.submit(&mut sim, job(reliable), SimDuration::from_secs(30));
+    }
+    sim.run_until(SimTime::from_secs(600));
+    log.journal().unwrap().sync().unwrap();
+    let journalled = open_journal(&path).unwrap().replay_state().unwrap();
+    assert_eq!(journalled.spools.len(), 2, "one spooled console per job");
+
+    log.clear();
+    assert!(broker.journal_snapshot().unwrap());
+    let snapshot = open_journal(&path).unwrap().snapshot.expect("just written");
+    let state = cg_trace::decode_state(&snapshot.state).unwrap();
+    assert_eq!(state.spools, journalled.spools);
+    assert_eq!(state.last_seq, journalled.last_seq);
+    assert_eq!(state.last_at_ns, journalled.last_at_ns);
+    let _ = std::fs::remove_file(&path);
+}
+
 #[test]
 fn declared_runtime_becomes_walltime() {
     let mut sim = Sim::new(21);

@@ -42,8 +42,11 @@ const FRAME_HEADER: usize = 1 + 4 + 4;
 
 // ── CRC-32 (IEEE 802.3, reflected) ──────────────────────────────────────
 
-const fn crc32_table() -> [u32; 256] {
-    let mut table = [0u32; 256];
+/// Slicing-by-8 tables: `t[0]` is the classic byte-at-a-time table, and
+/// `t[k][b]` is the CRC of byte `b` followed by `k` zero bytes, so eight
+/// input bytes fold into the state with eight independent lookups.
+const fn crc32_tables() -> [[u32; 256]; 8] {
+    let mut t = [[0u32; 256]; 8];
     let mut i = 0;
     while i < 256 {
         let mut c = i as u32;
@@ -56,22 +59,61 @@ const fn crc32_table() -> [u32; 256] {
             };
             bit += 1;
         }
-        table[i] = c;
+        t[0][i] = c;
         i += 1;
     }
-    table
+    let mut k = 1;
+    while k < 8 {
+        let mut i = 0;
+        while i < 256 {
+            let prev = t[k - 1][i];
+            t[k][i] = t[0][(prev & 0xFF) as usize] ^ (prev >> 8);
+            i += 1;
+        }
+        k += 1;
+    }
+    t
 }
 
-static CRC_TABLE: [u32; 256] = crc32_table();
+static CRC_TABLES: [[u32; 256]; 8] = crc32_tables();
+
+/// Register value of an empty CRC; [`crc32_update`] threads it and the final
+/// checksum is its complement.
+const CRC_INIT: u32 = 0xFFFF_FFFF;
+
+/// Folds `bytes` into the raw CRC register `c`, a word at a time. Streaming:
+/// feeding a split input piece by piece gives the register of the whole.
+fn crc32_update(mut c: u32, bytes: &[u8]) -> u32 {
+    let t = &CRC_TABLES;
+    let mut words = bytes.chunks_exact(8);
+    for w in &mut words {
+        let lo = c ^ u32::from_le_bytes([w[0], w[1], w[2], w[3]]);
+        let hi = u32::from_le_bytes([w[4], w[5], w[6], w[7]]);
+        c = t[7][(lo & 0xFF) as usize]
+            ^ t[6][((lo >> 8) & 0xFF) as usize]
+            ^ t[5][((lo >> 16) & 0xFF) as usize]
+            ^ t[4][(lo >> 24) as usize]
+            ^ t[3][(hi & 0xFF) as usize]
+            ^ t[2][((hi >> 8) & 0xFF) as usize]
+            ^ t[1][((hi >> 16) & 0xFF) as usize]
+            ^ t[0][(hi >> 24) as usize];
+    }
+    for &b in words.remainder() {
+        c = t[0][((c ^ u32::from(b)) & 0xFF) as usize] ^ (c >> 8);
+    }
+    c
+}
 
 /// CRC-32 (IEEE) of `bytes`, as used by the journal framing.
 #[must_use]
 pub fn crc32(bytes: &[u8]) -> u32 {
-    let mut c = 0xFFFF_FFFFu32;
-    for &b in bytes {
-        c = CRC_TABLE[((c ^ u32::from(b)) & 0xFF) as usize] ^ (c >> 8);
-    }
-    !c
+    !crc32_update(CRC_INIT, bytes)
+}
+
+/// Checksum of one frame: CRC-32 over `kind ‖ len` then the payload, so a
+/// bit flip anywhere in the frame (header included) is caught.
+fn frame_crc(kind_len: &[u8], payload: &[u8]) -> u32 {
+    !crc32_update(crc32_update(CRC_INIT, kind_len), payload)
 }
 
 // ── errors ──────────────────────────────────────────────────────────────
@@ -137,16 +179,104 @@ impl Default for JournalConfig {
     }
 }
 
+/// A commit group that no sync boundary closes (`fsync_every = 0`) still
+/// reaches the file once the buffer passes this size.
+const FLUSH_BYTES: usize = 64 * 1024;
+
 struct WriterInner {
     file: File,
     config: JournalConfig,
+    /// Encoded frames not yet handed to the OS: the open commit group.
+    buf: Vec<u8>,
     unsynced: u32,
     appended: u64,
+    /// The first write/sync failure. Sticky: bytes were lost, so anything
+    /// appended afterwards would sit behind a hole the reader cannot see.
+    failed: Option<(io::ErrorKind, String)>,
+}
+
+impl WriterInner {
+    /// Runs `op` unless the writer is poisoned, and poisons it when `op`
+    /// fails; a poisoned writer repeats its first error without touching
+    /// the file.
+    fn guarded(&mut self, op: impl FnOnce(&mut Self) -> io::Result<()>) -> io::Result<()> {
+        if let Some((kind, msg)) = &self.failed {
+            return Err(io::Error::new(*kind, msg.clone()));
+        }
+        let result = op(self);
+        if let Err(e) = &result {
+            self.failed = Some((e.kind(), e.to_string()));
+            self.buf.clear();
+        }
+        result
+    }
+
+    /// Frames one record in the buffer: reserves the header, lets `encode`
+    /// write the payload straight behind it, then patches `len` and the CRC
+    /// computed in place. The group is written out when a sync is due.
+    fn append(
+        &mut self,
+        kind: u8,
+        force_sync: bool,
+        encode: impl FnOnce(&mut Vec<u8>),
+    ) -> io::Result<()> {
+        let start = self.buf.len();
+        self.buf.push(kind);
+        self.buf.extend_from_slice(&[0; FRAME_HEADER - 1]);
+        encode(&mut self.buf);
+        let (header, payload) = self.buf[start..].split_at_mut(FRAME_HEADER);
+        let len = u32::try_from(payload.len())
+            .map_err(|_| io::Error::other("journal record over 4 GiB"))?;
+        header[1..5].copy_from_slice(&len.to_le_bytes());
+        let crc = frame_crc(&header[..5], payload);
+        header[5..].copy_from_slice(&crc.to_le_bytes());
+        self.appended += 1;
+        self.unsynced += 1;
+        if force_sync || (self.config.fsync_every > 0 && self.unsynced >= self.config.fsync_every) {
+            self.sync()
+        } else if self.buf.len() >= FLUSH_BYTES {
+            self.flush()
+        } else {
+            Ok(())
+        }
+    }
+
+    /// Hands the open group to the OS in one write.
+    fn flush(&mut self) -> io::Result<()> {
+        // cg-lint: allow(lock-across-io): single-writer journal; the group's one write under the writer lock keeps file order equal to seq order
+        let written = self.file.write_all(&self.buf);
+        self.buf.clear();
+        written
+    }
+
+    fn sync(&mut self) -> io::Result<()> {
+        self.flush()?;
+        // cg-lint: allow(lock-across-io): single-writer journal; the batched fsync under the writer lock IS the durability point
+        self.file.sync_data()?;
+        self.unsynced = 0;
+        Ok(())
+    }
+}
+
+impl Drop for WriterInner {
+    /// The last handle going away (unwinding included) hands the open group
+    /// to the OS; errors have nowhere to go here, [`Journal::sync`] is the
+    /// call that reports them.
+    fn drop(&mut self) {
+        let _ = self.flush();
+    }
 }
 
 /// Handle to an open journal file. Clones share the file; appends are
 /// serialized by an internal mutex so the [`crate::EventLog`] can write from
 /// any thread.
+///
+/// Records are framed into one buffer and reach the file a commit group at
+/// a time: at every `fsync_every`-th record (with the fsync), on
+/// [`Journal::append_snapshot`], on [`Journal::sync`], when the last handle
+/// drops, and whenever the buffer passes 64 KiB. The first write or sync
+/// failure poisons the writer: every later call returns that error and the
+/// file is left alone.
 #[derive(Clone)]
 pub struct Journal {
     inner: Arc<Mutex<WriterInner>>,
@@ -175,15 +305,22 @@ impl Journal {
             .open(&path)?;
         file.write_all(JOURNAL_MAGIC)?;
         file.sync_data()?;
-        Ok(Journal {
+        Ok(Journal::over(file, path, config))
+    }
+
+    /// A writer appending to `file`, whose magic is already in place.
+    fn over(file: File, path: PathBuf, config: JournalConfig) -> Journal {
+        Journal {
             inner: Arc::new(Mutex::new(WriterInner {
                 file,
                 config,
+                buf: Vec::new(),
                 unsynced: 0,
                 appended: 0,
+                failed: None,
             })),
             path: Arc::new(path),
-        })
+        }
     }
 
     /// The journal's file path.
@@ -192,7 +329,8 @@ impl Journal {
         &self.path
     }
 
-    /// Records appended (events + snapshots) since creation.
+    /// Records appended (events + snapshots) since creation, buffered ones
+    /// included.
     #[must_use]
     pub fn appended(&self) -> u64 {
         self.lock().appended
@@ -202,44 +340,14 @@ impl Journal {
         self.inner.lock().unwrap_or_else(|e| e.into_inner())
     }
 
-    fn append_record(&self, kind: u8, payload: &[u8], force_sync: bool) -> io::Result<()> {
-        let mut frame = Vec::with_capacity(FRAME_HEADER + payload.len());
-        frame.push(kind);
-        frame.extend_from_slice(
-            &u32::try_from(payload.len())
-                .map_err(|_| io::Error::other("journal record over 4 GiB"))?
-                .to_le_bytes(),
-        );
-        // CRC covers kind ‖ len ‖ payload so a bit flip anywhere in the
-        // frame (header included) is caught.
-        let mut crc_input = Vec::with_capacity(5 + payload.len());
-        crc_input.extend_from_slice(&frame[0..5]);
-        crc_input.extend_from_slice(payload);
-        frame.extend_from_slice(&crc32(&crc_input).to_le_bytes());
-        frame.extend_from_slice(payload);
-
-        let mut inner = self.lock();
-        inner.file.write_all(&frame)?;
-        inner.appended += 1;
-        inner.unsynced += 1;
-        let due = force_sync
-            || (inner.config.fsync_every > 0 && inner.unsynced >= inner.config.fsync_every);
-        if due {
-            // cg-lint: allow(lock-across-io): single-writer journal; the batched fsync under the writer lock IS the durability point
-            inner.file.sync_data()?;
-            inner.unsynced = 0;
-        }
-        Ok(())
-    }
-
     /// Appends one event record.
     ///
     /// # Errors
-    /// Propagates write/sync failures.
+    /// Propagates write/sync failures (see the type docs: the first one
+    /// sticks).
     pub fn append_event(&self, ev: &TimedEvent) -> io::Result<()> {
-        let mut payload = Vec::with_capacity(64);
-        codec::encode_event(ev, &mut payload);
-        self.append_record(KIND_EVENT, &payload, false)
+        self.lock()
+            .guarded(|w| w.append(KIND_EVENT, false, |buf| codec::encode_event(ev, buf)))
     }
 
     /// Appends a snapshot record covering all events with `seq <=
@@ -249,22 +357,20 @@ impl Journal {
     /// # Errors
     /// Propagates write/sync failures.
     pub fn append_snapshot(&self, through_seq: u64, state: &[u8]) -> io::Result<()> {
-        let mut payload = Vec::with_capacity(8 + state.len());
-        payload.extend_from_slice(&through_seq.to_le_bytes());
-        payload.extend_from_slice(state);
-        self.append_record(KIND_SNAPSHOT, &payload, true)
+        self.lock().guarded(|w| {
+            w.append(KIND_SNAPSHOT, true, |buf| {
+                buf.extend_from_slice(&through_seq.to_le_bytes());
+                buf.extend_from_slice(state);
+            })
+        })
     }
 
     /// Forces buffered records to stable storage.
     ///
     /// # Errors
-    /// Propagates the fsync failure.
+    /// Propagates the write/fsync failure.
     pub fn sync(&self) -> io::Result<()> {
-        let mut inner = self.lock();
-        // cg-lint: allow(lock-across-io): explicit durability barrier; the writer lock serializes it with appends by design
-        inner.file.sync_data()?;
-        inner.unsynced = 0;
-        Ok(())
+        self.lock().guarded(WriterInner::sync)
     }
 }
 
@@ -311,18 +417,25 @@ impl LoadedJournal {
     }
 }
 
+/// How much of the file [`open_journal`] holds at a time. A frame larger
+/// than this (a snapshot blob) grows the window to that frame's size.
+const READ_WINDOW: usize = 256 * 1024;
+
 /// Opens and fully validates a journal file.
+///
+/// The file is read through a bounded window, and events a snapshot already
+/// summarizes are dropped as that snapshot is passed, so memory is one
+/// window, the last snapshot and one snapshot interval of events — not the
+/// file.
 ///
 /// # Errors
 /// [`JournalError::Io`] on read failures, [`JournalError::BadMagic`] when
 /// the header is wrong, [`JournalError::Corrupt`] when a fully-present
-/// record fails CRC or decoding. A torn tail is **not** an error: the
-/// partial record is dropped and counted in
-/// [`LoadedJournal::truncated_bytes`].
+/// record fails CRC or decoding, or a snapshot's horizon lies below an
+/// earlier snapshot's. A torn tail is **not** an error: the partial record
+/// is dropped and counted in [`LoadedJournal::truncated_bytes`].
 pub fn open_journal(path: impl AsRef<Path>) -> Result<LoadedJournal, JournalError> {
-    let mut bytes = Vec::new();
-    File::open(path.as_ref())?.read_to_end(&mut bytes)?;
-    parse_journal(&bytes)
+    read_journal(File::open(path.as_ref())?, READ_WINDOW)
 }
 
 /// Parses journal bytes (see [`open_journal`]).
@@ -330,248 +443,148 @@ pub fn open_journal(path: impl AsRef<Path>) -> Result<LoadedJournal, JournalErro
 /// # Errors
 /// Same contract as [`open_journal`], minus the I/O.
 pub fn parse_journal(bytes: &[u8]) -> Result<LoadedJournal, JournalError> {
-    if bytes.len() < JOURNAL_MAGIC.len() {
-        // A crash between file creation and the magic write leaves a short
-        // header: an empty journal, not a corrupt one.
-        if bytes.is_empty() || JOURNAL_MAGIC.starts_with(bytes) {
-            return Ok(LoadedJournal {
-                truncated_bytes: bytes.len() as u64,
-                ..LoadedJournal::default()
-            });
-        }
-        return Err(JournalError::BadMagic);
+    let head = &bytes[..bytes.len().min(JOURNAL_MAGIC.len())];
+    if let Some(empty) = check_magic(head)? {
+        return Ok(empty);
     }
-    if &bytes[..8] != JOURNAL_MAGIC {
-        return Err(JournalError::BadMagic);
-    }
+    let records = &bytes[JOURNAL_MAGIC.len()..];
+    let mut frames = FrameFold::default();
+    let used = frames.consume(JOURNAL_MAGIC.len() as u64, records)?;
+    Ok(frames.finish(records.len() - used))
+}
 
-    let mut loaded = LoadedJournal::default();
-    let mut last_seq: Option<u64> = None;
-    let mut offset = JOURNAL_MAGIC.len();
-    while offset < bytes.len() {
-        let remaining = bytes.len() - offset;
-        if remaining < FRAME_HEADER {
-            loaded.truncated_bytes = remaining as u64;
-            break;
-        }
-        let kind = bytes[offset];
-        let len = u32::from_le_bytes([
-            bytes[offset + 1],
-            bytes[offset + 2],
-            bytes[offset + 3],
-            bytes[offset + 4],
-        ]) as usize;
-        let stored_crc = u32::from_le_bytes([
-            bytes[offset + 5],
-            bytes[offset + 6],
-            bytes[offset + 7],
-            bytes[offset + 8],
-        ]);
-        let Some(end) = offset
-            .checked_add(FRAME_HEADER)
-            .and_then(|s| s.checked_add(len))
-        else {
-            loaded.truncated_bytes = remaining as u64;
-            break;
-        };
-        if end > bytes.len() {
-            // The record's bytes stop at EOF: torn write, drop the tail.
-            loaded.truncated_bytes = remaining as u64;
-            break;
-        }
-        let payload = &bytes[offset + FRAME_HEADER..end];
-        let mut crc_input = Vec::with_capacity(5 + len);
-        crc_input.extend_from_slice(&bytes[offset..offset + 5]);
-        crc_input.extend_from_slice(payload);
-        if crc32(&crc_input) != stored_crc {
-            return Err(JournalError::Corrupt {
-                offset: offset as u64,
-                reason: "CRC mismatch".into(),
-            });
-        }
-        match kind {
-            KIND_EVENT => {
-                let ev = codec::decode_event(payload).map_err(|e: CodecError| {
-                    JournalError::Corrupt {
-                        offset: offset as u64,
-                        reason: format!("undecodable event: {e}"),
+/// `Ok(None)` for a full, correct magic. A crash between file creation and
+/// the magic write leaves a short header: an empty journal, not a corrupt
+/// one.
+fn check_magic(head: &[u8]) -> Result<Option<LoadedJournal>, JournalError> {
+    if head == JOURNAL_MAGIC {
+        Ok(None)
+    } else if head.len() < JOURNAL_MAGIC.len() && JOURNAL_MAGIC.starts_with(head) {
+        Ok(Some(LoadedJournal {
+            truncated_bytes: head.len() as u64,
+            ..LoadedJournal::default()
+        }))
+    } else {
+        Err(JournalError::BadMagic)
+    }
+}
+
+/// Reads from `src` until `buf` holds `want` bytes; true at end of input.
+fn top_up(src: &mut impl Read, buf: &mut Vec<u8>, want: usize) -> io::Result<bool> {
+    let missing = want.saturating_sub(buf.len());
+    let got = src.by_ref().take(missing as u64).read_to_end(buf)?;
+    Ok(got < missing)
+}
+
+/// Size of the frame whose header starts `bytes`, once all of that header is
+/// there.
+fn frame_size(bytes: &[u8]) -> Option<usize> {
+    let header = bytes.get(..FRAME_HEADER)?;
+    let len = u32::from_le_bytes([header[1], header[2], header[3], header[4]]);
+    Some(FRAME_HEADER.saturating_add(len as usize))
+}
+
+/// Streams `src` through a window of `window` bytes (grown to fit a larger
+/// frame), folding whole frames as they come into view.
+fn read_journal(mut src: impl Read, window: usize) -> Result<LoadedJournal, JournalError> {
+    let mut buf = Vec::new();
+    let mut eof = top_up(&mut src, &mut buf, JOURNAL_MAGIC.len())?;
+    if let Some(empty) = check_magic(&buf)? {
+        return Ok(empty);
+    }
+    buf.clear();
+    let mut frames = FrameFold::default();
+    let mut base = JOURNAL_MAGIC.len() as u64;
+    while !eof {
+        // A frame longer than the window needs all of itself in view; a
+        // length the file cannot honour just runs into end of input.
+        let want = frame_size(&buf).unwrap_or(FRAME_HEADER).max(window);
+        eof = top_up(&mut src, &mut buf, want)?;
+        let used = frames.consume(base, &buf)?;
+        buf.drain(..used);
+        base += used as u64;
+    }
+    Ok(frames.finish(buf.len()))
+}
+
+/// The reader's fold over validated frames: keeps the last snapshot, the
+/// events past its horizon, and the ordering state the checks need.
+#[derive(Default)]
+struct FrameFold {
+    last_seq: Option<u64>,
+    /// `through_seq` of the last snapshot passed; its blob is in `state`.
+    horizon: Option<u64>,
+    /// One buffer reused across snapshots: only the last blob is kept.
+    state: Vec<u8>,
+    events: Vec<TimedEvent>,
+}
+
+impl FrameFold {
+    /// Validates and folds every whole frame at the front of `bytes`, which
+    /// start at file offset `base`. Returns the bytes consumed; what is left
+    /// is a frame whose bytes stop short (torn, or not yet in the window).
+    fn consume(&mut self, base: u64, bytes: &[u8]) -> Result<usize, JournalError> {
+        let mut at = 0;
+        while let Some(frame) = frame_size(&bytes[at..]).and_then(|size| bytes[at..].get(..size)) {
+            let (header, payload) = frame.split_at(FRAME_HEADER);
+            let offset = base + at as u64;
+            let corrupt = |reason: String| JournalError::Corrupt { offset, reason };
+            let stored_crc = u32::from_le_bytes([header[5], header[6], header[7], header[8]]);
+            if frame_crc(&header[..5], payload) != stored_crc {
+                return Err(corrupt("CRC mismatch".into()));
+            }
+            match header[0] {
+                KIND_EVENT => {
+                    let ev = codec::decode_event(payload)
+                        .map_err(|e: CodecError| corrupt(format!("undecodable event: {e}")))?;
+                    if let Some(prev) = self.last_seq.filter(|prev| ev.seq <= *prev) {
+                        return Err(corrupt(format!(
+                            "event seq {} not after previous {prev}",
+                            ev.seq
+                        )));
                     }
-                })?;
-                if last_seq.is_some_and(|prev| ev.seq <= prev) {
-                    return Err(JournalError::Corrupt {
-                        offset: offset as u64,
-                        reason: format!(
-                            "event seq {} not after previous {}",
-                            ev.seq,
-                            last_seq.unwrap_or(0)
-                        ),
-                    });
+                    self.last_seq = Some(ev.seq);
+                    if self.horizon.is_none_or(|h| ev.seq > h) {
+                        self.events.push(ev);
+                    }
                 }
-                last_seq = Some(ev.seq);
-                loaded.events.push(ev);
-            }
-            KIND_SNAPSHOT => {
-                if payload.len() < 8 {
-                    return Err(JournalError::Corrupt {
-                        offset: offset as u64,
-                        reason: "snapshot payload shorter than its header".into(),
-                    });
+                KIND_SNAPSHOT => {
+                    let Some((seq_bytes, state)) = payload.split_first_chunk::<8>() else {
+                        return Err(corrupt("snapshot payload shorter than its header".into()));
+                    };
+                    let through_seq = u64::from_le_bytes(*seq_bytes);
+                    // Replay starts at the last snapshot: events at or below
+                    // its horizon are summarized by the blob and go now.
+                    // That is only exact while horizons never step back —
+                    // all a writer can emit.
+                    if let Some(prev) = self.horizon.filter(|prev| through_seq < *prev) {
+                        return Err(corrupt(format!(
+                            "snapshot horizon {through_seq} below an earlier snapshot's {prev}"
+                        )));
+                    }
+                    self.horizon = Some(through_seq);
+                    self.events.retain(|e| e.seq > through_seq);
+                    self.state.clear();
+                    self.state.extend_from_slice(state);
                 }
-                let through_seq = u64::from_le_bytes([
-                    payload[0], payload[1], payload[2], payload[3], payload[4], payload[5],
-                    payload[6], payload[7],
-                ]);
-                loaded.snapshot = Some(JournalSnapshot {
-                    through_seq,
-                    state: payload[8..].to_vec(),
-                });
+                other => return Err(corrupt(format!("unknown record kind {other}"))),
             }
-            other => {
-                return Err(JournalError::Corrupt {
-                    offset: offset as u64,
-                    reason: format!("unknown record kind {other}"),
-                });
-            }
+            at += frame.len();
         }
-        offset = end;
+        Ok(at)
     }
 
-    // Replay starts at the last snapshot: earlier events are already
-    // summarized by its state blob.
-    if let Some(sn) = &loaded.snapshot {
-        let horizon = sn.through_seq;
-        loaded.events.retain(|e| e.seq > horizon);
+    fn finish(self, torn: usize) -> LoadedJournal {
+        LoadedJournal {
+            snapshot: self.horizon.map(|through_seq| JournalSnapshot {
+                through_seq,
+                state: self.state,
+            }),
+            events: self.events,
+            truncated_bytes: torn as u64,
+        }
     }
-    Ok(loaded)
 }
 
 #[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::event::Event;
-    use cg_sim::SimTime;
-
-    fn ev(seq: u64) -> TimedEvent {
-        TimedEvent {
-            at: SimTime::from_secs(seq),
-            seq,
-            event: Event::JobStarted { job: seq },
-        }
-    }
-
-    fn tmp(name: &str) -> PathBuf {
-        std::env::temp_dir().join(format!("cg-journal-{}-{name}", std::process::id()))
-    }
-
-    #[test]
-    fn crc32_matches_known_vector() {
-        // IEEE CRC-32 of "123456789" is the classic check value.
-        assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
-    }
-
-    #[test]
-    fn append_and_reload_round_trips() {
-        let path = tmp("roundtrip.jrnl");
-        let j = Journal::create(&path, JournalConfig::default()).unwrap();
-        for seq in 0..10 {
-            j.append_event(&ev(seq)).unwrap();
-        }
-        j.sync().unwrap();
-        let loaded = open_journal(&path).unwrap();
-        assert_eq!(loaded.events.len(), 10);
-        assert_eq!(loaded.truncated_bytes, 0);
-        assert_eq!(loaded.last_seq(), Some(9));
-        assert!(loaded.snapshot.is_none());
-        let _ = std::fs::remove_file(&path);
-    }
-
-    #[test]
-    fn replay_resumes_from_the_last_snapshot() {
-        let path = tmp("snapshot.jrnl");
-        let j = Journal::create(&path, JournalConfig::default()).unwrap();
-        for seq in 0..5 {
-            j.append_event(&ev(seq)).unwrap();
-        }
-        j.append_snapshot(4, b"state-a").unwrap();
-        for seq in 5..8 {
-            j.append_event(&ev(seq)).unwrap();
-        }
-        j.sync().unwrap();
-        let loaded = open_journal(&path).unwrap();
-        let sn = loaded.snapshot.expect("snapshot present");
-        assert_eq!(sn.through_seq, 4);
-        assert_eq!(sn.state, b"state-a");
-        let seqs: Vec<u64> = loaded.events.iter().map(|e| e.seq).collect();
-        assert_eq!(seqs, vec![5, 6, 7], "only the tail replays");
-        let _ = std::fs::remove_file(&path);
-    }
-
-    #[test]
-    fn torn_tail_is_truncated_not_an_error() {
-        let path = tmp("torn.jrnl");
-        let j = Journal::create(&path, JournalConfig::default()).unwrap();
-        for seq in 0..4 {
-            j.append_event(&ev(seq)).unwrap();
-        }
-        j.sync().unwrap();
-        drop(j);
-        let full = std::fs::read(&path).unwrap();
-        // Cut the file at every possible length: each prefix must load the
-        // CRC-valid whole records and drop the torn remainder.
-        let record_size = (full.len() - 8) / 4;
-        for cut in 8..=full.len() {
-            std::fs::write(&path, &full[..cut]).unwrap();
-            let loaded = open_journal(&path).unwrap_or_else(|e| panic!("cut {cut}: {e}"));
-            let on_boundary = (cut - 8) % record_size == 0;
-            assert_eq!(
-                loaded.events.len(),
-                (cut - 8) / record_size,
-                "cut {cut}: every whole record loads"
-            );
-            assert_eq!(
-                loaded.truncated_bytes > 0,
-                !on_boundary,
-                "cut {cut}: truncation is reported iff bytes were dropped"
-            );
-        }
-        let _ = std::fs::remove_file(&path);
-    }
-
-    #[test]
-    fn bit_rot_is_a_typed_corrupt_error() {
-        let path = tmp("bitrot.jrnl");
-        let j = Journal::create(&path, JournalConfig::default()).unwrap();
-        for seq in 0..3 {
-            j.append_event(&ev(seq)).unwrap();
-        }
-        j.sync().unwrap();
-        drop(j);
-        let full = std::fs::read(&path).unwrap();
-        // Flip one bit in the middle record's payload.
-        let mut rotten = full.clone();
-        let mid = 8 + (full.len() - 8) / 2;
-        rotten[mid] ^= 0x10;
-        match parse_journal(&rotten) {
-            Err(JournalError::Corrupt { .. }) => {}
-            Ok(loaded) => {
-                // The flip may land in the last record's bytes in a way that
-                // shortens it past EOF — then truncation is the correct read.
-                assert!(loaded.truncated_bytes > 0, "accepted a corrupted journal");
-            }
-            Err(other) => panic!("wrong error type: {other}"),
-        }
-        let _ = std::fs::remove_file(&path);
-    }
-
-    #[test]
-    fn non_journal_file_is_bad_magic() {
-        assert!(matches!(
-            parse_journal(b"definitely not a journal"),
-            Err(JournalError::BadMagic)
-        ));
-        // An empty or magic-prefix-only file is an empty journal (crash
-        // before the header finished), not corruption.
-        assert!(parse_journal(b"").unwrap().events.is_empty());
-        assert!(parse_journal(b"CGJ").unwrap().events.is_empty());
-    }
-}
+mod tests;

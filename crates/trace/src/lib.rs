@@ -64,6 +64,6 @@ pub use journal::{
     open_journal, parse_journal, Journal, JournalConfig, JournalError, JournalSnapshot,
     LoadedJournal,
 };
-pub use log::{dump_jsonl_env, CrashPlan, EventLog};
+pub use log::{dump_jsonl_env, CrashPlan, EventLog, StreamFold};
 pub use metrics::MetricsRegistry;
 pub use replay::{decode_state, encode_state, Bucket, Phase, ReplayState};

@@ -1,7 +1,7 @@
 //! The shared, bounded event log.
 
 use crate::sync::{Mutex, MutexGuard};
-use std::collections::VecDeque;
+use std::collections::{BTreeMap, VecDeque};
 use std::sync::Arc;
 
 use cg_sim::SimTime;
@@ -9,6 +9,7 @@ use cg_sim::SimTime;
 use crate::event::{Event, TimedEvent};
 use crate::journal::Journal;
 use crate::metrics::MetricsRegistry;
+use crate::replay::SpoolMark;
 
 /// A deterministic kill point: the broker "crashes" immediately after the
 /// event with this sequence number is journalled. Used by the kill-point
@@ -23,12 +24,30 @@ pub struct CrashPlan {
     pub after_event_seq: u64,
 }
 
+/// What the log remembers of the **whole** stream, however little of it the
+/// ring still holds: a journal snapshot's bookkeeping reads this instead of
+/// scanning (or cloning) the ring, and marks older than the ring survive.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct StreamFold {
+    /// `(seq, at)` of the last recorded event.
+    pub last: Option<(u64, SimTime)>,
+    /// Spool watermarks folded over every `SpoolAppend`/`SpoolAck` recorded.
+    pub spools: BTreeMap<String, SpoolMark>,
+}
+
+/// Prefix of the per-kind event counters; [`LogInner::counter`] holds it
+/// followed by the kind being counted.
+const COUNTER_PREFIX: &str = "events.";
+
 struct LogInner {
     ring: VecDeque<TimedEvent>,
     capacity: usize,
     next_seq: u64,
     dropped: u64,
+    fold: StreamFold,
     metrics: Option<MetricsRegistry>,
+    /// Scratch for the `events.<Kind>` counter name, reused across events.
+    counter: String,
     journal: Option<Journal>,
     crash_after: Option<u64>,
     crashed: bool,
@@ -42,10 +61,14 @@ impl LogInner {
     /// journal whose order disagrees with the ring.
     fn append(&mut self, at: SimTime, event: Event) {
         if let Some(metrics) = &self.metrics {
-            metrics.inc(&format!("events.{}", event.kind()));
+            self.counter.truncate(COUNTER_PREFIX.len());
+            self.counter.push_str(event.kind());
+            metrics.inc(&self.counter);
         }
         let seq = self.next_seq;
         self.next_seq += 1;
+        self.fold.last = Some((seq, at));
+        SpoolMark::fold(&mut self.fold.spools, &event);
         if self.ring.len() == self.capacity {
             self.ring.pop_front();
             self.dropped += 1;
@@ -53,8 +76,10 @@ impl LogInner {
         let timed = TimedEvent { at, seq, event };
         if let Some(journal) = &self.journal {
             if let Err(e) = journal.append_event(&timed) {
-                let msg = format!("journal append failed at seq {seq}: {e}");
-                self.journal_error.get_or_insert(msg);
+                // A poisoned writer repeats its first error on every event;
+                // only that first one is worth a message.
+                self.journal_error
+                    .get_or_insert_with(|| format!("journal append failed at seq {seq}: {e}"));
             }
         }
         if self.crash_after == Some(seq) {
@@ -62,8 +87,8 @@ impl LogInner {
             // durable, then detach — later events are lost with the crash.
             if let Some(journal) = self.journal.take() {
                 if let Err(e) = journal.sync() {
-                    let msg = format!("journal sync failed at crash point: {e}");
-                    self.journal_error.get_or_insert(msg);
+                    self.journal_error
+                        .get_or_insert_with(|| format!("journal sync failed at crash point: {e}"));
                 }
             }
             self.crashed = true;
@@ -92,7 +117,9 @@ impl EventLog {
                 capacity: capacity.max(1),
                 next_seq: 0,
                 dropped: 0,
+                fold: StreamFold::default(),
                 metrics: None,
+                counter: COUNTER_PREFIX.to_string(),
                 journal: None,
                 crash_after: None,
                 crashed: false,
@@ -136,7 +163,9 @@ impl EventLog {
     }
 
     /// The first journal append/sync failure, if one occurred. Journal I/O
-    /// trouble never takes the simulation down; it is surfaced here.
+    /// trouble never takes the simulation down; it is surfaced here, and the
+    /// journal writer refuses everything after it (no record lands behind a
+    /// hole).
     pub fn journal_error(&self) -> Option<String> {
         self.lock().journal_error.clone()
     }
@@ -156,6 +185,12 @@ impl EventLog {
         for event in events {
             inner.append(at, event);
         }
+    }
+
+    /// The whole-stream fold (see [`StreamFold`]): O(streams), and unmoved
+    /// by ring eviction or [`EventLog::clear`].
+    pub fn stream_fold(&self) -> StreamFold {
+        self.lock().fold.clone()
     }
 
     /// Copies out the retained events, oldest first.
@@ -245,6 +280,50 @@ mod tests {
         let snap = log.snapshot();
         assert_eq!(snap[0].seq, 2, "oldest retained is the third event");
         assert_eq!(snap[2].seq, 4);
+    }
+
+    /// The regression behind the fold: a snapshot taken after the ring had
+    /// wrapped past a stream's last ack used to drop that stream's marks.
+    #[test]
+    fn the_stream_fold_outlives_ring_eviction_and_clear() {
+        let log = EventLog::new(8);
+        assert_eq!(log.stream_fold(), StreamFold::default());
+        let stream = "console:1".to_string();
+        for seq in [1, 3, 2] {
+            let stream = stream.clone();
+            log.record(SimTime::from_secs(1), Event::SpoolAppend { stream, seq });
+        }
+        log.record(
+            SimTime::from_secs(2),
+            Event::SpoolAck {
+                stream: stream.clone(),
+                seq: 2,
+            },
+        );
+        for i in 0..20 {
+            log.record(SimTime::from_secs(10 + i), ev(i));
+        }
+        assert!(
+            log.snapshot()
+                .iter()
+                .all(|e| e.event.kind() == "JobStarted"),
+            "the ring has forgotten the spool events"
+        );
+        let want = StreamFold {
+            last: Some((23, SimTime::from_secs(29))),
+            spools: [(
+                stream,
+                SpoolMark {
+                    appended: 3,
+                    acked: 2,
+                },
+            )]
+            .into(),
+        };
+        assert_eq!(log.stream_fold(), want);
+        log.clear();
+        assert!(log.is_empty());
+        assert_eq!(log.stream_fold(), want, "clear() empties the ring only");
     }
 
     #[test]

@@ -41,7 +41,13 @@ impl MetricsRegistry {
 
     /// Adds `delta` to counter `name` (creating it at zero).
     pub fn add(&self, name: &str, delta: u64) {
-        *self.lock().counters.entry(name.to_string()).or_insert(0) += delta;
+        let mut reg = self.lock();
+        // Only a counter's first touch allocates its key.
+        if let Some(c) = reg.counters.get_mut(name) {
+            *c += delta;
+        } else {
+            reg.counters.insert(name.to_string(), delta);
+        }
     }
 
     /// Current value of counter `name` (0 when never touched).
@@ -51,7 +57,12 @@ impl MetricsRegistry {
 
     /// Sets gauge `name` to `value`.
     pub fn set_gauge(&self, name: &str, value: f64) {
-        self.lock().gauges.insert(name.to_string(), value);
+        let mut reg = self.lock();
+        if let Some(g) = reg.gauges.get_mut(name) {
+            *g = value;
+        } else {
+            reg.gauges.insert(name.to_string(), value);
+        }
     }
 
     /// Last value set on gauge `name`.
@@ -61,11 +72,14 @@ impl MetricsRegistry {
 
     /// Records one observation into histogram `name`.
     pub fn observe(&self, name: &str, value: f64) {
-        self.lock()
-            .histograms
-            .entry(name.to_string())
-            .or_default()
-            .record(value);
+        let mut reg = self.lock();
+        if let Some(h) = reg.histograms.get_mut(name) {
+            h.record(value);
+        } else {
+            let mut h = SampleSet::default();
+            h.record(value);
+            reg.histograms.insert(name.to_string(), h);
+        }
     }
 
     /// Moment statistics of histogram `name`, `None` when it has no samples.

@@ -184,6 +184,27 @@ pub struct SpoolMark {
     pub acked: u64,
 }
 
+impl SpoolMark {
+    /// Folds a `SpoolAppend`/`SpoolAck` into the per-stream watermarks;
+    /// every other event is ignored. The one definition of the fold:
+    /// [`ReplayState::apply`] and the [`crate::EventLog`]'s running fold
+    /// both go through it, so a snapshot's marks equal the journal's.
+    pub fn fold(spools: &mut BTreeMap<String, SpoolMark>, event: &Event) {
+        let (stream, appended, acked) = match event {
+            Event::SpoolAppend { stream, seq } => (stream, *seq, 0),
+            Event::SpoolAck { stream, seq } => (stream, 0, *seq),
+            _ => return,
+        };
+        // Only a stream's first mark allocates its key.
+        if let Some(m) = spools.get_mut(stream.as_str()) {
+            m.appended = m.appended.max(appended);
+            m.acked = m.acked.max(acked);
+        } else {
+            spools.insert(stream.clone(), SpoolMark { appended, acked });
+        }
+    }
+}
+
 /// Membership verdict on an unhealthy site, as reconstructable from the
 /// obituary events. Healthy sites never appear in the registry — a
 /// `SiteRejoin` removes the entry — so the fold is last-writer-wins and
@@ -399,13 +420,8 @@ impl ReplayState {
                     s.batch -= 1;
                 }
             }
-            Event::SpoolAppend { stream, seq } => {
-                let m = self.spools.entry(stream.clone()).or_default();
-                m.appended = m.appended.max(*seq);
-            }
-            Event::SpoolAck { stream, seq } => {
-                let m = self.spools.entry(stream.clone()).or_default();
-                m.acked = m.acked.max(*seq);
+            Event::SpoolAppend { .. } | Event::SpoolAck { .. } => {
+                SpoolMark::fold(&mut self.spools, &te.event);
             }
             Event::SiteSuspect { site, .. } => {
                 self.site_health.insert(site.clone(), SiteHealth::Suspect);

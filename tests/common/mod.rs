@@ -64,3 +64,11 @@ pub fn phase_of(state: &JobState) -> Phase {
         JobState::Failed { .. } => Phase::Failed,
     }
 }
+
+/// FNV-1a over a byte stream: the hash the golden tests (event stream
+/// JSONL, journal file bytes) are recorded in.
+pub fn fnv1a(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, b| {
+        (h ^ u64::from(*b)).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}

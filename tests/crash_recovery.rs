@@ -19,7 +19,7 @@ use crossgrid::trace::replay::Bucket;
 use crossgrid::trace::CrashPlan;
 
 mod common;
-use common::bucket_of;
+use common::{bucket_of, fnv1a};
 
 const SEED: u64 = 7;
 
@@ -126,12 +126,28 @@ fn journaled_run_with(
     snapshot_at: Option<u64>,
     backend: &BackendSpec,
 ) -> (u64, bool) {
+    journaled_run_cfg(
+        path,
+        crash_after,
+        snapshot_at,
+        backend,
+        JournalConfig::default(),
+    )
+}
+
+fn journaled_run_cfg(
+    path: &PathBuf,
+    crash_after: Option<u64>,
+    snapshot_at: Option<u64>,
+    backend: &BackendSpec,
+    journal: JournalConfig,
+) -> (u64, bool) {
     let _ = std::fs::remove_file(path);
     let mut sim = Sim::new(SEED);
     let (handles, mds) = world_with(backend);
     let broker = CrossBroker::new(&mut sim, handles, mds, config());
     let log = broker.event_log();
-    log.set_journal(Journal::create(path, JournalConfig::default()).unwrap());
+    log.set_journal(Journal::create(path, journal).unwrap());
     if let Some(k) = crash_after {
         log.arm_crash(CrashPlan { after_event_seq: k });
     }
@@ -585,6 +601,33 @@ fn torn_tails_and_bit_flips_never_panic_and_corruption_is_typed() {
         "no bit flip tripped the CRC — framing is not actually checked"
     );
     let _ = std::fs::remove_file(&path);
+}
+
+/// The file format is a contract with every journal already on disk: the
+/// reference scenario (with its t=60 s snapshot) must write the same bytes
+/// whatever the writer does internally and however often it syncs. The
+/// hash was recorded at the parent of PR 17 (one `write` per record); a PR
+/// that moves it changes the format and must say so.
+#[test]
+fn journal_bytes_match_the_recorded_golden_under_every_fsync_cadence() {
+    for fsync_every in [1, 64, 0] {
+        let path = tmp(&format!("golden-{fsync_every}"));
+        let (total, _) = journaled_run_cfg(
+            &path,
+            None,
+            Some(60),
+            &BackendSpec::Sim,
+            JournalConfig { fsync_every },
+        );
+        let bytes = std::fs::read(&path).unwrap();
+        assert_eq!(
+            fnv1a(&bytes),
+            0xf8f7_0047_06ef_cf78,
+            "fsync_every={fsync_every}: journal bytes changed ({total} events, {} bytes)",
+            bytes.len()
+        );
+        let _ = std::fs::remove_file(&path);
+    }
 }
 
 #[test]

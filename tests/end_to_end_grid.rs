@@ -6,6 +6,9 @@ use crossgrid::prelude::*;
 use crossgrid::sim::SimRng;
 use crossgrid::workloads::{poisson_arrivals, JobMix};
 
+mod common;
+use common::fnv1a;
+
 fn run_day(seed: u64, hours: u64) -> (CrossBroker, Vec<JobRecord>) {
     let mut sim = Sim::new(seed);
     let mut rng = SimRng::new(seed ^ 0xABCD);
@@ -162,13 +165,6 @@ fn identical_seeds_give_identical_days() {
             std::mem::discriminant(&rb.state)
         );
     }
-}
-
-/// FNV-1a over the bytes of a JSONL stream.
-fn fnv1a(bytes: &[u8]) -> u64 {
-    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, b| {
-        (h ^ u64::from(*b)).wrapping_mul(0x0000_0100_0000_01b3)
-    })
 }
 
 /// The whole lifecycle stream of a seeded day, byte for byte: a host-side
