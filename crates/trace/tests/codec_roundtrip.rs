@@ -7,7 +7,8 @@
 use cg_sim::SimTime;
 use cg_trace::{decode_event, encode_event, CodecError, Event, TimedEvent};
 use proptest::prelude::*;
-use std::collections::BTreeSet;
+use std::collections::{BTreeMap, BTreeSet};
+use std::fmt::Write;
 
 /// One instance of EVERY `Event` variant, fields filled from the generated
 /// scalars. Adding an enum variant without extending this list trips
@@ -222,6 +223,79 @@ fn tricky_strings() -> Vec<String> {
         "\u{0}\u{1f}".to_string(),
         "x".repeat(300),
     ]
+}
+
+/// One instance of every variant with fixed scalars: the variant set the
+/// frozen fixture must cover.
+fn catalog() -> Vec<Event> {
+    all_variants(7, 9, 3, true, 0.5, "cesga", "agent:3")
+}
+
+/// The journal's cross-version compatibility lock: one line per record,
+/// `tag<TAB>hex(encode_event bytes)<TAB>to_json()`, written once by the
+/// hand-written codec this crate shipped before the `events!` table.
+const WIRE_FIXTURE: &str = include_str!("fixtures/event_wire_v1.txt");
+
+/// A record as a fixture line.
+fn wire_line(te: &TimedEvent) -> String {
+    let mut bytes = Vec::new();
+    encode_event(te, &mut bytes);
+    let mut hex = String::with_capacity(2 * bytes.len());
+    for b in &bytes {
+        let _ = write!(hex, "{b:02x}");
+    }
+    // Layout: at(8) seq(8) tag(1) fields…
+    format!("{}\t{hex}\t{}", bytes[16], te.to_json())
+}
+
+#[test]
+fn the_wire_format_is_frozen() {
+    let mut kind_of_tag: BTreeMap<u8, &'static str> = BTreeMap::new();
+    for (n, line) in WIRE_FIXTURE.lines().enumerate() {
+        if line.is_empty() || line.starts_with('#') {
+            continue;
+        }
+        let n = n + 1;
+        let cols: Vec<&str> = line.splitn(3, '\t').collect();
+        assert_eq!(cols.len(), 3, "line {n}: want tag, hex and JSON columns");
+        let tag: u8 = cols[0].parse().unwrap_or_else(|e| panic!("line {n}: {e}"));
+        let hex = cols[1];
+        assert!(
+            hex.is_ascii() && hex.len().is_multiple_of(2),
+            "line {n}: ragged hex"
+        );
+        let bytes: Vec<u8> = (0..hex.len())
+            .step_by(2)
+            .map(|i| u8::from_str_radix(&hex[i..i + 2], 16))
+            .collect::<Result<_, _>>()
+            .unwrap_or_else(|e| panic!("line {n}: {e}"));
+        let te = decode_event(&bytes).unwrap_or_else(|e| panic!("line {n}: {e}"));
+        let kind = te.event.kind();
+        assert_eq!(bytes[16], tag, "line {n}: tag byte and tag column differ");
+        let named = format!("\"event\":\"{kind}\"");
+        assert!(cols[2].contains(&named), "line {n}: decodes as {kind}");
+        // Same bytes back out of the encoder, same JSON out of the writer.
+        assert_eq!(wire_line(&te), line, "line {n} ({kind})");
+        let owner = *kind_of_tag.entry(tag).or_insert(kind);
+        assert_eq!(owner, kind, "line {n}: tag {tag} names two variants");
+    }
+    let seen: BTreeSet<&str> = kind_of_tag.values().copied().collect();
+    assert_eq!(seen.len(), kind_of_tag.len(), "one variant under two tags");
+    // A variant the fixture lacks: the message is the line to append.
+    let missing: Vec<String> = (0u64..)
+        .zip(catalog())
+        .filter(|(_, event)| !seen.contains(event.kind()))
+        .map(|(seq, event)| {
+            let at = SimTime::from_nanos(seq);
+            wire_line(&TimedEvent { at, seq, event })
+        })
+        .collect();
+    assert!(
+        missing.is_empty(),
+        "variants without a line in event_wire_v1.txt; append:\n{}",
+        missing.join("\n")
+    );
+    assert_eq!(seen.len(), catalog().len(), "a line no variant owns");
 }
 
 #[test]
