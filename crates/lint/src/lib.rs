@@ -4,11 +4,11 @@
 //! The broker's headline claims — deterministic replay, bit-identical
 //! parallel matchmaking, crash recovery to identical outcomes — rest on
 //! source-level invariants that no compiler checks: no wall clocks in
-//! sim-governed code, no lock guards held across durable I/O, pure
-//! selection policies, and a hand-written event codec whose tag bytes stay
-//! unique and symmetric. This crate enforces them statically, with
+//! sim-governed code, no lock guards held across durable I/O, and pure
+//! selection policies. This crate enforces them statically, with
 //! rustc-style diagnostics rendered through the same machinery as the JDL
-//! analyzer (`cg-jdl`'s [`Diagnostic`]/[`Pos`] span shape).
+//! analyzer (`cg-jdl`'s [`Diagnostic`]/[`Pos`] span shape). (The event
+//! codec needs no pass: `cg-trace` generates it from one table.)
 //!
 //! There is no `syn` in this fully-offline workspace, so the analysis works
 //! over a hand-rolled token stream ([`scan`]) rather than an AST; the

@@ -10,20 +10,16 @@
 //! | L301 | policy purity | interior mutability inside a `SelectionPolicy` impl |
 //! | L302 | policy purity | clock or RNG inside a `SelectionPolicy` impl |
 //! | L303 | policy purity | I/O inside a `SelectionPolicy` impl |
-//! | L401 | codec integrity | duplicate event tag byte |
-//! | L402 | codec integrity | `Event` variant missing an encode or decode arm |
-//! | L403 | codec integrity | encode and decode arms disagree on a tag |
 //! | W501 | hygiene | `#[allow(...)]` attribute without a justifying comment |
 //!
 //! L1/L2 honor `// cg-lint: allow(<kind>): <reason>` escape hatches on the
 //! finding's line or the line above (`wall-clock`, `lock-across-io`,
-//! `nested-lock`). L3 and L4 are invariants with no escape hatch. W501 is
+//! `nested-lock`). L3 is an invariant with no escape hatch. W501 is
 //! satisfied by any plain `//` comment on the attribute's line or the line
 //! above (doc comments belong to the item, not the allow, and don't count).
 
-use crate::scan::{int_value, SourceFile, Tok, TokKind};
+use crate::scan::{SourceFile, Tok, TokKind};
 use cg_jdl::{Diagnostic, Pos, Severity};
-use std::collections::HashMap;
 
 /// One lint finding: a diagnostic anchored to a file.
 #[derive(Debug, Clone)]
@@ -67,7 +63,6 @@ pub fn run_all(files: &[SourceFile]) -> Vec<Finding> {
         backend_bridging(f, &mut out);
         allow_hygiene(f, &mut out);
     }
-    codec_integrity(files, &mut out);
     out.sort_by(|a, b| {
         (
             a.path.as_str(),
@@ -471,256 +466,6 @@ fn matching_brace(toks: &[Tok], open: usize) -> usize {
         }
     }
     toks.len().saturating_sub(1)
-}
-
-// ── L4: codec integrity ─────────────────────────────────────────────────
-
-/// Cross-checks the `Event` enum against its hand-written binary codec:
-/// every variant must carry exactly one tag byte, tags must be unique, and
-/// the encode and decode arms must agree. Runs only when the scanned set
-/// contains both an `enum Event` and an `fn encode_event` (the workspace
-/// run always does; fixture runs opt in by providing both files).
-fn codec_integrity(files: &[SourceFile], out: &mut Vec<Finding>) {
-    let Some(enum_file) = files.iter().find(|f| has_enum_event(f)) else {
-        return;
-    };
-    let Some(codec_file) = files.iter().find(|f| {
-        f.toks
-            .windows(2)
-            .any(|w| w[0].is_ident("fn") && w[1].is_ident("encode_event"))
-    }) else {
-        return;
-    };
-    let variants = enum_variants(enum_file);
-    let encode = encode_arms(codec_file);
-    let decode = decode_arms(codec_file);
-
-    // Duplicate tags, in either direction.
-    let mut by_tag: HashMap<u64, &str> = HashMap::new();
-    for (name, (tag, pos)) in &encode {
-        if let Some(first) = by_tag.insert(*tag, name) {
-            out.push(finding(
-                &codec_file.path,
-                Severity::Error,
-                "L401",
-                *pos,
-                format!("encode arm for `{name}` reuses tag {tag}, already assigned to `{first}`"),
-                Some("every Event variant needs a unique tag byte".to_string()),
-            ));
-        }
-    }
-    let mut by_tag: HashMap<u64, &str> = HashMap::new();
-    for (name, (tag, pos)) in &decode {
-        if let Some(first) = by_tag.insert(*tag, name) {
-            out.push(finding(
-                &codec_file.path,
-                Severity::Error,
-                "L401",
-                *pos,
-                format!("decode arm for `{name}` reuses tag {tag}, already matched to `{first}`"),
-                Some("every Event variant needs a unique tag byte".to_string()),
-            ));
-        }
-    }
-
-    for (name, pos) in &variants {
-        match (encode.get(name.as_str()), decode.get(name.as_str())) {
-            (None, _) => out.push(finding(
-                &enum_file.path,
-                Severity::Error,
-                "L402",
-                *pos,
-                format!("Event variant `{name}` has no encode arm in the codec"),
-                Some("add the variant to encode_event with a fresh tag byte".to_string()),
-            )),
-            (_, None) => out.push(finding(
-                &enum_file.path,
-                Severity::Error,
-                "L402",
-                *pos,
-                format!("Event variant `{name}` has no decode arm in the codec"),
-                Some("add the variant's tag to decode_event".to_string()),
-            )),
-            (Some((enc_tag, enc_pos)), Some((dec_tag, _))) if enc_tag != dec_tag => {
-                out.push(finding(
-                    &codec_file.path,
-                    Severity::Error,
-                    "L403",
-                    *enc_pos,
-                    format!("`{name}` encodes as tag {enc_tag} but decodes from tag {dec_tag}"),
-                    Some("encode and decode must agree on the tag byte".to_string()),
-                ));
-            }
-            _ => {}
-        }
-    }
-    // A decode arm for a name that is not a variant at all (rename drift).
-    for (name, (_, pos)) in &decode {
-        if !variants.iter().any(|(v, _)| v == name) {
-            out.push(finding(
-                &codec_file.path,
-                Severity::Error,
-                "L402",
-                *pos,
-                format!("decode arm constructs `Event::{name}`, which is not a variant"),
-                None,
-            ));
-        }
-    }
-}
-
-fn has_enum_event(f: &SourceFile) -> bool {
-    f.toks
-        .windows(2)
-        .any(|w| w[0].is_ident("enum") && w[1].is_ident("Event"))
-}
-
-/// Variant names (with positions) of the `Event` enum: idents at brace
-/// depth 1 that start a variant (first token, or right after a `,`),
-/// skipping `#[...]` attribute groups and the variants' own field blocks.
-fn enum_variants(f: &SourceFile) -> Vec<(String, Pos)> {
-    let toks = &f.toks;
-    let start = toks
-        .windows(2)
-        .position(|w| w[0].is_ident("enum") && w[1].is_ident("Event"))
-        .expect("checked by has_enum_event");
-    let open = start
-        + toks[start..]
-            .iter()
-            .position(|t| t.is_punct("{"))
-            .expect("enum body");
-    let close = matching_brace(toks, open);
-    let mut variants = Vec::new();
-    let mut expecting = true;
-    let mut i = open + 1;
-    while i < close {
-        let t = &toks[i];
-        if t.is_punct("#") {
-            // Skip the attribute: `#[ ... ]`.
-            if let Some(j) = toks[i..close].iter().position(|t| t.is_punct("]")) {
-                i += j + 1;
-                continue;
-            }
-        } else if t.is_punct("{") || t.is_punct("(") {
-            // Skip the variant's fields.
-            let (openp, closep) = if t.is_punct("{") {
-                ("{", "}")
-            } else {
-                ("(", ")")
-            };
-            let mut depth = 0i32;
-            while i < close {
-                if toks[i].is_punct(openp) {
-                    depth += 1;
-                } else if toks[i].is_punct(closep) {
-                    depth -= 1;
-                    if depth == 0 {
-                        break;
-                    }
-                }
-                i += 1;
-            }
-        } else if t.is_punct(",") {
-            expecting = true;
-        } else if expecting && t.kind == TokKind::Ident {
-            variants.push((t.text.clone(), t.pos));
-            expecting = false;
-        }
-        i += 1;
-    }
-    variants
-}
-
-/// Encode arms: each `Event::Name` inside `fn encode_event`, mapped to the
-/// integer of the first `put_u8(out, N)` before the next arm (the tag byte
-/// is always written first).
-fn encode_arms(f: &SourceFile) -> HashMap<String, (u64, Pos)> {
-    let toks = &f.toks;
-    let Some((start, end)) = fn_body(toks, "encode_event") else {
-        return HashMap::new();
-    };
-    let mut arms = HashMap::new();
-    let mut i = start;
-    while i < end {
-        if toks[i].is_ident("Event")
-            && matches!(toks.get(i + 1), Some(t) if t.is_punct("::"))
-            && matches!(toks.get(i + 2), Some(t) if t.kind == TokKind::Ident)
-        {
-            let name = toks[i + 2].text.clone();
-            let pos = toks[i].pos;
-            // Scan forward for put_u8(out, N), stopping at the next arm.
-            let mut j = i + 3;
-            while j < end {
-                if toks[j].is_ident("Event")
-                    && matches!(toks.get(j + 1), Some(t) if t.is_punct("::"))
-                {
-                    break;
-                }
-                if toks[j].is_ident("put_u8")
-                    && matches!(toks.get(j + 1), Some(t) if t.is_punct("("))
-                    && matches!(toks.get(j + 4), Some(t) if t.kind == TokKind::Int)
-                {
-                    if let Some(tag) = int_value(&toks[j + 4].text) {
-                        arms.insert(name.clone(), (tag, pos));
-                    }
-                    break;
-                }
-                j += 1;
-            }
-            i = j;
-            continue;
-        }
-        i += 1;
-    }
-    arms
-}
-
-/// Decode arms: each `N => … Event::Name` inside `fn decode_event`.
-fn decode_arms(f: &SourceFile) -> HashMap<String, (u64, Pos)> {
-    let toks = &f.toks;
-    let Some((start, end)) = fn_body(toks, "decode_event") else {
-        return HashMap::new();
-    };
-    let mut arms = HashMap::new();
-    let mut i = start;
-    while i < end {
-        if toks[i].kind == TokKind::Int && matches!(toks.get(i + 1), Some(t) if t.is_punct("=>")) {
-            let tag = int_value(&toks[i].text);
-            let pos = toks[i].pos;
-            // The variant is the next `Event::Name` before the next `N =>`.
-            let mut j = i + 2;
-            while j < end {
-                if toks[j].kind == TokKind::Int
-                    && matches!(toks.get(j + 1), Some(t) if t.is_punct("=>"))
-                {
-                    break;
-                }
-                if toks[j].is_ident("Event")
-                    && matches!(toks.get(j + 1), Some(t) if t.is_punct("::"))
-                    && matches!(toks.get(j + 2), Some(t) if t.kind == TokKind::Ident)
-                {
-                    if let Some(tag) = tag {
-                        arms.insert(toks[j + 2].text.clone(), (tag, pos));
-                    }
-                    break;
-                }
-                j += 1;
-            }
-            i = j;
-            continue;
-        }
-        i += 1;
-    }
-    arms
-}
-
-/// Token range of the body of `fn <name>`.
-fn fn_body(toks: &[Tok], name: &str) -> Option<(usize, usize)> {
-    let at = toks
-        .windows(2)
-        .position(|w| w[0].is_ident("fn") && w[1].is_ident(name))?;
-    let open = at + toks[at..].iter().position(|t| t.is_punct("{"))?;
-    Some((open + 1, matching_brace(toks, open)))
 }
 
 // ── W501: allow hygiene ─────────────────────────────────────────────────

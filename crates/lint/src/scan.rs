@@ -132,28 +132,6 @@ fn comment_allows(text: &str, kind: &str) -> bool {
     !reason.trim().is_empty()
 }
 
-/// Parses an integer literal's value, handling `0x`/`0o`/`0b` prefixes,
-/// `_` separators, and type suffixes. `None` when it overflows or is empty.
-pub fn int_value(text: &str) -> Option<u64> {
-    let t: String = text.chars().filter(|c| *c != '_').collect();
-    let (radix, digits) = if let Some(d) = t.strip_prefix("0x").or_else(|| t.strip_prefix("0X")) {
-        (16, d)
-    } else if let Some(d) = t.strip_prefix("0o") {
-        (8, d)
-    } else if let Some(d) = t.strip_prefix("0b") {
-        (2, d)
-    } else {
-        (10, t.as_str())
-    };
-    // Strip a type suffix (`u8`, `i64`, `usize`, …): the first char that is
-    // not a digit of the radix starts it.
-    let end = digits
-        .char_indices()
-        .find(|(_, c)| !c.is_digit(radix))
-        .map_or(digits.len(), |(i, _)| i);
-    u64::from_str_radix(&digits[..end], radix).ok()
-}
-
 struct Lexer<'a> {
     chars: std::iter::Peekable<std::str::Chars<'a>>,
     line: u32,
@@ -459,7 +437,7 @@ mod tests {
         assert!(f.toks.iter().any(|t| t.is_punct("->")));
         assert!(f.toks.iter().any(|t| t.is_punct("=>")));
         let int = f.toks.iter().find(|t| t.kind == TokKind::Int).unwrap();
-        assert_eq!(int_value(&int.text), Some(42));
+        assert_eq!(int.text, "0x2A_u64");
     }
 
     #[test]

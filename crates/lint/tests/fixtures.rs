@@ -68,27 +68,6 @@ fn l3_good_fixture_is_clean() {
 }
 
 #[test]
-fn l4_bad_fixture_flags_tag_reuse_missing_arms_and_disagreement() {
-    let report = lint_fixture("l4_codec/bad");
-    // JobDone reuses tag 1 on encode (L401) and decodes from 3 (L403);
-    // tag 4 constructs a variant the enum lacks (L402).
-    assert_eq!(codes_in(&report, "codec.rs"), ["L401", "L402", "L403"]);
-    // SiteDrained never got an encode arm (L402, anchored on the enum).
-    assert_eq!(codes_in(&report, "event.rs"), ["L402"]);
-    assert!(report.has_errors());
-}
-
-#[test]
-fn l4_good_fixture_is_clean() {
-    let report = lint_fixture("l4_codec/good");
-    assert!(
-        report.findings.is_empty(),
-        "unexpected findings:\n{}",
-        report.render()
-    );
-}
-
-#[test]
 fn l6_bad_fixture_flags_wall_clock_inside_a_backend_impl() {
     let report = lint_fixture("l6_backend");
     // `Instant::now` inside the impl is the bridging breach (L102) and a

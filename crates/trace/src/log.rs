@@ -227,10 +227,23 @@ impl EventLog {
     pub fn to_jsonl(&self) -> String {
         let mut out = String::new();
         for ev in &self.lock().ring {
-            out.push_str(&ev.to_json());
+            ev.write_json(&mut out);
             out.push('\n');
         }
         out
+    }
+
+    /// What a dump of the ring must say once the ring has overflowed: how
+    /// many events were evicted and where the retained stream starts.
+    fn truncation_warning(&self) -> Option<String> {
+        let inner = self.lock();
+        let first = inner.ring.front().map_or(inner.next_seq, |e| e.seq);
+        (inner.dropped > 0).then(|| {
+            format!(
+                "the event ring evicted {} event(s); the dump starts mid-stream at seq {first}",
+                inner.dropped
+            )
+        })
     }
 }
 
@@ -249,10 +262,14 @@ impl std::fmt::Debug for EventLog {
 /// `env_var`, if set. Returns the path written, `None` when the variable is
 /// unset or empty. Bench binaries call this after their run so
 /// `CG_TRACE_JSONL=out.jsonl cargo run --bin …` captures the event stream
-/// with no extra flags.
+/// with no extra flags. A ring that has overflowed holds only the tail of
+/// the stream; the dump is still written, with one warning on stderr.
 pub fn dump_jsonl_env(log: &EventLog, env_var: &str) -> Option<std::path::PathBuf> {
     let path = std::env::var(env_var).ok().filter(|p| !p.is_empty())?;
     let path = std::path::PathBuf::from(path);
+    if let Some(warning) = log.truncation_warning() {
+        eprintln!("warning: {}: {warning}", path.display());
+    }
     if let Err(e) = std::fs::write(&path, log.to_jsonl()) {
         eprintln!("warning: could not write {}: {e}", path.display());
         return None;
@@ -280,6 +297,24 @@ mod tests {
         let snap = log.snapshot();
         assert_eq!(snap[0].seq, 2, "oldest retained is the third event");
         assert_eq!(snap[2].seq, 4);
+    }
+
+    #[test]
+    fn a_dump_of_an_overflowed_ring_says_where_it_starts() {
+        let log = EventLog::new(3);
+        for i in 0..3 {
+            log.record(SimTime::from_secs(i), ev(i));
+        }
+        assert_eq!(log.truncation_warning(), None, "nothing evicted yet");
+        for i in 3..5 {
+            log.record(SimTime::from_secs(i), ev(i));
+        }
+        let warning = log.truncation_warning().expect("two events were evicted");
+        assert!(warning.contains("evicted 2 event(s)"), "{warning}");
+        assert!(warning.contains("at seq 2"), "{warning}");
+        assert!(log
+            .to_jsonl()
+            .starts_with("{\"at_ns\":2000000000,\"seq\":2,"));
     }
 
     /// The regression behind the fold: a snapshot taken after the ring had

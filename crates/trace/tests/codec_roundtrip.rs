@@ -1,216 +1,16 @@
 //! Exhaustive codec integrity: every `Event` variant, with randomized
 //! field values, must survive encode → decode bit-identically, and every
 //! malformed input must come back as a typed [`CodecError`] — never a
-//! panic and never a silently wrong record. This is the value-level twin
-//! of `cg-lint`'s L4 pass (which checks the same codec structurally).
+//! panic and never a silently wrong record. The variants come from
+//! [`Event::catalog`], which the `events!` table generates, so a new row is
+//! covered the moment it exists; what the table cannot promise — that
+//! yesterday's bytes still mean the same thing — is the frozen fixture's job.
 
 use cg_sim::SimTime;
-use cg_trace::{decode_event, encode_event, CodecError, Event, TimedEvent};
+use cg_trace::{decode_event, encode_event, CodecError, Event, FieldSamples, TimedEvent};
 use proptest::prelude::*;
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt::Write;
-
-/// One instance of EVERY `Event` variant, fields filled from the generated
-/// scalars. Adding an enum variant without extending this list trips
-/// `the_catalog_covers_every_variant_once` below, so the exhaustive tests
-/// cannot silently go stale.
-#[allow(clippy::too_many_lines)] // one constructor per variant, by design
-fn all_variants(a: u64, b: u64, small: u32, flag: bool, x: f64, s: &str, t: &str) -> Vec<Event> {
-    vec![
-        Event::JobSubmitted {
-            job: a,
-            user: s.to_string(),
-            interactive: flag,
-        },
-        Event::JobAd {
-            job: a,
-            jdl: t.to_string(),
-            runtime_ns: b,
-        },
-        Event::JobQueued { job: a },
-        Event::QueueRetry { job: a },
-        Event::LeaseGranted {
-            job: a,
-            target: s.to_string(),
-            until_ns: b,
-        },
-        Event::JobDispatched {
-            job: a,
-            target: t.to_string(),
-            backend: s.to_string(),
-        },
-        Event::JobStarted { job: a },
-        Event::JobResubmitted {
-            job: a,
-            attempt: small,
-        },
-        Event::JobBackoff {
-            job: a,
-            attempt: small,
-            delay_ns: b,
-        },
-        Event::JobFinished { job: a },
-        Event::JobFailed {
-            job: a,
-            reason: s.to_string(),
-        },
-        Event::JobCancelled { job: a },
-        Event::JdlDiagnostic {
-            job: a,
-            severity: s.to_string(),
-            code: t.to_string(),
-            message: s.to_string(),
-        },
-        Event::JdlRejected {
-            job: a,
-            errors: small,
-        },
-        Event::RankNanDiscarded {
-            job: a,
-            site: s.to_string(),
-        },
-        Event::PolicyDecision {
-            job: a,
-            policy: s.to_string(),
-            site: t.to_string(),
-            score: x,
-        },
-        Event::FairShareTick { usages: small },
-        Event::PriorityChanged {
-            usage: a,
-            kind: s.to_string(),
-        },
-        Event::AgentDeployed {
-            agent: a,
-            site: s.to_string(),
-        },
-        Event::AgentReady { agent: a },
-        Event::AgentDied {
-            agent: a,
-            reason: t.to_string(),
-            voluntary: flag,
-        },
-        Event::AgentBatchFinished { agent: a },
-        Event::BatchYielded {
-            agent: a,
-            job: b,
-            performance_loss: small,
-        },
-        Event::BatchRestored { agent: a, job: b },
-        Event::SlotStarted {
-            machine: s.to_string(),
-            interactive: flag,
-        },
-        Event::SlotPreempted {
-            machine: s.to_string(),
-            batch_rate_pct: small,
-        },
-        Event::SlotRestored {
-            machine: t.to_string(),
-        },
-        Event::SlotFinished {
-            machine: s.to_string(),
-            interactive: flag,
-        },
-        Event::ConsoleConnected { job: a },
-        Event::ConsoleRetry {
-            job: a,
-            attempt: small,
-        },
-        Event::ConsoleReady { job: a },
-        Event::SpoolAppend {
-            stream: s.to_string(),
-            seq: b,
-        },
-        Event::SpoolAck {
-            stream: t.to_string(),
-            seq: b,
-        },
-        Event::SpoolReplay {
-            stream: s.to_string(),
-            after: b,
-            records: small,
-        },
-        Event::BufferFlush {
-            stream: s.to_string(),
-            reason: t.to_string(),
-            bytes: b,
-        },
-        Event::ShadowConnected { rank: small },
-        Event::ShadowDisconnected { rank: small },
-        Event::LrmsQueued {
-            site: s.to_string(),
-            job: a,
-        },
-        Event::LrmsStarted {
-            site: s.to_string(),
-            job: a,
-            nodes: small,
-        },
-        Event::LrmsFinished {
-            site: t.to_string(),
-            job: a,
-        },
-        Event::LrmsKilled {
-            site: s.to_string(),
-            job: a,
-            reason: t.to_string(),
-        },
-        Event::DispositionEvicted {
-            site: s.to_string(),
-            job: a,
-        },
-        Event::BrokerRecovered {
-            jobs: a,
-            requeued: b,
-            resubmitted: a,
-            agents_lost: b,
-        },
-        Event::SiteSuspect {
-            site: s.to_string(),
-            missed_refreshes: small,
-            failed_queries: small,
-        },
-        Event::SiteDead {
-            site: t.to_string(),
-            in_flight: small,
-        },
-        Event::SiteRejoin {
-            site: s.to_string(),
-            down_ns: b,
-        },
-        Event::LiveQueryTimeout {
-            job: a,
-            site: t.to_string(),
-            attempt: small,
-        },
-        Event::QueryRetry {
-            job: a,
-            site: s.to_string(),
-            attempt: small,
-            delay_ns: b,
-        },
-        Event::DegradedMatch {
-            job: a,
-            staleness_ns: b,
-        },
-        Event::GiisDelta {
-            leaf: small,
-            epoch: b,
-            changed: small,
-        },
-        Event::RefreshSweep {
-            refreshed: small,
-            missed: small,
-            amnestied: small,
-            late_merges: small,
-        },
-        Event::Measurement {
-            name: s.to_string(),
-            value: x,
-        },
-    ]
-}
 
 /// Strings exercising the length-prefixed codec path: empty, ASCII,
 /// multi-byte UTF-8, embedded quotes/newlines/NULs, and a long tail.
@@ -228,7 +28,28 @@ fn tricky_strings() -> Vec<String> {
 /// One instance of every variant with fixed scalars: the variant set the
 /// frozen fixture must cover.
 fn catalog() -> Vec<Event> {
-    all_variants(7, 9, 3, true, 0.5, "cesga", "agent:3")
+    Event::catalog(FieldSamples {
+        u64s: [7, 9],
+        u32: 3,
+        flag: true,
+        f64: 0.5,
+        strs: ["cesga", "agent:3"],
+    })
+}
+
+/// The wire tag of every variant, read off its encoding.
+fn catalog_tags() -> BTreeSet<u8> {
+    let tag = |event| {
+        let te = TimedEvent {
+            at: SimTime::ZERO,
+            seq: 0,
+            event,
+        };
+        let mut buf = Vec::new();
+        encode_event(&te, &mut buf);
+        buf[16]
+    };
+    catalog().into_iter().map(tag).collect()
 }
 
 /// The journal's cross-version compatibility lock: one line per record,
@@ -300,33 +121,44 @@ fn the_wire_format_is_frozen() {
 
 #[test]
 fn the_catalog_covers_every_variant_once() {
-    let events = all_variants(1, 2, 3, true, 0.5, "s", "t");
+    let events = catalog();
     let kinds: BTreeSet<&'static str> = events.iter().map(Event::kind).collect();
+    assert_eq!(kinds.len(), events.len(), "a variant appears twice");
     assert_eq!(
-        kinds.len(),
+        catalog_tags().len(),
         events.len(),
-        "a variant appears twice in all_variants"
+        "two variants share a tag"
     );
-    // The enum has exactly this many variants today; `Event::kind`'s
-    // exhaustive match keeps the enum and this count honest together.
-    assert_eq!(events.len(), 52);
 }
 
 #[test]
 fn corrupted_utf8_is_a_typed_error() {
-    let te = TimedEvent {
-        at: SimTime::from_nanos(5),
-        seq: 9,
-        event: Event::JobFailed {
-            job: 8,
-            reason: "abc".to_string(),
-        },
+    let samples = FieldSamples {
+        u64s: [7, 9],
+        u32: 3,
+        flag: true,
+        f64: 0.5,
+        strs: ["abc", "abc"],
     };
-    let mut buf = Vec::new();
-    encode_event(&te, &mut buf);
-    // Layout: at(8) seq(8) tag(1) job(8) len(4) then the string bytes.
-    buf[29] = 0xff;
-    assert_eq!(decode_event(&buf), Err(CodecError::BadUtf8));
+    let mut with_a_string = 0;
+    for event in Event::catalog(samples) {
+        let te = TimedEvent {
+            at: SimTime::from_nanos(5),
+            seq: 9,
+            event,
+        };
+        let mut buf = Vec::new();
+        encode_event(&te, &mut buf);
+        // The variant's first string field, if it has one.
+        let Some(at) = buf.windows(3).position(|w| w == b"abc") else {
+            continue;
+        };
+        buf[at] = 0xff;
+        let kind = te.event.kind();
+        assert_eq!(decode_event(&buf), Err(CodecError::BadUtf8), "{kind}");
+        with_a_string += 1;
+    }
+    assert!(with_a_string > 0, "no variant carries a string");
 }
 
 proptest! {
@@ -343,7 +175,8 @@ proptest! {
         at in any::<u64>(),
         seq in any::<u64>(),
     ) {
-        for event in all_variants(a, b, small, flag, x, &s, &t) {
+        let samples = FieldSamples { u64s: [a, b], u32: small, flag, f64: x, strs: [&s, &t] };
+        for event in Event::catalog(samples) {
             let te = TimedEvent {
                 at: SimTime::from_nanos(at),
                 seq,
@@ -366,7 +199,8 @@ proptest! {
         small in any::<u32>(),
         s in prop::sample::select(tricky_strings()),
     ) {
-        for event in all_variants(a, b, small, true, 1.5, &s, "t") {
+        let samples = FieldSamples { u64s: [a, b], u32: small, flag: true, f64: 1.5, strs: [&s, "t"] };
+        for event in Event::catalog(samples) {
             let te = TimedEvent { at: SimTime::from_nanos(1), seq: 2, event };
             let mut buf = Vec::new();
             encode_event(&te, &mut buf);
@@ -385,9 +219,10 @@ proptest! {
     /// An unknown tag byte is `BadTag(tag)`, whatever the surrounding bytes.
     #[test]
     fn unknown_tags_are_badtag(at in any::<u64>(), seq in any::<u64>(), raw in any::<u8>()) {
-        // Real tags are dense through 51 (see `encode_event`); anything
-        // above must be rejected by value.
-        let tag = 52 + (raw % (u8::MAX - 51));
+        // Every byte the table does not use must be rejected by value.
+        let known = catalog_tags();
+        let unknown: Vec<u8> = (0..=u8::MAX).filter(|t| !known.contains(t)).collect();
+        let tag = unknown[usize::from(raw) % unknown.len()];
         let mut buf = Vec::new();
         buf.extend_from_slice(&at.to_le_bytes());
         buf.extend_from_slice(&seq.to_le_bytes());
@@ -402,7 +237,8 @@ proptest! {
         extra in any::<u8>(),
         s in prop::sample::select(tricky_strings()),
     ) {
-        for event in all_variants(a, 7, 3, false, 2.5, &s, "t") {
+        let samples = FieldSamples { u64s: [a, 7], u32: 3, flag: false, f64: 2.5, strs: [&s, "t"] };
+        for event in Event::catalog(samples) {
             let te = TimedEvent { at: SimTime::from_nanos(1), seq: 2, event };
             let mut buf = Vec::new();
             encode_event(&te, &mut buf);

@@ -23,9 +23,9 @@
 //!
 //! cgrun lint-src [--check] [ROOT]
 //!     Statically analyse the workspace's own Rust sources: determinism
-//!     (L1), lock discipline (L2), selection-policy purity (L3), event
-//!     codec integrity (L4), allow-attribute hygiene (W5). Exits non-zero
-//!     on errors (with --check, on warnings too).
+//!     (L1), lock discipline (L2), selection-policy purity (L3),
+//!     allow-attribute hygiene (W5). Exits non-zero on errors (with
+//!     --check, on warnings too).
 //!
 //! cgrun journal-dump FILE
 //!     Decode a broker journal: snapshot/torn-tail summary on stderr, one
