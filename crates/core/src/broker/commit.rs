@@ -468,9 +468,11 @@ impl CrossBroker {
                         this.site_refused(sim, &run, site_index, None);
                     }
                     GramEvent::Finished => this.task_done(sim, &run),
-                    // A kill before the start is our own withdrawal.
-                    GramEvent::Killed { reason } if online && started.get() => {
-                        this.fail(sim, run.id, &format!("killed at site: {reason}"), false);
+                    // A kill before the start is our own withdrawal; one
+                    // after it takes the job down, whatever the plan (a
+                    // barrier job cannot run short a subjob).
+                    GramEvent::Killed { reason } if started.get() => {
+                        this.fail_run(sim, &run, &format!("killed at site: {reason}"));
                     }
                     // The two-phase submission detected the error before
                     // the job reached the LRMS (§6.1).

@@ -1072,3 +1072,82 @@ fn site_dead_in_flight_excludes_a_finished_shared_job_on_a_live_agent() {
         .expect("alpha was declared dead");
     assert_eq!(in_flight, 0, "nothing was in flight on alpha");
 }
+
+/// A barrier job cannot run short a subjob: when a site kills one that had
+/// started (node failure, walltime), the job fails — once — instead of
+/// staying `Running` forever or finishing `Done` on the survivors.
+#[test]
+fn a_started_subjob_killed_at_its_site_fails_the_barrier_job() {
+    let cases = [
+        (
+            "co-allocated, k = 2",
+            r#"Executable = "a"; JobType = {"interactive", "mpich-g2"};
+               NodeNumber = 4; User = "carol";"#,
+            0,
+        ),
+        (
+            "shared-parallel, agent + site",
+            r#"Executable = "a"; JobType = {"interactive", "mpich-p4"};
+               NodeNumber = 3; MachineAccess = "shared"; User = "dora";"#,
+            1,
+        ),
+    ];
+    for (name, jdl, warm_agents) in cases {
+        let mut sim = Sim::new(21);
+        let (broker, sites) = grid(&mut sim, 2, 2);
+        for site in 0..warm_agents {
+            broker.predeploy_agent(&mut sim, site, |_, ok| assert!(ok));
+        }
+        sim.run_until(SimTime::from_secs(300));
+        let submitted = broker.event_log().recorded();
+        let id = broker.submit(&mut sim, job(jdl), SimDuration::from_secs(5_000));
+        sim.run_until(SimTime::from_secs(1_000));
+        let state = broker.record(id).state;
+        assert!(
+            matches!(state, JobState::Running { .. }),
+            "{name}: {state:?}"
+        );
+
+        // The last site subjob the LRMSs started for this job.
+        let (site, local) = broker
+            .event_log()
+            .snapshot()
+            .iter()
+            .rev()
+            .take_while(|e| e.seq >= submitted)
+            .find_map(|e| match &e.event {
+                cg_trace::Event::LrmsStarted { site, job, .. } => Some((site.clone(), *job)),
+                _ => None,
+            })
+            .unwrap_or_else(|| panic!("{name}: no site subjob started"));
+        let lrms = sites.iter().find(|s| s.name() == site).unwrap().lrms();
+        assert!(lrms.kill(&mut sim, cg_site::LocalJobId(local), "node failure"));
+        sim.run_until(SimTime::from_secs(10_000));
+
+        match broker.record(id).state {
+            JobState::Failed { reason } => {
+                assert_eq!(reason, "killed at site: node failure", "{name}");
+            }
+            other => panic!("{name}: the kill went unnoticed: {other:?}"),
+        }
+        let events = broker.event_log().snapshot();
+        let terminal: Vec<&str> = events
+            .iter()
+            .filter_map(|e| match &e.event {
+                cg_trace::Event::JobFinished { job }
+                | cg_trace::Event::JobFailed { job, .. }
+                | cg_trace::Event::JobCancelled { job }
+                    if *job == id.0 =>
+                {
+                    Some(e.event.kind())
+                }
+                _ => None,
+            })
+            .collect();
+        assert_eq!(terminal, ["JobFailed"], "{name}: one terminal event");
+        assert!(cg_trace::check_invariants(&events).is_empty(), "{name}");
+        assert_eq!(broker.stats().failed, 1, "{name}");
+        // The per-job side tables went with it: no retained ad to snapshot.
+        assert_eq!(broker.replay_state().jobs[&id.0].jdl, None, "{name}");
+    }
+}
