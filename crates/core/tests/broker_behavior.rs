@@ -45,6 +45,17 @@ const SHARED: &str = r#"
 const BATCH: &str = r#"
     Executable = "bapp"; JobType = "batch"; User = "bob";
 "#;
+/// On `grid(_, 2, 2)`: two site slots of two nodes each.
+const COALLOCATED_K2: &str = r#"
+    Executable = "a"; JobType = {"interactive", "mpich-g2"};
+    NodeNumber = 4; User = "carol";
+"#;
+/// On `grid(_, 2, 2)` with one warm agent: the agent's slot, then the
+/// emptier site covers the other two nodes with a console each.
+const SHARED_PARALLEL_AGENT_SITE: &str = r#"
+    Executable = "a"; JobType = {"interactive", "mpich-p4"};
+    NodeNumber = 3; MachineAccess = "shared"; User = "dora";
+"#;
 
 #[test]
 fn exclusive_interactive_starts_with_full_pipeline() {
@@ -849,18 +860,14 @@ fn a_plan_of_k_slots_leases_each_slot_dispatches_once_and_starts_behind_its_barr
         },
         Case {
             name: "co-allocated, k = 2",
-            jdl: r#"Executable = "a"; JobType = {"interactive", "mpich-g2"};
-                    NodeNumber = 4; User = "carol";"#,
+            jdl: COALLOCATED_K2,
             warm_agents: 0,
             slots: 2,
             consoles: 2,
         },
         Case {
-            // One agent slot, then the emptier site covers the other two
-            // nodes with a console each.
             name: "shared-parallel, agent + site",
-            jdl: r#"Executable = "a"; JobType = {"interactive", "mpich-p4"};
-                    NodeNumber = 3; MachineAccess = "shared"; User = "dora";"#,
+            jdl: SHARED_PARALLEL_AGENT_SITE,
             warm_agents: 1,
             slots: 2,
             consoles: 3,
@@ -1079,16 +1086,10 @@ fn site_dead_in_flight_excludes_a_finished_shared_job_on_a_live_agent() {
 #[test]
 fn a_started_subjob_killed_at_its_site_fails_the_barrier_job() {
     let cases = [
-        (
-            "co-allocated, k = 2",
-            r#"Executable = "a"; JobType = {"interactive", "mpich-g2"};
-               NodeNumber = 4; User = "carol";"#,
-            0,
-        ),
+        ("co-allocated, k = 2", COALLOCATED_K2, 0),
         (
             "shared-parallel, agent + site",
-            r#"Executable = "a"; JobType = {"interactive", "mpich-p4"};
-               NodeNumber = 3; MachineAccess = "shared"; User = "dora";"#,
+            SHARED_PARALLEL_AGENT_SITE,
             1,
         ),
     ];

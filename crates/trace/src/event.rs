@@ -134,7 +134,7 @@ pub struct FieldSamples<'a> {
     pub strs: [&'a str; 2],
 }
 
-/// Expands the event table (see the module docs) into every hand-free view
+/// Expands the event table (see the module docs) into every generated view
 /// of it. The semantic folds over events (`ReplayState::apply`,
 /// `SpoolMark::fold`, `check_invariants`) are behaviour, not schema, and
 /// stay hand-written.
