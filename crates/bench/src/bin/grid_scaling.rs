@@ -17,9 +17,9 @@
 //!   interactive/batch matchmaking batch over either snapshot produces
 //!   bit-identical outcome vectors at 1, 4 and 8 worker threads;
 //! * **sublinear invalidation** — after churn at `CHURNED` fixed sites,
-//!   the incremental matcher recomputes exactly `CHURNED` sites at every
-//!   scale (the same count at 100 and at 1000 sites), and the root merged
-//!   exactly `CHURNED` site-deltas — never a full-snapshot rebuild;
+//!   exactly `CHURNED` sites of the root snapshot are dirty since boot at
+//!   every scale (the same count at 100 and at 1000 sites), and the root
+//!   merged exactly `CHURNED` site-deltas — never a full-snapshot rebuild;
 //! * **million-job stream** — 1 M interactive jobs matched against the
 //!   1000-site root snapshot in 100 k chunks, with membership churn
 //!   (suspects quarantined to placeholder columns) rotating between
@@ -31,9 +31,7 @@
 //! cannot run and the whole check exits 77, the automake "skipped"
 //! convention.
 
-use std::cell::RefCell;
 use std::collections::BTreeSet;
-use std::rc::Rc;
 use std::sync::Arc;
 
 use cg_bench::report::{print_table, TraceSink};
@@ -47,8 +45,7 @@ use cg_trace::{
 };
 use cg_workloads::synthetic_grid;
 use crossbroker::{
-    CompiledJob, IncrementalMatch, JobId, MatchOutcome, MatchRequest, ParallelMatcher,
-    ShardedJobTable, DEFAULT_SHARDS,
+    JobId, MatchOutcome, MatchRequest, ParallelMatcher, ShardedJobTable, DEFAULT_SHARDS,
 };
 
 /// The roadmap's scaling ladder.
@@ -76,32 +73,16 @@ const SUSPECTS_PER_CHUNK: usize = 5;
 struct ScaleRun {
     sites: usize,
     regions: usize,
-    /// Sites recomputed by the incremental matcher's first (full) pass.
-    full_pass: usize,
-    /// Sites recomputed after the churn cycle — the sublinearity unit.
-    incremental: usize,
+    /// Sites of the root snapshot dirty since boot, after the churn cycle —
+    /// the sublinearity unit: what a consumer caching per-site results
+    /// would have to recompute.
+    dirty: usize,
     deltas_merged: u64,
     delta_sites: u64,
     flat_snap: Arc<AdSnapshot>,
     root_snap: Arc<AdSnapshot>,
     /// GiisDelta + RefreshSweep trace events, for the sink.
     log: EventLog,
-}
-
-/// The incremental matcher's probe job — interactive, so the columnar
-/// free-CPUs prefilter applies.
-fn probe_job() -> JobDescription {
-    JobDescription::parse(
-        r#"
-        Executable   = "probe";
-        JobType      = {"interactive", "mpich-g2"};
-        NodeNumber   = 2;
-        User         = "scaler";
-        Requirements = member("CROSSGRID", other.Tags);
-        Rank         = other.FreeCpus;
-        "#,
-    )
-    .expect("probe JDL parses")
 }
 
 /// One scale: boot flat and hierarchical views of the same grid in one
@@ -152,13 +133,7 @@ fn scale_run(n: usize) -> ScaleRun {
         );
     });
 
-    // First rematch at boot: a full pass over the whole grid.
-    let probe = probe_job();
-    let compiled = CompiledJob::prepare(&probe);
-    let inc = Rc::new(RefCell::new(IncrementalMatch::new(true)));
-    inc.borrow_mut()
-        .rematch(&probe, &compiled, &root.snapshot_arc());
-    let full_pass = inc.borrow().last_rematched();
+    let boot_epoch = root.snapshot_arc().epoch();
 
     // Localized churn: long-running local jobs land on CHURNED fixed
     // sites (all in region 0) before the first sweep at t = REFRESH.
@@ -179,14 +154,12 @@ fn scale_run(n: usize) -> ScaleRun {
     sim.run_until(SimTime::ZERO + REFRESH + SimDuration::from_secs(40));
 
     let root_snap = root.snapshot_arc();
-    inc.borrow_mut().rematch(&probe, &compiled, &root_snap);
-    let incremental = inc.borrow().last_rematched();
+    let dirty = root_snap.dirty_since(boot_epoch).count();
 
     ScaleRun {
         sites: n,
         regions: grid.regions(),
-        full_pass,
-        incremental,
+        dirty,
         deltas_merged: root.deltas_merged(),
         delta_sites: root.delta_sites(),
         flat_snap: flat.snapshot_arc(),
@@ -218,6 +191,18 @@ fn assert_snapshots_identical(n: usize, flat: &AdSnapshot, hier: &AdSnapshot) {
             "{n}: site {i} accepts-queued column diverged"
         );
         assert_eq!(flat.ad(i), hier.ad(i), "{n}: site {i} ad diverged");
+    }
+    // Every attribute's column, cell for cell. The two snapshots met their
+    // ads in different orders (the root through leaf deltas), so a column
+    // one of them lacks is all-missing in the other.
+    for (name, _) in flat.columns().iter().chain(hier.columns().iter()) {
+        for i in 0..n {
+            assert_eq!(
+                flat.columns().cell(name, i),
+                hier.columns().cell(name, i),
+                "{n}: site {i} column {name} diverged"
+            );
+        }
     }
 }
 
@@ -436,14 +421,13 @@ fn million_job_stream(base: &Arc<AdSnapshot>, threads: usize, gates: bool) -> St
 /// with `gates` set, also enforces every `--check` invariant.
 fn run_suite(sink: &TraceSink, gates: bool) {
     let mut rows = Vec::new();
-    let mut csv = String::from("sites,regions,full_pass,incremental,deltas_merged,delta_sites\n");
+    let mut csv = String::from("sites,regions,dirty,deltas_merged,delta_sites\n");
     let mut thousand_snap: Option<Arc<AdSnapshot>> = None;
     for n in SCALES {
         let run = scale_run(n);
         if gates {
-            assert_eq!(run.full_pass, n, "{n}: first rematch must be a full pass");
             assert_eq!(
-                run.incremental, CHURNED,
+                run.dirty, CHURNED,
                 "{n}: churn at {CHURNED} sites must invalidate exactly {CHURNED} \
                  sites — grid-size-independent"
             );
@@ -459,8 +443,7 @@ fn run_suite(sink: &TraceSink, gates: bool) {
             identity_gate(&run);
         }
         for (metric, value) in [
-            ("full_pass", run.full_pass as f64),
-            ("incremental", run.incremental as f64),
+            ("dirty", run.dirty as f64),
             ("delta_sites", run.delta_sites as f64),
         ] {
             sink.measure(format!("grid_scaling.{n}.{metric}"), value);
@@ -469,14 +452,13 @@ fn run_suite(sink: &TraceSink, gates: bool) {
         rows.push(vec![
             format!("{n}"),
             format!("{}", run.regions),
-            format!("{}", run.full_pass),
-            format!("{}", run.incremental),
+            format!("{}", run.dirty),
             format!("{}", run.deltas_merged),
             format!("{}", run.delta_sites),
         ]);
         csv.push_str(&format!(
-            "{n},{},{},{},{},{}\n",
-            run.regions, run.full_pass, run.incremental, run.deltas_merged, run.delta_sites
+            "{n},{},{},{},{}\n",
+            run.regions, run.dirty, run.deltas_merged, run.delta_sites
         ));
         if n == 1000 {
             thousand_snap = Some(run.root_snap);
@@ -487,14 +469,7 @@ fn run_suite(sink: &TraceSink, gates: bool) {
             "Grid scaling: flat vs two-tier GIIS, {CHURNED} churned sites per \
              scale (work columns must not grow with the grid)"
         ),
-        &[
-            "sites",
-            "regions",
-            "full_pass",
-            "incremental",
-            "deltas",
-            "delta_sites",
-        ],
+        &["sites", "regions", "dirty", "deltas", "delta_sites"],
         &rows,
     );
     let path = write_csv("grid_scaling.csv", &csv);

@@ -12,12 +12,16 @@
 //! ```
 //!
 //! `--check` runs the quick CI gates only: the compiled-matchmaking margin,
-//! the multi-thread speedup, and the columnar gate (the SoA `AdSnapshot`
-//! scan must be bit-identical to — and no slower than — the compiled map
-//! path, single-threaded and at every worker count). Below 4 cores
-//! (override: `CG_CHECK_CORES`) the run prints a `SKIPPED` marker and exits
-//! 77 instead of 0, so a log reader can never mistake a skipped gate for a
-//! green one.
+//! the columnar gates (the `AdSnapshot` pass must be bit-identical to the
+//! compiled map path and cost at most half of it from 20 sites up,
+//! single-threaded, and no more than it at every worker count), and the
+//! multi-thread speedup. The first three are single-threaded comparisons
+//! and run on any machine; only the speedup gate needs 4 cores (override:
+//! `CG_CHECK_CORES`). A run that had to skip a gate — that one for want of
+//! cores, or every timing gate because the binary was built without
+//! optimisation — prints a `SKIPPED` marker and exits 77 instead of 0 once
+//! the gates that could run have passed, so a log reader can never mistake
+//! a skipped gate for a green one.
 
 use std::sync::Arc;
 use std::time::Instant;
@@ -30,8 +34,8 @@ use cg_sim::SampleSet;
 use cg_site::{AdSnapshot, Site, SiteConfig};
 use cg_trace::EventLog;
 use crossbroker::{
-    filter_candidates, filter_candidates_columnar, filter_candidates_compiled, CompiledJob,
-    IncrementalMatch, JobId, MatchRequest, ParallelMatcher, ShardedJobTable, DEFAULT_SHARDS,
+    filter_candidates, filter_candidates_columnar, filter_candidates_compiled, CompiledJob, JobId,
+    MatchRequest, ParallelMatcher, ShardedJobTable, DEFAULT_SHARDS,
 };
 
 /// A figure-2-shaped interactive job: an own-ad reference (`NodeNumber`),
@@ -123,16 +127,22 @@ fn matchmaking_comparison(sink: &TraceSink) -> (f64, f64) {
     last
 }
 
-/// Map-shaped compiled matchmaking vs the columnar [`AdSnapshot`] scan,
-/// plus the epoch-delta incremental path over a prebuilt refresh chain.
-/// Returns the worst columnar/map ratio over the sweep — the `--check`
-/// gate requires the flat-array scan to stay at least as fast as the
-/// map path (within a 10% noise guard) at every site count.
+/// Site counts from which the columnar pass must cost at most
+/// [`COLUMNAR_GATE`] of the map path. Below them a pass is a microsecond
+/// and its fixed costs (binding, the bitset) show.
+const COLUMNAR_GATE_FROM: usize = 20;
+/// The `--check` ceiling on columnar/map µs per pass.
+const COLUMNAR_GATE: f64 = 0.50;
+
+/// Map-shaped compiled matchmaking vs the columnar [`AdSnapshot`] pass.
+/// Returns the worst columnar/map ratio over the site counts from
+/// [`COLUMNAR_GATE_FROM`] up — the `--check` gate holds it under
+/// [`COLUMNAR_GATE`].
 fn columnar_comparison(sink: &TraceSink) -> f64 {
     let job = bench_job();
     let compiled = CompiledJob::prepare(&job);
     let mut rows = Vec::new();
-    let mut csv = String::from("sites,map_us,columnar_us,incremental_us\n");
+    let mut csv = String::from("sites,map_us,columnar_us\n");
     let mut worst = 0.0f64;
     for n in [5usize, 10, 20, 40, 80] {
         let ads = bench_ads(n);
@@ -149,66 +159,22 @@ fn columnar_comparison(sink: &TraceSink) -> f64 {
         let col_us = time_us(iters, || {
             filter_candidates_columnar(&job, &compiled, &snap, true).len()
         });
-
-        // Epoch-delta steady state: a chain of refreshes each bumping one
-        // site's FreeCpus to a never-repeating value, advanced entirely
-        // outside the timed region so the measurement is pure re-matching.
-        let steps = 128usize;
-        let mut working: Vec<Ad> = ads.iter().map(|(_, ad)| ad.clone()).collect();
-        let mut chain = vec![snap.clone()];
-        for s in 0..steps {
-            working[s % n].set_int("FreeCpus", 1 + s as i64);
-            let next = chain
-                .last()
-                .expect("chain is non-empty")
-                .advance(working.clone());
-            chain.push(next);
-        }
-        let mut inc = IncrementalMatch::new(true);
-        for (k, step) in chain.iter().enumerate() {
-            assert_eq!(
-                inc.rematch(&job, &compiled, step),
-                filter_candidates_columnar(&job, &compiled, step, true),
-                "incremental re-match diverged from a full columnar pass"
-            );
-            assert!(
-                k == 0 || inc.last_rematched() <= 1,
-                "steady-state refresh re-matched more than the one dirty site"
-            );
-        }
-        let reps = (iters as usize / steps).max(1);
-        let mut total = 0usize;
-        let start = Instant::now();
-        for _ in 0..reps {
-            // The fresh matcher's first call is a full pass; amortised over
-            // the chain it adds ~col_us/steps — noise, kept for honesty.
-            let mut inc = IncrementalMatch::new(true);
-            for step in &chain {
-                total += inc.rematch(&job, &compiled, step).len();
-            }
-        }
-        let inc_us = start.elapsed().as_secs_f64() / (reps * chain.len()) as f64 * 1e6;
-        assert!(total > 0, "incremental matchmaking found no candidates");
-
         sink.measure(format!("selection_scaling.{n}_sites.map_us"), map_us);
         sink.measure(format!("selection_scaling.{n}_sites.columnar_us"), col_us);
-        sink.measure(
-            format!("selection_scaling.{n}_sites.incremental_us"),
-            inc_us,
-        );
-        worst = worst.max(col_us / map_us);
+        if n >= COLUMNAR_GATE_FROM {
+            worst = worst.max(col_us / map_us);
+        }
         rows.push(vec![
             format!("{n}"),
             format!("{map_us:.2}"),
             format!("{col_us:.2}"),
-            format!("{inc_us:.2}"),
             format!("{:.2}x", map_us / col_us),
         ]);
-        csv.push_str(&format!("{n},{map_us},{col_us},{inc_us}\n"));
+        csv.push_str(&format!("{n},{map_us},{col_us}\n"));
     }
     print_table(
-        "Matchmaking: compiled map scan vs columnar snapshot vs epoch-delta re-match (µs per pass)",
-        &["sites", "map", "columnar", "incremental", "col speedup"],
+        "Matchmaking: compiled map scan vs columnar snapshot (µs per pass)",
+        &["sites", "map", "columnar", "col speedup"],
         &rows,
     );
     let path = write_csv("matchmaking_columnar.csv", &csv);
@@ -342,31 +308,10 @@ fn parallel_matching(sink: &TraceSink, quick: bool) -> f64 {
 /// "never ran". 77 is the automake/lit convention for a skipped test.
 const EXIT_SKIPPED: i32 = 77;
 
-/// The CI perf gates (`--check`): compiled matchmaking must keep a clear
-/// margin over the raw AST walk, and the sharded core must hit ≥2×
-/// throughput at 4 workers when the machine has the cores for it.
-///
-/// Returns the process exit code: 0 when every gate ran and passed,
-/// [`EXIT_SKIPPED`] when the speedup gate could not run. Gate *failures*
-/// still panic (exit 101) so a regression can never masquerade as a skip.
-fn run_checks(sink: &TraceSink) -> i32 {
-    // `CG_CHECK_CORES` overrides detection so the skip path itself is
-    // testable on any machine (and so CI can force the gate on or off).
-    let cores = std::env::var("CG_CHECK_CORES")
-        .ok()
-        .and_then(|v| v.parse::<usize>().ok())
-        .unwrap_or_else(|| std::thread::available_parallelism().map_or(1, std::num::NonZero::get));
-    if cores < 4 {
-        // Loud, machine-grep-able marker + distinct exit code, emitted
-        // before any gate runs: exit 77 means "inconclusive", never a
-        // partial green. A skipped gate previously printed a one-liner
-        // and exited 0, which CI logs could not tell apart from a pass.
-        println!(
-            "selection_scaling --check: SKIPPED speedup gate \
-             (only {cores} cores, need 4); exiting {EXIT_SKIPPED}"
-        );
-        return EXIT_SKIPPED;
-    }
+/// The single-threaded gates: compiled matchmaking must keep a clear margin
+/// over the raw AST walk, and the columnar pass must halve the map path and
+/// not trail it inside the parallel engine. They need one core.
+fn single_threaded_gates(sink: &TraceSink) {
     let (raw, compiled) = matchmaking_comparison(sink);
     // The compiled path normally beats the raw AST walk outright; failing
     // means its µs/job regressed by more than 20% past the raw baseline —
@@ -376,20 +321,15 @@ fn run_checks(sink: &TraceSink) -> i32 {
         "compiled matchmaking regressed >20% past the raw walk: \
          {compiled:.2}µs vs raw {raw:.2}µs"
     );
-    let speedup = parallel_matching(sink, true);
-    assert!(
-        speedup >= 2.0,
-        "sharded core below 2x at 4 workers on {cores} cores: {speedup:.2}x"
-    );
-    // Columnar gates: the flat-array scan must stay at least as fast as the
-    // compiled map path (10% noise guard) across the site sweep and at
-    // every measured thread count — both functions also assert the two
-    // paths produce bit-identical candidates/outcomes before timing.
+    // Columnar gates: column-at-a-time over typed cells against a by-name
+    // search of every ad, and the same comparison inside the parallel
+    // engine at every measured thread count — both functions also assert
+    // the two paths produce bit-identical candidates/outcomes before timing.
     let worst = columnar_comparison(sink);
     assert!(
-        worst <= 1.10,
-        "columnar matchmaking regressed past the map path: \
-         worst columnar/map ratio {worst:.2}"
+        worst <= COLUMNAR_GATE,
+        "columnar matchmaking costs more than {COLUMNAR_GATE} of the map path \
+         from {COLUMNAR_GATE_FROM} sites up: worst columnar/map ratio {worst:.2}"
     );
     for (threads, map_us, col_us) in parallel_columnar(sink, true) {
         assert!(
@@ -397,6 +337,55 @@ fn run_checks(sink: &TraceSink) -> i32 {
             "columnar engine slower than the map engine at {threads} threads: \
              {col_us:.1}µs vs {map_us:.1}µs"
         );
+    }
+}
+
+/// The CI perf gates (`--check`): the [`single_threaded_gates`], which run
+/// on any machine, and the sharded core's ≥2× throughput at 4 workers,
+/// which runs when the machine has the cores for it.
+///
+/// Returns the process exit code: 0 when every gate ran and passed,
+/// [`EXIT_SKIPPED`] when some gate could not run — the speedup gate below
+/// 4 cores, every timing gate in an unoptimised build, where a ratio of
+/// two timings says nothing about the code (each skip prints its own
+/// marker; the gates that could run ran and passed). Gate *failures* still
+/// panic (exit 101) so a regression can never masquerade as a skip.
+fn run_checks(sink: &TraceSink) -> i32 {
+    let optimised = !cfg!(debug_assertions);
+    let mut skipped = false;
+    if optimised {
+        single_threaded_gates(sink);
+    } else {
+        println!(
+            "selection_scaling --check: SKIPPED timing gates \
+             (unoptimised build; run with --release)"
+        );
+        skipped = true;
+    }
+    // `CG_CHECK_CORES` overrides detection so the skip path itself is
+    // testable on any machine (and so CI can force the gate on or off).
+    let cores = std::env::var("CG_CHECK_CORES")
+        .ok()
+        .and_then(|v| v.parse::<usize>().ok())
+        .unwrap_or_else(|| std::thread::available_parallelism().map_or(1, std::num::NonZero::get));
+    if cores < 4 {
+        // Loud, machine-grep-able marker + distinct exit code: exit 77
+        // means "a gate never ran", not a green run.
+        println!(
+            "selection_scaling --check: SKIPPED speedup gate \
+             (only {cores} cores, need 4)"
+        );
+        skipped = true;
+    } else if optimised {
+        let speedup = parallel_matching(sink, true);
+        assert!(
+            speedup >= 2.0,
+            "sharded core below 2x at 4 workers on {cores} cores: {speedup:.2}x"
+        );
+    }
+    if skipped {
+        println!("selection_scaling --check: the gates that ran passed; exiting {EXIT_SKIPPED}");
+        return EXIT_SKIPPED;
     }
     println!("selection_scaling --check: all gates passed");
     0

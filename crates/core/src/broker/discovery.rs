@@ -4,16 +4,28 @@
 //! dead sites off the live sweep.
 
 use std::collections::HashSet;
+use std::sync::Arc;
 
 use cg_jdl::{JobDescription, Parallelism};
 use cg_sim::{Sim, SimDuration};
-use cg_site::MembershipState;
+use cg_site::{AdSnapshot, MembershipState};
 use cg_trace::Event;
 
 use super::sweep::live_query_chain;
 use super::CrossBroker;
 use crate::job::{JobId, JobState};
 use crate::matchmaking::{filter_candidates_columnar, Candidate};
+
+/// What discovery hands through the live sweep to selection.
+pub(super) struct Discovered {
+    /// The stale candidates in site-index order — one for every site the
+    /// sweep queries.
+    pub(super) shortlist: Vec<Candidate>,
+    /// The snapshot they were matched over.
+    pub(super) stale: Arc<AdSnapshot>,
+    /// Sites this pass may not use (earlier attempts of a resubmitted job).
+    pub(super) excluded: HashSet<usize>,
+}
 
 /// Whether a single site must host the whole job. MPICH-G2 co-allocation
 /// sums free CPUs across sites; batch jobs may queue.
@@ -118,17 +130,19 @@ impl CrossBroker {
                 this.no_candidates(sim, id, job, runtime);
                 return;
             }
-            // Live queries, sequentially — the ≈3 s selection step.
+            // Live queries, sequentially — the ≈3 s selection step. The
+            // shortlist and the snapshot it was matched over ride along, so
+            // selection re-matches only the sites whose ad has changed.
             let this2 = this.clone();
-            live_query_chain(
-                sim,
-                this.clone(),
-                id,
-                shortlist.iter().map(|c| c.site_index).collect(),
-                move |sim, live_ads| {
-                    this2.finish_selection(sim, id, job, runtime, live_ads, excluded);
-                },
-            );
+            let pending = shortlist.iter().map(|c| c.site_index).collect();
+            live_query_chain(sim, this.clone(), id, pending, move |sim, live_ads| {
+                let discovered = Discovered {
+                    shortlist,
+                    stale,
+                    excluded,
+                };
+                this2.finish_selection(sim, id, job, runtime, live_ads, discovered);
+            });
         });
     }
 }

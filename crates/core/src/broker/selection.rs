@@ -8,14 +8,15 @@ use std::sync::Arc;
 
 use cg_jdl::{Ad, Interactivity, JobDescription, Parallelism};
 use cg_sim::{Sim, SimDuration, SimTime};
+use cg_site::AdSnapshot;
 use cg_trace::Event;
 use cg_vm::AgentId;
 
 use super::commit::{Plan, Refusal, Slot};
-use super::discovery::requires_full_site;
+use super::discovery::{requires_full_site, Discovered};
 use super::CrossBroker;
 use crate::job::{JobId, JobState};
-use crate::matchmaking::{filter_candidates_compiled, Candidate};
+use crate::matchmaking::{filter_candidates_compiled, Candidate, CompiledJob};
 use crate::policy::{
     coallocate_with, select_detailed_with, PolicyKind, PolicySignals, SiteSignals,
 };
@@ -62,6 +63,45 @@ impl CrossBroker {
         signals
     }
 
+    /// Re-checks the live ads against the job. A site whose live ad *is*
+    /// the allocation discovery matched — the site's shared machine ad has
+    /// not changed since the index published it — was already evaluated:
+    /// its stale candidate moves across as it is. Only a site whose ad is a
+    /// different allocation is matched again, on the fresh ad. The result
+    /// is what re-matching every live ad would give, in site-index order.
+    fn recheck(
+        &self,
+        job: &JobDescription,
+        compiled: &CompiledJob,
+        usable: Vec<(usize, Arc<Ad>)>,
+        shortlist: Vec<Candidate>,
+        snapshot: &AdSnapshot,
+    ) -> Vec<Candidate> {
+        let mut stale = shortlist.into_iter().peekable();
+        let mut candidates = Vec::with_capacity(usable.len());
+        let mut reused = 0;
+        for live in &usable {
+            let (i, ad) = live;
+            while stale.next_if(|c| c.site_index < *i).is_some() {}
+            if Arc::ptr_eq(ad, snapshot.ad_arc(*i)) {
+                reused += 1;
+                candidates.extend(stale.next_if(|c| c.site_index == *i));
+            } else {
+                candidates.extend(filter_candidates_compiled(
+                    job,
+                    compiled,
+                    std::slice::from_ref(live),
+                    requires_full_site(job),
+                ));
+            }
+        }
+        let inner = self.inner.borrow();
+        inner.metrics.add("selection.live_ads_reused", reused);
+        let rematched = usable.len() as u64 - reused;
+        inner.metrics.add("selection.live_ads_rematched", rematched);
+        candidates
+    }
+
     /// The live sweep is back: re-check the fresh ads, let the policy pick,
     /// and commit the resulting plan.
     pub(super) fn finish_selection(
@@ -71,8 +111,13 @@ impl CrossBroker {
         job: JobDescription,
         runtime: SimDuration,
         live_ads: Vec<(usize, Arc<Ad>)>,
-        excluded: HashSet<usize>,
+        discovered: Discovered,
     ) {
+        let Discovered {
+            shortlist,
+            stale,
+            excluded,
+        } = discovered;
         // Retired (cancelled, failed) while the sweep was in flight.
         let Some(compiled) = self.compiled_for(id) else {
             return;
@@ -93,8 +138,7 @@ impl CrossBroker {
                 })
                 .collect()
         };
-        let candidates =
-            filter_candidates_compiled(&job, &compiled, &usable, requires_full_site(&job));
+        let candidates = self.recheck(&job, &compiled, usable, shortlist, &stale);
         if candidates.is_empty() {
             self.no_candidates(sim, id, job, runtime);
             return;

@@ -45,7 +45,7 @@ pub use fairshare::{FairShare, FairShareConfig, UsageId, UsageKind};
 pub use job::{JobId, JobRecord, JobState};
 pub use matchmaking::{
     coallocate, filter_candidates, filter_candidates_columnar, filter_candidates_compiled, select,
-    select_detailed, Candidate, CompiledJob, IncrementalMatch, Selection,
+    select_detailed, Candidate, CompiledJob, Selection,
 };
 pub use policy::{
     coallocate_with, preference_order, select_detailed_with, FreeCpusRank, LeaseBackoff,

@@ -1,7 +1,7 @@
 //! Matchmaking: filtering sites against job requirements, ranking, and the
 //! paper's randomized selection among equals.
 
-use cg_jdl::{Ad, CompiledExpr, Ctx, Expr, JobDescription};
+use cg_jdl::{Ad, CompiledExpr, Ctx, Expr, JobDescription, SiteSet};
 use cg_sim::SimRng;
 use cg_site::AdSnapshot;
 
@@ -143,132 +143,59 @@ fn eval_rank_or_default(rank: &Expr, job: &JobDescription, ad: &Ad) -> f64 {
 }
 
 /// [`filter_candidates_compiled`] over a columnar [`AdSnapshot`] — identical
-/// semantics and bit-identical candidates, but the admission pre-filter
-/// reads flat pre-extracted columns (`FreeCpus`, `AcceptsQueued`, `Site`)
-/// instead of doing three B-tree lookups per site, and only sites that
-/// survive it touch their full ad for `Requirements`/`Rank` evaluation.
+/// semantics and bit-identical candidates, computed column by column: the
+/// admission test and then each top-level conjunct of `Requirements` narrow
+/// one bitset of sites ([`cg_jdl::BoundExpr::retain_matches`]), and only the
+/// sites left in it are ranked and named. Every attribute is read from its
+/// column by site index; no ad is searched by name.
 pub fn filter_candidates_columnar(
     job: &JobDescription,
     compiled: &CompiledJob,
     snap: &AdSnapshot,
     require_free_cpus: bool,
 ) -> Vec<Candidate> {
-    (0..snap.len())
-        .filter_map(|i| match_columnar_site(job, compiled, snap, i, require_free_cpus))
-        .collect()
-}
-
-/// Matches one site of the snapshot — the per-site body of
-/// [`filter_candidates_inner`], arm for arm, over the columnar store.
-fn match_columnar_site(
-    job: &JobDescription,
-    compiled: &CompiledJob,
-    snap: &AdSnapshot,
-    i: usize,
-    require_free_cpus: bool,
-) -> Option<Candidate> {
-    let free = snap.free_cpus(i);
-    if require_free_cpus && free < job.node_number as i64 {
-        return None;
-    }
-    if !require_free_cpus && free < job.node_number as i64 && !snap.accepts_queued(i) {
-        // Batch path: the site must at least accept queued jobs.
-        return None;
-    }
-    let ad = snap.ad(i);
+    let nodes = job.node_number as i64;
+    let mut alive = SiteSet::full(snap.len());
+    // Admission is the first conjunct: room for the whole job now or, on
+    // the batch path, at least a queue that accepts it.
+    alive.retain(|i| snap.free_cpus(i) >= nodes || (!require_free_cpus && snap.accepts_queued(i)));
     // Undefined or false ⇒ no match; eval errors ⇒ no match (a malformed
     // requirement must not crash the broker).
-    let matched = match (compiled.requirements.as_ref(), &job.requirements) {
-        (Some(creq), _) => creq.matches(&job.ad, ad),
-        (None, Some(req)) => {
+    match (compiled.requirements.as_ref(), &job.requirements) {
+        (Some(creq), _) => creq
+            .bind(&job.ad, snap.columns(), snap.ads())
+            .retain_matches(&mut alive),
+        (None, Some(req)) => alive.retain(|i| {
             let ctx = Ctx {
                 own: &job.ad,
-                other: ad,
+                other: snap.ad(i),
             };
             matches!(req.eval_requirement(ctx), Ok(true))
-        }
-        (None, None) => true,
-    };
-    if !matched {
-        return None;
+        }),
+        (None, None) => {}
     }
-    let rank = match (compiled.rank.as_ref(), &job.rank) {
-        (Some(crank), _) => crank.rank(&job.ad, ad),
-        (None, Some(r)) => eval_rank_or_default(r, job, ad),
-        // Default rank: prefer more free CPUs (the EDG broker default).
-        (None, None) => free as f64,
-    };
-    Some(Candidate {
-        site_index: i,
-        site: snap.site_name(i).unwrap_or("<unnamed>").to_string(),
-        rank,
-        free_cpus: free,
-    })
-}
-
-/// Incremental matchmaking for one `(job, compiled)` pair over a chain of
-/// epoch-tagged snapshots: per-site match results are cached, and a new
-/// snapshot re-matches only the sites whose epoch advanced since the last
-/// call ([`AdSnapshot::dirty_since`]). The assembled candidate list is
-/// bit-identical to a full [`filter_candidates_columnar`] pass.
-///
-/// Contract: one instance serves one job with a fixed `require_free_cpus`
-/// mode, and snapshots must be fed in epoch order over a stable site list
-/// (the information index's refresh chain). A length change or an unseen
-/// instance falls back to a full re-match.
-#[derive(Debug, Clone)]
-pub struct IncrementalMatch {
-    require_free_cpus: bool,
-    seen_epoch: Option<u64>,
-    cache: Vec<Option<Candidate>>,
-    rematched: usize,
-}
-
-impl IncrementalMatch {
-    /// A fresh cache; the first [`IncrementalMatch::rematch`] call does a
-    /// full pass.
-    pub fn new(require_free_cpus: bool) -> IncrementalMatch {
-        IncrementalMatch {
-            require_free_cpus,
-            seen_epoch: None,
-            cache: Vec::new(),
-            rematched: 0,
-        }
-    }
-
-    /// Re-matches against `snap`, recomputing only dirty sites, and returns
-    /// the full candidate list in site-index order.
-    pub fn rematch(
-        &mut self,
-        job: &JobDescription,
-        compiled: &CompiledJob,
-        snap: &AdSnapshot,
-    ) -> Vec<Candidate> {
-        match self.seen_epoch {
-            Some(seen) if self.cache.len() == snap.len() => {
-                self.rematched = 0;
-                for i in snap.dirty_since(seen) {
-                    self.cache[i] =
-                        match_columnar_site(job, compiled, snap, i, self.require_free_cpus);
-                    self.rematched += 1;
-                }
+    let crank = compiled
+        .rank
+        .as_ref()
+        .map(|c| c.bind(&job.ad, snap.columns(), snap.ads()));
+    alive
+        .iter()
+        .map(|i| {
+            let free = snap.free_cpus(i);
+            let rank = match (&crank, &job.rank) {
+                (Some(crank), _) => crank.rank(i),
+                (None, Some(r)) => eval_rank_or_default(r, job, snap.ad(i)),
+                // Default rank: prefer more free CPUs (the EDG broker default).
+                (None, None) => free as f64,
+            };
+            Candidate {
+                site_index: i,
+                site: snap.site_name(i).unwrap_or("<unnamed>").to_string(),
+                rank,
+                free_cpus: free,
             }
-            _ => {
-                self.cache = (0..snap.len())
-                    .map(|i| match_columnar_site(job, compiled, snap, i, self.require_free_cpus))
-                    .collect();
-                self.rematched = snap.len();
-            }
-        }
-        self.seen_epoch = Some(snap.epoch());
-        self.cache.iter().flatten().cloned().collect()
-    }
-
-    /// How many sites the last [`IncrementalMatch::rematch`] actually
-    /// recomputed (≤ the site count; 0 on a no-op refresh).
-    pub fn last_rematched(&self) -> usize {
-        self.rematched
-    }
+        })
+        .collect()
 }
 
 /// Result of a selection pass: the winner (if any) plus the candidates the
@@ -502,57 +429,6 @@ mod tests {
                 assert_eq!(map, col, "{src} require_free={require_free}");
             }
         }
-    }
-
-    #[test]
-    fn incremental_rematch_touches_only_dirty_sites() {
-        let j = job(
-            r#"Executable = "a"; JobType = {"interactive","mpich-p4"}; NodeNumber = 2;
-               Requirements = other.Arch == "i686";"#,
-        );
-        let compiled = CompiledJob::prepare(&j);
-        let mut inc = IncrementalMatch::new(true);
-
-        let s0 = AdSnapshot::build(vec![
-            site_ad("a", 4, "i686"),
-            site_ad("b", 1, "i686"),
-            site_ad("c", 8, "sparc"),
-        ]);
-        let full0 = filter_candidates_columnar(&j, &compiled, &s0, true);
-        assert_eq!(inc.rematch(&j, &compiled, &s0), full0);
-        assert_eq!(inc.last_rematched(), 3, "first call is a full pass");
-
-        // Site b frees up a node; only it should re-match — and the newly
-        // eligible site must appear in index order, not append order.
-        let s1 = s0.advance(vec![
-            site_ad("a", 4, "i686"),
-            site_ad("b", 2, "i686"),
-            site_ad("c", 8, "sparc"),
-        ]);
-        let full1 = filter_candidates_columnar(&j, &compiled, &s1, true);
-        assert_eq!(inc.rematch(&j, &compiled, &s1), full1);
-        assert_eq!(inc.last_rematched(), 1);
-        assert_eq!(full1.len(), 2);
-
-        // No-op refresh: nothing re-matches, result unchanged.
-        let s2 = s1.advance(vec![
-            site_ad("a", 4, "i686"),
-            site_ad("b", 2, "i686"),
-            site_ad("c", 8, "sparc"),
-        ]);
-        assert_eq!(inc.rematch(&j, &compiled, &s2), full1);
-        assert_eq!(inc.last_rematched(), 0);
-
-        // A site dropping out of eligibility is also just a dirty site.
-        let s3 = s2.advance(vec![
-            site_ad("a", 1, "i686"),
-            site_ad("b", 2, "i686"),
-            site_ad("c", 8, "sparc"),
-        ]);
-        let full3 = filter_candidates_columnar(&j, &compiled, &s3, true);
-        assert_eq!(inc.rematch(&j, &compiled, &s3), full3);
-        assert_eq!(inc.last_rematched(), 1);
-        assert_eq!(full3.len(), 1);
     }
 
     fn cand(site_index: usize, rank: f64, free: i64) -> Candidate {

@@ -838,6 +838,70 @@ fn live_query_fanout_shrinks_selection_without_changing_the_outcome() {
     );
 }
 
+/// Selection re-matches a live ad only when it is not the allocation
+/// discovery matched. A site that filled up between the MDS refresh and its
+/// live query answers with a fresh ad: it is evaluated again, on that ad,
+/// and — although the stale snapshot ranks it far above the others — is not
+/// selected. The sites that did not change answer with the snapshot's own
+/// ad, and their stale candidates are carried over as they are.
+#[test]
+fn a_site_that_filled_up_is_rematched_and_an_unchanged_one_is_reused() {
+    let mut sim = Sim::new(19);
+    let (broker, sites) = grid(&mut sim, 3, 2);
+    // Both of site0's nodes go to local work after the index booted and long
+    // before its first refresh: the snapshot keeps advertising two free CPUs.
+    for _ in 0..2 {
+        sites[0].lrms().submit(
+            &mut sim,
+            LocalJobSpec::simple(SimDuration::from_secs(100_000)),
+            |_, _, _| {},
+        );
+    }
+    sim.run_until(SimTime::from_secs(30));
+    assert_eq!(sites[0].lrms().free_nodes(), 0);
+    assert_eq!(
+        broker.index().snapshot_arc().free_cpus(0),
+        2,
+        "the index has not refreshed: site0 still looks free"
+    );
+
+    let id = broker.submit(
+        &mut sim,
+        job(r#"
+            Executable = "iapp"; JobType = "interactive";
+            MachineAccess = "exclusive"; User = "alice";
+            Rank = other.Site == "site0" ? 10 : 1;
+        "#),
+        SimDuration::from_secs(60),
+    );
+    sim.run_until(SimTime::from_secs(200));
+    assert!(
+        matches!(broker.record(id).state, JobState::Done),
+        "{:?}",
+        broker.record(id).state
+    );
+    let events = broker.event_log().snapshot();
+    let target = events
+        .iter()
+        .find_map(|e| match &e.event {
+            cg_trace::Event::JobDispatched { job, target, .. } if *job == id.0 => {
+                Some(target.clone())
+            }
+            _ => None,
+        })
+        .expect("job dispatched");
+    assert_ne!(
+        target, "site:site0",
+        "the stale candidate must not be reused"
+    );
+    assert!(target.starts_with("site:site"), "{target}");
+    assert_eq!(broker.record(id).resubmissions, 0, "never sent to site0");
+    let metrics = broker.metrics();
+    assert_eq!(metrics.counter("selection.live_ads_reused"), 2);
+    assert_eq!(metrics.counter("selection.live_ads_rematched"), 1);
+    assert!(cg_trace::check_invariants(&events).is_empty());
+}
+
 /// Every interactive path is one plan of k slots through the same commit
 /// stage: a lease per slot, one dispatch record, a console per barrier
 /// entry, and a single `JobStarted` behind the last console.

@@ -18,8 +18,13 @@
 //!    FreeCpus < 2`) are rejected before they can silently never match.
 //! 3. **Compilation** ([`CompiledExpr`]): the folder's output is a form with
 //!    the job's own attributes substituted in and machine lookups
-//!    pre-lowercased, which the broker caches per job and evaluates per site
-//!    without re-walking the raw AST.
+//!    pre-lowercased, which the broker caches per job and evaluates without
+//!    re-walking the raw AST — against one machine ad, or bound to a
+//!    columnar store of them ([`CompiledExpr::bind`]), where a requirement's
+//!    top-level conjuncts run column by column over a bitset of sites. The
+//!    evaluator borrows: it clones no string or list out of a constant or an
+//!    ad, and allocates only where it hands over to the raw walker (a stored
+//!    expression, an unmodelled shape) or words an error.
 //!
 //! # Diagnostic codes
 //!
@@ -45,11 +50,13 @@
 //! | W206 | warning  | attribute not in the job vocabulary |
 //! | W207 | warning  | unknown `SelectionPolicy` name (broker falls back) |
 
+use std::borrow::Cow;
 use std::collections::BTreeMap;
 use std::fmt;
-use std::sync::OnceLock;
+use std::sync::{Arc, OnceLock};
 
 use crate::ast::{Ad, Value};
+use crate::columns::{Column, Columns, SiteSet};
 use crate::expr::{
     apply_bin_values, apply_int_cast, apply_logic, apply_real_cast, apply_rounding, err,
     logic_short_circuit, member_contains, string_list_contains, BinOp, Ctx, Cv, EvalError, Expr,
@@ -824,6 +831,16 @@ fn symbol(op: BinOp) -> &'static str {
 // Compiled expressions
 // ---------------------------------------------------------------------------
 
+/// An `other.X` reference: the interned name a whole [`Ad`] is searched by,
+/// and the reference's position among its expression's
+/// [`CompiledExpr::others`], which is where a pass over a columnar store
+/// keeps the column it bound `X` to.
+#[derive(Debug, Clone, Copy, PartialEq)]
+struct OtherAttr {
+    sym: Symbol,
+    ix: usize,
+}
+
 /// A compiled expression node. Job-side (`own`) scalar attributes are
 /// substituted as constants at compile time; machine (`other.*`) lookups
 /// carry interned [`Symbol`]s (canonical lowercased names) so the per-site
@@ -831,11 +848,12 @@ fn symbol(op: BinOp) -> &'static str {
 #[derive(Debug, Clone, PartialEq)]
 enum CExpr {
     Const(Cv),
-    /// `other.X`, name interned.
-    OtherRef(Symbol),
-    /// `other.X` in `member()` list position: resolved without evaluating
-    /// stored expressions, scalars wrapped as singleton lists.
-    OtherListRef(Symbol),
+    /// `other.X`.
+    OtherRef(OtherAttr),
+    /// `other.X` in `member()` list position: the stored value as it is —
+    /// a stored expression is not evaluated. (`member` takes anything but a
+    /// list as a list of one.)
+    OtherListRef(OtherAttr),
     /// An own attribute holding a stored expression, evaluated lazily in
     /// the owner's frame (name interned).
     OwnExpr(Symbol),
@@ -851,10 +869,14 @@ enum CExpr {
 }
 
 /// A `Requirements`/`Rank` expression compiled against one job ad, ready
-/// for repeated evaluation against machine ads.
+/// for repeated evaluation against machine ads — one at a time
+/// ([`CompiledExpr::matches`], [`CompiledExpr::rank`]) or a whole columnar
+/// store of them ([`CompiledExpr::bind`]).
 #[derive(Debug, Clone, PartialEq)]
 pub struct CompiledExpr {
     root: CExpr,
+    /// The distinct machine attributes the expression reads.
+    others: Vec<Symbol>,
 }
 
 impl CompiledExpr {
@@ -862,31 +884,56 @@ impl CompiledExpr {
     /// the standalone entry point; [`analyze_ad`] additionally reports the
     /// folder's dead-branch findings as diagnostics.
     pub fn compile(expr: &Expr, own: &Ad) -> CompiledExpr {
-        let mut diags = Vec::new();
+        CompiledExpr::compile_at(expr, &Span::synthetic(), own, &mut Vec::new())
+    }
+
+    fn compile_at(expr: &Expr, sp: &Span, own: &Ad, diags: &mut Vec<Diagnostic>) -> CompiledExpr {
+        let mut compiler = Compiler {
+            own,
+            diags,
+            others: Vec::new(),
+        };
+        let root = compiler.expr(expr, sp);
         CompiledExpr {
-            root: compile_expr(expr, &Span::synthetic(), own, &mut diags),
+            root,
+            others: compiler.others,
         }
     }
 
     /// Evaluates against a machine ad, with semantics identical to
     /// [`Expr::eval`] on the original expression.
     pub fn eval(&self, own: &Ad, other: &Ad) -> Result<Cv, EvalError> {
-        ceval(&self.root, own, other)
+        ceval(&self.root, own, other).map(Bv::into_cv)
     }
 
     /// Requirement view, matching the broker's use of
     /// [`Expr::eval_requirement`]: true only for a defined `true`;
     /// errors and undefined are no-match.
     pub fn matches(&self, own: &Ad, other: &Ad) -> bool {
-        matches!(self.eval(own, other), Ok(Cv::Val(Value::Bool(true))))
+        is_true(&ceval(&self.root, own, other))
     }
 
     /// Rank view, matching the broker's `eval_rank(..).unwrap_or(0.0)`:
     /// undefined, non-numeric, and errors all rank 0.
     pub fn rank(&self, own: &Ad, other: &Ad) -> f64 {
-        match self.eval(own, other) {
-            Ok(Cv::Val(v)) => v.as_f64().unwrap_or(0.0),
-            _ => 0.0,
+        as_rank(&ceval(&self.root, own, other))
+    }
+
+    /// Resolves every `other.X` of the expression to its column in
+    /// `columns`, once, for a pass over the store; `ads` are the ads the
+    /// columns were built from. From then on reading an attribute at a site
+    /// is an array index, not a search of the site's ad by name.
+    pub fn bind<'a>(
+        &'a self,
+        own: &'a Ad,
+        columns: &'a Columns,
+        ads: &'a [Arc<Ad>],
+    ) -> BoundExpr<'a> {
+        BoundExpr {
+            root: &self.root,
+            own,
+            ads,
+            columns: self.others.iter().map(|s| columns.get(*s)).collect(),
         }
     }
 
@@ -923,259 +970,374 @@ fn try_fold(node: CExpr) -> CExpr {
         return node;
     }
     match ceval(&node, empty_ad(), empty_ad()) {
-        Ok(cv) => CExpr::Const(cv),
+        Ok(v) => CExpr::Const(v.into_cv()),
         Err(_) => node,
     }
 }
 
-fn compile_expr(e: &Expr, sp: &Span, own: &Ad, diags: &mut Vec<Diagnostic>) -> CExpr {
-    match e {
-        Expr::Str(s) => CExpr::Const(Cv::Val(Value::Str(s.clone()))),
-        Expr::Int(n) => CExpr::Const(Cv::Val(Value::Int(*n))),
-        Expr::Double(x) => CExpr::Const(Cv::Val(Value::Double(*x))),
-        Expr::Bool(b) => CExpr::Const(Cv::Val(Value::Bool(*b))),
-        Expr::Undefined => CExpr::Const(Cv::Undefined),
-        Expr::Ref { scope, name } => match scope.as_deref() {
-            None | Some("self") => match own.get(name) {
-                Some(Value::Expr(_)) => CExpr::OwnExpr(intern(name)),
-                Some(v) => CExpr::Const(Cv::Val(v.clone())),
-                None => CExpr::Const(Cv::Undefined),
+/// One compilation: the job's own ad, where the folder's findings go, and
+/// the machine attributes met so far.
+struct Compiler<'a> {
+    own: &'a Ad,
+    diags: &'a mut Vec<Diagnostic>,
+    others: Vec<Symbol>,
+}
+
+impl Compiler<'_> {
+    fn other(&mut self, name: &str) -> OtherAttr {
+        let sym = intern(name);
+        let ix = self
+            .others
+            .iter()
+            .position(|s| *s == sym)
+            .unwrap_or_else(|| {
+                self.others.push(sym);
+                self.others.len() - 1
+            });
+        OtherAttr { sym, ix }
+    }
+
+    fn expr(&mut self, e: &Expr, sp: &Span) -> CExpr {
+        match e {
+            Expr::Str(s) => CExpr::Const(Cv::Val(Value::Str(s.clone()))),
+            Expr::Int(n) => CExpr::Const(Cv::Val(Value::Int(*n))),
+            Expr::Double(x) => CExpr::Const(Cv::Val(Value::Double(*x))),
+            Expr::Bool(b) => CExpr::Const(Cv::Val(Value::Bool(*b))),
+            Expr::Undefined => CExpr::Const(Cv::Undefined),
+            Expr::Ref { scope, name } => match scope.as_deref() {
+                None | Some("self") => match self.own.get(name) {
+                    Some(Value::Expr(_)) => CExpr::OwnExpr(intern(name)),
+                    Some(v) => CExpr::Const(Cv::Val(v.clone())),
+                    None => CExpr::Const(Cv::Undefined),
+                },
+                Some("other") => CExpr::OtherRef(self.other(name)),
+                Some(_) => CExpr::Raw(e.clone()),
             },
-            Some("other") => CExpr::OtherRef(intern(name)),
-            Some(_) => CExpr::Raw(e.clone()),
-        },
-        Expr::Not(x) => try_fold(CExpr::Not(Box::new(compile_expr(
-            x,
-            sp.child(0),
-            own,
-            diags,
-        )))),
-        Expr::Neg(x) => try_fold(CExpr::Neg(Box::new(compile_expr(
-            x,
-            sp.child(0),
-            own,
-            diags,
-        )))),
-        Expr::Bin(op, l, r) => {
-            let cl = compile_expr(l, sp.child(0), own, diags);
-            // A defined-false `&&` / defined-true `||` left side decides the
-            // result before the right side is ever evaluated — the right
-            // subtree is dead and can be dropped without changing semantics.
-            if let CExpr::Const(cv) = &cl {
-                if matches!(op, BinOp::And | BinOp::Or) {
-                    if let Some(short) = logic_short_circuit(*op, cv) {
-                        diags.push(Diagnostic::warning(
+            Expr::Not(x) => try_fold(CExpr::Not(Box::new(self.expr(x, sp.child(0))))),
+            Expr::Neg(x) => try_fold(CExpr::Neg(Box::new(self.expr(x, sp.child(0))))),
+            Expr::Bin(op, l, r) => {
+                let cl = self.expr(l, sp.child(0));
+                // A defined-false `&&` / defined-true `||` left side decides the
+                // result before the right side is ever evaluated — the right
+                // subtree is dead and can be dropped without changing semantics.
+                if let CExpr::Const(cv) = &cl {
+                    if matches!(op, BinOp::And | BinOp::Or) {
+                        if let Some(short) = logic_short_circuit(*op, cv.bool_or_undef()) {
+                            self.diags.push(Diagnostic::warning(
+                                "W204",
+                                sp.child(1).pos,
+                                format!(
+                                    "right operand of `{}` is never evaluated (left side is always {})",
+                                    symbol(*op),
+                                    if *op == BinOp::And { "false" } else { "true" },
+                                ),
+                            ));
+                            return CExpr::Const(short);
+                        }
+                    }
+                }
+                let cr = self.expr(r, sp.child(1));
+                try_fold(CExpr::Bin(*op, Box::new(cl), Box::new(cr)))
+            }
+            Expr::Ternary(c, a, b) => {
+                let cc = self.expr(c, sp.child(0));
+                match &cc {
+                    CExpr::Const(Cv::Val(Value::Bool(cond))) => {
+                        let (live, dead, which) = if *cond {
+                            (1usize, 2usize, "else")
+                        } else {
+                            (2, 1, "then")
+                        };
+                        self.diags.push(Diagnostic::warning(
                             "W204",
-                            sp.child(1).pos,
-                            format!(
-                                "right operand of `{}` is never evaluated (left side is always {})",
-                                symbol(*op),
-                                if *op == BinOp::And { "false" } else { "true" },
-                            ),
+                            sp.child(dead).pos,
+                            format!("the {which} branch of this ternary is never taken"),
                         ));
-                        return CExpr::Const(short);
+                        let live_expr = if *cond { a } else { b };
+                        self.expr(live_expr, sp.child(live))
+                    }
+                    CExpr::Const(Cv::Undefined) => {
+                        self.diags.push(Diagnostic::warning(
+                            "W204",
+                            sp.child(0).pos,
+                            "ternary condition is always undefined; neither branch is ever taken",
+                        ));
+                        CExpr::Const(Cv::Undefined)
+                    }
+                    _ => {
+                        let ca = self.expr(a, sp.child(1));
+                        let cb = self.expr(b, sp.child(2));
+                        try_fold(CExpr::Ternary(Box::new(cc), Box::new(ca), Box::new(cb)))
                     }
                 }
             }
-            let cr = compile_expr(r, sp.child(1), own, diags);
-            try_fold(CExpr::Bin(*op, Box::new(cl), Box::new(cr)))
-        }
-        Expr::Ternary(c, a, b) => {
-            let cc = compile_expr(c, sp.child(0), own, diags);
-            match &cc {
-                CExpr::Const(Cv::Val(Value::Bool(cond))) => {
-                    let (live, dead, which) = if *cond {
-                        (1usize, 2usize, "else")
-                    } else {
-                        (2, 1, "then")
-                    };
-                    diags.push(Diagnostic::warning(
-                        "W204",
-                        sp.child(dead).pos,
-                        format!("the {which} branch of this ternary is never taken"),
-                    ));
-                    let live_expr = if *cond { a } else { b };
-                    compile_expr(live_expr, sp.child(live), own, diags)
-                }
-                CExpr::Const(Cv::Undefined) => {
-                    diags.push(Diagnostic::warning(
-                        "W204",
-                        sp.child(0).pos,
-                        "ternary condition is always undefined; neither branch is ever taken",
-                    ));
-                    CExpr::Const(Cv::Undefined)
-                }
-                _ => {
-                    let ca = compile_expr(a, sp.child(1), own, diags);
-                    let cb = compile_expr(b, sp.child(2), own, diags);
-                    try_fold(CExpr::Ternary(Box::new(cc), Box::new(ca), Box::new(cb)))
-                }
-            }
-        }
-        Expr::Call(name, args) => {
-            let Some(func) = Func::of(name) else {
-                return CExpr::Raw(e.clone()); // runtime "unknown function" error preserved
-            };
-            if !func.arity_ok(args.len()) {
-                return CExpr::Raw(e.clone()); // runtime arity error preserved
-            }
-            if func == Func::Member {
-                // The runtime resolves a reference in list position without
-                // evaluating stored expressions, wrapping scalars as
-                // singleton lists; reproduce that resolution here.
-                let needle = compile_expr(&args[0], sp.child(0), own, diags);
-                let list = match &args[1] {
-                    Expr::Ref { scope, name } => match scope.as_deref() {
-                        None | Some("self") => match own.get(name) {
-                            Some(Value::List(items)) => {
-                                CExpr::Const(Cv::Val(Value::List(items.clone())))
-                            }
-                            Some(v) => CExpr::Const(Cv::Val(Value::List(vec![v.clone()]))),
-                            None => CExpr::Const(Cv::Undefined),
-                        },
-                        Some("other") => CExpr::OtherListRef(intern(name)),
-                        Some(_) => return CExpr::Raw(e.clone()), // runtime scope error
-                    },
-                    other => compile_expr(other, sp.child(1), own, diags),
+            Expr::Call(name, args) => {
+                let Some(func) = Func::of(name) else {
+                    return CExpr::Raw(e.clone()); // runtime "unknown function" error preserved
                 };
-                return try_fold(CExpr::Call(func, vec![needle, list]));
+                if !func.arity_ok(args.len()) {
+                    return CExpr::Raw(e.clone()); // runtime arity error preserved
+                }
+                if func == Func::Member {
+                    // The runtime resolves a reference in list position without
+                    // evaluating stored expressions, wrapping scalars as
+                    // singleton lists; reproduce that resolution here.
+                    let needle = self.expr(&args[0], sp.child(0));
+                    let list = match &args[1] {
+                        Expr::Ref { scope, name } => match scope.as_deref() {
+                            None | Some("self") => match self.own.get(name) {
+                                Some(Value::List(items)) => {
+                                    CExpr::Const(Cv::Val(Value::List(items.clone())))
+                                }
+                                Some(v) => CExpr::Const(Cv::Val(Value::List(vec![v.clone()]))),
+                                None => CExpr::Const(Cv::Undefined),
+                            },
+                            Some("other") => CExpr::OtherListRef(self.other(name)),
+                            Some(_) => return CExpr::Raw(e.clone()), // runtime scope error
+                        },
+                        other => self.expr(other, sp.child(1)),
+                    };
+                    return try_fold(CExpr::Call(func, vec![needle, list]));
+                }
+                let cargs = args
+                    .iter()
+                    .enumerate()
+                    .map(|(i, a)| self.expr(a, sp.child(i)))
+                    .collect();
+                try_fold(CExpr::Call(func, cargs))
             }
-            let cargs = args
-                .iter()
-                .enumerate()
-                .map(|(i, a)| compile_expr(a, sp.child(i), own, diags))
-                .collect();
-            try_fold(CExpr::Call(func, cargs))
         }
     }
 }
 
-fn ceval(e: &CExpr, own: &Ad, other: &Ad) -> Result<Cv, EvalError> {
-    match e {
-        CExpr::Const(cv) => Ok(cv.clone()),
-        CExpr::OtherRef(name) => match other.get_sym(*name) {
+/// A value in the middle of a compiled evaluation. Numbers and booleans are
+/// carried by value; strings and lists are only ever borrowed — from a
+/// constant of the expression or from one of the two ads — because no
+/// operator makes a new one. What the raw walker hands back (a stored
+/// expression, a [`CExpr::Raw`] fallback) is owned.
+enum Bv<'a> {
+    Val(Cow<'a, Value>),
+    Undefined,
+}
+
+impl Bv<'_> {
+    fn bool(b: bool) -> Bv<'static> {
+        Bv::Val(Cow::Owned(Value::Bool(b)))
+    }
+
+    fn into_cv(self) -> Cv {
+        match self {
+            Bv::Val(v) => Cv::Val(v.into_owned()),
+            Bv::Undefined => Cv::Undefined,
+        }
+    }
+
+    fn bool_or_undef(&self) -> Option<bool> {
+        match self {
+            Bv::Val(v) => v.as_bool(),
+            Bv::Undefined => None,
+        }
+    }
+}
+
+impl From<Cv> for Bv<'static> {
+    fn from(cv: Cv) -> Bv<'static> {
+        match cv {
+            Cv::Val(v) => Bv::Val(Cow::Owned(v)),
+            Cv::Undefined => Bv::Undefined,
+        }
+    }
+}
+
+impl<'a> From<Option<Cow<'a, Value>>> for Bv<'a> {
+    fn from(v: Option<Cow<'a, Value>>) -> Bv<'a> {
+        v.map_or(Bv::Undefined, Bv::Val)
+    }
+}
+
+fn is_true(result: &Result<Bv<'_>, EvalError>) -> bool {
+    matches!(result, Ok(v) if v.bool_or_undef() == Some(true))
+}
+
+fn as_rank(result: &Result<Bv<'_>, EvalError>) -> f64 {
+    match result {
+        Ok(Bv::Val(v)) => v.as_f64().unwrap_or(0.0),
+        _ => 0.0,
+    }
+}
+
+/// Where an evaluation reads `other.X`: a whole machine ad, searched by
+/// name, or one [`Row`] of a columnar store, whose columns were bound
+/// beforehand.
+trait Other<'a>: Copy {
+    /// The attribute's stored value; a stored expression is not evaluated.
+    fn stored(self, attr: OtherAttr) -> Option<Cow<'a, Value>>;
+    /// The machine ad itself — the frame a stored expression or a raw
+    /// fallback evaluates in.
+    fn ad(self) -> &'a Ad;
+}
+
+impl<'a> Other<'a> for &'a Ad {
+    fn stored(self, attr: OtherAttr) -> Option<Cow<'a, Value>> {
+        self.get_sym(attr.sym).map(Cow::Borrowed)
+    }
+
+    fn ad(self) -> &'a Ad {
+        self
+    }
+}
+
+/// One site of a columnar store, as a bound expression reads it.
+#[derive(Clone, Copy)]
+struct Row<'a> {
+    columns: &'a [Option<&'a Column>],
+    ad: &'a Ad,
+    site: usize,
+}
+
+impl<'a> Other<'a> for Row<'a> {
+    fn stored(self, attr: OtherAttr) -> Option<Cow<'a, Value>> {
+        self.columns[attr.ix]?.cell(self.site).value(self.ad)
+    }
+
+    fn ad(self) -> &'a Ad {
+        self.ad
+    }
+}
+
+fn ceval<'a, O: Other<'a>>(e: &'a CExpr, own: &'a Ad, other: O) -> Result<Bv<'a>, EvalError> {
+    Ok(match e {
+        CExpr::Const(Cv::Val(v)) => Bv::Val(Cow::Borrowed(v)),
+        CExpr::Const(Cv::Undefined) => Bv::Undefined,
+        CExpr::OtherRef(attr) => match other.stored(*attr) {
             // Stored expressions evaluate in the owner's frame, with the
             // two ads swapped — same as the raw walker.
-            Some(Value::Expr(ex)) => ex.eval(Ctx {
-                own: other,
-                other: own,
-            }),
-            Some(v) => Ok(Cv::Val(v.clone())),
-            None => Ok(Cv::Undefined),
+            Some(v) => match &*v {
+                Value::Expr(ex) => ex
+                    .eval(Ctx {
+                        own: other.ad(),
+                        other: own,
+                    })?
+                    .into(),
+                _ => Bv::Val(v),
+            },
+            None => Bv::Undefined,
         },
-        CExpr::OtherListRef(name) => Ok(match other.get_sym(*name) {
-            Some(Value::List(items)) => Cv::Val(Value::List(items.clone())),
-            Some(v) => Cv::Val(Value::List(vec![v.clone()])),
-            None => Cv::Undefined,
-        }),
+        CExpr::OtherListRef(attr) => other.stored(*attr).into(),
         CExpr::OwnExpr(name) => match own.get_sym(*name) {
-            Some(Value::Expr(ex)) => ex.eval(Ctx { own, other }),
-            Some(v) => Ok(Cv::Val(v.clone())),
-            None => Ok(Cv::Undefined),
+            Some(Value::Expr(ex)) => ex
+                .eval(Ctx {
+                    own,
+                    other: other.ad(),
+                })?
+                .into(),
+            Some(v) => Bv::Val(Cow::Borrowed(v)),
+            None => Bv::Undefined,
         },
         CExpr::Not(x) => match ceval(x, own, other)? {
-            Cv::Undefined => Ok(Cv::Undefined),
-            Cv::Val(Value::Bool(b)) => Ok(Cv::Val(Value::Bool(!b))),
-            Cv::Val(v) => Err(err(format!("! applied to non-boolean {v}"))),
+            Bv::Undefined => Bv::Undefined,
+            Bv::Val(v) => match *v {
+                Value::Bool(b) => Bv::bool(!b),
+                _ => return Err(err(format!("! applied to non-boolean {v}"))),
+            },
         },
         CExpr::Neg(x) => match ceval(x, own, other)? {
-            Cv::Undefined => Ok(Cv::Undefined),
-            Cv::Val(Value::Int(n)) => Ok(Cv::Val(Value::Int(-n))),
-            Cv::Val(Value::Double(x)) => Ok(Cv::Val(Value::Double(-x))),
-            Cv::Val(v) => Err(err(format!("- applied to non-number {v}"))),
+            Bv::Undefined => Bv::Undefined,
+            Bv::Val(v) => match *v {
+                Value::Int(n) => Bv::Val(Cow::Owned(Value::Int(-n))),
+                Value::Double(x) => Bv::Val(Cow::Owned(Value::Double(-x))),
+                _ => return Err(err(format!("- applied to non-number {v}"))),
+            },
         },
         CExpr::Bin(op @ (BinOp::And | BinOp::Or), l, r) => {
             let lv = ceval(l, own, other)?;
-            if let Some(short) = logic_short_circuit(*op, &lv) {
-                return Ok(short);
+            if let Some(short) = logic_short_circuit(*op, lv.bool_or_undef()) {
+                return Ok(short.into());
             }
             let rv = ceval(r, own, other)?;
-            apply_logic(*op, lv, rv)
+            // Booleans are copied; anything else is about to be an error.
+            apply_logic(*op, lv.into_cv(), rv.into_cv())?.into()
         }
-        CExpr::Bin(op, l, r) => {
-            let lv = ceval(l, own, other)?;
-            let rv = ceval(r, own, other)?;
-            match (lv, rv) {
-                (Cv::Undefined, _) | (_, Cv::Undefined) => Ok(Cv::Undefined),
-                (Cv::Val(a), Cv::Val(b)) => apply_bin_values(*op, a, b),
-            }
-        }
-        CExpr::Ternary(c, a, b) => match ceval(c, own, other)? {
-            Cv::Undefined => Ok(Cv::Undefined),
-            Cv::Val(Value::Bool(true)) => ceval(a, own, other),
-            Cv::Val(Value::Bool(false)) => ceval(b, own, other),
-            Cv::Val(v) => Err(err(format!("ternary condition is non-boolean {v}"))),
+        CExpr::Bin(op, l, r) => match (ceval(l, own, other)?, ceval(r, own, other)?) {
+            (Bv::Undefined, _) | (_, Bv::Undefined) => Bv::Undefined,
+            (Bv::Val(a), Bv::Val(b)) => apply_bin_values(*op, &a, &b)?.into(),
         },
-        CExpr::Call(func, args) => ceval_call(*func, args, own, other),
-        CExpr::Raw(ex) => ex.eval(Ctx { own, other }),
-    }
+        CExpr::Ternary(c, a, b) => match ceval(c, own, other)? {
+            Bv::Undefined => Bv::Undefined,
+            Bv::Val(v) => match *v {
+                Value::Bool(true) => ceval(a, own, other)?,
+                Value::Bool(false) => ceval(b, own, other)?,
+                _ => return Err(err(format!("ternary condition is non-boolean {v}"))),
+            },
+        },
+        CExpr::Call(func, args) => return ceval_call(*func, args, own, other),
+        CExpr::Raw(ex) => ex
+            .eval(Ctx {
+                own,
+                other: other.ad(),
+            })?
+            .into(),
+    })
 }
 
-fn ceval_call(func: Func, args: &[CExpr], own: &Ad, other: &Ad) -> Result<Cv, EvalError> {
-    match func {
+/// The string inside `v`, or `what`'s type error.
+fn str_arg<'v>(v: &'v Value, what: &str) -> Result<&'v str, EvalError> {
+    v.as_str()
+        .ok_or_else(|| err(format!("{what} must be a string, got {v}")))
+}
+
+fn ceval_call<'a, O: Other<'a>>(
+    func: Func,
+    args: &'a [CExpr],
+    own: &'a Ad,
+    other: O,
+) -> Result<Bv<'a>, EvalError> {
+    // Every function but `isUndefined` is undefined on an undefined argument.
+    macro_rules! defined {
+        ($arg:expr) => {
+            match ceval($arg, own, other)? {
+                Bv::Undefined => return Ok(Bv::Undefined),
+                Bv::Val(v) => v,
+            }
+        };
+    }
+    Ok(match func {
         Func::Member => {
-            let needle = match ceval(&args[0], own, other)? {
-                Cv::Undefined => return Ok(Cv::Undefined),
-                Cv::Val(v) => v,
+            let needle = defined!(&args[0]);
+            let list = defined!(&args[1]);
+            let items = match &*list {
+                Value::List(items) => items.as_slice(),
+                one => std::slice::from_ref(one),
             };
-            let list = match ceval(&args[1], own, other)? {
-                Cv::Undefined => return Ok(Cv::Undefined),
-                Cv::Val(Value::List(items)) => items,
-                Cv::Val(v) => vec![v],
-            };
-            Ok(Cv::Val(Value::Bool(member_contains(&list, &needle))))
+            Bv::bool(member_contains(items, &needle))
         }
-        Func::IsUndefined => Ok(Cv::Val(Value::Bool(matches!(
-            ceval(&args[0], own, other)?,
-            Cv::Undefined
-        )))),
+        Func::IsUndefined => Bv::bool(matches!(ceval(&args[0], own, other)?, Bv::Undefined)),
         Func::StringListMember => {
-            let needle = match ceval(&args[0], own, other)? {
-                Cv::Undefined => return Ok(Cv::Undefined),
-                Cv::Val(Value::Str(s)) => s,
-                Cv::Val(v) => {
-                    return Err(err(format!(
-                        "stringListMember needle must be a string, got {v}"
-                    )))
-                }
-            };
-            let list = match ceval(&args[1], own, other)? {
-                Cv::Undefined => return Ok(Cv::Undefined),
-                Cv::Val(Value::Str(s)) => s,
-                Cv::Val(v) => {
-                    return Err(err(format!(
-                        "stringListMember list must be a string, got {v}"
-                    )))
-                }
-            };
+            let needle = defined!(&args[0]);
+            let needle = str_arg(&needle, "stringListMember needle")?;
+            let list = defined!(&args[1]);
+            let list = str_arg(&list, "stringListMember list")?;
             let delims = match args.get(2) {
-                None => ",".to_string(),
-                Some(a) => match ceval(a, own, other)? {
-                    Cv::Undefined => return Ok(Cv::Undefined),
-                    Cv::Val(Value::Str(s)) => s,
-                    Cv::Val(v) => return Err(err(format!("delims must be a string, got {v}"))),
-                },
+                None => None,
+                Some(a) => Some(defined!(a)),
             };
-            Ok(Cv::Val(Value::Bool(string_list_contains(
-                &list, &delims, &needle,
-            ))))
+            let delims = match &delims {
+                None => ",",
+                Some(v) => str_arg(v, "delims")?,
+            };
+            Bv::bool(string_list_contains(list, delims, needle))
         }
         Func::Floor | Func::Ceiling | Func::Round | Func::Abs => {
-            match ceval(&args[0], own, other)? {
-                Cv::Undefined => Ok(Cv::Undefined),
-                Cv::Val(v) => apply_rounding(func.kernel_name(), v),
-            }
+            let v = defined!(&args[0]);
+            apply_rounding(func.kernel_name(), &v)?.into()
         }
         Func::Min | Func::Max => {
             let name = func.kernel_name();
             let mut best: Option<f64> = None;
             let mut all_int = true;
             for a in args {
-                let v = match ceval(a, own, other)? {
-                    Cv::Undefined => return Ok(Cv::Undefined),
-                    Cv::Val(v) => v,
-                };
-                if !matches!(v, Value::Int(_)) {
+                let v = defined!(a);
+                if !matches!(*v, Value::Int(_)) {
                     all_int = false;
                 }
                 let x = v
@@ -1193,20 +1355,159 @@ fn ceval_call(func: Func, args: &[CExpr], own: &Ad, other: &Ad) -> Result<Cv, Ev
                 });
             }
             let x = best.expect("arity checked at compile time");
-            Ok(Cv::Val(if all_int {
+            Bv::Val(Cow::Owned(if all_int {
                 Value::Int(x as i64)
             } else {
                 Value::Double(x)
             }))
         }
-        Func::Int => match ceval(&args[0], own, other)? {
-            Cv::Undefined => Ok(Cv::Undefined),
-            Cv::Val(v) => apply_int_cast(v),
-        },
-        Func::Real => match ceval(&args[0], own, other)? {
-            Cv::Undefined => Ok(Cv::Undefined),
-            Cv::Val(v) => apply_real_cast(v),
-        },
+        Func::Int => {
+            let v = defined!(&args[0]);
+            apply_int_cast(&v)?.into()
+        }
+        Func::Real => {
+            let v = defined!(&args[0]);
+            apply_real_cast(&v)?.into()
+        }
+    })
+}
+
+// ---------------------------------------------------------------------------
+// Evaluation over a columnar store
+// ---------------------------------------------------------------------------
+
+/// A [`CompiledExpr`] bound to one columnar store by [`CompiledExpr::bind`].
+pub struct BoundExpr<'a> {
+    root: &'a CExpr,
+    own: &'a Ad,
+    ads: &'a [Arc<Ad>],
+    /// The column of each of the expression's `others`, in that order;
+    /// `None` for an attribute no ad of the store carries.
+    columns: Vec<Option<&'a Column>>,
+}
+
+/// How one top-level conjunct of a requirement is applied to a store.
+enum Conjunct<'a> {
+    /// `other.X <op> constant`, either way round.
+    Compare(OtherAttr, BinOp, &'a Value),
+    /// A bare `other.X`.
+    Flag(OtherAttr),
+    /// `member(constant, other.X)`.
+    Member(&'a Value, OtherAttr),
+    /// Any other shape: the whole conjunct, evaluated site by site.
+    Each,
+}
+
+impl<'a> Conjunct<'a> {
+    fn of(e: &'a CExpr) -> Conjunct<'a> {
+        match e {
+            CExpr::Bin(op, l, r) if op.is_comparison() => match (&**l, &**r) {
+                (CExpr::OtherRef(x), CExpr::Const(Cv::Val(v))) => Conjunct::Compare(*x, *op, v),
+                (CExpr::Const(Cv::Val(v)), CExpr::OtherRef(x)) => {
+                    Conjunct::Compare(*x, flip(*op), v)
+                }
+                _ => Conjunct::Each,
+            },
+            CExpr::OtherRef(x) => Conjunct::Flag(*x),
+            CExpr::Call(Func::Member, args) => match (&args[0], &args[1]) {
+                (CExpr::Const(Cv::Val(needle)), CExpr::OtherListRef(x)) => {
+                    Conjunct::Member(needle, *x)
+                }
+                _ => Conjunct::Each,
+            },
+            _ => Conjunct::Each,
+        }
+    }
+
+    /// What a site costs, roughly: a cell against a number, a string
+    /// compare behind a pointer, a list walk behind two, a tree walk.
+    fn cost(&self) -> u8 {
+        match self {
+            Conjunct::Flag(_) => 0,
+            Conjunct::Compare(_, _, Value::Str(_)) => 1,
+            Conjunct::Compare(..) => 0,
+            Conjunct::Member(..) => 2,
+            Conjunct::Each => 3,
+        }
+    }
+}
+
+impl BoundExpr<'_> {
+    fn row(&self, site: usize) -> Row<'_> {
+        Row {
+            columns: &self.columns,
+            ad: &self.ads[site],
+            site,
+        }
+    }
+
+    /// Whether `holds` of the attribute's value at `site`. A stored
+    /// expression has no value before it is evaluated: its site takes the
+    /// tree `walk` of the whole conjunct.
+    fn value_holds(
+        &self,
+        attr: OtherAttr,
+        site: usize,
+        walk: impl FnOnce(usize) -> bool,
+        holds: impl FnOnce(&Value) -> bool,
+    ) -> bool {
+        match self.row(site).stored(attr) {
+            None => false,
+            Some(v) if matches!(*v, Value::Expr(_)) => walk(site),
+            Some(v) => holds(&v),
+        }
+    }
+
+    /// Rank view at one site ([`CompiledExpr::rank`]).
+    #[must_use]
+    pub fn rank(&self, site: usize) -> f64 {
+        as_rank(&ceval(self.root, self.own, self.row(site)))
+    }
+
+    /// Requirement view over the whole store ([`CompiledExpr::matches`] at
+    /// every site of `alive`): removes the sites that do not match.
+    ///
+    /// A requirement matches iff each of its top-level `&&` conjuncts is, on
+    /// its own, a defined `true` — a conjunct that is false, undefined, not
+    /// a boolean or an error makes the whole no match whichever side of it
+    /// the others stand — so the conjuncts are applied one after another,
+    /// cheapest first, each only to the sites the ones before left.
+    pub fn retain_matches(&self, alive: &mut SiteSet) {
+        let mut conjuncts = Vec::new();
+        collect_conjuncts(self.root, &mut conjuncts);
+        let mut plan: Vec<(Conjunct<'_>, &CExpr)> = conjuncts
+            .into_iter()
+            .map(|e| (Conjunct::of(e), e))
+            .collect();
+        plan.sort_by_key(|(c, _)| c.cost());
+        for (conjunct, e) in plan {
+            let each = |site: usize| is_true(&ceval(e, self.own, self.row(site)));
+            match conjunct {
+                Conjunct::Compare(attr, op, constant) => alive.retain(|site| {
+                    self.value_holds(attr, site, each, |v| {
+                        matches!(
+                            apply_bin_values(op, v, constant),
+                            Ok(Cv::Val(Value::Bool(true)))
+                        )
+                    })
+                }),
+                Conjunct::Flag(attr) => alive.retain(|site| {
+                    self.value_holds(attr, site, each, |v| matches!(v, Value::Bool(true)))
+                }),
+                // In list position a stored expression is an item like any
+                // other.
+                Conjunct::Member(needle, attr) => alive.retain(|site| {
+                    self.row(site).stored(attr).is_some_and(|v| match &*v {
+                        Value::List(items) => member_contains(items, needle),
+                        one => member_contains(std::slice::from_ref(one), needle),
+                    })
+                }),
+                Conjunct::Each => alive.retain(each),
+            }
+            if alive.is_empty() {
+                return;
+            }
+        }
     }
 }
 
@@ -1371,8 +1672,10 @@ fn never_matches(e: &CExpr, machine: &Schema) -> Option<String> {
             for c in &conjuncts {
                 let CExpr::Bin(op, l, r) = c else { continue };
                 let (name, op, value) = match (&**l, &**r) {
-                    (CExpr::OtherRef(n), CExpr::Const(Cv::Val(v))) => (n.as_str(), *op, v),
-                    (CExpr::Const(Cv::Val(v)), CExpr::OtherRef(n)) => (n.as_str(), flip(*op), v),
+                    (CExpr::OtherRef(n), CExpr::Const(Cv::Val(v))) => (n.sym.as_str(), *op, v),
+                    (CExpr::Const(Cv::Val(v)), CExpr::OtherRef(n)) => {
+                        (n.sym.as_str(), flip(*op), v)
+                    }
                     _ => continue,
                 };
                 let slot = by_attr.entry(name).or_insert_with(Constraint::new);
@@ -1539,13 +1842,13 @@ pub fn analyze_ad(ad: &Ad, spans: Option<&AdSpans>, machine: &Schema) -> Analysi
                 format!("Requirements has type {ty}, expected boolean"),
             ));
         }
-        let root = compile_expr(&req_expr, sp, ad, &mut diags);
-        if matches!(&root, CExpr::Const(Cv::Val(Value::Bool(true)))) {
+        let compiled = CompiledExpr::compile_at(&req_expr, sp, ad, &mut diags);
+        if matches!(&compiled.root, CExpr::Const(Cv::Val(Value::Bool(true)))) {
             diags.push(
                 Diagnostic::warning("W203", sp.pos, "Requirements is always true")
                     .with_help("every site matches; Rank alone decides placement"),
             );
-        } else if let Some(why) = never_matches(&root, machine) {
+        } else if let Some(why) = never_matches(&compiled.root, machine) {
             diags.push(
                 Diagnostic::error(
                     "E108",
@@ -1555,7 +1858,7 @@ pub fn analyze_ad(ad: &Ad, spans: Option<&AdSpans>, machine: &Schema) -> Analysi
                 .with_help("the job would wait forever; fix the constraint before submitting"),
             );
         }
-        requirements = Some(CompiledExpr { root });
+        requirements = Some(compiled);
     }
 
     // Pass 3: Rank — type check and compile.
@@ -1582,9 +1885,7 @@ pub fn analyze_ad(ad: &Ad, spans: Option<&AdSpans>, machine: &Schema) -> Analysi
                 .with_help("a non-numeric rank silently evaluates to 0 for every site"),
             );
         }
-        rank = Some(CompiledExpr {
-            root: compile_expr(&rank_expr, sp, ad, &mut diags),
-        });
+        rank = Some(CompiledExpr::compile_at(&rank_expr, sp, ad, &mut diags));
     }
 
     diags.sort_by_key(|d| (d.pos.line, d.pos.col, d.code));

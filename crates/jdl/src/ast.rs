@@ -1,6 +1,5 @@
 //! The attribute-record (ClassAd-lite) data model: [`Value`]s and [`Ad`]s.
 
-use std::collections::BTreeMap;
 use std::fmt;
 
 use crate::expr::Expr;
@@ -93,12 +92,26 @@ impl fmt::Display for Value {
     }
 }
 
+/// One attribute of an [`Ad`]: the lower-cased key it is found under, the
+/// spelling it was written with (kept for printing), and its value.
+#[derive(Debug, Clone, PartialEq)]
+struct Attr {
+    key: String,
+    name: String,
+    value: Value,
+}
+
 /// An attribute record: ordered, case-insensitive attribute names mapped to
 /// values. Both job descriptions and machine advertisements are `Ad`s.
+///
+/// Attributes are kept in one vector sorted by lower-cased name, so every
+/// attribute has a *slot* — its position in that order — through which
+/// [`Ad::value_at`] reaches the value without comparing a name. The
+/// columnar matchmaking store ([`crate::Columns`]) records slots instead of
+/// copying strings and lists out of the ads it indexes.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct Ad {
-    // Keyed by lower-cased name; the original spelling is kept for printing.
-    attrs: BTreeMap<String, (String, Value)>,
+    attrs: Vec<Attr>,
 }
 
 impl Ad {
@@ -107,10 +120,33 @@ impl Ad {
         Ad::default()
     }
 
+    /// An empty record with room for `attrs` attributes.
+    pub fn with_capacity(attrs: usize) -> Self {
+        Ad {
+            attrs: Vec::with_capacity(attrs),
+        }
+    }
+
+    /// The slot of the attribute under `lower`. An ad has a dozen
+    /// attributes: comparing each key for equality (its length settles most)
+    /// beats a binary search's ordered compares.
+    fn slot_of(&self, lower: &str) -> Option<usize> {
+        self.attrs.iter().position(|a| a.key == lower)
+    }
+
     /// Sets an attribute (case-insensitive; later sets replace earlier ones).
     pub fn set(&mut self, name: impl Into<String>, value: Value) -> &mut Self {
         let name = name.into();
-        self.attrs.insert(name.to_ascii_lowercase(), (name, value));
+        let key = name.to_ascii_lowercase();
+        // Attributes set in name order are appended without a search.
+        if self.attrs.last().is_none_or(|last| last.key < key) {
+            self.attrs.push(Attr { key, name, value });
+            return self;
+        }
+        match self.attrs.binary_search_by(|a| a.key.cmp(&key)) {
+            Ok(slot) => self.attrs[slot] = Attr { key, name, value },
+            Err(slot) => self.attrs.insert(slot, Attr { key, name, value }),
+        }
         self
     }
 
@@ -136,14 +172,14 @@ impl Ad {
 
     /// Looks an attribute up, case-insensitively.
     pub fn get(&self, name: &str) -> Option<&Value> {
-        self.attrs.get(&name.to_ascii_lowercase()).map(|(_, v)| v)
+        self.get_norm(&name.to_ascii_lowercase())
     }
 
     /// Looks up an attribute by an already-lowercased key without the
     /// per-call allocation of [`Ad::get`] — the matchmaking hot loop uses
     /// this with keys normalised once at compile time.
     pub fn get_norm(&self, lower: &str) -> Option<&Value> {
-        self.attrs.get(lower).map(|(_, v)| v)
+        self.slot_of(lower).map(|slot| &self.attrs[slot].value)
     }
 
     /// Looks up an attribute by interned [`Symbol`](crate::Symbol) — the
@@ -153,21 +189,34 @@ impl Ad {
         self.get_norm(sym.as_str())
     }
 
+    /// The value in `slot` — the attribute's position in lower-cased name
+    /// order, as [`Ad::slots`] enumerates it.
+    ///
+    /// # Panics
+    /// Panics when `slot >= self.len()`.
+    pub fn value_at(&self, slot: usize) -> &Value {
+        &self.attrs[slot].value
+    }
+
+    /// Iterates `(lower-cased name, value)` in slot order.
+    pub fn slots(&self) -> impl Iterator<Item = (&str, &Value)> {
+        self.attrs.iter().map(|a| (a.key.as_str(), &a.value))
+    }
+
     /// Removes an attribute, returning its value.
     pub fn remove(&mut self, name: &str) -> Option<Value> {
-        self.attrs
-            .remove(&name.to_ascii_lowercase())
-            .map(|(_, v)| v)
+        let slot = self.slot_of(&name.to_ascii_lowercase())?;
+        Some(self.attrs.remove(slot).value)
     }
 
     /// True when the attribute exists.
     pub fn contains(&self, name: &str) -> bool {
-        self.attrs.contains_key(&name.to_ascii_lowercase())
+        self.slot_of(&name.to_ascii_lowercase()).is_some()
     }
 
     /// Iterates `(original_name, value)` in name order.
     pub fn iter(&self) -> impl Iterator<Item = (&str, &Value)> {
-        self.attrs.values().map(|(n, v)| (n.as_str(), v))
+        self.attrs.iter().map(|a| (a.name.as_str(), &a.value))
     }
 
     /// Number of attributes.
@@ -223,6 +272,36 @@ mod tests {
         ad.set_int("nodenumber", 4);
         assert_eq!(ad.get("NodeNumber").and_then(Value::as_i64), Some(4));
         assert_eq!(ad.len(), 1);
+    }
+
+    #[test]
+    fn slots_follow_name_order_whatever_the_set_order() {
+        let mut forward = Ad::with_capacity(3);
+        forward
+            .set_int("alpha", 1)
+            .set_str("Beta", "b")
+            .set_bool("gamma", true);
+        let mut backward = Ad::new();
+        backward
+            .set_bool("gamma", true)
+            .set_str("Beta", "b")
+            .set_int("alpha", 1);
+        assert_eq!(forward, backward);
+        let slots: Vec<(&str, &Value)> = backward.slots().collect();
+        assert_eq!(
+            slots.iter().map(|(k, _)| *k).collect::<Vec<_>>(),
+            ["alpha", "beta", "gamma"],
+            "lower-cased, sorted"
+        );
+        for (slot, (key, value)) in slots.into_iter().enumerate() {
+            assert_eq!(backward.value_at(slot), value);
+            assert_eq!(backward.get_norm(key), Some(value));
+        }
+        // Replacing keeps the slot; removing closes the gap.
+        backward.set_str("BETA", "c");
+        assert_eq!(backward.value_at(1), &Value::Str("c".into()));
+        backward.remove("alpha");
+        assert_eq!(backward.value_at(0), &Value::Str("c".into()));
     }
 
     #[test]

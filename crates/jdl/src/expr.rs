@@ -6,6 +6,7 @@
 //! `other.Name` refers to the candidate machine's — the matchmaking convention
 //! of Condor ClassAds, which the EDG/CrossGrid JDL inherited.
 
+use std::cmp::Ordering;
 use std::fmt;
 
 use crate::ast::{Ad, Value};
@@ -42,6 +43,14 @@ pub enum BinOp {
 }
 
 impl BinOp {
+    /// `==`, `!=`, `<`, `<=`, `>` or `>=`.
+    pub(crate) fn is_comparison(self) -> bool {
+        matches!(
+            self,
+            BinOp::Eq | BinOp::Ne | BinOp::Lt | BinOp::Le | BinOp::Gt | BinOp::Ge
+        )
+    }
+
     fn symbol(self) -> &'static str {
         match self {
             BinOp::Eq => "==",
@@ -143,7 +152,7 @@ pub enum Cv {
 }
 
 impl Cv {
-    fn bool_or_undef(&self) -> Option<bool> {
+    pub(crate) fn bool_or_undef(&self) -> Option<bool> {
         match self {
             Cv::Val(Value::Bool(b)) => Some(*b),
             _ => None,
@@ -258,7 +267,7 @@ fn eval_bin(op: BinOp, l: &Expr, r: &Expr, ctx: Ctx<'_>) -> Result<Cv, EvalError
     // Short-circuiting logic with ClassAd undefined-absorption.
     if matches!(op, BinOp::And | BinOp::Or) {
         let lv = l.eval(ctx)?;
-        if let Some(short) = logic_short_circuit(op, &lv) {
+        if let Some(short) = logic_short_circuit(op, lv.bool_or_undef()) {
             return Ok(short);
         }
         let rv = r.eval(ctx)?;
@@ -271,13 +280,14 @@ fn eval_bin(op: BinOp, l: &Expr, r: &Expr, ctx: Ctx<'_>) -> Result<Cv, EvalError
         (Cv::Undefined, _) | (_, Cv::Undefined) => return Ok(Cv::Undefined),
         (Cv::Val(a), Cv::Val(b)) => (a, b),
     };
-    apply_bin_values(op, a, b)
+    apply_bin_values(op, &a, &b)
 }
 
-/// The `&&`/`||` fast exit after evaluating only the left side: a defined
-/// `false && …` / `true || …` decides without touching the right side.
-pub(crate) fn logic_short_circuit(op: BinOp, lv: &Cv) -> Option<Cv> {
-    match (op, lv.bool_or_undef()) {
+/// The `&&`/`||` fast exit after evaluating only the left side (`left` is
+/// its value when that is a boolean): a defined `false && …` / `true || …`
+/// decides without touching the right side.
+pub(crate) fn logic_short_circuit(op: BinOp, left: Option<bool>) -> Option<Cv> {
+    match (op, left) {
         (BinOp::And, Some(false)) => Some(Cv::Val(Value::Bool(false))),
         (BinOp::Or, Some(true)) => Some(Cv::Val(Value::Bool(true))),
         _ => None,
@@ -304,19 +314,23 @@ pub(crate) fn apply_logic(op: BinOp, lv: Cv, rv: Cv) -> Result<Cv, EvalError> {
     })
 }
 
+/// ClassAd string ordering: case-insensitive over ASCII, byte-wise otherwise
+/// — the order of `a.to_ascii_lowercase().cmp(&b.to_ascii_lowercase())`,
+/// folded a byte at a time instead of into two fresh strings.
+pub(crate) fn cmp_ignore_ascii_case(a: &str, b: &str) -> Ordering {
+    a.bytes()
+        .map(|c| c.to_ascii_lowercase())
+        .cmp(b.bytes().map(|c| c.to_ascii_lowercase()))
+}
+
 /// Applies a comparison or arithmetic operator to two defined values —
 /// the shared kernel behind both the AST walker and the compiled form.
-pub(crate) fn apply_bin_values(op: BinOp, a: Value, b: Value) -> Result<Cv, EvalError> {
+pub(crate) fn apply_bin_values(op: BinOp, a: &Value, b: &Value) -> Result<Cv, EvalError> {
     // Comparisons.
-    if matches!(
-        op,
-        BinOp::Eq | BinOp::Ne | BinOp::Lt | BinOp::Le | BinOp::Gt | BinOp::Ge
-    ) {
-        let ord = match (&a, &b) {
-            (Value::Str(x), Value::Str(y)) => {
-                // ClassAd string comparison is case-insensitive.
-                Some(x.to_ascii_lowercase().cmp(&y.to_ascii_lowercase()))
-            }
+    if op.is_comparison() {
+        let ord = match (a, b) {
+            // ClassAd string comparison is case-insensitive.
+            (Value::Str(x), Value::Str(y)) => Some(cmp_ignore_ascii_case(x, y)),
             (Value::Bool(x), Value::Bool(y)) => Some(x.cmp(y)),
             _ => match (a.as_f64(), b.as_f64()) {
                 (Some(x), Some(y)) => x.partial_cmp(&y),
@@ -344,7 +358,7 @@ pub(crate) fn apply_bin_values(op: BinOp, a: Value, b: Value) -> Result<Cv, Eval
     }
 
     // Arithmetic. Int op Int stays Int (except /, % by zero = undefined).
-    match (&a, &b) {
+    match (a, b) {
         (Value::Int(x), Value::Int(y)) => Ok(match op {
             BinOp::Add => Cv::Val(Value::Int(x.wrapping_add(*y))),
             BinOp::Sub => Cv::Val(Value::Int(x.wrapping_sub(*y))),
@@ -475,7 +489,7 @@ fn eval_call(name: &str, args: &[Expr], ctx: Ctx<'_>) -> Result<Cv, EvalError> {
             }
             match args[0].eval(ctx)? {
                 Cv::Undefined => Ok(Cv::Undefined),
-                Cv::Val(v) => apply_rounding(name, v),
+                Cv::Val(v) => apply_rounding(name, &v),
             }
         }
         name @ ("min" | "max") => {
@@ -519,7 +533,7 @@ fn eval_call(name: &str, args: &[Expr], ctx: Ctx<'_>) -> Result<Cv, EvalError> {
             }
             match args[0].eval(ctx)? {
                 Cv::Undefined => Ok(Cv::Undefined),
-                Cv::Val(v) => apply_int_cast(v),
+                Cv::Val(v) => apply_int_cast(&v),
             }
         }
         "real" => {
@@ -528,7 +542,7 @@ fn eval_call(name: &str, args: &[Expr], ctx: Ctx<'_>) -> Result<Cv, EvalError> {
             }
             match args[0].eval(ctx)? {
                 Cv::Undefined => Ok(Cv::Undefined),
-                Cv::Val(v) => apply_real_cast(v),
+                Cv::Val(v) => apply_real_cast(&v),
             }
         }
         other => Err(err(format!("unknown function `{other}`"))),
@@ -555,8 +569,8 @@ pub(crate) fn string_list_contains(list: &str, delims: &str, needle: &str) -> bo
 }
 
 /// `floor`/`ceiling`/`round`/`abs` on a defined value.
-pub(crate) fn apply_rounding(name: &str, v: Value) -> Result<Cv, EvalError> {
-    match v {
+pub(crate) fn apply_rounding(name: &str, v: &Value) -> Result<Cv, EvalError> {
+    match *v {
         Value::Int(n) => Ok(Cv::Val(Value::Int(if name == "abs" {
             n.wrapping_abs()
         } else {
@@ -575,16 +589,16 @@ pub(crate) fn apply_rounding(name: &str, v: Value) -> Result<Cv, EvalError> {
                 Ok(Cv::Val(Value::Int(y as i64)))
             }
         }
-        other => Err(err(format!("{name}() needs a number, got {other}"))),
+        ref other => Err(err(format!("{name}() needs a number, got {other}"))),
     }
 }
 
 /// `int()` on a defined value.
-pub(crate) fn apply_int_cast(v: Value) -> Result<Cv, EvalError> {
+pub(crate) fn apply_int_cast(v: &Value) -> Result<Cv, EvalError> {
     match v {
-        Value::Int(n) => Ok(Cv::Val(Value::Int(n))),
-        Value::Double(x) => Ok(Cv::Val(Value::Int(x as i64))),
-        Value::Bool(b) => Ok(Cv::Val(Value::Int(b as i64))),
+        Value::Int(n) => Ok(Cv::Val(Value::Int(*n))),
+        Value::Double(x) => Ok(Cv::Val(Value::Int(*x as i64))),
+        Value::Bool(b) => Ok(Cv::Val(Value::Int(i64::from(*b)))),
         Value::Str(s) => match s.trim().parse::<i64>() {
             Ok(n) => Ok(Cv::Val(Value::Int(n))),
             Err(_) => Ok(Cv::Undefined),
@@ -594,10 +608,10 @@ pub(crate) fn apply_int_cast(v: Value) -> Result<Cv, EvalError> {
 }
 
 /// `real()` on a defined value.
-pub(crate) fn apply_real_cast(v: Value) -> Result<Cv, EvalError> {
+pub(crate) fn apply_real_cast(v: &Value) -> Result<Cv, EvalError> {
     match v {
-        Value::Int(n) => Ok(Cv::Val(Value::Double(n as f64))),
-        Value::Double(x) => Ok(Cv::Val(Value::Double(x))),
+        Value::Int(n) => Ok(Cv::Val(Value::Double(*n as f64))),
+        Value::Double(x) => Ok(Cv::Val(Value::Double(*x))),
         Value::Str(s) => match s.trim().parse::<f64>() {
             Ok(x) => Ok(Cv::Val(Value::Double(x))),
             Err(_) => Ok(Cv::Undefined),
@@ -673,6 +687,77 @@ mod tests {
             Box::new(Expr::Str("linux".into())),
         );
         assert_eq!(eval(e), Cv::Val(Value::Bool(true)));
+    }
+
+    #[test]
+    fn string_comparison_folds_case_without_changing_the_order() {
+        // The kernel both evaluators share used to lower-case its operands
+        // into two fresh strings; folding a byte at a time must order every
+        // pair exactly as that did — mixed case, one operand a prefix of the
+        // other, bytes on either side of the ASCII letters, and non-ASCII
+        // text, which `to_ascii_lowercase` leaves alone ("É" ≠ "é").
+        let words = [
+            "",
+            "a",
+            "A",
+            "ab",
+            "AB",
+            "aB",
+            "abc",
+            "ABD",
+            "b",
+            "Z",
+            "z",
+            "[",
+            "_",
+            "`",
+            "{",
+            "0",
+            "LINUX",
+            "linux",
+            "LiNuX-2.4",
+            "linux-2.6",
+            "É",
+            "é",
+            "éa",
+            "Éa",
+            "ÉA",
+            "eé",
+            "ß",
+            "ǅ",
+            "日本",
+            "日本語",
+        ];
+        let ops = [
+            BinOp::Eq,
+            BinOp::Ne,
+            BinOp::Lt,
+            BinOp::Le,
+            BinOp::Gt,
+            BinOp::Ge,
+        ];
+        for a in words {
+            for b in words {
+                let old = a.to_ascii_lowercase().cmp(&b.to_ascii_lowercase());
+                assert_eq!(cmp_ignore_ascii_case(a, b), old, "{a:?} vs {b:?}");
+                for op in ops {
+                    let want = match op {
+                        BinOp::Eq => old.is_eq(),
+                        BinOp::Ne => old.is_ne(),
+                        BinOp::Lt => old.is_lt(),
+                        BinOp::Le => old.is_le(),
+                        BinOp::Gt => old.is_gt(),
+                        _ => old.is_ge(),
+                    };
+                    let e = Expr::Bin(
+                        op,
+                        Box::new(Expr::Str(a.into())),
+                        Box::new(Expr::Str(b.into())),
+                    );
+                    assert_eq!(eval(e), Cv::Val(Value::Bool(want)), "{a:?} {op:?} {b:?}");
+                }
+            }
+        }
     }
 
     #[test]

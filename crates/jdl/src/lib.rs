@@ -38,6 +38,7 @@
 
 pub mod analyze;
 mod ast;
+mod columns;
 mod expr;
 mod job;
 mod lexer;
@@ -45,10 +46,11 @@ mod parser;
 pub mod symbols;
 
 pub use analyze::{
-    analyze_ad, analyze_source, Analysis, CompiledExpr, Diagnostic, Schema, Severity, Ty,
-    SELECTION_POLICIES,
+    analyze_ad, analyze_source, Analysis, BoundExpr, CompiledExpr, Diagnostic, Schema, Severity,
+    Ty, SELECTION_POLICIES,
 };
 pub use ast::{Ad, Value};
+pub use columns::{Cell, Column, Columns, SiteSet};
 pub use expr::{BinOp, Ctx, Cv, EvalError, Expr};
 pub use job::{Interactivity, JobDescription, JobError, MachineAccess, Parallelism, StreamingMode};
 pub use lexer::{lex, lex_spanned, LexError, Pos, Tok};

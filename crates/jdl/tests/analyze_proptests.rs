@@ -8,8 +8,13 @@
 //! 3. Any ad the analyzer accepts (no `Error`-severity diagnostics) never
 //!    raises an `EvalError` at match time, against machine ads that may be
 //!    missing any subset of the advertised vocabulary.
+//! 4. A compiled expression bound to a columnar store of machine ads —
+//!    conjuncts split, reordered and run column by column — matches and
+//!    ranks every ad exactly as the raw walker does on that ad alone.
 
-use cg_jdl::{analyze_ad, Ad, BinOp, CompiledExpr, Ctx, Expr, Value};
+use std::sync::Arc;
+
+use cg_jdl::{analyze_ad, parse_expr, Ad, BinOp, Columns, CompiledExpr, Ctx, Expr, SiteSet, Value};
 use proptest::prelude::*;
 
 // ---------------------------------------------------------------------------
@@ -47,6 +52,31 @@ fn ad_strategy() -> impl Strategy<Value = Ad> {
             ad
         },
     )
+}
+
+/// [`ad_strategy`], now and then with a stored expression — evaluated in the
+/// storing ad's frame, so `other` in it is the job. None refers back to the
+/// ad it is stored in: a cyclic ad has no value to compare.
+fn storing_ad_strategy() -> impl Strategy<Value = Ad> {
+    let stored = prop::sample::select(vec![
+        "other.Alpha > 0",
+        "other.Beta",
+        "1 + 1",
+        "\"x\"",
+        "true",
+        "undefined",
+        "!1",
+    ]);
+    (
+        ad_strategy(),
+        prop::option::of((prop::sample::select(NAMES.to_vec()), stored)),
+    )
+        .prop_map(|(mut ad, expr)| {
+            if let Some((name, src)) = expr {
+                ad.set(name, Value::Expr(parse_expr(src).unwrap()));
+            }
+            ad
+        })
 }
 
 fn leaf_expr() -> impl Strategy<Value = Expr> {
@@ -371,6 +401,49 @@ proptest! {
         let fast_rank = compiled.rank(&own, &other);
         // Bit-compare via total ordering so NaN == NaN.
         prop_assert_eq!(raw_rank.to_bits(), fast_rank.to_bits(), "expr: {}", e);
+    }
+
+    /// Binding to a columnar store changes how a requirement is evaluated —
+    /// its top-level conjuncts are split, sorted by cost and run one column
+    /// at a time over a bitset — and must not change what it evaluates to:
+    /// over arbitrary conjunctions of arbitrary (ill-typed, erroring,
+    /// undefined) conjuncts and ads whose attributes hold every value type,
+    /// stored expressions included, the surviving sites and every site's
+    /// rank are the raw walker's. The store is taken both freshly built and
+    /// reached by replacing the ads of another one.
+    #[test]
+    fn bound_evaluation_over_columns_is_the_raw_walkers(
+        conjuncts in prop::collection::vec(expr_strategy(), 1..4),
+        own in ad_strategy(),
+        sites in prop::collection::vec((storing_ad_strategy(), storing_ad_strategy()), 0..8),
+    ) {
+        let e = conjuncts
+            .into_iter()
+            .reduce(|a, b| Expr::Bin(BinOp::And, Box::new(a), Box::new(b)))
+            .expect("at least one conjunct");
+        let compiled = CompiledExpr::compile(&e, &own);
+        let (before, ads): (Vec<Ad>, Vec<Ad>) = sites.into_iter().unzip();
+        let ads: Vec<Arc<Ad>> = ads.into_iter().map(Arc::new).collect();
+        let mut replaced = Columns::build(&before);
+        for (i, ad) in ads.iter().enumerate() {
+            replaced.replace(i, &before[i], ad);
+        }
+        let matching: Vec<usize> = (0..ads.len())
+            .filter(|&i| {
+                let ctx = Ctx { own: &own, other: &ads[i] };
+                matches!(e.eval_requirement(ctx), Ok(true))
+            })
+            .collect();
+        for columns in [&Columns::build(&ads), &replaced] {
+            let bound = compiled.bind(&own, columns, &ads);
+            let mut alive = SiteSet::full(ads.len());
+            bound.retain_matches(&mut alive);
+            prop_assert_eq!(alive.iter().collect::<Vec<_>>(), matching.clone(), "expr: {}", e);
+            for (i, ad) in ads.iter().enumerate() {
+                let raw = e.eval_rank(Ctx { own: &own, other: ad }).unwrap_or(0.0);
+                prop_assert_eq!(raw.to_bits(), bound.rank(i).to_bits(), "expr: {}", e);
+            }
+        }
     }
 
     /// Any job ad the analyzer accepts (no Error-severity diagnostics) never

@@ -1,73 +1,73 @@
-//! Columnar (SoA) snapshots of the information index.
+//! Columnar snapshots of the information index.
 //!
 //! Matchmaking historically consumed the index as `Vec<(usize, Ad)>` — one
-//! owned B-tree map per site, cloned per query. An [`AdSnapshot`] is the
-//! columnar alternative: the hot attributes (`FreeCpus`, `AcceptsQueued`,
-//! `Site`) are pre-extracted into flat arrays once per refresh, the full ads
-//! are kept behind `Arc` for the expression evaluator, and the whole
-//! snapshot is itself shared as `Arc<AdSnapshot>` — a query is an `Arc`
-//! clone, not a table copy.
+//! owned attribute map per site, cloned per query. An [`AdSnapshot`] is the
+//! columnar alternative: beside each site's ad (behind an `Arc`) it carries
+//! one typed [`Column`](cg_jdl::Column) per machine-ad attribute — numbers
+//! and booleans inline, strings and lists as the slot they occupy in the
+//! site's ad, so nothing is copied out of an ad — and the whole snapshot is
+//! itself shared as `Arc<AdSnapshot>`: a query is an `Arc` clone, not a
+//! table copy. A pass over the snapshot reads cells by site index and never
+//! searches an ad by name.
 //!
 //! Snapshots are *epoch-tagged*: each refresh produces a successor via
-//! [`AdSnapshot::advance`], which bumps the snapshot epoch and, per site,
-//! bumps that site's epoch only if its ad actually changed (unchanged sites
-//! share the predecessor's `Arc<Ad>` and keep their epoch). Consumers that
-//! cache per-site results can re-match only [`AdSnapshot::dirty_since`]
-//! their last seen epoch.
+//! [`AdSnapshot::apply_delta`] (or [`AdSnapshot::advance`]), which bumps the
+//! snapshot epoch and, per site, bumps that site's epoch only if its ad
+//! actually changed (unchanged sites share the predecessor's `Arc<Ad>` and
+//! keep their epoch). Consumers that cache per-site results can re-match
+//! only [`AdSnapshot::dirty_since`] their last seen epoch.
 //!
-//! The column values are derived with exactly the expressions the map-based
-//! matchmaking path uses (`get("FreeCpus").and_then(as_i64).unwrap_or(0)`,
+//! **Sharing rule.** A successor rewrites the cells of the changed sites
+//! only, and a column is copied the first time one of its cells differs;
+//! a column no changed site touched — `Arch`, `TotalCpus`, `Tags` on an
+//! ordinary refresh — is the predecessor's allocation. A refresh therefore
+//! costs per *changed* site, plus one copy of each column that moved.
+//!
+//! The [`AdSnapshot::free_cpus`] / [`AdSnapshot::accepts_queued`] /
+//! [`AdSnapshot::site_name`] views read their columns with exactly the
+//! defaults the map-based matchmaking path uses
+//! (`get("FreeCpus").and_then(as_i64).unwrap_or(0)`,
 //! `get("AcceptsQueued").and_then(as_bool).unwrap_or(true)`,
 //! `get("Site").and_then(as_str)`), so columnar filtering is bit-identical
 //! to filtering over the raw ads.
 
 use std::sync::Arc;
 
-use cg_jdl::{intern, Ad, Symbol};
+use cg_jdl::{intern, Ad, Cell, Columns, Symbol};
 
-fn site_sym() -> Symbol {
-    static S: std::sync::OnceLock<Symbol> = std::sync::OnceLock::new();
-    *S.get_or_init(|| intern("Site"))
+/// Where the three columns with a typed view sit among the snapshot's
+/// columns — found once per snapshot, so the views index instead of search.
+#[derive(Debug, Clone, Copy, Default)]
+struct Hot {
+    site: Option<usize>,
+    free_cpus: Option<usize>,
+    accepts_queued: Option<usize>,
 }
 
-fn free_cpus_sym() -> Symbol {
-    static S: std::sync::OnceLock<Symbol> = std::sync::OnceLock::new();
-    *S.get_or_init(|| intern("FreeCpus"))
-}
-
-fn accepts_queued_sym() -> Symbol {
-    static S: std::sync::OnceLock<Symbol> = std::sync::OnceLock::new();
-    *S.get_or_init(|| intern("AcceptsQueued"))
-}
-
-/// Derives the hot-column values from one ad, with exactly the map-based
-/// matchmaking path's expressions — this is what keeps columnar filtering
-/// bit-identical.
-fn column_values(ad: &Ad) -> (Option<Arc<str>>, i64, bool) {
-    (
-        ad.get_sym(site_sym())
-            .and_then(cg_jdl::Value::as_str)
-            .map(Arc::from),
-        ad.get_sym(free_cpus_sym())
-            .and_then(cg_jdl::Value::as_i64)
-            .unwrap_or(0),
-        ad.get_sym(accepts_queued_sym())
-            .and_then(cg_jdl::Value::as_bool)
-            .unwrap_or(true),
-    )
+impl Hot {
+    fn find(columns: &Columns) -> Hot {
+        static NAMES: std::sync::OnceLock<[Symbol; 3]> = std::sync::OnceLock::new();
+        let [site, free_cpus, accepts_queued] = NAMES
+            .get_or_init(|| [intern("Site"), intern("FreeCpus"), intern("AcceptsQueued")])
+            .map(|name| columns.position(name));
+        Hot {
+            site,
+            free_cpus,
+            accepts_queued,
+        }
+    }
 }
 
 /// An immutable, epoch-tagged, column-oriented view of every site's machine
-/// ad. Shared as `Arc<AdSnapshot>`; see the module docs for the layout and
-/// the delta contract.
+/// ad. Shared as `Arc<AdSnapshot>`; see the module docs for the layout, the
+/// sharing rule and the delta contract.
 #[derive(Debug, Clone)]
 pub struct AdSnapshot {
     epoch: u64,
-    site_names: Vec<Option<Arc<str>>>,
-    free_cpus: Vec<i64>,
-    accepts_queued: Vec<bool>,
     ads: Vec<Arc<Ad>>,
     site_epochs: Vec<u64>,
+    columns: Columns,
+    hot: Hot,
 }
 
 impl AdSnapshot {
@@ -83,33 +83,36 @@ impl AdSnapshot {
     /// snapshot and the site hold one allocation from the start.
     #[must_use]
     pub fn build_shared(ads: Vec<Arc<Ad>>) -> AdSnapshot {
-        let mut snap = AdSnapshot {
+        let columns = Columns::build(&ads);
+        AdSnapshot {
             epoch: 0,
-            site_names: Vec::with_capacity(ads.len()),
-            free_cpus: Vec::with_capacity(ads.len()),
-            accepts_queued: Vec::with_capacity(ads.len()),
-            ads: Vec::new(),
             site_epochs: vec![0; ads.len()],
-        };
-        for ad in &ads {
-            snap.push_columns(ad);
+            hot: Hot::find(&columns),
+            columns,
+            ads,
         }
-        snap.ads = ads;
+    }
+
+    /// A copy at the next epoch, for [`AdSnapshot::set`] to change.
+    fn successor(&self) -> AdSnapshot {
+        let mut snap = self.clone();
+        snap.epoch += 1;
         snap
     }
 
-    fn push_columns(&mut self, ad: &Ad) {
-        let (name, free, accepts) = column_values(ad);
-        self.site_names.push(name);
-        self.free_cpus.push(free);
-        self.accepts_queued.push(accepts);
+    /// Site `i` changed to `ad` in this snapshot's epoch.
+    fn set(&mut self, i: usize, ad: Arc<Ad>) {
+        self.columns.replace(i, &self.ads[i], &ad);
+        self.hot = Hot::find(&self.columns);
+        self.ads[i] = ad;
+        self.site_epochs[i] = self.epoch;
     }
 
     /// Produces the successor snapshot from freshly gathered ads. The
     /// snapshot epoch always advances; a site whose ad is unchanged shares
-    /// the predecessor's `Arc<Ad>` (and name `Arc`) and keeps its site
-    /// epoch, while a changed site gets the new snapshot epoch. If the site
-    /// count changed, every site is treated as dirty.
+    /// the predecessor's `Arc<Ad>` and keeps its site epoch, while a changed
+    /// site gets the new snapshot epoch. If the site count changed, every
+    /// site is treated as dirty.
     ///
     /// The information index publishes through [`AdSnapshot::apply_delta`];
     /// this full-table form is the reference that path is tested against.
@@ -121,26 +124,10 @@ impl AdSnapshot {
             snap.site_epochs = vec![snap.epoch; snap.ads.len()];
             return snap;
         }
-        let epoch = self.epoch + 1;
-        let mut snap = AdSnapshot {
-            epoch,
-            site_names: Vec::with_capacity(fresh.len()),
-            free_cpus: Vec::with_capacity(fresh.len()),
-            accepts_queued: Vec::with_capacity(fresh.len()),
-            ads: Vec::with_capacity(fresh.len()),
-            site_epochs: Vec::with_capacity(fresh.len()),
-        };
+        let mut snap = self.successor();
         for (i, ad) in fresh.into_iter().enumerate() {
-            if ad == *self.ads[i] {
-                snap.site_names.push(self.site_names[i].clone());
-                snap.free_cpus.push(self.free_cpus[i]);
-                snap.accepts_queued.push(self.accepts_queued[i]);
-                snap.ads.push(Arc::clone(&self.ads[i]));
-                snap.site_epochs.push(self.site_epochs[i]);
-            } else {
-                snap.push_columns(&ad);
-                snap.ads.push(Arc::new(ad));
-                snap.site_epochs.push(epoch);
+            if ad != *snap.ads[i] {
+                snap.set(i, Arc::new(ad));
             }
         }
         snap
@@ -150,9 +137,10 @@ impl AdSnapshot {
     /// `(site index, fresh ad)` pairs from sites whose publication actually
     /// arrived, everyone else untouched. This is the GIIS aggregation path:
     /// a leaf reports only its [`AdSnapshot::dirty_since`] sites, so the
-    /// merge does per-site ad work proportional to the *changed* sites (the
-    /// flat column vectors are copied, which is a memcpy, but no ad is
-    /// compared, cloned or re-derived unless it appears in `changes`). The
+    /// merge does per-site work proportional to the *changed* sites (the
+    /// per-site `Arc` and epoch vectors are copied, which is a memcpy, and
+    /// so is each column a changed cell lands in; no ad is compared and no
+    /// cell re-derived unless the site appears in `changes`). The
     /// snapshot epoch always advances; a delta entry equal to the current
     /// column keeps its `Arc` and site epoch, exactly like
     /// [`AdSnapshot::advance`] — and an entry that *is* the current column
@@ -161,19 +149,12 @@ impl AdSnapshot {
     /// Out-of-range indices are ignored.
     #[must_use]
     pub fn apply_delta(&self, changes: &[(usize, Arc<Ad>)]) -> AdSnapshot {
-        let epoch = self.epoch + 1;
-        let mut snap = self.clone();
-        snap.epoch = epoch;
+        let mut snap = self.successor();
         for (i, ad) in changes {
             if *i >= snap.ads.len() || Arc::ptr_eq(ad, &snap.ads[*i]) || **ad == *snap.ads[*i] {
                 continue;
             }
-            let (name, free, accepts) = column_values(ad);
-            snap.site_names[*i] = name;
-            snap.free_cpus[*i] = free;
-            snap.accepts_queued[*i] = accepts;
-            snap.ads[*i] = Arc::clone(ad);
-            snap.site_epochs[*i] = epoch;
+            snap.set(*i, Arc::clone(ad));
         }
         snap
     }
@@ -203,27 +184,40 @@ impl AdSnapshot {
         self.site_epochs[i]
     }
 
+    fn hot_cell(&self, column: Option<usize>, i: usize) -> Cell {
+        column.map_or(Cell::Missing, |at| self.columns.at(at).cell(i))
+    }
+
     /// Site `i`'s `FreeCpus` column (missing/non-int ⇒ 0, as in the map
     /// path).
     #[must_use]
     pub fn free_cpus(&self, i: usize) -> i64 {
-        self.free_cpus[i]
+        match self.hot_cell(self.hot.free_cpus, i) {
+            Cell::Int(n) => n,
+            _ => 0,
+        }
     }
 
     /// Site `i`'s `AcceptsQueued` column (missing/non-bool ⇒ true, as in
     /// the map path).
     #[must_use]
     pub fn accepts_queued(&self, i: usize) -> bool {
-        self.accepts_queued[i]
+        match self.hot_cell(self.hot.accepts_queued, i) {
+            Cell::Bool(b) => b,
+            _ => true,
+        }
     }
 
     /// Site `i`'s advertised `Site` name, if it is a string.
     #[must_use]
     pub fn site_name(&self, i: usize) -> Option<&str> {
-        self.site_names[i].as_deref()
+        match self.hot_cell(self.hot.site, i) {
+            Cell::Slot(slot) => self.ads[i].value_at(slot as usize).as_str(),
+            _ => None,
+        }
     }
 
-    /// Site `i`'s full machine ad (for `Requirements`/`Rank` evaluation).
+    /// Site `i`'s full machine ad.
     #[must_use]
     pub fn ad(&self, i: usize) -> &Ad {
         &self.ads[i]
@@ -233,6 +227,20 @@ impl AdSnapshot {
     #[must_use]
     pub fn ad_arc(&self, i: usize) -> &Arc<Ad> {
         &self.ads[i]
+    }
+
+    /// Every site's machine ad, in site-index order — what the
+    /// [`Cell::Slot`] cells of [`AdSnapshot::columns`] point into.
+    #[must_use]
+    pub fn ads(&self) -> &[Arc<Ad>] {
+        &self.ads
+    }
+
+    /// One typed column per machine-ad attribute, for
+    /// [`CompiledExpr::bind`](cg_jdl::CompiledExpr::bind).
+    #[must_use]
+    pub fn columns(&self) -> &Columns {
+        &self.columns
     }
 
     /// Indices of sites whose ad changed after `epoch` (ascending).
@@ -368,6 +376,42 @@ mod tests {
         assert!(Arc::ptr_eq(s1.ad_arc(1), s2.ad_arc(1)));
         assert_eq!(s2.site_epoch(1), 1, "unchanged delta keeps the epoch");
         assert_eq!(s2.dirty_since(1).count(), 0);
+    }
+
+    #[test]
+    fn a_successor_shares_every_column_no_changed_site_touched() {
+        let s0 = AdSnapshot::build(vec![ad("a", 1), ad("b", 2), ad("c", 3)]);
+        let shared = |next: &AdSnapshot, name: &str| {
+            let column = |s: &AdSnapshot| {
+                let (_, column) = s
+                    .columns()
+                    .iter()
+                    .find(|(n, _)| *n == intern(name))
+                    .expect("column exists");
+                Arc::clone(column)
+            };
+            Arc::ptr_eq(&column(&s0), &column(next))
+        };
+        // One site's FreeCpus moves: that column is copied, the others —
+        // the renamed site's name included, it stays in its ad — are not.
+        let mut renamed = ad("B", 9);
+        renamed.set_bool("AcceptsQueued", true);
+        for next in [
+            s0.apply_delta(&[(1, Arc::new(renamed.clone()))]),
+            s0.advance(vec![ad("a", 1), renamed, ad("c", 3)]),
+        ] {
+            assert!(!shared(&next, "FreeCpus"));
+            assert!(shared(&next, "Site"));
+            assert!(shared(&next, "AcceptsQueued"));
+            assert_eq!(next.site_name(1), Some("B"));
+            assert_eq!(next.free_cpus(1), 9);
+            assert_eq!(s0.free_cpus(1), 2, "the predecessor is untouched");
+        }
+        // A refresh that changes nothing copies nothing.
+        let same = s0.apply_delta(&[(0, Arc::new(ad("a", 1)))]);
+        for name in ["Site", "FreeCpus", "AcceptsQueued"] {
+            assert!(shared(&same, name), "{name}");
+        }
     }
 
     #[test]

@@ -134,6 +134,9 @@ pub struct LrmsStats {
 struct Inner {
     policy: Policy,
     node_busy: Vec<bool>,
+    /// How many entries of `node_busy` are `false` — read once per live
+    /// query, so counted where a node changes hands instead of scanned for.
+    free: usize,
     queue: VecDeque<QueuedJob>,
     running: std::collections::HashMap<LocalJobId, RunningJob>,
     /// Jobs popped from the queue whose nodes are reserved but that have not
@@ -191,6 +194,7 @@ impl Lrms {
             inner: Rc::new(RefCell::new(Inner {
                 policy,
                 node_busy: vec![false; nodes],
+                free: nodes,
                 queue: VecDeque::new(),
                 running: std::collections::HashMap::new(),
                 dispatching: 0,
@@ -324,12 +328,13 @@ impl Lrms {
 
     /// Free nodes right now.
     pub fn free_nodes(&self) -> usize {
-        self.inner
-            .borrow()
-            .node_busy
-            .iter()
-            .filter(|b| !**b)
-            .count()
+        let inner = self.inner.borrow();
+        debug_assert_eq!(
+            inner.free,
+            inner.node_busy.iter().filter(|b| !**b).count(),
+            "free-node count out of step with the node table"
+        );
+        inner.free
     }
 
     /// Total nodes.
@@ -391,6 +396,7 @@ impl Lrms {
         for &n in &job.nodes {
             inner.node_busy[n] = false;
         }
+        inner.free += job.nodes.len();
         let evicted = if kill_reason.is_some() {
             inner.stats.killed += 1;
             record_done(&mut inner, id, LocalDisposition::Killed)
@@ -471,6 +477,7 @@ impl Lrms {
             for &n in &nodes {
                 inner.node_busy[n] = true;
             }
+            inner.free -= nodes.len();
             let wait = sim.now().saturating_since(job.queued_at);
             inner.stats.wait.record_duration(wait);
             inner.dispatching += 1;

@@ -187,21 +187,23 @@ impl Site {
 
     fn build_ad(&self, (free, queued, accepts): AdKey) -> Ad {
         let config = &self.shared.config;
-        let mut ad = Ad::new();
-        ad.set_str("Site", config.name.clone())
+        // In name order, which an `Ad` appends without searching or shifting
+        // — this runs at every state change of every site.
+        let mut ad = Ad::with_capacity(11);
+        ad.set_bool("AcceptsQueued", accepts)
             .set_str("Arch", config.node_spec.arch.clone())
-            .set_str("OpSys", config.node_spec.op_sys.clone())
-            .set_int("TotalCpus", config.nodes as i64)
             .set_int("FreeCpus", free as i64)
-            .set_int("QueueDepth", queued as i64)
             .set_int("MemoryMb", config.node_spec.memory_mb as i64)
-            .set_int("StorageGb", config.storage_gb as i64)
+            .set_str("OpSys", config.node_spec.op_sys.clone())
+            .set_int("QueueDepth", queued as i64)
+            .set_str("Site", config.name.clone())
             .set_double("SpeedFactor", config.node_spec.speed_factor)
-            .set_bool("AcceptsQueued", accepts)
+            .set_int("StorageGb", config.storage_gb as i64)
             .set(
                 "Tags",
                 Value::List(config.tags.iter().map(|t| Value::Str(t.clone())).collect()),
-            );
+            )
+            .set_int("TotalCpus", config.nodes as i64);
         ad
     }
 }

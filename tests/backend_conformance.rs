@@ -604,7 +604,8 @@ proptest! {
     /// At every step of an arbitrary submit/kill/complete interleaving,
     /// `submitted = queued + dispatching + running + finished + killed` —
     /// a job is in exactly one of those states at any instant, on every
-    /// backend.
+    /// backend — and so is a node: free, reserved for a dispatching job or
+    /// held by a running one (every job here asks for one node).
     #[test]
     fn stats_balance_under_arbitrary_interleavings(
         ops in prop::collection::vec((0u8..3u8, 1u64..40u64), 1..25),
@@ -656,6 +657,14 @@ proptest! {
                             "op {i} ({kind},{x}): submitted {} != live {live} + \
                              finished {} + killed {}",
                             s.submitted, s.finished, s.killed
+                        ));
+                    }
+                    let held = b.dispatching_count() + b.running_count();
+                    if b.free_nodes() + held != b.total_nodes() {
+                        imbalances.borrow_mut().push(format!(
+                            "op {i} ({kind},{x}): {} free + {held} held != {} nodes",
+                            b.free_nodes(),
+                            b.total_nodes()
                         ));
                     }
                 });
