@@ -98,7 +98,7 @@ impl Column {
 /// One [`Column`] per attribute name that any ad of a list carries. The
 /// owner keeps the ads themselves; [`Cell::Slot`] cells point back into
 /// them.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone)]
 pub struct Columns {
     /// In the order the names were first met.
     columns: Vec<(Symbol, Arc<Column>)>,
@@ -149,7 +149,8 @@ impl Columns {
     /// whatever the number of ads.
     ///
     /// # Panics
-    /// Panics when `index` is past the ad count.
+    /// Panics when `index` is past the ad count, or when `old` carries an
+    /// attribute no column exists for — it is not the ad the cells came from.
     pub fn replace(&mut self, index: usize, old: &Ad, new: &Ad) {
         // Both ads list their attributes in name order: an attribute of
         // `old` passed over on the way to one of `new` is gone.

@@ -18,7 +18,10 @@
 //! - [`analyze`] — static analysis: schema-driven type checking of
 //!   `Requirements`/`Rank` against the job and machine vocabularies,
 //!   constant folding with unsatisfiability detection, and a compiled
-//!   expression form ([`CompiledExpr`]) for the matchmaking hot loop.
+//!   expression form ([`CompiledExpr`]) for the matchmaking hot loop;
+//! - [`Columns`]/[`SiteSet`] — the column-oriented counterpart of a list of
+//!   ads (one typed [`Cell`] per ad and attribute) and the bitset of ads a
+//!   bound expression ([`BoundExpr`]) narrows conjunct by conjunct.
 //!
 //! ```
 //! use cg_jdl::{JobDescription, Interactivity, Parallelism};

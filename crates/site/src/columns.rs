@@ -37,7 +37,7 @@ use cg_jdl::{intern, Ad, Cell, Columns, Symbol};
 
 /// Where the three columns with a typed view sit among the snapshot's
 /// columns — found once per snapshot, so the views index instead of search.
-#[derive(Debug, Clone, Copy, Default)]
+#[derive(Debug, Clone, Copy)]
 struct Hot {
     site: Option<usize>,
     free_cpus: Option<usize>,
