@@ -3,14 +3,14 @@
 //! `BrokerConfig::live_query_fanout`, each attempt racing a deadline and
 //! feeding the membership failure detector.
 
-use std::cell::{Cell, RefCell};
+use std::cell::RefCell;
 use std::collections::VecDeque;
 use std::rc::Rc;
 use std::sync::Arc;
 
 use cg_jdl::Ad;
 use cg_net::{rpc_call, Dir};
-use cg_sim::{Sim, SimDuration};
+use cg_sim::{EventId, Sim, SimDuration};
 use cg_trace::Event;
 
 use super::settle::backoff_delay;
@@ -29,10 +29,26 @@ struct LiveQuerySweep {
     /// Site indices not yet queried, in shortlist order.
     pending: VecDeque<usize>,
     in_flight: usize,
+    /// The unsettled attempts — `(site, attempt, deadline event)`, at most
+    /// one per fan-out slot. A reply or a deadline that does not find its
+    /// attempt here lost the race and does nothing.
+    live: Vec<(usize, u32, EventId)>,
     /// Each answering site's shared machine ad — the allocation the site
     /// itself and (until the site changes) the MDS snapshot hold.
     collected: Vec<(usize, Arc<Ad>)>,
     done: Option<SweepDone>,
+}
+
+impl LiveQuerySweep {
+    /// Claims an attempt for whichever of its reply and its deadline gets
+    /// here first; the other one finds nothing.
+    fn take_live(&mut self, site_index: usize, attempt: u32) -> Option<EventId> {
+        let at = self
+            .live
+            .iter()
+            .position(|&(s, a, _)| (s, a) == (site_index, attempt))?;
+        Some(self.live.swap_remove(at).2)
+    }
 }
 
 /// Salt folded into [`job_rng`] for query-retry jitter, so the retry
@@ -53,9 +69,11 @@ pub(super) fn live_query_chain(
     pending: VecDeque<usize>,
     done: impl FnOnce(&mut Sim, Vec<(usize, Arc<Ad>)>) + 'static,
 ) {
+    let window = broker.inner.borrow().config.live_query_fanout.max(1);
     let sweep = Rc::new(RefCell::new(LiveQuerySweep {
         broker,
         job,
+        live: Vec::with_capacity(window.min(pending.len())),
         pending,
         in_flight: 0,
         collected: Vec::new(),
@@ -90,63 +108,69 @@ fn live_query_pump(sim: &mut Sim, sweep: &Rc<RefCell<LiveQuerySweep>>) {
             s.in_flight += 1;
             site_index
         };
-        live_query_attempt(sim, Rc::clone(sweep), site_index, 1);
+        live_query_attempt(sim, sweep, site_index, 1);
     }
 }
 
 /// One live-query attempt against a site. The RPC races a per-attempt
-/// deadline; whichever settles first decides the outcome, and the loser —
-/// usually a late response — is dropped on the floor. Every settled
-/// attempt feeds the membership failure detector via
-/// [`InformationIndex::report_query`].
+/// deadline; whichever settles first decides the outcome: a reply cancels
+/// the deadline it beat, and a reply that comes after its deadline is
+/// dropped on the floor. Every settled attempt feeds the membership failure
+/// detector via [`InformationIndex::report_query`].
 fn live_query_attempt(
     sim: &mut Sim,
-    sweep: Rc<RefCell<LiveQuerySweep>>,
+    sweep: &Rc<RefCell<LiveQuerySweep>>,
     site_index: usize,
     attempt: u32,
 ) {
-    let (job, link, site, service, timeout) = {
+    let (link, service, timeout) = {
         let s = sweep.borrow();
         let inner = s.broker.inner.borrow();
         (
-            s.job,
             inner.sites[site_index].broker_link.clone(),
-            inner.sites[site_index].site.clone(),
             SimDuration::from_secs_f64(inner.config.live_query_service_s),
             inner.config.live_query_timeout,
         )
     };
-    let settled = Rc::new(Cell::new(false));
 
-    let settled_rpc = Rc::clone(&settled);
-    let sweep_rpc = Rc::clone(&sweep);
-    let ad_site = site.clone();
+    let sweep_rpc = Rc::clone(sweep);
     rpc_call(sim, &link, Dir::AToB, 300, 1_200, service, move |sim, r| {
-        if settled_rpc.replace(true) {
-            return; // the deadline already wrote this attempt off
-        }
-        let ad = r.is_ok().then(|| ad_site.machine_ad_arc());
+        let ad = {
+            let mut s = sweep_rpc.borrow_mut();
+            let Some(deadline) = s.take_live(site_index, attempt) else {
+                return; // the deadline already wrote this attempt off
+            };
+            sim.cancel(deadline);
+            let inner = s.broker.inner.borrow();
+            r.is_ok()
+                .then(|| inner.sites[site_index].site.machine_ad_arc())
+        };
         live_query_settle(sim, &sweep_rpc, site_index, attempt, ad);
     });
 
-    sim.schedule_in(timeout, move |sim| {
-        if settled.replace(true) {
-            return; // the response won the race
-        }
+    let sweep_deadline = Rc::clone(sweep);
+    let deadline = sim.schedule_in(timeout, move |sim| {
         {
-            let s = sweep.borrow();
+            let mut s = sweep_deadline.borrow_mut();
+            if s.take_live(site_index, attempt).is_none() {
+                return; // the response won the race
+            }
             let inner = s.broker.inner.borrow();
             inner.trace.record(
                 sim.now(),
                 Event::LiveQueryTimeout {
-                    job: job.0,
-                    site: site.name().to_string(),
+                    job: s.job.0,
+                    site: inner.sites[site_index].site.name().to_string(),
                     attempt,
                 },
             );
         }
-        live_query_settle(sim, &sweep, site_index, attempt, None);
+        live_query_settle(sim, &sweep_deadline, site_index, attempt, None);
     });
+    sweep
+        .borrow_mut()
+        .live
+        .push((site_index, attempt, deadline));
 }
 
 /// Books the outcome of one attempt: a success collects the ad and frees
@@ -214,21 +238,54 @@ fn live_query_settle(
     }
     let sweep2 = Rc::clone(sweep);
     sim.schedule_in(delay, move |sim| {
-        live_query_attempt(sim, sweep2, site_index, next);
+        live_query_attempt(sim, &sweep2, site_index, next);
     });
 }
 
 #[cfg(test)]
 mod tests {
-    use super::{live_query_chain, CrossBroker, JobId};
+    use super::{live_query_chain, live_query_pump, CrossBroker, JobId, LiveQuerySweep};
     use crate::broker::SiteHandle;
     use crate::config::BrokerConfig;
     use cg_net::{Link, LinkProfile};
     use cg_sim::{Sim, SimDuration, SimTime};
     use cg_site::{LocalJobSpec, Site, SiteConfig};
+    use cg_trace::Event;
     use std::cell::RefCell;
     use std::rc::Rc;
     use std::sync::Arc;
+
+    /// A broker over `n` four-node sites whose broker links share `profile`;
+    /// returns the sites and (clones of) those links beside it.
+    fn small_grid(
+        sim: &mut Sim,
+        n: usize,
+        profile: &LinkProfile,
+        config: BrokerConfig,
+    ) -> (CrossBroker, Vec<Site>, Vec<Link>) {
+        let sites: Vec<Site> = (0..n)
+            .map(|i| {
+                Site::new(SiteConfig {
+                    name: format!("site{i}"),
+                    nodes: 4,
+                    ..SiteConfig::default()
+                })
+            })
+            .collect();
+        let links: Vec<Link> = (0..n).map(|_| Link::new(profile.clone())).collect();
+        let handles = sites
+            .iter()
+            .zip(&links)
+            .map(|(site, link)| SiteHandle {
+                site: site.clone(),
+                broker_link: link.clone(),
+                ui_link: Link::new(LinkProfile::campus()),
+            })
+            .collect();
+        let mds = Link::new(LinkProfile::wan_mds());
+        let broker = CrossBroker::new(sim, handles, mds, config);
+        (broker, sites, links)
+    }
 
     #[test]
     fn snapshot_site_and_live_sweep_share_one_machine_ad() {
@@ -238,30 +295,12 @@ mod tests {
         // site that changed before the refresh and for sites that never did.
         for refresh_fanout in [0, 2] {
             let mut sim = Sim::new(5);
-            let sites: Vec<Site> = (0..3)
-                .map(|i| {
-                    Site::new(SiteConfig {
-                        name: format!("site{i}"),
-                        nodes: 4,
-                        ..SiteConfig::default()
-                    })
-                })
-                .collect();
-            let handles = sites
-                .iter()
-                .map(|site| SiteHandle {
-                    site: site.clone(),
-                    broker_link: Link::new(LinkProfile::campus()),
-                    ui_link: Link::new(LinkProfile::campus()),
-                })
-                .collect();
             let config = BrokerConfig {
                 refresh_fanout,
                 ..BrokerConfig::default()
             };
             let refresh = config.index_refresh;
-            let mds = Link::new(LinkProfile::wan_mds());
-            let broker = CrossBroker::new(&mut sim, handles, mds, config);
+            let (broker, sites, _) = small_grid(&mut sim, 3, &LinkProfile::campus(), config);
             let boot = broker.index().snapshot_arc();
             sites[0].lrms().submit(
                 &mut sim,
@@ -270,6 +309,7 @@ mod tests {
             );
             sim.run_until(SimTime::ZERO + refresh + SimDuration::from_secs(10));
 
+            let pending_before = sim.pending();
             let collected = Rc::new(RefCell::new(Vec::new()));
             let sink = Rc::clone(&collected);
             live_query_chain(
@@ -279,7 +319,14 @@ mod tests {
                 (0..sites.len()).collect(),
                 move |_, ads| *sink.borrow_mut() = ads,
             );
+            // Short of the 60 s deadlines: an answered query took its own
+            // deadline out of the queue, it did not wait for it to fire.
             sim.run_until(SimTime::ZERO + refresh + SimDuration::from_secs(60));
+            assert_eq!(
+                sim.pending(),
+                pending_before,
+                "the sweep left events behind"
+            );
 
             let snap = broker.index().snapshot_arc();
             assert_eq!(snap.free_cpus(0), 3, "the refresh published the busy node");
@@ -297,6 +344,81 @@ mod tests {
                     "site {i}: sweep vs site"
                 );
             }
+        }
+    }
+
+    #[test]
+    fn a_deadline_that_beats_the_reply_retries_and_late_replies_are_ignored() {
+        // One-way latency 10 s, deadline 9.9 s: every attempt times out, and
+        // its reply (sent all the same: the request did arrive) lands at
+        // ≈ 20.1 s after the launch — while the *next* attempt, launched
+        // ≈ 0.5 s after the timeout, is still waiting for its own.
+        let profile = LinkProfile {
+            base_latency_s: 10.0,
+            jitter_s: 0.0,
+            ..LinkProfile::campus()
+        };
+        let config = BrokerConfig {
+            live_query_fanout: 2,
+            live_query_timeout: SimDuration::from_secs_f64(9.9),
+            ..BrokerConfig::default()
+        };
+        let attempts = config.live_query_retries + 1;
+        let mut sim = Sim::new(9);
+        let (broker, sites, links) = small_grid(&mut sim, 2, &profile, config);
+
+        let outcomes = Rc::new(RefCell::new(Vec::new()));
+        let sink = Rc::clone(&outcomes);
+        let sweep = Rc::new(RefCell::new(LiveQuerySweep {
+            broker: broker.clone(),
+            job: JobId(7),
+            pending: (0..sites.len()).collect(),
+            in_flight: 0,
+            live: Vec::new(),
+            collected: Vec::new(),
+            done: Some(Box::new(move |_, ads| sink.borrow_mut().push(ads))),
+        }));
+        live_query_pump(&mut sim, &sweep);
+        assert_eq!(sweep.borrow().live.len(), 2, "both sites in flight at once");
+        sim.run_until(SimTime::from_secs(200));
+
+        assert_eq!(outcomes.borrow().len(), 1, "`done` runs exactly once");
+        assert!(outcomes.borrow()[0].is_empty(), "no site answered in time");
+        let s = sweep.borrow();
+        assert_eq!((s.in_flight, s.live.len(), s.pending.len()), (0, 0, 0));
+        for link in &links {
+            let stats = link.stats();
+            assert_eq!(
+                (stats.delivered, stats.failed),
+                (2 * u64::from(attempts), 0),
+                "every request and every (late) reply was delivered"
+            );
+        }
+        // Per site: timeout 1, retry 2, timeout 2, …, timeout `attempts`.
+        let events = broker.event_log().snapshot();
+        for site in &sites {
+            let seen: Vec<(&str, u32)> = events
+                .iter()
+                .filter_map(|e| match &e.event {
+                    Event::LiveQueryTimeout {
+                        job: 7,
+                        site: s,
+                        attempt,
+                    } if s == site.name() => Some(("timeout", *attempt)),
+                    Event::QueryRetry {
+                        job: 7,
+                        site: s,
+                        attempt,
+                        ..
+                    } if s == site.name() => Some(("retry", *attempt)),
+                    _ => None,
+                })
+                .collect();
+            let expected: Vec<(&str, u32)> = (1..=attempts)
+                .flat_map(|a| [("retry", a), ("timeout", a)])
+                .skip(1)
+                .collect();
+            assert_eq!(seen, expected, "{}", site.name());
         }
     }
 }

@@ -152,6 +152,23 @@ impl Link {
         bytes: u64,
         on: impl FnOnce(&mut Sim, Result<(), NetError>) + 'static,
     ) {
+        self.send_held(sim, dir, bytes, SimDuration::ZERO, on);
+    }
+
+    /// [`Link::send`], except that a delivered message's `Ok` callback runs
+    /// `hold` after the delivery instant — the receiver's processing time
+    /// folded into the delivery event ([`crate::rpc_call`]'s service step).
+    /// Everything else is `send`'s: the fault checks, the RNG draw, the
+    /// in-order bookkeeping and the counters happen now and describe the
+    /// delivery itself, and an `Err` is reported when `send` would report it.
+    pub(crate) fn send_held(
+        &self,
+        sim: &mut Sim,
+        dir: Dir,
+        bytes: u64,
+        hold: SimDuration,
+        on: impl FnOnce(&mut Sim, Result<(), NetError>) + 'static,
+    ) {
         let now = sim.now();
         let mut inner = self.inner.borrow_mut();
         if inner.faults.is_down(now) {
@@ -186,7 +203,7 @@ impl Link {
         inner.stats.delivered += 1;
         inner.stats.bytes += bytes;
         drop(inner);
-        sim.schedule_at(arrival, move |sim| on(sim, Ok(())));
+        sim.schedule_at(arrival.saturating_add(hold), move |sim| on(sim, Ok(())));
     }
 
     /// Round-trip sample for sizing handshakes (no delivery bookkeeping).

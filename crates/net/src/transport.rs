@@ -135,6 +135,11 @@ impl Session {
 /// One request/response exchange: request travels `dir`, the server spends
 /// `service` processing, the response returns. `on` receives the first error
 /// or `Ok` at response delivery.
+///
+/// Two scheduled events on the happy path: the request's delivery event is
+/// held `service` past the delivery instant and sends the reply itself, so
+/// the reply's fault check, RNG draw and bookkeeping happen at
+/// arrive + `service`, where a separate service event would make them.
 pub fn rpc_call(
     sim: &mut Sim,
     link: &Link,
@@ -144,15 +149,10 @@ pub fn rpc_call(
     service: SimDuration,
     on: impl FnOnce(&mut Sim, Result<(), NetError>) + 'static,
 ) {
-    let link2 = link.clone();
-    link.send(sim, dir, req_bytes, move |sim, r| match r {
+    let reply_link = link.clone();
+    link.send_held(sim, dir, req_bytes, service, move |sim, r| match r {
         Err(e) => on(sim, Err(e)),
-        Ok(()) => {
-            let link3 = link2.clone();
-            sim.schedule_in(service, move |sim| {
-                link3.send(sim, dir.flip(), resp_bytes, move |sim, r| on(sim, r));
-            });
-        }
+        Ok(()) => reply_link.send(sim, dir.flip(), resp_bytes, on),
     });
 }
 
@@ -303,5 +303,105 @@ mod tests {
         );
         sim.run();
         assert_eq!(*result.borrow(), Some(Err(NetError::LinkDown)));
+    }
+
+    /// What an exchange looked like from outside: when `on` ran and with
+    /// what, the link's counters, the next draw of the sim's random stream,
+    /// and how many events the sim executed.
+    type Exchange = (SimTime, Result<(), NetError>, (u64, u64, u64), u64, u64);
+    type OnDone = Box<dyn FnOnce(&mut Sim, Result<(), NetError>)>;
+
+    fn exchange(
+        seed: u64,
+        faults: &FaultSchedule,
+        call: impl FnOnce(&mut Sim, &Link, OnDone),
+    ) -> Exchange {
+        let mut sim = Sim::new(seed);
+        let link = Link::with_faults(LinkProfile::wan_ifca(), faults.clone());
+        let done = Rc::new(RefCell::new(None));
+        let d = Rc::clone(&done);
+        call(
+            &mut sim,
+            &link,
+            Box::new(move |sim, r| *d.borrow_mut() = Some((sim.now(), r))),
+        );
+        sim.run();
+        let (at, result) = done.borrow_mut().take().expect("`on` ran");
+        let stats = link.stats();
+        (
+            at,
+            result,
+            (stats.delivered, stats.failed, stats.bytes),
+            sim.rng().u64(),
+            sim.events_executed(),
+        )
+    }
+
+    #[test]
+    fn rpc_call_is_the_three_step_chain_in_two_events() {
+        const SERVICE: SimDuration = SimDuration::from_millis(110);
+        const FAIL_DETECT: SimDuration = SimDuration::from_millis(200);
+        // The exchange spelt out with the public pieces: deliver the
+        // request, a service event, send the reply.
+        fn chain(sim: &mut Sim, link: &Link, on: OnDone) {
+            let link2 = link.clone();
+            link.send(sim, Dir::AToB, 300, move |sim, r| match r {
+                Err(e) => on(sim, Err(e)),
+                Ok(()) => {
+                    sim.schedule_in(SERVICE, move |sim| link2.send(sim, Dir::BToA, 1_200, on));
+                }
+            });
+        }
+        // Runs both under one fault schedule; returns what they agree on
+        // and the two event counts.
+        let run = |seed: u64, faults: &FaultSchedule| {
+            let (at, result, stats, rng, events) = exchange(seed, faults, |sim, link, on| {
+                rpc_call(sim, link, Dir::AToB, 300, 1_200, SERVICE, on);
+            });
+            let spelt_out = exchange(seed, faults, chain);
+            assert_eq!(
+                (at, result, stats, rng),
+                (spelt_out.0, spelt_out.1, spelt_out.2, spelt_out.3),
+                "seed {seed}, faults {faults:?}"
+            );
+            (at, result, events, spelt_out.4)
+        };
+        let outage_from = |from: SimTime| {
+            FaultSchedule::from_windows(vec![(from, from + SimDuration::from_secs(5))])
+        };
+        for seed in 0..8 {
+            // A lone request on the same seed draws the same flight time.
+            let (arrive, ..) = exchange(seed, &FaultSchedule::none(), |sim, link, on| {
+                link.send(sim, Dir::AToB, 300, on);
+            });
+            let replied = arrive + SERVICE;
+
+            let (done, result, events, chain_events) = run(seed, &FaultSchedule::none());
+            assert_eq!(result, Ok(()));
+            assert!(done > replied);
+            assert_eq!((events, chain_events), (2, 3));
+
+            // Down before the send.
+            let (at, result, ..) = run(seed, &outage_from(SimTime::ZERO));
+            assert_eq!(
+                (at, result),
+                (SimTime::ZERO + FAIL_DETECT, Err(NetError::LinkDown))
+            );
+            // Fails while the request is in flight.
+            let cut = SimTime::ZERO + (arrive - SimTime::ZERO) / 2;
+            let (at, result, ..) = run(seed, &outage_from(cut));
+            assert_eq!((at, result), (cut, Err(NetError::BrokenMidTransfer)));
+            // Fails while the server works: the request was delivered, and
+            // the reply finds the link down once the service time is over.
+            let (at, result, ..) = run(seed, &outage_from(arrive + SERVICE / 2));
+            assert_eq!(
+                (at, result),
+                (replied + FAIL_DETECT, Err(NetError::LinkDown))
+            );
+            // Fails while the reply is in flight.
+            let cut = replied + (done - replied) / 2;
+            let (at, result, ..) = run(seed, &outage_from(cut));
+            assert_eq!((at, result), (cut, Err(NetError::BrokenMidTransfer)));
+        }
     }
 }

@@ -6,47 +6,212 @@
 //! break on the monotonically increasing sequence number, which makes the
 //! execution order a pure function of the schedule calls — runs with the same
 //! seed are identical.
-
-use std::cmp::Ordering;
-use std::cmp::Reverse;
-use std::collections::{BinaryHeap, HashSet};
+//!
+//! The queue is an indexed 4-ary min-heap of `(time, seq, slot)` keys over a
+//! slab of boxed actions. Every slab slot knows where its key sits in the
+//! heap, so [`Sim::cancel`] removes an event — key, slot and closure — at
+//! once, in O(log live): a cancelled event leaves nothing behind to sift
+//! past or to sweep later. Every `schedule_*` call consumes a `seq` whether
+//! or not the event is later cancelled, so the events that do fire, fire in
+//! the `(time, seq)` order of their schedule calls.
 
 use crate::rng::SimRng;
 use crate::time::{SimDuration, SimTime};
 
 /// Handle for a scheduled event, usable to cancel it before it fires.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
-pub struct EventId(u64);
+pub struct EventId {
+    seq: u64,
+    /// Where the event's action lives while it is pending. Slots are reused;
+    /// `seq` never is, which is what tells a live handle from a stale one.
+    slot: u32,
+}
 
 impl EventId {
     /// The raw sequence number (unique per simulation run).
     pub fn raw(self) -> u64 {
-        self.0
+        self.seq
     }
 }
 
 type Action = Box<dyn FnOnce(&mut Sim)>;
 
-struct Entry {
+/// One heap entry: when the event is due, and its id — the `seq` that
+/// breaks ties in time and the slab slot holding the action. Keys are
+/// compared in place, never through the slab.
+#[derive(Clone, Copy)]
+struct Key {
     time: SimTime,
     id: EventId,
-    action: Action,
 }
 
-impl PartialEq for Entry {
-    fn eq(&self, other: &Self) -> bool {
-        self.time == other.time && self.id == other.id
+impl Key {
+    /// `(time, seq)` as one integer, so that "earlier" is a single
+    /// comparison the compiler can turn into a conditional move.
+    fn order(&self) -> u128 {
+        (u128::from(self.time.as_nanos()) << 64) | u128::from(self.id.seq)
+    }
+
+    fn before(&self, other: &Key) -> bool {
+        self.order() < other.order()
     }
 }
-impl Eq for Entry {}
-impl PartialOrd for Entry {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
+
+/// One slab slot. `link` is the position of the event's key in the heap
+/// while `action` is `Some`, and the next free slot (or [`NO_SLOT`]) while it
+/// is `None`.
+struct Slot {
+    action: Option<Action>,
+    link: u32,
 }
-impl Ord for Entry {
-    fn cmp(&self, other: &Self) -> Ordering {
-        (self.time, self.id).cmp(&(other.time, other.id))
+
+const NO_SLOT: u32 = u32::MAX;
+
+/// Children per heap node: half the levels of a binary heap, so half the
+/// `link` writes on the way down, and the four siblings compared at a level
+/// are 96 adjacent bytes.
+const ARITY: usize = 4;
+
+/// The pending events: [`Key`]s in heap order plus the slab they point into.
+/// Invariant: for every heap position `p`,
+/// `slab[heap[p].slot].link == p` and that slot's `action` is `Some`.
+struct Queue {
+    heap: Vec<Key>,
+    slab: Vec<Slot>,
+    free: u32,
+}
+
+impl Queue {
+    fn new() -> Self {
+        Queue {
+            heap: Vec::new(),
+            slab: Vec::new(),
+            free: NO_SLOT,
+        }
+    }
+
+    fn len(&self) -> usize {
+        self.heap.len()
+    }
+
+    fn next_time(&self) -> Option<SimTime> {
+        self.heap.first().map(|k| k.time)
+    }
+
+    fn push(&mut self, time: SimTime, seq: u64, action: Action) -> EventId {
+        let pos = self.heap.len();
+        let entry = Slot {
+            action: Some(action),
+            link: pos as u32,
+        };
+        let slot = if let Some(free) = self.slab.get_mut(self.free as usize) {
+            let slot = self.free;
+            self.free = std::mem::replace(free, entry).link;
+            slot
+        } else {
+            // `free` is `NO_SLOT`, which must stay out of the slab's range.
+            assert!(
+                self.slab.len() < NO_SLOT as usize,
+                "too many pending events"
+            );
+            self.slab.push(entry);
+            (self.slab.len() - 1) as u32
+        };
+        let id = EventId { seq, slot };
+        let key = Key { time, id };
+        self.heap.push(key);
+        // Key and slot already agree on `pos`; most events are scheduled
+        // later than what is pending and stay there.
+        if pos > 0 && key.before(&self.heap[(pos - 1) / ARITY]) {
+            self.sift_up(pos, key);
+        }
+        id
+    }
+
+    /// Removes and returns the earliest event. The queue must not be empty.
+    fn pop(&mut self) -> (Key, Action) {
+        let key = self.heap[0];
+        (key, self.remove_at(0))
+    }
+
+    /// Removes the event `id` names if it is still pending.
+    fn remove(&mut self, id: EventId) -> Option<Action> {
+        let slot = self.slab.get(id.slot as usize)?;
+        slot.action.as_ref()?;
+        let pos = slot.link as usize;
+        (self.heap[pos].id == id).then(|| self.remove_at(pos))
+    }
+
+    /// Takes the key at `pos` out of the heap and frees its slot.
+    fn remove_at(&mut self, pos: usize) -> Action {
+        let slot = self.heap[pos].id.slot;
+        let last = self.heap.pop().expect("remove_at on an empty heap");
+        if pos < self.heap.len() {
+            // The former last key fills the hole. It is a leaf, so it most
+            // likely belongs near the bottom: walk the hole down to a leaf
+            // along the earliest children without comparing against it, then
+            // let it climb (past `pos`, if the removed key was not the root
+            // and sat below a later branch).
+            let hole = self.sink_hole(pos);
+            self.sift_up(hole, last);
+        }
+        let freed = Slot {
+            action: None,
+            link: self.free,
+        };
+        self.free = slot;
+        std::mem::replace(&mut self.slab[slot as usize], freed)
+            .action
+            .expect("heap key pointed at a free slot")
+    }
+
+    /// Moves the hole at `pos` down to a leaf, pulling the earliest child up
+    /// at every level; returns the leaf position.
+    fn sink_hole(&mut self, mut hole: usize) -> usize {
+        let len = self.heap.len();
+        loop {
+            let first = hole * ARITY + 1;
+            let min = if let Some(c) = self.heap.get(first..first + ARITY) {
+                // A full set of children: a two-round tournament whose
+                // outcomes select indices, not branches — which child is
+                // earliest is as good as random, and a mispredicted branch
+                // costs more than the whole level otherwise does.
+                let a = usize::from(c[1].before(&c[0]));
+                let b = 2 + usize::from(c[3].before(&c[2]));
+                first + if c[b].before(&c[a]) { b } else { a }
+            } else if first < len {
+                let mut min = first;
+                for child in first + 1..len {
+                    if self.heap[child].before(&self.heap[min]) {
+                        min = child;
+                    }
+                }
+                min
+            } else {
+                return hole;
+            };
+            self.place(hole, self.heap[min]);
+            hole = min;
+        }
+    }
+
+    /// Puts `key` into the hole at `pos`, or as far above it as `key` is
+    /// earlier than the keys on the path to the root.
+    fn sift_up(&mut self, mut hole: usize, key: Key) {
+        while hole > 0 {
+            let parent = (hole - 1) / ARITY;
+            if !key.before(&self.heap[parent]) {
+                break;
+            }
+            self.place(hole, self.heap[parent]);
+            hole = parent;
+        }
+        self.place(hole, key);
+    }
+
+    fn place(&mut self, pos: usize, key: Key) {
+        self.heap[pos] = key;
+        self.slab[key.id.slot as usize].link = pos as u32;
     }
 }
 
@@ -76,8 +241,7 @@ pub enum RunOutcome {
 pub struct Sim {
     now: SimTime,
     next_seq: u64,
-    heap: BinaryHeap<Reverse<Entry>>,
-    cancelled: HashSet<EventId>,
+    queue: Queue,
     rng: SimRng,
     executed: u64,
     event_budget: u64,
@@ -90,8 +254,7 @@ impl Sim {
         Sim {
             now: SimTime::ZERO,
             next_seq: 0,
-            heap: BinaryHeap::new(),
-            cancelled: HashSet::new(),
+            queue: Queue::new(),
             rng: SimRng::new(seed),
             executed: 0,
             event_budget: u64::MAX,
@@ -120,9 +283,10 @@ impl Sim {
         self.executed
     }
 
-    /// Number of events currently pending (including cancelled-but-unswept).
+    /// Number of events currently pending: scheduled, not yet fired and not
+    /// cancelled.
     pub fn pending(&self) -> usize {
-        self.heap.len()
+        self.queue.len()
     }
 
     /// The simulation's deterministic random stream.
@@ -141,14 +305,9 @@ impl Sim {
             "event scheduled in the past: at={at} now={}",
             self.now
         );
-        let id = EventId(self.next_seq);
+        let seq = self.next_seq;
         self.next_seq += 1;
-        self.heap.push(Reverse(Entry {
-            time: at,
-            id,
-            action: Box::new(action),
-        }));
-        id
+        self.queue.push(at, seq, Box::new(action))
     }
 
     /// Schedules `action` after `delay` of simulated time.
@@ -167,13 +326,12 @@ impl Sim {
         self.schedule_at(self.now, action)
     }
 
-    /// Cancels a pending event. Returns `true` if the event had not yet fired
-    /// (cancelling an already-executed or already-cancelled event is a no-op).
+    /// Cancels a pending event: removes it from the queue and drops its
+    /// closure now. Returns `true` if the event was pending; an id that has
+    /// fired (including the running event's own), was already cancelled, or
+    /// was never issued returns `false` and leaves nothing behind.
     pub fn cancel(&mut self, id: EventId) -> bool {
-        if id.0 >= self.next_seq {
-            return false;
-        }
-        self.cancelled.insert(id)
+        self.queue.remove(id).is_some()
     }
 
     /// Runs until the queue drains.
@@ -181,54 +339,45 @@ impl Sim {
         self.run_until(SimTime::MAX)
     }
 
-    /// Runs events with `time <= horizon`. On return the clock reads either
-    /// the time of the last executed event (drained) or `horizon`.
+    /// Runs events with `time <= horizon`. On return the clock reads the
+    /// time of the last executed event (drained, or budget exhausted — the
+    /// events the budget held back stay pending) or `horizon`.
     pub fn run_until(&mut self, horizon: SimTime) -> RunOutcome {
         loop {
-            let next_time = match self.heap.peek() {
-                None => return RunOutcome::Drained,
-                Some(Reverse(e)) => e.time,
+            let Some(next_time) = self.queue.next_time() else {
+                return RunOutcome::Drained;
             };
             if next_time > horizon {
                 self.now = horizon;
                 return RunOutcome::HorizonReached;
             }
-            let Reverse(entry) = self.heap.pop().expect("peeked entry vanished");
-            if self.cancelled.remove(&entry.id) {
-                continue;
-            }
             if self.executed >= self.event_budget {
-                self.now = entry.time;
                 return RunOutcome::BudgetExhausted;
             }
-            debug_assert!(entry.time >= self.now, "event heap returned past event");
-            self.now = entry.time;
-            self.executed += 1;
-            if let Some(hook) = self.trace.as_mut() {
-                hook(entry.time, entry.id);
-            }
-            (entry.action)(self);
+            self.fire_next();
         }
     }
 
     /// Runs a single event if one is pending; returns whether one ran.
-    /// Cancelled entries are swept without counting as a step.
     pub fn step(&mut self) -> bool {
-        loop {
-            let Some(Reverse(entry)) = self.heap.pop() else {
-                return false;
-            };
-            if self.cancelled.remove(&entry.id) {
-                continue;
-            }
-            self.now = entry.time;
-            self.executed += 1;
-            if let Some(hook) = self.trace.as_mut() {
-                hook(entry.time, entry.id);
-            }
-            (entry.action)(self);
-            return true;
+        let pending = self.queue.len() > 0;
+        if pending {
+            self.fire_next();
         }
+        pending
+    }
+
+    /// Removes the earliest pending event and runs it. The queue must not be
+    /// empty.
+    fn fire_next(&mut self) {
+        let (key, action) = self.queue.pop();
+        debug_assert!(key.time >= self.now, "event queue returned a past event");
+        self.now = key.time;
+        self.executed += 1;
+        if let Some(hook) = self.trace.as_mut() {
+            hook(key.time, key.id);
+        }
+        action(self);
     }
 }
 
@@ -236,7 +385,7 @@ impl std::fmt::Debug for Sim {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Sim")
             .field("now", &self.now)
-            .field("pending", &self.heap.len())
+            .field("pending", &self.queue.len())
             .field("executed", &self.executed)
             .finish_non_exhaustive()
     }
@@ -247,6 +396,14 @@ mod tests {
     use super::*;
     use std::cell::RefCell;
     use std::rc::Rc;
+
+    #[test]
+    fn a_pending_event_is_48_bytes_of_queue() {
+        // Set-up phases schedule thousands of events back to back; what one
+        // costs beside its boxed closure is a key and a slot.
+        assert_eq!(std::mem::size_of::<Key>(), 24);
+        assert_eq!(std::mem::size_of::<Slot>(), 24);
+    }
 
     #[test]
     fn events_fire_in_time_order() {
@@ -310,7 +467,62 @@ mod tests {
     #[test]
     fn cancel_unknown_id_is_noop() {
         let mut sim = Sim::new(1);
-        assert!(!sim.cancel(EventId(999)));
+        assert!(!sim.cancel(EventId { seq: 999, slot: 0 }));
+        // Nor does a pending event in the slot the unknown id names.
+        sim.schedule_now(|_| {});
+        assert!(!sim.cancel(EventId { seq: 999, slot: 0 }));
+        assert_eq!(sim.pending(), 1);
+    }
+
+    #[test]
+    fn cancel_after_fire_is_false_even_once_the_slot_is_reused() {
+        let mut sim = Sim::new(1);
+        let id = sim.schedule_in(SimDuration::from_secs(1), |_| {});
+        sim.run();
+        assert!(!sim.cancel(id), "fired");
+        // The next event takes over the fired one's slot; the stale handle
+        // must not reach it.
+        let fired = Rc::new(RefCell::new(false));
+        let f = Rc::clone(&fired);
+        let next = sim.schedule_in(SimDuration::from_secs(1), move |_| *f.borrow_mut() = true);
+        assert_eq!(next.slot, id.slot);
+        assert!(!sim.cancel(id));
+        assert_eq!(sim.pending(), 1);
+        sim.run();
+        assert!(*fired.borrow());
+    }
+
+    #[test]
+    fn an_event_cannot_cancel_itself() {
+        let mut sim = Sim::new(1);
+        let own_id = Rc::new(RefCell::new(None));
+        let result = Rc::new(RefCell::new(None));
+        let (own, res) = (Rc::clone(&own_id), Rc::clone(&result));
+        let id = sim.schedule_now(move |sim| {
+            *res.borrow_mut() = Some(sim.cancel(own.borrow().unwrap()));
+        });
+        *own_id.borrow_mut() = Some(id);
+        sim.run();
+        assert_eq!(*result.borrow(), Some(false));
+    }
+
+    #[test]
+    fn cancel_removes_the_event_and_drops_its_closure_at_once() {
+        let mut sim = Sim::new(1);
+        let captured = Rc::new(());
+        let held = Rc::clone(&captured);
+        sim.schedule_in(SimDuration::from_secs(1), |_| {});
+        let id = sim.schedule_in(SimDuration::from_secs(2), move |_| drop(held));
+        sim.schedule_in(SimDuration::from_secs(3), |_| {});
+        assert_eq!(sim.pending(), 3);
+        assert_eq!(Rc::strong_count(&captured), 2);
+        assert!(sim.cancel(id));
+        assert_eq!(sim.pending(), 2, "pending drops at cancel, not at t = 2 s");
+        assert_eq!(Rc::strong_count(&captured), 1, "closure dropped by cancel");
+        assert!(!sim.cancel(id), "cancel twice is true then false");
+        assert_eq!(sim.pending(), 2);
+        sim.run();
+        assert_eq!(sim.events_executed(), 2);
     }
 
     #[test]
@@ -351,6 +563,26 @@ mod tests {
         sim.schedule_now(forever);
         assert_eq!(sim.run(), RunOutcome::BudgetExhausted);
         assert_eq!(sim.events_executed(), 100);
+    }
+
+    #[test]
+    fn budget_exhaustion_drops_no_event() {
+        let mut sim = Sim::new(1);
+        let log: Rc<RefCell<Vec<u32>>> = Rc::new(RefCell::new(Vec::new()));
+        for tag in 0..10u32 {
+            let log = Rc::clone(&log);
+            sim.schedule_in(SimDuration::from_secs(u64::from(tag)), move |_| {
+                log.borrow_mut().push(tag);
+            });
+        }
+        sim.set_event_budget(4);
+        assert_eq!(sim.run(), RunOutcome::BudgetExhausted);
+        assert_eq!(*log.borrow(), vec![0, 1, 2, 3]);
+        assert_eq!(sim.pending(), 6, "the event the budget held back is kept");
+        assert_eq!(sim.now(), SimTime::from_secs(3));
+        sim.set_event_budget(u64::MAX);
+        assert_eq!(sim.run(), RunOutcome::Drained);
+        assert_eq!(*log.borrow(), (0..10).collect::<Vec<_>>());
     }
 
     #[test]

@@ -1,11 +1,266 @@
 //! Property tests for the simulation engine's core invariants.
 
-use cg_sim::{Sim, SimDuration, SimTime};
+use cg_sim::{EventId, RunOutcome, Sim, SimDuration, SimTime};
 use proptest::prelude::*;
 use std::cell::RefCell;
+use std::collections::BTreeMap;
 use std::rc::Rc;
 
+// ── The queue differential: `Sim` against a sorted map ──────────────────
+//
+// Both sides interpret one generated program: driver steps between runs,
+// and a handler script per event that schedules and cancels from inside
+// the event loop. An event's tag is its creation index, which is also the
+// `seq` the kernel must have given it.
+
+/// One step of a handler script or of the driver.
+#[derive(Debug, Clone, Copy)]
+enum Op {
+    /// `schedule_in` this many nanoseconds (small, so that instants tie).
+    ScheduleIn(u64),
+    /// Cancel the event created `n`-th (mod the number created so far):
+    /// live, fired or already cancelled, possibly due at this very instant.
+    Cancel(usize),
+    /// Cancel one of the eight most recently created events, which are
+    /// the ones most likely still pending.
+    CancelRecent(usize),
+    /// Inside a handler: cancel the running event itself.
+    CancelSelf,
+}
+
+fn decode_op((kind, arg): (u8, u64)) -> Op {
+    match kind {
+        0..=2 => Op::ScheduleIn(arg % 12),
+        3 => Op::Cancel(arg as usize),
+        4 | 5 => Op::CancelRecent(arg as usize),
+        _ => Op::CancelSelf,
+    }
+}
+
+/// What the two sides must agree on, in order.
+#[derive(Debug, Clone, Copy, PartialEq)]
+enum Obs {
+    Fired { tag: usize, at: u64 },
+    Cancel { tag: usize, hit: bool },
+    Pending(usize),
+}
+
+/// Events created per case are capped so that scripts which schedule more
+/// than they retire still terminate.
+const MAX_EVENTS: usize = 400;
+
+trait Kernel {
+    fn now(&self) -> u64;
+    fn pending(&self) -> usize;
+    fn created(&self) -> usize;
+    fn schedule_in(&mut self, scripts: &Rc<Vec<Vec<Op>>>, delay: u64);
+    fn cancel(&mut self, tag: usize) -> bool;
+    fn log(&mut self, obs: Obs);
+}
+
+fn apply<K: Kernel>(k: &mut K, scripts: &Rc<Vec<Vec<Op>>>, running: Option<usize>, op: Op) {
+    let target = match op {
+        Op::ScheduleIn(delay) => {
+            if k.created() < MAX_EVENTS {
+                k.schedule_in(scripts, delay);
+            }
+            None
+        }
+        Op::Cancel(n) => (k.created() > 0).then(|| n % k.created()),
+        Op::CancelRecent(n) => (k.created() > 0).then(|| k.created() - 1 - n % k.created().min(8)),
+        Op::CancelSelf => running,
+    };
+    if let Some(tag) = target {
+        let hit = k.cancel(tag);
+        k.log(Obs::Cancel { tag, hit });
+    }
+    let pending = k.pending();
+    k.log(Obs::Pending(pending));
+}
+
+fn fire<K: Kernel>(k: &mut K, scripts: &Rc<Vec<Vec<Op>>>, tag: usize) {
+    let at = k.now();
+    k.log(Obs::Fired { tag, at });
+    for &op in &scripts[tag % scripts.len()] {
+        apply(k, scripts, Some(tag), op);
+    }
+}
+
+#[derive(Default)]
+struct RealState {
+    ids: Vec<EventId>,
+    log: Vec<Obs>,
+}
+
+/// The kernel under test, as the driver and as a running handler see it.
+struct Real<'a> {
+    sim: &'a mut Sim,
+    state: &'a Rc<RefCell<RealState>>,
+}
+
+impl Kernel for Real<'_> {
+    fn now(&self) -> u64 {
+        self.sim.now().as_nanos()
+    }
+    fn pending(&self) -> usize {
+        self.sim.pending()
+    }
+    fn created(&self) -> usize {
+        self.state.borrow().ids.len()
+    }
+    fn schedule_in(&mut self, scripts: &Rc<Vec<Vec<Op>>>, delay: u64) {
+        let tag = self.created();
+        let (scripts, state) = (Rc::clone(scripts), Rc::clone(self.state));
+        let action = move |sim: &mut Sim| {
+            fire(&mut Real { sim, state: &state }, &scripts, tag);
+        };
+        // The three ways in are one way in.
+        let id = match delay {
+            0 => self.sim.schedule_now(action),
+            _ if tag.is_multiple_of(2) => {
+                self.sim.schedule_in(SimDuration::from_nanos(delay), action)
+            }
+            _ => {
+                let at = self.sim.now() + SimDuration::from_nanos(delay);
+                self.sim.schedule_at(at, action)
+            }
+        };
+        assert_eq!(id.raw(), tag as u64, "every schedule call consumes one seq");
+        self.state.borrow_mut().ids.push(id);
+    }
+    fn cancel(&mut self, tag: usize) -> bool {
+        let id = self.state.borrow().ids[tag];
+        self.sim.cancel(id)
+    }
+    fn log(&mut self, obs: Obs) {
+        self.state.borrow_mut().log.push(obs);
+    }
+}
+
+/// The reference: pending events in a map sorted by `(time, seq)`.
+#[derive(Default)]
+struct Model {
+    now: u64,
+    executed: u64,
+    queue: BTreeMap<(u64, u64), usize>,
+    /// Per tag: when it is due, while it is pending.
+    due: Vec<Option<u64>>,
+    log: Vec<Obs>,
+}
+
+impl Kernel for Model {
+    fn now(&self) -> u64 {
+        self.now
+    }
+    fn pending(&self) -> usize {
+        self.queue.len()
+    }
+    fn created(&self) -> usize {
+        self.due.len()
+    }
+    fn schedule_in(&mut self, _: &Rc<Vec<Vec<Op>>>, delay: u64) {
+        let tag = self.due.len();
+        let at = self.now + delay;
+        self.queue.insert((at, tag as u64), tag);
+        self.due.push(Some(at));
+    }
+    fn cancel(&mut self, tag: usize) -> bool {
+        match self.due[tag].take() {
+            Some(at) => self.queue.remove(&(at, tag as u64)).is_some(),
+            None => false,
+        }
+    }
+    fn log(&mut self, obs: Obs) {
+        self.log.push(obs);
+    }
+}
+
+impl Model {
+    fn run_until(&mut self, scripts: &Rc<Vec<Vec<Op>>>, horizon: u64, budget: u64) -> RunOutcome {
+        loop {
+            let Some((&(at, seq), &tag)) = self.queue.first_key_value() else {
+                return RunOutcome::Drained;
+            };
+            if at > horizon {
+                self.now = horizon;
+                return RunOutcome::HorizonReached;
+            }
+            if self.executed >= budget {
+                return RunOutcome::BudgetExhausted;
+            }
+            self.queue.remove(&(at, seq));
+            self.due[tag] = None;
+            self.now = at;
+            self.executed += 1;
+            fire(self, scripts, tag);
+        }
+    }
+}
+
+fn assert_agree(sim: &Sim, real: &RealState, model: &Model) {
+    assert_eq!(real.log, model.log);
+    assert_eq!(sim.now().as_nanos(), model.now);
+    assert_eq!(sim.pending(), model.queue.len());
+    assert_eq!(sim.events_executed(), model.executed);
+}
+
 proptest! {
+    /// Random interleavings of scheduling, cancelling (from the driver and
+    /// from inside handlers) and partial runs: the kernel fires the same
+    /// events in the same order as the sorted map, answers every `cancel`
+    /// the same way, and counts the same events as pending after every step.
+    #[test]
+    fn queue_matches_a_sorted_map(
+        scripts in prop::collection::vec(prop::collection::vec((0u8..8, any::<u64>()), 0..4), 1..6),
+        driver in prop::collection::vec((0u8..14, any::<u64>()), 1..80),
+    ) {
+        let scripts: Rc<Vec<Vec<Op>>> = Rc::new(
+            scripts.into_iter().map(|s| s.into_iter().map(decode_op).collect()).collect(),
+        );
+        let mut sim = Sim::new(0);
+        let state = Rc::new(RefCell::new(RealState::default()));
+        let mut model = Model::default();
+        for (kind, arg) in driver {
+            let mut real = Real { sim: &mut sim, state: &state };
+            match kind {
+                // Driver-side schedule and cancel. Out here delays reach
+                // past the run horizons below, so that events pile up, and
+                // `CancelSelf` finds no running event and does nothing.
+                0..=7 => {
+                    let op = match decode_op((kind, arg)) {
+                        Op::ScheduleIn(_) => Op::ScheduleIn(arg % 64),
+                        op => op,
+                    };
+                    apply(&mut real, &scripts, None, op);
+                    apply(&mut model, &scripts, None, op);
+                }
+                8..=10 => {
+                    let horizon = model.now.saturating_add(arg % 16);
+                    prop_assert_eq!(
+                        sim.run_until(SimTime::from_nanos(horizon)),
+                        model.run_until(&scripts, horizon, u64::MAX)
+                    );
+                }
+                11 | 12 => {
+                    let budget = model.executed + arg % 8;
+                    sim.set_event_budget(budget);
+                    prop_assert_eq!(sim.run(), model.run_until(&scripts, u64::MAX, budget));
+                    sim.set_event_budget(u64::MAX);
+                }
+                _ => {
+                    // `step` is a run with room for one more event.
+                    let before = model.executed;
+                    model.run_until(&scripts, u64::MAX, before + 1);
+                    prop_assert_eq!(sim.step(), model.executed > before);
+                }
+            }
+            assert_agree(&sim, &state.borrow(), &model);
+        }
+        prop_assert_eq!(sim.run(), model.run_until(&scripts, u64::MAX, u64::MAX));
+        assert_agree(&sim, &state.borrow(), &model);
+        prop_assert_eq!(sim.pending(), 0);
+    }
+
     /// Events always execute in nondecreasing time order, whatever the
     /// schedule pattern, including events scheduled from inside handlers.
     #[test]
