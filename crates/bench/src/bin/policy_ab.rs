@@ -199,9 +199,15 @@ fn pr4_baseline(requests: &[MatchRequest], ads: &[(usize, Ad)]) -> Vec<(JobId, M
         let outcome = match chosen {
             Some(c) => {
                 *free.get_mut(&c.site_index).expect("site exists") -= i64::from(m.nodes);
+                let site = ads
+                    .iter()
+                    .find(|(i, _)| *i == c.site_index)
+                    .and_then(|(_, ad)| ad.get("Site"))
+                    .and_then(|v| v.as_str())
+                    .unwrap_or("<unnamed>");
                 MatchOutcome::Dispatched {
                     site_index: c.site_index,
-                    site: c.site.clone(),
+                    site: site.to_string(),
                 }
             }
             None if !m.interactive => MatchOutcome::Queued,

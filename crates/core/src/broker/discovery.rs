@@ -133,15 +133,14 @@ impl CrossBroker {
             // Live queries, sequentially — the ≈3 s selection step. The
             // shortlist and the snapshot it was matched over ride along, so
             // selection re-matches only the sites whose ad has changed.
-            let this2 = this.clone();
             let pending = shortlist.iter().map(|c| c.site_index).collect();
-            live_query_chain(sim, this.clone(), id, pending, move |sim, live_ads| {
+            live_query_chain(sim, &this, id, pending, move |sim, broker, live_ads| {
                 let discovered = Discovered {
                     shortlist,
                     stale,
                     excluded,
                 };
-                this2.finish_selection(sim, id, job, runtime, live_ads, discovered);
+                broker.finish_selection(sim, id, job, runtime, live_ads, discovered);
             });
         });
     }

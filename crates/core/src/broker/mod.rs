@@ -38,7 +38,7 @@ use std::rc::{Rc, Weak};
 
 use cg_jdl::JobDescription;
 use cg_net::Link;
-use cg_sim::{Sim, SimDuration, SimTime};
+use cg_sim::{HandlerId, Sim, SimDuration, SimTime};
 use cg_site::{InformationIndex, RefreshWindow, Site};
 use cg_trace::{EventLog, MetricsRegistry};
 use cg_vm::{Agent, AgentId};
@@ -161,6 +161,10 @@ struct Inner {
     /// same table type from worker threads.
     jobs: ShardedJobTable<JobRecord>,
     side: SideTables,
+    /// The live sweeps in flight, and the handler their events go to
+    /// (`CrossBroker::on_sweep_event`); owned by the `sweep` stage.
+    sweeps: sweep::SweepTable,
+    sweep_handler: HandlerId,
     next_job: u64,
     next_agent: u64,
     /// Per-stream spool ack watermarks seeded by crash recovery; recovery
@@ -218,8 +222,10 @@ pub struct CrossBroker {
 /// inside something the broker owns — a site's LRMS, an agent's VM, the
 /// information index — hold this: a strong handle there closes a reference
 /// cycle (broker → site → LRMS → callback → broker) and a world dropped
-/// with a job or glide-in agent still live would never be freed. Closures
-/// scheduled on the `Sim` keep their strong handles; the sim owns those.
+/// with a job or glide-in agent still live would never be freed. The
+/// sweep-event handler registered with the `Sim` holds one too: it lives as
+/// long as the `Sim` does. Closures scheduled on the `Sim` keep their strong
+/// handles; the sim owns those and drops each as it fires.
 #[derive(Clone)]
 struct WeakBroker(Weak<RefCell<Inner>>);
 
@@ -263,6 +269,11 @@ impl CrossBroker {
                 })
                 .collect()
         };
+        assert!(
+            sites.len() <= sweep::MAX_SITES,
+            "a sweep event addresses at most {} sites",
+            sweep::MAX_SITES
+        );
         let total_cpus: u32 = sites
             .iter()
             .map(|s| s.site.lrms().total_nodes() as u32)
@@ -298,36 +309,46 @@ impl CrossBroker {
             s.site.lrms().set_trace(trace.clone(), s.site.name());
         }
         let broker = CrossBroker {
-            inner: Rc::new(RefCell::new(Inner {
-                config,
-                sites: sites
-                    .into_iter()
-                    .map(|s| SiteEntry {
-                        site: s.site,
-                        broker_link: s.broker_link,
-                        ui_link: s.ui_link,
-                        leased_until: SimTime::ZERO,
-                        agent_deaths: 0,
-                        lease_failures: 0,
-                    })
-                    .collect(),
-                index,
-                mds_link,
-                agents: HashMap::new(),
-                fairshare,
-                jobs: ShardedJobTable::new(DEFAULT_SHARDS),
-                side: SideTables::default(),
-                next_job: 0,
-                next_agent: 0,
-                spool_watermarks: HashMap::new(),
-                session_latency: cg_sim::SampleSet::new(),
-                tick_scheduled: false,
-                queue_retry_scheduled: false,
-                queue_forecast,
-                stats: BrokerStats::default(),
-                trace,
-                metrics,
-            })),
+            inner: Rc::new_cyclic(|weak| {
+                let weak = WeakBroker(weak.clone());
+                let sweep_handler = sim.register_handler(move |sim, event| {
+                    if let Some(broker) = weak.upgrade() {
+                        broker.on_sweep_event(sim, event);
+                    }
+                });
+                RefCell::new(Inner {
+                    config,
+                    sites: sites
+                        .into_iter()
+                        .map(|s| SiteEntry {
+                            site: s.site,
+                            broker_link: s.broker_link,
+                            ui_link: s.ui_link,
+                            leased_until: SimTime::ZERO,
+                            agent_deaths: 0,
+                            lease_failures: 0,
+                        })
+                        .collect(),
+                    index,
+                    mds_link,
+                    agents: HashMap::new(),
+                    fairshare,
+                    jobs: ShardedJobTable::new(DEFAULT_SHARDS),
+                    side: SideTables::default(),
+                    sweeps: sweep::SweepTable::default(),
+                    sweep_handler,
+                    next_job: 0,
+                    next_agent: 0,
+                    spool_watermarks: HashMap::new(),
+                    session_latency: cg_sim::SampleSet::new(),
+                    tick_scheduled: false,
+                    queue_retry_scheduled: false,
+                    queue_forecast,
+                    stats: BrokerStats::default(),
+                    trace,
+                    metrics,
+                })
+            }),
         };
         // The failure detector's obituaries drive the broker: trace
         // events, dead-site re-matching, streak resets. A weak handle
@@ -580,6 +601,44 @@ mod tests {
         for agent in agents {
             assert!(agent.upgrade().is_none(), "an agent outlived its world");
         }
+    }
+
+    #[test]
+    fn neither_the_sweep_handler_nor_a_sweep_in_flight_keeps_the_broker_alive() {
+        let exclusive = r#"Executable = "x"; JobType = "interactive";
+                           MachineAccess = "exclusive"; User = "carol";"#;
+        let submit = |sim: &mut Sim, broker: &CrossBroker| {
+            let job = JobDescription::parse(exclusive).unwrap();
+            broker.submit(sim, job, SimDuration::from_secs(30))
+        };
+
+        // A world that ran its job to the end and is let go while the `Sim`
+        // lives on, its handler registry and the index's refresh cycle with
+        // it: the handler reaches the broker through a `Weak`.
+        let mut sim = Sim::new(3);
+        let (broker, sites) = world(&mut sim, 3, BrokerConfig::default());
+        let id = submit(&mut sim, &broker);
+        sim.run_until(SimTime::from_secs(3_600));
+        assert!(matches!(broker.record(id).state, crate::JobState::Done));
+        let weak = Rc::downgrade(&broker.inner);
+        drop(broker);
+        assert!(weak.upgrade().is_none(), "something in the sim holds on");
+        sim.run_until(SimTime::from_secs(7_200));
+        drop(sites);
+
+        // A world that ends in the middle of a sweep: the table owns the
+        // sweep and the sweep owns its continuation, which must not own the
+        // broker back.
+        let mut sim = Sim::new(3);
+        let (broker, _sites) = world(&mut sim, 3, BrokerConfig::default());
+        submit(&mut sim, &broker);
+        while broker.inner.borrow().sweeps.in_flight() == 0 {
+            assert!(sim.step(), "the job reaches its sweep");
+        }
+        let weak = Rc::downgrade(&broker.inner);
+        drop(broker);
+        drop(sim);
+        assert!(weak.upgrade().is_none(), "the broker outlived its world");
     }
 
     #[test]

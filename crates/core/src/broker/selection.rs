@@ -54,7 +54,7 @@ impl CrossBroker {
                 SiteSignals {
                     queue_depth: s.site.lrms().queue_depth() as i64,
                     queue_forecast: inner.queue_forecast.forecast(i),
-                    rtt_s: s.broker_link.profile().nominal_rtt().as_secs_f64(),
+                    rtt_s: s.broker_link.nominal_rtt().as_secs_f64(),
                     lease_failures: s.lease_failures,
                     staleness_s: inner.index.staleness(i, now).as_secs_f64(),
                 },
@@ -148,12 +148,13 @@ impl CrossBroker {
         let signals = self.site_signals(now, &candidates);
         let policy = kind.policy();
         let decide = |c: &Candidate| {
-            self.inner.borrow().trace.record(
+            let inner = self.inner.borrow();
+            inner.trace.record(
                 now,
                 Event::PolicyDecision {
                     job: id.0,
                     policy: kind.name().to_string(),
-                    site: c.site.clone(),
+                    site: inner.sites[c.site_index].site.name().to_string(),
                     score: policy.score(c, &signals.get(c.site_index)),
                 },
             );
@@ -205,7 +206,7 @@ impl CrossBroker {
                     now,
                     Event::RankNanDiscarded {
                         job: id.0,
-                        site: c.site.clone(),
+                        site: inner.sites[c.site_index].site.name().to_string(),
                     },
                 );
             }

@@ -5,13 +5,13 @@ use cg_jdl::{Ad, CompiledExpr, Ctx, Expr, JobDescription, SiteSet};
 use cg_sim::SimRng;
 use cg_site::AdSnapshot;
 
-/// One candidate after filtering, with its rank.
-#[derive(Debug, Clone, PartialEq)]
+/// One candidate after filtering, with its rank. Selection builds one per
+/// shortlisted site per job, so it carries numbers only; whoever needs the
+/// site's name has the list `site_index` points into.
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Candidate {
     /// Index into the site list the ads came from.
     pub site_index: usize,
-    /// Site name (from the ad).
-    pub site: String,
     /// Rank value (higher is better; ClassAd convention).
     pub rank: f64,
     /// Free CPUs advertised.
@@ -122,11 +122,6 @@ fn filter_candidates_inner<A: std::borrow::Borrow<Ad>>(
         };
         out.push(Candidate {
             site_index: *site_index,
-            site: ad
-                .get_norm("site")
-                .and_then(|v| v.as_str())
-                .unwrap_or("<unnamed>")
-                .to_string(),
             rank,
             free_cpus: free,
         });
@@ -146,7 +141,7 @@ fn eval_rank_or_default(rank: &Expr, job: &JobDescription, ad: &Ad) -> f64 {
 /// semantics and bit-identical candidates, computed column by column: the
 /// admission test and then each top-level conjunct of `Requirements` narrow
 /// one bitset of sites ([`cg_jdl::BoundExpr::retain_matches`]), and only the
-/// sites left in it are ranked and named. Every attribute is read from its
+/// sites left in it are ranked. Every attribute is read from its
 /// column by site index; no ad is searched by name.
 pub fn filter_candidates_columnar(
     job: &JobDescription,
@@ -190,7 +185,6 @@ pub fn filter_candidates_columnar(
             };
             Candidate {
                 site_index: i,
-                site: snap.site_name(i).unwrap_or("<unnamed>").to_string(),
                 rank,
                 free_cpus: free,
             }
@@ -289,7 +283,7 @@ mod tests {
         ];
         let c = filter_candidates(&j, &ads, true);
         assert_eq!(c.len(), 1);
-        assert_eq!(c[0].site, "big-i686");
+        assert_eq!(c[0].site_index, 2, "big-i686");
     }
 
     #[test]
@@ -298,7 +292,7 @@ mod tests {
         let ads = vec![(0, site_ad("a", 2, "i686")), (1, site_ad("b", 9, "i686"))];
         let c = filter_candidates(&j, &ads, true);
         let mut rng = SimRng::new(1);
-        assert_eq!(select(&c, &mut rng).unwrap().site, "b");
+        assert_eq!(select(&c, &mut rng).unwrap().site_index, 1);
     }
 
     #[test]
@@ -309,7 +303,7 @@ mod tests {
         let ads = vec![(0, site_ad("a", 2, "i686")), (1, site_ad("b", 9, "i686"))];
         let c = filter_candidates(&j, &ads, true);
         let mut rng = SimRng::new(1);
-        assert_eq!(select(&c, &mut rng).unwrap().site, "a");
+        assert_eq!(select(&c, &mut rng).unwrap().site_index, 0);
     }
 
     #[test]
@@ -322,7 +316,7 @@ mod tests {
         let mut rng = SimRng::new(42);
         let mut seen = std::collections::BTreeSet::new();
         for _ in 0..100 {
-            seen.insert(select(&c, &mut rng).unwrap().site);
+            seen.insert(select(&c, &mut rng).unwrap().site_index);
         }
         assert_eq!(seen.len(), 4, "all tied sites get picked over time");
     }
@@ -350,7 +344,7 @@ mod tests {
         let ads = vec![(0, full), (1, closed)];
         let c = filter_candidates(&j, &ads, false);
         assert_eq!(c.len(), 1);
-        assert_eq!(c[0].site, "full");
+        assert_eq!(c[0].site_index, 0, "full");
         // Interactive path (require_free_cpus) rejects both.
         assert!(filter_candidates(&j, &ads, true).is_empty());
     }
@@ -385,7 +379,7 @@ mod tests {
                 let fast = filter_candidates_compiled(&j, &compiled, &ads, require_free);
                 assert_eq!(raw.len(), fast.len(), "{src}");
                 for (a, b) in raw.iter().zip(&fast) {
-                    assert_eq!(a.site, b.site, "{src}");
+                    assert_eq!(a.site_index, b.site_index, "{src}");
                     assert_eq!(a.rank, b.rank, "{src}");
                     assert_eq!(a.free_cpus, b.free_cpus, "{src}");
                 }
@@ -411,7 +405,7 @@ mod tests {
         );
         tagged.set_double("SpeedFactor", 1.5);
         let mut unnamed = site_ad("x", 4, "i686");
-        unnamed.remove("Site"); // columnar path must apply the "<unnamed>" fallback
+        unnamed.remove("Site"); // a candidate is its index; the name is not consulted
         let ads = vec![
             site_ad("plain", 4, "i686"),
             tagged,
@@ -434,7 +428,6 @@ mod tests {
     fn cand(site_index: usize, rank: f64, free: i64) -> Candidate {
         Candidate {
             site_index,
-            site: format!("s{site_index}"),
             rank,
             free_cpus: free,
         }

@@ -80,7 +80,9 @@ pub const STALE_WEIGHT_PER_S: f64 = 0.01;
 /// Missing entries read as [`SiteSignals::default`].
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct PolicySignals {
-    sites: BTreeMap<usize, SiteSignals>,
+    /// Sorted by site index, one entry per index. Selection fills it in
+    /// candidate (= index) order, so a `set` is an append.
+    sites: Vec<(usize, SiteSignals)>,
 }
 
 impl PolicySignals {
@@ -94,13 +96,26 @@ impl PolicySignals {
 
     /// Records the signals for `site_index`.
     pub fn set(&mut self, site_index: usize, signals: SiteSignals) {
-        self.sites.insert(site_index, signals);
+        if self.sites.last().is_none_or(|(last, _)| *last < site_index) {
+            self.sites.push((site_index, signals));
+            return;
+        }
+        match self.position(site_index) {
+            Ok(at) => self.sites[at].1 = signals,
+            Err(at) => self.sites.insert(at, (site_index, signals)),
+        }
     }
 
     /// Signals for `site_index`, defaulting when never recorded.
     #[must_use]
     pub fn get(&self, site_index: usize) -> SiteSignals {
-        self.sites.get(&site_index).copied().unwrap_or_default()
+        self.position(site_index)
+            .map(|at| self.sites[at].1)
+            .unwrap_or_default()
+    }
+
+    fn position(&self, site_index: usize) -> Result<usize, usize> {
+        self.sites.binary_search_by_key(&site_index, |(i, _)| *i)
     }
 }
 
@@ -289,7 +304,7 @@ pub fn select_detailed_with(
         .collect();
     let (valid, nan): (Vec<&ScoredRef<'_>>, Vec<&ScoredRef<'_>>) =
         scored.iter().partition(|(s, _)| !s.is_nan());
-    let nan_discarded: Vec<Candidate> = nan.into_iter().map(|(_, c)| (*c).clone()).collect();
+    let nan_discarded: Vec<Candidate> = nan.into_iter().map(|(_, c)| **c).collect();
     let Some(best) = valid.iter().map(|(s, _)| *s).reduce(f64::max) else {
         return Selection {
             winner: None,
@@ -302,7 +317,7 @@ pub fn select_detailed_with(
         .map(|(_, c)| *c)
         .collect();
     Selection {
-        winner: Some((*rng.choose(&ties)).clone()),
+        winner: Some(**rng.choose(&ties)),
         nan_discarded,
     }
 }
@@ -380,7 +395,7 @@ pub fn preference_order(
         while j < valid.len() && valid[j].0.total_cmp(&valid[i].0).is_eq() {
             j += 1;
         }
-        let mut group: Vec<Candidate> = valid[i..j].iter().map(|(_, c)| c.clone()).collect();
+        let mut group: Vec<Candidate> = valid[i..j].iter().map(|(_, c)| *c).collect();
         rng.shuffle(&mut group);
         prefs.extend(group);
         i = j;
@@ -458,7 +473,6 @@ mod tests {
     fn cand(site_index: usize, rank: f64, free: i64) -> Candidate {
         Candidate {
             site_index,
-            site: format!("s{site_index}"),
             rank,
             free_cpus: free,
         }
@@ -481,6 +495,32 @@ mod tests {
         // back. Pin them together.
         let names: Vec<&str> = PolicyKind::ALL.iter().map(|k| k.name()).collect();
         assert_eq!(names, cg_jdl::SELECTION_POLICIES);
+    }
+
+    #[test]
+    fn signals_read_back_in_whatever_order_they_were_set() {
+        let with_rtt = |rtt_s| SiteSignals {
+            rtt_s,
+            ..SiteSignals::default()
+        };
+        let mut ascending = PolicySignals::new();
+        let mut shuffled = PolicySignals::new();
+        for i in [1, 4, 9, 200] {
+            ascending.set(i, with_rtt(i as f64));
+        }
+        for i in [9, 200, 1, 4, 9] {
+            shuffled.set(i, with_rtt(-1.0));
+            shuffled.set(i, with_rtt(i as f64)); // the last write wins
+        }
+        assert_eq!(ascending, shuffled);
+        for i in 0..=201 {
+            let expected = if [1, 4, 9, 200].contains(&i) {
+                with_rtt(i as f64)
+            } else {
+                SiteSignals::default()
+            };
+            assert_eq!(ascending.get(i), expected, "site {i}");
+        }
     }
 
     #[test]
@@ -607,7 +647,7 @@ mod tests {
         assert!((scores[2] - 4.0).abs() < 1e-12);
         // Ranks alone prefer `far`; the triangle's RTTs prefer `mid`.
         let mut rng = SimRng::new(11);
-        let cands: Vec<Candidate> = triangle.iter().map(|(c, _)| c.clone()).collect();
+        let cands: Vec<Candidate> = triangle.iter().map(|(c, _)| *c).collect();
         let mut signals = PolicySignals::new();
         for ((c, rtt), _) in triangle.iter().zip(0..) {
             signals.set(

@@ -273,6 +273,21 @@ enum AdStore {
     Columnar(Arc<AdSnapshot>),
 }
 
+impl AdStore {
+    /// The name the site a candidate's `site_index` points at advertises.
+    fn site_name(&self, site_index: usize) -> &str {
+        let name = match self {
+            AdStore::Map(ads) => ads
+                .iter()
+                .find(|(i, _)| *i == site_index)
+                .and_then(|(_, ad)| ad.get_norm("site"))
+                .and_then(|v| v.as_str()),
+            AdStore::Columnar(snap) => snap.site_name(site_index),
+        };
+        name.unwrap_or("<unnamed>")
+    }
+}
+
 /// A deterministic parallel matchmaking engine over a discovery snapshot.
 ///
 /// Phase 1 fans the batch out over worker threads: each job is filtered and
@@ -445,17 +460,18 @@ impl ParallelMatcher {
             let outcome = match chosen {
                 Some(c) => {
                     *free.get_mut(&c.site_index).expect("site exists") -= i64::from(m.nodes);
+                    let site = self.ads.site_name(c.site_index);
                     log.record_many(
                         now,
                         [
                             Event::LeaseGranted {
                                 job: m.id.0,
-                                target: format!("site:{}", c.site),
+                                target: format!("site:{site}"),
                                 until_ns: 0,
                             },
                             Event::JobDispatched {
                                 job: m.id.0,
-                                target: format!("site:{}", c.site),
+                                target: format!("site:{site}"),
                                 backend: self.backend_label.clone(),
                             },
                         ],
@@ -464,12 +480,12 @@ impl ParallelMatcher {
                         r.selected_at = Some(now);
                         r.dispatched_at = Some(now);
                         r.state = JobState::Scheduled {
-                            site: c.site.clone(),
+                            site: site.to_string(),
                         };
                     });
                     MatchOutcome::Dispatched {
                         site_index: c.site_index,
-                        site: c.site.clone(),
+                        site: site.to_string(),
                     }
                 }
                 None if !m.interactive => {
@@ -547,7 +563,10 @@ fn match_one(
     Matched {
         id: req.id,
         prefs,
-        nan_sites: nan.into_iter().map(|c| c.site).collect(),
+        nan_sites: nan
+            .into_iter()
+            .map(|c| ads.site_name(c.site_index).to_string())
+            .collect(),
         nodes: req.job.node_number,
         interactive,
         user: req.job.user.clone(),

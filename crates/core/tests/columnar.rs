@@ -198,9 +198,9 @@ fn make_wide_job(req: usize, rank: usize, nodes: u32) -> JobDescription {
     JobDescription::parse(&src).unwrap()
 }
 
-/// Index, name, rank bits and free CPUs of every candidate, in order.
+/// Index, rank bits and free CPUs of every candidate, in order.
 fn assert_same_candidates(want: &[Candidate], got: &[Candidate]) {
-    let key = |c: &Candidate| (c.site_index, c.site.clone(), c.rank.to_bits(), c.free_cpus);
+    let key = |c: &Candidate| (c.site_index, c.rank.to_bits(), c.free_cpus);
     assert_eq!(
         want.iter().map(key).collect::<Vec<_>>(),
         got.iter().map(key).collect::<Vec<_>>()
@@ -225,8 +225,8 @@ fn assert_same_columns(a: &AdSnapshot, b: &AdSnapshot) {
 proptest! {
     /// Bit-identity: over arbitrary ads and every requirement/rank pool
     /// entry, the columnar filter produces exactly the map-based compiled
-    /// filter's candidates — same order, same names (including the
-    /// `"<unnamed>"` fallback), bit-identical ranks.
+    /// filter's candidates — same sites in the same order, bit-identical
+    /// ranks.
     #[test]
     fn columnar_filtering_is_bit_identical_to_the_map_path(
         ads in prop::collection::vec(ad_strategy(), 0..12),
@@ -244,7 +244,6 @@ proptest! {
             prop_assert_eq!(map.len(), col.len(), "candidate count differs");
             for (a, b) in map.iter().zip(&col) {
                 prop_assert_eq!(a.site_index, b.site_index);
-                prop_assert_eq!(&a.site, &b.site);
                 prop_assert_eq!(
                     a.rank.to_bits(), b.rank.to_bits(),
                     "rank bits differ at site {}", a.site_index
@@ -406,7 +405,11 @@ fn a_column_of_every_cell_type_matches_like_the_raw_walker() {
     let s1 = s0.apply_delta(&changes);
     assert_same_columns(&s1, &AdSnapshot::build(after.clone()));
 
-    let names = |c: Vec<Candidate>| c.into_iter().map(|c| c.site).collect::<Vec<_>>();
+    let names = |c: Vec<Candidate>, snap: &AdSnapshot| {
+        c.into_iter()
+            .map(|c| snap.site_name(c.site_index).expect("named").to_string())
+            .collect::<Vec<_>>()
+    };
     let run = |req: &str, ads: &[Ad], snap: &AdSnapshot| {
         let job = JobDescription::parse(&format!(
             r#"Executable = "a"; JobType = {{"interactive","mpich-p4"}}; NodeNumber = 2;
@@ -417,7 +420,7 @@ fn a_column_of_every_cell_type_matches_like_the_raw_walker() {
         let raw = filter_candidates(&job, &indexed, true);
         let col = filter_candidates_columnar(&job, &CompiledJob::prepare(&job), snap, true);
         assert_same_candidates(&raw, &col);
-        names(col)
+        names(col, snap)
     };
     // 7, "seven" (no order against a number), 2 + 5, undefined, true.
     assert_eq!(run("other.Mixed > 3", &before, &s0), ["int", "expr"]);

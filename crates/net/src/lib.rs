@@ -9,7 +9,9 @@
 //! - [`FaultSchedule`] — injected outage windows (what the *reliable*
 //!   streaming mode exists to survive);
 //! - [`Link`] — a bidirectional path with in-order per-direction delivery,
-//!   outage awareness, and traffic counters;
+//!   outage awareness, and traffic counters; a message reports back through
+//!   a closure ([`Link::send`]) or an allocation-free typed event
+//!   ([`Link::send_event`], [`delivery_outcome`]);
 //! - [`Session`] / [`HandshakeProfile`] — connection establishment with
 //!   TCP-like or GSI-like handshakes, and [`rpc_call`] for request/response
 //!   exchanges;
@@ -27,7 +29,7 @@ mod topology;
 mod transport;
 
 pub use fault::FaultSchedule;
-pub use link::{Dir, Link, LinkStats, NetError};
+pub use link::{delivery_outcome, Dir, Link, LinkStats, NetError};
 pub use profile::LinkProfile;
 pub use topology::{HostId, Topology};
 pub use transport::{rpc_call, HandshakeProfile, Session};

@@ -9,7 +9,7 @@ use std::cell::RefCell;
 use std::fmt;
 use std::rc::Rc;
 
-use cg_sim::{Sim, SimDuration, SimTime};
+use cg_sim::{EventId, Sim, SimDuration, SimTime, TypedEvent};
 use serde::{Deserialize, Serialize};
 
 use crate::fault::FaultSchedule;
@@ -63,6 +63,35 @@ impl fmt::Display for NetError {
 }
 
 impl std::error::Error for NetError {}
+
+/// A delivery outcome as the tag byte of a [`TypedEvent`].
+fn outcome_tag(outcome: Result<(), NetError>) -> u8 {
+    match outcome {
+        Ok(()) => 0,
+        Err(NetError::LinkDown) => 1,
+        Err(NetError::BrokenMidTransfer) => 2,
+        Err(NetError::Timeout) => 3,
+        Err(NetError::AuthFailed) => 4,
+        Err(NetError::ConnectionRefused) => 5,
+    }
+}
+
+/// How the message behind an event scheduled by [`Link::send_event`] fared —
+/// what [`Link::send`] would have passed to its callback.
+///
+/// # Panics
+/// Panics on an event `send_event` did not schedule.
+pub fn delivery_outcome(event: TypedEvent) -> Result<(), NetError> {
+    match event.tag {
+        0 => Ok(()),
+        1 => Err(NetError::LinkDown),
+        2 => Err(NetError::BrokenMidTransfer),
+        3 => Err(NetError::Timeout),
+        4 => Err(NetError::AuthFailed),
+        5 => Err(NetError::ConnectionRefused),
+        tag => panic!("event tag {tag} is not a delivery outcome"),
+    }
+}
 
 /// Per-link traffic counters.
 #[derive(Debug, Clone, Copy, Default, Serialize, Deserialize)]
@@ -120,6 +149,11 @@ impl Link {
         self.inner.borrow().profile.clone()
     }
 
+    /// The profile's [`LinkProfile::nominal_rtt`], read in place.
+    pub fn nominal_rtt(&self) -> SimDuration {
+        self.inner.borrow().profile.nominal_rtt()
+    }
+
     /// Is the link down at `t`?
     pub fn is_down(&self, t: SimTime) -> bool {
         self.inner.borrow().faults.is_down(t)
@@ -158,9 +192,7 @@ impl Link {
     /// [`Link::send`], except that a delivered message's `Ok` callback runs
     /// `hold` after the delivery instant — the receiver's processing time
     /// folded into the delivery event ([`crate::rpc_call`]'s service step).
-    /// Everything else is `send`'s: the fault checks, the RNG draw, the
-    /// in-order bookkeeping and the counters happen now and describe the
-    /// delivery itself, and an `Err` is reported when `send` would report it.
+    /// Everything else is `send`'s: see [`Link::decide`].
     pub(crate) fn send_held(
         &self,
         sim: &mut Sim,
@@ -169,14 +201,48 @@ impl Link {
         hold: SimDuration,
         on: impl FnOnce(&mut Sim, Result<(), NetError>) + 'static,
     ) {
+        let (when, outcome) = self.decide(sim, dir, bytes, hold);
+        sim.schedule_at(when, move |sim| on(sim, outcome));
+    }
+
+    /// `send` with a `hold` (see [`crate::rpc_call`]), for a sender that
+    /// schedules typed events instead of closures: the same message, decided
+    /// the same way at the same instant, but what fires is `event`, with its
+    /// `tag` replaced by the outcome ([`delivery_outcome`] reads it back).
+    /// Allocates nothing.
+    pub fn send_event(
+        &self,
+        sim: &mut Sim,
+        dir: Dir,
+        bytes: u64,
+        hold: SimDuration,
+        event: TypedEvent,
+    ) -> EventId {
+        let (when, outcome) = self.decide(sim, dir, bytes, hold);
+        let tag = outcome_tag(outcome);
+        sim.schedule_event_at(when, TypedEvent { tag, ..event })
+    }
+
+    /// Everything about one message except the event that reports it: the
+    /// fault checks, the RNG draw, the in-order bookkeeping and the counters
+    /// happen now and describe the delivery itself. Returns the outcome and
+    /// the instant the sender's callback (for `Err`) or the receiver's (for
+    /// `Ok`, `hold` after the delivery) is due.
+    fn decide(
+        &self,
+        sim: &mut Sim,
+        dir: Dir,
+        bytes: u64,
+        hold: SimDuration,
+    ) -> (SimTime, Result<(), NetError>) {
         let now = sim.now();
         let mut inner = self.inner.borrow_mut();
         if inner.faults.is_down(now) {
             inner.stats.failed += 1;
-            let detect = inner.fail_detect;
-            drop(inner);
-            sim.schedule_in(detect, move |sim| on(sim, Err(NetError::LinkDown)));
-            return;
+            return (
+                now.saturating_add(inner.fail_detect),
+                Err(NetError::LinkDown),
+            );
         }
         let flight = inner.profile.one_way(sim.rng(), bytes);
         let slot = match dir {
@@ -193,17 +259,12 @@ impl Link {
                 .next_outage_after(now)
                 .map(|(s, _)| s)
                 .unwrap_or(arrival);
-            drop(inner);
-            sim.schedule_at(fail_at.max(now), move |sim| {
-                on(sim, Err(NetError::BrokenMidTransfer));
-            });
-            return;
+            return (fail_at.max(now), Err(NetError::BrokenMidTransfer));
         }
         inner.last_delivery[slot] = arrival;
         inner.stats.delivered += 1;
         inner.stats.bytes += bytes;
-        drop(inner);
-        sim.schedule_at(arrival.saturating_add(hold), move |sim| on(sim, Ok(())));
+        (arrival.saturating_add(hold), Ok(()))
     }
 
     /// Round-trip sample for sizing handshakes (no delivery bookkeeping).
@@ -226,7 +287,7 @@ impl fmt::Debug for Link {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cg_sim::Sim;
+    use cg_sim::{Sim, SimRng};
     use std::cell::RefCell;
     use std::rc::Rc;
 
@@ -323,6 +384,102 @@ mod tests {
         // duplex, no head-of-line blocking across directions.
         let diff = (times[0].as_secs_f64() - times[1].as_secs_f64()).abs();
         assert!(diff < 0.05 * times[0].as_secs_f64().max(times[1].as_secs_f64()) + 1e-3);
+    }
+
+    /// The sends of one run as they reported: `(which send, when, outcome)`
+    /// in firing order.
+    type Reports = Vec<(u64, SimTime, Result<(), NetError>)>;
+    /// [`Reports`], then the link's counters, the next draw of the sim's
+    /// random stream and the number of events executed.
+    type Reported = (Reports, (u64, u64, u64), u64, u64);
+
+    /// Forty sends, 7.3 ms apart, both directions, some held, across two
+    /// outages: `send(sim, link, i, dir, bytes, hold)` makes the `i`-th.
+    fn seeded_sends(
+        seed: u64,
+        log: &Rc<RefCell<Reports>>,
+        mut sim: Sim,
+        send: impl Fn(&mut Sim, &Link, u64, Dir, u64, SimDuration) + Clone + 'static,
+    ) -> Reported {
+        let ms = SimDuration::from_millis;
+        let faults = FaultSchedule::from_windows(vec![
+            (SimTime::ZERO + ms(50), SimTime::ZERO + ms(80)),
+            (SimTime::ZERO + ms(200), SimTime::ZERO + ms(230)),
+        ]);
+        let link = Link::with_faults(LinkProfile::wan_ifca(), faults);
+        let mut plan = SimRng::new(seed ^ 0x5EED);
+        for i in 0..40u64 {
+            let dir = if plan.chance(0.5) {
+                Dir::AToB
+            } else {
+                Dir::BToA
+            };
+            let bytes = 100 + plan.u64() % 50_000;
+            let hold = ms(plan.u64() % 3 * 40);
+            let (link, send) = (link.clone(), send.clone());
+            sim.schedule_at(SimTime::ZERO + ms(73) * i / 10, move |sim| {
+                send(sim, &link, i, dir, bytes, hold);
+            });
+        }
+        sim.run();
+        let stats = link.stats();
+        (
+            log.take(),
+            (stats.delivered, stats.failed, stats.bytes),
+            sim.rng().u64(),
+            sim.events_executed(),
+        )
+    }
+
+    #[test]
+    fn send_event_is_send_held_with_the_outcome_in_the_tag() {
+        let mut outcomes = std::collections::BTreeSet::new();
+        for seed in 0..16 {
+            let log = Rc::new(RefCell::new(Vec::new()));
+            let sink = Rc::clone(&log);
+            let held = seeded_sends(
+                seed,
+                &log,
+                Sim::new(seed),
+                move |sim, link, i, dir, b, h| {
+                    let sink = Rc::clone(&sink);
+                    link.send_held(sim, dir, b, h, move |sim, r| {
+                        sink.borrow_mut().push((i, sim.now(), r));
+                    });
+                },
+            );
+
+            let mut sim = Sim::new(seed);
+            let sink = Rc::clone(&log);
+            let handler = sim.register_handler(move |sim, event| {
+                assert_eq!(event.aux, 0xA5A5, "only the tag is the link's");
+                let entry = (event.payload, sim.now(), delivery_outcome(event));
+                sink.borrow_mut().push(entry);
+            });
+            let typed = seeded_sends(seed, &log, sim, move |sim, link, i, dir, b, h| {
+                let event = TypedEvent {
+                    handler,
+                    tag: 0xFF,
+                    aux: 0xA5A5,
+                    payload: i,
+                };
+                link.send_event(sim, dir, b, h, event);
+            });
+
+            assert_eq!(held, typed, "seed {seed}");
+            assert_eq!(held.0.len(), 40, "every send reported exactly once");
+            outcomes.extend(held.0.iter().map(|(_, _, r)| outcome_tag(*r)));
+        }
+        assert_eq!(
+            outcomes.into_iter().collect::<Vec<_>>(),
+            [
+                Ok(()),
+                Err(NetError::LinkDown),
+                Err(NetError::BrokenMidTransfer)
+            ]
+            .map(outcome_tag),
+            "the schedule covers a delivery, a dead link and a cut transfer"
+        );
     }
 
     #[test]

@@ -1,19 +1,24 @@
 //! The event loop.
 //!
-//! [`Sim`] owns a priority queue of scheduled events. Each event is a boxed
-//! `FnOnce(&mut Sim)` so handlers can schedule further events, advance
-//! statistics, or mutate components captured as `Rc<RefCell<_>>`. Ties in time
-//! break on the monotonically increasing sequence number, which makes the
-//! execution order a pure function of the schedule calls — runs with the same
-//! seed are identical.
+//! [`Sim`] owns a priority queue of scheduled events. An event is either a
+//! boxed `FnOnce(&mut Sim)`, so handlers can schedule further events, advance
+//! statistics, or mutate components captured as `Rc<RefCell<_>>`, or a
+//! [`TypedEvent`]: a few `Copy` words handed to a handler registered once
+//! ([`Sim::register_handler`]), for the events a model schedules by the
+//! thousand and does not want to allocate for. Ties in time break on the
+//! monotonically increasing sequence number, which makes the execution order
+//! a pure function of the schedule calls — runs with the same seed are
+//! identical.
 //!
 //! The queue is an indexed 4-ary min-heap of `(time, seq, slot)` keys over a
-//! slab of boxed actions. Every slab slot knows where its key sits in the
-//! heap, so [`Sim::cancel`] removes an event — key, slot and closure — at
-//! once, in O(log live): a cancelled event leaves nothing behind to sift
-//! past or to sweep later. Every `schedule_*` call consumes a `seq` whether
-//! or not the event is later cancelled, so the events that do fire, fire in
-//! the `(time, seq)` order of their schedule calls.
+//! slab of actions. Every slab slot knows where its key sits in the heap, so
+//! [`Sim::cancel`] removes an event — key, slot and closure — at once, in
+//! O(log live): a cancelled event leaves nothing behind to sift past or to
+//! sweep later. Every `schedule_*` call, closure or typed, consumes a `seq`
+//! whether or not the event is later cancelled, so the events that do fire,
+//! fire in the `(time, seq)` order of their schedule calls.
+
+use std::rc::Rc;
 
 use crate::rng::SimRng;
 use crate::time::{SimDuration, SimTime};
@@ -34,7 +39,38 @@ impl EventId {
     }
 }
 
-type Action = Box<dyn FnOnce(&mut Sim)>;
+type Closure = Box<dyn FnOnce(&mut Sim)>;
+
+/// Names a handler registered with [`Sim::register_handler`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub struct HandlerId(u8);
+
+/// An event that is data, not a closure: scheduling one allocates nothing.
+/// When it fires, the handler `handler` names receives it back unchanged;
+/// what `tag`, `aux` and `payload` mean is between the scheduler and that
+/// handler.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct TypedEvent {
+    /// Who receives the event.
+    pub handler: HandlerId,
+    /// Eight payload bits.
+    pub tag: u8,
+    /// Sixteen payload bits.
+    pub aux: u16,
+    /// Sixty-four payload bits.
+    pub payload: u64,
+}
+
+type Handler = Rc<dyn Fn(&mut Sim, TypedEvent)>;
+
+/// What a pending event does when it fires: run a closure, or hand these 64
+/// payload bits (and the handler, tag and aux beside them in the [`Slot`])
+/// to a registered handler. A `Box` is never null, so the two variants share
+/// 16 bytes.
+enum Action {
+    Boxed(Closure),
+    Typed(u64),
+}
 
 /// One heap entry: when the event is due, and its id — the `seq` that
 /// breaks ties in time and the slab slot holding the action. Keys are
@@ -58,12 +94,53 @@ impl Key {
 }
 
 /// One slab slot. `link` is the position of the event's key in the heap
-/// while `action` is `Some`, and the next free slot (or [`NO_SLOT`]) while it
-/// is `None`.
+/// while the slot is live, and the next free slot (or [`NO_SLOT`]) while it
+/// is free. `handler`, `tag` and `aux` are the rest of a [`TypedEvent`] and
+/// occupy what would otherwise be padding; a closure's slot leaves them
+/// zero, and a free slot is a typed one for [`NO_HANDLER`], which no live
+/// key points at and no handler answers to.
 struct Slot {
-    action: Option<Action>,
+    action: Action,
     link: u32,
+    handler: u8,
+    tag: u8,
+    aux: u16,
 }
+
+impl Slot {
+    fn boxed(closure: Closure) -> Slot {
+        Slot {
+            action: Action::Boxed(closure),
+            link: 0,
+            handler: 0,
+            tag: 0,
+            aux: 0,
+        }
+    }
+
+    fn typed(event: TypedEvent) -> Slot {
+        Slot {
+            action: Action::Typed(event.payload),
+            link: 0,
+            handler: event.handler.0,
+            tag: event.tag,
+            aux: event.aux,
+        }
+    }
+
+    fn free(next: u32) -> Slot {
+        Slot {
+            action: Action::Typed(0),
+            link: next,
+            handler: NO_HANDLER,
+            tag: 0,
+            aux: 0,
+        }
+    }
+}
+
+/// The handler id of a free slot; [`Sim::register_handler`] never issues it.
+const NO_HANDLER: u8 = u8::MAX;
 
 const NO_SLOT: u32 = u32::MAX;
 
@@ -73,8 +150,8 @@ const NO_SLOT: u32 = u32::MAX;
 const ARITY: usize = 4;
 
 /// The pending events: [`Key`]s in heap order plus the slab they point into.
-/// Invariant: for every heap position `p`,
-/// `slab[heap[p].slot].link == p` and that slot's `action` is `Some`.
+/// Invariant: for every heap position `p`, `slab[heap[p].slot].link == p`
+/// and that slot is not a free one.
 struct Queue {
     heap: Vec<Key>,
     slab: Vec<Slot>,
@@ -98,12 +175,9 @@ impl Queue {
         self.heap.first().map(|k| k.time)
     }
 
-    fn push(&mut self, time: SimTime, seq: u64, action: Action) -> EventId {
+    fn push(&mut self, time: SimTime, seq: u64, mut entry: Slot) -> EventId {
         let pos = self.heap.len();
-        let entry = Slot {
-            action: Some(action),
-            link: pos as u32,
-        };
+        entry.link = pos as u32;
         let slot = if let Some(free) = self.slab.get_mut(self.free as usize) {
             let slot = self.free;
             self.free = std::mem::replace(free, entry).link;
@@ -129,21 +203,21 @@ impl Queue {
     }
 
     /// Removes and returns the earliest event. The queue must not be empty.
-    fn pop(&mut self) -> (Key, Action) {
+    fn pop(&mut self) -> (Key, Slot) {
         let key = self.heap[0];
         (key, self.remove_at(0))
     }
 
     /// Removes the event `id` names if it is still pending.
-    fn remove(&mut self, id: EventId) -> Option<Action> {
-        let slot = self.slab.get(id.slot as usize)?;
-        slot.action.as_ref()?;
-        let pos = slot.link as usize;
-        (self.heap[pos].id == id).then(|| self.remove_at(pos))
+    fn remove(&mut self, id: EventId) -> Option<Slot> {
+        // A free slot's `link` is a slot index, not a heap position; no key
+        // in the heap names a free slot, so the comparison fails for it too.
+        let pos = self.slab.get(id.slot as usize)?.link as usize;
+        (self.heap.get(pos)?.id == id).then(|| self.remove_at(pos))
     }
 
     /// Takes the key at `pos` out of the heap and frees its slot.
-    fn remove_at(&mut self, pos: usize) -> Action {
+    fn remove_at(&mut self, pos: usize) -> Slot {
         let slot = self.heap[pos].id.slot;
         let last = self.heap.pop().expect("remove_at on an empty heap");
         if pos < self.heap.len() {
@@ -155,14 +229,14 @@ impl Queue {
             let hole = self.sink_hole(pos);
             self.sift_up(hole, last);
         }
-        let freed = Slot {
-            action: None,
-            link: self.free,
-        };
+        let freed = Slot::free(self.free);
         self.free = slot;
-        std::mem::replace(&mut self.slab[slot as usize], freed)
-            .action
-            .expect("heap key pointed at a free slot")
+        let entry = std::mem::replace(&mut self.slab[slot as usize], freed);
+        debug_assert!(
+            entry.handler != NO_HANDLER,
+            "heap key pointed at a free slot"
+        );
+        entry
     }
 
     /// Moves the hole at `pos` down to a leaf, pulling the earliest child up
@@ -242,6 +316,8 @@ pub struct Sim {
     now: SimTime,
     next_seq: u64,
     queue: Queue,
+    /// The typed events' receivers, indexed by [`HandlerId`].
+    handlers: Vec<Handler>,
     rng: SimRng,
     executed: u64,
     event_budget: u64,
@@ -255,6 +331,7 @@ impl Sim {
             now: SimTime::ZERO,
             next_seq: 0,
             queue: Queue::new(),
+            handlers: Vec::new(),
             rng: SimRng::new(seed),
             executed: 0,
             event_budget: u64::MAX,
@@ -300,6 +377,12 @@ impl Sim {
     /// Panics if `at` is in the past — scheduling backwards in time is always
     /// a model bug and silently clamping would hide it.
     pub fn schedule_at(&mut self, at: SimTime, action: impl FnOnce(&mut Sim) + 'static) -> EventId {
+        self.push(at, Slot::boxed(Box::new(action)))
+    }
+
+    /// The one way into the queue: every event, closure or typed, takes the
+    /// next `seq` here.
+    fn push(&mut self, at: SimTime, entry: Slot) -> EventId {
         assert!(
             at >= self.now,
             "event scheduled in the past: at={at} now={}",
@@ -307,7 +390,7 @@ impl Sim {
         );
         let seq = self.next_seq;
         self.next_seq += 1;
-        self.queue.push(at, seq, Box::new(action))
+        self.queue.push(at, seq, entry)
     }
 
     /// Schedules `action` after `delay` of simulated time.
@@ -324,6 +407,46 @@ impl Sim {
     /// already scheduled for this instant.
     pub fn schedule_now(&mut self, action: impl FnOnce(&mut Sim) + 'static) -> EventId {
         self.schedule_at(self.now, action)
+    }
+
+    /// Registers the receiver of the [`TypedEvent`]s scheduled under the
+    /// returned id. Handlers live as long as the `Sim`; a component registers
+    /// one when it is built and reaches its own state from inside it through
+    /// a `Weak`, so that the `Sim` does not keep the component alive.
+    ///
+    /// # Panics
+    /// Panics on the 256th registration: the id is one byte of the event.
+    pub fn register_handler(
+        &mut self,
+        handler: impl Fn(&mut Sim, TypedEvent) + 'static,
+    ) -> HandlerId {
+        let id = u8::try_from(self.handlers.len())
+            .ok()
+            .filter(|id| *id != NO_HANDLER)
+            .expect("too many typed-event handlers");
+        self.handlers.push(Rc::new(handler));
+        HandlerId(id)
+    }
+
+    /// Schedules `event` for its handler at the absolute instant `at`, as
+    /// [`Sim::schedule_at`] schedules a closure: same panic on a past
+    /// instant, one `seq` consumed, cancellable through the returned id.
+    ///
+    /// # Panics
+    /// Panics if `at` is in the past, or if `event.handler` was not issued
+    /// by this `Sim`.
+    pub fn schedule_event_at(&mut self, at: SimTime, event: TypedEvent) -> EventId {
+        assert!(
+            usize::from(event.handler.0) < self.handlers.len(),
+            "typed event for an unregistered handler"
+        );
+        self.push(at, Slot::typed(event))
+    }
+
+    /// Schedules `event` for its handler after `delay` of simulated time.
+    pub fn schedule_event_in(&mut self, delay: SimDuration, event: TypedEvent) -> EventId {
+        let at = self.now.saturating_add(delay);
+        self.schedule_event_at(at, event)
     }
 
     /// Cancels a pending event: removes it from the queue and drops its
@@ -370,14 +493,28 @@ impl Sim {
     /// Removes the earliest pending event and runs it. The queue must not be
     /// empty.
     fn fire_next(&mut self) {
-        let (key, action) = self.queue.pop();
+        let (key, entry) = self.queue.pop();
         debug_assert!(key.time >= self.now, "event queue returned a past event");
         self.now = key.time;
         self.executed += 1;
         if let Some(hook) = self.trace.as_mut() {
             hook(key.time, key.id);
         }
-        action(self);
+        match entry.action {
+            Action::Boxed(closure) => closure(self),
+            Action::Typed(payload) => {
+                let handler = Rc::clone(&self.handlers[usize::from(entry.handler)]);
+                handler(
+                    self,
+                    TypedEvent {
+                        handler: HandlerId(entry.handler),
+                        tag: entry.tag,
+                        aux: entry.aux,
+                        payload,
+                    },
+                );
+            }
+        }
     }
 }
 
@@ -403,6 +540,82 @@ mod tests {
         // costs beside its boxed closure is a key and a slot.
         assert_eq!(std::mem::size_of::<Key>(), 24);
         assert_eq!(std::mem::size_of::<Slot>(), 24);
+    }
+
+    #[test]
+    fn typed_events_take_their_turn_among_closures() {
+        // One instant, closures and typed events scheduled alternately: they
+        // fire in the order of the schedule calls, and each typed event
+        // arrives as it was scheduled.
+        let mut sim = Sim::new(1);
+        let log: Rc<RefCell<Vec<u64>>> = Rc::new(RefCell::new(Vec::new()));
+        let seen = Rc::clone(&log);
+        let handler = sim.register_handler(move |sim, event| {
+            assert_eq!(sim.now(), SimTime::from_secs(1));
+            assert_eq!((event.tag, event.aux), (7, 0xBEEF));
+            seen.borrow_mut().push(event.payload);
+        });
+        for n in 0..10u64 {
+            let id = if n % 2 == 0 {
+                let log = Rc::clone(&log);
+                sim.schedule_at(SimTime::from_secs(1), move |_| log.borrow_mut().push(n))
+            } else {
+                let event = TypedEvent {
+                    handler,
+                    tag: 7,
+                    aux: 0xBEEF,
+                    payload: n,
+                };
+                sim.schedule_event_in(SimDuration::from_secs(1), event)
+            };
+            assert_eq!(id.raw(), n, "closure or typed, one seq per schedule call");
+        }
+        assert_eq!(sim.run(), RunOutcome::Drained);
+        assert_eq!(*log.borrow(), (0..10).collect::<Vec<_>>());
+    }
+
+    #[test]
+    fn typed_events_cancel_like_closures_and_reach_their_own_handler() {
+        let mut sim = Sim::new(1);
+        let log: Rc<RefCell<Vec<(u8, u64)>>> = Rc::new(RefCell::new(Vec::new()));
+        let handlers: Vec<HandlerId> = (0..3u8)
+            .map(|h| {
+                let log = Rc::clone(&log);
+                sim.register_handler(move |_, event| log.borrow_mut().push((h, event.payload)))
+            })
+            .collect();
+        let event = |h: usize, payload| TypedEvent {
+            handler: handlers[h],
+            tag: 0,
+            aux: 0,
+            payload,
+        };
+        sim.schedule_event_in(SimDuration::from_secs(3), event(2, 30));
+        let gone = sim.schedule_event_in(SimDuration::from_secs(2), event(1, 20));
+        sim.schedule_event_in(SimDuration::from_secs(1), event(0, 10));
+        assert!(sim.cancel(gone));
+        assert!(!sim.cancel(gone));
+        assert_eq!(sim.pending(), 2);
+        // A closure takes over the cancelled event's slot.
+        sim.schedule_in(SimDuration::from_secs(2), |sim| {
+            assert_eq!(sim.now(), SimTime::from_secs(2));
+        });
+        sim.run();
+        assert_eq!(*log.borrow(), vec![(0, 10), (2, 30)]);
+        assert_eq!(sim.events_executed(), 3);
+    }
+
+    #[test]
+    #[should_panic(expected = "unregistered handler")]
+    fn a_typed_event_needs_a_handler_of_this_sim() {
+        let handler = Sim::new(1).register_handler(|_, _| {});
+        let event = TypedEvent {
+            handler,
+            tag: 0,
+            aux: 0,
+            payload: 0,
+        };
+        Sim::new(2).schedule_event_in(SimDuration::ZERO, event);
     }
 
     #[test]

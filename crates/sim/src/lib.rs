@@ -7,8 +7,9 @@
 //!
 //! Pieces:
 //! - [`SimTime`] / [`SimDuration`] — integer-nanosecond clock.
-//! - [`Sim`] — the event loop; events are `FnOnce(&mut Sim)` closures,
-//!   time ties break on schedule order.
+//! - [`Sim`] — the event loop; events are `FnOnce(&mut Sim)` closures or
+//!   allocation-free [`TypedEvent`]s for a registered handler; time ties
+//!   break on schedule order.
 //! - [`SimRng`] — seeded random stream with the distributions the models use
 //!   (exponential, normal, log-normal, Pareto), all implemented locally so an
 //!   upstream library change can never shift experiment outputs.
@@ -46,7 +47,7 @@ mod rng;
 mod stats;
 mod time;
 
-pub use engine::{EventId, RunOutcome, Sim};
+pub use engine::{EventId, HandlerId, RunOutcome, Sim, TypedEvent};
 pub use resource::Resource;
 pub use rng::SimRng;
 pub use stats::{Histogram, OnlineStats, SampleSet, TimeSeries};

@@ -1,6 +1,6 @@
 //! Property tests for the simulation engine's core invariants.
 
-use cg_sim::{EventId, RunOutcome, Sim, SimDuration, SimTime};
+use cg_sim::{EventId, HandlerId, RunOutcome, Sim, SimDuration, SimTime, TypedEvent};
 use proptest::prelude::*;
 use std::cell::RefCell;
 use std::collections::BTreeMap;
@@ -11,7 +11,9 @@ use std::rc::Rc;
 // Both sides interpret one generated program: driver steps between runs,
 // and a handler script per event that schedules and cancels from inside
 // the event loop. An event's tag is its creation index, which is also the
-// `seq` the kernel must have given it.
+// `seq` the kernel must have given it. Every third event the real side
+// schedules is a typed one, whose handler runs the same script a closure
+// would: the model cannot tell the two apart, and neither may the order.
 
 /// One step of a handler script or of the driver.
 #[derive(Debug, Clone, Copy)]
@@ -96,6 +98,8 @@ struct RealState {
 struct Real<'a> {
     sim: &'a mut Sim,
     state: &'a Rc<RefCell<RealState>>,
+    /// Receives the typed events; their payload is the tag.
+    handler: HandlerId,
 }
 
 impl Kernel for Real<'_> {
@@ -110,20 +114,37 @@ impl Kernel for Real<'_> {
     }
     fn schedule_in(&mut self, scripts: &Rc<Vec<Vec<Op>>>, delay: u64) {
         let tag = self.created();
-        let (scripts, state) = (Rc::clone(scripts), Rc::clone(self.state));
+        let (scripts, state, handler) = (Rc::clone(scripts), Rc::clone(self.state), self.handler);
         let action = move |sim: &mut Sim| {
-            fire(&mut Real { sim, state: &state }, &scripts, tag);
+            let state = &state;
+            fire(
+                &mut Real {
+                    sim,
+                    state,
+                    handler,
+                },
+                &scripts,
+                tag,
+            );
         };
-        // The three ways in are one way in.
-        let id = match delay {
-            0 => self.sim.schedule_now(action),
+        let event = TypedEvent {
+            handler,
+            tag: tag as u8,
+            aux: (tag >> 8) as u16,
+            payload: tag as u64,
+        };
+        let at = self.sim.now() + SimDuration::from_nanos(delay);
+        // The five ways in are one way in.
+        let id = match (tag % 3, delay) {
+            (2, _) if tag.is_multiple_of(2) => self
+                .sim
+                .schedule_event_in(SimDuration::from_nanos(delay), event),
+            (2, _) => self.sim.schedule_event_at(at, event),
+            (_, 0) => self.sim.schedule_now(action),
             _ if tag.is_multiple_of(2) => {
                 self.sim.schedule_in(SimDuration::from_nanos(delay), action)
             }
-            _ => {
-                let at = self.sim.now() + SimDuration::from_nanos(delay);
-                self.sim.schedule_at(at, action)
-            }
+            _ => self.sim.schedule_at(at, action),
         };
         assert_eq!(id.raw(), tag as u64, "every schedule call consumes one seq");
         self.state.borrow_mut().ids.push(id);
@@ -219,9 +240,18 @@ proptest! {
         );
         let mut sim = Sim::new(0);
         let state = Rc::new(RefCell::new(RealState::default()));
+        let handler = {
+            let (scripts, state) = (Rc::clone(&scripts), Rc::clone(&state));
+            sim.register_handler(move |sim, event| {
+                let tag = event.payload as usize;
+                assert_eq!((event.tag, event.aux), (tag as u8, (tag >> 8) as u16));
+                let (state, handler) = (&state, event.handler);
+                fire(&mut Real { sim, state, handler }, &scripts, tag);
+            })
+        };
         let mut model = Model::default();
         for (kind, arg) in driver {
-            let mut real = Real { sim: &mut sim, state: &state };
+            let mut real = Real { sim: &mut sim, state: &state, handler };
             match kind {
                 // Driver-side schedule and cancel. Out here delays reach
                 // past the run horizons below, so that events pile up, and

@@ -230,6 +230,10 @@ pub trait Backend {
     /// Whether the queue has room by the site's admission policy.
     fn accepts_queued_jobs(&self) -> bool;
 
+    /// `(free_nodes, queue_depth, accepts_queued_jobs)` in one call — the
+    /// state a site's machine ad is built from, read once per live query.
+    fn ad_state(&self) -> (usize, usize, bool);
+
     /// Scheduler metrics so far.
     fn stats(&self) -> LrmsStats;
 
@@ -357,6 +361,11 @@ impl BackendHandle {
         self.inner.accepts_queued_jobs()
     }
 
+    /// `(free_nodes, queue_depth, accepts_queued_jobs)` in one call.
+    pub fn ad_state(&self) -> (usize, usize, bool) {
+        self.inner.ad_state()
+    }
+
     /// Scheduler metrics so far.
     pub fn stats(&self) -> LrmsStats {
         self.inner.stats()
@@ -460,6 +469,10 @@ impl Backend for Lrms {
 
     fn accepts_queued_jobs(&self) -> bool {
         Lrms::accepts_queued_jobs(self)
+    }
+
+    fn ad_state(&self) -> (usize, usize, bool) {
+        Lrms::ad_state(self)
     }
 
     fn stats(&self) -> LrmsStats {
@@ -668,6 +681,10 @@ impl Backend for ThreadPoolBackend {
         self.core.accepts_queued_jobs()
     }
 
+    fn ad_state(&self) -> (usize, usize, bool) {
+        self.core.ad_state()
+    }
+
     fn stats(&self) -> LrmsStats {
         self.core.stats()
     }
@@ -873,6 +890,10 @@ impl Backend for ProcessBackend {
 
     fn accepts_queued_jobs(&self) -> bool {
         self.core.accepts_queued_jobs()
+    }
+
+    fn ad_state(&self) -> (usize, usize, bool) {
+        self.core.ad_state()
     }
 
     fn stats(&self) -> LrmsStats {

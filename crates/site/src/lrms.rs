@@ -364,8 +364,15 @@ impl Lrms {
     /// sites bounded their queues; the broker checks before submitting.
     /// (Modelled as a fixed multiple of the node count.)
     pub fn accepts_queued_jobs(&self) -> bool {
+        self.ad_state().2
+    }
+
+    /// [`Lrms::free_nodes`], [`Lrms::queue_depth`] and
+    /// [`Lrms::accepts_queued_jobs`] under one borrow.
+    pub fn ad_state(&self) -> (usize, usize, bool) {
         let inner = self.inner.borrow();
-        inner.queue.len() < 4 * inner.node_busy.len()
+        let queued = inner.queue.len();
+        (inner.free, queued, queued < 4 * inner.node_busy.len())
     }
 
     /// Scheduler metrics so far.

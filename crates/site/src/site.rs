@@ -164,11 +164,7 @@ impl Site {
     /// memoized ad was built from, so two reads with no state change in
     /// between return the same allocation.
     pub fn machine_ad_arc(&self) -> Arc<Ad> {
-        let key: AdKey = (
-            self.backend.free_nodes(),
-            self.backend.queue_depth(),
-            self.backend.accepts_queued_jobs(),
-        );
+        let key: AdKey = self.backend.ad_state();
         let mut memo = self.shared.ad.borrow_mut();
         match &*memo {
             Some((k, ad)) if *k == key => Arc::clone(ad),

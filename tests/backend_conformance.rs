@@ -6,6 +6,8 @@
 //! - kill-during-queue semantics (terminal, never started),
 //! - disposition retention, including across rejoin reconciliation,
 //! - `accepts_queued_jobs` agreement with the published machine ad,
+//! - `ad_state()` agreement with the three reads it stands for, after every
+//!   event of the single-backend scenarios,
 //! - whole-stream invariant rules 1–8 + 5b on a full broker run,
 //! - same-seed replay identity (real execution never perturbs the sim),
 //! - `LrmsStats` balance under arbitrary interleavings (proptest),
@@ -20,6 +22,7 @@ use crossgrid::broker::{MatchRequest, ParallelMatcher, ShardedJobTable, DEFAULT_
 use crossgrid::jdl::Ad;
 use crossgrid::net::FaultSchedule;
 use crossgrid::prelude::*;
+use crossgrid::sim::RunOutcome;
 use crossgrid::site::{
     BackendError, BackendHandle, BackendSpec, LocalDisposition, LocalJobId, LocalJobSpec,
     LrmsEvent, Policy,
@@ -64,6 +67,32 @@ fn submit_recorded(
     backend.submit(sim, LocalJobSpec::simple(runtime), move |sim, id, ev| {
         t.borrow_mut().push((id.0, tag(ev), sim.now().as_nanos()));
     })
+}
+
+/// `ad_state()` is the three reads a machine ad is keyed on, taken together.
+fn assert_ad_state_agrees(b: &BackendHandle) {
+    assert_eq!(
+        b.ad_state(),
+        (b.free_nodes(), b.queue_depth(), b.accepts_queued_jobs()),
+        "{:?} at {} queued, {} running",
+        b.kind(),
+        b.queue_depth(),
+        b.running_count()
+    );
+}
+
+/// `sim.run_until(horizon)`, one event at a time, with
+/// [`assert_ad_state_agrees`] before the first event and after each.
+fn run_checked(sim: &mut Sim, backend: &BackendHandle, horizon: SimTime) {
+    loop {
+        assert_ad_state_agrees(backend);
+        sim.set_event_budget(sim.events_executed() + 1);
+        if sim.run_until(horizon) != RunOutcome::BudgetExhausted {
+            break;
+        }
+    }
+    sim.set_event_budget(u64::MAX);
+    assert_ad_state_agrees(backend);
 }
 
 fn events_of(trace: &Lifecycle, id: LocalJobId) -> Vec<(&'static str, u64)> {
@@ -120,7 +149,7 @@ fn dispatch_latency_orders_every_lifecycle() {
         let ids: Vec<LocalJobId> = (0..3)
             .map(|_| submit_recorded(&backend, &mut sim, SimDuration::from_secs(5), &trace))
             .collect();
-        sim.run_until(SimTime::from_secs(60));
+        run_checked(&mut sim, &backend, SimTime::from_secs(60));
         backend.quiesce();
 
         let mut finish_of_first_wave = u64::MAX;
@@ -173,7 +202,7 @@ fn kill_during_queue_is_terminal_and_never_starts() {
             assert_eq!(killer.disposition(b), Some(LocalDisposition::Killed));
             assert_eq!(killer.queue_depth(), 0);
         });
-        sim.run_until(SimTime::from_secs(300));
+        run_checked(&mut sim, &backend, SimTime::from_secs(300));
         backend.quiesce();
 
         assert_eq!(
@@ -214,7 +243,7 @@ fn disposition_retention_evicts_oldest_for_every_backend() {
                 )
             })
             .collect();
-        sim.run_until(SimTime::from_secs(60));
+        run_checked(&mut sim, &backend, SimTime::from_secs(60));
         backend.quiesce();
 
         for id in &ids[..6] {
@@ -269,7 +298,7 @@ fn accepts_queued_agrees_with_the_published_machine_ad() {
                 |_, _, _| {},
             );
         }
-        sim.run_until(SimTime::from_secs(10));
+        run_checked(&mut sim, site.backend(), SimTime::from_secs(10));
         assert!(
             !site.backend().accepts_queued_jobs(),
             "{spec:?}: queue at 4×nodes must refuse admission"
@@ -649,6 +678,7 @@ proptest! {
                             }
                         }
                     }
+                    assert_ad_state_agrees(&b);
                     let s = b.stats();
                     let live =
                         (b.queue_depth() + b.dispatching_count() + b.running_count()) as u64;

@@ -206,7 +206,6 @@ proptest! {
             .enumerate()
             .map(|(i, &rank)| Candidate {
                 site_index: i,
-                site: format!("s{i}"),
                 rank,
                 free_cpus: 1 + (i as i64 % 4),
             })
