@@ -4,6 +4,7 @@
 //! batch jobs wait for a machine to become idle (§5.2 arrow 2).
 
 use std::collections::HashSet;
+use std::fmt::Write;
 use std::rc::Rc;
 
 use cg_jdl::analyze::Analysis;
@@ -14,6 +15,11 @@ use cg_trace::Event;
 use super::{CrossBroker, RetainedAd};
 use crate::job::{JobId, JobRecord, JobState};
 use crate::matchmaking::CompiledJob;
+
+/// Room a printed ad is given per attribute (`  Name = value;` and a
+/// newline). The paper's attributes print in about 32 bytes each; an ad of
+/// longer ones grows its buffer as any `String` does.
+const COMMIT_RECORD_BYTES_PER_ATTR: usize = 48;
 
 impl CrossBroker {
     /// Submits a job with the given natural runtime. The returned id indexes
@@ -43,7 +49,9 @@ impl CrossBroker {
             );
             // The JobAd commit record: together with JobSubmitted it carries
             // everything recovery needs to re-arm the job after a crash.
-            let jdl = job.ad.to_string();
+            // Rendered once, into a buffer that need not grow on the way.
+            let mut jdl = String::with_capacity(COMMIT_RECORD_BYTES_PER_ATTR * job.ad.len());
+            write!(jdl, "{}", job.ad).expect("writing to a String cannot fail");
             inner.trace.record(
                 now,
                 Event::JobAd {

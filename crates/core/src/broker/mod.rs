@@ -494,19 +494,15 @@ impl CrossBroker {
         let this = self.clone();
         sim.schedule_in(dt, move |sim| {
             let keep = {
-                let mut inner = this.inner.borrow_mut();
+                let inner = &mut *this.inner.borrow_mut();
                 inner.tick_scheduled = false;
                 let now = sim.now();
                 inner.fairshare.tick(now);
                 // Observe every site's LRMS queue depth on the same tick
                 // cadence: the queue-forecast EWMA shares the fair-share
                 // δt/half-life and its same-δt no-double-decay contract.
-                let depths: Vec<i64> = inner
-                    .sites
-                    .iter()
-                    .map(|s| s.site.lrms().queue_depth() as i64)
-                    .collect();
-                for (i, depth) in depths.into_iter().enumerate() {
+                for (i, s) in inner.sites.iter().enumerate() {
+                    let depth = s.site.lrms().queue_depth() as i64;
                     inner.queue_forecast.observe(i, depth);
                 }
                 inner.queue_forecast.tick(now);

@@ -48,10 +48,9 @@ impl CompiledJob {
     pub fn prepare(job: &JobDescription) -> CompiledJob {
         CompiledJob {
             requirements: job
-                .requirements
-                .as_ref()
-                .map(|e| CompiledExpr::compile(e, &job.ad)),
-            rank: job.rank.as_ref().map(|e| CompiledExpr::compile(e, &job.ad)),
+                .requirements()
+                .map(|e| CompiledExpr::compile(&e, &job.ad)),
+            rank: job.rank().map(|e| CompiledExpr::compile(&e, &job.ad)),
         }
     }
 }
@@ -74,6 +73,12 @@ fn filter_candidates_inner<A: std::borrow::Borrow<Ad>>(
     require_free_cpus: bool,
 ) -> Vec<Candidate> {
     let mut out = Vec::new();
+    // As in the columnar pass: a raw expression is read only where there
+    // is no compiled form.
+    let creq = compiled.and_then(|c| c.requirements.as_ref());
+    let crank = compiled.and_then(|c| c.rank.as_ref());
+    let raw_requirements = creq.is_none().then(|| job.requirements()).flatten();
+    let raw_rank = crank.is_none().then(|| job.rank()).flatten();
     for (site_index, ad) in ads {
         let ad = ad.borrow();
         // `get_norm` with the lower-cased names: `Ad::get` would allocate a
@@ -97,10 +102,7 @@ fn filter_candidates_inner<A: std::borrow::Borrow<Ad>>(
         }
         // Undefined or false ⇒ no match; eval errors ⇒ no match (a
         // malformed requirement must not crash the broker).
-        let matched = match (
-            compiled.and_then(|c| c.requirements.as_ref()),
-            &job.requirements,
-        ) {
+        let matched = match (creq, &raw_requirements) {
             (Some(creq), _) => creq.matches(&job.ad, ad),
             (None, Some(req)) => {
                 let ctx = Ctx {
@@ -114,7 +116,7 @@ fn filter_candidates_inner<A: std::borrow::Borrow<Ad>>(
         if !matched {
             continue;
         }
-        let rank = match (compiled.and_then(|c| c.rank.as_ref()), &job.rank) {
+        let rank = match (crank, &raw_rank) {
             (Some(crank), _) => crank.rank(&job.ad, ad),
             (None, Some(r)) => eval_rank_or_default(r, job, ad),
             // Default rank: prefer more free CPUs (the EDG broker default).
@@ -156,28 +158,30 @@ pub fn filter_candidates_columnar(
     alive.retain(|i| snap.free_cpus(i) >= nodes || (!require_free_cpus && snap.accepts_queued(i)));
     // Undefined or false ⇒ no match; eval errors ⇒ no match (a malformed
     // requirement must not crash the broker).
-    match (compiled.requirements.as_ref(), &job.requirements) {
-        (Some(creq), _) => creq
-            .bind(&job.ad, snap.columns(), snap.ads())
-            .retain_matches(&mut alive),
-        (None, Some(req)) => alive.retain(|i| {
+    // The raw expressions are read out of the job's ad only where there is
+    // no compiled form to evaluate instead.
+    if let Some(creq) = &compiled.requirements {
+        creq.bind(&job.ad, snap.columns(), snap.ads())
+            .retain_matches(&mut alive);
+    } else if let Some(req) = job.requirements() {
+        alive.retain(|i| {
             let ctx = Ctx {
                 own: &job.ad,
                 other: snap.ad(i),
             };
             matches!(req.eval_requirement(ctx), Ok(true))
-        }),
-        (None, None) => {}
+        });
     }
     let crank = compiled
         .rank
         .as_ref()
         .map(|c| c.bind(&job.ad, snap.columns(), snap.ads()));
+    let raw_rank = crank.is_none().then(|| job.rank()).flatten();
     alive
         .iter()
         .map(|i| {
             let free = snap.free_cpus(i);
-            let rank = match (&crank, &job.rank) {
+            let rank = match (&crank, &raw_rank) {
                 (Some(crank), _) => crank.rank(i),
                 (None, Some(r)) => eval_rank_or_default(r, job, snap.ad(i)),
                 // Default rank: prefer more free CPUs (the EDG broker default).

@@ -27,8 +27,6 @@
 //! discard/trace semantics hold under every policy. Ties are exact
 //! [`f64::total_cmp`] equality on the *score* — never "close enough".
 
-use std::collections::BTreeMap;
-
 use cg_sim::{SimDuration, SimRng, SimTime};
 
 use crate::matchmaking::{Candidate, Selection};
@@ -414,8 +412,11 @@ pub fn preference_order(
 #[derive(Debug, Clone)]
 pub struct QueueForecaster {
     beta: f64,
-    forecasts: BTreeMap<usize, f64>,
-    latest: BTreeMap<usize, i64>,
+    /// Indexed by site, like `latest`; both reach as far as the highest
+    /// site observed so far.
+    forecasts: Vec<f64>,
+    /// The observation the next tick will fold, if one came in.
+    latest: Vec<Option<i64>>,
     last_tick: Option<SimTime>,
 }
 
@@ -428,8 +429,8 @@ impl QueueForecaster {
         let beta = 0.5f64.powf(delta_t.as_secs_f64() / h);
         QueueForecaster {
             beta,
-            forecasts: BTreeMap::new(),
-            latest: BTreeMap::new(),
+            forecasts: Vec::new(),
+            latest: Vec::new(),
             last_tick: None,
         }
     }
@@ -437,7 +438,11 @@ impl QueueForecaster {
     /// Records the observed LRMS queue depth at `site_index`. Within one
     /// δt window the last observation wins.
     pub fn observe(&mut self, site_index: usize, queue_depth: i64) {
-        self.latest.insert(site_index, queue_depth);
+        if site_index >= self.latest.len() {
+            self.latest.resize(site_index + 1, None);
+            self.forecasts.resize(site_index + 1, 0.0);
+        }
+        self.latest[site_index] = Some(queue_depth);
     }
 
     /// Folds the latest observations into the forecasts, *draining* them: an
@@ -452,9 +457,10 @@ impl QueueForecaster {
             return;
         }
         self.last_tick = Some(now);
-        for (site, depth) in std::mem::take(&mut self.latest) {
-            let f = self.forecasts.entry(site).or_insert(0.0);
-            *f = self.beta * *f + (1.0 - self.beta) * depth as f64;
+        for (f, latest) in self.forecasts.iter_mut().zip(&mut self.latest) {
+            if let Some(depth) = latest.take() {
+                *f = self.beta * *f + (1.0 - self.beta) * depth as f64;
+            }
         }
     }
 
@@ -462,7 +468,7 @@ impl QueueForecaster {
     /// observed).
     #[must_use]
     pub fn forecast(&self, site_index: usize) -> f64 {
-        self.forecasts.get(&site_index).copied().unwrap_or(0.0)
+        self.forecasts.get(site_index).copied().unwrap_or(0.0)
     }
 }
 

@@ -1101,6 +1101,99 @@ fn a_dead_site_rematches_its_scheduled_jobs_in_id_order() {
     assert_eq!(first, second, "same seed, same process, different stream");
 }
 
+/// The retained commit record is what a re-match parses. An ad whose strings
+/// hold characters Rust's `{:?}` escapes its own way (a carriage return, DEL,
+/// a zero-width space, a combining mark — all legal in a JDL string) used to
+/// print as `"a\\rb"`, which the lexer rejects: the job on a dead site was
+/// failed with "re-match parse failed" instead of being re-matched.
+#[test]
+fn a_job_with_unprintable_strings_on_a_dead_site_is_rematched_not_failed() {
+    use cg_net::FaultSchedule;
+    let mut sim = Sim::new(33);
+    let sites: Vec<Site> = ["alpha", "beta"]
+        .iter()
+        .map(|name| {
+            Site::new(SiteConfig {
+                name: (*name).into(),
+                nodes: 1,
+                policy: Policy::Fifo,
+                ..SiteConfig::default()
+            })
+        })
+        .collect();
+    let handles = sites
+        .iter()
+        .map(|site| SiteHandle {
+            site: site.clone(),
+            broker_link: Link::new(LinkProfile::campus()),
+            ui_link: Link::new(LinkProfile::campus()),
+        })
+        .collect();
+    // As in the test above: alpha goes silent at t = 20 s and is `Dead`
+    // after four missed refreshes; beta is full until t = 1 000 s.
+    let outage =
+        FaultSchedule::from_windows(vec![(SimTime::from_secs(20), SimTime::from_secs(5_000))]);
+    let config = BrokerConfig {
+        lease: SimDuration::ZERO,
+        resubmit_on_queue: false,
+        publish_faults: vec![outage, FaultSchedule::none()],
+        ..BrokerConfig::default()
+    };
+    let mds = Link::new(LinkProfile::wan_mds());
+    let broker = CrossBroker::new(&mut sim, handles, mds, config);
+    sites[1].lrms().submit(
+        &mut sim,
+        LocalJobSpec::simple(SimDuration::from_secs(1_000)),
+        |_, _, _| {},
+    );
+    let submitted = job(
+        "Executable = \"a\rb\u{7f}c\u{200b}d\u{301}\"; Arguments = \"\\t\\\"q\\\"\\\\\\n\";
+         JobType = \"interactive\"; MachineAccess = \"exclusive\"; User = \"alice\";",
+    );
+    assert_eq!(submitted.executable, "a\rb\u{7f}c\u{200b}d\u{301}");
+    assert_eq!(submitted.arguments, "\t\"q\"\\\n");
+    let ad = submitted.ad.clone();
+    let id = broker.submit(&mut sim, submitted, SimDuration::from_secs(60));
+    // A local user takes alpha's node while the submission is in flight.
+    let alpha = sites[0].clone();
+    sim.schedule_at(SimTime::from_secs(3), move |sim| {
+        alpha.lrms().submit(
+            sim,
+            LocalJobSpec::simple(SimDuration::from_secs(50_000)),
+            |_, _, _| {},
+        );
+    });
+    sim.run_until(SimTime::from_secs(1_199));
+    let state = broker.record(id).state;
+    assert!(
+        matches!(&state, JobState::Scheduled { site } if site == "alpha"),
+        "{state:?}"
+    );
+    sim.run_until(SimTime::from_secs(3_000));
+    let events = broker.event_log().snapshot();
+    assert!(events.iter().any(|e| matches!(
+        &e.event,
+        cg_trace::Event::SiteDead { site, in_flight } if site == "alpha" && *in_flight == 1
+    )));
+    let record = events
+        .iter()
+        .find_map(|e| match &e.event {
+            cg_trace::Event::JobAd { jdl, .. } => Some(jdl.as_str()),
+            _ => None,
+        })
+        .expect("the commit record was journalled");
+    assert_eq!(
+        JobDescription::parse(record).map(|j| j.ad),
+        Ok(ad),
+        "crash recovery re-arms the job from this text"
+    );
+    let state = broker.record(id).state;
+    assert!(
+        matches!(state, JobState::Done),
+        "re-matched onto beta: {state:?}"
+    );
+}
+
 /// A finished job is not in flight: a shared job that ran to completion on
 /// an agent still alive in the pool must not count when the agent's site
 /// is later declared dead.

@@ -61,7 +61,7 @@ use crate::expr::{
     apply_bin_values, apply_int_cast, apply_logic, apply_real_cast, apply_rounding, err,
     logic_short_circuit, member_contains, string_list_contains, BinOp, Ctx, Cv, EvalError, Expr,
 };
-use crate::job::JobDescription;
+use crate::job::{rank_of, requirements_of, JobDescription};
 use crate::lexer::{LexError, Pos};
 use crate::parser::{parse_ad_spanned, AdSpans, ParseError, Span};
 use crate::symbols::{intern, Symbol};
@@ -287,11 +287,20 @@ impl Schema {
         self
     }
 
+    /// The declaration of `name` in any spelling. Keys are stored
+    /// lower-cased, so ignoring ASCII case against a key is comparing it
+    /// with a lower-cased copy of `name`, without making one; a vocabulary
+    /// is a dozen names, most settled by their length.
+    fn declared(&self, name: &str) -> Option<&(String, Ty)> {
+        self.attrs
+            .iter()
+            .find(|(key, _)| key.eq_ignore_ascii_case(name))
+            .map(|(_, declared)| declared)
+    }
+
     /// The declared type of an attribute, case-insensitively.
     pub fn get(&self, name: &str) -> Option<Ty> {
-        self.attrs
-            .get(&name.to_ascii_lowercase())
-            .map(|&(_, ty)| ty)
+        self.declared(name).map(|&(_, ty)| ty)
     }
 
     /// Declared display names, in lowercase-sorted order.
@@ -301,9 +310,7 @@ impl Schema {
 
     /// The declared spelling of an attribute, case-insensitively.
     pub fn display_name<'a>(&'a self, name: &'a str) -> &'a str {
-        self.attrs
-            .get(&name.to_ascii_lowercase())
-            .map_or(name, |(n, _)| n.as_str())
+        self.declared(name).map_or(name, |(n, _)| n.as_str())
     }
 
     /// Number of declared attributes.
@@ -324,6 +331,19 @@ impl Schema {
             s.declare(name, Ty::of_value(v));
         }
         s
+    }
+
+    /// [`Schema::job`], built once per process: what [`analyze_ad`] reads.
+    fn shared_job() -> &'static Schema {
+        static JOB: OnceLock<Schema> = OnceLock::new();
+        JOB.get_or_init(Schema::job)
+    }
+
+    /// [`Schema::machine`], built once per process: what
+    /// [`JobDescription::analyze`] reads.
+    pub(crate) fn shared_machine() -> &'static Schema {
+        static MACHINE: OnceLock<Schema> = OnceLock::new();
+        MACHINE.get_or_init(Schema::machine)
     }
 
     /// The job-side attribute vocabulary understood by
@@ -382,21 +402,24 @@ enum Func {
 }
 
 impl Func {
+    const ALL: [Func; 11] = [
+        Func::Member,
+        Func::IsUndefined,
+        Func::StringListMember,
+        Func::Floor,
+        Func::Ceiling,
+        Func::Round,
+        Func::Abs,
+        Func::Min,
+        Func::Max,
+        Func::Int,
+        Func::Real,
+    ];
+
     fn of(name: &str) -> Option<Func> {
-        Some(match name.to_ascii_lowercase().as_str() {
-            "member" => Func::Member,
-            "isundefined" => Func::IsUndefined,
-            "stringlistmember" => Func::StringListMember,
-            "floor" => Func::Floor,
-            "ceiling" => Func::Ceiling,
-            "round" => Func::Round,
-            "abs" => Func::Abs,
-            "min" => Func::Min,
-            "max" => Func::Max,
-            "int" => Func::Int,
-            "real" => Func::Real,
-            _ => return None,
-        })
+        Func::ALL
+            .into_iter()
+            .find(|f| f.name().eq_ignore_ascii_case(name))
     }
 
     fn name(self) -> &'static str {
@@ -571,8 +594,7 @@ impl Checker<'_> {
                         return Ty::Any;
                     }
                     self.visiting.push(key);
-                    let inner = inner.clone();
-                    let t = self.check(&inner, &Span::leaf(sp.pos));
+                    let t = self.check(inner, &Span::leaf(sp.pos));
                     self.visiting.pop();
                     t
                 }
@@ -1518,20 +1540,20 @@ impl BoundExpr<'_> {
 /// A numeric interval with open/closed ends, refined per machine attribute
 /// from the conjuncts of a compiled requirement.
 #[derive(Debug, Clone)]
-struct Constraint {
+struct Constraint<'a> {
     lo: f64,
     lo_strict: bool,
     hi: f64,
     hi_strict: bool,
     /// A non-numeric `== const` pin (string/boolean equality).
-    eq_other: Option<Value>,
+    eq_other: Option<&'a Value>,
     /// Whether any numeric bound has been applied.
     numeric: bool,
     conflict: bool,
 }
 
-impl Constraint {
-    fn new() -> Constraint {
+impl<'a> Constraint<'a> {
+    fn new() -> Self {
         Constraint {
             lo: f64::NEG_INFINITY,
             lo_strict: false,
@@ -1594,13 +1616,13 @@ impl Constraint {
         }
     }
 
-    fn apply_eq_value(&mut self, v: &Value) {
+    fn apply_eq_value(&mut self, v: &'a Value) {
         if self.numeric {
             self.conflict = true;
             return;
         }
-        match &self.eq_other {
-            None => self.eq_other = Some(v.clone()),
+        match self.eq_other {
+            None => self.eq_other = Some(v),
             Some(prev) => {
                 if !values_equal(prev, v) {
                     self.conflict = true;
@@ -1668,7 +1690,7 @@ fn never_matches(e: &CExpr, machine: &Schema) -> Option<String> {
                 }
             }
             // Interval analysis across conjuncts, per machine attribute.
-            let mut by_attr: BTreeMap<&str, Constraint> = BTreeMap::new();
+            let mut by_attr: BTreeMap<&str, Constraint<'_>> = BTreeMap::new();
             for c in &conjuncts {
                 let CExpr::Bin(op, l, r) = c else { continue };
                 let (name, op, value) = match (&**l, &**r) {
@@ -1766,7 +1788,7 @@ pub const SELECTION_POLICIES: &[&str] = &[
 /// schema. `spans` (from [`parse_ad_spanned`]) makes diagnostics
 /// span-accurate; without it, positions fall back to 1:1.
 pub fn analyze_ad(ad: &Ad, spans: Option<&AdSpans>, machine: &Schema) -> Analysis {
-    let job = Schema::job();
+    let job = Schema::shared_job();
     let mut diags = Vec::new();
 
     let name_pos = |name: &str| {
@@ -1823,13 +1845,13 @@ pub fn analyze_ad(ad: &Ad, spans: Option<&AdSpans>, machine: &Schema) -> Analysi
 
     // Pass 2: Requirements — type check, fold/compile, unsat analysis.
     let mut requirements = None;
-    if let Some(req_expr) = expr_of(ad.get("Requirements")) {
+    if let Some(req_expr) = requirements_of(ad) {
         let sp = spans
             .and_then(|s| s.value_span("Requirements"))
             .unwrap_or(&synthetic);
         let ty = Checker {
             own: ad,
-            job: &job,
+            job,
             machine,
             diags: &mut diags,
             visiting: Vec::new(),
@@ -1863,13 +1885,13 @@ pub fn analyze_ad(ad: &Ad, spans: Option<&AdSpans>, machine: &Schema) -> Analysi
 
     // Pass 3: Rank — type check and compile.
     let mut rank = None;
-    if let Some(rank_expr) = rank_expr_of(ad.get("Rank")) {
+    if let Some(rank_expr) = rank_of(ad) {
         let sp = spans
             .and_then(|s| s.value_span("Rank"))
             .unwrap_or(&synthetic);
         let ty = Checker {
             own: ad,
-            job: &job,
+            job,
             machine,
             diags: &mut diags,
             visiting: Vec::new(),
@@ -1927,27 +1949,6 @@ pub fn analyze_source(src: &str, machine: &Schema) -> Analysis {
 
 fn assignable(got: Ty, want: Ty) -> bool {
     got == want || (want == Ty::Number && matches!(got, Ty::Int | Ty::Double))
-}
-
-/// The Requirements attribute as an expression, mirroring
-/// [`JobDescription::from_ad`]'s accepted shapes.
-fn expr_of(v: Option<&Value>) -> Option<Expr> {
-    match v {
-        Some(Value::Expr(e)) => Some(e.clone()),
-        Some(Value::Bool(b)) => Some(Expr::Bool(*b)),
-        _ => None,
-    }
-}
-
-/// The Rank attribute as an expression, mirroring
-/// [`JobDescription::from_ad`]'s accepted shapes.
-fn rank_expr_of(v: Option<&Value>) -> Option<Expr> {
-    match v {
-        Some(Value::Expr(e)) => Some(e.clone()),
-        Some(Value::Int(n)) => Some(Expr::Int(*n)),
-        Some(Value::Double(x)) => Some(Expr::Double(*x)),
-        _ => None,
-    }
 }
 
 #[cfg(test)]
@@ -2185,8 +2186,8 @@ mod tests {
     #[test]
     fn compiled_matches_agrees_with_raw_eval() {
         let job = crate::JobDescription::parse(CLEAN).unwrap();
-        let req = job.requirements.clone().unwrap();
-        let rank = job.rank.clone().unwrap();
+        let req = job.requirements().unwrap();
+        let rank = job.rank().unwrap();
         let a = job.analyze();
         let creq = a.requirements.as_ref().unwrap();
         let crank = a.rank.as_ref().unwrap();
@@ -2259,6 +2260,23 @@ mod tests {
         assert_eq!(Schema::machine().get("freecpus"), Some(Ty::Int));
         assert_eq!(Schema::machine().get("FREECPUS"), Some(Ty::Int));
         assert_eq!(Schema::job().get("rank"), Some(Ty::Number));
+    }
+
+    #[test]
+    fn schema_lookup_folds_ascii_case_only_whatever_the_length() {
+        // No fixed-size scratch behind the lookup, and no Unicode folding:
+        // `É` and `é` are different names, as they are to `Ad::set`.
+        let long = "LongAttribute".repeat(16);
+        assert!(long.len() > 200);
+        let schema = Schema::new()
+            .with(&long, Ty::Int)
+            .with("Caf\u{c9}Tables", Ty::Bool);
+        assert_eq!(schema.get(&long.to_ascii_uppercase()), Some(Ty::Int));
+        assert_eq!(schema.display_name(&long.to_ascii_lowercase()), long);
+        assert_eq!(schema.get(&long[1..]), None);
+        assert_eq!(schema.get("caf\u{c9}tables"), Some(Ty::Bool));
+        assert_eq!(schema.display_name("CAF\u{c9}TABLES"), "Caf\u{c9}Tables");
+        assert_eq!(schema.get("caf\u{e9}tables"), None);
     }
 
     #[test]

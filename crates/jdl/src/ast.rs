@@ -3,6 +3,7 @@
 use std::fmt;
 
 use crate::expr::Expr;
+use crate::lexer::write_quoted;
 
 /// A JDL attribute value.
 #[derive(Debug, Clone, PartialEq)]
@@ -67,7 +68,7 @@ impl Value {
 impl fmt::Display for Value {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            Value::Str(s) => write!(f, "{s:?}"),
+            Value::Str(s) => write_quoted(f, s),
             Value::Int(n) => write!(f, "{n}"),
             Value::Double(x) => {
                 if x.fract() == 0.0 && x.is_finite() {
@@ -127,11 +128,13 @@ impl Ad {
         }
     }
 
-    /// The slot of the attribute under `lower`. An ad has a dozen
-    /// attributes: comparing each key for equality (its length settles most)
-    /// beats a binary search's ordered compares.
-    fn slot_of(&self, lower: &str) -> Option<usize> {
-        self.attrs.iter().position(|a| a.key == lower)
+    /// The slot of the attribute called `name` in any spelling. Keys are
+    /// stored lower-cased, so ignoring ASCII case against a key is comparing
+    /// it with a lower-cased copy of `name`, without making one.
+    fn slot_named(&self, name: &str) -> Option<usize> {
+        self.attrs
+            .iter()
+            .position(|a| a.key.eq_ignore_ascii_case(name))
     }
 
     /// Sets an attribute (case-insensitive; later sets replace earlier ones).
@@ -172,14 +175,16 @@ impl Ad {
 
     /// Looks an attribute up, case-insensitively.
     pub fn get(&self, name: &str) -> Option<&Value> {
-        self.get_norm(&name.to_ascii_lowercase())
+        self.slot_named(name).map(|slot| &self.attrs[slot].value)
     }
 
-    /// Looks up an attribute by an already-lowercased key without the
-    /// per-call allocation of [`Ad::get`] — the matchmaking hot loop uses
-    /// this with keys normalised once at compile time.
+    /// Looks up an attribute by an already-lowercased key, one `==` a key
+    /// where [`Ad::get`] folds case — the matchmaking hot loop uses this
+    /// with keys normalised once at compile time.
     pub fn get_norm(&self, lower: &str) -> Option<&Value> {
-        self.slot_of(lower).map(|slot| &self.attrs[slot].value)
+        // An ad has a dozen attributes: comparing each key for equality (its
+        // length settles most) beats a binary search's ordered compares.
+        self.attrs.iter().find(|a| a.key == lower).map(|a| &a.value)
     }
 
     /// Looks up an attribute by interned [`Symbol`](crate::Symbol) — the
@@ -205,13 +210,13 @@ impl Ad {
 
     /// Removes an attribute, returning its value.
     pub fn remove(&mut self, name: &str) -> Option<Value> {
-        let slot = self.slot_of(&name.to_ascii_lowercase())?;
+        let slot = self.slot_named(name)?;
         Some(self.attrs.remove(slot).value)
     }
 
     /// True when the attribute exists.
     pub fn contains(&self, name: &str) -> bool {
-        self.slot_of(&name.to_ascii_lowercase()).is_some()
+        self.slot_named(name).is_some()
     }
 
     /// Iterates `(original_name, value)` in name order.
@@ -266,6 +271,24 @@ mod tests {
     }
 
     #[test]
+    fn ad_lookup_folds_ascii_case_only_whatever_the_length() {
+        // No fixed-size scratch behind the lookup, and no Unicode folding:
+        // `É` and `é` are different names, as they are to `set`.
+        let long = "LongAttribute".repeat(16);
+        assert!(long.len() > 200);
+        let mut ad = Ad::new();
+        ad.set_int(long.clone(), 1).set_int("Caf\u{c9}Tables", 2);
+        assert_eq!(ad.get(&long.to_ascii_uppercase()), Some(&Value::Int(1)));
+        assert_eq!(ad.get(&long[1..]), None);
+        assert_eq!(ad.get("caf\u{c9}TABLES"), Some(&Value::Int(2)));
+        assert!(ad.contains("CAF\u{c9}tables"));
+        assert!(!ad.contains("caf\u{e9}tables"));
+        assert_eq!(ad.remove("caf\u{e9}tables"), None);
+        assert_eq!(ad.remove("CAF\u{c9}TABLES"), Some(Value::Int(2)));
+        assert_eq!(ad.len(), 1);
+    }
+
+    #[test]
     fn later_set_replaces_earlier() {
         let mut ad = Ad::new();
         ad.set_int("NodeNumber", 2);
@@ -312,6 +335,21 @@ mod tests {
         assert_eq!(ad.remove("X"), Some(Value::Bool(true)));
         assert!(ad.is_empty());
         assert_eq!(ad.remove("x"), None);
+    }
+
+    #[test]
+    fn strings_print_with_the_escapes_the_lexer_reads() {
+        // `\n \t \\ \"` and nothing else: Rust's `{:?}` would write `\r`,
+        // `\u{7f}`, `\u{200b}`, which the lexer rejects as bad escapes.
+        let text = "a\nb\tc\\d\"e\rf\u{7f}g\u{200b}h\u{301}i\u{e9}";
+        assert_eq!(
+            Value::Str(text.into()).to_string(),
+            "\"a\\nb\\tc\\\\d\\\"e\rf\u{7f}g\u{200b}h\u{301}i\u{e9}\""
+        );
+        assert_eq!(
+            crate::Expr::Str(text.into()).to_string(),
+            Value::Str(text.into()).to_string()
+        );
     }
 
     #[test]

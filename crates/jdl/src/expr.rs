@@ -105,7 +105,7 @@ pub enum Expr {
 impl fmt::Display for Expr {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            Expr::Str(s) => write!(f, "{s:?}"),
+            Expr::Str(s) => crate::lexer::write_quoted(f, s),
             Expr::Int(n) => write!(f, "{n}"),
             Expr::Double(x) => {
                 if x.fract() == 0.0 && x.is_finite() {

@@ -1,6 +1,7 @@
 //! Typed view of a job description — the attributes §3 of the paper defines,
 //! validated.
 
+use std::borrow::Cow;
 use std::fmt;
 
 use serde::{Deserialize, Serialize};
@@ -100,10 +101,6 @@ pub struct JobDescription {
     pub performance_loss: u8,
     /// Optional fixed shadow port (users with firewalls pre-open one, §4).
     pub shadow_port: Option<u16>,
-    /// Matchmaking requirement, if present.
-    pub requirements: Option<Expr>,
-    /// Matchmaking rank, if present.
-    pub rank: Option<Expr>,
     /// Submitting user (accounting / fair share).
     pub user: String,
     /// Requested selection-policy name (`SelectionPolicy`), kept as spelled.
@@ -115,8 +112,34 @@ pub struct JobDescription {
     pub estimated_runtime_s: Option<f64>,
     /// Input-sandbox file sizes in bytes (staged before execution).
     pub input_sandbox_bytes: Vec<u64>,
-    /// The raw ad, for attributes the typed view does not model.
+    /// The raw ad, for attributes the typed view does not model — and the
+    /// one home of `Requirements` and `Rank`, which
+    /// [`JobDescription::requirements`] and [`JobDescription::rank`] read in
+    /// place.
     pub ad: Ad,
+}
+
+/// An ad's `Requirements` as an expression: a stored expression as it is, a
+/// literal boolean as the expression it folded from.
+/// [`JobDescription::from_ad`] rejects every other shape.
+pub(crate) fn requirements_of(ad: &Ad) -> Option<Cow<'_, Expr>> {
+    match ad.get("Requirements")? {
+        Value::Expr(e) => Some(Cow::Borrowed(e)),
+        Value::Bool(b) => Some(Cow::Owned(Expr::Bool(*b))),
+        _ => None,
+    }
+}
+
+/// An ad's `Rank` as an expression: a stored expression as it is, a literal
+/// number as the expression it folded from. [`JobDescription::from_ad`]
+/// rejects every other shape.
+pub(crate) fn rank_of(ad: &Ad) -> Option<Cow<'_, Expr>> {
+    match ad.get("Rank")? {
+        Value::Expr(e) => Some(Cow::Borrowed(e)),
+        Value::Int(n) => Some(Cow::Owned(Expr::Int(*n))),
+        Value::Double(x) => Some(Cow::Owned(Expr::Double(*x))),
+        _ => None,
+    }
 }
 
 impl JobDescription {
@@ -129,7 +152,7 @@ impl JobDescription {
     /// vocabulary ([`crate::analyze::Schema::machine`]). The broker runs
     /// this at submit time and rejects ads with `Error`-severity findings.
     pub fn analyze(&self) -> crate::analyze::Analysis {
-        self.analyze_with(&crate::analyze::Schema::machine())
+        self.analyze_with(crate::analyze::Schema::shared_machine())
     }
 
     /// Statically analyses this job's ad against a custom machine schema.
@@ -227,23 +250,14 @@ impl JobDescription {
             }
         };
 
-        let requirements = match ad.get("Requirements") {
-            None => None,
-            Some(Value::Expr(e)) => Some(e.clone()),
-            Some(Value::Bool(b)) => Some(Expr::Bool(*b)),
-            Some(other) => {
-                return Err(invalid(format!(
-                    "Requirements must be an expression, got {other}"
-                )))
-            }
-        };
-        let rank = match ad.get("Rank") {
-            None => None,
-            Some(Value::Expr(e)) => Some(e.clone()),
-            Some(Value::Int(n)) => Some(Expr::Int(*n)),
-            Some(Value::Double(x)) => Some(Expr::Double(*x)),
-            Some(other) => return Err(invalid(format!("Rank must be an expression, got {other}"))),
-        };
+        if let (Some(other), None) = (ad.get("Requirements"), requirements_of(&ad)) {
+            return Err(invalid(format!(
+                "Requirements must be an expression, got {other}"
+            )));
+        }
+        if let (Some(other), None) = (ad.get("Rank"), rank_of(&ad)) {
+            return Err(invalid(format!("Rank must be an expression, got {other}")));
+        }
 
         let user = ad
             .get("User")
@@ -299,14 +313,22 @@ impl JobDescription {
             machine_access,
             performance_loss,
             shadow_port,
-            requirements,
-            rank,
             user,
             selection_policy,
             estimated_runtime_s,
             input_sandbox_bytes,
             ad,
         })
+    }
+
+    /// Matchmaking requirement, if present: borrowed from [`Self::ad`].
+    pub fn requirements(&self) -> Option<Cow<'_, Expr>> {
+        requirements_of(&self.ad)
+    }
+
+    /// Matchmaking rank, if present: borrowed from [`Self::ad`].
+    pub fn rank(&self) -> Option<Cow<'_, Expr>> {
+        rank_of(&self.ad)
     }
 
     /// True for interactive jobs.
@@ -340,29 +362,36 @@ fn parse_job_type(ad: &Ad) -> Result<(Interactivity, Parallelism), JobError> {
     let Some(v) = ad.get("JobType") else {
         return Ok((interactivity, parallelism));
     };
-    let items: Vec<&str> = match v {
-        Value::Str(s) => vec![s.as_str()],
-        Value::List(items) => items
-            .iter()
-            .map(|i| {
-                i.as_str()
-                    .ok_or_else(|| invalid(format!("JobType entries must be strings, got {i}")))
-            })
-            .collect::<Result<_, _>>()?,
+    let items = match v {
+        Value::Str(_) => std::slice::from_ref(v),
+        Value::List(items) => items.as_slice(),
         other => {
             return Err(invalid(format!(
                 "JobType must be a string or list, got {other}"
             )))
         }
     };
-    for item in items {
-        match item.to_ascii_lowercase().as_str() {
-            "batch" | "normal" => interactivity = Interactivity::Batch,
-            "interactive" => interactivity = Interactivity::Interactive,
-            "sequential" => parallelism = Parallelism::Sequential,
-            "mpich-p4" | "mpich" => parallelism = Parallelism::MpichP4,
-            "mpich-g2" | "mpichg2" => parallelism = Parallelism::MpichG2,
-            other => return Err(invalid(format!("unknown JobType component {other:?}"))),
+    // Every entry's type is checked before any entry's spelling.
+    if let Some(i) = items.iter().find(|i| i.as_str().is_none()) {
+        return Err(invalid(format!("JobType entries must be strings, got {i}")));
+    }
+    for item in items.iter().filter_map(Value::as_str) {
+        let is = |spelling: &str| item.eq_ignore_ascii_case(spelling);
+        if is("batch") || is("normal") {
+            interactivity = Interactivity::Batch;
+        } else if is("interactive") {
+            interactivity = Interactivity::Interactive;
+        } else if is("sequential") {
+            parallelism = Parallelism::Sequential;
+        } else if is("mpich-p4") || is("mpich") {
+            parallelism = Parallelism::MpichP4;
+        } else if is("mpich-g2") || is("mpichg2") {
+            parallelism = Parallelism::MpichG2;
+        } else {
+            return Err(invalid(format!(
+                "unknown JobType component {:?}",
+                item.to_ascii_lowercase()
+            )));
         }
     }
     Ok((interactivity, parallelism))
@@ -501,11 +530,11 @@ mod tests {
         "#,
         )
         .unwrap();
-        assert!(j.requirements.is_some());
-        assert!(j.rank.is_some());
+        assert!(j.requirements().is_some());
+        assert!(j.rank().is_some());
         // Constant folding edge: `Requirements = true;` is fine.
         let j = JobDescription::parse(r#"Executable = "a"; Requirements = true;"#).unwrap();
-        assert_eq!(j.requirements, Some(Expr::Bool(true)));
+        assert_eq!(j.requirements().as_deref(), Some(&Expr::Bool(true)));
     }
 
     #[test]

@@ -26,10 +26,11 @@
 //! diagnostics about any subexpression.
 
 use std::fmt;
+use std::marker::PhantomData;
 
 use crate::ast::{Ad, Value};
 use crate::expr::{BinOp, Expr};
-use crate::lexer::{lex_spanned, LexError, Pos, Tok};
+use crate::lexer::{LexError, Lexer, Pos, Tok};
 
 /// A parse failure with source position.
 #[derive(Debug, Clone, PartialEq)]
@@ -102,14 +103,11 @@ pub struct AdSpans {
 }
 
 impl AdSpans {
-    fn record(&mut self, name: &str, name_pos: Pos, value: Span) {
-        self.attrs
-            .push((name.to_ascii_lowercase(), name_pos, value));
-    }
-
     fn find(&self, name: &str) -> Option<&(String, Pos, Span)> {
-        let lower = name.to_ascii_lowercase();
-        self.attrs.iter().rev().find(|(n, _, _)| *n == lower)
+        self.attrs
+            .iter()
+            .rev()
+            .find(|(n, _, _)| n.eq_ignore_ascii_case(name))
     }
 
     /// Position of the attribute's name, case-insensitively.
@@ -123,27 +121,98 @@ impl AdSpans {
     }
 }
 
-struct Parser {
-    toks: Vec<(Tok, Pos)>,
-    end: Pos,
-    i: usize,
+/// What a parse records about positions beside the tree it builds: [`Span`]
+/// for the spanned entry points, `()` — nothing, at no cost — for the plain
+/// ones. The one [`Parser`] is written against this.
+trait Positions: Sized {
+    /// Positions of an ad's attributes.
+    type Attrs: Default;
+    /// A childless node at `pos`.
+    fn leaf(pos: Pos) -> Self;
+    /// A node at `pos` over `kids` (a `Vec<()>` never allocates).
+    fn node(pos: Pos, kids: Vec<Self>) -> Self;
+    /// A ternary, which sits where its condition does.
+    fn ternary(cond: Self, then: Self, otherwise: Self) -> Self;
+    /// Notes an attribute of the ad being parsed.
+    fn record(attrs: &mut Self::Attrs, name: &str, name_pos: Pos, value: Self);
 }
 
-impl Parser {
-    fn peek(&self) -> Option<&Tok> {
-        self.toks.get(self.i).map(|(t, _)| t)
+impl Positions for Span {
+    type Attrs = AdSpans;
+
+    fn leaf(pos: Pos) -> Span {
+        Span::leaf(pos)
     }
 
-    fn pos(&self) -> Pos {
-        self.toks.get(self.i).map(|&(_, p)| p).unwrap_or(self.end)
+    fn node(pos: Pos, kids: Vec<Span>) -> Span {
+        Span { pos, kids }
     }
 
-    fn next(&mut self) -> Option<Tok> {
-        let t = self.toks.get(self.i).map(|(t, _)| t.clone());
-        if t.is_some() {
-            self.i += 1;
+    fn ternary(cond: Span, then: Span, otherwise: Span) -> Span {
+        Span {
+            pos: cond.pos,
+            kids: vec![cond, then, otherwise],
         }
-        t
+    }
+
+    fn record(attrs: &mut AdSpans, name: &str, name_pos: Pos, value: Span) {
+        attrs
+            .attrs
+            .push((name.to_ascii_lowercase(), name_pos, value));
+    }
+}
+
+impl Positions for () {
+    type Attrs = ();
+    fn leaf(_: Pos) {}
+    fn node(_: Pos, _: Vec<()>) {}
+    fn ternary((): (), (): (), (): ()) {}
+    fn record((): &mut (), _: &str, _: Pos, (): ()) {}
+}
+
+/// A recursive-descent parser pulling tokens from the [`Lexer`] as it goes,
+/// one token ahead. Tokens borrow the source; a slice becomes a `String`
+/// only where the tree keeps it.
+struct Parser<'a, P> {
+    lexer: Lexer<'a>,
+    /// The next token and where it starts; `None` at end of input.
+    ahead: Option<(Tok<'a>, Pos)>,
+    positions: PhantomData<P>,
+}
+
+/// Runs `parse` over `src`. Whatever it returns, a lexical error in the part
+/// of the source it never reached is reported instead — lexing is, to the
+/// caller, a phase that precedes parsing.
+fn run<'a, P: Positions, T>(
+    src: &'a str,
+    parse: impl FnOnce(&mut Parser<'a, P>) -> Result<T, ParseError>,
+) -> Result<T, ParseError> {
+    let mut lexer = Lexer::new(src);
+    let ahead = lexer.next_token()?;
+    let mut parser = Parser {
+        lexer,
+        ahead,
+        positions: PhantomData,
+    };
+    let result = parse(&mut parser);
+    parser.lexer.drain()?;
+    result
+}
+
+impl<'a, P: Positions> Parser<'a, P> {
+    fn peek(&self) -> Option<&Tok<'a>> {
+        self.ahead.as_ref().map(|(t, _)| t)
+    }
+
+    /// Where the next token starts; at end of input, just past the source.
+    fn pos(&self) -> Pos {
+        self.ahead.as_ref().map_or(self.lexer.pos(), |&(_, p)| p)
+    }
+
+    /// Takes the next token, with its position.
+    fn next(&mut self) -> Result<Option<(Tok<'a>, Pos)>, ParseError> {
+        let following = self.lexer.next_token()?;
+        Ok(std::mem::replace(&mut self.ahead, following))
     }
 
     fn error(&self, message: impl Into<String>) -> ParseError {
@@ -153,67 +222,69 @@ impl Parser {
         }
     }
 
-    fn expect(&mut self, want: Tok) -> Result<(), ParseError> {
-        match self.next() {
-            Some(t) if t == want => Ok(()),
-            Some(t) => Err(ParseError {
-                pos: self.toks[self.i - 1].1,
+    fn expect(&mut self, want: &Tok<'static>) -> Result<(), ParseError> {
+        match self.next()? {
+            Some((t, _)) if t == *want => Ok(()),
+            Some((t, pos)) => Err(ParseError {
+                pos,
                 message: format!("expected {want}, found {t}"),
             }),
             None => Err(self.error(format!("expected {want}, found end of input"))),
         }
     }
 
-    fn eat(&mut self, want: &Tok) -> bool {
-        if self.peek() == Some(want) {
-            self.i += 1;
-            true
-        } else {
-            false
+    fn eat(&mut self, want: &Tok<'static>) -> Result<bool, ParseError> {
+        let found = self.peek() == Some(want);
+        if found {
+            self.next()?;
         }
+        Ok(found)
     }
 
-    fn parse_ad(&mut self) -> Result<(Ad, AdSpans), ParseError> {
-        let bracketed = self.eat(&Tok::LBrace) && {
-            // `[` is not a JDL token; EDG JDL optionally wraps ads in `[ ]`,
-            // but our lexer maps both braces; accept `{ attrs }` too.
-            true
+    /// Takes the next token if `op_of` makes an operator of it.
+    fn eat_op(
+        &mut self,
+        op_of: impl Fn(&Tok<'a>) -> Option<BinOp>,
+    ) -> Result<Option<(BinOp, Pos)>, ParseError> {
+        let Some(op) = self.peek().and_then(op_of) else {
+            return Ok(None);
         };
-        let mut ad = Ad::new();
-        let mut spans = AdSpans::default();
+        let pos = self.pos();
+        self.next()?;
+        Ok(Some((op, pos)))
+    }
+
+    fn parse_ad(&mut self) -> Result<(Ad, P::Attrs), ParseError> {
+        // EDG JDL optionally wraps an ad in `[ ]`, which the lexer maps to
+        // the braces; `{ attrs }` is accepted too.
+        let bracketed = self.eat(&Tok::LBrace)?;
+        let mut ad = Ad::with_capacity(self.lexer.semicolons());
+        let mut attrs = P::Attrs::default();
         loop {
-            match self.peek() {
-                None => {
-                    if bracketed {
-                        return Err(self.error("unterminated ad: missing `}`"));
-                    }
-                    break;
-                }
-                Some(Tok::RBrace) if bracketed => {
-                    self.i += 1;
-                    break;
-                }
-                Some(Tok::Ident(_)) => {
-                    let name_pos = self.pos();
-                    let Some(Tok::Ident(name)) = self.next() else {
-                        unreachable!()
-                    };
-                    self.expect(Tok::Assign)?;
+            let name_pos = self.pos();
+            match self.next()? {
+                None if bracketed => return Err(self.error("unterminated ad: missing `}`")),
+                None => break,
+                Some((Tok::RBrace, _)) if bracketed => break,
+                Some((Tok::Ident(name), _)) => {
+                    self.expect(&Tok::Assign)?;
                     let (value, vsp) = self.parse_value()?;
-                    self.expect(Tok::Semi)?;
-                    spans.record(&name, name_pos, vsp);
+                    self.expect(&Tok::Semi)?;
+                    P::record(&mut attrs, name, name_pos, vsp);
                     ad.set(name, value);
                 }
-                Some(t) => return Err(self.error(format!("expected attribute name, found {t}"))),
+                Some((t, pos)) => {
+                    return Err(ParseError {
+                        pos,
+                        message: format!("expected attribute name, found {t}"),
+                    })
+                }
             }
         }
-        if self.peek().is_some() && !bracketed {
-            return Err(self.error("trailing input after ad"));
-        }
-        Ok((ad, spans))
+        Ok((ad, attrs))
     }
 
-    fn parse_value(&mut self) -> Result<(Value, Span), ParseError> {
+    fn parse_value(&mut self) -> Result<(Value, P), ParseError> {
         if self.peek() == Some(&Tok::LBrace) {
             return self.parse_list();
         }
@@ -221,228 +292,176 @@ impl Parser {
         Ok((simplify(expr), sp))
     }
 
-    fn parse_list(&mut self) -> Result<(Value, Span), ParseError> {
+    fn parse_list(&mut self) -> Result<(Value, P), ParseError> {
         let list_pos = self.pos();
-        self.expect(Tok::LBrace)?;
+        self.expect(&Tok::LBrace)?;
         let mut items = Vec::new();
         let mut kids = Vec::new();
-        if !self.eat(&Tok::RBrace) {
+        if !self.eat(&Tok::RBrace)? {
             loop {
                 let (v, sp) = self.parse_value()?;
                 items.push(v);
                 kids.push(sp);
-                if self.eat(&Tok::Comma) {
+                if self.eat(&Tok::Comma)? {
                     continue;
                 }
-                self.expect(Tok::RBrace)?;
+                self.expect(&Tok::RBrace)?;
                 break;
             }
         }
+        Ok((Value::List(items), P::node(list_pos, kids)))
+    }
+
+    fn parse_expr(&mut self) -> Result<(Expr, P), ParseError> {
+        let (cond, csp) = self.parse_or()?;
+        if !self.eat(&Tok::Question)? {
+            return Ok((cond, csp));
+        }
+        let (a, asp) = self.parse_expr()?;
+        self.expect(&Tok::Colon)?;
+        let (b, bsp) = self.parse_expr()?;
         Ok((
-            Value::List(items),
-            Span {
-                pos: list_pos,
-                kids,
-            },
+            Expr::Ternary(Box::new(cond), Box::new(a), Box::new(b)),
+            P::ternary(csp, asp, bsp),
         ))
     }
 
-    fn parse_expr(&mut self) -> Result<(Expr, Span), ParseError> {
-        let (cond, csp) = self.parse_or()?;
-        if self.eat(&Tok::Question) {
-            let (a, asp) = self.parse_expr()?;
-            self.expect(Tok::Colon)?;
-            let (b, bsp) = self.parse_expr()?;
-            let pos = csp.pos;
-            Ok((
-                Expr::Ternary(Box::new(cond), Box::new(a), Box::new(b)),
-                Span {
-                    pos,
-                    kids: vec![csp, asp, bsp],
-                },
-            ))
-        } else {
-            Ok((cond, csp))
+    /// `operand (op operand)*`, left-associative; each operator's node sits
+    /// at the operator token.
+    fn parse_left_assoc(
+        &mut self,
+        operand: impl Fn(&mut Self) -> Result<(Expr, P), ParseError>,
+        op_of: impl Fn(&Tok<'a>) -> Option<BinOp>,
+    ) -> Result<(Expr, P), ParseError> {
+        let (mut e, mut sp) = operand(self)?;
+        while let Some((op, op_pos)) = self.eat_op(&op_of)? {
+            let (r, rsp) = operand(self)?;
+            e = Expr::Bin(op, Box::new(e), Box::new(r));
+            sp = P::node(op_pos, vec![sp, rsp]);
         }
+        Ok((e, sp))
     }
 
-    fn parse_or(&mut self) -> Result<(Expr, Span), ParseError> {
-        let (mut e, mut sp) = self.parse_and()?;
-        loop {
-            let op_pos = self.pos();
-            if !self.eat(&Tok::Or) {
-                return Ok((e, sp));
-            }
-            let (r, rsp) = self.parse_and()?;
-            e = Expr::Bin(BinOp::Or, Box::new(e), Box::new(r));
-            sp = Span {
-                pos: op_pos,
-                kids: vec![sp, rsp],
-            };
-        }
+    fn parse_or(&mut self) -> Result<(Expr, P), ParseError> {
+        self.parse_left_assoc(Self::parse_and, |t| {
+            matches!(t, Tok::Or).then_some(BinOp::Or)
+        })
     }
 
-    fn parse_and(&mut self) -> Result<(Expr, Span), ParseError> {
-        let (mut e, mut sp) = self.parse_cmp()?;
-        loop {
-            let op_pos = self.pos();
-            if !self.eat(&Tok::And) {
-                return Ok((e, sp));
-            }
-            let (r, rsp) = self.parse_cmp()?;
-            e = Expr::Bin(BinOp::And, Box::new(e), Box::new(r));
-            sp = Span {
-                pos: op_pos,
-                kids: vec![sp, rsp],
-            };
-        }
+    fn parse_and(&mut self) -> Result<(Expr, P), ParseError> {
+        self.parse_left_assoc(Self::parse_cmp, |t| {
+            matches!(t, Tok::And).then_some(BinOp::And)
+        })
     }
 
-    fn parse_cmp(&mut self) -> Result<(Expr, Span), ParseError> {
+    fn parse_cmp(&mut self) -> Result<(Expr, P), ParseError> {
         let (e, sp) = self.parse_add()?;
-        let op = match self.peek() {
-            Some(Tok::Eq) => BinOp::Eq,
-            Some(Tok::Ne) => BinOp::Ne,
-            Some(Tok::Lt) => BinOp::Lt,
-            Some(Tok::Le) => BinOp::Le,
-            Some(Tok::Gt) => BinOp::Gt,
-            Some(Tok::Ge) => BinOp::Ge,
-            _ => return Ok((e, sp)),
+        let compared = self.eat_op(|t| match t {
+            Tok::Eq => Some(BinOp::Eq),
+            Tok::Ne => Some(BinOp::Ne),
+            Tok::Lt => Some(BinOp::Lt),
+            Tok::Le => Some(BinOp::Le),
+            Tok::Gt => Some(BinOp::Gt),
+            Tok::Ge => Some(BinOp::Ge),
+            _ => None,
+        })?;
+        let Some((op, op_pos)) = compared else {
+            return Ok((e, sp));
         };
-        let op_pos = self.pos();
-        self.i += 1;
         let (r, rsp) = self.parse_add()?;
         Ok((
             Expr::Bin(op, Box::new(e), Box::new(r)),
-            Span {
-                pos: op_pos,
-                kids: vec![sp, rsp],
-            },
+            P::node(op_pos, vec![sp, rsp]),
         ))
     }
 
-    fn parse_add(&mut self) -> Result<(Expr, Span), ParseError> {
-        let (mut e, mut sp) = self.parse_mul()?;
-        loop {
-            let op = match self.peek() {
-                Some(Tok::Plus) => BinOp::Add,
-                Some(Tok::Minus) => BinOp::Sub,
-                _ => return Ok((e, sp)),
-            };
-            let op_pos = self.pos();
-            self.i += 1;
-            let (r, rsp) = self.parse_mul()?;
-            e = Expr::Bin(op, Box::new(e), Box::new(r));
-            sp = Span {
-                pos: op_pos,
-                kids: vec![sp, rsp],
-            };
-        }
+    fn parse_add(&mut self) -> Result<(Expr, P), ParseError> {
+        self.parse_left_assoc(Self::parse_mul, |t| match t {
+            Tok::Plus => Some(BinOp::Add),
+            Tok::Minus => Some(BinOp::Sub),
+            _ => None,
+        })
     }
 
-    fn parse_mul(&mut self) -> Result<(Expr, Span), ParseError> {
-        let (mut e, mut sp) = self.parse_unary()?;
-        loop {
-            let op = match self.peek() {
-                Some(Tok::Star) => BinOp::Mul,
-                Some(Tok::Slash) => BinOp::Div,
-                Some(Tok::Percent) => BinOp::Mod,
-                _ => return Ok((e, sp)),
-            };
-            let op_pos = self.pos();
-            self.i += 1;
-            let (r, rsp) = self.parse_unary()?;
-            e = Expr::Bin(op, Box::new(e), Box::new(r));
-            sp = Span {
-                pos: op_pos,
-                kids: vec![sp, rsp],
-            };
-        }
+    fn parse_mul(&mut self) -> Result<(Expr, P), ParseError> {
+        self.parse_left_assoc(Self::parse_unary, |t| match t {
+            Tok::Star => Some(BinOp::Mul),
+            Tok::Slash => Some(BinOp::Div),
+            Tok::Percent => Some(BinOp::Mod),
+            _ => None,
+        })
     }
 
-    fn parse_unary(&mut self) -> Result<(Expr, Span), ParseError> {
+    fn parse_unary(&mut self) -> Result<(Expr, P), ParseError> {
         let op_pos = self.pos();
-        if self.eat(&Tok::Not) {
+        if self.eat(&Tok::Not)? {
             let (e, sp) = self.parse_unary()?;
-            return Ok((
-                Expr::Not(Box::new(e)),
-                Span {
-                    pos: op_pos,
-                    kids: vec![sp],
-                },
-            ));
+            return Ok((Expr::Not(Box::new(e)), P::node(op_pos, vec![sp])));
         }
-        if self.eat(&Tok::Minus) {
+        if self.eat(&Tok::Minus)? {
             // Fold negation into numeric literals.
             let (e, sp) = self.parse_unary()?;
             return Ok(match e {
-                Expr::Int(n) => (Expr::Int(-n), Span::leaf(op_pos)),
-                Expr::Double(x) => (Expr::Double(-x), Span::leaf(op_pos)),
-                e => (
-                    Expr::Neg(Box::new(e)),
-                    Span {
-                        pos: op_pos,
-                        kids: vec![sp],
-                    },
-                ),
+                Expr::Int(n) => (Expr::Int(-n), P::leaf(op_pos)),
+                Expr::Double(x) => (Expr::Double(-x), P::leaf(op_pos)),
+                e => (Expr::Neg(Box::new(e)), P::node(op_pos, vec![sp])),
             });
         }
         self.parse_primary()
     }
 
-    fn parse_primary(&mut self) -> Result<(Expr, Span), ParseError> {
+    fn parse_primary(&mut self) -> Result<(Expr, P), ParseError> {
         let start = self.pos();
-        match self.next() {
-            Some(Tok::Str(s)) => Ok((Expr::Str(s), Span::leaf(start))),
-            Some(Tok::Int(n)) => Ok((Expr::Int(n), Span::leaf(start))),
-            Some(Tok::Double(x)) => Ok((Expr::Double(x), Span::leaf(start))),
-            Some(Tok::Bool(b)) => Ok((Expr::Bool(b), Span::leaf(start))),
-            Some(Tok::Undefined) => Ok((Expr::Undefined, Span::leaf(start))),
-            Some(Tok::LParen) => {
+        let leaf = |e| Ok((e, P::leaf(start)));
+        match self.next()? {
+            Some((Tok::Str(s), _)) => leaf(Expr::Str(s.into_owned())),
+            Some((Tok::Int(n), _)) => leaf(Expr::Int(n)),
+            Some((Tok::Double(x), _)) => leaf(Expr::Double(x)),
+            Some((Tok::Bool(b), _)) => leaf(Expr::Bool(b)),
+            Some((Tok::Undefined, _)) => leaf(Expr::Undefined),
+            Some((Tok::LParen, _)) => {
                 let (e, sp) = self.parse_expr()?;
-                self.expect(Tok::RParen)?;
+                self.expect(&Tok::RParen)?;
                 Ok((e, sp))
             }
-            Some(Tok::Ident(name)) => {
-                if self.eat(&Tok::LParen) {
+            Some((Tok::Ident(name), _)) => {
+                if self.eat(&Tok::LParen)? {
                     let mut args = Vec::new();
                     let mut kids = Vec::new();
-                    if !self.eat(&Tok::RParen) {
+                    if !self.eat(&Tok::RParen)? {
                         loop {
                             let (a, sp) = self.parse_expr()?;
                             args.push(a);
                             kids.push(sp);
-                            if self.eat(&Tok::Comma) {
+                            if self.eat(&Tok::Comma)? {
                                 continue;
                             }
-                            self.expect(Tok::RParen)?;
+                            self.expect(&Tok::RParen)?;
                             break;
                         }
                     }
-                    return Ok((Expr::Call(name, args), Span { pos: start, kids }));
+                    return Ok((Expr::Call(name.to_string(), args), P::node(start, kids)));
                 }
-                if self.eat(&Tok::Dot) {
-                    match self.next() {
-                        Some(Tok::Ident(attr)) => Ok((
-                            Expr::Ref {
-                                scope: Some(name.to_ascii_lowercase()),
-                                name: attr,
-                            },
-                            Span::leaf(start),
-                        )),
-                        other => Err(self.error(format!(
-                            "expected attribute name after `{name}.`, found {}",
-                            other
-                                .map(|t| t.to_string())
-                                .unwrap_or_else(|| "end of input".into())
-                        ))),
-                    }
-                } else {
-                    Ok((Expr::Ref { scope: None, name }, Span::leaf(start)))
+                if !self.eat(&Tok::Dot)? {
+                    return leaf(Expr::Ref {
+                        scope: None,
+                        name: name.to_string(),
+                    });
+                }
+                match self.next()? {
+                    Some((Tok::Ident(attr), _)) => leaf(Expr::Ref {
+                        scope: Some(name.to_ascii_lowercase()),
+                        name: attr.to_string(),
+                    }),
+                    // Points past the token it names: that one is consumed.
+                    other => Err(self.error(format!(
+                        "expected attribute name after `{name}.`, found {}",
+                        other.map_or_else(|| "end of input".into(), |(t, _)| t.to_string())
+                    ))),
                 }
             }
-            Some(t) => Err(ParseError {
-                pos: self.toks[self.i - 1].1,
+            Some((t, pos)) => Err(ParseError {
+                pos,
                 message: format!("expected a value, found {t}"),
             }),
             None => Err(self.error("expected a value, found end of input")),
@@ -462,36 +481,34 @@ fn simplify(e: Expr) -> Value {
     }
 }
 
-fn parser(src: &str) -> Result<Parser, ParseError> {
-    let (toks, end) = lex_spanned(src)?;
-    Ok(Parser { toks, end, i: 0 })
+fn whole_expr<P: Positions>(p: &mut Parser<'_, P>) -> Result<(Expr, P), ParseError> {
+    let parsed = p.parse_expr()?;
+    if p.peek().is_some() {
+        return Err(p.error("trailing input after expression"));
+    }
+    Ok(parsed)
 }
 
 /// Parses a complete attribute record.
 pub fn parse_ad(src: &str) -> Result<Ad, ParseError> {
-    parse_ad_spanned(src).map(|(ad, _)| ad)
+    run(src, Parser::<()>::parse_ad).map(|(ad, ())| ad)
 }
 
 /// Parses a complete attribute record, also returning source positions for
 /// every attribute and its value expression — the input the static analyzer
 /// needs to produce span-accurate diagnostics.
 pub fn parse_ad_spanned(src: &str) -> Result<(Ad, AdSpans), ParseError> {
-    parser(src)?.parse_ad()
+    run(src, Parser::<Span>::parse_ad)
 }
 
 /// Parses a standalone expression (e.g. a Requirements string).
 pub fn parse_expr(src: &str) -> Result<Expr, ParseError> {
-    parse_expr_spanned(src).map(|(e, _)| e)
+    run(src, whole_expr::<()>).map(|(e, ())| e)
 }
 
 /// Parses a standalone expression along with its [`Span`] tree.
 pub fn parse_expr_spanned(src: &str) -> Result<(Expr, Span), ParseError> {
-    let mut p = parser(src)?;
-    let (e, sp) = p.parse_expr()?;
-    if p.peek().is_some() {
-        return Err(p.error("trailing input after expression"));
-    }
-    Ok((e, sp))
+    run(src, whole_expr::<Span>)
 }
 
 #[cfg(test)]

@@ -63,27 +63,51 @@ impl fmt::Display for Symbol {
     }
 }
 
-fn table() -> &'static Mutex<HashMap<&'static str, &'static str>> {
-    static TABLE: OnceLock<Mutex<HashMap<&'static str, &'static str>>> = OnceLock::new();
+/// A name as the table keys it: compared and hashed ignoring ASCII case, so
+/// looking one up needs no lower-cased copy of it.
+struct Folded<'a>(&'a str);
+
+impl PartialEq for Folded<'_> {
+    fn eq(&self, other: &Self) -> bool {
+        self.0.eq_ignore_ascii_case(other.0)
+    }
+}
+
+impl Eq for Folded<'_> {}
+
+impl Hash for Folded<'_> {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        for b in self.0.bytes() {
+            state.write_u8(b.to_ascii_lowercase());
+        }
+    }
+}
+
+type Table = HashMap<Folded<'static>, &'static str>;
+
+fn table() -> &'static Mutex<Table> {
+    static TABLE: OnceLock<Mutex<Table>> = OnceLock::new();
     TABLE.get_or_init(|| Mutex::new(HashMap::new()))
 }
 
-/// Interns `name` (case-insensitively) and returns its [`Symbol`].
+/// Interns `name` (case-insensitively) and returns its [`Symbol`]; only a
+/// name met for the first time allocates.
 ///
 /// Called on the compile path only — evaluation never takes the table
 /// lock. Thread-safe; poisoning is recovered because the table is always
 /// left consistent (insert is the only mutation).
 #[must_use]
 pub fn intern(name: &str) -> Symbol {
-    let lower = name.to_ascii_lowercase();
     let mut map = table()
         .lock()
         .unwrap_or_else(std::sync::PoisonError::into_inner);
-    if let Some(&canonical) = map.get(lower.as_str()) {
+    // A map of `'static` keys is, read-only, a map of shorter-lived ones.
+    let known: &HashMap<Folded<'_>, &'static str> = &map;
+    if let Some(&canonical) = known.get(&Folded(name)) {
         return Symbol(canonical);
     }
-    let leaked: &'static str = Box::leak(lower.into_boxed_str());
-    map.insert(leaked, leaked);
+    let leaked: &'static str = Box::leak(name.to_ascii_lowercase().into_boxed_str());
+    map.insert(Folded(leaked), leaked);
     Symbol(leaked)
 }
 

@@ -1,7 +1,7 @@
 //! Property tests: printing and reparsing are inverse operations, and the
 //! expression evaluator is total and stable over the printed form.
 
-use cg_jdl::{parse_ad, parse_expr, Ad, Ctx, Expr, Value};
+use cg_jdl::{parse_ad, parse_ad_spanned, parse_expr, Ad, Ctx, Expr, Value};
 use proptest::prelude::*;
 
 /// Attribute names: identifiers that aren't keywords.
@@ -20,6 +20,15 @@ fn scalar_strategy() -> impl Strategy<Value = Value> {
         // Finite doubles with exact decimal round-trip via {x} formatting.
         (-1e9f64..1e9).prop_map(Value::Double),
     ]
+}
+
+/// Any text a string literal can stand for: the lexer reads every character
+/// but a newline verbatim and a newline as `\n`, so that is any text at all.
+/// The classes are the ones a printer is tempted to escape its own way —
+/// controls, DEL, Latin-1, combining marks, zero-width and bidi marks, CJK,
+/// characters outside the BMP — beside printable ASCII.
+fn text_strategy() -> impl Strategy<Value = String> {
+    "[\u{0}-\u{ff}\u{300}-\u{30f}\u{200b}-\u{200f}\u{4e00}-\u{4e1f}\u{1f600}-\u{1f60f}]{0,24}"
 }
 
 fn value_strategy() -> impl Strategy<Value = Value> {
@@ -49,6 +58,14 @@ fn int_expr_strategy() -> impl Strategy<Value = Expr> {
     })
 }
 
+/// Tokens (and near-tokens) to string together at random.
+#[rustfmt::skip]
+const SOUP: &[&str] = &[
+    "X", "Rank", "other", "member", "true", "undefined", "=", "=", "=", ";", ";", ";", ",", "{", "}",
+    "[", "]", "(", ")", ".", "==", "<=", "&&", "||", "!", "+", "-", "*", "/", "%", "?", ":", "&",
+    "1", "4.5", "1e", "\"s\"", "\"a\\\"b\"", "\"\\q\"", "\"open", "// c\n", "/* b */", "/* open", "\n", "@",
+];
+
 proptest! {
     /// Ad print → strip brackets → reparse → identical ad.
     #[test]
@@ -63,6 +80,24 @@ proptest! {
         let inner = printed.trim().trim_start_matches('[').trim_end_matches(']');
         let reparsed = parse_ad(inner).unwrap();
         prop_assert_eq!(ad, reparsed);
+    }
+
+    /// Any string the lexer can produce survives print → reparse unchanged,
+    /// as an attribute value, inside a list and inside an expression: the
+    /// printed ad is the journal's commit record and what a re-match of a
+    /// job on a dead site parses.
+    #[test]
+    fn any_string_survives_print_and_reparse(text in text_strategy(), other in text_strategy()) {
+        let mut ad = Ad::new();
+        ad.set_str("Executable", text.clone());
+        ad.set("Tags", Value::List(vec![Value::Str(other.clone()), Value::Str(text.clone())]));
+        ad.set("Requirements", Value::Expr(Expr::Bin(
+            cg_jdl::BinOp::Eq,
+            Box::new(Expr::Str(text)),
+            Box::new(Expr::Str(other)),
+        )));
+        let reparsed = parse_ad(&ad.to_string());
+        prop_assert_eq!(reparsed, Ok(ad));
     }
 
     /// Expression display → parse → identical evaluation.
@@ -88,6 +123,19 @@ proptest! {
     #[test]
     fn lexer_is_total(src in "[ -~\n\t]{0,200}") {
         let _ = cg_jdl::lex(&src);
+    }
+
+    /// With and without spans is one parse: the same ad, or the same error
+    /// at the same position — on arbitrary printable input, which seldom
+    /// gets past its first token, and on token soup, which gets deep.
+    #[test]
+    fn spanned_and_plain_parses_agree(
+        noise in "[ -~\n\t]{0,200}",
+        soup in prop::collection::vec(prop::sample::select(SOUP.to_vec()), 0..48),
+    ) {
+        for src in [noise, soup.join(" ")] {
+            prop_assert_eq!(parse_ad(&src), parse_ad_spanned(&src).map(|(ad, _)| ad));
+        }
     }
 
     /// Parsing arbitrary printable input never panics.

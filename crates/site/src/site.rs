@@ -279,12 +279,7 @@ mod tests {
             own: &job.ad,
             other: &machine,
         };
-        assert!(job
-            .requirements
-            .as_ref()
-            .unwrap()
-            .eval_requirement(ctx)
-            .unwrap());
+        assert!(job.requirements().unwrap().eval_requirement(ctx).unwrap());
     }
 
     #[test]
