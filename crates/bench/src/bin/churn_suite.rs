@@ -20,20 +20,13 @@
 //! * **run-to-run determinism** — the same seed replays to bit-identical
 //!   per-job terminal outcomes (all retry jitter comes from per-job
 //!   seeded RNG streams, never the wall clock);
-//! * **thread-count determinism** — a matcher-level replay over the
-//!   mid-churn survivor snapshot is bit-identical at 1, 4 and 8 worker
-//!   threads, for every registered selection policy;
 //! * **the detector actually fired** — across the suite the log carries
 //!   suspects, obituaries, rejoins and query retries, so none of the
 //!   gates can pass vacuously against a churn-free day;
 //! * **backend invariance** — the first scenario re-runs with every site
-//!   on the thread-pool execution backend and must reproduce the sim
+//!   on the external-process execution backend and must reproduce the sim
 //!   backend's per-job terminal outcomes bit-identically (the sim-time
 //!   bridging rule: real executors never perturb the schedule).
-//!
-//! Below 4 cores (override: `CG_CHECK_CORES`) the thread gate cannot run
-//! and the whole check exits 77 — the automake "skipped" convention —
-//! so CI can never mistake an inconclusive run for a green one.
 
 use std::cell::RefCell;
 use std::rc::Rc;
@@ -41,16 +34,12 @@ use std::sync::Arc;
 
 use cg_bench::report::{print_table, TraceSink};
 use cg_bench::write_csv;
-use cg_jdl::{Ad, JobDescription};
 use cg_net::{FaultSchedule, Link, LinkProfile};
 use cg_sim::{Sim, SimDuration, SimRng, SimTime};
-use cg_site::{BackendSpec, GiisRoot, Policy, Site, SiteConfig};
+use cg_site::{BackendSpec, GiisRoot, Policy, ProcessBackend, Site, SiteConfig};
 use cg_trace::{check_invariants, Event, EventLog};
 use cg_workloads::{churn_faults, poisson_arrivals, synthetic_grid, ChurnKind, JobMix};
-use crossbroker::{
-    BrokerConfig, CrossBroker, JobId, JobState, MatchRequest, ParallelMatcher, PolicyKind,
-    PolicySignals, ShardedJobTable, SiteHandle, SiteSignals, DEFAULT_SHARDS,
-};
+use crossbroker::{BrokerConfig, CrossBroker, JobId, JobState, SiteHandle};
 
 /// Sites in the churned pool (the paper's testbed size).
 const SITES: usize = 18;
@@ -194,113 +183,6 @@ fn sim_run_with(kind: ChurnKind, index: usize, backend: &BackendSpec) -> ChurnRu
     run
 }
 
-/// The mid-churn survivor snapshot: ads of the sites whose links are up
-/// at the probe instant, plus per-site signals whose staleness reflects
-/// how recently each survivor came back.
-fn survivor_snapshot(kind: ChurnKind, index: usize) -> (Vec<(usize, Ad)>, PolicySignals) {
-    let seed = SUITE_SEED ^ ((index as u64 + 1) << 16);
-    let mut frng = SimRng::new(seed ^ 0xFA17);
-    let faults = churn_faults(kind, SITES, HORIZON, &mut frng);
-    let probe = SimTime::ZERO + SimDuration::from_nanos(HORIZON.as_nanos() / 2);
-    let mut ads = Vec::new();
-    let mut signals = PolicySignals::new();
-    for (i, schedule) in faults.iter().enumerate() {
-        if schedule.is_down(probe) {
-            continue;
-        }
-        // Staleness: time since the last outage window ended (sites never
-        // churned read as freshly published).
-        let back_since = schedule
-            .windows()
-            .iter()
-            .filter(|(_, end)| *end <= probe)
-            .map(|(_, end)| *end)
-            .next_back()
-            .unwrap_or(SimTime::ZERO);
-        ads.push((i, churn_site(i, &BackendSpec::Sim).machine_ad()));
-        signals.set(
-            i,
-            SiteSignals {
-                queue_depth: ((i * 3) % 4) as i64,
-                queue_forecast: ((i * 7) % 5) as f64,
-                rtt_s: churn_profile(i).base_latency_s,
-                lease_failures: u32::from(!schedule.windows().is_empty()),
-                staleness_s: probe.saturating_since(back_since).as_secs_f64().min(900.0),
-            },
-        );
-    }
-    (ads, signals)
-}
-
-/// The matcher-level batch replayed over each survivor snapshot: mixed
-/// interactive/batch CROSSGRID jobs with colliding ranks.
-fn gate_requests() -> Vec<MatchRequest> {
-    (0..200u64)
-        .map(|i| {
-            let src = if i.is_multiple_of(3) {
-                format!(
-                    r#"
-                    Executable   = "churn_batch_{i}";
-                    JobType      = "batch";
-                    User         = "u{}";
-                    Requirements = member("CROSSGRID", other.Tags);
-                    Rank         = other.FreeCpus;
-                    "#,
-                    i % 5
-                )
-            } else {
-                format!(
-                    r#"
-                    Executable   = "churn_int_{i}";
-                    JobType      = {{"interactive", "mpich-g2"}};
-                    NodeNumber   = 2;
-                    User         = "u{}";
-                    Requirements = other.FreeCpus >= NodeNumber && member("CROSSGRID", other.Tags);
-                    Rank         = other.FreeCpus;
-                    "#,
-                    i % 5
-                )
-            };
-            MatchRequest {
-                id: JobId(i),
-                job: JobDescription::parse(&src).expect("generated JDL parses"),
-            }
-        })
-        .collect()
-}
-
-/// Thread-count determinism over the survivor snapshot: every policy's
-/// outcome vector must be bit-identical at 1, 4 and 8 workers.
-fn thread_gate(kind: ChurnKind, index: usize) {
-    let (ads, signals) = survivor_snapshot(kind, index);
-    assert!(
-        !ads.is_empty(),
-        "{}: no survivors at the probe instant — the gate would be vacuous",
-        kind.name()
-    );
-    let requests = gate_requests();
-    for policy in PolicyKind::ALL {
-        let engine = ParallelMatcher::new(ads.clone(), SUITE_SEED ^ index as u64)
-            .with_policy(policy)
-            .with_signals(signals.clone());
-        let run = |threads: usize| {
-            let log = EventLog::new(requests.len() * 4);
-            let table = ShardedJobTable::new(DEFAULT_SHARDS);
-            engine.run(&requests, threads, &log, &table)
-        };
-        let base = run(1);
-        for threads in [4usize, 8] {
-            assert_eq!(
-                run(threads),
-                base,
-                "{}/{}: {threads}-thread outcomes diverged from 1-thread",
-                kind.name(),
-                policy.name()
-            );
-        }
-    }
-}
-
 /// Mass join at synthetic-grid scale: 100 of 300 sites are dark at boot
 /// and join at seeded instants inside the first 20% of a one-hour
 /// horizon, all behind the two-tier GIIS hierarchy. The aggregator's
@@ -393,20 +275,22 @@ fn run_suite(sink: &TraceSink, gates: bool) {
                 "{}: replaying the same seed changed the terminal outcomes",
                 kind.name()
             );
-            thread_gate(kind, index);
             if index == 0 {
                 // Backend invariance, once per suite: the same churn day
-                // with real worker threads executing alongside the sim
-                // must land every job in the identical terminal state.
-                let tp = sim_run_with(kind, index, &BackendSpec::ThreadPool { threads: 2 });
+                // with a real child process spawned and reaped per started
+                // job must land every job in the identical terminal state.
+                let process = BackendSpec::Process {
+                    program: ProcessBackend::default_program(),
+                };
+                let real = sim_run_with(kind, index, &process);
                 assert_eq!(
-                    tp.outcomes,
+                    real.outcomes,
                     run.outcomes,
-                    "{}: the thread-pool backend perturbed terminal outcomes",
+                    "{}: the process backend perturbed terminal outcomes",
                     kind.name()
                 );
                 println!(
-                    "{}: thread-pool backend outcome-identical across {} jobs",
+                    "{}: process backend outcome-identical across {} jobs",
                     kind.name(),
                     run.outcomes.len()
                 );
@@ -499,32 +383,12 @@ fn run_suite(sink: &TraceSink, gates: bool) {
     }
 }
 
-/// Exit status for a skipped `--check` run: distinct from both success (0)
-/// and failure (1/101) so CI logs can tell "passed" from "never ran".
-const EXIT_SKIPPED: i32 = 77;
-
 fn main() {
     let check = std::env::args().skip(1).any(|a| a == "--check");
     let sink = TraceSink::new();
-    if check {
-        let cores = std::env::var("CG_CHECK_CORES")
-            .ok()
-            .and_then(|v| v.parse::<usize>().ok())
-            .unwrap_or_else(|| {
-                std::thread::available_parallelism().map_or(1, std::num::NonZero::get)
-            });
-        if cores < 4 {
-            println!(
-                "churn_suite --check: SKIPPED thread gate \
-                 (only {cores} cores, need 4); exiting {EXIT_SKIPPED}"
-            );
-            std::process::exit(EXIT_SKIPPED);
-        }
-        run_suite(&sink, true);
-        sink.dump();
-        println!("churn_suite --check: all gates passed");
-        return;
-    }
-    run_suite(&sink, false);
+    run_suite(&sink, check);
     sink.dump();
+    if check {
+        println!("churn_suite --check: all gates passed");
+    }
 }

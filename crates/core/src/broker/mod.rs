@@ -156,9 +156,8 @@ struct Inner {
     agents: HashMap<AgentId, AgentEntry>,
     fairshare: FairShare,
     /// The job table, sharded by id with one lock per shard. The sim loop
-    /// drives it single-threaded, but the structure is `Send + Sync`, so the
-    /// parallel matchmaking engine ([`crate::ParallelMatcher`]) writes the
-    /// same table type from worker threads.
+    /// drives it single-threaded, but the structure is `Send + Sync`, so a
+    /// stats or monitoring reader on another thread never stops the loop.
     jobs: ShardedJobTable<JobRecord>,
     side: SideTables,
     /// The live sweeps in flight, and the handler their events go to

@@ -48,11 +48,8 @@ pub use matchmaking::{
     select_detailed, Candidate, CompiledJob, Selection,
 };
 pub use policy::{
-    coallocate_with, preference_order, select_detailed_with, FreeCpusRank, LeaseBackoff,
-    NetworkProximity, PolicyKind, PolicySignals, QueueForecast, QueueForecaster, SelectionPolicy,
-    SiteSignals,
+    coallocate_with, select_detailed_with, FreeCpusRank, LeaseBackoff, NetworkProximity,
+    PolicyKind, PolicySignals, QueueForecast, QueueForecaster, SelectionPolicy, SiteSignals,
 };
 pub use recovery::RecoveryReport;
-pub use shard::{
-    job_rng, MatchOutcome, MatchRequest, ParallelMatcher, ShardedJobTable, DEFAULT_SHARDS,
-};
+pub use shard::{job_rng, ShardedJobTable, DEFAULT_SHARDS};

@@ -4,8 +4,8 @@
 //! (free CPUs, §3 Table I). This module generalizes the selection step into
 //! a [`SelectionPolicy`] trait so alternative strategies — queue-length
 //! forecasting, network proximity, lease-failure backoff — plug into the
-//! same three dispatch points (`select`, `coallocate`, the parallel
-//! matcher) without touching them.
+//! same two dispatch points (`select`, `coallocate`) without touching
+//! them.
 //!
 //! # Determinism contract
 //!
@@ -13,9 +13,8 @@
 //! [`Candidate`] and the per-site [`SiteSignals`] snapshot. No clocks, no
 //! RNG, no interior mutability. Randomness belongs exclusively to the
 //! selection machinery (tie-breaking among exactly equal scores), which
-//! draws from the caller's deterministic stream. This is what keeps the
-//! two-phase [`crate::shard::ParallelMatcher`] bit-identical at every
-//! thread count under any policy, and what the conformance suite
+//! draws from the caller's deterministic stream. This is what keeps a
+//! replay bit-identical under any policy, and what the conformance suite
 //! (`tests/policy_conformance.rs`) enforces for each registered policy.
 //!
 //! # NaN contract
@@ -278,9 +277,8 @@ impl PolicyKind {
     }
 }
 
-/// A candidate paired with the score the active policy gave it.
-type Scored = (f64, Candidate);
-/// Borrowed form of [`Scored`], used while partitioning a scored slice.
+/// A candidate paired with the score the active policy gave it, borrowed
+/// while partitioning a scored slice.
 type ScoredRef<'a> = (f64, &'a Candidate);
 
 /// [`crate::matchmaking::select_detailed`] generalized over a policy:
@@ -361,44 +359,6 @@ pub fn coallocate_with(
         left -= take;
     }
     (left == 0).then_some(plan)
-}
-
-/// The batch generalization of `select`'s randomized pick, as used by the
-/// parallel matcher: returns `(prefs, nan_discarded)` where `prefs` orders
-/// the comparable candidates score-descending with each exact-score tie
-/// group shuffled by `rng`, and `nan_discarded` collects the NaN-scored
-/// candidates in input order. Under [`FreeCpusRank`] this reproduces the
-/// PR-4 `match_one` preference order bit-for-bit (same sort keys, same
-/// group boundaries, same shuffle draws).
-pub fn preference_order(
-    policy: &dyn SelectionPolicy,
-    signals: &PolicySignals,
-    candidates: Vec<Candidate>,
-    rng: &mut SimRng,
-) -> (Vec<Candidate>, Vec<Candidate>) {
-    let scored: Vec<Scored> = candidates
-        .into_iter()
-        .map(|c| (policy.score(&c, &signals.get(c.site_index)), c))
-        .collect();
-    let (mut valid, nan): (Vec<Scored>, Vec<Scored>) =
-        scored.into_iter().partition(|(s, _)| !s.is_nan());
-    let nan_discarded: Vec<Candidate> = nan.into_iter().map(|(_, c)| c).collect();
-    // Stable order first so tie groups are well-defined, then shuffle each
-    // exact-score group with the caller's RNG.
-    valid.sort_by(|(sa, a), (sb, b)| sb.total_cmp(sa).then(a.site_index.cmp(&b.site_index)));
-    let mut prefs: Vec<Candidate> = Vec::with_capacity(valid.len());
-    let mut i = 0;
-    while i < valid.len() {
-        let mut j = i + 1;
-        while j < valid.len() && valid[j].0.total_cmp(&valid[i].0).is_eq() {
-            j += 1;
-        }
-        let mut group: Vec<Candidate> = valid[i..j].iter().map(|(_, c)| *c).collect();
-        rng.shuffle(&mut group);
-        prefs.extend(group);
-        i = j;
-    }
-    (prefs, nan_discarded)
 }
 
 /// Per-site EWMA queue-depth forecaster feeding [`QueueForecast`].

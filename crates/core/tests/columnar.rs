@@ -3,17 +3,15 @@
 //! expression shapes and cell types — to the raw AST walker, whose
 //! evaluator the columnar path shares no tree walk with; a snapshot reached
 //! through a chain of deltas must carry the columns a fresh build of the
-//! same ads carries; and the columnar `ParallelMatcher` engine must
-//! reproduce the map engine's outcome vector at every thread count.
+//! same ads carries.
 
 use std::sync::Arc;
 
 use cg_jdl::{parse_expr, Ad, JobDescription, Value};
 use cg_site::AdSnapshot;
-use cg_trace::EventLog;
 use crossbroker::{
     filter_candidates, filter_candidates_columnar, filter_candidates_compiled, Candidate,
-    CompiledJob, JobId, MatchRequest, ParallelMatcher, ShardedJobTable, DEFAULT_SHARDS,
+    CompiledJob,
 };
 use proptest::prelude::*;
 
@@ -435,60 +433,4 @@ fn a_column_of_every_cell_type_matches_like_the_raw_walker() {
         run("other.Mixed != 7 && other.FreeCpus > 1", &after, &s1),
         ["int", "expr", "missing"]
     );
-}
-
-/// The columnar engine reproduces the map engine's outcome vector — same
-/// seed, same ads, every thread count — which is what lets the broker swap
-/// stores without perturbing a single selection.
-#[test]
-fn parallel_matcher_columnar_engine_is_bit_identical_to_map_engine() {
-    let ads: Vec<Ad> = (0..200)
-        .map(|i| {
-            let mut ad = Ad::new();
-            ad.set_str("Site", format!("s{i}"))
-                .set_int("FreeCpus", (i % 5) as i64)
-                .set_bool("AcceptsQueued", i % 3 != 0);
-            if i % 2 == 0 {
-                ad.set("Tags", Value::List(vec![Value::Str("CROSSGRID".into())]));
-                ad.set_double("SpeedFactor", 1.0 + (i % 4) as f64 * 0.25);
-            }
-            ad
-        })
-        .collect();
-    let requests: Vec<MatchRequest> = (0..300)
-        .map(|i| {
-            let nodes = 1 + i % 3;
-            let src = if i % 2 == 0 {
-                format!(
-                    r#"Executable = "iapp"; JobType = {{"interactive","mpich-p4"}};
-                       NodeNumber = {nodes};
-                       Requirements = member("CROSSGRID", other.Tags);
-                       Rank = other.FreeCpus * other.SpeedFactor;"#
-                )
-            } else {
-                r#"Executable = "bapp"; JobType = "batch";"#.to_string()
-            };
-            MatchRequest {
-                id: JobId(i as u64),
-                job: JobDescription::parse(&src).unwrap(),
-            }
-        })
-        .collect();
-
-    let snap = Arc::new(AdSnapshot::build(ads));
-    let map_engine = ParallelMatcher::from_indexed(snap.indexed_ads(), 0xC055);
-    let col_engine = ParallelMatcher::from_snapshot(Arc::clone(&snap), 0xC055);
-    let run = |engine: &ParallelMatcher, threads: usize| {
-        let log = EventLog::new(requests.len() * 4);
-        let table = ShardedJobTable::new(DEFAULT_SHARDS);
-        engine.run(&requests, threads, &log, &table)
-    };
-    let base = run(&map_engine, 1);
-    for threads in [1, 2, 4] {
-        assert_eq!(
-            run(&col_engine, threads),
-            base,
-            "columnar engine diverged from the map engine at {threads} threads"
-        );
-    }
 }

@@ -2,8 +2,8 @@
 //! reproduction.
 //!
 //! The broker's headline claims — deterministic replay, bit-identical
-//! parallel matchmaking, crash recovery to identical outcomes — rest on
-//! source-level invariants that no compiler checks: no wall clocks in
+//! matchmaking across evaluators, crash recovery to identical outcomes —
+//! rest on source-level invariants that no compiler checks: no wall clocks in
 //! sim-governed code, no lock guards held across durable I/O, and pure
 //! selection policies. This crate enforces them statically, with
 //! rustc-style diagnostics rendered through the same machinery as the JDL

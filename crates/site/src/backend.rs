@@ -9,20 +9,19 @@
 //! broker's dispatch/reconciliation paths all speak to a [`BackendHandle`]
 //! and never name a concrete executor.
 //!
-//! Three implementations ship:
+//! Two implementations ship:
 //!
 //! * the sim [`Lrms`] itself (the default — bit-identical to the
 //!   pre-refactor behavior, since it *is* the pre-refactor type);
-//! * [`ThreadPoolBackend`] — an in-process pool of real worker threads that
-//!   execute a task per started job, with real elapsed time observed only
-//!   through the [`cg_console::mono_ns`] chokepoint;
 //! * [`ProcessBackend`] — an external-process runner that spawns and reaps a
-//!   real child process per started job.
+//!   real child process per started job (what a GRAM job manager does),
+//!   with real elapsed time observed only through the
+//!   [`cg_console::mono_ns`] chokepoint.
 //!
 //! **The sim-time bridging rule** (DESIGN §7k): every backend delegates all
 //! *sim-visible* scheduling — queueing, dispatch latency, node accounting,
 //! lifecycle events, terminal dispositions — to the deterministic [`Lrms`]
-//! core. Real execution (threads, processes) rides *alongside* the sim and
+//! core. Real execution (child processes) rides *alongside* the sim and
 //! reports only into backend-local counters ([`RealExecStats`]), read via
 //! `mono_ns()` so deterministic harnesses can inject a fake clock. Nothing a
 //! real executor does may influence event order, job outcomes or stats seen
@@ -30,8 +29,6 @@
 
 use std::cell::{Cell, RefCell};
 use std::rc::Rc;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{mpsc, Arc, Mutex};
 
 use cg_console::mono_ns;
 use cg_sim::{Sim, SimDuration};
@@ -50,8 +47,6 @@ pub type BackendCallback = Rc<dyn Fn(&mut Sim, LocalJobId, &LrmsEvent)>;
 pub enum BackendKind {
     /// The simulated batch scheduler ([`Lrms`]) — the default.
     SimLrms,
-    /// In-process thread-pool executor ([`ThreadPoolBackend`]).
-    ThreadPool,
     /// External-process runner ([`ProcessBackend`]).
     Process,
 }
@@ -61,7 +56,6 @@ impl BackendKind {
     pub fn as_str(self) -> &'static str {
         match self {
             BackendKind::SimLrms => "sim-lrms",
-            BackendKind::ThreadPool => "thread-pool",
             BackendKind::Process => "process",
         }
     }
@@ -79,8 +73,6 @@ pub enum BackendError {
     /// A backend over zero worker nodes can never dispatch anything; the
     /// old `Lrms::new` wedged silently on this.
     ZeroNodes,
-    /// A thread-pool backend with zero executor threads.
-    ZeroThreads,
     /// A process backend with an empty program path.
     EmptyProgram,
 }
@@ -89,9 +81,6 @@ impl std::fmt::Display for BackendError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             BackendError::ZeroNodes => f.write_str("backend configured with zero worker nodes"),
-            BackendError::ZeroThreads => {
-                f.write_str("thread-pool backend configured with zero executor threads")
-            }
             BackendError::EmptyProgram => {
                 f.write_str("process backend configured with an empty program path")
             }
@@ -107,11 +96,6 @@ pub enum BackendSpec {
     /// The simulated LRMS (default).
     #[default]
     Sim,
-    /// In-process thread pool with `threads` real workers.
-    ThreadPool {
-        /// Number of executor threads (must be ≥ 1).
-        threads: usize,
-    },
     /// External-process runner spawning `program` once per started job.
     Process {
         /// Program to spawn (argument-less; must be non-empty).
@@ -124,7 +108,6 @@ impl BackendSpec {
     pub fn kind(&self) -> BackendKind {
         match self {
             BackendSpec::Sim => BackendKind::SimLrms,
-            BackendSpec::ThreadPool { .. } => BackendKind::ThreadPool,
             BackendSpec::Process { .. } => BackendKind::Process,
         }
     }
@@ -133,7 +116,7 @@ impl BackendSpec {
     ///
     /// # Errors
     /// Returns a [`BackendError`] when the spec is structurally invalid
-    /// (zero nodes, zero threads, empty program).
+    /// (zero nodes, empty program).
     pub fn build(
         &self,
         policy: Policy,
@@ -145,12 +128,6 @@ impl BackendSpec {
             BackendSpec::Sim => {
                 BackendHandle::from(Lrms::try_new(policy, nodes, dispatch_latency)?)
             }
-            BackendSpec::ThreadPool { threads } => BackendHandle::from(ThreadPoolBackend::new(
-                policy,
-                nodes,
-                dispatch_latency,
-                *threads,
-            )?),
             BackendSpec::Process { program } => BackendHandle::from(ProcessBackend::new(
                 policy,
                 nodes,
@@ -164,17 +141,17 @@ impl BackendSpec {
 }
 
 /// Counters a real executor accumulates *outside* the sim: how many real
-/// tasks/processes it launched, finished and failed to launch, and the real
+/// processes it launched, reaped and failed to launch, and the real
 /// nanoseconds they took as observed through `mono_ns()`. Purely
 /// informational — by the sim-time bridging rule these never feed back into
 /// scheduling.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct RealExecStats {
-    /// Real tasks (threads) or processes launched.
+    /// Real processes launched.
     pub launched: u64,
-    /// Real tasks/processes that ran and were reaped.
+    /// Real processes that ran and were reaped.
     pub completed: u64,
-    /// Launch attempts that failed (spawn error, pool gone).
+    /// Launch attempts that failed (spawn error).
     pub failed: u64,
     /// Total real execution time, nanoseconds via `mono_ns()`.
     pub real_ns: u64,
@@ -247,10 +224,6 @@ pub trait Backend {
     fn real_exec(&self) -> RealExecStats {
         RealExecStats::default()
     }
-
-    /// Blocks until all real execution launched so far has completed. A
-    /// no-op for backends without asynchronous real work.
-    fn quiesce(&self) {}
 }
 
 /// A cloneable, type-erased backend. Clones share the underlying executor.
@@ -385,11 +358,6 @@ impl BackendHandle {
     pub fn real_exec(&self) -> RealExecStats {
         self.inner.real_exec()
     }
-
-    /// Blocks until all real execution launched so far has completed.
-    pub fn quiesce(&self) {
-        self.inner.quiesce();
-    }
 }
 
 impl std::fmt::Debug for BackendHandle {
@@ -406,12 +374,6 @@ impl std::fmt::Debug for BackendHandle {
 impl From<Lrms> for BackendHandle {
     fn from(lrms: Lrms) -> Self {
         BackendHandle::new(lrms)
-    }
-}
-
-impl From<ThreadPoolBackend> for BackendHandle {
-    fn from(b: ThreadPoolBackend) -> Self {
-        BackendHandle::new(b)
     }
 }
 
@@ -485,224 +447,6 @@ impl Backend for Lrms {
 
     fn set_disposition_retention(&self, cap: usize) {
         Lrms::set_disposition_retention(self, cap);
-    }
-}
-
-// ── Thread-pool backend ─────────────────────────────────────────────────
-
-/// Counters shared with the worker threads.
-#[derive(Default)]
-struct PoolCounters {
-    launched: AtomicU64,
-    completed: AtomicU64,
-    failed: AtomicU64,
-    real_ns: AtomicU64,
-}
-
-enum PoolMsg {
-    Run(u64),
-    Shutdown,
-}
-
-/// N real worker threads fed through an mpsc channel.
-struct WorkerPool {
-    tx: mpsc::Sender<PoolMsg>,
-    handles: RefCell<Vec<std::thread::JoinHandle<()>>>,
-    counters: Arc<PoolCounters>,
-    threads: usize,
-}
-
-impl WorkerPool {
-    fn spawn(threads: usize) -> Self {
-        let (tx, rx) = mpsc::channel::<PoolMsg>();
-        let rx = Arc::new(Mutex::new(rx));
-        let counters = Arc::new(PoolCounters::default());
-        let mut handles = Vec::with_capacity(threads);
-        for _ in 0..threads {
-            let rx = Arc::clone(&rx);
-            let counters = Arc::clone(&counters);
-            handles.push(std::thread::spawn(move || loop {
-                let msg = {
-                    let guard = rx.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
-                    guard.recv()
-                };
-                match msg {
-                    Ok(PoolMsg::Run(job)) => {
-                        let t0 = mono_ns();
-                        // The "payload": a trivially real computation the
-                        // optimizer cannot delete. What matters is that a
-                        // real thread ran it and real time elapsed.
-                        std::hint::black_box(job.wrapping_mul(0x9E37_79B9_7F4A_7C15));
-                        let dt = mono_ns().saturating_sub(t0);
-                        counters.real_ns.fetch_add(dt, Ordering::Relaxed);
-                        counters.completed.fetch_add(1, Ordering::Relaxed);
-                    }
-                    Ok(PoolMsg::Shutdown) | Err(_) => break,
-                }
-            }));
-        }
-        WorkerPool {
-            tx,
-            handles: RefCell::new(handles),
-            counters,
-            threads,
-        }
-    }
-
-    fn launch(&self, job: u64) {
-        self.counters.launched.fetch_add(1, Ordering::Relaxed);
-        if self.tx.send(PoolMsg::Run(job)).is_err() {
-            self.counters.failed.fetch_add(1, Ordering::Relaxed);
-        }
-    }
-
-    fn snapshot(&self) -> RealExecStats {
-        RealExecStats {
-            launched: self.counters.launched.load(Ordering::Relaxed),
-            completed: self.counters.completed.load(Ordering::Relaxed),
-            failed: self.counters.failed.load(Ordering::Relaxed),
-            real_ns: self.counters.real_ns.load(Ordering::Relaxed),
-        }
-    }
-
-    fn quiesce(&self) {
-        loop {
-            let s = self.snapshot();
-            if s.completed + s.failed >= s.launched {
-                return;
-            }
-            std::thread::yield_now();
-        }
-    }
-}
-
-impl Drop for WorkerPool {
-    fn drop(&mut self) {
-        for _ in 0..self.threads {
-            let _ = self.tx.send(PoolMsg::Shutdown);
-        }
-        for h in self.handles.borrow_mut().drain(..) {
-            let _ = h.join();
-        }
-    }
-}
-
-/// In-process thread-pool executor.
-///
-/// All sim-visible scheduling delegates to a deterministic [`Lrms`] core;
-/// each `Started` event additionally launches a real task on one of the
-/// pool's worker threads. Real elapsed time is observed exclusively through
-/// [`cg_console::mono_ns`] and lands in [`RealExecStats`] — never in the
-/// sim (the sim-time bridging rule).
-pub struct ThreadPoolBackend {
-    core: Lrms,
-    pool: Rc<WorkerPool>,
-}
-
-impl ThreadPoolBackend {
-    /// Builds the backend with `threads` real executor threads.
-    ///
-    /// # Errors
-    /// [`BackendError::ZeroNodes`] / [`BackendError::ZeroThreads`] on
-    /// structurally useless configurations.
-    pub fn new(
-        policy: Policy,
-        nodes: usize,
-        dispatch_latency: SimDuration,
-        threads: usize,
-    ) -> Result<Self, BackendError> {
-        if threads == 0 {
-            return Err(BackendError::ZeroThreads);
-        }
-        Ok(ThreadPoolBackend {
-            core: Lrms::try_new(policy, nodes, dispatch_latency)?,
-            pool: Rc::new(WorkerPool::spawn(threads)),
-        })
-    }
-}
-
-impl Backend for ThreadPoolBackend {
-    fn kind(&self) -> BackendKind {
-        BackendKind::ThreadPool
-    }
-
-    fn submit_rc(
-        &self,
-        sim: &mut Sim,
-        spec: LocalJobSpec,
-        callback: BackendCallback,
-    ) -> LocalJobId {
-        let pool = Rc::clone(&self.pool);
-        self.core.submit_rc(
-            sim,
-            spec,
-            Rc::new(move |sim, id, ev| {
-                if matches!(ev, LrmsEvent::Started { .. }) {
-                    pool.launch(id.0);
-                }
-                callback(sim, id, ev);
-            }),
-        )
-    }
-
-    fn complete(&self, sim: &mut Sim, id: LocalJobId) {
-        self.core.complete(sim, id);
-    }
-
-    fn kill(&self, sim: &mut Sim, id: LocalJobId, reason: &str) -> bool {
-        self.core.kill(sim, id, reason)
-    }
-
-    fn disposition(&self, id: LocalJobId) -> Option<LocalDisposition> {
-        self.core.disposition(id)
-    }
-
-    fn free_nodes(&self) -> usize {
-        self.core.free_nodes()
-    }
-
-    fn total_nodes(&self) -> usize {
-        self.core.total_nodes()
-    }
-
-    fn queue_depth(&self) -> usize {
-        self.core.queue_depth()
-    }
-
-    fn running_count(&self) -> usize {
-        self.core.running_count()
-    }
-
-    fn dispatching_count(&self) -> usize {
-        self.core.dispatching_count()
-    }
-
-    fn accepts_queued_jobs(&self) -> bool {
-        self.core.accepts_queued_jobs()
-    }
-
-    fn ad_state(&self) -> (usize, usize, bool) {
-        self.core.ad_state()
-    }
-
-    fn stats(&self) -> LrmsStats {
-        self.core.stats()
-    }
-
-    fn set_trace(&self, log: cg_trace::EventLog, site: String) {
-        self.core.set_trace(log, site);
-    }
-
-    fn set_disposition_retention(&self, cap: usize) {
-        self.core.set_disposition_retention(cap);
-    }
-
-    fn real_exec(&self) -> RealExecStats {
-        self.pool.snapshot()
-    }
-
-    fn quiesce(&self) {
-        self.pool.quiesce();
     }
 }
 
@@ -940,20 +684,6 @@ mod tests {
     }
 
     #[test]
-    fn thread_pool_runs_real_tasks_without_touching_sim_outcomes() {
-        let backend =
-            ThreadPoolBackend::new(Policy::Fifo, 2, SimDuration::ZERO, 2).expect("valid config");
-        let handle = BackendHandle::from(backend);
-        let (id, events) = drive_one(&handle);
-        assert_eq!(events, ["queued", "started", "finished"]);
-        assert_eq!(handle.disposition(id), Some(LocalDisposition::Finished));
-        handle.quiesce();
-        let real = handle.real_exec();
-        assert_eq!(real.launched, 1);
-        assert_eq!(real.completed, 1);
-    }
-
-    #[test]
     fn process_backend_spawns_and_reaps() {
         let backend = ProcessBackend::new(
             Policy::Fifo,
@@ -976,12 +706,14 @@ mod tests {
     #[test]
     fn invalid_specs_are_typed_errors() {
         assert_eq!(
-            ThreadPoolBackend::new(Policy::Fifo, 0, SimDuration::ZERO, 1).err(),
+            ProcessBackend::new(
+                Policy::Fifo,
+                0,
+                SimDuration::ZERO,
+                ProcessBackend::default_program()
+            )
+            .err(),
             Some(BackendError::ZeroNodes)
-        );
-        assert_eq!(
-            ThreadPoolBackend::new(Policy::Fifo, 1, SimDuration::ZERO, 0).err(),
-            Some(BackendError::ZeroThreads)
         );
         assert_eq!(
             ProcessBackend::new(Policy::Fifo, 1, SimDuration::ZERO, String::new()).err(),
@@ -1035,11 +767,9 @@ mod tests {
             out
         };
         let sim_events = run(&spec_for(&BackendSpec::Sim));
-        let pool_events = run(&spec_for(&BackendSpec::ThreadPool { threads: 2 }));
         let proc_events = run(&spec_for(&BackendSpec::Process {
             program: ProcessBackend::default_program(),
         }));
-        assert_eq!(sim_events, pool_events, "thread pool diverged from sim");
         assert_eq!(sim_events, proc_events, "process runner diverged from sim");
     }
 }

@@ -26,7 +26,7 @@ mod wn;
 
 pub use backend::{
     Backend, BackendCallback, BackendError, BackendHandle, BackendKind, BackendSpec,
-    ProcessBackend, RealExecStats, ThreadPoolBackend,
+    ProcessBackend, RealExecStats,
 };
 pub use columns::AdSnapshot;
 pub use gatekeeper::{Gatekeeper, GramCosts, GramEvent};

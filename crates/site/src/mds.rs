@@ -627,8 +627,8 @@ impl InformationIndex {
     }
 
     /// The current records as an indexed ad list — the discovery-snapshot
-    /// shape the map-based matchmaking path consumes (`filter_candidates`,
-    /// and the parallel engine's `ParallelMatcher`). Site index `i` is
+    /// shape the map-based matchmaking paths consume (`filter_candidates`,
+    /// `filter_candidates_compiled`). Site index `i` is
     /// the position in the index's site list, matching the broker's
     /// `SiteHandle` order. Every ad is `Arc`-shared with the snapshot —
     /// no deep clone per call.

@@ -231,7 +231,6 @@ proptest! {
     ) {
         for backend in [
             BackendSpec::Sim,
-            BackendSpec::ThreadPool { threads: 2 },
             BackendSpec::Process { program: "true".into() },
         ] {
             let mut sim = Sim::new(seed);

@@ -265,8 +265,8 @@ events! {
         job: u64,
         /// Dispatch target, e.g. `agent:3` or `site:cesga`.
         target: String,
-        /// Execution backend at the target (`sim-lrms`, `thread-pool`,
-        /// `process`), so replays know what ran the job.
+        /// Execution backend at the target (`sim-lrms`, `process`), so
+        /// replays know what ran the job.
         backend: String,
     },
     /// The job began computing.

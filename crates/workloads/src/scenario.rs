@@ -50,7 +50,7 @@ impl GridScenario {
     ///
     /// # Errors
     /// Returns the first [`BackendError`] if `backend` cannot be built
-    /// (e.g. a zero-thread pool); already-rebuilt sites keep the new
+    /// (e.g. an empty program path); already-rebuilt sites keep the new
     /// backend in that case.
     pub fn set_backend(&mut self, backend: &BackendSpec) -> Result<(), BackendError> {
         for (site, _) in &mut self.sites {
@@ -233,17 +233,18 @@ mod tests {
     #[test]
     fn set_backend_rebuilds_every_site() {
         let mut s = campus_pair(4);
-        s.set_backend(&BackendSpec::ThreadPool { threads: 2 })
-            .expect("thread pool builds");
-        assert_eq!(
-            s.sites[0].0.backend_kind(),
-            cg_site::BackendKind::ThreadPool
-        );
+        s.set_backend(&BackendSpec::Process {
+            program: cg_site::ProcessBackend::default_program(),
+        })
+        .expect("process backend builds");
+        assert_eq!(s.sites[0].0.backend_kind(), cg_site::BackendKind::Process);
         assert_eq!(s.sites[0].0.lrms().total_nodes(), 4, "capacity survives");
-        assert!(
-            s.set_backend(&BackendSpec::ThreadPool { threads: 0 })
-                .is_err(),
-            "zero threads is a typed error"
+        assert_eq!(
+            s.set_backend(&BackendSpec::Process {
+                program: String::new()
+            }),
+            Err(BackendError::EmptyProgram),
+            "an empty program is a typed error"
         );
     }
 

@@ -496,11 +496,6 @@ fn cmd_backends() -> i32 {
             "simulated batch scheduler (default; bit-identical replays)",
         ),
         (
-            BackendKind::ThreadPool,
-            "ThreadPool { threads }",
-            "in-process worker threads execute each started job for real",
-        ),
-        (
             BackendKind::Process,
             "Process { program }",
             "spawns and reaps one external process per started job",
@@ -509,7 +504,7 @@ fn cmd_backends() -> i32 {
         println!("  {:<12} BackendSpec::{config:<24} {what}", kind.as_str());
     }
     println!(
-        "\nall backends delegate sim-visible scheduling to the deterministic \
+        "\nboth backends delegate sim-visible scheduling to the deterministic \
          LRMS core;\nreal execution reports only into backend-local counters \
          via mono_ns() (DESIGN §7k)."
     );

@@ -1,6 +1,6 @@
 //! Backend conformance harness: one parameterized suite proving every
-//! execution backend — the sim LRMS, the in-process thread pool, and the
-//! external-process runner — satisfies the same contract:
+//! execution backend — the sim LRMS and the external-process runner —
+//! satisfies the same contract:
 //!
 //! - dispatch-latency ordering of the job lifecycle,
 //! - kill-during-queue semantics (terminal, never started),
@@ -10,16 +10,12 @@
 //!   event of the single-backend scenarios,
 //! - whole-stream invariant rules 1–8 + 5b on a full broker run,
 //! - same-seed replay identity (real execution never perturbs the sim),
-//! - `LrmsStats` balance under arbitrary interleavings (proptest),
-//!
-//! plus the 1/4/8-thread `ParallelMatcher` sweep under every backend label.
+//! - `LrmsStats` balance under arbitrary interleavings (proptest).
 
 use std::cell::RefCell;
 use std::collections::BTreeMap;
 use std::rc::Rc;
 
-use crossgrid::broker::{MatchRequest, ParallelMatcher, ShardedJobTable, DEFAULT_SHARDS};
-use crossgrid::jdl::Ad;
 use crossgrid::net::FaultSchedule;
 use crossgrid::prelude::*;
 use crossgrid::sim::RunOutcome;
@@ -32,7 +28,7 @@ use crossgrid::trace::{check_recovery_invariants, TimedEvent};
 use proptest::prelude::*;
 
 mod common;
-use common::{all_backend_specs, bucket_of, check_cores};
+use common::{all_backend_specs, bucket_of};
 
 const SEED: u64 = 7;
 
@@ -120,10 +116,6 @@ fn invalid_capacity_is_a_typed_error_for_every_backend() {
         );
     }
     assert!(matches!(
-        BackendSpec::ThreadPool { threads: 0 }.build(Policy::Fifo, 2, latency(), 64),
-        Err(BackendError::ZeroThreads)
-    ));
-    assert!(matches!(
         BackendSpec::Process {
             program: String::new()
         }
@@ -150,7 +142,6 @@ fn dispatch_latency_orders_every_lifecycle() {
             .map(|_| submit_recorded(&backend, &mut sim, SimDuration::from_secs(5), &trace))
             .collect();
         run_checked(&mut sim, &backend, SimTime::from_secs(60));
-        backend.quiesce();
 
         let mut finish_of_first_wave = u64::MAX;
         for (i, id) in ids.iter().enumerate() {
@@ -203,7 +194,6 @@ fn kill_during_queue_is_terminal_and_never_starts() {
             assert_eq!(killer.queue_depth(), 0);
         });
         run_checked(&mut sim, &backend, SimTime::from_secs(300));
-        backend.quiesce();
 
         assert_eq!(
             events_of(&trace, b)
@@ -244,7 +234,6 @@ fn disposition_retention_evicts_oldest_for_every_backend() {
             })
             .collect();
         run_checked(&mut sim, &backend, SimTime::from_secs(60));
-        backend.quiesce();
 
         for id in &ids[..6] {
             assert_eq!(
@@ -308,7 +297,6 @@ fn accepts_queued_agrees_with_the_published_machine_ad() {
             "{spec:?}: the ad must publish the refusal the co-allocation \
              filter keys on"
         );
-        site.backend().quiesce();
     }
 }
 
@@ -372,7 +360,6 @@ fn rejoin_reconciliation_finds_recent_dispositions() {
             *probe.borrow_mut() = Some(b.record(id).state);
         });
         sim.run_until(SimTime::from_secs(2_400));
-        backend.quiesce();
 
         let stranded = mid_outage.borrow().clone().expect("probe fired");
         assert!(
@@ -542,90 +529,6 @@ fn full_grid_obeys_invariants_and_replays_bit_identically() {
 }
 
 // ---------------------------------------------------------------------------
-// ParallelMatcher sweep under every backend label
-// ---------------------------------------------------------------------------
-
-fn match_ads(n: usize) -> Vec<(usize, Ad)> {
-    (0..n)
-        .map(|i| {
-            let mut ad = Ad::new();
-            ad.set_str("Site", format!("s{i}"))
-                .set_int("FreeCpus", (i % 5) as i64)
-                .set_bool("AcceptsQueued", i % 3 != 0);
-            (i, ad)
-        })
-        .collect()
-}
-
-fn match_requests(n: usize) -> Vec<MatchRequest> {
-    (0..n)
-        .map(|i| {
-            let nodes = 1 + i % 3;
-            let user = format!("u{}", i % 7);
-            let src = if i % 2 == 0 {
-                format!(
-                    r#"Executable = "iapp"; JobType = {{"interactive","mpich-p4"}};
-                       NodeNumber = {nodes}; User = "{user}";"#
-                )
-            } else {
-                format!(r#"Executable = "bapp"; JobType = "batch"; User = "{user}";"#)
-            };
-            MatchRequest {
-                id: JobId(i as u64),
-                job: crossgrid::jdl::JobDescription::parse(&src).unwrap(),
-            }
-        })
-        .collect()
-}
-
-#[test]
-fn matcher_sweep_is_thread_invariant_under_every_backend_label() {
-    if check_cores() < 4 {
-        eprintln!("skipping matcher sweep: needs >= 4 cores (CG_CHECK_CORES to override)");
-        return;
-    }
-    let reqs = match_requests(120);
-    for spec in all_backend_specs() {
-        let label = spec.kind().as_str();
-        let run = |threads: usize| {
-            let log = EventLog::new(reqs.len() * 4 + 32);
-            let table = ShardedJobTable::new(DEFAULT_SHARDS);
-            let engine = ParallelMatcher::new(match_ads(12), SEED).with_backend_label(label);
-            let outcomes = engine.run(&reqs, threads, &log, &table);
-            let buckets: BTreeMap<u64, Bucket> = table
-                .snapshot()
-                .iter()
-                .map(|(id, r)| (id.0, bucket_of(&r.state)))
-                .collect();
-            (outcomes, buckets, log.snapshot())
-        };
-
-        let (outcomes1, buckets1, events1) = run(1);
-        let violations = check_invariants(&events1);
-        assert!(violations.is_empty(), "{label}: {violations:?}");
-        let mut dispatches = 0;
-        for e in &events1 {
-            if let Event::JobDispatched { backend, .. } = &e.event {
-                assert_eq!(backend, label);
-                dispatches += 1;
-            }
-        }
-        assert!(dispatches > 0, "{label}: sweep never dispatched");
-
-        for threads in [4, 8] {
-            let (outcomes, buckets, events) = run(threads);
-            assert_eq!(
-                outcomes, outcomes1,
-                "{label}: outcomes at {threads} threads"
-            );
-            assert_eq!(buckets, buckets1, "{label}: buckets at {threads} threads");
-            let violations = check_invariants(&events);
-            assert!(violations.is_empty(), "{label}@{threads}: {violations:?}");
-        }
-    }
-}
-
-// ---------------------------------------------------------------------------
 // Stats balance under arbitrary interleavings
 // ---------------------------------------------------------------------------
 
@@ -700,7 +603,6 @@ proptest! {
                 });
             }
             sim.run_until(SimTime::from_secs(25 * 7 + 100));
-            backend.quiesce();
             prop_assert!(
                 imbalances.borrow().is_empty(),
                 "{:?}: {:?}",

@@ -6,15 +6,14 @@
 
 use crossgrid::broker::JobState;
 use crossgrid::site::BackendSpec;
-use crossgrid::trace::replay::{Bucket, Phase};
+use crossgrid::trace::replay::Bucket;
 
-/// Every execution backend the conformance contract covers: the sim LRMS,
-/// the in-process thread pool, and the external-process runner. Suites
-/// iterating this list prove a property backend-by-backend.
+/// Every execution backend the conformance contract covers: the sim LRMS
+/// and the external-process runner. Suites iterating this list prove a
+/// property backend-by-backend.
 pub fn all_backend_specs() -> Vec<BackendSpec> {
     vec![
         BackendSpec::Sim,
-        BackendSpec::ThreadPool { threads: 2 },
         // `true` exists on every POSIX box; the runner tolerates a failed
         // spawn anyway (it only feeds real-exec counters, never the sim).
         BackendSpec::Process {
@@ -23,23 +22,9 @@ pub fn all_backend_specs() -> Vec<BackendSpec> {
     ]
 }
 
-/// Cores available to thread-sweep gates, honoring the `CG_CHECK_CORES`
-/// override the check binaries use. Sweeps needing more should skip
-/// (not fail) below their floor.
-pub fn check_cores() -> usize {
-    std::env::var("CG_CHECK_CORES")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or_else(|| {
-            std::thread::available_parallelism()
-                .map(std::num::NonZeroUsize::get)
-                .unwrap_or(1)
-        })
-}
-
 /// The broker job table's coarse disposition bucket (the granularity of
-/// [`Phase::bucket`]): terminal-outcome comparison across crashes, shard
-/// layouts and thread counts happens here.
+/// `Phase::bucket`): terminal-outcome comparison across crashes and
+/// backends happens here.
 pub fn bucket_of(state: &JobState) -> Bucket {
     match state {
         JobState::Done => Bucket::Done,
@@ -47,21 +32,6 @@ pub fn bucket_of(state: &JobState) -> Bucket {
         JobState::Running { .. } => Bucket::Running,
         JobState::BrokerQueued => Bucket::Queued,
         _ => Bucket::Pending,
-    }
-}
-
-/// The [`Phase`] a live job-table state projects to — used to lift a job
-/// table into a [`crossgrid::trace::replay::ReplayState`] so the recovery
-/// invariants can compare it against the event stream's fold.
-pub fn phase_of(state: &JobState) -> Phase {
-    match state {
-        JobState::Submitted => Phase::Submitted,
-        JobState::Matching => Phase::Matching,
-        JobState::Scheduled { .. } => Phase::Dispatched,
-        JobState::BrokerQueued => Phase::Queued,
-        JobState::Running { .. } => Phase::Running,
-        JobState::Done => Phase::Finished,
-        JobState::Failed { .. } => Phase::Failed,
     }
 }
 

@@ -11,7 +11,7 @@ use crossgrid::broker::RecoveryReport;
 use crossgrid::jdl::JobDescription;
 use crossgrid::net::{FaultSchedule, Link, LinkProfile};
 use crossgrid::prelude::*;
-use crossgrid::site::{BackendSpec, Policy, SiteConfig};
+use crossgrid::site::{BackendSpec, Policy, ProcessBackend, SiteConfig};
 use crossgrid::trace::journal::{
     open_journal, parse_journal, Journal, JournalConfig, JournalError,
 };
@@ -256,17 +256,20 @@ fn kill_point_sweep_recovers_identical_terminal_stats() {
     let _ = std::fs::remove_file(&crash);
 }
 
-/// The kill-point sweep again, but with every site on the thread-pool
-/// backend: real worker threads execute alongside the sim. By the sim-time
-/// bridging rule they must not perturb the journal or recovery at all, so
-/// the uncrashed run journals the same number of events as the sim run,
-/// every job lands in the sim run's bucket, and a strided sweep of kill
-/// points recovers (into a thread-pool world) to those same buckets.
+/// The kill-point sweep again, but with every site on the process
+/// backend: a real child is spawned and reaped per started job alongside
+/// the sim. By the sim-time bridging rule that must not perturb the journal
+/// or recovery at all, so the uncrashed run journals the same number of
+/// events as the sim run, every job lands in the sim run's bucket, and a
+/// strided sweep of kill points recovers (into a process-backend world) to
+/// those same buckets.
 #[test]
-fn kill_point_sweep_is_backend_invariant_under_the_thread_pool() {
-    let spec = BackendSpec::ThreadPool { threads: 2 };
+fn kill_point_sweep_is_backend_invariant_under_the_process_backend() {
+    let spec = BackendSpec::Process {
+        program: ProcessBackend::default_program(),
+    };
 
-    let sim_base = tmp("tp-sim-base");
+    let sim_base = tmp("proc-sim-base");
     let (sim_total, _) = journaled_run(&sim_base, None, None);
     let sim_state = open_journal(&sim_base).unwrap().replay_state().unwrap();
     let base_buckets: BTreeMap<u64, Bucket> = sim_state
@@ -275,29 +278,29 @@ fn kill_point_sweep_is_backend_invariant_under_the_thread_pool() {
         .map(|(id, rj)| (*id, rj.phase.bucket()))
         .collect();
 
-    let tp_base = tmp("tp-base");
-    let (tp_total, crashed) = journaled_run_with(&tp_base, None, None, &spec);
+    let proc_base = tmp("proc-base");
+    let (proc_total, crashed) = journaled_run_with(&proc_base, None, None, &spec);
     assert!(!crashed);
     assert_eq!(
-        tp_total, sim_total,
-        "the thread pool journaled a different event count than the sim"
+        proc_total, sim_total,
+        "the process backend journaled a different event count than the sim"
     );
-    let tp_state = open_journal(&tp_base).unwrap().replay_state().unwrap();
-    assert_eq!(tp_state.jobs.len(), base_buckets.len());
-    for (id, rj) in &tp_state.jobs {
+    let proc_state = open_journal(&proc_base).unwrap().replay_state().unwrap();
+    assert_eq!(proc_state.jobs.len(), base_buckets.len());
+    for (id, rj) in &proc_state.jobs {
         assert_eq!(
             rj.phase.bucket(),
             base_buckets[id],
-            "job {id} diverged from the sim backend under the thread pool"
+            "job {id} diverged from the sim backend under the process backend"
         );
     }
 
     // Strided sweep: enough kill points to cross every lifecycle phase
     // without re-running the full per-event sweep a second time.
-    let crash = tmp("tp-crash");
-    for k in (0..tp_total).step_by(5) {
+    let crash = tmp("proc-crash");
+    for k in (0..proc_total).step_by(5) {
         let (_, crashed) = journaled_run_with(&crash, Some(k), None, &spec);
-        assert!(crashed, "kill point {k} of {tp_total} must fire");
+        assert!(crashed, "kill point {k} of {proc_total} must fire");
 
         let expected = open_journal(&crash).unwrap().replay_state().unwrap();
         let (broker, report, _sim) = recover_and_run_with(&crash, 5_000 + k, &spec);
@@ -321,7 +324,7 @@ fn kill_point_sweep_is_backend_invariant_under_the_thread_pool() {
         }
     }
     let _ = std::fs::remove_file(&sim_base);
-    let _ = std::fs::remove_file(&tp_base);
+    let _ = std::fs::remove_file(&proc_base);
     let _ = std::fs::remove_file(&crash);
 }
 
