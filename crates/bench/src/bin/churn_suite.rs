@@ -36,7 +36,7 @@ use cg_bench::report::{print_table, TraceSink};
 use cg_bench::write_csv;
 use cg_net::{FaultSchedule, Link, LinkProfile};
 use cg_sim::{Sim, SimDuration, SimRng, SimTime};
-use cg_site::{BackendSpec, GiisRoot, Policy, ProcessBackend, Site, SiteConfig};
+use cg_site::{BackendSpec, GiisRoot, Policy, Site, SiteConfig};
 use cg_trace::{check_invariants, Event, EventLog};
 use cg_workloads::{churn_faults, poisson_arrivals, synthetic_grid, ChurnKind, JobMix};
 use crossbroker::{BrokerConfig, CrossBroker, JobId, JobState, SiteHandle};
@@ -280,7 +280,7 @@ fn run_suite(sink: &TraceSink, gates: bool) {
                 // with a real child process spawned and reaped per started
                 // job must land every job in the identical terminal state.
                 let process = BackendSpec::Process {
-                    program: ProcessBackend::default_program(),
+                    program: BackendSpec::default_program(),
                 };
                 let real = sim_run_with(kind, index, &process);
                 assert_eq!(

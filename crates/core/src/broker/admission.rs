@@ -21,6 +21,9 @@ use crate::matchmaking::CompiledJob;
 /// longer ones grows its buffer as any `String` does.
 const COMMIT_RECORD_BYTES_PER_ATTR: usize = 48;
 
+/// Retry period for batch jobs parked in the broker queue.
+const BROKER_QUEUE_RETRY: SimDuration = SimDuration::from_secs(30);
+
 impl CrossBroker {
     /// Submits a job with the given natural runtime. The returned id indexes
     /// [`CrossBroker::record`].
@@ -194,10 +197,9 @@ impl CrossBroker {
             return;
         }
         inner.queue_retry_scheduled = true;
-        let retry = inner.config.broker_queue_retry;
         drop(inner);
         let this = self.clone();
-        sim.schedule_in(retry, move |sim| {
+        sim.schedule_in(BROKER_QUEUE_RETRY, move |sim| {
             this.inner.borrow_mut().queue_retry_scheduled = false;
             this.retry_broker_queue(sim);
         });

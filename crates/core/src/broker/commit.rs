@@ -21,7 +21,7 @@ use cg_vm::AgentId;
 
 use super::console::console_startup;
 use super::{CrossBroker, Inner, Placement, WeakBroker};
-use crate::config::{BrokerConfig, ConsoleCosts};
+use crate::config::ConsoleCosts;
 use crate::fairshare::UsageKind;
 use crate::job::{JobId, JobState};
 
@@ -118,12 +118,18 @@ struct Run {
     failed: Cell<bool>,
 }
 
-fn job_sandbox_bytes(job: &JobDescription, config: &BrokerConfig) -> u64 {
+/// Application sandbox size when the job declares none, bytes.
+const DEFAULT_SANDBOX_BYTES: u64 = 10_000_000;
+/// Broker-side work for a direct (shared-VM) dispatch: matching the job to
+/// the agent ad and proxy delegation to the agent (3.9 s).
+const SHARED_DELEGATION: SimDuration = SimDuration::from_millis(3_900);
+
+fn job_sandbox_bytes(job: &JobDescription) -> u64 {
     let declared = job.sandbox_bytes();
     if declared > 0 {
         declared
     } else {
-        config.default_sandbox_bytes
+        DEFAULT_SANDBOX_BYTES
     }
 }
 
@@ -258,7 +264,7 @@ impl CrossBroker {
             let run = Run {
                 broker: self.downgrade(),
                 id,
-                sandbox: job_sandbox_bytes(&job, &inner.config),
+                sandbox: job_sandbox_bytes(&job),
                 job,
                 runtime,
                 plan,
@@ -297,9 +303,8 @@ impl CrossBroker {
         sandbox: u64,
         then: impl FnOnce(&mut Sim, &CrossBroker) + 'static,
     ) {
-        let delegation = SimDuration::from_secs_f64(self.inner.borrow().config.shared_delegation_s);
         let this = self.clone();
-        sim.schedule_in(delegation, move |sim| {
+        sim.schedule_in(SHARED_DELEGATION, move |sim| {
             link.send(sim, Dir::AToB, sandbox, move |sim, r| {
                 if r.is_err() {
                     this.fail(sim, id, "staging to agent failed", false);
@@ -613,7 +618,7 @@ impl CrossBroker {
                 (
                     Rc::clone(&entry.agent),
                     inner.sites[entry.site_index].broker_link.clone(),
-                    job_sandbox_bytes(&job, &inner.config),
+                    job_sandbox_bytes(&job),
                 )
             };
             broker.stage_to_agent(sim, id, broker_link, sandbox, move |sim, broker| {

@@ -248,26 +248,6 @@ impl CrossBroker {
         mds_link: Link,
         config: BrokerConfig,
     ) -> Self {
-        // A non-default broker backend rebuilds every site still on the
-        // stock sim LRMS; sites that picked their own backend keep it.
-        // Handles cloned before this point go stale — see the
-        // `BrokerConfig::backend` doc.
-        let sites: Vec<SiteHandle> = if config.backend == cg_site::BackendSpec::Sim {
-            sites
-        } else {
-            sites
-                .into_iter()
-                .map(|mut s| {
-                    if s.site.config().backend == cg_site::BackendSpec::Sim {
-                        s.site = s
-                            .site
-                            .with_backend(config.backend.clone())
-                            .expect("BrokerConfig::backend must describe a buildable backend");
-                    }
-                    s
-                })
-                .collect()
-        };
         assert!(
             sites.len() <= sweep::MAX_SITES,
             "a sweep event addresses at most {} sites",

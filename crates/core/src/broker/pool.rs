@@ -9,11 +9,24 @@ use std::rc::Rc;
 
 use cg_sim::{Sim, SimDuration, SimTime};
 use cg_trace::Event;
-use cg_vm::{deploy_agent, Agent, AgentEvent, AgentId};
+use cg_vm::{deploy_agent, Agent, AgentCosts, AgentEvent, AgentId};
 
 use super::{AgentEntry, CrossBroker};
 use crate::fairshare::UsageKind;
 use crate::job::{JobId, JobState};
+
+/// Delivered fraction of the nominal batch share on shared machines.
+const SHARE_EFFICIENCY: f64 = 0.92;
+const _: () = assert!(SHARE_EFFICIENCY >= 0.5 && SHARE_EFFICIENCY <= 1.0);
+/// Wait before a replacement deployment ("new agents will be submitted when
+/// possible", §5.2).
+const AGENT_REDEPLOY_DELAY: SimDuration = SimDuration::from_secs(30);
+/// Consecutive short-lived involuntary deaths per site tolerated before
+/// giving up on redeployment there.
+const AGENT_REDEPLOY_BUDGET: u32 = 3;
+/// An agent surviving at least this long counts as healthy and resets the
+/// site's redeploy breaker.
+const AGENT_MIN_UPTIME: SimDuration = SimDuration::from_secs(600);
 
 /// Type-erased continuation of an agent deployment.
 type DeployCallback = Box<dyn FnOnce(&mut Sim, CrossBroker, Option<AgentId>)>;
@@ -53,7 +66,7 @@ impl CrossBroker {
     /// path re-enters here, so the callback must be type-erased to avoid
     /// recursive monomorphization.
     fn deploy_agent_at_boxed(&self, sim: &mut Sim, site_index: usize, then: DeployCallback) {
-        let (site, link, share_eff, costs, aid) = {
+        let (site, link, aid) = {
             let mut inner = self.inner.borrow_mut();
             let aid = AgentId(inner.next_agent);
             inner.next_agent += 1;
@@ -66,18 +79,14 @@ impl CrossBroker {
                     site: s.site.name().to_string(),
                 },
             );
-            (
-                s.site.clone(),
-                s.broker_link.clone(),
-                inner.config.share_efficiency,
-                inner.config.agent_costs,
-                aid,
-            )
+            (s.site.clone(), s.broker_link.clone(), aid)
         };
         let weak = self.downgrade();
         let then = RefCell::new(Some(then));
         let agent_slot: Rc<RefCell<Option<Rc<RefCell<Agent>>>>> = Rc::new(RefCell::new(None));
         let agent_slot2 = Rc::clone(&agent_slot);
+        // The glide-in costs are cg-vm's calibrated defaults.
+        let (share_eff, costs) = (SHARE_EFFICIENCY, AgentCosts::default());
         let agent = deploy_agent(sim, aid, &site, &link, share_eff, costs, move |sim, ev| {
             let Some(this) = weak.upgrade() else {
                 return;
@@ -157,21 +166,18 @@ impl CrossBroker {
                         } else {
                             // A healthy long-lived agent resets the site's
                             // breaker; a short-lived one trips it further.
-                            if uptime >= inner.config.agent_min_uptime {
+                            if uptime >= AGENT_MIN_UPTIME {
                                 inner.sites[site_index].agent_deaths = 1;
                             } else {
                                 inner.sites[site_index].agent_deaths += 1;
                             }
-                            inner.config.redeploy_agents
-                                && inner.sites[site_index].agent_deaths
-                                    <= inner.config.agent_redeploy_budget
+                            inner.sites[site_index].agent_deaths <= AGENT_REDEPLOY_BUDGET
                         }
                     };
                     if redeploy {
                         // "New agents will be submitted when possible" (§5.2).
                         let this2 = this.clone();
-                        let delay = this.inner.borrow().config.agent_redeploy_delay;
-                        sim.schedule_in(delay, move |sim| {
+                        sim.schedule_in(AGENT_REDEPLOY_DELAY, move |sim| {
                             this2.deploy_agent_at_boxed(sim, site_index, Box::new(|_, _, _| {}));
                         });
                     }

@@ -10,6 +10,16 @@ use cg_trace::Event;
 use super::{CrossBroker, Placement};
 use crate::job::{JobId, JobState};
 
+/// First resubmission backoff delay; each further attempt doubles it.
+const RESUBMIT_BACKOFF_BASE: SimDuration = SimDuration::from_secs(2);
+/// Upper bound on the exponential resubmission backoff.
+const RESUBMIT_BACKOFF_MAX: SimDuration = SimDuration::from_secs(60);
+/// Jitter fraction applied to each backoff delay: the scheduled wait is
+/// drawn uniformly from `delay * (1 ± jitter)`.
+const RESUBMIT_BACKOFF_JITTER: f64 = 0.2;
+const _: () = assert!(RESUBMIT_BACKOFF_BASE.as_nanos() <= RESUBMIT_BACKOFF_MAX.as_nanos());
+const _: () = assert!(RESUBMIT_BACKOFF_JITTER >= 0.0 && RESUBMIT_BACKOFF_JITTER < 1.0);
+
 /// Bounded exponential backoff with jitter: `base * 2^(attempt-1)` capped at
 /// `cap`, then scaled by a uniform factor in `1 ± jitter_frac`. Keeps a
 /// burst of racing resubmissions from hammering the same shortlist in
@@ -214,7 +224,7 @@ impl CrossBroker {
     /// matchmaking, or `None` when the attempt budget is exhausted. The
     /// chosen delay is recorded as a `JobBackoff` event.
     pub(super) fn begin_resubmit(&self, sim: &mut Sim, id: JobId) -> Option<SimDuration> {
-        let (attempt, max_resub, base, cap, jitter) = {
+        let (attempt, max_resub) = {
             let mut inner = self.inner.borrow_mut();
             inner.stats.resubmissions += 1;
             let attempt = inner
@@ -227,18 +237,18 @@ impl CrossBroker {
             inner
                 .trace
                 .record(sim.now(), Event::JobResubmitted { job: id.0, attempt });
-            (
-                attempt,
-                inner.config.max_resubmissions,
-                inner.config.resubmit_backoff_base,
-                inner.config.resubmit_backoff_max,
-                inner.config.resubmit_backoff_jitter,
-            )
+            (attempt, inner.config.max_resubmissions)
         };
         if attempt > max_resub {
             return None;
         }
-        let delay = backoff_delay(base, cap, jitter, attempt, sim.rng());
+        let delay = backoff_delay(
+            RESUBMIT_BACKOFF_BASE,
+            RESUBMIT_BACKOFF_MAX,
+            RESUBMIT_BACKOFF_JITTER,
+            attempt,
+            sim.rng(),
+        );
         self.inner.borrow().trace.record(
             sim.now(),
             Event::JobBackoff {

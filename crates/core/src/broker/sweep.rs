@@ -188,6 +188,16 @@ impl SweepEvent {
 /// stream never collides with the job's selection stream.
 const QUERY_RETRY_SALT: u64 = 0x515259; // "QRY"
 
+/// First live-query retry delay; each further attempt doubles it.
+const QUERY_BACKOFF_BASE: SimDuration = SimDuration::from_millis(500);
+/// Upper bound on the live-query retry backoff.
+const QUERY_BACKOFF_MAX: SimDuration = SimDuration::from_secs(5);
+/// Jitter fraction on each query retry delay, drawn from the job's own
+/// deterministic RNG stream (never the wall clock).
+const QUERY_BACKOFF_JITTER: f64 = 0.2;
+const _: () = assert!(QUERY_BACKOFF_BASE.as_nanos() <= QUERY_BACKOFF_MAX.as_nanos());
+const _: () = assert!(QUERY_BACKOFF_JITTER >= 0.0 && QUERY_BACKOFF_JITTER < 1.0);
+
 /// Bytes of a live query and of its answer on the broker ↔ site link.
 const QUERY_BYTES: u64 = 300;
 const ANSWER_BYTES: u64 = 1_200;
@@ -409,9 +419,9 @@ fn live_query_settle(
         sweep.job,
     );
     let delay = backoff_delay(
-        config.query_backoff_base,
-        config.query_backoff_max,
-        config.query_backoff_jitter,
+        QUERY_BACKOFF_BASE,
+        QUERY_BACKOFF_MAX,
+        QUERY_BACKOFF_JITTER,
         attempt,
         &mut rng,
     );

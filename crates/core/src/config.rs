@@ -2,8 +2,7 @@
 
 use cg_net::FaultSchedule;
 use cg_sim::SimDuration;
-use cg_site::{BackendSpec, MembershipConfig};
-use cg_vm::AgentCosts;
+use cg_site::MembershipConfig;
 
 use crate::fairshare::FairShareConfig;
 use crate::policy::PolicyKind;
@@ -46,10 +45,6 @@ pub struct BrokerConfig {
     pub lease: SimDuration,
     /// Fair-share engine parameters (Eq. 1).
     pub fairshare: FairShareConfig,
-    /// Delivered fraction of the nominal batch share on shared machines.
-    pub share_efficiency: f64,
-    /// Glide-in agent costs.
-    pub agent_costs: AgentCosts,
     /// Console startup costs.
     pub console: ConsoleCosts,
     /// On-line scheduling: resubmit interactive jobs that queue instead of
@@ -78,13 +73,6 @@ pub struct BrokerConfig {
     /// unbounded LDAP patience — bounding it is what lets selection
     /// degrade instead of hanging with a quiet site on the shortlist.
     pub live_query_retries: u32,
-    /// First live-query retry delay; each further attempt doubles it.
-    pub query_backoff_base: SimDuration,
-    /// Upper bound on the live-query retry backoff.
-    pub query_backoff_max: SimDuration,
-    /// Jitter fraction on each query retry delay, drawn from the job's
-    /// own deterministic RNG stream (never the wall clock).
-    pub query_backoff_jitter: f64,
     /// Degraded matchmaking: when the information system itself is
     /// unreachable, fall back to the broker's last MDS snapshot — but
     /// only while its age is at most this. Beyond the bound the job
@@ -110,42 +98,10 @@ pub struct BrokerConfig {
     /// site-list order; missing entries publish instantaneously. Ignored
     /// when `refresh_fanout` is `0`.
     pub publish_latency: Vec<SimDuration>,
-    /// Broker-side work for a direct (shared-VM) dispatch: matching the job
-    /// to the agent ad, proxy delegation to the agent, seconds.
-    pub shared_delegation_s: f64,
-    /// Default application sandbox size when the job declares none, bytes.
-    pub default_sandbox_bytes: u64,
-    /// Retry period for batch jobs parked in the broker queue.
-    pub broker_queue_retry: SimDuration,
-    /// Proactively redeploy a replacement when an agent is killed ("new
-    /// agents will be submitted when possible", §5.2).
-    pub redeploy_agents: bool,
-    /// Wait before a replacement deployment.
-    pub agent_redeploy_delay: SimDuration,
-    /// Consecutive short-lived involuntary deaths per site tolerated before
-    /// giving up on redeployment there.
-    pub agent_redeploy_budget: u32,
-    /// An agent surviving at least this long counts as healthy and resets
-    /// the site's redeploy breaker.
-    pub agent_min_uptime: SimDuration,
-    /// First resubmission backoff delay; each further attempt doubles it.
-    pub resubmit_backoff_base: SimDuration,
-    /// Upper bound on the exponential resubmission backoff.
-    pub resubmit_backoff_max: SimDuration,
-    /// Jitter fraction applied to each backoff delay: the scheduled wait is
-    /// drawn uniformly from `delay * (1 ± jitter)`.
-    pub resubmit_backoff_jitter: f64,
     /// Site-selection policy for matchmaking. The default reproduces the
     /// paper's free-CPUs rank; a job's own JDL `SelectionPolicy` attribute
     /// overrides it per job when the name is registered.
     pub selection_policy: PolicyKind,
-    /// Execution backend applied to every site still on the default
-    /// `BackendSpec::Sim` when the broker is built. Sites whose own
-    /// `SiteConfig::backend` is non-default keep it. Note the rebuild
-    /// footgun: a non-`Sim` value here rebuilds those sites inside
-    /// `CrossBroker::new`, so `Site` handles cloned *before* broker
-    /// construction go stale — fetch sites from the broker afterwards.
-    pub backend: BackendSpec,
 }
 
 impl Default for BrokerConfig {
@@ -153,8 +109,6 @@ impl Default for BrokerConfig {
         BrokerConfig {
             lease: SimDuration::from_secs(30),
             fairshare: FairShareConfig::default(),
-            share_efficiency: 0.92,
-            agent_costs: AgentCosts::default(),
             console: ConsoleCosts::default(),
             resubmit_on_queue: true,
             max_resubmissions: 3,
@@ -162,27 +116,13 @@ impl Default for BrokerConfig {
             live_query_fanout: 1,
             live_query_timeout: SimDuration::from_secs(60),
             live_query_retries: 2,
-            query_backoff_base: SimDuration::from_secs_f64(0.5),
-            query_backoff_max: SimDuration::from_secs(5),
-            query_backoff_jitter: 0.2,
             degraded_max_staleness: SimDuration::from_secs(900),
             membership: MembershipConfig::default(),
             publish_faults: Vec::new(),
             index_refresh: SimDuration::from_secs(300),
             refresh_fanout: 0,
             publish_latency: Vec::new(),
-            shared_delegation_s: 3.9,
-            default_sandbox_bytes: 10_000_000,
-            broker_queue_retry: SimDuration::from_secs(30),
-            redeploy_agents: true,
-            agent_redeploy_delay: SimDuration::from_secs(30),
-            agent_redeploy_budget: 3,
-            agent_min_uptime: SimDuration::from_secs(600),
-            resubmit_backoff_base: SimDuration::from_secs(2),
-            resubmit_backoff_max: SimDuration::from_secs(60),
-            resubmit_backoff_jitter: 0.2,
             selection_policy: PolicyKind::default(),
-            backend: BackendSpec::Sim,
         }
     }
 }
@@ -196,14 +136,8 @@ mod tests {
         let c = BrokerConfig::default();
         assert!(c.lease > SimDuration::ZERO);
         assert!(c.max_resubmissions >= 1);
-        assert!((0.5..=1.0).contains(&c.share_efficiency));
-        assert!(c.default_sandbox_bytes > 0);
-        assert!(c.resubmit_backoff_base <= c.resubmit_backoff_max);
-        assert!((0.0..1.0).contains(&c.resubmit_backoff_jitter));
         assert_eq!(c.selection_policy, PolicyKind::FreeCpusRank);
         assert!(c.live_query_timeout > SimDuration::from_secs_f64(c.live_query_service_s));
-        assert!(c.query_backoff_base <= c.query_backoff_max);
-        assert!((0.0..1.0).contains(&c.query_backoff_jitter));
         assert!(c.degraded_max_staleness >= c.index_refresh);
         assert!(
             c.membership.suspect_after_missed_refreshes <= c.membership.dead_after_missed_refreshes
@@ -214,10 +148,5 @@ mod tests {
         assert!(c.publish_faults.is_empty(), "no churn by default");
         assert_eq!(c.refresh_fanout, 0, "legacy instantaneous walk by default");
         assert!(c.publish_latency.is_empty());
-        assert_eq!(
-            c.backend,
-            BackendSpec::Sim,
-            "sim LRMS backend by default — bit-identical to the pre-Backend broker"
-        );
     }
 }

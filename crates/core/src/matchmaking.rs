@@ -20,8 +20,8 @@ pub struct Candidate {
 
 /// Filters machine ads against the job's `Requirements` plus the broker's
 /// built-in constraints (enough free CPUs for the node count — or queueable
-/// for batch jobs). Accepts owned ads or `Arc`-shared ones (the shape
-/// [`AdSnapshot::indexed_ads`] hands out) — the filter only ever borrows.
+/// for batch jobs). Accepts owned ads or `Arc`-shared ones — the filter
+/// only ever borrows.
 pub fn filter_candidates<A: std::borrow::Borrow<Ad>>(
     job: &JobDescription,
     ads: &[(usize, A)],

@@ -465,6 +465,42 @@ fn cancel_running_exclusive_job_frees_the_node() {
 }
 
 #[test]
+fn cancel_inside_the_dispatch_window_kills_the_copy() {
+    // The LRMS has taken the copy off its queue and reserved a node, and the
+    // 1.5 s dispatch latency is still running: a cancel there must reach the
+    // copy, not let it start behind the broker's back.
+    let mut sim = Sim::new(16);
+    let (broker, sites) = grid(&mut sim, 1, 2);
+    let id = broker.submit(&mut sim, job(EXCLUSIVE), SimDuration::from_secs(10_000));
+    while sites[0].lrms().dispatching_count() == 0 {
+        assert!(sim.step(), "the copy never reached the LRMS");
+    }
+    let opened = sim.now();
+    sim.run_until(opened.saturating_add(SimDuration::from_millis(200)));
+    assert_eq!(
+        sites[0].lrms().dispatching_count(),
+        1,
+        "still in the window"
+    );
+
+    assert!(broker.cancel(&mut sim, id));
+    sim.run_until(SimTime::from_secs(600));
+    match broker.record(id).state {
+        JobState::Failed { reason } => assert_eq!(reason, "cancelled by user"),
+        other => panic!("the cancelled job un-cancelled itself: {other:?}"),
+    }
+    assert_eq!(sites[0].lrms().free_nodes(), 2, "node returned");
+    assert_eq!(sites[0].lrms().stats().killed, 1);
+    let started = broker.event_log().snapshot().iter().any(|e| {
+        matches!(
+            e.event,
+            cg_trace::Event::LrmsStarted { .. } | cg_trace::Event::JobStarted { .. }
+        )
+    });
+    assert!(!started, "no `Started` may follow the kill");
+}
+
+#[test]
 fn cancel_shared_job_restores_batch_priority() {
     let mut sim = Sim::new(17);
     let (broker, _) = grid(&mut sim, 1, 2);

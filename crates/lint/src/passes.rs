@@ -4,7 +4,6 @@
 //! | code | pass | meaning |
 //! |------|------|---------|
 //! | L101 | determinism | wall-clock or ambient RNG in sim-governed code |
-//! | L102 | backend bridging | clock or RNG inside a `Backend` impl (only `mono_ns()` may see real time) |
 //! | L201 | lock discipline | lock guard held across a journal/fsync boundary |
 //! | L202 | lock discipline | overlapping lock guards (nested locking) |
 //! | L301 | policy purity | interior mutability inside a `SelectionPolicy` impl |
@@ -60,7 +59,6 @@ pub fn run_all(files: &[SourceFile]) -> Vec<Finding> {
         }
         lock_discipline(f, &mut out);
         policy_purity(f, &mut out);
-        backend_bridging(f, &mut out);
         allow_hygiene(f, &mut out);
     }
     out.sort_by(|a, b| {
@@ -394,54 +392,6 @@ fn policy_purity(f: &SourceFile, out: &mut Vec<Finding>) {
                     Some(
                         "policies must be pure functions of (Candidate, SiteSignals); \
                          precompute state outside the policy and pass it in via SiteSignals"
-                            .to_string(),
-                    ),
-                ));
-            }
-            i = close;
-        }
-        i += 1;
-    }
-}
-
-/// Scans every `impl … Backend for …` block: execution backends may
-/// observe real time only through the `cg_console::mono_ns()` chokepoint
-/// (the sim-time bridging rule, DESIGN §7k), so direct clocks and ambient
-/// RNG inside the impl are structural errors. Unlike the file-level L101,
-/// there is no `allow(wall-clock)` escape hatch — a backend that needs
-/// real time routes it through `mono_ns()` so harnesses can fake it.
-fn backend_bridging(f: &SourceFile, out: &mut Vec<Finding>) {
-    let toks = &f.toks;
-    let mut i = 0;
-    while i < toks.len() {
-        if toks[i].is_ident("Backend")
-            && toks[..i].iter().rev().take(8).any(|t| t.is_ident("impl"))
-            && matches!(toks.get(i + 1), Some(t) if t.is_ident("for"))
-        {
-            let open = toks[i..].iter().position(|t| t.is_punct("{"));
-            let Some(open) = open.map(|o| i + o) else {
-                i += 1;
-                continue;
-            };
-            let close = matching_brace(toks, open);
-            for t in &toks[open + 1..close] {
-                if t.kind != TokKind::Ident || !CLOCK_RNG.contains(&t.text.as_str()) {
-                    continue;
-                }
-                out.push(finding(
-                    &f.path,
-                    Severity::Error,
-                    "L102",
-                    t.pos,
-                    format!(
-                        "`{}` inside a `Backend` impl: real time and ambient RNG must \
-                         flow through the `mono_ns()` chokepoint (sim-time bridging rule)",
-                        t.text
-                    ),
-                    Some(
-                        "read real elapsed time via `cg_console::mono_ns()` and report it \
-                         only into backend-local counters; sim-visible scheduling must \
-                         come from the deterministic LRMS core"
                             .to_string(),
                     ),
                 ));

@@ -1,31 +1,28 @@
-//! Pluggable execution backends — the abstraction over "the thing that runs
-//! jobs at a site".
+//! The execution backend of a site: one scheduler, an optional real-exec
+//! hook.
 //!
 //! The paper's broker drives exactly one kind of local resource manager (a
 //! PBS-like batch scheduler, modelled by [`Lrms`]). Real brokers dispatch to
 //! heterogeneous execution services — Venugopal et al.'s Gridbus broker
-//! abstracts the middleware interface for exactly this reason. The
-//! [`Backend`] trait is that seam: the gatekeeper, the MDS publisher and the
-//! broker's dispatch/reconciliation paths all speak to a [`BackendHandle`]
-//! and never name a concrete executor.
+//! abstracts the middleware so that *dispatch* differs per resource while
+//! one scheduler owns the state. [`BackendHandle`] is that shape: the
+//! gatekeeper, the MDS publisher and the broker's dispatch/reconciliation
+//! paths all hold one, and it *is* the site's [`Lrms`] (it derefs to it)
+//! plus, for [`BackendSpec::Process`], a runner that spawns and reaps a real
+//! child process per started job (what a GRAM job manager does), with real
+//! elapsed time observed only through the [`cg_console::mono_ns`]
+//! chokepoint.
 //!
-//! Two implementations ship:
-//!
-//! * the sim [`Lrms`] itself (the default — bit-identical to the
-//!   pre-refactor behavior, since it *is* the pre-refactor type);
-//! * [`ProcessBackend`] — an external-process runner that spawns and reaps a
-//!   real child process per started job (what a GRAM job manager does),
-//!   with real elapsed time observed only through the
-//!   [`cg_console::mono_ns`] chokepoint.
-//!
-//! **The sim-time bridging rule** (DESIGN §7k): every backend delegates all
-//! *sim-visible* scheduling — queueing, dispatch latency, node accounting,
-//! lifecycle events, terminal dispositions — to the deterministic [`Lrms`]
-//! core. Real execution (child processes) rides *alongside* the sim and
-//! reports only into backend-local counters ([`RealExecStats`]), read via
-//! `mono_ns()` so deterministic harnesses can inject a fake clock. Nothing a
-//! real executor does may influence event order, job outcomes or stats seen
-//! by the sim: same seed, same schedule, on any machine, under any backend.
+//! **The sim-time bridging rule** (DESIGN §7k): all *sim-visible*
+//! scheduling — queueing, dispatch latency, node accounting, lifecycle
+//! events, terminal dispositions — is the deterministic [`Lrms`] core's,
+//! under either executor. The only code that differs between the two is
+//! [`BackendHandle::submit_rc`], which wraps the lifecycle callback so the
+//! runner hears `Started` and the terminal event. The runner's methods take
+//! a job id and nothing else — no `Sim`, no `Lrms` — and report only into
+//! [`RealExecStats`], so nothing a real executor does can influence event
+//! order, job outcomes or stats seen by the sim: same seed, same schedule,
+//! on any machine, under either backend.
 
 use std::cell::{Cell, RefCell};
 use std::rc::Rc;
@@ -34,20 +31,20 @@ use cg_console::mono_ns;
 use cg_sim::{Sim, SimDuration};
 use serde::{Deserialize, Serialize};
 
-use crate::lrms::{LocalDisposition, LocalJobId, LocalJobSpec, Lrms, LrmsEvent, LrmsStats, Policy};
+use crate::lrms::{LocalJobId, LocalJobSpec, Lrms, LrmsEvent, Policy};
 
-/// Shared lifecycle callback handed to [`Backend::submit_rc`]: observes every
-/// [`LrmsEvent`] for the submitted job, exactly as [`Lrms::submit`]'s
-/// callback does.
+/// Shared lifecycle callback handed to [`BackendHandle::submit_rc`]:
+/// observes every [`LrmsEvent`] for the submitted job, exactly as
+/// [`Lrms::submit`]'s callback does.
 pub type BackendCallback = Rc<dyn Fn(&mut Sim, LocalJobId, &LrmsEvent)>;
 
-/// Which concrete executor sits behind a [`BackendHandle`]. Recorded on
-/// dispatch trace events so replays know what ran the job.
+/// Which executor sits behind a [`BackendHandle`]. Recorded on dispatch
+/// trace events so replays know what ran the job.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub enum BackendKind {
-    /// The simulated batch scheduler ([`Lrms`]) — the default.
+    /// The simulated batch scheduler ([`Lrms`]) alone — the default.
     SimLrms,
-    /// External-process runner ([`ProcessBackend`]).
+    /// The scheduler plus one real child process per started job.
     Process,
 }
 
@@ -90,7 +87,8 @@ impl std::fmt::Display for BackendError {
 
 impl std::error::Error for BackendError {}
 
-/// Declarative backend choice, carried by `SiteConfig` and `BrokerConfig`.
+/// Declarative backend choice, carried by `SiteConfig` — the one door
+/// through which a site's executor is chosen.
 #[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub enum BackendSpec {
     /// The simulated LRMS (default).
@@ -112,6 +110,11 @@ impl BackendSpec {
         }
     }
 
+    /// The default real program: exits immediately, exists everywhere.
+    pub fn default_program() -> String {
+        "true".to_string()
+    }
+
     /// Builds the backend over `nodes` worker nodes.
     ///
     /// # Errors
@@ -124,19 +127,16 @@ impl BackendSpec {
         dispatch_latency: SimDuration,
         disposition_retention: usize,
     ) -> Result<BackendHandle, BackendError> {
-        let handle = match self {
-            BackendSpec::Sim => {
-                BackendHandle::from(Lrms::try_new(policy, nodes, dispatch_latency)?)
+        let runner = match self {
+            BackendSpec::Sim => None,
+            BackendSpec::Process { program } if program.is_empty() => {
+                return Err(BackendError::EmptyProgram)
             }
-            BackendSpec::Process { program } => BackendHandle::from(ProcessBackend::new(
-                policy,
-                nodes,
-                dispatch_latency,
-                program.clone(),
-            )?),
+            BackendSpec::Process { program } => Some(Rc::new(ProcessRunner::new(program.clone()))),
         };
-        handle.set_disposition_retention(disposition_retention);
-        Ok(handle)
+        let core = Lrms::try_new(policy, nodes, dispatch_latency)?;
+        core.set_disposition_retention(disposition_retention);
+        Ok(BackendHandle { core, runner })
     }
 }
 
@@ -157,116 +157,51 @@ pub struct RealExecStats {
     pub real_ns: u64,
 }
 
-/// The execution-backend contract. Semantics mirror [`Lrms`] exactly; the
-/// conformance suite (`tests/backend_conformance.rs`) holds every
-/// implementation to it:
+/// A site's execution backend: the [`Lrms`] core and, for
+/// [`BackendKind::Process`], the real-exec hook. Clones share both.
+///
+/// It derefs to the [`Lrms`], so every query and every other operation
+/// (`kill`, `complete`, `disposition`, `stats`, …) *is* the core's; only
+/// submission goes through the handle's own [`BackendHandle::submit_rc`].
+/// The conformance suite (`tests/backend_conformance.rs`) holds every
+/// [`BackendSpec`] to the core's contract:
 ///
 /// 1. `Queued` is always the first event, dispatch applies
 ///    `dispatch_latency` before `Started` (dispatch-latency ordering);
-/// 2. killing a queued job delivers `Killed` without ever `Started`;
-/// 3. terminal [`LocalDisposition`]s are retained (up to the configured cap)
-///    for rejoin reconciliation to poll;
-/// 4. [`Backend::accepts_queued_jobs`] reflects the bounded-queue admission
+/// 2. killing a job that has not started — queued, or inside the dispatch
+///    window — delivers `Killed` without ever `Started`;
+/// 3. terminal dispositions are retained (up to the configured cap) for
+///    rejoin reconciliation to poll;
+/// 4. [`Lrms::accepts_queued_jobs`] reflects the bounded-queue admission
 ///    rule the broker's co-allocation path consults;
 /// 5. same seed ⇒ same event schedule, regardless of real execution.
-pub trait Backend {
-    /// Which concrete executor this is.
-    fn kind(&self) -> BackendKind;
+#[derive(Clone)]
+pub struct BackendHandle {
+    core: Lrms,
+    runner: Option<Rc<ProcessRunner>>,
+}
 
-    /// Submits a job; `callback` observes every lifecycle event. See
-    /// [`Lrms::submit`].
-    fn submit_rc(&self, sim: &mut Sim, spec: LocalJobSpec, callback: BackendCallback)
-        -> LocalJobId;
+impl std::ops::Deref for BackendHandle {
+    type Target = Lrms;
 
-    /// Ends a running job early with `Finished`. See [`Lrms::complete`].
-    fn complete(&self, sim: &mut Sim, id: LocalJobId);
-
-    /// Kills a queued or running job. Returns whether the job was known.
-    fn kill(&self, sim: &mut Sim, id: LocalJobId, reason: &str) -> bool;
-
-    /// Status poll: where the job is now, or how it ended. See
-    /// [`Lrms::disposition`].
-    fn disposition(&self, id: LocalJobId) -> Option<LocalDisposition>;
-
-    /// Free nodes right now.
-    fn free_nodes(&self) -> usize;
-
-    /// Total nodes.
-    fn total_nodes(&self) -> usize;
-
-    /// Jobs waiting in the queue.
-    fn queue_depth(&self) -> usize;
-
-    /// Jobs currently running.
-    fn running_count(&self) -> usize;
-
-    /// Jobs inside the dispatch-latency window (off the queue, not yet
-    /// started) — see [`Lrms::dispatching_count`].
-    fn dispatching_count(&self) -> usize;
-
-    /// Whether the queue has room by the site's admission policy.
-    fn accepts_queued_jobs(&self) -> bool;
-
-    /// `(free_nodes, queue_depth, accepts_queued_jobs)` in one call — the
-    /// state a site's machine ad is built from, read once per live query.
-    fn ad_state(&self) -> (usize, usize, bool);
-
-    /// Scheduler metrics so far.
-    fn stats(&self) -> LrmsStats;
-
-    /// Routes lifecycle transitions into `log`, labelled with `site`.
-    fn set_trace(&self, log: cg_trace::EventLog, site: String);
-
-    /// Caps how many terminal dispositions are retained for status polls.
-    fn set_disposition_retention(&self, cap: usize);
-
-    /// Real-execution counters. Zero for purely simulated backends.
-    fn real_exec(&self) -> RealExecStats {
-        RealExecStats::default()
+    fn deref(&self) -> &Lrms {
+        &self.core
     }
 }
 
-/// A cloneable, type-erased backend. Clones share the underlying executor.
-///
-/// The inherent methods mirror [`Lrms`]'s API one-for-one so code written
-/// against `site.lrms()` keeps compiling unchanged against any backend.
-#[derive(Clone)]
-pub struct BackendHandle {
-    inner: Rc<dyn Backend>,
-}
-
-/// See [`BackendHandle::downgrade`].
-pub(crate) struct WeakBackendHandle {
-    inner: std::rc::Weak<dyn Backend>,
-}
-
-impl WeakBackendHandle {
-    /// The backend, unless every strong handle has been dropped.
-    pub(crate) fn upgrade(&self) -> Option<BackendHandle> {
-        self.inner.upgrade().map(|inner| BackendHandle { inner })
+impl From<Lrms> for BackendHandle {
+    fn from(core: Lrms) -> Self {
+        BackendHandle { core, runner: None }
     }
 }
 
 impl BackendHandle {
-    /// Wraps a concrete backend.
-    pub fn new(backend: impl Backend + 'static) -> Self {
-        BackendHandle {
-            inner: Rc::new(backend),
-        }
-    }
-
-    /// A handle that does not keep the backend alive — for callbacks the
-    /// backend itself stores (a strong handle there is a reference cycle
-    /// that leaks the backend while the job is live).
-    pub(crate) fn downgrade(&self) -> WeakBackendHandle {
-        WeakBackendHandle {
-            inner: Rc::downgrade(&self.inner),
-        }
-    }
-
-    /// Which concrete executor this handle drives.
+    /// Which executor this handle drives.
     pub fn kind(&self) -> BackendKind {
-        self.inner.kind()
+        match self.runner {
+            None => BackendKind::SimLrms,
+            Some(_) => BackendKind::Process,
+        }
     }
 
     /// Submits a job; `callback` observes every lifecycle event.
@@ -276,87 +211,41 @@ impl BackendHandle {
         spec: LocalJobSpec,
         callback: impl Fn(&mut Sim, LocalJobId, &LrmsEvent) + 'static,
     ) -> LocalJobId {
-        self.inner.submit_rc(sim, spec, Rc::new(callback))
+        self.submit_rc(sim, spec, Rc::new(callback))
     }
 
-    /// Submits with an already-shared callback.
+    /// Submits with an already-shared callback. With a real-exec hook the
+    /// callback is wrapped so `Started` spawns the job's child process and
+    /// the terminal event reaps it, before `callback` sees either.
     pub fn submit_rc(
         &self,
         sim: &mut Sim,
         spec: LocalJobSpec,
         callback: BackendCallback,
     ) -> LocalJobId {
-        self.inner.submit_rc(sim, spec, callback)
-    }
-
-    /// Ends a running job early with `Finished`.
-    pub fn complete(&self, sim: &mut Sim, id: LocalJobId) {
-        self.inner.complete(sim, id);
-    }
-
-    /// Kills a queued or running job. Returns whether the job was known.
-    pub fn kill(&self, sim: &mut Sim, id: LocalJobId, reason: impl Into<String>) -> bool {
-        self.inner.kill(sim, id, &reason.into())
-    }
-
-    /// Status poll: where the job is now, or how it ended.
-    pub fn disposition(&self, id: LocalJobId) -> Option<LocalDisposition> {
-        self.inner.disposition(id)
-    }
-
-    /// Free nodes right now.
-    pub fn free_nodes(&self) -> usize {
-        self.inner.free_nodes()
-    }
-
-    /// Total nodes.
-    pub fn total_nodes(&self) -> usize {
-        self.inner.total_nodes()
-    }
-
-    /// Jobs waiting in the queue.
-    pub fn queue_depth(&self) -> usize {
-        self.inner.queue_depth()
-    }
-
-    /// Jobs currently running.
-    pub fn running_count(&self) -> usize {
-        self.inner.running_count()
-    }
-
-    /// Jobs inside the dispatch-latency window.
-    pub fn dispatching_count(&self) -> usize {
-        self.inner.dispatching_count()
-    }
-
-    /// Whether the queue has room by the site's admission policy.
-    pub fn accepts_queued_jobs(&self) -> bool {
-        self.inner.accepts_queued_jobs()
-    }
-
-    /// `(free_nodes, queue_depth, accepts_queued_jobs)` in one call.
-    pub fn ad_state(&self) -> (usize, usize, bool) {
-        self.inner.ad_state()
-    }
-
-    /// Scheduler metrics so far.
-    pub fn stats(&self) -> LrmsStats {
-        self.inner.stats()
-    }
-
-    /// Routes lifecycle transitions into `log`, labelled with `site`.
-    pub fn set_trace(&self, log: cg_trace::EventLog, site: impl Into<String>) {
-        self.inner.set_trace(log, site.into());
-    }
-
-    /// Caps how many terminal dispositions are retained for status polls.
-    pub fn set_disposition_retention(&self, cap: usize) {
-        self.inner.set_disposition_retention(cap);
+        let Some(runner) = self.runner.clone() else {
+            return self.core.submit_rc(sim, spec, callback);
+        };
+        self.core.submit_rc(
+            sim,
+            spec,
+            Rc::new(move |sim, id, ev| {
+                match ev {
+                    LrmsEvent::Started { .. } => runner.spawn_for(id),
+                    LrmsEvent::Finished | LrmsEvent::Killed { .. } => runner.reap(id),
+                    LrmsEvent::Queued => {}
+                }
+                callback(sim, id, ev);
+            }),
+        )
     }
 
     /// Real-execution counters (zero for the sim backend).
     pub fn real_exec(&self) -> RealExecStats {
-        self.inner.real_exec()
+        self.runner
+            .as_ref()
+            .map(|r| r.snapshot())
+            .unwrap_or_default()
     }
 }
 
@@ -364,102 +253,23 @@ impl std::fmt::Debug for BackendHandle {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("BackendHandle")
             .field("kind", &self.kind())
-            .field("nodes", &self.total_nodes())
-            .field("queued", &self.queue_depth())
-            .field("running", &self.running_count())
-            .finish()
+            .field("core", &self.core)
+            .finish_non_exhaustive()
     }
 }
 
-impl From<Lrms> for BackendHandle {
-    fn from(lrms: Lrms) -> Self {
-        BackendHandle::new(lrms)
-    }
-}
-
-impl From<ProcessBackend> for BackendHandle {
-    fn from(b: ProcessBackend) -> Self {
-        BackendHandle::new(b)
-    }
-}
-
-impl Backend for Lrms {
-    fn kind(&self) -> BackendKind {
-        BackendKind::SimLrms
-    }
-
-    fn submit_rc(
-        &self,
-        sim: &mut Sim,
-        spec: LocalJobSpec,
-        callback: BackendCallback,
-    ) -> LocalJobId {
-        Lrms::submit_rc(self, sim, spec, callback)
-    }
-
-    fn complete(&self, sim: &mut Sim, id: LocalJobId) {
-        Lrms::complete(self, sim, id);
-    }
-
-    fn kill(&self, sim: &mut Sim, id: LocalJobId, reason: &str) -> bool {
-        Lrms::kill(self, sim, id, reason)
-    }
-
-    fn disposition(&self, id: LocalJobId) -> Option<LocalDisposition> {
-        Lrms::disposition(self, id)
-    }
-
-    fn free_nodes(&self) -> usize {
-        Lrms::free_nodes(self)
-    }
-
-    fn total_nodes(&self) -> usize {
-        Lrms::total_nodes(self)
-    }
-
-    fn queue_depth(&self) -> usize {
-        Lrms::queue_depth(self)
-    }
-
-    fn running_count(&self) -> usize {
-        Lrms::running_count(self)
-    }
-
-    fn dispatching_count(&self) -> usize {
-        Lrms::dispatching_count(self)
-    }
-
-    fn accepts_queued_jobs(&self) -> bool {
-        Lrms::accepts_queued_jobs(self)
-    }
-
-    fn ad_state(&self) -> (usize, usize, bool) {
-        Lrms::ad_state(self)
-    }
-
-    fn stats(&self) -> LrmsStats {
-        Lrms::stats(self)
-    }
-
-    fn set_trace(&self, log: cg_trace::EventLog, site: String) {
-        Lrms::set_trace(self, log, site);
-    }
-
-    fn set_disposition_retention(&self, cap: usize) {
-        Lrms::set_disposition_retention(self, cap);
-    }
-}
-
-// ── External-process backend ────────────────────────────────────────────
+// ── The real-exec hook ──────────────────────────────────────────────────
 
 struct LiveChild {
-    job: u64,
+    job: LocalJobId,
     child: std::process::Child,
     spawned_ns: u64,
 }
 
 /// Spawns and reaps one real child process per started job. Sim-side only —
-/// no extra threads — so plain `Cell`/`RefCell` state suffices.
+/// no extra threads — so plain `Cell`/`RefCell` state suffices. Its methods
+/// are handed a job id and nothing of the sim: the child's real lifetime is
+/// arbitrary, and it has no way to tell the scheduler about it.
 struct ProcessRunner {
     program: String,
     children: RefCell<Vec<LiveChild>>,
@@ -470,7 +280,18 @@ struct ProcessRunner {
 }
 
 impl ProcessRunner {
-    fn spawn_for(&self, job: u64) {
+    fn new(program: String) -> Self {
+        ProcessRunner {
+            program,
+            children: RefCell::new(Vec::new()),
+            spawned: Cell::new(0),
+            reaped: Cell::new(0),
+            failed: Cell::new(0),
+            real_ns: Cell::new(0),
+        }
+    }
+
+    fn spawn_for(&self, job: LocalJobId) {
         let spawned_ns = mono_ns();
         match std::process::Command::new(&self.program)
             .stdin(std::process::Stdio::null())
@@ -490,7 +311,7 @@ impl ProcessRunner {
         }
     }
 
-    fn reap(&self, job: u64) {
+    fn reap(&self, job: LocalJobId) {
         let live = {
             let mut children = self.children.borrow_mut();
             children
@@ -527,140 +348,17 @@ impl Drop for ProcessRunner {
     }
 }
 
-/// External-process runner.
-///
-/// Delegates all sim-visible scheduling to a deterministic [`Lrms`] core;
-/// each `Started` event additionally spawns `program` as a real child
-/// process, reaped when the sim delivers the job's terminal event (or at
-/// drop). Dispositions come from the core's recorded terminal outcomes, so
-/// the backend stays deterministic under the sim governor even though the
-/// child's real lifetime is arbitrary.
-pub struct ProcessBackend {
-    core: Lrms,
-    runner: Rc<ProcessRunner>,
-}
-
-impl ProcessBackend {
-    /// Builds the backend; `program` is spawned once per started job.
-    ///
-    /// # Errors
-    /// [`BackendError::ZeroNodes`] / [`BackendError::EmptyProgram`] on
-    /// structurally useless configurations.
-    pub fn new(
-        policy: Policy,
-        nodes: usize,
-        dispatch_latency: SimDuration,
-        program: String,
-    ) -> Result<Self, BackendError> {
-        if program.is_empty() {
-            return Err(BackendError::EmptyProgram);
-        }
-        Ok(ProcessBackend {
-            core: Lrms::try_new(policy, nodes, dispatch_latency)?,
-            runner: Rc::new(ProcessRunner {
-                program,
-                children: RefCell::new(Vec::new()),
-                spawned: Cell::new(0),
-                reaped: Cell::new(0),
-                failed: Cell::new(0),
-                real_ns: Cell::new(0),
-            }),
-        })
-    }
-
-    /// The default real program: exits immediately, exists everywhere.
-    pub fn default_program() -> String {
-        "true".to_string()
-    }
-}
-
-impl Backend for ProcessBackend {
-    fn kind(&self) -> BackendKind {
-        BackendKind::Process
-    }
-
-    fn submit_rc(
-        &self,
-        sim: &mut Sim,
-        spec: LocalJobSpec,
-        callback: BackendCallback,
-    ) -> LocalJobId {
-        let runner = Rc::clone(&self.runner);
-        self.core.submit_rc(
-            sim,
-            spec,
-            Rc::new(move |sim, id, ev| {
-                match ev {
-                    LrmsEvent::Started { .. } => runner.spawn_for(id.0),
-                    LrmsEvent::Finished | LrmsEvent::Killed { .. } => runner.reap(id.0),
-                    LrmsEvent::Queued => {}
-                }
-                callback(sim, id, ev);
-            }),
-        )
-    }
-
-    fn complete(&self, sim: &mut Sim, id: LocalJobId) {
-        self.core.complete(sim, id);
-    }
-
-    fn kill(&self, sim: &mut Sim, id: LocalJobId, reason: &str) -> bool {
-        self.core.kill(sim, id, reason)
-    }
-
-    fn disposition(&self, id: LocalJobId) -> Option<LocalDisposition> {
-        self.core.disposition(id)
-    }
-
-    fn free_nodes(&self) -> usize {
-        self.core.free_nodes()
-    }
-
-    fn total_nodes(&self) -> usize {
-        self.core.total_nodes()
-    }
-
-    fn queue_depth(&self) -> usize {
-        self.core.queue_depth()
-    }
-
-    fn running_count(&self) -> usize {
-        self.core.running_count()
-    }
-
-    fn dispatching_count(&self) -> usize {
-        self.core.dispatching_count()
-    }
-
-    fn accepts_queued_jobs(&self) -> bool {
-        self.core.accepts_queued_jobs()
-    }
-
-    fn ad_state(&self) -> (usize, usize, bool) {
-        self.core.ad_state()
-    }
-
-    fn stats(&self) -> LrmsStats {
-        self.core.stats()
-    }
-
-    fn set_trace(&self, log: cg_trace::EventLog, site: String) {
-        self.core.set_trace(log, site);
-    }
-
-    fn set_disposition_retention(&self, cap: usize) {
-        self.core.set_disposition_retention(cap);
-    }
-
-    fn real_exec(&self) -> RealExecStats {
-        self.runner.snapshot()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::lrms::LocalDisposition;
     use cg_sim::SimTime;
+
+    fn process() -> BackendSpec {
+        BackendSpec::Process {
+            program: BackendSpec::default_program(),
+        }
+    }
 
     fn drive_one(handle: &BackendHandle) -> (LocalJobId, Vec<String>) {
         let mut sim = Sim::new(1);
@@ -685,14 +383,9 @@ mod tests {
 
     #[test]
     fn process_backend_spawns_and_reaps() {
-        let backend = ProcessBackend::new(
-            Policy::Fifo,
-            1,
-            SimDuration::ZERO,
-            ProcessBackend::default_program(),
-        )
-        .expect("valid config");
-        let handle = BackendHandle::from(backend);
+        let handle = process()
+            .build(Policy::Fifo, 1, SimDuration::ZERO, 16)
+            .expect("valid config");
         let (id, events) = drive_one(&handle);
         assert_eq!(events, ["queued", "started", "finished"]);
         assert_eq!(handle.disposition(id), Some(LocalDisposition::Finished));
@@ -705,26 +398,15 @@ mod tests {
 
     #[test]
     fn invalid_specs_are_typed_errors() {
-        assert_eq!(
-            ProcessBackend::new(
-                Policy::Fifo,
-                0,
-                SimDuration::ZERO,
-                ProcessBackend::default_program()
-            )
-            .err(),
-            Some(BackendError::ZeroNodes)
-        );
-        assert_eq!(
-            ProcessBackend::new(Policy::Fifo, 1, SimDuration::ZERO, String::new()).err(),
-            Some(BackendError::EmptyProgram)
-        );
-        assert_eq!(
-            BackendSpec::Sim
-                .build(Policy::Fifo, 0, SimDuration::ZERO, 16)
-                .err(),
-            Some(BackendError::ZeroNodes)
-        );
+        let build = |spec: &BackendSpec, nodes| {
+            spec.build(Policy::Fifo, nodes, SimDuration::ZERO, 16).err()
+        };
+        assert_eq!(build(&process(), 0), Some(BackendError::ZeroNodes));
+        let no_program = BackendSpec::Process {
+            program: String::new(),
+        };
+        assert_eq!(build(&no_program, 1), Some(BackendError::EmptyProgram));
+        assert_eq!(build(&BackendSpec::Sim, 0), Some(BackendError::ZeroNodes));
     }
 
     #[test]
@@ -767,9 +449,7 @@ mod tests {
             out
         };
         let sim_events = run(&spec_for(&BackendSpec::Sim));
-        let proc_events = run(&spec_for(&BackendSpec::Process {
-            program: ProcessBackend::default_program(),
-        }));
+        let proc_events = run(&spec_for(&process()));
         assert_eq!(sim_events, proc_events, "process runner diverged from sim");
     }
 }

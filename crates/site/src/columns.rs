@@ -251,19 +251,6 @@ impl AdSnapshot {
             .filter(move |(_, &e)| e > epoch)
             .map(|(i, _)| i)
     }
-
-    /// The map-shaped view matchmaking historically consumed. Every ad is
-    /// `Arc`-shared with the snapshot (and, transitively, with every
-    /// predecessor snapshot the site was unchanged across) — a call costs
-    /// one refcount bump per site, never a deep `Ad` clone.
-    #[must_use]
-    pub fn indexed_ads(&self) -> Vec<(usize, Arc<Ad>)> {
-        self.ads
-            .iter()
-            .enumerate()
-            .map(|(i, ad)| (i, Arc::clone(ad)))
-            .collect()
-    }
 }
 
 #[cfg(test)]
@@ -326,36 +313,6 @@ mod tests {
         assert_eq!(s1.epoch(), 1);
         assert_eq!(s1.len(), 2);
         assert_eq!(s1.dirty_since(0).collect::<Vec<_>>(), vec![0, 1]);
-    }
-
-    #[test]
-    fn indexed_ads_matches_site_order() {
-        let snap = AdSnapshot::build(vec![ad("a", 1), ad("b", 2)]);
-        let ads = snap.indexed_ads();
-        assert_eq!(ads.len(), 2);
-        assert_eq!(ads[0].0, 0);
-        assert_eq!(
-            ads[1].1.get("FreeCpus").and_then(cg_jdl::Value::as_i64),
-            Some(2)
-        );
-    }
-
-    #[test]
-    fn indexed_ads_shares_allocations_instead_of_deep_cloning() {
-        // Regression for the hot-path clone: `indexed_ads` used to rebuild
-        // every site's B-tree map per call. It must hand out the snapshot's
-        // own `Arc`s — and, across a refresh, an unchanged site's ad must
-        // be the same allocation in both snapshots' views.
-        let s0 = AdSnapshot::build(vec![ad("uab", 4), ad("ifca", 8)]);
-        let v0 = s0.indexed_ads();
-        assert!(Arc::ptr_eq(&v0[0].1, s0.ad_arc(0)), "no per-call clone");
-        let s1 = s0.advance(vec![ad("uab", 4), ad("ifca", 7)]);
-        let v1 = s1.indexed_ads();
-        assert!(
-            Arc::ptr_eq(&v0[0].1, &v1[0].1),
-            "unchanged site shares one allocation across refreshes"
-        );
-        assert!(!Arc::ptr_eq(&v0[1].1, &v1[1].1), "changed site does not");
     }
 
     #[test]

@@ -277,7 +277,7 @@ fn stage_and_submit(
     do_stage(sim);
 }
 
-fn lrms_is_backed_up(lrms: &BackendHandle) -> bool {
+fn lrms_is_backed_up(lrms: &crate::Lrms) -> bool {
     lrms.free_nodes() == 0
 }
 

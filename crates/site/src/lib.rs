@@ -25,8 +25,7 @@ mod site;
 mod wn;
 
 pub use backend::{
-    Backend, BackendCallback, BackendError, BackendHandle, BackendKind, BackendSpec,
-    ProcessBackend, RealExecStats,
+    BackendCallback, BackendError, BackendHandle, BackendKind, BackendSpec, RealExecStats,
 };
 pub use columns::AdSnapshot;
 pub use gatekeeper::{Gatekeeper, GramCosts, GramEvent};
@@ -35,7 +34,7 @@ pub use lrms::{
     LocalDisposition, LocalJobId, LocalJobSpec, Lrms, LrmsEvent, LrmsStats, Policy,
     DEFAULT_DISPOSITION_RETENTION,
 };
-pub use mds::{InformationIndex, RefreshWindow, SiteRecord, SweepReport};
+pub use mds::{InformationIndex, RefreshWindow, SweepReport};
 pub use membership::{MembershipConfig, MembershipState, MembershipTable, Transition};
 pub use site::{machine_schema, Site, SiteConfig};
 pub use wn::NodeSpec;

@@ -91,7 +91,8 @@ pub enum LrmsEvent {
 /// a link outage can re-learn the outcome once the path heals.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum LocalDisposition {
-    /// Waiting in the queue.
+    /// Not started: waiting in the queue, or inside the dispatch-latency
+    /// window.
     Queued,
     /// Running on worker nodes.
     Running,
@@ -111,9 +112,13 @@ struct QueuedJob {
     seq: u64,
 }
 
+/// A job that holds nodes: inside the dispatch-latency window while
+/// `start_event` is set, running once it has fired.
 struct RunningJob {
     callback: Callback,
     nodes: Vec<usize>,
+    /// The pending start, so a kill inside the window can cancel it.
+    start_event: Option<EventId>,
     finish_event: Option<EventId>,
     kill_event: Option<EventId>,
 }
@@ -138,11 +143,13 @@ struct Inner {
     /// query, so counted where a node changes hands instead of scanned for.
     free: usize,
     queue: VecDeque<QueuedJob>,
+    /// Every job that holds nodes, started or not.
     running: std::collections::HashMap<LocalJobId, RunningJob>,
-    /// Jobs popped from the queue whose nodes are reserved but that have not
-    /// started yet — the dispatch-latency window (fork, image activation).
-    /// Without it, `submitted = queued + running + dispatching + finished +
-    /// killed` would not balance at arbitrary probe instants.
+    /// How many entries of `running` are popped from the queue with their
+    /// nodes reserved but have not started yet — the dispatch-latency
+    /// window (fork, image activation). Without it, `submitted = queued +
+    /// running + dispatching + finished + killed` would not balance at
+    /// arbitrary probe instants.
     dispatching: usize,
     next_id: u64,
     next_seq: u64,
@@ -164,6 +171,18 @@ struct Inner {
 #[derive(Clone)]
 pub struct Lrms {
     inner: Rc<RefCell<Inner>>,
+}
+
+/// See [`Lrms::downgrade`].
+pub(crate) struct WeakLrms {
+    inner: std::rc::Weak<RefCell<Inner>>,
+}
+
+impl WeakLrms {
+    /// The scheduler, unless every strong handle has been dropped.
+    pub(crate) fn upgrade(&self) -> Option<Lrms> {
+        self.inner.upgrade().map(|inner| Lrms { inner })
+    }
 }
 
 impl Lrms {
@@ -207,6 +226,15 @@ impl Lrms {
                 trace: None,
             })),
         })
+    }
+
+    /// A handle that does not keep the scheduler alive — for callbacks the
+    /// scheduler itself stores (a strong handle there is a reference cycle
+    /// that leaks the scheduler while the job is live).
+    pub(crate) fn downgrade(&self) -> WeakLrms {
+        WeakLrms {
+            inner: Rc::downgrade(&self.inner),
+        }
     }
 
     /// Caps how many terminal dispositions [`Lrms::disposition`] retains.
@@ -256,8 +284,8 @@ impl Lrms {
         self.submit_rc(sim, spec, Rc::new(callback))
     }
 
-    /// [`Lrms::submit`] with an already-shared callback — the form the
-    /// [`crate::Backend`] trait's object-safe seam uses.
+    /// [`Lrms::submit`] with an already-shared callback — the one method
+    /// [`crate::BackendHandle`] wraps instead of inheriting.
     pub(crate) fn submit_rc(
         &self,
         sim: &mut Sim,
@@ -297,7 +325,9 @@ impl Lrms {
         self.end_job(sim, id, None);
     }
 
-    /// Kills a queued or running job. Returns whether the job was known.
+    /// Kills a queued, dispatching or running job. Returns whether the job
+    /// was known. A job that has not started — queued, or inside the
+    /// dispatch-latency window — is delivered `Killed` and never `Started`.
     pub fn kill(&self, sim: &mut Sim, id: LocalJobId, reason: impl Into<String>) -> bool {
         let reason = reason.into();
         {
@@ -349,7 +379,8 @@ impl Lrms {
 
     /// Jobs currently running.
     pub fn running_count(&self) -> usize {
-        self.inner.borrow().running.len()
+        let inner = self.inner.borrow();
+        inner.running.len() - inner.dispatching
     }
 
     /// Jobs inside the dispatch-latency window: off the queue, nodes
@@ -381,25 +412,39 @@ impl Lrms {
     }
 
     /// Answers a status poll for one local job: where it is now, or how it
-    /// ended. `None` for ids this LRMS never accepted. Unlike the push
-    /// notifications (which ride the broker↔site link and are dropped on
-    /// outages), this is the authoritative site-local record.
+    /// ended. `None` for ids this LRMS never accepted; a job inside the
+    /// dispatch-latency window has not started and reads `Queued`. Unlike
+    /// the push notifications (which ride the broker↔site link and are
+    /// dropped on outages), this is the authoritative site-local record.
     pub fn disposition(&self, id: LocalJobId) -> Option<LocalDisposition> {
         let inner = self.inner.borrow();
         if inner.queue.iter().any(|q| q.id == id) {
             return Some(LocalDisposition::Queued);
         }
-        if inner.running.contains_key(&id) {
-            return Some(LocalDisposition::Running);
+        if let Some(job) = inner.running.get(&id) {
+            return Some(match job.start_event {
+                Some(_) => LocalDisposition::Queued,
+                None => LocalDisposition::Running,
+            });
         }
         inner.done.get(&id).copied()
     }
 
+    /// Ends a job that holds nodes. A kill also ends one still inside the
+    /// dispatch-latency window: its start is cancelled, so it frees its
+    /// nodes and is delivered `Killed` without ever having `Started`.
     fn end_job(&self, sim: &mut Sim, id: LocalJobId, kill_reason: Option<String>) {
         let mut inner = self.inner.borrow_mut();
+        let starting = |j: &RunningJob| j.start_event.is_some();
+        if kill_reason.is_none() && inner.running.get(&id).is_some_and(starting) {
+            return; // `complete` before the start: not running, so a no-op
+        }
         let Some(job) = inner.running.remove(&id) else {
             return;
         };
+        if starting(&job) {
+            inner.dispatching -= 1;
+        }
         for &n in &job.nodes {
             inner.node_busy[n] = false;
         }
@@ -412,7 +457,10 @@ impl Lrms {
             record_done(&mut inner, id, LocalDisposition::Finished)
         };
         drop(inner);
-        for ev in [job.finish_event, job.kill_event].into_iter().flatten() {
+        for ev in [job.start_event, job.finish_event, job.kill_event]
+            .into_iter()
+            .flatten()
+        {
             sim.cancel(ev);
         }
         self.trace_event(sim, |site| match &kill_reason {
@@ -493,11 +541,9 @@ impl Lrms {
 
             let id = job.id;
             let spec = job.spec;
-            let callback = job.callback;
             let this = self.clone();
-            let node_list = nodes.clone();
-            sim.schedule_in(dispatch, move |sim| {
-                // Register as running, then announce.
+            let start_event = sim.schedule_in(dispatch, move |sim| {
+                // Leave the window, then announce.
                 let mut finish_event = None;
                 let mut kill_event = None;
                 if let Some(rt) = spec.runtime {
@@ -519,26 +565,35 @@ impl Lrms {
                         }));
                     }
                 }
-                {
+                let (callback, nodes) = {
                     let mut inner = this.inner.borrow_mut();
                     inner.dispatching -= 1;
-                    inner.running.insert(
-                        id,
-                        RunningJob {
-                            callback: Rc::clone(&callback),
-                            nodes: node_list.clone(),
-                            finish_event,
-                            kill_event,
-                        },
-                    );
-                }
+                    let job = inner
+                        .running
+                        .get_mut(&id)
+                        .expect("a kill inside the window cancels this event");
+                    job.start_event = None;
+                    job.finish_event = finish_event;
+                    job.kill_event = kill_event;
+                    (Rc::clone(&job.callback), job.nodes.clone())
+                };
                 this.trace_event(sim, |site| cg_trace::Event::LrmsStarted {
                     site: site.to_string(),
                     job: id.0,
-                    nodes: node_list.len() as u32,
+                    nodes: nodes.len() as u32,
                 });
-                callback(sim, id, &LrmsEvent::Started { nodes: node_list });
+                callback(sim, id, &LrmsEvent::Started { nodes });
             });
+            self.inner.borrow_mut().running.insert(
+                id,
+                RunningJob {
+                    callback: job.callback,
+                    nodes,
+                    start_event: Some(start_event),
+                    finish_event: None,
+                    kill_event: None,
+                },
+            );
         }
     }
 }
@@ -564,7 +619,7 @@ impl std::fmt::Debug for Lrms {
             .field("policy", &inner.policy)
             .field("nodes", &inner.node_busy.len())
             .field("queued", &inner.queue.len())
-            .field("running", &inner.running.len())
+            .field("running", &(inner.running.len() - inner.dispatching))
             .finish()
     }
 }
@@ -751,6 +806,38 @@ mod tests {
         assert_eq!(evs.last().unwrap().0, "killed:user abort");
         let _ = blocker;
         assert_eq!(lrms.stats().killed, 1);
+    }
+
+    #[test]
+    fn kill_inside_the_dispatch_window_never_starts() {
+        // One node, 1.5 s of dispatch latency: at t = 0.2 s the victim is
+        // off the queue with its node reserved and has not started.
+        let mut sim = Sim::new(1);
+        let lrms = Lrms::new(Policy::Fifo, 1, SimDuration::from_millis(1_500));
+        let log: Log = Rc::new(RefCell::new(Vec::new()));
+        let long = LocalJobSpec::simple(SimDuration::from_secs(10_000));
+        let victim = lrms.submit(&mut sim, long.clone(), logging_cb(Rc::clone(&log)));
+        let next = lrms.submit(&mut sim, long, logging_cb(Rc::clone(&log)));
+        sim.run_until(cg_sim::SimTime::from_nanos(200_000_000));
+        assert_eq!((lrms.dispatching_count(), lrms.free_nodes()), (1, 0));
+        assert_eq!(lrms.disposition(victim), Some(LocalDisposition::Queued));
+        lrms.complete(&mut sim, victim);
+        assert_eq!(lrms.dispatching_count(), 1, "complete: not running, no-op");
+
+        assert!(lrms.kill(&mut sim, victim, "user abort"));
+        assert_eq!((lrms.dispatching_count(), lrms.free_nodes()), (0, 1));
+        assert_eq!(lrms.disposition(victim), Some(LocalDisposition::Killed));
+        sim.run_until(cg_sim::SimTime::from_secs(600));
+        assert_eq!(
+            events_for(&log, victim.0),
+            [("queued".into(), 0.0), ("killed:user abort".into(), 0.2)],
+            "the cancelled start never fires"
+        );
+        // The freed node went to the job behind it, a full latency later.
+        assert_eq!(events_for(&log, next.0)[1], ("started".into(), 1.7));
+        let stats = lrms.stats();
+        assert_eq!((stats.killed, lrms.running_count()), (1, 1));
+        assert_eq!(stats.submitted, 2);
     }
 
     #[test]

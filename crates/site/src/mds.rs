@@ -92,18 +92,6 @@ struct SweepState {
     missed: usize,
 }
 
-/// One site's entry in the index — the row-shaped compatibility view
-/// derived from the columnar snapshot by [`InformationIndex::snapshot`].
-#[derive(Debug, Clone)]
-pub struct SiteRecord {
-    /// Site name.
-    pub site: String,
-    /// The machine ad as of the last refresh (possibly stale).
-    pub ad: Ad,
-    /// When the entry was refreshed.
-    pub published_at: SimTime,
-}
-
 struct Inner {
     sites: Vec<Site>,
     snapshot: Arc<AdSnapshot>,
@@ -609,32 +597,6 @@ impl InformationIndex {
     pub fn snapshot_arc(&self) -> Arc<AdSnapshot> {
         Arc::clone(&self.inner.borrow().snapshot)
     }
-
-    /// Current (possibly stale) records, without network cost — for tests
-    /// and reports; clones each ad out of the columnar store.
-    pub fn snapshot(&self) -> Vec<SiteRecord> {
-        let inner = self.inner.borrow();
-        inner
-            .sites
-            .iter()
-            .enumerate()
-            .map(|(i, s)| SiteRecord {
-                site: s.name().to_string(),
-                ad: inner.snapshot.ad(i).clone(),
-                published_at: inner.published_at[i],
-            })
-            .collect()
-    }
-
-    /// The current records as an indexed ad list — the discovery-snapshot
-    /// shape the map-based matchmaking paths consume (`filter_candidates`,
-    /// `filter_candidates_compiled`). Site index `i` is
-    /// the position in the index's site list, matching the broker's
-    /// `SiteHandle` order. Every ad is `Arc`-shared with the snapshot —
-    /// no deep clone per call.
-    pub fn snapshot_ads(&self) -> Vec<(usize, Arc<Ad>)> {
-        self.inner.borrow().snapshot.indexed_ads()
-    }
 }
 
 /// Placeholder column for a site that has never published: named but
@@ -673,7 +635,7 @@ mod tests {
             InformationIndex::start(&mut sim, vec![site.clone()], SimDuration::from_secs(300));
         // Initial snapshot: 2 free CPUs.
         assert_eq!(
-            index.snapshot()[0].ad.get("FreeCpus").unwrap(),
+            index.snapshot_arc().ad(0).get("FreeCpus").unwrap(),
             &Value::Int(2)
         );
         // Occupy a node; the index must NOT see it until refresh.
@@ -684,13 +646,13 @@ mod tests {
         );
         sim.run_until(SimTime::from_secs(100));
         assert_eq!(
-            index.snapshot()[0].ad.get("FreeCpus").unwrap(),
+            index.snapshot_arc().ad(0).get("FreeCpus").unwrap(),
             &Value::Int(2),
             "stale value before refresh"
         );
         sim.run_until(SimTime::from_secs(301));
         assert_eq!(
-            index.snapshot()[0].ad.get("FreeCpus").unwrap(),
+            index.snapshot_arc().ad(0).get("FreeCpus").unwrap(),
             &Value::Int(1),
             "fresh value after refresh"
         );
@@ -729,21 +691,6 @@ mod tests {
             std::sync::Arc::ptr_eq(s0.ad_arc(1), s1.ad_arc(1)),
             "idle site's ad is shared across refreshes"
         );
-    }
-
-    #[test]
-    fn snapshot_ads_indexes_sites_in_registration_order() {
-        let mut sim = Sim::new(4);
-        let sites: Vec<Site> = (0..3)
-            .map(|i| test_site(&mut sim, &format!("s{i}"), 1 + i))
-            .collect();
-        let index = InformationIndex::start(&mut sim, sites, SimDuration::from_secs(300));
-        let ads = index.snapshot_ads();
-        assert_eq!(ads.len(), 3);
-        for (i, (idx, ad)) in ads.iter().enumerate() {
-            assert_eq!(*idx, i);
-            assert_eq!(ad.get("FreeCpus").unwrap(), &Value::Int(1 + i as i64));
-        }
     }
 
     #[test]

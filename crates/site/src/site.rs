@@ -33,7 +33,8 @@ pub struct SiteConfig {
     /// Storage capacity advertised, GB ("most sites offer storage capacities
     /// above 600GB", §6).
     pub storage_gb: u32,
-    /// Which execution backend runs this site's jobs.
+    /// Which execution backend runs this site's jobs — the one place an
+    /// executor is chosen.
     pub backend: BackendSpec,
     /// Cap on retained terminal dispositions (status-poll record).
     pub disposition_retention: usize,
@@ -83,8 +84,7 @@ impl Site {
     ///
     /// # Panics
     /// Panics when the configured backend is structurally invalid (zero
-    /// nodes, zero threads, empty program); use [`Site::try_new`] for a
-    /// typed error.
+    /// nodes, empty program); use [`Site::try_new`] for a typed error.
     pub fn new(config: SiteConfig) -> Self {
         Site::try_new(config).expect("invalid site backend configuration")
     }
@@ -112,19 +112,6 @@ impl Site {
         })
     }
 
-    /// Rebuilds this site over a different execution backend (same
-    /// configuration otherwise). The existing backend's state is NOT
-    /// carried over — this is a construction-time choice, applied by
-    /// `CrossBroker::new` before any job flows.
-    ///
-    /// # Errors
-    /// Returns the backend's construction error for invalid specs.
-    pub fn with_backend(&self, backend: BackendSpec) -> Result<Self, BackendError> {
-        let mut config = self.shared.config.clone();
-        config.backend = backend;
-        Site::try_new(config)
-    }
-
     /// Site name.
     pub fn name(&self) -> &str {
         &self.shared.config.name
@@ -135,14 +122,9 @@ impl Site {
         &self.shared.config
     }
 
-    /// The local scheduler (kept under its historical name; any
-    /// [`crate::Backend`] implementation may sit behind the handle).
+    /// The local scheduler: the [`crate::Lrms`] core behind the executor
+    /// [`SiteConfig::backend`] chose.
     pub fn lrms(&self) -> &BackendHandle {
-        &self.backend
-    }
-
-    /// The execution backend — alias of [`Site::lrms`].
-    pub fn backend(&self) -> &BackendHandle {
         &self.backend
     }
 

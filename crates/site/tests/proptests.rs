@@ -4,7 +4,10 @@
 
 use cg_jdl::{Ad, Value};
 use cg_sim::{Sim, SimDuration, SimTime};
-use cg_site::{BackendSpec, LocalJobId, LocalJobSpec, Lrms, LrmsEvent, Policy, Site, SiteConfig};
+use cg_site::{
+    BackendSpec, LocalDisposition, LocalJobId, LocalJobSpec, Lrms, LrmsEvent, Policy, Site,
+    SiteConfig,
+};
 use proptest::prelude::*;
 use std::cell::RefCell;
 use std::collections::HashMap;
@@ -16,7 +19,7 @@ use std::sync::Arc;
 /// memoized ad is held against.
 fn fresh_ad(site: &Site) -> Ad {
     let config = site.config();
-    let backend = site.backend();
+    let backend = site.lrms();
     let mut ad = Ad::new();
     ad.set_str("Site", config.name.clone())
         .set_str("Arch", config.node_spec.arch.clone())
@@ -223,7 +226,12 @@ proptest! {
 
     /// Under any submit/kill/complete interleaving, on every backend, the
     /// site's shared machine ad is never stale — checked after every op and
-    /// after every sim event — and is rebuilt only when an input moved.
+    /// after every sim event — and is rebuilt only when an input moved. Ops
+    /// land on whole seconds against the default 1.5 s dispatch latency, so
+    /// kills reach jobs inside the dispatch window too: a kill that lands
+    /// on a job that has not started is final (`Killed`, never `Started`),
+    /// every job is in exactly one state after every event, and the
+    /// real-exec hook hears exactly the `Started` events delivered.
     #[test]
     fn shared_machine_ad_tracks_the_backend(
         ops in prop::collection::vec((0u8..3u8, 1u64..40u64), 1..25),
@@ -243,18 +251,40 @@ proptest! {
             });
             let mut previous = site.machine_ad_arc();
             let known: Rc<RefCell<Vec<LocalJobId>>> = Rc::new(RefCell::new(Vec::new()));
+            // Per job: the lifecycle tags delivered so far, with an `x` where
+            // a kill landed (possibly in the submission's own instant, ahead
+            // of the `Queued` delivery) and a `!` where it did not land on a
+            // job the status poll called live.
+            let seen: Rc<RefCell<HashMap<LocalJobId, String>>> = Rc::default();
             for (i, &(kind, x)) in ops.iter().enumerate() {
-                let b = site.backend().clone();
+                let b = site.lrms().clone();
                 let known = Rc::clone(&known);
+                let seen = Rc::clone(&seen);
                 sim.schedule_at(SimTime::from_secs(i as u64 * 7 + x), move |sim| {
                     let pick = known.borrow().get(x as usize % known.borrow().len().max(1)).copied();
                     match (kind, pick) {
                         (0, _) => {
                             let spec = LocalJobSpec::simple(SimDuration::from_secs(x));
-                            known.borrow_mut().push(b.submit(sim, spec, |_, _, _| {}));
+                            let seen = Rc::clone(&seen);
+                            known.borrow_mut().push(b.submit(sim, spec, move |_, id, ev| {
+                                seen.borrow_mut().entry(id).or_default().push(match ev {
+                                    LrmsEvent::Queued => 'q',
+                                    LrmsEvent::Started { .. } => 's',
+                                    LrmsEvent::Finished => 'f',
+                                    LrmsEvent::Killed { .. } => 'k',
+                                });
+                            }));
                         }
                         (1, Some(id)) => {
-                            b.kill(sim, id, "interleaving");
+                            let live = matches!(
+                                b.disposition(id),
+                                Some(LocalDisposition::Queued | LocalDisposition::Running)
+                            );
+                            if b.kill(sim, id, "interleaving") != live {
+                                seen.borrow_mut().entry(id).or_default().push('!');
+                            } else if live {
+                                seen.borrow_mut().entry(id).or_default().push('x');
+                            }
                         }
                         (_, Some(id)) => b.complete(sim, id),
                         (_, None) => {}
@@ -264,8 +294,21 @@ proptest! {
             while sim.step() {
                 let checked = check_shared_ad(&site, &mut previous);
                 prop_assert!(checked.is_ok(), "{backend:?} at {:?}: {checked:?}", sim.now());
+                let (b, s) = (site.lrms(), site.lrms().stats());
+                let live = b.queue_depth() + b.dispatching_count() + b.running_count();
+                prop_assert_eq!(s.submitted, live as u64 + s.finished + s.killed);
             }
             prop_assert_eq!(site.machine_ad(), fresh_ad(&site));
+            let seen = seen.borrow();
+            for (id, tags) in seen.iter() {
+                let legal = ["qsf", "qsxk", "qxk", "xqk"].contains(&tags.as_str());
+                prop_assert!(legal, "{backend:?}: job {id:?} went {tags}");
+            }
+            let started = seen.values().filter(|tags| tags.contains('s')).count() as u64;
+            let real = site.lrms().real_exec();
+            let heard = if backend == BackendSpec::Sim { 0 } else { started };
+            prop_assert_eq!(real.launched, heard, "{:?}: one launch per `Started`", backend);
+            prop_assert_eq!(real.completed + real.failed, real.launched);
         }
     }
 }

@@ -7,7 +7,7 @@
 
 use cg_net::{FaultSchedule, HostId, Link, LinkProfile, Topology};
 use cg_sim::SimRng;
-use cg_site::{BackendError, BackendSpec, NodeSpec, Policy, Site, SiteConfig};
+use cg_site::{NodeSpec, Policy, Site, SiteConfig};
 
 /// A wired grid: broker, UI, information index host, and sites.
 pub struct GridScenario {
@@ -42,21 +42,6 @@ impl GridScenario {
     /// The sites, detached from their host ids.
     pub fn site_list(&self) -> Vec<Site> {
         self.sites.iter().map(|(s, _)| s.clone()).collect()
-    }
-
-    /// Rebuilds every site onto `backend`, in place. Any `Site` handle
-    /// cloned out of the scenario before this call keeps the old backend;
-    /// fetch sites afterwards.
-    ///
-    /// # Errors
-    /// Returns the first [`BackendError`] if `backend` cannot be built
-    /// (e.g. an empty program path); already-rebuilt sites keep the new
-    /// backend in that case.
-    pub fn set_backend(&mut self, backend: &BackendSpec) -> Result<(), BackendError> {
-        for (site, _) in &mut self.sites {
-            *site = site.with_backend(backend.clone())?;
-        }
-        Ok(())
     }
 }
 
@@ -228,24 +213,6 @@ mod tests {
         assert_eq!(s.broker_site_link(0).profile().name, "campus");
         assert_eq!(s.mds_link().profile().name, "wan-mds");
         assert_eq!(s.sites[0].0.lrms().total_nodes(), 4);
-    }
-
-    #[test]
-    fn set_backend_rebuilds_every_site() {
-        let mut s = campus_pair(4);
-        s.set_backend(&BackendSpec::Process {
-            program: cg_site::ProcessBackend::default_program(),
-        })
-        .expect("process backend builds");
-        assert_eq!(s.sites[0].0.backend_kind(), cg_site::BackendKind::Process);
-        assert_eq!(s.sites[0].0.lrms().total_nodes(), 4, "capacity survives");
-        assert_eq!(
-            s.set_backend(&BackendSpec::Process {
-                program: String::new()
-            }),
-            Err(BackendError::EmptyProgram),
-            "an empty program is a typed error"
-        );
     }
 
     #[test]

@@ -43,9 +43,8 @@
 //!     sidecars. Exits 1 when any check fails.
 //!
 //! cgrun backends
-//!     List the execution backends a site can run (`SiteConfig::backend` /
-//!     `BrokerConfig::backend`), with the label each stamps on
-//!     `JobDispatched` trace events.
+//!     List the execution backends a site can run (`SiteConfig::backend`),
+//!     with the label each stamps on `JobDispatched` trace events.
 //! ```
 //!
 //! The secret file is any byte string shared by both sides (the GSI proxy
@@ -483,12 +482,12 @@ fn cmd_churn_report(args: &[String]) -> i32 {
 /// the recovery rules always, and (with `--spool-dir`) the journaled spool
 /// watermarks against the on-disk `.ack` sidecars. Exit 0 = consistent,
 /// 1 = violations found, 2 = usage or I/O failure.
-/// `cgrun backends`: the execution backends a site (or the whole broker,
-/// via `BrokerConfig::backend`) can run, and the label each one stamps on
-/// `JobDispatched` trace events (visible in `cgrun journal-dump` output).
+/// `cgrun backends`: the execution backends a site can run, and the label
+/// each one stamps on `JobDispatched` trace events (visible in `cgrun
+/// journal-dump` output).
 fn cmd_backends() -> i32 {
     use crossgrid::site::BackendKind;
-    println!("execution backends (SiteConfig::backend / BrokerConfig::backend):\n");
+    println!("execution backends (SiteConfig::backend):\n");
     for (kind, config, what) in [
         (
             BackendKind::SimLrms,
@@ -504,9 +503,9 @@ fn cmd_backends() -> i32 {
         println!("  {:<12} BackendSpec::{config:<24} {what}", kind.as_str());
     }
     println!(
-        "\nboth backends delegate sim-visible scheduling to the deterministic \
-         LRMS core;\nreal execution reports only into backend-local counters \
-         via mono_ns() (DESIGN §7k)."
+        "\nboth are the one deterministic LRMS core; `process` adds a hook that \
+         hears a\njob id on start and on its terminal event, and reports only \
+         into its own\ncounters via mono_ns() (DESIGN §7k)."
     );
     0
 }

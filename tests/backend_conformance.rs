@@ -3,14 +3,16 @@
 //! satisfies the same contract:
 //!
 //! - dispatch-latency ordering of the job lifecycle,
-//! - kill-during-queue semantics (terminal, never started),
+//! - kill-during-queue and kill-during-the-dispatch-window semantics
+//!   (terminal, never started),
 //! - disposition retention, including across rejoin reconciliation,
 //! - `accepts_queued_jobs` agreement with the published machine ad,
 //! - `ad_state()` agreement with the three reads it stands for, after every
 //!   event of the single-backend scenarios,
 //! - whole-stream invariant rules 1–8 + 5b on a full broker run,
 //! - same-seed replay identity (real execution never perturbs the sim),
-//! - `LrmsStats` balance under arbitrary interleavings (proptest).
+//! - `LrmsStats` balance under arbitrary interleavings, and the real-exec
+//!   counters agreeing with the `Started` events delivered (proptest).
 
 use std::cell::RefCell;
 use std::collections::BTreeMap;
@@ -213,6 +215,49 @@ fn kill_during_queue_is_terminal_and_never_starts() {
     }
 }
 
+#[test]
+fn kill_during_the_dispatch_window_is_terminal_and_never_starts() {
+    for spec in all_backend_specs() {
+        let mut sim = Sim::new(13);
+        let backend = build(&spec, Policy::Fifo, 1);
+        let trace: Lifecycle = Rc::new(RefCell::new(Vec::new()));
+        let a = submit_recorded(&backend, &mut sim, SimDuration::from_secs(100), &trace);
+        let b = submit_recorded(&backend, &mut sim, SimDuration::from_secs(10), &trace);
+
+        // At t=1 s `a` is off the queue with the node reserved and 0.5 s of
+        // dispatch latency still to run; kill it there.
+        let killer = backend.clone();
+        sim.schedule_at(SimTime::from_secs(1), move |sim| {
+            assert_eq!(killer.dispatching_count(), 1, "the window is open");
+            assert!(killer.kill(sim, a, "conformance"), "window kill must land");
+            assert_eq!(killer.disposition(a), Some(LocalDisposition::Killed));
+            assert_eq!((killer.dispatching_count(), killer.free_nodes()), (0, 1));
+            let s = killer.stats();
+            let live = killer.queue_depth() + killer.dispatching_count() + killer.running_count();
+            assert_eq!(s.submitted, live as u64 + s.finished + s.killed);
+        });
+        run_checked(&mut sim, &backend, SimTime::from_secs(300));
+
+        let tags = |id| {
+            let evs = events_of(&trace, id);
+            evs.iter().map(|(t, _)| *t).collect::<Vec<_>>()
+        };
+        assert_eq!(
+            tags(a),
+            ["queued", "killed"],
+            "{spec:?}: a window-killed job must never start"
+        );
+        assert_eq!(
+            tags(b),
+            ["queued", "started", "finished"],
+            "{spec:?}: the freed node goes to the next job"
+        );
+        let stats = backend.stats();
+        assert_eq!((stats.submitted, stats.finished, stats.killed), (2, 1, 1));
+        assert_eq!(backend.free_nodes(), 1, "{spec:?}");
+    }
+}
+
 // ---------------------------------------------------------------------------
 // Disposition retention
 // ---------------------------------------------------------------------------
@@ -275,21 +320,21 @@ fn accepts_queued_agrees_with_the_published_machine_ad() {
                 .expect("AcceptsQueued is published as a bool")
         };
 
-        assert!(site.backend().accepts_queued_jobs(), "{spec:?}: fresh site");
+        assert!(site.lrms().accepts_queued_jobs(), "{spec:?}: fresh site");
         assert!(published(&site), "{spec:?}: fresh ad must accept");
 
         // One running + four queued jobs saturate the bounded queue
         // (4 × nodes): the backend and its ad must close together.
         for _ in 0..5 {
-            site.backend().submit(
+            site.lrms().submit(
                 &mut sim,
                 LocalJobSpec::simple(SimDuration::from_secs(500)),
                 |_, _, _| {},
             );
         }
-        run_checked(&mut sim, site.backend(), SimTime::from_secs(10));
+        run_checked(&mut sim, site.lrms(), SimTime::from_secs(10));
         assert!(
-            !site.backend().accepts_queued_jobs(),
+            !site.lrms().accepts_queued_jobs(),
             "{spec:?}: queue at 4×nodes must refuse admission"
         );
         assert!(
@@ -332,7 +377,7 @@ fn rejoin_reconciliation_finds_recent_dispositions() {
             ..SiteConfig::default()
         })
         .expect("valid spec");
-        let backend = site.backend().clone();
+        let backend = site.lrms().clone();
         let handles = vec![SiteHandle {
             site,
             broker_link: Link::with_faults(LinkProfile::campus(), outage()),
@@ -537,7 +582,9 @@ proptest! {
     /// `submitted = queued + dispatching + running + finished + killed` —
     /// a job is in exactly one of those states at any instant, on every
     /// backend — and so is a node: free, reserved for a dispatching job or
-    /// held by a running one (every job here asks for one node).
+    /// held by a running one (every job here asks for one node). After the
+    /// drain, the real-exec hook heard exactly the `Started` events the sim
+    /// delivered and reaped every one; the sim backend has no hook.
     #[test]
     fn stats_balance_under_arbitrary_interleavings(
         ops in prop::collection::vec((0u8..3u8, 1u64..40u64), 1..25),
@@ -548,11 +595,13 @@ proptest! {
             let backend = build(&spec, Policy::FifoBackfill, 2);
             let known: Rc<RefCell<Vec<LocalJobId>>> = Rc::new(RefCell::new(Vec::new()));
             let imbalances: Rc<RefCell<Vec<String>>> = Rc::new(RefCell::new(Vec::new()));
+            let started = Rc::new(std::cell::Cell::new(0u64));
             for (i, &(kind, x)) in ops.iter().enumerate() {
                 let at = SimTime::from_secs(i as u64 * 7 + x);
                 let b = backend.clone();
                 let known = Rc::clone(&known);
                 let imbalances = Rc::clone(&imbalances);
+                let started = Rc::clone(&started);
                 sim.schedule_at(at, move |sim| {
                     let pick = |ks: &[LocalJobId]| {
                         if ks.is_empty() {
@@ -566,7 +615,11 @@ proptest! {
                             let id = b.submit(
                                 sim,
                                 LocalJobSpec::simple(SimDuration::from_secs(x)),
-                                |_, _, _| {},
+                                move |_, _, ev| {
+                                    if matches!(ev, LrmsEvent::Started { .. }) {
+                                        started.set(started.get() + 1);
+                                    }
+                                },
                             );
                             known.borrow_mut().push(id);
                         }
@@ -618,6 +671,14 @@ proptest! {
                 live + s.finished + s.killed,
                 "{:?}: final balance", spec
             );
+            sim.run();
+            let real = backend.real_exec();
+            let heard = match spec {
+                BackendSpec::Sim => 0,
+                BackendSpec::Process { .. } => started.get(),
+            };
+            prop_assert_eq!(real.launched, heard, "{:?}: one launch per `Started`", spec);
+            prop_assert_eq!(real.completed + real.failed, real.launched, "{:?}", spec);
         }
     }
 }

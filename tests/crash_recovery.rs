@@ -11,7 +11,7 @@ use crossgrid::broker::RecoveryReport;
 use crossgrid::jdl::JobDescription;
 use crossgrid::net::{FaultSchedule, Link, LinkProfile};
 use crossgrid::prelude::*;
-use crossgrid::site::{BackendSpec, Policy, ProcessBackend, SiteConfig};
+use crossgrid::site::{BackendSpec, Policy, SiteConfig};
 use crossgrid::trace::journal::{
     open_journal, parse_journal, Journal, JournalConfig, JournalError,
 };
@@ -266,7 +266,7 @@ fn kill_point_sweep_recovers_identical_terminal_stats() {
 #[test]
 fn kill_point_sweep_is_backend_invariant_under_the_process_backend() {
     let spec = BackendSpec::Process {
-        program: ProcessBackend::default_program(),
+        program: BackendSpec::default_program(),
     };
 
     let sim_base = tmp("proc-sim-base");
