@@ -465,10 +465,12 @@ impl CrossBroker {
                         if run.plan.refuse_queued && !started.get() && !run.failed.get() =>
                     {
                         // It queued instead of starting: withdraw the copy
-                        // so it never takes nodes behind the broker's back.
+                        // so it never takes nodes behind the broker's back,
+                        // and forget where it was.
                         if let Some(lid) = local.get() {
                             let lrms = this.inner.borrow().sites[site_index].site.lrms().clone();
                             lrms.kill(sim, lid, withdrawn);
+                            this.remove_site_placement(run.id, site_index, lid);
                         }
                         this.site_refused(sim, &run, site_index, None);
                     }

@@ -445,6 +445,21 @@ impl CrossBroker {
             .push(p);
     }
 
+    /// Drops the placement of a copy the broker withdrew from a site's LRMS:
+    /// it no longer hosts any part of the job.
+    fn remove_site_placement(&self, id: JobId, site_index: usize, local: cg_site::LocalJobId) {
+        let mut inner = self.inner.borrow_mut();
+        let Some(placements) = inner.side.placements.get_mut(&id) else {
+            return;
+        };
+        placements.retain(|p| {
+            !matches!(p, Placement::Site { site_index: s, local: l } if *s == site_index && *l == local)
+        });
+        if placements.is_empty() {
+            inner.side.placements.remove(&id);
+        }
+    }
+
     fn set_state(&self, id: JobId, state: JobState) {
         self.inner.borrow_mut().jobs.update(id, |r| r.state = state);
     }

@@ -46,7 +46,7 @@ impl CrossBroker {
     /// candidate indices only, so no other site is sampled.
     fn site_signals(&self, now: SimTime, candidates: &[Candidate]) -> PolicySignals {
         let inner = self.inner.borrow();
-        let mut signals = PolicySignals::new();
+        let mut signals = PolicySignals::with_capacity(candidates.len());
         for i in candidates.iter().map(|c| c.site_index) {
             let s = &inner.sites[i];
             signals.set(

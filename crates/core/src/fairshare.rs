@@ -94,7 +94,15 @@ struct Usage {
 pub struct FairShare {
     config: FairShareConfig,
     priorities: HashMap<String, f64>,
-    usages: HashMap<UsageId, Usage>,
+    /// Running usages in ascending id order (ids are issued in order, so a
+    /// registration is an append): a user's charges are summed in this
+    /// fixed order.
+    usages: Vec<(UsageId, Usage)>,
+    /// Scratch of [`FairShare::tick`], kept between ticks so that a user
+    /// running something at consecutive ticks costs no allocation: the
+    /// summed charge of each user with something running at the last tick
+    /// (`None`, for one more tick, for a user who had nothing running).
+    load: HashMap<String, Option<f64>>,
     next_usage: u64,
     /// Total CPUs in the grid, the normalizer of `r(u,t)`.
     total_cpus: u32,
@@ -121,7 +129,8 @@ impl FairShare {
         FairShare {
             config,
             priorities: HashMap::new(),
-            usages: HashMap::new(),
+            usages: Vec::new(),
+            load: HashMap::new(),
             next_usage: 0,
             total_cpus,
             last_tick: None,
@@ -145,28 +154,32 @@ impl FairShare {
     pub fn register(&mut self, user: impl Into<String>, kind: UsageKind, cpus: u32) -> UsageId {
         let id = UsageId(self.next_usage);
         self.next_usage += 1;
-        self.usages.insert(
-            id,
-            Usage {
-                user: user.into(),
-                kind,
-                cpus,
-            },
-        );
+        let usage = Usage {
+            user: user.into(),
+            kind,
+            cpus,
+        };
+        self.usages.push((id, usage));
         id
+    }
+
+    fn position(&self, id: UsageId) -> Option<usize> {
+        self.usages.binary_search_by_key(&id.0, |(u, _)| u.0).ok()
     }
 
     /// Ends a usage (job finished or was killed).
     pub fn release(&mut self, id: UsageId) {
-        self.usages.remove(&id);
+        if let Some(at) = self.position(id) {
+            self.usages.remove(at);
+        }
     }
 
     /// Marks a batch usage as yielded to an interactive job with the given
     /// PL (and back, by passing `UsageKind::Batch`). The trace event is
     /// timestamped at the last tick (the engine itself has no clock).
     pub fn set_kind(&mut self, id: UsageId, kind: UsageKind) {
-        if let Some(u) = self.usages.get_mut(&id) {
-            u.kind = kind;
+        if let Some(at) = self.position(id) {
+            self.usages[at].1.kind = kind;
             if let Some(log) = &self.trace {
                 log.record(
                     self.last_tick.unwrap_or(SimTime::from_nanos(0)),
@@ -204,30 +217,35 @@ impl FairShare {
         let h = self.config.half_life.as_secs_f64();
         let beta = 0.5f64.powf(dt / h);
 
-        // a_f · r(u,t), summed over the user's running jobs.
-        let mut load: HashMap<&str, f64> = HashMap::new();
-        for u in self.usages.values() {
+        // a_f · r(u,t), summed over the user's running jobs in id order.
+        self.load.retain(|_, charge| charge.take().is_some());
+        for (_, u) in &self.usages {
             let r = u.cpus as f64 / self.total_cpus as f64;
-            *load.entry(u.user.as_str()).or_default() += u.kind.application_factor() * r;
+            let summed =
+                |sum: Option<f64>| Some(sum.unwrap_or(0.0) + u.kind.application_factor() * r);
+            match self.load.get_mut(u.user.as_str()) {
+                Some(sum) => *sum = summed(*sum),
+                None => {
+                    self.load.insert(u.user.clone(), summed(None));
+                }
+            }
         }
 
-        // Decay + charge for every known-or-active user.
-        let mut users: Vec<String> = self.priorities.keys().cloned().collect();
-        for u in load.keys() {
-            if !self.priorities.contains_key(*u) {
-                users.push((*u).to_string());
+        // Decay + charge for every known-or-active user; an active user
+        // not known yet starts from the initial priority.
+        for (user, charge) in &self.load {
+            if charge.is_some() && !self.priorities.contains_key(user) {
+                self.priorities.insert(user.clone(), self.config.initial);
             }
         }
-        for user in users {
-            let prev = self.priority(&user);
-            let charge = load.get(user.as_str()).copied().unwrap_or(0.0);
-            let next = beta * prev + (1.0 - beta) * charge;
-            if (next - self.config.initial).abs() < self.config.epsilon && charge == 0.0 {
-                self.priorities.remove(&user); // fully restored credits
-            } else {
-                self.priorities.insert(user, next);
-            }
-        }
+        let (initial, epsilon, load) = (self.config.initial, self.config.epsilon, &self.load);
+        self.priorities.retain(|user, priority| {
+            let charge = load.get(user).copied().flatten().unwrap_or(0.0);
+            let next = beta * *priority + (1.0 - beta) * charge;
+            *priority = next;
+            // Fully restored credits leave the table.
+            !((next - initial).abs() < epsilon && charge == 0.0)
+        });
     }
 
     /// Selection for rejection under scarcity: "If there are not enough

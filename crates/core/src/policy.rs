@@ -91,6 +91,13 @@ impl PolicySignals {
         PolicySignals::default()
     }
 
+    /// An empty signal set with room for `sites` sites.
+    pub(crate) fn with_capacity(sites: usize) -> Self {
+        PolicySignals {
+            sites: Vec::with_capacity(sites),
+        }
+    }
+
     /// Records the signals for `site_index`.
     pub fn set(&mut self, site_index: usize, signals: SiteSignals) {
         if self.sites.last().is_none_or(|(last, _)| *last < site_index) {
@@ -113,6 +120,29 @@ impl PolicySignals {
 
     fn position(&self, site_index: usize) -> Result<usize, usize> {
         self.sites.binary_search_by_key(&site_index, |(i, _)| *i)
+    }
+
+    /// [`PolicySignals::get`] for a sequence of reads: a read of the site
+    /// after the last one read is one comparison, so walking candidates in
+    /// site-index order over the signals recorded for them searches nothing.
+    fn reader(&self) -> impl FnMut(usize) -> SiteSignals + '_ {
+        let mut next = 0;
+        move |site_index| match self.sites.get(next) {
+            Some((i, signals)) if *i == site_index => {
+                next += 1;
+                *signals
+            }
+            _ => match self.position(site_index) {
+                Ok(at) => {
+                    next = at + 1;
+                    self.sites[at].1
+                }
+                Err(at) => {
+                    next = at;
+                    SiteSignals::default()
+                }
+            },
+        }
     }
 }
 
@@ -277,43 +307,49 @@ impl PolicyKind {
     }
 }
 
-/// A candidate paired with the score the active policy gave it, borrowed
-/// while partitioning a scored slice.
-type ScoredRef<'a> = (f64, &'a Candidate);
-
 /// [`crate::matchmaking::select_detailed`] generalized over a policy:
 /// scores every candidate, discards NaN scores into
 /// [`Selection::nan_discarded`], finds the best score and picks uniformly
 /// among the exactly-tied ([`f64::total_cmp`]) candidates with the
 /// caller's RNG. Under [`FreeCpusRank`] the score *is* the rank, so this
-/// is bit-identical — same partition, same comparisons, same single RNG
-/// draw — to the pre-policy implementation.
+/// is bit-identical — same comparisons, same single RNG draw — to the
+/// pre-policy implementation.
+///
+/// Allocates only for a NaN report: policies are pure, so instead of
+/// keeping the scores the passes score again — one to find the best score
+/// (`f64::max` folded in candidate order), one to count the ties, one to
+/// walk to the tie the draw picked.
 pub fn select_detailed_with(
     policy: &dyn SelectionPolicy,
     signals: &PolicySignals,
     candidates: &[Candidate],
     rng: &mut SimRng,
 ) -> Selection {
-    let scored: Vec<ScoredRef<'_>> = candidates
-        .iter()
-        .map(|c| (policy.score(c, &signals.get(c.site_index)), c))
-        .collect();
-    let (valid, nan): (Vec<&ScoredRef<'_>>, Vec<&ScoredRef<'_>>) =
-        scored.iter().partition(|(s, _)| !s.is_nan());
-    let nan_discarded: Vec<Candidate> = nan.into_iter().map(|(_, c)| **c).collect();
-    let Some(best) = valid.iter().map(|(s, _)| *s).reduce(f64::max) else {
+    let scored = || {
+        let mut signals = signals.reader();
+        candidates
+            .iter()
+            .map(move |c| (policy.score(c, &signals(c.site_index)), c))
+    };
+    let mut nan_discarded = Vec::new();
+    let mut best: Option<f64> = None;
+    for (score, c) in scored() {
+        if score.is_nan() {
+            nan_discarded.push(*c);
+        } else {
+            best = Some(best.map_or(score, |b| b.max(score)));
+        }
+    }
+    let Some(best) = best else {
         return Selection {
             winner: None,
             nan_discarded,
         };
     };
-    let ties: Vec<&Candidate> = valid
-        .iter()
-        .filter(|(s, _)| s.total_cmp(&best) == std::cmp::Ordering::Equal)
-        .map(|(_, c)| *c)
-        .collect();
+    let ties = || scored().filter(|(s, _)| s.total_cmp(&best) == std::cmp::Ordering::Equal);
+    let chosen = rng.index(ties().count());
     Selection {
-        winner: Some(**rng.choose(&ties)),
+        winner: ties().nth(chosen).map(|(_, c)| *c),
         nan_discarded,
     }
 }
@@ -486,6 +522,13 @@ mod tests {
                 SiteSignals::default()
             };
             assert_eq!(ascending.get(i), expected, "site {i}");
+        }
+        // A reader agrees with `get` whatever order it is read in.
+        let mut order: Vec<usize> = (0..=201).chain((0..=201).rev()).collect();
+        order.extend([9, 4, 9, 9, 200, 1, 1, 5]);
+        let mut read = ascending.reader();
+        for i in order {
+            assert_eq!(read(i), ascending.get(i), "site {i}");
         }
     }
 

@@ -1345,3 +1345,73 @@ fn a_started_subjob_killed_at_its_site_fails_the_barrier_job() {
         assert_eq!(broker.replay_state().jobs[&id.0].jdl, None, "{name}");
     }
 }
+
+/// On-line scheduling withdraws a copy that queued; the withdrawn copy's
+/// placement must go with it. Left behind, it made the site's rejoin poll
+/// read the withdrawn copy's `Killed` and fail a job running healthily
+/// elsewhere ("killed at site while the link was down").
+#[test]
+fn a_withdrawn_copy_does_not_outlive_its_withdrawal() {
+    use cg_net::FaultSchedule;
+    let mut sim = Sim::new(34);
+    // Alpha has the most free CPUs, so the job picks it first.
+    let sites: Vec<Site> = [("alpha", 4), ("beta", 2)]
+        .iter()
+        .map(|(name, nodes)| {
+            Site::new(SiteConfig {
+                name: (*name).into(),
+                nodes: *nodes,
+                policy: Policy::Fifo,
+                ..SiteConfig::default()
+            })
+        })
+        .collect();
+    let handles = sites
+        .iter()
+        .map(|site| SiteHandle {
+            site: site.clone(),
+            broker_link: Link::new(LinkProfile::campus()),
+            ui_link: Link::new(LinkProfile::campus()),
+        })
+        .collect();
+    // Alpha's publications are lost from t = 20 s to t = 1 400 s: `Dead`
+    // after four missed refreshes (300 … 1 200 s), rejoined at 1 500 s.
+    let outage =
+        FaultSchedule::from_windows(vec![(SimTime::from_secs(20), SimTime::from_secs(1_400))]);
+    let config = BrokerConfig {
+        publish_faults: vec![outage, FaultSchedule::none()],
+        ..BrokerConfig::default()
+    };
+    let mds = Link::new(LinkProfile::wan_mds());
+    let broker = CrossBroker::new(&mut sim, handles, mds, config);
+    let id = broker.submit(&mut sim, job(EXCLUSIVE), SimDuration::from_secs(3_000));
+    // Local users take every alpha node while the submission is in flight:
+    // the copy queues there, is withdrawn, and the job starts on beta.
+    let alpha = sites[0].clone();
+    sim.schedule_at(SimTime::from_secs(3), move |sim| {
+        for _ in 0..4 {
+            alpha.lrms().submit(
+                sim,
+                LocalJobSpec::simple(SimDuration::from_secs(50_000)),
+                |_, _, _| {},
+            );
+        }
+    });
+    sim.run_until(SimTime::from_secs(1_000));
+    let r = broker.record(id);
+    assert_eq!(r.resubmissions, 1, "{r:?}");
+    assert!(
+        matches!(&r.state, JobState::Running { sites } if sites == &["beta"]),
+        "{:?}",
+        r.state
+    );
+    sim.run_until(SimTime::from_secs(6_000));
+    let events = broker.event_log().snapshot();
+    let seen = |kind: &str| events.iter().any(|e| e.event.kind() == kind);
+    assert!(
+        seen("SiteDead") && seen("SiteRejoin"),
+        "alpha died and rejoined"
+    );
+    let state = broker.record(id).state;
+    assert!(matches!(state, JobState::Done), "{state:?}");
+}

@@ -2,7 +2,10 @@
 
 use cg_jdl::{Ad, JobDescription};
 use cg_sim::{SimDuration, SimRng, SimTime};
-use crossbroker::{coallocate, filter_candidates, select, FairShare, FairShareConfig, UsageKind};
+use crossbroker::{
+    coallocate, filter_candidates, select, select_detailed_with, Candidate, FairShare,
+    FairShareConfig, PolicyKind, PolicySignals, Selection, SelectionPolicy, SiteSignals, UsageKind,
+};
 use proptest::prelude::*;
 
 fn kind_strategy() -> impl Strategy<Value = UsageKind> {
@@ -202,7 +205,9 @@ proptest! {
     /// priority match a straightforward shadow fold of Equation (1) over
     /// the live usage set. In particular a usage registered and released
     /// within the same δt window is charged exactly zero times, and one
-    /// that survives a tick is charged exactly once per tick.
+    /// that survives a tick is charged exactly once per tick. The engine
+    /// sums a user's charges in registration order, as the shadow does, so
+    /// the two agree to the bit.
     #[test]
     fn interleavings_never_leave_stale_usage_or_double_apply(
         ops in prop::collection::vec(fs_op_strategy(), 1..80),
@@ -252,7 +257,7 @@ proptest! {
                     let mut load: HashMap<String, f64> = HashMap::new();
                     for (user, kind, cpus) in live.iter().flatten() {
                         *load.entry(user.clone()).or_default() +=
-                            kind.application_factor() * f64::from(*cpus) / 100.0;
+                            kind.application_factor() * (f64::from(*cpus) / 100.0);
                     }
                     let users: Vec<String> = shadow
                         .keys()
@@ -281,11 +286,140 @@ proptest! {
             for user in ["u0", "u1"] {
                 let got = fs.priority(user);
                 let want = shadow.get(user).copied().unwrap_or(0.0);
-                prop_assert!(
-                    (got - want).abs() < 1e-9,
-                    "{user}: engine {got} vs shadow {want} after {t}s"
+                prop_assert_eq!(
+                    got.to_bits(),
+                    want.to_bits(),
+                    "{}: engine {} vs shadow {} after {}s",
+                    user,
+                    got,
+                    want,
+                    t
                 );
             }
+        }
+    }
+}
+
+/// A candidate and the score the policy gave it.
+type Scored<'a> = (f64, &'a Candidate);
+
+/// The selection pass as it was written with four vectors — score all,
+/// partition off the NaNs, reduce to the best, collect the ties, choose one
+/// — kept as the oracle of the allocation-free [`select_detailed_with`].
+fn select_with_vectors(
+    policy: &dyn SelectionPolicy,
+    signals: &PolicySignals,
+    candidates: &[Candidate],
+    rng: &mut SimRng,
+) -> Selection {
+    let scored: Vec<Scored<'_>> = candidates
+        .iter()
+        .map(|c| (policy.score(c, &signals.get(c.site_index)), c))
+        .collect();
+    let (valid, nan): (Vec<&Scored<'_>>, Vec<&Scored<'_>>) =
+        scored.iter().partition(|(s, _)| !s.is_nan());
+    let nan_discarded: Vec<Candidate> = nan.into_iter().map(|(_, c)| **c).collect();
+    let Some(best) = valid.iter().map(|(s, _)| *s).reduce(f64::max) else {
+        return Selection {
+            winner: None,
+            nan_discarded,
+        };
+    };
+    let ties: Vec<&Candidate> = valid
+        .iter()
+        .filter(|(s, _)| s.total_cmp(&best) == std::cmp::Ordering::Equal)
+        .map(|(_, c)| *c)
+        .collect();
+    Selection {
+        winner: Some(**rng.choose(&ties)),
+        nan_discarded,
+    }
+}
+
+/// Ranks that stress the comparisons: NaN, both zeros, both infinities and
+/// values that tie.
+const RANKS: [f64; 9] = [
+    f64::NAN,
+    0.0,
+    -0.0,
+    f64::INFINITY,
+    f64::NEG_INFINITY,
+    1.0,
+    2.0,
+    2.0,
+    -3.5,
+];
+
+/// A candidate's signals by number; 0 records none. An infinite forecast
+/// or RTT turns an infinite rank into a NaN score under the signal-aware
+/// policies.
+fn signals_numbered(n: usize) -> Option<SiteSignals> {
+    let base = SiteSignals::default();
+    match n {
+        1 => Some(base),
+        2 => Some(SiteSignals {
+            queue_forecast: 2.0,
+            rtt_s: 0.01,
+            lease_failures: 1,
+            ..base
+        }),
+        3 => Some(SiteSignals {
+            queue_forecast: f64::INFINITY,
+            rtt_s: f64::INFINITY,
+            staleness_s: 100.0,
+            ..base
+        }),
+        _ => None,
+    }
+}
+
+/// A candidate as `(site, rank bits, free CPUs)`.
+type Bits = (usize, u64, i64);
+
+/// What a selection decided, comparable bit for bit.
+fn decided(selection: &Selection) -> (Option<Bits>, Vec<Bits>) {
+    let bits = |c: &Candidate| (c.site_index, c.rank.to_bits(), c.free_cpus);
+    (
+        selection.winner.as_ref().map(bits),
+        selection.nan_discarded.iter().map(bits).collect(),
+    )
+}
+
+proptest! {
+    /// Every registered policy picks the same winner, reports the same NaN
+    /// discards in the same order and leaves the caller's RNG at the same
+    /// position as the four-vector pass, whether the candidates arrive in
+    /// site order (as the broker hands them over) or shuffled.
+    #[test]
+    fn selection_without_vectors_matches_the_partition_and_ties_pass(
+        drawn in prop::collection::vec((0usize..RANKS.len(), 0usize..5, 0i64..8), 0..24),
+        seed in any::<u64>(),
+        shuffled in 0u8..2,
+    ) {
+        let mut candidates: Vec<Candidate> = drawn
+            .iter()
+            .enumerate()
+            .map(|(i, &(rank, _, free_cpus))| Candidate {
+                site_index: 3 * i + rank % 2,
+                rank: RANKS[rank],
+                free_cpus,
+            })
+            .collect();
+        let mut signals = PolicySignals::new();
+        for (c, &(_, n, _)) in candidates.iter().zip(&drawn) {
+            if let Some(s) = signals_numbered(n) {
+                signals.set(c.site_index, s);
+            }
+        }
+        if shuffled == 1 {
+            SimRng::new(seed).shuffle(&mut candidates);
+        }
+        for kind in PolicyKind::ALL {
+            let (mut rng, mut oracle_rng) = (SimRng::new(seed), SimRng::new(seed));
+            let got = select_detailed_with(kind.policy(), &signals, &candidates, &mut rng);
+            let want = select_with_vectors(kind.policy(), &signals, &candidates, &mut oracle_rng);
+            prop_assert_eq!(decided(&got), decided(&want), "{}", kind.name());
+            prop_assert_eq!(rng.u64(), oracle_rng.u64(), "{}: RNG position", kind.name());
         }
     }
 }

@@ -1,6 +1,8 @@
 //! The attribute-record (ClassAd-lite) data model: [`Value`]s and [`Ad`]s.
 
+use std::cmp::Ordering;
 use std::fmt;
+use std::sync::Arc;
 
 use crate::expr::Expr;
 use crate::lexer::write_quoted;
@@ -93,13 +95,54 @@ impl fmt::Display for Value {
     }
 }
 
-/// One attribute of an [`Ad`]: the lower-cased key it is found under, the
-/// spelling it was written with (kept for printing), and its value.
+/// One attribute of an [`Ad`]: the lower-cased key it is found under and the
+/// spelling it was written with (kept for printing), as the two halves of one
+/// allocation — `key ‖ name` — and its value. ASCII folding keeps the byte
+/// length, so each half is exactly half of `text`, and a clone of the ad
+/// copies no name: it bumps a reference count.
 #[derive(Debug, Clone, PartialEq)]
 struct Attr {
-    key: String,
-    name: String,
+    text: Arc<str>,
     value: Value,
+}
+
+/// Names up to this many bytes are folded and joined on the stack, so that
+/// building an [`Attr`] allocates once.
+const STACK_NAME: usize = 64;
+
+impl Attr {
+    fn new(name: &str, value: Value) -> Attr {
+        let n = name.len();
+        let text: Arc<str> = if n <= STACK_NAME {
+            let mut buf = [0u8; 2 * STACK_NAME];
+            buf[..n].copy_from_slice(name.as_bytes());
+            buf[..n].make_ascii_lowercase();
+            buf[n..2 * n].copy_from_slice(name.as_bytes());
+            Arc::from(std::str::from_utf8(&buf[..2 * n]).expect("a name and its ASCII fold"))
+        } else {
+            let mut text = name.to_ascii_lowercase();
+            text.push_str(name);
+            Arc::from(text)
+        };
+        Attr { text, value }
+    }
+
+    /// The lower-cased name.
+    fn key(&self) -> &str {
+        &self.text[..self.text.len() / 2]
+    }
+
+    /// The name as it was set.
+    fn name(&self) -> &str {
+        &self.text[self.text.len() / 2..]
+    }
+}
+
+/// `key` against `name` folded to ASCII lower case, compared byte by byte
+/// as `key.cmp(&name.to_ascii_lowercase())` would, without the copy.
+fn cmp_folded(key: &str, name: &str) -> Ordering {
+    key.bytes()
+        .cmp(name.bytes().map(|b| b.to_ascii_lowercase()))
 }
 
 /// An attribute record: ordered, case-insensitive attribute names mapped to
@@ -134,42 +177,46 @@ impl Ad {
     fn slot_named(&self, name: &str) -> Option<usize> {
         self.attrs
             .iter()
-            .position(|a| a.key.eq_ignore_ascii_case(name))
+            .position(|a| a.key().eq_ignore_ascii_case(name))
     }
 
     /// Sets an attribute (case-insensitive; later sets replace earlier ones).
-    pub fn set(&mut self, name: impl Into<String>, value: Value) -> &mut Self {
-        let name = name.into();
-        let key = name.to_ascii_lowercase();
+    /// Setting a name in the spelling it already has replaces only the
+    /// value, and allocates nothing.
+    pub fn set(&mut self, name: impl AsRef<str>, value: Value) -> &mut Self {
+        let name = name.as_ref();
         // Attributes set in name order are appended without a search.
-        if self.attrs.last().is_none_or(|last| last.key < key) {
-            self.attrs.push(Attr { key, name, value });
-            return self;
-        }
-        match self.attrs.binary_search_by(|a| a.key.cmp(&key)) {
-            Ok(slot) => self.attrs[slot] = Attr { key, name, value },
-            Err(slot) => self.attrs.insert(slot, Attr { key, name, value }),
+        let slot = match self.attrs.last() {
+            Some(last) if cmp_folded(last.key(), name) != Ordering::Less => {
+                self.attrs.binary_search_by(|a| cmp_folded(a.key(), name))
+            }
+            _ => Err(self.attrs.len()),
+        };
+        match slot {
+            Ok(slot) if self.attrs[slot].name() == name => self.attrs[slot].value = value,
+            Ok(slot) => self.attrs[slot] = Attr::new(name, value),
+            Err(slot) => self.attrs.insert(slot, Attr::new(name, value)),
         }
         self
     }
 
     /// Convenience string setter.
-    pub fn set_str(&mut self, name: impl Into<String>, v: impl Into<String>) -> &mut Self {
+    pub fn set_str(&mut self, name: impl AsRef<str>, v: impl Into<String>) -> &mut Self {
         self.set(name, Value::Str(v.into()))
     }
 
     /// Convenience integer setter.
-    pub fn set_int(&mut self, name: impl Into<String>, v: i64) -> &mut Self {
+    pub fn set_int(&mut self, name: impl AsRef<str>, v: i64) -> &mut Self {
         self.set(name, Value::Int(v))
     }
 
     /// Convenience float setter.
-    pub fn set_double(&mut self, name: impl Into<String>, v: f64) -> &mut Self {
+    pub fn set_double(&mut self, name: impl AsRef<str>, v: f64) -> &mut Self {
         self.set(name, Value::Double(v))
     }
 
     /// Convenience boolean setter.
-    pub fn set_bool(&mut self, name: impl Into<String>, v: bool) -> &mut Self {
+    pub fn set_bool(&mut self, name: impl AsRef<str>, v: bool) -> &mut Self {
         self.set(name, Value::Bool(v))
     }
 
@@ -184,7 +231,10 @@ impl Ad {
     pub fn get_norm(&self, lower: &str) -> Option<&Value> {
         // An ad has a dozen attributes: comparing each key for equality (its
         // length settles most) beats a binary search's ordered compares.
-        self.attrs.iter().find(|a| a.key == lower).map(|a| &a.value)
+        self.attrs
+            .iter()
+            .find(|a| a.key() == lower)
+            .map(|a| &a.value)
     }
 
     /// Looks up an attribute by interned [`Symbol`](crate::Symbol) — the
@@ -205,7 +255,7 @@ impl Ad {
 
     /// Iterates `(lower-cased name, value)` in slot order.
     pub fn slots(&self) -> impl Iterator<Item = (&str, &Value)> {
-        self.attrs.iter().map(|a| (a.key.as_str(), &a.value))
+        self.attrs.iter().map(|a| (a.key(), &a.value))
     }
 
     /// Removes an attribute, returning its value.
@@ -221,7 +271,7 @@ impl Ad {
 
     /// Iterates `(original_name, value)` in name order.
     pub fn iter(&self) -> impl Iterator<Item = (&str, &Value)> {
-        self.attrs.iter().map(|a| (a.name.as_str(), &a.value))
+        self.attrs.iter().map(|a| (a.name(), &a.value))
     }
 
     /// Number of attributes.

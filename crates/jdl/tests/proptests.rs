@@ -145,3 +145,116 @@ proptest! {
         let _ = parse_expr(&src);
     }
 }
+
+/// Attribute names for the model test: a small pool so that sets and
+/// removes collide, each in one of four ASCII spellings — on both sides of
+/// the 64-byte buffer an attribute is built in, and with non-ASCII letters
+/// that case folding leaves alone.
+fn model_name_strategy() -> impl Strategy<Value = String> {
+    (0usize..9, 0u8..4).prop_map(|(i, spelling)| {
+        let base = match i {
+            0 => "Alpha".to_string(),
+            1 => "beta_2".to_string(),
+            2 => "x".to_string(),
+            3 => "Caf\u{c9}Tables".to_string(),
+            4 => "caf\u{e9}tables".to_string(),
+            5 => "Sixty4Bytes_Sixty4Bytes_Sixty4Bytes_Sixty4Bytes_Sixty4Bytes_Sixt".to_string(), // 64 bytes
+            6 => "Sixty4Bytes_Sixty4Bytes_Sixty4Bytes_Sixty4Bytes_Sixty4Bytes_SixtY".to_string(), // 65 bytes
+            7 => "Long\u{e9}Name\u{4e00}".repeat(6), // 78 bytes
+            _ => "Z".to_string(),
+        };
+        match spelling {
+            0 => base,
+            1 => base.to_ascii_lowercase(),
+            2 => base.to_ascii_uppercase(),
+            _ => base
+                .chars()
+                .enumerate()
+                .map(|(k, c)| {
+                    if k % 2 == 0 {
+                        c.to_ascii_uppercase()
+                    } else {
+                        c
+                    }
+                })
+                .collect(),
+        }
+    })
+}
+
+/// One step applied to both an [`Ad`] and its reference model.
+#[derive(Debug, Clone)]
+enum AdOp {
+    Set(String, Value),
+    Remove(String),
+}
+
+fn ad_op_strategy() -> impl Strategy<Value = AdOp> {
+    prop_oneof![
+        (model_name_strategy(), scalar_strategy()).prop_map(|(n, v)| AdOp::Set(n, v)),
+        (model_name_strategy(), scalar_strategy()).prop_map(|(n, v)| AdOp::Set(n, v)),
+        model_name_strategy().prop_map(AdOp::Remove),
+    ]
+}
+
+proptest! {
+    /// An `Ad` is a map from ASCII-folded name to the last spelling and
+    /// value set under it: any sequence of sets (same or different
+    /// spelling) and removes leaves it equal, through every reader, to a
+    /// `BTreeMap` that keeps exactly that.
+    #[test]
+    fn ad_matches_a_map_model(
+        ops in prop::collection::vec(ad_op_strategy(), 0..40),
+        probes in prop::collection::vec(model_name_strategy(), 0..8),
+    ) {
+        use std::collections::BTreeMap;
+        let mut ad = Ad::new();
+        let mut model: BTreeMap<String, (String, Value)> = BTreeMap::new();
+        for op in ops {
+            match op {
+                AdOp::Set(name, value) => {
+                    model.insert(name.to_ascii_lowercase(), (name.clone(), value.clone()));
+                    ad.set(&name, value);
+                }
+                AdOp::Remove(name) => {
+                    let want = model.remove(&name.to_ascii_lowercase()).map(|(_, v)| v);
+                    prop_assert_eq!(ad.remove(&name), want);
+                }
+            }
+            prop_assert_eq!(ad.len(), model.len());
+        }
+        for probe in probes.iter().chain(model.values().map(|(name, _)| name)) {
+            let key = probe.to_ascii_lowercase();
+            let want = model.get(&key).map(|(_, v)| v);
+            prop_assert_eq!(ad.get(probe), want);
+            prop_assert_eq!(ad.get_norm(&key), want);
+            prop_assert_eq!(ad.contains(probe), want.is_some());
+        }
+        let slots: Vec<(&str, &Value)> = model.iter().map(|(k, (_, v))| (k.as_str(), v)).collect();
+        prop_assert_eq!(ad.slots().collect::<Vec<_>>(), slots);
+        let names: Vec<(&str, &Value)> = model.values().map(|(n, v)| (n.as_str(), v)).collect();
+        prop_assert_eq!(ad.iter().collect::<Vec<_>>(), names.clone());
+        let mut printed = String::from("[\n");
+        for (name, value) in &names {
+            printed.push_str(&format!("  {name} = {value};\n"));
+        }
+        printed.push(']');
+        prop_assert_eq!(ad.to_string(), printed);
+        // Built afresh, in reverse order: equal; one spelling changed: not.
+        let mut fresh = Ad::new();
+        for (name, value) in names.iter().rev() {
+            fresh.set(name, (*value).clone());
+        }
+        prop_assert_eq!(&fresh, &ad);
+        if let Some((name, value)) = names.first() {
+            let respelt: String = name
+                .chars()
+                .map(|c| if c.is_ascii_lowercase() { c.to_ascii_uppercase() } else { c.to_ascii_lowercase() })
+                .collect();
+            if respelt != *name {
+                fresh.set(&respelt, (*value).clone());
+                prop_assert_ne!(&fresh, &ad);
+            }
+        }
+    }
+}

@@ -62,6 +62,11 @@ impl Session {
     /// Establishes a session: runs the handshake legs in alternating
     /// directions, then hands the session to `on`. Any failed leg aborts
     /// with the underlying error.
+    ///
+    /// One scheduled event per leg, plus the hand-off: each leg's delivery
+    /// event is held `cpu_s` past the delivery instant — the endpoint's
+    /// processing before it answers — and sends the next leg itself, as
+    /// [`rpc_call`]'s request does its reply.
     pub fn connect(
         sim: &mut Sim,
         link: Link,
@@ -85,20 +90,14 @@ impl Session {
             }
             let cpu = SimDuration::from_secs_f64(hs.cpu_s);
             let bytes = hs.leg_bytes;
-            let link2 = link.clone();
-            link.send(sim, leg_dir, bytes, move |sim, r| match r {
+            let next = link.clone();
+            link.send_held(sim, leg_dir, bytes, cpu, move |sim, r| match r {
                 Err(e) => on(sim, Err(e)),
-                Ok(()) => {
-                    // Endpoint processing before answering the next leg.
-                    sim.schedule_in(cpu, move |sim| {
-                        leg(sim, link2, dir, hs, left - 1, leg_dir.flip(), on);
-                    });
-                }
+                Ok(()) => leg(sim, next, dir, hs, left - 1, leg_dir.flip(), on),
             });
         }
-        let first = dir;
         let legs = handshake.legs;
-        leg(sim, link, dir, handshake, legs, first, on);
+        leg(sim, link, dir, handshake, legs, dir, on);
     }
 
     /// Sends client→server.
@@ -402,6 +401,109 @@ mod tests {
             let cut = replied + (done - replied) / 2;
             let (at, result, ..) = run(seed, &outage_from(cut));
             assert_eq!((at, result), (cut, Err(NetError::BrokenMidTransfer)));
+        }
+    }
+
+    /// The handshake spelt out with the public pieces, two events per leg:
+    /// deliver the leg, an endpoint CPU event, send the next leg. Logs each
+    /// leg's delivery instant into `arrivals`.
+    fn spelt_out_connect(
+        sim: &mut Sim,
+        link: Link,
+        hs: HandshakeProfile,
+        left: u32,
+        leg_dir: Dir,
+        arrivals: Rc<RefCell<Vec<SimTime>>>,
+        on: OnDone,
+    ) {
+        if left == 0 {
+            sim.schedule_now(move |sim| on(sim, Ok(())));
+            return;
+        }
+        let cpu = SimDuration::from_secs_f64(hs.cpu_s);
+        let bytes = hs.leg_bytes;
+        let next = link.clone();
+        link.send(sim, leg_dir, bytes, move |sim, r| match r {
+            Err(e) => on(sim, Err(e)),
+            Ok(()) => {
+                arrivals.borrow_mut().push(sim.now());
+                sim.schedule_in(cpu, move |sim| {
+                    spelt_out_connect(sim, next, hs, left - 1, leg_dir.flip(), arrivals, on);
+                });
+            }
+        });
+    }
+
+    #[test]
+    fn connect_holds_each_leg_into_its_delivery_event() {
+        const FAIL_DETECT: SimDuration = SimDuration::from_millis(200);
+        let outage_from = |from: SimTime| {
+            FaultSchedule::from_windows(vec![(from, from + SimDuration::from_secs(5))])
+        };
+        for hs in [HandshakeProfile::tcp(), HandshakeProfile::gsi()] {
+            let legs = hs.legs as usize;
+            let cpu = SimDuration::from_secs_f64(hs.cpu_s);
+            // Runs both under one fault schedule; returns what they agree
+            // on, the two event counts and the spelt-out legs' arrivals.
+            let run = |seed: u64, faults: &FaultSchedule| {
+                let held = exchange(seed, faults, |sim, link, on| {
+                    let on =
+                        move |sim: &mut Sim, r: Result<Session, NetError>| on(sim, r.map(drop));
+                    Session::connect(sim, link.clone(), Dir::AToB, hs.clone(), on);
+                });
+                let arrivals = Rc::new(RefCell::new(Vec::new()));
+                let log = Rc::clone(&arrivals);
+                let spelt_out = exchange(seed, faults, |sim, link, on| {
+                    spelt_out_connect(sim, link.clone(), hs.clone(), hs.legs, Dir::AToB, log, on);
+                });
+                assert_eq!(
+                    (held.0, held.1, held.2, held.3),
+                    (spelt_out.0, spelt_out.1, spelt_out.2, spelt_out.3),
+                    "{} legs, seed {seed}, faults {faults:?}",
+                    hs.legs
+                );
+                (held.0, held.1, (held.4, spelt_out.4), arrivals.take())
+            };
+            for seed in 0..8 {
+                let (done, result, events, arrive) = run(seed, &FaultSchedule::none());
+                assert_eq!(result, Ok(()));
+                assert_eq!(arrive.len(), legs);
+                assert_eq!(done, arrive[legs - 1] + cpu);
+                assert_eq!(events, (hs.legs as u64 + 1, 2 * hs.legs as u64 + 1));
+                // When leg `k` leaves: at once, or after the previous leg's
+                // delivery and its endpoint's CPU time.
+                let depart = |k: usize| {
+                    if k == 0 {
+                        SimTime::ZERO
+                    } else {
+                        arrive[k - 1] + cpu
+                    }
+                };
+                let mid_flight = |k: usize| depart(k) + (arrive[k] - depart(k)) / 2;
+
+                // Down before the first send.
+                let (at, result, ..) = run(seed, &outage_from(SimTime::ZERO));
+                assert_eq!(
+                    (at, result),
+                    (SimTime::ZERO + FAIL_DETECT, Err(NetError::LinkDown))
+                );
+                // Fails while a middle leg is in flight.
+                let cut = mid_flight(legs / 2);
+                let (at, result, ..) = run(seed, &outage_from(cut));
+                assert_eq!((at, result), (cut, Err(NetError::BrokenMidTransfer)));
+                // Fails inside a leg's CPU hold: the leg was delivered, and
+                // the next one finds the link down once the hold is over.
+                let k = legs / 2;
+                let (at, result, ..) = run(seed, &outage_from(arrive[k] + cpu / 2));
+                assert_eq!(
+                    (at, result),
+                    (arrive[k] + cpu + FAIL_DETECT, Err(NetError::LinkDown))
+                );
+                // Fails while the last leg is in flight.
+                let cut = mid_flight(legs - 1);
+                let (at, result, ..) = run(seed, &outage_from(cut));
+                assert_eq!((at, result), (cut, Err(NetError::BrokenMidTransfer)));
+            }
         }
     }
 }

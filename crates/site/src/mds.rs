@@ -14,12 +14,12 @@
 //! the request* — never data that arrived while the reply was on the wire.
 
 use std::cell::RefCell;
-use std::rc::Rc;
+use std::rc::{Rc, Weak};
 use std::sync::Arc;
 
 use cg_jdl::Ad;
 use cg_net::{Dir, FaultSchedule, Link, NetError};
-use cg_sim::{Sim, SimDuration, SimTime};
+use cg_sim::{HandlerId, Sim, SimDuration, SimTime, TypedEvent};
 
 use crate::columns::AdSnapshot;
 use crate::membership::{MembershipConfig, MembershipState, MembershipTable, Transition};
@@ -92,6 +92,38 @@ struct SweepState {
     missed: usize,
 }
 
+/// The windowed sweep's site pulls whose reply is on its way, each `(sweep
+/// gen, site, the ad pulled at attempt time)` in the slot its reply event
+/// carries as payload. A slot is freed when its reply lands and reused by
+/// the next pull, so the table allocates only when more pulls are in flight
+/// than ever before.
+#[derive(Default)]
+struct Pulls {
+    slots: Vec<Option<(u64, usize, Arc<Ad>)>>,
+    free: Vec<usize>,
+}
+
+impl Pulls {
+    fn insert(&mut self, pull: (u64, usize, Arc<Ad>)) -> usize {
+        match self.free.pop() {
+            Some(slot) => {
+                self.slots[slot] = Some(pull);
+                slot
+            }
+            None => {
+                self.slots.push(Some(pull));
+                self.slots.len() - 1
+            }
+        }
+    }
+
+    fn take(&mut self, slot: usize) -> (u64, usize, Arc<Ad>) {
+        let pull = self.slots[slot].take().expect("one reply per pull");
+        self.free.push(slot);
+        pull
+    }
+}
+
 struct Inner {
     sites: Vec<Site>,
     snapshot: Arc<AdSnapshot>,
@@ -112,6 +144,10 @@ struct Inner {
     observer: Option<MembershipObserver>,
     /// `Some` puts the refresh cycle in windowed mode.
     window: Option<RefreshWindow>,
+    /// Where a windowed index's publication replies go (registered once, by
+    /// [`InformationIndex::start_windowed`]), and what each one carries.
+    reply_handler: Option<HandlerId>,
+    pulls: Pulls,
     sweep: Option<SweepState>,
     next_sweep_gen: u64,
     /// Total late replies merged after their sweep closed.
@@ -168,6 +204,8 @@ impl InformationIndex {
                 membership: MembershipTable::new(n, membership),
                 observer: None,
                 window: None,
+                reply_handler: None,
+                pulls: Pulls::default(),
                 sweep: None,
                 next_sweep_gen: 0,
                 late_merges: 0,
@@ -220,6 +258,8 @@ impl InformationIndex {
                 membership: MembershipTable::new(n, membership),
                 observer: None,
                 window: Some(window),
+                reply_handler: None,
+                pulls: Pulls::default(),
                 sweep: None,
                 next_sweep_gen: 0,
                 late_merges: 0,
@@ -227,6 +267,14 @@ impl InformationIndex {
                 sweep_observer: None,
             })),
         };
+        // The handler holds the index weakly: it lives as long as the `Sim`.
+        let weak = Rc::downgrade(&index.inner);
+        let handler = sim.register_handler(move |sim, event| {
+            if let Some(inner) = Weak::upgrade(&weak) {
+                InformationIndex { inner }.on_reply(sim, event);
+            }
+        });
+        index.inner.borrow_mut().reply_handler = Some(handler);
         index.schedule_windowed_tick(sim);
         index
     }
@@ -317,7 +365,7 @@ impl InformationIndex {
             Close,
             Wait,
             Missed(usize, Option<Transition>),
-            Pull(usize, u64, SimDuration, Arc<Ad>),
+            Pull(SimDuration, TypedEvent),
         }
         loop {
             let step = {
@@ -353,7 +401,14 @@ impl InformationIndex {
                                 .as_ref()
                                 .and_then(|w| w.latency.get(i).copied())
                                 .unwrap_or(SimDuration::ZERO);
-                            Pump::Pull(i, gen, latency, inner.sites[i].machine_ad_arc())
+                            let ad = inner.sites[i].machine_ad_arc();
+                            let reply = TypedEvent {
+                                handler: inner.reply_handler.expect("a windowed index"),
+                                tag: 0,
+                                aux: 0,
+                                payload: inner.pulls.insert((gen, i, ad)) as u64,
+                            };
+                            Pump::Pull(latency, reply)
                         }
                     }
                 }
@@ -369,14 +424,18 @@ impl InformationIndex {
                         self.notify(sim, vec![(i, tr)]);
                     }
                 }
-                Pump::Pull(i, gen, latency, ad) => {
-                    let this = self.clone();
-                    sim.schedule_in(latency, move |sim| {
-                        this.publish_arrived(sim, gen, i, ad);
-                    });
+                Pump::Pull(latency, reply) => {
+                    sim.schedule_event_in(latency, reply);
                 }
             }
         }
+    }
+
+    /// The reply event of a pull: the ad it carries is the one pulled at
+    /// attempt time, whenever it lands.
+    fn on_reply(&self, sim: &mut Sim, event: TypedEvent) {
+        let (gen, i, ad) = self.inner.borrow_mut().pulls.take(event.payload as usize);
+        self.publish_arrived(sim, gen, i, ad);
     }
 
     /// A site's publication reply lands. If its sweep is still open the
@@ -917,6 +976,67 @@ mod tests {
         );
         assert_eq!(index.published_at(0), SimTime::from_secs(390));
         assert_eq!(index.snapshot_arc().free_cpus(0), 2);
+    }
+
+    #[test]
+    fn late_replies_merge_the_ad_pulled_at_attempt_time() {
+        // Publication takes 90 s against a 60 s interval: the sweeps opened
+        // at 60 s and 120 s both close with their pull in the air, and each
+        // reply lands after the next pull has gone out. Between the two
+        // pulls a job takes a node, so they carry different ads; each late
+        // merge must carry the ad of its own pull, not the site's ad at
+        // arrival.
+        let mut sim = Sim::new(15);
+        let site = test_site(&mut sim, "slow", 2);
+        let index = InformationIndex::start_windowed(
+            &mut sim,
+            vec![site.clone()],
+            SimDuration::from_secs(60),
+            RefreshWindow {
+                fanout: 4,
+                latency: vec![SimDuration::from_secs(90)],
+            },
+            Vec::new(),
+            MembershipConfig::default(),
+        );
+        let merged = Rc::new(RefCell::new(Vec::<(SimTime, Arc<Ad>)>::new()));
+        let m = Rc::clone(&merged);
+        index.set_sweep_observer(move |sim, report, snap| {
+            if report.late {
+                m.borrow_mut().push((sim.now(), Arc::clone(snap.ad_arc(0))));
+            }
+        });
+        // The ad each sweep pulled: read right after the tick that opened
+        // it, with nothing in between to change the site's state.
+        let pulled: Rc<RefCell<Vec<Arc<Ad>>>> = Rc::default();
+        for at in [60, 120] {
+            let (p, site) = (Rc::clone(&pulled), site.clone());
+            sim.schedule_at(SimTime::from_secs(at), move |_| {
+                p.borrow_mut().push(site.machine_ad_arc());
+            });
+        }
+        let busy = site.clone();
+        sim.schedule_at(SimTime::from_secs(100), move |sim| {
+            busy.lrms().submit(
+                sim,
+                LocalJobSpec::simple(SimDuration::from_secs(10_000)),
+                |_, _, _| {},
+            );
+        });
+        sim.run_until(SimTime::from_secs(215));
+
+        let pulled = pulled.borrow();
+        let free = |ad: &Ad| ad.get("FreeCpus").and_then(Value::as_i64);
+        assert_eq!((free(&pulled[0]), free(&pulled[1])), (Some(2), Some(1)));
+        let merged = merged.borrow();
+        assert_eq!(
+            merged.iter().map(|(at, _)| *at).collect::<Vec<_>>(),
+            [SimTime::from_secs(150), SimTime::from_secs(210)]
+        );
+        for ((_, ad), pull) in merged.iter().zip(pulled.iter()) {
+            assert!(Arc::ptr_eq(ad, pull), "merged {ad:?}, pulled {pull:?}");
+        }
+        assert_eq!(index.late_merges(), 2);
     }
 
     #[test]

@@ -65,9 +65,9 @@ type AdKey = (usize, usize, bool);
 /// configuration and the memoized machine ad built from it.
 struct Shared {
     config: SiteConfig,
-    /// The last ad built and the dynamic inputs it was built from. Keyed by
+    /// The last ad made and the dynamic inputs it was made from. Keyed by
     /// value, so nothing has to invalidate it: a read whose inputs differ
-    /// rebuilds, every other read hands out the same allocation.
+    /// patches a copy, every other read hands out the same allocation.
     ad: RefCell<Option<(AdKey, Arc<Ad>)>>,
 }
 
@@ -141,21 +141,28 @@ impl Site {
     /// The machine ad this site's GRIS publishes *right now* (live values;
     /// the index staleness is applied by [`crate::InformationIndex`]), as
     /// the shared immutable value every consumer holds: the MDS snapshot,
-    /// the broker's live sweep and selection all carry this one `Arc`. It
-    /// is rebuilt only when a dynamic input differs from the one the
-    /// memoized ad was built from, so two reads with no state change in
+    /// the broker's live sweep and selection all carry this one `Arc`. A
+    /// new ad is made only when a dynamic input differs from the one the
+    /// memoized ad was made from, so two reads with no state change in
     /// between return the same allocation.
     pub fn machine_ad_arc(&self) -> Arc<Ad> {
         let key: AdKey = self.backend.ad_state();
         let mut memo = self.shared.ad.borrow_mut();
-        match &*memo {
-            Some((k, ad)) if *k == key => Arc::clone(ad),
-            _ => {
-                let ad = Arc::new(self.build_ad(key));
-                *memo = Some((key, Arc::clone(&ad)));
+        let ad = match &*memo {
+            Some((k, ad)) if *k == key => return Arc::clone(ad),
+            // The previous ad with its three dynamic attributes patched:
+            // the clone shares every name, and overwriting a value in the
+            // spelling it already has allocates nothing.
+            Some((_, previous)) => {
+                let mut ad = Ad::clone(previous);
+                set_dynamic(&mut ad, key);
                 ad
             }
-        }
+            None => self.build_ad(key),
+        };
+        let ad = Arc::new(ad);
+        *memo = Some((key, Arc::clone(&ad)));
+        ad
     }
 
     /// An owned copy of [`Site::machine_ad_arc`].
@@ -163,17 +170,16 @@ impl Site {
         (*self.machine_ad_arc()).clone()
     }
 
-    fn build_ad(&self, (free, queued, accepts): AdKey) -> Ad {
+    /// The ad from configuration, on the first read; every later one is
+    /// patched from its predecessor.
+    fn build_ad(&self, key: AdKey) -> Ad {
         let config = &self.shared.config;
-        // In name order, which an `Ad` appends without searching or shifting
-        // — this runs at every state change of every site.
+        // The constant attributes in name order, which an `Ad` appends
+        // without searching or shifting.
         let mut ad = Ad::with_capacity(11);
-        ad.set_bool("AcceptsQueued", accepts)
-            .set_str("Arch", config.node_spec.arch.clone())
-            .set_int("FreeCpus", free as i64)
+        ad.set_str("Arch", config.node_spec.arch.clone())
             .set_int("MemoryMb", config.node_spec.memory_mb as i64)
             .set_str("OpSys", config.node_spec.op_sys.clone())
-            .set_int("QueueDepth", queued as i64)
             .set_str("Site", config.name.clone())
             .set_double("SpeedFactor", config.node_spec.speed_factor)
             .set_int("StorageGb", config.storage_gb as i64)
@@ -182,8 +188,16 @@ impl Site {
                 Value::List(config.tags.iter().map(|t| Value::Str(t.clone())).collect()),
             )
             .set_int("TotalCpus", config.nodes as i64);
+        set_dynamic(&mut ad, key);
         ad
     }
+}
+
+/// Writes the attributes an [`AdKey`] determines.
+fn set_dynamic(ad: &mut Ad, (free, queued, accepts): AdKey) {
+    ad.set_bool("AcceptsQueued", accepts)
+        .set_int("FreeCpus", free as i64)
+        .set_int("QueueDepth", queued as i64);
 }
 
 /// The attribute schema of the machine ads published by [`Site::machine_ad`],
