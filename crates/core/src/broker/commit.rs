@@ -116,6 +116,8 @@ struct Run {
     consoles_up: Cell<u32>,
     tasks_done: Cell<u32>,
     failed: Cell<bool>,
+    /// The first copy this run placed; see [`CrossBroker::owns`].
+    placed: Cell<Option<Placement>>,
 }
 
 /// Application sandbox size when the job declares none, bytes.
@@ -275,6 +277,7 @@ impl CrossBroker {
                 consoles_up: Cell::new(0),
                 tasks_done: Cell::new(0),
                 failed: Cell::new(false),
+                placed: Cell::new(None),
             };
             (Rc::new(run), labels, backend_of)
         };
@@ -338,7 +341,7 @@ impl CrossBroker {
                 this.agent_refused(sim, &run, "agent died during dispatch");
                 return;
             }
-            this.add_placement(run.id, Placement::AgentInteractive { aid });
+            this.place(&run, Placement::AgentInteractive { aid });
             let (started, finished) = (Rc::clone(&run), Rc::clone(&run));
             let result = agent.borrow().submit_interactive(
                 sim,
@@ -446,11 +449,19 @@ impl CrossBroker {
                 let Some(this) = run.broker.upgrade() else {
                     return;
                 };
+                if !this.owns(&run) {
+                    // The job has moved on without this run; the copy's
+                    // finish still frees its nodes for the broker queue.
+                    if matches!(ev, GramEvent::Finished) {
+                        this.retry_broker_queue(sim);
+                    }
+                    return;
+                }
                 match ev {
                     GramEvent::Accepted { local_id } => {
                         local.set(Some(*local_id));
                         let local = *local_id;
-                        this.add_placement(run.id, Placement::Site { site_index, local });
+                        this.place(&run, Placement::Site { site_index, local });
                     }
                     GramEvent::Started { .. } => {
                         started.set(true);
@@ -535,6 +546,34 @@ impl CrossBroker {
         });
     }
 
+    /// Records a copy `run` placed, remembering the first one.
+    fn place(&self, run: &Run, p: Placement) {
+        if run.placed.get().is_none() {
+            run.placed.set(Some(p));
+        }
+        self.add_placement(run.id, p);
+    }
+
+    /// Whether `run` still acts for its job: the job is not terminal, and
+    /// the first copy the run placed is still one of the job's placements.
+    /// Dead-site re-matching drops them all before it routes the job
+    /// afresh; a run that has placed nothing yet cannot have been re-routed
+    /// (only a job with a copy on the dead site is).
+    fn owns(&self, run: &Run) -> bool {
+        let inner = self.inner.borrow();
+        let live = inner.jobs.with(run.id, |r| {
+            !matches!(r.state, JobState::Done | JobState::Failed { .. })
+        });
+        live == Some(true)
+            && run.placed.get().is_none_or(|p| {
+                inner
+                    .side
+                    .placements
+                    .get(&run.id)
+                    .is_some_and(|all| all.contains(&p))
+            })
+    }
+
     /// Fails the job once per run, and keeps the barrier from completing.
     fn fail_run(&self, sim: &mut Sim, run: &Run, reason: &str) {
         if !run.failed.replace(true) {
@@ -571,6 +610,9 @@ impl CrossBroker {
     /// charged to its user — when every subjob's console has delivered its
     /// first output.
     fn console_up(&self, sim: &mut Sim, run: &Run, ok: bool, ui_link: &Link) {
+        if !self.owns(run) {
+            return;
+        }
         if !ok {
             self.fail_run(sim, run, "console startup failed");
             return;

@@ -115,7 +115,7 @@ struct RetainedAd {
 }
 
 /// Where (part of) a job physically runs — what `cancel` must tear down.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 enum Placement {
     /// Under a site's LRMS.
     Site {

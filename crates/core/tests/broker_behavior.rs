@@ -1415,3 +1415,115 @@ fn a_withdrawn_copy_does_not_outlive_its_withdrawal() {
     let state = broker.record(id).state;
     assert!(matches!(state, JobState::Done), "{state:?}");
 }
+
+/// One reliable-mode exclusive job whose copy starts on alpha while alpha's
+/// UI link is down over [0, 1 500 s], so its console keeps retrying. Alpha's
+/// publications are lost from t = 20 s, which makes it `Dead` at 1 200 s;
+/// beta is busy with a local job until t = 1 000 s. Returns the job's
+/// record and the whole stream at t = 20 000 s.
+fn a_copy_outlived_by_its_job(
+    runtime: SimDuration,
+) -> (crossbroker::JobRecord, Vec<cg_trace::TimedEvent>) {
+    use cg_net::FaultSchedule;
+    let mut sim = Sim::new(41);
+    let sites: Vec<Site> = ["alpha", "beta"]
+        .iter()
+        .map(|name| {
+            Site::new(SiteConfig {
+                name: (*name).into(),
+                nodes: 1,
+                policy: Policy::Fifo,
+                ..SiteConfig::default()
+            })
+        })
+        .collect();
+    let ui_down = FaultSchedule::from_windows(vec![(SimTime::ZERO, SimTime::from_secs(1_500))]);
+    let handles = sites
+        .iter()
+        .zip([ui_down, FaultSchedule::none()])
+        .map(|(site, ui_faults)| SiteHandle {
+            site: site.clone(),
+            broker_link: Link::new(LinkProfile::campus()),
+            ui_link: Link::with_faults(LinkProfile::campus(), ui_faults),
+        })
+        .collect();
+    let silent =
+        FaultSchedule::from_windows(vec![(SimTime::from_secs(20), SimTime::from_secs(5_000))]);
+    let mut config = BrokerConfig {
+        lease: SimDuration::ZERO,
+        resubmit_on_queue: false,
+        publish_faults: vec![silent, FaultSchedule::none()],
+        ..BrokerConfig::default()
+    };
+    config.console.max_retries = 10_000;
+    let mds = Link::new(LinkProfile::wan_mds());
+    let broker = CrossBroker::new(&mut sim, handles, mds, config);
+    sites[1].lrms().submit(
+        &mut sim,
+        LocalJobSpec::simple(SimDuration::from_secs(1_000)),
+        |_, _, _| {},
+    );
+    let src = r#"Executable = "i"; JobType = "interactive"; MachineAccess = "exclusive";
+                 StreamingMode = "reliable"; User = "u";"#;
+    let id = broker.submit(&mut sim, job(src), runtime);
+    sim.run_until(SimTime::from_secs(20_000));
+    (broker.record(id), broker.event_log().snapshot())
+}
+
+/// A copy that had started on a site later declared dead, but had not yet
+/// passed its console barrier, is killed and the job re-matched. The
+/// copy's post-start `Killed` belongs to a run the job has left: it used to
+/// fail the job ("killed at site: site declared dead by the broker") at the
+/// very instant of the re-match.
+#[test]
+fn a_started_copy_on_a_dead_site_is_rematched_not_failed() {
+    let (record, events) = a_copy_outlived_by_its_job(SimDuration::from_secs(10_000));
+    assert!(
+        matches!(record.state, JobState::Done),
+        "re-matched onto beta: {:?}",
+        record.state
+    );
+    let died = events
+        .iter()
+        .find(|e| e.event.kind() == "SiteDead")
+        .expect("alpha was declared dead")
+        .seq;
+    assert!(
+        events
+            .iter()
+            .any(|e| e.seq > died && e.event.kind() == "PolicyDecision"),
+        "the job was re-matched"
+    );
+    assert!(
+        !events.iter().any(|e| e.event.kind() == "JobFailed"),
+        "no failure"
+    );
+    let v = cg_trace::check_invariants(&events);
+    assert!(v.is_empty(), "{v:?}");
+}
+
+/// A copy that finishes while its reliable console is still retrying makes
+/// the job `Done`; the console connecting afterwards must not make it
+/// `Running` again (it used to, for good, with `JobStarted` after
+/// `JobFinished` in the stream).
+#[test]
+fn a_console_that_connects_after_the_job_finished_does_not_revive_it() {
+    let (record, events) = a_copy_outlived_by_its_job(SimDuration::from_secs(60));
+    assert!(matches!(record.state, JobState::Done), "{:?}", record.state);
+    assert!(
+        events.iter().any(|e| e.event.kind() == "ConsoleConnected"),
+        "the console did connect, after the outage"
+    );
+    assert!(
+        !events.iter().any(|e| e.event.kind() == "JobStarted"),
+        "no start after the finish"
+    );
+    assert!(
+        !events
+            .iter()
+            .any(|e| matches!(e.event, cg_trace::Event::FairShareTick { usages } if usages > 0)),
+        "nobody is charged for a job that is over"
+    );
+    let v = cg_trace::check_invariants(&events);
+    assert!(v.is_empty(), "{v:?}");
+}

@@ -10,13 +10,19 @@
 //! a pure function of the schedule calls — runs with the same seed are
 //! identical.
 //!
-//! The queue is an indexed 4-ary min-heap of `(time, seq, slot)` keys over a
-//! slab of actions. Every slab slot knows where its key sits in the heap, so
+//! The queue is a monotone radix queue (a radix heap: Ahuja, Mehlhorn, Orlin
+//! and Tarjan, 1990) of `(time, seq, slot)` keys over a slab of actions. It
+//! relies on what the kernel guarantees anyway: no event is scheduled in the
+//! past and `seq` only grows, so every key it receives is later than the
+//! last one it handed out. A key is filed in one of 129 buckets by the
+//! highest bit where it differs from that last key; scheduling is a `Vec`
+//! push, and firing scans the lowest non-empty bucket and files the rest of
+//! it one level down. Every slab slot knows its key's bucket and index, so
 //! [`Sim::cancel`] removes an event — key, slot and closure — at once, in
-//! O(log live): a cancelled event leaves nothing behind to sift past or to
-//! sweep later. Every `schedule_*` call, closure or typed, consumes a `seq`
-//! whether or not the event is later cancelled, so the events that do fire,
-//! fire in the `(time, seq)` order of their schedule calls.
+//! O(1): a cancelled event leaves nothing behind to skip or to sweep later.
+//! Every `schedule_*` call, closure or typed, consumes a `seq` whether or not
+//! the event is later cancelled, so the events that do fire, fire in the
+//! `(time, seq)` order of their schedule calls.
 
 use std::rc::Rc;
 
@@ -72,7 +78,7 @@ enum Action {
     Typed(u64),
 }
 
-/// One heap entry: when the event is due, and its id — the `seq` that
+/// One queue entry: when the event is due, and its id — the `seq` that
 /// breaks ties in time and the slab slot holding the action. Keys are
 /// compared in place, never through the slab.
 #[derive(Clone, Copy)]
@@ -82,20 +88,18 @@ struct Key {
 }
 
 impl Key {
-    /// `(time, seq)` as one integer, so that "earlier" is a single
-    /// comparison the compiler can turn into a conditional move.
+    /// `(time, seq)` as one integer: "earlier" is a single comparison, and
+    /// the highest bit where two keys differ is what files a key in the
+    /// queue.
     fn order(&self) -> u128 {
         (u128::from(self.time.as_nanos()) << 64) | u128::from(self.id.seq)
     }
-
-    fn before(&self, other: &Key) -> bool {
-        self.order() < other.order()
-    }
 }
 
-/// One slab slot. `link` is the position of the event's key in the heap
-/// while the slot is live, and the next free slot (or [`NO_SLOT`]) while it
-/// is free. `handler`, `tag` and `aux` are the rest of a [`TypedEvent`] and
+/// One slab slot. `link` is where the event's key sits while the slot is
+/// live — its bucket in the top eight bits, its index in that bucket in the
+/// low [`INDEX_BITS`] — and the next free slot (or [`NO_SLOT`]) while it is
+/// free. `handler`, `tag` and `aux` are the rest of a [`TypedEvent`] and
 /// occupy what would otherwise be padding; a closure's slot leaves them
 /// zero, and a free slot is a typed one for [`NO_HANDLER`], which no live
 /// key points at and no handler answers to.
@@ -144,16 +148,53 @@ const NO_HANDLER: u8 = u8::MAX;
 
 const NO_SLOT: u32 = u32::MAX;
 
-/// Children per heap node: half the levels of a binary heap, so half the
-/// `link` writes on the way down, and the four siblings compared at a level
-/// are 96 adjacent bytes.
-const ARITY: usize = 4;
+/// One bucket per bit of the 128-bit order, plus bucket 0 for a key equal
+/// to the last one taken out.
+const BUCKETS: usize = 129;
 
-/// The pending events: [`Key`]s in heap order plus the slab they point into.
-/// Invariant: for every heap position `p`, `slab[heap[p].slot].link == p`
-/// and that slot is not a free one.
+/// The low bits of a live slot's `link`: the key's index in its bucket. The
+/// eight bits above hold the bucket, which is at most 128.
+const INDEX_BITS: u32 = 24;
+
+/// Where a pending key sits: its bucket and its index there.
+#[derive(Clone, Copy)]
+struct Pos {
+    bucket: usize,
+    index: usize,
+}
+
+impl Pos {
+    fn link(self) -> u32 {
+        ((self.bucket as u32) << INDEX_BITS) | self.index as u32
+    }
+
+    fn of_link(link: u32) -> Pos {
+        Pos {
+            bucket: (link >> INDEX_BITS) as usize,
+            index: (link & ((1 << INDEX_BITS) - 1)) as usize,
+        }
+    }
+}
+
+/// The pending events: a monotone radix queue of [`Key`]s plus the slab
+/// they point into. Every key the queue receives is later than `last`, the
+/// key it last handed out, so a key is filed under the highest bit where it
+/// differs from `last`: bucket `b` holds the keys that agree with `last`
+/// above bit `b - 1` and differ from it there. Every key in a lower bucket
+/// is earlier than every key in a higher one, so the earliest key is the
+/// earliest of the lowest non-empty bucket.
+///
+/// Invariant: for every key, `slab[key.slot].link` names the key's bucket
+/// and index, that slot is not a free one, and the key sits in the bucket
+/// its order and `last` put it in; `occupied` has bit `b` set exactly when
+/// bucket `b` is non-empty.
 struct Queue {
-    heap: Vec<Key>,
+    /// A bucket allocates on its first push, so a new queue allocates
+    /// nothing.
+    buckets: [Vec<Key>; BUCKETS],
+    occupied: [u64; 3],
+    last: u128,
+    len: usize,
     slab: Vec<Slot>,
     free: u32,
 }
@@ -161,131 +202,127 @@ struct Queue {
 impl Queue {
     fn new() -> Self {
         Queue {
-            heap: Vec::new(),
+            buckets: [const { Vec::new() }; BUCKETS],
+            occupied: [0; 3],
+            last: 0,
+            len: 0,
             slab: Vec::new(),
             free: NO_SLOT,
         }
     }
 
     fn len(&self) -> usize {
-        self.heap.len()
+        self.len
     }
 
-    fn next_time(&self) -> Option<SimTime> {
-        self.heap.first().map(|k| k.time)
-    }
-
-    fn push(&mut self, time: SimTime, seq: u64, mut entry: Slot) -> EventId {
-        let pos = self.heap.len();
-        entry.link = pos as u32;
+    /// `(time, seq)` must be later than the last key taken out; `Sim::push`
+    /// makes sure of it.
+    fn push(&mut self, time: SimTime, seq: u64, entry: Slot) -> EventId {
         let slot = if let Some(free) = self.slab.get_mut(self.free as usize) {
             let slot = self.free;
             self.free = std::mem::replace(free, entry).link;
             slot
         } else {
-            // `free` is `NO_SLOT`, which must stay out of the slab's range.
-            assert!(
-                self.slab.len() < NO_SLOT as usize,
-                "too many pending events"
-            );
             self.slab.push(entry);
             (self.slab.len() - 1) as u32
         };
         let id = EventId { seq, slot };
-        let key = Key { time, id };
-        self.heap.push(key);
-        // Key and slot already agree on `pos`; most events are scheduled
-        // later than what is pending and stay there.
-        if pos > 0 && key.before(&self.heap[(pos - 1) / ARITY]) {
-            self.sift_up(pos, key);
-        }
+        self.insert(Key { time, id });
+        self.len += 1;
         id
     }
 
-    /// Removes and returns the earliest event. The queue must not be empty.
-    fn pop(&mut self) -> (Key, Slot) {
-        let key = self.heap[0];
-        (key, self.remove_at(0))
+    /// Files `key` under the bucket `last` puts it in and links its slot.
+    fn insert(&mut self, key: Key) {
+        debug_assert!(key.order() >= self.last, "key earlier than `last`");
+        let diff = key.order() ^ self.last;
+        let bucket = (u128::BITS - diff.leading_zeros()) as usize;
+        let keys = &mut self.buckets[bucket];
+        // The index must fit beside the bucket in `link`. The slab's length
+        // is bounded by the pending events, so this also keeps `NO_SLOT` out
+        // of its range.
+        assert!(keys.len() < 1 << INDEX_BITS, "too many pending events");
+        let pos = Pos {
+            bucket,
+            index: keys.len(),
+        };
+        keys.push(key);
+        self.slab[key.id.slot as usize].link = pos.link();
+        self.occupied[bucket / 64] |= 1 << (bucket % 64);
+    }
+
+    /// Where the earliest pending key sits, and the key. Changes nothing,
+    /// so a caller may look and then leave the key pending.
+    fn peek(&self) -> Option<(Pos, Key)> {
+        let word = self.occupied.iter().position(|w| *w != 0)?;
+        let bucket = word * 64 + self.occupied[word].trailing_zeros() as usize;
+        let keys = &self.buckets[bucket];
+        let mut index = 0;
+        for (i, key) in keys.iter().enumerate().skip(1) {
+            if key.order() < keys[index].order() {
+                index = i;
+            }
+        }
+        Some((Pos { bucket, index }, keys[index]))
+    }
+
+    /// Takes out the earliest key, at `pos` as [`Queue::peek`] found it.
+    /// This is the only place `last` moves: to the key taken, with the rest
+    /// of its bucket filed again under the new `last` — every one of them
+    /// in a lower bucket, into capacity that bucket already has once the
+    /// queue has warmed up.
+    fn pop(&mut self, pos: Pos) -> (Key, Slot) {
+        if pos.bucket == 0 {
+            return self.remove_at(pos);
+        }
+        let mut rest = std::mem::take(&mut self.buckets[pos.bucket]);
+        self.occupied[pos.bucket / 64] &= !(1 << (pos.bucket % 64));
+        // Every other key is refiled, which links its slot afresh.
+        let key = rest.swap_remove(pos.index);
+        self.last = key.order();
+        for &key in &rest {
+            self.insert(key);
+        }
+        rest.clear();
+        self.buckets[pos.bucket] = rest;
+        (key, self.free_slot(key))
     }
 
     /// Removes the event `id` names if it is still pending.
     fn remove(&mut self, id: EventId) -> Option<Slot> {
-        // A free slot's `link` is a slot index, not a heap position; no key
-        // in the heap names a free slot, so the comparison fails for it too.
-        let pos = self.slab.get(id.slot as usize)?.link as usize;
-        (self.heap.get(pos)?.id == id).then(|| self.remove_at(pos))
+        // A free slot's `link` is a slot index, not a position; no pending
+        // key names a free slot, so the comparison fails for it too.
+        let pos = Pos::of_link(self.slab.get(id.slot as usize)?.link);
+        let key = self.buckets.get(pos.bucket)?.get(pos.index)?;
+        (key.id == id).then(|| self.remove_at(pos).1)
     }
 
-    /// Takes the key at `pos` out of the heap and frees its slot.
-    fn remove_at(&mut self, pos: usize) -> Slot {
-        let slot = self.heap[pos].id.slot;
-        let last = self.heap.pop().expect("remove_at on an empty heap");
-        if pos < self.heap.len() {
-            // The former last key fills the hole. It is a leaf, so it most
-            // likely belongs near the bottom: walk the hole down to a leaf
-            // along the earliest children without comparing against it, then
-            // let it climb (past `pos`, if the removed key was not the root
-            // and sat below a later branch).
-            let hole = self.sink_hole(pos);
-            self.sift_up(hole, last);
+    /// Takes the key at `pos` out of its bucket — the bucket's last key
+    /// fills the gap — and frees its slot.
+    fn remove_at(&mut self, pos: Pos) -> (Key, Slot) {
+        let keys = &mut self.buckets[pos.bucket];
+        let key = keys.swap_remove(pos.index);
+        if let Some(moved) = keys.get(pos.index) {
+            self.slab[moved.id.slot as usize].link = pos.link();
+        } else if keys.is_empty() {
+            self.occupied[pos.bucket / 64] &= !(1 << (pos.bucket % 64));
         }
+        (key, self.free_slot(key))
+    }
+
+    /// Frees the slot of `key`, which has left its bucket, and returns what
+    /// the slot held.
+    fn free_slot(&mut self, key: Key) -> Slot {
+        self.len -= 1;
+        let slot = key.id.slot;
         let freed = Slot::free(self.free);
         self.free = slot;
         let entry = std::mem::replace(&mut self.slab[slot as usize], freed);
         debug_assert!(
             entry.handler != NO_HANDLER,
-            "heap key pointed at a free slot"
+            "pending key pointed at a free slot"
         );
         entry
-    }
-
-    /// Moves the hole at `pos` down to a leaf, pulling the earliest child up
-    /// at every level; returns the leaf position.
-    fn sink_hole(&mut self, mut hole: usize) -> usize {
-        let len = self.heap.len();
-        loop {
-            let first = hole * ARITY + 1;
-            let min = if let Some(c) = self.heap.get(first..first + ARITY) {
-                // A full set of children: a two-round tournament whose
-                // outcomes select indices, not branches — which child is
-                // earliest is as good as random, and a mispredicted branch
-                // costs more than the whole level otherwise does.
-                let a = usize::from(c[1].before(&c[0]));
-                let b = 2 + usize::from(c[3].before(&c[2]));
-                first + if c[b].before(&c[a]) { b } else { a }
-            } else if first < len {
-                let mut min = first;
-                for child in first + 1..len {
-                    if self.heap[child].before(&self.heap[min]) {
-                        min = child;
-                    }
-                }
-                min
-            } else {
-                return hole;
-            };
-            self.place(hole, self.heap[min]);
-            hole = min;
-        }
-    }
-
-    /// Puts `key` into the hole at `pos`, or as far above it as `key` is
-    /// earlier than the keys on the path to the root.
-    fn sift_up(&mut self, mut hole: usize, key: Key) {
-        while hole > 0 {
-            let parent = (hole - 1) / ARITY;
-            if !key.before(&self.heap[parent]) {
-                break;
-            }
-            self.place(hole, self.heap[parent]);
-            hole = parent;
-        }
-        self.place(hole, key);
-    }
-
-    fn place(&mut self, pos: usize, key: Key) {
-        self.heap[pos] = key;
-        self.slab[key.id.slot as usize].link = pos as u32;
     }
 }
 
@@ -464,36 +501,41 @@ impl Sim {
 
     /// Runs events with `time <= horizon`. On return the clock reads the
     /// time of the last executed event (drained, or budget exhausted — the
-    /// events the budget held back stay pending) or `horizon`.
+    /// events the budget held back stay pending) or `horizon`, unless
+    /// `horizon` is in the past: the clock never runs backwards.
     pub fn run_until(&mut self, horizon: SimTime) -> RunOutcome {
         loop {
-            let Some(next_time) = self.queue.next_time() else {
+            // Looking leaves the queue as it was: after a stop the caller may
+            // schedule at `now`, earlier than the event found here.
+            let Some((pos, next)) = self.queue.peek() else {
                 return RunOutcome::Drained;
             };
-            if next_time > horizon {
-                self.now = horizon;
+            if next.time > horizon {
+                // A clock turned back would let a schedule call hand the
+                // queue a key earlier than one it has already handed out.
+                self.now = self.now.max(horizon);
                 return RunOutcome::HorizonReached;
             }
             if self.executed >= self.event_budget {
                 return RunOutcome::BudgetExhausted;
             }
-            self.fire_next();
+            self.fire(pos);
         }
     }
 
     /// Runs a single event if one is pending; returns whether one ran.
     pub fn step(&mut self) -> bool {
-        let pending = self.queue.len() > 0;
-        if pending {
-            self.fire_next();
+        let next = self.queue.peek();
+        if let Some((pos, _)) = next {
+            self.fire(pos);
         }
-        pending
+        next.is_some()
     }
 
-    /// Removes the earliest pending event and runs it. The queue must not be
-    /// empty.
-    fn fire_next(&mut self) {
-        let (key, entry) = self.queue.pop();
+    /// Takes the earliest pending event, at `pos` as the queue's `peek`
+    /// found it, and runs it.
+    fn fire(&mut self, pos: Pos) {
+        let (key, entry) = self.queue.pop(pos);
         debug_assert!(key.time >= self.now, "event queue returned a past event");
         self.now = key.time;
         self.executed += 1;
@@ -754,6 +796,91 @@ mod tests {
         assert_eq!(sim.now(), SimTime::from_secs(2));
         assert_eq!(sim.run(), RunOutcome::Drained);
         assert_eq!(*fired.borrow(), 3);
+    }
+
+    #[test]
+    fn a_horizon_stop_leaves_room_for_an_event_at_now() {
+        // The queue looks at the 10 s event to stop at the 5 s horizon; it
+        // must not have taken it out, or a key at 5 s would be earlier than
+        // the last key handed out.
+        let mut sim = Sim::new(1);
+        let log: Rc<RefCell<Vec<u64>>> = Rc::new(RefCell::new(Vec::new()));
+        for s in [1u64, 10] {
+            let log = Rc::clone(&log);
+            sim.schedule_at(SimTime::from_secs(s), move |sim| {
+                log.borrow_mut().push(sim.now().as_nanos() / 1_000_000_000);
+            });
+        }
+        assert_eq!(
+            sim.run_until(SimTime::from_secs(5)),
+            RunOutcome::HorizonReached
+        );
+        assert_eq!(sim.now(), SimTime::from_secs(5));
+        let l = Rc::clone(&log);
+        sim.schedule_now(move |sim| l.borrow_mut().push(sim.now().as_nanos() / 1_000_000_000));
+        assert_eq!(sim.run(), RunOutcome::Drained);
+        assert_eq!(*log.borrow(), vec![1, 5, 10]);
+    }
+
+    #[test]
+    fn a_past_horizon_leaves_the_clock_where_it_is() {
+        // After the 1 s event has fired, a horizon of 0.5 s must not turn
+        // the clock back: an event scheduled "now" would then be earlier
+        // than the last key the queue handed out.
+        let mut sim = Sim::new(1);
+        let log: Rc<RefCell<Vec<u64>>> = Rc::new(RefCell::new(Vec::new()));
+        for ms in [1_000u64, 10_000] {
+            let log = Rc::clone(&log);
+            sim.schedule_at(SimTime::from_nanos(ms * 1_000_000), move |sim| {
+                log.borrow_mut().push(sim.now().as_nanos() / 1_000_000);
+            });
+        }
+        let horizon = SimTime::from_secs(5);
+        assert_eq!(sim.run_until(horizon), RunOutcome::HorizonReached);
+        assert_eq!(
+            sim.run_until(SimTime::from_nanos(500_000_000)),
+            RunOutcome::HorizonReached
+        );
+        assert_eq!(sim.now(), horizon);
+        let l = Rc::clone(&log);
+        sim.schedule_now(move |sim| l.borrow_mut().push(sim.now().as_nanos() / 1_000_000));
+        assert_eq!(sim.run(), RunOutcome::Drained);
+        assert_eq!(*log.borrow(), vec![1_000, 5_000, 10_000]);
+    }
+
+    #[test]
+    fn a_budget_stop_inside_a_redistribution_drops_nothing() {
+        // Sixty-four events a few hours out share one high bucket. Firing
+        // the first files the rest one level down; a budget stop right
+        // after it, cancels among the refiled keys and new events at `now`
+        // must leave every survivor to fire exactly once, in order.
+        let mut sim = Sim::new(1);
+        let log: Rc<RefCell<Vec<u64>>> = Rc::new(RefCell::new(Vec::new()));
+        let far = SimTime::from_secs(3 * 3_600);
+        let ids: Vec<EventId> = (0..64u64)
+            .map(|i| {
+                let log = Rc::clone(&log);
+                let at = far + SimDuration::from_millis(i * 997 % 64 * 250);
+                sim.schedule_at(at, move |_| log.borrow_mut().push(i))
+            })
+            .collect();
+        sim.set_event_budget(1);
+        assert_eq!(sim.run(), RunOutcome::BudgetExhausted);
+        assert_eq!(*log.borrow(), vec![0]);
+        assert_eq!(sim.pending(), 63);
+        for id in ids.iter().skip(1).step_by(5) {
+            assert!(sim.cancel(*id));
+        }
+        let l = Rc::clone(&log);
+        sim.schedule_now(move |_| l.borrow_mut().push(100));
+        sim.set_event_budget(20);
+        assert_eq!(sim.run(), RunOutcome::BudgetExhausted);
+        sim.set_event_budget(u64::MAX);
+        assert_eq!(sim.run(), RunOutcome::Drained);
+        let mut want: Vec<u64> = (0..64).filter(|i| i % 5 != 1).collect();
+        want.sort_by_key(|i| i * 997 % 64);
+        want.insert(1, 100);
+        assert_eq!(*log.borrow(), want);
     }
 
     #[test]

@@ -8,35 +8,104 @@ use std::rc::Rc;
 
 // ── The queue differential: `Sim` against a sorted map ──────────────────
 //
-// Both sides interpret one generated program: driver steps between runs,
+// Both sides interpret one generated program: outer steps between runs,
 // and a handler script per event that schedules and cancels from inside
 // the event loop. An event's tag is its creation index, which is also the
 // `seq` the kernel must have given it. Every third event the real side
 // schedules is a typed one, whose handler runs the same script a closure
 // would: the model cannot tell the two apart, and neither may the order.
+//
+// A program runs at one of two scales. The narrow one draws delays of a few
+// nanoseconds, so instants tie all the time. The wide one draws them from
+// 1 ns to days, piles up thousands of far-future events (and same-instant
+// ties among them), cancels among the piles and stops its runs between
+// distant events: the radix queue files a key by the highest bit where it
+// differs from the last key taken out, and only delays of every magnitude
+// reach every bucket, and the refiling of each.
 
-/// One step of a handler script or of the driver.
+/// One step of a handler script or of the outer loop.
 #[derive(Debug, Clone, Copy)]
 enum Op {
-    /// `schedule_in` this many nanoseconds (small, so that instants tie).
+    /// `schedule_in` this many nanoseconds.
     ScheduleIn(u64),
+    /// `count` schedule calls at `delay`, `delay + 1` and `delay + 2` ns in
+    /// turn: a pile-up of same-instant ties.
+    Burst { count: usize, delay: u64 },
     /// Cancel the event created `n`-th (mod the number created so far):
     /// live, fired or already cancelled, possibly due at this very instant.
     Cancel(usize),
     /// Cancel one of the eight most recently created events, which are
     /// the ones most likely still pending.
     CancelRecent(usize),
+    /// Inside a handler: cancel the event created this many after the
+    /// running one — in a pile-up, a sibling due at or just after now.
+    CancelLater(usize),
     /// Inside a handler: cancel the running event itself.
     CancelSelf,
 }
 
-fn decode_op((kind, arg): (u8, u64)) -> Op {
-    match kind {
-        0..=2 => Op::ScheduleIn(arg % 12),
-        3 => Op::Cancel(arg as usize),
-        4 | 5 => Op::CancelRecent(arg as usize),
-        _ => Op::CancelSelf,
+#[derive(Debug, Clone, Copy)]
+enum Scale {
+    Narrow,
+    Wide,
+}
+
+impl Scale {
+    /// Events created per case are capped so that scripts which schedule
+    /// more than they retire still terminate.
+    fn cap(self) -> usize {
+        match self {
+            Scale::Narrow => 400,
+            Scale::Wide => 6_000,
+        }
     }
+
+    /// A delay of 1 ns to 6.5 days, with a little jitter.
+    fn wide(arg: u64) -> u64 {
+        (1 << (arg % 50)) + (arg >> 60)
+    }
+
+    /// A handler script's step, or (`outer`) one the outer loop takes between
+    /// runs. Out there delays reach past the run horizons below, so that
+    /// events pile up, and `CancelSelf` / `CancelLater` find no running
+    /// event and do nothing.
+    fn op(self, outer: bool, (kind, arg): (u8, u64)) -> Op {
+        match (self, kind) {
+            (Scale::Narrow, 0..=2) => Op::ScheduleIn(arg % if outer { 64 } else { 12 }),
+            (Scale::Wide, 0 | 1) => Op::ScheduleIn(Scale::wide(arg)),
+            (Scale::Wide, 2) => Op::Burst {
+                count: 1 + (arg >> 8) as usize % if outer { 2_048 } else { 64 },
+                delay: Scale::wide(arg),
+            },
+            (_, 3) => Op::Cancel(arg as usize),
+            (_, 4 | 5) => Op::CancelRecent(arg as usize),
+            (Scale::Wide, 6) => Op::CancelLater(1 + arg as usize % 4),
+            _ => Op::CancelSelf,
+        }
+    }
+
+    /// How far past `now` a partial run stops.
+    fn horizon(self, arg: u64) -> u64 {
+        match self {
+            Scale::Narrow => arg % 16,
+            Scale::Wide => Scale::wide(arg),
+        }
+    }
+
+    /// How many more events a budgeted run may fire.
+    fn budget(self, arg: u64) -> u64 {
+        match self {
+            Scale::Narrow => arg % 8,
+            Scale::Wide => arg % 256,
+        }
+    }
+}
+
+/// What both sides interpret: the scale, and the handler script of the
+/// event tagged `tag`, which is `scripts[tag % scripts.len()]`.
+struct Program {
+    scale: Scale,
+    scripts: Vec<Vec<Op>>,
 }
 
 /// What the two sides must agree on, in order.
@@ -47,29 +116,33 @@ enum Obs {
     Pending(usize),
 }
 
-/// Events created per case are capped so that scripts which schedule more
-/// than they retire still terminate.
-const MAX_EVENTS: usize = 400;
-
 trait Kernel {
     fn now(&self) -> u64;
     fn pending(&self) -> usize;
     fn created(&self) -> usize;
-    fn schedule_in(&mut self, scripts: &Rc<Vec<Vec<Op>>>, delay: u64);
+    fn schedule_in(&mut self, program: &Rc<Program>, delay: u64);
     fn cancel(&mut self, tag: usize) -> bool;
     fn log(&mut self, obs: Obs);
 }
 
-fn apply<K: Kernel>(k: &mut K, scripts: &Rc<Vec<Vec<Op>>>, running: Option<usize>, op: Op) {
+fn apply<K: Kernel>(k: &mut K, program: &Rc<Program>, running: Option<usize>, op: Op) {
+    let room = program.scale.cap().saturating_sub(k.created());
     let target = match op {
         Op::ScheduleIn(delay) => {
-            if k.created() < MAX_EVENTS {
-                k.schedule_in(scripts, delay);
+            if room > 0 {
+                k.schedule_in(program, delay);
+            }
+            None
+        }
+        Op::Burst { count, delay } => {
+            for i in 0..count.min(room) {
+                k.schedule_in(program, delay + i as u64 % 3);
             }
             None
         }
         Op::Cancel(n) => (k.created() > 0).then(|| n % k.created()),
         Op::CancelRecent(n) => (k.created() > 0).then(|| k.created() - 1 - n % k.created().min(8)),
+        Op::CancelLater(n) => running.map(|tag| tag + n).filter(|tag| *tag < k.created()),
         Op::CancelSelf => running,
     };
     if let Some(tag) = target {
@@ -80,11 +153,11 @@ fn apply<K: Kernel>(k: &mut K, scripts: &Rc<Vec<Vec<Op>>>, running: Option<usize
     k.log(Obs::Pending(pending));
 }
 
-fn fire<K: Kernel>(k: &mut K, scripts: &Rc<Vec<Vec<Op>>>, tag: usize) {
+fn fire<K: Kernel>(k: &mut K, program: &Rc<Program>, tag: usize) {
     let at = k.now();
     k.log(Obs::Fired { tag, at });
-    for &op in &scripts[tag % scripts.len()] {
-        apply(k, scripts, Some(tag), op);
+    for &op in &program.scripts[tag % program.scripts.len()] {
+        apply(k, program, Some(tag), op);
     }
 }
 
@@ -94,7 +167,7 @@ struct RealState {
     log: Vec<Obs>,
 }
 
-/// The kernel under test, as the driver and as a running handler see it.
+/// The kernel under test, as the outer loop and as a running handler see it.
 struct Real<'a> {
     sim: &'a mut Sim,
     state: &'a Rc<RefCell<RealState>>,
@@ -112,9 +185,9 @@ impl Kernel for Real<'_> {
     fn created(&self) -> usize {
         self.state.borrow().ids.len()
     }
-    fn schedule_in(&mut self, scripts: &Rc<Vec<Vec<Op>>>, delay: u64) {
+    fn schedule_in(&mut self, program: &Rc<Program>, delay: u64) {
         let tag = self.created();
-        let (scripts, state, handler) = (Rc::clone(scripts), Rc::clone(self.state), self.handler);
+        let (program, state, handler) = (Rc::clone(program), Rc::clone(self.state), self.handler);
         let action = move |sim: &mut Sim| {
             let state = &state;
             fire(
@@ -123,7 +196,7 @@ impl Kernel for Real<'_> {
                     state,
                     handler,
                 },
-                &scripts,
+                &program,
                 tag,
             );
         };
@@ -179,7 +252,7 @@ impl Kernel for Model {
     fn created(&self) -> usize {
         self.due.len()
     }
-    fn schedule_in(&mut self, _: &Rc<Vec<Vec<Op>>>, delay: u64) {
+    fn schedule_in(&mut self, _: &Rc<Program>, delay: u64) {
         let tag = self.due.len();
         let at = self.now + delay;
         self.queue.insert((at, tag as u64), tag);
@@ -197,7 +270,7 @@ impl Kernel for Model {
 }
 
 impl Model {
-    fn run_until(&mut self, scripts: &Rc<Vec<Vec<Op>>>, horizon: u64, budget: u64) -> RunOutcome {
+    fn run_until(&mut self, program: &Rc<Program>, horizon: u64, budget: u64) -> RunOutcome {
         loop {
             let Some((&(at, seq), &tag)) = self.queue.first_key_value() else {
                 return RunOutcome::Drained;
@@ -213,82 +286,113 @@ impl Model {
             self.due[tag] = None;
             self.now = at;
             self.executed += 1;
-            fire(self, scripts, tag);
+            fire(self, program, tag);
         }
     }
 }
 
-fn assert_agree(sim: &Sim, real: &RealState, model: &Model) {
+/// Compares what both sides logged since the last call, then forgets it.
+fn assert_agree(sim: &Sim, real: &mut RealState, model: &mut Model) {
     assert_eq!(real.log, model.log);
     assert_eq!(sim.now().as_nanos(), model.now);
     assert_eq!(sim.pending(), model.queue.len());
     assert_eq!(sim.events_executed(), model.executed);
+    real.log.clear();
+    model.log.clear();
+}
+
+/// Runs one generated program on `Sim` and on the model, step by step: the
+/// kernel must fire the same events in the same order as the sorted map,
+/// answer every `cancel` the same way, and count the same events as pending
+/// after every step.
+fn differential(scale: Scale, scripts: Vec<Vec<(u8, u64)>>, steps: Vec<(u8, u64)>) {
+    let program = Rc::new(Program {
+        scale,
+        scripts: scripts
+            .into_iter()
+            .map(|s| s.into_iter().map(|op| scale.op(false, op)).collect())
+            .collect(),
+    });
+    let mut sim = Sim::new(0);
+    let state = Rc::new(RefCell::new(RealState::default()));
+    let handler = {
+        let (program, state) = (Rc::clone(&program), Rc::clone(&state));
+        sim.register_handler(move |sim, event| {
+            let tag = event.payload as usize;
+            assert_eq!((event.tag, event.aux), (tag as u8, (tag >> 8) as u16));
+            let (state, handler) = (&state, event.handler);
+            fire(
+                &mut Real {
+                    sim,
+                    state,
+                    handler,
+                },
+                &program,
+                tag,
+            );
+        })
+    };
+    let mut model = Model::default();
+    for (kind, arg) in steps {
+        let mut real = Real {
+            sim: &mut sim,
+            state: &state,
+            handler,
+        };
+        match kind {
+            0..=7 => {
+                let op = scale.op(true, (kind, arg));
+                apply(&mut real, &program, None, op);
+                apply(&mut model, &program, None, op);
+            }
+            8..=10 => {
+                let horizon = model.now.saturating_add(scale.horizon(arg));
+                assert_eq!(
+                    sim.run_until(SimTime::from_nanos(horizon)),
+                    model.run_until(&program, horizon, u64::MAX)
+                );
+            }
+            11 | 12 => {
+                let budget = model.executed + scale.budget(arg);
+                sim.set_event_budget(budget);
+                assert_eq!(sim.run(), model.run_until(&program, u64::MAX, budget));
+                sim.set_event_budget(u64::MAX);
+            }
+            _ => {
+                // `step` is a run with room for one more event.
+                let before = model.executed;
+                model.run_until(&program, u64::MAX, before + 1);
+                assert_eq!(sim.step(), model.executed > before);
+            }
+        }
+        assert_agree(&sim, &mut state.borrow_mut(), &mut model);
+    }
+    assert_eq!(sim.run(), model.run_until(&program, u64::MAX, u64::MAX));
+    assert_agree(&sim, &mut state.borrow_mut(), &mut model);
+    assert_eq!(sim.pending(), 0);
 }
 
 proptest! {
-    /// Random interleavings of scheduling, cancelling (from the driver and
-    /// from inside handlers) and partial runs: the kernel fires the same
-    /// events in the same order as the sorted map, answers every `cancel`
-    /// the same way, and counts the same events as pending after every step.
+    /// Random interleavings of scheduling, cancelling (from the outer loop and
+    /// from inside handlers) and partial runs, with delays of a few
+    /// nanoseconds: instants tie all the time.
     #[test]
     fn queue_matches_a_sorted_map(
         scripts in prop::collection::vec(prop::collection::vec((0u8..8, any::<u64>()), 0..4), 1..6),
-        driver in prop::collection::vec((0u8..14, any::<u64>()), 1..80),
+        steps in prop::collection::vec((0u8..14, any::<u64>()), 1..80),
     ) {
-        let scripts: Rc<Vec<Vec<Op>>> = Rc::new(
-            scripts.into_iter().map(|s| s.into_iter().map(decode_op).collect()).collect(),
-        );
-        let mut sim = Sim::new(0);
-        let state = Rc::new(RefCell::new(RealState::default()));
-        let handler = {
-            let (scripts, state) = (Rc::clone(&scripts), Rc::clone(&state));
-            sim.register_handler(move |sim, event| {
-                let tag = event.payload as usize;
-                assert_eq!((event.tag, event.aux), (tag as u8, (tag >> 8) as u16));
-                let (state, handler) = (&state, event.handler);
-                fire(&mut Real { sim, state, handler }, &scripts, tag);
-            })
-        };
-        let mut model = Model::default();
-        for (kind, arg) in driver {
-            let mut real = Real { sim: &mut sim, state: &state, handler };
-            match kind {
-                // Driver-side schedule and cancel. Out here delays reach
-                // past the run horizons below, so that events pile up, and
-                // `CancelSelf` finds no running event and does nothing.
-                0..=7 => {
-                    let op = match decode_op((kind, arg)) {
-                        Op::ScheduleIn(_) => Op::ScheduleIn(arg % 64),
-                        op => op,
-                    };
-                    apply(&mut real, &scripts, None, op);
-                    apply(&mut model, &scripts, None, op);
-                }
-                8..=10 => {
-                    let horizon = model.now.saturating_add(arg % 16);
-                    prop_assert_eq!(
-                        sim.run_until(SimTime::from_nanos(horizon)),
-                        model.run_until(&scripts, horizon, u64::MAX)
-                    );
-                }
-                11 | 12 => {
-                    let budget = model.executed + arg % 8;
-                    sim.set_event_budget(budget);
-                    prop_assert_eq!(sim.run(), model.run_until(&scripts, u64::MAX, budget));
-                    sim.set_event_budget(u64::MAX);
-                }
-                _ => {
-                    // `step` is a run with room for one more event.
-                    let before = model.executed;
-                    model.run_until(&scripts, u64::MAX, before + 1);
-                    prop_assert_eq!(sim.step(), model.executed > before);
-                }
-            }
-            assert_agree(&sim, &state.borrow(), &model);
-        }
-        prop_assert_eq!(sim.run(), model.run_until(&scripts, u64::MAX, u64::MAX));
-        assert_agree(&sim, &state.borrow(), &model);
-        prop_assert_eq!(sim.pending(), 0);
+        differential(Scale::Narrow, scripts, steps);
+    }
+
+    /// The same, with delays from 1 ns to days, pile-ups of thousands of
+    /// far-future events, cancels among them before and after their bucket
+    /// is refiled, and runs that stop between distant events.
+    #[test]
+    fn queue_matches_a_sorted_map_across_every_bucket(
+        scripts in prop::collection::vec(prop::collection::vec((0u8..8, any::<u64>()), 0..4), 1..6),
+        steps in prop::collection::vec((0u8..14, any::<u64>()), 1..80),
+    ) {
+        differential(Scale::Wide, scripts, steps);
     }
 
     /// Events always execute in nondecreasing time order, whatever the

@@ -19,6 +19,13 @@ use crate::replay::ReplayState;
 ///    without first claiming a target.
 /// 2. **Single terminal state** — no job sees more than one of
 ///    `JobFinished` / `JobFailed` / `JobCancelled`.
+///
+/// 2b (companion to rule 2): **terminal is final** — after a job's terminal
+/// event (`JobFinished`, `JobFailed`, `JobCancelled` or `JdlRejected`) no
+/// `LeaseGranted`, `JobDispatched` or `JobStarted` names it; a copy the job
+/// has left behind must not act for it. (Rule 5 reports a lease or dispatch
+/// after `JdlRejected` in its own words.)
+///
 /// 3. **Ack within append** — per stream, a `SpoolAck` sequence never
 ///    exceeds the highest `SpoolAppend` seen, so the reliable console
 ///    never acknowledges data that was never written.
@@ -44,7 +51,7 @@ use crate::replay::ReplayState;
 pub fn check_invariants(events: &[TimedEvent]) -> Vec<String> {
     let mut violations = Vec::new();
 
-    // 1 + 2 + 5 + 5b: single forward pass.
+    // 1 + 2 + 2b + 5 + 5b: single forward pass.
     let mut leased: HashSet<u64> = HashSet::new();
     let mut terminal: HashMap<u64, &'static str> = HashMap::new();
     let mut rejected: HashSet<u64> = HashSet::new();
@@ -54,6 +61,25 @@ pub fn check_invariants(events: &[TimedEvent]) -> Vec<String> {
     // 3: per-stream high-water marks.
     let mut appended: HashMap<&str, u64> = HashMap::new();
     for ev in events {
+        // 2b. A lease or dispatch after `JdlRejected` is rule 5's to report.
+        let late = match &ev.event {
+            Event::LeaseGranted { job, .. } | Event::JobDispatched { job, .. }
+                if !rejected.contains(job) =>
+            {
+                Some(*job)
+            }
+            Event::JobStarted { job } => Some(*job),
+            _ => None,
+        };
+        if let Some((job, first)) =
+            late.and_then(|job| terminal.get(&job).map(|first| (job, first)))
+        {
+            violations.push(format!(
+                "job {job}: {} at {}s after its terminal {first}",
+                ev.event.kind(),
+                ev.at.as_secs_f64()
+            ));
+        }
         match &ev.event {
             Event::LeaseGranted { job, target, .. } => {
                 leased.insert(*job);
@@ -379,6 +405,66 @@ mod tests {
         let v = check_invariants(&s);
         assert_eq!(v.len(), 1);
         assert!(v[0].contains("second terminal state"), "{v:?}");
+    }
+
+    #[test]
+    fn terminal_is_final() {
+        // The stream of a job whose copy finished while its reliable
+        // console was still retrying, and whose console then connected.
+        let s = stream(vec![
+            lease(3),
+            dispatch(3),
+            Event::JobFinished { job: 3 },
+            Event::ConsoleConnected { job: 3 },
+            Event::ConsoleReady { job: 3 },
+            Event::JobStarted { job: 3 },
+        ]);
+        let v = check_invariants(&s);
+        assert_eq!(v.len(), 1, "{v:?}");
+        assert!(
+            v[0].contains("JobStarted at 5s after its terminal JobFinished"),
+            "{v:?}"
+        );
+        // A lease and a dispatch after a failure; another job is unaffected.
+        let s = stream(vec![
+            Event::JobFailed {
+                job: 3,
+                reason: "killed at site".into(),
+            },
+            lease(3),
+            dispatch(3),
+            lease(4),
+            dispatch(4),
+        ]);
+        let v = check_invariants(&s);
+        assert_eq!(v.len(), 2, "{v:?}");
+        assert!(
+            v.iter()
+                .all(|m| m.contains("job 3") && m.contains("JobFailed")),
+            "{v:?}"
+        );
+        // After a cancellation, and after a rejection: a start is flagged by
+        // this rule, a lease by rule 5 alone.
+        for (end, expect) in [
+            (
+                Event::JobCancelled { job: 5 },
+                "after its terminal JobCancelled",
+            ),
+            (
+                Event::JdlRejected { job: 5, errors: 1 },
+                "after its terminal JdlRejected",
+            ),
+        ] {
+            let v = check_invariants(&stream(vec![end.clone(), Event::JobStarted { job: 5 }]));
+            assert_eq!(v.len(), 1, "{v:?}");
+            assert!(v[0].contains(expect), "{v:?}");
+        }
+        let v = check_invariants(&stream(vec![
+            Event::JdlRejected { job: 5, errors: 1 },
+            lease(5),
+        ]));
+        assert_eq!(v.len(), 1, "{v:?}");
+        assert!(v[0].contains("after JdlRejected"), "{v:?}");
     }
 
     #[test]
