@@ -36,7 +36,10 @@ use cg_bench::report::{print_table, TraceSink};
 use cg_bench::write_csv;
 use cg_net::{FaultSchedule, Link, LinkProfile};
 use cg_sim::{Sim, SimDuration, SimRng, SimTime};
-use cg_site::{BackendSpec, GiisRoot, Policy, Site, SiteConfig};
+use cg_site::{
+    AdSnapshot, BackendSpec, InformationIndex, MembershipConfig, Policy, RefreshWindow, Site,
+    SiteConfig,
+};
 use cg_trace::{check_invariants, Event, EventLog};
 use cg_workloads::{churn_faults, poisson_arrivals, synthetic_grid, ChurnKind, JobMix};
 use crossbroker::{BrokerConfig, CrossBroker, JobId, JobState, SiteHandle};
@@ -185,11 +188,13 @@ fn sim_run_with(kind: ChurnKind, index: usize, backend: &BackendSpec) -> ChurnRu
 
 /// Mass join at synthetic-grid scale: 100 of 300 sites are dark at boot
 /// and join at seeded instants inside the first 20% of a one-hour
-/// horizon, all behind the two-tier GIIS hierarchy. The aggregator's
-/// epoch deltas must mark *exactly* the joining sites dirty — each one
-/// once — and every never-churned site must keep sharing its boot column
-/// allocation (no full-snapshot invalidation anywhere in the join storm).
-fn mass_join_scale_gate() {
+/// horizon, all behind one flat windowed information index. The sweeps
+/// must publish a new ad for *exactly* the joining sites, every
+/// never-churned site must keep sharing its boot allocation (no
+/// full-snapshot invalidation anywhere in the join storm), and the joins
+/// must land over several sweeps rather than in one batch.
+/// Returns how many joiners the snapshot held at 650 s.
+fn mass_join_scale_gate() -> usize {
     const N: usize = 300;
     let horizon = SimTime::from_secs(3_600);
     let seed = SUITE_SEED ^ 0x300;
@@ -204,41 +209,50 @@ fn mass_join_scale_gate() {
         }
     }
     let mut sim = Sim::new(seed);
-    let cfg = grid.giis_config(SimDuration::from_secs(300), 8);
-    let root = GiisRoot::start(&mut sim, grid.sites.clone(), &cfg, faults);
-    let boot = root.snapshot_arc();
+    let index = InformationIndex::start_windowed(
+        &mut sim,
+        grid.sites.clone(),
+        SimDuration::from_secs(300),
+        RefreshWindow {
+            fanout: 8,
+            latency: grid.publish_latency.clone(),
+        },
+        faults,
+        MembershipConfig::default(),
+    );
+    let boot = index.snapshot_arc();
     for &g in &joiners {
         assert_eq!(boot.free_cpus(g), 0, "dark site {g} boots as placeholder");
     }
-    // The join window closes at 0.2 × horizon = 720 s; the sweep at 900 s
-    // is the last that can surface a joiner, settled well before 1200 s.
+    let joined = |snap: &AdSnapshot| {
+        (0..N)
+            .filter(|&g| !Arc::ptr_eq(boot.ad_arc(g), snap.ad_arc(g)))
+            .collect::<Vec<_>>()
+    };
+    // Sweeps open at 300, 600 and 900 s. The join window closes at
+    // 0.2 × horizon = 720 s, so the 900 s sweep is the last that can
+    // surface a joiner, settled well before 1200 s.
+    sim.run_until(SimTime::from_secs(650));
+    let midway = joined(&index.snapshot_arc()).len();
     sim.run_until(SimTime::from_secs(1_200));
 
-    let snap = root.snapshot_arc();
-    let mut dirty: Vec<usize> = snap.dirty_since(boot.epoch()).collect();
-    dirty.sort_unstable();
+    let snap = index.snapshot_arc();
     assert_eq!(
-        dirty, joiners,
-        "epoch deltas must mark exactly the joining sites dirty"
-    );
-    assert_eq!(
-        root.delta_sites(),
-        joiners.len() as u64,
-        "each joiner ships up the tree exactly once"
+        joined(&snap),
+        joiners,
+        "the sweeps must publish a new ad for exactly the joining sites; \
+         every never-churned site keeps its boot allocation"
     );
     assert!(
-        root.deltas_merged() > 1,
-        "staggered joins must arrive as incremental deltas, not one batch"
+        0 < midway && midway < joiners.len(),
+        "staggered joins must land over several sweeps, not one batch: \
+         {midway} of {} joined by 650 s",
+        joiners.len()
     );
     for &g in &joiners {
         assert!(snap.free_cpus(g) > 0, "joiner {g} published its real ad");
     }
-    for g in (0..N).filter(|g| g % 3 != 0) {
-        assert!(
-            Arc::ptr_eq(boot.ad_arc(g), snap.ad_arc(g)),
-            "never-churned site {g} must keep sharing its boot column"
-        );
-    }
+    midway
 }
 
 /// Runs the whole suite, printing the per-scenario table and feeding the
@@ -378,8 +392,11 @@ fn run_suite(sink: &TraceSink, gates: bool) {
             total_retries > 0,
             "no live query was ever retried — the bounded-retry path never ran"
         );
-        mass_join_scale_gate();
-        println!("mass-join at 300 synthetic sites: delta-exact through the GIIS root");
+        let midway = mass_join_scale_gate();
+        println!(
+            "mass-join at 300 synthetic sites: delta-exact through the flat windowed index \
+             ({midway} of 100 joiners by 650 s)"
+        );
     }
 }
 

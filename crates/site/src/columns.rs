@@ -10,12 +10,11 @@
 //! table copy. A pass over the snapshot reads cells by site index and never
 //! searches an ad by name.
 //!
-//! Snapshots are *epoch-tagged*: each refresh produces a successor via
-//! [`AdSnapshot::apply_delta`] (or [`AdSnapshot::advance`]), which bumps the
-//! snapshot epoch and, per site, bumps that site's epoch only if its ad
-//! actually changed (unchanged sites share the predecessor's `Arc<Ad>` and
-//! keep their epoch). Consumers that cache per-site results can re-match
-//! only [`AdSnapshot::dirty_since`] their last seen epoch.
+//! Each refresh produces a successor via [`AdSnapshot::apply_delta`] (or
+//! [`AdSnapshot::advance`]). A site whose ad is unchanged shares the
+//! predecessor's `Arc<Ad>`; a changed site gets a new one. That is the only
+//! change signal: a consumer tells which sites changed between two
+//! snapshots by comparing their ads with `Arc::ptr_eq`.
 //!
 //! **Sharing rule.** A successor rewrites the cells of the changed sites
 //! only, and a column is copied the first time one of its cells differs;
@@ -58,21 +57,18 @@ impl Hot {
     }
 }
 
-/// An immutable, epoch-tagged, column-oriented view of every site's machine
-/// ad. Shared as `Arc<AdSnapshot>`; see the module docs for the layout, the
-/// sharing rule and the delta contract.
+/// An immutable, column-oriented view of every site's machine ad. Shared
+/// as `Arc<AdSnapshot>`; see the module docs for the layout, the sharing
+/// rule and the delta contract.
 #[derive(Debug, Clone)]
 pub struct AdSnapshot {
-    epoch: u64,
     ads: Vec<Arc<Ad>>,
-    site_epochs: Vec<u64>,
     columns: Columns,
     hot: Hot,
 }
 
 impl AdSnapshot {
-    /// Builds the initial snapshot (epoch 0, every site's epoch 0) from the
-    /// ads in site-index order.
+    /// Builds a snapshot from the ads in site-index order.
     #[must_use]
     pub fn build(ads: Vec<Ad>) -> AdSnapshot {
         AdSnapshot::build_shared(ads.into_iter().map(Arc::new).collect())
@@ -85,46 +81,32 @@ impl AdSnapshot {
     pub fn build_shared(ads: Vec<Arc<Ad>>) -> AdSnapshot {
         let columns = Columns::build(&ads);
         AdSnapshot {
-            epoch: 0,
-            site_epochs: vec![0; ads.len()],
             hot: Hot::find(&columns),
             columns,
             ads,
         }
     }
 
-    /// A copy at the next epoch, for [`AdSnapshot::set`] to change.
-    fn successor(&self) -> AdSnapshot {
-        let mut snap = self.clone();
-        snap.epoch += 1;
-        snap
-    }
-
-    /// Site `i` changed to `ad` in this snapshot's epoch.
+    /// Site `i` changed to `ad` in this snapshot.
     fn set(&mut self, i: usize, ad: Arc<Ad>) {
         self.columns.replace(i, &self.ads[i], &ad);
         self.hot = Hot::find(&self.columns);
         self.ads[i] = ad;
-        self.site_epochs[i] = self.epoch;
     }
 
-    /// Produces the successor snapshot from freshly gathered ads. The
-    /// snapshot epoch always advances; a site whose ad is unchanged shares
-    /// the predecessor's `Arc<Ad>` and keeps its site epoch, while a changed
-    /// site gets the new snapshot epoch. If the site count changed, every
-    /// site is treated as dirty.
+    /// Produces the successor snapshot from freshly gathered ads. A site
+    /// whose ad is unchanged shares the predecessor's `Arc<Ad>`; a changed
+    /// site gets a new one. If the site count changed, the successor is a
+    /// fresh build.
     ///
     /// The information index publishes through [`AdSnapshot::apply_delta`];
     /// this full-table form is the reference that path is tested against.
     #[must_use]
     pub fn advance(&self, fresh: Vec<Ad>) -> AdSnapshot {
         if fresh.len() != self.ads.len() {
-            let mut snap = AdSnapshot::build(fresh);
-            snap.epoch = self.epoch + 1;
-            snap.site_epochs = vec![snap.epoch; snap.ads.len()];
-            return snap;
+            return AdSnapshot::build(fresh);
         }
-        let mut snap = self.successor();
+        let mut snap = self.clone();
         for (i, ad) in fresh.into_iter().enumerate() {
             if ad != *snap.ads[i] {
                 snap.set(i, Arc::new(ad));
@@ -135,21 +117,20 @@ impl AdSnapshot {
 
     /// Produces the successor snapshot by applying a sparse delta —
     /// `(site index, fresh ad)` pairs from sites whose publication actually
-    /// arrived, everyone else untouched. This is the GIIS aggregation path:
-    /// a leaf reports only its [`AdSnapshot::dirty_since`] sites, so the
-    /// merge does per-site work proportional to the *changed* sites (the
-    /// per-site `Arc` and epoch vectors are copied, which is a memcpy, and
-    /// so is each column a changed cell lands in; no ad is compared and no
-    /// cell re-derived unless the site appears in `changes`). The
-    /// snapshot epoch always advances; a delta entry equal to the current
-    /// column keeps its `Arc` and site epoch, exactly like
+    /// arrived, everyone else untouched. This is how the windowed sweep (and
+    /// the legacy walk) publishes: it hands over only the ads that arrived,
+    /// so the merge does per-site work proportional to the *changed* sites
+    /// (the per-site `Arc` vector is copied, which is a memcpy, and so is
+    /// each column a changed cell lands in; no ad is compared and no cell
+    /// re-derived unless the site appears in `changes`). A delta entry equal
+    /// to the current column keeps its `Arc`, exactly like
     /// [`AdSnapshot::advance`] — and an entry that *is* the current column
     /// (the site's shared ad, unchanged since it was last published) is
     /// recognised by pointer before any attribute is compared.
     /// Out-of-range indices are ignored.
     #[must_use]
     pub fn apply_delta(&self, changes: &[(usize, Arc<Ad>)]) -> AdSnapshot {
-        let mut snap = self.successor();
+        let mut snap = self.clone();
         for (i, ad) in changes {
             if *i >= snap.ads.len() || Arc::ptr_eq(ad, &snap.ads[*i]) || **ad == *snap.ads[*i] {
                 continue;
@@ -169,19 +150,6 @@ impl AdSnapshot {
     #[must_use]
     pub fn is_empty(&self) -> bool {
         self.ads.is_empty()
-    }
-
-    /// The snapshot epoch (0 for [`AdSnapshot::build`], +1 per
-    /// [`AdSnapshot::advance`]).
-    #[must_use]
-    pub fn epoch(&self) -> u64 {
-        self.epoch
-    }
-
-    /// The epoch at which site `i`'s ad last changed.
-    #[must_use]
-    pub fn site_epoch(&self, i: usize) -> u64 {
-        self.site_epochs[i]
     }
 
     fn hot_cell(&self, column: Option<usize>, i: usize) -> Cell {
@@ -242,15 +210,6 @@ impl AdSnapshot {
     pub fn columns(&self) -> &Columns {
         &self.columns
     }
-
-    /// Indices of sites whose ad changed after `epoch` (ascending).
-    pub fn dirty_since(&self, epoch: u64) -> impl Iterator<Item = usize> + '_ {
-        self.site_epochs
-            .iter()
-            .enumerate()
-            .filter(move |(_, &e)| e > epoch)
-            .map(|(i, _)| i)
-    }
 }
 
 #[cfg(test)]
@@ -265,13 +224,20 @@ mod tests {
         a
     }
 
+    /// Sites whose ad is a different allocation in `next` than in `prev` —
+    /// the snapshot's one change signal.
+    fn changed(prev: &AdSnapshot, next: &AdSnapshot) -> Vec<usize> {
+        (0..next.len())
+            .filter(|&i| i >= prev.len() || !Arc::ptr_eq(prev.ad_arc(i), next.ad_arc(i)))
+            .collect()
+    }
+
     #[test]
     fn build_extracts_columns_with_map_path_defaults() {
         let mut odd = Ad::new();
         odd.set_str("FreeCpus", "not-a-number"); // wrong type ⇒ 0
         let snap = AdSnapshot::build(vec![ad("uab", 4), odd]);
         assert_eq!(snap.len(), 2);
-        assert_eq!(snap.epoch(), 0);
         assert_eq!(snap.free_cpus(0), 4);
         assert_eq!(snap.site_name(0), Some("uab"));
         assert!(snap.accepts_queued(0));
@@ -287,52 +253,40 @@ mod tests {
     fn advance_shares_clean_sites_and_bumps_dirty_epochs() {
         let s0 = AdSnapshot::build(vec![ad("uab", 4), ad("ifca", 8)]);
         let s1 = s0.advance(vec![ad("uab", 4), ad("ifca", 7)]);
-        assert_eq!(s1.epoch(), 1);
         assert!(
             Arc::ptr_eq(s0.ad_arc(0), s1.ad_arc(0)),
             "unchanged ad is shared, not re-allocated"
         );
-        assert!(!Arc::ptr_eq(s0.ad_arc(1), s1.ad_arc(1)));
-        assert_eq!(s1.site_epoch(0), 0, "clean site keeps its epoch");
-        assert_eq!(s1.site_epoch(1), 1, "dirty site gets the new epoch");
+        assert_eq!(changed(&s0, &s1), [1], "only the changed site is new");
         assert_eq!(s1.free_cpus(1), 7);
-        assert_eq!(s1.dirty_since(0).collect::<Vec<_>>(), vec![1]);
-        assert_eq!(s1.dirty_since(1).count(), 0);
 
-        // A further no-op refresh advances the snapshot epoch only.
+        // A further no-op refresh shares every ad.
         let s2 = s1.advance(vec![ad("uab", 4), ad("ifca", 7)]);
-        assert_eq!(s2.epoch(), 2);
-        assert_eq!(s2.dirty_since(1).count(), 0);
-        assert!(Arc::ptr_eq(s1.ad_arc(1), s2.ad_arc(1)));
+        assert!(changed(&s1, &s2).is_empty());
     }
 
     #[test]
     fn advance_with_changed_site_count_marks_everything_dirty() {
         let s0 = AdSnapshot::build(vec![ad("uab", 4)]);
         let s1 = s0.advance(vec![ad("uab", 4), ad("ifca", 8)]);
-        assert_eq!(s1.epoch(), 1);
         assert_eq!(s1.len(), 2);
-        assert_eq!(s1.dirty_since(0).collect::<Vec<_>>(), vec![0, 1]);
+        assert_eq!(changed(&s0, &s1), [0, 1], "a resize is a fresh build");
     }
 
     #[test]
     fn apply_delta_touches_only_the_delta_sites() {
         let s0 = AdSnapshot::build(vec![ad("a", 1), ad("b", 2), ad("c", 3)]);
         let s1 = s0.apply_delta(&[(1, Arc::new(ad("b", 9)))]);
-        assert_eq!(s1.epoch(), 1);
         assert_eq!(s1.free_cpus(1), 9);
-        assert_eq!(s1.site_epoch(1), 1);
-        assert_eq!(s1.dirty_since(0).collect::<Vec<_>>(), vec![1]);
-        assert!(Arc::ptr_eq(s0.ad_arc(0), s1.ad_arc(0)));
-        assert!(Arc::ptr_eq(s0.ad_arc(2), s1.ad_arc(2)));
+        assert_eq!(changed(&s0, &s1), [1]);
 
         // A delta equal to the current column is a no-op for that site:
-        // same Arc, same site epoch — mirroring `advance`.
+        // same Arc — mirroring `advance`.
         let s2 = s1.apply_delta(&[(1, Arc::new(ad("b", 9))), (99, Arc::new(ad("x", 1)))]);
-        assert_eq!(s2.epoch(), 2);
-        assert!(Arc::ptr_eq(s1.ad_arc(1), s2.ad_arc(1)));
-        assert_eq!(s2.site_epoch(1), 1, "unchanged delta keeps the epoch");
-        assert_eq!(s2.dirty_since(1).count(), 0);
+        assert!(
+            changed(&s1, &s2).is_empty(),
+            "unchanged delta keeps the Arc"
+        );
     }
 
     #[test]
@@ -373,17 +327,16 @@ mod tests {
 
     #[test]
     fn apply_delta_matches_advance_for_the_same_change() {
-        // The aggregation path (sparse delta) and the flat refresh path
-        // (full advance) must produce the same columns for the same change.
+        // The sparse delta the index publishes and the full-table advance
+        // must produce the same columns for the same change.
         let s0 = AdSnapshot::build(vec![ad("a", 1), ad("b", 2)]);
         let via_advance = s0.advance(vec![ad("a", 1), ad("b", 5)]);
         let via_delta = s0.apply_delta(&[(1, Arc::new(ad("b", 5)))]);
-        assert_eq!(via_advance.epoch(), via_delta.epoch());
+        assert_eq!(changed(&s0, &via_advance), changed(&s0, &via_delta));
         for i in 0..2 {
             assert_eq!(via_advance.free_cpus(i), via_delta.free_cpus(i));
             assert_eq!(via_advance.site_name(i), via_delta.site_name(i));
             assert_eq!(via_advance.accepts_queued(i), via_delta.accepts_queued(i));
-            assert_eq!(via_advance.site_epoch(i), via_delta.site_epoch(i));
             assert_eq!(*via_advance.ad(i), *via_delta.ad(i));
         }
     }

@@ -17,7 +17,6 @@
 mod backend;
 mod columns;
 mod gatekeeper;
-mod giis;
 mod lrms;
 mod mds;
 mod membership;
@@ -29,12 +28,11 @@ pub use backend::{
 };
 pub use columns::AdSnapshot;
 pub use gatekeeper::{Gatekeeper, GramCosts, GramEvent};
-pub use giis::{GiisConfig, GiisDeltaReport, GiisRoot, LeafStats};
 pub use lrms::{
     LocalDisposition, LocalJobId, LocalJobSpec, Lrms, LrmsEvent, LrmsStats, Policy,
     DEFAULT_DISPOSITION_RETENTION,
 };
-pub use mds::{InformationIndex, RefreshWindow, SweepReport};
+pub use mds::{InformationIndex, RefreshWindow};
 pub use membership::{MembershipConfig, MembershipState, MembershipTable, Transition};
 pub use site::{machine_schema, Site, SiteConfig};
 pub use wn::NodeSpec;

@@ -7,11 +7,18 @@
 //! discovery (§6.1) — the two-step cost structure Table I's text reports
 //! (discovery ≈ 0.5 s, selection ≈ 3 s for 20 sites).
 //!
-//! The index stores its view as an epoch-tagged columnar [`AdSnapshot`]:
-//! each refresh advances the snapshot with per-site deltas (unchanged sites
-//! share the previous `Arc<Ad>` and keep their epoch) and a query response
-//! is an `Arc` clone of the snapshot as it stood *when the index serviced
-//! the request* — never data that arrived while the reply was on the wire.
+//! The index stores its view as a columnar [`AdSnapshot`]: each refresh
+//! advances the snapshot with the ads that arrived (unchanged sites share
+//! the previous `Arc<Ad>`, so a consumer spots a changed site by pointer)
+//! and a query response is an `Arc` clone of the snapshot as it stood *when
+//! the index serviced the request* — never data that arrived while the
+//! reply was on the wire.
+//!
+//! One flat index covers every site. At a thousand sites the windowed
+//! sweep ([`InformationIndex::start_windowed`]) keeps at most `fanout`
+//! pulls in flight, a snapshot advance costs per site whose ad changed (the
+//! rest keep their allocations), and a slow site's reply is merged on its
+//! own when it lands.
 
 use std::cell::RefCell;
 use std::rc::{Rc, Weak};
@@ -29,12 +36,6 @@ use crate::site::Site;
 /// membership transition, refresh-driven or reported. The broker hangs
 /// its obituary/re-match logic here.
 type MembershipObserver = Rc<dyn Fn(&mut Sim, usize, &Transition)>;
-
-/// Callback invoked after every snapshot advance — a sweep close (legacy
-/// or windowed) or a late-reply merge — with the advance's accounting and
-/// the snapshot as it stands afterwards. The GIIS aggregation layer hangs
-/// its delta propagation here.
-type SweepObserver = Rc<dyn Fn(&mut Sim, &SweepReport, &Arc<AdSnapshot>)>;
 
 /// Windowed-refresh parameters: instead of the legacy instantaneous walk,
 /// each refresh tick opens a *sweep* that pulls at most `fanout` sites
@@ -59,23 +60,6 @@ impl Default for RefreshWindow {
     }
 }
 
-/// Accounting for one snapshot advance.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct SweepReport {
-    /// Sites whose publication arrived and was applied in this advance.
-    pub refreshed: usize,
-    /// Sites whose publish path was down at attempt time — these accrue
-    /// a missed refresh toward `Suspect`.
-    pub missed: usize,
-    /// Sites whose reply was merely in flight (or not yet attempted) when
-    /// the tick closed the sweep — amnestied: neither refreshed nor
-    /// missed, so a slow-but-healthy link never drifts toward `Suspect`.
-    pub amnestied: usize,
-    /// True when this advance merged a late reply from an already-closed
-    /// sweep rather than closing a sweep itself.
-    pub late: bool,
-}
-
 /// In-progress windowed sweep.
 struct SweepState {
     /// Sweep generation — replies carry it so a late arrival (after the
@@ -88,8 +72,6 @@ struct SweepState {
     /// Arrived publications (each the publishing site's shared ad),
     /// buffered until the sweep closes.
     arrived: Vec<(usize, Arc<Ad>)>,
-    /// Sites whose path was down at attempt time.
-    missed: usize,
 }
 
 /// The windowed sweep's site pulls whose reply is on its way, each `(sweep
@@ -154,10 +136,9 @@ struct Inner {
     late_merges: u64,
     /// Total in-flight/unattempted sites amnestied at forced sweep closes.
     amnestied: u64,
-    sweep_observer: Option<SweepObserver>,
 }
 
-/// The aggregated index (GIIS). Clones share state.
+/// The information index every site publishes into. Clones share state.
 #[derive(Clone)]
 pub struct InformationIndex {
     inner: Rc<RefCell<Inner>>,
@@ -210,7 +191,6 @@ impl InformationIndex {
                 next_sweep_gen: 0,
                 late_merges: 0,
                 amnestied: 0,
-                sweep_observer: None,
             })),
         };
         index.schedule_refresh(sim);
@@ -264,7 +244,6 @@ impl InformationIndex {
                 next_sweep_gen: 0,
                 late_merges: 0,
                 amnestied: 0,
-                sweep_observer: None,
             })),
         };
         // The handler holds the index weakly: it lives as long as the `Sim`.
@@ -283,21 +262,19 @@ impl InformationIndex {
         let this = self.clone();
         let interval = self.inner.borrow().refresh_interval;
         sim.schedule_in(interval, move |sim| {
-            let (transitions, report, snap) = {
+            let transitions = {
                 let mut guard = this.inner.borrow_mut();
                 let inner = &mut *guard;
                 let now = sim.now();
                 let mut transitions = Vec::new();
-                let mut missed = 0;
                 // Each site publishes independently: a down path keeps the
-                // stale column (same Arc, same epoch) and counts a miss. A
-                // site whose shared ad is still the one in the snapshot has
-                // nothing to publish, so the delta carries only the rest.
+                // stale column (same Arc) and counts a miss. A site whose
+                // shared ad is still the one in the snapshot has nothing to
+                // publish, so the delta carries only the rest.
                 let mut changes = Vec::new();
                 for (i, site) in inner.sites.iter().enumerate() {
                     let down = inner.publish_faults.get(i).is_some_and(|f| f.is_down(now));
                     let tr = if down {
-                        missed += 1;
                         inner.membership.note_refresh_missed(i, now)
                     } else {
                         let ad = site.machine_ad_arc();
@@ -311,21 +288,14 @@ impl InformationIndex {
                         transitions.push((i, tr));
                     }
                 }
-                // Only sites whose ad changed get a new epoch; the rest
+                // Only sites whose ad changed get a new `Arc`; the rest
                 // share the previous snapshot's allocations.
                 inner.snapshot = Arc::new(inner.snapshot.apply_delta(&changes));
                 inner.refreshed_at = now;
                 inner.refreshes += 1;
-                let report = SweepReport {
-                    refreshed: inner.sites.len() - missed,
-                    missed,
-                    amnestied: 0,
-                    late: false,
-                };
-                (transitions, report, Arc::clone(&inner.snapshot))
+                transitions
             };
             this.notify(sim, transitions);
-            this.notify_sweep(sim, &report, &snap);
             this.schedule_refresh(sim);
         });
     }
@@ -352,7 +322,6 @@ impl InformationIndex {
                 pending: (0..inner.sites.len()).collect(),
                 in_flight: 0,
                 arrived: Vec::new(),
-                missed: 0,
             });
         }
         self.pump_sweep(sim);
@@ -392,7 +361,6 @@ impl InformationIndex {
                         if inner.publish_faults.get(i).is_some_and(|f| f.is_down(now)) {
                             // Down at attempt time: a genuine miss, counted
                             // immediately — no reply will ever arrive.
-                            inner.sweep.as_mut().expect("sweep open").missed += 1;
                             Pump::Missed(i, inner.membership.note_refresh_missed(i, now))
                         } else {
                             inner.sweep.as_mut().expect("sweep open").in_flight += 1;
@@ -455,27 +423,20 @@ impl InformationIndex {
                 Some(sweep) => {
                     sweep.arrived.push((i, ad));
                     sweep.in_flight -= 1;
-                    (tr, None)
+                    (tr, false)
                 }
                 None => {
                     inner.snapshot = Arc::new(inner.snapshot.apply_delta(&[(i, ad)]));
                     inner.late_merges += 1;
-                    let report = SweepReport {
-                        refreshed: 1,
-                        missed: 0,
-                        amnestied: 0,
-                        late: true,
-                    };
-                    (tr, Some((report, Arc::clone(&inner.snapshot))))
+                    (tr, true)
                 }
             }
         };
         if let Some(tr) = transition {
             self.notify(sim, vec![(i, tr)]);
         }
-        match late {
-            Some((report, snap)) => self.notify_sweep(sim, &report, &snap),
-            None => self.pump_sweep(sim),
+        if !late {
+            self.pump_sweep(sim);
         }
     }
 
@@ -483,43 +444,15 @@ impl InformationIndex {
     /// one delta, stamps the refresh cycle, and amnesties whatever was
     /// still in flight or unattempted — those sites are neither refreshed
     /// nor missed this cycle.
-    fn close_sweep(&self, sim: &mut Sim) {
-        let closed = {
-            let mut inner = self.inner.borrow_mut();
-            let Some(sweep) = inner.sweep.take() else {
-                return;
-            };
-            let amnestied = sweep.in_flight + sweep.pending.len();
-            inner.amnestied += amnestied as u64;
-            inner.snapshot = Arc::new(inner.snapshot.apply_delta(&sweep.arrived));
-            inner.refreshed_at = sim.now();
-            inner.refreshes += 1;
-            let report = SweepReport {
-                refreshed: sweep.arrived.len(),
-                missed: sweep.missed,
-                amnestied,
-                late: false,
-            };
-            (report, Arc::clone(&inner.snapshot))
+    fn close_sweep(&self, sim: &Sim) {
+        let mut inner = self.inner.borrow_mut();
+        let Some(sweep) = inner.sweep.take() else {
+            return;
         };
-        self.notify_sweep(sim, &closed.0, &closed.1);
-    }
-
-    /// Registers the single sweep observer, replacing any previous one.
-    /// Fires after every snapshot advance — legacy refresh, windowed
-    /// sweep close, or late-reply merge.
-    pub fn set_sweep_observer(
-        &self,
-        observer: impl Fn(&mut Sim, &SweepReport, &Arc<AdSnapshot>) + 'static,
-    ) {
-        self.inner.borrow_mut().sweep_observer = Some(Rc::new(observer));
-    }
-
-    fn notify_sweep(&self, sim: &mut Sim, report: &SweepReport, snap: &Arc<AdSnapshot>) {
-        let observer = self.inner.borrow().sweep_observer.clone();
-        if let Some(observer) = observer {
-            observer(sim, report, snap);
-        }
+        inner.amnestied += (sweep.in_flight + sweep.pending.len()) as u64;
+        inner.snapshot = Arc::new(inner.snapshot.apply_delta(&sweep.arrived));
+        inner.refreshed_at = sim.now();
+        inner.refreshes += 1;
     }
 
     /// Total late replies merged after their sweep force-closed.
@@ -729,7 +662,6 @@ mod tests {
             SimDuration::from_secs(300),
         );
         let s0 = index.snapshot_arc();
-        assert_eq!(s0.epoch(), 0);
 
         busy.lrms().submit(
             &mut sim,
@@ -738,16 +670,14 @@ mod tests {
         );
         sim.run_until(SimTime::from_secs(301));
         let s1 = index.snapshot_arc();
-        assert_eq!(s1.epoch(), 1);
-        assert_eq!(
-            s1.dirty_since(s0.epoch()).collect::<Vec<_>>(),
-            vec![0],
-            "only the site whose ad changed is dirty"
+        assert_eq!(index.refreshes(), 1);
+        assert!(
+            !Arc::ptr_eq(s0.ad_arc(0), s1.ad_arc(0)),
+            "the site whose ad changed publishes a new allocation"
         );
         assert_eq!(s1.free_cpus(0), 1);
-        assert_eq!(s1.site_epoch(1), 0, "idle site keeps epoch 0");
         assert!(
-            std::sync::Arc::ptr_eq(s0.ad_arc(1), s1.ad_arc(1)),
+            Arc::ptr_eq(s0.ad_arc(1), s1.ad_arc(1)),
             "idle site's ad is shared across refreshes"
         );
     }
@@ -999,13 +929,18 @@ mod tests {
             Vec::new(),
             MembershipConfig::default(),
         );
-        let merged = Rc::new(RefCell::new(Vec::<(SimTime, Arc<Ad>)>::new()));
-        let m = Rc::clone(&merged);
-        index.set_sweep_observer(move |sim, report, snap| {
-            if report.late {
-                m.borrow_mut().push((sim.now(), Arc::clone(snap.ad_arc(0))));
+        // The index around each expected merge: its late-merge count and
+        // site 0's column, a millisecond before and a millisecond after.
+        let sampled = Rc::new(RefCell::new(Vec::<(u64, Arc<Ad>)>::new()));
+        for at_s in [150, 210] {
+            for at_ms in [at_s * 1000 - 1, at_s * 1000 + 1] {
+                let (sampled, index) = (Rc::clone(&sampled), index.clone());
+                sim.schedule_at(SimTime::from_nanos(at_ms * 1_000_000), move |_| {
+                    let ad = Arc::clone(index.snapshot_arc().ad_arc(0));
+                    sampled.borrow_mut().push((index.late_merges(), ad));
+                });
             }
-        });
+        }
         // The ad each sweep pulled: read right after the tick that opened
         // it, with nothing in between to change the site's state.
         let pulled: Rc<RefCell<Vec<Arc<Ad>>>> = Rc::default();
@@ -1028,12 +963,16 @@ mod tests {
         let pulled = pulled.borrow();
         let free = |ad: &Ad| ad.get("FreeCpus").and_then(Value::as_i64);
         assert_eq!((free(&pulled[0]), free(&pulled[1])), (Some(2), Some(1)));
-        let merged = merged.borrow();
+        let sampled = sampled.borrow();
         assert_eq!(
-            merged.iter().map(|(at, _)| *at).collect::<Vec<_>>(),
-            [SimTime::from_secs(150), SimTime::from_secs(210)]
+            sampled
+                .iter()
+                .map(|(merges, _)| *merges)
+                .collect::<Vec<_>>(),
+            [0, 1, 1, 2],
+            "one late merge lands at 150 s and one at 210 s"
         );
-        for ((_, ad), pull) in merged.iter().zip(pulled.iter()) {
+        for ((_, ad), pull) in [&sampled[1], &sampled[3]].into_iter().zip(pulled.iter()) {
             assert!(Arc::ptr_eq(ad, pull), "merged {ad:?}, pulled {pull:?}");
         }
         assert_eq!(index.late_merges(), 2);
@@ -1102,9 +1041,9 @@ mod tests {
         let joined = index.snapshot_arc();
         assert_eq!(joined.free_cpus(0), 4);
         assert!(joined.accepts_queued(0));
-        assert_eq!(
-            joined.dirty_since(held.epoch()).collect::<Vec<_>>(),
-            vec![0],
+        assert!(!Arc::ptr_eq(held.ad_arc(0), joined.ad_arc(0)));
+        assert!(
+            Arc::ptr_eq(held.ad_arc(1), joined.ad_arc(1)),
             "the join is a one-site delta, not a full-snapshot invalidation"
         );
     }

@@ -11,7 +11,11 @@
 //! unreachable, which the generated `match` denies, at the offending row).
 //!
 //! Tags are wire format: they are explicit, never renumbered and never
-//! reused, and fields are framed and rendered in declaration order.
+//! reused, and fields are framed and rendered in declaration order. A
+//! deleted variant leaves its tag in the table's trailing `retired { … }`
+//! list: decoding it is [`CodecError::BadTag`], [`RETIRED_TAGS`] names it,
+//! and a row that reused it would make the retired decode arm unreachable,
+//! which does not compile either.
 //! `tests/fixtures/event_wire_v1.txt` pins the bytes and the JSON of every
 //! variant; a new row adds a line there, an old line never changes.
 //!
@@ -144,7 +148,15 @@ macro_rules! events {
         $tag:literal $name:ident {
             $( $(#[$field_meta:meta])* $field:ident: $ty:ty ),* $(,)?
         }
-    ),* $(,)?) => {
+    ),* $(,)?
+    retired { $( $retired_tag:literal $retired_name:ident ),* $(,)? }
+    ) => {
+        /// Tags of deleted variants, with the name each one had. They decode
+        /// to [`CodecError::BadTag`] and are never given to a new row.
+        pub const RETIRED_TAGS: &[(u8, &str)] = &[
+            $( ($retired_tag, stringify!($retired_name)), )*
+        ];
+
         /// One broker-stack lifecycle event. Identifiers are plain integers and
         /// strings (not the originating crates' newtypes) so this crate sits below
         /// every other layer and never creates a dependency cycle.
@@ -192,7 +204,8 @@ macro_rules! events {
             }
 
             /// Reads the fields of the variant `tag` names.
-            // A tag on two rows makes the second row's arm unreachable.
+            // A tag on two rows, or on a row and in `retired`, makes the
+            // later arm unreachable.
             #[deny(unreachable_patterns)]
             #[inline]
             pub(crate) fn decode(tag: u8, c: &mut Cursor<'_>) -> Result<Event, CodecError> {
@@ -200,6 +213,7 @@ macro_rules! events {
                     $( $tag => Event::$name {
                         $( $field: <$ty as Field>::decode(c)?, )*
                     }, )*
+                    $( $retired_tag => return Err(CodecError::BadTag($retired_tag)), )*
                     other => return Err(CodecError::BadTag(other)),
                 })
             }
@@ -596,33 +610,6 @@ events! {
         staleness_ns: u64,
     },
 
-    // ── hierarchical aggregation (GIIS) ─────────────────────────────────
-    /// A leaf index's epoch delta merged into the root aggregator's
-    /// snapshot — the O(changed-sites) propagation step of the two-tier
-    /// hierarchy.
-    49 GiisDelta {
-        /// Leaf index within the hierarchy, in partition order.
-        leaf: u32,
-        /// Root snapshot epoch after the merge.
-        epoch: u64,
-        /// Sites the delta touched (always > 0; quiet sweeps ship
-        /// nothing).
-        changed: u32,
-    },
-    /// A windowed MDS refresh sweep closed (or the legacy walk
-    /// completed): per-cycle accounting of the refresh fan-out.
-    50 RefreshSweep {
-        /// Sites whose publication arrived and was applied.
-        refreshed: u32,
-        /// Sites whose publish path was down at attempt time.
-        missed: u32,
-        /// Sites amnestied — reply in flight or unattempted at the
-        /// forced close; not counted toward `Suspect`.
-        amnestied: u32,
-        /// Late replies merged after their sweep had closed.
-        late_merges: u32,
-    },
-
     // ── crash recovery ──────────────────────────────────────────────────
     /// A fresh broker finished replaying a journal and re-armed in-flight
     /// work. First event of a post-crash epoch.
@@ -645,6 +632,13 @@ events! {
         /// Metric value.
         value: f64,
     },
+
+    retired {
+        // A leaf's delta merged into the two-tier information index's root.
+        49 GiisDelta,
+        // A windowed refresh sweep's accounting.
+        50 RefreshSweep,
+    }
 }
 
 /// An [`Event`] with its position in the stream.
@@ -732,6 +726,16 @@ mod tests {
             out.push(' ');
         }
         assert_eq!(out, "1.5 3.0 null -0.0 ");
+    }
+
+    #[test]
+    fn a_retired_tag_is_a_bad_tag() {
+        // `at`, `seq`, then tag 49 with the three fields its row had.
+        let mut frame = vec![0; 16];
+        frame.push(49);
+        frame.extend_from_slice(&[3, 0, 0, 0, 9, 0, 0, 0, 0, 0, 0, 0, 3, 0, 0, 0]);
+        assert_eq!(crate::decode_event(&frame), Err(CodecError::BadTag(49)));
+        assert!(RETIRED_TAGS.iter().any(|&(tag, _)| tag == 49));
     }
 
     #[test]

@@ -58,7 +58,7 @@ mod metrics;
 pub mod replay;
 
 pub use codec::{decode_event, encode_event, CodecError};
-pub use event::{Event, FieldSamples, TimedEvent};
+pub use event::{Event, FieldSamples, TimedEvent, RETIRED_TAGS};
 pub use invariants::{check_invariants, check_recovery_invariants};
 pub use journal::{
     open_journal, parse_journal, Journal, JournalConfig, JournalError, JournalSnapshot,

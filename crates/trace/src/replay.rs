@@ -20,28 +20,30 @@ use crate::journal::{JournalError, LoadedJournal};
 use std::collections::BTreeMap;
 
 /// Fine-grained job lifecycle position, as reconstructable from events.
+/// The discriminant is the phase's tag in a snapshot blob.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[repr(u8)]
 pub enum Phase {
     /// `JobSubmitted` seen, nothing further.
-    Submitted,
+    Submitted = 0,
     /// Parked on the broker queue (batch, no candidates).
-    Queued,
+    Queued = 1,
     /// Back in matchmaking after a queue retry or resubmission.
-    Matching,
+    Matching = 2,
     /// Holding a lease on a target.
-    Leased,
+    Leased = 3,
     /// Sent towards a target.
-    Dispatched,
+    Dispatched = 4,
     /// Computing.
-    Running,
+    Running = 5,
     /// Terminal: completed normally.
-    Finished,
+    Finished = 6,
     /// Terminal: failed.
-    Failed,
+    Failed = 7,
     /// Terminal: cancelled by the user.
-    Cancelled,
+    Cancelled = 8,
     /// Terminal: rejected by JDL static analysis.
-    Rejected,
+    Rejected = 9,
 }
 
 /// Coarse disposition buckets used for cross-recovery comparison. The
@@ -63,6 +65,20 @@ pub enum Bucket {
 }
 
 impl Phase {
+    /// Every phase, indexed by its tag.
+    pub const ALL: [Phase; 10] = [
+        Phase::Submitted,
+        Phase::Queued,
+        Phase::Matching,
+        Phase::Leased,
+        Phase::Dispatched,
+        Phase::Running,
+        Phase::Finished,
+        Phase::Failed,
+        Phase::Cancelled,
+        Phase::Rejected,
+    ];
+
     /// The phase's coarse disposition bucket.
     #[must_use]
     pub fn bucket(self) -> Bucket {
@@ -474,34 +490,14 @@ impl LoadedJournal {
 const STATE_VERSION: u8 = 2;
 
 fn phase_tag(p: Phase) -> u8 {
-    match p {
-        Phase::Submitted => 0,
-        Phase::Queued => 1,
-        Phase::Matching => 2,
-        Phase::Leased => 3,
-        Phase::Dispatched => 4,
-        Phase::Running => 5,
-        Phase::Finished => 6,
-        Phase::Failed => 7,
-        Phase::Cancelled => 8,
-        Phase::Rejected => 9,
-    }
+    p as u8
 }
 
 fn phase_from_tag(t: u8) -> Result<Phase, CodecError> {
-    Ok(match t {
-        0 => Phase::Submitted,
-        1 => Phase::Queued,
-        2 => Phase::Matching,
-        3 => Phase::Leased,
-        4 => Phase::Dispatched,
-        5 => Phase::Running,
-        6 => Phase::Finished,
-        7 => Phase::Failed,
-        8 => Phase::Cancelled,
-        9 => Phase::Rejected,
-        other => return Err(CodecError::BadTag(other)),
-    })
+    Phase::ALL
+        .get(usize::from(t))
+        .copied()
+        .ok_or(CodecError::BadTag(t))
 }
 
 fn put_opt_u64(out: &mut Vec<u8>, v: Option<u64>) {
@@ -879,6 +875,17 @@ mod tests {
         let mut bad = blob;
         bad[0] = 99;
         assert_eq!(decode_state(&bad), Err(CodecError::BadVersion(99)));
+    }
+
+    #[test]
+    fn every_phase_tag_round_trips_and_no_other_decodes() {
+        for (t, phase) in Phase::ALL.into_iter().enumerate() {
+            assert_eq!(usize::from(phase_tag(phase)), t, "{phase:?}");
+            assert_eq!(phase_from_tag(phase_tag(phase)), Ok(phase));
+        }
+        for t in 10..=u8::MAX {
+            assert_eq!(phase_from_tag(t), Err(CodecError::BadTag(t)));
+        }
     }
 
     #[test]

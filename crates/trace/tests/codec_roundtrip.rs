@@ -7,7 +7,9 @@
 //! yesterday's bytes still mean the same thing — is the frozen fixture's job.
 
 use cg_sim::SimTime;
-use cg_trace::{decode_event, encode_event, CodecError, Event, FieldSamples, TimedEvent};
+use cg_trace::{
+    decode_event, encode_event, CodecError, Event, FieldSamples, TimedEvent, RETIRED_TAGS,
+};
 use proptest::prelude::*;
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt::Write;
@@ -54,7 +56,9 @@ fn catalog_tags() -> BTreeSet<u8> {
 
 /// The journal's cross-version compatibility lock: one line per record,
 /// `tag<TAB>hex(encode_event bytes)<TAB>to_json()`, written once by the
-/// hand-written codec this crate shipped before the `events!` table.
+/// hand-written codec this crate shipped before the `events!` table. A
+/// line whose tag has since been retired stays, and must decode to
+/// `BadTag`.
 const WIRE_FIXTURE: &str = include_str!("fixtures/event_wire_v1.txt");
 
 /// A record as a fixture line.
@@ -72,6 +76,7 @@ fn wire_line(te: &TimedEvent) -> String {
 #[test]
 fn the_wire_format_is_frozen() {
     let mut kind_of_tag: BTreeMap<u8, &'static str> = BTreeMap::new();
+    let mut retired = Vec::new();
     for (n, line) in WIRE_FIXTURE.lines().enumerate() {
         if line.is_empty() || line.starts_with('#') {
             continue;
@@ -90,6 +95,17 @@ fn the_wire_format_is_frozen() {
             .map(|i| u8::from_str_radix(&hex[i..i + 2], 16))
             .collect::<Result<_, _>>()
             .unwrap_or_else(|e| panic!("line {n}: {e}"));
+        if let Some((_, name)) = RETIRED_TAGS.iter().find(|(t, _)| *t == tag) {
+            assert_eq!(
+                decode_event(&bytes),
+                Err(CodecError::BadTag(tag)),
+                "line {n}"
+            );
+            let named = format!("\"event\":\"{name}\"");
+            assert!(cols[2].contains(&named), "line {n}: retired as {name}");
+            retired.push(tag);
+            continue;
+        }
         let te = decode_event(&bytes).unwrap_or_else(|e| panic!("line {n}: {e}"));
         let kind = te.event.kind();
         assert_eq!(bytes[16], tag, "line {n}: tag byte and tag column differ");
@@ -117,6 +133,11 @@ fn the_wire_format_is_frozen() {
         missing.join("\n")
     );
     assert_eq!(seen.len(), catalog().len(), "a line no variant owns");
+    let every_retired: Vec<u8> = RETIRED_TAGS.iter().map(|(t, _)| *t).collect();
+    assert_eq!(
+        retired, every_retired,
+        "each retired tag keeps its one line"
+    );
 }
 
 #[test]

@@ -125,6 +125,8 @@ mod tests {
     // These run real threads with real sleeps; keep them short and the
     // assertions loose — CI machines are noisy. The precise numbers come
     // from the simulated scheduler; this is the mechanism demonstrator.
+    // The two that assert on elapsed wall time are opt-in (`-- --ignored`);
+    // the baseline is deterministic, since PL 0 never accrues batch credit.
 
     #[test]
     fn baseline_runs_without_batch_turns() {
@@ -134,6 +136,7 @@ mod tests {
     }
 
     #[test]
+    #[ignore = "real threads and wall-clock sleeps"]
     fn batch_gets_turns_under_performance_loss() {
         let r = run_real_share(25, 400, Duration::from_millis(2));
         assert!(r.batch_quanta > 0, "batch never ran");
@@ -141,6 +144,7 @@ mod tests {
     }
 
     #[test]
+    #[ignore = "real threads and wall-clock sleeps"]
     fn interactive_slows_roughly_by_the_loss() {
         // Median of a few runs to shrug off scheduler noise.
         let measure = |pl: u8| {

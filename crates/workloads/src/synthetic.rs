@@ -4,26 +4,25 @@
 //! The paper's testbed stops at 18 sites; the roadmap's north star is
 //! three orders of magnitude more. These generators produce
 //! deterministic, seed-driven grids with the heterogeneity that makes
-//! scale interesting: regional WAN distances (which become GRIS→GIIS
+//! scale interesting: regional WAN distances (which become the sites'
 //! publication latencies for windowed sweeps), mixed pool sizes from
 //! campus clusters to national centres, and per-site LRMS dispatch
 //! latencies spanning snappy to sluggish batch systems.
 
 use cg_net::LinkProfile;
 use cg_sim::{SimDuration, SimRng};
-use cg_site::{GiisConfig, MembershipConfig, NodeSpec, Policy, RefreshWindow, Site, SiteConfig};
+use cg_site::{NodeSpec, Policy, Site, SiteConfig};
 
 /// A generated grid, in global site order. Region `r` covers the
-/// contiguous index range `[r * region_size, (r+1) * region_size)` —
-/// the same partition a [`GiisConfig`] with `branching = region_size`
-/// produces, so region and GIIS leaf boundaries coincide.
+/// contiguous index range `[r * region_size, (r+1) * region_size)`.
 pub struct SyntheticGrid {
     /// The sites, heterogeneous pools and LRMS latencies included.
     pub sites: Vec<Site>,
     /// Sites per region (the last region may be short).
     pub region_size: usize,
-    /// Per-site GRIS→GIIS publication latency, in global site order —
-    /// feed this to [`RefreshWindow::latency`].
+    /// Per-site publication latency to the information index, in global
+    /// site order — feed this to
+    /// [`RefreshWindow::latency`](cg_site::RefreshWindow::latency).
     pub publish_latency: Vec<SimDuration>,
     /// Broker→site WAN profile per site (regional distance plus per-site
     /// spread), for scenarios that wire real links.
@@ -39,22 +38,6 @@ impl SyntheticGrid {
     /// Region of global site index `i`.
     pub fn region_of(&self, i: usize) -> usize {
         i / self.region_size
-    }
-
-    /// A GIIS hierarchy shape matching this grid: one leaf per region,
-    /// the grid's heterogeneous publication latencies, and the given
-    /// leaf refresh interval.
-    pub fn giis_config(&self, refresh_interval: SimDuration, fanout: usize) -> GiisConfig {
-        GiisConfig {
-            branching: self.region_size,
-            refresh_interval,
-            window: RefreshWindow {
-                fanout,
-                latency: self.publish_latency.clone(),
-            },
-            uplink_latency: SimDuration::from_secs_f64(0.05),
-            membership: MembershipConfig::default(),
-        }
     }
 }
 
@@ -127,7 +110,10 @@ pub fn synthetic_grid(rng: &mut SimRng, n_sites: usize, region_size: usize) -> S
 #[cfg(test)]
 mod tests {
     use super::*;
+    use cg_sim::{Sim, SimTime};
+    use cg_site::{InformationIndex, LocalJobSpec, MembershipConfig, RefreshWindow};
     use std::collections::BTreeSet;
+    use std::sync::Arc;
 
     #[test]
     fn generates_the_roadmap_scales() {
@@ -186,11 +172,56 @@ mod tests {
     }
 
     #[test]
-    fn giis_config_matches_the_partition() {
-        let grid = synthetic_grid(&mut SimRng::new(3), 100, 25);
-        let cfg = grid.giis_config(SimDuration::from_secs(300), 8);
-        assert_eq!(cfg.branching, 25);
-        assert_eq!(cfg.window.fanout, 8);
-        assert_eq!(cfg.window.latency.len(), 100);
+    fn localized_churn_changes_exactly_the_churned_sites_at_every_scale() {
+        // Eight sites take long local jobs before the first 60 s sweep of a
+        // flat windowed index. After the sweep exactly those eight publish
+        // a new ad; every other site still shares its boot allocation, so
+        // the refresh's work does not grow with the grid.
+        const CHURNED: usize = 8;
+        const REFRESH: SimDuration = SimDuration::from_secs(60);
+        for n in [100, 300, 1000] {
+            let seed = 0x611D ^ n as u64;
+            let grid = synthetic_grid(&mut SimRng::new(seed), n, 32);
+            let mut sim = Sim::new(seed);
+            let index = InformationIndex::start_windowed(
+                &mut sim,
+                grid.sites.clone(),
+                REFRESH,
+                RefreshWindow {
+                    fanout: 8,
+                    latency: grid.publish_latency.clone(),
+                },
+                Vec::new(),
+                MembershipConfig::default(),
+            );
+            let boot = index.snapshot_arc();
+            for (g, site) in grid.sites.iter().enumerate().take(CHURNED) {
+                let site = site.clone();
+                sim.schedule_at(SimTime::from_secs(5 + g as u64), move |sim| {
+                    site.lrms().submit(
+                        sim,
+                        LocalJobSpec::simple(SimDuration::from_secs(100_000)),
+                        |_, _, _| {},
+                    );
+                });
+            }
+            // The sweep opened at 60 s pulls n sites, eight at a time, in
+            // well under 40 s; the next one opens at 120 s.
+            sim.run_until(SimTime::ZERO + REFRESH + SimDuration::from_secs(40));
+            assert_eq!(index.refreshes(), 1, "{n}: one sweep closed");
+
+            let snap = index.snapshot_arc();
+            let changed: Vec<usize> = (0..n)
+                .filter(|&i| !Arc::ptr_eq(boot.ad_arc(i), snap.ad_arc(i)))
+                .collect();
+            assert_eq!(
+                changed,
+                (0..CHURNED).collect::<Vec<_>>(),
+                "{n}: exactly the churned sites publish a new ad"
+            );
+            for g in 0..CHURNED {
+                assert!(snap.free_cpus(g) < boot.free_cpus(g), "{n}: site {g}");
+            }
+        }
     }
 }

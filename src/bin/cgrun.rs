@@ -328,9 +328,8 @@ fn jsonl_u64(line: &str, key: &str) -> Option<u64> {
 /// `cgrun churn-report FILE.jsonl`: summarize membership churn from an
 /// event dump (`CG_TRACE_JSONL=out.jsonl` on any bench bin, or
 /// `journal-dump` output). Per site: suspect/dead/rejoin transitions, total
-/// time outside `Alive`, live-query retries and timeouts; plus stream-wide
-/// degraded-matchmaking, refresh-sweep (amnesties, late merges) and GIIS
-/// delta-propagation totals. Exit 0 = report printed (even when the
+/// time outside `Alive`, live-query retries and timeouts; plus the
+/// stream-wide degraded-matchmaking total. Exit 0 = report printed (even when the
 /// stream carries no churn), 2 = usage or I/O failure.
 fn cmd_churn_report(args: &[String]) -> i32 {
     let [path] = args else {
@@ -358,11 +357,6 @@ fn cmd_churn_report(args: &[String]) -> i32 {
         std::collections::BTreeMap::new();
     let mut degraded = 0u64;
     let mut max_staleness_ns = 0u64;
-    let mut giis_deltas = 0u64;
-    let mut giis_changed = 0u64;
-    let mut sweeps = 0u64;
-    let mut amnestied = 0u64;
-    let mut late_merges = 0u64;
     let mut events = 0u64;
     for line in src.lines() {
         let Some(kind) = jsonl_str(line, "event") else {
@@ -402,20 +396,11 @@ fn cmd_churn_report(args: &[String]) -> i32 {
                 max_staleness_ns =
                     max_staleness_ns.max(jsonl_u64(line, "staleness_ns").unwrap_or(0));
             }
-            "GiisDelta" => {
-                giis_deltas += 1;
-                giis_changed += jsonl_u64(line, "changed").unwrap_or(0);
-            }
-            "RefreshSweep" => {
-                sweeps += 1;
-                amnestied += jsonl_u64(line, "amnestied").unwrap_or(0);
-                late_merges += jsonl_u64(line, "late_merges").unwrap_or(0);
-            }
             _ => {}
         }
     }
 
-    if sites.is_empty() && degraded == 0 && giis_deltas == 0 && sweeps == 0 {
+    if sites.is_empty() && degraded == 0 {
         println!("churn-report: {events} event(s), no membership churn in the stream");
         return 0;
     }
@@ -458,19 +443,6 @@ fn cmd_churn_report(args: &[String]) -> i32 {
         println!(
             "degraded matches: {degraded} (max snapshot staleness {:.1} s)",
             max_staleness_ns as f64 / 1e9
-        );
-    }
-    if sweeps > 0 {
-        println!(
-            "refresh sweeps: {sweeps} ({amnestied} site-sweeps amnestied, \
-             {late_merges} late replies merged)"
-        );
-    }
-    if giis_deltas > 0 {
-        println!(
-            "giis deltas: {giis_deltas} merged at the root ({giis_changed} \
-             site updates, {:.1} sites/delta)",
-            giis_changed as f64 / giis_deltas as f64
         );
     }
     0
