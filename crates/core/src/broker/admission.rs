@@ -12,6 +12,7 @@ use cg_jdl::{Interactivity, JobDescription, MachineAccess};
 use cg_sim::{Sim, SimDuration, SimTime};
 use cg_trace::Event;
 
+use super::events::Stage;
 use super::{CrossBroker, RetainedAd};
 use crate::job::{JobId, JobRecord, JobState};
 use crate::matchmaking::CompiledJob;
@@ -198,11 +199,7 @@ impl CrossBroker {
         }
         inner.queue_retry_scheduled = true;
         drop(inner);
-        let this = self.clone();
-        sim.schedule_in(BROKER_QUEUE_RETRY, move |sim| {
-            this.inner.borrow_mut().queue_retry_scheduled = false;
-            this.retry_broker_queue(sim);
-        });
+        self.schedule(sim, BROKER_QUEUE_RETRY, Stage::QueueRetry, 0);
     }
 
     /// Re-matches the job at the head of the broker queue; every finished

@@ -8,18 +8,19 @@
 //! plan they hand to [`CrossBroker::commit`]. Batch jobs lease and record
 //! the same way, then ride an agent's batch-vm.
 
-use std::cell::Cell;
+use std::cell::{Cell, RefCell};
 use std::collections::HashSet;
 use std::rc::Rc;
 
 use cg_jdl::JobDescription;
-use cg_net::{Dir, Link, LinkProfile, NetError};
+use cg_net::{Link, LinkProfile, NetError};
 use cg_sim::{Sim, SimDuration, SimTime};
 use cg_site::{GramEvent, LocalJobSpec};
 use cg_trace::Event;
-use cg_vm::AgentId;
+use cg_vm::{Agent, AgentId};
 
-use super::console::console_startup;
+use super::events::{Resubmission, Stage};
+use super::staging::{AfterStaging, Staging};
 use super::{CrossBroker, Inner, Placement, WeakBroker};
 use crate::config::ConsoleCosts;
 use crate::fairshare::UsageKind;
@@ -101,14 +102,14 @@ impl Plan {
 /// One dispatched plan in flight: what its subjob callbacks share, and the
 /// console start barrier. Subjob callbacks live inside LRMSs and agent VMs,
 /// so the broker is held weakly.
-struct Run {
+pub(super) struct Run {
     broker: WeakBroker,
-    id: JobId,
-    job: JobDescription,
+    pub(super) id: JobId,
+    pub(super) job: JobDescription,
     runtime: SimDuration,
     plan: Plan,
     sandbox: u64,
-    console: ConsoleCosts,
+    pub(super) console: ConsoleCosts,
     /// The hosting site of every slot, in slot order.
     site_names: Vec<String>,
     session: Option<LinkProfile>,
@@ -120,12 +121,41 @@ struct Run {
     placed: Cell<Option<Placement>>,
 }
 
+#[cfg(test)]
+impl Run {
+    /// A run of `job` with no plan behind it and one console, for driving a
+    /// console start-up on its own.
+    pub(super) fn detached(
+        broker: &CrossBroker,
+        id: JobId,
+        job: JobDescription,
+        console: ConsoleCosts,
+    ) -> Run {
+        let refusal = Refusal::Fail {
+            withdrawn: "",
+            reason: "",
+        };
+        Run {
+            broker: broker.downgrade(),
+            id,
+            job,
+            runtime: SimDuration::ZERO,
+            plan: Plan::new(Vec::new(), refusal),
+            sandbox: 0,
+            console,
+            site_names: Vec::new(),
+            session: None,
+            consoles_total: 1,
+            consoles_up: Cell::new(0),
+            tasks_done: Cell::new(0),
+            failed: Cell::new(false),
+            placed: Cell::new(None),
+        }
+    }
+}
+
 /// Application sandbox size when the job declares none, bytes.
 const DEFAULT_SANDBOX_BYTES: u64 = 10_000_000;
-/// Broker-side work for a direct (shared-VM) dispatch: matching the job to
-/// the agent ad and proxy delegation to the agent (3.9 s).
-const SHARED_DELEGATION: SimDuration = SimDuration::from_millis(3_900);
-
 fn job_sandbox_bytes(job: &JobDescription) -> u64 {
     let declared = job.sandbox_bytes();
     if declared > 0 {
@@ -296,28 +326,6 @@ impl CrossBroker {
         }
     }
 
-    /// Delegation, then the sandbox transfer over `link` to an agent; `then`
-    /// runs once the application is staged.
-    fn stage_to_agent(
-        &self,
-        sim: &mut Sim,
-        id: JobId,
-        link: Link,
-        sandbox: u64,
-        then: impl FnOnce(&mut Sim, &CrossBroker) + 'static,
-    ) {
-        let this = self.clone();
-        sim.schedule_in(SHARED_DELEGATION, move |sim| {
-            link.send(sim, Dir::AToB, sandbox, move |sim, r| {
-                if r.is_err() {
-                    this.fail(sim, id, "staging to agent failed", false);
-                } else {
-                    then(sim, &this);
-                }
-            });
-        });
-    }
-
     /// Direct dispatch of one subjob to a glide-in agent: delegation +
     /// sandbox transfer + agent exec + console startup.
     fn launch_agent_subjob(&self, sim: &mut Sim, run: &Rc<Run>, aid: AgentId) {
@@ -331,37 +339,57 @@ impl CrossBroker {
                 site.ui_link.clone(),
             )
         };
-        let run = Rc::clone(run);
-        self.stage_to_agent(sim, run.id, broker_link, run.sandbox, move |sim, this| {
-            // The agent may have been killed while the sandbox was in
-            // flight; where races resubmit, a dead target is one.
-            if matches!(run.plan.refusal, Refusal::Resubmit { .. })
-                && !(this.inner.borrow().agents.contains_key(&aid) && agent.borrow().is_alive())
-            {
-                this.agent_refused(sim, &run, "agent died during dispatch");
-                return;
-            }
-            this.place(&run, Placement::AgentInteractive { aid });
-            let (started, finished) = (Rc::clone(&run), Rc::clone(&run));
-            let result = agent.borrow().submit_interactive(
-                sim,
-                run.runtime,
-                run.job.performance_loss,
-                move |sim| {
-                    if let Some(this) = started.broker.upgrade() {
-                        this.agent_subjob_started(sim, &started, aid, &ui_link);
-                    }
-                },
-                move |sim| {
-                    if let Some(this) = finished.broker.upgrade() {
-                        this.agent_subjob_finished(sim, &finished, aid);
-                    }
-                },
-            );
-            if result.is_err() {
-                this.agent_refused(sim, &run, "agent slot taken concurrently");
-            }
-        });
+        let staging = Staging {
+            id: run.id,
+            link: broker_link,
+            sandbox: run.sandbox,
+            then: AfterStaging::Interactive {
+                run: Rc::clone(run),
+                aid,
+                agent,
+                ui_link,
+            },
+        };
+        self.stage_to_agent(sim, staging);
+    }
+
+    /// The subjob's application is on the agent: start it there.
+    pub(super) fn agent_staged(
+        &self,
+        sim: &mut Sim,
+        run: &Rc<Run>,
+        aid: AgentId,
+        agent: &Rc<RefCell<Agent>>,
+        ui_link: Link,
+    ) {
+        // The agent may have been killed while the sandbox was in flight;
+        // where races resubmit, a dead target is one.
+        if matches!(run.plan.refusal, Refusal::Resubmit { .. })
+            && !(self.inner.borrow().agents.contains_key(&aid) && agent.borrow().is_alive())
+        {
+            self.agent_refused(sim, run, "agent died during dispatch");
+            return;
+        }
+        self.place(run, Placement::AgentInteractive { aid });
+        let (started, finished) = (Rc::clone(run), Rc::clone(run));
+        let result = agent.borrow().submit_interactive(
+            sim,
+            run.runtime,
+            run.job.performance_loss,
+            move |sim| {
+                if let Some(this) = started.broker.upgrade() {
+                    this.agent_subjob_started(sim, &started, aid, &ui_link);
+                }
+            },
+            move |sim| {
+                if let Some(this) = finished.broker.upgrade() {
+                    this.agent_subjob_finished(sim, &finished, aid);
+                }
+            },
+        );
+        if result.is_err() {
+            self.agent_refused(sim, run, "agent slot taken concurrently");
+        }
     }
 
     /// The application is running on the agent: the co-resident batch job
@@ -387,7 +415,7 @@ impl CrossBroker {
                 inner.charge_interactive(run.id, &run.job.user, performance_loss, 1);
             }
         }
-        self.start_console(sim, run, ui_link);
+        self.console_startup(sim, run, ui_link);
     }
 
     /// The agent's subjob ended: the batch job gets its CPU back, the agent
@@ -469,7 +497,7 @@ impl CrossBroker {
                             this.note_lease_result(site_index, true);
                         }
                         for _ in 0..consoles {
-                            this.start_console(sim, &run, &ui_link);
+                            this.console_startup(sim, &run, &ui_link);
                         }
                     }
                     GramEvent::Queued
@@ -540,10 +568,14 @@ impl CrossBroker {
             self.fail(sim, run.id, exhausted, false);
             return;
         };
-        let (this, id, job, runtime) = (self.clone(), run.id, run.job.clone(), run.runtime);
-        sim.schedule_in(delay, move |sim| {
-            this.route(sim, id, job, runtime, excluded);
-        });
+        let waiting = Resubmission {
+            id: run.id,
+            job: run.job.clone(),
+            runtime: run.runtime,
+            excluded,
+        };
+        let slot = self.inner.borrow_mut().stages.resubmissions.insert(waiting);
+        self.schedule(sim, delay, Stage::Resubmit, slot);
     }
 
     /// Records a copy `run` placed, remembering the first one.
@@ -589,27 +621,10 @@ impl CrossBroker {
         }
     }
 
-    /// The tail of every interactive subjob: the Console Agent starts on
-    /// the worker node and reports to the barrier.
-    fn start_console(&self, sim: &mut Sim, run: &Rc<Run>, ui_link: &Link) {
-        let log = self.inner.borrow().trace.clone();
-        let (this, run2, ui) = (self.clone(), Rc::clone(run), ui_link.clone());
-        let mode = run.job.streaming_mode;
-        console_startup(
-            sim,
-            ui_link.clone(),
-            run.console,
-            mode,
-            log,
-            run.id.0,
-            move |sim, ok| this.console_up(sim, &run2, ok, &ui),
-        );
-    }
-
     /// The console start barrier: the job is interactive-ready — `Running`,
     /// charged to its user — when every subjob's console has delivered its
     /// first output.
-    fn console_up(&self, sim: &mut Sim, run: &Run, ok: bool, ui_link: &Link) {
+    pub(super) fn console_up(&self, sim: &mut Sim, run: &Run, ok: bool, ui_link: &Link) {
         if !self.owns(run) {
             return;
         }
@@ -656,33 +671,50 @@ impl CrossBroker {
                 return;
             };
             // Ship the batch application to the agent and run it batch-vm.
-            let (agent, broker_link, sandbox) = {
+            let staging = {
                 let inner = broker.inner.borrow();
                 let entry = &inner.agents[&aid];
-                (
-                    Rc::clone(&entry.agent),
-                    inner.sites[entry.site_index].broker_link.clone(),
-                    job_sandbox_bytes(&job),
-                )
-            };
-            broker.stage_to_agent(sim, id, broker_link, sandbox, move |sim, broker| {
-                let weak = broker.downgrade();
-                let result = agent.borrow().run_batch(sim, runtime, move |sim| {
-                    if let Some(broker) = weak.upgrade() {
-                        broker.batch_ended(sim.now(), aid);
-                        broker.finish_job(sim, id);
-                        broker.maybe_agent_departs(sim, aid);
-                        broker.retry_broker_queue(sim);
-                    }
-                });
-                match result {
-                    Err(_) => broker.fail(sim, id, "batch VM busy", false),
-                    Ok(task) => {
-                        broker.add_placement(id, Placement::AgentBatch { aid, task });
-                        broker.batch_started(sim, id, aid, &job.user);
-                    }
+                Staging {
+                    id,
+                    link: inner.sites[entry.site_index].broker_link.clone(),
+                    sandbox: job_sandbox_bytes(&job),
+                    then: AfterStaging::Batch {
+                        aid,
+                        agent: Rc::clone(&entry.agent),
+                        runtime,
+                        job,
+                    },
                 }
-            });
+            };
+            broker.stage_to_agent(sim, staging);
         });
+    }
+
+    /// The batch application is on its agent: run it on the batch-vm.
+    pub(super) fn batch_staged(
+        &self,
+        sim: &mut Sim,
+        id: JobId,
+        aid: AgentId,
+        agent: &Rc<RefCell<Agent>>,
+        runtime: SimDuration,
+        job: &JobDescription,
+    ) {
+        let weak = self.downgrade();
+        let result = agent.borrow().run_batch(sim, runtime, move |sim| {
+            if let Some(broker) = weak.upgrade() {
+                broker.batch_ended(sim.now(), aid);
+                broker.finish_job(sim, id);
+                broker.maybe_agent_departs(sim, aid);
+                broker.retry_broker_queue(sim);
+            }
+        });
+        match result {
+            Err(_) => self.fail(sim, id, "batch VM busy", false),
+            Ok(task) => {
+                self.add_placement(id, Placement::AgentBatch { aid, task });
+                self.batch_started(sim, id, aid, &job.user);
+            }
+        }
     }
 }

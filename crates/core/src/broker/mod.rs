@@ -15,8 +15,10 @@
 //! ```
 //!
 //! plus `churn` (the failure detector's obituaries: dead-site re-match,
-//! rejoin reconciliation) and `restore` (journal snapshots and the crash
-//! recovery hooks). Every interactive submission — shared, shared-parallel,
+//! rejoin reconciliation), `restore` (journal snapshots and the crash
+//! recovery hooks), `staging` (delegation and the sandbox to an agent) and
+//! `events` (the broker's typed events, and the slabs a step waits in for
+//! its next one). Every interactive submission — shared, shared-parallel,
 //! exclusive, co-allocated — is a `commit::Plan` of slots executed by one
 //! function; batch is "deploy an agent, run on its batch-vm". See DESIGN.md
 //! "Broker pipeline" for the plan table and who owns which state.
@@ -26,10 +28,12 @@ mod churn;
 mod commit;
 mod console;
 mod discovery;
+mod events;
 mod pool;
 mod restore;
 mod selection;
 mod settle;
+mod staging;
 mod sweep;
 
 use std::cell::RefCell;
@@ -38,8 +42,8 @@ use std::rc::{Rc, Weak};
 
 use cg_jdl::JobDescription;
 use cg_net::Link;
-use cg_sim::{HandlerId, Sim, SimDuration, SimTime};
-use cg_site::{InformationIndex, RefreshWindow, Site};
+use cg_sim::{Receiver, Sim, SimDuration, SimTime};
+use cg_site::{InformationIndex, QueryReply, RefreshWindow, Site};
 use cg_trace::{EventLog, MetricsRegistry};
 use cg_vm::{Agent, AgentId};
 
@@ -160,10 +164,16 @@ struct Inner {
     /// stats or monitoring reader on another thread never stops the loop.
     jobs: ShardedJobTable<JobRecord>,
     side: SideTables,
-    /// The live sweeps in flight, and the handler their events go to
+    /// The live sweeps in flight, and the receiver their events go to
     /// (`CrossBroker::on_sweep_event`); owned by the `sweep` stage.
     sweeps: sweep::SweepTable,
-    sweep_handler: HandlerId,
+    sweep_receiver: Receiver,
+    /// What every other broker event reaches (`CrossBroker::on_event`),
+    /// and the state of the steps waiting for one.
+    receiver: Receiver,
+    stages: events::Stages,
+    /// Where the information index answers discovery's queries.
+    query_reply: QueryReply,
     next_job: u64,
     next_agent: u64,
     /// Per-stream spool ack watermarks seeded by crash recovery; recovery
@@ -222,21 +232,23 @@ pub struct CrossBroker {
 /// information index — hold this: a strong handle there closes a reference
 /// cycle (broker → site → LRMS → callback → broker) and a world dropped
 /// with a job or glide-in agent still live would never be freed. The
-/// sweep-event handler registered with the `Sim` holds one too: it lives as
-/// long as the `Sim` does. Closures scheduled on the `Sim` keep their strong
-/// handles; the sim owns those and drops each as it fires.
+/// broker's receivers hold one too: every pending broker event holds a
+/// receiver, so a strong handle there would keep a dropped world alive until
+/// its last event fired.
 #[derive(Clone)]
-struct WeakBroker(Weak<RefCell<Inner>>);
+pub struct WeakBroker(Weak<RefCell<Inner>>);
 
 impl WeakBroker {
     /// The broker, unless every handle to it has been dropped.
-    fn upgrade(&self) -> Option<CrossBroker> {
+    pub fn upgrade(&self) -> Option<CrossBroker> {
         self.0.upgrade().map(|inner| CrossBroker { inner })
     }
 }
 
 impl CrossBroker {
-    fn downgrade(&self) -> WeakBroker {
+    /// A handle that does not keep the broker alive — what a leak check
+    /// holds to see the broker go with its world.
+    pub fn downgrade(&self) -> WeakBroker {
         WeakBroker(Rc::downgrade(&self.inner))
     }
 
@@ -290,9 +302,18 @@ impl CrossBroker {
         let broker = CrossBroker {
             inner: Rc::new_cyclic(|weak| {
                 let weak = WeakBroker(weak.clone());
-                let sweep_handler = sim.register_handler(move |sim, event| {
+                let to = |on: fn(&CrossBroker, &mut Sim, cg_sim::TypedEvent)| -> Receiver {
+                    let weak = weak.clone();
+                    Rc::new(move |sim, event| {
+                        if let Some(broker) = weak.upgrade() {
+                            on(&broker, sim, event);
+                        }
+                    })
+                };
+                let (sweep_receiver, receiver) = (to(Self::on_sweep_event), to(Self::on_event));
+                let query_reply: QueryReply = Rc::new(move |sim, token, answer| {
                     if let Some(broker) = weak.upgrade() {
-                        broker.on_sweep_event(sim, event);
+                        broker.discovered(sim, token, answer);
                     }
                 });
                 RefCell::new(Inner {
@@ -315,7 +336,10 @@ impl CrossBroker {
                     jobs: ShardedJobTable::new(DEFAULT_SHARDS),
                     side: SideTables::default(),
                     sweeps: sweep::SweepTable::default(),
-                    sweep_handler,
+                    sweep_receiver,
+                    receiver,
+                    stages: events::Stages::default(),
+                    query_reply,
                     next_job: 0,
                     next_agent: 0,
                     spool_watermarks: HashMap::new(),
@@ -485,31 +509,57 @@ impl CrossBroker {
         inner.tick_scheduled = true;
         let dt = inner.config.fairshare.delta_t;
         drop(inner);
-        let this = self.clone();
-        sim.schedule_in(dt, move |sim| {
-            let keep = {
-                let inner = &mut *this.inner.borrow_mut();
-                inner.tick_scheduled = false;
-                let now = sim.now();
-                inner.fairshare.tick(now);
-                // Observe every site's LRMS queue depth on the same tick
-                // cadence: the queue-forecast EWMA shares the fair-share
-                // δt/half-life and its same-δt no-double-decay contract.
-                for (i, s) in inner.sites.iter().enumerate() {
-                    let depth = s.site.lrms().queue_depth() as i64;
-                    inner.queue_forecast.observe(i, depth);
-                }
-                inner.queue_forecast.tick(now);
-                // Keep ticking while anything is charged or decaying.
-                inner.fairshare.active_usages() > 0
-                    || inner
-                        .jobs
-                        .any(|j| matches!(j.state, JobState::Running { .. }))
-            };
-            if keep {
-                this.ensure_fairshare_tick(sim);
+        self.schedule(sim, dt, events::Stage::Tick, 0);
+    }
+
+    /// The fair-share tick: decays usage and samples the sites' queues.
+    fn fairshare_tick(&self, sim: &mut Sim) {
+        let keep = {
+            let inner = &mut *self.inner.borrow_mut();
+            inner.tick_scheduled = false;
+            let now = sim.now();
+            inner.fairshare.tick(now);
+            // Observe every site's LRMS queue depth on the same tick
+            // cadence: the queue-forecast EWMA shares the fair-share
+            // δt/half-life and its same-δt no-double-decay contract.
+            for (i, s) in inner.sites.iter().enumerate() {
+                let depth = s.site.lrms().queue_depth() as i64;
+                inner.queue_forecast.observe(i, depth);
             }
-        });
+            inner.queue_forecast.tick(now);
+            // Keep ticking while anything is charged or decaying.
+            inner.fairshare.active_usages() > 0
+                || inner
+                    .jobs
+                    .any(|j| matches!(j.state, JobState::Running { .. }))
+        };
+        if keep {
+            self.ensure_fairshare_tick(sim);
+        }
+    }
+
+    /// Steps in flight anywhere in the broker's world: the broker's own
+    /// stages and live sweeps, the information index's queries, and every
+    /// site's gatekeeper and scheduler notices. A drained world shows zero;
+    /// anything else is state a typed event was meant to take out of a
+    /// slab and never did.
+    pub fn steps_in_flight(&self) -> usize {
+        let inner = self.inner.borrow();
+        let sites: usize = inner
+            .sites
+            .iter()
+            .map(|s| s.site.gatekeeper().in_flight() + s.site.lrms().notices_pending())
+            .sum();
+        let agents: usize = inner
+            .agents
+            .values()
+            .map(|a| a.agent.borrow().vm.direct_in_flight())
+            .sum();
+        inner.stages.in_flight()
+            + inner.sweeps.in_flight()
+            + inner.index.queries_in_flight()
+            + sites
+            + agents
     }
 }
 
@@ -603,8 +653,8 @@ mod tests {
         };
 
         // A world that ran its job to the end and is let go while the `Sim`
-        // lives on, its handler registry and the index's refresh cycle with
-        // it: the handler reaches the broker through a `Weak`.
+        // lives on, the index's refresh cycle with it: the broker's
+        // receivers reach the broker through a `Weak`.
         let mut sim = Sim::new(3);
         let (broker, sites) = world(&mut sim, 3, BrokerConfig::default());
         let id = submit(&mut sim, &broker);

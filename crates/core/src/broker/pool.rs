@@ -11,6 +11,7 @@ use cg_sim::{Sim, SimDuration, SimTime};
 use cg_trace::Event;
 use cg_vm::{deploy_agent, Agent, AgentCosts, AgentEvent, AgentId};
 
+use super::events::Stage;
 use super::{AgentEntry, CrossBroker};
 use crate::fairshare::UsageKind;
 use crate::job::{JobId, JobState};
@@ -176,10 +177,8 @@ impl CrossBroker {
                     };
                     if redeploy {
                         // "New agents will be submitted when possible" (§5.2).
-                        let this2 = this.clone();
-                        sim.schedule_in(AGENT_REDEPLOY_DELAY, move |sim| {
-                            this2.deploy_agent_at_boxed(sim, site_index, Box::new(|_, _, _| {}));
-                        });
+                        let site = site_index as u64;
+                        this.schedule(sim, AGENT_REDEPLOY_DELAY, Stage::Redeploy, site);
                     }
                     finish(sim, None);
                 }
@@ -188,6 +187,11 @@ impl CrossBroker {
             }
         });
         *agent_slot.borrow_mut() = Some(agent);
+    }
+
+    /// A replacement for an agent that died young.
+    pub(super) fn redeploy_agent(&self, sim: &mut Sim, site_index: usize) {
+        self.deploy_agent_at_boxed(sim, site_index, Box::new(|_, _, _| {}));
     }
 
     /// The batch job that brought the agent in is executing on its batch-vm.

@@ -9,6 +9,7 @@ use cg_jdl::JobDescription;
 use cg_sim::{Sim, SimDuration, SimTime};
 use cg_trace::replay::{Phase, ReplayAgent, ReplayJob, ReplayState};
 
+use super::events::Stage;
 use super::{BrokerStats, CrossBroker, RetainedAd};
 use crate::job::{JobId, JobRecord, JobState};
 
@@ -113,15 +114,17 @@ impl CrossBroker {
     /// recovery replays a bounded tail instead of the whole history. Stops
     /// by itself once the journal detaches (crash plan) or turns sick.
     pub fn enable_periodic_snapshots(&self, sim: &mut Sim, every: SimDuration) {
-        let this = self.clone();
-        sim.schedule_in(every, move |sim| {
-            if this.event_log().journal().is_none() {
-                return;
-            }
-            if this.journal_snapshot().is_ok() {
-                this.enable_periodic_snapshots(sim, every);
-            }
-        });
+        self.schedule(sim, every, Stage::Snapshot, every.as_nanos());
+    }
+
+    /// A periodic snapshot is due.
+    pub(super) fn snapshot_tick(&self, sim: &mut Sim, every: SimDuration) {
+        if self.event_log().journal().is_none() {
+            return;
+        }
+        if self.journal_snapshot().is_ok() {
+            self.enable_periodic_snapshots(sim, every);
+        }
     }
 
     /// Installs a job reconstructed from the journal, bucket-faithfully:

@@ -13,13 +13,19 @@ use cg_trace::Event;
 use cg_vm::AgentId;
 
 use super::commit::{Plan, Refusal, Slot};
-use super::discovery::{requires_full_site, Discovered};
-use super::CrossBroker;
+use super::discovery::{requires_full_site, Discovered, Selection};
+use super::{AgentEntry, CrossBroker};
 use crate::job::{JobId, JobState};
-use crate::matchmaking::{filter_candidates_compiled, Candidate, CompiledJob};
+use crate::matchmaking::{filter_one, Candidate, CompiledJob};
 use crate::policy::{
     coallocate_with, select_detailed_with, PolicyKind, PolicySignals, SiteSignals,
 };
+
+/// Whether a pooled agent can take an interactive subjob at `now`: alive
+/// with a free interactive slot, and not leased.
+fn takes_interactive(entry: &AgentEntry, now: SimTime) -> bool {
+    entry.leased_until <= now && entry.agent.borrow().interactive_free() >= 1
+}
 
 /// LRMS walltime derived from the job's `EstimatedRuntime` (4× safety
 /// factor, the usual operator convention); `None` when undeclared.
@@ -80,19 +86,13 @@ impl CrossBroker {
         let mut stale = shortlist.into_iter().peekable();
         let mut candidates = Vec::with_capacity(usable.len());
         let mut reused = 0;
-        for live in &usable {
-            let (i, ad) = live;
+        for (i, ad) in &usable {
             while stale.next_if(|c| c.site_index < *i).is_some() {}
             if Arc::ptr_eq(ad, snapshot.ad_arc(*i)) {
                 reused += 1;
                 candidates.extend(stale.next_if(|c| c.site_index == *i));
             } else {
-                candidates.extend(filter_candidates_compiled(
-                    job,
-                    compiled,
-                    std::slice::from_ref(live),
-                    requires_full_site(job),
-                ));
+                candidates.extend(filter_one(job, compiled, *i, ad, requires_full_site(job)));
             }
         }
         let inner = self.inner.borrow();
@@ -107,17 +107,20 @@ impl CrossBroker {
     pub(super) fn finish_selection(
         &self,
         sim: &mut Sim,
-        id: JobId,
-        job: JobDescription,
-        runtime: SimDuration,
+        selection: Selection,
         live_ads: Vec<(usize, Arc<Ad>)>,
-        discovered: Discovered,
     ) {
-        let Discovered {
-            shortlist,
-            stale,
-            excluded,
-        } = discovered;
+        let Selection {
+            id,
+            job,
+            runtime,
+            discovered:
+                Discovered {
+                    shortlist,
+                    stale,
+                    excluded,
+                },
+        } = selection;
         // Retired (cancelled, failed) while the sweep was in flight.
         let Some(compiled) = self.compiled_for(id) else {
             return;
@@ -276,11 +279,22 @@ impl CrossBroker {
         let mut picks: Vec<AgentId> = inner
             .agents
             .iter()
-            .filter(|(_, e)| e.leased_until <= now && e.agent.borrow().interactive_free() >= 1)
+            .filter(|(_, e)| takes_interactive(e, now))
             .map(|(aid, _)| *aid)
             .collect();
         picks.sort();
         picks
+    }
+
+    /// The first of [`Self::free_agents`], without the list.
+    fn first_free_agent(&self, now: SimTime) -> Option<AgentId> {
+        let inner = self.inner.borrow();
+        inner
+            .agents
+            .iter()
+            .filter(|(_, e)| takes_interactive(e, now))
+            .map(|(aid, _)| *aid)
+            .min()
     }
 
     /// A sequential shared job runs on one agent's interactive-vm.
@@ -306,7 +320,7 @@ impl CrossBroker {
                 },
             )
         };
-        if let Some(&aid) = self.free_agents(now).first() {
+        if let Some(aid) = self.first_free_agent(now) {
             self.commit(sim, id, job, runtime, plan(aid));
             return;
         }

@@ -6,28 +6,49 @@
 //! A query is three kernel events — request delivered and served, reply
 //! delivered, deadline — and at 1 000 sites a job stands behind some 430
 //! queries, so none of the three is a closure: each is a [`TypedEvent`]
-//! naming `(sweep, site, attempt, leg)`, received by the one handler the
-//! broker registers when it is built. The sweeps themselves live in the
-//! broker's [`SweepTable`].
+//! naming `(sweep, site, attempt, leg)`, received by the sweep receiver the
+//! broker builds when it is built. The sweeps themselves live in the
+//! broker's [`SweepTable`]; a sweep that is over waits in the broker's
+//! stages for its selection event, holding what selection needs.
 
 use std::collections::VecDeque;
 use std::sync::Arc;
 
 use cg_jdl::Ad;
 use cg_net::{delivery_outcome, Dir};
-use cg_sim::{EventId, HandlerId, Sim, SimDuration, TypedEvent};
+use cg_sim::{EventId, Sim, SimDuration, TypedEvent};
 use cg_trace::Event;
 
+use super::discovery::Selection;
+use super::events::Stage;
 use super::settle::backoff_delay;
 use super::CrossBroker;
 use crate::config::BrokerConfig;
 use crate::job::JobId;
 use crate::shard::job_rng;
 
-/// Continuation invoked with the index-sorted live ads once a sweep ends.
-/// It is handed the broker instead of capturing a handle: the broker owns
-/// its sweeps, and a strong handle in here would close a reference cycle.
-type SweepDone = Box<dyn FnOnce(&mut Sim, &CrossBroker, Vec<(usize, Arc<Ad>)>)>;
+/// A test's own continuation of a sweep, handed the broker and the live ads.
+#[cfg(test)]
+type TestDone = Box<dyn FnOnce(&mut Sim, &CrossBroker, Vec<(usize, Arc<Ad>)>)>;
+
+/// What follows a sweep: selection, with everything it needs.
+// Only test builds have a second, small variant; a boxed selection would
+// cost every job an allocation.
+#[cfg_attr(test, allow(clippy::large_enum_variant))]
+pub(super) enum AfterSweep {
+    /// Re-check, pick and commit ([`CrossBroker::finish_selection`]).
+    Select(Selection),
+    /// A test's own continuation.
+    #[cfg(test)]
+    Test(TestDone),
+}
+
+/// A sweep that is over, waiting for its selection event: the index-sorted
+/// live ads and what follows.
+pub(super) struct FinishedSweep {
+    then: AfterSweep,
+    collected: Vec<(usize, Arc<Ad>)>,
+}
 
 /// In-flight state of one windowed live-query sweep over the shortlist.
 struct LiveQuerySweep {
@@ -43,7 +64,7 @@ struct LiveQuerySweep {
     /// Each answering site's shared machine ad — the allocation the site
     /// itself and (until the site changes) the MDS snapshot hold.
     collected: Vec<(usize, Arc<Ad>)>,
-    done: SweepDone,
+    then: AfterSweep,
     /// `BrokerConfig::live_query_fanout`, `live_query_service_s` and
     /// `live_query_timeout` as every attempt of this sweep uses them.
     fanout: usize,
@@ -52,7 +73,7 @@ struct LiveQuerySweep {
 }
 
 impl LiveQuerySweep {
-    fn new(config: &BrokerConfig, job: JobId, pending: VecDeque<usize>, done: SweepDone) -> Self {
+    fn new(config: &BrokerConfig, job: JobId, pending: VecDeque<usize>, then: AfterSweep) -> Self {
         let fanout = config.live_query_fanout.max(1);
         LiveQuerySweep {
             job,
@@ -60,7 +81,7 @@ impl LiveQuerySweep {
             live: Vec::with_capacity(fanout.min(pending.len())),
             collected: Vec::with_capacity(pending.len()),
             pending,
-            done,
+            then,
             fanout,
             service: SimDuration::from_secs_f64(config.live_query_service_s),
             timeout: config.live_query_timeout,
@@ -118,7 +139,7 @@ impl SweepTable {
         sweep
     }
 
-    #[cfg(test)]
+    /// Sweeps in flight.
     pub(super) fn in_flight(&self) -> usize {
         self.window.iter().flatten().count()
     }
@@ -153,7 +174,7 @@ pub(super) const MAX_SITES: usize = 1 << 30;
 const MAX_ATTEMPT: u32 = u16::MAX as u32;
 
 impl SweepEvent {
-    fn pack(self, handler: HandlerId) -> TypedEvent {
+    fn pack(self) -> TypedEvent {
         debug_assert!(self.site_index < MAX_SITES && self.attempt <= MAX_ATTEMPT);
         let leg = match self.leg {
             Leg::Request => 0,
@@ -162,7 +183,6 @@ impl SweepEvent {
             Leg::Retry => 3,
         };
         TypedEvent {
-            handler,
             tag: 0,
             aux: self.attempt as u16,
             payload: u64::from(self.serial) << 32 | leg << 30 | self.site_index as u64,
@@ -217,18 +237,18 @@ pub(super) fn live_query_chain(
     broker: &CrossBroker,
     job: JobId,
     pending: VecDeque<usize>,
-    done: impl FnOnce(&mut Sim, &CrossBroker, Vec<(usize, Arc<Ad>)>) + 'static,
+    then: AfterSweep,
 ) {
     let serial = {
         let mut inner = broker.inner.borrow_mut();
-        let sweep = LiveQuerySweep::new(&inner.config, job, pending, Box::new(done));
+        let sweep = LiveQuerySweep::new(&inner.config, job, pending, then);
         inner.sweeps.insert(sweep)
     };
     live_query_pump(sim, broker, serial);
 }
 
 /// Launches queries until the fan-out window is full, and finishes the
-/// sweep — takes it out of the table and schedules `done` — once nothing is
+/// sweep — takes it out of the table and schedules what follows — once nothing is
 /// pending or in flight. A site's fan-out slot stays occupied across its
 /// retries; it frees only when the site settles.
 fn live_query_pump(sim: &mut Sim, broker: &CrossBroker, serial: u32) {
@@ -239,11 +259,12 @@ fn live_query_pump(sim: &mut Sim, broker: &CrossBroker, serial: u32) {
             let Some(&site_index) = sweep.pending.front() else {
                 if sweep.in_flight == 0 {
                     let sweep = inner.sweeps.remove(serial).expect(UNFINISHED);
-                    drop(inner);
-                    let (done, mut collected) = (sweep.done, sweep.collected);
+                    let (then, mut collected) = (sweep.then, sweep.collected);
                     collected.sort_by_key(|(i, _)| *i);
-                    let broker = broker.clone();
-                    sim.schedule_now(move |sim| done(sim, &broker, collected));
+                    let finished = FinishedSweep { then, collected };
+                    let slot = inner.stages.finished_sweeps.insert(finished);
+                    drop(inner);
+                    broker.schedule(sim, SimDuration::ZERO, Stage::SweepDone, slot);
                 }
                 return;
             };
@@ -281,21 +302,23 @@ fn live_query_attempt(
             attempt,
             leg,
         }
-        .pack(inner.sweep_handler)
+        .pack()
     };
+    let receiver = &inner.sweep_receiver;
     inner.sites[site_index].broker_link.send_event(
         sim,
         Dir::AToB,
         QUERY_BYTES,
         sweep.service,
+        receiver,
         event(Leg::Request),
     );
-    let deadline = sim.schedule_event_in(sweep.timeout, event(Leg::Deadline));
+    let deadline = sim.schedule_event_in(sweep.timeout, receiver, event(Leg::Deadline));
     sweep.live.push((site_index, attempt, deadline));
 }
 
 impl CrossBroker {
-    /// The handler of every sweep's events.
+    /// The receiver of every sweep's events.
     pub(super) fn on_sweep_event(&self, sim: &mut Sim, event: TypedEvent) {
         let sweep_event = SweepEvent::unpack(event);
         let SweepEvent {
@@ -314,15 +337,15 @@ impl CrossBroker {
                         leg: Leg::Reply,
                         ..sweep_event
                     };
-                    self.inner.borrow().sites[site_index]
-                        .broker_link
-                        .send_event(
-                            sim,
-                            Dir::BToA,
-                            ANSWER_BYTES,
-                            SimDuration::ZERO,
-                            reply.pack(event.handler),
-                        );
+                    let inner = self.inner.borrow();
+                    inner.sites[site_index].broker_link.send_event(
+                        sim,
+                        Dir::BToA,
+                        ANSWER_BYTES,
+                        SimDuration::ZERO,
+                        &inner.sweep_receiver,
+                        reply.pack(),
+                    );
                 }
                 Err(_) => self.query_answered(sim, serial, site_index, attempt, false),
             },
@@ -352,6 +375,18 @@ impl CrossBroker {
                 live_query_settle(sim, self, serial, site_index, attempt, None);
             }
             Leg::Retry => live_query_attempt(sim, self, serial, site_index, attempt),
+        }
+    }
+
+    /// A sweep's selection event: what followed the sweep runs on the live
+    /// ads it collected.
+    pub(super) fn sweep_done(&self, sim: &mut Sim, slot: u64) {
+        let finished = self.inner.borrow_mut().stages.finished_sweeps.remove(slot);
+        let FinishedSweep { then, collected } = finished.expect("one event per finished sweep");
+        match then {
+            AfterSweep::Select(selection) => self.finish_selection(sim, selection, collected),
+            #[cfg(test)]
+            AfterSweep::Test(done) => done(sim, self, collected),
         }
     }
 
@@ -441,12 +476,12 @@ fn live_query_settle(
         attempt: next,
         leg: Leg::Retry,
     };
-    sim.schedule_event_in(delay, retry.pack(inner.sweep_handler));
+    sim.schedule_event_in(delay, &inner.sweep_receiver, retry.pack());
 }
 
 #[cfg(test)]
 mod tests {
-    use super::{live_query_chain, CrossBroker, JobId};
+    use super::{AfterSweep, CrossBroker, JobId};
     use crate::broker::SiteHandle;
     use crate::config::BrokerConfig;
     use cg_net::{Link, LinkProfile};
@@ -456,6 +491,17 @@ mod tests {
     use std::cell::RefCell;
     use std::rc::Rc;
     use std::sync::Arc;
+
+    /// Starts a sweep whose end runs `done`.
+    fn live_query_chain(
+        sim: &mut Sim,
+        broker: &CrossBroker,
+        job: JobId,
+        pending: std::collections::VecDeque<usize>,
+        done: impl FnOnce(&mut Sim, &CrossBroker, Vec<(usize, Arc<cg_jdl::Ad>)>) + 'static,
+    ) {
+        super::live_query_chain(sim, broker, job, pending, AfterSweep::Test(Box::new(done)));
+    }
 
     /// A broker over `n` four-node sites whose broker links share `profile`;
     /// returns the sites and (clones of) those links beside it.

@@ -1,6 +1,8 @@
 //! Matchmaking: filtering sites against job requirements, ranking, and the
 //! paper's randomized selection among equals.
 
+use std::borrow::Cow;
+
 use cg_jdl::{Ad, CompiledExpr, Ctx, Expr, JobDescription, SiteSet};
 use cg_sim::SimRng;
 use cg_site::AdSnapshot;
@@ -72,15 +74,56 @@ fn filter_candidates_inner<A: std::borrow::Borrow<Ad>>(
     ads: &[(usize, A)],
     require_free_cpus: bool,
 ) -> Vec<Candidate> {
-    let mut out = Vec::new();
-    // As in the columnar pass: a raw expression is read only where there
-    // is no compiled form.
-    let creq = compiled.and_then(|c| c.requirements.as_ref());
-    let crank = compiled.and_then(|c| c.rank.as_ref());
-    let raw_requirements = creq.is_none().then(|| job.requirements()).flatten();
-    let raw_rank = crank.is_none().then(|| job.rank()).flatten();
-    for (site_index, ad) in ads {
-        let ad = ad.borrow();
+    let exprs = Exprs::of(job, compiled);
+    ads.iter()
+        .filter_map(|(site_index, ad)| {
+            exprs.filter(job, *site_index, ad.borrow(), require_free_cpus)
+        })
+        .collect()
+}
+
+/// [`filter_candidates_compiled`] for one ad: the candidate `ad` makes at
+/// `site_index`, or `None` when it does not match. The live re-check calls
+/// this per changed site, so it allocates nothing.
+pub fn filter_one(
+    job: &JobDescription,
+    compiled: &CompiledJob,
+    site_index: usize,
+    ad: &Ad,
+    require_free_cpus: bool,
+) -> Option<Candidate> {
+    Exprs::of(job, Some(compiled)).filter(job, site_index, ad, require_free_cpus)
+}
+
+/// The job's `Requirements` and `Rank` as the filter evaluates them. As in
+/// the columnar pass, a raw expression is read only where there is no
+/// compiled form.
+struct Exprs<'a> {
+    creq: Option<&'a CompiledExpr>,
+    crank: Option<&'a CompiledExpr>,
+    raw_requirements: Option<Cow<'a, Expr>>,
+    raw_rank: Option<Cow<'a, Expr>>,
+}
+
+impl<'a> Exprs<'a> {
+    fn of(job: &'a JobDescription, compiled: Option<&'a CompiledJob>) -> Self {
+        let creq = compiled.and_then(|c| c.requirements.as_ref());
+        let crank = compiled.and_then(|c| c.rank.as_ref());
+        Exprs {
+            creq,
+            crank,
+            raw_requirements: creq.is_none().then(|| job.requirements()).flatten(),
+            raw_rank: crank.is_none().then(|| job.rank()).flatten(),
+        }
+    }
+
+    fn filter(
+        &self,
+        job: &JobDescription,
+        site_index: usize,
+        ad: &Ad,
+        require_free_cpus: bool,
+    ) -> Option<Candidate> {
         // `get_norm` with the lower-cased names: `Ad::get` would allocate a
         // lower-cased copy of each key per ad.
         let free = ad
@@ -88,7 +131,7 @@ fn filter_candidates_inner<A: std::borrow::Borrow<Ad>>(
             .and_then(|v| v.as_i64())
             .unwrap_or(0);
         if require_free_cpus && free < job.node_number as i64 {
-            continue;
+            return None;
         }
         if !require_free_cpus {
             // Batch path: the site must at least accept queued jobs.
@@ -97,12 +140,12 @@ fn filter_candidates_inner<A: std::borrow::Borrow<Ad>>(
                 .and_then(|v| v.as_bool())
                 .unwrap_or(true);
             if free < job.node_number as i64 && !accepts {
-                continue;
+                return None;
             }
         }
         // Undefined or false ⇒ no match; eval errors ⇒ no match (a
         // malformed requirement must not crash the broker).
-        let matched = match (creq, &raw_requirements) {
+        let matched = match (self.creq, &self.raw_requirements) {
             (Some(creq), _) => creq.matches(&job.ad, ad),
             (None, Some(req)) => {
                 let ctx = Ctx {
@@ -114,21 +157,20 @@ fn filter_candidates_inner<A: std::borrow::Borrow<Ad>>(
             (None, None) => true,
         };
         if !matched {
-            continue;
+            return None;
         }
-        let rank = match (crank, &raw_rank) {
+        let rank = match (self.crank, &self.raw_rank) {
             (Some(crank), _) => crank.rank(&job.ad, ad),
             (None, Some(r)) => eval_rank_or_default(r, job, ad),
             // Default rank: prefer more free CPUs (the EDG broker default).
             (None, None) => free as f64,
         };
-        out.push(Candidate {
-            site_index: *site_index,
+        Some(Candidate {
+            site_index,
             rank,
             free_cpus: free,
-        });
+        })
     }
-    out
 }
 
 fn eval_rank_or_default(rank: &Expr, job: &JobDescription, ad: &Ad) -> f64 {

@@ -1124,7 +1124,21 @@ fn a_dead_site_rematches_its_scheduled_jobs_in_id_order() {
             .collect();
         assert_eq!(rematched, [0, 1, 2, 3], "re-matched in job-id order");
         let states = ids.iter().map(|id| broker.record(*id).state).collect();
-        (log.to_jsonl(), states)
+        let stream = log.to_jsonl();
+        // The drain gate: once alpha's local jobs are over too, nothing the
+        // re-match started is left in a slab, only the refresh is due, and
+        // the broker goes with its world.
+        sim.run_until(SimTime::from_secs(60_000));
+        assert_eq!(broker.steps_in_flight(), 0, "a slab kept a step");
+        assert_eq!(
+            sim.pending(),
+            1,
+            "only the information index's refresh is due"
+        );
+        let gone = broker.downgrade();
+        drop((broker, sim));
+        assert!(gone.upgrade().is_none(), "the broker outlived its world");
+        (stream, states)
     }
     let (first, states) = day();
     for state in &states {

@@ -10,8 +10,8 @@ use std::sync::Arc;
 use cg_jdl::{parse_expr, Ad, JobDescription, Value};
 use cg_site::AdSnapshot;
 use crossbroker::{
-    filter_candidates, filter_candidates_columnar, filter_candidates_compiled, Candidate,
-    CompiledJob,
+    filter_candidates, filter_candidates_columnar, filter_candidates_compiled, filter_one,
+    Candidate, CompiledJob,
 };
 use proptest::prelude::*;
 
@@ -239,6 +239,14 @@ proptest! {
         for require_free in [true, false] {
             let map = filter_candidates_compiled(&job, &compiled, &indexed, require_free);
             let col = filter_candidates_columnar(&job, &compiled, &snap, require_free);
+            // The live re-check's per-ad form, ad by ad, is the same filter.
+            let bits = |c: &Candidate| (c.site_index, c.rank.to_bits(), c.free_cpus);
+            let one: Vec<_> = indexed
+                .iter()
+                .filter_map(|(i, ad)| filter_one(&job, &compiled, *i, ad, require_free))
+                .map(|c| bits(&c))
+                .collect();
+            prop_assert_eq!(one, map.iter().map(bits).collect::<Vec<_>>());
             prop_assert_eq!(map.len(), col.len(), "candidate count differs");
             for (a, b) in map.iter().zip(&col) {
                 prop_assert_eq!(a.site_index, b.site_index);

@@ -12,7 +12,7 @@
 //!   outage awareness, and traffic counters; a message reports back through
 //!   a closure ([`Link::send`]) or an allocation-free typed event
 //!   ([`Link::send_event`], [`delivery_outcome`]);
-//! - [`Session`] / [`HandshakeProfile`] — connection establishment with
+//! - [`Handshake`] / [`HandshakeProfile`] — connection establishment with
 //!   TCP-like or GSI-like handshakes, and [`rpc_call`] for request/response
 //!   exchanges;
 //! - [`Topology`] — named hosts wired by links, the scenario plan.
@@ -32,4 +32,4 @@ pub use fault::FaultSchedule;
 pub use link::{delivery_outcome, Dir, Link, LinkStats, NetError};
 pub use profile::LinkProfile;
 pub use topology::{HostId, Topology};
-pub use transport::{rpc_call, HandshakeProfile, Session};
+pub use transport::{rpc_call, Handshake, HandshakeProfile};

@@ -9,7 +9,7 @@ use std::cell::RefCell;
 use std::fmt;
 use std::rc::Rc;
 
-use cg_sim::{EventId, Sim, SimDuration, SimTime, TypedEvent};
+use cg_sim::{EventId, Receiver, Sim, SimDuration, SimTime, TypedEvent};
 use serde::{Deserialize, Serialize};
 
 use crate::fault::FaultSchedule;
@@ -207,20 +207,21 @@ impl Link {
 
     /// `send` with a `hold` (see [`crate::rpc_call`]), for a sender that
     /// schedules typed events instead of closures: the same message, decided
-    /// the same way at the same instant, but what fires is `event`, with its
-    /// `tag` replaced by the outcome ([`delivery_outcome`] reads it back).
-    /// Allocates nothing.
+    /// the same way at the same instant, but what fires is `event` for
+    /// `receiver`, with its `tag` replaced by the outcome
+    /// ([`delivery_outcome`] reads it back). Allocates nothing.
     pub fn send_event(
         &self,
         sim: &mut Sim,
         dir: Dir,
         bytes: u64,
         hold: SimDuration,
+        receiver: &Receiver,
         event: TypedEvent,
     ) -> EventId {
         let (when, outcome) = self.decide(sim, dir, bytes, hold);
         let tag = outcome_tag(outcome);
-        sim.schedule_event_at(when, TypedEvent { tag, ..event })
+        sim.schedule_event_at(when, receiver, TypedEvent { tag, ..event })
     }
 
     /// Everything about one message except the event that reports it: the
@@ -449,22 +450,25 @@ mod tests {
                 },
             );
 
-            let mut sim = Sim::new(seed);
             let sink = Rc::clone(&log);
-            let handler = sim.register_handler(move |sim, event| {
+            let receiver: Receiver = Rc::new(move |sim, event| {
                 assert_eq!(event.aux, 0xA5A5, "only the tag is the link's");
                 let entry = (event.payload, sim.now(), delivery_outcome(event));
                 sink.borrow_mut().push(entry);
             });
-            let typed = seeded_sends(seed, &log, sim, move |sim, link, i, dir, b, h| {
-                let event = TypedEvent {
-                    handler,
-                    tag: 0xFF,
-                    aux: 0xA5A5,
-                    payload: i,
-                };
-                link.send_event(sim, dir, b, h, event);
-            });
+            let typed = seeded_sends(
+                seed,
+                &log,
+                Sim::new(seed),
+                move |sim, link, i, dir, b, h| {
+                    let event = TypedEvent {
+                        tag: 0xFF,
+                        aux: 0xA5A5,
+                        payload: i,
+                    };
+                    link.send_event(sim, dir, b, h, &receiver, event);
+                },
+            );
 
             assert_eq!(held, typed, "seed {seed}");
             assert_eq!(held.0.len(), 40, "every send reported exactly once");

@@ -1,5 +1,6 @@
 //! Session-level transport: connection establishment with a configurable
-//! handshake, and request/response RPC on top of [`Link`].
+//! handshake ([`Handshake`], a value its caller steps on typed events), and
+//! request/response RPC on top of [`Link`].
 //!
 //! The number of handshake legs is the knob that differentiates transports in
 //! the paper's comparison: plain TCP (3 legs), ssh (TCP + key exchange), and
@@ -7,10 +8,10 @@
 //! verification) all pay different setup costs, and Glogin pays the GSI cost
 //! on its data path too.
 
-use cg_sim::{Sim, SimDuration};
+use cg_sim::{Receiver, Sim, SimDuration, TypedEvent};
 use serde::{Deserialize, Serialize};
 
-use crate::link::{Dir, Link, NetError};
+use crate::link::{delivery_outcome, Dir, Link, NetError};
 
 /// Handshake shape for establishing a session.
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -46,88 +47,90 @@ impl HandshakeProfile {
     }
 }
 
-/// An established session over a link.
+/// A connection being established: the handshake legs still to run, as a
+/// value the caller keeps — in a slab slot of its own — and steps on each
+/// event the handshake scheduled for the caller's [`Receiver`].
 ///
-/// Sessions do not own the link; several sessions can multiplex one link
-/// (each MPICH-G2 subjob's Console Agent holds its own session to the shadow
-/// over the same site-to-UI path).
+/// One event per leg, plus the hand-off: each leg's delivery event is held
+/// `cpu_s` past the delivery instant — the endpoint's processing before it
+/// answers — and sends the next leg itself, as [`rpc_call`]'s request does
+/// its reply; after the last leg the hand-off is scheduled at once, and
+/// stepping on it reports the connection up. A failed leg reports its
+/// error in its own delivery event. Nothing here allocates.
+///
+/// Connections do not own the link; several can multiplex one link (each
+/// MPICH-G2 subjob's Console Agent connects to the shadow over the same
+/// site-to-UI path).
 #[derive(Clone)]
-pub struct Session {
+pub struct Handshake {
     link: Link,
-    /// Direction of client→server traffic.
-    dir: Dir,
+    /// The direction the next leg travels.
+    leg_dir: Dir,
+    /// Legs not yet delivered; zero once the hand-off is scheduled.
+    left: u32,
+    leg_bytes: u64,
+    cpu: SimDuration,
 }
 
-impl Session {
-    /// Establishes a session: runs the handshake legs in alternating
-    /// directions, then hands the session to `on`. Any failed leg aborts
-    /// with the underlying error.
-    ///
-    /// One scheduled event per leg, plus the hand-off: each leg's delivery
-    /// event is held `cpu_s` past the delivery instant — the endpoint's
-    /// processing before it answers — and sends the next leg itself, as
-    /// [`rpc_call`]'s request does its reply.
-    pub fn connect(
+impl Handshake {
+    /// Starts the handshake over `link`, the client sending the first leg
+    /// in direction `dir`. Every event it schedules is `event` for
+    /// `receiver`, the `tag` aside (the link's outcome); hand each one to
+    /// [`Handshake::step`].
+    pub fn start(
         sim: &mut Sim,
         link: Link,
         dir: Dir,
-        handshake: HandshakeProfile,
-        on: impl FnOnce(&mut Sim, Result<Session, NetError>) + 'static,
-    ) {
-        fn leg(
-            sim: &mut Sim,
-            link: Link,
-            dir: Dir,
-            hs: HandshakeProfile,
-            left: u32,
-            leg_dir: Dir,
-            on: impl FnOnce(&mut Sim, Result<Session, NetError>) + 'static,
-        ) {
-            if left == 0 {
-                let session = Session { link, dir };
-                sim.schedule_now(move |sim| on(sim, Ok(session)));
-                return;
-            }
-            let cpu = SimDuration::from_secs_f64(hs.cpu_s);
-            let bytes = hs.leg_bytes;
-            let next = link.clone();
-            link.send_held(sim, leg_dir, bytes, cpu, move |sim, r| match r {
-                Err(e) => on(sim, Err(e)),
-                Ok(()) => leg(sim, next, dir, hs, left - 1, leg_dir.flip(), on),
-            });
+        profile: &HandshakeProfile,
+        receiver: &Receiver,
+        event: TypedEvent,
+    ) -> Handshake {
+        let handshake = Handshake {
+            link,
+            leg_dir: dir,
+            left: profile.legs,
+            leg_bytes: profile.leg_bytes,
+            cpu: SimDuration::from_secs_f64(profile.cpu_s),
+        };
+        handshake.next(sim, receiver, event);
+        handshake
+    }
+
+    /// Sends the next leg, or schedules the hand-off after the last one.
+    fn next(&self, sim: &mut Sim, receiver: &Receiver, event: TypedEvent) {
+        if self.left == 0 {
+            sim.schedule_event_now(receiver, TypedEvent { tag: 0, ..event });
+        } else {
+            let (dir, bytes) = (self.leg_dir, self.leg_bytes);
+            self.link
+                .send_event(sim, dir, bytes, self.cpu, receiver, event);
         }
-        let legs = handshake.legs;
-        leg(sim, link, dir, handshake, legs, dir, on);
     }
 
-    /// Sends client→server.
-    pub fn send(
-        &self,
+    /// Steps on `event`, one this handshake scheduled: `None` while legs
+    /// remain (the next one is on its way), the failed leg's error, or
+    /// `Ok` on the hand-off.
+    pub fn step(
+        &mut self,
         sim: &mut Sim,
-        bytes: u64,
-        on: impl FnOnce(&mut Sim, Result<(), NetError>) + 'static,
-    ) {
-        self.link.send(sim, self.dir, bytes, on);
+        receiver: &Receiver,
+        event: TypedEvent,
+    ) -> Option<Result<(), NetError>> {
+        if self.left == 0 {
+            return Some(Ok(()));
+        }
+        if let Err(e) = delivery_outcome(event) {
+            return Some(Err(e));
+        }
+        self.left -= 1;
+        self.leg_dir = self.leg_dir.flip();
+        self.next(sim, receiver, event);
+        None
     }
 
-    /// Sends server→client.
-    pub fn send_back(
-        &self,
-        sim: &mut Sim,
-        bytes: u64,
-        on: impl FnOnce(&mut Sim, Result<(), NetError>) + 'static,
-    ) {
-        self.link.send(sim, self.dir.flip(), bytes, on);
-    }
-
-    /// The underlying link.
+    /// The link the connection runs over.
     pub fn link(&self) -> &Link {
         &self.link
-    }
-
-    /// Client→server direction.
-    pub fn dir(&self) -> Dir {
-        self.dir
     }
 }
 
@@ -164,24 +167,56 @@ mod tests {
     use std::cell::RefCell;
     use std::rc::Rc;
 
+    /// Drives a [`Handshake`] the way a component does — the value in a
+    /// slot of the caller's, stepped by the caller's receiver — and hands
+    /// the outcome to `on`. The receiver holds the slot, and the slot the
+    /// receiver, until the handshake ends.
+    fn connect(sim: &mut Sim, link: &Link, dir: Dir, profile: &HandshakeProfile, on: OnDone) {
+        type Slot = (Option<Handshake>, Option<OnDone>, Option<Receiver>);
+        let slot: Rc<RefCell<Slot>> = Rc::new(RefCell::new((None, Some(on), None)));
+        let state = Rc::clone(&slot);
+        let receiver: Receiver = Rc::new(move |sim, event| {
+            let receiver = state.borrow().2.clone().expect("live until the end");
+            let mut handshake = state.borrow_mut().0.take().expect("started");
+            let done = handshake.step(sim, &receiver, event);
+            state.borrow_mut().0 = Some(handshake);
+            if let Some(result) = done {
+                let on = {
+                    let mut state = state.borrow_mut();
+                    state.2 = None;
+                    state.1.take().expect("one outcome")
+                };
+                on(sim, result);
+            }
+        });
+        let event = TypedEvent::default();
+        let handshake = Handshake::start(sim, link.clone(), dir, profile, &receiver, event);
+        let mut slot = slot.borrow_mut();
+        slot.0 = Some(handshake);
+        slot.2 = Some(receiver);
+    }
+
+    /// When a connect over `link` ended and how.
+    fn connect_outcome(
+        sim: &mut Sim,
+        link: &Link,
+        profile: &HandshakeProfile,
+    ) -> (SimTime, Result<(), NetError>) {
+        let done = Rc::new(RefCell::new(None));
+        let d = Rc::clone(&done);
+        let on: OnDone = Box::new(move |sim, r| *d.borrow_mut() = Some((sim.now(), r)));
+        connect(sim, link, Dir::AToB, profile, on);
+        sim.run();
+        done.take().expect("the handshake ended")
+    }
+
     #[test]
     fn tcp_connect_takes_about_one_and_a_half_rtts() {
         let mut sim = Sim::new(1);
         let link = Link::new(LinkProfile::wan_ifca());
-        let done = Rc::new(RefCell::new(None));
-        let d = Rc::clone(&done);
-        Session::connect(
-            &mut sim,
-            link,
-            Dir::AToB,
-            HandshakeProfile::tcp(),
-            move |sim, r| {
-                assert!(r.is_ok());
-                *d.borrow_mut() = Some(sim.now());
-            },
-        );
-        sim.run();
-        let t = done.borrow().unwrap().as_secs_f64();
+        let (at, result) = connect_outcome(&mut sim, &link, &HandshakeProfile::tcp());
+        assert_eq!(result, Ok(()));
+        let t = at.as_secs_f64();
         // 3 legs ≈ 1.5 RTT ≈ 42 ms on the IFCA path (+ jitter + cpu).
         assert!((0.025..0.12).contains(&t), "tcp connect took {t}s");
     }
@@ -191,15 +226,9 @@ mod tests {
         let time_for = |hs: HandshakeProfile| {
             let mut sim = Sim::new(2);
             let link = Link::new(LinkProfile::wan_ifca());
-            let done = Rc::new(RefCell::new(None));
-            let d = Rc::clone(&done);
-            Session::connect(&mut sim, link, Dir::AToB, hs, move |sim, r| {
-                assert!(r.is_ok());
-                *d.borrow_mut() = Some(sim.now());
-            });
-            sim.run();
-            let t = done.borrow().unwrap();
-            t.as_secs_f64()
+            let (at, result) = connect_outcome(&mut sim, &link, &hs);
+            assert_eq!(result, Ok(()));
+            at.as_secs_f64()
         };
         let tcp = time_for(HandshakeProfile::tcp());
         let gsi = time_for(HandshakeProfile::gsi());
@@ -211,52 +240,8 @@ mod tests {
         let mut sim = Sim::new(1);
         let faults = FaultSchedule::from_windows(vec![(SimTime::ZERO, SimTime::from_secs(60))]);
         let link = Link::with_faults(LinkProfile::campus(), faults);
-        let result = Rc::new(RefCell::new(None));
-        let r = Rc::clone(&result);
-        Session::connect(
-            &mut sim,
-            link,
-            Dir::AToB,
-            HandshakeProfile::tcp(),
-            move |_, res| {
-                *r.borrow_mut() = Some(res.map(|_| ()));
-            },
-        );
-        sim.run();
-        assert_eq!(*result.borrow(), Some(Err(NetError::LinkDown)));
-    }
-
-    #[test]
-    fn session_round_trip_works_both_ways() {
-        let mut sim = Sim::new(3);
-        let link = Link::new(LinkProfile::campus());
-        let log: Rc<RefCell<Vec<&'static str>>> = Rc::new(RefCell::new(Vec::new()));
-        let log2 = Rc::clone(&log);
-        Session::connect(
-            &mut sim,
-            link,
-            Dir::AToB,
-            HandshakeProfile::tcp(),
-            move |sim, r| {
-                let s = r.unwrap();
-                let s2 = s.clone();
-                let log3 = Rc::clone(&log2);
-                s.send(sim, 100, move |sim, r| {
-                    r.unwrap();
-                    log3.borrow_mut().push("request-at-server");
-                    let log4 = Rc::clone(&log3);
-                    s2.send_back(sim, 200, move |_, r| {
-                        r.unwrap();
-                        log4.borrow_mut().push("response-at-client");
-                    });
-                });
-            },
-        );
-        sim.run();
-        assert_eq!(
-            *log.borrow(),
-            vec!["request-at-server", "response-at-client"]
-        );
+        let (_, result) = connect_outcome(&mut sim, &link, &HandshakeProfile::tcp());
+        assert_eq!(result, Err(NetError::LinkDown));
     }
 
     #[test]
@@ -404,7 +389,7 @@ mod tests {
         }
     }
 
-    /// The handshake spelt out with the public pieces, two events per leg:
+    /// The handshake spelt out as a closure chain, two events per leg:
     /// deliver the leg, an endpoint CPU event, send the next leg. Logs each
     /// leg's delivery instant into `arrivals`.
     fn spelt_out_connect(
@@ -447,9 +432,7 @@ mod tests {
             // on, the two event counts and the spelt-out legs' arrivals.
             let run = |seed: u64, faults: &FaultSchedule| {
                 let held = exchange(seed, faults, |sim, link, on| {
-                    let on =
-                        move |sim: &mut Sim, r: Result<Session, NetError>| on(sim, r.map(drop));
-                    Session::connect(sim, link.clone(), Dir::AToB, hs.clone(), on);
+                    connect(sim, link, Dir::AToB, &hs, on);
                 });
                 let arrivals = Rc::new(RefCell::new(Vec::new()));
                 let log = Rc::clone(&arrivals);

@@ -1,14 +1,23 @@
 //! The event loop.
 //!
-//! [`Sim`] owns a priority queue of scheduled events. An event is either a
-//! boxed `FnOnce(&mut Sim)`, so handlers can schedule further events, advance
-//! statistics, or mutate components captured as `Rc<RefCell<_>>`, or a
-//! [`TypedEvent`]: a few `Copy` words handed to a handler registered once
-//! ([`Sim::register_handler`]), for the events a model schedules by the
-//! thousand and does not want to allocate for. Ties in time break on the
+//! [`Sim`] owns a priority queue of scheduled events. A pending event is a
+//! [`Receiver`] — an `Rc<dyn Fn(&mut Sim, TypedEvent)>` — and the
+//! [`TypedEvent`] it will be handed: a tag byte, sixteen `aux` bits and a
+//! 64-bit payload. A component builds its receiver once, holding a `Weak`
+//! to its own state, and schedules every event it sends itself against it
+//! ([`Sim::schedule_event_at`]): a clone of an `Rc`, no allocation. A
+//! closure ([`Sim::schedule_at`]) rides the same slot as a one-shot
+//! receiver, so set-up code, tests and baselines can still schedule any
+//! `FnOnce(&mut Sim)`; each one costs an allocation, and
+//! [`Sim::boxed_scheduled`] counts them. Ties in time break on the
 //! monotonically increasing sequence number, which makes the execution order
 //! a pure function of the schedule calls — runs with the same seed are
 //! identical.
+//!
+//! A receiver is named by the event itself, not by an index into a table
+//! the `Sim` keeps, so any component can schedule typed events — one built
+//! without a `Sim` in reach, like a gatekeeper or an LRMS, and a thousand
+//! of them, where a one-byte handler id ran out at 255.
 //!
 //! The queue is a monotone radix queue (a radix heap: Ahuja, Mehlhorn, Orlin
 //! and Tarjan, 1990) of `(time, seq, slot)` keys over a slab of actions. It
@@ -18,12 +27,13 @@
 //! highest bit where it differs from that last key; scheduling is a `Vec`
 //! push, and firing scans the lowest non-empty bucket and files the rest of
 //! it one level down. Every slab slot knows its key's bucket and index, so
-//! [`Sim::cancel`] removes an event — key, slot and closure — at once, in
+//! [`Sim::cancel`] removes an event — key, slot and receiver — at once, in
 //! O(1): a cancelled event leaves nothing behind to skip or to sweep later.
 //! Every `schedule_*` call, closure or typed, consumes a `seq` whether or not
 //! the event is later cancelled, so the events that do fire, fire in the
 //! `(time, seq)` order of their schedule calls.
 
+use std::cell::Cell;
 use std::rc::Rc;
 
 use crate::rng::SimRng;
@@ -45,20 +55,17 @@ impl EventId {
     }
 }
 
-type Closure = Box<dyn FnOnce(&mut Sim)>;
-
-/// Names a handler registered with [`Sim::register_handler`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct HandlerId(u8);
+/// The receiver of [`TypedEvent`]s: what a component builds once and hands
+/// to every event it schedules for itself. It reaches the component's state
+/// through a `Weak`, so a pending event never keeps its component alive.
+pub type Receiver = Rc<dyn Fn(&mut Sim, TypedEvent)>;
 
 /// An event that is data, not a closure: scheduling one allocates nothing.
-/// When it fires, the handler `handler` names receives it back unchanged;
-/// what `tag`, `aux` and `payload` mean is between the scheduler and that
-/// handler.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+/// When it fires, the [`Receiver`] it was scheduled for gets it back
+/// unchanged; what `tag`, `aux` and `payload` mean is between the scheduler
+/// and that receiver.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct TypedEvent {
-    /// Who receives the event.
-    pub handler: HandlerId,
     /// Eight payload bits.
     pub tag: u8,
     /// Sixteen payload bits.
@@ -67,15 +74,28 @@ pub struct TypedEvent {
     pub payload: u64,
 }
 
-type Handler = Rc<dyn Fn(&mut Sim, TypedEvent)>;
+impl TypedEvent {
+    /// The event a component schedules for itself: what it is in `aux`, the
+    /// slot or value it concerns in `payload`, and `tag` left to whoever
+    /// delivers it (`cg-net` writes a message's outcome there).
+    pub const fn new(aux: u16, payload: u64) -> TypedEvent {
+        TypedEvent {
+            tag: 0,
+            aux,
+            payload,
+        }
+    }
+}
 
-/// What a pending event does when it fires: run a closure, or hand these 64
-/// payload bits (and the handler, tag and aux beside them in the [`Slot`])
-/// to a registered handler. A `Box` is never null, so the two variants share
-/// 16 bytes.
-enum Action {
-    Boxed(Closure),
-    Typed(u64),
+/// A closure as a one-shot receiver: the first call runs it, and nothing
+/// calls it twice — a slot's receiver is taken out of the slot to fire.
+fn once(action: impl FnOnce(&mut Sim) + 'static) -> Receiver {
+    let action = Cell::new(Some(action));
+    Rc::new(move |sim, _| {
+        if let Some(action) = action.take() {
+            action(sim);
+        }
+    })
 }
 
 /// One queue entry: when the event is due, and its id — the `seq` that
@@ -96,37 +116,26 @@ impl Key {
     }
 }
 
-/// One slab slot. `link` is where the event's key sits while the slot is
+/// One slab slot: the receiver of a pending event and the event's three
+/// payload fields. `link` is where the event's key sits while the slot is
 /// live — its bucket in the top eight bits, its index in that bucket in the
 /// low [`INDEX_BITS`] — and the next free slot (or [`NO_SLOT`]) while it is
-/// free. `handler`, `tag` and `aux` are the rest of a [`TypedEvent`] and
-/// occupy what would otherwise be padding; a closure's slot leaves them
-/// zero, and a free slot is a typed one for [`NO_HANDLER`], which no live
-/// key points at and no handler answers to.
+/// free. A closure is a one-shot receiver whose payload is zero; a free
+/// slot has no receiver, and no live key points at one.
 struct Slot {
-    action: Action,
+    receiver: Option<Receiver>,
+    payload: u64,
     link: u32,
-    handler: u8,
     tag: u8,
     aux: u16,
 }
 
 impl Slot {
-    fn boxed(closure: Closure) -> Slot {
+    fn new(receiver: Receiver, event: TypedEvent) -> Slot {
         Slot {
-            action: Action::Boxed(closure),
+            receiver: Some(receiver),
+            payload: event.payload,
             link: 0,
-            handler: 0,
-            tag: 0,
-            aux: 0,
-        }
-    }
-
-    fn typed(event: TypedEvent) -> Slot {
-        Slot {
-            action: Action::Typed(event.payload),
-            link: 0,
-            handler: event.handler.0,
             tag: event.tag,
             aux: event.aux,
         }
@@ -134,17 +143,22 @@ impl Slot {
 
     fn free(next: u32) -> Slot {
         Slot {
-            action: Action::Typed(0),
+            receiver: None,
+            payload: 0,
             link: next,
-            handler: NO_HANDLER,
             tag: 0,
             aux: 0,
         }
     }
-}
 
-/// The handler id of a free slot; [`Sim::register_handler`] never issues it.
-const NO_HANDLER: u8 = u8::MAX;
+    fn event(&self) -> TypedEvent {
+        TypedEvent {
+            tag: self.tag,
+            aux: self.aux,
+            payload: self.payload,
+        }
+    }
+}
 
 const NO_SLOT: u32 = u32::MAX;
 
@@ -319,7 +333,7 @@ impl Queue {
         self.free = slot;
         let entry = std::mem::replace(&mut self.slab[slot as usize], freed);
         debug_assert!(
-            entry.handler != NO_HANDLER,
+            entry.receiver.is_some(),
             "pending key pointed at a free slot"
         );
         entry
@@ -353,8 +367,8 @@ pub struct Sim {
     now: SimTime,
     next_seq: u64,
     queue: Queue,
-    /// The typed events' receivers, indexed by [`HandlerId`].
-    handlers: Vec<Handler>,
+    /// Closures scheduled so far ([`Sim::boxed_scheduled`]).
+    boxed: u64,
     rng: SimRng,
     executed: u64,
     event_budget: u64,
@@ -368,7 +382,7 @@ impl Sim {
             now: SimTime::ZERO,
             next_seq: 0,
             queue: Queue::new(),
-            handlers: Vec::new(),
+            boxed: 0,
             rng: SimRng::new(seed),
             executed: 0,
             event_budget: u64::MAX,
@@ -408,13 +422,20 @@ impl Sim {
         &mut self.rng
     }
 
+    /// Number of closures scheduled so far ([`Sim::schedule_at`] and its
+    /// two siblings). Each is one allocation; a [`TypedEvent`] is none.
+    pub fn boxed_scheduled(&self) -> u64 {
+        self.boxed
+    }
+
     /// Schedules `action` at the absolute instant `at`.
     ///
     /// # Panics
     /// Panics if `at` is in the past — scheduling backwards in time is always
     /// a model bug and silently clamping would hide it.
     pub fn schedule_at(&mut self, at: SimTime, action: impl FnOnce(&mut Sim) + 'static) -> EventId {
-        self.push(at, Slot::boxed(Box::new(action)))
+        self.boxed += 1;
+        self.push(at, Slot::new(once(action), TypedEvent::default()))
     }
 
     /// The one way into the queue: every event, closure or typed, takes the
@@ -446,44 +467,37 @@ impl Sim {
         self.schedule_at(self.now, action)
     }
 
-    /// Registers the receiver of the [`TypedEvent`]s scheduled under the
-    /// returned id. Handlers live as long as the `Sim`; a component registers
-    /// one when it is built and reaches its own state from inside it through
-    /// a `Weak`, so that the `Sim` does not keep the component alive.
-    ///
-    /// # Panics
-    /// Panics on the 256th registration: the id is one byte of the event.
-    pub fn register_handler(
-        &mut self,
-        handler: impl Fn(&mut Sim, TypedEvent) + 'static,
-    ) -> HandlerId {
-        let id = u8::try_from(self.handlers.len())
-            .ok()
-            .filter(|id| *id != NO_HANDLER)
-            .expect("too many typed-event handlers");
-        self.handlers.push(Rc::new(handler));
-        HandlerId(id)
-    }
-
-    /// Schedules `event` for its handler at the absolute instant `at`, as
+    /// Schedules `event` for `receiver` at the absolute instant `at`, as
     /// [`Sim::schedule_at`] schedules a closure: same panic on a past
     /// instant, one `seq` consumed, cancellable through the returned id.
+    /// The slot holds a clone of `receiver`; nothing is allocated.
     ///
     /// # Panics
-    /// Panics if `at` is in the past, or if `event.handler` was not issued
-    /// by this `Sim`.
-    pub fn schedule_event_at(&mut self, at: SimTime, event: TypedEvent) -> EventId {
-        assert!(
-            usize::from(event.handler.0) < self.handlers.len(),
-            "typed event for an unregistered handler"
-        );
-        self.push(at, Slot::typed(event))
+    /// Panics if `at` is in the past.
+    pub fn schedule_event_at(
+        &mut self,
+        at: SimTime,
+        receiver: &Receiver,
+        event: TypedEvent,
+    ) -> EventId {
+        self.push(at, Slot::new(Rc::clone(receiver), event))
     }
 
-    /// Schedules `event` for its handler after `delay` of simulated time.
-    pub fn schedule_event_in(&mut self, delay: SimDuration, event: TypedEvent) -> EventId {
+    /// Schedules `event` for `receiver` after `delay` of simulated time.
+    pub fn schedule_event_in(
+        &mut self,
+        delay: SimDuration,
+        receiver: &Receiver,
+        event: TypedEvent,
+    ) -> EventId {
         let at = self.now.saturating_add(delay);
-        self.schedule_event_at(at, event)
+        self.schedule_event_at(at, receiver, event)
+    }
+
+    /// Schedules `event` for `receiver` at the current instant, after all
+    /// events already scheduled for this instant.
+    pub fn schedule_event_now(&mut self, receiver: &Receiver, event: TypedEvent) -> EventId {
+        self.schedule_event_at(self.now, receiver, event)
     }
 
     /// Cancels a pending event: removes it from the queue and drops its
@@ -542,21 +556,9 @@ impl Sim {
         if let Some(hook) = self.trace.as_mut() {
             hook(key.time, key.id);
         }
-        match entry.action {
-            Action::Boxed(closure) => closure(self),
-            Action::Typed(payload) => {
-                let handler = Rc::clone(&self.handlers[usize::from(entry.handler)]);
-                handler(
-                    self,
-                    TypedEvent {
-                        handler: HandlerId(entry.handler),
-                        tag: entry.tag,
-                        aux: entry.aux,
-                        payload,
-                    },
-                );
-            }
-        }
+        let event = entry.event();
+        let receiver = entry.receiver.expect("a pending key names a live slot");
+        receiver(self, event);
     }
 }
 
@@ -577,11 +579,17 @@ mod tests {
     use std::rc::Rc;
 
     #[test]
-    fn a_pending_event_is_48_bytes_of_queue() {
+    fn a_pending_event_is_56_bytes_of_queue() {
         // Set-up phases schedule thousands of events back to back; what one
-        // costs beside its boxed closure is a key and a slot.
+        // costs beside a closure's allocation is a key and a slot.
         assert_eq!(std::mem::size_of::<Key>(), 24);
-        assert_eq!(std::mem::size_of::<Slot>(), 24);
+        assert_eq!(std::mem::size_of::<Slot>(), 32);
+    }
+
+    /// A receiver that logs `(which, payload)` for every event it gets.
+    fn logging(log: &Rc<RefCell<Vec<(u8, u64)>>>, which: u8) -> Receiver {
+        let log = Rc::clone(log);
+        Rc::new(move |_, event| log.borrow_mut().push((which, event.payload)))
     }
 
     #[test]
@@ -592,7 +600,7 @@ mod tests {
         let mut sim = Sim::new(1);
         let log: Rc<RefCell<Vec<u64>>> = Rc::new(RefCell::new(Vec::new()));
         let seen = Rc::clone(&log);
-        let handler = sim.register_handler(move |sim, event| {
+        let receiver: Receiver = Rc::new(move |sim, event| {
             assert_eq!(sim.now(), SimTime::from_secs(1));
             assert_eq!((event.tag, event.aux), (7, 0xBEEF));
             seen.borrow_mut().push(event.payload);
@@ -603,15 +611,15 @@ mod tests {
                 sim.schedule_at(SimTime::from_secs(1), move |_| log.borrow_mut().push(n))
             } else {
                 let event = TypedEvent {
-                    handler,
                     tag: 7,
                     aux: 0xBEEF,
                     payload: n,
                 };
-                sim.schedule_event_in(SimDuration::from_secs(1), event)
+                sim.schedule_event_in(SimDuration::from_secs(1), &receiver, event)
             };
             assert_eq!(id.raw(), n, "closure or typed, one seq per schedule call");
         }
+        assert_eq!(sim.boxed_scheduled(), 5, "only the closures are counted");
         assert_eq!(sim.run(), RunOutcome::Drained);
         assert_eq!(*log.borrow(), (0..10).collect::<Vec<_>>());
     }
@@ -620,22 +628,17 @@ mod tests {
     fn typed_events_cancel_like_closures_and_reach_their_own_handler() {
         let mut sim = Sim::new(1);
         let log: Rc<RefCell<Vec<(u8, u64)>>> = Rc::new(RefCell::new(Vec::new()));
-        let handlers: Vec<HandlerId> = (0..3u8)
-            .map(|h| {
-                let log = Rc::clone(&log);
-                sim.register_handler(move |_, event| log.borrow_mut().push((h, event.payload)))
-            })
-            .collect();
-        let event = |h: usize, payload| TypedEvent {
-            handler: handlers[h],
-            tag: 0,
-            aux: 0,
+        let receivers: Vec<Receiver> = (0..3u8).map(|h| logging(&log, h)).collect();
+        let event = |payload| TypedEvent {
             payload,
+            ..TypedEvent::default()
         };
-        sim.schedule_event_in(SimDuration::from_secs(3), event(2, 30));
-        let gone = sim.schedule_event_in(SimDuration::from_secs(2), event(1, 20));
-        sim.schedule_event_in(SimDuration::from_secs(1), event(0, 10));
+        sim.schedule_event_in(SimDuration::from_secs(3), &receivers[2], event(30));
+        let gone = sim.schedule_event_in(SimDuration::from_secs(2), &receivers[1], event(20));
+        sim.schedule_event_in(SimDuration::from_secs(1), &receivers[0], event(10));
+        assert_eq!(Rc::strong_count(&receivers[1]), 2, "the slot holds a clone");
         assert!(sim.cancel(gone));
+        assert_eq!(Rc::strong_count(&receivers[1]), 1, "cancel drops it");
         assert!(!sim.cancel(gone));
         assert_eq!(sim.pending(), 2);
         // A closure takes over the cancelled event's slot.
@@ -645,19 +648,39 @@ mod tests {
         sim.run();
         assert_eq!(*log.borrow(), vec![(0, 10), (2, 30)]);
         assert_eq!(sim.events_executed(), 3);
+        assert!(
+            receivers.iter().all(|r| Rc::strong_count(r) == 1),
+            "a fired event lets go of its receiver"
+        );
     }
 
     #[test]
-    #[should_panic(expected = "unregistered handler")]
-    fn a_typed_event_needs_a_handler_of_this_sim() {
-        let handler = Sim::new(1).register_handler(|_, _| {});
-        let event = TypedEvent {
-            handler,
-            tag: 0,
-            aux: 0,
-            payload: 0,
-        };
-        Sim::new(2).schedule_event_in(SimDuration::ZERO, event);
+    fn a_receiver_holding_a_weak_does_not_keep_its_component_alive() {
+        // The idiom every component follows: the receiver reaches the state
+        // through a `Weak`, so the events pending in the `Sim` do not own it,
+        // and an event that outlives its component does nothing.
+        let mut sim = Sim::new(1);
+        let state = Rc::new(RefCell::new(0u64));
+        let weak = Rc::downgrade(&state);
+        let receiver: Receiver = Rc::new(move |_, event| {
+            if let Some(state) = weak.upgrade() {
+                *state.borrow_mut() += event.payload;
+            }
+        });
+        for (secs, payload) in [(1, 5), (2, 7)] {
+            let event = TypedEvent {
+                payload,
+                ..TypedEvent::default()
+            };
+            sim.schedule_event_in(SimDuration::from_secs(secs), &receiver, event);
+        }
+        sim.run_until(SimTime::from_secs(1));
+        assert_eq!(*state.borrow(), 5);
+        let gone = Rc::downgrade(&state);
+        drop(state);
+        assert!(gone.upgrade().is_none(), "the pending event held its state");
+        assert_eq!(sim.run(), RunOutcome::Drained);
+        assert_eq!(sim.events_executed(), 2);
     }
 
     #[test]

@@ -8,7 +8,7 @@
 //! Pieces:
 //! - [`SimTime`] / [`SimDuration`] — integer-nanosecond clock.
 //! - [`Sim`] — the event loop; events are `FnOnce(&mut Sim)` closures or
-//!   allocation-free [`TypedEvent`]s for a registered handler; time ties
+//!   allocation-free [`TypedEvent`]s for a component's receiver; time ties
 //!   break on schedule order.
 //! - [`SimRng`] — seeded random stream with the distributions the models use
 //!   (exponential, normal, log-normal, Pareto), all implemented locally so an
@@ -44,11 +44,13 @@
 mod engine;
 mod resource;
 mod rng;
+mod slab;
 mod stats;
 mod time;
 
-pub use engine::{EventId, HandlerId, RunOutcome, Sim, TypedEvent};
+pub use engine::{EventId, Receiver, RunOutcome, Sim, TypedEvent};
 pub use resource::Resource;
 pub use rng::SimRng;
+pub use slab::Slab;
 pub use stats::{Histogram, OnlineStats, SampleSet, TimeSeries};
 pub use time::{SimDuration, SimTime};

@@ -11,9 +11,10 @@
 //! The file holds one test on purpose: the counter is process-wide.
 
 use std::alloc::{GlobalAlloc, Layout, System};
+use std::rc::Rc;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 
-use cg_sim::{HandlerId, RunOutcome, Sim, SimDuration, SimTime, TypedEvent};
+use cg_sim::{Receiver, RunOutcome, Sim, SimDuration, SimTime, TypedEvent};
 
 struct Counting;
 
@@ -92,16 +93,15 @@ const SEQS: u64 = 1 << 15;
 /// the earlier day left it. (The first event's own bucket depends on the
 /// last key of the day before: the same for a day after an even block as
 /// for the first day.)
-fn day(sim: &mut Sim, handler: HandlerId, blocks: u64) {
+fn day(sim: &mut Sim, receiver: &Receiver, blocks: u64) {
     let event = |payload| TypedEvent {
-        handler,
         tag: 1,
         aux: 2,
         payload,
     };
     let start = SimTime::from_nanos(blocks * BLOCK);
     loop {
-        let id = sim.schedule_event_at(start, event(0));
+        let id = sim.schedule_event_at(start, receiver, event(0));
         if id.raw().is_multiple_of(SEQS) {
             break;
         }
@@ -109,11 +109,11 @@ fn day(sim: &mut Sim, handler: HandlerId, blocks: u64) {
     }
     assert_eq!(sim.run(), RunOutcome::Drained);
     for n in 0..2_000 {
-        sim.schedule_event_in(delay(1_000_000 + n), event(n));
+        sim.schedule_event_in(delay(1_000_000 + n), receiver, event(n));
     }
     for n in 0..10_000 {
-        sim.schedule_event_in(delay(2 * n), event(n));
-        let doomed = sim.schedule_event_in(delay(2 * n + 1), event(n));
+        sim.schedule_event_in(delay(2 * n), receiver, event(n));
+        let doomed = sim.schedule_event_in(delay(2 * n + 1), receiver, event(n));
         assert!(sim.cancel(doomed));
         assert!(sim.step());
         assert_eq!(sim.pending(), 2_000);
@@ -131,11 +131,11 @@ fn the_queue_allocates_nothing_once_warm() {
         "Sim::new allocates"
     );
     let mut sim = sim.unwrap();
-    let handler = sim.register_handler(|_, _| {});
-    day(&mut sim, handler, 1);
-    day(&mut sim, handler, 2);
+    let receiver: Receiver = Rc::new(|_, _| {});
+    day(&mut sim, &receiver, 1);
+    day(&mut sim, &receiver, 2);
     let fired = sim.events_executed();
-    let calls = allocations(|| day(&mut sim, handler, 3));
+    let calls = allocations(|| day(&mut sim, &receiver, 3));
     assert_eq!(sim.events_executed() - fired, 1 + 2_000 + 10_000);
     assert_eq!(
         calls, 0,

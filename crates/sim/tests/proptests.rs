@@ -1,6 +1,6 @@
 //! Property tests for the simulation engine's core invariants.
 
-use cg_sim::{EventId, HandlerId, RunOutcome, Sim, SimDuration, SimTime, TypedEvent};
+use cg_sim::{EventId, Receiver, RunOutcome, Sim, SimDuration, SimTime, TypedEvent};
 use proptest::prelude::*;
 use std::cell::RefCell;
 use std::collections::BTreeMap;
@@ -165,6 +165,7 @@ fn fire<K: Kernel>(k: &mut K, program: &Rc<Program>, tag: usize) {
 struct RealState {
     ids: Vec<EventId>,
     log: Vec<Obs>,
+    receiver: Option<Receiver>,
 }
 
 /// The kernel under test, as the outer loop and as a running handler see it.
@@ -172,7 +173,7 @@ struct Real<'a> {
     sim: &'a mut Sim,
     state: &'a Rc<RefCell<RealState>>,
     /// Receives the typed events; their payload is the tag.
-    handler: HandlerId,
+    receiver: Receiver,
 }
 
 impl Kernel for Real<'_> {
@@ -187,21 +188,21 @@ impl Kernel for Real<'_> {
     }
     fn schedule_in(&mut self, program: &Rc<Program>, delay: u64) {
         let tag = self.created();
-        let (program, state, handler) = (Rc::clone(program), Rc::clone(self.state), self.handler);
+        let (program, state) = (Rc::clone(program), Rc::clone(self.state));
+        let receiver = Rc::clone(&self.receiver);
         let action = move |sim: &mut Sim| {
             let state = &state;
             fire(
                 &mut Real {
                     sim,
                     state,
-                    handler,
+                    receiver,
                 },
                 &program,
                 tag,
             );
         };
         let event = TypedEvent {
-            handler,
             tag: tag as u8,
             aux: (tag >> 8) as u16,
             payload: tag as u64,
@@ -209,10 +210,11 @@ impl Kernel for Real<'_> {
         let at = self.sim.now() + SimDuration::from_nanos(delay);
         // The five ways in are one way in.
         let id = match (tag % 3, delay) {
-            (2, _) if tag.is_multiple_of(2) => self
-                .sim
-                .schedule_event_in(SimDuration::from_nanos(delay), event),
-            (2, _) => self.sim.schedule_event_at(at, event),
+            (2, _) if tag.is_multiple_of(2) => {
+                self.sim
+                    .schedule_event_in(SimDuration::from_nanos(delay), &self.receiver, event)
+            }
+            (2, _) => self.sim.schedule_event_at(at, &self.receiver, event),
             (_, 0) => self.sim.schedule_now(action),
             _ if tag.is_multiple_of(2) => {
                 self.sim.schedule_in(SimDuration::from_nanos(delay), action)
@@ -315,29 +317,33 @@ fn differential(scale: Scale, scripts: Vec<Vec<(u8, u64)>>, steps: Vec<(u8, u64)
     });
     let mut sim = Sim::new(0);
     let state = Rc::new(RefCell::new(RealState::default()));
-    let handler = {
+    // The receiver reaches itself through the state it logs into: a cycle,
+    // which a test can afford.
+    let receiver: Receiver = {
         let (program, state) = (Rc::clone(&program), Rc::clone(&state));
-        sim.register_handler(move |sim, event| {
+        Rc::new(move |sim, event| {
             let tag = event.payload as usize;
             assert_eq!((event.tag, event.aux), (tag as u8, (tag >> 8) as u16));
-            let (state, handler) = (&state, event.handler);
+            let receiver = state.borrow().receiver.clone().expect("set below");
+            let state = &state;
             fire(
                 &mut Real {
                     sim,
                     state,
-                    handler,
+                    receiver,
                 },
                 &program,
                 tag,
             );
         })
     };
+    state.borrow_mut().receiver = Some(Rc::clone(&receiver));
     let mut model = Model::default();
     for (kind, arg) in steps {
         let mut real = Real {
             sim: &mut sim,
             state: &state,
-            handler,
+            receiver: Rc::clone(&receiver),
         };
         match kind {
             0..=7 => {

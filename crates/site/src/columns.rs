@@ -250,7 +250,7 @@ mod tests {
     }
 
     #[test]
-    fn advance_shares_clean_sites_and_bumps_dirty_epochs() {
+    fn advance_shares_clean_sites_and_gives_changed_ones_a_new_arc() {
         let s0 = AdSnapshot::build(vec![ad("uab", 4), ad("ifca", 8)]);
         let s1 = s0.advance(vec![ad("uab", 4), ad("ifca", 7)]);
         assert!(

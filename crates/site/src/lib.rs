@@ -32,7 +32,7 @@ pub use lrms::{
     LocalDisposition, LocalJobId, LocalJobSpec, Lrms, LrmsEvent, LrmsStats, Policy,
     DEFAULT_DISPOSITION_RETENTION,
 };
-pub use mds::{InformationIndex, RefreshWindow};
+pub use mds::{InformationIndex, QueryReply, RefreshWindow};
 pub use membership::{MembershipConfig, MembershipState, MembershipTable, Transition};
 pub use site::{machine_schema, Site, SiteConfig};
 pub use wn::NodeSpec;

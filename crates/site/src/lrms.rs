@@ -11,7 +11,7 @@ use std::cell::RefCell;
 use std::collections::{BTreeMap, VecDeque};
 use std::rc::Rc;
 
-use cg_sim::{EventId, OnlineStats, Sim, SimDuration, SimTime};
+use cg_sim::{EventId, OnlineStats, Receiver, Sim, SimDuration, SimTime, Slab, TypedEvent};
 use serde::{Deserialize, Serialize};
 
 use crate::backend::{BackendCallback, BackendError};
@@ -117,6 +117,9 @@ struct QueuedJob {
 struct RunningJob {
     callback: Callback,
     nodes: Vec<usize>,
+    /// The spec's runtime and walltime, for the timers set at the start.
+    runtime: Option<SimDuration>,
+    walltime: Option<SimDuration>,
     /// The pending start, so a kill inside the window can cancel it.
     start_event: Option<EventId>,
     finish_event: Option<EventId>,
@@ -165,6 +168,41 @@ struct Inner {
     retention: usize,
     /// Lifecycle event sink and this scheduler's site label.
     trace: Option<(cg_trace::EventLog, String)>,
+    /// Lifecycle notices waiting for their event: `(callback, job, what)`.
+    notices: Slab<(Callback, LocalJobId, LrmsEvent)>,
+    /// What the scheduler's own events reach, built at the first
+    /// submission; it holds the scheduler through a `Weak`.
+    receiver: Option<Receiver>,
+}
+
+/// Which of the scheduler's own events this is: the `aux` of a typed event
+/// for its receiver. The payload is a notice's slot or a job's id.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Step {
+    /// Deliver a lifecycle notice to its submitter.
+    Notice,
+    /// A scheduler pass over the queue.
+    Dispatch,
+    /// A dispatched job leaves the dispatch-latency window.
+    Start,
+    /// A job's runtime is over.
+    Finish,
+    /// A job's walltime is over.
+    Walltime,
+}
+
+impl Step {
+    const ALL: [Step; 5] = [
+        Step::Notice,
+        Step::Dispatch,
+        Step::Start,
+        Step::Finish,
+        Step::Walltime,
+    ];
+
+    fn event(self, payload: u64) -> TypedEvent {
+        TypedEvent::new(self as u16, payload)
+    }
 }
 
 /// A local batch scheduler handle. Clones share state.
@@ -174,10 +212,12 @@ pub struct Lrms {
 }
 
 /// See [`Lrms::downgrade`].
+#[cfg(test)]
 pub(crate) struct WeakLrms {
     inner: std::rc::Weak<RefCell<Inner>>,
 }
 
+#[cfg(test)]
 impl WeakLrms {
     /// The scheduler, unless every strong handle has been dropped.
     pub(crate) fn upgrade(&self) -> Option<Lrms> {
@@ -186,6 +226,15 @@ impl WeakLrms {
 }
 
 impl Lrms {
+    /// A handle that does not keep the scheduler alive: what a leak test
+    /// holds to see the scheduler go.
+    #[cfg(test)]
+    pub(crate) fn downgrade(&self) -> WeakLrms {
+        WeakLrms {
+            inner: Rc::downgrade(&self.inner),
+        }
+    }
+
     /// Creates an LRMS over `nodes` worker nodes.
     ///
     /// # Panics
@@ -224,17 +273,57 @@ impl Lrms {
                 done: BTreeMap::new(),
                 retention: DEFAULT_DISPOSITION_RETENTION,
                 trace: None,
+                notices: Slab::default(),
+                receiver: None,
             })),
         })
     }
 
-    /// A handle that does not keep the scheduler alive — for callbacks the
-    /// scheduler itself stores (a strong handle there is a reference cycle
-    /// that leaks the scheduler while the job is live).
-    pub(crate) fn downgrade(&self) -> WeakLrms {
-        WeakLrms {
-            inner: Rc::downgrade(&self.inner),
+    fn receiver(&self) -> Receiver {
+        let mut inner = self.inner.borrow_mut();
+        let receiver = inner.receiver.get_or_insert_with(|| {
+            let weak = Rc::downgrade(&self.inner);
+            Rc::new(move |sim, event| {
+                if let Some(inner) = weak.upgrade() {
+                    Lrms { inner }.on_step(sim, event);
+                }
+            })
+        });
+        Rc::clone(receiver)
+    }
+
+    /// The receiver of every event the scheduler schedules for itself.
+    fn on_step(&self, sim: &mut Sim, event: TypedEvent) {
+        let id = LocalJobId(event.payload);
+        match Step::ALL[usize::from(event.aux)] {
+            Step::Notice => {
+                let notice = self.inner.borrow_mut().notices.remove(event.payload);
+                let (callback, id, what) = notice.expect("one delivery per notice");
+                callback(sim, id, &what);
+            }
+            Step::Dispatch => self.try_dispatch(sim),
+            Step::Start => self.start(sim, id),
+            Step::Finish => self.end_job(sim, id, None),
+            Step::Walltime => self.end_job(sim, id, Some("walltime exceeded".into())),
         }
+    }
+
+    /// Schedules `what` for `callback` at the current instant.
+    fn notify(&self, sim: &mut Sim, callback: Callback, id: LocalJobId, what: LrmsEvent) {
+        let receiver = self.receiver();
+        let slot = self.inner.borrow_mut().notices.insert((callback, id, what));
+        sim.schedule_event_now(&receiver, Step::Notice.event(slot));
+    }
+
+    /// Schedules a scheduler pass at the current instant.
+    fn schedule_dispatch(&self, sim: &mut Sim) {
+        let receiver = self.receiver();
+        sim.schedule_event_now(&receiver, Step::Dispatch.event(0));
+    }
+
+    /// Notices not yet delivered: zero once a drained world is idle.
+    pub fn notices_pending(&self) -> usize {
+        self.inner.borrow().notices.len()
     }
 
     /// Caps how many terminal dispositions [`Lrms::disposition`] retains.
@@ -311,10 +400,8 @@ impl Lrms {
             site: site.to_string(),
             job: id.0,
         });
-        let cb = Rc::clone(&callback);
-        sim.schedule_now(move |sim| cb(sim, id, &LrmsEvent::Queued));
-        let this = self.clone();
-        sim.schedule_now(move |sim| this.try_dispatch(sim));
+        self.notify(sim, callback, id, LrmsEvent::Queued);
+        self.schedule_dispatch(sim);
         id
     }
 
@@ -343,8 +430,7 @@ impl Lrms {
                     reason: reason.clone(),
                 });
                 self.trace_evictions(sim, &evicted);
-                let cb = q.callback;
-                sim.schedule_now(move |sim| cb(sim, id, &LrmsEvent::Killed { reason }));
+                self.notify(sim, q.callback, id, LrmsEvent::Killed { reason });
                 return true;
             }
         }
@@ -475,40 +561,36 @@ impl Lrms {
             },
         });
         self.trace_evictions(sim, &evicted);
-        let cb = job.callback;
         let event = match kill_reason {
             Some(reason) => LrmsEvent::Killed { reason },
             None => LrmsEvent::Finished,
         };
-        sim.schedule_now(move |sim| cb(sim, id, &event));
-        let this = self.clone();
-        sim.schedule_now(move |sim| this.try_dispatch(sim));
+        self.notify(sim, job.callback, id, event);
+        self.schedule_dispatch(sim);
     }
 
+    /// Dispatches what fits, by policy, until nothing does. A job's nodes
+    /// are the lowest-numbered free ones.
     fn try_dispatch(&self, sim: &mut Sim) {
         loop {
             let mut inner = self.inner.borrow_mut();
             if inner.queue.is_empty() {
                 return;
             }
-            let free: Vec<usize> = inner
-                .node_busy
-                .iter()
-                .enumerate()
-                .filter_map(|(i, b)| (!b).then_some(i))
-                .collect();
+            let free = inner.free;
             // Pick the next job per policy.
             let pick = match inner.policy {
                 Policy::Fifo => {
                     let head = &inner.queue[0];
-                    (head.spec.nodes as usize <= free.len()).then_some(0)
+                    (head.spec.nodes as usize <= free).then_some(0)
                 }
-                Policy::FifoBackfill => (0..inner.queue.len())
-                    .find(|&i| inner.queue[i].spec.nodes as usize <= free.len()),
+                Policy::FifoBackfill => {
+                    (0..inner.queue.len()).find(|&i| inner.queue[i].spec.nodes as usize <= free)
+                }
                 Policy::Priority => {
                     let mut best: Option<usize> = None;
                     for i in 0..inner.queue.len() {
-                        if inner.queue[i].spec.nodes as usize > free.len() {
+                        if inner.queue[i].spec.nodes as usize > free {
                             continue;
                         }
                         best = Some(match best {
@@ -528,7 +610,13 @@ impl Lrms {
             };
             let Some(pick) = pick else { return };
             let job = inner.queue.remove(pick).expect("pick index valid");
-            let nodes: Vec<usize> = free[..job.spec.nodes as usize].to_vec();
+            let nodes: Vec<usize> = inner
+                .node_busy
+                .iter()
+                .enumerate()
+                .filter_map(|(i, busy)| (!busy).then_some(i))
+                .take(job.spec.nodes as usize)
+                .collect();
             for &n in &nodes {
                 inner.node_busy[n] = true;
             }
@@ -540,61 +628,66 @@ impl Lrms {
             drop(inner);
 
             let id = job.id;
-            let spec = job.spec;
-            let this = self.clone();
-            let start_event = sim.schedule_in(dispatch, move |sim| {
-                // Leave the window, then announce.
-                let mut finish_event = None;
-                let mut kill_event = None;
-                if let Some(rt) = spec.runtime {
-                    let this2 = this.clone();
-                    let run = match spec.walltime {
-                        Some(w) if w < rt => None, // walltime fires first
-                        _ => Some(rt),
-                    };
-                    if let Some(rt) = run {
-                        finish_event =
-                            Some(sim.schedule_in(rt, move |sim| this2.end_job(sim, id, None)));
-                    }
-                }
-                if let Some(w) = spec.walltime {
-                    if spec.runtime.is_none_or(|rt| w < rt) {
-                        let this2 = this.clone();
-                        kill_event = Some(sim.schedule_in(w, move |sim| {
-                            this2.end_job(sim, id, Some("walltime exceeded".into()));
-                        }));
-                    }
-                }
-                let (callback, nodes) = {
-                    let mut inner = this.inner.borrow_mut();
-                    inner.dispatching -= 1;
-                    let job = inner
-                        .running
-                        .get_mut(&id)
-                        .expect("a kill inside the window cancels this event");
-                    job.start_event = None;
-                    job.finish_event = finish_event;
-                    job.kill_event = kill_event;
-                    (Rc::clone(&job.callback), job.nodes.clone())
-                };
-                this.trace_event(sim, |site| cg_trace::Event::LrmsStarted {
-                    site: site.to_string(),
-                    job: id.0,
-                    nodes: nodes.len() as u32,
-                });
-                callback(sim, id, &LrmsEvent::Started { nodes });
-            });
+            let receiver = self.receiver();
+            let start_event = sim.schedule_event_in(dispatch, &receiver, Step::Start.event(id.0));
             self.inner.borrow_mut().running.insert(
                 id,
                 RunningJob {
                     callback: job.callback,
                     nodes,
+                    runtime: job.spec.runtime,
+                    walltime: job.spec.walltime,
                     start_event: Some(start_event),
                     finish_event: None,
                     kill_event: None,
                 },
             );
         }
+    }
+
+    /// A dispatched job leaves the dispatch-latency window: its timers are
+    /// set, then it is announced.
+    fn start(&self, sim: &mut Sim, id: LocalJobId) {
+        let receiver = self.receiver();
+        let (runtime, walltime) = {
+            let inner = self.inner.borrow();
+            let job = inner
+                .running
+                .get(&id)
+                .expect("a kill inside the window cancels this event");
+            (job.runtime, job.walltime)
+        };
+        let mut finish_event = None;
+        let mut kill_event = None;
+        if let Some(rt) = runtime {
+            let run = match walltime {
+                Some(w) if w < rt => None, // walltime fires first
+                _ => Some(rt),
+            };
+            if let Some(rt) = run {
+                finish_event = Some(sim.schedule_event_in(rt, &receiver, Step::Finish.event(id.0)));
+            }
+        }
+        if let Some(w) = walltime {
+            if runtime.is_none_or(|rt| w < rt) {
+                kill_event = Some(sim.schedule_event_in(w, &receiver, Step::Walltime.event(id.0)));
+            }
+        }
+        let (callback, nodes) = {
+            let mut inner = self.inner.borrow_mut();
+            inner.dispatching -= 1;
+            let job = inner.running.get_mut(&id).expect("checked above");
+            job.start_event = None;
+            job.finish_event = finish_event;
+            job.kill_event = kill_event;
+            (Rc::clone(&job.callback), job.nodes.clone())
+        };
+        self.trace_event(sim, |site| cg_trace::Event::LrmsStarted {
+            site: site.to_string(),
+            job: id.0,
+            nodes: nodes.len() as u32,
+        });
+        callback(sim, id, &LrmsEvent::Started { nodes });
     }
 }
 

@@ -25,8 +25,8 @@ use std::rc::{Rc, Weak};
 use std::sync::Arc;
 
 use cg_jdl::Ad;
-use cg_net::{Dir, FaultSchedule, Link, NetError};
-use cg_sim::{HandlerId, Sim, SimDuration, SimTime, TypedEvent};
+use cg_net::{delivery_outcome, Dir, FaultSchedule, Link, NetError};
+use cg_sim::{Receiver, Sim, SimDuration, SimTime, Slab, TypedEvent};
 
 use crate::columns::AdSnapshot;
 use crate::membership::{MembershipConfig, MembershipState, MembershipTable, Transition};
@@ -36,6 +36,11 @@ use crate::site::Site;
 /// membership transition, refresh-driven or reported. The broker hangs
 /// its obituary/re-match logic here.
 type MembershipObserver = Rc<dyn Fn(&mut Sim, usize, &Transition)>;
+
+/// Who an index query answers: built once by the querier, it is handed the
+/// querier's token and the snapshot (or the network error) inside the
+/// reply's delivery event, so a query allocates nothing.
+pub type QueryReply = Rc<dyn Fn(&mut Sim, u64, Result<Arc<AdSnapshot>, NetError>)>;
 
 /// Windowed-refresh parameters: instead of the legacy instantaneous walk,
 /// each refresh tick opens a *sweep* that pulls at most `fanout` sites
@@ -74,35 +79,46 @@ struct SweepState {
     arrived: Vec<(usize, Arc<Ad>)>,
 }
 
-/// The windowed sweep's site pulls whose reply is on its way, each `(sweep
-/// gen, site, the ad pulled at attempt time)` in the slot its reply event
-/// carries as payload. A slot is freed when its reply lands and reused by
-/// the next pull, so the table allocates only when more pulls are in flight
-/// than ever before.
-#[derive(Default)]
-struct Pulls {
-    slots: Vec<Option<(u64, usize, Arc<Ad>)>>,
-    free: Vec<usize>,
+/// A query between the request leaving and the reply landing.
+struct Query {
+    link: Link,
+    reply: QueryReply,
+    token: u64,
+    /// What the index served, once the service step has run.
+    served: Option<Arc<AdSnapshot>>,
 }
 
-impl Pulls {
-    fn insert(&mut self, pull: (u64, usize, Arc<Ad>)) -> usize {
-        match self.free.pop() {
-            Some(slot) => {
-                self.slots[slot] = Some(pull);
-                slot
-            }
-            None => {
-                self.slots.push(Some(pull));
-                self.slots.len() - 1
-            }
-        }
-    }
+/// Which of the index's own events this is: the `aux` of a typed event
+/// for its receiver. The payload is the slot of the pull or query it
+/// concerns; a message's arrival carries the link's outcome in `tag`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Step {
+    /// The legacy refresh tick.
+    Refresh,
+    /// The windowed refresh tick.
+    Tick,
+    /// A windowed pull's publication reply lands.
+    Pull,
+    /// A query's request reached the index (or did not).
+    Request,
+    /// The index has served a query.
+    Service,
+    /// A query's reply reached the querier (or did not).
+    Reply,
+}
 
-    fn take(&mut self, slot: usize) -> (u64, usize, Arc<Ad>) {
-        let pull = self.slots[slot].take().expect("one reply per pull");
-        self.free.push(slot);
-        pull
+impl Step {
+    const ALL: [Step; 6] = [
+        Step::Refresh,
+        Step::Tick,
+        Step::Pull,
+        Step::Request,
+        Step::Service,
+        Step::Reply,
+    ];
+
+    fn event(self, slot: u64) -> TypedEvent {
+        TypedEvent::new(self as u16, slot)
     }
 }
 
@@ -126,10 +142,14 @@ struct Inner {
     observer: Option<MembershipObserver>,
     /// `Some` puts the refresh cycle in windowed mode.
     window: Option<RefreshWindow>,
-    /// Where a windowed index's publication replies go (registered once, by
-    /// [`InformationIndex::start_windowed`]), and what each one carries.
-    reply_handler: Option<HandlerId>,
-    pulls: Pulls,
+    /// What the index's own events reach: refresh ticks, publication
+    /// replies and queries. It holds the index through a `Weak`.
+    receiver: Receiver,
+    /// The windowed sweep's site pulls whose reply is on its way, each
+    /// `(sweep gen, site, the ad pulled at attempt time)`.
+    pulls: Slab<(u64, usize, Arc<Ad>)>,
+    /// Queries in flight.
+    queries: Slab<Query>,
     sweep: Option<SweepState>,
     next_sweep_gen: u64,
     /// Total late replies merged after their sweep closed.
@@ -171,28 +191,15 @@ impl InformationIndex {
         membership: MembershipConfig,
     ) -> Self {
         let ads = sites.iter().map(Site::machine_ad_arc).collect();
-        let n = sites.len();
-        let index = InformationIndex {
-            inner: Rc::new(RefCell::new(Inner {
-                sites,
-                snapshot: Arc::new(AdSnapshot::build_shared(ads)),
-                refreshed_at: sim.now(),
-                published_at: vec![sim.now(); n],
-                refresh_interval,
-                query_cpu_s: 0.42,
-                refreshes: 0,
-                publish_faults,
-                membership: MembershipTable::new(n, membership),
-                observer: None,
-                window: None,
-                reply_handler: None,
-                pulls: Pulls::default(),
-                sweep: None,
-                next_sweep_gen: 0,
-                late_merges: 0,
-                amnestied: 0,
-            })),
-        };
+        let index = InformationIndex::build(
+            sim.now(),
+            sites,
+            ads,
+            refresh_interval,
+            publish_faults,
+            membership,
+            None,
+        );
         index.schedule_refresh(sim);
         index
     }
@@ -224,9 +231,39 @@ impl InformationIndex {
                 }
             })
             .collect();
+        let index = InformationIndex::build(
+            now,
+            sites,
+            ads,
+            refresh_interval,
+            publish_faults,
+            membership,
+            Some(window),
+        );
+        index.schedule_windowed_tick(sim);
+        index
+    }
+
+    /// The index over `sites`, publishing `ads` at `now`, refresh cycle
+    /// not started.
+    fn build(
+        now: SimTime,
+        sites: Vec<Site>,
+        ads: Vec<Arc<Ad>>,
+        refresh_interval: SimDuration,
+        publish_faults: Vec<FaultSchedule>,
+        membership: MembershipConfig,
+        window: Option<RefreshWindow>,
+    ) -> InformationIndex {
         let n = sites.len();
-        let index = InformationIndex {
-            inner: Rc::new(RefCell::new(Inner {
+        let inner = Rc::new_cyclic(|weak: &Weak<RefCell<Inner>>| {
+            let weak = weak.clone();
+            let receiver: Receiver = Rc::new(move |sim, event| {
+                if let Some(inner) = weak.upgrade() {
+                    InformationIndex { inner }.on_event(sim, event);
+                }
+            });
+            RefCell::new(Inner {
                 sites,
                 snapshot: Arc::new(AdSnapshot::build_shared(ads)),
                 refreshed_at: now,
@@ -237,79 +274,85 @@ impl InformationIndex {
                 publish_faults,
                 membership: MembershipTable::new(n, membership),
                 observer: None,
-                window: Some(window),
-                reply_handler: None,
-                pulls: Pulls::default(),
+                window,
+                receiver,
+                pulls: Slab::default(),
+                queries: Slab::default(),
                 sweep: None,
                 next_sweep_gen: 0,
                 late_merges: 0,
                 amnestied: 0,
-            })),
-        };
-        // The handler holds the index weakly: it lives as long as the `Sim`.
-        let weak = Rc::downgrade(&index.inner);
-        let handler = sim.register_handler(move |sim, event| {
-            if let Some(inner) = Weak::upgrade(&weak) {
-                InformationIndex { inner }.on_reply(sim, event);
-            }
+            })
         });
-        index.inner.borrow_mut().reply_handler = Some(handler);
-        index.schedule_windowed_tick(sim);
-        index
+        InformationIndex { inner }
+    }
+
+    /// The receiver of every event the index schedules for itself.
+    fn on_event(&self, sim: &mut Sim, event: TypedEvent) {
+        match Step::ALL[usize::from(event.aux)] {
+            Step::Refresh => self.refresh(sim),
+            Step::Tick => {
+                // Force-close whatever the previous sweep left open
+                // (amnesty for in-flight and unattempted sites), then open
+                // a new sweep.
+                self.close_sweep(sim);
+                self.begin_sweep(sim);
+                self.schedule_windowed_tick(sim);
+            }
+            Step::Pull => self.on_reply(sim, event),
+            Step::Request | Step::Service | Step::Reply => self.on_query(sim, event),
+        }
     }
 
     fn schedule_refresh(&self, sim: &mut Sim) {
-        let this = self.clone();
-        let interval = self.inner.borrow().refresh_interval;
-        sim.schedule_in(interval, move |sim| {
-            let transitions = {
-                let mut guard = this.inner.borrow_mut();
-                let inner = &mut *guard;
-                let now = sim.now();
-                let mut transitions = Vec::new();
-                // Each site publishes independently: a down path keeps the
-                // stale column (same Arc) and counts a miss. A site whose
-                // shared ad is still the one in the snapshot has nothing to
-                // publish, so the delta carries only the rest.
-                let mut changes = Vec::new();
-                for (i, site) in inner.sites.iter().enumerate() {
-                    let down = inner.publish_faults.get(i).is_some_and(|f| f.is_down(now));
-                    let tr = if down {
-                        inner.membership.note_refresh_missed(i, now)
-                    } else {
-                        let ad = site.machine_ad_arc();
-                        if !Arc::ptr_eq(&ad, inner.snapshot.ad_arc(i)) {
-                            changes.push((i, ad));
-                        }
-                        inner.published_at[i] = now;
-                        inner.membership.note_refresh_ok(i, now)
-                    };
-                    if let Some(tr) = tr {
-                        transitions.push((i, tr));
+        let inner = self.inner.borrow();
+        let event = Step::Refresh.event(0);
+        sim.schedule_event_in(inner.refresh_interval, &inner.receiver, event);
+    }
+
+    /// The legacy refresh: every site publishes at once.
+    fn refresh(&self, sim: &mut Sim) {
+        let transitions = {
+            let mut guard = self.inner.borrow_mut();
+            let inner = &mut *guard;
+            let now = sim.now();
+            let mut transitions = Vec::new();
+            // Each site publishes independently: a down path keeps the
+            // stale column (same Arc) and counts a miss. A site whose
+            // shared ad is still the one in the snapshot has nothing to
+            // publish, so the delta carries only the rest.
+            let mut changes = Vec::new();
+            for (i, site) in inner.sites.iter().enumerate() {
+                let down = inner.publish_faults.get(i).is_some_and(|f| f.is_down(now));
+                let tr = if down {
+                    inner.membership.note_refresh_missed(i, now)
+                } else {
+                    let ad = site.machine_ad_arc();
+                    if !Arc::ptr_eq(&ad, inner.snapshot.ad_arc(i)) {
+                        changes.push((i, ad));
                     }
+                    inner.published_at[i] = now;
+                    inner.membership.note_refresh_ok(i, now)
+                };
+                if let Some(tr) = tr {
+                    transitions.push((i, tr));
                 }
-                // Only sites whose ad changed get a new `Arc`; the rest
-                // share the previous snapshot's allocations.
-                inner.snapshot = Arc::new(inner.snapshot.apply_delta(&changes));
-                inner.refreshed_at = now;
-                inner.refreshes += 1;
-                transitions
-            };
-            this.notify(sim, transitions);
-            this.schedule_refresh(sim);
-        });
+            }
+            // Only sites whose ad changed get a new `Arc`; the rest
+            // share the previous snapshot's allocations.
+            inner.snapshot = Arc::new(inner.snapshot.apply_delta(&changes));
+            inner.refreshed_at = now;
+            inner.refreshes += 1;
+            transitions
+        };
+        self.notify(sim, transitions);
+        self.schedule_refresh(sim);
     }
 
     fn schedule_windowed_tick(&self, sim: &mut Sim) {
-        let this = self.clone();
-        let interval = self.inner.borrow().refresh_interval;
-        sim.schedule_in(interval, move |sim| {
-            // Force-close whatever the previous sweep left open (amnesty
-            // for in-flight and unattempted sites), then open a new sweep.
-            this.close_sweep(sim);
-            this.begin_sweep(sim);
-            this.schedule_windowed_tick(sim);
-        });
+        let inner = self.inner.borrow();
+        let event = Step::Tick.event(0);
+        sim.schedule_event_in(inner.refresh_interval, &inner.receiver, event);
     }
 
     fn begin_sweep(&self, sim: &mut Sim) {
@@ -334,7 +377,7 @@ impl InformationIndex {
             Close,
             Wait,
             Missed(usize, Option<Transition>),
-            Pull(SimDuration, TypedEvent),
+            Pull(SimDuration, u64),
         }
         loop {
             let step = {
@@ -370,13 +413,7 @@ impl InformationIndex {
                                 .and_then(|w| w.latency.get(i).copied())
                                 .unwrap_or(SimDuration::ZERO);
                             let ad = inner.sites[i].machine_ad_arc();
-                            let reply = TypedEvent {
-                                handler: inner.reply_handler.expect("a windowed index"),
-                                tag: 0,
-                                aux: 0,
-                                payload: inner.pulls.insert((gen, i, ad)) as u64,
-                            };
-                            Pump::Pull(latency, reply)
+                            Pump::Pull(latency, inner.pulls.insert((gen, i, ad)))
                         }
                     }
                 }
@@ -392,8 +429,9 @@ impl InformationIndex {
                         self.notify(sim, vec![(i, tr)]);
                     }
                 }
-                Pump::Pull(latency, reply) => {
-                    sim.schedule_event_in(latency, reply);
+                Pump::Pull(latency, slot) => {
+                    let receiver = Rc::clone(&self.inner.borrow().receiver);
+                    sim.schedule_event_in(latency, &receiver, Step::Pull.event(slot));
                 }
             }
         }
@@ -402,7 +440,8 @@ impl InformationIndex {
     /// The reply event of a pull: the ad it carries is the one pulled at
     /// attempt time, whenever it lands.
     fn on_reply(&self, sim: &mut Sim, event: TypedEvent) {
-        let (gen, i, ad) = self.inner.borrow_mut().pulls.take(event.payload as usize);
+        let pull = self.inner.borrow_mut().pulls.remove(event.payload);
+        let (gen, i, ad) = pull.expect("one reply per pull");
         self.publish_arrived(sim, gen, i, ad);
     }
 
@@ -553,30 +592,71 @@ impl InformationIndex {
     /// answer. A refresh that fires while the response is in flight is
     /// invisible to this query (the staleness model the module header
     /// documents), and `resp_bytes` is sized from that same snapshot.
-    pub fn query(
-        &self,
-        sim: &mut Sim,
-        link: &Link,
-        on: impl FnOnce(&mut Sim, Result<Arc<AdSnapshot>, NetError>) + 'static,
-    ) {
-        let service = SimDuration::from_secs_f64(self.inner.borrow().query_cpu_s);
-        let this = self.clone();
-        let link2 = link.clone();
-        link.send(sim, Dir::AToB, 250, move |sim, r| match r {
-            Err(e) => on(sim, Err(e)),
-            Ok(()) => {
-                sim.schedule_in(service, move |sim| {
-                    // Service completes here: snapshot what the MDS can
-                    // actually serve, before the reply hits the wire.
-                    let snap = Arc::clone(&this.inner.borrow().snapshot);
-                    let resp_bytes = 300 + 900 * snap.len() as u64; // LDAP entries
-                    link2.send(sim, Dir::BToA, resp_bytes, move |sim, r| match r {
-                        Err(e) => on(sim, Err(e)),
-                        Ok(()) => on(sim, Ok(snap)),
-                    });
-                });
-            }
-        });
+    ///
+    /// `reply` is called with `token` inside the reply's delivery event, or
+    /// inside the failed leg's. Three events, each typed for the index's
+    /// receiver with the query in a slab slot: the request's arrival, the
+    /// end of the service time, and the reply's arrival.
+    pub fn query(&self, sim: &mut Sim, link: &Link, reply: &QueryReply, token: u64) {
+        let (receiver, slot) = {
+            let mut inner = self.inner.borrow_mut();
+            let slot = inner.queries.insert(Query {
+                link: link.clone(),
+                reply: Rc::clone(reply),
+                token,
+                served: None,
+            });
+            (Rc::clone(&inner.receiver), slot)
+        };
+        let request = Step::Request.event(slot);
+        link.send_event(sim, Dir::AToB, 250, SimDuration::ZERO, &receiver, request);
+    }
+
+    /// Queries in flight: zero once a drained world is idle.
+    pub fn queries_in_flight(&self) -> usize {
+        self.inner.borrow().queries.len()
+    }
+
+    fn on_query(&self, sim: &mut Sim, event: TypedEvent) {
+        let slot = event.payload;
+        let step = Step::ALL[usize::from(event.aux)];
+        let outcome = delivery_outcome(event);
+        if step == Step::Service {
+            // Service completes here: snapshot what the MDS can actually
+            // serve, before the reply hits the wire.
+            let (receiver, link, resp_bytes) = {
+                let mut inner = self.inner.borrow_mut();
+                let snap = Arc::clone(&inner.snapshot);
+                let resp_bytes = 300 + 900 * snap.len() as u64; // LDAP entries
+                let receiver = Rc::clone(&inner.receiver);
+                let query = inner.queries.get_mut(slot).expect("a query in flight");
+                query.served = Some(snap);
+                (receiver, query.link.clone(), resp_bytes)
+            };
+            let reply = Step::Reply.event(slot);
+            link.send_event(
+                sim,
+                Dir::BToA,
+                resp_bytes,
+                SimDuration::ZERO,
+                &receiver,
+                reply,
+            );
+            return;
+        }
+        if step == Step::Request && outcome.is_ok() {
+            let (receiver, service) = {
+                let inner = self.inner.borrow();
+                let service = SimDuration::from_secs_f64(inner.query_cpu_s);
+                (Rc::clone(&inner.receiver), service)
+            };
+            sim.schedule_event_in(service, &receiver, Step::Service.event(slot));
+            return;
+        }
+        let query = self.inner.borrow_mut().queries.remove(slot);
+        let query = query.expect("a query in flight");
+        let answer = outcome.map(|()| query.served.expect("served before the reply"));
+        (query.reply)(sim, query.token, answer);
     }
 
     /// Number of completed refresh cycles.
@@ -652,7 +732,7 @@ mod tests {
     }
 
     #[test]
-    fn refresh_advances_epochs_only_for_changed_sites() {
+    fn refresh_gives_a_new_arc_only_to_changed_sites() {
         let mut sim = Sim::new(7);
         let busy = test_site(&mut sim, "busy", 2);
         let idle = test_site(&mut sim, "idle", 2);
@@ -790,10 +870,11 @@ mod tests {
         let link = Link::new(LinkProfile::wan_mds());
         let done = Rc::new(RefCell::new(None));
         let d = Rc::clone(&done);
-        index.query(&mut sim, &link, move |sim, r| {
+        let reply: QueryReply = Rc::new(move |sim, _, r| {
             assert_eq!(r.unwrap().len(), 20);
             *d.borrow_mut() = Some(sim.now().as_secs_f64());
         });
+        index.query(&mut sim, &link, &reply, 0);
         sim.run_until(SimTime::from_secs(10));
         let t = done.borrow().unwrap();
         assert!(
@@ -812,9 +893,10 @@ mod tests {
         let link = Link::with_faults(LinkProfile::wan_mds(), faults);
         let got = Rc::new(RefCell::new(None));
         let g = Rc::clone(&got);
-        index.query(&mut sim, &link, move |_, r| {
+        let reply: QueryReply = Rc::new(move |_, _, r| {
             *g.borrow_mut() = Some(r.is_err());
         });
+        index.query(&mut sim, &link, &reply, 0);
         sim.run_until(SimTime::from_secs(50));
         assert_eq!(*got.borrow(), Some(true));
     }
@@ -1081,10 +1163,11 @@ mod tests {
         let got = Rc::new(RefCell::new(None));
         let g = Rc::clone(&got);
         let idx = index.clone();
-        index.query(&mut sim, &link, move |sim, r| {
+        let reply: QueryReply = Rc::new(move |sim, _, r| {
             let snap = r.unwrap();
             *g.borrow_mut() = Some((sim.now().as_secs_f64(), snap.free_cpus(0), idx.refreshes()));
         });
+        index.query(&mut sim, &link, &reply, 0);
         sim.run_until(SimTime::from_secs(60));
         let (t, free, refreshes) = got.borrow().expect("query must complete");
         assert!(t > 10.0, "response delivery at {t}s should be after 10s");

@@ -17,8 +17,8 @@
 use std::cell::RefCell;
 use std::rc::Rc;
 
-use cg_net::{rpc_call, Dir, Link, NetError};
-use cg_sim::{Sim, SimDuration};
+use cg_net::{Link, NetError};
+use cg_sim::{Receiver, Sim, SimDuration, TypedEvent};
 use cg_site::{GramEvent, LocalJobSpec, Site};
 
 use crate::slot::{SlotError, TaskId, VmMachine};
@@ -140,31 +140,17 @@ impl Agent {
         if self.vm.interactive_free() == 0 {
             return Err(SlotError::InteractiveBusy);
         }
-        let vm = self.vm.clone();
         let exec_start = SimDuration::from_secs_f64(self.costs.exec_start_s);
-        let req = self.costs.submit_req_bytes;
-        let link = self.link.clone();
-        rpc_call(
+        let bytes = (self.costs.submit_req_bytes, 200);
+        self.vm.submit_direct(
             sim,
-            &link,
-            Dir::AToB,
-            req,
-            200,
+            &self.link,
+            bytes,
             exec_start,
-            move |sim, r| {
-                match r {
-                    Err(_) => {
-                        // Direct path failed; the broker's scheduling layer
-                        // handles resubmission. The slot was never taken.
-                        on_done(sim);
-                    }
-                    Ok(()) => {
-                        on_started(sim);
-                        // Run on the interactive VM.
-                        let _ = vm.run_interactive(sim, work, performance_loss, on_done);
-                    }
-                }
-            },
+            work,
+            performance_loss,
+            on_started,
+            on_done,
         );
         Ok(())
     }
@@ -219,6 +205,17 @@ pub fn deploy_agent(
     let startup = SimDuration::from_secs_f64(costs.startup_s);
     let agent2 = Rc::clone(&agent);
     let on_event: AgentCallback = Rc::new(on_event);
+    // The agent initializes its VM slots, then registers with the broker:
+    // the one event of its own, the node in its payload.
+    let registered: Receiver = {
+        let (agent, alive, on_event) = (Rc::clone(&agent), Rc::clone(&alive), Rc::clone(&on_event));
+        Rc::new(move |sim, event| {
+            let node = event.payload as usize;
+            agent.borrow_mut().node = Some(node);
+            *alive.borrow_mut() = true;
+            on_event(sim, &AgentEvent::Ready { node });
+        })
+    };
     site.gatekeeper().submit(
         sim,
         link.clone(),
@@ -230,17 +227,10 @@ pub fn deploy_agent(
             }
             GramEvent::Queued => on_event(sim, &AgentEvent::Queued),
             GramEvent::Started { nodes } => {
+                // Usable only after `startup`.
                 let node = nodes.first().copied().unwrap_or(0);
-                // The agent initializes its VM slots, then registers with
-                // the broker; it is usable only after `startup`.
-                let agent3 = Rc::clone(&agent2);
-                let alive2 = Rc::clone(&alive);
-                let on_event2 = Rc::clone(&on_event);
-                sim.schedule_in(startup, move |sim| {
-                    agent3.borrow_mut().node = Some(node);
-                    *alive2.borrow_mut() = true;
-                    on_event2(sim, &AgentEvent::Ready { node });
-                });
+                let event = TypedEvent::new(0, node as u64);
+                sim.schedule_event_in(startup, &registered, event);
             }
             GramEvent::Finished => {
                 *alive.borrow_mut() = false;

@@ -17,9 +17,10 @@
 //! completion event — a small generalized-processor-sharing engine.
 
 use std::cell::RefCell;
-use std::rc::Rc;
+use std::rc::{Rc, Weak};
 
-use cg_sim::{EventId, Sim, SimDuration, SimTime};
+use cg_net::{delivery_outcome, Dir, Link};
+use cg_sim::{EventId, Receiver, Sim, SimDuration, SimTime, Slab, TypedEvent};
 use cg_trace::{Event, EventLog};
 
 /// Identifies a task within one machine.
@@ -28,6 +29,39 @@ pub struct TaskId(u64);
 
 /// Completion continuation of a task.
 type DoneCallback = Box<dyn FnOnce(&mut Sim)>;
+
+/// What a machine keeps of its [`Receiver`].
+type WeakReceiver = Weak<dyn Fn(&mut Sim, TypedEvent)>;
+
+/// A direct submission between the request leaving and the reply landing
+/// ([`VmMachine::submit_direct`]).
+struct Direct {
+    link: Link,
+    resp_bytes: u64,
+    work: SimDuration,
+    performance_loss: u8,
+    on_started: DoneCallback,
+    on_done: DoneCallback,
+}
+
+/// Which of the machine's own events this is: the `aux` of a typed event
+/// for its receiver. The payload is a task id or a direct submission's
+/// slot.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Step {
+    /// A task's work is done at its current rate.
+    Finish,
+    /// A direct submission reached the agent and was served (or not).
+    Request,
+    /// Its reply reached the broker (or did not).
+    Reply,
+}
+
+impl Step {
+    fn event(self, payload: u64) -> TypedEvent {
+        TypedEvent::new(self as u16, payload)
+    }
+}
 
 /// Why an interactive submission was refused.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -76,6 +110,14 @@ struct Inner {
     batch_throttled: bool,
     /// Lifecycle event sink and this machine's label.
     trace: Option<(EventLog, String)>,
+    /// Direct submissions on the wire.
+    direct: Slab<Direct>,
+    /// What the machine's own events reach. It holds the machine, and the
+    /// machine holds it only weakly: like the closures it replaces, a
+    /// pending event keeps the machine running — a batch task on an agent
+    /// that has died still finishes — and nothing is left in a cycle once
+    /// no event is pending.
+    receiver: Option<WeakReceiver>,
 }
 
 /// A worker node split into VM slots. Clones share state.
@@ -107,8 +149,96 @@ impl VmMachine {
                 next_id: 0,
                 batch_throttled: false,
                 trace: None,
+                direct: Slab::default(),
+                receiver: None,
             })),
         }
+    }
+
+    /// The machine's receiver: the one its pending events hold, or a new
+    /// one when none is pending.
+    fn receiver(&self) -> Receiver {
+        let mut inner = self.inner.borrow_mut();
+        if let Some(receiver) = inner.receiver.as_ref().and_then(Weak::upgrade) {
+            return receiver;
+        }
+        let machine = Rc::clone(&self.inner);
+        let receiver: Receiver = Rc::new(move |sim, event| {
+            let inner = Rc::clone(&machine);
+            VmMachine { inner }.on_step(sim, event);
+        });
+        inner.receiver = Some(Rc::downgrade(&receiver));
+        receiver
+    }
+
+    /// The receiver of every event the machine schedules for itself.
+    fn on_step(&self, sim: &mut Sim, event: TypedEvent) {
+        match event.aux {
+            a if a == Step::Finish as u16 => self.finish(sim, TaskId(event.payload)),
+            a if a == Step::Request as u16 && delivery_outcome(event).is_ok() => {
+                // Served: the reply travels back.
+                let receiver = self.receiver();
+                let (link, bytes) = {
+                    let inner = self.inner.borrow();
+                    let direct = inner
+                        .direct
+                        .get(event.payload)
+                        .expect("a submission in flight");
+                    (direct.link.clone(), direct.resp_bytes)
+                };
+                let reply = Step::Reply.event(event.payload);
+                link.send_event(sim, Dir::BToA, bytes, SimDuration::ZERO, &receiver, reply);
+            }
+            _ => {
+                let direct = self.inner.borrow_mut().direct.remove(event.payload);
+                let direct = direct.expect("a submission in flight");
+                if delivery_outcome(event).is_err() {
+                    // The slot was never taken.
+                    (direct.on_done)(sim);
+                    return;
+                }
+                (direct.on_started)(sim);
+                let (work, pl) = (direct.work, direct.performance_loss);
+                let _ = self.start_interactive(sim, work, pl, direct.on_done);
+            }
+        }
+    }
+
+    /// An interactive task submitted from across `link`: the request
+    /// (`req_bytes`, the agent spending `exec_start` on it) goes out, the
+    /// reply (`resp_bytes`) comes back, and then the task starts here —
+    /// `on_started` first. A lost request or reply calls `on_done` instead,
+    /// and the slot is never taken. Two typed events, the exchange in a
+    /// slab slot.
+    // The exchange's parameters are its call site's, one for one.
+    #[allow(clippy::too_many_arguments)]
+    pub fn submit_direct(
+        &self,
+        sim: &mut Sim,
+        link: &Link,
+        (req_bytes, resp_bytes): (u64, u64),
+        exec_start: SimDuration,
+        work: SimDuration,
+        performance_loss: u8,
+        on_started: impl FnOnce(&mut Sim) + 'static,
+        on_done: impl FnOnce(&mut Sim) + 'static,
+    ) {
+        let receiver = self.receiver();
+        let slot = self.inner.borrow_mut().direct.insert(Direct {
+            link: link.clone(),
+            resp_bytes,
+            work,
+            performance_loss,
+            on_started: Box::new(on_started),
+            on_done: Box::new(on_done),
+        });
+        let request = Step::Request.event(slot);
+        link.send_event(sim, Dir::AToB, req_bytes, exec_start, &receiver, request);
+    }
+
+    /// Direct submissions on the wire: zero once a drained world is idle.
+    pub fn direct_in_flight(&self) -> usize {
+        self.inner.borrow().direct.len()
     }
 
     /// Routes this machine's slot transitions into `log` under `machine`.
@@ -156,13 +286,23 @@ impl VmMachine {
         performance_loss: u8,
         on_done: impl FnOnce(&mut Sim) + 'static,
     ) -> Result<TaskId, SlotError> {
+        self.start_interactive(sim, work, performance_loss, Box::new(on_done))
+    }
+
+    fn start_interactive(
+        &self,
+        sim: &mut Sim,
+        work: SimDuration,
+        performance_loss: u8,
+        on_done: DoneCallback,
+    ) -> Result<TaskId, SlotError> {
         {
             let inner = self.inner.borrow();
             if inner.interactive.len() >= inner.interactive_capacity {
                 return Err(SlotError::InteractiveBusy);
             }
         }
-        let id = self.insert_task(sim, work, performance_loss, false, Box::new(on_done));
+        let id = self.insert_task(sim, work, performance_loss, false, on_done);
         self.trace_event(sim.now(), |machine| Event::SlotStarted {
             machine: machine.to_string(),
             interactive: true,
@@ -320,7 +460,6 @@ impl VmMachine {
         let restored = batch_present && was_throttled && !now_throttled;
 
         // 3. Reschedule finish events.
-        let this = self.clone();
         let mut plan: Vec<(TaskId, Option<EventId>, f64, f64)> = Vec::new();
         if let Some(b) = inner.batch.as_ref() {
             plan.push((b.id, b.finish_event, b.remaining, b.rate));
@@ -329,6 +468,9 @@ impl VmMachine {
             plan.push((t.id, t.finish_event, t.remaining, t.rate));
         }
         drop(inner);
+        // Held across the cancels below, so that cancelling the last pending
+        // event does not let the receiver go just before it is needed again.
+        let receiver = (!plan.is_empty()).then(|| self.receiver());
         if preempted {
             let pct = (batch_share * 100.0).round() as u32;
             self.trace_event(now, |machine| Event::SlotPreempted {
@@ -345,12 +487,12 @@ impl VmMachine {
             if let Some(ev) = old_event {
                 sim.cancel(ev);
             }
-            let new_event = if rate > 0.0 {
-                let eta = SimDuration::from_secs_f64(remaining / rate);
-                let this2 = this.clone();
-                Some(sim.schedule_in(eta, move |sim| this2.finish(sim, id)))
-            } else {
-                None
+            let new_event = match &receiver {
+                Some(receiver) if rate > 0.0 => {
+                    let eta = SimDuration::from_secs_f64(remaining / rate);
+                    Some(sim.schedule_event_in(eta, receiver, Step::Finish.event(id.0)))
+                }
+                _ => None,
             };
             let mut inner = self.inner.borrow_mut();
             if let Some(b) = inner.batch.as_mut() {
