@@ -20,6 +20,7 @@
 use std::cell::RefCell;
 use std::collections::{BTreeMap, BTreeSet};
 use std::rc::Rc;
+use std::sync::Arc;
 
 use cg_bench::report::{print_table, TraceSink};
 use cg_bench::write_csv;
@@ -73,7 +74,7 @@ struct SimAb {
     started: u64,
     submitted: u64,
     /// Job id → the target of its last `JobDispatched`.
-    placements: BTreeMap<u64, String>,
+    placements: BTreeMap<u64, Arc<str>>,
 }
 
 impl SimAb {

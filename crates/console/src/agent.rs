@@ -273,7 +273,8 @@ fn mux_loop(
         };
         let mut buffer = OutputBuffer::new(config.flush);
         if let Some(log) = &config.trace {
-            buffer.set_trace(log.clone(), label.clone());
+            let label: std::sync::Arc<str> = label.into();
+            buffer.set_trace(log.clone(), std::sync::Arc::clone(&label));
             if let Some(spool) = spool.as_mut() {
                 spool.set_trace(log.clone(), label);
             }

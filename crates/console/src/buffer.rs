@@ -8,6 +8,8 @@
 //! so the same policy code runs under the real agent threads and under the
 //! discrete-event simulation.
 
+use std::sync::Arc;
+
 /// When an output buffer emits.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct FlushPolicy {
@@ -65,7 +67,7 @@ pub struct OutputBuffer {
     oldest_ns: Option<u64>,
     emitted_chunks: u64,
     /// Lifecycle event sink and this buffer's stream label.
-    trace: Option<(cg_trace::EventLog, String)>,
+    trace: Option<(cg_trace::EventLog, Arc<str>)>,
 }
 
 impl OutputBuffer {
@@ -85,7 +87,7 @@ impl OutputBuffer {
     }
 
     /// Routes this buffer's flushes into `log` under the label `stream`.
-    pub fn set_trace(&mut self, log: cg_trace::EventLog, stream: impl Into<String>) {
+    pub fn set_trace(&mut self, log: cg_trace::EventLog, stream: impl Into<Arc<str>>) {
         self.trace = Some((log, stream.into()));
     }
 
@@ -94,7 +96,7 @@ impl OutputBuffer {
             log.record(
                 cg_sim::SimTime::from_nanos(now_ns),
                 cg_trace::Event::BufferFlush {
-                    stream: stream.clone(),
+                    stream: Arc::clone(stream),
                     reason: reason.as_str().to_string(),
                     bytes: bytes as u64,
                 },

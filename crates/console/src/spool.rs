@@ -9,6 +9,7 @@
 use std::fs::{File, OpenOptions};
 use std::io::{self, Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
+use std::sync::Arc;
 
 use cg_sim::SimTime;
 use cg_trace::{Event, EventLog};
@@ -35,7 +36,7 @@ pub struct Spool {
     /// Total payload bytes ever appended (metric).
     appended_bytes: u64,
     /// Lifecycle event sink and this spool's stream label.
-    trace: Option<(EventLog, String)>,
+    trace: Option<(EventLog, Arc<str>)>,
 }
 
 impl Spool {
@@ -92,12 +93,13 @@ impl Spool {
 
     /// Routes this spool's append/ack/replay activity into `log` under the
     /// stream label `stream`.
-    pub fn set_trace(&mut self, log: EventLog, stream: impl Into<String>) {
+    pub fn set_trace(&mut self, log: EventLog, stream: impl Into<Arc<str>>) {
         self.trace = Some((log, stream.into()));
     }
 
-    fn trace_event(&self, make: impl FnOnce(&str) -> Event) {
+    fn trace_event(&self, make: impl FnOnce(Arc<str>) -> Event) {
         if let Some((log, stream)) = &self.trace {
+            let stream = Arc::clone(stream);
             log.record(SimTime::from_nanos(crate::wire::mono_ns()), make(stream));
         }
     }
@@ -124,10 +126,7 @@ impl Spool {
         self.file.write_all(payload)?;
         self.index.push((seq, offset, payload.len() as u32));
         self.appended_bytes += payload.len() as u64;
-        self.trace_event(|stream| Event::SpoolAppend {
-            stream: stream.to_string(),
-            seq,
-        });
+        self.trace_event(|stream| Event::SpoolAppend { stream, seq });
         Ok(())
     }
 
@@ -143,7 +142,7 @@ impl Spool {
         }
         self.file.seek(SeekFrom::End(0))?;
         self.trace_event(|stream| Event::SpoolReplay {
-            stream: stream.to_string(),
+            stream,
             after,
             records: out.len() as u32,
         });
@@ -168,10 +167,7 @@ impl Spool {
             self.file.seek(SeekFrom::Start(0))?;
         }
         let acked = self.acked;
-        self.trace_event(|stream| Event::SpoolAck {
-            stream: stream.to_string(),
-            seq: acked,
-        });
+        self.trace_event(|stream| Event::SpoolAck { stream, seq: acked });
         Ok(())
     }
 

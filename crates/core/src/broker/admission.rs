@@ -6,6 +6,7 @@
 use std::collections::HashSet;
 use std::fmt::Write;
 use std::rc::Rc;
+use std::sync::Arc;
 
 use cg_jdl::analyze::Analysis;
 use cg_jdl::{Interactivity, JobDescription, MachineAccess};
@@ -42,12 +43,12 @@ impl CrossBroker {
             inner.stats.submitted += 1;
             inner
                 .jobs
-                .insert(id, JobRecord::new(id, job.user.clone(), now));
+                .insert(id, JobRecord::new(id, Arc::clone(&job.user), now));
             inner.trace.record(
                 now,
                 Event::JobSubmitted {
                     job: id.0,
-                    user: job.user.clone(),
+                    user: Arc::clone(&job.user),
                     interactive,
                 },
             );

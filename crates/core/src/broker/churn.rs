@@ -64,7 +64,7 @@ impl CrossBroker {
                 inner.trace.record(
                     now,
                     Event::SiteSuspect {
-                        site: inner.sites[site_index].site.name().to_string(),
+                        site: inner.site_name(site_index),
                         missed_refreshes: *missed_refreshes,
                         failed_queries: *failed_queries,
                     },
@@ -74,7 +74,7 @@ impl CrossBroker {
             Transition::Rejoined { down_since } => {
                 {
                     let mut inner = self.inner.borrow_mut();
-                    let site = inner.sites[site_index].site.name().to_string();
+                    let site = inner.site_name(site_index);
                     // A rejoin wipes the lease-failure streak: consecutive
                     // pre-outage failures say nothing about the recovered
                     // site, and a stale streak would keep `lease-backoff`
@@ -129,7 +129,7 @@ impl CrossBroker {
             inner.trace.record(
                 now,
                 Event::SiteDead {
-                    site: inner.sites[site_index].site.name().to_string(),
+                    site: inner.site_name(site_index),
                     in_flight,
                 },
             );

@@ -11,9 +11,10 @@
 use std::cell::{Cell, RefCell};
 use std::collections::HashSet;
 use std::rc::Rc;
+use std::sync::Arc;
 
 use cg_jdl::JobDescription;
-use cg_net::{Link, LinkProfile, NetError};
+use cg_net::{Link, NetError};
 use cg_sim::{Sim, SimDuration, SimTime};
 use cg_site::{GramEvent, LocalJobSpec};
 use cg_trace::Event;
@@ -21,7 +22,7 @@ use cg_vm::{Agent, AgentId};
 
 use super::events::{Resubmission, Stage};
 use super::staging::{AfterStaging, Staging};
-use super::{CrossBroker, Inner, Placement, WeakBroker};
+use super::{label, CrossBroker, Inner, Placement, WeakBroker};
 use crate::config::ConsoleCosts;
 use crate::fairshare::UsageKind;
 use crate::job::{JobId, JobState};
@@ -58,7 +59,7 @@ pub(super) struct Plan {
     pub slots: Vec<Slot>,
     /// The dispatch label of a multi-slot plan; a single-slot plan is
     /// labelled by its slot.
-    pub summary: Option<String>,
+    pub summary: Option<Arc<str>>,
     /// Whether a dispatch overwrites `dispatched_at` (the agent paths) or
     /// keeps the first attempt's stamp (the matched paths); Table I's
     /// per-step times read it.
@@ -111,8 +112,9 @@ pub(super) struct Run {
     sandbox: u64,
     pub(super) console: ConsoleCosts,
     /// The hosting site of every slot, in slot order.
-    site_names: Vec<String>,
-    session: Option<LinkProfile>,
+    site_names: Vec<Arc<str>>,
+    /// A fixed-session plan's UI path, whose latency the session samples.
+    session: Option<Link>,
     consoles_total: u32,
     consoles_up: Cell<u32>,
     tasks_done: Cell<u32>,
@@ -165,11 +167,23 @@ fn job_sandbox_bytes(job: &JobDescription) -> u64 {
     }
 }
 
-fn slot_label(inner: &Inner, slot: &Slot) -> String {
+/// The lease and dispatch target of a slot: its agent's or site's label,
+/// made on first use and shared from then on.
+fn slot_label(inner: &Inner, slot: &Slot) -> Arc<str> {
     match slot {
-        Slot::AgentInteractive(aid) => format!("agent:{}", aid.0),
-        Slot::Site { index, .. } => format!("site:{}", inner.sites[*index].site.name()),
+        Slot::AgentInteractive(aid) => match inner.agents.get(aid) {
+            Some(e) => Arc::clone(e.target.get_or_init(|| label("agent:", aid.0))),
+            // Died since selection: the dispatch fails, the label is traced.
+            None => label("agent:", aid.0),
+        },
+        Slot::Site { index, .. } => site_target(inner, *index),
     }
+}
+
+/// `site:{name}`, made on first use.
+fn site_target(inner: &Inner, site_index: usize) -> Arc<str> {
+    let e = &inner.sites[site_index];
+    Arc::clone(e.target.get_or_init(|| label("site:", e.site.name())))
 }
 
 impl CrossBroker {
@@ -202,8 +216,8 @@ impl CrossBroker {
         &self,
         now: SimTime,
         id: JobId,
-        scheduled: String,
-        target: String,
+        scheduled: Arc<str>,
+        target: Arc<str>,
         backend_of: Option<usize>,
         restamp: bool,
     ) {
@@ -216,10 +230,11 @@ impl CrossBroker {
             }
             r.state = JobState::Scheduled { site: scheduled };
         });
-        let backend = backend_of
-            .map(|i| inner.sites[i].site.backend_kind())
-            .map_or("sim-lrms", cg_site::BackendKind::as_str)
-            .to_string();
+        let backend = inner
+            .names
+            .backend(backend_of.map_or(cg_site::BackendKind::SimLrms, |i| {
+                inner.sites[i].site.backend_kind()
+            }));
         inner.trace.record(
             now,
             Event::JobDispatched {
@@ -264,13 +279,10 @@ impl CrossBroker {
                     Slot::Site { index, .. } => Some(*index),
                 })
                 .collect();
-            let site_names: Vec<String> = hosts
-                .iter()
-                .map(|&i| inner.sites[i].site.name().to_string())
-                .collect();
+            let site_names: Vec<Arc<str>> = hosts.iter().map(|&i| inner.site_name(i)).collect();
             let labels = match (&plan.summary, site_names.first()) {
-                (Some(summary), _) => (summary.clone(), summary.clone()),
-                (None, Some(host)) => (host.clone(), slot_label(&inner, &plan.slots[0])),
+                (Some(summary), _) => (Arc::clone(summary), Arc::clone(summary)),
+                (None, Some(host)) => (Arc::clone(host), slot_label(&inner, &plan.slots[0])),
                 (None, None) => Default::default(), // its agent vanished; unused
             };
             // One dispatch record covers a mixed plan; label it with the
@@ -292,7 +304,7 @@ impl CrossBroker {
             let session = hosts
                 .first()
                 .filter(|_| plan.fixed_session)
-                .map(|&i| inner.sites[i].ui_link.profile());
+                .map(|&i| inner.sites[i].ui_link.clone());
             let run = Run {
                 broker: self.downgrade(),
                 id,
@@ -462,7 +474,7 @@ impl CrossBroker {
             runtime: Some(run.runtime),
             walltime: run.plan.walltime,
             priority: 0,
-            user: run.job.user.clone(),
+            user: Arc::clone(&run.job.user),
         };
         let (online, withdrawn) = match run.plan.refusal {
             Refusal::Resubmit { .. } => (true, "withdrawn by broker (on-line scheduling)"),
@@ -643,8 +655,8 @@ impl CrossBroker {
                 .charge_interactive(run.id, user, 0, nodes);
             self.ensure_fairshare_tick(sim);
         }
-        let profile = run.session.clone().unwrap_or_else(|| ui_link.profile());
-        let session = Some((run.job.streaming_mode, profile));
+        let link = run.session.clone().unwrap_or_else(|| ui_link.clone());
+        let session = Some((run.job.streaming_mode, link));
         self.mark_running(sim, run.id, run.site_names.clone(), session);
     }
 
@@ -660,9 +672,7 @@ impl CrossBroker {
     ) {
         let (site_name, target) = {
             let inner = self.inner.borrow();
-            let name = inner.sites[site_index].site.name().to_string();
-            let target = format!("site:{name}");
-            (name, target)
+            (inner.site_name(site_index), site_target(&inner, site_index))
         };
         self.record_dispatch(sim.now(), id, site_name, target, Some(site_index), false);
         self.deploy_agent_at(sim, site_index, move |sim, broker, aid| {

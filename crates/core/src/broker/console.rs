@@ -2,6 +2,7 @@
 //! with the first output reaching the user.
 
 use std::rc::Rc;
+use std::sync::Arc;
 
 use cg_net::{delivery_outcome, Dir, Handshake, HandshakeProfile, Link};
 use cg_sim::{Sim, SimDuration, TypedEvent};
@@ -9,7 +10,7 @@ use cg_trace::Event;
 
 use super::commit::Run;
 use super::events::Stage;
-use super::CrossBroker;
+use super::{label, CrossBroker};
 
 /// One Console Agent's start-up in flight, in the broker's stages.
 pub(super) struct Console {
@@ -19,6 +20,9 @@ pub(super) struct Console {
     tries: u32,
     /// The GSI session to the shadow, while it is being established.
     handshake: Option<Handshake>,
+    /// `console:{job}`, the reliable-mode spool's stream label: made at the
+    /// first append and shared by every later append and ack.
+    stream: Option<Arc<str>>,
 }
 
 const LIVE: &str = "a console start-up in flight";
@@ -36,6 +40,7 @@ impl CrossBroker {
             ui_link: ui_link.clone(),
             tries: 0,
             handshake: None,
+            stream: None,
         };
         let slot = self.inner.borrow_mut().stages.consoles.insert(console);
         let start = SimDuration::from_secs_f64(run.console.ca_start_s);
@@ -104,7 +109,7 @@ impl CrossBroker {
             Stage::Spooled => {
                 if reliable {
                     let seq = u64::from(tries(self)) + 1;
-                    let stream = format!("console:{job}");
+                    let stream = self.console_stream(slot, job);
                     trace.record(sim.now(), Event::SpoolAppend { stream, seq });
                 }
                 let link = {
@@ -119,7 +124,7 @@ impl CrossBroker {
             Stage::FirstOutput if delivery_outcome(event).is_ok() => {
                 if reliable {
                     let seq = u64::from(tries(self)) + 1;
-                    let stream = format!("console:{job}");
+                    let stream = self.console_stream(slot, job);
                     trace.record(sim.now(), Event::SpoolAck { stream, seq });
                 }
                 trace.record(sim.now(), Event::ConsoleReady { job });
@@ -128,6 +133,13 @@ impl CrossBroker {
             Stage::FirstOutput => self.console_retry_or_fail(sim, slot, reliable),
             _ => unreachable!("not a console event: {stage:?}"),
         }
+    }
+
+    /// The console's spool stream label, made on first use.
+    fn console_stream(&self, slot: u64, job: u64) -> Arc<str> {
+        let mut inner = self.inner.borrow_mut();
+        let console = inner.stages.consoles.get_mut(slot).expect(LIVE);
+        Arc::clone(console.stream.get_or_insert_with(|| label("console:", job)))
     }
 
     /// A failed attempt: reliable mode retries after the interval while the
@@ -262,7 +274,7 @@ mod tests {
             sim.schedule_in(spool, move |sim| {
                 let seq = u64::from(tries) + 1;
                 if chain.reliable {
-                    let stream = format!("console:{job}");
+                    let stream = format!("console:{job}").into();
                     chain
                         .trace
                         .record(sim.now(), Event::SpoolAppend { stream, seq });
@@ -271,7 +283,7 @@ mod tests {
                 link.send(sim, Dir::BToA, bytes, move |sim, r| match r {
                     Ok(()) => {
                         if chain.reliable {
-                            let stream = format!("console:{job}");
+                            let stream = format!("console:{job}").into();
                             chain
                                 .trace
                                 .record(sim.now(), Event::SpoolAck { stream, seq });

@@ -16,9 +16,9 @@
 //!
 //! plus `churn` (the failure detector's obituaries: dead-site re-match,
 //! rejoin reconciliation), `restore` (journal snapshots and the crash
-//! recovery hooks), `staging` (delegation and the sandbox to an agent) and
+//! recovery hooks), `staging` (delegation and the sandbox to an agent),
 //! `events` (the broker's typed events, and the slabs a step waits in for
-//! its next one). Every interactive submission — shared, shared-parallel,
+//! its next one) and `names` (the names its events share). Every interactive submission — shared, shared-parallel,
 //! exclusive, co-allocated — is a `commit::Plan` of slots executed by one
 //! function; batch is "deploy an agent, run on its batch-vm". See DESIGN.md
 //! "Broker pipeline" for the plan table and who owns which state.
@@ -29,6 +29,7 @@ mod commit;
 mod console;
 mod discovery;
 mod events;
+mod names;
 mod pool;
 mod restore;
 mod selection;
@@ -36,9 +37,10 @@ mod settle;
 mod staging;
 mod sweep;
 
-use std::cell::RefCell;
+use std::cell::{OnceCell, RefCell};
 use std::collections::{HashMap, VecDeque};
 use std::rc::{Rc, Weak};
+use std::sync::Arc;
 
 use cg_jdl::JobDescription;
 use cg_net::Link;
@@ -53,6 +55,7 @@ use crate::job::{JobId, JobRecord, JobState};
 use crate::matchmaking::CompiledJob;
 use crate::policy::QueueForecaster;
 use crate::shard::{ShardedJobTable, DEFAULT_SHARDS};
+use names::{label, Names};
 
 /// One site as the broker sees it.
 pub struct SiteHandle {
@@ -68,6 +71,9 @@ struct SiteEntry {
     site: Site,
     broker_link: Link,
     ui_link: Link,
+    /// `site:{name}`, the lease and dispatch target label, made the first
+    /// time a job is leased or dispatched here.
+    target: OnceCell<Arc<str>>,
     leased_until: SimTime,
     /// Consecutive involuntary agent deaths at this site (redeploy breaker).
     agent_deaths: u32,
@@ -80,6 +86,9 @@ struct SiteEntry {
 struct AgentEntry {
     agent: Rc<RefCell<Agent>>,
     site_index: usize,
+    /// `agent:{id}`, the lease and dispatch target label, made the first
+    /// time an interactive job is leased here.
+    target: OnceCell<Arc<str>>,
     carrier: Option<cg_site::LocalJobId>,
     leased_until: SimTime,
     batch_usage: Option<UsageId>,
@@ -178,7 +187,7 @@ struct Inner {
     next_agent: u64,
     /// Per-stream spool ack watermarks seeded by crash recovery; recovery
     /// invariant rule 8 forbids these from regressing.
-    spool_watermarks: HashMap<String, u64>,
+    spool_watermarks: HashMap<Arc<str>, u64>,
     /// Per-op console round-trip latencies sampled for running interactive
     /// jobs (1 KiB steering ops over each job's UI path and streaming mode).
     session_latency: cg_sim::SampleSet,
@@ -191,6 +200,8 @@ struct Inner {
     /// Broker-wide lifecycle event log (shared with fair-share, sites,
     /// agents' VMs and the console path).
     trace: EventLog,
+    /// Policy and backend names, shared by every event that carries one.
+    names: Names,
     /// Counters/gauges/histograms behind the event log.
     metrics: MetricsRegistry,
 }
@@ -210,9 +221,9 @@ impl Inner {
     }
 
     /// Charges `user` for a started interactive job (§5.1).
-    fn charge_interactive(&mut self, id: JobId, user: &str, performance_loss: u8, cpus: u32) {
+    fn charge_interactive(&mut self, id: JobId, user: &Arc<str>, performance_loss: u8, cpus: u32) {
         let kind = UsageKind::Interactive { performance_loss };
-        let usage = self.fairshare.register(user, kind, cpus);
+        let usage = self.fairshare.register(Arc::clone(user), kind, cpus);
         self.side.usages.insert(id, usage);
     }
 }
@@ -297,7 +308,9 @@ impl CrossBroker {
         let queue_forecast =
             QueueForecaster::new(config.fairshare.half_life, config.fairshare.delta_t);
         for s in &sites {
-            s.site.lrms().set_trace(trace.clone(), s.site.name());
+            s.site
+                .lrms()
+                .set_trace(trace.clone(), Arc::clone(s.site.name_arc()));
         }
         let broker = CrossBroker {
             inner: Rc::new_cyclic(|weak| {
@@ -324,6 +337,7 @@ impl CrossBroker {
                             site: s.site,
                             broker_link: s.broker_link,
                             ui_link: s.ui_link,
+                            target: OnceCell::new(),
                             leased_until: SimTime::ZERO,
                             agent_deaths: 0,
                             lease_failures: 0,
@@ -349,6 +363,7 @@ impl CrossBroker {
                     queue_forecast,
                     stats: BrokerStats::default(),
                     trace,
+                    names: Names::new(),
                     metrics,
                 })
             }),

@@ -3,16 +3,17 @@
 //! young, the batch-vm bookkeeping of the batch job that brought the agent
 //! in, and the agent's departure once that job and its guests are done.
 
-use std::cell::RefCell;
+use std::cell::{OnceCell, RefCell};
 use std::collections::hash_map::Entry;
 use std::rc::Rc;
+use std::sync::Arc;
 
 use cg_sim::{Sim, SimDuration, SimTime};
 use cg_trace::Event;
 use cg_vm::{deploy_agent, Agent, AgentCosts, AgentEvent, AgentId};
 
 use super::events::Stage;
-use super::{AgentEntry, CrossBroker};
+use super::{label, AgentEntry, CrossBroker};
 use crate::fairshare::UsageKind;
 use crate::job::{JobId, JobState};
 
@@ -72,14 +73,14 @@ impl CrossBroker {
             let aid = AgentId(inner.next_agent);
             inner.next_agent += 1;
             inner.stats.agents_deployed += 1;
-            let s = &inner.sites[site_index];
             inner.trace.record(
                 sim.now(),
                 Event::AgentDeployed {
                     agent: aid.0,
-                    site: s.site.name().to_string(),
+                    site: inner.site_name(site_index),
                 },
             );
+            let s = &inner.sites[site_index];
             (s.site.clone(), s.broker_link.clone(), aid)
         };
         let weak = self.downgrade();
@@ -105,6 +106,7 @@ impl CrossBroker {
                         v.insert(AgentEntry {
                             agent,
                             site_index,
+                            target: OnceCell::new(),
                             carrier: None,
                             leased_until: SimTime::ZERO,
                             batch_usage: None,
@@ -138,7 +140,7 @@ impl CrossBroker {
                             e.agent
                                 .borrow()
                                 .vm
-                                .set_trace(inner.trace.clone(), format!("agent-{}", aid.0));
+                                .set_trace(inner.trace.clone(), label("agent-", aid.0));
                         }
                     }
                     finish(sim, Some(aid));
@@ -194,21 +196,24 @@ impl CrossBroker {
         self.deploy_agent_at_boxed(sim, site_index, Box::new(|_, _, _| {}));
     }
 
-    /// The batch job that brought the agent in is executing on its batch-vm.
-    pub(super) fn batch_started(&self, sim: &mut Sim, id: JobId, aid: AgentId, user: &str) {
+    /// The batch job that brought the agent in is executing on its batch-vm,
+    /// at the agent's site.
+    pub(super) fn batch_started(&self, sim: &mut Sim, id: JobId, aid: AgentId, user: &Arc<str>) {
         {
             let mut inner = self.inner.borrow_mut();
-            let usage = inner.fairshare.register(user, UsageKind::Batch, 1);
-            if let Some(e) = inner.agents.get_mut(&aid) {
+            let usage = inner
+                .fairshare
+                .register(Arc::clone(user), UsageKind::Batch, 1);
+            let site_index = inner.agents.get_mut(&aid).map(|e| {
                 e.has_batch = true;
                 e.batch_done = false;
                 e.batch_usage = Some(usage);
-            }
+                e.site_index
+            });
+            let sites = site_index.map(|i| inner.site_name(i)).into_iter().collect();
             let response = inner.jobs.update(id, |r| {
                 r.started_at = Some(sim.now());
-                r.state = JobState::Running {
-                    sites: vec![String::new()],
-                };
+                r.state = JobState::Running { sites };
                 sim.now().saturating_since(r.submitted_at).as_secs_f64()
             });
             if let Some(response) = response {

@@ -4,6 +4,7 @@
 //! work through the same admission gate and routing as `submit`.
 
 use std::collections::HashSet;
+use std::sync::Arc;
 
 use cg_jdl::JobDescription;
 use cg_sim::{Sim, SimDuration, SimTime};
@@ -43,7 +44,7 @@ impl CrossBroker {
             state.jobs.insert(
                 id.0,
                 ReplayJob {
-                    user: r.user.clone(),
+                    user: Arc::clone(&r.user),
                     interactive: ad.is_some_and(|a| a.interactive),
                     phase,
                     queued: matches!(r.state, JobState::BrokerQueued),
@@ -66,7 +67,7 @@ impl CrossBroker {
             state.agents.insert(
                 aid.0,
                 ReplayAgent {
-                    site: inner.sites[e.site_index].site.name().to_string(),
+                    site: inner.site_name(e.site_index),
                     alive: true,
                     ready: e.ready_at != SimTime::MAX,
                 },
@@ -194,11 +195,11 @@ impl CrossBroker {
 
     /// Seeds a spool ack watermark from the journal; recovery invariant
     /// rule 8 forbids recovery from regressing these.
-    pub(crate) fn seed_spool_watermark(&self, stream: &str, acked: u64) {
+    pub(crate) fn seed_spool_watermark(&self, stream: &Arc<str>, acked: u64) {
         self.inner
             .borrow_mut()
             .spool_watermarks
-            .insert(stream.to_string(), acked);
+            .insert(Arc::clone(stream), acked);
     }
 
     /// Terminal failure entry point for recovery.

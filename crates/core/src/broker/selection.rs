@@ -156,8 +156,8 @@ impl CrossBroker {
                 now,
                 Event::PolicyDecision {
                     job: id.0,
-                    policy: kind.name().to_string(),
-                    site: inner.sites[c.site_index].site.name().to_string(),
+                    policy: inner.names.policy(kind),
+                    site: inner.site_name(c.site_index),
                     score: policy.score(c, &signals.get(c.site_index)),
                 },
             );
@@ -184,7 +184,7 @@ impl CrossBroker {
             // is withdrawn and the whole job fails cleanly rather than
             // sitting wedged behind a queue.
             let plan = Plan {
-                summary: Some(format!("{} sites", sites.len())),
+                summary: Some(format!("{} sites", sites.len()).into()),
                 refuse_queued: job.is_interactive(),
                 ..Plan::new(
                     sites
@@ -209,7 +209,7 @@ impl CrossBroker {
                     now,
                     Event::RankNanDiscarded {
                         job: id.0,
-                        site: inner.sites[c.site_index].site.name().to_string(),
+                        site: inner.site_name(c.site_index),
                     },
                 );
             }
@@ -403,10 +403,13 @@ impl CrossBroker {
         //    view may race a local submission; this path does not resubmit
         //    — the queued copy is withdrawn and the job fails cleanly.
         let plan = Plan {
-            summary: Some(format!(
-                "{agent_slots} agent slot(s) + {} site(s)",
-                slots.len() - agent_slots
-            )),
+            summary: Some(
+                format!(
+                    "{agent_slots} agent slot(s) + {} site(s)",
+                    slots.len() - agent_slots
+                )
+                .into(),
+            ),
             restamp: true,
             console_per_node: true,
             wait_all_tasks: true,

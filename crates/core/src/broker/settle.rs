@@ -4,6 +4,8 @@
 //! terminal transition retires the job's side tables through
 //! `Inner::retire`.
 
+use std::sync::Arc;
+
 use cg_sim::{Sim, SimDuration};
 use cg_trace::Event;
 
@@ -56,8 +58,8 @@ impl CrossBroker {
         &self,
         sim: &mut Sim,
         id: JobId,
-        sites: Vec<String>,
-        session: Option<(cg_jdl::StreamingMode, cg_net::LinkProfile)>,
+        sites: Vec<Arc<str>>,
+        session: Option<(cg_jdl::StreamingMode, cg_net::Link)>,
     ) {
         let mut inner = self.inner.borrow_mut();
         let response = inner.jobs.update(id, |r| {
@@ -78,7 +80,7 @@ impl CrossBroker {
         inner.metrics.observe("response_s", response);
         // Sample the interactive session's steering latency: 1 KiB console
         // round trips over the job's UI path in its streaming mode.
-        if let Some((mode, profile)) = session {
+        if let Some((mode, link)) = session {
             let costs = match mode {
                 cg_jdl::StreamingMode::Fast => cg_console::MethodCosts::fast(),
                 cg_jdl::StreamingMode::Reliable => cg_console::MethodCosts::reliable(),
@@ -86,7 +88,8 @@ impl CrossBroker {
             drop(inner);
             let mut samples = Vec::with_capacity(25);
             for _ in 0..25 {
-                samples.push(costs.sequence_rtt(sim.rng(), &profile, 1024).as_secs_f64());
+                let rtt = link.with_profile(|p| costs.sequence_rtt(sim.rng(), p, 1024));
+                samples.push(rtt.as_secs_f64());
             }
             let mut inner = self.inner.borrow_mut();
             for x in samples {

@@ -367,7 +367,7 @@ impl CrossBroker {
                         sim.now(),
                         Event::LiveQueryTimeout {
                             job: sweep.job.0,
-                            site: inner.sites[site_index].site.name().to_string(),
+                            site: inner.site_name(site_index),
                             attempt,
                         },
                     );
@@ -465,7 +465,7 @@ fn live_query_settle(
         sim.now(),
         Event::QueryRetry {
             job: sweep.job.0,
-            site: inner.sites[site_index].site.name().to_string(),
+            site: inner.site_name(site_index),
             attempt: next,
             delay_ns: delay.as_nanos(),
         },
@@ -655,13 +655,13 @@ mod tests {
                         job: 7,
                         site: s,
                         attempt,
-                    } if s == site.name() => Some(("timeout", *attempt)),
+                    } if &**s == site.name() => Some(("timeout", *attempt)),
                     Event::QueryRetry {
                         job: 7,
                         site: s,
                         attempt,
                         ..
-                    } if s == site.name() => Some(("retry", *attempt)),
+                    } if &**s == site.name() => Some(("retry", *attempt)),
                     _ => None,
                 })
                 .collect();

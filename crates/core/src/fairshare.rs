@@ -17,6 +17,7 @@
 //! scarce, jobs from users with worse priority than others are rejected.
 
 use std::collections::HashMap;
+use std::sync::Arc;
 
 use cg_sim::{SimDuration, SimTime};
 use cg_trace::{Event, EventLog};
@@ -82,7 +83,8 @@ pub struct UsageId(u64);
 
 #[derive(Debug, Clone)]
 struct Usage {
-    user: String,
+    /// The user's shared name.
+    user: Arc<str>,
     kind: UsageKind,
     /// Resources used, as a count of CPUs.
     cpus: u32,
@@ -93,7 +95,7 @@ struct Usage {
 #[derive(Debug)]
 pub struct FairShare {
     config: FairShareConfig,
-    priorities: HashMap<String, f64>,
+    priorities: HashMap<Arc<str>, f64>,
     /// Running usages in ascending id order (ids are issued in order, so a
     /// registration is an append): a user's charges are summed in this
     /// fixed order.
@@ -102,13 +104,16 @@ pub struct FairShare {
     /// running something at consecutive ticks costs no allocation: the
     /// summed charge of each user with something running at the last tick
     /// (`None`, for one more tick, for a user who had nothing running).
-    load: HashMap<String, Option<f64>>,
+    load: HashMap<Arc<str>, Option<f64>>,
     next_usage: u64,
     /// Total CPUs in the grid, the normalizer of `r(u,t)`.
     total_cpus: u32,
     last_tick: Option<SimTime>,
     /// Lifecycle event sink (ticks and kind transitions).
     trace: Option<EventLog>,
+    /// [`UsageKind::label`] of each kind in [`UsageKind::index`] order, made
+    /// once and shared by every `PriorityChanged`.
+    kind_labels: [Arc<str>; 3],
 }
 
 impl UsageKind {
@@ -118,6 +123,15 @@ impl UsageKind {
             UsageKind::Batch => "batch",
             UsageKind::Interactive { .. } => "interactive",
             UsageKind::YieldedBatch { .. } => "yielded-batch",
+        }
+    }
+
+    /// The kind's position in [`FairShare`]'s label table.
+    fn index(self) -> usize {
+        match self {
+            UsageKind::Batch => 0,
+            UsageKind::Interactive { .. } => 1,
+            UsageKind::YieldedBatch { .. } => 2,
         }
     }
 }
@@ -135,6 +149,16 @@ impl FairShare {
             total_cpus,
             last_tick: None,
             trace: None,
+            kind_labels: [
+                UsageKind::Batch,
+                UsageKind::Interactive {
+                    performance_loss: 0,
+                },
+                UsageKind::YieldedBatch {
+                    performance_loss: 0,
+                },
+            ]
+            .map(|kind| Arc::from(kind.label())),
         }
     }
 
@@ -151,7 +175,7 @@ impl FairShare {
 
     /// Registers a running job's resource usage. Returns a handle for
     /// [`release`](FairShare::release) and for yield transitions.
-    pub fn register(&mut self, user: impl Into<String>, kind: UsageKind, cpus: u32) -> UsageId {
+    pub fn register(&mut self, user: impl Into<Arc<str>>, kind: UsageKind, cpus: u32) -> UsageId {
         let id = UsageId(self.next_usage);
         self.next_usage += 1;
         let usage = Usage {
@@ -185,7 +209,7 @@ impl FairShare {
                     self.last_tick.unwrap_or(SimTime::from_nanos(0)),
                     Event::PriorityChanged {
                         usage: id.0,
-                        kind: kind.label().to_string(),
+                        kind: Arc::clone(&self.kind_labels[kind.index()]),
                     },
                 );
             }
@@ -223,10 +247,10 @@ impl FairShare {
             let r = u.cpus as f64 / self.total_cpus as f64;
             let summed =
                 |sum: Option<f64>| Some(sum.unwrap_or(0.0) + u.kind.application_factor() * r);
-            match self.load.get_mut(u.user.as_str()) {
+            match self.load.get_mut(&*u.user) {
                 Some(sum) => *sum = summed(*sum),
                 None => {
-                    self.load.insert(u.user.clone(), summed(None));
+                    self.load.insert(Arc::clone(&u.user), summed(None));
                 }
             }
         }
@@ -235,7 +259,8 @@ impl FairShare {
         // not known yet starts from the initial priority.
         for (user, charge) in &self.load {
             if charge.is_some() && !self.priorities.contains_key(user) {
-                self.priorities.insert(user.clone(), self.config.initial);
+                self.priorities
+                    .insert(Arc::clone(user), self.config.initial);
             }
         }
         let (initial, epsilon, load) = (self.config.initial, self.config.epsilon, &self.load);
@@ -456,7 +481,7 @@ mod tests {
         let kinds: Vec<&str> = events.iter().map(|e| e.event.kind()).collect();
         assert_eq!(kinds, ["FairShareTick", "PriorityChanged", "FairShareTick"]);
         match &events[1].event {
-            Event::PriorityChanged { kind, .. } => assert_eq!(kind, "yielded-batch"),
+            Event::PriorityChanged { kind, .. } => assert_eq!(&**kind, "yielded-batch"),
             other => panic!("expected PriorityChanged, got {:?}", other.kind()),
         }
         assert_eq!(events[1].at, SimTime::from_secs(60), "stamped at last tick");

@@ -1,6 +1,8 @@
 //! Broker-side job model: identities, states, and the timestamped record the
 //! experiments measure.
 
+use std::sync::Arc;
+
 use cg_sim::SimTime;
 
 /// Broker-wide job identifier.
@@ -22,8 +24,8 @@ pub enum JobState {
     Matching,
     /// Matched; submission to the resource under way.
     Scheduled {
-        /// Chosen site.
-        site: String,
+        /// Chosen site (or a co-allocated plan's summary).
+        site: Arc<str>,
     },
     /// Waiting in the broker's own queue (no resource available — batch
     /// jobs only, §5.2 arrow 2).
@@ -31,7 +33,7 @@ pub enum JobState {
     /// Running (for interactive jobs: first output has reached the user).
     Running {
         /// Site(s) hosting it.
-        sites: Vec<String>,
+        sites: Vec<Arc<str>>,
     },
     /// Finished normally.
     Done,
@@ -47,8 +49,8 @@ pub enum JobState {
 pub struct JobRecord {
     /// Its id.
     pub id: JobId,
-    /// Submitting user.
-    pub user: String,
+    /// Submitting user, shared with the job's description.
+    pub user: Arc<str>,
     /// Current state.
     pub state: JobState,
     /// When the broker accepted it.
@@ -69,7 +71,7 @@ pub struct JobRecord {
 
 impl JobRecord {
     /// Fresh record at submission time.
-    pub fn new(id: JobId, user: impl Into<String>, now: SimTime) -> Self {
+    pub fn new(id: JobId, user: impl Into<Arc<str>>, now: SimTime) -> Self {
         JobRecord {
             id,
             user: user.into(),

@@ -409,7 +409,7 @@ mod tests {
         let mut tagged = site_ad("tagged", 6, "i686");
         tagged.set(
             "Tags",
-            cg_jdl::Value::List(vec![cg_jdl::Value::Str("CROSSGRID".into())]),
+            cg_jdl::Value::List([cg_jdl::Value::Str("CROSSGRID".into())].into()),
         );
         tagged.set_double("SpeedFactor", 1.5);
         let ads = vec![
@@ -447,7 +447,7 @@ mod tests {
         let mut tagged = site_ad("tagged", 6, "i686");
         tagged.set(
             "Tags",
-            cg_jdl::Value::List(vec![cg_jdl::Value::Str("CROSSGRID".into())]),
+            cg_jdl::Value::List([cg_jdl::Value::Str("CROSSGRID".into())].into()),
         );
         tagged.set_double("SpeedFactor", 1.5);
         let mut unnamed = site_ad("x", 4, "i686");

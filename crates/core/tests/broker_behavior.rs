@@ -1,5 +1,7 @@
 //! End-to-end behavioural tests of CrossBroker on simulated grids.
 
+use std::sync::Arc;
+
 use cg_jdl::JobDescription;
 use cg_net::{Link, LinkProfile};
 use cg_sim::{Sim, SimDuration, SimTime};
@@ -144,6 +146,30 @@ fn batch_runs_via_agent_and_agent_departs() {
 }
 
 #[test]
+fn a_batch_job_riding_an_agent_runs_at_the_agent_site() {
+    let mut sim = Sim::new(4);
+    let (broker, _) = grid(&mut sim, 3, 2);
+    let id = broker.submit(&mut sim, job(BATCH), SimDuration::from_secs(300));
+    sim.run_until(SimTime::from_secs(200));
+    let deployed: Vec<Arc<str>> = broker
+        .event_log()
+        .snapshot()
+        .iter()
+        .filter_map(|e| match &e.event {
+            cg_trace::Event::AgentDeployed { site, .. } => Some(Arc::clone(site)),
+            _ => None,
+        })
+        .collect();
+    assert_eq!(deployed.len(), 1, "the job brought one agent in");
+    let r = broker.record(id);
+    assert!(
+        matches!(&r.state, JobState::Running { sites } if *sites == deployed),
+        "{:?} on an agent at {deployed:?}",
+        r.state
+    );
+}
+
+#[test]
 fn online_scheduling_resubmits_when_a_site_queues_the_job() {
     let mut sim = Sim::new(5);
     let (broker, sites) = grid(&mut sim, 2, 1);
@@ -159,7 +185,7 @@ fn online_scheduling_resubmits_when_a_site_queues_the_job() {
             JobState::Scheduled { site } => site,
             other => panic!("expected Scheduled by t=3, got {other:?}"),
         };
-        let victim = sites2.iter().find(|s| s.name() == chosen).expect("site");
+        let victim = sites2.iter().find(|s| s.name() == &*chosen).expect("site");
         victim.lrms().submit(
             sim,
             LocalJobSpec::simple(SimDuration::from_secs(300)),
@@ -847,7 +873,7 @@ fn run_with_fanout(seed: u64, n_sites: usize, fanout: usize) -> (crossbroker::Jo
         .iter()
         .find_map(|e| match &e.event {
             cg_trace::Event::JobDispatched { job, target, .. } if *job == id.0 => {
-                Some(target.clone())
+                Some(target.to_string())
             }
             _ => None,
         })
@@ -921,7 +947,7 @@ fn a_site_that_filled_up_is_rematched_and_an_unchanged_one_is_reused() {
         .iter()
         .find_map(|e| match &e.event {
             cg_trace::Event::JobDispatched { job, target, .. } if *job == id.0 => {
-                Some(target.clone())
+                Some(target.to_string())
             }
             _ => None,
         })
@@ -1091,7 +1117,7 @@ fn a_dead_site_rematches_its_scheduled_jobs_in_id_order() {
         for id in &ids {
             let state = broker.record(*id).state;
             assert!(
-                matches!(&state, JobState::Scheduled { site } if site == "alpha"),
+                matches!(&state, JobState::Scheduled { site } if &**site == "alpha"),
                 "{state:?}"
             );
         }
@@ -1100,7 +1126,7 @@ fn a_dead_site_rematches_its_scheduled_jobs_in_id_order() {
         let events = log.snapshot();
         assert!(events.iter().any(|e| matches!(
             &e.event,
-            cg_trace::Event::SiteDead { site, in_flight } if site == "alpha" && *in_flight == 4
+            cg_trace::Event::SiteDead { site, in_flight } if &**site == "alpha" && *in_flight == 4
         )));
         let died = events
             .iter()
@@ -1200,8 +1226,8 @@ fn a_job_with_unprintable_strings_on_a_dead_site_is_rematched_not_failed() {
         "Executable = \"a\rb\u{7f}c\u{200b}d\u{301}\"; Arguments = \"\\t\\\"q\\\"\\\\\\n\";
          JobType = \"interactive\"; MachineAccess = \"exclusive\"; User = \"alice\";",
     );
-    assert_eq!(submitted.executable, "a\rb\u{7f}c\u{200b}d\u{301}");
-    assert_eq!(submitted.arguments, "\t\"q\"\\\n");
+    assert_eq!(&*submitted.executable, "a\rb\u{7f}c\u{200b}d\u{301}");
+    assert_eq!(&*submitted.arguments, "\t\"q\"\\\n");
     let ad = submitted.ad.clone();
     let id = broker.submit(&mut sim, submitted, SimDuration::from_secs(60));
     // A local user takes alpha's node while the submission is in flight.
@@ -1216,14 +1242,14 @@ fn a_job_with_unprintable_strings_on_a_dead_site_is_rematched_not_failed() {
     sim.run_until(SimTime::from_secs(1_199));
     let state = broker.record(id).state;
     assert!(
-        matches!(&state, JobState::Scheduled { site } if site == "alpha"),
+        matches!(&state, JobState::Scheduled { site } if &**site == "alpha"),
         "{state:?}"
     );
     sim.run_until(SimTime::from_secs(3_000));
     let events = broker.event_log().snapshot();
     assert!(events.iter().any(|e| matches!(
         &e.event,
-        cg_trace::Event::SiteDead { site, in_flight } if site == "alpha" && *in_flight == 1
+        cg_trace::Event::SiteDead { site, in_flight } if &**site == "alpha" && *in_flight == 1
     )));
     let record = events
         .iter()
@@ -1328,7 +1354,7 @@ fn a_started_subjob_killed_at_its_site_fails_the_barrier_job() {
                 _ => None,
             })
             .unwrap_or_else(|| panic!("{name}: no site subjob started"));
-        let lrms = sites.iter().find(|s| s.name() == site).unwrap().lrms();
+        let lrms = sites.iter().find(|s| s.name() == &*site).unwrap().lrms();
         assert!(lrms.kill(&mut sim, cg_site::LocalJobId(local), "node failure"));
         sim.run_until(SimTime::from_secs(10_000));
 
@@ -1415,7 +1441,7 @@ fn a_withdrawn_copy_does_not_outlive_its_withdrawal() {
     let r = broker.record(id);
     assert_eq!(r.resubmissions, 1, "{r:?}");
     assert!(
-        matches!(&r.state, JobState::Running { sites } if sites == &["beta"]),
+        matches!(&r.state, JobState::Running { sites } if *sites == [Arc::<str>::from("beta")]),
         "{:?}",
         r.state
     );

@@ -108,7 +108,7 @@ fn mixed_values() -> Vec<Value> {
         Value::Double(3.5),
         Value::Bool(true),
         Value::Bool(false),
-        Value::List(vec![Value::Int(7), Value::Str("x".into())]),
+        Value::List([Value::Int(7), Value::Str("x".into())].into()),
         stored("other.NodeNumber + 5"),
         stored("FreeCpus > 1"),
         stored("1 / 0"),

@@ -104,7 +104,7 @@ fn degraded_mode_refuses_sites_whose_own_column_aged_past_the_bound() {
     let dispatched: Vec<&str> = events
         .iter()
         .filter_map(|e| match &e.event {
-            Event::JobDispatched { job, target, .. } if *job == id.0 => Some(target.as_str()),
+            Event::JobDispatched { job, target, .. } if *job == id.0 => Some(&**target),
             _ => None,
         })
         .collect();

@@ -228,7 +228,7 @@ proptest! {
             match op {
                 FsOp::Register { user, kind, cpus } => {
                     let name = format!("u{user}");
-                    handles.push(fs.register(&name, kind, cpus));
+                    handles.push(fs.register(name.as_str(), kind, cpus));
                     live.push(Some((name, kind, cpus)));
                 }
                 FsOp::Release { slot } => {

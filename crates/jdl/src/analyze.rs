@@ -60,6 +60,7 @@ use crate::columns::{Column, Columns, SiteSet};
 use crate::expr::{
     apply_bin_values, apply_int_cast, apply_logic, apply_real_cast, apply_rounding, err,
     logic_short_circuit, member_contains, string_list_contains, BinOp, Ctx, Cv, EvalError, Expr,
+    Scope,
 };
 use crate::job::{rank_of, requirements_of, JobDescription};
 use crate::lexer::{LexError, Pos};
@@ -483,8 +484,8 @@ impl Func {
 const KNOWN_FUNCTIONS: &str =
     "member, isUndefined, stringListMember, floor, ceiling, round, abs, min, max, int, real";
 
-fn scope_ok(scope: Option<&String>) -> bool {
-    matches!(scope.map(String::as_str), None | Some("self" | "other"))
+fn scope_ok(scope: &Scope) -> bool {
+    !matches!(scope, Scope::Unknown(_))
 }
 
 // ---------------------------------------------------------------------------
@@ -509,7 +510,7 @@ impl Checker<'_> {
             Expr::Double(_) => Ty::Double,
             Expr::Bool(_) => Ty::Bool,
             Expr::Undefined => Ty::Undefined,
-            Expr::Ref { scope, name } => self.check_ref(scope.as_ref(), name, sp),
+            Expr::Ref { scope, name } => self.check_ref(scope, name, sp),
             Expr::Not(x) => {
                 let t = self.check(x, sp.child(0));
                 if !t.maybe_bool() {
@@ -553,9 +554,9 @@ impl Checker<'_> {
         }
     }
 
-    fn check_ref(&mut self, scope: Option<&String>, name: &str, sp: &Span) -> Ty {
-        match scope.map(String::as_str) {
-            Some("other") => match self.machine.get(name) {
+    fn check_ref(&mut self, scope: &Scope, name: &str, sp: &Span) -> Ty {
+        match scope {
+            Scope::Other => match self.machine.get(name) {
                 Some(ty) => ty,
                 None => {
                     self.diags.push(
@@ -572,7 +573,7 @@ impl Checker<'_> {
                     Ty::Undefined
                 }
             },
-            None | Some("self") => match self.own.get(name) {
+            Scope::Bare | Scope::Own => match self.own.get(name) {
                 Some(Value::Expr(inner)) => {
                     let key = name.to_ascii_lowercase();
                     if self.visiting.contains(&key) {
@@ -624,7 +625,7 @@ impl Checker<'_> {
                     }
                 },
             },
-            Some(s) => {
+            Scope::Unknown(s) => {
                 self.diags.push(
                     Diagnostic::error("E105", sp.pos, format!("unknown scope `{s}`")).with_help(
                         "use a bare name for job attributes or `other.` for machine attributes",
@@ -730,7 +731,7 @@ impl Checker<'_> {
                 // way to probe optional attributes — suppress unknown/unset
                 // diagnostics for a direct reference argument.
                 match &args[0] {
-                    Expr::Ref { scope, .. } if scope_ok(scope.as_ref()) => {}
+                    Expr::Ref { scope, .. } if scope_ok(scope) => {}
                     arg => {
                         self.check(arg, sp.child(0));
                     }
@@ -1026,14 +1027,14 @@ impl Compiler<'_> {
             Expr::Double(x) => CExpr::Const(Cv::Val(Value::Double(*x))),
             Expr::Bool(b) => CExpr::Const(Cv::Val(Value::Bool(*b))),
             Expr::Undefined => CExpr::Const(Cv::Undefined),
-            Expr::Ref { scope, name } => match scope.as_deref() {
-                None | Some("self") => match self.own.get(name) {
+            Expr::Ref { scope, name } => match scope {
+                Scope::Bare | Scope::Own => match self.own.get(name) {
                     Some(Value::Expr(_)) => CExpr::OwnExpr(intern(name)),
                     Some(v) => CExpr::Const(Cv::Val(v.clone())),
                     None => CExpr::Const(Cv::Undefined),
                 },
-                Some("other") => CExpr::OtherRef(self.other(name)),
-                Some(_) => CExpr::Raw(e.clone()),
+                Scope::Other => CExpr::OtherRef(self.other(name)),
+                Scope::Unknown(_) => CExpr::Raw(e.clone()),
             },
             Expr::Not(x) => try_fold(CExpr::Not(Box::new(self.expr(x, sp.child(0))))),
             Expr::Neg(x) => try_fold(CExpr::Neg(Box::new(self.expr(x, sp.child(0))))),
@@ -1106,16 +1107,17 @@ impl Compiler<'_> {
                     // singleton lists; reproduce that resolution here.
                     let needle = self.expr(&args[0], sp.child(0));
                     let list = match &args[1] {
-                        Expr::Ref { scope, name } => match scope.as_deref() {
-                            None | Some("self") => match self.own.get(name) {
+                        Expr::Ref { scope, name } => match scope {
+                            Scope::Bare | Scope::Own => match self.own.get(name) {
                                 Some(Value::List(items)) => {
                                     CExpr::Const(Cv::Val(Value::List(items.clone())))
                                 }
-                                Some(v) => CExpr::Const(Cv::Val(Value::List(vec![v.clone()]))),
+                                Some(v) => CExpr::Const(Cv::Val(Value::List([v.clone()].into()))),
                                 None => CExpr::Const(Cv::Undefined),
                             },
-                            Some("other") => CExpr::OtherListRef(self.other(name)),
-                            Some(_) => return CExpr::Raw(e.clone()), // runtime scope error
+                            Scope::Other => CExpr::OtherListRef(self.other(name)),
+                            // The runtime's scope error.
+                            Scope::Unknown(_) => return CExpr::Raw(e.clone()),
                         },
                         other => self.expr(other, sp.child(1)),
                     };
@@ -1328,7 +1330,7 @@ fn ceval_call<'a, O: Other<'a>>(
             let needle = defined!(&args[0]);
             let list = defined!(&args[1]);
             let items = match &*list {
-                Value::List(items) => items.as_slice(),
+                Value::List(items) => &**items,
                 one => std::slice::from_ref(one),
             };
             Bv::bool(member_contains(items, &needle))
@@ -1828,7 +1830,7 @@ pub fn analyze_ad(ad: &Ad, spans: Option<&AdSpans>, machine: &Schema) -> Analysi
     // so a bad spelling warns instead of rejecting the ad. A non-string
     // value is already E102 from pass 1.
     if let Some(Value::Str(name)) = ad.get("SelectionPolicy") {
-        if !SELECTION_POLICIES.contains(&name.as_str()) {
+        if !SELECTION_POLICIES.contains(&&**name) {
             diags.push(
                 Diagnostic::warning(
                     "W207",
@@ -2196,7 +2198,7 @@ mod tests {
         site.set_int("FreeCpus", 4).set_double("SpeedFactor", 1.5);
         site.set(
             "Tags",
-            Value::List(vec![Value::Str("crossgrid".into()), Value::Str("x".into())]),
+            Value::List([Value::Str("crossgrid".into()), Value::Str("x".into())].into()),
         );
         let ctx = Ctx {
             own: &job.ad,
@@ -2285,7 +2287,7 @@ mod tests {
         ad.set_str("Site", "x").set_int("FreeCpus", 4);
         ad.set_double("SpeedFactor", 1.0)
             .set_bool("AcceptsQueued", true);
-        ad.set("Tags", Value::List(vec![]));
+        ad.set("Tags", Value::List(Arc::from([])));
         let s = Schema::infer_from_ad(&ad);
         assert_eq!(s.get("site"), Some(Ty::Str));
         assert_eq!(s.get("FreeCpus"), Some(Ty::Int));

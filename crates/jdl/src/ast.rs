@@ -7,11 +7,13 @@ use std::sync::Arc;
 use crate::expr::Expr;
 use crate::lexer::write_quoted;
 
-/// A JDL attribute value.
+/// A JDL attribute value. Strings and lists are shared, not owned: cloning
+/// a value — copying an ad, folding a constant, handing a `member()` list
+/// out — bumps a reference count and copies no bytes.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Value {
     /// String literal.
-    Str(String),
+    Str(Arc<str>),
     /// Integer.
     Int(i64),
     /// Floating-point number.
@@ -19,7 +21,7 @@ pub enum Value {
     /// Boolean.
     Bool(bool),
     /// List of values, `{a, b, c}`.
-    List(Vec<Value>),
+    List(Arc<[Value]>),
     /// An unevaluated expression (Requirements, Rank).
     Expr(Expr),
 }
@@ -201,7 +203,7 @@ impl Ad {
     }
 
     /// Convenience string setter.
-    pub fn set_str(&mut self, name: impl AsRef<str>, v: impl Into<String>) -> &mut Self {
+    pub fn set_str(&mut self, name: impl AsRef<str>, v: impl Into<Arc<str>>) -> &mut Self {
         self.set(name, Value::Str(v.into()))
     }
 
@@ -307,7 +309,7 @@ mod tests {
         assert_eq!(Value::Int(3).as_i64(), Some(3));
         assert_eq!(Value::Bool(true).as_bool(), Some(true));
         assert_eq!(Value::Str("x".into()).as_f64(), None);
-        assert!(Value::List(vec![Value::Int(1)]).as_list().is_some());
+        assert!(Value::List([Value::Int(1)].into()).as_list().is_some());
     }
 
     #[test]
@@ -409,7 +411,7 @@ mod tests {
         assert_eq!(Value::Double(2.0).to_string(), "2.0");
         assert_eq!(Value::Bool(false).to_string(), "false");
         assert_eq!(
-            Value::List(vec![Value::Int(1), Value::Str("b".into())]).to_string(),
+            Value::List([Value::Int(1), Value::Str("b".into())].into()).to_string(),
             "{1, \"b\"}"
         );
     }

@@ -8,6 +8,7 @@
 
 use std::cmp::Ordering;
 use std::fmt;
+use std::sync::Arc;
 
 use crate::ast::{Ad, Value};
 
@@ -70,11 +71,55 @@ impl BinOp {
     }
 }
 
+/// The ad an attribute reference reads.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum Scope {
+    /// A bare name: the expression's own ad.
+    Bare,
+    /// `self.Name`: the own ad, named explicitly.
+    Own,
+    /// `other.Name`: the counterpart ad.
+    Other,
+    /// Any other qualifier, lower-cased: an error when evaluated (E105 to
+    /// the analyzer).
+    Unknown(Box<str>),
+}
+
+impl Scope {
+    /// The scope a written qualifier names, ignoring ASCII case; only an
+    /// unknown one is copied.
+    pub fn of(qualifier: &str) -> Scope {
+        if qualifier.eq_ignore_ascii_case("other") {
+            Scope::Other
+        } else if qualifier.eq_ignore_ascii_case("self") {
+            Scope::Own
+        } else {
+            Scope::Unknown(qualifier.to_ascii_lowercase().into_boxed_str())
+        }
+    }
+
+    /// The frame a reference in this scope is read in: its `own` is the ad
+    /// that holds the attribute, and a stored expression found there
+    /// evaluates in it — with `own` and `other` swapped when reached via
+    /// `other.`.
+    pub(crate) fn frame<'a>(&self, ctx: Ctx<'a>) -> Result<Ctx<'a>, EvalError> {
+        match self {
+            Scope::Bare | Scope::Own => Ok(ctx),
+            Scope::Other => Ok(Ctx {
+                own: ctx.other,
+                other: ctx.own,
+            }),
+            Scope::Unknown(s) => Err(err(format!("unknown scope `{s}`"))),
+        }
+    }
+}
+
 /// An expression tree.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Expr {
-    /// String literal.
-    Str(String),
+    /// String literal, shared by every copy of the expression and every
+    /// value it evaluates to.
+    Str(Arc<str>),
     /// Integer literal.
     Int(i64),
     /// Float literal.
@@ -83,10 +128,11 @@ pub enum Expr {
     Bool(bool),
     /// The `undefined` literal.
     Undefined,
-    /// Attribute reference; `scope` is `Some("other")` for machine attributes.
+    /// Attribute reference; `scope` is [`Scope::Other`] for machine
+    /// attributes.
     Ref {
-        /// `None` = own ad, `Some(scope)` = the named counterpart ad.
-        scope: Option<String>,
+        /// Which ad the name is looked up in.
+        scope: Scope,
         /// Attribute name.
         name: String,
     },
@@ -117,8 +163,10 @@ impl fmt::Display for Expr {
             Expr::Bool(b) => write!(f, "{b}"),
             Expr::Undefined => write!(f, "undefined"),
             Expr::Ref { scope, name } => match scope {
-                Some(s) => write!(f, "{s}.{name}"),
-                None => write!(f, "{name}"),
+                Scope::Bare => write!(f, "{name}"),
+                Scope::Own => write!(f, "self.{name}"),
+                Scope::Other => write!(f, "other.{name}"),
+                Scope::Unknown(s) => write!(f, "{s}.{name}"),
             },
             Expr::Not(e) => write!(f, "!({e})"),
             Expr::Neg(e) => write!(f, "-({e})"),
@@ -202,25 +250,9 @@ impl Expr {
             Expr::Bool(b) => Ok(Cv::Val(Value::Bool(*b))),
             Expr::Undefined => Ok(Cv::Undefined),
             Expr::Ref { scope, name } => {
-                let ad = match scope.as_deref() {
-                    None | Some("self") => ctx.own,
-                    Some("other") => ctx.other,
-                    Some(s) => return Err(err(format!("unknown scope `{s}`"))),
-                };
-                match ad.get(name) {
-                    // A stored expression evaluates in the owning ad's frame —
-                    // with `own` and `other` swapped when reached via `other.`.
-                    Some(Value::Expr(e)) => {
-                        let frame = if scope.as_deref() == Some("other") {
-                            Ctx {
-                                own: ctx.other,
-                                other: ctx.own,
-                            }
-                        } else {
-                            ctx
-                        };
-                        e.eval(frame)
-                    }
+                let frame = scope.frame(ctx)?;
+                match frame.own.get(name) {
+                    Some(Value::Expr(e)) => e.eval(frame),
                     Some(v) => Ok(Cv::Val(v.clone())),
                     None => Ok(Cv::Undefined),
                 }
@@ -417,27 +449,21 @@ fn eval_call(name: &str, args: &[Expr], ctx: Ctx<'_>) -> Result<Cv, EvalError> {
                 Cv::Val(v) => v,
             };
             // The list argument must be a reference to a list-valued attribute
-            // or a literal — evaluate the ref manually.
-            let list = match &args[1] {
-                Expr::Ref { scope, name } => {
-                    let ad = match scope.as_deref() {
-                        None | Some("self") => ctx.own,
-                        Some("other") => ctx.other,
-                        Some(s) => return Err(err(format!("unknown scope `{s}`"))),
-                    };
-                    match ad.get(name) {
-                        Some(Value::List(items)) => items.clone(),
-                        Some(v) => vec![v.clone()],
-                        None => return Ok(Cv::Undefined),
-                    }
-                }
+            // or a literal — evaluate the ref manually. A scalar is a
+            // one-item list.
+            let found = match &args[1] {
+                Expr::Ref { scope, name } => match scope.frame(ctx)?.own.get(name) {
+                    Some(Value::List(items)) => member_contains(items, &needle),
+                    Some(v) => member_contains(std::slice::from_ref(v), &needle),
+                    None => return Ok(Cv::Undefined),
+                },
                 other => match other.eval(ctx)? {
                     Cv::Undefined => return Ok(Cv::Undefined),
-                    Cv::Val(Value::List(items)) => items,
-                    Cv::Val(v) => vec![v],
+                    Cv::Val(Value::List(items)) => member_contains(&items, &needle),
+                    Cv::Val(v) => member_contains(std::slice::from_ref(&v), &needle),
                 },
             };
-            Ok(Cv::Val(Value::Bool(member_contains(&list, &needle))))
+            Ok(Cv::Val(Value::Bool(found)))
         }
         "isundefined" => {
             if args.len() != 1 {
@@ -472,15 +498,17 @@ fn eval_call(name: &str, args: &[Expr], ctx: Ctx<'_>) -> Result<Cv, EvalError> {
                 }
             };
             let delims = match args.get(2) {
-                None => ",".to_string(),
+                None => None,
                 Some(a) => match a.eval(ctx)? {
                     Cv::Undefined => return Ok(Cv::Undefined),
-                    Cv::Val(Value::Str(s)) => s,
+                    Cv::Val(Value::Str(s)) => Some(s),
                     Cv::Val(v) => return Err(err(format!("delims must be a string, got {v}"))),
                 },
             };
             Ok(Cv::Val(Value::Bool(string_list_contains(
-                &list, &delims, &needle,
+                &list,
+                delims.as_deref().unwrap_or(","),
+                &needle,
             ))))
         }
         name @ ("floor" | "ceiling" | "round" | "abs") => {
@@ -632,10 +660,13 @@ mod tests {
             .set_double("LoadAvg", 0.25)
             .set(
                 "RunTimeEnv",
-                Value::List(vec![
-                    Value::Str("MPICH-G2".into()),
-                    Value::Str("CROSSGRID".into()),
-                ]),
+                Value::List(
+                    [
+                        Value::Str("MPICH-G2".into()),
+                        Value::Str("CROSSGRID".into()),
+                    ]
+                    .into(),
+                ),
             );
         ad
     }
@@ -654,14 +685,14 @@ mod tests {
 
     fn other_ref(name: &str) -> Expr {
         Expr::Ref {
-            scope: Some("other".into()),
+            scope: Scope::Other,
             name: name.into(),
         }
     }
 
     fn own_ref(name: &str) -> Expr {
         Expr::Ref {
-            scope: None,
+            scope: Scope::Bare,
             name: name.into(),
         }
     }

@@ -3,6 +3,7 @@
 
 use std::borrow::Cow;
 use std::fmt;
+use std::sync::Arc;
 
 use serde::{Deserialize, Serialize};
 
@@ -79,13 +80,14 @@ fn invalid(message: impl Into<String>) -> JobError {
     }
 }
 
-/// A validated job description.
+/// A validated job description. Its string fields are the ad's own values,
+/// shared: typing an ad copies no string, and neither does cloning the job.
 #[derive(Debug, Clone, PartialEq)]
 pub struct JobDescription {
     /// Executable name (`Executable`).
-    pub executable: String,
+    pub executable: Arc<str>,
     /// Command-line arguments (`Arguments`), space-separated as submitted.
-    pub arguments: String,
+    pub arguments: Arc<str>,
     /// Batch or interactive.
     pub interactivity: Interactivity,
     /// Sequential / MPICH-P4 / MPICH-G2.
@@ -102,12 +104,12 @@ pub struct JobDescription {
     /// Optional fixed shadow port (users with firewalls pre-open one, §4).
     pub shadow_port: Option<u16>,
     /// Submitting user (accounting / fair share).
-    pub user: String,
+    pub user: Arc<str>,
     /// Requested selection-policy name (`SelectionPolicy`), kept as spelled.
     /// The broker resolves it against its policy registry and falls back to
     /// its configured default when the name is unknown (the analyzer emits
     /// W207 for that case).
-    pub selection_policy: Option<String>,
+    pub selection_policy: Option<Arc<str>>,
     /// Estimated runtime in seconds, when declared (used by LRMS walltime).
     pub estimated_runtime_s: Option<f64>,
     /// Input-sandbox file sizes in bytes (staged before execution).
@@ -162,11 +164,10 @@ impl JobDescription {
 
     /// Validates a parsed ad.
     pub fn from_ad(ad: Ad) -> Result<Self, JobError> {
-        let executable = ad
-            .get("Executable")
-            .and_then(Value::as_str)
-            .ok_or_else(|| invalid("missing or non-string Executable"))?
-            .to_string();
+        let executable = match ad.get("Executable") {
+            Some(Value::Str(s)) => Arc::clone(s),
+            _ => return Err(invalid("missing or non-string Executable")),
+        };
         if executable.is_empty() {
             return Err(invalid("Executable is empty"));
         }
@@ -259,11 +260,10 @@ impl JobDescription {
             return Err(invalid(format!("Rank must be an expression, got {other}")));
         }
 
-        let user = ad
-            .get("User")
-            .and_then(Value::as_str)
-            .unwrap_or("anonymous")
-            .to_string();
+        let user = match ad.get("User") {
+            Some(Value::Str(s)) => Arc::clone(s),
+            _ => Arc::from("anonymous"),
+        };
 
         let selection_policy = ad
             .get("SelectionPolicy")
@@ -364,7 +364,7 @@ fn parse_job_type(ad: &Ad) -> Result<(Interactivity, Parallelism), JobError> {
     };
     let items = match v {
         Value::Str(_) => std::slice::from_ref(v),
-        Value::List(items) => items.as_slice(),
+        Value::List(items) => &**items,
         other => {
             return Err(invalid(format!(
                 "JobType must be a string or list, got {other}"
@@ -425,8 +425,8 @@ mod tests {
     #[test]
     fn parses_figure_2_fully_typed() {
         let j = JobDescription::parse(FIGURE_2).unwrap();
-        assert_eq!(j.executable, "interactive_mpich-g2_app");
-        assert_eq!(j.arguments, "-n");
+        assert_eq!(&*j.executable, "interactive_mpich-g2_app");
+        assert_eq!(&*j.arguments, "-n");
         assert_eq!(j.interactivity, Interactivity::Interactive);
         assert_eq!(j.parallelism, Parallelism::MpichG2);
         assert_eq!(j.node_number, 2);
@@ -445,7 +445,7 @@ mod tests {
         assert_eq!(j.machine_access, MachineAccess::Exclusive);
         assert_eq!(j.performance_loss, 0);
         assert_eq!(j.console_agent_count(), 1);
-        assert_eq!(j.user, "anonymous");
+        assert_eq!(&*j.user, "anonymous");
     }
 
     #[test]
@@ -572,7 +572,7 @@ mod tests {
         let j =
             JobDescription::parse(r#"Executable = "a"; User = "alice"; EstimatedRuntime = 3600;"#)
                 .unwrap();
-        assert_eq!(j.user, "alice");
+        assert_eq!(&*j.user, "alice");
         assert_eq!(j.estimated_runtime_s, Some(3600.0));
     }
 }

@@ -54,7 +54,7 @@ pub use analyze::{
 };
 pub use ast::{Ad, Value};
 pub use columns::{Cell, Column, Columns, SiteSet};
-pub use expr::{BinOp, Ctx, Cv, EvalError, Expr};
+pub use expr::{BinOp, Ctx, Cv, EvalError, Expr, Scope};
 pub use job::{Interactivity, JobDescription, JobError, MachineAccess, Parallelism, StreamingMode};
 pub use lexer::{lex, lex_spanned, LexError, Pos, Tok};
 pub use parser::{

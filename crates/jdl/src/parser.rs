@@ -27,9 +27,10 @@
 
 use std::fmt;
 use std::marker::PhantomData;
+use std::sync::Arc;
 
 use crate::ast::{Ad, Value};
-use crate::expr::{BinOp, Expr};
+use crate::expr::{BinOp, Expr, Scope};
 use crate::lexer::{LexError, Lexer, Pos, Tok};
 
 /// A parse failure with source position.
@@ -309,7 +310,7 @@ impl<'a, P: Positions> Parser<'a, P> {
                 break;
             }
         }
-        Ok((Value::List(items), P::node(list_pos, kids)))
+        Ok((Value::List(items.into()), P::node(list_pos, kids)))
     }
 
     fn parse_expr(&mut self) -> Result<(Expr, P), ParseError> {
@@ -414,7 +415,7 @@ impl<'a, P: Positions> Parser<'a, P> {
         let start = self.pos();
         let leaf = |e| Ok((e, P::leaf(start)));
         match self.next()? {
-            Some((Tok::Str(s), _)) => leaf(Expr::Str(s.into_owned())),
+            Some((Tok::Str(s), _)) => leaf(Expr::Str(Arc::from(&*s))),
             Some((Tok::Int(n), _)) => leaf(Expr::Int(n)),
             Some((Tok::Double(x), _)) => leaf(Expr::Double(x)),
             Some((Tok::Bool(b), _)) => leaf(Expr::Bool(b)),
@@ -444,13 +445,13 @@ impl<'a, P: Positions> Parser<'a, P> {
                 }
                 if !self.eat(&Tok::Dot)? {
                     return leaf(Expr::Ref {
-                        scope: None,
+                        scope: Scope::Bare,
                         name: name.to_string(),
                     });
                 }
                 match self.next()? {
                     Some((Tok::Ident(attr), _)) => leaf(Expr::Ref {
-                        scope: Some(name.to_ascii_lowercase()),
+                        scope: Scope::of(name),
                         name: attr.to_string(),
                     }),
                     // Points past the token it names: that one is consumed.
@@ -669,6 +670,27 @@ mod tests {
                 other: &machine
             })
             .unwrap());
+    }
+
+    #[test]
+    fn a_scope_prints_lower_cased_and_the_name_as_written() {
+        for (src, scope, printed) in [
+            ("Cpus", Scope::Bare, "Cpus"),
+            ("SELF.Cpus", Scope::Own, "self.Cpus"),
+            ("Other.Cpus", Scope::Other, "other.Cpus"),
+            ("MyAd.Cpus", Scope::Unknown("myad".into()), "myad.Cpus"),
+        ] {
+            let e = parse_expr(src).unwrap();
+            assert_eq!(e.to_string(), printed, "{src}");
+            assert_eq!(
+                e,
+                Expr::Ref {
+                    scope,
+                    name: "Cpus".into()
+                },
+                "{src}"
+            );
+        }
     }
 
     #[test]

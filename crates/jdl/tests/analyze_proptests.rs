@@ -14,7 +14,9 @@
 
 use std::sync::Arc;
 
-use cg_jdl::{analyze_ad, parse_expr, Ad, BinOp, Columns, CompiledExpr, Ctx, Expr, SiteSet, Value};
+use cg_jdl::{
+    analyze_ad, parse_expr, Ad, BinOp, Columns, CompiledExpr, Ctx, Expr, Scope, SiteSet, Value,
+};
 use proptest::prelude::*;
 
 // ---------------------------------------------------------------------------
@@ -37,7 +39,7 @@ fn small_scalar() -> impl Strategy<Value = Value> {
 fn small_value() -> impl Strategy<Value = Value> {
     prop_oneof![
         small_scalar(),
-        prop::collection::vec(small_scalar(), 0..3).prop_map(Value::List),
+        prop::collection::vec(small_scalar(), 0..3).prop_map(|items| Value::List(items.into())),
     ]
 }
 
@@ -87,11 +89,11 @@ fn leaf_expr() -> impl Strategy<Value = Expr> {
         prop::sample::select(vec!["x", "CROSSGRID"]).prop_map(|s| Expr::Str(s.into())),
         Just(Expr::Undefined),
         prop::sample::select(NAMES.to_vec()).prop_map(|n| Expr::Ref {
-            scope: None,
+            scope: Scope::Bare,
             name: n.into(),
         }),
         prop::sample::select(NAMES.to_vec()).prop_map(|n| Expr::Ref {
-            scope: Some("other".into()),
+            scope: Scope::Other,
             name: n.into(),
         }),
     ]
@@ -236,7 +238,7 @@ fn requirements_strategy() -> impl Strategy<Value = Expr> {
         ])
     };
     let other = |name: &str| Expr::Ref {
-        scope: Some("other".into()),
+        scope: Scope::Other,
         name: name.into(),
     };
     let leaf = prop_oneof![
@@ -304,7 +306,7 @@ fn requirements_strategy() -> impl Strategy<Value = Expr> {
 /// Numeric-valued expressions over the machine vocabulary — `Rank` shapes.
 fn rank_strategy() -> impl Strategy<Value = Expr> {
     let other = |name: &str| Expr::Ref {
-        scope: Some("other".into()),
+        scope: Scope::Other,
         name: name.into(),
     };
     let leaf = prop_oneof![
@@ -346,10 +348,13 @@ fn job_ad_strategy() -> impl Strategy<Value = Ad> {
             if let Some(n) = nodes {
                 ad.set(
                     "JobType",
-                    Value::List(vec![
-                        Value::Str("interactive".into()),
-                        Value::Str("mpich-g2".into()),
-                    ]),
+                    Value::List(
+                        [
+                            Value::Str("interactive".into()),
+                            Value::Str("mpich-g2".into()),
+                        ]
+                        .into(),
+                    ),
                 );
                 ad.set("NodeNumber", Value::Int(n));
             } else {

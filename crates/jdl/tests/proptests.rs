@@ -14,7 +14,7 @@ fn name_strategy() -> impl Strategy<Value = String> {
 /// Scalar values that print and reparse exactly.
 fn scalar_strategy() -> impl Strategy<Value = Value> {
     prop_oneof![
-        "[ -~]{0,20}".prop_map(Value::Str),
+        "[ -~]{0,20}".prop_map(|s: String| Value::Str(s.into())),
         any::<i64>().prop_map(Value::Int),
         any::<bool>().prop_map(Value::Bool),
         // Finite doubles with exact decimal round-trip via {x} formatting.
@@ -33,7 +33,7 @@ fn text_strategy() -> impl Strategy<Value = String> {
 
 fn value_strategy() -> impl Strategy<Value = Value> {
     scalar_strategy().prop_recursive(2, 16, 4, |inner| {
-        prop::collection::vec(inner, 0..4).prop_map(Value::List)
+        prop::collection::vec(inner, 0..4).prop_map(|items| Value::List(items.into()))
     })
 }
 
@@ -90,11 +90,11 @@ proptest! {
     fn any_string_survives_print_and_reparse(text in text_strategy(), other in text_strategy()) {
         let mut ad = Ad::new();
         ad.set_str("Executable", text.clone());
-        ad.set("Tags", Value::List(vec![Value::Str(other.clone()), Value::Str(text.clone())]));
+        ad.set("Tags", Value::List([Value::Str(other.as_str().into()), Value::Str(text.as_str().into())].into()));
         ad.set("Requirements", Value::Expr(Expr::Bin(
             cg_jdl::BinOp::Eq,
-            Box::new(Expr::Str(text)),
-            Box::new(Expr::Str(other)),
+            Box::new(Expr::Str(text.into())),
+            Box::new(Expr::Str(other.into())),
         )));
         let reparsed = parse_ad(&ad.to_string());
         prop_assert_eq!(reparsed, Ok(ad));

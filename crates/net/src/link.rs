@@ -149,6 +149,12 @@ impl Link {
         self.inner.borrow().profile.clone()
     }
 
+    /// `f` applied to the link's profile in place, without the clone
+    /// [`Link::profile`] makes.
+    pub fn with_profile<T>(&self, f: impl FnOnce(&LinkProfile) -> T) -> T {
+        f(&self.inner.borrow().profile)
+    }
+
     /// The profile's [`LinkProfile::nominal_rtt`], read in place.
     pub fn nominal_rtt(&self) -> SimDuration {
         self.inner.borrow().profile.nominal_rtt()

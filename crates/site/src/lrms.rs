@@ -10,6 +10,7 @@
 use std::cell::RefCell;
 use std::collections::{BTreeMap, VecDeque};
 use std::rc::Rc;
+use std::sync::Arc;
 
 use cg_sim::{EventId, OnlineStats, Receiver, Sim, SimDuration, SimTime, Slab, TypedEvent};
 use serde::{Deserialize, Serialize};
@@ -45,8 +46,8 @@ pub struct LocalJobSpec {
     pub walltime: Option<SimDuration>,
     /// Priority (lower = runs earlier) under [`Policy::Priority`].
     pub priority: i64,
-    /// Owner, for accounting.
-    pub user: String,
+    /// Owner, for accounting: the submitter's shared name.
+    pub user: Arc<str>,
 }
 
 impl LocalJobSpec {
@@ -167,7 +168,7 @@ struct Inner {
     /// Cap on `done`: oldest records are evicted (and traced) past this.
     retention: usize,
     /// Lifecycle event sink and this scheduler's site label.
-    trace: Option<(cg_trace::EventLog, String)>,
+    trace: Option<(cg_trace::EventLog, Arc<str>)>,
     /// Lifecycle notices waiting for their event: `(callback, job, what)`.
     notices: Slab<(Callback, LocalJobId, LrmsEvent)>,
     /// What the scheduler's own events reach, built at the first
@@ -341,21 +342,22 @@ impl Lrms {
     }
 
     /// Routes this scheduler's queue/start/finish/kill transitions into
-    /// `log`, labelled with `site`.
-    pub fn set_trace(&self, log: cg_trace::EventLog, site: impl Into<String>) {
+    /// `log`, labelled with `site` — the site's own name, shared by every
+    /// event.
+    pub fn set_trace(&self, log: cg_trace::EventLog, site: impl Into<Arc<str>>) {
         self.inner.borrow_mut().trace = Some((log, site.into()));
     }
 
-    fn trace_event(&self, sim: &Sim, make: impl FnOnce(&str) -> cg_trace::Event) {
+    fn trace_event(&self, sim: &Sim, make: impl FnOnce(Arc<str>) -> cg_trace::Event) {
         if let Some((log, site)) = &self.inner.borrow().trace {
-            log.record(sim.now(), make(site));
+            log.record(sim.now(), make(Arc::clone(site)));
         }
     }
 
     fn trace_evictions(&self, sim: &Sim, evicted: &[LocalJobId]) {
         for &old in evicted {
             self.trace_event(sim, |site| cg_trace::Event::DispositionEvicted {
-                site: site.to_string(),
+                site,
                 job: old.0,
             });
         }
@@ -396,10 +398,7 @@ impl Lrms {
             seq,
         });
         drop(inner);
-        self.trace_event(sim, |site| cg_trace::Event::LrmsQueued {
-            site: site.to_string(),
-            job: id.0,
-        });
+        self.trace_event(sim, |site| cg_trace::Event::LrmsQueued { site, job: id.0 });
         self.notify(sim, callback, id, LrmsEvent::Queued);
         self.schedule_dispatch(sim);
         id
@@ -425,7 +424,7 @@ impl Lrms {
                 let evicted = record_done(&mut inner, id, LocalDisposition::Killed);
                 drop(inner);
                 self.trace_event(sim, |site| cg_trace::Event::LrmsKilled {
-                    site: site.to_string(),
+                    site,
                     job: id.0,
                     reason: reason.clone(),
                 });
@@ -551,14 +550,11 @@ impl Lrms {
         }
         self.trace_event(sim, |site| match &kill_reason {
             Some(reason) => cg_trace::Event::LrmsKilled {
-                site: site.to_string(),
+                site,
                 job: id.0,
                 reason: reason.clone(),
             },
-            None => cg_trace::Event::LrmsFinished {
-                site: site.to_string(),
-                job: id.0,
-            },
+            None => cg_trace::Event::LrmsFinished { site, job: id.0 },
         });
         self.trace_evictions(sim, &evicted);
         let event = match kill_reason {
@@ -683,7 +679,7 @@ impl Lrms {
             (Rc::clone(&job.callback), job.nodes.clone())
         };
         self.trace_event(sim, |site| cg_trace::Event::LrmsStarted {
-            site: site.to_string(),
+            site,
             job: id.0,
             nodes: nodes.len() as u32,
         });
@@ -1031,7 +1027,7 @@ mod tests {
             .iter()
             .filter_map(|r| match &r.event {
                 cg_trace::Event::DispositionEvicted { site, job } => {
-                    assert_eq!(site, "uab");
+                    assert_eq!(&**site, "uab");
                     Some(*job)
                 }
                 _ => None,

@@ -62,9 +62,13 @@ impl Default for SiteConfig {
 type AdKey = (usize, usize, bool);
 
 /// What every clone of a [`Site`] shares besides the backend: the immutable
-/// configuration and the memoized machine ad built from it.
+/// configuration, the name every trace event and job record shares, and the
+/// memoized machine ad built from it.
 struct Shared {
     config: SiteConfig,
+    /// `config.name`, made once: the LRMS's events, the machine ad's `Site`
+    /// value and the broker's records all hold this allocation.
+    name: Arc<str>,
     /// The last ad made and the dynamic inputs it was made from. Keyed by
     /// value, so nothing has to invalidate it: a read whose inputs differ
     /// patches a copy, every other read hands out the same allocation.
@@ -104,6 +108,7 @@ impl Site {
         let gatekeeper = Gatekeeper::new(backend.clone(), config.gram.clone());
         Ok(Site {
             shared: Rc::new(Shared {
+                name: Arc::from(config.name.as_str()),
                 config,
                 ad: RefCell::new(None),
             }),
@@ -114,7 +119,12 @@ impl Site {
 
     /// Site name.
     pub fn name(&self) -> &str {
-        &self.shared.config.name
+        &self.shared.name
+    }
+
+    /// The site name as the one shared allocation every holder clones.
+    pub fn name_arc(&self) -> &Arc<str> {
+        &self.shared.name
     }
 
     /// The site's configuration.
@@ -151,8 +161,9 @@ impl Site {
         let ad = match &*memo {
             Some((k, ad)) if *k == key => return Arc::clone(ad),
             // The previous ad with its three dynamic attributes patched:
-            // the clone shares every name, and overwriting a value in the
-            // spelling it already has allocates nothing.
+            // the clone shares every name, string and list, and overwriting
+            // a value in the spelling it already has allocates nothing — the
+            // new `Arc` and its attribute vector are all it costs.
             Some((_, previous)) => {
                 let mut ad = Ad::clone(previous);
                 set_dynamic(&mut ad, key);
@@ -177,15 +188,21 @@ impl Site {
         // The constant attributes in name order, which an `Ad` appends
         // without searching or shifting.
         let mut ad = Ad::with_capacity(11);
-        ad.set_str("Arch", config.node_spec.arch.clone())
+        ad.set_str("Arch", config.node_spec.arch.as_str())
             .set_int("MemoryMb", config.node_spec.memory_mb as i64)
-            .set_str("OpSys", config.node_spec.op_sys.clone())
-            .set_str("Site", config.name.clone())
+            .set_str("OpSys", config.node_spec.op_sys.as_str())
+            .set_str("Site", Arc::clone(&self.shared.name))
             .set_double("SpeedFactor", config.node_spec.speed_factor)
             .set_int("StorageGb", config.storage_gb as i64)
             .set(
                 "Tags",
-                Value::List(config.tags.iter().map(|t| Value::Str(t.clone())).collect()),
+                Value::List(
+                    config
+                        .tags
+                        .iter()
+                        .map(|t| Value::Str(t.as_str().into()))
+                        .collect(),
+                ),
             )
             .set_int("TotalCpus", config.nodes as i64);
         set_dynamic(&mut ad, key);

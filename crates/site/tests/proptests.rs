@@ -33,7 +33,13 @@ fn fresh_ad(site: &Site) -> Ad {
         .set_bool("AcceptsQueued", backend.accepts_queued_jobs())
         .set(
             "Tags",
-            Value::List(config.tags.iter().cloned().map(Value::Str).collect()),
+            Value::List(
+                config
+                    .tags
+                    .iter()
+                    .map(|t| Value::Str(t.as_str().into()))
+                    .collect(),
+            ),
         );
     ad
 }

@@ -123,10 +123,16 @@ impl<'a> Cursor<'a> {
         Ok(f64::from_bits(self.u64()?))
     }
 
-    pub(crate) fn str(&mut self) -> Result<String, CodecError> {
+    /// A string field, borrowed from the buffer: the caller makes the one
+    /// owned copy it keeps, whatever its type.
+    pub(crate) fn str_ref(&mut self) -> Result<&'a str, CodecError> {
         let len = self.u32()? as usize;
         let bytes = self.take(len)?;
-        String::from_utf8(bytes.to_vec()).map_err(|_| CodecError::BadUtf8)
+        std::str::from_utf8(bytes).map_err(|_| CodecError::BadUtf8)
+    }
+
+    pub(crate) fn str(&mut self) -> Result<String, CodecError> {
+        self.str_ref().map(str::to_owned)
     }
 }
 

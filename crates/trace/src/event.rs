@@ -19,11 +19,12 @@
 //! `tests/fixtures/event_wire_v1.txt` pins the bytes and the JSON of every
 //! variant; a new row adds a line there, an old line never changes.
 //!
-//! How a field *type* is framed and rendered is `Field`'s five impls. JSON
+//! How a field *type* is framed and rendered is `Field`'s six impls. JSON
 //! is one flat object per event: `at_ns`/`seq`/`event` first, then the
 //! variant's own fields.
 
 use std::fmt::Write;
+use std::sync::Arc;
 
 use cg_sim::SimTime;
 
@@ -111,19 +112,36 @@ impl Field for String {
         c.str()
     }
     fn json(&self, out: &mut String) {
-        out.push('"');
-        json_escape(out, self);
-        out.push('"');
+        json_string(out, self);
     }
     fn sample(from: &mut FieldSamples<'_>) -> Self {
-        from.strs.swap(0, 1);
-        from.strs[1].to_string()
+        from.next_str().to_string()
     }
 }
 
-/// The values [`Event::catalog`] fills fields from. Consecutive `u64` and
-/// `String` fields alternate between the two on offer, so a codec that
-/// swapped two neighbours would not round-trip.
+/// A name the process already holds — a site, an agent slot, a user, a
+/// policy — shared with the event instead of copied into it. Framed and
+/// rendered exactly as a `String`; decoding makes the one `Arc` straight
+/// from the buffer's bytes.
+impl Field for Arc<str> {
+    fn encode(&self, out: &mut Vec<u8>) {
+        put_str(out, self);
+    }
+    fn decode(c: &mut Cursor<'_>) -> Result<Self, CodecError> {
+        c.str_ref().map(Arc::from)
+    }
+    fn json(&self, out: &mut String) {
+        json_string(out, self);
+    }
+    fn sample(from: &mut FieldSamples<'_>) -> Self {
+        Arc::from(from.next_str())
+    }
+}
+
+/// The values [`Event::catalog`] fills fields from. Consecutive `u64`
+/// fields alternate between the two on offer, and so do consecutive string
+/// fields whether they are `String` or `Arc<str>`, so a codec that swapped
+/// two neighbours would not round-trip.
 #[derive(Debug, Clone, Copy)]
 pub struct FieldSamples<'a> {
     /// Every `u64` field.
@@ -134,8 +152,17 @@ pub struct FieldSamples<'a> {
     pub flag: bool,
     /// Every `f64` field.
     pub f64: f64,
-    /// Every `String` field.
+    /// Every `String` and `Arc<str>` field.
     pub strs: [&'a str; 2],
+}
+
+impl<'a> FieldSamples<'a> {
+    /// The other string of the two: the one alternation both string impls
+    /// share.
+    fn next_str(&mut self) -> &'a str {
+        self.strs.swap(0, 1);
+        self.strs[1]
+    }
 }
 
 /// Expands the event table (see the module docs) into every generated view
@@ -159,7 +186,11 @@ macro_rules! events {
 
         /// One broker-stack lifecycle event. Identifiers are plain integers and
         /// strings (not the originating crates' newtypes) so this crate sits below
-        /// every other layer and never creates a dependency cycle.
+        /// every other layer and never creates a dependency cycle. A name the
+        /// process already holds (site, target, machine, user, policy, stream)
+        /// is an `Arc<str>` shared with its owner, so recording the event copies
+        /// no string; text made for this one event (a reason, a message, the
+        /// commit record) is a `String`, which `Arc::from` would only copy again.
         #[derive(Debug, Clone, PartialEq)]
         pub enum Event {
             $(
@@ -238,7 +269,7 @@ events! {
         /// Broker job id.
         job: u64,
         /// Submitting user.
-        user: String,
+        user: Arc<str>,
         /// Whether the job is interactive.
         interactive: bool,
     },
@@ -269,7 +300,7 @@ events! {
         /// Broker job id.
         job: u64,
         /// Leased target, e.g. `agent:3` or `site:cesga`.
-        target: String,
+        target: Arc<str>,
         /// Lease expiry, nanoseconds of sim time.
         until_ns: u64,
     },
@@ -278,10 +309,10 @@ events! {
         /// Broker job id.
         job: u64,
         /// Dispatch target, e.g. `agent:3` or `site:cesga`.
-        target: String,
+        target: Arc<str>,
         /// Execution backend at the target (`sim-lrms`, `process`), so
         /// replays know what ran the job.
-        backend: String,
+        backend: Arc<str>,
     },
     /// The job began computing.
     6 JobStarted {
@@ -347,7 +378,7 @@ events! {
         /// Broker job id whose `Rank` misbehaved.
         job: u64,
         /// Site whose candidate was discarded.
-        site: String,
+        site: Arc<str>,
     },
     /// The selection step chose a site for a job under a named policy.
     /// One event per selected site (co-allocation emits one per planned
@@ -356,9 +387,9 @@ events! {
         /// Broker job id.
         job: u64,
         /// Registry name of the policy that scored the candidates.
-        policy: String,
+        policy: Arc<str>,
         /// The chosen site.
-        site: String,
+        site: Arc<str>,
         /// The winning score (the rank itself under `free-cpus-rank`).
         score: f64,
     },
@@ -374,7 +405,7 @@ events! {
         /// Usage record id.
         usage: u64,
         /// New kind: `batch`, `interactive` or `yielded-batch`.
-        kind: String,
+        kind: Arc<str>,
     },
 
     // ── glide-in agents & VM multiprogramming ───────────────────────────
@@ -383,7 +414,7 @@ events! {
         /// Agent id.
         agent: u64,
         /// Hosting site name.
-        site: String,
+        site: Arc<str>,
     },
     /// The agent started on a worker node and is accepting work.
     17 AgentReady {
@@ -423,26 +454,26 @@ events! {
     /// A VM slot started executing a task.
     22 SlotStarted {
         /// Machine label.
-        machine: String,
+        machine: Arc<str>,
         /// Whether the task is interactive.
         interactive: bool,
     },
     /// Interactive arrival throttled the slot's batch task.
     23 SlotPreempted {
         /// Machine label.
-        machine: String,
+        machine: Arc<str>,
         /// Batch task's new CPU rate, percent of one CPU.
         batch_rate_pct: u32,
     },
     /// Last interactive task left; the batch task runs at full rate again.
     24 SlotRestored {
         /// Machine label.
-        machine: String,
+        machine: Arc<str>,
     },
     /// A VM slot task completed.
     25 SlotFinished {
         /// Machine label.
-        machine: String,
+        machine: Arc<str>,
         /// Whether the task was interactive.
         interactive: bool,
     },
@@ -468,21 +499,21 @@ events! {
     /// A record was appended to an output spool.
     29 SpoolAppend {
         /// Spool/stream label.
-        stream: String,
+        stream: Arc<str>,
         /// Record sequence number.
         seq: u64,
     },
     /// Records through `seq` were acknowledged by the peer.
     30 SpoolAck {
         /// Spool/stream label.
-        stream: String,
+        stream: Arc<str>,
         /// Highest acknowledged sequence number.
         seq: u64,
     },
     /// Unacknowledged records were replayed after a reconnect.
     31 SpoolReplay {
         /// Spool/stream label.
-        stream: String,
+        stream: Arc<str>,
         /// Replay resumed after this sequence number.
         after: u64,
         /// Records replayed.
@@ -491,7 +522,7 @@ events! {
     /// An output buffer emitted a chunk.
     32 BufferFlush {
         /// Stream label.
-        stream: String,
+        stream: Arc<str>,
         /// Trigger: `full`, `timeout`, `eol` or `explicit`.
         reason: String,
         /// Bytes emitted.
@@ -512,14 +543,14 @@ events! {
     /// A job entered a site scheduler's queue.
     35 LrmsQueued {
         /// Site name.
-        site: String,
+        site: Arc<str>,
         /// LRMS-local job id.
         job: u64,
     },
     /// A site scheduler placed a job on nodes.
     36 LrmsStarted {
         /// Site name.
-        site: String,
+        site: Arc<str>,
         /// LRMS-local job id.
         job: u64,
         /// Nodes allocated.
@@ -528,14 +559,14 @@ events! {
     /// A site job finished normally.
     37 LrmsFinished {
         /// Site name.
-        site: String,
+        site: Arc<str>,
         /// LRMS-local job id.
         job: u64,
     },
     /// A site job was killed (walltime, broker withdrawal, …).
     38 LrmsKilled {
         /// Site name.
-        site: String,
+        site: Arc<str>,
         /// LRMS-local job id.
         job: u64,
         /// Kill reason.
@@ -546,7 +577,7 @@ events! {
     /// must treat its outcome as unknown.
     51 DispositionEvicted {
         /// Site name.
-        site: String,
+        site: Arc<str>,
         /// LRMS-local job id whose record was evicted.
         job: u64,
     },
@@ -557,7 +588,7 @@ events! {
     /// may land on it until it answers again.
     43 SiteSuspect {
         /// Site name.
-        site: String,
+        site: Arc<str>,
         /// Consecutive missed MDS refreshes at the transition.
         missed_refreshes: u32,
         /// Consecutive failed or timed-out live queries at the transition.
@@ -568,7 +599,7 @@ events! {
     /// without burning resubmission budget.
     44 SiteDead {
         /// Site name.
-        site: String,
+        site: Arc<str>,
         /// Broker jobs in flight on the site when it was declared dead.
         in_flight: u32,
     },
@@ -576,7 +607,7 @@ events! {
     /// for leases, and its failure streaks are forgiven.
     45 SiteRejoin {
         /// Site name.
-        site: String,
+        site: Arc<str>,
         /// Time spent outside `Alive`, nanoseconds.
         down_ns: u64,
     },
@@ -585,7 +616,7 @@ events! {
         /// Broker job id whose matchmaking issued the query.
         job: u64,
         /// Queried site.
-        site: String,
+        site: Arc<str>,
         /// 1-based attempt that timed out.
         attempt: u32,
     },
@@ -595,7 +626,7 @@ events! {
         /// Broker job id.
         job: u64,
         /// Queried site.
-        site: String,
+        site: Arc<str>,
         /// 1-based attempt about to be re-run.
         attempt: u32,
         /// Jittered delay before the retry, nanoseconds.
@@ -673,6 +704,13 @@ impl TimedEvent {
         self.event.write_fields(out);
         out.push('}');
     }
+}
+
+/// Appends `s` as a JSON string.
+fn json_string(out: &mut String, s: &str) {
+    out.push('"');
+    json_escape(out, s);
+    out.push('"');
 }
 
 /// Appends `s` escaped for inclusion inside JSON double quotes.

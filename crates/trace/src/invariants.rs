@@ -123,13 +123,13 @@ pub fn check_invariants(events: &[TimedEvent]) -> Vec<String> {
                 }
             }
             Event::SiteSuspect { site, .. } => {
-                unhealthy.insert(site.as_str(), "SiteSuspect");
+                unhealthy.insert(&**site, "SiteSuspect");
             }
             Event::SiteDead { site, .. } => {
-                unhealthy.insert(site.as_str(), "SiteDead");
+                unhealthy.insert(&**site, "SiteDead");
             }
             Event::SiteRejoin { site, .. } => {
-                unhealthy.remove(site.as_str());
+                unhealthy.remove(&**site);
             }
             Event::JdlRejected { job, .. } => {
                 if leased.contains(job) {
@@ -159,11 +159,11 @@ pub fn check_invariants(events: &[TimedEvent]) -> Vec<String> {
                 }
             }
             Event::SpoolAppend { stream, seq } => {
-                let high = appended.entry(stream.as_str()).or_insert(0);
+                let high = appended.entry(&**stream).or_insert(0);
                 *high = (*high).max(*seq);
             }
             Event::SpoolAck { stream, seq } => {
-                let high = appended.get(stream.as_str()).copied().unwrap_or(0);
+                let high = appended.get(&**stream).copied().unwrap_or(0);
                 if *seq > high {
                     violations.push(format!(
                         "stream {stream}: ack of seq {seq} at {}s exceeds highest append {high}",

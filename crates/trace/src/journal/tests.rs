@@ -262,12 +262,12 @@ fn journal_image(records: &[(u8, u64, u64)]) -> Vec<u8> {
         let event = match pick {
             1 => Event::JobStarted { job: x },
             2 => Event::SpoolAck {
-                stream: format!("console:{}", x % 3),
+                stream: format!("console:{}", x % 3).into(),
                 seq: x,
             },
             _ => Event::JobSubmitted {
                 job: x,
-                user: "u".repeat((x % 40) as usize),
+                user: "u".repeat((x % 40) as usize).into(),
                 interactive: x % 2 == 0,
             },
         };

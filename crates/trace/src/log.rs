@@ -32,7 +32,7 @@ pub struct StreamFold {
     /// `(seq, at)` of the last recorded event.
     pub last: Option<(u64, SimTime)>,
     /// Spool watermarks folded over every `SpoolAppend`/`SpoolAck` recorded.
-    pub spools: BTreeMap<String, SpoolMark>,
+    pub spools: BTreeMap<Arc<str>, SpoolMark>,
 }
 
 /// Prefix of the per-kind event counters; [`LogInner::counter`] holds it
@@ -323,7 +323,7 @@ mod tests {
     fn the_stream_fold_outlives_ring_eviction_and_clear() {
         let log = EventLog::new(8);
         assert_eq!(log.stream_fold(), StreamFold::default());
-        let stream = "console:1".to_string();
+        let stream: Arc<str> = "console:1".into();
         for seq in [1, 3, 2] {
             let stream = stream.clone();
             log.record(SimTime::from_secs(1), Event::SpoolAppend { stream, seq });

@@ -18,6 +18,7 @@ use crate::codec::{put_bool, put_str, put_u32, put_u64, put_u8, CodecError, Curs
 use crate::event::{Event, TimedEvent};
 use crate::journal::{JournalError, LoadedJournal};
 use std::collections::BTreeMap;
+use std::sync::Arc;
 
 /// Fine-grained job lifecycle position, as reconstructable from events.
 /// The discriminant is the phase's tag in a snapshot blob.
@@ -106,8 +107,8 @@ impl Phase {
 /// One job as seen by the event stream.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ReplayJob {
-    /// Submitting user.
-    pub user: String,
+    /// Submitting user, shared with the event that named it.
+    pub user: Arc<str>,
     /// Whether the job is interactive.
     pub interactive: bool,
     /// Current lifecycle phase.
@@ -125,7 +126,7 @@ pub struct ReplayJob {
     /// Terminal-event timestamp.
     pub finished_at_ns: Option<u64>,
     /// Most recent lease: `(target, until_ns)`.
-    pub lease: Option<(String, u64)>,
+    pub lease: Option<(Arc<str>, u64)>,
     /// Re-parseable JDL source from the `JobAd` commit record.
     pub jdl: Option<String>,
     /// Declared runtime from the `JobAd` commit record.
@@ -137,7 +138,7 @@ pub struct ReplayJob {
 impl ReplayJob {
     fn new(at_ns: u64) -> Self {
         ReplayJob {
-            user: String::new(),
+            user: Arc::default(),
             interactive: false,
             phase: Phase::Submitted,
             queued: false,
@@ -175,7 +176,7 @@ impl ReplayJob {
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ReplayAgent {
     /// Hosting site.
-    pub site: String,
+    pub site: Arc<str>,
     /// Deployed and not yet died.
     pub alive: bool,
     /// Reached `AgentReady`.
@@ -205,19 +206,16 @@ impl SpoolMark {
     /// every other event is ignored. The one definition of the fold:
     /// [`ReplayState::apply`] and the [`crate::EventLog`]'s running fold
     /// both go through it, so a snapshot's marks equal the journal's.
-    pub fn fold(spools: &mut BTreeMap<String, SpoolMark>, event: &Event) {
+    pub fn fold(spools: &mut BTreeMap<Arc<str>, SpoolMark>, event: &Event) {
         let (stream, appended, acked) = match event {
             Event::SpoolAppend { stream, seq } => (stream, *seq, 0),
             Event::SpoolAck { stream, seq } => (stream, 0, *seq),
             _ => return,
         };
-        // Only a stream's first mark allocates its key.
-        if let Some(m) = spools.get_mut(stream.as_str()) {
-            m.appended = m.appended.max(appended);
-            m.acked = m.acked.max(acked);
-        } else {
-            spools.insert(stream.clone(), SpoolMark { appended, acked });
-        }
+        // The key is the event's own stream label, shared.
+        let m = spools.entry(Arc::clone(stream)).or_default();
+        m.appended = m.appended.max(appended);
+        m.acked = m.acked.max(acked);
     }
 }
 
@@ -242,11 +240,11 @@ pub struct ReplayState {
     pub agents: BTreeMap<u64, ReplayAgent>,
     /// VM slot occupancy, by machine label. Counter-based: excluded from
     /// the fixpoint comparison core.
-    pub slots: BTreeMap<String, SlotUse>,
+    pub slots: BTreeMap<Arc<str>, SlotUse>,
     /// Spool watermarks, by stream label.
-    pub spools: BTreeMap<String, SpoolMark>,
+    pub spools: BTreeMap<Arc<str>, SpoolMark>,
     /// Sites currently held `Suspect`/`Dead` by the failure detector.
-    pub site_health: BTreeMap<String, SiteHealth>,
+    pub site_health: BTreeMap<Arc<str>, SiteHealth>,
     /// Highest event sequence number applied.
     pub last_seq: Option<u64>,
     /// Timestamp of the last applied event, nanoseconds.
@@ -279,7 +277,7 @@ impl ReplayState {
                     .jobs
                     .entry(*job)
                     .or_insert_with(|| ReplayJob::new(at_ns));
-                j.user.clone_from(user);
+                j.user = Arc::clone(user);
                 j.interactive = *interactive;
             }
             Event::JobAd {
@@ -324,7 +322,7 @@ impl ReplayState {
                     .entry(*job)
                     .or_insert_with(|| ReplayJob::new(at_ns));
                 if !j.phase.is_terminal() {
-                    j.lease = Some((target.clone(), *until_ns));
+                    j.lease = Some((Arc::clone(target), *until_ns));
                 }
                 if !matches!(j.phase, Phase::Running) {
                     j.advance(Phase::Leased);
@@ -398,11 +396,11 @@ impl ReplayState {
             }
             Event::AgentDeployed { agent, site } => {
                 let a = self.agents.entry(*agent).or_insert_with(|| ReplayAgent {
-                    site: site.clone(),
+                    site: Arc::clone(site),
                     alive: true,
                     ready: false,
                 });
-                a.site.clone_from(site);
+                a.site = Arc::clone(site);
             }
             Event::AgentReady { agent } => {
                 if let Some(a) = self.agents.get_mut(agent) {
@@ -418,7 +416,7 @@ impl ReplayState {
                 machine,
                 interactive,
             } => {
-                let s = self.slots.entry(machine.clone()).or_default();
+                let s = self.slots.entry(Arc::clone(machine)).or_default();
                 if *interactive {
                     s.interactive += 1;
                 } else {
@@ -429,7 +427,7 @@ impl ReplayState {
                 machine,
                 interactive,
             } => {
-                let s = self.slots.entry(machine.clone()).or_default();
+                let s = self.slots.entry(Arc::clone(machine)).or_default();
                 if *interactive {
                     s.interactive -= 1;
                 } else {
@@ -440,13 +438,14 @@ impl ReplayState {
                 SpoolMark::fold(&mut self.spools, &te.event);
             }
             Event::SiteSuspect { site, .. } => {
-                self.site_health.insert(site.clone(), SiteHealth::Suspect);
+                self.site_health
+                    .insert(Arc::clone(site), SiteHealth::Suspect);
             }
             Event::SiteDead { site, .. } => {
-                self.site_health.insert(site.clone(), SiteHealth::Dead);
+                self.site_health.insert(Arc::clone(site), SiteHealth::Dead);
             }
             Event::SiteRejoin { site, .. } => {
-                self.site_health.remove(site);
+                self.site_health.remove(&**site);
             }
             // Fair-share ticks, console lifecycle, buffer flushes, LRMS
             // bookkeeping and measurements don't shape recoverable state.
@@ -526,6 +525,10 @@ fn put_opt_str(out: &mut Vec<u8>, v: Option<&str>) {
 
 fn get_opt_str(c: &mut Cursor<'_>) -> Result<Option<String>, CodecError> {
     Ok(if c.u8()? != 0 { Some(c.str()?) } else { None })
+}
+
+fn get_name(c: &mut Cursor<'_>) -> Result<Arc<str>, CodecError> {
+    c.str_ref().map(Arc::from)
 }
 
 /// Serializes a [`ReplayState`] into the versioned snapshot blob format.
@@ -618,7 +621,7 @@ pub fn decode_state(bytes: &[u8]) -> Result<ReplayState, CodecError> {
     for _ in 0..n_jobs {
         let id = c.u64()?;
         let job = ReplayJob {
-            user: c.str()?,
+            user: get_name(&mut c)?,
             interactive: c.bool()?,
             phase: phase_from_tag(c.u8()?)?,
             queued: c.bool()?,
@@ -628,7 +631,7 @@ pub fn decode_state(bytes: &[u8]) -> Result<ReplayState, CodecError> {
             started_at_ns: get_opt_u64(&mut c)?,
             finished_at_ns: get_opt_u64(&mut c)?,
             lease: if c.u8()? != 0 {
-                Some((c.str()?, c.u64()?))
+                Some((get_name(&mut c)?, c.u64()?))
             } else {
                 None
             },
@@ -643,7 +646,7 @@ pub fn decode_state(bytes: &[u8]) -> Result<ReplayState, CodecError> {
     for _ in 0..n_agents {
         let id = c.u64()?;
         let agent = ReplayAgent {
-            site: c.str()?,
+            site: get_name(&mut c)?,
             alive: c.bool()?,
             ready: c.bool()?,
         };
@@ -652,7 +655,7 @@ pub fn decode_state(bytes: &[u8]) -> Result<ReplayState, CodecError> {
 
     let n_slots = c.u32()?;
     for _ in 0..n_slots {
-        let machine = c.str()?;
+        let machine = get_name(&mut c)?;
         let interactive = c.u64()?.cast_signed();
         let batch = c.u64()?.cast_signed();
         state.slots.insert(machine, SlotUse { interactive, batch });
@@ -660,7 +663,7 @@ pub fn decode_state(bytes: &[u8]) -> Result<ReplayState, CodecError> {
 
     let n_spools = c.u32()?;
     for _ in 0..n_spools {
-        let stream = c.str()?;
+        let stream = get_name(&mut c)?;
         let appended = c.u64()?;
         let acked = c.u64()?;
         state.spools.insert(stream, SpoolMark { appended, acked });
@@ -668,7 +671,7 @@ pub fn decode_state(bytes: &[u8]) -> Result<ReplayState, CodecError> {
 
     let n_health = c.u32()?;
     for _ in 0..n_health {
-        let site = c.str()?;
+        let site = get_name(&mut c)?;
         let health = match c.u8()? {
             0 => SiteHealth::Suspect,
             1 => SiteHealth::Dead,

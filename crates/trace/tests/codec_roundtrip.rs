@@ -152,6 +152,41 @@ fn the_catalog_covers_every_variant_once() {
     );
 }
 
+/// Names are `Arc<str>` and free text is `String`, but both draw from the
+/// same alternating pair of samples, so neighbouring string fields differ
+/// whichever types they have — the premise that makes a codec which swapped
+/// two of them fail the round trip below.
+#[test]
+fn neighbouring_string_fields_alternate_across_both_string_types() {
+    let samples = FieldSamples {
+        u64s: [7, 9],
+        u32: 3,
+        flag: true,
+        f64: 0.5,
+        strs: ["s", "t"],
+    };
+    let mut neighbours = BTreeSet::new();
+    for event in Event::catalog(samples) {
+        let kind = event.kind();
+        let json = TimedEvent {
+            at: SimTime::ZERO,
+            seq: 0,
+            event,
+        }
+        .to_json();
+        // Each string value follows a `":"`; the first is the `event` kind.
+        let values: Vec<&str> = json.split("\":\"").skip(2).map(|v| &v[..1]).collect();
+        for pair in values.windows(2) {
+            assert_ne!(pair[0], pair[1], "{kind}: neighbours share a sample");
+            neighbours.insert(kind);
+        }
+    }
+    // `Arc<str>` then `String`, `String` then `String`, `Arc<str>` twice.
+    for kind in ["BufferFlush", "JdlDiagnostic", "PolicyDecision"] {
+        assert!(neighbours.contains(kind), "{kind} has neighbouring strings");
+    }
+}
+
 #[test]
 fn corrupted_utf8_is_a_typed_error() {
     let samples = FieldSamples {

@@ -18,6 +18,7 @@
 
 use std::cell::RefCell;
 use std::rc::{Rc, Weak};
+use std::sync::Arc;
 
 use cg_net::{delivery_outcome, Dir, Link};
 use cg_sim::{EventId, Receiver, Sim, SimDuration, SimTime, Slab, TypedEvent};
@@ -109,7 +110,7 @@ struct Inner {
     /// last reschedule? Drives the Preempted/Restored trace transitions.
     batch_throttled: bool,
     /// Lifecycle event sink and this machine's label.
-    trace: Option<(EventLog, String)>,
+    trace: Option<(EventLog, Arc<str>)>,
     /// Direct submissions on the wire.
     direct: Slab<Direct>,
     /// What the machine's own events reach. It holds the machine, and the
@@ -241,17 +242,18 @@ impl VmMachine {
         self.inner.borrow().direct.len()
     }
 
-    /// Routes this machine's slot transitions into `log` under `machine`.
-    pub fn set_trace(&self, log: EventLog, machine: impl Into<String>) {
+    /// Routes this machine's slot transitions into `log` under `machine`,
+    /// the label every event shares.
+    pub fn set_trace(&self, log: EventLog, machine: impl Into<Arc<str>>) {
         self.inner.borrow_mut().trace = Some((log, machine.into()));
     }
 
     /// Records a slot event, if tracing is on. Must not be called while
     /// `inner` is borrowed.
-    fn trace_event(&self, now: SimTime, make: impl FnOnce(&str) -> Event) {
+    fn trace_event(&self, now: SimTime, make: impl FnOnce(Arc<str>) -> Event) {
         let inner = self.inner.borrow();
         if let Some((log, machine)) = &inner.trace {
-            log.record(now, make(machine));
+            log.record(now, make(Arc::clone(machine)));
         }
     }
 
@@ -270,7 +272,7 @@ impl VmMachine {
         }
         let id = self.insert_task(sim, work, 0, true, Box::new(on_done));
         self.trace_event(sim.now(), |machine| Event::SlotStarted {
-            machine: machine.to_string(),
+            machine,
             interactive: false,
         });
         self.reschedule(sim);
@@ -304,7 +306,7 @@ impl VmMachine {
         }
         let id = self.insert_task(sim, work, performance_loss, false, on_done);
         self.trace_event(sim.now(), |machine| Event::SlotStarted {
-            machine: machine.to_string(),
+            machine,
             interactive: true,
         });
         self.reschedule(sim);
@@ -474,14 +476,12 @@ impl VmMachine {
         if preempted {
             let pct = (batch_share * 100.0).round() as u32;
             self.trace_event(now, |machine| Event::SlotPreempted {
-                machine: machine.to_string(),
+                machine,
                 batch_rate_pct: pct,
             });
         }
         if restored {
-            self.trace_event(now, |machine| Event::SlotRestored {
-                machine: machine.to_string(),
-            });
+            self.trace_event(now, |machine| Event::SlotRestored { machine });
         }
         for (id, old_event, remaining, rate) in plan {
             if let Some(ev) = old_event {
@@ -522,7 +522,7 @@ impl VmMachine {
         drop(inner);
         let Some(mut task) = task else { return };
         self.trace_event(sim.now(), |machine| Event::SlotFinished {
-            machine: machine.to_string(),
+            machine,
             interactive: !was_batch,
         });
         if let Some(cb) = task.on_done.take() {

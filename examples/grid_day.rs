@@ -116,7 +116,7 @@ fn main() {
 
     // Fair-share leaderboard.
     println!("\n  user priorities (higher = worse):");
-    let mut users: Vec<String> = records.iter().map(|r| r.user.clone()).collect();
+    let mut users: Vec<String> = records.iter().map(|r| r.user.to_string()).collect();
     users.sort();
     users.dedup();
     let mut prio: Vec<(String, f64)> = users

@@ -567,7 +567,7 @@ fn cmd_recover(args: &[String]) -> i32 {
             Ok(marks) => {
                 let on_disk: std::collections::HashMap<String, u64> = marks.into_iter().collect();
                 for (stream, mark) in &state.spools {
-                    let disk = on_disk.get(stream).copied().unwrap_or(0);
+                    let disk = on_disk.get(&**stream).copied().unwrap_or(0);
                     if disk < mark.acked {
                         violations.push(format!(
                             "spool {stream}: on-disk watermark {disk} is behind journaled ack {}",

@@ -503,7 +503,7 @@ fn grid_run(spec: &BackendSpec, seed: u64) -> (Vec<TimedEvent>, Vec<JobRecord>, 
 /// compared byte-for-byte: everything except the label must be identical.
 fn neutral(mut e: TimedEvent) -> TimedEvent {
     if let Event::JobDispatched { backend, .. } = &mut e.event {
-        *backend = String::new();
+        *backend = "".into();
     }
     e
 }
@@ -539,7 +539,7 @@ fn full_grid_obeys_invariants_and_replays_bit_identically() {
         let mut dispatches = 0;
         for e in &events {
             if let Event::JobDispatched { backend, .. } = &e.event {
-                assert_eq!(backend, spec.kind().as_str(), "{spec:?}");
+                assert_eq!(&**backend, spec.kind().as_str(), "{spec:?}");
                 dispatches += 1;
             }
         }

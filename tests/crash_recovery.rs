@@ -466,7 +466,7 @@ fn churn_kill_point_sweep_rebuilds_membership_from_the_journal() {
         for (site, health) in &expected.site_health {
             let i = ["alpha", "beta"]
                 .iter()
-                .position(|n| n == site)
+                .position(|n| *n == &**site)
                 .unwrap_or_else(|| panic!("k={k}: unknown site {site} in the health registry"));
             let want = match health {
                 SiteHealth::Suspect => MembershipState::Suspect,
