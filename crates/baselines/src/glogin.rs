@@ -15,7 +15,6 @@
 use cg_console::MethodCosts;
 use cg_net::{Link, NetError};
 use cg_sim::{Sim, SimDuration};
-use serde::{Deserialize, Serialize};
 
 /// Streaming cost model of an established Glogin session.
 pub fn glogin_method() -> MethodCosts {
@@ -33,7 +32,7 @@ pub fn glogin_method() -> MethodCosts {
 }
 
 /// Calibrated submission-pipeline costs for Glogin.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct GloginCosts {
     /// Fixed remote-side work: Globus layers the shell traverses, pty and
     /// environment setup, seconds.

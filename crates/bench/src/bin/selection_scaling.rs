@@ -28,7 +28,7 @@ use cg_jdl::{Ad, JobDescription};
 use cg_sim::SampleSet;
 use cg_site::{AdSnapshot, Site, SiteConfig};
 use crossbroker::{
-    filter_candidates, filter_candidates_columnar, filter_candidates_compiled, CompiledJob,
+    filter_candidates, filter_candidates_columnar, filter_one, Candidate, CompiledJob,
 };
 
 /// A figure-2-shaped interactive job: an own-ad reference (`NodeNumber`),
@@ -66,6 +66,17 @@ fn bench_ads(n: usize) -> Vec<(usize, Ad)> {
         .collect()
 }
 
+/// The compiled map path: the live re-check's [`filter_one`], ad by ad.
+fn filter_compiled(
+    job: &JobDescription,
+    compiled: &CompiledJob,
+    ads: &[(usize, Ad)],
+) -> Vec<Candidate> {
+    ads.iter()
+        .filter_map(|(i, ad)| filter_one(job, compiled, *i, ad, true))
+        .collect()
+}
+
 /// Mean microseconds per `filter_candidates` call over `iters` calls.
 fn time_us(iters: u32, mut f: impl FnMut() -> usize) -> f64 {
     // Warm-up, and keep the result observable so the calls can't be elided.
@@ -91,14 +102,12 @@ fn matchmaking_comparison(sink: &TraceSink) -> (f64, f64) {
         let ads = bench_ads(n);
         assert_eq!(
             filter_candidates(&job, &ads, true),
-            filter_candidates_compiled(&job, &compiled, &ads, true),
+            filter_compiled(&job, &compiled, &ads),
             "compiled path must select identical candidates"
         );
         let iters = (200_000 / n) as u32;
         let raw = time_us(iters, || filter_candidates(&job, &ads, true).len());
-        let fast = time_us(iters, || {
-            filter_candidates_compiled(&job, &compiled, &ads, true).len()
-        });
+        let fast = time_us(iters, || filter_compiled(&job, &compiled, &ads).len());
         sink.measure(format!("selection_scaling.{n}_sites.raw_eval_us"), raw);
         sink.measure(format!("selection_scaling.{n}_sites.compiled_us"), fast);
         rows.push(vec![
@@ -141,14 +150,12 @@ fn columnar_comparison(sink: &TraceSink) -> f64 {
         let ads = bench_ads(n);
         let snap = AdSnapshot::build(ads.iter().map(|(_, ad)| ad.clone()).collect());
         assert_eq!(
-            filter_candidates_compiled(&job, &compiled, &ads, true),
+            filter_compiled(&job, &compiled, &ads),
             filter_candidates_columnar(&job, &compiled, &snap, true),
             "columnar path must select identical candidates"
         );
         let iters = (200_000 / n) as u32;
-        let map_us = time_us(iters, || {
-            filter_candidates_compiled(&job, &compiled, &ads, true).len()
-        });
+        let map_us = time_us(iters, || filter_compiled(&job, &compiled, &ads).len());
         let col_us = time_us(iters, || {
             filter_candidates_columnar(&job, &compiled, &snap, true).len()
         });

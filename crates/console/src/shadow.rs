@@ -336,27 +336,6 @@ impl ConsoleShadow {
         }
     }
 
-    /// Ranks currently connected.
-    pub fn connected_ranks(&self) -> Vec<u32> {
-        let st = self.state.lock();
-        let mut v: Vec<u32> = st
-            .ranks
-            .iter()
-            .filter_map(|(&r, rs)| rs.conn.is_some().then_some(r))
-            .collect();
-        v.sort_unstable();
-        v
-    }
-
-    /// Exit codes reported so far, by rank.
-    pub fn exit_codes(&self) -> HashMap<u32, i32> {
-        let st = self.state.lock();
-        st.ranks
-            .iter()
-            .filter_map(|(&r, rs)| rs.exit_code.map(|c| (r, c)))
-            .collect()
-    }
-
     /// Stops listening and joins all threads.
     pub fn shutdown(self) {
         self.stop.store(true, Ordering::SeqCst);

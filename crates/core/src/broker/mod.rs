@@ -202,7 +202,7 @@ struct Inner {
     trace: EventLog,
     /// Policy and backend names, shared by every event that carries one.
     names: Names,
-    /// Counters/gauges/histograms behind the event log.
+    /// Counters and histograms behind the event log.
     metrics: MetricsRegistry,
 }
 

@@ -167,12 +167,6 @@ impl FairShare {
         self.trace = Some(log);
     }
 
-    /// Updates the grid size (sites joining/leaving).
-    pub fn set_total_cpus(&mut self, total: u32) {
-        assert!(total > 0);
-        self.total_cpus = total;
-    }
-
     /// Registers a running job's resource usage. Returns a handle for
     /// [`release`](FairShare::release) and for yield transitions.
     pub fn register(&mut self, user: impl Into<Arc<str>>, kind: UsageKind, cpus: u32) -> UsageId {

@@ -44,8 +44,8 @@ pub use config::{BrokerConfig, ConsoleCosts};
 pub use fairshare::{FairShare, FairShareConfig, UsageId, UsageKind};
 pub use job::{JobId, JobRecord, JobState};
 pub use matchmaking::{
-    coallocate, filter_candidates, filter_candidates_columnar, filter_candidates_compiled,
-    filter_one, select, select_detailed, Candidate, CompiledJob, Selection,
+    coallocate, filter_candidates, filter_candidates_columnar, filter_one, select, select_detailed,
+    Candidate, CompiledJob, Selection,
 };
 pub use policy::{
     coallocate_with, select_detailed_with, FreeCpusRank, LeaseBackoff, NetworkProximity,

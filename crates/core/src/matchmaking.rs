@@ -29,7 +29,12 @@ pub fn filter_candidates<A: std::borrow::Borrow<Ad>>(
     ads: &[(usize, A)],
     require_free_cpus: bool,
 ) -> Vec<Candidate> {
-    filter_candidates_inner(job, None, ads, require_free_cpus)
+    let exprs = Exprs::of(job, None);
+    ads.iter()
+        .filter_map(|(site_index, ad)| {
+            exprs.filter(job, *site_index, ad.borrow(), require_free_cpus)
+        })
+        .collect()
 }
 
 /// A job's matchmaking expressions compiled by the submit-time analyzer
@@ -57,34 +62,11 @@ impl CompiledJob {
     }
 }
 
-/// [`filter_candidates`] over pre-compiled expressions — identical
-/// semantics, without per-site AST walks over the job's own attributes.
-pub fn filter_candidates_compiled<A: std::borrow::Borrow<Ad>>(
-    job: &JobDescription,
-    compiled: &CompiledJob,
-    ads: &[(usize, A)],
-    require_free_cpus: bool,
-) -> Vec<Candidate> {
-    filter_candidates_inner(job, Some(compiled), ads, require_free_cpus)
-}
-
-fn filter_candidates_inner<A: std::borrow::Borrow<Ad>>(
-    job: &JobDescription,
-    compiled: Option<&CompiledJob>,
-    ads: &[(usize, A)],
-    require_free_cpus: bool,
-) -> Vec<Candidate> {
-    let exprs = Exprs::of(job, compiled);
-    ads.iter()
-        .filter_map(|(site_index, ad)| {
-            exprs.filter(job, *site_index, ad.borrow(), require_free_cpus)
-        })
-        .collect()
-}
-
-/// [`filter_candidates_compiled`] for one ad: the candidate `ad` makes at
-/// `site_index`, or `None` when it does not match. The live re-check calls
-/// this per changed site, so it allocates nothing.
+/// [`filter_candidates`] for one ad over pre-compiled expressions —
+/// identical semantics, without AST walks over the job's own attributes:
+/// the candidate `ad` makes at `site_index`, or `None` when it does not
+/// match. The live re-check calls this per changed site, so it allocates
+/// nothing.
 pub fn filter_one(
     job: &JobDescription,
     compiled: &CompiledJob,
@@ -181,7 +163,7 @@ fn eval_rank_or_default(rank: &Expr, job: &JobDescription, ad: &Ad) -> f64 {
     rank.eval_rank(ctx).unwrap_or(0.0)
 }
 
-/// [`filter_candidates_compiled`] over a columnar [`AdSnapshot`] — identical
+/// [`filter_one`] over every site of a columnar [`AdSnapshot`] — identical
 /// semantics and bit-identical candidates, computed column by column: the
 /// admission test and then each top-level conjunct of `Requirements` narrow
 /// one bitset of sites ([`cg_jdl::BoundExpr::retain_matches`]), and only the
@@ -422,7 +404,10 @@ mod tests {
             let compiled = CompiledJob::prepare(&j);
             for require_free in [true, false] {
                 let raw = filter_candidates(&j, &ads, require_free);
-                let fast = filter_candidates_compiled(&j, &compiled, &ads, require_free);
+                let fast: Vec<Candidate> = ads
+                    .iter()
+                    .filter_map(|(i, ad)| filter_one(&j, &compiled, *i, ad, require_free))
+                    .collect();
                 assert_eq!(raw.len(), fast.len(), "{src}");
                 for (a, b) in raw.iter().zip(&fast) {
                     assert_eq!(a.site_index, b.site_index, "{src}");
@@ -464,7 +449,10 @@ mod tests {
             let j = job(src);
             let compiled = CompiledJob::prepare(&j);
             for require_free in [true, false] {
-                let map = filter_candidates_compiled(&j, &compiled, &indexed, require_free);
+                let map: Vec<Candidate> = indexed
+                    .iter()
+                    .filter_map(|(i, ad)| filter_one(&j, &compiled, *i, ad, require_free))
+                    .collect();
                 let col = filter_candidates_columnar(&j, &compiled, &snap, require_free);
                 assert_eq!(map, col, "{src} require_free={require_free}");
             }

@@ -57,12 +57,6 @@ impl<T> ShardedJobTable<T> {
         }
     }
 
-    /// Number of shards.
-    #[must_use]
-    pub fn shard_count(&self) -> usize {
-        self.shards.len()
-    }
-
     fn shard(&self, id: JobId) -> MutexGuard<'_, BTreeMap<u64, T>> {
         let idx = (id.0 % self.shards.len() as u64) as usize;
         self.shards[idx]

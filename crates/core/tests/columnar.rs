@@ -10,8 +10,7 @@ use std::sync::Arc;
 use cg_jdl::{parse_expr, Ad, JobDescription, Value};
 use cg_site::AdSnapshot;
 use crossbroker::{
-    filter_candidates, filter_candidates_columnar, filter_candidates_compiled, filter_one,
-    Candidate, CompiledJob,
+    filter_candidates, filter_candidates_columnar, filter_one, Candidate, CompiledJob,
 };
 use proptest::prelude::*;
 
@@ -222,9 +221,9 @@ fn assert_same_columns(a: &AdSnapshot, b: &AdSnapshot) {
 
 proptest! {
     /// Bit-identity: over arbitrary ads and every requirement/rank pool
-    /// entry, the columnar filter produces exactly the map-based compiled
-    /// filter's candidates — same sites in the same order, bit-identical
-    /// ranks.
+    /// entry, the columnar filter produces exactly the map path's
+    /// candidates (the live re-check's per-ad `filter_one`, ad by ad) —
+    /// same sites in the same order, bit-identical ranks.
     #[test]
     fn columnar_filtering_is_bit_identical_to_the_map_path(
         ads in prop::collection::vec(ad_strategy(), 0..12),
@@ -237,16 +236,11 @@ proptest! {
         let indexed: Vec<(usize, Ad)> = ads.iter().cloned().enumerate().collect();
         let snap = AdSnapshot::build(ads);
         for require_free in [true, false] {
-            let map = filter_candidates_compiled(&job, &compiled, &indexed, require_free);
-            let col = filter_candidates_columnar(&job, &compiled, &snap, require_free);
-            // The live re-check's per-ad form, ad by ad, is the same filter.
-            let bits = |c: &Candidate| (c.site_index, c.rank.to_bits(), c.free_cpus);
-            let one: Vec<_> = indexed
+            let map: Vec<Candidate> = indexed
                 .iter()
                 .filter_map(|(i, ad)| filter_one(&job, &compiled, *i, ad, require_free))
-                .map(|c| bits(&c))
                 .collect();
-            prop_assert_eq!(one, map.iter().map(bits).collect::<Vec<_>>());
+            let col = filter_candidates_columnar(&job, &compiled, &snap, require_free);
             prop_assert_eq!(map.len(), col.len(), "candidate count differs");
             for (a, b) in map.iter().zip(&col) {
                 prop_assert_eq!(a.site_index, b.site_index);

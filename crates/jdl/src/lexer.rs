@@ -170,19 +170,12 @@ pub(crate) fn write_quoted(f: &mut impl fmt::Write, s: &str) -> fmt::Result {
 
 /// Tokenizes JDL source into `(token, position)` pairs.
 pub fn lex(src: &str) -> Result<Vec<(Tok<'_>, Pos)>, LexError> {
-    lex_spanned(src).map(|(toks, _)| toks)
-}
-
-/// Like [`lex`], but also returns the position just past the last character,
-/// so "unexpected end of input" errors can point at a real location instead
-/// of the previous token.
-pub fn lex_spanned(src: &str) -> Result<(Vec<(Tok<'_>, Pos)>, Pos), LexError> {
     let mut lexer = Lexer::new(src);
     let mut out = Vec::new();
     while let Some(tok) = lexer.next_token()? {
         out.push(tok);
     }
-    Ok((out, lexer.pos()))
+    Ok(out)
 }
 
 /// The tokenizer proper: hands out one token per call, borrowing identifiers

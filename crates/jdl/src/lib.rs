@@ -56,7 +56,7 @@ pub use ast::{Ad, Value};
 pub use columns::{Cell, Column, Columns, SiteSet};
 pub use expr::{BinOp, Ctx, Cv, EvalError, Expr, Scope};
 pub use job::{Interactivity, JobDescription, JobError, MachineAccess, Parallelism, StreamingMode};
-pub use lexer::{lex, lex_spanned, LexError, Pos, Tok};
+pub use lexer::{lex, LexError, Pos, Tok};
 pub use parser::{
     parse_ad, parse_ad_spanned, parse_expr, parse_expr_spanned, AdSpans, ParseError, Span,
 };

@@ -135,15 +135,6 @@ impl FaultSchedule {
     pub fn windows(&self) -> &[(SimTime, SimTime)] {
         &self.windows
     }
-
-    /// Total downtime within `[0, horizon)`.
-    pub fn total_downtime(&self, horizon: SimTime) -> SimDuration {
-        self.windows
-            .iter()
-            .take_while(|&&(s, _)| s < horizon)
-            .map(|&(s, e)| e.min(horizon).saturating_since(s))
-            .fold(SimDuration::ZERO, |acc, d| acc + d)
-    }
 }
 
 #[cfg(test)]
@@ -200,7 +191,6 @@ mod tests {
                 (t(280), t(285))
             ]
         );
-        assert_eq!(f.total_downtime(t(300)), SimDuration::from_secs(20));
     }
 
     #[test]
@@ -286,12 +276,5 @@ mod tests {
         // Past the last window: the state never changes again.
         assert_eq!(f.next_transition(t(50)), None);
         assert_eq!(FaultSchedule::none().next_transition(t(0)), None);
-    }
-
-    #[test]
-    fn total_downtime_clips_at_horizon() {
-        let f = FaultSchedule::from_windows(vec![(t(10), t(20))]);
-        assert_eq!(f.total_downtime(t(15)), SimDuration::from_secs(5));
-        assert_eq!(f.total_downtime(t(5)), SimDuration::ZERO);
     }
 }

@@ -110,8 +110,6 @@ struct Inner {
     /// Per-direction last scheduled delivery instant (stream ordering).
     last_delivery: [SimTime; 2],
     stats: LinkStats,
-    /// How long a sender takes to notice a dead link (TCP timeout analogue).
-    fail_detect: SimDuration,
 }
 
 /// A bidirectional point-to-point link. Clones share state.
@@ -134,14 +132,8 @@ impl Link {
                 faults,
                 last_delivery: [SimTime::ZERO; 2],
                 stats: LinkStats::default(),
-                fail_detect: SimDuration::from_millis(200),
             })),
         }
-    }
-
-    /// Overrides how long senders take to detect a dead link.
-    pub fn set_fail_detect(&self, d: SimDuration) {
-        self.inner.borrow_mut().fail_detect = d;
     }
 
     /// The link's profile (cloned; profiles are small).
@@ -242,14 +234,14 @@ impl Link {
         bytes: u64,
         hold: SimDuration,
     ) -> (SimTime, Result<(), NetError>) {
+        /// How long a sender takes to notice a dead link (TCP timeout
+        /// analogue).
+        const FAIL_DETECT: SimDuration = SimDuration::from_millis(200);
         let now = sim.now();
         let mut inner = self.inner.borrow_mut();
         if inner.faults.is_down(now) {
             inner.stats.failed += 1;
-            return (
-                now.saturating_add(inner.fail_detect),
-                Err(NetError::LinkDown),
-            );
+            return (now.saturating_add(FAIL_DETECT), Err(NetError::LinkDown));
         }
         let flight = inner.profile.one_way(sim.rng(), bytes);
         let slot = match dir {
@@ -272,12 +264,6 @@ impl Link {
         inner.stats.delivered += 1;
         inner.stats.bytes += bytes;
         (arrival.saturating_add(hold), Ok(()))
-    }
-
-    /// Round-trip sample for sizing handshakes (no delivery bookkeeping).
-    pub fn rtt_sample(&self, sim: &mut Sim, req_bytes: u64, resp_bytes: u64) -> SimDuration {
-        let profile = self.inner.borrow().profile.clone();
-        profile.round_trip(sim.rng(), req_bytes, resp_bytes)
     }
 }
 

@@ -92,16 +92,6 @@ impl Topology {
         })
     }
 
-    /// Number of registered hosts.
-    pub fn host_count(&self) -> usize {
-        self.names.len()
-    }
-
-    /// Number of wired links.
-    pub fn link_count(&self) -> usize {
-        self.links.len()
-    }
-
     fn key(a: HostId, b: HostId) -> (HostId, HostId) {
         if a <= b {
             (a, b)
@@ -162,8 +152,6 @@ mod tests {
         let c = topo.add_host("site-2");
         topo.connect(a, b, LinkProfile::campus());
         topo.connect(a, c, LinkProfile::wan_ifca());
-        assert_eq!(topo.host_count(), 3);
-        assert_eq!(topo.link_count(), 2);
         assert_eq!(topo.host_name(a), "broker");
         assert_eq!(topo.host_name(HostId(99)), "<unknown>");
     }

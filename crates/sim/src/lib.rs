@@ -13,10 +13,8 @@
 //! - [`SimRng`] — seeded random stream with the distributions the models use
 //!   (exponential, normal, log-normal, Pareto), all implemented locally so an
 //!   upstream library change can never shift experiment outputs.
-//! - [`OnlineStats`] / [`SampleSet`] / [`Histogram`] / [`TimeSeries`] —
-//!   measurement collection.
-//! - [`Resource`] — counted capacity with a FIFO wait queue (CPUs, queue
-//!   slots).
+//! - [`OnlineStats`] / [`SampleSet`] / [`TimeSeries`] — measurement
+//!   collection.
 //!
 //! ```
 //! use cg_sim::{Sim, SimDuration, SampleSet};
@@ -42,15 +40,13 @@
 #![warn(missing_docs)]
 
 mod engine;
-mod resource;
 mod rng;
 mod slab;
 mod stats;
 mod time;
 
 pub use engine::{EventId, Receiver, RunOutcome, Sim, TypedEvent};
-pub use resource::Resource;
 pub use rng::SimRng;
 pub use slab::Slab;
-pub use stats::{Histogram, OnlineStats, SampleSet, TimeSeries};
+pub use stats::{OnlineStats, SampleSet, TimeSeries};
 pub use time::{SimDuration, SimTime};

@@ -204,67 +204,6 @@ impl SampleSet {
     }
 }
 
-/// Fixed-width histogram over `[lo, hi)` with overflow/underflow buckets.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct Histogram {
-    lo: f64,
-    hi: f64,
-    buckets: Vec<u64>,
-    underflow: u64,
-    overflow: u64,
-}
-
-impl Histogram {
-    /// Creates a histogram with `n` equal-width buckets over `[lo, hi)`.
-    ///
-    /// # Panics
-    /// Panics if `n == 0` or `lo >= hi`.
-    pub fn new(lo: f64, hi: f64, n: usize) -> Self {
-        assert!(n > 0, "histogram needs at least one bucket");
-        assert!(lo < hi, "histogram range inverted");
-        Histogram {
-            lo,
-            hi,
-            buckets: vec![0; n],
-            underflow: 0,
-            overflow: 0,
-        }
-    }
-
-    /// Records one observation.
-    pub fn record(&mut self, x: f64) {
-        if x < self.lo {
-            self.underflow += 1;
-        } else if x >= self.hi {
-            self.overflow += 1;
-        } else {
-            let w = (self.hi - self.lo) / self.buckets.len() as f64;
-            let i = (((x - self.lo) / w) as usize).min(self.buckets.len() - 1);
-            self.buckets[i] += 1;
-        }
-    }
-
-    /// Per-bucket counts.
-    pub fn buckets(&self) -> &[u64] {
-        &self.buckets
-    }
-
-    /// Count below the range.
-    pub fn underflow(&self) -> u64 {
-        self.underflow
-    }
-
-    /// Count at or above the range.
-    pub fn overflow(&self) -> u64 {
-        self.overflow
-    }
-
-    /// Total observations recorded.
-    pub fn total(&self) -> u64 {
-        self.buckets.iter().sum::<u64>() + self.underflow + self.overflow
-    }
-}
-
 /// A `(time, value)` series, e.g. priority trajectories or queue lengths.
 #[derive(Debug, Clone, Default, Serialize, Deserialize)]
 pub struct TimeSeries {
@@ -295,20 +234,6 @@ impl TimeSeries {
     /// True when no points were recorded.
     pub fn is_empty(&self) -> bool {
         self.points.is_empty()
-    }
-
-    /// Time-weighted average of a piecewise-constant signal between the first
-    /// and last recorded instants. `None` with fewer than two points.
-    pub fn time_weighted_mean(&self) -> Option<f64> {
-        if self.points.len() < 2 {
-            return None;
-        }
-        let mut acc = 0.0;
-        for w in self.points.windows(2) {
-            acc += w[0].1 * (w[1].0 - w[0].0);
-        }
-        let span = self.points.last().unwrap().0 - self.points[0].0;
-        (span > 0.0).then(|| acc / span)
     }
 
     /// Writes the series as CSV rows (`t,value`).
@@ -396,36 +321,11 @@ mod tests {
     }
 
     #[test]
-    fn histogram_buckets_and_edges() {
-        let mut h = Histogram::new(0.0, 10.0, 10);
-        for x in [0.0, 0.5, 5.0, 9.99, -1.0, 10.0, 42.0] {
-            h.record(x);
-        }
-        assert_eq!(h.buckets()[0], 2);
-        assert_eq!(h.buckets()[5], 1);
-        assert_eq!(h.buckets()[9], 1);
-        assert_eq!(h.underflow(), 1);
-        assert_eq!(h.overflow(), 2);
-        assert_eq!(h.total(), 7);
-    }
-
-    #[test]
     fn time_series_weighted_mean() {
         let mut ts = TimeSeries::new();
         ts.record(SimTime::from_secs(0), 1.0);
-        ts.record(SimTime::from_secs(10), 3.0); // value 1.0 held for 10 s
-        ts.record(SimTime::from_secs(20), 0.0); // value 3.0 held for 10 s
-        assert_eq!(ts.time_weighted_mean(), Some(2.0));
+        ts.record(SimTime::from_secs(10), 3.0);
+        ts.record(SimTime::from_secs(20), 0.0);
         assert!(ts.to_csv().starts_with("t,value\n0,1\n"));
-    }
-
-    #[test]
-    fn time_series_degenerate() {
-        let mut ts = TimeSeries::new();
-        assert_eq!(ts.time_weighted_mean(), None);
-        ts.record(SimTime::ZERO, 5.0);
-        assert_eq!(ts.time_weighted_mean(), None);
-        ts.record(SimTime::ZERO, 6.0); // zero span
-        assert_eq!(ts.time_weighted_mean(), None);
     }
 }

@@ -43,11 +43,6 @@ impl NodeSpec {
             speed_factor: 1.8,
         }
     }
-
-    /// Scales a nominal CPU burst to this node's wall-clock time.
-    pub fn scale_cpu(&self, nominal_secs: f64) -> f64 {
-        nominal_secs / self.speed_factor
-    }
 }
 
 #[cfg(test)]
@@ -61,13 +56,5 @@ mod tests {
         assert_eq!(p3.memory_mb, 512);
         assert_eq!(xeon.memory_mb, 2048, "RAM up to 2 GB");
         assert!(xeon.speed_factor > p3.speed_factor);
-    }
-
-    #[test]
-    fn cpu_scaling_divides_by_speed() {
-        let xeon = NodeSpec::pentium_xeon();
-        assert!((xeon.scale_cpu(1.8) - 1.0).abs() < 1e-12);
-        let p3 = NodeSpec::pentium_iii();
-        assert_eq!(p3.scale_cpu(2.5), 2.5);
     }
 }

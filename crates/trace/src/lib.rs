@@ -9,9 +9,9 @@
 //!
 //! On top of the raw stream sit three consumers:
 //!
-//! * [`MetricsRegistry`] — named counters, gauges and sample-backed
-//!   histograms (built on [`cg_sim::OnlineStats`] / [`cg_sim::SampleSet`]).
-//!   An [`EventLog`] wired to a registry counts every event kind
+//! * [`MetricsRegistry`] — named counters and sample-backed histograms
+//!   (built on [`cg_sim::OnlineStats`] / [`cg_sim::SampleSet`]). An
+//!   [`EventLog`] wired to a registry counts every event kind
 //!   automatically under `events.<Kind>`.
 //! * JSONL export — [`EventLog::to_jsonl`] renders one JSON object per
 //!   line for offline analysis; [`dump_jsonl_env`] writes it to the path

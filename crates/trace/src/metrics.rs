@@ -1,4 +1,4 @@
-//! Named counters, gauges and histograms shared across the broker stack.
+//! Named counters and histograms shared across the broker stack.
 
 use std::collections::BTreeMap;
 use std::sync::{Arc, Mutex, MutexGuard};
@@ -8,7 +8,6 @@ use cg_sim::{OnlineStats, SampleSet};
 #[derive(Default)]
 struct Registry {
     counters: BTreeMap<String, u64>,
-    gauges: BTreeMap<String, f64>,
     histograms: BTreeMap<String, SampleSet>,
 }
 
@@ -55,21 +54,6 @@ impl MetricsRegistry {
         self.lock().counters.get(name).copied().unwrap_or(0)
     }
 
-    /// Sets gauge `name` to `value`.
-    pub fn set_gauge(&self, name: &str, value: f64) {
-        let mut reg = self.lock();
-        if let Some(g) = reg.gauges.get_mut(name) {
-            *g = value;
-        } else {
-            reg.gauges.insert(name.to_string(), value);
-        }
-    }
-
-    /// Last value set on gauge `name`.
-    pub fn gauge(&self, name: &str) -> Option<f64> {
-        self.lock().gauges.get(name).copied()
-    }
-
     /// Records one observation into histogram `name`.
     pub fn observe(&self, name: &str, value: f64) {
         let mut reg = self.lock();
@@ -114,9 +98,6 @@ impl MetricsRegistry {
         for (name, v) in &inner.counters {
             let _ = writeln!(out, "counter {name} = {v}");
         }
-        for (name, v) in &inner.gauges {
-            let _ = writeln!(out, "gauge {name} = {v}");
-        }
         for (name, set) in &inner.histograms {
             let _ = writeln!(out, "histogram {name}: {}", set.summary());
         }
@@ -129,7 +110,6 @@ impl std::fmt::Debug for MetricsRegistry {
         let inner = self.lock();
         f.debug_struct("MetricsRegistry")
             .field("counters", &inner.counters.len())
-            .field("gauges", &inner.gauges.len())
             .field("histograms", &inner.histograms.len())
             .finish()
     }
@@ -146,15 +126,6 @@ mod tests {
         m.inc("x");
         m.add("x", 4);
         assert_eq!(m.counter("x"), 5);
-    }
-
-    #[test]
-    fn gauges_overwrite() {
-        let m = MetricsRegistry::new();
-        assert_eq!(m.gauge("g"), None);
-        m.set_gauge("g", 1.0);
-        m.set_gauge("g", 2.5);
-        assert_eq!(m.gauge("g"), Some(2.5));
     }
 
     #[test]
@@ -183,11 +154,9 @@ mod tests {
     fn summary_lists_everything() {
         let m = MetricsRegistry::new();
         m.inc("a.count");
-        m.set_gauge("b.gauge", 7.0);
         m.observe("c.hist", 1.0);
         let s = m.summary();
         assert!(s.contains("counter a.count = 1"));
-        assert!(s.contains("gauge b.gauge = 7"));
         assert!(s.contains("histogram c.hist"));
     }
 }

@@ -452,15 +452,6 @@ impl ReplayState {
             _ => {}
         }
     }
-
-    /// Jobs whose phase falls in `bucket`.
-    #[must_use]
-    pub fn count_bucket(&self, bucket: Bucket) -> usize {
-        self.jobs
-            .values()
-            .filter(|j| j.phase.bucket() == bucket)
-            .count()
-    }
 }
 
 impl LoadedJournal {

@@ -107,11 +107,6 @@ impl Agent {
         *self.alive.borrow() && self.node.is_some()
     }
 
-    /// Marks the agent dead (used by deployment plumbing and tests).
-    pub fn mark_dead(&self) {
-        *self.alive.borrow_mut() = false;
-    }
-
     /// Free interactive slots right now.
     pub fn interactive_free(&self) -> usize {
         if self.is_alive() {

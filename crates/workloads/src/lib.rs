@@ -17,5 +17,5 @@ mod synthetic;
 pub use arrivals::{poisson_arrivals, Arrival, JobMix};
 pub use churn::{churn_faults, ChurnKind};
 pub use pingpong::{run_pingpong, run_suite, PingPongRun, PingPongSpec};
-pub use scenario::{campus_pair, crossgrid_testbed, wan_pair, GridScenario};
+pub use scenario::{campus_pair, crossgrid_testbed, GridScenario};
 pub use synthetic::{synthetic_grid, SyntheticGrid};

@@ -38,11 +38,6 @@ impl GridScenario {
     pub fn mds_link(&self) -> Link {
         self.topology.link(self.broker_host, self.mds_host)
     }
-
-    /// The sites, detached from their host ids.
-    pub fn site_list(&self) -> Vec<Site> {
-        self.sites.iter().map(|(s, _)| s.clone()).collect()
-    }
 }
 
 /// The campus scenario (§6, first scenario): submission and execution
@@ -64,34 +59,6 @@ pub fn campus_pair(nodes: usize) -> GridScenario {
     let site_host = topology.add_host("gk@uab-campus");
     topology.connect(broker_host, site_host, LinkProfile::campus());
     topology.connect(ui_host, site_host, LinkProfile::campus());
-    topology.connect(broker_host, mds_host, LinkProfile::wan_mds());
-    GridScenario {
-        topology,
-        broker_host,
-        ui_host,
-        mds_host,
-        sites: vec![(site, site_host)],
-    }
-}
-
-/// The wide-area pair (§6, second scenario): client at the UAB department,
-/// execution machine at IFCA (Santander).
-pub fn wan_pair(nodes: usize) -> GridScenario {
-    let mut topology = Topology::new();
-    let broker_host = topology.add_host("crossbroker@uab");
-    let ui_host = topology.add_host("ui@uab");
-    let mds_host = topology.add_host("mds@fzk");
-    let site = Site::new(SiteConfig {
-        name: "ifca".into(),
-        nodes,
-        node_spec: NodeSpec::pentium_xeon(),
-        policy: Policy::Fifo,
-        tags: vec!["CROSSGRID".into(), "MPICH-G2".into()],
-        ..SiteConfig::default()
-    });
-    let site_host = topology.add_host("gk@ifca");
-    topology.connect(broker_host, site_host, LinkProfile::wan_ifca());
-    topology.connect(ui_host, site_host, LinkProfile::wan_ifca());
     topology.connect(broker_host, mds_host, LinkProfile::wan_mds());
     GridScenario {
         topology,
@@ -213,13 +180,6 @@ mod tests {
         assert_eq!(s.broker_site_link(0).profile().name, "campus");
         assert_eq!(s.mds_link().profile().name, "wan-mds");
         assert_eq!(s.sites[0].0.lrms().total_nodes(), 4);
-    }
-
-    #[test]
-    fn wan_pair_uses_the_ifca_profile() {
-        let s = wan_pair(8);
-        assert_eq!(s.broker_site_link(0).profile().name, "wan-ifca");
-        assert_eq!(s.sites[0].0.name(), "ifca");
     }
 
     #[test]

@@ -34,11 +34,6 @@ impl SyntheticGrid {
     pub fn regions(&self) -> usize {
         self.sites.len().div_ceil(self.region_size)
     }
-
-    /// Region of global site index `i`.
-    pub fn region_of(&self, i: usize) -> usize {
-        i / self.region_size
-    }
 }
 
 /// Generates an `n_sites` grid partitioned into regions of
@@ -124,7 +119,6 @@ mod tests {
             assert_eq!(grid.publish_latency.len(), n);
             assert_eq!(grid.link_profiles.len(), n);
             assert_eq!(grid.regions(), n.div_ceil(32));
-            assert_eq!(grid.region_of(33), 1);
         }
     }
 

@@ -296,9 +296,10 @@ fn cmd_journal_dump(args: &[String]) -> i32 {
 }
 
 /// Extracts the value of a flat string field (`"key":"value"`) from one
-/// JSONL line. Handles backslash escapes inside the value; returns `None`
-/// when the key is absent. The event stream writes every key exactly once
-/// per line, so the first match is the field.
+/// JSONL line. Decodes exactly the escapes the event stream's JSON writer
+/// emits (`\"`, `\\`, `\n`, `\r`, `\t` and `\uXXXX`); returns `None` when
+/// the key is absent or the value is malformed. The event stream writes
+/// every key exactly once per line, so the first match is the field.
 fn jsonl_str(line: &str, key: &str) -> Option<String> {
     let needle = format!("\"{key}\":\"");
     let start = line.find(&needle)? + needle.len();
@@ -307,7 +308,19 @@ fn jsonl_str(line: &str, key: &str) -> Option<String> {
     while let Some(c) = chars.next() {
         match c {
             '"' => return Some(out),
-            '\\' => out.push(chars.next()?),
+            '\\' => out.push(match chars.next()? {
+                c @ ('"' | '\\') => c,
+                'n' => '\n',
+                'r' => '\r',
+                't' => '\t',
+                'u' => {
+                    let rest = chars.as_str();
+                    let code = u32::from_str_radix(rest.get(..4)?, 16).ok()?;
+                    chars = rest[4..].chars();
+                    char::from_u32(code)?
+                }
+                _ => return None,
+            }),
             c => out.push(c),
         }
     }

@@ -74,7 +74,7 @@ pub mod prelude {
     pub use cg_sim::{Sim, SimDuration, SimTime};
     pub use cg_site::{Site, SiteConfig};
     pub use cg_trace::{check_invariants, Event, EventLog, MetricsRegistry};
-    pub use cg_workloads::{campus_pair, crossgrid_testbed, wan_pair, GridScenario};
+    pub use cg_workloads::{campus_pair, crossgrid_testbed, GridScenario};
     pub use crossbroker::{BrokerConfig, CrossBroker, JobId, JobRecord, JobState, SiteHandle};
 }
 

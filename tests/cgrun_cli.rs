@@ -315,6 +315,45 @@ fn churn_report_summarizes_membership_transitions() {
 }
 
 #[test]
+fn churn_report_keeps_escaped_site_names_apart() {
+    let dir = std::env::temp_dir().join(format!("cgrun-test-escapes-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let path = dir.join("escapes.jsonl");
+    // `a<TAB>b` and `atb`, `x<U+0001>y` and `xu0001y`: four sites, each
+    // suspected once, whose JSON spellings differ only by an escape.
+    std::fs::write(
+        &path,
+        concat!(
+            "{\"at_ns\":1,\"seq\":0,\"event\":\"SiteSuspect\",\"site\":\"a\\tb\",\"missed_refreshes\":2,\"failed_queries\":0}\n",
+            "{\"at_ns\":2,\"seq\":1,\"event\":\"SiteSuspect\",\"site\":\"atb\",\"missed_refreshes\":2,\"failed_queries\":0}\n",
+            "{\"at_ns\":3,\"seq\":2,\"event\":\"SiteSuspect\",\"site\":\"x\\u0001y\",\"missed_refreshes\":2,\"failed_queries\":0}\n",
+            "{\"at_ns\":4,\"seq\":3,\"event\":\"SiteSuspect\",\"site\":\"xu0001y\",\"missed_refreshes\":2,\"failed_queries\":0}\n",
+        ),
+    )
+    .unwrap();
+
+    let out = cgrun()
+        .args(["churn-report", path.to_str().unwrap()])
+        .output()
+        .unwrap();
+    assert_eq!(out.status.code(), Some(0), "report run: {out:?}");
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    let suspects = |name: &str| -> Vec<String> {
+        stdout
+            .lines()
+            .filter_map(|l| l.strip_prefix(name))
+            .filter(|rest| rest.starts_with(' '))
+            .map(|rest| rest.split_whitespace().next().unwrap().to_string())
+            .collect()
+    };
+    for name in ["a\tb", "atb", "x\u{1}y", "xu0001y"] {
+        assert_eq!(suspects(name), ["1"], "one row for {name:?}:\n{stdout}");
+    }
+
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
 fn lint_src_exit_codes_follow_the_findings() {
     let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR"));
     let fixture = |name: &str| root.join("examples/lint").join(name);
