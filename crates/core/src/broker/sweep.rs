@@ -3,12 +3,15 @@
 //! `BrokerConfig::live_query_fanout`, each attempt racing a deadline and
 //! feeding the membership failure detector.
 //!
-//! A query is three kernel events — request delivered and served, reply
-//! delivered, deadline — and at 1 000 sites a job stands behind some 430
-//! queries, so none of the three is a closure: each is a [`TypedEvent`]
-//! naming `(sweep, site, attempt, leg)`, received by the sweep receiver the
-//! broker builds when it is built. The sweeps themselves live in the
-//! broker's [`SweepTable`]; a sweep that is over waits in the broker's
+//! A query is two kernel events — request delivered and served, reply
+//! delivered — and at 1 000 sites a job stands behind some 430 queries, so
+//! neither is a closure: each is a [`TypedEvent`] naming `(sweep, site,
+//! attempt, leg)`, received by the sweep receiver the broker builds when it
+//! is built. The deadlines are not events of their own: a sweep keeps one
+//! timer, armed at or before the earliest deadline of its unsettled
+//! attempts, which times out whatever is due when it fires and re-arms at
+//! the next deadline; a reply cancels nothing. The sweeps themselves live in
+//! the broker's [`SweepTable`]; a sweep that is over waits in the broker's
 //! stages for its selection event, holding what selection needs.
 
 use std::collections::VecDeque;
@@ -16,7 +19,7 @@ use std::sync::Arc;
 
 use cg_jdl::Ad;
 use cg_net::{delivery_outcome, Dir};
-use cg_sim::{EventId, Sim, SimDuration, TypedEvent};
+use cg_sim::{EventId, Sim, SimDuration, SimTime, TypedEvent};
 use cg_trace::Event;
 
 use super::discovery::Selection;
@@ -57,10 +60,16 @@ struct LiveQuerySweep {
     /// Site indices not yet queried, in shortlist order.
     pending: VecDeque<usize>,
     in_flight: usize,
-    /// The unsettled attempts — `(site, attempt, deadline event)`, at most
-    /// one per fan-out slot. A reply or a deadline that does not find its
-    /// attempt here lost the race and does nothing.
-    live: Vec<(usize, u32, EventId)>,
+    /// The unsettled attempts — `(site, attempt, deadline)`, at most one per
+    /// fan-out slot, in launch order and so in deadline order: every attempt
+    /// waits the same `timeout`. A reply that does not find its attempt here
+    /// lost the race to the deadline and does nothing.
+    live: Vec<(usize, u32, SimTime)>,
+    /// The sweep's one deadline event. Whenever `live` is not empty it is
+    /// armed, at or before the first deadline in `live` (the attempt it was
+    /// armed for may have been answered since); only while it fires is it
+    /// `None` with attempts live.
+    timer: Option<EventId>,
     /// Each answering site's shared machine ad — the allocation the site
     /// itself and (until the site changes) the MDS snapshot hold.
     collected: Vec<(usize, Arc<Ad>)>,
@@ -79,6 +88,7 @@ impl LiveQuerySweep {
             job,
             in_flight: 0,
             live: Vec::with_capacity(fanout.min(pending.len())),
+            timer: None,
             collected: Vec::with_capacity(pending.len()),
             pending,
             then,
@@ -88,14 +98,29 @@ impl LiveQuerySweep {
         }
     }
 
-    /// Claims an attempt for whichever of its reply and its deadline gets
-    /// here first; the other one finds nothing.
-    fn take_live(&mut self, site_index: usize, attempt: u32) -> Option<EventId> {
-        let at = self
+    /// Claims an attempt for its reply, unless its deadline got here first.
+    /// `remove` keeps `live` in launch order; it holds at most `fanout`
+    /// entries.
+    fn take_live(&mut self, site_index: usize, attempt: u32) -> bool {
+        let Some(at) = self
             .live
             .iter()
-            .position(|&(s, a, _)| (s, a) == (site_index, attempt))?;
-        Some(self.live.swap_remove(at).2)
+            .position(|&(s, a, _)| (s, a) == (site_index, attempt))
+        else {
+            return false;
+        };
+        self.live.remove(at);
+        true
+    }
+
+    /// Takes out the first unsettled attempt if its deadline is `now` or
+    /// earlier.
+    fn take_due(&mut self, now: SimTime) -> Option<(usize, u32)> {
+        let &(site_index, attempt, deadline) = self.live.first()?;
+        (deadline <= now).then(|| {
+            self.live.remove(0);
+            (site_index, attempt)
+        })
     }
 }
 
@@ -152,7 +177,8 @@ enum Leg {
     Request,
     /// The reply reached the broker (or failed to).
     Reply,
-    /// The attempt's `live_query_timeout` ran out.
+    /// The sweep's timer: some attempt's `live_query_timeout` may have run
+    /// out.
     Deadline,
     /// The back-off before this attempt is over: launch it.
     Retry,
@@ -259,8 +285,12 @@ fn live_query_pump(sim: &mut Sim, broker: &CrossBroker, serial: u32) {
             let Some(&site_index) = sweep.pending.front() else {
                 if sweep.in_flight == 0 {
                     let sweep = inner.sweeps.remove(serial).expect(UNFINISHED);
+                    if let Some(timer) = sweep.timer {
+                        sim.cancel(timer);
+                    }
                     let (then, mut collected) = (sweep.then, sweep.collected);
-                    collected.sort_by_key(|(i, _)| *i);
+                    // Site indices are unique: unstable is the same order.
+                    collected.sort_unstable_by_key(|(i, _)| *i);
                     let finished = FinishedSweep { then, collected };
                     let slot = inner.stages.finished_sweeps.insert(finished);
                     drop(inner);
@@ -280,11 +310,12 @@ fn live_query_pump(sim: &mut Sim, broker: &CrossBroker, serial: u32) {
 }
 
 /// One live-query attempt against a site: the request leg goes out held by
-/// the site's service time, and a deadline is set beside it. Whichever of
-/// reply and deadline settles first decides the outcome: a reply cancels
-/// the deadline it beat, and a reply that comes after its deadline is
-/// dropped on the floor. Every settled attempt feeds the membership failure
-/// detector via [`InformationIndex::report_query`].
+/// the site's service time, and its deadline joins the sweep's `live` list
+/// (arming the sweep's timer if no attempt was live). Whichever of reply and
+/// deadline settles first decides the outcome: a reply takes its attempt
+/// off the list, and a reply that comes after its deadline is dropped on
+/// the floor. Every settled attempt feeds the membership failure detector
+/// via [`InformationIndex::report_query`].
 fn live_query_attempt(
     sim: &mut Sim,
     broker: &CrossBroker,
@@ -313,8 +344,24 @@ fn live_query_attempt(
         receiver,
         event(Leg::Request),
     );
-    let deadline = sim.schedule_event_in(sweep.timeout, receiver, event(Leg::Deadline));
+    let deadline = sim.now().saturating_add(sweep.timeout);
+    // With attempts live the timer is armed no later than this deadline —
+    // or it is firing, and re-arms at the first deadline when it is done.
+    if sweep.live.is_empty() && sweep.timer.is_none() {
+        sweep.timer = Some(sim.schedule_event_at(deadline, receiver, timer_event(serial)));
+    }
     sweep.live.push((site_index, attempt, deadline));
+}
+
+/// The event of sweep `serial`'s timer.
+fn timer_event(serial: u32) -> TypedEvent {
+    SweepEvent {
+        serial,
+        site_index: 0,
+        attempt: 0,
+        leg: Leg::Deadline,
+    }
+    .pack()
 }
 
 impl CrossBroker {
@@ -353,28 +400,46 @@ impl CrossBroker {
                 let ok = delivery_outcome(event).is_ok();
                 self.query_answered(sim, serial, site_index, attempt, ok);
             }
-            Leg::Deadline => {
-                {
-                    let mut guard = self.inner.borrow_mut();
-                    let inner = &mut *guard;
-                    let Some(sweep) = inner.sweeps.get_mut(serial) else {
-                        return;
-                    };
-                    if sweep.take_live(site_index, attempt).is_none() {
-                        return; // the response won the race
-                    }
-                    inner.trace.record(
-                        sim.now(),
-                        Event::LiveQueryTimeout {
-                            job: sweep.job.0,
-                            site: inner.site_name(site_index),
-                            attempt,
-                        },
-                    );
-                }
-                live_query_settle(sim, self, serial, site_index, attempt, None);
-            }
+            Leg::Deadline => self.sweep_timer(sim, serial),
             Leg::Retry => live_query_attempt(sim, self, serial, site_index, attempt),
+        }
+    }
+
+    /// Sweep `serial`'s timer fired: times out every attempt whose deadline
+    /// has come, in launch order, then re-arms at the next deadline. (A
+    /// finishing sweep cancels its timer, so the sweep is still there.)
+    fn sweep_timer(&self, sim: &mut Sim, serial: u32) {
+        let now = sim.now();
+        if let Some(sweep) = self.inner.borrow_mut().sweeps.get_mut(serial) {
+            sweep.timer = None;
+        }
+        loop {
+            let (site_index, attempt) = {
+                let mut guard = self.inner.borrow_mut();
+                let inner = &mut *guard;
+                let Some(sweep) = inner.sweeps.get_mut(serial) else {
+                    return; // the last timeout finished the sweep
+                };
+                let Some((site_index, attempt)) = sweep.take_due(now) else {
+                    // A launch onto an empty `live` list may have armed it.
+                    if let (None, Some(&(_, _, next))) = (sweep.timer, sweep.live.first()) {
+                        let event = timer_event(serial);
+                        sweep.timer =
+                            Some(sim.schedule_event_at(next, &inner.sweep_receiver, event));
+                    }
+                    return;
+                };
+                inner.trace.record(
+                    now,
+                    Event::LiveQueryTimeout {
+                        job: sweep.job.0,
+                        site: inner.site_name(site_index),
+                        attempt,
+                    },
+                );
+                (site_index, attempt)
+            };
+            live_query_settle(sim, self, serial, site_index, attempt, None);
         }
     }
 
@@ -404,14 +469,13 @@ impl CrossBroker {
         let ad = {
             let mut guard = self.inner.borrow_mut();
             let inner = &mut *guard;
-            let Some(deadline) = inner
+            let taken = inner
                 .sweeps
                 .get_mut(serial)
-                .and_then(|sweep| sweep.take_live(site_index, attempt))
-            else {
+                .is_some_and(|sweep| sweep.take_live(site_index, attempt));
+            if !taken {
                 return;
-            };
-            sim.cancel(deadline);
+            }
             ok.then(|| inner.sites[site_index].site.machine_ad_arc())
         };
         live_query_settle(sim, self, serial, site_index, attempt, ad);

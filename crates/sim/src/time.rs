@@ -96,7 +96,7 @@ impl SimDuration {
         if ns >= u64::MAX as f64 {
             SimDuration::MAX
         } else {
-            SimDuration(ns.round() as u64)
+            SimDuration(round_half_away(ns))
         }
     }
 
@@ -225,6 +225,20 @@ impl fmt::Display for SimDuration {
     }
 }
 
+/// `ns.round() as u64` for `0 < ns < 2^64`, without the libm call:
+/// truncation and the fractional part are both exact there (below 2^52 the
+/// difference of `ns` and its integer part is representable; from 2^52 up
+/// every `f64` is an integer), so half rounds away from zero exactly as
+/// [`f64::round`] does.
+fn round_half_away(ns: f64) -> u64 {
+    let n = ns as u64;
+    if ns - n as f64 >= 0.5 {
+        n + 1
+    } else {
+        n
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -235,6 +249,40 @@ mod tests {
         assert_eq!(SimDuration::from_millis(5).as_nanos(), 5_000_000);
         assert_eq!(SimDuration::from_micros(7).as_nanos(), 7_000);
         assert_eq!(SimDuration::from_secs(2).as_millis(), 2_000);
+    }
+
+    #[test]
+    fn rounding_is_f64_round() {
+        let edges = [
+            0.5,
+            1.5,
+            2.5,
+            0.499_999_999_999_999_94,
+            1.0 - f64::EPSILON / 2.0,
+            f64::MIN_POSITIVE,
+            2f64.powi(52) - 0.5,
+            2f64.powi(52) - 1.0,
+            2f64.powi(52),
+            2f64.powi(52) + 1.0,
+            2f64.powi(53) - 1.0,
+            2f64.powi(53),
+            2f64.powi(53) + 2.0,
+            2f64.powi(64) - 2048.0,
+        ];
+        for ns in edges {
+            assert_eq!(round_half_away(ns), ns.round() as u64, "{ns:e}");
+        }
+        // Uniform mantissas over every binary magnitude below 2^64, and the
+        // half-way points of the low ones.
+        let mut rng = crate::SimRng::new(0x0072_6f75_6e64);
+        for _ in 0..1_000_000 {
+            let bits = rng.u64();
+            let ns = (bits >> 11) as f64 * 2f64.powi((bits % 64) as i32 - 53);
+            assert_eq!(round_half_away(ns), ns.round() as u64, "{ns:e}");
+            let half = (bits >> 40) as f64 + 0.5;
+            assert_eq!(round_half_away(half), half.round() as u64, "{half:e}");
+        }
+        assert_eq!(SimDuration::from_secs_f64(2.5e-9).as_nanos(), 3);
     }
 
     #[test]
