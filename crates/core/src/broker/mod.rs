@@ -177,6 +177,7 @@ struct Inner {
     /// (`CrossBroker::on_sweep_event`); owned by the `sweep` stage.
     sweeps: sweep::SweepTable,
     sweep_receiver: Receiver,
+    shortlists: discovery::ShortlistMemo,
     /// What every other broker event reaches (`CrossBroker::on_event`),
     /// and the state of the steps waiting for one.
     receiver: Receiver,
@@ -350,6 +351,7 @@ impl CrossBroker {
                     jobs: ShardedJobTable::new(DEFAULT_SHARDS),
                     side: SideTables::default(),
                     sweeps: sweep::SweepTable::default(),
+                    shortlists: discovery::ShortlistMemo::default(),
                     sweep_receiver,
                     receiver,
                     stages: events::Stages::default(),

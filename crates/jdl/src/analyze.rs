@@ -967,6 +967,68 @@ impl CompiledExpr {
             _ => None,
         }
     }
+
+    /// Whether evaluation can read the job's own ad: an own attribute
+    /// holding a stored expression, or a shape left to the raw walker.
+    /// (Evaluation also hands the job to an expression a machine ad
+    /// stores; that is the machine ad's doing, not the tree's.)
+    pub fn reads_own(&self) -> bool {
+        reads_own(&self.root)
+    }
+
+    /// Whether the two are one tree with bit-identical constants, and so
+    /// evaluate alike against any pair of ads that neither
+    /// [`reads_own`](CompiledExpr::reads_own) can tell apart. Stricter than
+    /// `==`, which takes `-0.0` for `0.0`; a tree left to the raw walker is
+    /// the same as nothing.
+    pub fn same_as(&self, other: &CompiledExpr) -> bool {
+        same_tree(&self.root, &other.root)
+    }
+}
+
+fn reads_own(e: &CExpr) -> bool {
+    match e {
+        CExpr::OwnExpr(_) | CExpr::Raw(_) => true,
+        CExpr::Const(_) | CExpr::OtherRef(_) | CExpr::OtherListRef(_) => false,
+        CExpr::Not(x) | CExpr::Neg(x) => reads_own(x),
+        CExpr::Bin(_, l, r) => reads_own(l) || reads_own(r),
+        CExpr::Ternary(c, x, y) => reads_own(c) || reads_own(x) || reads_own(y),
+        CExpr::Call(_, args) => args.iter().any(reads_own),
+    }
+}
+
+fn same_tree(a: &CExpr, b: &CExpr) -> bool {
+    match (a, b) {
+        (CExpr::Const(Cv::Val(x)), CExpr::Const(Cv::Val(y))) => same_value(x, y),
+        (CExpr::Const(Cv::Undefined), CExpr::Const(Cv::Undefined)) => true,
+        (CExpr::OtherRef(x), CExpr::OtherRef(y))
+        | (CExpr::OtherListRef(x), CExpr::OtherListRef(y)) => x == y,
+        (CExpr::OwnExpr(x), CExpr::OwnExpr(y)) => x == y,
+        (CExpr::Not(x), CExpr::Not(y)) | (CExpr::Neg(x), CExpr::Neg(y)) => same_tree(x, y),
+        (CExpr::Bin(op, l, r), CExpr::Bin(op2, l2, r2)) => {
+            op == op2 && same_tree(l, l2) && same_tree(r, r2)
+        }
+        (CExpr::Ternary(c, x, y), CExpr::Ternary(c2, x2, y2)) => {
+            same_tree(c, c2) && same_tree(x, x2) && same_tree(y, y2)
+        }
+        (CExpr::Call(f, args), CExpr::Call(f2, args2)) => {
+            f == f2
+                && args.len() == args2.len()
+                && args.iter().zip(args2).all(|(x, y)| same_tree(x, y))
+        }
+        _ => false,
+    }
+}
+
+fn same_value(a: &Value, b: &Value) -> bool {
+    match (a, b) {
+        (Value::Double(x), Value::Double(y)) => x.to_bits() == y.to_bits(),
+        (Value::List(xs), Value::List(ys)) => {
+            xs.len() == ys.len() && xs.iter().zip(ys.iter()).all(|(x, y)| same_value(x, y))
+        }
+        (Value::Expr(_), _) => false,
+        _ => a == b,
+    }
 }
 
 fn empty_ad() -> &'static Ad {
@@ -2224,17 +2286,7 @@ mod tests {
         let job = crate::JobDescription::parse(CLEAN).unwrap();
         let a = job.analyze();
         // NodeNumber folded in: the compiled tree has no own-references.
-        fn no_own(e: &CExpr) -> bool {
-            match e {
-                CExpr::OwnExpr(_) | CExpr::Raw(_) => false,
-                CExpr::Const(_) | CExpr::OtherRef(_) | CExpr::OtherListRef(_) => true,
-                CExpr::Not(x) | CExpr::Neg(x) => no_own(x),
-                CExpr::Bin(_, l, r) => no_own(l) && no_own(r),
-                CExpr::Ternary(c, x, y) => no_own(c) && no_own(x) && no_own(y),
-                CExpr::Call(_, args) => args.iter().all(no_own),
-            }
-        }
-        assert!(no_own(&a.requirements.as_ref().unwrap().root));
+        assert!(!a.requirements.as_ref().unwrap().reads_own());
     }
 
     #[test]
