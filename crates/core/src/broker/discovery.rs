@@ -91,16 +91,15 @@ struct Signature {
 }
 
 impl Signature {
-    fn matches(&self, compiled: &Rc<CompiledJob>, nodes: u32, full_site: bool) -> bool {
+    fn matches(&self, compiled: &CompiledJob, nodes: u32, full_site: bool) -> bool {
         let same = |a: &Option<CompiledExpr>, b: &Option<CompiledExpr>| match (a, b) {
             (Some(a), Some(b)) => a.same_as(b),
             (a, b) => a.is_none() && b.is_none(),
         };
         self.nodes == nodes
             && self.full_site == full_site
-            && (Rc::ptr_eq(&self.compiled, compiled)
-                || same(&self.compiled.requirements, &compiled.requirements)
-                    && same(&self.compiled.rank, &compiled.rank))
+            && same(&self.compiled.requirements, &compiled.requirements)
+            && same(&self.compiled.rank, &compiled.rank)
     }
 }
 
@@ -135,8 +134,8 @@ impl ShortlistMemo {
             self.shortlists.clear();
         }
         let full_site = requires_full_site(job);
-        let shared = !self.stores_expr && !reads_own_ad(job, compiled);
-        if shared {
+        let shareable = !self.stores_expr && !reads_own_ad(job, compiled);
+        if shareable {
             let found = self
                 .shortlists
                 .iter()
@@ -149,7 +148,7 @@ impl ShortlistMemo {
         metrics.add("discovery.shortlists_built", 1);
         let shortlist: Rc<[Candidate]> =
             filter_candidates_columnar(job, compiled, snap, full_site).into();
-        if shared && self.shortlists.len() < SHORTLISTS_PER_SNAPSHOT {
+        if shareable && self.shortlists.len() < SHORTLISTS_PER_SNAPSHOT {
             let sig = Signature {
                 compiled: Rc::clone(compiled),
                 nodes: job.node_number,

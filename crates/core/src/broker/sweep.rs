@@ -326,14 +326,11 @@ fn live_query_attempt(
     let mut guard = broker.inner.borrow_mut();
     let inner = &mut *guard;
     let sweep = inner.sweeps.get_mut(serial).expect(UNFINISHED);
-    let event = |leg| {
-        SweepEvent {
-            serial,
-            site_index,
-            attempt,
-            leg,
-        }
-        .pack()
+    let request = SweepEvent {
+        serial,
+        site_index,
+        attempt,
+        leg: Leg::Request,
     };
     let receiver = &inner.sweep_receiver;
     inner.sites[site_index].broker_link.send_event(
@@ -342,7 +339,7 @@ fn live_query_attempt(
         QUERY_BYTES,
         sweep.service,
         receiver,
-        event(Leg::Request),
+        request.pack(),
     );
     let deadline = sim.now().saturating_add(sweep.timeout);
     // With attempts live the timer is armed no later than this deadline —

@@ -3,7 +3,7 @@
 //!
 //! A matched job live-queries every site on its shortlist (§6.1), so at
 //! 1 000 sites whatever a query allocates is paid some 430 times per
-//! placement. The query path — three kernel events, the candidate, the
+//! placement. The query path — two kernel events, the candidate, the
 //! policy signals — is built to allocate nothing per site; this test counts,
 //! because the benchmark's `allocs_per_op` bound (12 %) would let one
 //! allocation per site creep back unnoticed.
