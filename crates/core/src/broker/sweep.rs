@@ -71,7 +71,8 @@ struct LiveQuerySweep {
     /// `None` with attempts live.
     timer: Option<EventId>,
     /// Each answering site's shared machine ad — the allocation the site
-    /// itself and (until the site changes) the MDS snapshot hold.
+    /// itself and (until the site changes) the MDS snapshot hold — in
+    /// site-index order.
     collected: Vec<(usize, Arc<Ad>)>,
     then: AfterSweep,
     /// `BrokerConfig::live_query_fanout`, `live_query_service_s` and
@@ -111,6 +112,18 @@ impl LiveQuerySweep {
         };
         self.live.remove(at);
         true
+    }
+
+    /// Files an answer in site-index order. Answers come nearly in the
+    /// shortlist's order, which is site-index order, so the place is found
+    /// from the back and the finished sweep needs no sort.
+    fn collect(&mut self, site_index: usize, ad: Arc<Ad>) {
+        let at = self
+            .collected
+            .iter()
+            .rposition(|&(i, _)| i < site_index)
+            .map_or(0, |before| before + 1);
+        self.collected.insert(at, (site_index, ad));
     }
 
     /// Takes out the first unsettled attempt if its deadline is `now` or
@@ -288,9 +301,7 @@ fn live_query_pump(sim: &mut Sim, broker: &CrossBroker, serial: u32) {
                     if let Some(timer) = sweep.timer {
                         sim.cancel(timer);
                     }
-                    let (then, mut collected) = (sweep.then, sweep.collected);
-                    // Site indices are unique: unstable is the same order.
-                    collected.sort_unstable_by_key(|(i, _)| *i);
+                    let (then, collected) = (sweep.then, sweep.collected);
                     let finished = FinishedSweep { then, collected };
                     let slot = inner.stages.finished_sweeps.insert(finished);
                     drop(inner);
@@ -504,7 +515,9 @@ fn live_query_settle(
     // has since declared the site unhealthy — either way it is not worth
     // another attempt this sweep.
     if ad.is_some() || attempt > retries || !index.is_schedulable(site_index) {
-        sweep.collected.extend(ad.map(|ad| (site_index, ad)));
+        if let Some(ad) = ad {
+            sweep.collect(site_index, ad);
+        }
         sweep.in_flight -= 1;
         drop(guard);
         live_query_pump(sim, broker, serial);
@@ -654,6 +667,33 @@ mod tests {
                 );
             }
         }
+    }
+
+    #[test]
+    fn answers_are_collected_in_site_index_order() {
+        // A jittery link and a fan-out of four: answers land out of order,
+        // and the sweep is handed a shortlist that is not sorted either.
+        let profile = LinkProfile {
+            jitter_s: 0.05,
+            ..LinkProfile::campus()
+        };
+        let config = BrokerConfig {
+            live_query_fanout: 4,
+            ..BrokerConfig::default()
+        };
+        let mut sim = Sim::new(3);
+        let (broker, sites, _) = small_grid(&mut sim, 12, &profile, config);
+        let order = Rc::new(RefCell::new(Vec::new()));
+        let sink = Rc::clone(&order);
+        live_query_chain(
+            &mut sim,
+            &broker,
+            JobId(1),
+            [5, 0, 11, 3, 7, 1, 10, 2, 8, 4, 9, 6].into(),
+            move |_, _, ads| *sink.borrow_mut() = ads.iter().map(|(i, _)| *i).collect(),
+        );
+        sim.run_until(SimTime::from_secs(60));
+        assert_eq!(*order.borrow(), (0..sites.len()).collect::<Vec<_>>());
     }
 
     #[test]
