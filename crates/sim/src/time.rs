@@ -225,18 +225,17 @@ impl fmt::Display for SimDuration {
     }
 }
 
-/// `ns.round() as u64` for `0 < ns < 2^64`, without the libm call:
-/// truncation and the fractional part are both exact there (below 2^52 the
-/// difference of `ns` and its integer part is representable; from 2^52 up
-/// every `f64` is an integer), so half rounds away from zero exactly as
-/// [`f64::round`] does.
+/// `ns.round() as u64` for `0 < ns < 2^64`, without a call: from 2^52 up
+/// every `f64` is an integer; below it truncation and the fractional part
+/// are exact, so half rounds away from zero exactly as [`f64::round`] does.
+/// The `i64` conversions are one instruction each way; through `u64` they
+/// are a dozen, which measured slower than the call.
 fn round_half_away(ns: f64) -> u64 {
-    let n = ns as u64;
-    if ns - n as f64 >= 0.5 {
-        n + 1
-    } else {
-        n
+    if ns >= 4_503_599_627_370_496.0 {
+        return ns as u64;
     }
+    let n = ns as i64;
+    (if ns - n as f64 >= 0.5 { n + 1 } else { n }) as u64
 }
 
 #[cfg(test)]
