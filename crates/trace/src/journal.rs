@@ -11,6 +11,11 @@
 //!                          [payload: len bytes]
 //! ```
 //!
+//! The checksum is IEEE CRC-32, from the `crc` submodule: a carry-less
+//! multiplication fold on x86-64 hosts with `pclmulqdq`, slicing-by-8
+//! tables elsewhere, the same value either way. The writer frames and the
+//! reader checks every record with it; this file is framing and I/O.
+//!
 //! Event payloads use the binary codec in [`crate::codec`]; snapshot payloads
 //! are `[through_seq: u64 LE]` followed by an opaque state blob (see
 //! [`crate::replay`]). The journal is append-only: snapshots are inline
@@ -32,6 +37,10 @@ use std::io::{self, Read, Write};
 use std::path::{Path, PathBuf};
 use std::sync::{Arc, Mutex};
 
+mod crc;
+pub use crc::crc32;
+use crc::frame_crc;
+
 /// File magic: "CrossGrid JouRNaL, format 01".
 pub const JOURNAL_MAGIC: &[u8; 8] = b"CGJRNL01";
 
@@ -39,82 +48,6 @@ const KIND_EVENT: u8 = 1;
 const KIND_SNAPSHOT: u8 = 2;
 /// kind + len + crc.
 const FRAME_HEADER: usize = 1 + 4 + 4;
-
-// ── CRC-32 (IEEE 802.3, reflected) ──────────────────────────────────────
-
-/// Slicing-by-8 tables: `t[0]` is the classic byte-at-a-time table, and
-/// `t[k][b]` is the CRC of byte `b` followed by `k` zero bytes, so eight
-/// input bytes fold into the state with eight independent lookups.
-const fn crc32_tables() -> [[u32; 256]; 8] {
-    let mut t = [[0u32; 256]; 8];
-    let mut i = 0;
-    while i < 256 {
-        let mut c = i as u32;
-        let mut bit = 0;
-        while bit < 8 {
-            c = if c & 1 != 0 {
-                0xEDB8_8320 ^ (c >> 1)
-            } else {
-                c >> 1
-            };
-            bit += 1;
-        }
-        t[0][i] = c;
-        i += 1;
-    }
-    let mut k = 1;
-    while k < 8 {
-        let mut i = 0;
-        while i < 256 {
-            let prev = t[k - 1][i];
-            t[k][i] = t[0][(prev & 0xFF) as usize] ^ (prev >> 8);
-            i += 1;
-        }
-        k += 1;
-    }
-    t
-}
-
-static CRC_TABLES: [[u32; 256]; 8] = crc32_tables();
-
-/// Register value of an empty CRC; [`crc32_update`] threads it and the final
-/// checksum is its complement.
-const CRC_INIT: u32 = 0xFFFF_FFFF;
-
-/// Folds `bytes` into the raw CRC register `c`, a word at a time. Streaming:
-/// feeding a split input piece by piece gives the register of the whole.
-fn crc32_update(mut c: u32, bytes: &[u8]) -> u32 {
-    let t = &CRC_TABLES;
-    let mut words = bytes.chunks_exact(8);
-    for w in &mut words {
-        let lo = c ^ u32::from_le_bytes([w[0], w[1], w[2], w[3]]);
-        let hi = u32::from_le_bytes([w[4], w[5], w[6], w[7]]);
-        c = t[7][(lo & 0xFF) as usize]
-            ^ t[6][((lo >> 8) & 0xFF) as usize]
-            ^ t[5][((lo >> 16) & 0xFF) as usize]
-            ^ t[4][(lo >> 24) as usize]
-            ^ t[3][(hi & 0xFF) as usize]
-            ^ t[2][((hi >> 8) & 0xFF) as usize]
-            ^ t[1][((hi >> 16) & 0xFF) as usize]
-            ^ t[0][(hi >> 24) as usize];
-    }
-    for &b in words.remainder() {
-        c = t[0][((c ^ u32::from(b)) & 0xFF) as usize] ^ (c >> 8);
-    }
-    c
-}
-
-/// CRC-32 (IEEE) of `bytes`, as used by the journal framing.
-#[must_use]
-pub fn crc32(bytes: &[u8]) -> u32 {
-    !crc32_update(CRC_INIT, bytes)
-}
-
-/// Checksum of one frame: CRC-32 over `kind ‖ len` then the payload, so a
-/// bit flip anywhere in the frame (header included) is caught.
-fn frame_crc(kind_len: &[u8], payload: &[u8]) -> u32 {
-    !crc32_update(crc32_update(CRC_INIT, kind_len), payload)
-}
 
 // ── errors ──────────────────────────────────────────────────────────────
 

@@ -1,3 +1,4 @@
+use super::crc::{crc32_bytewise_update, crc32_update, CRC_INIT};
 use super::*;
 use crate::event::Event;
 use cg_sim::SimTime;
@@ -131,11 +132,7 @@ fn non_journal_file_is_bad_magic() {
 
 /// The byte-at-a-time CRC loop.
 fn crc32_bytewise(bytes: &[u8]) -> u32 {
-    let mut c = 0xFFFF_FFFFu32;
-    for &b in bytes {
-        c = CRC_TABLES[0][((c ^ u32::from(b)) & 0xFF) as usize] ^ (c >> 8);
-    }
-    !c
+    !crc32_bytewise_update(CRC_INIT, bytes)
 }
 
 /// The old `append_record` framing: header, a CRC staging copy, the frame.
