@@ -10,6 +10,12 @@
 //! fields in declaration order. Scalars are little-endian; booleans are one
 //! byte (0/1); `f64` is its IEEE-754 bit pattern; strings are a `u32 LE`
 //! byte length followed by UTF-8 bytes.
+//!
+//! Two readers walk that layout through one envelope: [`decode_event`]
+//! builds the [`TimedEvent`], and `check_event` makes every check it makes
+//! (tag, field bounds, UTF-8, no trailing bytes) and returns only the
+//! `seq`. The journal reader checks every event with the second and
+//! decodes only the ones past its last snapshot.
 
 use crate::event::{Event, TimedEvent};
 use cg_sim::SimTime;
@@ -151,15 +157,35 @@ pub fn encode_event(ev: &TimedEvent, out: &mut Vec<u8>) {
 /// Returns a [`CodecError`] when the buffer is truncated, carries an unknown
 /// tag, holds invalid UTF-8, or has bytes left over after the event.
 pub fn decode_event(buf: &[u8]) -> Result<TimedEvent, CodecError> {
+    walk_event(buf, Event::decode).map(|(at, seq, event)| TimedEvent { at, seq, event })
+}
+
+/// Checks one encoded event exactly as [`decode_event`] would read it and
+/// returns its `seq`, building nothing: the journal reader's test for an
+/// event a later snapshot may summarise.
+///
+/// # Errors
+/// The [`CodecError`] [`decode_event`] returns on the same buffer.
+pub(crate) fn check_event(buf: &[u8]) -> Result<u64, CodecError> {
+    walk_event(buf, Event::skip).map(|(_, seq, ())| seq)
+}
+
+/// The envelope both readers walk: `at`, `seq`, the tag, the variant's
+/// fields through `fields`, then nothing left over.
+#[inline]
+fn walk_event<T>(
+    buf: &[u8],
+    fields: impl FnOnce(u8, &mut Cursor<'_>) -> Result<T, CodecError>,
+) -> Result<(SimTime, u64, T), CodecError> {
     let mut c = Cursor::new(buf);
     let at = SimTime::from_nanos(c.u64()?);
     let seq = c.u64()?;
     let tag = c.u8()?;
-    let event = Event::decode(tag, &mut c)?;
+    let body = fields(tag, &mut c)?;
     if !c.is_empty() {
         return Err(CodecError::TrailingBytes);
     }
-    Ok(TimedEvent { at, seq, event })
+    Ok((at, seq, body))
 }
 
 #[cfg(test)]
@@ -206,6 +232,48 @@ mod tests {
                     te.event.kind()
                 );
             }
+        }
+    }
+
+    /// The check the journal reader makes on every event answers exactly
+    /// what decoding would, on intact and on damaged buffers alike.
+    #[test]
+    fn check_event_agrees_with_decode_event_on_every_input() {
+        let agree = |buf: &[u8], what: &str| {
+            assert_eq!(
+                check_event(buf),
+                decode_event(buf).map(|e| e.seq),
+                "{what} ({} bytes)",
+                buf.len()
+            );
+        };
+        for (te, buf) in encoded_catalog() {
+            let kind = te.event.kind();
+            agree(&buf, kind);
+            assert_eq!(check_event(&buf), Ok(te.seq), "{kind} intact");
+            for cut in 0..buf.len() {
+                agree(&buf[..cut], &format!("{kind} cut at {cut}"));
+            }
+            for tag in 0..=u8::MAX {
+                let mut retagged = buf.clone();
+                retagged[16] = tag;
+                agree(&retagged, &format!("{kind} retagged {tag}"));
+            }
+            // 0xFF never starts a UTF-8 sequence: on the first byte of a
+            // string field it is invalid; set on every byte after the tag,
+            // it lands on each string's first byte among the rest.
+            let mut bad_utf8 = 0;
+            for pos in 17..buf.len() {
+                let mut damaged = buf.clone();
+                damaged[pos] = 0xFF;
+                agree(&damaged, &format!("{kind} with 0xFF at {pos}"));
+                bad_utf8 += usize::from(check_event(&damaged) == Err(CodecError::BadUtf8));
+            }
+            let strings = te.to_json().matches("\":\"").count() - 1;
+            assert!(bad_utf8 >= strings, "{kind}: {strings} string fields");
+            let mut trailing = buf;
+            trailing.push(0);
+            agree(&trailing, &format!("{kind} with a trailing byte"));
         }
     }
 

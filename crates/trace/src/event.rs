@@ -5,10 +5,12 @@
 //! variant, `<tag> <Variant> { <field>: <type>, … }` — and the macro expands
 //! it to the [`Event`] enum, [`Event::kind`], the JSON field writer behind
 //! [`TimedEvent::to_json`], the bodies of [`crate::encode_event`] /
-//! [`crate::decode_event`] and the one-of-every-variant [`Event::catalog`]
-//! the codec tests iterate. Adding an event is one row; a row without a tag
-//! does not parse, and a reused tag does not compile (its decode arm is
-//! unreachable, which the generated `match` denies, at the offending row).
+//! [`crate::decode_event`], the non-building walk behind the journal
+//! reader's check (`Event::skip`), and the one-of-every-variant
+//! [`Event::catalog`] the codec tests iterate. Adding an event is one row;
+//! a row without a tag does not parse, and a reused tag does not compile
+//! (its decode arm is unreachable, which the generated `match` denies, at
+//! the offending row).
 //!
 //! Tags are wire format: they are explicit, never renumbered and never
 //! reused, and fields are framed and rendered in declaration order. A
@@ -19,9 +21,9 @@
 //! `tests/fixtures/event_wire_v1.txt` pins the bytes and the JSON of every
 //! variant; a new row adds a line there, an old line never changes.
 //!
-//! How a field *type* is framed and rendered is `Field`'s six impls. JSON
-//! is one flat object per event: `at_ns`/`seq`/`event` first, then the
-//! variant's own fields.
+//! How a field *type* is framed, checked and rendered is `Field`'s six
+//! impls. JSON is one flat object per event: `at_ns`/`seq`/`event` first,
+//! then the variant's own fields.
 
 use std::fmt::Write;
 use std::sync::Arc;
@@ -37,6 +39,11 @@ trait Field: Sized {
     fn encode(&self, out: &mut Vec<u8>);
     /// Reads one value back.
     fn decode(c: &mut Cursor<'_>) -> Result<Self, CodecError>;
+    /// Walks past one value with every check [`Field::decode`] makes,
+    /// building nothing.
+    fn skip(c: &mut Cursor<'_>) -> Result<(), CodecError> {
+        Self::decode(c).map(drop)
+    }
     /// Appends `self` as a JSON value.
     fn json(&self, out: &mut String);
     /// The next catalog value of this type.
@@ -111,6 +118,9 @@ impl Field for String {
     fn decode(c: &mut Cursor<'_>) -> Result<Self, CodecError> {
         c.str()
     }
+    fn skip(c: &mut Cursor<'_>) -> Result<(), CodecError> {
+        c.str_ref().map(drop)
+    }
     fn json(&self, out: &mut String) {
         json_string(out, self);
     }
@@ -129,6 +139,9 @@ impl Field for Arc<str> {
     }
     fn decode(c: &mut Cursor<'_>) -> Result<Self, CodecError> {
         c.str_ref().map(Arc::from)
+    }
+    fn skip(c: &mut Cursor<'_>) -> Result<(), CodecError> {
+        c.str_ref().map(drop)
     }
     fn json(&self, out: &mut String) {
         json_string(out, self);
@@ -247,6 +260,20 @@ macro_rules! events {
                     $( $retired_tag => return Err(CodecError::BadTag($retired_tag)), )*
                     other => return Err(CodecError::BadTag(other)),
                 })
+            }
+
+            /// Walks the fields of the variant `tag` names as
+            /// [`Event::decode`] reads them, with the same checks and
+            /// errors, and builds nothing.
+            #[deny(unreachable_patterns)]
+            #[inline]
+            pub(crate) fn skip(tag: u8, c: &mut Cursor<'_>) -> Result<(), CodecError> {
+                match tag {
+                    $( $tag => { $( <$ty as Field>::skip(c)?; )* } )*
+                    $( $retired_tag => return Err(CodecError::BadTag($retired_tag)), )*
+                    other => return Err(CodecError::BadTag(other)),
+                }
+                Ok(())
             }
 
             /// One instance of every variant, in table order, fields filled

@@ -19,8 +19,10 @@
 //! Event payloads use the binary codec in [`crate::codec`]; snapshot payloads
 //! are `[through_seq: u64 LE]` followed by an opaque state blob (see
 //! [`crate::replay`]). The journal is append-only: snapshots are inline
-//! records, and a reader replays from the **last** snapshot, so replay work
-//! is bounded by snapshot cadence even though the file itself only grows.
+//! records, and a reader replays from the **last** snapshot. Reading and
+//! checking are O(file): every frame's CRC and every event's encoding are
+//! checked. Decoding and replay are O(tail): only the events past the last
+//! snapshot are built, and the file itself only grows.
 //!
 //! Torn tails vs corruption: a record whose bytes simply stop at end-of-file
 //! is the signature of a crash mid-write — the reader truncates it and
@@ -356,10 +358,12 @@ const READ_WINDOW: usize = 256 * 1024;
 
 /// Opens and fully validates a journal file.
 ///
-/// The file is read through a bounded window, and events a snapshot already
-/// summarizes are dropped as that snapshot is passed, so memory is one
-/// window, the last snapshot and one snapshot interval of events — not the
-/// file.
+/// Every frame is CRC-checked and every event payload checked as
+/// [`crate::decode_event`] would read it, but only the events past the last
+/// snapshot are decoded, once the file has ended. The file is read through a
+/// bounded window, and checked payloads a snapshot already summarizes are
+/// dropped as that snapshot is passed, so memory is one window, the last
+/// snapshot and one snapshot interval of checked payloads — not the file.
 ///
 /// # Errors
 /// [`JournalError::Io`] on read failures, [`JournalError::BadMagic`] when
@@ -383,7 +387,7 @@ pub fn parse_journal(bytes: &[u8]) -> Result<LoadedJournal, JournalError> {
     let records = &bytes[JOURNAL_MAGIC.len()..];
     let mut frames = FrameFold::default();
     let used = frames.consume(JOURNAL_MAGIC.len() as u64, records)?;
-    Ok(frames.finish(records.len() - used))
+    frames.finish(records.len() - used)
 }
 
 /// `Ok(None)` for a full, correct magic. A crash between file creation and
@@ -437,11 +441,13 @@ fn read_journal(mut src: impl Read, window: usize) -> Result<LoadedJournal, Jour
         buf.drain(..used);
         base += used as u64;
     }
-    Ok(frames.finish(buf.len()))
+    frames.finish(buf.len())
 }
 
 /// The reader's fold over validated frames: keeps the last snapshot, the
-/// events past its horizon, and the ordering state the checks need.
+/// checked payloads of the events past its horizon, and the ordering state
+/// the checks need. Only [`FrameFold::finish`] decodes, so an event a later
+/// snapshot summarises is checked and never built.
 #[derive(Default)]
 struct FrameFold {
     last_seq: Option<u64>,
@@ -449,7 +455,11 @@ struct FrameFold {
     horizon: Option<u64>,
     /// One buffer reused across snapshots: only the last blob is kept.
     state: Vec<u8>,
-    events: Vec<TimedEvent>,
+    /// Checked payloads of the events past `horizon`, back to back.
+    tail: Vec<u8>,
+    /// Per event in `tail`: its seq, its frame's file offset and where its
+    /// payload ends in `tail` (it starts where the previous one ends).
+    tail_events: Vec<(u64, u64, usize)>,
 }
 
 impl FrameFold {
@@ -468,17 +478,16 @@ impl FrameFold {
             }
             match header[0] {
                 KIND_EVENT => {
-                    let ev = codec::decode_event(payload)
-                        .map_err(|e: CodecError| corrupt(format!("undecodable event: {e}")))?;
-                    if let Some(prev) = self.last_seq.filter(|prev| ev.seq <= *prev) {
+                    let seq = codec::check_event(payload).map_err(|e| undecodable(offset, &e))?;
+                    if let Some(prev) = self.last_seq.filter(|prev| seq <= *prev) {
                         return Err(corrupt(format!(
-                            "event seq {} not after previous {prev}",
-                            ev.seq
+                            "event seq {seq} not after previous {prev}"
                         )));
                     }
-                    self.last_seq = Some(ev.seq);
-                    if self.horizon.is_none_or(|h| ev.seq > h) {
-                        self.events.push(ev);
+                    self.last_seq = Some(seq);
+                    if self.horizon.is_none_or(|h| seq > h) {
+                        self.tail.extend_from_slice(payload);
+                        self.tail_events.push((seq, offset, self.tail.len()));
                     }
                 }
                 KIND_SNAPSHOT => {
@@ -496,7 +505,7 @@ impl FrameFold {
                         )));
                     }
                     self.horizon = Some(through_seq);
-                    self.events.retain(|e| e.seq > through_seq);
+                    self.drop_through(through_seq);
                     self.state.clear();
                     self.state.extend_from_slice(state);
                 }
@@ -507,15 +516,51 @@ impl FrameFold {
         Ok(at)
     }
 
-    fn finish(self, torn: usize) -> LoadedJournal {
-        LoadedJournal {
+    /// Forgets the tail events a snapshot through `through_seq` summarises:
+    /// a prefix of the tail, since seqs rise.
+    fn drop_through(&mut self, through_seq: u64) {
+        let summarised = self
+            .tail_events
+            .partition_point(|&(seq, ..)| seq <= through_seq);
+        let cut = summarised
+            .checked_sub(1)
+            .map_or(0, |last| self.tail_events[last].2);
+        self.tail.drain(..cut);
+        self.tail_events.drain(..summarised);
+        for (_, _, end) in &mut self.tail_events {
+            *end -= cut;
+        }
+    }
+
+    /// Decodes the tail, once the file has ended. Every payload passed
+    /// [`codec::check_event`] as its frame was read, so decoding it cannot
+    /// fail; if it did, the answer is the same typed error at the same
+    /// offset, not a panic.
+    fn finish(self, torn: usize) -> Result<LoadedJournal, JournalError> {
+        let mut events = Vec::with_capacity(self.tail_events.len());
+        let mut start = 0;
+        for &(_, offset, end) in &self.tail_events {
+            events.push(
+                codec::decode_event(&self.tail[start..end]).map_err(|e| undecodable(offset, &e))?,
+            );
+            start = end;
+        }
+        Ok(LoadedJournal {
             snapshot: self.horizon.map(|through_seq| JournalSnapshot {
                 through_seq,
                 state: self.state,
             }),
-            events: self.events,
+            events,
             truncated_bytes: torn as u64,
-        }
+        })
+    }
+}
+
+/// The error for an event frame whose payload does not decode.
+fn undecodable(offset: u64, e: &CodecError) -> JournalError {
+    JournalError::Corrupt {
+        offset,
+        reason: format!("undecodable event: {e}"),
     }
 }
 

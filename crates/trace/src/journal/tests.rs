@@ -242,9 +242,50 @@ fn outcome(read: Result<LoadedJournal, JournalError>) -> Outcome {
     }
 }
 
+/// An event payload that fails to decode in one of five ways, framed with a
+/// valid CRC so that only the codec can reject it. The event under the
+/// damage names its user in an `Arc<str>` or its reason in a `String`.
+fn undecodable_event_frame(at_seq: u64, x: u64) -> Vec<u8> {
+    let text = "u".repeat(1 + (x % 40) as usize);
+    let event = if (x / 20).is_multiple_of(2) {
+        Event::JobSubmitted {
+            job: x,
+            user: text.into(),
+            interactive: true,
+        }
+    } else {
+        Event::JobFailed {
+            job: x,
+            reason: text,
+        }
+    };
+    let mut payload = Vec::new();
+    codec::encode_event(
+        &TimedEvent {
+            at: SimTime::from_nanos(at_seq),
+            seq: at_seq,
+            event,
+        },
+        &mut payload,
+    );
+    // Both: `at`, `seq`, the tag at 16, `job` at 17..25, the string's
+    // length at 25..29 and its bytes from 29.
+    let pick = (x / 40) as usize;
+    match (x / 4) % 5 {
+        0 => payload.truncate(17 + pick % (payload.len() - 17)),
+        1 => payload[16] = 200 + (x % 56) as u8,
+        2 => payload[16] = crate::RETIRED_TAGS[pick % crate::RETIRED_TAGS.len()].0,
+        3 => payload[29] = 0xFF,
+        _ => payload.push(0),
+    }
+    frame_oracle(KIND_EVENT, &payload)
+}
+
 /// A journal image as a writer could have produced it: events with rising
 /// seqs of mixed sizes, and up to five snapshots whose horizons never step
-/// back (at, behind or ahead of the last event).
+/// back (at, behind or ahead of the last event). One event record in
+/// sixteen is CRC-valid garbage instead (see [`undecodable_event_frame`]);
+/// a later snapshot may summarise it, and it is still corrupt.
 fn journal_image(records: &[(u8, u64, u64)]) -> Vec<u8> {
     let mut bytes = JOURNAL_MAGIC.to_vec();
     let (mut seq, mut horizon, mut snapshots) = (0u64, 0u64, 0);
@@ -256,6 +297,10 @@ fn journal_image(records: &[(u8, u64, u64)]) -> Vec<u8> {
             continue;
         }
         seq += gap;
+        if pick == 3 && x.is_multiple_of(4) {
+            bytes.extend(undecodable_event_frame(seq, x));
+            continue;
+        }
         let event = match pick {
             1 => Event::JobStarted { job: x },
             2 => Event::SpoolAck {
@@ -357,6 +402,31 @@ fn a_snapshot_horizon_below_an_earlier_one_is_typed_corrupt() {
     let loaded = parse_journal(&image).unwrap();
     assert_eq!(loaded.snapshot.unwrap().state, b"again");
     assert_eq!(loaded.events.len(), 1);
+}
+
+/// The reader builds nothing for an event a later snapshot summarises, so
+/// its check is all that stands between such a payload and a silent read.
+#[test]
+fn an_undecodable_event_a_snapshot_summarises_is_still_corrupt() {
+    // Each of the five ways, over a `String` field and an `Arc<str>` one.
+    for x in (0..200).step_by(4) {
+        let mut image = JOURNAL_MAGIC.to_vec();
+        image.extend(event_frame(&ev(0)));
+        let bad = image.len() as u64;
+        image.extend(undecodable_event_frame(1, x));
+        image.extend(event_frame(&ev(2)));
+        image.extend(snapshot_frame(2, b"covers all three"));
+        image.extend(event_frame(&ev(3)));
+        for read in [parse_journal(&image), read_journal(image.as_slice(), 16)] {
+            match read {
+                Err(JournalError::Corrupt { offset, reason }) => {
+                    assert_eq!(offset, bad, "x = {x}: {reason}");
+                    assert!(reason.starts_with("undecodable event: "), "{reason}");
+                }
+                other => panic!("x = {x}: accepted an undecodable event: {other:?}"),
+            }
+        }
+    }
 }
 
 #[test]

@@ -30,7 +30,7 @@
 //! The log doubles as a write-ahead journal: attach a [`Journal`] with
 //! [`EventLog::set_journal`] and every recorded event is also appended to a
 //! CRC-framed file ([`journal`] module), with periodic [`replay`] snapshots
-//! bounding recovery work. [`open_journal`] reads it back (truncating torn
+//! bounding the events recovery decodes and replays. [`open_journal`] reads it back (truncating torn
 //! tails, surfacing corruption as typed [`JournalError`]s), and
 //! [`ReplayState`] folds the stream back into broker-visible state.
 //! [`check_recovery_invariants`] validates a reconstruction against the
