@@ -209,7 +209,7 @@ fn mass_join_scale_gate() -> usize {
         }
     }
     let mut sim = Sim::new(seed);
-    let index = InformationIndex::start_windowed(
+    let index = InformationIndex::start_with(
         &mut sim,
         grid.sites.clone(),
         SimDuration::from_secs(300),

@@ -87,16 +87,16 @@ pub struct BrokerConfig {
     pub publish_faults: Vec<FaultSchedule>,
     /// MDS index refresh period.
     pub index_refresh: SimDuration,
-    /// How many site publications an MDS refresh keeps in flight at
-    /// once — the refresh-side counterpart of `live_query_fanout`. `0`
-    /// keeps the legacy instantaneous walk (every site sampled at the
-    /// tick); any positive value runs each refresh as a windowed sweep
-    /// whose duration scales as `ceil(sites / fanout) × publish RTT`,
-    /// with late replies amnestied rather than counted as misses.
+    /// How many site publications an MDS refresh sweep keeps in flight
+    /// at once — the refresh-side counterpart of `live_query_fanout`. `0`
+    /// means no limit; a positive value makes a sweep last about
+    /// `ceil(sites / fanout) × publish RTT`, with late replies amnestied
+    /// rather than counted as misses.
     pub refresh_fanout: usize,
-    /// Per-site GRIS→GIIS publication latency for windowed sweeps, in
-    /// site-list order; missing entries publish instantaneously. Ignored
-    /// when `refresh_fanout` is `0`.
+    /// Per-site GRIS→GIIS publication latency, in site-list order; missing
+    /// entries publish the instant the sweep pulls them. With no latency
+    /// and no fan-out limit every site publishes at the tick: the paper's
+    /// index.
     pub publish_latency: Vec<SimDuration>,
     /// Site-selection policy for matchmaking. The default reproduces the
     /// paper's free-CPUs rank; a job's own JDL `SelectionPolicy` attribute
@@ -146,7 +146,7 @@ mod tests {
             c.membership.suspect_after_failed_queries <= c.membership.dead_after_failed_queries
         );
         assert!(c.publish_faults.is_empty(), "no churn by default");
-        assert_eq!(c.refresh_fanout, 0, "legacy instantaneous walk by default");
+        assert_eq!(c.refresh_fanout, 0, "no refresh window by default");
         assert!(c.publish_latency.is_empty());
     }
 }

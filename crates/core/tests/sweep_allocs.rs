@@ -10,51 +10,16 @@
 //!
 //! The file holds one test on purpose: the counter is process-wide.
 
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-
 use cg_jdl::JobDescription;
 use cg_net::{Link, LinkProfile};
 use cg_sim::{Sim, SimDuration, SimTime};
 use cg_site::{Site, SiteConfig};
 use crossbroker::{BrokerConfig, CrossBroker, JobState, SiteHandle};
 
-struct Counting;
+#[path = "../../../tests/support/counting_alloc.rs"]
+mod counting_alloc;
 
-// Relaxed: statistics written and read by the one test thread; they publish
-// no other data.
-static COUNTING: AtomicBool = AtomicBool::new(false);
-static CALLS: AtomicU64 = AtomicU64::new(0);
-
-fn note() {
-    if COUNTING.load(Ordering::Relaxed) {
-        CALLS.fetch_add(1, Ordering::Relaxed);
-    }
-}
-
-// SAFETY: every method forwards to `System` with the caller's arguments
-// unchanged; the counter touches no allocator state.
-unsafe impl GlobalAlloc for Counting {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        note();
-        // SAFETY: same contract as the caller's.
-        unsafe { System.alloc(layout) }
-    }
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        // SAFETY: `ptr` came from `System` via this wrapper.
-        unsafe { System.dealloc(ptr, layout) }
-    }
-    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        note();
-        // SAFETY: same contract as the caller's.
-        unsafe { System.alloc_zeroed(layout) }
-    }
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        note();
-        // SAFETY: `ptr` came from `System` via this wrapper; same contract.
-        unsafe { System.realloc(ptr, layout, new_size) }
-    }
-}
+use counting_alloc::{counted, Counting};
 
 #[global_allocator]
 static ALLOC: Counting = Counting;
@@ -90,12 +55,11 @@ fn allocations_of_one_matched_job(sites: usize) -> u64 {
     )
     .expect("valid JDL");
 
-    COUNTING.store(true, Ordering::Relaxed);
-    let before = CALLS.load(Ordering::Relaxed);
-    let id = broker.submit(&mut sim, job, SimDuration::from_secs(600));
-    sim.run_until(settled + SimDuration::from_secs(30));
-    let allocations = CALLS.load(Ordering::Relaxed) - before;
-    COUNTING.store(false, Ordering::Relaxed);
+    let (id, allocations) = counted(|| {
+        let id = broker.submit(&mut sim, job, SimDuration::from_secs(600));
+        sim.run_until(settled + SimDuration::from_secs(30));
+        id
+    });
 
     assert!(
         matches!(broker.record(id).state, JobState::Running { .. }),

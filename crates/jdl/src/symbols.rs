@@ -7,8 +7,8 @@
 //! canonical, lowercased, leaked allocation per distinct name, shared
 //! process-wide. Copying a symbol is copying a pointer, equality is pointer
 //! equality, and resolving it back to its spelling is free — no lock on the
-//! read path, which matters because [`crate::CompiledExpr`] evaluation runs
-//! on the parallel matcher's worker threads.
+//! read path, so evaluating a [`crate::CompiledExpr`] never touches the
+//! interner's table.
 //!
 //! Leaking is deliberate and safe here: the set of distinct attribute names
 //! a workload can mention is tiny (tens, not millions), so the table only

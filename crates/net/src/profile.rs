@@ -103,11 +103,6 @@ impl LinkProfile {
         d
     }
 
-    /// Samples a full round trip for a request/response of the given sizes.
-    pub fn round_trip(&self, rng: &mut SimRng, req_bytes: u64, resp_bytes: u64) -> SimDuration {
-        self.one_way(rng, req_bytes) + self.one_way(rng, resp_bytes)
-    }
-
     /// Mean round-trip time for tiny messages (no serialization term).
     pub fn nominal_rtt(&self) -> SimDuration {
         SimDuration::from_secs_f64(2.0 * (self.base_latency_s + self.per_msg_overhead_s))
@@ -173,16 +168,6 @@ mod tests {
         let c = sd(&LinkProfile::campus(), &mut rng);
         let w = sd(&LinkProfile::wan_ifca(), &mut rng);
         assert!(w > 10.0 * c, "wan sd {w} campus sd {c}");
-    }
-
-    #[test]
-    fn round_trip_is_two_one_ways() {
-        let p = LinkProfile::loopback();
-        let mut rng = SimRng::new(4);
-        let rt = p.round_trip(&mut rng, 100, 100);
-        // Loopback has ~no jitter: RTT ≈ 2 × (latency + overhead + ser).
-        let one = p.base_latency_s + p.per_msg_overhead_s + p.serialization(100).as_secs_f64();
-        assert!((rt.as_secs_f64() - 2.0 * one).abs() < 1e-5);
     }
 
     #[test]

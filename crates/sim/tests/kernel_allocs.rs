@@ -10,60 +10,17 @@
 //!
 //! The file holds one test on purpose: the counter is process-wide.
 
-use std::alloc::{GlobalAlloc, Layout, System};
 use std::rc::Rc;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 
 use cg_sim::{Receiver, RunOutcome, Sim, SimDuration, SimTime, TypedEvent};
 
-struct Counting;
+#[path = "../../../tests/support/counting_alloc.rs"]
+mod counting_alloc;
 
-// Relaxed: statistics written and read by the one test thread; they publish
-// no other data.
-static COUNTING: AtomicBool = AtomicBool::new(false);
-static CALLS: AtomicU64 = AtomicU64::new(0);
-
-fn note() {
-    if COUNTING.load(Ordering::Relaxed) {
-        CALLS.fetch_add(1, Ordering::Relaxed);
-    }
-}
-
-// SAFETY: every method forwards to `System` with the caller's arguments
-// unchanged; the counter touches no allocator state.
-unsafe impl GlobalAlloc for Counting {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        note();
-        // SAFETY: same contract as the caller's.
-        unsafe { System.alloc(layout) }
-    }
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        // SAFETY: `ptr` came from `System` via this wrapper.
-        unsafe { System.dealloc(ptr, layout) }
-    }
-    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        note();
-        // SAFETY: same contract as the caller's.
-        unsafe { System.alloc_zeroed(layout) }
-    }
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        note();
-        // SAFETY: `ptr` came from `System` via this wrapper; same contract.
-        unsafe { System.realloc(ptr, layout, new_size) }
-    }
-}
+use counting_alloc::{counted, Counting};
 
 #[global_allocator]
 static ALLOC: Counting = Counting;
-
-/// Allocator calls made by `f`.
-fn allocations(f: impl FnOnce()) -> u64 {
-    CALLS.store(0, Ordering::Relaxed);
-    COUNTING.store(true, Ordering::Relaxed);
-    f();
-    COUNTING.store(false, Ordering::Relaxed);
-    CALLS.load(Ordering::Relaxed)
-}
 
 /// The `n`-th delay of a fixed sequence: 1 µs to 2.4 h, a power of two
 /// apart, with a little jitter, so that keys land in every bucket a model's
@@ -124,18 +81,13 @@ fn day(sim: &mut Sim, receiver: &Receiver, blocks: u64) {
 
 #[test]
 fn the_queue_allocates_nothing_once_warm() {
-    let mut sim = None;
-    assert_eq!(
-        allocations(|| sim = Some(Sim::new(27))),
-        0,
-        "Sim::new allocates"
-    );
-    let mut sim = sim.unwrap();
+    let (mut sim, calls) = counted(|| Sim::new(27));
+    assert_eq!(calls, 0, "Sim::new allocates");
     let receiver: Receiver = Rc::new(|_, _| {});
     day(&mut sim, &receiver, 1);
     day(&mut sim, &receiver, 2);
     let fired = sim.events_executed();
-    let calls = allocations(|| day(&mut sim, &receiver, 3));
+    let ((), calls) = counted(|| day(&mut sim, &receiver, 3));
     assert_eq!(sim.events_executed() - fired, 1 + 2_000 + 10_000);
     assert_eq!(
         calls, 0,

@@ -117,8 +117,8 @@ impl AdSnapshot {
 
     /// Produces the successor snapshot by applying a sparse delta —
     /// `(site index, fresh ad)` pairs from sites whose publication actually
-    /// arrived, everyone else untouched. This is how the windowed sweep (and
-    /// the legacy walk) publishes: it hands over only the ads that arrived,
+    /// arrived, everyone else untouched. This is how the index's refresh
+    /// sweep publishes: it hands over only the ads that arrived,
     /// so the merge does per-site work proportional to the *changed* sites
     /// (the per-site `Arc` vector is copied, which is a memcpy, and so is
     /// each column a changed cell lands in; no ad is compared and no cell

@@ -14,11 +14,14 @@
 //! the index serviced the request* — never data that arrived while the
 //! reply was on the wire.
 //!
-//! One flat index covers every site. At a thousand sites the windowed
-//! sweep ([`InformationIndex::start_windowed`]) keeps at most `fanout`
-//! pulls in flight, a snapshot advance costs per site whose ad changed (the
-//! rest keep their allocations), and a slow site's reply is merged on its
-//! own when it lands.
+//! One flat index covers every site, refreshed by one *sweep* per tick
+//! ([`InformationIndex::start_with`]). A [`RefreshWindow`] bounds how many
+//! pulls are in flight and how long each site's publication takes; the
+//! default window (no limit, no latency) is the paper's index, where every
+//! site publishes the instant the tick fires. At a thousand sites a
+//! snapshot advance costs per site whose ad changed (the rest keep their
+//! allocations), and a slow site's reply is merged on its own when it
+//! lands.
 
 use std::cell::RefCell;
 use std::rc::{Rc, Weak};
@@ -42,41 +45,30 @@ type MembershipObserver = Rc<dyn Fn(&mut Sim, usize, &Transition)>;
 /// reply's delivery event, so a query allocates nothing.
 pub type QueryReply = Rc<dyn Fn(&mut Sim, u64, Result<Arc<AdSnapshot>, NetError>)>;
 
-/// Windowed-refresh parameters: instead of the legacy instantaneous walk,
-/// each refresh tick opens a *sweep* that pulls at most `fanout` sites
-/// concurrently (the same windowing shape as the broker's
-/// `live_query_fanout`), so sweep duration scales as
-/// `ceil(sites / fanout) × RTT` instead of `sites × RTT`.
-#[derive(Debug, Clone)]
+/// Refresh-sweep parameters. Each refresh tick opens a *sweep* that pulls
+/// at most `fanout` sites concurrently (the same windowing shape as the
+/// broker's `live_query_fanout`), so a sweep with latency lasts
+/// `ceil(sites / fanout) × RTT` instead of `sites × RTT`. The default is
+/// no window and no latency: every site publishes the instant it is
+/// pulled, which is the paper's index.
+#[derive(Debug, Clone, Default)]
 pub struct RefreshWindow {
-    /// Maximum concurrent in-flight site pulls per sweep (min 1).
+    /// Maximum concurrent in-flight site pulls per sweep; 0 means no limit.
     pub fanout: usize,
     /// Per-site GRIS→GIIS publication latency; shorter than the site list
     /// means the remainder publish instantaneously.
     pub latency: Vec<SimDuration>,
 }
 
-impl Default for RefreshWindow {
-    fn default() -> Self {
-        RefreshWindow {
-            fanout: 4,
-            latency: Vec::new(),
-        }
-    }
-}
-
-/// In-progress windowed sweep.
+/// In-progress sweep.
 struct SweepState {
     /// Sweep generation — replies carry it so a late arrival (after the
     /// tick force-closed this sweep) is recognized and merged separately.
     gen: u64,
-    /// Sites not yet attempted, in index order.
-    pending: std::collections::VecDeque<usize>,
+    /// Next site to attempt; the sweep attempts sites in index order.
+    next: usize,
     /// Attempted sites whose reply has not yet arrived.
     in_flight: usize,
-    /// Arrived publications (each the publishing site's shared ad),
-    /// buffered until the sweep closes.
-    arrived: Vec<(usize, Arc<Ad>)>,
 }
 
 /// A query between the request leaving and the reply landing.
@@ -93,11 +85,9 @@ struct Query {
 /// concerns; a message's arrival carries the link's outcome in `tag`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Step {
-    /// The legacy refresh tick.
-    Refresh,
-    /// The windowed refresh tick.
+    /// The refresh tick.
     Tick,
-    /// A windowed pull's publication reply lands.
+    /// A pull's publication reply lands.
     Pull,
     /// A query's request reached the index (or did not).
     Request,
@@ -108,8 +98,7 @@ enum Step {
 }
 
 impl Step {
-    const ALL: [Step; 6] = [
-        Step::Refresh,
+    const ALL: [Step; 5] = [
         Step::Tick,
         Step::Pull,
         Step::Request,
@@ -121,6 +110,10 @@ impl Step {
         TypedEvent::new(self as u16, slot)
     }
 }
+
+/// Membership transitions gathered while the index's state moves, handed
+/// to the observer once it has settled.
+type Transitions = Vec<(usize, Transition)>;
 
 struct Inner {
     sites: Vec<Site>,
@@ -140,17 +133,19 @@ struct Inner {
     publish_faults: Vec<FaultSchedule>,
     membership: MembershipTable,
     observer: Option<MembershipObserver>,
-    /// `Some` puts the refresh cycle in windowed mode.
-    window: Option<RefreshWindow>,
+    window: RefreshWindow,
     /// What the index's own events reach: refresh ticks, publication
     /// replies and queries. It holds the index through a `Weak`.
     receiver: Receiver,
-    /// The windowed sweep's site pulls whose reply is on its way, each
-    /// `(sweep gen, site, the ad pulled at attempt time)`.
+    /// Site pulls whose reply is on its way, each `(sweep gen, site, the
+    /// ad pulled at attempt time)`.
     pulls: Slab<(u64, usize, Arc<Ad>)>,
     /// Queries in flight.
     queries: Slab<Query>,
     sweep: Option<SweepState>,
+    /// The open sweep's arrived publications (each the publishing site's
+    /// shared ad), buffered until it closes; reused across sweeps.
+    arrived: Vec<(usize, Arc<Ad>)>,
     next_sweep_gen: u64,
     /// Total late replies merged after their sweep closed.
     late_merges: u64,
@@ -165,53 +160,30 @@ pub struct InformationIndex {
 }
 
 impl InformationIndex {
-    /// Builds the index over `sites` and starts the refresh cycle. The first
-    /// snapshot is taken immediately; subsequent refreshes run every
-    /// `refresh_interval`.
+    /// Builds the index over `sites` and starts the refresh cycle with the
+    /// default window. The first snapshot is taken immediately; subsequent
+    /// refreshes run every `refresh_interval`.
     pub fn start(sim: &mut Sim, sites: Vec<Site>, refresh_interval: SimDuration) -> Self {
-        InformationIndex::start_with_faults(
+        InformationIndex::start_with(
             sim,
             sites,
             refresh_interval,
+            RefreshWindow::default(),
             Vec::new(),
             MembershipConfig::default(),
         )
     }
 
-    /// Like [`InformationIndex::start`], but with per-site outage windows
-    /// on the publication paths and explicit failure-detector thresholds.
-    /// A site whose path is down when a refresh tick fires keeps its
-    /// previous (stale) column, keeps its old per-site `published_at`,
-    /// and accrues a missed refresh toward `Suspect`/`Dead`.
-    pub fn start_with_faults(
-        sim: &mut Sim,
-        sites: Vec<Site>,
-        refresh_interval: SimDuration,
-        publish_faults: Vec<FaultSchedule>,
-        membership: MembershipConfig,
-    ) -> Self {
-        let ads = sites.iter().map(Site::machine_ad_arc).collect();
-        let index = InformationIndex::build(
-            sim.now(),
-            sites,
-            ads,
-            refresh_interval,
-            publish_faults,
-            membership,
-            None,
-        );
-        index.schedule_refresh(sim);
-        index
-    }
-
-    /// Like [`InformationIndex::start_with_faults`], but the refresh cycle
-    /// runs as windowed sweeps (at most `window.fanout` concurrent site
-    /// pulls, per-site publication latency) instead of the legacy
-    /// instantaneous walk. Sites whose publish path is down *at boot* get
-    /// a placeholder column (`FreeCpus = 0`, `AcceptsQueued = false`)
-    /// until their first publication arrives — so a mass join surfaces as
-    /// a genuine per-site delta, not a pre-populated row.
-    pub fn start_windowed(
+    /// Like [`InformationIndex::start`], but with a refresh window,
+    /// per-site outage windows on the publication paths and explicit
+    /// failure-detector thresholds. A site whose path is down when its
+    /// pull is attempted keeps its previous (stale) column, keeps its old
+    /// per-site `published_at`, and accrues a missed refresh toward
+    /// `Suspect`/`Dead`. A site whose path is down *at boot* gets a
+    /// placeholder column (`FreeCpus = 0`, `AcceptsQueued = false`) until
+    /// its first publication arrives — so a mass join surfaces as a
+    /// genuine per-site delta, not a pre-populated row.
+    pub fn start_with(
         sim: &mut Sim,
         sites: Vec<Site>,
         refresh_interval: SimDuration,
@@ -220,6 +192,7 @@ impl InformationIndex {
         membership: MembershipConfig,
     ) -> Self {
         let now = sim.now();
+        let n = sites.len();
         let ads = sites
             .iter()
             .enumerate()
@@ -231,31 +204,6 @@ impl InformationIndex {
                 }
             })
             .collect();
-        let index = InformationIndex::build(
-            now,
-            sites,
-            ads,
-            refresh_interval,
-            publish_faults,
-            membership,
-            Some(window),
-        );
-        index.schedule_windowed_tick(sim);
-        index
-    }
-
-    /// The index over `sites`, publishing `ads` at `now`, refresh cycle
-    /// not started.
-    fn build(
-        now: SimTime,
-        sites: Vec<Site>,
-        ads: Vec<Arc<Ad>>,
-        refresh_interval: SimDuration,
-        publish_faults: Vec<FaultSchedule>,
-        membership: MembershipConfig,
-        window: Option<RefreshWindow>,
-    ) -> InformationIndex {
-        let n = sites.len();
         let inner = Rc::new_cyclic(|weak: &Weak<RefCell<Inner>>| {
             let weak = weak.clone();
             let receiver: Receiver = Rc::new(move |sim, event| {
@@ -279,77 +227,34 @@ impl InformationIndex {
                 pulls: Slab::default(),
                 queries: Slab::default(),
                 sweep: None,
+                arrived: Vec::new(),
                 next_sweep_gen: 0,
                 late_merges: 0,
                 amnestied: 0,
             })
         });
-        InformationIndex { inner }
+        let index = InformationIndex { inner };
+        index.schedule_tick(sim);
+        index
     }
 
     /// The receiver of every event the index schedules for itself.
     fn on_event(&self, sim: &mut Sim, event: TypedEvent) {
         match Step::ALL[usize::from(event.aux)] {
-            Step::Refresh => self.refresh(sim),
             Step::Tick => {
                 // Force-close whatever the previous sweep left open
                 // (amnesty for in-flight and unattempted sites), then open
                 // a new sweep.
-                self.close_sweep(sim);
+                self.inner.borrow_mut().close_sweep(sim.now());
                 self.begin_sweep(sim);
-                self.schedule_windowed_tick(sim);
+                self.schedule_tick(sim);
             }
             Step::Pull => self.on_reply(sim, event),
             Step::Request | Step::Service | Step::Reply => self.on_query(sim, event),
         }
     }
 
-    fn schedule_refresh(&self, sim: &mut Sim) {
-        let inner = self.inner.borrow();
-        let event = Step::Refresh.event(0);
-        sim.schedule_event_in(inner.refresh_interval, &inner.receiver, event);
-    }
-
-    /// The legacy refresh: every site publishes at once.
-    fn refresh(&self, sim: &mut Sim) {
-        let transitions = {
-            let mut guard = self.inner.borrow_mut();
-            let inner = &mut *guard;
-            let now = sim.now();
-            let mut transitions = Vec::new();
-            // Each site publishes independently: a down path keeps the
-            // stale column (same Arc) and counts a miss. A site whose
-            // shared ad is still the one in the snapshot has nothing to
-            // publish, so the delta carries only the rest.
-            let mut changes = Vec::new();
-            for (i, site) in inner.sites.iter().enumerate() {
-                let down = inner.publish_faults.get(i).is_some_and(|f| f.is_down(now));
-                let tr = if down {
-                    inner.membership.note_refresh_missed(i, now)
-                } else {
-                    let ad = site.machine_ad_arc();
-                    if !Arc::ptr_eq(&ad, inner.snapshot.ad_arc(i)) {
-                        changes.push((i, ad));
-                    }
-                    inner.published_at[i] = now;
-                    inner.membership.note_refresh_ok(i, now)
-                };
-                if let Some(tr) = tr {
-                    transitions.push((i, tr));
-                }
-            }
-            // Only sites whose ad changed get a new `Arc`; the rest
-            // share the previous snapshot's allocations.
-            inner.snapshot = Arc::new(inner.snapshot.apply_delta(&changes));
-            inner.refreshed_at = now;
-            inner.refreshes += 1;
-            transitions
-        };
-        self.notify(sim, transitions);
-        self.schedule_refresh(sim);
-    }
-
-    fn schedule_windowed_tick(&self, sim: &mut Sim) {
+    fn schedule_tick(&self, sim: &mut Sim) {
         let inner = self.inner.borrow();
         let event = Step::Tick.event(0);
         sim.schedule_event_in(inner.refresh_interval, &inner.receiver, event);
@@ -362,79 +267,65 @@ impl InformationIndex {
             inner.next_sweep_gen += 1;
             inner.sweep = Some(SweepState {
                 gen,
-                pending: (0..inner.sites.len()).collect(),
+                next: 0,
                 in_flight: 0,
-                arrived: Vec::new(),
             });
         }
-        self.pump_sweep(sim);
+        self.pump_sweep(sim, Transitions::new());
     }
 
     /// Launches site pulls until the fanout window is full; closes the
-    /// sweep early once every site has been attempted and settled.
-    fn pump_sweep(&self, sim: &mut Sim) {
-        enum Pump {
-            Close,
-            Wait,
-            Missed(usize, Option<Transition>),
-            Pull(SimDuration, u64),
-        }
-        loop {
-            let step = {
-                let mut inner = self.inner.borrow_mut();
-                let now = sim.now();
-                let fanout = inner
-                    .window
-                    .as_ref()
-                    .map_or(usize::MAX, |w| w.fanout.max(1));
-                let Some(sweep) = inner.sweep.as_mut() else {
-                    return;
-                };
+    /// sweep once every site has been attempted and settled. A site with
+    /// no publication latency publishes on the spot. The transitions this
+    /// gathers, after `transitions`, reach the observer when it returns,
+    /// so one that closes the sweep sees the settled index.
+    fn pump_sweep(&self, sim: &mut Sim, mut transitions: Transitions) {
+        {
+            let mut guard = self.inner.borrow_mut();
+            let inner = &mut *guard;
+            let now = sim.now();
+            let fanout = match inner.window.fanout {
+                0 => usize::MAX,
+                n => n,
+            };
+            while let Some(sweep) = inner.sweep.as_mut() {
                 if sweep.in_flight >= fanout {
-                    return;
+                    break;
                 }
-                let gen = sweep.gen;
-                let popped = sweep.pending.pop_front();
-                let settled = sweep.in_flight == 0;
-                match popped {
-                    // Pending drained: close once the last reply settles.
-                    None if settled => Pump::Close,
-                    None => Pump::Wait,
-                    Some(i) => {
-                        if inner.publish_faults.get(i).is_some_and(|f| f.is_down(now)) {
-                            // Down at attempt time: a genuine miss, counted
-                            // immediately — no reply will ever arrive.
-                            Pump::Missed(i, inner.membership.note_refresh_missed(i, now))
-                        } else {
-                            inner.sweep.as_mut().expect("sweep open").in_flight += 1;
-                            let latency = inner
-                                .window
-                                .as_ref()
-                                .and_then(|w| w.latency.get(i).copied())
-                                .unwrap_or(SimDuration::ZERO);
-                            let ad = inner.sites[i].machine_ad_arc();
-                            Pump::Pull(latency, inner.pulls.insert((gen, i, ad)))
+                let i = sweep.next;
+                if i == inner.sites.len() {
+                    // Every site attempted: close once the last reply settles.
+                    if sweep.in_flight == 0 {
+                        inner.close_sweep(now);
+                    }
+                    break;
+                }
+                sweep.next += 1;
+                let tr = if inner.publish_faults.get(i).is_some_and(|f| f.is_down(now)) {
+                    // Down at attempt time: a genuine miss, counted
+                    // immediately — no reply will ever arrive.
+                    inner.membership.note_refresh_missed(i, now)
+                } else {
+                    let ad = inner.sites[i].machine_ad_arc();
+                    match inner.window.latency.get(i) {
+                        Some(&latency) if latency > SimDuration::ZERO => {
+                            sweep.in_flight += 1;
+                            let slot = inner.pulls.insert((sweep.gen, i, ad));
+                            let event = Step::Pull.event(slot);
+                            sim.schedule_event_in(latency, &inner.receiver, event);
+                            None
+                        }
+                        _ => {
+                            inner.arrived.push((i, ad));
+                            inner.published_at[i] = now;
+                            inner.membership.note_refresh_ok(i, now)
                         }
                     }
-                }
-            };
-            match step {
-                Pump::Close => {
-                    self.close_sweep(sim);
-                    return;
-                }
-                Pump::Wait => return,
-                Pump::Missed(i, tr) => {
-                    if let Some(tr) = tr {
-                        self.notify(sim, vec![(i, tr)]);
-                    }
-                }
-                Pump::Pull(latency, slot) => {
-                    let receiver = Rc::clone(&self.inner.borrow().receiver);
-                    sim.schedule_event_in(latency, &receiver, Step::Pull.event(slot));
-                }
+                };
+                transitions.extend(tr.map(|tr| (i, tr)));
             }
         }
+        self.notify(sim, transitions);
     }
 
     /// The reply event of a pull: the ad it carries is the one pulled at
@@ -446,22 +337,23 @@ impl InformationIndex {
     }
 
     /// A site's publication reply lands. If its sweep is still open the
-    /// ad is buffered for the sweep's single `apply_delta`; if the tick
-    /// already force-closed that sweep the reply is *late* — merged
-    /// immediately as its own one-site delta. Either way the reply proves
-    /// the path is healthy, so the failure detector records a clean
-    /// refresh (the late-reply amnesty satellite).
+    /// ad is buffered for the sweep's single `apply_delta` and the reply's
+    /// transition goes to the pump it restarts; if the tick already
+    /// force-closed that sweep the reply is *late* — merged immediately as
+    /// its own one-site delta. Either way the reply proves the path is
+    /// healthy, so the failure detector records a clean refresh (the
+    /// late-reply amnesty satellite).
     fn publish_arrived(&self, sim: &mut Sim, gen: u64, i: usize, ad: Arc<Ad>) {
         let (transition, late) = {
-            let mut inner = self.inner.borrow_mut();
+            let mut guard = self.inner.borrow_mut();
+            let inner = &mut *guard;
             let now = sim.now();
             inner.published_at[i] = now;
             let tr = inner.membership.note_refresh_ok(i, now);
-            let current = inner.sweep.as_mut().filter(|s| s.gen == gen);
-            match current {
+            match inner.sweep.as_mut().filter(|s| s.gen == gen) {
                 Some(sweep) => {
-                    sweep.arrived.push((i, ad));
                     sweep.in_flight -= 1;
+                    inner.arrived.push((i, ad));
                     (tr, false)
                 }
                 None => {
@@ -471,27 +363,12 @@ impl InformationIndex {
                 }
             }
         };
-        if let Some(tr) = transition {
-            self.notify(sim, vec![(i, tr)]);
+        let transitions = transition.map(|tr| (i, tr)).into_iter().collect();
+        if late {
+            self.notify(sim, transitions);
+        } else {
+            self.pump_sweep(sim, transitions);
         }
-        if !late {
-            self.pump_sweep(sim);
-        }
-    }
-
-    /// Closes the open sweep (if any): applies the buffered arrivals as
-    /// one delta, stamps the refresh cycle, and amnesties whatever was
-    /// still in flight or unattempted — those sites are neither refreshed
-    /// nor missed this cycle.
-    fn close_sweep(&self, sim: &Sim) {
-        let mut inner = self.inner.borrow_mut();
-        let Some(sweep) = inner.sweep.take() else {
-            return;
-        };
-        inner.amnestied += (sweep.in_flight + sweep.pending.len()) as u64;
-        inner.snapshot = Arc::new(inner.snapshot.apply_delta(&sweep.arrived));
-        inner.refreshed_at = sim.now();
-        inner.refreshes += 1;
     }
 
     /// Total late replies merged after their sweep force-closed.
@@ -534,7 +411,7 @@ impl InformationIndex {
         }
     }
 
-    fn notify(&self, sim: &mut Sim, transitions: Vec<(usize, Transition)>) {
+    fn notify(&self, sim: &mut Sim, transitions: Transitions) {
         if transitions.is_empty() {
             return;
         }
@@ -671,6 +548,23 @@ impl InformationIndex {
     }
 }
 
+impl Inner {
+    /// Closes the open sweep (if any): applies the buffered arrivals as
+    /// one delta, stamps the refresh cycle, and amnesties whatever was
+    /// still in flight or unattempted — those sites are neither refreshed
+    /// nor missed this cycle.
+    fn close_sweep(&mut self, now: SimTime) {
+        let Some(sweep) = self.sweep.take() else {
+            return;
+        };
+        self.amnestied += (sweep.in_flight + self.sites.len() - sweep.next) as u64;
+        self.snapshot = Arc::new(self.snapshot.apply_delta(&self.arrived));
+        self.arrived.clear();
+        self.refreshed_at = now;
+        self.refreshes += 1;
+    }
+}
+
 /// Placeholder column for a site that has never published: named but
 /// unschedulable, so its first real publication is a genuine delta.
 fn unregistered_ad(name: &str) -> Ad {
@@ -771,10 +665,11 @@ mod tests {
         // (t=300, 600, 900), back for t=1200 onward.
         let faults =
             FaultSchedule::from_windows(vec![(SimTime::from_secs(200), SimTime::from_secs(1000))]);
-        let index = InformationIndex::start_with_faults(
+        let index = InformationIndex::start_with(
             &mut sim,
             vec![flaky.clone(), steady],
             SimDuration::from_secs(300),
+            RefreshWindow::default(),
             vec![faults],
             MembershipConfig::default(),
         );
@@ -831,10 +726,11 @@ mod tests {
     fn reported_query_failures_reach_the_observer() {
         let mut sim = Sim::new(6);
         let site = test_site(&mut sim, "x", 1);
-        let index = InformationIndex::start_with_faults(
+        let index = InformationIndex::start_with(
             &mut sim,
             vec![site],
             SimDuration::from_secs(300),
+            RefreshWindow::default(),
             Vec::new(),
             MembershipConfig {
                 suspect_after_failed_queries: 2,
@@ -903,36 +799,100 @@ mod tests {
 
     #[test]
     fn windowed_refresh_converges_with_bounded_fanout() {
-        let mut sim = Sim::new(11);
-        let sites: Vec<Site> = (0..6)
-            .map(|i| test_site(&mut sim, &format!("s{i}"), 2))
-            .collect();
-        let busy = sites[0].clone();
-        let index = InformationIndex::start_windowed(
-            &mut sim,
-            sites,
-            SimDuration::from_secs(60),
-            RefreshWindow {
-                fanout: 2,
-                latency: vec![SimDuration::from_secs(1); 6],
-            },
-            Vec::new(),
-            MembershipConfig::default(),
-        );
-        busy.lrms().submit(
-            &mut sim,
-            LocalJobSpec::simple(SimDuration::from_secs(10_000)),
-            |_, _, _| {},
-        );
-        // Sweep opens at t=60 and pulls two sites per 1 s wave: waves at
-        // 60, 61, 62, last replies land at 63 — not 6 × RTT serial.
-        sim.run_until(SimTime::from_secs(64));
-        assert_eq!(index.refreshes(), 1);
-        assert_eq!(index.refreshed_at(), SimTime::from_secs(63));
-        let snap = index.snapshot_arc();
-        assert_eq!(snap.free_cpus(0), 1, "sweep captured the occupied node");
-        for i in 0..6 {
-            assert_eq!(index.membership_state(i), MembershipState::Alive);
+        // Sweep opens at t=60. A window of two pulls one pair per 1 s
+        // wave: waves at 60, 61, 62, last replies land at 63 — not
+        // 6 × RTT serial. No window puts every pull in flight at once.
+        for (fanout, closes_s) in [(2, 63), (0, 61)] {
+            let mut sim = Sim::new(11);
+            let sites: Vec<Site> = (0..6)
+                .map(|i| test_site(&mut sim, &format!("s{i}"), 2))
+                .collect();
+            let busy = sites[0].clone();
+            let index = InformationIndex::start_with(
+                &mut sim,
+                sites,
+                SimDuration::from_secs(60),
+                RefreshWindow {
+                    fanout,
+                    latency: vec![SimDuration::from_secs(1); 6],
+                },
+                Vec::new(),
+                MembershipConfig::default(),
+            );
+            busy.lrms().submit(
+                &mut sim,
+                LocalJobSpec::simple(SimDuration::from_secs(10_000)),
+                |_, _, _| {},
+            );
+            sim.run_until(SimTime::from_secs(64));
+            assert_eq!(index.refreshes(), 1, "fanout {fanout}");
+            assert_eq!(
+                index.refreshed_at(),
+                SimTime::from_secs(closes_s),
+                "fanout {fanout}"
+            );
+            let snap = index.snapshot_arc();
+            assert_eq!(snap.free_cpus(0), 1, "sweep captured the occupied node");
+            for i in 0..6 {
+                assert_eq!(index.membership_state(i), MembershipState::Alive);
+            }
+        }
+    }
+
+    #[test]
+    fn a_transition_that_closes_the_sweep_sees_the_settled_index() {
+        // Site 1's publication path is down from 30 s to 200 s, so the
+        // sweeps at 60 and 120 s miss it into `Suspect`; at 240 s it
+        // publishes again, and its publication is the last of the sweep.
+        // The observer, handed its `Rejoined`, must already see that
+        // publication in the snapshot and the sweep's instant as the
+        // refresh. Under the window, site 1's reply lands last (2 s
+        // against site 0's 1 s) and its arrival closes the sweep.
+        let no_window = RefreshWindow::default();
+        let slow_last = RefreshWindow {
+            fanout: 2,
+            latency: vec![SimDuration::from_secs(1), SimDuration::from_secs(2)],
+        };
+        for (window, closes_s) in [(no_window, 240), (slow_last, 242)] {
+            let mut sim = Sim::new(16);
+            let steady = test_site(&mut sim, "steady", 2);
+            let flaky = test_site(&mut sim, "flaky", 2);
+            let faults = FaultSchedule::from_windows(vec![(
+                SimTime::from_secs(30),
+                SimTime::from_secs(200),
+            )]);
+            let index = InformationIndex::start_with(
+                &mut sim,
+                vec![steady, flaky.clone()],
+                SimDuration::from_secs(60),
+                window,
+                vec![FaultSchedule::none(), faults],
+                MembershipConfig::default(),
+            );
+            // Occupy a node so the publication that rejoins carries news.
+            flaky.lrms().submit(
+                &mut sim,
+                LocalJobSpec::simple(SimDuration::from_secs(10_000)),
+                |_, _, _| {},
+            );
+            let rejoined = Rc::new(RefCell::new(None));
+            let (r, idx) = (Rc::clone(&rejoined), index.clone());
+            index.set_membership_observer(move |sim, i, tr| {
+                if matches!(tr, Transition::Rejoined { .. }) {
+                    let free = idx.snapshot_arc().free_cpus(i);
+                    *r.borrow_mut() = Some((i, sim.now(), free, idx.refreshed_at()));
+                }
+            });
+            sim.run_until(SimTime::from_secs(200));
+            assert_eq!(index.membership_state(1), MembershipState::Suspect);
+            assert_eq!(index.snapshot_arc().free_cpus(1), 2, "column is stale");
+            sim.run_until(SimTime::from_secs(250));
+            let at = SimTime::from_secs(closes_s);
+            assert_eq!(
+                *rejoined.borrow(),
+                Some((1, at, 1, at)),
+                "closes at {closes_s} s"
+            );
         }
     }
 
@@ -948,7 +908,7 @@ mod tests {
         let mut sim = Sim::new(12);
         let slow = test_site(&mut sim, "slow", 2);
         let fast = test_site(&mut sim, "fast", 2);
-        let index = InformationIndex::start_windowed(
+        let index = InformationIndex::start_with(
             &mut sim,
             vec![slow, fast],
             SimDuration::from_secs(60),
@@ -1000,7 +960,7 @@ mod tests {
         // arrival.
         let mut sim = Sim::new(15);
         let site = test_site(&mut sim, "slow", 2);
-        let index = InformationIndex::start_windowed(
+        let index = InformationIndex::start_with(
             &mut sim,
             vec![site.clone()],
             SimDuration::from_secs(60),
@@ -1063,14 +1023,14 @@ mod tests {
     #[test]
     fn windowed_mode_still_suspects_a_down_publish_path() {
         // Amnesty is only for in-flight replies; a path that is down at
-        // attempt time counts a miss immediately, exactly like the legacy
-        // walk.
+        // attempt time counts a miss immediately, as it does with no
+        // window.
         let mut sim = Sim::new(13);
         let dark = test_site(&mut sim, "dark", 2);
         let lit = test_site(&mut sim, "lit", 2);
         let faults =
             FaultSchedule::from_windows(vec![(SimTime::from_secs(30), SimTime::from_secs(10_000))]);
-        let index = InformationIndex::start_windowed(
+        let index = InformationIndex::start_with(
             &mut sim,
             vec![dark, lit],
             SimDuration::from_secs(60),
@@ -1092,42 +1052,47 @@ mod tests {
     fn dark_at_boot_sites_hold_a_placeholder_until_their_first_publication() {
         // The mass-join foundation: a site whose path is down at t=0 boots
         // as an unschedulable placeholder column, and its first real
-        // publication surfaces as a genuine one-site delta.
-        let mut sim = Sim::new(14);
-        let joiner = test_site(&mut sim, "joiner", 4);
-        let steady = test_site(&mut sim, "steady", 2);
-        let faults = FaultSchedule::from_windows(vec![(SimTime::ZERO, SimTime::from_secs(100))]);
-        let index = InformationIndex::start_windowed(
-            &mut sim,
-            vec![joiner, steady],
-            SimDuration::from_secs(60),
-            RefreshWindow {
-                fanout: 4,
-                latency: vec![SimDuration::from_secs(1); 2],
-            },
-            vec![faults],
-            MembershipConfig::default(),
-        );
-        let boot = index.snapshot_arc();
-        assert_eq!(boot.free_cpus(0), 0, "placeholder until first publish");
-        assert!(!boot.accepts_queued(0));
-        assert_eq!(boot.free_cpus(1), 2, "up-at-boot site has its real ad");
+        // publication surfaces as a genuine one-site delta — whatever the
+        // window.
+        let windowed = RefreshWindow {
+            fanout: 4,
+            latency: vec![SimDuration::from_secs(1); 2],
+        };
+        for window in [windowed, RefreshWindow::default()] {
+            let mut sim = Sim::new(14);
+            let joiner = test_site(&mut sim, "joiner", 4);
+            let steady = test_site(&mut sim, "steady", 2);
+            let faults =
+                FaultSchedule::from_windows(vec![(SimTime::ZERO, SimTime::from_secs(100))]);
+            let index = InformationIndex::start_with(
+                &mut sim,
+                vec![joiner, steady],
+                SimDuration::from_secs(60),
+                window,
+                vec![faults],
+                MembershipConfig::default(),
+            );
+            let boot = index.snapshot_arc();
+            assert_eq!(boot.free_cpus(0), 0, "placeholder until first publish");
+            assert!(!boot.accepts_queued(0));
+            assert_eq!(boot.free_cpus(1), 2, "up-at-boot site has its real ad");
 
-        // t=60 sweep: joiner's path still down — placeholder held.
-        sim.run_until(SimTime::from_secs(65));
-        let held = index.snapshot_arc();
-        assert_eq!(held.free_cpus(0), 0);
+            // t=60 sweep: joiner's path still down — placeholder held.
+            sim.run_until(SimTime::from_secs(65));
+            let held = index.snapshot_arc();
+            assert_eq!(held.free_cpus(0), 0);
 
-        // t=120 sweep: path restored, first publication lands.
-        sim.run_until(SimTime::from_secs(125));
-        let joined = index.snapshot_arc();
-        assert_eq!(joined.free_cpus(0), 4);
-        assert!(joined.accepts_queued(0));
-        assert!(!Arc::ptr_eq(held.ad_arc(0), joined.ad_arc(0)));
-        assert!(
-            Arc::ptr_eq(held.ad_arc(1), joined.ad_arc(1)),
-            "the join is a one-site delta, not a full-snapshot invalidation"
-        );
+            // t=120 sweep: path restored, first publication lands.
+            sim.run_until(SimTime::from_secs(125));
+            let joined = index.snapshot_arc();
+            assert_eq!(joined.free_cpus(0), 4);
+            assert!(joined.accepts_queued(0));
+            assert!(!Arc::ptr_eq(held.ad_arc(0), joined.ad_arc(0)));
+            assert!(
+                Arc::ptr_eq(held.ad_arc(1), joined.ad_arc(1)),
+                "the join is a one-site delta, not a full-snapshot invalidation"
+            );
+        }
     }
 
     #[test]

@@ -177,9 +177,9 @@ impl EventLog {
 
     /// Appends a batch of events at sim time `at` under a single lock
     /// acquisition: the batch occupies one contiguous, gap-free run of
-    /// sequence numbers with no other writer's events interleaved. This is
-    /// what the sharded matchmaking engine uses to flush one job's
-    /// lifecycle events atomically from a worker thread.
+    /// sequence numbers with no other writer's events interleaved, so a
+    /// group that belongs together (one job's lifecycle events, say) is
+    /// never split by a writer on another thread.
     pub fn record_many<I: IntoIterator<Item = Event>>(&self, at: SimTime, events: I) {
         let mut inner = self.lock();
         for event in events {

@@ -177,7 +177,7 @@ mod tests {
             let seed = 0x611D ^ n as u64;
             let grid = synthetic_grid(&mut SimRng::new(seed), n, 32);
             let mut sim = Sim::new(seed);
-            let index = InformationIndex::start_windowed(
+            let index = InformationIndex::start_with(
                 &mut sim,
                 grid.sites.clone(),
                 REFRESH,
