@@ -13,7 +13,7 @@ use std::collections::HashMap;
 use std::io::{self, Read, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::path::PathBuf;
-use std::process::{Child, ChildStdin, Command, Stdio};
+use std::process::{Child, Command, Stdio};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
@@ -246,7 +246,7 @@ impl OutStream {
 fn mux_loop(
     config: &AgentConfig,
     rx: Receiver<Msg>,
-    child_stdin: ChildStdin,
+    child_stdin: impl Write,
     stdin_received: &AtomicU64,
     kill_child: &AtomicBool,
 ) -> io::Result<ExitReport> {
@@ -326,9 +326,10 @@ fn mux_loop(
         Ok(())
     }
 
-    // When set, all work is done and we only linger briefly so the writer
-    // thread flushes the trailing Eof/Exit frames onto the wire.
-    let mut done_since: Option<std::time::Instant> = None;
+    // When set (a `mono_ns` reading), all work is done and we only linger
+    // briefly so the writer thread flushes the trailing Eof/Exit frames onto
+    // the wire.
+    let mut done_since: Option<u64> = None;
     const LINGER: Duration = Duration::from_millis(250);
 
     loop {
@@ -341,26 +342,22 @@ fn mux_loop(
         let delivered = streams.values().all(|s| s.acked >= s.highest_seq());
         let finished =
             gave_up || (child_done && eofs_done && delivered && exit_sent && conn.is_some());
-        if finished && gave_up {
-            // cg-lint: allow(wall-clock): real-TCP linger timer; no linger on abort
-            done_since = Some(std::time::Instant::now().checked_sub(LINGER).unwrap());
-        } else if finished {
-            // cg-lint: allow(wall-clock): real-TCP linger timer
-            done_since.get_or_insert_with(std::time::Instant::now);
+        done_since = if finished {
+            Some(done_since.unwrap_or_else(mono_ns))
         } else {
-            done_since = None;
-        }
-        if let Some(t) = done_since {
-            if t.elapsed() >= LINGER {
-                return Ok(ExitReport {
-                    exit_code: exit_code.unwrap_or(-1),
-                    delivered_all: delivered && !lost_fast_data && !gave_up,
-                    reconnects: conn_count.saturating_sub(1),
-                    gave_up,
-                    bytes_stdout: streams[&StreamKind::Stdout].bytes,
-                    bytes_stderr: streams[&StreamKind::Stderr].bytes,
-                });
-            }
+            None
+        };
+        // An abort has no live connection to flush: it reports at once.
+        let lingered = done_since.is_some_and(|t| Duration::from_nanos(mono_ns() - t) >= LINGER);
+        if gave_up || lingered {
+            return Ok(ExitReport {
+                exit_code: exit_code.unwrap_or(-1),
+                delivered_all: delivered && !lost_fast_data && !gave_up,
+                reconnects: conn_count.saturating_sub(1),
+                gave_up,
+                bytes_stdout: streams[&StreamKind::Stdout].bytes,
+                bytes_stderr: streams[&StreamKind::Stderr].bytes,
+            });
         }
 
         // Wait for work, bounded by the earliest flush deadline.
@@ -723,5 +720,40 @@ fn sleep_interruptible(total: Duration, stop: &AtomicBool) {
         let d = left.min(step);
         std::thread::sleep(d);
         left -= d;
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// The retry budget dying ends the session at once: the mux kills the
+    /// child and reports without lingering. The channel is closed behind
+    /// `GiveUp`, so one more pass of the loop would fail the call.
+    #[test]
+    fn giving_up_reports_at_once_and_kills_the_child() {
+        let config = AgentConfig::fast("job", ([127, 0, 0, 1], 9).into(), Secret::new("s"));
+        let (tx, rx) = unbounded();
+        for msg in [
+            Msg::Out(StreamKind::Stdout, b"lost\n".to_vec()),
+            Msg::GiveUp,
+        ] {
+            assert!(tx.send(msg).is_ok());
+        }
+        drop(tx);
+        let kill = AtomicBool::new(false);
+        let report = mux_loop(&config, rx, io::sink(), &AtomicU64::new(0), &kill).unwrap();
+        assert!(kill.load(Ordering::SeqCst), "the child is not killed");
+        assert_eq!(
+            report,
+            ExitReport {
+                exit_code: -1,
+                delivered_all: false,
+                reconnects: 0,
+                gave_up: true,
+                bytes_stdout: 5,
+                bytes_stderr: 0,
+            }
+        );
     }
 }

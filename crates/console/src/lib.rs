@@ -38,4 +38,4 @@ pub use gsi::{nonce, Secret};
 pub use shadow::{ConsoleShadow, ShadowConfig, ShadowEvent};
 pub use simio::{reliable_deliver, MethodCosts, ReliableOutcome, RetryPolicy};
 pub use spool::{recover_watermarks, Spool};
-pub use wire::{mono_ns, set_mono_clock, write_frame, FrameReader, ReadEvent};
+pub use wire::{mono_ns, write_frame, FrameReader, ReadEvent};

@@ -71,8 +71,7 @@ impl FrameReader {
     /// Blocks (with an overall deadline) until a full frame arrives — used
     /// during handshakes.
     pub fn next_frame_timeout(&mut self, deadline: Duration) -> io::Result<Frame> {
-        // cg-lint: allow(wall-clock): handshake deadline on a real TCP socket
-        let start = std::time::Instant::now();
+        let start = mono_ns();
         loop {
             match self.poll()? {
                 ReadEvent::Frame(f) => return Ok(f),
@@ -83,7 +82,7 @@ impl FrameReader {
                     ))
                 }
                 ReadEvent::Idle => {
-                    if start.elapsed() > deadline {
+                    if Duration::from_nanos(mono_ns() - start) > deadline {
                         return Err(io::Error::new(
                             io::ErrorKind::TimedOut,
                             "handshake timed out",
@@ -101,30 +100,15 @@ impl FrameReader {
     }
 }
 
-/// Optional process-wide clock override: a deterministic harness installs
-/// a replacement via [`set_mono_clock`] and the whole real-console stack
-/// (buffers, spools, shadow/agent pumps) reads it instead of the wall clock.
-static MONO_CLOCK: std::sync::OnceLock<fn() -> u64> = std::sync::OnceLock::new();
-
-/// Overrides the clock behind [`mono_ns`] for this process. Intended for
-/// deterministic tests and sim harnesses; call before any console threads
-/// start. Only the first call takes effect.
-pub fn set_mono_clock(clock: fn() -> u64) {
-    let _ = MONO_CLOCK.set(clock);
-}
-
-/// Monotonic nanoseconds since an arbitrary process-local epoch — the clock
-/// fed to the flush-policy buffers. Reads the [`set_mono_clock`] override
-/// when one is installed; otherwise this is the real-console transport's
+/// Monotonic nanoseconds since an arbitrary process-local epoch: the one
+/// clock of the real-console transport (flush-policy buffers, spool and
+/// shadow trace stamps, the agent's linger, handshake deadlines) and its
 /// single wall-clock chokepoint.
 pub fn mono_ns() -> u64 {
     use std::sync::OnceLock;
     use std::time::Instant;
-    if let Some(clock) = MONO_CLOCK.get() {
-        return clock();
-    }
     static EPOCH: OnceLock<Instant> = OnceLock::new();
-    // cg-lint: allow(wall-clock): real-TCP transport epoch; deterministic harnesses inject via set_mono_clock
+    // cg-lint: allow(wall-clock): real-TCP transport epoch, the console's one clock
     EPOCH.get_or_init(Instant::now).elapsed().as_nanos() as u64
 }
 
@@ -204,24 +188,5 @@ mod tests {
         let a = mono_ns();
         let b = mono_ns();
         assert!(b >= a);
-    }
-
-    #[test]
-    fn mono_clock_override_routes_every_reading() {
-        // Still strictly monotone so the process-wide override cannot break
-        // `mono_ns_is_monotone` running in the same binary.
-        // Base far above any real elapsed-ns reading a test run can reach,
-        // so interleaving with the wall-clock path stays monotone too.
-        const BASE: u64 = 1 << 40;
-        fn ticking() -> u64 {
-            use std::sync::atomic::{AtomicU64, Ordering};
-            static T: AtomicU64 = AtomicU64::new(BASE);
-            T.fetch_add(1, Ordering::SeqCst)
-        }
-        set_mono_clock(ticking);
-        let a = mono_ns();
-        let b = mono_ns();
-        assert!(a >= BASE, "override not in effect: {a}");
-        assert_eq!(b, a + 1, "override must be the only clock source");
     }
 }

@@ -1,5 +1,9 @@
 //! End-to-end tests of the real Grid Console: actual child processes, real
 //! TCP on loopback, injected connection failures.
+//!
+//! Every test here but `shadow_shutdown_is_clean` waits on a wall-clock
+//! deadline and is `#[ignore]`d; run them with
+//! `cargo test --release -p cg-console -- --ignored`.
 
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::process::Command;
@@ -65,6 +69,7 @@ fn stdout_of(events: &[ShadowEvent], rank: u32) -> Vec<u8> {
 }
 
 #[test]
+#[ignore = "real sockets and wall-clock deadlines"]
 fn echo_session_round_trips_bytes_exactly() {
     let secret = Secret::random();
     let shadow = ConsoleShadow::start(ShadowConfig::local(secret.clone())).unwrap();
@@ -106,6 +111,7 @@ fn echo_session_round_trips_bytes_exactly() {
 }
 
 #[test]
+#[ignore = "real sockets and wall-clock deadlines"]
 fn stderr_and_exit_code_propagate() {
     let secret = Secret::random();
     let shadow = ConsoleShadow::start(ShadowConfig::local(secret.clone())).unwrap();
@@ -143,6 +149,7 @@ fn stderr_and_exit_code_propagate() {
 }
 
 #[test]
+#[ignore = "real sockets and wall-clock deadlines"]
 fn multiple_ranks_fan_in_like_mpich_g2() {
     let secret = Secret::random();
     let mut config = ShadowConfig::local(secret.clone());
@@ -184,6 +191,7 @@ fn multiple_ranks_fan_in_like_mpich_g2() {
 }
 
 #[test]
+#[ignore = "real sockets and wall-clock deadlines"]
 fn stdin_broadcast_reaches_every_rank() {
     let secret = Secret::random();
     let mut config = ShadowConfig::local(secret.clone());
@@ -228,6 +236,7 @@ fn stdin_broadcast_reaches_every_rank() {
 }
 
 #[test]
+#[ignore = "real sockets and wall-clock deadlines"]
 fn wrong_secret_is_rejected() {
     let shadow = ConsoleShadow::start(ShadowConfig::local(Secret::new(b"right".to_vec()))).unwrap();
     let addr = shadow.addr();
@@ -360,6 +369,7 @@ impl Drop for ChaosProxy {
 }
 
 #[test]
+#[ignore = "real sockets and wall-clock deadlines"]
 fn reliable_mode_survives_connection_loss_byte_exactly() {
     let secret = Secret::random();
     let spool = tmp_dir("reliable");
@@ -425,6 +435,7 @@ fn reliable_mode_survives_connection_loss_byte_exactly() {
 }
 
 #[test]
+#[ignore = "real sockets and wall-clock deadlines"]
 fn reliable_stdin_typed_during_outage_is_replayed() {
     let secret = Secret::random();
     let spool = tmp_dir("stdin-replay");
@@ -485,6 +496,7 @@ fn reliable_stdin_typed_during_outage_is_replayed() {
 }
 
 #[test]
+#[ignore = "real sockets and wall-clock deadlines"]
 fn agent_gives_up_and_kills_the_job_when_retries_exhaust() {
     // Shadow never exists: connect always fails.
     let secret = Secret::random();
@@ -520,6 +532,7 @@ fn shadow_shutdown_is_clean() {
 }
 
 #[test]
+#[ignore = "real sockets and wall-clock deadlines"]
 fn reliable_mode_is_byte_exact_for_megabytes_across_two_outages() {
     let secret = Secret::random();
     let spool = tmp_dir("stress");

@@ -175,18 +175,6 @@ impl EventLog {
         self.lock().append(at, event);
     }
 
-    /// Appends a batch of events at sim time `at` under a single lock
-    /// acquisition: the batch occupies one contiguous, gap-free run of
-    /// sequence numbers with no other writer's events interleaved, so a
-    /// group that belongs together (one job's lifecycle events, say) is
-    /// never split by a writer on another thread.
-    pub fn record_many<I: IntoIterator<Item = Event>>(&self, at: SimTime, events: I) {
-        let mut inner = self.lock();
-        for event in events {
-            inner.append(at, event);
-        }
-    }
-
     /// The whole-stream fold (see [`StreamFold`]): O(streams), and unmoved
     /// by ring eviction or [`EventLog::clear`].
     pub fn stream_fold(&self) -> StreamFold {
@@ -436,43 +424,6 @@ mod tests {
             "journal order is the allocation order: monotonic and gap-free"
         );
         let _ = std::fs::remove_file(&path);
-    }
-
-    #[test]
-    fn record_many_keeps_batches_contiguous_under_contention() {
-        let log = EventLog::new(4096);
-        let handles: Vec<_> = (0..8)
-            .map(|t| {
-                let log = log.clone();
-                std::thread::spawn(move || {
-                    for _ in 0..40 {
-                        // One job's lifecycle flushed as an atomic batch.
-                        log.record_many(
-                            SimTime::from_nanos(t),
-                            [Event::JobStarted { job: t }, Event::JobFinished { job: t }],
-                        );
-                    }
-                })
-            })
-            .collect();
-        for h in handles {
-            h.join().unwrap();
-        }
-        let snap = log.snapshot();
-        assert_eq!(snap.len(), 640);
-        for (i, e) in snap.iter().enumerate() {
-            assert_eq!(e.seq, i as u64, "gap-free under contention");
-        }
-        // Every batch is contiguous: a JobStarted is always immediately
-        // followed by the same writer's JobFinished.
-        for pair in snap.chunks(2) {
-            let (Event::JobStarted { job: a }, Event::JobFinished { job: b }) =
-                (&pair[0].event, &pair[1].event)
-            else {
-                panic!("interleaved batch at seq {}", pair[0].seq);
-            };
-            assert_eq!(a, b, "batch from one writer stayed together");
-        }
     }
 
     #[test]

@@ -45,40 +45,3 @@ fn concurrent_record_allocates_gap_free_seqs() {
     });
     assert!(iterations > 1, "only {iterations} interleaving(s) explored");
 }
-
-/// `record_many` batches stay contiguous in seq space under every schedule
-/// — the property crash recovery's snapshot-bounded tail replay relies on.
-#[test]
-fn record_many_batches_stay_contiguous() {
-    loom::model(|| {
-        let log = EventLog::new(64);
-        let handles: Vec<_> = (0..2)
-            .map(|w| {
-                let log = log.clone();
-                loom::thread::spawn(move || {
-                    log.record_many(SimTime::from_nanos(w), vec![ev(w * 10), ev(w * 10 + 1)]);
-                })
-            })
-            .collect();
-        for h in handles {
-            h.join().unwrap();
-        }
-        // Group seqs by writer (job ids encode the writer) and demand each
-        // writer's pair is adjacent.
-        let snap = log.snapshot();
-        for w in 0..2u64 {
-            let mut seqs: Vec<u64> = snap
-                .iter()
-                .filter(|t| matches!(t.event, Event::JobQueued { job } if job / 10 == w))
-                .map(|t| t.seq)
-                .collect();
-            seqs.sort_unstable();
-            assert_eq!(seqs.len(), 2, "writer {w} lost events");
-            assert_eq!(
-                seqs[1],
-                seqs[0] + 1,
-                "writer {w}'s record_many batch interleaved: {seqs:?}"
-            );
-        }
-    });
-}

@@ -135,7 +135,9 @@ fn recording_shares_names_and_decoding_copies_each_string_once() {
     // every per-kind counter already exists.
     let log = EventLog::with_metrics(64, MetricsRegistry::new());
     for job in 0..8 {
-        log.record_many(SimTime::from_secs(job), job_events(&names, job));
+        for event in job_events(&names, job) {
+            log.record(SimTime::from_secs(job), event);
+        }
     }
     assert_eq!(log.len(), 64);
     let ((), calls) = counted(|| {
