@@ -19,4 +19,4 @@ mod glogin;
 mod ssh;
 
 pub use glogin::{glogin_method, glogin_submit, GloginCosts};
-pub use ssh::{ssh_connect, ssh_method};
+pub use ssh::ssh_method;

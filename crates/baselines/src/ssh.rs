@@ -13,8 +13,6 @@
 //! at 10 KB payloads despite paying for disk.
 
 use cg_console::MethodCosts;
-use cg_net::{Link, NetError};
-use cg_sim::{Sim, SimDuration};
 
 /// Streaming cost model of an established ssh session.
 pub fn ssh_method() -> MethodCosts {
@@ -29,28 +27,6 @@ pub fn ssh_method() -> MethodCosts {
         disk_per_byte_s: 0.0,
         jitter_sigma: 0.10,
     }
-}
-
-/// Session-establishment model: TCP + key exchange + auth (used by examples;
-/// the §6.2 measurements exclude setup).
-pub fn ssh_connect(
-    sim: &mut Sim,
-    link: &Link,
-    on: impl FnOnce(&mut Sim, Result<(), NetError>) + 'static,
-) {
-    // ~6 sync legs (banner, KEX init, DH, NEWKEYS, auth, channel open) plus
-    // server-side key crypto.
-    let rtts = 6.0 * link.profile().nominal_rtt().as_secs_f64() / 2.0;
-    let crypto = 0.35; // DH + host key ops, 2006 hardware
-    let delay = SimDuration::from_secs_f64(rtts + crypto);
-    let link2 = link.clone();
-    sim.schedule_in(delay, move |sim| {
-        if link2.is_down(sim.now()) {
-            on(sim, Err(NetError::LinkDown));
-        } else {
-            on(sim, Ok(()));
-        }
-    });
 }
 
 #[cfg(test)]
@@ -108,20 +84,5 @@ mod tests {
             let fast = mean_rtt(&cg_console::MethodCosts::fast(), &campus, bytes);
             assert!(fast < ssh, "{bytes}B: fast {fast} vs ssh {ssh}");
         }
-    }
-
-    #[test]
-    fn connect_takes_sub_second_on_campus() {
-        let mut sim = Sim::new(1);
-        let link = Link::new(LinkProfile::campus());
-        let done = std::rc::Rc::new(std::cell::RefCell::new(None));
-        let d = std::rc::Rc::clone(&done);
-        ssh_connect(&mut sim, &link, move |sim, r| {
-            r.unwrap();
-            *d.borrow_mut() = Some(sim.now().as_secs_f64());
-        });
-        sim.run();
-        let t = done.borrow().unwrap();
-        assert!((0.3..1.0).contains(&t), "ssh connect {t}s");
     }
 }

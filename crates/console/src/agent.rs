@@ -9,7 +9,7 @@
 //! connection cannot be re-established within the configured retries the
 //! agent gives up and kills the process, exactly as §4 prescribes.
 
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 use std::io::{self, Read, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::path::PathBuf;
@@ -23,8 +23,8 @@ use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError, Sender};
 use crate::buffer::{FlushPolicy, OutputBuffer};
 use crate::frame::{Frame, ResumePoint, StreamKind};
 use crate::gsi::{nonce, Secret};
-use crate::spool::Spool;
-use crate::wire::{mono_ns, write_frame, FrameReader, ReadEvent};
+use crate::stream::StreamSender;
+use crate::wire::{mono_ns, spawn_writer, write_frame, FrameReader, ReadEvent};
 
 /// Streaming mode of the real transport.
 #[derive(Debug, Clone)]
@@ -224,25 +224,6 @@ fn waiter_loop(mut child: Child, tx: Sender<Msg>, kill: Arc<AtomicBool>) {
     }
 }
 
-struct OutStream {
-    buffer: OutputBuffer,
-    spool: Option<Spool>,
-    next_seq: u64,
-    acked: u64,
-    eof: bool,
-    bytes: u64,
-    /// Fast mode only: frames emitted before the FIRST connection — the
-    /// analogue of data sitting in a not-yet-connected socket buffer. Data is
-    /// only "lost" in fast mode once an established connection dies.
-    preconn: Vec<(u64, Vec<u8>)>,
-}
-
-impl OutStream {
-    fn highest_seq(&self) -> u64 {
-        self.next_seq - 1
-    }
-}
-
 fn mux_loop(
     config: &AgentConfig,
     rx: Receiver<Msg>,
@@ -256,74 +237,21 @@ fn mux_loop(
     let mut exit_code: Option<i32> = None;
     let mut exit_sent = false;
     let mut gave_up = false;
-    let mut lost_fast_data = false;
 
-    let mk_stream = |kind: StreamKind| -> io::Result<OutStream> {
-        let name = match kind {
-            StreamKind::Stdout => "stdout",
-            StreamKind::Stderr => "stderr",
-            StreamKind::Stdin => unreachable!("agent does not spool stdin"),
-        };
+    // Each stream's flush-policy buffer and sender, keyed in frame order:
+    // a (re)connection resends stdout before stderr.
+    let mut streams = BTreeMap::new();
+    for (kind, name) in [
+        (StreamKind::Stdout, "stdout"),
+        (StreamKind::Stderr, "stderr"),
+    ] {
         let label = format!("agent-{}-r{}-{name}", sanitize(&config.job_id), config.rank);
-        let mut spool = match &config.mode {
-            Mode::Fast => None,
-            Mode::Reliable { spool_dir } => {
-                Some(Spool::open(spool_dir.join(format!("{label}.spool")))?)
-            }
-        };
         let mut buffer = OutputBuffer::new(config.flush);
         if let Some(log) = &config.trace {
-            let label: std::sync::Arc<str> = label.into();
-            buffer.set_trace(log.clone(), std::sync::Arc::clone(&label));
-            if let Some(spool) = spool.as_mut() {
-                spool.set_trace(log.clone(), label);
-            }
+            buffer.set_trace(log.clone(), label.as_str());
         }
-        Ok(OutStream {
-            buffer,
-            spool,
-            next_seq: 1,
-            acked: 0,
-            eof: false,
-            bytes: 0,
-            preconn: Vec::new(),
-        })
-    };
-    let mut streams: HashMap<StreamKind, OutStream> = HashMap::new();
-    streams.insert(StreamKind::Stdout, mk_stream(StreamKind::Stdout)?);
-    streams.insert(StreamKind::Stderr, mk_stream(StreamKind::Stderr)?);
-
-    fn emit(
-        stream_kind: StreamKind,
-        st: &mut OutStream,
-        data: Vec<u8>,
-        conn: Option<&Sender<Frame>>,
-        ever_connected: bool,
-        lost_fast_data: &mut bool,
-    ) -> io::Result<()> {
-        let seq = st.next_seq;
-        st.next_seq += 1;
-        st.bytes += data.len() as u64;
-        if let Some(spool) = st.spool.as_mut() {
-            spool.append(seq, &data)?;
-        }
-        match conn {
-            Some(tx) => {
-                let _ = tx.send(Frame::Data {
-                    stream: stream_kind,
-                    seq,
-                    payload: data.into(),
-                });
-            }
-            None if st.spool.is_some() => {} // reliable: replayed from spool
-            None if !ever_connected => st.preconn.push((seq, data)),
-            None => {
-                // Fast mode after a connection died: the byte is gone.
-                *lost_fast_data = true;
-                st.acked = st.acked.max(seq);
-            }
-        }
-        Ok(())
+        let sender = StreamSender::open(kind, &config.mode, &label, config.trace.as_ref())?;
+        streams.insert(kind, (buffer, sender));
     }
 
     // When set (a `mono_ns` reading), all work is done and we only linger
@@ -338,8 +266,8 @@ fn mux_loop(
         // off bytes lost to a dead connection), and the Exit frame has been
         // handed to a live connection — or when the retry budget died.
         let child_done = exit_code.is_some();
-        let eofs_done = streams.values().all(|s| s.eof);
-        let delivered = streams.values().all(|s| s.acked >= s.highest_seq());
+        let eofs_done = streams.values().all(|(_, s)| s.is_closed());
+        let delivered = streams.values().all(|(_, s)| s.is_settled());
         let finished =
             gave_up || (child_done && eofs_done && delivered && exit_sent && conn.is_some());
         done_since = if finished {
@@ -352,11 +280,13 @@ fn mux_loop(
         if gave_up || lingered {
             return Ok(ExitReport {
                 exit_code: exit_code.unwrap_or(-1),
-                delivered_all: delivered && !lost_fast_data && !gave_up,
+                delivered_all: delivered
+                    && !streams.values().any(|(_, s)| s.lost_data())
+                    && !gave_up,
                 reconnects: conn_count.saturating_sub(1),
                 gave_up,
-                bytes_stdout: streams[&StreamKind::Stdout].bytes,
-                bytes_stderr: streams[&StreamKind::Stderr].bytes,
+                bytes_stdout: streams[&StreamKind::Stdout].1.bytes(),
+                bytes_stderr: streams[&StreamKind::Stderr].1.bytes(),
             });
         }
 
@@ -364,7 +294,7 @@ fn mux_loop(
         let now = mono_ns();
         let deadline_ns = streams
             .values()
-            .filter_map(|s| s.buffer.timeout_deadline())
+            .filter_map(|(buffer, _)| buffer.timeout_deadline())
             .min();
         let wait = match deadline_ns {
             Some(d) if d > now => Duration::from_nanos((d - now).min(50_000_000)),
@@ -381,52 +311,26 @@ fn mux_loop(
 
         // Timeout-triggered flushes.
         let now = mono_ns();
-        for kind in [StreamKind::Stdout, StreamKind::Stderr] {
-            let st = streams.get_mut(&kind).expect("stream exists");
-            if let Some((data, _)) = st.buffer.poll_timeout(now) {
-                emit(
-                    kind,
-                    st,
-                    data,
-                    conn.as_ref(),
-                    conn_count > 0,
-                    &mut lost_fast_data,
-                )?;
+        for (buffer, sender) in streams.values_mut() {
+            if let Some((data, _)) = buffer.poll_timeout(now) {
+                sender.send(data)?;
             }
         }
 
         let Some(msg) = msg else { continue };
         match msg {
             Msg::Out(kind, data) => {
-                let st = streams.get_mut(&kind).expect("stream exists");
-                let chunks = st.buffer.push(&data, mono_ns());
-                for (chunk, _) in chunks {
-                    emit(
-                        kind,
-                        st,
-                        chunk,
-                        conn.as_ref(),
-                        conn_count > 0,
-                        &mut lost_fast_data,
-                    )?;
+                let (buffer, sender) = streams.get_mut(&kind).expect("stream exists");
+                for (chunk, _) in buffer.push(&data, mono_ns()) {
+                    sender.send(chunk)?;
                 }
             }
             Msg::PumpEof(kind) => {
-                let st = streams.get_mut(&kind).expect("stream exists");
-                if let Some((data, _)) = st.buffer.flush(mono_ns()) {
-                    emit(
-                        kind,
-                        st,
-                        data,
-                        conn.as_ref(),
-                        conn_count > 0,
-                        &mut lost_fast_data,
-                    )?;
+                let (buffer, sender) = streams.get_mut(&kind).expect("stream exists");
+                if let Some((data, _)) = buffer.flush(mono_ns()) {
+                    sender.send(data)?;
                 }
-                st.eof = true;
-                if let Some(tx) = &conn {
-                    let _ = tx.send(Frame::Eof { stream: kind });
-                }
+                sender.close();
             }
             Msg::ChildExited(code) => {
                 exit_code = Some(code);
@@ -436,11 +340,8 @@ fn mux_loop(
                 }
             }
             Msg::Ack(kind, seq) => {
-                if let Some(st) = streams.get_mut(&kind) {
-                    st.acked = st.acked.max(seq);
-                    if let Some(spool) = st.spool.as_mut() {
-                        spool.ack(seq)?;
-                    }
+                if let Some((_, sender)) = streams.get_mut(&kind) {
+                    sender.ack(seq)?;
                 }
             }
             Msg::Stdin(seq, data) => {
@@ -465,38 +366,13 @@ fn mux_loop(
             }
             Msg::ConnUp { tx, resume } => {
                 conn_count += 1;
-                // Replay everything the shadow has not seen.
-                for kind in [StreamKind::Stdout, StreamKind::Stderr] {
-                    let after = match kind {
-                        StreamKind::Stdout => resume.stdout_received,
-                        StreamKind::Stderr => resume.stderr_received,
-                        StreamKind::Stdin => unreachable!(),
-                    };
-                    let st = streams.get_mut(&kind).expect("stream exists");
-                    st.acked = st.acked.max(after);
-                    if let Some(spool) = st.spool.as_mut() {
-                        spool.ack(after)?;
-                        for (seq, data) in spool.replay_after(after)? {
-                            let _ = tx.send(Frame::Data {
-                                stream: kind,
-                                seq,
-                                payload: data.into(),
-                            });
-                        }
+                for (kind, (_, sender)) in &mut streams {
+                    let after = if *kind == StreamKind::Stdout {
+                        resume.stdout_received
                     } else {
-                        // Fast mode: flush the pre-connection backlog; any
-                        // frame from a previous (dead) connection is gone.
-                        for (seq, data) in st.preconn.drain(..) {
-                            let _ = tx.send(Frame::Data {
-                                stream: kind,
-                                seq,
-                                payload: data.into(),
-                            });
-                        }
-                    }
-                    if st.eof {
-                        let _ = tx.send(Frame::Eof { stream: kind });
-                    }
+                        resume.stderr_received
+                    };
+                    sender.connected(after, &tx)?;
                 }
                 if let Some(code) = exit_code {
                     let _ = tx.send(Frame::Exit { code });
@@ -506,13 +382,8 @@ fn mux_loop(
             }
             Msg::ConnDown => {
                 conn = None;
-                // Fast mode: whatever was not acknowledged died with the
-                // connection; write it off so completion does not wait on it.
-                for st in streams.values_mut() {
-                    if st.spool.is_none() && st.acked < st.highest_seq() {
-                        lost_fast_data = true;
-                        st.acked = st.highest_seq();
-                    }
+                for (_, sender) in streams.values_mut() {
+                    sender.disconnected();
                 }
             }
             Msg::GiveUp => {
@@ -564,7 +435,6 @@ fn net_manager(
             SessionEnd::Retry { was_established } => {
                 if was_established {
                     attempts = 0;
-                    let _ = mux.send(Msg::ConnDown);
                 }
                 attempts += 1;
                 if attempts > config.max_retries {
@@ -654,16 +524,7 @@ fn session(
         }
     };
 
-    // Writer thread drains the per-connection queue.
-    let (tx, frame_rx) = unbounded::<Frame>();
-    let writer = std::thread::spawn(move || {
-        for frame in frame_rx {
-            if write_frame(&mut write_sock, &frame).is_err() {
-                return;
-            }
-        }
-        let _ = write_sock.shutdown(std::net::Shutdown::Write);
-    });
+    let (tx, writer) = spawn_writer(write_sock);
     let _ = mux.send(Msg::ConnUp {
         tx: tx.clone(),
         resume,
@@ -702,11 +563,11 @@ fn session(
             },
         }
     };
+    // The mux holds the queue's other senders until it hears the connection
+    // is down: tell it before waiting for the writer to see the queue close.
     drop(tx);
+    let _ = mux.send(Msg::ConnDown);
     let _ = writer.join();
-    if matches!(end, SessionEnd::Stopped) {
-        let _ = mux.send(Msg::ConnDown);
-    }
     end
 }
 

@@ -13,12 +13,16 @@
 //!   mutual handshake, reliable-mode disk spooling ([`Spool`]) with
 //!   reconnect-and-replay, fast mode without buffering, and the paper's
 //!   output flush triggers (buffer full / timeout / end-of-line,
-//!   [`OutputBuffer`]). Substitution note: the paper interposed with an
-//!   `LD_PRELOAD` library; owning the child's pipes intercepts the same
-//!   three streams with the same no-recompilation guarantee.
-//! - **Simulated cost model** ([`MethodCosts`], [`reliable_deliver`]): the
-//!   per-method endpoint/chunk/disk cost structure that regenerates
-//!   Figures 6 and 7, plus retry semantics for the reliable mode.
+//!   [`OutputBuffer`]). Both directions send through one crate-private
+//!   stream sender, which holds the reliable/fast delivery rule: the
+//!   agent's stdout and stderr and the shadow's stdin for each rank.
+//!   Substitution note: the paper interposed with an `LD_PRELOAD` library;
+//!   owning the child's pipes intercepts the same three streams with the
+//!   same no-recompilation guarantee.
+//! - **Simulated cost model** ([`MethodCosts`]): the per-method
+//!   endpoint/chunk/disk cost structure that regenerates Figures 6 and 7.
+//!   The simulated reliable mode's retry rule is the broker's console
+//!   start-up (`crossbroker::ConsoleCosts`).
 
 #![warn(missing_docs)]
 
@@ -29,6 +33,10 @@ mod gsi;
 mod shadow;
 mod simio;
 mod spool;
+mod stream;
+#[cfg(test)]
+#[path = "../tests/support/temp_dir.rs"]
+mod temp_dir;
 mod wire;
 
 pub use agent::{run_agent, AgentConfig, ExitReport, Mode};
@@ -36,6 +44,6 @@ pub use buffer::{FlushPolicy, FlushReason, InputBuffer, OutputBuffer};
 pub use frame::{Decoder, Frame, FrameError, ResumePoint, StreamKind};
 pub use gsi::{nonce, Secret};
 pub use shadow::{ConsoleShadow, ShadowConfig, ShadowEvent};
-pub use simio::{reliable_deliver, MethodCosts, ReliableOutcome, RetryPolicy};
+pub use simio::MethodCosts;
 pub use spool::{recover_watermarks, Spool};
 pub use wire::{mono_ns, write_frame, FrameReader, ReadEvent};

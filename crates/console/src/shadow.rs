@@ -21,8 +21,8 @@ use crate::agent::Mode;
 use crate::buffer::{FlushPolicy, OutputBuffer};
 use crate::frame::{Frame, ResumePoint, StreamKind};
 use crate::gsi::{nonce, Secret};
-use crate::spool::Spool;
-use crate::wire::{write_frame, FrameReader, ReadEvent};
+use crate::stream::StreamSender;
+use crate::wire::{spawn_writer, write_frame, FrameReader, ReadEvent};
 
 /// Shadow configuration.
 #[derive(Debug, Clone)]
@@ -104,12 +104,7 @@ pub enum ShadowEvent {
 }
 
 struct RankState {
-    stdin_next_seq: u64,
-    stdin_spool: Option<Spool>,
-    /// Fast mode only: stdin typed before this rank's FIRST connection —
-    /// the analogue of bytes waiting in a not-yet-connected socket. Data is
-    /// only lost in fast mode once an established connection dies.
-    pre_stdin: Vec<(u64, Vec<u8>)>,
+    stdin: StreamSender,
     stdout_received: u64,
     stderr_received: u64,
     conn: Option<Sender<Frame>>,
@@ -117,7 +112,6 @@ struct RankState {
     connected_before: bool,
     exit_code: Option<i32>,
     eof_sent: HashMap<StreamKind, bool>,
-    stdin_closed: bool,
 }
 
 struct State {
@@ -129,19 +123,16 @@ struct State {
 impl State {
     fn rank_mut(&mut self, rank: u32) -> io::Result<&mut RankState> {
         if !self.ranks.contains_key(&rank) {
-            let mut stdin_spool = match &self.config.mode {
-                Mode::Fast => None,
-                Mode::Reliable { spool_dir } => Some(Spool::open(
-                    spool_dir.join(format!("shadow-stdin-r{rank}.spool")),
-                )?),
-            };
+            let stdin = StreamSender::open(
+                StreamKind::Stdin,
+                &self.config.mode,
+                &format!("shadow-stdin-r{rank}"),
+                self.config.trace.as_ref(),
+            )?;
             let mut buffers = HashMap::new();
             buffers.insert(StreamKind::Stdout, OutputBuffer::new(self.config.flush));
             buffers.insert(StreamKind::Stderr, OutputBuffer::new(self.config.flush));
             if let Some(log) = &self.config.trace {
-                if let Some(spool) = stdin_spool.as_mut() {
-                    spool.set_trace(log.clone(), format!("shadow-stdin-r{rank}"));
-                }
                 for (kind, buffer) in &mut buffers {
                     let name = if *kind == StreamKind::Stdout {
                         "stdout"
@@ -154,9 +145,7 @@ impl State {
             self.ranks.insert(
                 rank,
                 RankState {
-                    stdin_next_seq: 1,
-                    stdin_spool,
-                    pre_stdin: Vec::new(),
+                    stdin,
                     stdout_received: 0,
                     stderr_received: 0,
                     conn: None,
@@ -164,7 +153,6 @@ impl State {
                     connected_before: false,
                     exit_code: None,
                     eof_sent: HashMap::new(),
-                    stdin_closed: false,
                 },
             );
         }
@@ -287,30 +275,8 @@ impl ConsoleShadow {
     /// subjobs; applications read on one rank by checking the MPI rank, §4).
     pub fn send_stdin(&self, data: &[u8]) -> io::Result<()> {
         let mut st = self.state.lock();
-        let ranks: Vec<u32> = st.ranks.keys().copied().collect();
-        for rank in ranks {
-            let rs = st.rank_mut(rank)?;
-            if rs.stdin_closed {
-                continue;
-            }
-            let seq = rs.stdin_next_seq;
-            rs.stdin_next_seq += 1;
-            if let Some(spool) = rs.stdin_spool.as_mut() {
-                spool.append(seq, data)?;
-            }
-            match &rs.conn {
-                Some(tx) => {
-                    let _ = tx.send(Frame::Data {
-                        stream: StreamKind::Stdin,
-                        seq,
-                        payload: data.to_vec().into(),
-                    });
-                }
-                None if rs.stdin_spool.is_none() && !rs.connected_before => {
-                    rs.pre_stdin.push((seq, data.to_vec()));
-                }
-                None => {} // reliable replays from spool; fast post-connect loses
-            }
+        for rs in st.ranks.values_mut() {
+            rs.stdin.send(data.to_vec())?;
         }
         Ok(())
     }
@@ -327,12 +293,7 @@ impl ConsoleShadow {
     pub fn close_stdin(&self) {
         let mut st = self.state.lock();
         for rs in st.ranks.values_mut() {
-            rs.stdin_closed = true;
-            if let Some(tx) = &rs.conn {
-                let _ = tx.send(Frame::Eof {
-                    stream: StreamKind::Stdin,
-                });
-            }
+            rs.stdin.close();
         }
     }
 
@@ -344,6 +305,7 @@ impl ConsoleShadow {
             let mut st = self.state.lock();
             for rs in st.ranks.values_mut() {
                 rs.conn = None;
+                rs.stdin.disconnected();
             }
         }
         let mut threads = self.threads.lock();
@@ -396,8 +358,7 @@ fn serve_connection(
     };
 
     // Install the connection and replay spooled stdin.
-    let (tx, frame_rx) = unbounded::<Frame>();
-    {
+    let (tx, writer) = {
         let mut st = state.lock();
         let rs = st.rank_mut(rank)?;
         let resume = ResumePoint {
@@ -406,35 +367,11 @@ fn serve_connection(
             stderr_received: rs.stderr_received,
         };
         write_frame(&mut write_sock, &Frame::Welcome { resume })?;
+        let (tx, writer) = spawn_writer(write_sock);
         let reconnect = rs.connected_before;
         rs.connected_before = true;
         rs.conn = Some(tx.clone());
-        if let Some(spool) = rs.stdin_spool.as_mut() {
-            spool.ack(agent_resume.stdin_received)?;
-            for (seq, data) in spool.replay_after(agent_resume.stdin_received)? {
-                let _ = tx.send(Frame::Data {
-                    stream: StreamKind::Stdin,
-                    seq,
-                    payload: data.into(),
-                });
-            }
-        } else {
-            // Fast mode: deliver input typed before the first connection.
-            for (seq, data) in rs.pre_stdin.drain(..) {
-                if seq > agent_resume.stdin_received {
-                    let _ = tx.send(Frame::Data {
-                        stream: StreamKind::Stdin,
-                        seq,
-                        payload: data.into(),
-                    });
-                }
-            }
-        }
-        if rs.stdin_closed {
-            let _ = tx.send(Frame::Eof {
-                stream: StreamKind::Stdin,
-            });
-        }
+        rs.stdin.connected(agent_resume.stdin_received, &tx)?;
         let _ = st.events.send(ShadowEvent::AgentConnected {
             rank,
             job_id,
@@ -446,16 +383,8 @@ fn serve_connection(
                 cg_trace::Event::ShadowConnected { rank },
             );
         }
-    }
-
-    // Writer thread.
-    let writer = std::thread::spawn(move || {
-        for frame in frame_rx {
-            if write_frame(&mut write_sock, &frame).is_err() {
-                return;
-            }
-        }
-    });
+        (tx, writer)
+    };
 
     // Read loop.
     loop {
@@ -523,10 +452,7 @@ fn serve_connection(
                         stream: StreamKind::Stdin,
                         seq,
                     } => {
-                        let rs = st.rank_mut(rank)?;
-                        if let Some(spool) = rs.stdin_spool.as_mut() {
-                            spool.ack(seq)?;
-                        }
+                        st.rank_mut(rank)?.stdin.ack(seq)?;
                     }
                     _ => {}
                 }
@@ -541,6 +467,7 @@ fn serve_connection(
         if let Some(rs) = st.ranks.get_mut(&rank) {
             if rs.conn.as_ref().is_some_and(|c| c.same_channel(&tx)) {
                 rs.conn = None;
+                rs.stdin.disconnected();
                 let _ = st.events.send(ShadowEvent::AgentDisconnected { rank });
                 if let Some(log) = &st.config.trace {
                     log.record(

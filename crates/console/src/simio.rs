@@ -14,8 +14,8 @@
 //! - methods that exchange synchronous per-chunk round trips (Glogin's GSI
 //!   token wrapping) collapse at 10 KB on the WAN.
 
-use cg_net::{Dir, Link, LinkProfile, NetError};
-use cg_sim::{Sim, SimDuration, SimRng};
+use cg_net::LinkProfile;
+use cg_sim::{SimDuration, SimRng};
 use serde::{Deserialize, Serialize};
 
 /// Frame/packet overhead added per chunk on the wire.
@@ -137,84 +137,9 @@ impl MethodCosts {
     }
 }
 
-/// Outcome of a reliable delivery attempt sequence.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ReliableOutcome {
-    /// Delivered after this many retries (0 = first try).
-    Delivered {
-        /// Retries needed.
-        retries: u32,
-    },
-    /// Gave up after the configured retries; per §4 the process is killed.
-    Aborted,
-}
-
-/// Retry policy of the reliable mode: "it will try the network connection
-/// again … for a certain number of times, after which they will give up and
-/// kill the process. The number of retries and the number of seconds between
-/// each retry are configurable." (§4)
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
-pub struct RetryPolicy {
-    /// Seconds between attempts.
-    pub interval: SimDuration,
-    /// Attempts after the first before giving up.
-    pub max_retries: u32,
-}
-
-impl Default for RetryPolicy {
-    fn default() -> Self {
-        RetryPolicy {
-            interval: SimDuration::from_secs(5),
-            max_retries: 60,
-        }
-    }
-}
-
-/// Sends `bytes` over `link` with reliable-mode semantics: on failure the
-/// data stays spooled and the send retries every `policy.interval`, up to
-/// `policy.max_retries`, then aborts.
-pub fn reliable_deliver(
-    sim: &mut Sim,
-    link: Link,
-    dir: Dir,
-    bytes: u64,
-    policy: RetryPolicy,
-    on_done: impl FnOnce(&mut Sim, ReliableOutcome) + 'static,
-) {
-    fn attempt(
-        sim: &mut Sim,
-        link: Link,
-        dir: Dir,
-        bytes: u64,
-        policy: RetryPolicy,
-        tries: u32,
-        on_done: impl FnOnce(&mut Sim, ReliableOutcome) + 'static,
-    ) {
-        let link2 = link.clone();
-        link.send(sim, dir, bytes, move |sim, r| match r {
-            Ok(()) => on_done(sim, ReliableOutcome::Delivered { retries: tries }),
-            Err(NetError::LinkDown | NetError::BrokenMidTransfer) => {
-                if tries >= policy.max_retries {
-                    on_done(sim, ReliableOutcome::Aborted);
-                } else {
-                    sim.schedule_in(policy.interval, move |sim| {
-                        attempt(sim, link2, dir, bytes, policy, tries + 1, on_done);
-                    });
-                }
-            }
-            Err(_) => on_done(sim, ReliableOutcome::Aborted),
-        });
-    }
-    attempt(sim, link, dir, bytes, policy, 0, on_done);
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cg_net::FaultSchedule;
-    use cg_sim::SimTime;
-    use std::cell::RefCell;
-    use std::rc::Rc;
 
     fn mean_rtt(costs: &MethodCosts, profile: &LinkProfile, bytes: u64) -> f64 {
         let mut rng = SimRng::new(1234);
@@ -291,80 +216,5 @@ mod tests {
             sd(&MethodCosts::fast()) > sd(&MethodCosts::reliable()),
             "paper: fast mode exhibits higher variance"
         );
-    }
-
-    #[test]
-    fn reliable_deliver_succeeds_first_try_on_clean_link() {
-        let mut sim = Sim::new(1);
-        let link = Link::new(LinkProfile::campus());
-        let got = Rc::new(RefCell::new(None));
-        let g = Rc::clone(&got);
-        reliable_deliver(
-            &mut sim,
-            link,
-            Dir::AToB,
-            1024,
-            RetryPolicy::default(),
-            move |_, out| *g.borrow_mut() = Some(out),
-        );
-        sim.run();
-        assert_eq!(
-            *got.borrow(),
-            Some(ReliableOutcome::Delivered { retries: 0 })
-        );
-    }
-
-    #[test]
-    fn reliable_deliver_retries_across_an_outage() {
-        let mut sim = Sim::new(1);
-        // Down from t=0 to t=12; retry interval 5 s → attempts at ~0, 5, 10
-        // fail (plus detection delays), success soon after 12.
-        let faults = FaultSchedule::from_windows(vec![(SimTime::ZERO, SimTime::from_secs(12))]);
-        let link = Link::with_faults(LinkProfile::campus(), faults);
-        let got = Rc::new(RefCell::new(None));
-        let g = Rc::clone(&got);
-        reliable_deliver(
-            &mut sim,
-            link,
-            Dir::AToB,
-            1024,
-            RetryPolicy {
-                interval: SimDuration::from_secs(5),
-                max_retries: 10,
-            },
-            move |sim, out| *g.borrow_mut() = Some((out, sim.now().as_secs_f64())),
-        );
-        sim.run();
-        let (out, at) = got.borrow().unwrap();
-        match out {
-            ReliableOutcome::Delivered { retries } => {
-                assert!(retries >= 2, "needed multiple retries, got {retries}");
-                assert!(at >= 12.0, "delivered only after the outage, at {at}");
-            }
-            ReliableOutcome::Aborted => panic!("expected delivery, got Aborted"),
-        }
-    }
-
-    #[test]
-    fn reliable_deliver_gives_up_after_max_retries() {
-        let mut sim = Sim::new(1);
-        let faults =
-            FaultSchedule::from_windows(vec![(SimTime::ZERO, SimTime::from_secs(100_000))]);
-        let link = Link::with_faults(LinkProfile::campus(), faults);
-        let got = Rc::new(RefCell::new(None));
-        let g = Rc::clone(&got);
-        reliable_deliver(
-            &mut sim,
-            link,
-            Dir::AToB,
-            1024,
-            RetryPolicy {
-                interval: SimDuration::from_secs(1),
-                max_retries: 3,
-            },
-            move |_, out| *g.borrow_mut() = Some(out),
-        );
-        sim.run();
-        assert_eq!(*got.borrow(), Some(ReliableOutcome::Aborted));
     }
 }

@@ -231,21 +231,18 @@ pub fn recover_watermarks(dir: impl AsRef<Path>) -> io::Result<Vec<(String, u64)
 mod tests {
     use super::*;
 
-    fn tmp(name: &str) -> PathBuf {
-        let mut p = std::env::temp_dir();
-        p.push(format!("cg-spool-test-{}-{name}", std::process::id()));
-        cleanup(&p);
-        p
-    }
+    use crate::temp_dir::TempDir;
 
-    fn cleanup(p: &Path) {
-        let _ = std::fs::remove_file(p);
-        let _ = std::fs::remove_file(ack_path(p));
+    /// A spool path in a fresh directory that the returned guard removes.
+    fn tmp(name: &str) -> (TempDir, PathBuf) {
+        let dir = TempDir::new("cg-spool-test", name);
+        let path = dir.path().join("s.spool");
+        (dir, path)
     }
 
     #[test]
     fn append_and_replay_all() {
-        let path = tmp("basic");
+        let (_dir, path) = tmp("basic");
         let mut s = Spool::open(&path).unwrap();
         s.append(1, b"first").unwrap();
         s.append(2, b"second").unwrap();
@@ -261,12 +258,11 @@ mod tests {
         );
         assert_eq!(s.highest_seq(), 5);
         assert_eq!(s.appended_bytes(), 22);
-        cleanup(&path);
     }
 
     #[test]
     fn replay_after_midpoint() {
-        let path = tmp("mid");
+        let (_dir, path) = tmp("mid");
         let mut s = Spool::open(&path).unwrap();
         for seq in 1..=10u64 {
             s.append(seq, format!("payload-{seq}").as_bytes()).unwrap();
@@ -282,12 +278,11 @@ mod tests {
             s.replay_after(10).unwrap(),
             vec![(11, b"after-replay".to_vec())]
         );
-        cleanup(&path);
     }
 
     #[test]
     fn full_ack_compacts_the_file() {
-        let path = tmp("compact");
+        let (_dir, path) = tmp("compact");
         let mut s = Spool::open(&path).unwrap();
         for seq in 1..=3u64 {
             s.append(seq, &[0u8; 1000]).unwrap();
@@ -302,12 +297,11 @@ mod tests {
         s.append(4, b"next").unwrap();
         assert_eq!(s.replay_after(0).unwrap(), vec![(4, b"next".to_vec())]);
         assert_eq!(s.highest_seq(), 4);
-        cleanup(&path);
     }
 
     #[test]
     fn reopen_rebuilds_index() {
-        let path = tmp("reopen");
+        let (_dir, path) = tmp("reopen");
         {
             let mut s = Spool::open(&path).unwrap();
             s.append(1, b"survives").unwrap();
@@ -319,12 +313,11 @@ mod tests {
             s.replay_after(0).unwrap(),
             vec![(1, b"survives".to_vec()), (2, b"reopen".to_vec())]
         );
-        cleanup(&path);
     }
 
     #[test]
     fn partial_trailing_record_is_discarded() {
-        let path = tmp("partial");
+        let (_dir, path) = tmp("partial");
         {
             let mut s = Spool::open(&path).unwrap();
             s.append(1, b"complete").unwrap();
@@ -337,13 +330,12 @@ mod tests {
         let mut s = Spool::open(&path).unwrap();
         assert_eq!(s.replay_after(0).unwrap(), vec![(1, b"complete".to_vec())]);
         assert_eq!(s.record_count(), 1);
-        cleanup(&path);
     }
 
     #[test]
     #[should_panic(expected = "sequence must increase")]
     fn non_increasing_seq_panics() {
-        let path = tmp("monotonic");
+        let (_dir, path) = tmp("monotonic");
         let mut s = Spool::open(&path).unwrap();
         s.append(5, b"x").unwrap();
         let _ = s.append(5, b"y");
@@ -351,7 +343,7 @@ mod tests {
 
     #[test]
     fn empty_payloads_round_trip() {
-        let path = tmp("empty");
+        let (_dir, path) = tmp("empty");
         let mut s = Spool::open(&path).unwrap();
         s.append(1, b"").unwrap();
         s.append(2, b"x").unwrap();
@@ -359,22 +351,20 @@ mod tests {
             s.replay_after(0).unwrap(),
             vec![(1, Vec::new()), (2, b"x".to_vec())]
         );
-        cleanup(&path);
     }
 
     #[test]
     fn ack_beyond_highest_is_remembered() {
-        let path = tmp("ackhigh");
+        let (_dir, path) = tmp("ackhigh");
         let mut s = Spool::open(&path).unwrap();
         s.ack(100).unwrap();
         assert_eq!(s.acked(), 100);
         assert_eq!(s.highest_seq(), 100, "empty spool reports ack watermark");
-        cleanup(&path);
     }
 
     #[test]
     fn ack_watermark_survives_reopen() {
-        let path = tmp("ack-reopen");
+        let (_dir, path) = tmp("ack-reopen");
         {
             let mut s = Spool::open(&path).unwrap();
             for seq in 1..=3u64 {
@@ -389,13 +379,12 @@ mod tests {
         // Appending continues where the compacted history left off.
         s.append(4, b"next").unwrap();
         assert_eq!(s.replay_after(3).unwrap(), vec![(4, b"next".to_vec())]);
-        cleanup(&path);
     }
 
     #[test]
     #[should_panic(expected = "sequence must increase")]
     fn reopened_spool_rejects_acked_sequences() {
-        let path = tmp("ack-reopen-dup");
+        let (_dir, path) = tmp("ack-reopen-dup");
         {
             let mut s = Spool::open(&path).unwrap();
             s.append(1, b"x").unwrap();
@@ -404,15 +393,13 @@ mod tests {
         let mut s = Spool::open(&path).unwrap();
         // Without the persisted watermark this would silently duplicate
         // sequence 1 and make replay ambiguous.
-        let result = s.append(1, b"duplicate");
-        cleanup(&path);
-        result.unwrap();
+        s.append(1, b"duplicate").unwrap();
     }
 
     #[test]
     #[should_panic(expected = "sequence must increase")]
     fn compaction_does_not_reset_monotonicity() {
-        let path = tmp("compact-monotonic");
+        let (_dir, path) = tmp("compact-monotonic");
         let mut s = Spool::open(&path).unwrap();
         s.append(5, b"x").unwrap();
         s.ack(5).unwrap(); // compacts; 5 stays burned
@@ -421,7 +408,7 @@ mod tests {
 
     #[test]
     fn highest_seq_consistent_after_partial_compaction_states() {
-        let path = tmp("hs-consistency");
+        let (_dir, path) = tmp("hs-consistency");
         let mut s = Spool::open(&path).unwrap();
         s.append(2, b"a").unwrap();
         s.ack(1).unwrap();
@@ -431,12 +418,11 @@ mod tests {
         s.append(7, b"b").unwrap();
         s.ack(9).unwrap(); // peer acks ahead; watermark dominates
         assert_eq!(s.highest_seq(), 9);
-        cleanup(&path);
     }
 
     #[test]
     fn trace_records_append_ack_replay() {
-        let path = tmp("trace");
+        let (_dir, path) = tmp("trace");
         let log = cg_trace::EventLog::new(64);
         let mut s = Spool::open(&path).unwrap();
         s.set_trace(log.clone(), "stdout-r0");
@@ -451,6 +437,5 @@ mod tests {
         );
         // A well-behaved spool stream satisfies the ack≤append invariant.
         assert!(cg_trace::check_invariants(&log.snapshot()).is_empty());
-        cleanup(&path);
     }
 }

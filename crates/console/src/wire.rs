@@ -1,8 +1,11 @@
 //! Blocking-socket helpers shared by the real agent and shadow.
 
 use std::io::{self, Read, Write};
-use std::net::TcpStream;
+use std::net::{Shutdown, TcpStream};
+use std::thread::JoinHandle;
 use std::time::Duration;
+
+use crossbeam::channel::{unbounded, Sender};
 
 use crate::frame::{Decoder, Frame, FrameError};
 
@@ -13,6 +16,22 @@ pub const READ_POLL: Duration = Duration::from_millis(100);
 /// Writes one frame to the socket.
 pub fn write_frame(sock: &mut TcpStream, frame: &Frame) -> io::Result<()> {
     sock.write_all(&frame.encode())
+}
+
+/// Starts one connection's writer: a thread that writes the frames queued
+/// on the returned sender in order and half-closes the socket once the queue
+/// closes (every sender dropped). A failed write ends it early.
+pub(crate) fn spawn_writer(mut sock: TcpStream) -> (Sender<Frame>, JoinHandle<()>) {
+    let (tx, queue) = unbounded::<Frame>();
+    let writer = std::thread::spawn(move || {
+        for frame in queue {
+            if write_frame(&mut sock, &frame).is_err() {
+                return;
+            }
+        }
+        let _ = sock.shutdown(Shutdown::Write);
+    });
+    (tx, writer)
 }
 
 /// A frame reader over a blocking socket with poll-style timeouts.

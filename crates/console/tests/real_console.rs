@@ -16,13 +16,9 @@ use cg_console::{
     StreamKind,
 };
 
-fn tmp_dir(name: &str) -> std::path::PathBuf {
-    let mut p = std::env::temp_dir();
-    p.push(format!("cg-console-it-{}-{name}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&p);
-    std::fs::create_dir_all(&p).unwrap();
-    p
-}
+#[path = "support/temp_dir.rs"]
+mod temp_dir;
+use temp_dir::TempDir;
 
 /// Collects shadow events until `pred` says stop or the deadline passes.
 fn drain_until(
@@ -372,10 +368,10 @@ impl Drop for ChaosProxy {
 #[ignore = "real sockets and wall-clock deadlines"]
 fn reliable_mode_survives_connection_loss_byte_exactly() {
     let secret = Secret::random();
-    let spool = tmp_dir("reliable");
+    let spool = TempDir::new("cg-console-it", "reliable");
     let mut config = ShadowConfig::local(secret.clone());
     config.mode = Mode::Reliable {
-        spool_dir: spool.clone(),
+        spool_dir: spool.path().to_path_buf(),
     };
     // Tiny timeout so output flushes promptly.
     config.flush = FlushPolicy {
@@ -387,7 +383,7 @@ fn reliable_mode_survives_connection_loss_byte_exactly() {
     let proxy = ChaosProxy::start(shadow.addr());
     let agent_addr = proxy.addr;
 
-    let spool2 = spool.clone();
+    let spool2 = spool.path().to_path_buf();
     let agent = std::thread::spawn(move || {
         let mut cfg = AgentConfig::reliable("survivor", agent_addr, secret, spool2);
         cfg.retry_interval = Duration::from_millis(200);
@@ -438,16 +434,16 @@ fn reliable_mode_survives_connection_loss_byte_exactly() {
 #[ignore = "real sockets and wall-clock deadlines"]
 fn reliable_stdin_typed_during_outage_is_replayed() {
     let secret = Secret::random();
-    let spool = tmp_dir("stdin-replay");
+    let spool = TempDir::new("cg-console-it", "stdin-replay");
     let mut config = ShadowConfig::local(secret.clone());
     config.mode = Mode::Reliable {
-        spool_dir: spool.clone(),
+        spool_dir: spool.path().to_path_buf(),
     };
     let shadow = ConsoleShadow::start(config).unwrap();
     let proxy = ChaosProxy::start(shadow.addr());
     let agent_addr = proxy.addr;
 
-    let spool2 = spool.clone();
+    let spool2 = spool.path().to_path_buf();
     let agent = std::thread::spawn(move || {
         let mut cfg = AgentConfig::reliable("stdin-replay", agent_addr, secret, spool2);
         cfg.retry_interval = Duration::from_millis(200);
@@ -460,9 +456,18 @@ fn reliable_stdin_typed_during_outage_is_replayed() {
             .any(|e| matches!(e, ShadowEvent::AgentConnected { .. }))
     });
     shadow.send_stdin_line("before outage").unwrap();
+    // Cut the link only once the echo is back: the agent then has nothing
+    // in flight and must notice the dead connection without a failed write.
+    let mut all = drain_until(&shadow, Duration::from_secs(10), |evs| {
+        stdout_of(evs, 0) == b"before outage\n"
+    });
 
     proxy.go_down();
-    // Typed while the link is dead: must be spooled and replayed.
+    // Typed once the shadow saw the link die: must be spooled and replayed.
+    all.extend(drain_until(&shadow, Duration::from_secs(10), |evs| {
+        evs.iter()
+            .any(|e| matches!(e, ShadowEvent::AgentDisconnected { .. }))
+    }));
     shadow.send_stdin_line("during outage").unwrap();
     std::thread::sleep(Duration::from_millis(800));
     proxy.go_up();
@@ -487,7 +492,7 @@ fn reliable_stdin_typed_during_outage_is_replayed() {
     let report = agent.join().unwrap();
     assert!(report.delivered_all);
 
-    let mut all = events;
+    all.extend(events);
     all.extend(drain_until(&shadow, Duration::from_millis(600), |_| false));
     assert_eq!(
         String::from_utf8_lossy(&stdout_of(&all, 0)),
@@ -535,10 +540,10 @@ fn shadow_shutdown_is_clean() {
 #[ignore = "real sockets and wall-clock deadlines"]
 fn reliable_mode_is_byte_exact_for_megabytes_across_two_outages() {
     let secret = Secret::random();
-    let spool = tmp_dir("stress");
+    let spool = TempDir::new("cg-console-it", "stress");
     let mut config = ShadowConfig::local(secret.clone());
     config.mode = Mode::Reliable {
-        spool_dir: spool.clone(),
+        spool_dir: spool.path().to_path_buf(),
     };
     config.flush = FlushPolicy {
         capacity: 32 * 1024,
@@ -550,7 +555,7 @@ fn reliable_mode_is_byte_exact_for_megabytes_across_two_outages() {
     let agent_addr = proxy.addr;
 
     const LINES: usize = 20_000; // ~1.5 MB of structured output
-    let spool2 = spool.clone();
+    let spool2 = spool.path().to_path_buf();
     let agent = std::thread::spawn(move || {
         let mut cfg = AgentConfig::reliable("stress", agent_addr, secret, spool2);
         cfg.retry_interval = Duration::from_millis(150);

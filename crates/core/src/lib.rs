@@ -11,8 +11,9 @@
 //!   direct shared-VM dispatch, and Grid Console startup;
 //! - [`FairShare`] — Equation (1): `P(u,t) = β·P(u,t−δt) + (1−β)·a_f·r(u,t)`
 //!   with the per-job-type application factors and scarcity rejection;
-//! - [`filter_candidates`]/[`select`]/[`coallocate`] — matchmaking over
-//!   ClassAd-lite machine advertisements;
+//! - [`filter_candidates`]/[`select_detailed_with`]/[`coallocate_with`] —
+//!   matchmaking over ClassAd-lite machine advertisements, ranked by a
+//!   [`SelectionPolicy`];
 //! - [`JobRecord`] — the timestamped lifecycle every experiment measures
 //!   (discovery / selection / submission / response phases of Table I).
 
@@ -44,8 +45,7 @@ pub use config::{BrokerConfig, ConsoleCosts};
 pub use fairshare::{FairShare, FairShareConfig, UsageId, UsageKind};
 pub use job::{JobId, JobRecord, JobState};
 pub use matchmaking::{
-    coallocate, filter_candidates, filter_candidates_columnar, filter_one, select, select_detailed,
-    Candidate, CompiledJob, Selection,
+    filter_candidates, filter_candidates_columnar, filter_one, Candidate, CompiledJob, Selection,
 };
 pub use policy::{
     coallocate_with, select_detailed_with, FreeCpusRank, LeaseBackoff, NetworkProximity,

@@ -4,7 +4,6 @@
 use std::borrow::Cow;
 
 use cg_jdl::{Ad, CompiledExpr, Ctx, Expr, JobDescription, SiteSet};
-use cg_sim::SimRng;
 use cg_site::AdSnapshot;
 
 /// One candidate after filtering, with its rank. Selection builds one per
@@ -233,56 +232,21 @@ pub struct Selection {
     pub nan_discarded: Vec<Candidate>,
 }
 
-/// Picks the winner: best rank, with **randomized selection** among
-/// rank-ties — "used to generate different answers when there are multiple
-/// resource choices" (§3), which also prevents broker herds.
-///
-/// Ties are detected with exact [`f64::total_cmp`] equality: two sites tie
-/// only when their ranks are the same float, never "close enough" under an
-/// absolute epsilon (which tied 1e9 with 1e9+1e-13 but not 1e-13 with 0).
-/// NaN ranks are excluded up front and reported in
-/// [`Selection::nan_discarded`]; an all-NaN candidate set selects nothing.
-pub fn select_detailed(candidates: &[Candidate], rng: &mut SimRng) -> Selection {
-    crate::policy::select_detailed_with(
-        &crate::policy::FreeCpusRank,
-        &crate::policy::PolicySignals::new(),
-        candidates,
-        rng,
-    )
-}
-
-/// [`select_detailed`] with the diagnostics dropped — the winner only.
-pub fn select(candidates: &[Candidate], rng: &mut SimRng) -> Option<Candidate> {
-    select_detailed(candidates, rng).winner
-}
-
-/// Greedy MPICH-G2 co-allocation: spread `nodes` across candidate sites,
-/// biggest free pool first. Returns `(site_index, nodes_there)` or `None`
-/// when the grid cannot host the job.
-///
-/// The planner's contract with dispatch: a plan claims **immediately
-/// leasable** capacity only. Candidates at zero free CPUs (admitted into
-/// the candidate list by the batch filter when the site `AcceptsQueued`)
-/// are excluded here — queued capacity cannot host a co-allocated subjob
-/// now, and a plan built on it would "succeed" only to stall at the
-/// gatekeeper. The dispatch side enforces the same contract by failing the
-/// job if a planned subjob queues anyway (a plan/dispatch race).
-///
-/// The plan is deterministic under ties: sites are ordered by free pool
-/// (descending), then rank (descending, [`f64::total_cmp`] so NaN orders
-/// last instead of poisoning the sort), then site index (ascending).
-pub fn coallocate(candidates: &[Candidate], nodes: u32) -> Option<Vec<(usize, u32)>> {
-    crate::policy::coallocate_with(
-        &crate::policy::FreeCpusRank,
-        &crate::policy::PolicySignals::new(),
-        candidates,
-        nodes,
-    )
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::policy::{coallocate_with, select_detailed_with, FreeCpusRank, PolicySignals};
+    use cg_sim::SimRng;
+
+    /// Selection under the default policy (the score is the rank).
+    fn select_by_rank(candidates: &[Candidate], rng: &mut SimRng) -> Selection {
+        select_detailed_with(&FreeCpusRank, &PolicySignals::new(), candidates, rng)
+    }
+
+    /// Co-allocation under the default policy.
+    fn coallocate_by_rank(candidates: &[Candidate], nodes: u32) -> Option<Vec<(usize, u32)>> {
+        coallocate_with(&FreeCpusRank, &PolicySignals::new(), candidates, nodes)
+    }
 
     fn site_ad(name: &str, free: i64, arch: &str) -> Ad {
         let mut ad = Ad::new();
@@ -320,7 +284,7 @@ mod tests {
         let ads = vec![(0, site_ad("a", 2, "i686")), (1, site_ad("b", 9, "i686"))];
         let c = filter_candidates(&j, &ads, true);
         let mut rng = SimRng::new(1);
-        assert_eq!(select(&c, &mut rng).unwrap().site_index, 1);
+        assert_eq!(select_by_rank(&c, &mut rng).winner.unwrap().site_index, 1);
     }
 
     #[test]
@@ -331,7 +295,7 @@ mod tests {
         let ads = vec![(0, site_ad("a", 2, "i686")), (1, site_ad("b", 9, "i686"))];
         let c = filter_candidates(&j, &ads, true);
         let mut rng = SimRng::new(1);
-        assert_eq!(select(&c, &mut rng).unwrap().site_index, 0);
+        assert_eq!(select_by_rank(&c, &mut rng).winner.unwrap().site_index, 0);
     }
 
     #[test]
@@ -344,7 +308,7 @@ mod tests {
         let mut rng = SimRng::new(42);
         let mut seen = std::collections::BTreeSet::new();
         for _ in 0..100 {
-            seen.insert(select(&c, &mut rng).unwrap().site_index);
+            seen.insert(select_by_rank(&c, &mut rng).winner.unwrap().site_index);
         }
         assert_eq!(seen.len(), 4, "all tied sites get picked over time");
     }
@@ -352,7 +316,7 @@ mod tests {
     #[test]
     fn empty_candidates_select_none() {
         let mut rng = SimRng::new(1);
-        assert!(select(&[], &mut rng).is_none());
+        assert!(select_by_rank(&[], &mut rng).winner.is_none());
     }
 
     #[test]
@@ -471,7 +435,7 @@ mod tests {
     fn nan_ranks_are_discarded_not_silently_skipped() {
         let mut rng = SimRng::new(7);
         let c = vec![cand(0, f64::NAN, 4), cand(1, 2.0, 4), cand(2, f64::NAN, 4)];
-        let sel = select_detailed(&c, &mut rng);
+        let sel = select_by_rank(&c, &mut rng);
         assert_eq!(sel.winner.as_ref().unwrap().site_index, 1);
         let discarded: Vec<usize> = sel.nan_discarded.iter().map(|c| c.site_index).collect();
         assert_eq!(discarded, vec![0, 2], "every NaN candidate is reported");
@@ -481,10 +445,10 @@ mod tests {
     fn all_nan_candidate_set_selects_nothing() {
         let mut rng = SimRng::new(7);
         let c = vec![cand(0, f64::NAN, 4), cand(1, f64::NAN, 4)];
-        let sel = select_detailed(&c, &mut rng);
+        let sel = select_by_rank(&c, &mut rng);
         assert!(sel.winner.is_none());
         assert_eq!(sel.nan_discarded.len(), 2);
-        assert!(select(&c, &mut rng).is_none());
+        assert!(select_by_rank(&c, &mut rng).winner.is_none());
     }
 
     #[test]
@@ -495,14 +459,14 @@ mod tests {
         let close = vec![cand(0, 1.0, 4), cand(1, 1.0 + 5e-13, 4)];
         let mut rng = SimRng::new(3);
         for _ in 0..50 {
-            let w = select(&close, &mut rng).unwrap();
+            let w = select_by_rank(&close, &mut rng).winner.unwrap();
             assert_eq!(w.site_index, 1, "the strictly larger rank always wins");
         }
         // Bit-identical ranks still tie and spread.
         let tied = vec![cand(0, 1.0, 4), cand(1, 1.0, 4)];
         let mut seen = std::collections::BTreeSet::new();
         for _ in 0..100 {
-            seen.insert(select(&tied, &mut rng).unwrap().site_index);
+            seen.insert(select_by_rank(&tied, &mut rng).winner.unwrap().site_index);
         }
         assert_eq!(seen.len(), 2);
     }
@@ -513,7 +477,7 @@ mod tests {
         // all there is; NaN is not a rank at all.
         let mut rng = SimRng::new(1);
         let c = vec![cand(0, f64::NEG_INFINITY, 4)];
-        assert_eq!(select(&c, &mut rng).unwrap().site_index, 0);
+        assert_eq!(select_by_rank(&c, &mut rng).winner.unwrap().site_index, 0);
     }
 
     #[test]
@@ -525,7 +489,7 @@ mod tests {
             (2, site_ad("c", 2, "i686")),
         ];
         let c = filter_candidates(&j, &ads, false);
-        let plan = coallocate(&c, j.node_number).unwrap();
+        let plan = coallocate_by_rank(&c, j.node_number).unwrap();
         let total: u32 = plan.iter().map(|&(_, n)| n).sum();
         assert_eq!(total, 10);
         assert_eq!(plan[0], (0, 6), "biggest pool first");
@@ -538,7 +502,7 @@ mod tests {
         let ads = vec![(0, site_ad("a", 3, "i686"))];
         let j = job(r#"Executable = "a"; JobType = {"interactive","mpich-g2"}; NodeNumber = 10;"#);
         let c = filter_candidates(&j, &ads, false);
-        assert!(coallocate(&c, 10).is_none());
+        assert!(coallocate_by_rank(&c, 10).is_none());
     }
 
     #[test]
@@ -556,12 +520,12 @@ mod tests {
         let c = filter_candidates(&j, &ads, false);
         assert_eq!(c.len(), 2, "the batch filter admits the queueing site");
         assert!(
-            coallocate(&c, 5).is_none(),
+            coallocate_by_rank(&c, 5).is_none(),
             "planner refuses plans that need queued capacity"
         );
         // A 4-node job fits entirely on leasable capacity and never touches
         // the queued site.
-        let plan = coallocate(&c, 4).unwrap();
+        let plan = coallocate_by_rank(&c, 4).unwrap();
         assert_eq!(plan, vec![(0, 4)]);
     }
 
@@ -570,14 +534,17 @@ mod tests {
         // Equal rank, equal pool: ordering falls through to site_index, so
         // repeated planning gives byte-identical plans.
         let c = vec![cand(2, 1.0, 4), cand(0, 1.0, 4), cand(1, 1.0, 4)];
-        let first = coallocate(&c, 10).unwrap();
+        let first = coallocate_by_rank(&c, 10).unwrap();
         assert_eq!(first, vec![(0, 4), (1, 4), (2, 2)]);
         for _ in 0..10 {
-            assert_eq!(coallocate(&c, 10).unwrap(), first);
+            assert_eq!(coallocate_by_rank(&c, 10).unwrap(), first);
         }
         // A NaN rank orders after real ranks (total_cmp) instead of making
         // the comparator panic or the order run-dependent.
         let with_nan = vec![cand(0, f64::NAN, 4), cand(1, 0.0, 4)];
-        assert_eq!(coallocate(&with_nan, 6).unwrap(), vec![(1, 4), (0, 2)]);
+        assert_eq!(
+            coallocate_by_rank(&with_nan, 6).unwrap(),
+            vec![(1, 4), (0, 2)]
+        );
     }
 }

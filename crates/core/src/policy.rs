@@ -4,8 +4,8 @@
 //! (free CPUs, §3 Table I). This module generalizes the selection step into
 //! a [`SelectionPolicy`] trait so alternative strategies — queue-length
 //! forecasting, network proximity, lease-failure backoff — plug into the
-//! same two dispatch points (`select`, `coallocate`) without touching
-//! them.
+//! same two dispatch points ([`select_detailed_with`], [`coallocate_with`])
+//! without touching them.
 //!
 //! # Determinism contract
 //!
@@ -307,13 +307,18 @@ impl PolicyKind {
     }
 }
 
-/// [`crate::matchmaking::select_detailed`] generalized over a policy:
-/// scores every candidate, discards NaN scores into
-/// [`Selection::nan_discarded`], finds the best score and picks uniformly
-/// among the exactly-tied ([`f64::total_cmp`]) candidates with the
-/// caller's RNG. Under [`FreeCpusRank`] the score *is* the rank, so this
-/// is bit-identical — same comparisons, same single RNG draw — to the
+/// Picks the winner: best score, with **randomized selection** among
+/// score-ties — "used to generate different answers when there are
+/// multiple resource choices" (§3), which also prevents broker herds.
+/// Under [`FreeCpusRank`] the score *is* the rank, so this is
+/// bit-identical — same comparisons, same single RNG draw — to the
 /// pre-policy implementation.
+///
+/// Ties are detected with exact [`f64::total_cmp`] equality: two sites tie
+/// only when their scores are the same float, never "close enough" under
+/// an absolute epsilon (which tied 1e9 with 1e9+1e-13 but not 1e-13 with
+/// 0). NaN scores are excluded up front and reported in
+/// [`Selection::nan_discarded`]; an all-NaN candidate set selects nothing.
 ///
 /// Allocates only for a NaN report: policies are pure, so instead of
 /// keeping the scores the passes score again — one to find the best score
@@ -354,11 +359,22 @@ pub fn select_detailed_with(
     }
 }
 
-/// [`crate::matchmaking::coallocate`] generalized over a policy: candidates
-/// with free capacity are ordered free-pool-descending, then
-/// score-descending with NaN demoted below every real score, then
-/// site-index-ascending, and the plan greedily takes from the front. Under
-/// [`FreeCpusRank`] this is the pre-policy plan exactly.
+/// Greedy MPICH-G2 co-allocation: spread `nodes` across candidate sites,
+/// biggest free pool first. Returns `(site_index, nodes_there)` or `None`
+/// when the grid cannot host the job.
+///
+/// The planner's contract with dispatch: a plan claims **immediately
+/// leasable** capacity only. Candidates at zero free CPUs (admitted into
+/// the candidate list by the batch filter when the site `AcceptsQueued`)
+/// are excluded here — queued capacity cannot host a co-allocated subjob
+/// now, and a plan built on it would "succeed" only to stall at the
+/// gatekeeper. The dispatch side enforces the same contract by failing the
+/// job if a planned subjob queues anyway (a plan/dispatch race).
+///
+/// The plan is deterministic under ties: sites are ordered by free pool
+/// (descending), then score (descending, NaN demoted below every real
+/// score instead of poisoning the sort), then site index (ascending).
+/// Under [`FreeCpusRank`] this is the pre-policy plan exactly.
 pub fn coallocate_with(
     policy: &dyn SelectionPolicy,
     signals: &PolicySignals,
@@ -686,22 +702,6 @@ mod tests {
         assert_eq!(sel.winner.as_ref().unwrap().site_index, 1);
         let discarded: Vec<usize> = sel.nan_discarded.iter().map(|c| c.site_index).collect();
         assert_eq!(discarded, vec![0, 2], "NaN report preserves input order");
-    }
-
-    #[test]
-    fn coallocate_with_default_policy_matches_plain_coallocate() {
-        let c = vec![
-            cand(2, 1.0, 4),
-            cand(0, 1.0, 4),
-            cand(1, f64::NAN, 6),
-            cand(3, 7.0, 0),
-        ];
-        for nodes in [1, 4, 8, 14, 15] {
-            assert_eq!(
-                coallocate_with(&FreeCpusRank, &PolicySignals::new(), &c, nodes),
-                crate::matchmaking::coallocate(&c, nodes),
-            );
-        }
     }
 
     // --- QueueForecaster against hand-computed histories ---

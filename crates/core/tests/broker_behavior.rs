@@ -6,7 +6,7 @@ use cg_jdl::JobDescription;
 use cg_net::{Link, LinkProfile};
 use cg_sim::{Sim, SimDuration, SimTime};
 use cg_site::{LocalJobSpec, Policy, Site, SiteConfig};
-use crossbroker::{BrokerConfig, CrossBroker, JobState, SiteHandle};
+use crossbroker::{BrokerConfig, ConsoleCosts, CrossBroker, JobRecord, JobState, SiteHandle};
 
 /// Builds a broker over `n_sites` campus sites with `nodes` WNs each.
 fn grid(sim: &mut Sim, n_sites: usize, nodes: usize) -> (CrossBroker, Vec<Site>) {
@@ -587,59 +587,90 @@ fn cancel_unknown_job_is_refused() {
     assert!(!broker.cancel(&mut sim, crossbroker::JobId(999)));
 }
 
+/// Runs one exclusive interactive job in streaming `mode` behind a UI-link
+/// outage from t=10 to `outage_end` (the exclusive pipeline reaches console
+/// startup around t=17). Returns its record and the console retry attempts
+/// the stream holds for it.
+fn console_behind_ui_outage(
+    mode: &str,
+    outage_end: SimTime,
+    console: ConsoleCosts,
+) -> (JobRecord, Vec<u32>) {
+    let mut sim = Sim::new(20);
+    let site = Site::new(SiteConfig {
+        name: "s".into(),
+        nodes: 2,
+        policy: Policy::Fifo,
+        ..SiteConfig::default()
+    });
+    let faults = cg_net::FaultSchedule::from_windows(vec![(SimTime::from_secs(10), outage_end)]);
+    let handles = vec![SiteHandle {
+        site: site.clone(),
+        broker_link: Link::new(LinkProfile::campus()),
+        ui_link: cg_net::Link::with_faults(LinkProfile::campus(), faults),
+    }];
+    let config = BrokerConfig {
+        console,
+        ..BrokerConfig::default()
+    };
+    let broker = CrossBroker::new(&mut sim, handles, Link::new(LinkProfile::wan_mds()), config);
+    let src = format!(
+        r#"Executable = "i"; JobType = "interactive"; MachineAccess = "exclusive";
+           StreamingMode = "{mode}"; User = "u";"#
+    );
+    let id = broker.submit(&mut sim, job(&src), SimDuration::from_secs(120));
+    sim.run_until(SimTime::from_secs(2_000));
+    let retries = broker
+        .event_log()
+        .snapshot()
+        .iter()
+        .filter_map(|e| match e.event {
+            cg_trace::Event::ConsoleRetry { job, attempt } if job == id.0 => Some(attempt),
+            _ => None,
+        })
+        .collect();
+    (broker.record(id), retries)
+}
+
 #[test]
 fn reliable_console_survives_transient_ui_outage_fast_does_not() {
-    // The UI link drops just as the console would come up (t ≈ dispatch +
-    // pipeline); reliable mode retries until it heals, fast mode fails.
-    let run = |mode: &str| {
-        let mut sim = Sim::new(20);
-        let site = Site::new(SiteConfig {
-            name: "s".into(),
-            nodes: 2,
-            policy: Policy::Fifo,
-            ..SiteConfig::default()
-        });
-        // Outage on the UI path from t=10 to t=60 — the exclusive pipeline
-        // reaches console startup around t=17.
-        let faults = cg_net::FaultSchedule::from_windows(vec![(
-            SimTime::from_secs(10),
-            SimTime::from_secs(60),
-        )]);
-        let handles = vec![SiteHandle {
-            site: site.clone(),
-            broker_link: Link::new(LinkProfile::campus()),
-            ui_link: cg_net::Link::with_faults(LinkProfile::campus(), faults),
-        }];
-        let broker = CrossBroker::new(
-            &mut sim,
-            handles,
-            Link::new(LinkProfile::wan_mds()),
-            BrokerConfig::default(),
-        );
-        let src = format!(
-            r#"Executable = "i"; JobType = "interactive"; MachineAccess = "exclusive";
-               StreamingMode = "{mode}"; User = "u";"#
-        );
-        let id = broker.submit(&mut sim, job(&src), SimDuration::from_secs(120));
-        sim.run_until(SimTime::from_secs(2_000));
-        broker.record(id)
-    };
-    let reliable = run("reliable");
+    // The UI link drops just as the console would come up; reliable mode
+    // retries until it heals, fast mode fails.
+    let outage_end = SimTime::from_secs(60);
+    let (reliable, _) = console_behind_ui_outage("reliable", outage_end, ConsoleCosts::default());
     assert!(
         matches!(reliable.state, JobState::Done),
         "reliable mode must retry through the outage: {:?}",
         reliable.state
     );
     assert!(
-        reliable.started_at.unwrap() >= SimTime::from_secs(60),
+        reliable.started_at.unwrap() >= outage_end,
         "first output only after the outage healed"
     );
-    let fast = run("fast");
+    let (fast, _) = console_behind_ui_outage("fast", outage_end, ConsoleCosts::default());
     assert!(
         matches!(fast.state, JobState::Failed { .. }),
         "fast mode loses the startup to the outage: {:?}",
         fast.state
     );
+}
+
+#[test]
+fn reliable_console_gives_up_after_max_retries() {
+    // An outage longer than retry_interval_s × max_retries: the reliable
+    // start-up retries exactly max_retries times, then fails the job.
+    let console = ConsoleCosts {
+        retry_interval_s: 2.0,
+        max_retries: 3,
+        ..ConsoleCosts::default()
+    };
+    let (reliable, retries) =
+        console_behind_ui_outage("reliable", SimTime::from_secs(1_000), console);
+    match reliable.state {
+        JobState::Failed { reason } => assert_eq!(reason, "console startup failed"),
+        other => panic!("the retry budget must run out: {other:?}"),
+    }
+    assert_eq!(retries, [1, 2, 3], "one ConsoleRetry per allowed retry");
 }
 
 /// A snapshot's spool marks are the fold of everything journalled, not of

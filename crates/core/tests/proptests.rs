@@ -3,8 +3,9 @@
 use cg_jdl::{Ad, JobDescription};
 use cg_sim::{SimDuration, SimRng, SimTime};
 use crossbroker::{
-    coallocate, filter_candidates, select, select_detailed_with, Candidate, FairShare,
-    FairShareConfig, PolicyKind, PolicySignals, Selection, SelectionPolicy, SiteSignals, UsageKind,
+    coallocate_with, filter_candidates, select_detailed_with, Candidate, FairShare,
+    FairShareConfig, FreeCpusRank, PolicyKind, PolicySignals, Selection, SelectionPolicy,
+    SiteSignals, UsageKind,
 };
 use proptest::prelude::*;
 
@@ -115,7 +116,9 @@ proptest! {
             prop_assert!(c.free_cpus >= nodes as i64);
         }
         let mut rng = SimRng::new(seed);
-        if let Some(winner) = select(&candidates, &mut rng) {
+        let selection =
+            select_detailed_with(&FreeCpusRank, &PolicySignals::new(), &candidates, &mut rng);
+        if let Some(winner) = selection.winner {
             let best = candidates.iter().map(|c| c.rank).fold(f64::NEG_INFINITY, f64::max);
             prop_assert!((winner.rank - best).abs() < 1e-12);
         } else {
@@ -147,7 +150,7 @@ proptest! {
             .collect();
         let candidates = filter_candidates(&job, &ads, false);
         let total_free: i64 = frees.iter().sum();
-        match coallocate(&candidates, nodes) {
+        match coallocate_with(&FreeCpusRank, &PolicySignals::new(), &candidates, nodes) {
             Some(plan) => {
                 prop_assert!(total_free >= nodes as i64);
                 prop_assert_eq!(plan.iter().map(|&(_, n)| n).sum::<u32>(), nodes);

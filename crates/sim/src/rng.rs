@@ -107,16 +107,6 @@ impl SimRng {
         SimDuration::from_secs_f64(self.log_normal(median_secs, sigma))
     }
 
-    /// Pareto with scale `xm` and shape `alpha` (heavy-tailed sizes).
-    pub fn pareto(&mut self, xm: f64, alpha: f64) -> f64 {
-        assert!(
-            xm > 0.0 && alpha > 0.0,
-            "pareto parameters must be positive"
-        );
-        let u = (1.0 - self.f64()).max(f64::MIN_POSITIVE);
-        xm / u.powf(1.0 / alpha)
-    }
-
     /// Picks a uniformly random element of a slice.
     ///
     /// # Panics
@@ -212,14 +202,6 @@ mod tests {
         let median = samples[samples.len() / 2];
         assert!((median - 5.0).abs() < 0.2, "log-normal median {median}");
         assert!(samples.iter().all(|&x| x > 0.0));
-    }
-
-    #[test]
-    fn pareto_respects_scale() {
-        let mut rng = SimRng::new(19);
-        for _ in 0..1_000 {
-            assert!(rng.pareto(3.0, 2.0) >= 3.0);
-        }
     }
 
     #[test]

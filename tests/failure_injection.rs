@@ -223,62 +223,6 @@ fn agent_redeploy_breaker_stops_crash_loops() {
 }
 
 #[test]
-fn reliable_streaming_model_survives_what_fast_loses() {
-    // The §4 contrast at the model level: same outage, both modes.
-    use crossgrid::console::{reliable_deliver, ReliableOutcome, RetryPolicy};
-    use crossgrid::net::Dir;
-
-    let outage = FaultSchedule::from_windows(vec![(SimTime::from_nanos(1), SimTime::from_secs(8))]);
-
-    // Fast mode: a plain send during the outage is simply lost.
-    let mut sim = Sim::new(5);
-    let link = Link::with_faults(LinkProfile::campus(), outage.clone());
-    let fast_result = std::rc::Rc::new(std::cell::RefCell::new(None));
-    {
-        let r = std::rc::Rc::clone(&fast_result);
-        sim.schedule_at(SimTime::from_secs(1), move |sim| {
-            let link2 = link.clone();
-            link2.send(sim, Dir::AToB, 1_000, move |_, res| {
-                *r.borrow_mut() = Some(res.is_err());
-            });
-        });
-    }
-    sim.run();
-    assert_eq!(
-        *fast_result.borrow(),
-        Some(true),
-        "fast mode loses the data"
-    );
-
-    // Reliable mode: spooled and retried until the link returns.
-    let mut sim = Sim::new(5);
-    let link = Link::with_faults(LinkProfile::campus(), outage);
-    let outcome = std::rc::Rc::new(std::cell::RefCell::new(None));
-    {
-        let o = std::rc::Rc::clone(&outcome);
-        sim.schedule_at(SimTime::from_secs(1), move |sim| {
-            reliable_deliver(
-                sim,
-                link.clone(),
-                Dir::AToB,
-                1_000,
-                RetryPolicy {
-                    interval: SimDuration::from_secs(2),
-                    max_retries: 30,
-                },
-                move |_, out| *o.borrow_mut() = Some(out),
-            );
-        });
-    }
-    sim.run();
-    let got = outcome.borrow().unwrap();
-    match got {
-        ReliableOutcome::Delivered { retries } => assert!(retries >= 1),
-        ReliableOutcome::Aborted => panic!("reliable mode must deliver, got Aborted"),
-    }
-}
-
-#[test]
 fn agent_death_during_dispatch_resubmits_with_backoff() {
     use crossgrid::trace::Event;
 
