@@ -14,6 +14,7 @@ use cg_sim::{Sim, SimDuration, SimTime};
 use cg_trace::Event;
 
 use super::events::Stage;
+use super::settle::Ending;
 use super::{CrossBroker, RetainedAd};
 use crate::job::{JobId, JobRecord, JobState};
 use crate::matchmaking::CompiledJob;
@@ -99,8 +100,7 @@ impl CrossBroker {
                 .fairshare
                 .should_reject_under_scarcity(&job.user)
         {
-            let reason = "rejected: user priority too low under scarcity";
-            self.fail(sim, id, reason, true);
+            self.inner.borrow_mut().end(id, Ending::Refused, now, true);
             return id;
         }
         self.route(sim, id, job, runtime, HashSet::new());
@@ -115,17 +115,7 @@ impl CrossBroker {
         let mut inner = self.inner.borrow_mut();
         if analysis.has_errors() {
             let errors = analysis.error_count() as u32;
-            inner.jobs.update(id, |r| {
-                r.state = JobState::Failed {
-                    reason: format!("rejected by JDL analysis ({errors} errors)"),
-                };
-                r.finished_at = Some(now);
-            });
-            inner.stats.rejected += 1;
-            inner
-                .trace
-                .record(now, Event::JdlRejected { job: id.0, errors });
-            inner.retire(id);
+            inner.end(id, Ending::JdlRejected(errors), now, true);
             return false;
         }
         inner.side.compiled.insert(

@@ -158,7 +158,7 @@ impl CrossBroker {
             inner.side.ads.get(&id).cloned()
         };
         let Some(retained) = retained else {
-            self.fail(sim, id, "site died with no retained ad to re-match", false);
+            self.fail(sim, id, "site died with no retained ad to re-match");
             return;
         };
         match JobDescription::parse(&retained.jdl) {
@@ -167,7 +167,7 @@ impl CrossBroker {
                 self.matched_path(sim, id, job, retained.runtime, excluded);
             }
             Err(e) => {
-                self.fail(sim, id, &format!("re-match parse failed: {e}"), false);
+                self.fail(sim, id, &format!("re-match parse failed: {e}"));
             }
         }
     }
@@ -203,7 +203,7 @@ impl CrossBroker {
                 match lrms.disposition(local) {
                     Some(cg_site::LocalDisposition::Finished) => this.finish_job(sim, id),
                     Some(cg_site::LocalDisposition::Killed) => {
-                        this.fail(sim, id, "killed at site while the link was down", false);
+                        this.fail(sim, id, "killed at site while the link was down");
                     }
                     // Still queued/running (its push events will cross the
                     // healed link), or never accepted — nothing to deliver.

@@ -577,7 +577,7 @@ impl CrossBroker {
     /// budget is spent.
     fn resubmit(&self, sim: &mut Sim, run: &Run, excluded: HashSet<usize>, exhausted: &str) {
         let Some(delay) = self.begin_resubmit(sim, run.id) else {
-            self.fail(sim, run.id, exhausted, false);
+            self.fail(sim, run.id, exhausted);
             return;
         };
         let waiting = Resubmission {
@@ -621,7 +621,7 @@ impl CrossBroker {
     /// Fails the job once per run, and keeps the barrier from completing.
     fn fail_run(&self, sim: &mut Sim, run: &Run, reason: &str) {
         if !run.failed.replace(true) {
-            self.fail(sim, run.id, reason, false);
+            self.fail(sim, run.id, reason);
         }
     }
 
@@ -677,7 +677,7 @@ impl CrossBroker {
         self.record_dispatch(sim.now(), id, site_name, target, Some(site_index), false);
         self.deploy_agent_at(sim, site_index, move |sim, broker, aid| {
             let Some(aid) = aid else {
-                broker.fail(sim, id, "agent deployment failed", false);
+                broker.fail(sim, id, "agent deployment failed");
                 return;
             };
             // Ship the batch application to the agent and run it batch-vm.
@@ -720,7 +720,7 @@ impl CrossBroker {
             }
         });
         match result {
-            Err(_) => self.fail(sim, id, "batch VM busy", false),
+            Err(_) => self.fail(sim, id, "batch VM busy"),
             Ok(task) => {
                 self.add_placement(id, Placement::AgentBatch { aid, task });
                 self.batch_started(sim, id, aid, &job.user);

@@ -67,9 +67,9 @@ const SHORTLISTS_PER_SNAPSHOT: usize = 32;
 /// Over one snapshot, [`filter_candidates_columnar`] is a function of the
 /// job's compiled `Requirements` and `Rank`, its node count and whether one
 /// site must host it all — as long as evaluation cannot read the job's own
-/// ad. It can when a compiled tree [`reads_own`](CompiledExpr::reads_own),
-/// when the job declares an expression with no compiled form, and when a
-/// machine ad stores an expression (evaluated with the job as `other`):
+/// ad. It can when a compiled tree [`reads_own`](CompiledExpr::reads_own)
+/// and when a machine ad stores an expression (evaluated with the job as
+/// `other`):
 /// such a job, or any job over such a snapshot, is matched on its own.
 #[derive(Default)]
 pub(super) struct ShortlistMemo {
@@ -103,15 +103,12 @@ impl Signature {
     }
 }
 
-/// Whether matching `job` can read its own ad (see [`ShortlistMemo`]).
-fn reads_own_ad(job: &JobDescription, compiled: &CompiledJob) -> bool {
-    (match &compiled.requirements {
-        Some(requirements) => requirements.reads_own(),
-        None => job.requirements().is_some(),
-    }) || match &compiled.rank {
-        Some(rank) => rank.reads_own(),
-        None => job.rank().is_some(),
-    }
+/// Whether matching can read the job's own ad (see [`ShortlistMemo`]).
+fn reads_own_ad(compiled: &CompiledJob) -> bool {
+    [&compiled.requirements, &compiled.rank]
+        .into_iter()
+        .flatten()
+        .any(CompiledExpr::reads_own)
 }
 
 impl ShortlistMemo {
@@ -134,7 +131,7 @@ impl ShortlistMemo {
             self.shortlists.clear();
         }
         let full_site = requires_full_site(job);
-        let shareable = !self.stores_expr && !reads_own_ad(job, compiled);
+        let shareable = !self.stores_expr && !reads_own_ad(compiled);
         if shareable {
             let found = self
                 .shortlists
@@ -239,7 +236,7 @@ impl CrossBroker {
                 }
                 if distrusted.len() == snap.len() {
                     drop(inner);
-                    self.fail(sim, id, "information system unreachable", false);
+                    self.fail(sim, id, "information system unreachable");
                     return;
                 }
                 inner.trace.record(

@@ -106,7 +106,8 @@ pub struct BrokerStats {
     pub started: u64,
     /// Jobs finished normally.
     pub finished: u64,
-    /// Jobs rejected by fair-share admission.
+    /// Jobs rejected at admission: refused by fair-share under scarcity
+    /// (§5.1) or rejected by the JDL gate's analysis.
     pub rejected: u64,
     /// Jobs failed for other reasons.
     pub failed: u64,

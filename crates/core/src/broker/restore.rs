@@ -11,7 +11,8 @@ use cg_sim::{Sim, SimDuration, SimTime};
 use cg_trace::replay::{Phase, ReplayAgent, ReplayJob, ReplayState};
 
 use super::events::Stage;
-use super::{BrokerStats, CrossBroker, RetainedAd};
+use super::settle::Ending;
+use super::{CrossBroker, RetainedAd};
 use crate::job::{JobId, JobRecord, JobState};
 
 impl CrossBroker {
@@ -28,18 +29,14 @@ impl CrossBroker {
         // and no intermediate Vec of cloned records is built.
         inner.jobs.for_each(|id, r| {
             let ad = inner.side.ads.get(&id);
-            let phase = match &r.state {
-                JobState::Submitted => Phase::Submitted,
-                JobState::Matching => Phase::Matching,
-                JobState::Scheduled { .. } => Phase::Dispatched,
-                JobState::BrokerQueued => Phase::Queued,
-                JobState::Running { .. } => Phase::Running,
-                JobState::Done => Phase::Finished,
-                JobState::Failed { .. } => Phase::Failed,
-            };
-            let fail_reason = match &r.state {
-                JobState::Failed { reason } => Some(reason.clone()),
-                _ => None,
+            let (phase, fail_reason) = match &r.state {
+                JobState::Submitted => (Phase::Submitted, None),
+                JobState::Matching => (Phase::Matching, None),
+                JobState::Scheduled { .. } => (Phase::Dispatched, None),
+                JobState::BrokerQueued => (Phase::Queued, None),
+                JobState::Running { .. } => (Phase::Running, None),
+                JobState::Done => (Phase::Finished, None),
+                JobState::Failed { reason } => (Phase::Failed, Some(reason.clone())),
             };
             state.jobs.insert(
                 id.0,
@@ -130,7 +127,9 @@ impl CrossBroker {
 
     /// Installs a job reconstructed from the journal, bucket-faithfully:
     /// the recovered table must land every job in the same coarse
-    /// disposition the stream last saw (recovery invariant rule 6).
+    /// disposition the stream last saw (recovery invariant rule 6). The job
+    /// counts as it did live: submitted, started, its resubmissions, and a
+    /// terminal one ends through the ending table as it ended before.
     pub(crate) fn install_restored_job(&self, id: u64, rj: &ReplayJob) {
         let mut inner = self.inner.borrow_mut();
         let jid = JobId(id);
@@ -139,57 +138,42 @@ impl CrossBroker {
             Phase::Submitted => JobState::Submitted,
             Phase::Matching | Phase::Leased | Phase::Dispatched => JobState::Matching,
             Phase::Queued => JobState::BrokerQueued,
-            Phase::Running => JobState::Running { sites: Vec::new() },
-            Phase::Finished => JobState::Done,
-            Phase::Failed => JobState::Failed {
-                reason: rj
-                    .fail_reason
-                    .clone()
-                    .unwrap_or_else(|| "failed before the broker crash".into()),
-            },
-            Phase::Cancelled => JobState::Failed {
-                reason: "cancelled by user".into(),
-            },
-            Phase::Rejected => JobState::Failed {
-                reason: "rejected by JDL analysis".into(),
-            },
+            // Running, and every ending's guard admits it.
+            _ => JobState::Running { sites: Vec::new() },
         };
-        let record = JobRecord {
-            id: jid,
-            user: rj.user.clone(),
-            state,
-            submitted_at: SimTime::from_nanos(rj.submitted_at_ns),
-            discovered_at: None,
-            selected_at: None,
-            dispatched_at: None,
-            started_at: rj.started_at_ns.map(SimTime::from_nanos),
-            finished_at: rj.finished_at_ns.map(SimTime::from_nanos),
-            resubmissions: rj.attempts,
-        };
+        let mut record = JobRecord::new(
+            jid,
+            rj.user.clone(),
+            SimTime::from_nanos(rj.submitted_at_ns),
+        );
+        record.state = state;
+        record.started_at = rj.started_at_ns.map(SimTime::from_nanos);
+        record.finished_at = rj.finished_at_ns.map(SimTime::from_nanos);
+        record.resubmissions = rj.attempts;
         inner.jobs.insert(jid, record);
-        if !rj.phase.is_terminal() {
-            if let (Some(jdl), Some(runtime_ns)) = (&rj.jdl, rj.runtime_ns) {
-                inner.side.ads.insert(
-                    jid,
-                    RetainedAd {
-                        jdl: jdl.clone(),
-                        runtime: SimDuration::from_nanos(runtime_ns),
-                        interactive: rj.interactive,
-                    },
-                );
-            }
+        inner.stats.submitted += 1;
+        inner.stats.started += u64::from(rj.started);
+        inner.stats.resubmissions += u64::from(rj.attempts);
+        if let Some(ending) = Ending::journaled(rj) {
+            let at = rj.finished_at_ns.unwrap_or(rj.submitted_at_ns);
+            inner.end(jid, ending, SimTime::from_nanos(at), false);
+        } else if let (Some(jdl), Some(runtime_ns)) = (&rj.jdl, rj.runtime_ns) {
+            inner.side.ads.insert(
+                jid,
+                RetainedAd {
+                    jdl: jdl.clone(),
+                    runtime: SimDuration::from_nanos(runtime_ns),
+                    interactive: rj.interactive,
+                },
+            );
         }
     }
 
-    /// Overwrites the aggregate counters with values rebuilt from the
-    /// stream (crash recovery).
-    pub(crate) fn set_restored_stats(&self, stats: BrokerStats) {
-        self.inner.borrow_mut().stats = stats;
-    }
-
-    /// Keeps freshly deployed agents' ids clear of the pre-crash id space.
-    pub(crate) fn reserve_agent_ids(&self, next_agent: u64) {
+    /// Restores the glide-in pool's count, and keeps freshly deployed
+    /// agents' ids clear of the pre-crash id space.
+    pub(crate) fn restore_agents(&self, deployed: u64, next_agent: u64) {
         let mut inner = self.inner.borrow_mut();
+        inner.stats.agents_deployed = deployed;
         inner.next_agent = inner.next_agent.max(next_agent);
     }
 
@@ -202,37 +186,26 @@ impl CrossBroker {
             .insert(Arc::clone(stream), acked);
     }
 
-    /// Terminal failure entry point for recovery.
-    pub(crate) fn fail_restored(&self, sim: &mut Sim, id: JobId, reason: &str) {
-        self.fail(sim, id, reason, false);
-    }
-
-    /// Puts a restored batch job back on the broker queue and arms the
-    /// retry cycle — after the same JDL gate as `submit`, which gives the
-    /// matchmaking loop its compiled expressions back (or rejects the job
-    /// when its ad no longer passes).
-    pub(crate) fn requeue_restored(
-        &self,
-        sim: &mut Sim,
-        id: JobId,
-        job: JobDescription,
-        runtime: SimDuration,
-    ) {
-        if self.jdl_gate(sim.now(), id, job.analyze()) {
-            self.park(sim, id, job, runtime);
-        }
-    }
-
-    /// Routes a restored in-flight job back through its submission path, as
-    /// a resubmission (the pre-crash attempt is gone with the broker).
+    /// Re-arms a restored live job after the same JDL gate as `submit`,
+    /// which gives the matchmaking loop its compiled expressions back (or
+    /// rejects the job when its ad no longer passes): a `queued` batch job
+    /// goes back on the broker queue and arms the retry cycle, any other
+    /// re-enters its submission path as a resubmission (the pre-crash
+    /// attempt is gone with the broker).
     pub(crate) fn rearm_restored(
         &self,
         sim: &mut Sim,
         id: JobId,
         job: JobDescription,
         runtime: SimDuration,
+        queued: bool,
     ) {
-        if self.jdl_gate(sim.now(), id, job.analyze()) {
+        if !self.jdl_gate(sim.now(), id, job.analyze()) {
+            return;
+        }
+        if queued {
+            self.park(sim, id, job, runtime);
+        } else {
             self.ensure_fairshare_tick(sim);
             self.route(sim, id, job, runtime, HashSet::new());
         }

@@ -250,7 +250,7 @@ impl CrossBroker {
             // §5.2 arrow 2: wait in the broker for a machine to become idle.
             self.park(sim, id, job, runtime);
         } else {
-            self.fail(sim, id, "no resources match the interactive job", false);
+            self.fail(sim, id, "no resources match the interactive job");
         }
     }
 
@@ -339,13 +339,13 @@ impl CrossBroker {
         let Some(index) = idle_site else {
             // "If there are not enough machines (with or without agents) to
             // execute an interactive application, its submission will fail."
-            self.fail(sim, id, "no machines available for interactive job", false);
+            self.fail(sim, id, "no machines available for interactive job");
             return;
         };
         self.lease(now, id, &Slot::Site { index, nodes: 1 });
         self.deploy_agent_at(sim, index, move |sim, broker, aid| match aid {
             Some(aid) => broker.dispatch(sim, id, job, runtime, plan(aid)),
-            None => broker.fail(sim, id, "agent deployment failed", false),
+            None => broker.fail(sim, id, "agent deployment failed"),
         });
     }
 
@@ -395,7 +395,7 @@ impl CrossBroker {
         if left > 0 {
             let reason =
                 "not enough machines (with or without agents) for the parallel interactive job";
-            self.fail(sim, id, reason, false);
+            self.fail(sim, id, reason);
             return;
         }
 

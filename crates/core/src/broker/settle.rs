@@ -1,15 +1,19 @@
 //! Settle: every transition out of `Scheduled` — the job reaches `Running`
 //! (and its console session is sampled), finishes, fails, is cancelled by
-//! its user, or books a resubmission attempt with jittered backoff. Each
-//! terminal transition retires the job's side tables through
+//! its user, or books a resubmission attempt with jittered backoff — and
+//! the ending table ([`Ending`], [`Inner::end`]): the one place any job
+//! ends, admission's refusals and crash recovery's restored endings
+//! included. Each ending retires the job's side tables through
 //! `Inner::retire`.
 
 use std::sync::Arc;
 
-use cg_sim::{Sim, SimDuration};
+use cg_jdl::JobDescription;
+use cg_sim::{Sim, SimDuration, SimTime};
+use cg_trace::replay::{Phase, ReplayJob};
 use cg_trace::Event;
 
-use super::{CrossBroker, Placement};
+use super::{CrossBroker, Inner, Placement};
 use crate::job::{JobId, JobState};
 
 /// First resubmission backoff delay; each further attempt doubles it.
@@ -50,6 +54,135 @@ pub(super) fn backoff_delay(
     let jitter_frac = jitter_frac.clamp(0.0, 1.0);
     let factor = 1.0 - jitter_frac + 2.0 * jitter_frac * rng.f64();
     delay.mul_f64(factor)
+}
+
+/// Reason text of a fair-share refusal.
+const REFUSED: &str = "rejected: user priority too low under scarcity";
+/// Reason text of a cancellation.
+const CANCELLED: &str = "cancelled by user";
+/// Reason text of a JDL rejection, around its error count (as
+/// [`Inner::end`] formats it).
+const JDL_REJECTED: (&str, &str) = ("rejected by JDL analysis (", " errors)");
+
+/// The five ways a job ends (§3, §5.1). [`Inner::end`] is their one table:
+/// for each it decides the guard, the terminal [`JobState`] and its reason,
+/// the [`super::BrokerStats`] counter, the trace event and the retirement.
+#[derive(Debug, Clone, Copy)]
+pub(super) enum Ending<'a> {
+    /// Ran to completion (`JobFinished`, counted `finished`).
+    Finished,
+    /// Failed for this reason (`JobFailed`, counted `failed`).
+    Failed(&'a str),
+    /// Refused by fair-share admission under scarcity (`JobFailed`,
+    /// counted `rejected`).
+    Refused,
+    /// Rejected by the JDL gate with this many errors (`JdlRejected`,
+    /// counted `rejected`).
+    JdlRejected(u32),
+    /// Cancelled by its user (`JobCancelled`, counted `cancelled`).
+    Cancelled,
+}
+
+impl<'a> Ending<'a> {
+    /// The guard: whether a job in `state` can end this way. A job finishes
+    /// only from `Running` or `Scheduled`; every other ending takes any job
+    /// that has not ended yet.
+    fn ends(self, state: &JobState) -> bool {
+        match self {
+            Ending::Finished => {
+                matches!(state, JobState::Running { .. } | JobState::Scheduled { .. })
+            }
+            _ => !matches!(state, JobState::Done | JobState::Failed { .. }),
+        }
+    }
+
+    /// How a journaled job ended, or `None` while it is live. A snapshot
+    /// holds every ending but `Finished` as `Phase::Failed` with the reason
+    /// text [`Inner::end`] wrote, so that text alone tells the endings apart
+    /// and each counts as it did live.
+    pub(super) fn journaled(rj: &'a ReplayJob) -> Option<Self> {
+        Some(match rj.phase {
+            Phase::Finished => Ending::Finished,
+            Phase::Cancelled => Ending::Cancelled,
+            // The stream's fold keeps no error count: the gate's analysis
+            // of the retained ad is run again.
+            Phase::Rejected => Ending::JdlRejected(
+                rj.jdl
+                    .as_deref()
+                    .and_then(|jdl| JobDescription::parse(jdl).ok())
+                    .map_or(0, |job| job.analyze().error_count() as u32),
+            ),
+            Phase::Failed => match rj
+                .fail_reason
+                .as_deref()
+                .unwrap_or("failed before the broker crash")
+            {
+                REFUSED => Ending::Refused,
+                CANCELLED => Ending::Cancelled,
+                reason => reason
+                    .strip_prefix(JDL_REJECTED.0)
+                    .and_then(|rest| rest.strip_suffix(JDL_REJECTED.1))
+                    .and_then(|errors| errors.parse().ok())
+                    .map_or(Ending::Failed(reason), Ending::JdlRejected),
+            },
+            _ => return None,
+        })
+    }
+}
+
+impl Inner {
+    /// Ends job `id` at `at` the way `ending` says, if its guard lets it:
+    /// the terminal state and its reason, `finished_at`, the counter, and
+    /// for a `live` ending the trace event and `retire`. Crash recovery
+    /// installs endings that are not live: their events are in its journal
+    /// and their side tables were never built.
+    pub(super) fn end(&mut self, id: JobId, ending: Ending<'_>, at: SimTime, live: bool) {
+        let ended = self.jobs.update(id, |r| {
+            let ends = ending.ends(&r.state);
+            if ends {
+                let reason = match ending {
+                    Ending::Finished => None,
+                    Ending::Failed(reason) => Some(reason.to_string()),
+                    Ending::Refused => Some(REFUSED.to_string()),
+                    Ending::JdlRejected(errors) => {
+                        Some(format!("rejected by JDL analysis ({errors} errors)"))
+                    }
+                    Ending::Cancelled => Some(CANCELLED.to_string()),
+                };
+                r.state = reason.map_or(JobState::Done, |reason| JobState::Failed { reason });
+                r.finished_at = Some(at);
+            }
+            ends
+        });
+        if ended != Some(true) {
+            return;
+        }
+        let stats = &mut self.stats;
+        *match ending {
+            Ending::Finished => &mut stats.finished,
+            Ending::Failed(_) => &mut stats.failed,
+            Ending::Refused | Ending::JdlRejected(_) => &mut stats.rejected,
+            Ending::Cancelled => &mut stats.cancelled,
+        } += 1;
+        if live {
+            let job = id.0;
+            let event = match ending {
+                Ending::Finished => Event::JobFinished { job },
+                Ending::Failed(reason) => Event::JobFailed {
+                    job,
+                    reason: reason.to_string(),
+                },
+                Ending::Refused => Event::JobFailed {
+                    job,
+                    reason: REFUSED.to_string(),
+                },
+                Ending::JdlRejected(errors) => Event::JdlRejected { job, errors },
+                Ending::Cancelled => Event::JobCancelled { job },
+            };
+            self.trace.record(at, event);
+            self.retire(id);
+        }
+    }
 }
 
 impl CrossBroker {
@@ -101,25 +234,9 @@ impl CrossBroker {
     /// Terminal: the job ran to completion. Late completions of an already
     /// terminal job (a co-allocated job's other subjobs) change nothing.
     pub(super) fn mark_done(&self, sim: &mut Sim, id: JobId) {
-        let mut inner = self.inner.borrow_mut();
-        let finished = inner.jobs.update(id, |r| {
-            if !matches!(
-                r.state,
-                JobState::Running { .. } | JobState::Scheduled { .. }
-            ) {
-                return false;
-            }
-            r.state = JobState::Done;
-            r.finished_at = Some(sim.now());
-            true
-        });
-        if finished == Some(true) {
-            inner.stats.finished += 1;
-            inner
-                .trace
-                .record(sim.now(), Event::JobFinished { job: id.0 });
-            inner.retire(id);
-        }
+        self.inner
+            .borrow_mut()
+            .end(id, Ending::Finished, sim.now(), true);
     }
 
     /// [`Self::mark_done`], then the broker queue gets a turn at whatever
@@ -129,37 +246,12 @@ impl CrossBroker {
         self.retry_broker_queue(sim);
     }
 
-    /// Terminal: the job failed (`rejected`: by fair-share admission).
-    pub(super) fn fail(&self, sim: &mut Sim, id: JobId, reason: &str, rejected: bool) {
-        let mut inner = self.inner.borrow_mut();
-        let failed_now = inner.jobs.update(id, |r| {
-            if matches!(r.state, JobState::Done | JobState::Failed { .. }) {
-                return false; // already terminal; late events must not re-fail it
-            }
-            r.state = JobState::Failed {
-                reason: reason.to_string(),
-            };
-            r.finished_at = Some(sim.now());
-            true
-        });
-        if failed_now == Some(false) {
-            return;
-        }
-        if failed_now == Some(true) {
-            inner.trace.record(
-                sim.now(),
-                Event::JobFailed {
-                    job: id.0,
-                    reason: reason.to_string(),
-                },
-            );
-        }
-        if rejected {
-            inner.stats.rejected += 1;
-        } else {
-            inner.stats.failed += 1;
-        }
-        inner.retire(id);
+    /// Terminal: the job failed. Late events of an already terminal job
+    /// change nothing.
+    pub(crate) fn fail(&self, sim: &mut Sim, id: JobId, reason: &str) {
+        self.inner
+            .borrow_mut()
+            .end(id, Ending::Failed(reason), sim.now(), true);
     }
 
     /// Cancels a job at the user's request — the paper's *on-line output
@@ -172,11 +264,8 @@ impl CrossBroker {
     pub fn cancel(&self, sim: &mut Sim, id: JobId) -> bool {
         let placements = {
             let mut inner = self.inner.borrow_mut();
-            match inner.jobs.with(id, |r| {
-                matches!(r.state, JobState::Done | JobState::Failed { .. })
-            }) {
-                None | Some(true) => return false,
-                Some(false) => {}
+            if inner.jobs.with(id, |r| Ending::Cancelled.ends(&r.state)) != Some(true) {
+                return false;
             }
             inner.side.queue.retain(|(queued, _, _)| *queued != id);
             inner.side.placements.remove(&id).unwrap_or_default()
@@ -203,20 +292,9 @@ impl CrossBroker {
                 }
             }
         }
-        {
-            let mut inner = self.inner.borrow_mut();
-            inner.stats.cancelled += 1;
-            inner.jobs.update(id, |r| {
-                r.state = JobState::Failed {
-                    reason: "cancelled by user".into(),
-                };
-                r.finished_at = Some(sim.now());
-            });
-            inner
-                .trace
-                .record(sim.now(), Event::JobCancelled { job: id.0 });
-            inner.retire(id);
-        }
+        self.inner
+            .borrow_mut()
+            .end(id, Ending::Cancelled, sim.now(), true);
         self.retry_broker_queue(sim);
         true
     }

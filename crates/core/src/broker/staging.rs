@@ -85,7 +85,7 @@ impl CrossBroker {
         let staging = self.inner.borrow_mut().stages.stagings.remove(slot);
         let staging = staging.expect("a staging in flight");
         if delivery_outcome(event).is_err() {
-            self.fail(sim, staging.id, "staging to agent failed", false);
+            self.fail(sim, staging.id, "staging to agent failed");
             return;
         }
         match staging.then {

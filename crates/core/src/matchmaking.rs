@@ -1,9 +1,7 @@
 //! Matchmaking: filtering sites against job requirements, ranking, and the
 //! paper's randomized selection among equals.
 
-use std::borrow::Cow;
-
-use cg_jdl::{Ad, CompiledExpr, Ctx, Expr, JobDescription, SiteSet};
+use cg_jdl::{Ad, CompiledExpr, Ctx, JobDescription, SiteSet};
 use cg_site::AdSnapshot;
 
 /// One candidate after filtering, with its rank. Selection builds one per
@@ -22,16 +20,38 @@ pub struct Candidate {
 /// Filters machine ads against the job's `Requirements` plus the broker's
 /// built-in constraints (enough free CPUs for the node count — or queueable
 /// for batch jobs). Accepts owned ads or `Arc`-shared ones — the filter
-/// only ever borrows.
+/// only ever borrows. This walks the raw AST and is the oracle the compiled
+/// paths ([`filter_one`], [`filter_candidates_columnar`]) are held to.
 pub fn filter_candidates<A: std::borrow::Borrow<Ad>>(
     job: &JobDescription,
     ads: &[(usize, A)],
     require_free_cpus: bool,
 ) -> Vec<Candidate> {
-    let exprs = Exprs::of(job, None);
+    let requirements = job.requirements();
+    let rank = job.rank();
     ads.iter()
         .filter_map(|(site_index, ad)| {
-            exprs.filter(job, *site_index, ad.borrow(), require_free_cpus)
+            let ad = ad.borrow();
+            let free = admitted_free_cpus(job, ad, require_free_cpus)?;
+            let ctx = Ctx {
+                own: &job.ad,
+                other: ad,
+            };
+            // Undefined or false ⇒ no match; eval errors ⇒ no match (a
+            // malformed requirement must not crash the broker).
+            if requirements
+                .as_ref()
+                .is_some_and(|req| !matches!(req.eval_requirement(ctx), Ok(true)))
+            {
+                return None;
+            }
+            Some(Candidate {
+                site_index: *site_index,
+                rank: rank
+                    .as_ref()
+                    .map_or(free as f64, |r| r.eval_rank(ctx).unwrap_or(0.0)),
+                free_cpus: free,
+            })
         })
         .collect()
 }
@@ -40,7 +60,12 @@ pub fn filter_candidates<A: std::borrow::Borrow<Ad>>(
 /// ([`cg_jdl::analyze`]): own attributes substituted, constants folded,
 /// lookup keys pre-lowercased. The broker caches one of these per job so
 /// the per-site selection loop never re-walks the raw AST.
-#[derive(Debug, Clone, Default)]
+///
+/// Invariant: each field is `Some` exactly when the job declares that
+/// expression — [`CompiledJob::prepare`] and the analyzer build it so. The
+/// compiled paths read nothing else: a raw expression without its
+/// compiled form would be ignored.
+#[derive(Debug, Clone)]
 pub struct CompiledJob {
     /// Compiled `Requirements`, when the job declares one.
     pub requirements: Option<CompiledExpr>,
@@ -61,6 +86,24 @@ impl CompiledJob {
     }
 }
 
+/// The admission test every filter opens with: the ad's free CPUs when it
+/// has room for the whole job now or, on the batch path, at least a queue
+/// that accepts it; `None` otherwise.
+fn admitted_free_cpus(job: &JobDescription, ad: &Ad, require_free_cpus: bool) -> Option<i64> {
+    // `get_norm` with the lower-cased names: `Ad::get` would allocate a
+    // lower-cased copy of each key per ad.
+    let free = ad
+        .get_norm("freecpus")
+        .and_then(|v| v.as_i64())
+        .unwrap_or(0);
+    let accepts = || {
+        ad.get_norm("acceptsqueued")
+            .and_then(|v| v.as_bool())
+            .unwrap_or(true)
+    };
+    (free >= job.node_number as i64 || (!require_free_cpus && accepts())).then_some(free)
+}
+
 /// [`filter_candidates`] for one ad over pre-compiled expressions —
 /// identical semantics, without AST walks over the job's own attributes:
 /// the candidate `ad` makes at `site_index`, or `None` when it does not
@@ -73,93 +116,23 @@ pub fn filter_one(
     ad: &Ad,
     require_free_cpus: bool,
 ) -> Option<Candidate> {
-    Exprs::of(job, Some(compiled)).filter(job, site_index, ad, require_free_cpus)
-}
-
-/// The job's `Requirements` and `Rank` as the filter evaluates them. As in
-/// the columnar pass, a raw expression is read only where there is no
-/// compiled form.
-struct Exprs<'a> {
-    creq: Option<&'a CompiledExpr>,
-    crank: Option<&'a CompiledExpr>,
-    raw_requirements: Option<Cow<'a, Expr>>,
-    raw_rank: Option<Cow<'a, Expr>>,
-}
-
-impl<'a> Exprs<'a> {
-    fn of(job: &'a JobDescription, compiled: Option<&'a CompiledJob>) -> Self {
-        let creq = compiled.and_then(|c| c.requirements.as_ref());
-        let crank = compiled.and_then(|c| c.rank.as_ref());
-        Exprs {
-            creq,
-            crank,
-            raw_requirements: creq.is_none().then(|| job.requirements()).flatten(),
-            raw_rank: crank.is_none().then(|| job.rank()).flatten(),
-        }
+    let free = admitted_free_cpus(job, ad, require_free_cpus)?;
+    if compiled
+        .requirements
+        .as_ref()
+        .is_some_and(|req| !req.matches(&job.ad, ad))
+    {
+        return None;
     }
-
-    fn filter(
-        &self,
-        job: &JobDescription,
-        site_index: usize,
-        ad: &Ad,
-        require_free_cpus: bool,
-    ) -> Option<Candidate> {
-        // `get_norm` with the lower-cased names: `Ad::get` would allocate a
-        // lower-cased copy of each key per ad.
-        let free = ad
-            .get_norm("freecpus")
-            .and_then(|v| v.as_i64())
-            .unwrap_or(0);
-        if require_free_cpus && free < job.node_number as i64 {
-            return None;
-        }
-        if !require_free_cpus {
-            // Batch path: the site must at least accept queued jobs.
-            let accepts = ad
-                .get_norm("acceptsqueued")
-                .and_then(|v| v.as_bool())
-                .unwrap_or(true);
-            if free < job.node_number as i64 && !accepts {
-                return None;
-            }
-        }
-        // Undefined or false ⇒ no match; eval errors ⇒ no match (a
-        // malformed requirement must not crash the broker).
-        let matched = match (self.creq, &self.raw_requirements) {
-            (Some(creq), _) => creq.matches(&job.ad, ad),
-            (None, Some(req)) => {
-                let ctx = Ctx {
-                    own: &job.ad,
-                    other: ad,
-                };
-                matches!(req.eval_requirement(ctx), Ok(true))
-            }
-            (None, None) => true,
-        };
-        if !matched {
-            return None;
-        }
-        let rank = match (self.crank, &self.raw_rank) {
-            (Some(crank), _) => crank.rank(&job.ad, ad),
-            (None, Some(r)) => eval_rank_or_default(r, job, ad),
-            // Default rank: prefer more free CPUs (the EDG broker default).
-            (None, None) => free as f64,
-        };
-        Some(Candidate {
-            site_index,
-            rank,
-            free_cpus: free,
-        })
-    }
-}
-
-fn eval_rank_or_default(rank: &Expr, job: &JobDescription, ad: &Ad) -> f64 {
-    let ctx = Ctx {
-        own: &job.ad,
-        other: ad,
-    };
-    rank.eval_rank(ctx).unwrap_or(0.0)
+    Some(Candidate {
+        site_index,
+        // Default rank: prefer more free CPUs (the EDG broker default).
+        rank: compiled
+            .rank
+            .as_ref()
+            .map_or(free as f64, |r| r.rank(&job.ad, ad)),
+        free_cpus: free,
+    })
 }
 
 /// [`filter_one`] over every site of a columnar [`AdSnapshot`] — identical
@@ -181,38 +154,22 @@ pub fn filter_candidates_columnar(
     alive.retain(|i| snap.free_cpus(i) >= nodes || (!require_free_cpus && snap.accepts_queued(i)));
     // Undefined or false ⇒ no match; eval errors ⇒ no match (a malformed
     // requirement must not crash the broker).
-    // The raw expressions are read out of the job's ad only where there is
-    // no compiled form to evaluate instead.
     if let Some(creq) = &compiled.requirements {
         creq.bind(&job.ad, snap.columns(), snap.ads())
             .retain_matches(&mut alive);
-    } else if let Some(req) = job.requirements() {
-        alive.retain(|i| {
-            let ctx = Ctx {
-                own: &job.ad,
-                other: snap.ad(i),
-            };
-            matches!(req.eval_requirement(ctx), Ok(true))
-        });
     }
     let crank = compiled
         .rank
         .as_ref()
         .map(|c| c.bind(&job.ad, snap.columns(), snap.ads()));
-    let raw_rank = crank.is_none().then(|| job.rank()).flatten();
     alive
         .iter()
         .map(|i| {
             let free = snap.free_cpus(i);
-            let rank = match (&crank, &raw_rank) {
-                (Some(crank), _) => crank.rank(i),
-                (None, Some(r)) => eval_rank_or_default(r, job, snap.ad(i)),
-                // Default rank: prefer more free CPUs (the EDG broker default).
-                (None, None) => free as f64,
-            };
             Candidate {
                 site_index: i,
-                rank,
+                // Default rank: prefer more free CPUs (the EDG broker default).
+                rank: crank.as_ref().map_or(free as f64, |c| c.rank(i)),
                 free_cpus: free,
             }
         })

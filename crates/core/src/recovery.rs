@@ -27,7 +27,7 @@ use cg_site::MembershipState;
 use cg_trace::replay::{Phase, SiteHealth};
 use cg_trace::{check_invariants, check_recovery_invariants, Event, JournalError, LoadedJournal};
 
-use crate::broker::{BrokerStats, CrossBroker, SiteHandle};
+use crate::broker::{CrossBroker, SiteHandle};
 use crate::config::BrokerConfig;
 use crate::job::JobId;
 
@@ -100,30 +100,16 @@ impl CrossBroker {
         };
 
         // 1. Rebuild the tables from the stream state.
-        let mut stats = BrokerStats {
-            submitted: expected.jobs.len() as u64,
-            agents_deployed: expected.agents.len() as u64,
-            ..BrokerStats::default()
-        };
         for (id, rj) in &expected.jobs {
             broker.install_restored_job(*id, rj);
-            if rj.started {
-                stats.started += 1;
-            }
-            match rj.phase {
-                Phase::Finished => stats.finished += 1,
-                Phase::Failed => stats.failed += 1,
-                Phase::Cancelled => stats.cancelled += 1,
-                Phase::Rejected => stats.rejected += 1,
-                _ => {}
-            }
-            stats.resubmissions += u64::from(rj.attempts);
             if rj.phase.is_terminal() {
                 report.terminal += 1;
             }
         }
-        broker.set_restored_stats(stats);
-        broker.reserve_agent_ids(expected.agents.keys().max().map_or(0, |m| m + 1));
+        broker.restore_agents(
+            expected.agents.len() as u64,
+            expected.agents.keys().max().map_or(0, |m| m + 1),
+        );
         for (stream, mark) in &expected.spools {
             broker.seed_spool_watermark(stream, mark.acked);
         }
@@ -198,11 +184,7 @@ impl CrossBroker {
                     report.aborted += 1;
                     let broker2 = broker.clone();
                     sim.schedule_at(crash_at, move |sim| {
-                        broker2.fail_restored(
-                            sim,
-                            id,
-                            "job description lost with the broker crash",
-                        );
+                        broker2.fail(sim, id, "job description lost with the broker crash");
                     });
                 }
             }
@@ -219,11 +201,7 @@ impl CrossBroker {
         for (id, job, runtime, queued) in rearm {
             let broker2 = broker.clone();
             sim.schedule_at(crash_at, move |sim| {
-                if queued {
-                    broker2.requeue_restored(sim, id, job, runtime);
-                } else {
-                    broker2.rearm_restored(sim, id, job, runtime);
-                }
+                broker2.rearm_restored(sim, id, job, runtime, queued);
             });
         }
 

@@ -136,7 +136,7 @@ fn determinism(f: &SourceFile, out: &mut Vec<Finding>) {
 
 /// Calls that cross a durable-I/O boundary: holding a lock guard across one
 /// serializes unrelated work behind the disk.
-const IO_BOUNDARY: &[&str] = &["sync_all", "sync_data", "fsync", "record_many"];
+const IO_BOUNDARY: &[&str] = &["sync_all", "sync_data", "fsync"];
 
 #[derive(Debug)]
 struct Guard {

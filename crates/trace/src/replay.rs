@@ -262,6 +262,11 @@ impl ReplayState {
         s
     }
 
+    /// Job `id`'s entry, made at `at_ns` by the first event that names it.
+    fn job(&mut self, id: u64, at_ns: u64) -> &mut ReplayJob {
+        self.jobs.entry(id).or_insert_with(|| ReplayJob::new(at_ns))
+    }
+
     /// Applies one event.
     pub fn apply(&mut self, te: &TimedEvent) {
         let at_ns = te.at.as_nanos();
@@ -273,10 +278,7 @@ impl ReplayState {
                 user,
                 interactive,
             } => {
-                let j = self
-                    .jobs
-                    .entry(*job)
-                    .or_insert_with(|| ReplayJob::new(at_ns));
+                let j = self.job(*job, at_ns);
                 j.user = Arc::clone(user);
                 j.interactive = *interactive;
             }
@@ -285,28 +287,19 @@ impl ReplayState {
                 jdl,
                 runtime_ns,
             } => {
-                let j = self
-                    .jobs
-                    .entry(*job)
-                    .or_insert_with(|| ReplayJob::new(at_ns));
+                let j = self.job(*job, at_ns);
                 j.jdl = Some(jdl.clone());
                 j.runtime_ns = Some(*runtime_ns);
             }
             Event::JobQueued { job } => {
-                let j = self
-                    .jobs
-                    .entry(*job)
-                    .or_insert_with(|| ReplayJob::new(at_ns));
+                let j = self.job(*job, at_ns);
                 if !j.phase.is_terminal() {
                     j.queued = true;
                 }
                 j.advance(Phase::Queued);
             }
             Event::QueueRetry { job } => {
-                let j = self
-                    .jobs
-                    .entry(*job)
-                    .or_insert_with(|| ReplayJob::new(at_ns));
+                let j = self.job(*job, at_ns);
                 if !j.phase.is_terminal() {
                     j.queued = false;
                 }
@@ -317,10 +310,7 @@ impl ReplayState {
                 target,
                 until_ns,
             } => {
-                let j = self
-                    .jobs
-                    .entry(*job)
-                    .or_insert_with(|| ReplayJob::new(at_ns));
+                let j = self.job(*job, at_ns);
                 if !j.phase.is_terminal() {
                     j.lease = Some((Arc::clone(target), *until_ns));
                 }
@@ -329,19 +319,13 @@ impl ReplayState {
                 }
             }
             Event::JobDispatched { job, .. } => {
-                let j = self
-                    .jobs
-                    .entry(*job)
-                    .or_insert_with(|| ReplayJob::new(at_ns));
+                let j = self.job(*job, at_ns);
                 if !matches!(j.phase, Phase::Running) {
                     j.advance(Phase::Dispatched);
                 }
             }
             Event::JobStarted { job } => {
-                let j = self
-                    .jobs
-                    .entry(*job)
-                    .or_insert_with(|| ReplayJob::new(at_ns));
+                let j = self.job(*job, at_ns);
                 j.started = true;
                 if j.started_at_ns.is_none() {
                     j.started_at_ns = Some(at_ns);
@@ -349,50 +333,22 @@ impl ReplayState {
                 j.advance(Phase::Running);
             }
             Event::JobResubmitted { job, attempt } => {
-                let j = self
-                    .jobs
-                    .entry(*job)
-                    .or_insert_with(|| ReplayJob::new(at_ns));
+                let j = self.job(*job, at_ns);
                 j.attempts = j.attempts.max(*attempt);
                 j.advance(Phase::Matching);
             }
-            Event::JobBackoff { job, .. } => {
-                let j = self
-                    .jobs
-                    .entry(*job)
-                    .or_insert_with(|| ReplayJob::new(at_ns));
-                j.advance(Phase::Matching);
-            }
-            Event::JobFinished { job } => {
-                let j = self
-                    .jobs
-                    .entry(*job)
-                    .or_insert_with(|| ReplayJob::new(at_ns));
-                j.terminate(Phase::Finished, at_ns);
-            }
+            Event::JobBackoff { job, .. } => self.job(*job, at_ns).advance(Phase::Matching),
+            Event::JobFinished { job } => self.job(*job, at_ns).terminate(Phase::Finished, at_ns),
             Event::JobFailed { job, reason } => {
-                let j = self
-                    .jobs
-                    .entry(*job)
-                    .or_insert_with(|| ReplayJob::new(at_ns));
+                let j = self.job(*job, at_ns);
                 if !j.phase.is_terminal() {
                     j.fail_reason = Some(reason.clone());
                 }
                 j.terminate(Phase::Failed, at_ns);
             }
-            Event::JobCancelled { job } => {
-                let j = self
-                    .jobs
-                    .entry(*job)
-                    .or_insert_with(|| ReplayJob::new(at_ns));
-                j.terminate(Phase::Cancelled, at_ns);
-            }
+            Event::JobCancelled { job } => self.job(*job, at_ns).terminate(Phase::Cancelled, at_ns),
             Event::JdlRejected { job, .. } => {
-                let j = self
-                    .jobs
-                    .entry(*job)
-                    .or_insert_with(|| ReplayJob::new(at_ns));
-                j.terminate(Phase::Rejected, at_ns);
+                self.job(*job, at_ns).terminate(Phase::Rejected, at_ns);
             }
             Event::AgentDeployed { agent, site } => {
                 let a = self.agents.entry(*agent).or_insert_with(|| ReplayAgent {

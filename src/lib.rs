@@ -30,16 +30,7 @@
 //!
 //! let mut sim = Sim::new(42);
 //! let scenario = campus_pair(4);
-//! let sites = scenario
-//!     .sites
-//!     .iter()
-//!     .enumerate()
-//!     .map(|(i, (site, _))| SiteHandle {
-//!         site: site.clone(),
-//!         broker_link: scenario.broker_site_link(i),
-//!         ui_link: scenario.ui_site_link(i),
-//!     })
-//!     .collect();
+//! let sites = crossgrid::handles_from_scenario(&scenario);
 //! let broker = CrossBroker::new(&mut sim, sites, scenario.mds_link(), BrokerConfig::default());
 //!
 //! let job = JobDescription::parse(r#"

@@ -7,7 +7,7 @@
 use std::collections::BTreeMap;
 use std::path::PathBuf;
 
-use crossgrid::broker::RecoveryReport;
+use crossgrid::broker::{BrokerStats, RecoveryReport};
 use crossgrid::jdl::JobDescription;
 use crossgrid::net::{FaultSchedule, Link, LinkProfile};
 use crossgrid::prelude::*;
@@ -15,7 +15,7 @@ use crossgrid::site::{BackendSpec, Policy, SiteConfig};
 use crossgrid::trace::journal::{
     open_journal, parse_journal, Journal, JournalConfig, JournalError,
 };
-use crossgrid::trace::replay::Bucket;
+use crossgrid::trace::replay::{Bucket, ReplayState};
 use crossgrid::trace::CrashPlan;
 
 mod common;
@@ -39,26 +39,31 @@ fn config() -> BrokerConfig {
     }
 }
 
+/// A two-node campus site whose gatekeeper and UI links share `faults`.
+fn handle(name: &str, backend: &BackendSpec, faults: FaultSchedule) -> SiteHandle {
+    SiteHandle {
+        site: Site::new(SiteConfig {
+            name: name.into(),
+            nodes: 2,
+            policy: Policy::Fifo,
+            backend: backend.clone(),
+            ..SiteConfig::default()
+        }),
+        broker_link: Link::with_faults(LinkProfile::campus(), faults.clone()),
+        ui_link: Link::with_faults(LinkProfile::campus(), faults),
+    }
+}
+
+fn mds() -> Link {
+    Link::with_faults(LinkProfile::wan_mds(), FaultSchedule::none())
+}
+
 fn world_with(backend: &BackendSpec) -> (Vec<SiteHandle>, Link) {
     let handles = ["alpha", "beta"]
         .iter()
-        .map(|name| {
-            let site = Site::new(SiteConfig {
-                name: (*name).into(),
-                nodes: 2,
-                policy: Policy::Fifo,
-                backend: backend.clone(),
-                ..SiteConfig::default()
-            });
-            SiteHandle {
-                site,
-                broker_link: Link::with_faults(LinkProfile::campus(), FaultSchedule::none()),
-                ui_link: Link::with_faults(LinkProfile::campus(), FaultSchedule::none()),
-            }
-        })
+        .map(|name| handle(name, backend, FaultSchedule::none()))
         .collect();
-    let mds = Link::with_faults(LinkProfile::wan_mds(), FaultSchedule::none());
-    (handles, mds)
+    (handles, mds())
 }
 
 fn exclusive() -> JobDescription {
@@ -110,42 +115,21 @@ fn drive(sim: &mut Sim, broker: &CrossBroker) {
     });
 }
 
-/// Runs the reference scenario with a journal at `path`. Returns the total
-/// event count and whether the armed kill point fired.
-fn journaled_run(
+/// Runs `scenario` (which drives the simulation to its horizon) over
+/// `world` with a journal at `path`, the kill point armed after event
+/// `crash_after` and a snapshot written at `snapshot_at` seconds. Returns
+/// the broker, the total event count and whether the kill point fired.
+fn journaled(
     path: &PathBuf,
-    crash_after: Option<u64>,
-    snapshot_at: Option<u64>,
-) -> (u64, bool) {
-    journaled_run_with(path, crash_after, snapshot_at, &BackendSpec::Sim)
-}
-
-fn journaled_run_with(
-    path: &PathBuf,
-    crash_after: Option<u64>,
-    snapshot_at: Option<u64>,
-    backend: &BackendSpec,
-) -> (u64, bool) {
-    journaled_run_cfg(
-        path,
-        crash_after,
-        snapshot_at,
-        backend,
-        JournalConfig::default(),
-    )
-}
-
-fn journaled_run_cfg(
-    path: &PathBuf,
-    crash_after: Option<u64>,
-    snapshot_at: Option<u64>,
-    backend: &BackendSpec,
+    (handles, mds): (Vec<SiteHandle>, Link),
+    config: BrokerConfig,
+    (crash_after, snapshot_at): (Option<u64>, Option<u64>),
     journal: JournalConfig,
-) -> (u64, bool) {
+    scenario: impl FnOnce(&mut Sim, &CrossBroker),
+) -> (CrossBroker, u64, bool) {
     let _ = std::fs::remove_file(path);
     let mut sim = Sim::new(SEED);
-    let (handles, mds) = world_with(backend);
-    let broker = CrossBroker::new(&mut sim, handles, mds, config());
+    let broker = CrossBroker::new(&mut sim, handles, mds, config);
     let log = broker.event_log();
     log.set_journal(Journal::create(path, journal).unwrap());
     if let Some(k) = crash_after {
@@ -157,30 +141,103 @@ fn journaled_run_cfg(
             b.journal_snapshot().unwrap();
         });
     }
-    drive(&mut sim, &broker);
-    sim.run_until(SimTime::from_secs(600));
+    scenario(&mut sim, &broker);
     if let Some(j) = log.journal() {
         j.sync().unwrap();
     }
-    (log.recorded(), log.crashed())
+    (broker, log.recorded(), log.crashed())
+}
+
+/// Runs the reference scenario with a journal at `path`. Returns the total
+/// event count and whether the armed kill point fired.
+fn journaled_run(
+    path: &PathBuf,
+    crash_after: Option<u64>,
+    snapshot_at: Option<u64>,
+) -> (u64, bool) {
+    let journal = JournalConfig::default();
+    journaled_run_cfg(path, crash_after, snapshot_at, &BackendSpec::Sim, journal)
+}
+
+fn journaled_run_cfg(
+    path: &PathBuf,
+    crash_after: Option<u64>,
+    snapshot_at: Option<u64>,
+    backend: &BackendSpec,
+    journal: JournalConfig,
+) -> (u64, bool) {
+    let points = (crash_after, snapshot_at);
+    let (_, total, crashed) = journaled(
+        path,
+        world_with(backend),
+        config(),
+        points,
+        journal,
+        |sim, b| {
+            drive(sim, b);
+            sim.run_until(SimTime::from_secs(600));
+        },
+    );
+    (total, crashed)
 }
 
 /// Recovers from `path` into a fresh world and runs it to quiescence.
 fn recover_and_run(path: &PathBuf, seed: u64) -> (CrossBroker, RecoveryReport, Sim) {
-    recover_and_run_with(path, seed, &BackendSpec::Sim)
+    recover_and_run_in(path, seed, world_with(&BackendSpec::Sim))
 }
 
-fn recover_and_run_with(
+fn recover_and_run_in(
     path: &PathBuf,
     seed: u64,
-    backend: &BackendSpec,
+    (handles, mds): (Vec<SiteHandle>, Link),
 ) -> (CrossBroker, RecoveryReport, Sim) {
     let loaded = open_journal(path).unwrap();
     let mut sim = Sim::new(seed);
-    let (handles, mds) = world_with(backend);
     let (broker, report) = CrossBroker::recover(&mut sim, handles, mds, config(), &loaded).unwrap();
     sim.run_until(report.crash_at + SimDuration::from_secs(600));
     (broker, report, sim)
+}
+
+/// Each job of an uncrashed run's journal, which must have ended, by id:
+/// the bucket every recovery must land it in.
+fn terminal_buckets(baseline: &ReplayState) -> BTreeMap<u64, Bucket> {
+    baseline
+        .jobs
+        .iter()
+        .map(|(id, rj)| {
+            assert!(
+                rj.phase.is_terminal(),
+                "baseline job {id} not terminal: {rj:?}"
+            );
+            (*id, rj.phase.bucket())
+        })
+        .collect()
+}
+
+/// After kill point `k`, every job the journal holds ended, and in the
+/// uncrashed run's bucket (`base`) — except a job whose commit record
+/// (`JobSubmitted` + `JobAd`) missed the journal: it was never durably
+/// submitted, and recovery aborts it.
+fn assert_recovered_buckets(
+    broker: &CrossBroker,
+    expected: &ReplayState,
+    base: &BTreeMap<u64, Bucket>,
+    k: u64,
+) {
+    for (id, rj) in &expected.jobs {
+        let state = broker.record(JobId(*id)).state;
+        assert!(
+            matches!(state, JobState::Done | JobState::Failed { .. }),
+            "k={k}: job {id} never reached a terminal state: {state:?}"
+        );
+        let lost = !rj.phase.is_terminal() && (rj.jdl.is_none() || rj.runtime_ns.is_none());
+        let want = if lost { Bucket::Errored } else { base[id] };
+        assert_eq!(
+            bucket_of(&state),
+            want,
+            "k={k}: job {id} diverged from the uncrashed run: {state:?}"
+        );
+    }
 }
 
 #[test]
@@ -192,15 +249,7 @@ fn kill_point_sweep_recovers_identical_terminal_stats() {
 
     let baseline = open_journal(&base).unwrap().replay_state().unwrap();
     assert_eq!(baseline.jobs.len(), 5);
-    let mut base_buckets: BTreeMap<u64, Bucket> = BTreeMap::new();
-    for (id, rj) in &baseline.jobs {
-        assert!(
-            rj.phase.is_terminal(),
-            "baseline job {id} not terminal: {:?}",
-            rj.phase
-        );
-        base_buckets.insert(*id, rj.phase.bucket());
-    }
+    let base_buckets = terminal_buckets(&baseline);
     assert_eq!(
         base_buckets
             .values()
@@ -225,26 +274,7 @@ fn kill_point_sweep_recovers_identical_terminal_stats() {
             report.violations
         );
 
-        for (id, rj) in &expected.jobs {
-            let state = broker.record(JobId(*id)).state;
-            assert!(
-                matches!(state, JobState::Done | JobState::Failed { .. }),
-                "k={k}: job {id} never reached a terminal state: {state:?}"
-            );
-            // A job whose JobAd commit record missed the journal was never
-            // durably submitted: recovery aborts it. Every other journaled
-            // job must end in the same bucket as the uncrashed run.
-            let want = if !rj.phase.is_terminal() && (rj.jdl.is_none() || rj.runtime_ns.is_none()) {
-                Bucket::Errored
-            } else {
-                base_buckets[id]
-            };
-            assert_eq!(
-                bucket_of(&state),
-                want,
-                "k={k}: job {id} diverged from the uncrashed run: {state:?}"
-            );
-        }
+        assert_recovered_buckets(&broker, &expected, &base_buckets, k);
 
         let new_epoch = crossgrid::trace::check_invariants(&broker.event_log().snapshot());
         assert!(
@@ -272,14 +302,11 @@ fn kill_point_sweep_is_backend_invariant_under_the_process_backend() {
     let sim_base = tmp("proc-sim-base");
     let (sim_total, _) = journaled_run(&sim_base, None, None);
     let sim_state = open_journal(&sim_base).unwrap().replay_state().unwrap();
-    let base_buckets: BTreeMap<u64, Bucket> = sim_state
-        .jobs
-        .iter()
-        .map(|(id, rj)| (*id, rj.phase.bucket()))
-        .collect();
+    let base_buckets = terminal_buckets(&sim_state);
 
     let proc_base = tmp("proc-base");
-    let (proc_total, crashed) = journaled_run_with(&proc_base, None, None, &spec);
+    let (proc_total, crashed) =
+        journaled_run_cfg(&proc_base, None, None, &spec, JournalConfig::default());
     assert!(!crashed);
     assert_eq!(
         proc_total, sim_total,
@@ -299,29 +326,18 @@ fn kill_point_sweep_is_backend_invariant_under_the_process_backend() {
     // without re-running the full per-event sweep a second time.
     let crash = tmp("proc-crash");
     for k in (0..proc_total).step_by(5) {
-        let (_, crashed) = journaled_run_with(&crash, Some(k), None, &spec);
+        let (_, crashed) =
+            journaled_run_cfg(&crash, Some(k), None, &spec, JournalConfig::default());
         assert!(crashed, "kill point {k} of {proc_total} must fire");
 
         let expected = open_journal(&crash).unwrap().replay_state().unwrap();
-        let (broker, report, _sim) = recover_and_run_with(&crash, 5_000 + k, &spec);
+        let (broker, report, _sim) = recover_and_run_in(&crash, 5_000 + k, world_with(&spec));
         assert!(
             report.violations.is_empty(),
             "k={k}: recovery invariants violated: {:?}",
             report.violations
         );
-        for (id, rj) in &expected.jobs {
-            let state = broker.record(JobId(*id)).state;
-            let want = if !rj.phase.is_terminal() && (rj.jdl.is_none() || rj.runtime_ns.is_none()) {
-                Bucket::Errored
-            } else {
-                base_buckets[id]
-            };
-            assert_eq!(
-                bucket_of(&state),
-                want,
-                "k={k}: job {id} diverged from the sim-backend run: {state:?}"
-            );
-        }
+        assert_recovered_buckets(&broker, &expected, &base_buckets, k);
     }
     let _ = std::fs::remove_file(&sim_base);
     let _ = std::fs::remove_file(&proc_base);
@@ -341,29 +357,9 @@ fn churn_outage() -> FaultSchedule {
 }
 
 fn churn_world() -> (Vec<SiteHandle>, Link) {
-    let handles = ["alpha", "beta"]
-        .iter()
-        .map(|name| {
-            let site = Site::new(SiteConfig {
-                name: (*name).into(),
-                nodes: 2,
-                policy: Policy::Fifo,
-                ..SiteConfig::default()
-            });
-            let faults = if *name == "alpha" {
-                churn_outage()
-            } else {
-                FaultSchedule::none()
-            };
-            SiteHandle {
-                site,
-                broker_link: Link::with_faults(LinkProfile::campus(), faults.clone()),
-                ui_link: Link::with_faults(LinkProfile::campus(), faults),
-            }
-        })
-        .collect();
-    let mds = Link::with_faults(LinkProfile::wan_mds(), FaultSchedule::none());
-    (handles, mds)
+    let alpha = handle("alpha", &BackendSpec::Sim, churn_outage());
+    let beta = handle("beta", &BackendSpec::Sim, FaultSchedule::none());
+    (vec![alpha, beta], mds())
 }
 
 fn churn_config() -> BrokerConfig {
@@ -393,21 +389,20 @@ fn churn_drive(sim: &mut Sim, broker: &CrossBroker) {
 }
 
 fn churn_journaled_run(path: &PathBuf, crash_after: Option<u64>) -> (u64, bool) {
-    let _ = std::fs::remove_file(path);
-    let mut sim = Sim::new(SEED);
-    let (handles, mds) = churn_world();
-    let broker = CrossBroker::new(&mut sim, handles, mds, churn_config());
-    let log = broker.event_log();
-    log.set_journal(Journal::create(path, JournalConfig::default()).unwrap());
-    if let Some(k) = crash_after {
-        log.arm_crash(CrashPlan { after_event_seq: k });
-    }
-    churn_drive(&mut sim, &broker);
-    sim.run_until(SimTime::from_secs(2_400));
-    if let Some(j) = log.journal() {
-        j.sync().unwrap();
-    }
-    (log.recorded(), log.crashed())
+    let points = (crash_after, None);
+    let journal = JournalConfig::default();
+    let (_, total, crashed) = journaled(
+        path,
+        churn_world(),
+        churn_config(),
+        points,
+        journal,
+        |sim, b| {
+            churn_drive(sim, b);
+            sim.run_until(SimTime::from_secs(2_400));
+        },
+    );
+    (total, crashed)
 }
 
 #[test]
@@ -428,15 +423,7 @@ fn churn_kill_point_sweep_rebuilds_membership_from_the_journal() {
     }
     let baseline = loaded.replay_state().unwrap();
     assert_eq!(baseline.jobs.len(), 6);
-    let mut base_buckets: BTreeMap<u64, Bucket> = BTreeMap::new();
-    for (id, rj) in &baseline.jobs {
-        assert!(
-            rj.phase.is_terminal(),
-            "baseline job {id} not terminal: {:?}",
-            rj.phase
-        );
-        base_buckets.insert(*id, rj.phase.bucket());
-    }
+    let base_buckets = terminal_buckets(&baseline);
     assert!(
         baseline.site_health.is_empty(),
         "the outage ends inside the run: alpha must have rejoined"
@@ -492,23 +479,7 @@ fn churn_kill_point_sweep_rebuilds_membership_from_the_journal() {
 
         // The recovered epoch must converge to the uncrashed run's buckets.
         sim.run_until(report.crash_at + SimDuration::from_secs(2_400));
-        for (id, rj) in &expected.jobs {
-            let state = broker.record(JobId(*id)).state;
-            assert!(
-                matches!(state, JobState::Done | JobState::Failed { .. }),
-                "k={k}: job {id} never reached a terminal state: {state:?}"
-            );
-            let want = if !rj.phase.is_terminal() && (rj.jdl.is_none() || rj.runtime_ns.is_none()) {
-                Bucket::Errored
-            } else {
-                base_buckets[id]
-            };
-            assert_eq!(
-                bucket_of(&state),
-                want,
-                "k={k}: job {id} diverged from the uncrashed run: {state:?}"
-            );
-        }
+        assert_recovered_buckets(&broker, &expected, &base_buckets, k);
         let new_epoch = crossgrid::trace::check_invariants(&broker.event_log().snapshot());
         assert!(
             new_epoch.is_empty(),
@@ -653,4 +624,77 @@ fn recovery_from_a_healthy_complete_journal_is_a_no_op_rebuild() {
     assert_eq!(stats.finished, 4);
     assert_eq!(stats.rejected, 1);
     let _ = std::fs::remove_file(&path);
+}
+
+/// One site of two nodes: two long shared jobs of one user fill it, so the
+/// same user's third is refused by fair-share under scarcity (§5.1).
+fn hog_world() -> (Vec<SiteHandle>, Link) {
+    (
+        vec![handle("alpha", &BackendSpec::Sim, FaultSchedule::none())],
+        mds(),
+    )
+}
+
+fn hog() -> JobDescription {
+    JobDescription::parse(
+        r#"Executable = "iapp"; JobType = "interactive"; MachineAccess = "shared";
+           PerformanceLoss = 0; User = "hog";"#,
+    )
+    .unwrap()
+}
+
+/// Every way a job ends: the hog's first job finishes, the analyzer
+/// rejects a job at t=1, the hog's third job is refused at t=4 000 s (its
+/// first two fill the site and its priority has grown), and its second is
+/// cancelled at t=4 100 s. Journals to `path`, snapshots at `snapshot_at`
+/// seconds, and returns the live counters.
+fn endings_run(path: &PathBuf, snapshot_at: Option<u64>) -> BrokerStats {
+    let journal = JournalConfig::default();
+    let points = (None, snapshot_at);
+    let (broker, _, _) = journaled(path, hog_world(), config(), points, journal, |sim, b| {
+        b.submit(sim, hog(), SimDuration::from_secs(6_000));
+        sim.run_until(SimTime::from_secs(1));
+        b.submit(sim, broken(), SimDuration::from_secs(10));
+        sim.run_until(SimTime::from_secs(400));
+        let second = b.submit(sim, hog(), SimDuration::from_secs(6_000));
+        sim.run_until(SimTime::from_secs(4_000));
+        let refused = b.submit(sim, hog(), SimDuration::from_secs(100));
+        sim.run_until(SimTime::from_secs(4_100));
+        match b.record(refused).state {
+            JobState::Failed { reason } => assert!(reason.contains("under scarcity"), "{reason}"),
+            other => panic!("the hog's third job must be refused, got {other:?}"),
+        }
+        assert!(b.cancel(sim, second));
+        sim.run_until(SimTime::from_secs(10_000));
+    });
+    broker.stats()
+}
+
+/// Recovering a complete journal counts every ending as the live run did,
+/// whether the endings come back through the stream or through a snapshot
+/// that holds the refusal, the rejection and the cancellation as failed
+/// jobs with their reasons.
+#[test]
+fn recovered_counters_match_the_live_run_for_every_ending() {
+    for snapshot_at in [None, Some(5_000)] {
+        let path = tmp(&format!("endings-{snapshot_at:?}"));
+        let live = endings_run(&path, snapshot_at);
+        assert_eq!(
+            (live.finished, live.failed, live.rejected, live.cancelled),
+            (1, 0, 2, 1),
+            "one job finishes, two are rejected (analyzer, fair-share), one is cancelled"
+        );
+
+        let (broker, report, _sim) = recover_and_run_in(&path, SEED, hog_world());
+        assert_eq!(report.from_snapshot, snapshot_at.is_some());
+        assert!(report.violations.is_empty(), "{:?}", report.violations);
+        assert_eq!(report.terminal, 4);
+        let got = broker.stats();
+        assert_eq!(
+            (got.finished, got.failed, got.rejected, got.cancelled),
+            (live.finished, live.failed, live.rejected, live.cancelled),
+            "snapshot at {snapshot_at:?}: recovered counters differ from the live run"
+        );
+        let _ = std::fs::remove_file(&path);
+    }
 }
