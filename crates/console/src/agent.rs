@@ -14,17 +14,17 @@ use std::io::{self, Read, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::path::PathBuf;
 use std::process::{Child, Command, Stdio};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
-use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError, Sender};
+use crossbeam::channel::{unbounded, Sender};
 
 use crate::buffer::{FlushPolicy, OutputBuffer};
 use crate::frame::{Frame, ResumePoint, StreamKind};
 use crate::gsi::{nonce, Secret};
-use crate::stream::StreamSender;
-use crate::wire::{mono_ns, spawn_writer, write_frame, FrameReader, ReadEvent};
+use crate::stream::{StreamReceiver, StreamSender};
+use crate::wire::{drive, spawn_writer, FrameReader, Machine, ReadEvent};
 
 /// Streaming mode of the real transport.
 #[derive(Debug, Clone)]
@@ -110,20 +110,22 @@ pub struct ExitReport {
     pub bytes_stderr: u64,
 }
 
-enum Msg {
+/// One thing that happened to the agent; its step machine takes one at a time.
+pub(crate) enum AgentInput {
     Out(StreamKind, Vec<u8>),
     PumpEof(StreamKind),
     ChildExited(i32),
-    Ack(StreamKind, u64),
-    Stdin(u64, Vec<u8>),
-    StdinEof,
-    ConnUp {
-        tx: Sender<Frame>,
-        resume: ResumePoint,
-    },
+    /// A socket is open: the machine queues the `Hello` with this nonce.
+    Dialed(Sender<Frame>, [u8; 16]),
+    /// The handshake completed at the shadow's resume point.
+    ConnUp(Sender<Frame>, ResumePoint),
+    Frame(Frame),
     ConnDown,
     GiveUp,
 }
+
+/// A finished agent's wait for the writer to put its last frames on the wire.
+pub(crate) const LINGER_NS: u64 = 250_000_000;
 
 /// Runs `command` under the agent, blocking until the job finishes and the
 /// output is delivered (or the retry budget is exhausted). The child's
@@ -138,13 +140,13 @@ pub fn run_agent(config: AgentConfig, mut command: Command) -> io::Result<ExitRe
     let child_stdin = child.stdin.take().expect("piped stdin");
     let child_stdout = child.stdout.take().expect("piped stdout");
     let child_stderr = child.stderr.take().expect("piped stderr");
-
-    let (tx, rx) = unbounded::<Msg>();
-    let stop = Arc::new(AtomicBool::new(false));
     let kill_child = Arc::new(AtomicBool::new(false));
-    let stdin_received = Arc::new(AtomicU64::new(0));
+    let machine = AgentMachine::new(&config, child_stdin, Arc::clone(&kill_child))?;
 
-    // Pumps: child stdout/stderr → mux.
+    let (tx, rx) = unbounded::<AgentInput>();
+    let stop = Arc::new(AtomicBool::new(false));
+
+    // Pumps: child stdout/stderr → the machine.
     let pumps = [
         spawn_pump(child_stdout, StreamKind::Stdout, tx.clone()),
         spawn_pump(child_stderr, StreamKind::Stderr, tx.clone()),
@@ -159,14 +161,12 @@ pub fn run_agent(config: AgentConfig, mut command: Command) -> io::Result<ExitRe
 
     // Network manager: maintains the connection to the shadow.
     let net = {
-        let tx = tx.clone();
-        let stop = Arc::clone(&stop);
-        let stdin_received = Arc::clone(&stdin_received);
+        let (tx, stop) = (tx.clone(), Arc::clone(&stop));
         let config = config.clone();
-        std::thread::spawn(move || net_manager(config, tx, stop, stdin_received))
+        std::thread::spawn(move || net_manager(config, tx, stop))
     };
 
-    let report = mux_loop(&config, rx, child_stdin, &stdin_received, &kill_child)?;
+    let report = drive(machine, &rx)?;
 
     stop.store(true, Ordering::SeqCst);
     kill_child.store(true, Ordering::SeqCst); // belt and braces; no-op if reaped
@@ -181,218 +181,213 @@ pub fn run_agent(config: AgentConfig, mut command: Command) -> io::Result<ExitRe
 fn spawn_pump(
     mut src: impl Read + Send + 'static,
     stream: StreamKind,
-    tx: Sender<Msg>,
+    tx: Sender<AgentInput>,
 ) -> std::thread::JoinHandle<()> {
     std::thread::spawn(move || {
         let mut buf = [0u8; 8 * 1024];
-        loop {
-            match src.read(&mut buf) {
-                Ok(0) | Err(_) => {
-                    let _ = tx.send(Msg::PumpEof(stream));
-                    return;
-                }
-                Ok(n) => {
-                    if tx.send(Msg::Out(stream, buf[..n].to_vec())).is_err() {
-                        return;
-                    }
-                }
+        while let Ok(n @ 1..) = src.read(&mut buf) {
+            if tx.send(AgentInput::Out(stream, buf[..n].to_vec())).is_err() {
+                return;
             }
         }
+        let _ = tx.send(AgentInput::PumpEof(stream));
     })
 }
 
-fn waiter_loop(mut child: Child, tx: Sender<Msg>, kill: Arc<AtomicBool>) {
-    loop {
+fn waiter_loop(mut child: Child, tx: Sender<AgentInput>, kill: Arc<AtomicBool>) {
+    let code = loop {
         match child.try_wait() {
-            Ok(Some(status)) => {
-                let code = status.code().unwrap_or(-1);
-                let _ = tx.send(Msg::ChildExited(code));
-                return;
-            }
+            Ok(Some(status)) => break status.code().unwrap_or(-1),
             Ok(None) => {
                 if kill.load(Ordering::SeqCst) {
-                    let _ = child.kill();
-                    // Next try_wait reaps it.
+                    let _ = child.kill(); // the next try_wait reaps it
                 }
                 std::thread::sleep(Duration::from_millis(25));
             }
-            Err(_) => {
-                let _ = tx.send(Msg::ChildExited(-1));
-                return;
-            }
+            Err(_) => break -1,
         }
+    };
+    let _ = tx.send(AgentInput::ChildExited(code));
+}
+
+/// The agent's state; `W` is the child's stdin pipe.
+pub(crate) struct AgentMachine<W> {
+    job_id: String,
+    rank: u32,
+    /// Each stream's flush-policy buffer and sender, keyed in frame order:
+    /// a (re)connection resends stdout before stderr.
+    streams: BTreeMap<StreamKind, (OutputBuffer, StreamSender)>,
+    stdin: StreamReceiver,
+    child_stdin: Option<W>,
+    kill_child: Arc<AtomicBool>,
+    conn: Option<Sender<Frame>>,
+    conn_count: u32,
+    exit_code: Option<i32>,
+    /// The live connection has the `Exit` frame.
+    exit_sent: bool,
+    gave_up: bool,
+    /// When all work was last seen done; the report waits [`LINGER_NS`].
+    done_since: Option<u64>,
+}
+
+impl<W: Write> AgentMachine<W> {
+    pub(crate) fn new(
+        config: &AgentConfig,
+        child_stdin: W,
+        kill_child: Arc<AtomicBool>,
+    ) -> io::Result<Self> {
+        let mut streams = BTreeMap::new();
+        for (kind, name) in [
+            (StreamKind::Stdout, "stdout"),
+            (StreamKind::Stderr, "stderr"),
+        ] {
+            let label = format!("agent-{}-r{}-{name}", sanitize(&config.job_id), config.rank);
+            let mut buffer = OutputBuffer::new(config.flush);
+            if let Some(log) = &config.trace {
+                buffer.set_trace(log.clone(), label.as_str());
+            }
+            let sender = StreamSender::open(kind, &config.mode, &label, config.trace.as_ref())?;
+            streams.insert(kind, (buffer, sender));
+        }
+        Ok(AgentMachine {
+            job_id: config.job_id.clone(),
+            rank: config.rank,
+            streams,
+            stdin: StreamReceiver::new(&[StreamKind::Stdin]),
+            child_stdin: Some(child_stdin),
+            kill_child,
+            conn: None,
+            conn_count: 0,
+            exit_code: None,
+            exit_sent: false,
+            gave_up: false,
+            done_since: None,
+        })
+    }
+
+    /// The report, once the retry budget died (at once: an abort has no
+    /// live connection to flush) or [`LINGER_NS`] after all work was done.
+    fn report(&self, now_ns: u64) -> Option<ExitReport> {
+        let lingered = self
+            .done_since
+            .is_some_and(|t| now_ns.saturating_sub(t) >= LINGER_NS);
+        if !(self.gave_up || lingered) {
+            return None;
+        }
+        let delivered = self.streams.values().all(|(_, s)| s.is_settled());
+        Some(ExitReport {
+            exit_code: self.exit_code.unwrap_or(-1),
+            delivered_all: delivered
+                && !self.streams.values().any(|(_, s)| s.lost_data())
+                && !self.gave_up,
+            reconnects: self.conn_count.saturating_sub(1),
+            gave_up: self.gave_up,
+            bytes_stdout: self.streams[&StreamKind::Stdout].1.bytes(),
+            bytes_stderr: self.streams[&StreamKind::Stderr].1.bytes(),
+        })
     }
 }
 
-fn mux_loop(
-    config: &AgentConfig,
-    rx: Receiver<Msg>,
-    child_stdin: impl Write,
-    stdin_received: &AtomicU64,
-    kill_child: &AtomicBool,
-) -> io::Result<ExitReport> {
-    let mut stdin_handle = Some(child_stdin);
-    let mut conn: Option<Sender<Frame>> = None;
-    let mut conn_count: u32 = 0;
-    let mut exit_code: Option<i32> = None;
-    let mut exit_sent = false;
-    let mut gave_up = false;
+impl<W: Write> Machine for AgentMachine<W> {
+    type Input = AgentInput;
+    type Outcome = ExitReport;
 
-    // Each stream's flush-policy buffer and sender, keyed in frame order:
-    // a (re)connection resends stdout before stderr.
-    let mut streams = BTreeMap::new();
-    for (kind, name) in [
-        (StreamKind::Stdout, "stdout"),
-        (StreamKind::Stderr, "stderr"),
-    ] {
-        let label = format!("agent-{}-r{}-{name}", sanitize(&config.job_id), config.rank);
-        let mut buffer = OutputBuffer::new(config.flush);
-        if let Some(log) = &config.trace {
-            buffer.set_trace(log.clone(), label.as_str());
-        }
-        let sender = StreamSender::open(kind, &config.mode, &label, config.trace.as_ref())?;
-        streams.insert(kind, (buffer, sender));
-    }
-
-    // When set (a `mono_ns` reading), all work is done and we only linger
-    // briefly so the writer thread flushes the trailing Eof/Exit frames onto
-    // the wire.
-    let mut done_since: Option<u64> = None;
-    const LINGER: Duration = Duration::from_millis(250);
-
-    loop {
-        // Completion check. The session is over when the child exited, both
-        // pumps hit EOF, every output byte is acknowledged (fast mode writes
-        // off bytes lost to a dead connection), and the Exit frame has been
-        // handed to a live connection — or when the retry budget died.
-        let child_done = exit_code.is_some();
-        let eofs_done = streams.values().all(|(_, s)| s.is_closed());
-        let delivered = streams.values().all(|(_, s)| s.is_settled());
-        let finished =
-            gave_up || (child_done && eofs_done && delivered && exit_sent && conn.is_some());
-        done_since = if finished {
-            Some(done_since.unwrap_or_else(mono_ns))
-        } else {
-            None
-        };
-        // An abort has no live connection to flush: it reports at once.
-        let lingered = done_since.is_some_and(|t| Duration::from_nanos(mono_ns() - t) >= LINGER);
-        if gave_up || lingered {
-            return Ok(ExitReport {
-                exit_code: exit_code.unwrap_or(-1),
-                delivered_all: delivered
-                    && !streams.values().any(|(_, s)| s.lost_data())
-                    && !gave_up,
-                reconnects: conn_count.saturating_sub(1),
-                gave_up,
-                bytes_stdout: streams[&StreamKind::Stdout].1.bytes(),
-                bytes_stderr: streams[&StreamKind::Stderr].1.bytes(),
-            });
-        }
-
-        // Wait for work, bounded by the earliest flush deadline.
-        let now = mono_ns();
-        let deadline_ns = streams
-            .values()
-            .filter_map(|(buffer, _)| buffer.timeout_deadline())
-            .min();
-        let wait = match deadline_ns {
-            Some(d) if d > now => Duration::from_nanos((d - now).min(50_000_000)),
-            Some(_) => Duration::from_millis(0),
-            None => Duration::from_millis(50),
-        };
-        let msg = match rx.recv_timeout(wait) {
-            Ok(m) => Some(m),
-            Err(RecvTimeoutError::Timeout) => None,
-            Err(RecvTimeoutError::Disconnected) => {
-                return Err(io::Error::other("agent channels died"))
-            }
-        };
-
-        // Timeout-triggered flushes.
-        let now = mono_ns();
-        for (buffer, sender) in streams.values_mut() {
-            if let Some((data, _)) = buffer.poll_timeout(now) {
+    fn handle(&mut self, input: Option<AgentInput>, now_ns: u64) -> io::Result<Option<ExitReport>> {
+        for (buffer, sender) in self.streams.values_mut() {
+            sender.set_now(now_ns);
+            if let Some((data, _)) = buffer.poll_timeout(now_ns) {
                 sender.send(data)?;
             }
         }
-
-        let Some(msg) = msg else { continue };
-        match msg {
-            Msg::Out(kind, data) => {
-                let (buffer, sender) = streams.get_mut(&kind).expect("stream exists");
-                for (chunk, _) in buffer.push(&data, mono_ns()) {
+        match input {
+            None => {}
+            Some(AgentInput::Out(kind, data)) => {
+                let (buffer, sender) = self.streams.get_mut(&kind).expect("stream exists");
+                for (chunk, _) in buffer.push(&data, now_ns) {
                     sender.send(chunk)?;
                 }
             }
-            Msg::PumpEof(kind) => {
-                let (buffer, sender) = streams.get_mut(&kind).expect("stream exists");
-                if let Some((data, _)) = buffer.flush(mono_ns()) {
+            Some(AgentInput::PumpEof(kind)) => {
+                let (buffer, sender) = self.streams.get_mut(&kind).expect("stream exists");
+                if let Some((data, _)) = buffer.flush(now_ns) {
                     sender.send(data)?;
                 }
                 sender.close();
             }
-            Msg::ChildExited(code) => {
-                exit_code = Some(code);
-                if let Some(tx) = &conn {
-                    let _ = tx.send(Frame::Exit { code });
-                    exit_sent = true;
-                }
+            Some(AgentInput::ChildExited(code)) => self.exit_code = Some(code),
+            Some(AgentInput::Dialed(conn, nonce)) => {
+                let _ = conn.send(Frame::Hello {
+                    job_id: self.job_id.clone(),
+                    rank: self.rank,
+                    resume: self.stdin.resume(),
+                    nonce,
+                });
             }
-            Msg::Ack(kind, seq) => {
-                if let Some((_, sender)) = streams.get_mut(&kind) {
-                    sender.ack(seq)?;
-                }
-            }
-            Msg::Stdin(seq, data) => {
-                let seen = stdin_received.load(Ordering::SeqCst);
-                if seq > seen {
-                    if let Some(w) = stdin_handle.as_mut() {
-                        if w.write_all(&data).and_then(|()| w.flush()).is_err() {
-                            stdin_handle = None; // child closed its stdin
-                        }
-                    }
-                    stdin_received.store(seq, Ordering::SeqCst);
-                }
-                if let Some(tx) = &conn {
-                    let _ = tx.send(Frame::Ack {
-                        stream: StreamKind::Stdin,
-                        seq,
-                    });
-                }
-            }
-            Msg::StdinEof => {
-                stdin_handle = None; // closes the pipe; child sees EOF
-            }
-            Msg::ConnUp { tx, resume } => {
-                conn_count += 1;
-                for (kind, (_, sender)) in &mut streams {
+            Some(AgentInput::ConnUp(conn, resume)) => {
+                self.conn_count += 1;
+                for (kind, (_, sender)) in &mut self.streams {
                     let after = if *kind == StreamKind::Stdout {
                         resume.stdout_received
                     } else {
                         resume.stderr_received
                     };
-                    sender.connected(after, &tx)?;
+                    sender.connected(after, &conn)?;
                 }
-                if let Some(code) = exit_code {
-                    let _ = tx.send(Frame::Exit { code });
-                    exit_sent = true;
-                }
-                conn = Some(tx);
+                (self.conn, self.exit_sent) = (Some(conn), false);
             }
-            Msg::ConnDown => {
-                conn = None;
-                for (_, sender) in streams.values_mut() {
+            Some(AgentInput::Frame(Frame::Ack { stream, seq })) => {
+                if let Some((_, sender)) = self.streams.get_mut(&stream) {
+                    sender.ack(seq)?;
+                }
+            }
+            Some(AgentInput::Frame(frame)) => match self.stdin.take(frame, self.conn.as_ref()) {
+                Some(Frame::Data { payload, .. }) => {
+                    if let Some(w) = self.child_stdin.as_mut() {
+                        if w.write_all(&payload).and_then(|()| w.flush()).is_err() {
+                            self.child_stdin = None; // child closed its stdin
+                        }
+                    }
+                }
+                Some(Frame::Eof { .. }) => self.child_stdin = None, // the child sees EOF
+                _ => {}
+            },
+            Some(AgentInput::ConnDown) => {
+                self.conn = None;
+                for (_, sender) in self.streams.values_mut() {
                     sender.disconnected();
                 }
             }
-            Msg::GiveUp => {
-                gave_up = true;
-                if exit_code.is_none() {
-                    kill_child.store(true, Ordering::SeqCst);
+            Some(AgentInput::GiveUp) => {
+                self.gave_up = true;
+                if self.exit_code.is_none() {
+                    self.kill_child.store(true, Ordering::SeqCst);
                 }
             }
         }
+        if let (Some(code), Some(conn), false) = (self.exit_code, &self.conn, self.exit_sent) {
+            let _ = conn.send(Frame::Exit { code });
+            self.exit_sent = true;
+        }
+        // The session is over when the child exited, both pumps hit EOF,
+        // every output byte is acknowledged (fast mode writes off bytes lost
+        // to a dead connection), and a live connection has the Exit frame.
+        let finished = self.exit_sent
+            && self.conn.is_some()
+            && self
+                .streams
+                .values()
+                .all(|(_, s)| s.is_closed() && s.is_settled());
+        self.done_since = finished.then(|| self.done_since.unwrap_or(now_ns));
+        Ok(self.report(now_ns))
+    }
+
+    fn next_deadline(&self) -> Option<u64> {
+        let linger_end = self.done_since.map(|t| t + LINGER_NS);
+        self.streams
+            .values()
+            .filter_map(|(buffer, _)| buffer.timeout_deadline())
+            .chain(linger_end)
+            .min()
     }
 }
 
@@ -408,179 +403,121 @@ fn sanitize(s: &str) -> String {
         .collect()
 }
 
-fn net_manager(
-    config: AgentConfig,
-    mux: Sender<Msg>,
-    stop: Arc<AtomicBool>,
-    stdin_received: Arc<AtomicU64>,
-) {
+fn net_manager(config: AgentConfig, mux: Sender<AgentInput>, stop: Arc<AtomicBool>) {
     let mut attempts: u32 = 0;
     while !stop.load(Ordering::SeqCst) {
-        let sock = TcpStream::connect_timeout(&config.shadow_addr, Duration::from_secs(2));
-        let Ok(sock) = sock else {
-            attempts += 1;
-            if attempts > config.max_retries {
-                let _ = mux.send(Msg::GiveUp);
-                return;
+        let end = match TcpStream::connect_timeout(&config.shadow_addr, Duration::from_secs(2)) {
+            Ok(sock) => {
+                let _ = sock.set_nodelay(true);
+                session(&config, sock, &mux, &stop)
             }
-            sleep_interruptible(config.retry_interval, &stop);
-            continue;
+            Err(_) => SessionEnd::Refused,
         };
-        let _ = sock.set_nodelay(true);
-        match session(&config, sock, &mux, &stop, &stdin_received) {
-            SessionEnd::Fatal => {
-                let _ = mux.send(Msg::GiveUp);
-                return;
-            }
-            SessionEnd::Retry { was_established } => {
-                if was_established {
-                    attempts = 0;
-                }
-                attempts += 1;
+        match end {
+            SessionEnd::Stopped => return,
+            SessionEnd::Fatal => break,
+            SessionEnd::Refused | SessionEnd::Lost => {
+                attempts = if matches!(end, SessionEnd::Lost) {
+                    1
+                } else {
+                    attempts + 1
+                };
                 if attempts > config.max_retries {
-                    let _ = mux.send(Msg::GiveUp);
-                    return;
+                    break;
                 }
                 sleep_interruptible(config.retry_interval, &stop);
             }
-            SessionEnd::Stopped => return,
         }
     }
+    let _ = mux.send(AgentInput::GiveUp);
 }
 
+/// `Lost`: an established connection died, so the attempts start over.
 enum SessionEnd {
-    Retry { was_established: bool },
+    Refused,
+    Lost,
     Fatal,
     Stopped,
 }
 
+/// One connection: the handshake, then frames to the machine.
 fn session(
     config: &AgentConfig,
     sock: TcpStream,
-    mux: &Sender<Msg>,
+    mux: &Sender<AgentInput>,
     stop: &AtomicBool,
-    stdin_received: &AtomicU64,
 ) -> SessionEnd {
-    let Ok(mut write_sock) = sock.try_clone() else {
-        return SessionEnd::Retry {
-            was_established: false,
-        };
+    let Ok(write_sock) = sock.try_clone() else {
+        return SessionEnd::Refused;
     };
     let Ok(mut reader) = FrameReader::new(sock) else {
-        return SessionEnd::Retry {
-            was_established: false,
-        };
+        return SessionEnd::Refused;
     };
-
-    // Mutual handshake.
-    let my_nonce = nonce();
-    let hello = Frame::Hello {
-        job_id: config.job_id.clone(),
-        rank: config.rank,
-        resume: ResumePoint {
-            stdin_received: stdin_received.load(Ordering::SeqCst),
-            stdout_received: 0,
-            stderr_received: 0,
-        },
-        nonce: my_nonce,
-    };
-    if write_frame(&mut write_sock, &hello).is_err() {
-        return SessionEnd::Retry {
-            was_established: false,
-        };
-    }
-    let challenge = match reader.next_frame_timeout(Duration::from_secs(5)) {
-        Ok(Frame::Challenge { nonce, proof }) => {
-            if !config.secret.verify(&my_nonce, &proof) {
-                // Shadow failed OUR challenge; tell it before aborting so
-                // the user side surfaces an AuthFailure event too.
-                let _ = write_frame(&mut write_sock, &Frame::AuthFailed);
-                return SessionEnd::Fatal;
-            }
-            nonce
-        }
-        Ok(Frame::AuthFailed) => return SessionEnd::Fatal,
-        Ok(_) | Err(_) => {
-            return SessionEnd::Retry {
-                was_established: false,
-            }
-        }
-    };
-    let response = Frame::AuthResponse {
-        proof: config.secret.prove(&challenge),
-    };
-    if write_frame(&mut write_sock, &response).is_err() {
-        return SessionEnd::Retry {
-            was_established: false,
-        };
-    }
-    let resume = match reader.next_frame_timeout(Duration::from_secs(5)) {
-        Ok(Frame::Welcome { resume }) => resume,
-        Ok(Frame::AuthFailed) => return SessionEnd::Fatal,
-        Ok(_) | Err(_) => {
-            return SessionEnd::Retry {
-                was_established: false,
-            }
-        }
-    };
-
-    let (tx, writer) = spawn_writer(write_sock);
-    let _ = mux.send(Msg::ConnUp {
-        tx: tx.clone(),
-        resume,
-    });
-
-    // Read until the connection dies or we are stopped.
-    let end = loop {
-        if stop.load(Ordering::SeqCst) {
-            break SessionEnd::Stopped;
-        }
-        match reader.poll() {
-            Ok(ReadEvent::Idle) => {}
-            Ok(ReadEvent::Closed) | Err(_) => {
-                break SessionEnd::Retry {
-                    was_established: true,
+    let (conn, writer) = spawn_writer(write_sock);
+    let end = match handshake(config, &mut reader, &conn, mux) {
+        Err(end) => end,
+        Ok(resume) => {
+            let _ = mux.send(AgentInput::ConnUp(conn.clone(), resume));
+            let end = loop {
+                if stop.load(Ordering::SeqCst) {
+                    break SessionEnd::Stopped;
                 }
-            }
-            Ok(ReadEvent::Frame(frame)) => match frame {
-                Frame::Data {
-                    stream: StreamKind::Stdin,
-                    seq,
-                    payload,
-                } => {
-                    let _ = mux.send(Msg::Stdin(seq, payload.to_vec()));
+                match reader.poll() {
+                    Ok(ReadEvent::Idle) => {}
+                    Ok(ReadEvent::Closed) | Err(_) => break SessionEnd::Lost,
+                    Ok(ReadEvent::Frame(Frame::AuthFailed)) => break SessionEnd::Fatal,
+                    Ok(ReadEvent::Frame(frame)) => {
+                        let _ = mux.send(AgentInput::Frame(frame));
+                    }
                 }
-                Frame::Ack { stream, seq } => {
-                    let _ = mux.send(Msg::Ack(stream, seq));
-                }
-                Frame::Eof {
-                    stream: StreamKind::Stdin,
-                } => {
-                    let _ = mux.send(Msg::StdinEof);
-                }
-                Frame::AuthFailed => break SessionEnd::Fatal,
-                _ => {} // tolerate unexpected frames
-            },
+            };
+            // Makes the machine drop its senders, so the writer ends.
+            let _ = mux.send(AgentInput::ConnDown);
+            end
         }
     };
-    // The mux holds the queue's other senders until it hears the connection
-    // is down: tell it before waiting for the writer to see the queue close.
-    drop(tx);
-    let _ = mux.send(Msg::ConnDown);
+    drop(conn);
     let _ = writer.join();
     end
+}
+
+/// The mutual handshake; the shadow's resume point once it welcomes us.
+fn handshake(
+    config: &AgentConfig,
+    reader: &mut FrameReader,
+    conn: &Sender<Frame>,
+    mux: &Sender<AgentInput>,
+) -> Result<ResumePoint, SessionEnd> {
+    let my_nonce = nonce();
+    let dialed = AgentInput::Dialed(conn.clone(), my_nonce);
+    mux.send(dialed).map_err(|_| SessionEnd::Stopped)?;
+    let challenge = match reader.next_frame_timeout(Duration::from_secs(5)) {
+        Ok(Frame::Challenge { nonce, proof }) if config.secret.verify(&my_nonce, &proof) => nonce,
+        Ok(Frame::Challenge { .. }) => {
+            // Shadow failed OUR challenge; tell it before aborting so the
+            // user side surfaces an AuthFailure event too.
+            let _ = conn.send(Frame::AuthFailed);
+            return Err(SessionEnd::Fatal);
+        }
+        Ok(Frame::AuthFailed) => return Err(SessionEnd::Fatal),
+        Ok(_) | Err(_) => return Err(SessionEnd::Refused),
+    };
+    let _ = conn.send(Frame::AuthResponse {
+        proof: config.secret.prove(&challenge),
+    });
+    match reader.next_frame_timeout(Duration::from_secs(5)) {
+        Ok(Frame::Welcome { resume }) => Ok(resume),
+        Ok(Frame::AuthFailed) => Err(SessionEnd::Fatal),
+        Ok(_) | Err(_) => Err(SessionEnd::Refused),
+    }
 }
 
 fn sleep_interruptible(total: Duration, stop: &AtomicBool) {
     let step = Duration::from_millis(50);
     let mut left = total;
-    while left > Duration::ZERO {
-        if stop.load(Ordering::SeqCst) {
-            return;
-        }
-        let d = left.min(step);
-        std::thread::sleep(d);
-        left -= d;
+    while left > Duration::ZERO && !stop.load(Ordering::SeqCst) {
+        std::thread::sleep(left.min(step));
+        left = left.saturating_sub(step);
     }
 }
 
@@ -588,33 +525,27 @@ fn sleep_interruptible(total: Duration, stop: &AtomicBool) {
 mod tests {
     use super::*;
 
-    /// The retry budget dying ends the session at once: the mux kills the
-    /// child and reports without lingering. The channel is closed behind
-    /// `GiveUp`, so one more pass of the loop would fail the call.
+    /// The retry budget dying ends the session at once: the machine kills
+    /// the child and reports without lingering.
     #[test]
     fn giving_up_reports_at_once_and_kills_the_child() {
         let config = AgentConfig::fast("job", ([127, 0, 0, 1], 9).into(), Secret::new("s"));
-        let (tx, rx) = unbounded();
-        for msg in [
-            Msg::Out(StreamKind::Stdout, b"lost\n".to_vec()),
-            Msg::GiveUp,
-        ] {
-            assert!(tx.send(msg).is_ok());
-        }
-        drop(tx);
-        let kill = AtomicBool::new(false);
-        let report = mux_loop(&config, rx, io::sink(), &AtomicU64::new(0), &kill).unwrap();
+        let kill = Arc::new(AtomicBool::new(false));
+        let mut agent = AgentMachine::new(&config, io::sink(), Arc::clone(&kill)).unwrap();
+        let out = AgentInput::Out(StreamKind::Stdout, b"lost\n".to_vec());
+        assert_eq!(agent.handle(Some(out), 7).unwrap(), None);
+        let report = agent.handle(Some(AgentInput::GiveUp), 7).unwrap();
         assert!(kill.load(Ordering::SeqCst), "the child is not killed");
         assert_eq!(
             report,
-            ExitReport {
+            Some(ExitReport {
                 exit_code: -1,
                 delivered_all: false,
                 reconnects: 0,
                 gave_up: true,
                 bytes_stdout: 5,
                 bytes_stderr: 0,
-            }
+            })
         );
     }
 }

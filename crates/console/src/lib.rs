@@ -13,12 +13,13 @@
 //!   mutual handshake, reliable-mode disk spooling ([`Spool`]) with
 //!   reconnect-and-replay, fast mode without buffering, and the paper's
 //!   output flush triggers (buffer full / timeout / end-of-line,
-//!   [`OutputBuffer`]). Both directions send through one crate-private
-//!   stream sender, which holds the reliable/fast delivery rule: the
-//!   agent's stdout and stderr and the shadow's stdin for each rank.
-//!   Substitution note: the paper interposed with an `LD_PRELOAD` library;
-//!   owning the child's pipes intercepts the same three streams with the
-//!   same no-recompilation guarantee.
+//!   [`OutputBuffer`]). Both ends have one shape: a crate-private step
+//!   machine that takes one input and the current time, run by one thread
+//!   (`drive`) that reads [`mono_ns`] (the one clock) and waits until the
+//!   machine's next deadline. Both directions send through one stream
+//!   sender and take in through one stream receiver, which hold §4's
+//!   reliable/fast rule. The paper interposed with an `LD_PRELOAD` library;
+//!   owning the child's pipes traps the same three streams unrecompiled.
 //! - **Simulated cost model** ([`MethodCosts`]): the per-method
 //!   endpoint/chunk/disk cost structure that regenerates Figures 6 and 7.
 //!   The simulated reliable mode's retry rule is the broker's console
@@ -27,6 +28,8 @@
 #![warn(missing_docs)]
 
 mod agent;
+#[cfg(test)]
+mod back_to_back;
 mod buffer;
 mod frame;
 mod gsi;

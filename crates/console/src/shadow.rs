@@ -7,22 +7,23 @@
 //! In reliable mode stdin is spooled per rank so input typed during an
 //! outage reaches the job after reconnection.
 
-use std::collections::HashMap;
+use std::collections::btree_map::Entry;
+use std::collections::BTreeMap;
 use std::io;
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
+use std::thread::JoinHandle;
 use std::time::Duration;
 
 use crossbeam::channel::{unbounded, Receiver, Sender};
-use parking_lot::Mutex;
 
 use crate::agent::Mode;
 use crate::buffer::{FlushPolicy, OutputBuffer};
-use crate::frame::{Frame, ResumePoint, StreamKind};
+use crate::frame::{Frame, StreamKind};
 use crate::gsi::{nonce, Secret};
-use crate::stream::StreamSender;
-use crate::wire::{spawn_writer, write_frame, FrameReader, ReadEvent};
+use crate::stream::{StreamReceiver, StreamSender};
+use crate::wire::{drive, spawn_writer, write_frame, FrameReader, Machine, ReadEvent};
 
 /// Shadow configuration.
 #[derive(Debug, Clone)]
@@ -103,70 +104,212 @@ pub enum ShadowEvent {
     },
 }
 
-struct RankState {
-    stdin: StreamSender,
-    stdout_received: u64,
-    stderr_received: u64,
-    conn: Option<Sender<Frame>>,
-    buffers: HashMap<StreamKind, OutputBuffer>,
-    connected_before: bool,
-    exit_code: Option<i32>,
-    eof_sent: HashMap<StreamKind, bool>,
+/// One thing that happened to the shadow; its step machine takes one at a time.
+pub(crate) enum ShadowInput {
+    /// `rank`'s agent passed the handshake and holds stdin up to `stdin_after`.
+    Connected {
+        rank: u32,
+        job_id: String,
+        stdin_after: u64,
+        conn: Sender<Frame>,
+    },
+    Frame(u32, Frame),
+    /// A connection of this rank died; the sender names its frame queue.
+    Down(u32, Sender<Frame>),
+    AuthFailure(SocketAddr),
+    /// Input for every rank; whether the spools took it goes back on the reply.
+    Stdin(Vec<u8>, Sender<io::Result<()>>),
+    CloseStdin,
+    Shutdown,
 }
 
-struct State {
-    ranks: HashMap<u32, RankState>,
+const STDIN: StreamKind = StreamKind::Stdin;
+const OUTPUTS: [StreamKind; 2] = [StreamKind::Stdout, StreamKind::Stderr];
+
+struct Rank {
+    stdin: StreamSender,
+    received: StreamReceiver,
+    /// The user-side output buffers, in `OUTPUTS` order.
+    buffers: [OutputBuffer; 2],
+    conn: Option<Sender<Frame>>,
+    connected_before: bool,
+}
+
+/// The shadow's state: every rank's streams and connection.
+pub(crate) struct ShadowMachine {
+    ranks: BTreeMap<u32, Rank>,
     config: ShadowConfig,
     events: Sender<ShadowEvent>,
+    stopped: bool,
 }
 
-impl State {
-    fn rank_mut(&mut self, rank: u32) -> io::Result<&mut RankState> {
-        if !self.ranks.contains_key(&rank) {
-            let stdin = StreamSender::open(
-                StreamKind::Stdin,
-                &self.config.mode,
-                &format!("shadow-stdin-r{rank}"),
-                self.config.trace.as_ref(),
-            )?;
-            let mut buffers = HashMap::new();
-            buffers.insert(StreamKind::Stdout, OutputBuffer::new(self.config.flush));
-            buffers.insert(StreamKind::Stderr, OutputBuffer::new(self.config.flush));
-            if let Some(log) = &self.config.trace {
-                for (kind, buffer) in &mut buffers {
-                    let name = if *kind == StreamKind::Stdout {
-                        "stdout"
-                    } else {
-                        "stderr"
-                    };
+impl ShadowMachine {
+    pub(crate) fn new(config: &ShadowConfig, events: Sender<ShadowEvent>) -> io::Result<Self> {
+        let mut machine = ShadowMachine {
+            ranks: BTreeMap::new(),
+            config: config.clone(),
+            events,
+            stopped: false,
+        };
+        // Pre-create the expected ranks so stdin typed before any agent
+        // connects is spooled for all of them.
+        for rank in 0..config.expected_ranks {
+            machine.rank(rank)?;
+        }
+        Ok(machine)
+    }
+
+    /// `rank`'s state, opened (its stdin spool too) on first use.
+    fn rank(&mut self, rank: u32) -> io::Result<&mut Rank> {
+        let config = &self.config;
+        if let Entry::Vacant(slot) = self.ranks.entry(rank) {
+            let label = format!("shadow-stdin-r{rank}");
+            let trace = config.trace.as_ref();
+            let stdin = StreamSender::open(STDIN, &config.mode, &label, trace)?;
+            let buffers = ["stdout", "stderr"].map(|name| {
+                let mut buffer = OutputBuffer::new(config.flush);
+                if let Some(log) = trace {
                     buffer.set_trace(log.clone(), format!("shadow-{name}-r{rank}"));
                 }
-            }
-            self.ranks.insert(
-                rank,
-                RankState {
-                    stdin,
-                    stdout_received: 0,
-                    stderr_received: 0,
-                    conn: None,
-                    buffers,
-                    connected_before: false,
-                    exit_code: None,
-                    eof_sent: HashMap::new(),
-                },
-            );
+                buffer
+            });
+            slot.insert(Rank {
+                stdin,
+                received: StreamReceiver::new(&OUTPUTS),
+                buffers,
+                conn: None,
+                connected_before: false,
+            });
         }
         Ok(self.ranks.get_mut(&rank).expect("just inserted"))
+    }
+
+    /// Fast mode lost some of `rank`'s stdin to a dead connection.
+    #[cfg(test)]
+    pub(crate) fn stdin_lost(&self, rank: u32) -> bool {
+        self.ranks[&rank].stdin.lost_data()
+    }
+
+    fn record(&self, now_ns: u64, event: cg_trace::Event) {
+        if let Some(log) = &self.config.trace {
+            log.record(cg_sim::SimTime::from_nanos(now_ns), event);
+        }
+    }
+
+    fn step(&mut self, input: ShadowInput, now_ns: u64) -> io::Result<()> {
+        let events = self.events.clone();
+        let emit = |event| {
+            let _ = events.send(event);
+        };
+        match input {
+            ShadowInput::Connected {
+                rank,
+                job_id,
+                stdin_after,
+                conn,
+            } => {
+                let r = self.rank(rank)?;
+                let _ = conn.send(Frame::Welcome {
+                    resume: r.received.resume(),
+                });
+                let reconnect = std::mem::replace(&mut r.connected_before, true);
+                r.conn = Some(conn.clone());
+                r.stdin.connected(stdin_after, &conn)?;
+                emit(ShadowEvent::AgentConnected {
+                    rank,
+                    job_id,
+                    reconnect,
+                });
+                self.record(now_ns, cg_trace::Event::ShadowConnected { rank });
+            }
+            ShadowInput::Frame(rank, frame) => {
+                let r = self.rank(rank)?;
+                if let Frame::Ack { stream: STDIN, seq } = frame {
+                    return r.stdin.ack(seq);
+                }
+                match r.received.take(frame, r.conn.as_ref()) {
+                    Some(Frame::Data {
+                        stream, payload, ..
+                    }) => {
+                        let buffer = &mut r.buffers[stream as usize - 1];
+                        for (data, _) in buffer.push(&payload, now_ns) {
+                            emit(ShadowEvent::Output { rank, stream, data });
+                        }
+                    }
+                    Some(Frame::Eof { stream }) => {
+                        if let Some((data, _)) = r.buffers[stream as usize - 1].flush(now_ns) {
+                            emit(ShadowEvent::Output { rank, stream, data });
+                        }
+                        emit(ShadowEvent::Eof { rank, stream });
+                    }
+                    Some(Frame::Exit { code }) => emit(ShadowEvent::Exit { rank, code }),
+                    _ => {}
+                }
+            }
+            ShadowInput::Down(rank, conn) => {
+                let Some(r) = self.ranks.get_mut(&rank) else {
+                    return Ok(());
+                };
+                // A newer connection may already have replaced this one.
+                if r.conn.as_ref().is_some_and(|c| c.same_channel(&conn)) {
+                    r.conn = None;
+                    r.stdin.disconnected();
+                    emit(ShadowEvent::AgentDisconnected { rank });
+                    self.record(now_ns, cg_trace::Event::ShadowDisconnected { rank });
+                }
+            }
+            ShadowInput::AuthFailure(peer) => emit(ShadowEvent::AuthFailure { peer }),
+            ShadowInput::Stdin(data, reply) => {
+                let mut ranks = self.ranks.values_mut();
+                let _ = reply.send(ranks.try_for_each(|r| r.stdin.send(data.clone())));
+            }
+            ShadowInput::CloseStdin => self.ranks.values_mut().for_each(|r| r.stdin.close()),
+            // `drive` then drops the machine and with it every frame
+            // queue, so the agents' writer threads end.
+            ShadowInput::Shutdown => self.stopped = true,
+        }
+        Ok(())
+    }
+}
+
+impl Machine for ShadowMachine {
+    type Input = ShadowInput;
+    type Outcome = ();
+
+    /// A failed spool operation ends only the input that hit it: a stdin
+    /// request hears of it on its reply, a connection's is dropped.
+    fn handle(&mut self, input: Option<ShadowInput>, now_ns: u64) -> io::Result<Option<()>> {
+        for (&rank, r) in &mut self.ranks {
+            r.stdin.set_now(now_ns);
+            for (stream, buffer) in OUTPUTS.into_iter().zip(&mut r.buffers) {
+                if let Some((data, _)) = buffer.poll_timeout(now_ns) {
+                    let _ = self.events.send(ShadowEvent::Output { rank, stream, data });
+                }
+            }
+        }
+        if let Some(input) = input {
+            let _ = self.step(input, now_ns);
+        }
+        Ok(self.stopped.then_some(()))
+    }
+
+    fn next_deadline(&self) -> Option<u64> {
+        self.ranks
+            .values()
+            .flat_map(|r| &r.buffers)
+            .filter_map(OutputBuffer::timeout_deadline)
+            .min()
     }
 }
 
 /// The user-side console endpoint.
 pub struct ConsoleShadow {
     addr: SocketAddr,
-    state: Arc<Mutex<State>>,
+    inputs: Sender<ShadowInput>,
     events_rx: Receiver<ShadowEvent>,
     stop: Arc<AtomicBool>,
-    threads: Mutex<Vec<std::thread::JoinHandle<()>>>,
+    /// The thread running the machine, and the accept loop.
+    threads: [JoinHandle<()>; 2],
 }
 
 impl ConsoleShadow {
@@ -177,49 +320,23 @@ impl ConsoleShadow {
         listener.set_nonblocking(true)?;
         let addr = listener.local_addr()?;
         let (events_tx, events_rx) = unbounded();
-        let state = Arc::new(Mutex::new(State {
-            ranks: HashMap::new(),
-            config: config.clone(),
-            events: events_tx,
-        }));
-        // Pre-create the expected ranks so stdin typed before any agent
-        // connects is spooled for all of them.
-        {
-            let mut st = state.lock();
-            for rank in 0..config.expected_ranks {
-                st.rank_mut(rank)?;
-            }
-        }
+        let machine = ShadowMachine::new(&config, events_tx)?;
+        let (inputs, rx) = unbounded();
+        let runner = std::thread::spawn(move || {
+            let _ = drive(machine, &rx);
+        });
         let stop = Arc::new(AtomicBool::new(false));
-        let shadow = ConsoleShadow {
-            addr,
-            state: Arc::clone(&state),
-            events_rx,
-            stop: Arc::clone(&stop),
-            threads: Mutex::new(Vec::new()),
-        };
-
-        // Accept loop.
-        let accept_state = Arc::clone(&state);
-        let accept_stop = Arc::clone(&stop);
-        let conn_threads: Arc<Mutex<Vec<std::thread::JoinHandle<()>>>> =
-            Arc::new(Mutex::new(Vec::new()));
-        let conn_threads2 = Arc::clone(&conn_threads);
-        let secret = config.secret.clone();
+        let (accept_inputs, accept_stop) = (inputs.clone(), Arc::clone(&stop));
         let acceptor = std::thread::spawn(move || {
-            loop {
-                if accept_stop.load(Ordering::SeqCst) {
-                    break;
-                }
+            let mut connections = Vec::new();
+            while !accept_stop.load(Ordering::SeqCst) {
                 match listener.accept() {
                     Ok((sock, peer)) => {
-                        let st = Arc::clone(&accept_state);
-                        let stop = Arc::clone(&accept_stop);
-                        let secret = secret.clone();
-                        let h = std::thread::spawn(move || {
-                            let _ = serve_connection(sock, peer, st, stop, secret);
-                        });
-                        conn_threads2.lock().push(h);
+                        let (inputs, stop) = (accept_inputs.clone(), Arc::clone(&accept_stop));
+                        let secret = config.secret.clone();
+                        connections.push(std::thread::spawn(move || {
+                            let _ = serve_connection(sock, peer, &inputs, &stop, &secret);
+                        }));
                     }
                     Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
                         std::thread::sleep(Duration::from_millis(25));
@@ -227,38 +344,17 @@ impl ConsoleShadow {
                     Err(_) => break,
                 }
             }
-            // Join connection threads on the way out.
-            for h in conn_threads2.lock().drain(..) {
+            for h in connections {
                 let _ = h.join();
             }
         });
-
-        // Ticker: drives the timeout flush trigger on the user-side buffers.
-        let tick_state = Arc::clone(&state);
-        let tick_stop = Arc::clone(&stop);
-        let ticker = std::thread::spawn(move || {
-            while !tick_stop.load(Ordering::SeqCst) {
-                {
-                    let mut st = tick_state.lock();
-                    let now = crate::wire::mono_ns();
-                    let mut out = Vec::new();
-                    for (&rank, rs) in &mut st.ranks {
-                        for (&stream, buffer) in &mut rs.buffers {
-                            if let Some((data, _)) = buffer.poll_timeout(now) {
-                                out.push(ShadowEvent::Output { rank, stream, data });
-                            }
-                        }
-                    }
-                    for ev in out {
-                        let _ = st.events.send(ev);
-                    }
-                }
-                std::thread::sleep(Duration::from_millis(10));
-            }
-        });
-
-        shadow.threads.lock().extend([acceptor, ticker]);
-        Ok(shadow)
+        Ok(ConsoleShadow {
+            addr,
+            inputs,
+            events_rx,
+            stop,
+            threads: [runner, acceptor],
+        })
     }
 
     /// The address agents must connect to.
@@ -274,11 +370,12 @@ impl ConsoleShadow {
     /// Sends stdin bytes to **every** rank (the paper broadcasts input to all
     /// subjobs; applications read on one rank by checking the MPI rank, §4).
     pub fn send_stdin(&self, data: &[u8]) -> io::Result<()> {
-        let mut st = self.state.lock();
-        for rs in st.ranks.values_mut() {
-            rs.stdin.send(data.to_vec())?;
-        }
-        Ok(())
+        let stopped = || io::Error::other("console shadow stopped");
+        let (reply, verdict) = unbounded();
+        self.inputs
+            .send(ShadowInput::Stdin(data.to_vec(), reply))
+            .map_err(|_| stopped())?;
+        verdict.recv().map_err(|_| stopped())?
     }
 
     /// Convenience: sends a line of input (appends the newline the Enter key
@@ -291,194 +388,74 @@ impl ConsoleShadow {
 
     /// Closes stdin on every rank; jobs reading stdin see EOF.
     pub fn close_stdin(&self) {
-        let mut st = self.state.lock();
-        for rs in st.ranks.values_mut() {
-            rs.stdin.close();
-        }
+        let _ = self.inputs.send(ShadowInput::CloseStdin);
     }
 
     /// Stops listening and joins all threads.
     pub fn shutdown(self) {
         self.stop.store(true, Ordering::SeqCst);
-        // Drop senders so agent writer threads unblock.
-        {
-            let mut st = self.state.lock();
-            for rs in st.ranks.values_mut() {
-                rs.conn = None;
-                rs.stdin.disconnected();
-            }
-        }
-        let mut threads = self.threads.lock();
-        for h in threads.drain(..) {
+        let _ = self.inputs.send(ShadowInput::Shutdown);
+        for h in self.threads {
             let _ = h.join();
         }
     }
 }
 
+/// One agent connection: the handshake, then its frames to the machine.
 fn serve_connection(
     sock: TcpStream,
     peer: SocketAddr,
-    state: Arc<Mutex<State>>,
-    stop: Arc<AtomicBool>,
-    secret: Secret,
+    inputs: &Sender<ShadowInput>,
+    stop: &AtomicBool,
+    secret: &Secret,
 ) -> io::Result<()> {
     let _ = sock.set_nodelay(true);
     let mut write_sock = sock.try_clone()?;
     let mut reader = FrameReader::new(sock)?;
 
     // Handshake.
-    let (job_id, rank, agent_resume) = match reader.next_frame_timeout(Duration::from_secs(5))? {
-        Frame::Hello {
-            job_id,
-            rank,
-            resume,
-            nonce: agent_nonce,
-        } => {
-            let my_nonce = nonce();
-            write_frame(
-                &mut write_sock,
-                &Frame::Challenge {
-                    nonce: my_nonce,
-                    proof: secret.prove(&agent_nonce),
-                },
-            )?;
-            match reader.next_frame_timeout(Duration::from_secs(5))? {
-                Frame::AuthResponse { proof } if secret.verify(&my_nonce, &proof) => {
-                    (job_id, rank, resume)
-                }
-                _ => {
-                    let _ = write_frame(&mut write_sock, &Frame::AuthFailed);
-                    let st = state.lock();
-                    let _ = st.events.send(ShadowEvent::AuthFailure { peer });
-                    return Ok(());
-                }
-            }
-        }
-        _ => return Ok(()), // not an agent
+    let Frame::Hello {
+        job_id,
+        rank,
+        resume,
+        nonce: agent_nonce,
+    } = reader.next_frame_timeout(Duration::from_secs(5))?
+    else {
+        return Ok(()); // not an agent
     };
-
-    // Install the connection and replay spooled stdin.
-    let (tx, writer) = {
-        let mut st = state.lock();
-        let rs = st.rank_mut(rank)?;
-        let resume = ResumePoint {
-            stdin_received: 0,
-            stdout_received: rs.stdout_received,
-            stderr_received: rs.stderr_received,
-        };
-        write_frame(&mut write_sock, &Frame::Welcome { resume })?;
-        let (tx, writer) = spawn_writer(write_sock);
-        let reconnect = rs.connected_before;
-        rs.connected_before = true;
-        rs.conn = Some(tx.clone());
-        rs.stdin.connected(agent_resume.stdin_received, &tx)?;
-        let _ = st.events.send(ShadowEvent::AgentConnected {
-            rank,
-            job_id,
-            reconnect,
-        });
-        if let Some(log) = &st.config.trace {
-            log.record(
-                cg_sim::SimTime::from_nanos(crate::wire::mono_ns()),
-                cg_trace::Event::ShadowConnected { rank },
-            );
-        }
-        (tx, writer)
+    let my_nonce = nonce();
+    let challenge = Frame::Challenge {
+        nonce: my_nonce,
+        proof: secret.prove(&agent_nonce),
     };
-
-    // Read loop.
-    loop {
-        if stop.load(Ordering::SeqCst) {
-            break;
+    write_frame(&mut write_sock, &challenge)?;
+    match reader.next_frame_timeout(Duration::from_secs(5))? {
+        Frame::AuthResponse { proof } if secret.verify(&my_nonce, &proof) => {}
+        _ => {
+            let _ = write_frame(&mut write_sock, &Frame::AuthFailed);
+            let _ = inputs.send(ShadowInput::AuthFailure(peer));
+            return Ok(());
         }
+    }
+
+    // The machine queues the Welcome ahead of any stdin it replays.
+    let (conn, writer) = spawn_writer(write_sock);
+    let _ = inputs.send(ShadowInput::Connected {
+        rank,
+        job_id,
+        stdin_after: resume.stdin_received,
+        conn: conn.clone(),
+    });
+    while !stop.load(Ordering::SeqCst) {
         match reader.poll() {
             Ok(ReadEvent::Idle) => {}
             Ok(ReadEvent::Closed) | Err(_) => break,
             Ok(ReadEvent::Frame(frame)) => {
-                let mut st = state.lock();
-                match frame {
-                    Frame::Data {
-                        stream,
-                        seq,
-                        payload,
-                    } if stream != StreamKind::Stdin => {
-                        let rs = st.rank_mut(rank)?;
-                        let received = match stream {
-                            StreamKind::Stdout => &mut rs.stdout_received,
-                            StreamKind::Stderr => &mut rs.stderr_received,
-                            StreamKind::Stdin => unreachable!(),
-                        };
-                        let fresh = seq > *received;
-                        if fresh {
-                            *received = seq;
-                        }
-                        // Ack cumulatively even for replayed duplicates.
-                        if let Some(txc) = &rs.conn {
-                            let _ = txc.send(Frame::Ack { stream, seq });
-                        }
-                        if fresh {
-                            let now = crate::wire::mono_ns();
-                            let buffer = rs.buffers.get_mut(&stream).expect("buffer exists");
-                            let chunks = buffer.push(&payload, now);
-                            for (data, _) in chunks {
-                                let _ = st.events.send(ShadowEvent::Output { rank, stream, data });
-                            }
-                        }
-                    }
-                    Frame::Eof { stream } if stream != StreamKind::Stdin => {
-                        let rs = st.rank_mut(rank)?;
-                        let already = rs.eof_sent.insert(stream, true).unwrap_or(false);
-                        let flushed = rs
-                            .buffers
-                            .get_mut(&stream)
-                            .and_then(|b| b.flush(crate::wire::mono_ns()))
-                            .map(|(data, _)| data);
-                        if let Some(data) = flushed {
-                            let _ = st.events.send(ShadowEvent::Output { rank, stream, data });
-                        }
-                        if !already {
-                            let _ = st.events.send(ShadowEvent::Eof { rank, stream });
-                        }
-                    }
-                    Frame::Exit { code } => {
-                        let rs = st.rank_mut(rank)?;
-                        let first = rs.exit_code.is_none();
-                        rs.exit_code = Some(code);
-                        if first {
-                            let _ = st.events.send(ShadowEvent::Exit { rank, code });
-                        }
-                    }
-                    Frame::Ack {
-                        stream: StreamKind::Stdin,
-                        seq,
-                    } => {
-                        st.rank_mut(rank)?.stdin.ack(seq)?;
-                    }
-                    _ => {}
-                }
+                let _ = inputs.send(ShadowInput::Frame(rank, frame));
             }
         }
     }
-
-    // Tear down this connection (a newer one may already have replaced us —
-    // only clear the slot if it is still ours).
-    {
-        let mut st = state.lock();
-        if let Some(rs) = st.ranks.get_mut(&rank) {
-            if rs.conn.as_ref().is_some_and(|c| c.same_channel(&tx)) {
-                rs.conn = None;
-                rs.stdin.disconnected();
-                let _ = st.events.send(ShadowEvent::AgentDisconnected { rank });
-                if let Some(log) = &st.config.trace {
-                    log.record(
-                        cg_sim::SimTime::from_nanos(crate::wire::mono_ns()),
-                        cg_trace::Event::ShadowDisconnected { rank },
-                    );
-                }
-            }
-        }
-    }
-    drop(tx);
+    let _ = inputs.send(ShadowInput::Down(rank, conn));
     let _ = writer.join();
     Ok(())
 }

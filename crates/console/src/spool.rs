@@ -37,6 +37,8 @@ pub struct Spool {
     appended_bytes: u64,
     /// Lifecycle event sink and this spool's stream label.
     trace: Option<(EventLog, Arc<str>)>,
+    /// The owner's clock at its current step: the trace events' stamp.
+    now_ns: u64,
 }
 
 impl Spool {
@@ -88,11 +90,12 @@ impl Spool {
             acked,
             appended_bytes,
             trace: None,
+            now_ns: 0,
         })
     }
 
     /// Routes this spool's append/ack/replay activity into `log` under the
-    /// stream label `stream`.
+    /// stream label `stream`, stamped with the owning console end's clock.
     pub fn set_trace(&mut self, log: EventLog, stream: impl Into<Arc<str>>) {
         self.trace = Some((log, stream.into()));
     }
@@ -100,8 +103,13 @@ impl Spool {
     fn trace_event(&self, make: impl FnOnce(Arc<str>) -> Event) {
         if let Some((log, stream)) = &self.trace {
             let stream = Arc::clone(stream);
-            log.record(SimTime::from_nanos(crate::wire::mono_ns()), make(stream));
+            log.record(SimTime::from_nanos(self.now_ns), make(stream));
         }
+    }
+
+    /// The owner's clock reading for what this spool does next.
+    pub(crate) fn set_now(&mut self, now_ns: u64) {
+        self.now_ns = now_ns;
     }
 
     /// Appends a record. Sequences must be strictly increasing, including

@@ -1,5 +1,6 @@
-//! The sending end of one console stream: §4's delivery rule, written once
-//! for the agent's stdout/stderr and the shadow's per-rank stdin.
+//! The two ends of the console streams: §4's delivery rule written once.
+//! A [`StreamSender`] sends the agent's stdout/stderr and the shadow's
+//! per-rank stdin; a [`StreamReceiver`] takes them in at the other end.
 //!
 //! Reliable mode appends every chunk to a disk [`Spool`] before it goes on
 //! the wire; a (re)connection acknowledges the peer's resume point and
@@ -14,7 +15,7 @@ use cg_trace::EventLog;
 use crossbeam::channel::Sender;
 
 use crate::agent::Mode;
-use crate::frame::{Frame, StreamKind};
+use crate::frame::{Frame, ResumePoint, StreamKind};
 use crate::spool::Spool;
 
 pub(crate) struct StreamSender {
@@ -164,6 +165,66 @@ impl StreamSender {
     /// Payload bytes sent.
     pub(crate) fn bytes(&self) -> u64 {
         self.bytes
+    }
+
+    /// The owner's clock reading, which stamps the spool's trace events.
+    pub(crate) fn set_now(&mut self, now_ns: u64) {
+        if let Some(spool) = self.spool.as_mut() {
+            spool.set_now(now_ns);
+        }
+    }
+}
+
+/// The receiving end of one console connection's peer, for every stream
+/// it sends: the agent's stdin, or one rank's stdout/stderr at the shadow.
+#[derive(Default)]
+pub(crate) struct StreamReceiver {
+    /// The streams this end receives; data on any other is not its own.
+    incoming: &'static [StreamKind],
+    /// Per stream, in `StreamKind` order: the highest sequence taken.
+    received: [u64; 3],
+    eof: [bool; 3],
+    exited: bool,
+}
+
+impl StreamReceiver {
+    pub(crate) fn new(incoming: &'static [StreamKind]) -> Self {
+        StreamReceiver {
+            incoming,
+            ..Self::default()
+        }
+    }
+
+    /// Passes on a frame from the peer only if it is new: data past the
+    /// watermark (each data frame is acked on `conn`), `Eof` and `Exit` once.
+    pub(crate) fn take(&mut self, frame: Frame, conn: Option<&Sender<Frame>>) -> Option<Frame> {
+        match frame {
+            Frame::Data { stream, seq, .. } if self.incoming.contains(&stream) => {
+                let received = &mut self.received[stream as usize];
+                let fresh = seq > *received;
+                *received = (*received).max(seq);
+                if let Some(conn) = conn {
+                    let _ = conn.send(Frame::Ack { stream, seq });
+                }
+                fresh.then_some(frame)
+            }
+            Frame::Eof { stream } if self.incoming.contains(&stream) => {
+                let seen = std::mem::replace(&mut self.eof[stream as usize], true);
+                (!seen).then_some(frame)
+            }
+            Frame::Exit { .. } => (!std::mem::replace(&mut self.exited, true)).then_some(frame),
+            _ => None,
+        }
+    }
+
+    /// Where the peer resumes after a (re)connection: everything taken.
+    pub(crate) fn resume(&self) -> ResumePoint {
+        let [stdin_received, stdout_received, stderr_received] = self.received;
+        ResumePoint {
+            stdin_received,
+            stdout_received,
+            stderr_received,
+        }
     }
 }
 

@@ -1,11 +1,12 @@
-//! Blocking-socket helpers shared by the real agent and shadow.
+//! Blocking-socket helpers shared by the real agent and shadow, and the one
+//! loop that drives either end's step machine on the real clock.
 
 use std::io::{self, Read, Write};
 use std::net::{Shutdown, TcpStream};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
-use crossbeam::channel::{unbounded, Sender};
+use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError, Sender};
 
 use crate::frame::{Decoder, Frame, FrameError};
 
@@ -119,10 +120,42 @@ impl FrameReader {
     }
 }
 
+/// One console end (agent or shadow) as a step machine: its state changes
+/// only in [`Machine::handle`], and time enters only as that call's `now`.
+pub(crate) trait Machine {
+    type Input;
+    type Outcome;
+    /// Takes `input` (`None`: a deadline passed) at `now`, after firing
+    /// every flush timeout due by then; the outcome once the end is done.
+    fn handle(&mut self, input: Option<Self::Input>, now: u64)
+        -> io::Result<Option<Self::Outcome>>;
+    /// When [`Machine::handle`] next has work without an input.
+    fn next_deadline(&self) -> Option<u64>;
+}
+
+/// Runs `machine` on the calling thread until it is done: each input is
+/// handled at its arrival's [`mono_ns`], and each wait for one ends at the
+/// machine's next deadline.
+pub(crate) fn drive<M: Machine>(mut machine: M, rx: &Receiver<M::Input>) -> io::Result<M::Outcome> {
+    loop {
+        let wait = machine.next_deadline().map_or(Duration::MAX, |at| {
+            Duration::from_nanos(at.saturating_sub(mono_ns()))
+        });
+        let input = rx.recv_timeout(wait);
+        if matches!(input, Err(RecvTimeoutError::Disconnected)) {
+            return Err(io::Error::other("console inputs closed"));
+        }
+        if let Some(outcome) = machine.handle(input.ok(), mono_ns())? {
+            return Ok(outcome);
+        }
+    }
+}
+
 /// Monotonic nanoseconds since an arbitrary process-local epoch: the one
-/// clock of the real-console transport (flush-policy buffers, spool and
-/// shadow trace stamps, the agent's linger, handshake deadlines) and its
-/// single wall-clock chokepoint.
+/// clock of the real-console transport and its single wall-clock
+/// chokepoint. Only the loop that runs the step machines and the handshake
+/// deadline read it; machines, buffers and spools take the time as an
+/// argument.
 pub fn mono_ns() -> u64 {
     use std::sync::OnceLock;
     use std::time::Instant;

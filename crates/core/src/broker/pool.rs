@@ -15,7 +15,7 @@ use cg_vm::{deploy_agent, Agent, AgentCosts, AgentEvent, AgentId};
 use super::events::Stage;
 use super::{label, AgentEntry, CrossBroker};
 use crate::fairshare::UsageKind;
-use crate::job::{JobId, JobState};
+use crate::job::JobId;
 
 /// Delivered fraction of the nominal batch share on shared machines.
 const SHARE_EFFICIENCY: f64 = 0.92;
@@ -199,7 +199,7 @@ impl CrossBroker {
     /// The batch job that brought the agent in is executing on its batch-vm,
     /// at the agent's site.
     pub(super) fn batch_started(&self, sim: &mut Sim, id: JobId, aid: AgentId, user: &Arc<str>) {
-        {
+        let sites = {
             let mut inner = self.inner.borrow_mut();
             let usage = inner
                 .fairshare
@@ -210,20 +210,9 @@ impl CrossBroker {
                 e.batch_usage = Some(usage);
                 e.site_index
             });
-            let sites = site_index.map(|i| inner.site_name(i)).into_iter().collect();
-            let response = inner.jobs.update(id, |r| {
-                r.started_at = Some(sim.now());
-                r.state = JobState::Running { sites };
-                sim.now().saturating_since(r.submitted_at).as_secs_f64()
-            });
-            if let Some(response) = response {
-                inner.stats.started += 1;
-                inner
-                    .trace
-                    .record(sim.now(), Event::JobStarted { job: id.0 });
-                inner.metrics.observe("response_s", response);
-            }
-        }
+            site_index.map(|i| inner.site_name(i)).into_iter().collect()
+        };
+        self.mark_running(sim, id, sites, None);
         self.ensure_fairshare_tick(sim);
     }
 
