@@ -161,7 +161,8 @@ pub fn run_agent(config: AgentConfig, mut command: Command) -> io::Result<ExitRe
 
     // Network manager: maintains the connection to the shadow.
     let net = {
-        let (tx, stop) = (tx.clone(), Arc::clone(&stop));
+        let tx = tx.clone();
+        let stop = Arc::clone(&stop);
         let config = config.clone();
         std::thread::spawn(move || net_manager(config, tx, stop))
     };
@@ -185,29 +186,43 @@ fn spawn_pump(
 ) -> std::thread::JoinHandle<()> {
     std::thread::spawn(move || {
         let mut buf = [0u8; 8 * 1024];
-        while let Ok(n @ 1..) = src.read(&mut buf) {
-            if tx.send(AgentInput::Out(stream, buf[..n].to_vec())).is_err() {
-                return;
+        loop {
+            match src.read(&mut buf) {
+                Ok(0) | Err(_) => {
+                    let _ = tx.send(AgentInput::PumpEof(stream));
+                    return;
+                }
+                Ok(n) => {
+                    if tx.send(AgentInput::Out(stream, buf[..n].to_vec())).is_err() {
+                        return;
+                    }
+                }
             }
         }
-        let _ = tx.send(AgentInput::PumpEof(stream));
     })
 }
 
 fn waiter_loop(mut child: Child, tx: Sender<AgentInput>, kill: Arc<AtomicBool>) {
-    let code = loop {
+    loop {
         match child.try_wait() {
-            Ok(Some(status)) => break status.code().unwrap_or(-1),
+            Ok(Some(status)) => {
+                let code = status.code().unwrap_or(-1);
+                let _ = tx.send(AgentInput::ChildExited(code));
+                return;
+            }
             Ok(None) => {
                 if kill.load(Ordering::SeqCst) {
-                    let _ = child.kill(); // the next try_wait reaps it
+                    let _ = child.kill();
+                    // Next try_wait reaps it.
                 }
                 std::thread::sleep(Duration::from_millis(25));
             }
-            Err(_) => break -1,
+            Err(_) => {
+                let _ = tx.send(AgentInput::ChildExited(-1));
+                return;
+            }
         }
-    };
-    let _ = tx.send(AgentInput::ChildExited(code));
+    }
 }
 
 /// The agent's state; `W` is the child's stdin pipe.
@@ -333,7 +348,8 @@ impl<W: Write> Machine for AgentMachine<W> {
                     };
                     sender.connected(after, &conn)?;
                 }
-                (self.conn, self.exit_sent) = (Some(conn), false);
+                self.conn = Some(conn);
+                self.exit_sent = false;
             }
             Some(AgentInput::Frame(Frame::Ack { stream, seq })) => {
                 if let Some((_, sender)) = self.streams.get_mut(&stream) {
@@ -406,36 +422,40 @@ fn sanitize(s: &str) -> String {
 fn net_manager(config: AgentConfig, mux: Sender<AgentInput>, stop: Arc<AtomicBool>) {
     let mut attempts: u32 = 0;
     while !stop.load(Ordering::SeqCst) {
-        let end = match TcpStream::connect_timeout(&config.shadow_addr, Duration::from_secs(2)) {
-            Ok(sock) => {
-                let _ = sock.set_nodelay(true);
-                session(&config, sock, &mux, &stop)
+        let sock = TcpStream::connect_timeout(&config.shadow_addr, Duration::from_secs(2));
+        let Ok(sock) = sock else {
+            attempts += 1;
+            if attempts > config.max_retries {
+                let _ = mux.send(AgentInput::GiveUp);
+                return;
             }
-            Err(_) => SessionEnd::Refused,
+            sleep_interruptible(config.retry_interval, &stop);
+            continue;
         };
-        match end {
-            SessionEnd::Stopped => return,
-            SessionEnd::Fatal => break,
-            SessionEnd::Refused | SessionEnd::Lost => {
-                attempts = if matches!(end, SessionEnd::Lost) {
-                    1
-                } else {
-                    attempts + 1
-                };
+        let _ = sock.set_nodelay(true);
+        match session(&config, sock, &mux, &stop) {
+            SessionEnd::Fatal => {
+                let _ = mux.send(AgentInput::GiveUp);
+                return;
+            }
+            SessionEnd::Retry { was_established } => {
+                if was_established {
+                    attempts = 0;
+                }
+                attempts += 1;
                 if attempts > config.max_retries {
-                    break;
+                    let _ = mux.send(AgentInput::GiveUp);
+                    return;
                 }
                 sleep_interruptible(config.retry_interval, &stop);
             }
+            SessionEnd::Stopped => return,
         }
     }
-    let _ = mux.send(AgentInput::GiveUp);
 }
 
-/// `Lost`: an established connection died, so the attempts start over.
 enum SessionEnd {
-    Refused,
-    Lost,
+    Retry { was_established: bool },
     Fatal,
     Stopped,
 }
@@ -448,10 +468,14 @@ fn session(
     stop: &AtomicBool,
 ) -> SessionEnd {
     let Ok(write_sock) = sock.try_clone() else {
-        return SessionEnd::Refused;
+        return SessionEnd::Retry {
+            was_established: false,
+        };
     };
     let Ok(mut reader) = FrameReader::new(sock) else {
-        return SessionEnd::Refused;
+        return SessionEnd::Retry {
+            was_established: false,
+        };
     };
     let (conn, writer) = spawn_writer(write_sock);
     let end = match handshake(config, &mut reader, &conn, mux) {
@@ -464,7 +488,11 @@ fn session(
                 }
                 match reader.poll() {
                     Ok(ReadEvent::Idle) => {}
-                    Ok(ReadEvent::Closed) | Err(_) => break SessionEnd::Lost,
+                    Ok(ReadEvent::Closed) | Err(_) => {
+                        break SessionEnd::Retry {
+                            was_established: true,
+                        }
+                    }
                     Ok(ReadEvent::Frame(Frame::AuthFailed)) => break SessionEnd::Fatal,
                     Ok(ReadEvent::Frame(frame)) => {
                         let _ = mux.send(AgentInput::Frame(frame));
@@ -492,15 +520,21 @@ fn handshake(
     let dialed = AgentInput::Dialed(conn.clone(), my_nonce);
     mux.send(dialed).map_err(|_| SessionEnd::Stopped)?;
     let challenge = match reader.next_frame_timeout(Duration::from_secs(5)) {
-        Ok(Frame::Challenge { nonce, proof }) if config.secret.verify(&my_nonce, &proof) => nonce,
-        Ok(Frame::Challenge { .. }) => {
-            // Shadow failed OUR challenge; tell it before aborting so the
-            // user side surfaces an AuthFailure event too.
-            let _ = conn.send(Frame::AuthFailed);
-            return Err(SessionEnd::Fatal);
+        Ok(Frame::Challenge { nonce, proof }) => {
+            if !config.secret.verify(&my_nonce, &proof) {
+                // Shadow failed OUR challenge; tell it before aborting so
+                // the user side surfaces an AuthFailure event too.
+                let _ = conn.send(Frame::AuthFailed);
+                return Err(SessionEnd::Fatal);
+            }
+            nonce
         }
         Ok(Frame::AuthFailed) => return Err(SessionEnd::Fatal),
-        Ok(_) | Err(_) => return Err(SessionEnd::Refused),
+        Ok(_) | Err(_) => {
+            return Err(SessionEnd::Retry {
+                was_established: false,
+            })
+        }
     };
     let _ = conn.send(Frame::AuthResponse {
         proof: config.secret.prove(&challenge),
@@ -508,16 +542,22 @@ fn handshake(
     match reader.next_frame_timeout(Duration::from_secs(5)) {
         Ok(Frame::Welcome { resume }) => Ok(resume),
         Ok(Frame::AuthFailed) => Err(SessionEnd::Fatal),
-        Ok(_) | Err(_) => Err(SessionEnd::Refused),
+        Ok(_) | Err(_) => Err(SessionEnd::Retry {
+            was_established: false,
+        }),
     }
 }
 
 fn sleep_interruptible(total: Duration, stop: &AtomicBool) {
     let step = Duration::from_millis(50);
     let mut left = total;
-    while left > Duration::ZERO && !stop.load(Ordering::SeqCst) {
-        std::thread::sleep(left.min(step));
-        left = left.saturating_sub(step);
+    while left > Duration::ZERO {
+        if stop.load(Ordering::SeqCst) {
+            return;
+        }
+        let d = left.min(step);
+        std::thread::sleep(d);
+        left -= d;
     }
 }
 

@@ -11,7 +11,7 @@ use std::rc::Rc;
 use std::sync::atomic::AtomicBool;
 use std::sync::Arc;
 
-use crossbeam::channel::{unbounded, Receiver, Sender};
+use crossbeam::channel::{unbounded, Receiver, Sender, TryRecvError};
 use proptest::prelude::*;
 
 use crate::agent::{AgentConfig, AgentInput, AgentMachine, ExitReport, Mode, LINGER_NS};
@@ -180,12 +180,18 @@ impl Console {
         };
         assert_eq!(hello_rank, rank);
         let (shadow_conn, to_agent) = unbounded();
+        let (accepted, replayed) = unbounded();
         self.shadow_takes(ShadowInput::Connected {
             rank,
             job_id,
             stdin_after: resume.stdin_received,
             conn: shadow_conn.clone(),
+            accepted,
         });
+        assert!(
+            replayed.try_recv().is_ok(),
+            "the shadow accepts rank {rank}"
+        );
         let Ok(Frame::Welcome { resume }) = to_agent.try_recv() else {
             panic!("the shadow's first frame is its Welcome");
         };
@@ -496,6 +502,80 @@ fn the_agent_reports_only_after_linger() {
     assert_eq!(console.report(0), None);
     console.advance_to(7 * MS + LINGER_NS);
     assert!(console.report(0).is_some_and(|r| r.delivered_all));
+}
+
+/// A reliable shadow expecting one rank, tracing into the returned log.
+fn traced_reliable_shadow(name: &str) -> (ShadowMachine, cg_trace::EventLog, TempDir) {
+    let dir = TempDir::new("cg-b2b", name);
+    let log = cg_trace::EventLog::new(64);
+    let config = ShadowConfig {
+        mode: Mode::Reliable {
+            spool_dir: dir.path().to_path_buf(),
+        },
+        trace: Some(log.clone()),
+        ..ShadowConfig::local(Secret::new("b2b"))
+    };
+    let shadow = ShadowMachine::new(&config, unbounded().0).unwrap();
+    (shadow, log, dir)
+}
+
+#[test]
+fn a_rank_first_seen_mid_run_stamps_its_spool_trace_then() {
+    let (mut shadow, log, _dir) = traced_reliable_shadow("late-rank");
+    let (conn, _to_agent) = unbounded();
+    let (accepted, _replayed) = unbounded();
+    let connected = ShadowInput::Connected {
+        rank: 3,
+        job_id: "job".into(),
+        stdin_after: 0,
+        conn,
+        accepted,
+    };
+    shadow.handle(Some(connected), 9 * MS).unwrap();
+    let events = log.snapshot();
+    assert!(
+        events
+            .iter()
+            .any(|e| matches!(e.event, cg_trace::Event::SpoolAck { .. })),
+        "rank 3's spool is traced: {events:?}"
+    );
+    for e in &events {
+        assert_eq!(e.at.as_nanos(), 9 * MS, "{e:?}");
+    }
+}
+
+#[test]
+fn a_connection_whose_stdin_replay_fails_is_dropped() {
+    let (mut shadow, log, dir) = traced_reliable_shadow("failed-replay");
+    // The agent claims stdin up to 5, so the replay writes the `.ack` file,
+    // into a directory that is gone.
+    std::fs::remove_dir_all(dir.path()).unwrap();
+    let (conn, to_agent) = unbounded();
+    let (accepted, replayed) = unbounded();
+    let connected = ShadowInput::Connected {
+        rank: 0,
+        job_id: "job".into(),
+        stdin_after: 5,
+        conn: conn.clone(),
+        accepted,
+    };
+    shadow.handle(Some(connected), MS).unwrap();
+    let refused = replayed.try_recv();
+    assert!(
+        matches!(refused, Err(TryRecvError::Disconnected)),
+        "{refused:?}"
+    );
+    drop(conn);
+    assert!(matches!(to_agent.try_recv(), Ok(Frame::Welcome { .. })));
+    let closed = to_agent.try_recv();
+    assert!(
+        matches!(closed, Err(TryRecvError::Disconnected)),
+        "{closed:?}"
+    );
+    assert!(!log
+        .snapshot()
+        .iter()
+        .any(|e| matches!(e.event, cg_trace::Event::ShadowConnected { .. })));
 }
 
 /// Runs a random schedule on `ranks` ranks. Op codes: 0–1 the child

@@ -106,12 +106,14 @@ pub enum ShadowEvent {
 
 /// One thing that happened to the shadow; its step machine takes one at a time.
 pub(crate) enum ShadowInput {
-    /// `rank`'s agent passed the handshake and holds stdin up to `stdin_after`.
+    /// `rank`'s agent passed the handshake and holds stdin up to `stdin_after`;
+    /// `accepted` hears once its stdin is replayed.
     Connected {
         rank: u32,
         job_id: String,
         stdin_after: u64,
         conn: Sender<Frame>,
+        accepted: Sender<()>,
     },
     Frame(u32, Frame),
     /// A connection of this rank died; the sender names its frame queue.
@@ -154,18 +156,19 @@ impl ShadowMachine {
         // Pre-create the expected ranks so stdin typed before any agent
         // connects is spooled for all of them.
         for rank in 0..config.expected_ranks {
-            machine.rank(rank)?;
+            machine.rank(rank, 0)?;
         }
         Ok(machine)
     }
 
-    /// `rank`'s state, opened (its stdin spool too) on first use.
-    fn rank(&mut self, rank: u32) -> io::Result<&mut Rank> {
+    /// `rank`'s state, opened (its stdin spool too) on first use at `now_ns`.
+    fn rank(&mut self, rank: u32, now_ns: u64) -> io::Result<&mut Rank> {
         let config = &self.config;
         if let Entry::Vacant(slot) = self.ranks.entry(rank) {
             let label = format!("shadow-stdin-r{rank}");
             let trace = config.trace.as_ref();
-            let stdin = StreamSender::open(STDIN, &config.mode, &label, trace)?;
+            let mut stdin = StreamSender::open(STDIN, &config.mode, &label, trace)?;
+            stdin.set_now(now_ns);
             let buffers = ["stdout", "stderr"].map(|name| {
                 let mut buffer = OutputBuffer::new(config.flush);
                 if let Some(log) = trace {
@@ -207,14 +210,18 @@ impl ShadowMachine {
                 job_id,
                 stdin_after,
                 conn,
+                accepted,
             } => {
-                let r = self.rank(rank)?;
+                let r = self.rank(rank, now_ns)?;
                 let _ = conn.send(Frame::Welcome {
                     resume: r.received.resume(),
                 });
-                let reconnect = std::mem::replace(&mut r.connected_before, true);
-                r.conn = Some(conn.clone());
+                // On an error the machine holds neither `conn` nor
+                // `accepted`, so the connection closes.
                 r.stdin.connected(stdin_after, &conn)?;
+                let _ = accepted.send(());
+                let reconnect = std::mem::replace(&mut r.connected_before, true);
+                r.conn = Some(conn);
                 emit(ShadowEvent::AgentConnected {
                     rank,
                     job_id,
@@ -223,7 +230,7 @@ impl ShadowMachine {
                 self.record(now_ns, cg_trace::Event::ShadowConnected { rank });
             }
             ShadowInput::Frame(rank, frame) => {
-                let r = self.rank(rank)?;
+                let r = self.rank(rank, now_ns)?;
                 if let Frame::Ack { stream: STDIN, seq } = frame {
                     return r.stdin.ack(seq);
                 }
@@ -277,7 +284,9 @@ impl Machine for ShadowMachine {
     type Outcome = ();
 
     /// A failed spool operation ends only the input that hit it: a stdin
-    /// request hears of it on its reply, a connection's is dropped.
+    /// request hears of it on its reply, a connection whose stdin replay
+    /// failed is closed, and a failed stdin ack leaves only the `.ack` file
+    /// behind the acknowledgement the machine holds.
     fn handle(&mut self, input: Option<ShadowInput>, now_ns: u64) -> io::Result<Option<()>> {
         for (&rank, r) in &mut self.ranks {
             r.stdin.set_now(now_ns);
@@ -438,14 +447,21 @@ fn serve_connection(
         }
     }
 
-    // The machine queues the Welcome ahead of any stdin it replays.
+    // The machine queues the Welcome ahead of any stdin it replays. If it
+    // could not replay, dropping `conn` ends the writer, which shuts the
+    // socket.
     let (conn, writer) = spawn_writer(write_sock);
+    let (accepted, replayed) = unbounded();
     let _ = inputs.send(ShadowInput::Connected {
         rank,
         job_id,
         stdin_after: resume.stdin_received,
         conn: conn.clone(),
+        accepted,
     });
+    if replayed.recv().is_err() {
+        return Ok(());
+    }
     while !stop.load(Ordering::SeqCst) {
         match reader.poll() {
             Ok(ReadEvent::Idle) => {}

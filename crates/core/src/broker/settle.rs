@@ -196,7 +196,12 @@ impl CrossBroker {
     ) {
         let mut inner = self.inner.borrow_mut();
         let response = inner.jobs.update(id, |r| {
+            // A job re-run after crash recovery is `Running` again, but its
+            // first start is the one stamped and counted.
             if r.started_at.is_some() {
+                if !matches!(r.state, JobState::Done | JobState::Failed { .. }) {
+                    r.state = JobState::Running { sites };
+                }
                 return None;
             }
             r.started_at = Some(sim.now());
@@ -345,7 +350,62 @@ impl CrossBroker {
 #[cfg(test)]
 mod tests {
     use super::backoff_delay;
-    use cg_sim::{Sim, SimDuration};
+    use crate::broker::{BrokerConfig, CrossBroker};
+    use crate::job::{JobId, JobState};
+    use cg_net::{Link, LinkProfile};
+    use cg_sim::{Sim, SimDuration, SimTime};
+    use cg_trace::replay::{Phase, ReplayJob};
+    use cg_trace::Event;
+    use std::sync::Arc;
+
+    #[test]
+    fn a_job_restarted_after_recovery_runs_again_but_starts_once() {
+        let mut sim = Sim::new(5);
+        let mds = Link::new(LinkProfile::wan_mds());
+        let broker = CrossBroker::new(&mut sim, Vec::new(), mds, BrokerConfig::default());
+        // Running at the crash: started once, at 100 s.
+        let first = SimTime::from_secs(100);
+        broker.install_restored_job(
+            1,
+            &ReplayJob {
+                user: "bob".into(),
+                interactive: false,
+                phase: Phase::Running,
+                queued: false,
+                attempts: 0,
+                started: true,
+                submitted_at_ns: SimTime::from_secs(10).as_nanos(),
+                started_at_ns: Some(first.as_nanos()),
+                finished_at_ns: None,
+                lease: None,
+                jdl: None,
+                runtime_ns: None,
+                fail_reason: None,
+            },
+        );
+        let id = JobId(1);
+        // Recovery re-matched it and dispatched it again.
+        let site: Arc<str> = "site0".into();
+        broker.inner.borrow_mut().jobs.update(id, |r| {
+            r.state = JobState::Scheduled {
+                site: Arc::clone(&site),
+            };
+        });
+        sim.run_until(SimTime::from_secs(500));
+        broker.mark_running(&mut sim, id, vec![Arc::clone(&site)], None);
+
+        let replayed = &broker.replay_state().jobs[&1];
+        assert_eq!(replayed.phase, Phase::Running, "a re-run job is running");
+        assert_eq!(replayed.started_at_ns, Some(first.as_nanos()));
+        assert_eq!(broker.stats().started, 1, "the first start is counted once");
+        let starts = broker.event_log().snapshot();
+        assert!(
+            !starts
+                .iter()
+                .any(|e| matches!(e.event, Event::JobStarted { .. })),
+            "a re-run records no second JobStarted"
+        );
+    }
 
     #[test]
     fn backoff_spacing_grows_and_is_bounded() {
