@@ -178,8 +178,9 @@ impl CrossBroker {
     /// killed during the outage stays `Running` broker-side forever.
     /// Model the paper's "broker re-learns state by polling": one status
     /// poll per placement still on the site, delivering the outcome the
-    /// lost message carried. Best-effort — a poll that fails (the link
-    /// flapped again) leaves the job for the site's next rejoin.
+    /// lost message carried (a `Finished` is that one subjob's finish).
+    /// Best-effort — a poll that fails (the link flapped again) leaves the
+    /// job for the site's next rejoin.
     fn reconcile_rejoined_site(&self, sim: &mut Sim, site_index: usize) {
         let (stranded, link, lrms) = {
             let inner = self.inner.borrow();
@@ -193,15 +194,18 @@ impl CrossBroker {
             )
         };
         for (id, local) in stranded {
-            let this = self.clone();
+            let weak = self.downgrade(); // a pending poll keeps no world alive
             let lrms = lrms.clone();
             let service = SimDuration::from_secs_f64(0.3);
             rpc_call(sim, &link, Dir::AToB, 300, 400, service, move |sim, r| {
-                if r.is_err() {
+                let Some(this) = weak.upgrade().filter(|_| r.is_ok()) else {
                     return;
-                }
+                };
+                let copy = Some(Placement::Site { site_index, local });
                 match lrms.disposition(local) {
-                    Some(cg_site::LocalDisposition::Finished) => this.finish_job(sim, id),
+                    Some(cg_site::LocalDisposition::Finished) => {
+                        this.subjob_finished(sim, id, copy);
+                    }
                     Some(cg_site::LocalDisposition::Killed) => {
                         this.fail(sim, id, "killed at site while the link was down");
                     }

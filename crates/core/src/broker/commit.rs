@@ -5,8 +5,11 @@
 //! the console start barrier that ends with the first output reaching the
 //! user. An interactive submission is a [`Plan`] of [`Slot`]s; the shared,
 //! shared-parallel, exclusive and co-allocated paths differ only in the
-//! plan they hand to [`CrossBroker::commit`]. Batch jobs lease and record
-//! the same way, then ride an agent's batch-vm.
+//! plan they hand to [`CrossBroker::commit`]. One rule serves every plan:
+//! its slots label it, its site slots get `EstimatedRuntime` × 4 of
+//! walltime, the barrier's last console samples its session, and it is
+//! done with its last subjob (an MPI job ends with its last rank).
+//! Batch jobs lease and record the same way, then ride an agent's batch-vm.
 
 use std::cell::{Cell, RefCell};
 use std::collections::HashSet;
@@ -53,13 +56,11 @@ pub(super) enum Refusal {
 }
 
 /// An interactive submission: the slots its subjobs take and the policies
-/// that distinguish the paths (DESIGN.md "Broker pipeline" has the table).
+/// that distinguish the paths (DESIGN.md "Broker pipeline" has the table);
+/// its label, walltime, session and finish follow one rule for every plan.
 pub(super) struct Plan {
     /// Agent slots first, then site slots; launched in this order.
     pub slots: Vec<Slot>,
-    /// The dispatch label of a multi-slot plan; a single-slot plan is
-    /// labelled by its slot.
-    pub summary: Option<Arc<str>>,
     /// Whether a dispatch overwrites `dispatched_at` (the agent paths) or
     /// keeps the first attempt's stamp (the matched paths); Table I's
     /// per-step times read it.
@@ -73,13 +74,6 @@ pub(super) struct Plan {
     pub charge_at_start: bool,
     /// A site slot runs one console per allocated node, not one per subjob.
     pub console_per_node: bool,
-    /// The job finishes with its last subjob rather than its first.
-    pub wait_all_tasks: bool,
-    /// Session latency is sampled over the first slot's UI path rather
-    /// than the path of the console that completed the barrier.
-    pub fixed_session: bool,
-    /// LRMS walltime limit for site slots.
-    pub walltime: Option<SimDuration>,
 }
 
 impl Plan {
@@ -87,17 +81,20 @@ impl Plan {
     pub(super) fn new(slots: Vec<Slot>, refusal: Refusal) -> Plan {
         Plan {
             slots,
-            summary: None,
             restamp: false,
             refusal,
             refuse_queued: true,
             charge_at_start: false,
             console_per_node: false,
-            wait_all_tasks: false,
-            fixed_session: false,
-            walltime: None,
         }
     }
+}
+
+/// LRMS walltime of every site slot: the job's `EstimatedRuntime` with a 4×
+/// safety factor (the usual operator convention); `None` when undeclared.
+fn declared_walltime(job: &JobDescription) -> Option<SimDuration> {
+    job.estimated_runtime_s
+        .map(|s| SimDuration::from_secs_f64(s * 4.0))
 }
 
 /// One dispatched plan in flight: what its subjob callbacks share, and the
@@ -113,11 +110,8 @@ pub(super) struct Run {
     pub(super) console: ConsoleCosts,
     /// The hosting site of every slot, in slot order.
     site_names: Vec<Arc<str>>,
-    /// A fixed-session plan's UI path, whose latency the session samples.
-    session: Option<Link>,
     consoles_total: u32,
     consoles_up: Cell<u32>,
-    tasks_done: Cell<u32>,
     failed: Cell<bool>,
     /// The first copy this run placed; see [`CrossBroker::owns`].
     placed: Cell<Option<Placement>>,
@@ -146,10 +140,8 @@ impl Run {
             sandbox: 0,
             console,
             site_names: Vec::new(),
-            session: None,
             consoles_total: 1,
             consoles_up: Cell::new(0),
-            tasks_done: Cell::new(0),
             failed: Cell::new(false),
             placed: Cell::new(None),
         }
@@ -178,6 +170,23 @@ fn slot_label(inner: &Inner, slot: &Slot) -> Arc<str> {
         },
         Slot::Site { index, .. } => site_target(inner, *index),
     }
+}
+
+/// A plan's dispatch labels — the site it is `Scheduled` on and the
+/// `JobDispatched` target: one slot's host and label, or for several slots
+/// `k agent slot(s) + m site(s)` (`m sites` when k = 0) for both.
+fn plan_labels(inner: &Inner, slots: &[Slot], site_names: &[Arc<str>]) -> (Arc<str>, Arc<str>) {
+    let agents = slots
+        .iter()
+        .filter(|s| matches!(s, Slot::AgentInteractive(_)))
+        .count();
+    let label: Arc<str> = match (slots, site_names, agents) {
+        ([slot], [host], _) => return (Arc::clone(host), slot_label(inner, slot)),
+        ([_], ..) => return Default::default(), // its agent vanished; unused
+        (.., 0) => format!("{} sites", slots.len()).into(),
+        (.., k) => format!("{k} agent slot(s) + {} site(s)", slots.len() - k).into(),
+    };
+    (Arc::clone(&label), label)
 }
 
 /// `site:{name}`, made on first use.
@@ -280,11 +289,7 @@ impl CrossBroker {
                 })
                 .collect();
             let site_names: Vec<Arc<str>> = hosts.iter().map(|&i| inner.site_name(i)).collect();
-            let labels = match (&plan.summary, site_names.first()) {
-                (Some(summary), _) => (Arc::clone(summary), Arc::clone(summary)),
-                (None, Some(host)) => (Arc::clone(host), slot_label(&inner, &plan.slots[0])),
-                (None, None) => Default::default(), // its agent vanished; unused
-            };
+            let labels = plan_labels(&inner, &plan.slots, &site_names);
             // One dispatch record covers a mixed plan; label it with the
             // first site slot's backend, else the first agent's site's.
             let backend_of = plan
@@ -301,10 +306,6 @@ impl CrossBroker {
                     _ => 1,
                 })
                 .sum();
-            let session = hosts
-                .first()
-                .filter(|_| plan.fixed_session)
-                .map(|&i| inner.sites[i].ui_link.clone());
             let run = Run {
                 broker: self.downgrade(),
                 id,
@@ -314,10 +315,8 @@ impl CrossBroker {
                 plan,
                 console: inner.config.console,
                 site_names,
-                session,
                 consoles_total,
                 consoles_up: Cell::new(0),
-                tasks_done: Cell::new(0),
                 failed: Cell::new(false),
                 placed: Cell::new(None),
             };
@@ -330,6 +329,8 @@ impl CrossBroker {
         }
         let restamp = run.plan.restamp;
         self.record_dispatch(sim.now(), id, scheduled, target, backend_of, restamp);
+        let subjobs = (run.plan.slots.len(), Vec::new());
+        self.inner.borrow_mut().side.subjobs.insert(id, subjobs);
         for slot in &run.plan.slots {
             match slot {
                 Slot::AgentInteractive(aid) => self.launch_agent_subjob(sim, &run, *aid),
@@ -393,9 +394,12 @@ impl CrossBroker {
                     this.agent_subjob_started(sim, &started, aid, &ui_link);
                 }
             },
+            // The batch job gets its CPU back, then the subjob settles.
             move |sim| {
                 if let Some(this) = finished.broker.upgrade() {
-                    this.agent_subjob_finished(sim, &finished, aid);
+                    this.restore_batch(sim.now(), finished.id, aid);
+                    let copy = Placement::AgentInteractive { aid };
+                    this.subjob_finished(sim, finished.id, Some(copy));
                 }
             },
         );
@@ -430,21 +434,6 @@ impl CrossBroker {
         self.console_startup(sim, run, ui_link);
     }
 
-    /// The agent's subjob ended: the batch job gets its CPU back, the agent
-    /// may leave, and the job may be done. (The order of the last two is
-    /// each path's own — it is the order of same-instant events.)
-    fn agent_subjob_finished(&self, sim: &mut Sim, run: &Run, aid: AgentId) {
-        self.restore_batch(sim.now(), run.id, aid);
-        if run.plan.wait_all_tasks {
-            self.maybe_agent_departs(sim, aid);
-            self.task_done(sim, run);
-        } else {
-            self.mark_done(sim, run.id);
-            self.maybe_agent_departs(sim, aid);
-            self.retry_broker_queue(sim);
-        }
-    }
-
     /// The co-resident batch job of an agent whose interactive subjob ended
     /// (or was cancelled) goes back to normal charging.
     pub(super) fn restore_batch(&self, now: SimTime, id: JobId, aid: AgentId) {
@@ -472,7 +461,7 @@ impl CrossBroker {
         let spec = LocalJobSpec {
             nodes,
             runtime: Some(run.runtime),
-            walltime: run.plan.walltime,
+            walltime: declared_walltime(&run.job),
             priority: 0,
             user: Arc::clone(&run.job.user),
         };
@@ -525,7 +514,12 @@ impl CrossBroker {
                         }
                         this.site_refused(sim, &run, site_index, None);
                     }
-                    GramEvent::Finished => this.task_done(sim, &run),
+                    GramEvent::Finished => {
+                        let copy = local
+                            .get()
+                            .map(|local| Placement::Site { site_index, local });
+                        this.subjob_finished(sim, run.id, copy);
+                    }
                     // A kill before the start is our own withdrawal; one
                     // after it takes the job down, whatever the plan (a
                     // barrier job cannot run short a subjob).
@@ -625,14 +619,6 @@ impl CrossBroker {
         }
     }
 
-    fn task_done(&self, sim: &mut Sim, run: &Run) {
-        let done = run.tasks_done.get() + 1;
-        run.tasks_done.set(done);
-        if !run.plan.wait_all_tasks || done as usize == run.plan.slots.len() {
-            self.finish_job(sim, run.id);
-        }
-    }
-
     /// The console start barrier: the job is interactive-ready — `Running`,
     /// charged to its user — when every subjob's console has delivered its
     /// first output.
@@ -655,8 +641,7 @@ impl CrossBroker {
                 .charge_interactive(run.id, user, 0, nodes);
             self.ensure_fairshare_tick(sim);
         }
-        let link = run.session.clone().unwrap_or_else(|| ui_link.clone());
-        let session = Some((run.job.streaming_mode, link));
+        let session = Some((run.job.streaming_mode, ui_link.clone()));
         self.mark_running(sim, run.id, run.site_names.clone(), session);
     }
 
@@ -714,7 +699,7 @@ impl CrossBroker {
         let result = agent.borrow().run_batch(sim, runtime, move |sim| {
             if let Some(broker) = weak.upgrade() {
                 broker.batch_ended(sim.now(), aid);
-                broker.finish_job(sim, id);
+                broker.subjob_finished(sim, id, None);
                 broker.maybe_agent_departs(sim, aid);
                 broker.retry_broker_queue(sim);
             }

@@ -142,7 +142,7 @@ enum Placement {
     AgentBatch { aid: AgentId, task: cg_vm::TaskId },
 }
 
-/// The five per-job side tables: state that exists only while a job is
+/// The six per-job side tables: state that exists only while a job is
 /// live. The job table itself (`Inner::jobs`) keeps terminal records for
 /// the experiments; everything here is cleared by [`Inner::retire`], which
 /// every terminal transition in `settle` goes through.
@@ -160,6 +160,9 @@ struct SideTables {
     /// The fair-share charge of a started interactive job.
     usages: HashMap<JobId, UsageId>,
     placements: HashMap<JobId, Vec<Placement>>,
+    /// A dispatched plan's unfinished subjobs and the copies counted so far
+    /// (`CrossBroker::subjob_finished`).
+    subjobs: HashMap<JobId, (usize, Vec<Placement>)>,
 }
 
 struct Inner {
@@ -218,6 +221,7 @@ impl Inner {
         self.side.compiled.remove(&id);
         self.side.ads.remove(&id);
         self.side.placements.remove(&id);
+        self.side.subjobs.remove(&id);
         if let Some(usage) = self.side.usages.remove(&id) {
             self.fairshare.release(usage);
         }
@@ -780,6 +784,7 @@ mod tests {
         );
         assert!(side.ads.is_empty(), "ads: {}", side.ads.len());
         assert!(side.usages.is_empty(), "usages: {}", side.usages.len());
+        assert!(side.subjobs.is_empty(), "subjobs: {}", side.subjobs.len());
         assert!(
             side.placements.is_empty(),
             "placements: {:?}",

@@ -27,13 +27,6 @@ fn takes_interactive(entry: &AgentEntry, now: SimTime) -> bool {
     entry.leased_until <= now && entry.agent.borrow().interactive_free() >= 1
 }
 
-/// LRMS walltime derived from the job's `EstimatedRuntime` (4× safety
-/// factor, the usual operator convention); `None` when undeclared.
-fn declared_walltime(job: &JobDescription) -> Option<SimDuration> {
-    job.estimated_runtime_s
-        .map(|s| SimDuration::from_secs_f64(s * 4.0))
-}
-
 impl CrossBroker {
     /// The effective selection policy for a job: its own JDL
     /// `SelectionPolicy` when the name is registered (the analyzer already
@@ -184,7 +177,6 @@ impl CrossBroker {
             // is withdrawn and the whole job fails cleanly rather than
             // sitting wedged behind a queue.
             let plan = Plan {
-                summary: Some(format!("{} sites", sites.len()).into()),
                 refuse_queued: job.is_interactive(),
                 ..Plan::new(
                     sites
@@ -232,7 +224,6 @@ impl CrossBroker {
             // elsewhere if the subjob queues instead of starting.
             let plan = Plan {
                 refuse_queued: self.inner.borrow().config.resubmit_on_queue,
-                walltime: declared_walltime(&job),
                 ..Plan::new(vec![slot], Refusal::Resubmit { excluded })
             };
             self.commit(sim, id, job, runtime, plan);
@@ -371,7 +362,6 @@ impl CrossBroker {
         agents.truncate(job.node_number as usize);
         let mut left = job.node_number - agents.len() as u32;
         let mut slots: Vec<Slot> = agents.into_iter().map(Slot::AgentInteractive).collect();
-        let agent_slots = slots.len();
 
         // 2. Cover the remainder with idle machines (unleased sites).
         if left > 0 {
@@ -403,17 +393,8 @@ impl CrossBroker {
         //    view may race a local submission; this path does not resubmit
         //    — the queued copy is withdrawn and the job fails cleanly.
         let plan = Plan {
-            summary: Some(
-                format!(
-                    "{agent_slots} agent slot(s) + {} site(s)",
-                    slots.len() - agent_slots
-                )
-                .into(),
-            ),
             restamp: true,
             console_per_node: true,
-            wait_all_tasks: true,
-            fixed_session: true,
             ..Plan::new(
                 slots,
                 Refusal::Fail {

@@ -236,18 +236,30 @@ impl CrossBroker {
         }
     }
 
-    /// Terminal: the job ran to completion. Late completions of an already
-    /// terminal job (a co-allocated job's other subjobs) change nothing.
-    pub(super) fn mark_done(&self, sim: &mut Sim, id: JobId) {
-        self.inner
-            .borrow_mut()
-            .end(id, Ending::Finished, sim.now(), true);
-    }
-
-    /// [`Self::mark_done`], then the broker queue gets a turn at whatever
-    /// the job freed.
-    pub(super) fn finish_job(&self, sim: &mut Sim, id: JobId) {
-        self.mark_done(sim, id);
+    /// One subjob of job `id` finished, wherever it ran (`copy`): the job is
+    /// done with its last subjob (a job with no plan in flight has one),
+    /// then an agent that hosted the subjob may leave, then the broker queue
+    /// gets a turn. A copy counted already — pushed, then polled again after
+    /// its site rejoined — changes nothing.
+    pub(super) fn subjob_finished(&self, sim: &mut Sim, id: JobId, copy: Option<Placement>) {
+        let last = match self.inner.borrow_mut().side.subjobs.get_mut(&id) {
+            None => true,
+            Some((_, counted)) if copy.is_some_and(|c| counted.contains(&c)) => return,
+            Some((left, counted)) => {
+                *left = left.saturating_sub(1);
+                if *left > 0 {
+                    counted.extend(copy); // the last one ends the job
+                }
+                *left == 0
+            }
+        };
+        if last {
+            let now = sim.now();
+            self.inner.borrow_mut().end(id, Ending::Finished, now, true);
+        }
+        if let Some(Placement::AgentInteractive { aid }) = copy {
+            self.maybe_agent_departs(sim, aid);
+        }
         self.retry_broker_queue(sim);
     }
 

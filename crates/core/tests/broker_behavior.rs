@@ -1078,6 +1078,37 @@ fn a_plan_of_k_slots_leases_each_slot_dispatches_once_and_starts_behind_its_barr
             consoles.iter().all(|c| *c < starts[0]),
             "{name}: the job started before its last console was up"
         );
+        // One finish rule: the job is done with its last subjob — the
+        // LRMS copies and interactive-vm tasks that started after its
+        // dispatch (the grid runs nothing else by then).
+        let finished = seqs(|e| match e {
+            cg_trace::Event::JobFinished { job } => Some(*job),
+            _ => None,
+        });
+        let mut copies = std::collections::HashSet::new();
+        let mut subjob_ends = Vec::new();
+        for e in events.iter().filter(|e| e.seq > dispatches[0]) {
+            match &e.event {
+                cg_trace::Event::LrmsStarted { site, job, .. } => {
+                    copies.insert((Arc::clone(site), *job));
+                }
+                cg_trace::Event::LrmsFinished { site, job }
+                    if copies.contains(&(Arc::clone(site), *job)) =>
+                {
+                    subjob_ends.push(e.seq);
+                }
+                cg_trace::Event::SlotFinished { interactive, .. } if *interactive => {
+                    subjob_ends.push(e.seq);
+                }
+                _ => {}
+            }
+        }
+        assert_eq!(subjob_ends.len(), case.slots, "{name}: every subjob ended");
+        assert_eq!(finished.len(), 1, "{name}: a single JobFinished");
+        assert!(
+            subjob_ends.iter().all(|end| *end < finished[0]),
+            "{name}: the job finished before its last subjob"
+        );
         assert!(cg_trace::check_invariants(&events).is_empty(), "{name}");
     }
 }
@@ -1597,4 +1628,211 @@ fn a_console_that_connects_after_the_job_finished_does_not_revive_it() {
     );
     let v = cg_trace::check_invariants(&events);
     assert!(v.is_empty(), "{v:?}");
+}
+
+/// One walltime rule: every site slot is submitted with the job's declared
+/// `EstimatedRuntime` × 4 as its LRMS walltime, so a co-allocated or
+/// shared-parallel subjob that overruns it is killed at its site, and a
+/// barrier job cannot run short a subjob: the job fails.
+#[test]
+fn a_multi_site_subjob_that_overruns_its_declared_walltime_fails_the_job() {
+    let cases = [
+        ("co-allocated", COALLOCATED_K2),
+        // No warm agent: idle machines cover all three nodes.
+        ("shared-parallel", SHARED_PARALLEL_AGENT_SITE),
+    ];
+    for (name, jdl) in cases {
+        let mut sim = Sim::new(23);
+        let (broker, _) = grid(&mut sim, 2, 2);
+        sim.run_until(SimTime::from_secs(300));
+        // A 10 s estimate is a 40 s walltime; the subjobs need 100 s.
+        let jdl = format!("{jdl} EstimatedRuntime = 10;");
+        let id = broker.submit(&mut sim, job(&jdl), SimDuration::from_secs(100));
+        sim.run_until(SimTime::from_secs(2_000));
+        let state = broker.record(id).state;
+        assert!(
+            matches!(&state, JobState::Failed { reason } if reason.contains("walltime exceeded")),
+            "{name}: {state:?}"
+        );
+        let events = broker.event_log().snapshot();
+        let kills = events
+            .iter()
+            .filter(|e| {
+                matches!(&e.event, cg_trace::Event::LrmsKilled { reason, .. } if reason == "walltime exceeded")
+            })
+            .count();
+        assert!(
+            kills >= 1,
+            "{name}: a site killed its subjob at the walltime"
+        );
+        assert!(cg_trace::check_invariants(&events).is_empty(), "{name}");
+    }
+}
+
+/// A rejoined site's status poll reports what one copy did while the link
+/// was down: a polled `Finished` is that one subjob's finish, and a copy
+/// whose finish was already pushed is not counted again. A shared-parallel
+/// job whose site subjob finished before or during alpha's outage stays
+/// `Running` past the rejoin while its agent subjob — slowed by the
+/// co-resident batch job on beta — still runs, and is done with it.
+#[test]
+fn a_polled_finish_of_one_subjob_does_not_end_a_job_whose_agent_subjob_runs() {
+    use cg_net::FaultSchedule;
+    // Alpha's subjob runs from t ≈ 205 s to t ≈ 605 s.
+    let cases = [
+        ("finish lost in the outage, then polled", 300),
+        ("finish pushed, then polled again", 700),
+    ];
+    for (name, outage_from) in cases {
+        let mut sim = Sim::new(43);
+        let sites: Vec<Site> = [("alpha", 2), ("beta", 1)]
+            .iter()
+            .map(|(name, nodes)| {
+                Site::new(SiteConfig {
+                    name: (*name).into(),
+                    nodes: *nodes,
+                    policy: Policy::Fifo,
+                    ..SiteConfig::default()
+                })
+            })
+            .collect();
+        // Alpha's broker link and publications are down until 1 600 s:
+        // alpha is `Dead`, then rejoins and polls its copies.
+        let outage = || {
+            FaultSchedule::from_windows(vec![(
+                SimTime::from_secs(outage_from),
+                SimTime::from_secs(1_600),
+            )])
+        };
+        let handles = sites
+            .iter()
+            .zip([outage(), FaultSchedule::none()])
+            .map(|(site, faults)| SiteHandle {
+                site: site.clone(),
+                broker_link: Link::with_faults(LinkProfile::campus(), faults),
+                ui_link: Link::new(LinkProfile::campus()),
+            })
+            .collect();
+        let config = BrokerConfig {
+            publish_faults: vec![outage(), FaultSchedule::none()],
+            ..BrokerConfig::default()
+        };
+        let mds = Link::new(LinkProfile::wan_mds());
+        let broker = CrossBroker::new(&mut sim, handles, mds, config);
+        // A long batch job brings an agent to beta (its one node).
+        let batch = r#"
+            Executable = "bapp"; JobType = "batch"; User = "bob";
+            Requirements = other.Site == "beta";
+        "#;
+        let batch = broker.submit(&mut sim, job(batch), SimDuration::from_secs(100_000));
+        sim.run_until(SimTime::from_secs(200));
+        let state = broker.record(batch).state;
+        assert!(
+            matches!(state, JobState::Running { .. }),
+            "{name}: {state:?}"
+        );
+        // Two subjobs: beta's agent slot, whose batch job keeps most of the
+        // CPU, and one node of alpha.
+        let parallel = r#"
+            Executable = "a"; JobType = {"interactive", "mpich-p4"};
+            NodeNumber = 2; MachineAccess = "shared"; PerformanceLoss = 90;
+            User = "dora";
+        "#;
+        let id = broker.submit(&mut sim, job(parallel), SimDuration::from_secs(400));
+        sim.run_until(SimTime::from_secs(20_000));
+
+        let events = broker.event_log().snapshot();
+        let at = |wanted: &dyn Fn(&cg_trace::Event) -> bool, what: &str| {
+            events
+                .iter()
+                .find(|e| wanted(&e.event))
+                .unwrap_or_else(|| panic!("{name}: no {what}"))
+                .at
+        };
+        let finished = at(
+            &|e| matches!(e, cg_trace::Event::JobFinished { job } if *job == id.0),
+            "JobFinished",
+        );
+        let agent_done = at(
+            &|e| {
+                matches!(
+                    e,
+                    cg_trace::Event::SlotFinished {
+                        interactive: true,
+                        ..
+                    }
+                )
+            },
+            "interactive SlotFinished",
+        );
+        let rejoin = at(&|e| e.kind() == "SiteRejoin", "SiteRejoin");
+        assert!(
+            rejoin < agent_done,
+            "{name}: the poll must come while the agent subjob runs: \
+             rejoin {rejoin:?}, agent {agent_done:?}"
+        );
+        assert!(
+            finished >= agent_done,
+            "{name}: the job finished at {finished:?}, before its agent subjob ({agent_done:?})"
+        );
+        assert!(matches!(broker.record(id).state, JobState::Done), "{name}");
+        assert!(cg_trace::check_invariants(&events).is_empty(), "{name}");
+    }
+}
+
+/// The rejoin status poll holds the broker weakly: a world dropped while a
+/// poll is in flight frees the broker, and the poll then does nothing.
+#[test]
+fn a_pending_rejoin_poll_does_not_keep_the_broker_alive() {
+    use cg_net::FaultSchedule;
+    let mut sim = Sim::new(44);
+    let site = Site::new(SiteConfig {
+        name: "alpha".into(),
+        nodes: 2,
+        policy: Policy::Fifo,
+        ..SiteConfig::default()
+    });
+    let outage =
+        || FaultSchedule::from_windows(vec![(SimTime::from_secs(100), SimTime::from_secs(1_300))]);
+    let handles = vec![SiteHandle {
+        site,
+        broker_link: Link::with_faults(LinkProfile::campus(), outage()),
+        ui_link: Link::new(LinkProfile::campus()),
+    }];
+    let config = BrokerConfig {
+        publish_faults: vec![outage()],
+        ..BrokerConfig::default()
+    };
+    let mds = Link::new(LinkProfile::wan_mds());
+    let broker = CrossBroker::new(&mut sim, handles, mds, config);
+    // Running before the outage, finished inside it: its completion
+    // message is lost, so the rejoin polls its copy.
+    let id = broker.submit(&mut sim, job(EXCLUSIVE), SimDuration::from_secs(300));
+    let log = broker.event_log();
+    let rejoined = |log: &cg_trace::EventLog| {
+        log.snapshot()
+            .iter()
+            .any(|e| matches!(e.event, cg_trace::Event::SiteRejoin { .. }))
+    };
+    while !rejoined(&log) {
+        assert!(sim.step(), "alpha never rejoined");
+    }
+    assert!(
+        matches!(broker.record(id).state, JobState::Running { .. }),
+        "the poll is in flight: {:?}",
+        broker.record(id).state
+    );
+    let weak = broker.downgrade();
+    drop(broker);
+    assert!(
+        weak.upgrade().is_none(),
+        "a pending rejoin poll kept the broker alive"
+    );
+    let recorded = log.recorded();
+    sim.run_until(SimTime::from_secs(5_000));
+    assert_eq!(
+        log.recorded(),
+        recorded,
+        "the poll acted on a dropped broker"
+    );
 }

@@ -1,11 +1,12 @@
 //! The source gates in the default test run: the workspace's own sources
 //! lint clean with warnings fatal, exactly as `cgrun lint-src --check .`
 //! requires (one clock door L101, lock discipline L2, policy purity L3,
-//! allow hygiene W501), and no core module passes CI's 800-line budget.
+//! allow hygiene W501), no core module passes CI's 800-line budget, and the
+//! `un`-`safe` keyword stays in CI's two allowed files.
 
 use cg_lint::lint_root;
 use std::fs;
-use std::path::Path;
+use std::path::{Path, PathBuf};
 
 #[test]
 fn the_workspace_lints_clean_with_warnings_fatal() {
@@ -24,27 +25,94 @@ fn the_workspace_lints_clean_with_warnings_fatal() {
 #[test]
 fn no_core_module_is_over_800_lines() {
     const MAX_LINES: usize = 800;
-    let mut dirs = vec![Path::new(env!("CARGO_MANIFEST_DIR")).join("../core/src")];
-    let (mut scanned, mut over) = (0, Vec::new());
-    while let Some(dir) = dirs.pop() {
-        for entry in fs::read_dir(&dir).expect("source directory readable") {
-            let path = entry.expect("directory entry readable").path();
-            if path.is_dir() {
-                dirs.push(path);
-            } else if path.extension().is_some_and(|e| e == "rs") {
-                scanned += 1;
-                let source = fs::read_to_string(&path).expect("source file readable");
-                let lines = source.matches('\n').count();
-                if lines > MAX_LINES {
-                    over.push(format!("{}: {lines} lines", path.display()));
-                }
-            }
+    let mut files = Vec::new();
+    rust_files(
+        &Path::new(env!("CARGO_MANIFEST_DIR")).join("../core/src"),
+        &mut files,
+    );
+    let mut over = Vec::new();
+    for path in &files {
+        let source = fs::read_to_string(path).expect("source file readable");
+        let lines = source.matches('\n').count();
+        if lines > MAX_LINES {
+            over.push(format!("{}: {lines} lines", path.display()));
         }
     }
-    assert!(scanned > 20, "scanned only {scanned} files");
+    assert!(files.len() > 20, "scanned only {} files", files.len());
     assert!(
         over.is_empty(),
         "files over {MAX_LINES} lines:\n{}",
         over.join("\n")
+    );
+}
+
+/// The `.rs` files under `dir`, recursively (none when it does not exist).
+fn rust_files(dir: &Path, out: &mut Vec<PathBuf>) {
+    let Ok(entries) = fs::read_dir(dir) else {
+        return;
+    };
+    for entry in entries {
+        let path = entry.expect("directory entry readable").path();
+        if path.is_dir() {
+            rust_files(&path, out);
+        } else if path.extension().is_some_and(|e| e == "rs") {
+            out.push(path);
+        }
+    }
+}
+
+/// Whether `line` holds `word` as a whole word, as `grep -w` matches it.
+fn has_word(line: &str, word: &str) -> bool {
+    let is_word = |c: char| c.is_ascii_alphanumeric() || c == '_';
+    line.match_indices(word).any(|(at, _)| {
+        !line[..at].chars().next_back().is_some_and(is_word)
+            && !line[at + word.len()..].chars().next().is_some_and(is_word)
+    })
+}
+
+/// CI's keyword gate, in the default test run: the keyword (spelled
+/// `un` + `safe` here, so this file does not hold it) appears under
+/// `src/`, `tests/`, `crates/*/src/` and `crates/*/tests/` only in the
+/// journal CRC's kernel call and the counting allocator, and every line of
+/// the CRC file that holds it has a `// SAFETY:` line directly above.
+#[test]
+fn no_unsafe_outside_its_two_allowed_files() {
+    const CRC: &str = "crates/trace/src/journal/crc.rs";
+    const ALLOC: &str = "tests/support/counting_alloc.rs";
+    let keyword = concat!("un", "safe");
+    let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
+    let mut files = Vec::new();
+    rust_files(&root.join("src"), &mut files);
+    rust_files(&root.join("tests"), &mut files);
+    for krate in fs::read_dir(root.join("crates")).expect("crates/ readable") {
+        let krate = krate.expect("directory entry readable").path();
+        rust_files(&krate.join("src"), &mut files);
+        rust_files(&krate.join("tests"), &mut files);
+    }
+    assert!(files.len() > 100, "scanned only {} files", files.len());
+    let mut stray = Vec::new();
+    for path in &files {
+        let name = path.strip_prefix(&root).expect("under the root");
+        let name = name.to_string_lossy();
+        let source = fs::read_to_string(path).expect("source file readable");
+        let lines: Vec<&str> = source.lines().collect();
+        for (n, line) in lines
+            .iter()
+            .enumerate()
+            .filter(|(_, l)| has_word(l, keyword))
+        {
+            let guarded = n > 0 && lines[n - 1].trim_start().starts_with("// SAFETY:");
+            match name.as_ref() {
+                ALLOC => {}
+                CRC if guarded => {}
+                CRC => stray.push(format!("{name}:{}: no // SAFETY: line above", n + 1)),
+                _ => stray.push(format!("{name}:{}: {}", n + 1, line.trim())),
+            }
+        }
+    }
+    assert!(
+        stray.is_empty(),
+        "{keyword} outside {CRC} and {ALLOC}:\n{}",
+        stray.join("\n")
     );
 }

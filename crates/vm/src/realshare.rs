@@ -27,6 +27,47 @@ pub struct RealShareResult {
     pub batch_units: u64,
 }
 
+/// The supervisor's credit rule as a pure step over quanta of the virtual
+/// CPU: the agent's priority logic, without threads or a clock.
+struct Supervisor {
+    quantum: Duration,
+    performance_loss: u8,
+    /// Batch credit not yet paid out.
+    credit: Duration,
+    /// Who holds the quantum that is running.
+    turn: u8,
+}
+
+impl Supervisor {
+    fn new(performance_loss: u8, quantum: Duration) -> Self {
+        Supervisor {
+            quantum,
+            performance_loss,
+            credit: Duration::ZERO,
+            turn: TURN_INTERACTIVE,
+        }
+    }
+
+    /// The running quantum is over: who holds the next one. An interactive
+    /// quantum accrues `PerformanceLoss`% of itself as batch credit, and
+    /// credit that covers a whole quantum is paid out as one batch turn; a
+    /// batch quantum always hands the CPU back.
+    fn step(&mut self) -> u8 {
+        self.turn = if self.turn == TURN_INTERACTIVE {
+            self.credit += self.quantum * u32::from(self.performance_loss) / 100;
+            if self.credit >= self.quantum {
+                self.credit -= self.quantum;
+                TURN_BATCH
+            } else {
+                TURN_INTERACTIVE
+            }
+        } else {
+            TURN_INTERACTIVE
+        };
+        self.turn
+    }
+}
+
 /// One unit of CPU work (~tens of microseconds). `#[inline(never)]` plus a
 /// volatile-ish accumulator keeps the optimizer from deleting it.
 #[inline(never)]
@@ -90,22 +131,18 @@ pub fn run_real_share(
         })
     };
 
-    // Supervisor: the agent's priority logic. Interactive holds the CPU;
-    // batch credit accrues at PL% of interactive run time and is paid out in
-    // whole quanta.
-    let pl = performance_loss as f64 / 100.0;
-    let mut credit = Duration::ZERO;
+    // Supervisor: the agent's priority logic. Each quantum is slept
+    // through, then the credit rule names the next holder.
+    let mut supervisor = Supervisor::new(performance_loss, quantum);
     let mut batch_quanta = 0u64;
     while !done.load(Ordering::Acquire) {
         std::thread::sleep(quantum);
-        credit += Duration::from_secs_f64(quantum.as_secs_f64() * pl);
-        if credit >= quantum && !done.load(Ordering::Acquire) {
-            credit -= quantum;
-            batch_quanta += 1;
-            turn.store(TURN_BATCH, Ordering::Release);
-            std::thread::sleep(quantum);
-            turn.store(TURN_INTERACTIVE, Ordering::Release);
+        let next = supervisor.step();
+        if done.load(Ordering::Acquire) {
+            break;
         }
+        batch_quanta += u64::from(next == TURN_BATCH);
+        turn.store(next, Ordering::Release);
     }
     turn.store(TURN_INTERACTIVE, Ordering::Release);
 
@@ -127,6 +164,45 @@ mod tests {
     // from the simulated scheduler; this is the mechanism demonstrator.
     // The two that assert on elapsed wall time are opt-in (`-- --ignored`);
     // the baseline is deterministic, since PL 0 never accrues batch credit.
+
+    /// The holders of `n` quanta after the first (interactive) one.
+    fn turns(performance_loss: u8, n: usize) -> Vec<u8> {
+        let mut supervisor = Supervisor::new(performance_loss, Duration::from_millis(2));
+        (0..n).map(|_| supervisor.step()).collect()
+    }
+
+    #[test]
+    fn pl_zero_never_grants_the_batch_worker_a_quantum() {
+        assert!(turns(0, 10_000).iter().all(|t| *t == TURN_INTERACTIVE));
+    }
+
+    #[test]
+    fn pl_p_grants_the_batch_worker_its_exact_share_of_quanta() {
+        for pl in [1, 10, 25, 30, 50, 75, 90, 100] {
+            // After every step, the batch worker has had exactly PL% of the
+            // interactive quanta that ran, in whole quanta.
+            let (mut ran, mut batch, mut previous) = (0u64, 0u64, TURN_INTERACTIVE);
+            for next in turns(pl, 20_000) {
+                ran += u64::from(previous == TURN_INTERACTIVE);
+                batch += u64::from(next == TURN_BATCH);
+                assert_eq!(batch, ran * u64::from(pl) / 100, "PL {pl}");
+                previous = next;
+            }
+            assert!(batch >= 100, "PL {pl}");
+        }
+    }
+
+    #[test]
+    fn the_turn_always_returns_to_the_interactive_worker() {
+        for pl in [1, 50, 99, 100] {
+            let held = turns(pl, 10_000);
+            assert!(
+                held.windows(2)
+                    .all(|w| w[0] == TURN_INTERACTIVE || w[1] == TURN_INTERACTIVE),
+                "PL {pl}: a batch quantum was followed by another"
+            );
+        }
+    }
 
     #[test]
     fn baseline_runs_without_batch_turns() {
