@@ -7,7 +7,7 @@ use cg_jdl::JobDescription;
 use cg_net::{Link, LinkProfile};
 use cg_sim::{Sim, SimDuration, SimRng, SimTime, TimeSeries};
 use cg_site::{Policy, Site, SiteConfig};
-use cg_vm::VmMachine;
+use cg_vm::{VmMachine, SHARE_EFFICIENCY};
 use crossbroker::{BrokerConfig, CrossBroker, FairShare, FairShareConfig, SiteHandle, UsageKind};
 
 /// Buffer-size ablation: mean sequence RTT of the reliable mode at 10 KB as
@@ -72,7 +72,7 @@ pub fn multiprog_sweep(degrees: &[usize], work_s: u64, pl: u8) -> Vec<(usize, f6
         .iter()
         .map(|&k| {
             let mut sim = Sim::new(11);
-            let vm = VmMachine::with_capacity(0.92, k);
+            let vm = VmMachine::with_capacity(SHARE_EFFICIENCY, k);
             let batch_done = std::rc::Rc::new(std::cell::RefCell::new(0.0f64));
             let iv_done = std::rc::Rc::new(std::cell::RefCell::new(0.0f64));
             {

@@ -10,16 +10,13 @@ use std::sync::Arc;
 
 use cg_sim::{Sim, SimDuration, SimTime};
 use cg_trace::Event;
-use cg_vm::{deploy_agent, Agent, AgentCosts, AgentEvent, AgentId};
+use cg_vm::{deploy_agent, Agent, AgentCosts, AgentEvent, AgentId, SHARE_EFFICIENCY};
 
 use super::events::Stage;
 use super::{label, AgentEntry, CrossBroker};
 use crate::fairshare::UsageKind;
 use crate::job::JobId;
 
-/// Delivered fraction of the nominal batch share on shared machines.
-const SHARE_EFFICIENCY: f64 = 0.92;
-const _: () = assert!(SHARE_EFFICIENCY >= 0.5 && SHARE_EFFICIENCY <= 1.0);
 /// Wait before a replacement deployment ("new agents will be submitted when
 /// possible", §5.2).
 const AGENT_REDEPLOY_DELAY: SimDuration = SimDuration::from_secs(30);
@@ -87,7 +84,8 @@ impl CrossBroker {
         let then = RefCell::new(Some(then));
         let agent_slot: Rc<RefCell<Option<Rc<RefCell<Agent>>>>> = Rc::new(RefCell::new(None));
         let agent_slot2 = Rc::clone(&agent_slot);
-        // The glide-in costs are cg-vm's calibrated defaults.
+        // The share efficiency and glide-in costs are cg-vm's calibrated
+        // defaults.
         let (share_eff, costs) = (SHARE_EFFICIENCY, AgentCosts::default());
         let agent = deploy_agent(sim, aid, &site, &link, share_eff, costs, move |sim, ev| {
             let Some(this) = weak.upgrade() else {

@@ -294,7 +294,7 @@ mod tests {
             AgentId(1),
             &site,
             &link,
-            0.92,
+            crate::SHARE_EFFICIENCY,
             AgentCosts::default(),
             move |sim, ev| {
                 let tag = match ev {

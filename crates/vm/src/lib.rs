@@ -14,9 +14,8 @@
 //!   *direct* interactive submissions that skip the middleware (Table I's
 //!   6.79 s path), and reports its death for resubmission;
 //! - [`run_loop_app`] — the quantum-granularity scheduler reproducing
-//!   Figure 8's CPU/I-O overhead numbers;
-//! - [`run_real_share`] — the same mechanism demonstrated with real OS
-//!   threads;
+//!   Figure 8's CPU/I-O overhead numbers; it and [`VmMachine`] share one
+//!   batch share, `SHARE_EFFICIENCY × PL/100`;
 //! - [`AdaptiveController`] — the §7 future-work extension: adapting the
 //!   degree of multi-programming to observed application behaviour.
 
@@ -24,12 +23,10 @@
 
 mod adaptive;
 mod agent;
-mod realshare;
 mod share;
 mod slot;
 
 pub use adaptive::{AdaptiveConfig, AdaptiveController};
 pub use agent::{deploy_agent, Agent, AgentCosts, AgentEvent, AgentId};
-pub use realshare::{run_real_share, RealShareResult};
-pub use share::{measure_loss, run_loop_app, LoopAppResult, LoopAppSpec, RunMode, ShareConfig};
+pub use share::{run_loop_app, LoopAppResult, LoopAppSpec, RunMode, ShareConfig, SHARE_EFFICIENCY};
 pub use slot::{SlotError, TaskId, VmMachine};

@@ -24,6 +24,8 @@ use cg_net::{delivery_outcome, Dir, Link};
 use cg_sim::{EventId, Receiver, Sim, SimDuration, SimTime, Slab, TypedEvent};
 use cg_trace::{Event, EventLog};
 
+use crate::share::share;
+
 /// Identifies a task within one machine.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct TaskId(u64);
@@ -316,7 +318,6 @@ impl VmMachine {
     /// Cancels a task (job kill). Returns whether it was running here.
     pub fn cancel(&self, sim: &mut Sim, id: TaskId) -> bool {
         let mut inner = self.inner.borrow_mut();
-        let now = sim.now();
         let mut found = false;
         if inner.batch.as_ref().is_some_and(|t| t.id == id) {
             let t = inner.batch.take().expect("checked");
@@ -331,7 +332,6 @@ impl VmMachine {
             }
             found = true;
         }
-        let _ = now;
         drop(inner);
         if found {
             self.reschedule(sim);
@@ -429,12 +429,8 @@ impl VmMachine {
             1.0
         } else {
             // The batch slot keeps eff × max(PL) of the CPU.
-            let max_pl = inner
-                .interactive
-                .iter()
-                .map(|t| t.pl as f64 / 100.0)
-                .fold(0.0, f64::max);
-            eff * max_pl
+            let max_pl = inner.interactive.iter().map(|t| t.pl).max().unwrap_or(0);
+            share(eff, max_pl)
         };
         let iv_share_total = if batch_present {
             1.0 - batch_share
