@@ -18,11 +18,13 @@
 //!
 //! Event payloads use the binary codec in [`crate::codec`]; snapshot payloads
 //! are `[through_seq: u64 LE]` followed by an opaque state blob (see
-//! [`crate::replay`]). The journal is append-only: snapshots are inline
-//! records, and a reader replays from the **last** snapshot. Reading and
-//! checking are O(file): every frame's CRC and every event's encoding are
-//! checked. Decoding and replay are O(tail): only the events past the last
-//! snapshot are built, and the file itself only grows.
+//! [`crate::replay`]). Events are appended; a snapshot starts the file over
+//! (see [`Journal::append_snapshot`]), so the file on disk is the magic, at
+//! most one snapshot as its first record, and the events after it. Reading
+//! and checking are O(file) and decoding and replay are O(tail), which makes
+//! both O(live state + one snapshot interval), not O(uptime). The reader
+//! still accepts a file with any number of inline snapshots and replays from
+//! the **last** one.
 //!
 //! Torn tails vs corruption: a record whose bytes simply stop at end-of-file
 //! is the signature of a crash mid-write — the reader truncates it and
@@ -125,6 +127,8 @@ struct WriterInner {
     buf: Vec<u8>,
     unsynced: u32,
     appended: u64,
+    /// Seq of the last event appended: a snapshot below it would drop it.
+    last_seq: Option<u64>,
     /// The first write/sync failure. Sticky: bytes were lost, so anything
     /// appended afterwards would sit behind a hole the reader cannot see.
     failed: Option<(io::ErrorKind, String)>,
@@ -146,34 +150,51 @@ impl WriterInner {
         result
     }
 
-    /// Frames one record in the buffer: reserves the header, lets `encode`
-    /// write the payload straight behind it, then patches `len` and the CRC
-    /// computed in place. The group is written out when a sync is due.
-    fn append(
-        &mut self,
-        kind: u8,
-        force_sync: bool,
-        encode: impl FnOnce(&mut Vec<u8>),
-    ) -> io::Result<()> {
-        let start = self.buf.len();
-        self.buf.push(kind);
-        self.buf.extend_from_slice(&[0; FRAME_HEADER - 1]);
-        encode(&mut self.buf);
-        let (header, payload) = self.buf[start..].split_at_mut(FRAME_HEADER);
-        let len = u32::try_from(payload.len())
-            .map_err(|_| io::Error::other("journal record over 4 GiB"))?;
-        header[1..5].copy_from_slice(&len.to_le_bytes());
-        let crc = frame_crc(&header[..5], payload);
-        header[5..].copy_from_slice(&crc.to_le_bytes());
+    /// Frames one event in the buffer. The group is written out when a sync
+    /// is due.
+    fn append_event(&mut self, ev: &TimedEvent) -> io::Result<()> {
+        frame(&mut self.buf, KIND_EVENT, |buf| codec::encode_event(ev, buf))?;
+        self.last_seq = Some(ev.seq);
         self.appended += 1;
         self.unsynced += 1;
-        if force_sync || (self.config.fsync_every > 0 && self.unsynced >= self.config.fsync_every) {
+        if self.config.fsync_every > 0 && self.unsynced >= self.config.fsync_every {
             self.sync()
         } else if self.buf.len() >= FLUSH_BYTES {
             self.flush()
         } else {
             Ok(())
         }
+    }
+
+    /// Starts the file over at a snapshot. The open group is dropped, not
+    /// written: the caller checked that every record in it is at or below
+    /// `through_seq`. The new file is complete and durable under its own
+    /// name before the rename puts it in place, so `path` is always either
+    /// the old journal, intact, or the new one.
+    fn rotate(&mut self, path: &Path, through_seq: u64, state: &[u8]) -> io::Result<()> {
+        self.buf.clear();
+        self.buf.extend_from_slice(JOURNAL_MAGIC);
+        frame(&mut self.buf, KIND_SNAPSHOT, |buf| {
+            buf.extend_from_slice(&through_seq.to_le_bytes());
+            buf.extend_from_slice(state);
+        })?;
+        let next = next_path(path);
+        let mut file = OpenOptions::new()
+            .create(true)
+            .write(true)
+            .truncate(true)
+            .open(&next)?;
+        let written = file.write_all(&self.buf);
+        self.buf.clear();
+        written?;
+        // cg-lint: allow(lock-across-io): single-writer journal; the snapshot is durable under its own name before it replaces the old file
+        file.sync_data()?;
+        std::fs::rename(&next, path)?;
+        sync_parent_dir(path)?;
+        self.file = file;
+        self.appended += 1;
+        self.unsynced = 0;
+        Ok(())
     }
 
     /// Hands the open group to the OS in one write.
@@ -193,6 +214,40 @@ impl WriterInner {
     }
 }
 
+/// Frames one record at the end of `buf`: reserves the header, lets `encode`
+/// write the payload straight behind it, then patches `len` and the CRC
+/// computed in place.
+fn frame(buf: &mut Vec<u8>, kind: u8, encode: impl FnOnce(&mut Vec<u8>)) -> io::Result<()> {
+    let start = buf.len();
+    buf.push(kind);
+    buf.extend_from_slice(&[0; FRAME_HEADER - 1]);
+    encode(buf);
+    let (header, payload) = buf[start..].split_at_mut(FRAME_HEADER);
+    let len =
+        u32::try_from(payload.len()).map_err(|_| io::Error::other("journal record over 4 GiB"))?;
+    header[1..5].copy_from_slice(&len.to_le_bytes());
+    let crc = frame_crc(&header[..5], payload);
+    header[5..].copy_from_slice(&crc.to_le_bytes());
+    Ok(())
+}
+
+/// Where a rotation writes the next file before renaming it over `path`.
+fn next_path(path: &Path) -> PathBuf {
+    let mut name = path.as_os_str().to_owned();
+    name.push(".next");
+    PathBuf::from(name)
+}
+
+/// Makes a rename inside `path`'s directory durable.
+fn sync_parent_dir(path: &Path) -> io::Result<()> {
+    let dir = path
+        .parent()
+        .filter(|dir| !dir.as_os_str().is_empty())
+        .unwrap_or(Path::new("."));
+    // cg-lint: allow(lock-across-io): single-writer journal; the directory fsync under the writer lock is the rename's durability point
+    File::open(dir)?.sync_all()
+}
+
 impl Drop for WriterInner {
     /// The last handle going away (unwinding included) hands the open group
     /// to the OS; errors have nowhere to go here, [`Journal::sync`] is the
@@ -208,10 +263,10 @@ impl Drop for WriterInner {
 ///
 /// Records are framed into one buffer and reach the file a commit group at
 /// a time: at every `fsync_every`-th record (with the fsync), on
-/// [`Journal::append_snapshot`], on [`Journal::sync`], when the last handle
-/// drops, and whenever the buffer passes 64 KiB. The first write or sync
-/// failure poisons the writer: every later call returns that error and the
-/// file is left alone.
+/// [`Journal::sync`], when the last handle drops, and whenever the buffer
+/// passes 64 KiB. [`Journal::append_snapshot`] replaces the file instead.
+/// The first write or sync failure poisons the writer: every later call
+/// returns that error and the file is left alone.
 #[derive(Clone)]
 pub struct Journal {
     inner: Arc<Mutex<WriterInner>>,
@@ -252,6 +307,7 @@ impl Journal {
                 buf: Vec::new(),
                 unsynced: 0,
                 appended: 0,
+                last_seq: None,
                 failed: None,
             })),
             path: Arc::new(path),
@@ -281,23 +337,38 @@ impl Journal {
     /// Propagates write/sync failures (see the type docs: the first one
     /// sticks).
     pub fn append_event(&self, ev: &TimedEvent) -> io::Result<()> {
-        self.lock()
-            .guarded(|w| w.append(KIND_EVENT, false, |buf| codec::encode_event(ev, buf)))
+        self.lock().guarded(|w| w.append_event(ev))
     }
 
-    /// Appends a snapshot record covering all events with `seq <=
-    /// through_seq`. Always fsyncs: a snapshot that might not be durable is
-    /// worse than none.
+    /// Writes a snapshot covering all events with `seq <= through_seq` and
+    /// starts the journal over at it, dropping the prefix it summarises:
+    ///
+    /// 1. the open commit group is dropped (the snapshot covers it);
+    /// 2. `{path}.next` is created or truncated and gets the magic and the
+    ///    snapshot record;
+    /// 3. that file is fsynced;
+    /// 4. it is renamed over `path`;
+    /// 5. the parent directory is fsynced;
+    /// 6. later records are appended to the new file.
+    ///
+    /// A crash before step 4 leaves the old journal intact under `path`
+    /// (a leftover `.next` is never read, and the next rotation truncates
+    /// it), short of at most the dropped group, as a killed process would
+    /// leave it; from step 4 on, `path` is the new one.
     ///
     /// # Errors
-    /// Propagates write/sync failures.
+    /// [`io::ErrorKind::InvalidInput`], with nothing written, when an event
+    /// above `through_seq` was already appended: the rotation would drop it.
+    /// Otherwise propagates file-creation, write, sync and rename failures.
     pub fn append_snapshot(&self, through_seq: u64, state: &[u8]) -> io::Result<()> {
-        self.lock().guarded(|w| {
-            w.append(KIND_SNAPSHOT, true, |buf| {
-                buf.extend_from_slice(&through_seq.to_le_bytes());
-                buf.extend_from_slice(state);
-            })
-        })
+        let mut w = self.lock();
+        if let Some(last) = w.last_seq.filter(|last| *last > through_seq) {
+            return Err(io::Error::new(
+                io::ErrorKind::InvalidInput,
+                format!("snapshot through seq {through_seq} would drop appended event {last}"),
+            ));
+        }
+        w.guarded(|w| w.rotate(&self.path, through_seq, state))
     }
 
     /// Forces buffered records to stable storage.

@@ -429,21 +429,145 @@ fn an_undecodable_event_a_snapshot_summarises_is_still_corrupt() {
     }
 }
 
+/// The writer frames records as the old one did; a snapshot starts the file
+/// over, so the events it covers are gone and it is the first record.
 #[test]
 fn writer_bytes_equal_the_old_framing() {
     let path = tmp("framing.jrnl");
     let j = Journal::create(&path, JournalConfig { fsync_every: 3 }).unwrap();
-    let mut want = JOURNAL_MAGIC.to_vec();
+    let mut before = JOURNAL_MAGIC.to_vec();
     for seq in 0..7 {
         j.append_event(&ev(seq)).unwrap();
+        before.extend(event_frame(&ev(seq)));
+    }
+    j.sync().unwrap();
+    assert_eq!(std::fs::read(&path).unwrap(), before);
+    j.append_snapshot(6, b"state").unwrap();
+    j.append_event(&ev(7)).unwrap();
+    j.sync().unwrap();
+    let mut want = JOURNAL_MAGIC.to_vec();
+    want.extend(snapshot_frame(6, b"state"));
+    want.extend(event_frame(&ev(7)));
+    assert_eq!(std::fs::read(&path).unwrap(), want);
+    let _ = std::fs::remove_file(&path);
+}
+
+/// A snapshot below an event already appended would drop that event with
+/// the old file, so it is refused before anything is written, and the
+/// writer stays usable.
+#[test]
+fn a_snapshot_below_an_appended_event_is_refused_and_writes_nothing() {
+    let path = tmp("horizon.jrnl");
+    let j = Journal::create(&path, JournalConfig { fsync_every: 1 }).unwrap();
+    for seq in 0..5 {
+        j.append_event(&ev(seq)).unwrap();
+    }
+    let before = std::fs::read(&path).unwrap();
+    let e = j.append_snapshot(3, b"behind").expect_err("seq 4 is above 3");
+    assert_eq!(e.kind(), io::ErrorKind::InvalidInput);
+    assert!(e.to_string().contains("would drop appended event 4"), "{e}");
+    assert_eq!(std::fs::read(&path).unwrap(), before, "the file is untouched");
+    assert!(!next_path(&path).exists(), "no next file was made");
+    assert_eq!(j.appended(), 5);
+
+    j.append_snapshot(4, b"level").unwrap();
+    j.append_event(&ev(5)).unwrap();
+    let loaded = open_journal(&path).unwrap();
+    assert_eq!(loaded.snapshot.map(|s| s.state), Some(b"level".to_vec()));
+    assert_eq!(loaded.events, vec![ev(5)]);
+    let _ = std::fs::remove_file(&path);
+}
+
+// ── the rotation's crash contract: every state a crash can leave on disk ──
+
+/// A journal holding events 0..6, all of them durable.
+fn six_events(path: &Path) -> Journal {
+    let j = Journal::create(path, JournalConfig { fsync_every: 4 }).unwrap();
+    for seq in 0..6 {
+        j.append_event(&ev(seq)).unwrap();
+    }
+    j.sync().unwrap();
+    j
+}
+
+/// What `append_snapshot(5, b"rotated")` writes into the next file.
+fn rotated_file() -> Vec<u8> {
+    let mut bytes = JOURNAL_MAGIC.to_vec();
+    bytes.extend(snapshot_frame(5, b"rotated"));
+    bytes
+}
+
+/// A crash before the rename leaves the old file intact beside some prefix
+/// of the next one (none, torn at any byte, or complete): the journal reads
+/// exactly as it did before the rotation began.
+#[test]
+fn a_crash_before_the_rename_reads_the_old_journal() {
+    let path = tmp("rotate-before.jrnl");
+    drop(six_events(&path));
+    let before = outcome(open_journal(&path));
+    assert!(matches!(&before, Ok((None, events, 0)) if events.len() == 6));
+    let next = rotated_file();
+    for cut in 0..=next.len() {
+        std::fs::write(next_path(&path), &next[..cut]).unwrap();
+        assert_eq!(outcome(open_journal(&path)), before, "next file cut at {cut}");
+    }
+    let _ = std::fs::remove_file(next_path(&path));
+    let _ = std::fs::remove_file(&path);
+}
+
+/// After the rename the file is the snapshot, as its first record, and the
+/// events appended since.
+#[test]
+fn after_the_rename_the_snapshot_is_the_first_record() {
+    let path = tmp("rotate-after.jrnl");
+    let j = six_events(&path);
+    j.append_snapshot(5, b"rotated").unwrap();
+    assert_eq!(std::fs::read(&path).unwrap(), rotated_file(), "durable on return");
+    assert!(!next_path(&path).exists(), "renamed, not copied");
+    for seq in 6..9 {
+        j.append_event(&ev(seq)).unwrap();
+    }
+    j.sync().unwrap();
+    let mut want = rotated_file();
+    for seq in 6..9 {
         want.extend(event_frame(&ev(seq)));
     }
-    j.append_snapshot(6, b"state").unwrap();
-    want.extend(snapshot_frame(6, b"state"));
-    j.append_event(&ev(7)).unwrap();
-    want.extend(event_frame(&ev(7)));
-    j.sync().unwrap();
     assert_eq!(std::fs::read(&path).unwrap(), want);
+    let loaded = open_journal(&path).unwrap();
+    assert_eq!(loaded.snapshot.map(|s| s.through_seq), Some(5));
+    assert_eq!(loaded.events, (6..9).map(ev).collect::<Vec<_>>());
+    let _ = std::fs::remove_file(&path);
+}
+
+/// A next file a crash left behind, longer than what the next rotation
+/// writes, is truncated by it: nothing of the stale bytes survives.
+#[test]
+fn a_stale_next_file_is_truncated_by_the_next_rotation() {
+    let path = tmp("rotate-stale.jrnl");
+    std::fs::write(next_path(&path), vec![0xA5; 4 * rotated_file().len()]).unwrap();
+    let j = six_events(&path);
+    j.append_snapshot(5, b"rotated").unwrap();
+    assert_eq!(std::fs::read(&path).unwrap(), rotated_file());
+    assert!(!next_path(&path).exists());
+    let _ = std::fs::remove_file(&path);
+}
+
+/// A process killed after a rotation (no drop, no flush) loses at most the
+/// open commit group, as it would without one.
+#[test]
+fn a_killed_process_loses_at_most_one_open_group_after_a_rotation() {
+    let path = tmp("rotate-killed.jrnl");
+    let j = six_events(&path);
+    j.append_snapshot(5, b"rotated").unwrap();
+    for seq in 6..13 {
+        j.append_event(&ev(seq)).unwrap();
+    }
+    // The process dies here: the handle never drops, the group never flushes.
+    std::mem::forget(j);
+    let loaded = open_journal(&path).unwrap();
+    assert_eq!(loaded.snapshot.map(|s| s.through_seq), Some(5));
+    assert_eq!(loaded.events, (6..10).map(ev).collect::<Vec<_>>(), "one group of 4 closed");
+    assert_eq!(loaded.truncated_bytes, 0);
     let _ = std::fs::remove_file(&path);
 }
 
@@ -552,4 +676,79 @@ fn the_event_log_keeps_the_first_journal_error() {
         "first failure, not a later one: {error}"
     );
     assert_eq!(log.len(), 6, "the in-memory log is unharmed");
+}
+
+/// A source that counts the bytes read from it.
+struct Counted<R> {
+    inner: R,
+    bytes: u64,
+}
+
+impl<R: Read> Read for Counted<R> {
+    fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+        let n = self.inner.read(buf)?;
+        self.bytes += n as u64;
+        Ok(n)
+    }
+}
+
+/// The kinds of a journal file's whole frames, in file order.
+fn frame_kinds(bytes: &[u8]) -> Vec<u8> {
+    let mut at = JOURNAL_MAGIC.len();
+    let mut kinds = Vec::new();
+    while let Some(size) = frame_size(&bytes[at..]).filter(|size| at + size <= bytes.len()) {
+        kinds.push(bytes[at]);
+        at += size;
+    }
+    kinds
+}
+
+/// Recovery reads what the live state and one snapshot interval hold, not
+/// the history: ten times the uptime, with ten times the snapshots, reads
+/// the same bytes (the magic, the last snapshot, the tail) and checks the
+/// same events (the tail) as the short run.
+#[test]
+fn recovery_reads_the_last_snapshot_and_its_tail_whatever_the_uptime() {
+    const INTERVAL: u64 = 500;
+    const TAIL: u64 = 73;
+    let blob = vec![0x5a; 4096];
+    let mut reads = Vec::new();
+    for intervals in [3, 30] {
+        let path = tmp(&format!("uptime-{intervals}.jrnl"));
+        let j = Journal::create(&path, JournalConfig::default()).unwrap();
+        for seq in 0..intervals * INTERVAL {
+            j.append_event(&ev(seq)).unwrap();
+            if (seq + 1).is_multiple_of(INTERVAL) {
+                j.append_snapshot(seq, &blob).unwrap();
+            }
+        }
+        let horizon = intervals * INTERVAL - 1;
+        let tail: Vec<TimedEvent> = (horizon + 1..=horizon + TAIL).map(ev).collect();
+        for e in &tail {
+            j.append_event(e).unwrap();
+        }
+        j.sync().unwrap();
+
+        let kinds = frame_kinds(&std::fs::read(&path).unwrap());
+        let (first, rest) = kinds.split_first().unwrap();
+        assert_eq!(*first, KIND_SNAPSHOT, "the snapshot opens the file");
+        assert!(rest.iter().all(|k| *k == KIND_EVENT), "and only events follow");
+        let checked = rest.len() as u64;
+        assert_eq!(checked, TAIL, "the reader checks the tail and nothing else");
+
+        let mut src = Counted {
+            inner: File::open(&path).unwrap(),
+            bytes: 0,
+        };
+        let loaded = read_journal(&mut src, READ_WINDOW).unwrap();
+        let want = JOURNAL_MAGIC.len()
+            + snapshot_frame(horizon, &blob).len()
+            + tail.iter().map(|e| event_frame(e).len()).sum::<usize>();
+        assert_eq!(src.bytes, want as u64, "{intervals} intervals");
+        assert_eq!(loaded.snapshot.map(|s| (s.through_seq, s.state)), Some((horizon, blob.clone())));
+        assert_eq!(loaded.events, tail);
+        reads.push((src.bytes, checked));
+        let _ = std::fs::remove_file(&path);
+    }
+    assert_eq!(reads[0], reads[1], "10x the uptime reads the same bytes and events");
 }

@@ -8,12 +8,18 @@
 //! pay one allocation per string field of every event in the file; this test
 //! counts.
 //!
+//! The journal is written by hand, with the public codec and CRC: the writer
+//! starts the file over at each snapshot, but a file with many inline
+//! snapshots is still a journal the reader must open, and it is the one
+//! where summarised events pile up behind the last snapshot.
+//!
 //! The file holds one test on purpose: the counter is process-wide.
 
 use std::path::PathBuf;
 
 use cg_sim::SimTime;
-use cg_trace::{open_journal, Event, Journal, JournalConfig, LoadedJournal, TimedEvent};
+use cg_trace::journal::{crc32, JOURNAL_MAGIC};
+use cg_trace::{encode_event, open_journal, Event, LoadedJournal, TimedEvent};
 
 #[path = "../../../tests/support/counting_alloc.rs"]
 mod counting_alloc;
@@ -48,23 +54,41 @@ fn event(seq: u64) -> TimedEvent {
     }
 }
 
-/// Writes `summarised` events under `SNAPSHOTS` evenly spaced snapshots of
-/// one fixed blob, then the `TAIL` events no snapshot covers.
+/// Appends one record in the journal's framing: kind (1 = event,
+/// 2 = snapshot), payload length, CRC-32 over both and the payload.
+fn push_frame(file: &mut Vec<u8>, kind: u8, payload: &[u8]) {
+    let mut header = vec![kind];
+    header.extend_from_slice(&u32::try_from(payload.len()).unwrap().to_le_bytes());
+    let mut covered = header.clone();
+    covered.extend_from_slice(payload);
+    file.extend_from_slice(&header);
+    file.extend_from_slice(&crc32(&covered).to_le_bytes());
+    file.extend_from_slice(payload);
+}
+
+/// Writes `summarised` events under `SNAPSHOTS` evenly spaced inline
+/// snapshots of one fixed blob, then the `TAIL` events no snapshot covers.
 fn write_journal(summarised: u64) -> PathBuf {
     let path = std::env::temp_dir().join(format!(
         "cg-open-allocs-{}-{summarised}.jrnl",
         std::process::id()
     ));
-    let journal = Journal::create(&path, JournalConfig::default()).unwrap();
+    let mut file = JOURNAL_MAGIC.to_vec();
     let state = vec![0x5a; 4096];
     let interval = summarised / SNAPSHOTS;
+    let mut payload = Vec::new();
     for seq in 0..summarised + TAIL {
-        journal.append_event(&event(seq)).unwrap();
+        payload.clear();
+        encode_event(&event(seq), &mut payload);
+        push_frame(&mut file, 1, &payload);
         if (seq + 1).is_multiple_of(interval) && seq < summarised {
-            journal.append_snapshot(seq, &state).unwrap();
+            payload.clear();
+            payload.extend_from_slice(&seq.to_le_bytes());
+            payload.extend_from_slice(&state);
+            push_frame(&mut file, 2, &payload);
         }
     }
-    journal.sync().unwrap();
+    std::fs::write(&path, file).unwrap();
     path
 }
 

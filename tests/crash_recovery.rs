@@ -242,7 +242,27 @@ fn assert_recovered_buckets(
 
 #[test]
 fn kill_point_sweep_recovers_identical_terminal_stats() {
-    let base = tmp("sweep-base");
+    kill_point_sweep("sweep", None);
+}
+
+/// The sweep again with the t = 60 s snapshot: every kill point after it
+/// recovers from the rotated file (the snapshot and its tail alone) to the
+/// same buckets.
+#[test]
+fn kill_point_sweep_across_a_rotation_recovers_identical_terminal_stats() {
+    let from_snapshot = kill_point_sweep("sweep-rotated", Some(60));
+    assert!(
+        from_snapshot > 0,
+        "no kill point fell after the snapshot — the sweep never read a rotated file"
+    );
+}
+
+/// Crashes the reference scenario after every event seq (with a snapshot
+/// at `snapshot_at` seconds), recovers each, and checks the buckets against
+/// the uncrashed run's. Returns how many kill points recovered from a
+/// snapshot.
+fn kill_point_sweep(name: &str, snapshot_at: Option<u64>) -> usize {
+    let base = tmp(&format!("{name}-base"));
     let (total, crashed) = journaled_run(&base, None, None);
     assert!(!crashed);
     assert!(total > 20, "reference scenario too small: {total} events");
@@ -260,9 +280,10 @@ fn kill_point_sweep_recovers_identical_terminal_stats() {
         baseline.jobs
     );
 
-    let crash = tmp("sweep-crash");
+    let crash = tmp(&format!("{name}-crash"));
+    let mut from_snapshot = 0;
     for k in 0..total {
-        let (_, crashed) = journaled_run(&crash, Some(k), None);
+        let (_, crashed) = journaled_run(&crash, Some(k), snapshot_at);
         assert!(crashed, "kill point {k} of {total} must fire");
 
         let loaded = open_journal(&crash).unwrap();
@@ -273,6 +294,7 @@ fn kill_point_sweep_recovers_identical_terminal_stats() {
             "k={k}: recovery invariants violated: {:?}",
             report.violations
         );
+        from_snapshot += usize::from(report.from_snapshot);
 
         assert_recovered_buckets(&broker, &expected, &base_buckets, k);
 
@@ -284,6 +306,7 @@ fn kill_point_sweep_recovers_identical_terminal_stats() {
     }
     let _ = std::fs::remove_file(&base);
     let _ = std::fs::remove_file(&crash);
+    from_snapshot
 }
 
 /// The kill-point sweep again, but with every site on the process
@@ -532,11 +555,39 @@ fn snapshot_bounds_the_replayed_tail() {
     let _ = std::fs::remove_file(&crash);
 }
 
+/// The kinds of a journal file's whole frames (1 = event, 2 = snapshot), in
+/// file order: a frame is a kind byte, a `u32` LE length and a CRC, then
+/// the payload.
+fn frame_kinds(bytes: &[u8]) -> Vec<u8> {
+    let mut at = 8;
+    let mut kinds = Vec::new();
+    while let Some(header) = bytes.get(at..at + 9) {
+        let len = u32::from_le_bytes([header[1], header[2], header[3], header[4]]) as usize;
+        if at + 9 + len > bytes.len() {
+            break;
+        }
+        kinds.push(header[0]);
+        at += 9 + len;
+    }
+    kinds
+}
+
+/// The reference journal, rotated or not, read torn and bit-flipped.
 #[test]
 fn torn_tails_and_bit_flips_never_panic_and_corruption_is_typed() {
-    let path = tmp("fuzz");
-    journaled_run(&path, None, None);
-    let bytes = std::fs::read(&path).unwrap();
+    for snapshot_at in [None, Some(60)] {
+        let path = tmp(&format!("fuzz-{snapshot_at:?}"));
+        journaled_run(&path, None, snapshot_at);
+        let bytes = std::fs::read(&path).unwrap();
+        if snapshot_at.is_some() {
+            assert_eq!(frame_kinds(&bytes).first(), Some(&2), "a rotated journal");
+        }
+        torn_tails_and_bit_flips(&bytes);
+        let _ = std::fs::remove_file(&path);
+    }
+}
+
+fn torn_tails_and_bit_flips(bytes: &[u8]) {
     assert!(bytes.len() > 1_000, "journal too small to fuzz");
 
     // Torn tails: every cut inside the final records, strided elsewhere.
@@ -559,7 +610,7 @@ fn torn_tails_and_bit_flips_never_panic_and_corruption_is_typed() {
     let mut corrupt = 0usize;
     for pos in (8..bytes.len()).step_by(11) {
         for bit in [0u8, 3, 7] {
-            let mut mutated = bytes.clone();
+            let mut mutated = bytes.to_vec();
             mutated[pos] ^= 1 << bit;
             match parse_journal(&mutated) {
                 Ok(loaded) => {
@@ -574,14 +625,17 @@ fn torn_tails_and_bit_flips_never_panic_and_corruption_is_typed() {
         corrupt > 0,
         "no bit flip tripped the CRC — framing is not actually checked"
     );
-    let _ = std::fs::remove_file(&path);
 }
 
 /// The file format is a contract with every journal already on disk: the
 /// reference scenario (with its t=60 s snapshot) must write the same bytes
 /// whatever the writer does internally and however often it syncs. The
-/// hash was recorded at the parent of PR 17 (one `write` per record); a PR
-/// that moves it changes the format and must say so.
+/// hash was re-recorded once, when a snapshot began to start the file over:
+/// the file is now the magic followed by exactly the bytes the append-only
+/// writer wrote from its snapshot frame on (checked byte for byte under all
+/// three cadences before recording), so the frames did not change, only
+/// the prefix the snapshot summarises is gone. A change that moves the hash
+/// changes the format and must say so.
 #[test]
 fn journal_bytes_match_the_recorded_golden_under_every_fsync_cadence() {
     for fsync_every in [1, 64, 0] {
@@ -594,9 +648,14 @@ fn journal_bytes_match_the_recorded_golden_under_every_fsync_cadence() {
             JournalConfig { fsync_every },
         );
         let bytes = std::fs::read(&path).unwrap();
+        let kinds = frame_kinds(&bytes);
+        assert!(
+            kinds.first() == Some(&2) && !kinds[1..].contains(&2),
+            "fsync_every={fsync_every}: the only snapshot is the first frame: {kinds:?}"
+        );
         assert_eq!(
             fnv1a(&bytes),
-            0xf8f7_0047_06ef_cf78,
+            0x4102_a0a1_39d2_19fc,
             "fsync_every={fsync_every}: journal bytes changed ({total} events, {} bytes)",
             bytes.len()
         );
