@@ -15,7 +15,7 @@ use cg_trace::Event;
 
 use super::events::Stage;
 use super::settle::Ending;
-use super::{CrossBroker, RetainedAd};
+use super::{CrossBroker, Live};
 use crate::job::{JobId, JobRecord, JobState};
 use crate::matchmaking::CompiledJob;
 
@@ -66,14 +66,7 @@ impl CrossBroker {
                     runtime_ns: runtime.as_nanos(),
                 },
             );
-            inner.side.ads.insert(
-                id,
-                RetainedAd {
-                    jdl,
-                    runtime,
-                    interactive,
-                },
-            );
+            inner.live.insert(id, Live::new(jdl, runtime, interactive));
             for d in &analysis.diagnostics {
                 inner.trace.record(
                     now,
@@ -109,8 +102,8 @@ impl CrossBroker {
 
     /// The JDL gate `submit` and crash recovery share: an ad with
     /// `Error`-severity findings is rejected terminally (returns `false`);
-    /// one that passes gets its compiled expressions stored for the
-    /// matchmaking loop.
+    /// one that passes gets its compiled expressions stored in its live
+    /// entry for the matchmaking loop.
     pub(super) fn jdl_gate(&self, now: SimTime, id: JobId, analysis: Analysis) -> bool {
         let mut inner = self.inner.borrow_mut();
         if analysis.has_errors() {
@@ -118,13 +111,12 @@ impl CrossBroker {
             inner.end(id, Ending::JdlRejected(errors), now, true);
             return false;
         }
-        inner.side.compiled.insert(
-            id,
-            Rc::new(CompiledJob {
+        if let Some(live) = inner.live.get_mut(&id) {
+            live.compiled = Some(Rc::new(CompiledJob {
                 requirements: analysis.requirements,
                 rank: analysis.rank,
-            }),
-        );
+            }));
+        }
         true
     }
 
@@ -175,7 +167,7 @@ impl CrossBroker {
         {
             let mut inner = self.inner.borrow_mut();
             inner.jobs.update(id, |r| r.state = JobState::BrokerQueued);
-            inner.side.queue.push_back((id, job, runtime));
+            inner.queue.push_back((id, job, runtime));
             inner
                 .trace
                 .record(sim.now(), Event::JobQueued { job: id.0 });
@@ -185,7 +177,7 @@ impl CrossBroker {
 
     fn schedule_queue_retry(&self, sim: &mut Sim) {
         let mut inner = self.inner.borrow_mut();
-        if inner.queue_retry_scheduled || inner.side.queue.is_empty() {
+        if inner.queue_retry_scheduled || inner.queue.is_empty() {
             return;
         }
         inner.queue_retry_scheduled = true;
@@ -196,7 +188,7 @@ impl CrossBroker {
     /// Re-matches the job at the head of the broker queue; every finished
     /// or cancelled job calls this, since it may have freed a machine.
     pub(super) fn retry_broker_queue(&self, sim: &mut Sim) {
-        let next = self.inner.borrow_mut().side.queue.pop_front();
+        let next = self.inner.borrow_mut().queue.pop_front();
         if let Some((id, job, runtime)) = next {
             self.inner
                 .borrow()

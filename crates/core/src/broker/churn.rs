@@ -25,12 +25,11 @@ impl Inner {
         wanted: impl Fn(&JobState) -> bool,
     ) -> Vec<(JobId, LocalJobId)> {
         let mut copies: Vec<(JobId, LocalJobId)> = self
-            .side
-            .placements
+            .live
             .iter()
             .filter(|(id, _)| self.jobs.with(**id, |r| wanted(&r.state)).unwrap_or(false))
-            .filter_map(|(id, placements)| {
-                placements.iter().find_map(|p| match p {
+            .filter_map(|(id, live)| {
+                live.placements.iter().find_map(|p| match p {
                     Placement::Site {
                         site_index: s,
                         local,
@@ -121,10 +120,9 @@ impl CrossBroker {
                 }
             };
             let in_flight = inner
-                .side
-                .placements
+                .live
                 .values()
-                .filter(|placements| placements.iter().any(here))
+                .filter(|live| live.placements.iter().any(here))
                 .count() as u32;
             inner.trace.record(
                 now,
@@ -154,19 +152,19 @@ impl CrossBroker {
     fn rematch_from_dead_site(&self, sim: &mut Sim, id: JobId, site_index: usize) {
         let retained = {
             let mut inner = self.inner.borrow_mut();
-            inner.side.placements.remove(&id);
-            inner.side.ads.get(&id).cloned()
+            // A job with no entry has ended since: nothing to re-match.
+            let Some(live) = inner.live.get_mut(&id) else {
+                return;
+            };
+            live.placements.clear();
+            (JobDescription::parse(&live.jdl), live.runtime)
         };
-        let Some(retained) = retained else {
-            self.fail(sim, id, "site died with no retained ad to re-match");
-            return;
-        };
-        match JobDescription::parse(&retained.jdl) {
-            Ok(job) => {
+        match retained {
+            (Ok(job), runtime) => {
                 let excluded = HashSet::from([site_index]);
-                self.matched_path(sim, id, job, retained.runtime, excluded);
+                self.matched_path(sim, id, job, runtime, excluded);
             }
-            Err(e) => {
+            (Err(e), _) => {
                 self.fail(sim, id, &format!("re-match parse failed: {e}"));
             }
         }

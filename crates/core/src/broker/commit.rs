@@ -329,8 +329,10 @@ impl CrossBroker {
         }
         let restamp = run.plan.restamp;
         self.record_dispatch(sim.now(), id, scheduled, target, backend_of, restamp);
-        let subjobs = (run.plan.slots.len(), Vec::new());
-        self.inner.borrow_mut().side.subjobs.insert(id, subjobs);
+        if let Some(live) = self.inner.borrow_mut().live.get_mut(&id) {
+            live.subjobs = run.plan.slots.len();
+            live.counted.clear();
+        }
         for slot in &run.plan.slots {
             match slot {
                 Slot::AgentInteractive(aid) => self.launch_agent_subjob(sim, &run, *aid),
@@ -592,24 +594,19 @@ impl CrossBroker {
         self.add_placement(run.id, p);
     }
 
-    /// Whether `run` still acts for its job: the job is not terminal, and
-    /// the first copy the run placed is still one of the job's placements.
-    /// Dead-site re-matching drops them all before it routes the job
-    /// afresh; a run that has placed nothing yet cannot have been re-routed
-    /// (only a job with a copy on the dead site is).
+    /// Whether `run` still acts for its job: the job is live (it has not
+    /// ended, so its entry is there), and the first copy the run placed is
+    /// still one of the job's placements. Dead-site re-matching drops them
+    /// all before it routes the job afresh; a run that has placed nothing
+    /// yet cannot have been re-routed (only a job with a copy on the dead
+    /// site is).
     fn owns(&self, run: &Run) -> bool {
         let inner = self.inner.borrow();
-        let live = inner.jobs.with(run.id, |r| {
-            !matches!(r.state, JobState::Done | JobState::Failed { .. })
-        });
-        live == Some(true)
-            && run.placed.get().is_none_or(|p| {
-                inner
-                    .side
-                    .placements
-                    .get(&run.id)
-                    .is_some_and(|all| all.contains(&p))
-            })
+        inner.live.get(&run.id).is_some_and(|live| {
+            run.placed
+                .get()
+                .is_none_or(|p| live.placements.contains(&p))
+        })
     }
 
     /// Fails the job once per run, and keeps the barrier from completing.

@@ -119,15 +119,6 @@ pub struct BrokerStats {
     pub agents_deployed: u64,
 }
 
-/// The submit-time commit record retained for a live job: everything crash
-/// recovery needs to re-create and re-route it.
-#[derive(Clone)]
-struct RetainedAd {
-    jdl: String,
-    runtime: SimDuration,
-    interactive: bool,
-}
-
 /// Where (part of) a job physically runs — what `cancel` must tear down.
 #[derive(Debug, Clone, Copy, PartialEq)]
 enum Placement {
@@ -142,27 +133,45 @@ enum Placement {
     AgentBatch { aid: AgentId, task: cg_vm::TaskId },
 }
 
-/// The six per-job side tables: state that exists only while a job is
-/// live. The job table itself (`Inner::jobs`) keeps terminal records for
-/// the experiments; everything here is cleared by [`Inner::retire`], which
-/// every terminal transition in `settle` goes through.
-#[derive(Default)]
-struct SideTables {
-    /// Batch jobs waiting in the broker for a machine to become idle
-    /// (§5.2 arrow 2), in arrival order.
-    queue: VecDeque<(JobId, JobDescription, SimDuration)>,
-    /// Compiled `Requirements`/`Rank` from the submit-time analyzer; the
-    /// selection loop evaluates these instead of the raw AST.
-    compiled: HashMap<JobId, Rc<CompiledJob>>,
-    /// Re-parseable JDL source + declared runtime — the commit record that
-    /// lets crash recovery and dead-site re-matching re-arm in-flight work.
-    ads: HashMap<JobId, RetainedAd>,
+/// Everything the broker holds for a job while it is live: the commit
+/// record crash recovery and dead-site re-matching re-arm it from, and the
+/// state its current placement built. Only `submit` and
+/// `install_restored_job` create one (there is no `Default` to insert
+/// with), [`Inner::retire`] drops it, and every other stage writes only
+/// into an entry that exists, so a retired job never regains state.
+struct Live {
+    /// Re-parseable JDL source, as the `JobAd` event carries it.
+    jdl: String,
+    /// The declared runtime.
+    runtime: SimDuration,
+    /// Whether the job is interactive, as `JobSubmitted` says.
+    interactive: bool,
+    /// Compiled `Requirements`/`Rank` from the JDL gate; the selection
+    /// loop evaluates these instead of the raw AST.
+    compiled: Option<Rc<CompiledJob>>,
     /// The fair-share charge of a started interactive job.
-    usages: HashMap<JobId, UsageId>,
-    placements: HashMap<JobId, Vec<Placement>>,
-    /// A dispatched plan's unfinished subjobs and the copies counted so far
-    /// (`CrossBroker::subjob_finished`).
-    subjobs: HashMap<JobId, (usize, Vec<Placement>)>,
+    usage: Option<UsageId>,
+    /// Where the job's copies run.
+    placements: Vec<Placement>,
+    /// A dispatched plan's unfinished subjobs (0: no plan in flight) and
+    /// the copies counted so far (`CrossBroker::subjob_finished`).
+    subjobs: usize,
+    counted: Vec<Placement>,
+}
+
+impl Live {
+    fn new(jdl: String, runtime: SimDuration, interactive: bool) -> Self {
+        Live {
+            jdl,
+            runtime,
+            interactive,
+            compiled: None,
+            usage: None,
+            placements: Vec::new(),
+            subjobs: 0,
+            counted: Vec::new(),
+        }
+    }
 }
 
 struct Inner {
@@ -172,12 +181,16 @@ struct Inner {
     mds_link: Link,
     agents: HashMap<AgentId, AgentEntry>,
     fairshare: FairShare,
-    /// The job table, sharded by id with one lock per shard. The broker
-    /// drives it from one thread; it stays sharded because the benchmark
-    /// times `ShardedJobTable` as `core.table_op_ns`, and swapping it for a
-    /// plain map waits for ROADMAP item 4's benchmark-labelled change.
+    /// The job table, sharded by id with one lock per shard; terminal
+    /// records are kept for the experiments. The broker drives it from one
+    /// thread; it stays sharded because `perf/src/layers.rs` names
+    /// `ShardedJobTable` (it times it as `core.table_op_ns`).
     jobs: ShardedJobTable<JobRecord>,
-    side: SideTables,
+    /// The live jobs, each one [`Live`] entry.
+    live: HashMap<JobId, Live>,
+    /// Batch jobs waiting in the broker for a machine to become idle
+    /// (§5.2 arrow 2), in arrival order.
+    queue: VecDeque<(JobId, JobDescription, SimDuration)>,
     /// The live sweeps in flight, and the receiver their events go to
     /// (`CrossBroker::on_sweep_event`); owned by the `sweep` stage.
     sweeps: sweep::SweepTable,
@@ -213,25 +226,22 @@ struct Inner {
 }
 
 impl Inner {
-    /// Drops everything the broker holds for a job that just turned
-    /// terminal and releases its fair-share charge. (A job leaves `queue`
-    /// by being popped for a retry; `cancel` — the only terminal transition
-    /// a parked job can take — dequeues it before retiring it.)
+    /// Drops the [`Live`] entry of a job that just turned terminal and
+    /// releases its fair-share charge. (A job leaves `queue` by being
+    /// popped for a retry; `cancel` — the only terminal transition a parked
+    /// job can take — dequeues it before retiring it.)
     fn retire(&mut self, id: JobId) {
-        self.side.compiled.remove(&id);
-        self.side.ads.remove(&id);
-        self.side.placements.remove(&id);
-        self.side.subjobs.remove(&id);
-        if let Some(usage) = self.side.usages.remove(&id) {
+        if let Some(usage) = self.live.remove(&id).and_then(|live| live.usage) {
             self.fairshare.release(usage);
         }
     }
 
     /// Charges `user` for a started interactive job (§5.1).
     fn charge_interactive(&mut self, id: JobId, user: &Arc<str>, performance_loss: u8, cpus: u32) {
-        let kind = UsageKind::Interactive { performance_loss };
-        let usage = self.fairshare.register(Arc::clone(user), kind, cpus);
-        self.side.usages.insert(id, usage);
+        if let Some(live) = self.live.get_mut(&id) {
+            let kind = UsageKind::Interactive { performance_loss };
+            live.usage = Some(self.fairshare.register(Arc::clone(user), kind, cpus));
+        }
     }
 }
 
@@ -345,7 +355,8 @@ impl CrossBroker {
                     agents: HashMap::new(),
                     fairshare,
                     jobs: ShardedJobTable::new(DEFAULT_SHARDS),
-                    side: SideTables::default(),
+                    live: HashMap::new(),
+                    queue: VecDeque::new(),
                     sweeps: sweep::SweepTable::default(),
                     shortlists: discovery::ShortlistMemo::default(),
                     sweep_receiver,
@@ -469,31 +480,23 @@ impl CrossBroker {
     /// The job's analyzer-compiled expressions — there from the JDL gate
     /// until the job is retired.
     fn compiled_for(&self, id: JobId) -> Option<Rc<CompiledJob>> {
-        self.inner.borrow().side.compiled.get(&id).cloned()
+        let inner = self.inner.borrow();
+        inner.live.get(&id).and_then(|live| live.compiled.clone())
     }
 
     fn add_placement(&self, id: JobId, p: Placement) {
-        self.inner
-            .borrow_mut()
-            .side
-            .placements
-            .entry(id)
-            .or_default()
-            .push(p);
+        if let Some(live) = self.inner.borrow_mut().live.get_mut(&id) {
+            live.placements.push(p);
+        }
     }
 
     /// Drops the placement of a copy the broker withdrew from a site's LRMS:
     /// it no longer hosts any part of the job.
     fn remove_site_placement(&self, id: JobId, site_index: usize, local: cg_site::LocalJobId) {
-        let mut inner = self.inner.borrow_mut();
-        let Some(placements) = inner.side.placements.get_mut(&id) else {
-            return;
-        };
-        placements.retain(|p| {
-            !matches!(p, Placement::Site { site_index: s, local: l } if *s == site_index && *l == local)
-        });
-        if placements.is_empty() {
-            inner.side.placements.remove(&id);
+        if let Some(live) = self.inner.borrow_mut().live.get_mut(&id) {
+            live.placements.retain(|p| {
+                !matches!(p, Placement::Site { site_index: s, local: l } if *s == site_index && *l == local)
+            });
         }
     }
 
@@ -577,218 +580,4 @@ impl CrossBroker {
 }
 
 #[cfg(test)]
-mod tests {
-    use super::{BrokerConfig, CrossBroker, SiteHandle};
-    use cg_jdl::JobDescription;
-    use cg_net::{Link, LinkProfile};
-    use cg_sim::{Sim, SimDuration, SimTime};
-    use cg_site::{LocalJobSpec, Site, SiteConfig};
-    use std::rc::Rc;
-
-    fn world(sim: &mut Sim, n: usize, config: BrokerConfig) -> (CrossBroker, Vec<Site>) {
-        let sites: Vec<Site> = (0..n)
-            .map(|i| {
-                Site::new(SiteConfig {
-                    name: format!("site{i}"),
-                    nodes: 4,
-                    ..SiteConfig::default()
-                })
-            })
-            .collect();
-        let handles = sites
-            .iter()
-            .map(|site| SiteHandle {
-                site: site.clone(),
-                broker_link: Link::new(LinkProfile::campus()),
-                ui_link: Link::new(LinkProfile::campus()),
-            })
-            .collect();
-        let mds = Link::new(LinkProfile::wan_mds());
-        (CrossBroker::new(sim, handles, mds, config), sites)
-    }
-
-    #[test]
-    fn a_world_dropped_with_live_agents_and_running_jobs_is_freed() {
-        // Regression: the callbacks the broker parks inside a site's LRMS and
-        // an agent's VM held it strongly, the gatekeeper's LRMS callback
-        // held the LRMS, and an agent held its site — so a world that ended
-        // with a live glide-in agent (or any job still running) was a knot
-        // of reference cycles and leaked whole.
-        let mut sim = Sim::new(3);
-        let (broker, _) = world(&mut sim, 3, BrokerConfig::default());
-        let day = SimDuration::from_secs(86_400);
-        for (jdl, runtime) in [
-            // Finishes, and leaves its agent idle in the pool.
-            (
-                r#"Executable = "i"; JobType = "interactive"; MachineAccess = "shared";
-                   PerformanceLoss = 10; User = "alice";"#,
-                SimDuration::from_secs(30),
-            ),
-            // Still on an agent's batch VM when the world ends.
-            (r#"Executable = "b"; JobType = "batch"; User = "bob";"#, day),
-            // Still under an LRMS when the world ends.
-            (
-                r#"Executable = "x"; JobType = "interactive"; MachineAccess = "exclusive";
-                   User = "carol";"#,
-                day,
-            ),
-        ] {
-            broker.submit(&mut sim, JobDescription::parse(jdl).unwrap(), runtime);
-        }
-        sim.run_until(SimTime::from_secs(900));
-        assert_eq!(broker.agent_count(), 2, "both agents are live");
-        assert_eq!(broker.stats().started, 3);
-        assert_eq!(broker.stats().finished, 1);
-
-        let weak = Rc::downgrade(&broker.inner);
-        let agents: Vec<_> = broker
-            .inner
-            .borrow()
-            .agents
-            .values()
-            .map(|e| Rc::downgrade(&e.agent))
-            .collect();
-        drop(broker);
-        drop(sim);
-        assert!(weak.upgrade().is_none(), "the broker outlived its world");
-        for agent in agents {
-            assert!(agent.upgrade().is_none(), "an agent outlived its world");
-        }
-    }
-
-    #[test]
-    fn neither_the_sweep_handler_nor_a_sweep_in_flight_keeps_the_broker_alive() {
-        let exclusive = r#"Executable = "x"; JobType = "interactive";
-                           MachineAccess = "exclusive"; User = "carol";"#;
-        let submit = |sim: &mut Sim, broker: &CrossBroker| {
-            let job = JobDescription::parse(exclusive).unwrap();
-            broker.submit(sim, job, SimDuration::from_secs(30))
-        };
-
-        // A world that ran its job to the end and is let go while the `Sim`
-        // lives on, the index's refresh cycle with it: the broker's
-        // receivers reach the broker through a `Weak`.
-        let mut sim = Sim::new(3);
-        let (broker, sites) = world(&mut sim, 3, BrokerConfig::default());
-        let id = submit(&mut sim, &broker);
-        sim.run_until(SimTime::from_secs(3_600));
-        assert!(matches!(broker.record(id).state, crate::JobState::Done));
-        let weak = Rc::downgrade(&broker.inner);
-        drop(broker);
-        assert!(weak.upgrade().is_none(), "something in the sim holds on");
-        sim.run_until(SimTime::from_secs(7_200));
-        drop(sites);
-
-        // A world that ends in the middle of a sweep: the table owns the
-        // sweep and the sweep owns its continuation, which must not own the
-        // broker back.
-        let mut sim = Sim::new(3);
-        let (broker, _sites) = world(&mut sim, 3, BrokerConfig::default());
-        submit(&mut sim, &broker);
-        while broker.inner.borrow().sweeps.in_flight() == 0 {
-            assert!(sim.step(), "the job reaches its sweep");
-        }
-        let weak = Rc::downgrade(&broker.inner);
-        drop(broker);
-        drop(sim);
-        assert!(weak.upgrade().is_none(), "the broker outlived its world");
-    }
-
-    #[test]
-    fn terminal_jobs_leave_no_side_table_entries() {
-        // A mixed day through every submission path and every terminal
-        // transition: finished (five paths), rejected by the JDL gate,
-        // failed, cancelled while running and cancelled while parked.
-        let mut sim = Sim::new(17);
-        let (broker, sites) = world(&mut sim, 3, BrokerConfig::default());
-        broker.predeploy_agent(&mut sim, 0, |_, ok| assert!(ok));
-        sim.run_until(SimTime::from_secs(300));
-        let submit = |sim: &mut Sim, jdl: &str, secs: u64| {
-            let job = JobDescription::parse(jdl).unwrap();
-            broker.submit(sim, job, SimDuration::from_secs(secs))
-        };
-        let shared = r#"Executable = "i"; JobType = "interactive"; MachineAccess = "shared";
-                        PerformanceLoss = 10; User = "alice";"#;
-        let exclusive = r#"Executable = "x"; JobType = "interactive";
-                           MachineAccess = "exclusive"; User = "carol";"#;
-        let batch = r#"Executable = "b"; JobType = "batch"; User = "bob";"#;
-        submit(&mut sim, shared, 60);
-        submit(&mut sim, batch, 120);
-        submit(&mut sim, exclusive, 60);
-        sim.run_until(SimTime::from_secs(900));
-        submit(
-            &mut sim,
-            r#"Executable = "g"; JobType = {"interactive", "mpich-g2"}; NodeNumber = 5;
-               User = "carol";"#,
-            60,
-        );
-        sim.run_until(SimTime::from_secs(1_500));
-        submit(
-            &mut sim,
-            r#"Executable = "p"; JobType = {"interactive", "mpich-p4"}; NodeNumber = 3;
-               MachineAccess = "shared"; User = "dora";"#,
-            60,
-        );
-        submit(
-            &mut sim,
-            r#"Executable = "r"; JobType = "batch"; User = "eve";
-               Requirements = other.NoSuchAttribute > 1;"#,
-            60,
-        );
-        submit(
-            &mut sim,
-            r#"Executable = "f"; JobType = {"interactive", "mpich-g2"}; NodeNumber = 64;
-               User = "carol";"#,
-            60,
-        );
-        let running = submit(&mut sim, exclusive, 5_000);
-        sim.run_until(SimTime::from_secs(2_400));
-        assert!(broker.cancel(&mut sim, running), "cancelled while running");
-        // Saturate every site beyond its queue-admission bound so a batch
-        // job parks in the broker, then cancel it there.
-        for site in &sites {
-            for _ in 0..24 {
-                site.lrms().submit(
-                    &mut sim,
-                    LocalJobSpec::simple(SimDuration::from_secs(400)),
-                    |_, _, _| {},
-                );
-            }
-        }
-        sim.run_until(SimTime::from_secs(2_500));
-        let parked = submit(&mut sim, batch, 60);
-        sim.run_until(SimTime::from_secs(2_600));
-        assert!(matches!(
-            broker.record(parked).state,
-            crate::JobState::BrokerQueued
-        ));
-        assert!(broker.cancel(&mut sim, parked), "cancelled while parked");
-        sim.run_until(SimTime::from_secs(20_000));
-
-        let stats = broker.stats();
-        assert!(stats.finished >= 5, "every path finished a job: {stats:?}");
-        assert!(stats.rejected >= 1 && stats.failed + stats.rejected >= 2);
-        assert_eq!(stats.cancelled, 2);
-        assert_eq!(
-            stats.finished + stats.failed + stats.rejected + stats.cancelled,
-            stats.submitted,
-            "the day drained: {stats:?}"
-        );
-        let inner = broker.inner.borrow();
-        let side = &inner.side;
-        assert!(side.queue.is_empty(), "queue");
-        assert!(
-            side.compiled.is_empty(),
-            "compiled: {}",
-            side.compiled.len()
-        );
-        assert!(side.ads.is_empty(), "ads: {}", side.ads.len());
-        assert!(side.usages.is_empty(), "usages: {}", side.usages.len());
-        assert!(side.subjobs.is_empty(), "subjobs: {}", side.subjobs.len());
-        assert!(
-            side.placements.is_empty(),
-            "placements: {:?}",
-            side.placements
-        );
-    }
-}
+mod tests;

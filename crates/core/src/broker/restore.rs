@@ -12,7 +12,7 @@ use cg_trace::replay::{Phase, ReplayAgent, ReplayJob, ReplayState};
 
 use super::events::Stage;
 use super::settle::Ending;
-use super::{CrossBroker, RetainedAd};
+use super::{CrossBroker, Live};
 use crate::job::{JobId, JobRecord, JobState};
 
 impl CrossBroker {
@@ -28,7 +28,7 @@ impl CrossBroker {
         // per-shard (non-global) visit order lands in sorted order anyway,
         // and no intermediate Vec of cloned records is built.
         inner.jobs.for_each(|id, r| {
-            let ad = inner.side.ads.get(&id);
+            let live = inner.live.get(&id);
             let (phase, fail_reason) = match &r.state {
                 JobState::Submitted => (Phase::Submitted, None),
                 JobState::Matching => (Phase::Matching, None),
@@ -42,7 +42,7 @@ impl CrossBroker {
                 id.0,
                 ReplayJob {
                     user: Arc::clone(&r.user),
-                    interactive: ad.is_some_and(|a| a.interactive),
+                    interactive: live.is_some_and(|l| l.interactive),
                     phase,
                     queued: matches!(r.state, JobState::BrokerQueued),
                     attempts: r.resubmissions,
@@ -51,8 +51,8 @@ impl CrossBroker {
                     started_at_ns: r.started_at.map(SimTime::as_nanos),
                     finished_at_ns: r.finished_at.map(SimTime::as_nanos),
                     lease: None,
-                    jdl: ad.map(|a| a.jdl.clone()),
-                    runtime_ns: ad.map(|a| a.runtime.as_nanos()),
+                    jdl: live.map(|l| l.jdl.clone()),
+                    runtime_ns: live.map(|l| l.runtime.as_nanos()),
                     fail_reason,
                 },
             );
@@ -158,14 +158,10 @@ impl CrossBroker {
             let at = rj.finished_at_ns.unwrap_or(rj.submitted_at_ns);
             inner.end(jid, ending, SimTime::from_nanos(at), false);
         } else if let (Some(jdl), Some(runtime_ns)) = (&rj.jdl, rj.runtime_ns) {
-            inner.side.ads.insert(
-                jid,
-                RetainedAd {
-                    jdl: jdl.clone(),
-                    runtime: SimDuration::from_nanos(runtime_ns),
-                    interactive: rj.interactive,
-                },
-            );
+            let runtime = SimDuration::from_nanos(runtime_ns);
+            inner
+                .live
+                .insert(jid, Live::new(jdl.clone(), runtime, rj.interactive));
         }
     }
 

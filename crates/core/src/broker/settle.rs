@@ -3,7 +3,7 @@
 //! its user, or books a resubmission attempt with jittered backoff — and
 //! the ending table ([`Ending`], [`Inner::end`]): the one place any job
 //! ends, admission's refusals and crash recovery's restored endings
-//! included. Each ending retires the job's side tables through
+//! included. Each ending retires the job's live entry through
 //! `Inner::retire`.
 
 use std::sync::Arc;
@@ -135,7 +135,7 @@ impl Inner {
     /// the terminal state and its reason, `finished_at`, the counter, and
     /// for a `live` ending the trace event and `retire`. Crash recovery
     /// installs endings that are not live: their events are in its journal
-    /// and their side tables were never built.
+    /// and their live entries were never built.
     pub(super) fn end(&mut self, id: JobId, ending: Ending<'_>, at: SimTime, live: bool) {
         let ended = self.jobs.update(id, |r| {
             let ends = ending.ends(&r.state);
@@ -242,15 +242,15 @@ impl CrossBroker {
     /// gets a turn. A copy counted already — pushed, then polled again after
     /// its site rejoined — changes nothing.
     pub(super) fn subjob_finished(&self, sim: &mut Sim, id: JobId, copy: Option<Placement>) {
-        let last = match self.inner.borrow_mut().side.subjobs.get_mut(&id) {
+        let last = match self.inner.borrow_mut().live.get_mut(&id) {
             None => true,
-            Some((_, counted)) if copy.is_some_and(|c| counted.contains(&c)) => return,
-            Some((left, counted)) => {
-                *left = left.saturating_sub(1);
-                if *left > 0 {
-                    counted.extend(copy); // the last one ends the job
+            Some(live) if copy.is_some_and(|c| live.counted.contains(&c)) => return,
+            Some(live) => {
+                live.subjobs = live.subjobs.saturating_sub(1);
+                if live.subjobs > 0 {
+                    live.counted.extend(copy); // the last one ends the job
                 }
-                *left == 0
+                live.subjobs == 0
             }
         };
         if last {
@@ -284,8 +284,9 @@ impl CrossBroker {
             if inner.jobs.with(id, |r| Ending::Cancelled.ends(&r.state)) != Some(true) {
                 return false;
             }
-            inner.side.queue.retain(|(queued, _, _)| *queued != id);
-            inner.side.placements.remove(&id).unwrap_or_default()
+            inner.queue.retain(|(queued, _, _)| *queued != id);
+            let live = inner.live.get_mut(&id);
+            live.map_or_else(Vec::new, |live| std::mem::take(&mut live.placements))
         };
         for p in placements {
             match p {

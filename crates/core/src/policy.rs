@@ -174,20 +174,22 @@ impl SelectionPolicy for FreeCpusRank {
     }
 }
 
+/// Rank units [`QueueForecast`] subtracts per forecast queued job.
+const QUEUE_FORECAST_WEIGHT: f64 = 1.0;
+
+/// Rank units [`NetworkProximity`] subtracts per second of RTT: a typical
+/// 30 ms WAN hop costs 3 rank units — decisive between sites a few free
+/// CPUs apart, negligible within a campus.
+const RTT_WEIGHT_PER_S: f64 = 100.0;
+
+/// Rank units [`LeaseBackoff`] subtracts per consecutive lease failure.
+const LEASE_FAILURE_PENALTY: f64 = 4.0;
+
 /// Penalizes sites by their forecast LRMS queue depth: a site that has
 /// been accumulating queued work recently is likely to queue the next
 /// dispatch too, even if a free slot just opened.
 #[derive(Debug, Clone, Copy)]
-pub struct QueueForecast {
-    /// Rank units subtracted per forecast queued job.
-    pub weight: f64,
-}
-
-impl Default for QueueForecast {
-    fn default() -> Self {
-        QueueForecast { weight: 1.0 }
-    }
-}
+pub struct QueueForecast;
 
 impl SelectionPolicy for QueueForecast {
     fn name(&self) -> &'static str {
@@ -195,7 +197,9 @@ impl SelectionPolicy for QueueForecast {
     }
 
     fn score(&self, c: &Candidate, signals: &SiteSignals) -> f64 {
-        c.rank - self.weight * signals.queue_forecast - STALE_WEIGHT_PER_S * signals.staleness_s
+        c.rank
+            - QUEUE_FORECAST_WEIGHT * signals.queue_forecast
+            - STALE_WEIGHT_PER_S * signals.staleness_s
     }
 }
 
@@ -203,18 +207,7 @@ impl SelectionPolicy for QueueForecast {
 /// link — interactive sessions pay that RTT on every keystroke, so a
 /// slightly smaller pool nearby beats a big pool across a WAN.
 #[derive(Debug, Clone, Copy)]
-pub struct NetworkProximity {
-    /// Rank units subtracted per second of RTT. The default (100) makes a
-    /// typical 30 ms WAN hop cost 3 rank units — decisive between sites a
-    /// few free CPUs apart, negligible within a campus.
-    pub rtt_weight: f64,
-}
-
-impl Default for NetworkProximity {
-    fn default() -> Self {
-        NetworkProximity { rtt_weight: 100.0 }
-    }
-}
+pub struct NetworkProximity;
 
 impl SelectionPolicy for NetworkProximity {
     fn name(&self) -> &'static str {
@@ -222,7 +215,7 @@ impl SelectionPolicy for NetworkProximity {
     }
 
     fn score(&self, c: &Candidate, signals: &SiteSignals) -> f64 {
-        c.rank - self.rtt_weight * signals.rtt_s - STALE_WEIGHT_PER_S * signals.staleness_s
+        c.rank - RTT_WEIGHT_PER_S * signals.rtt_s - STALE_WEIGHT_PER_S * signals.staleness_s
     }
 }
 
@@ -231,16 +224,7 @@ impl SelectionPolicy for NetworkProximity {
 /// selection-side complement of the resubmission backoff from PR 3:
 /// instead of only waiting longer, also steer the next attempt elsewhere.
 #[derive(Debug, Clone, Copy)]
-pub struct LeaseBackoff {
-    /// Rank units subtracted per consecutive failure.
-    pub penalty: f64,
-}
-
-impl Default for LeaseBackoff {
-    fn default() -> Self {
-        LeaseBackoff { penalty: 4.0 }
-    }
-}
+pub struct LeaseBackoff;
 
 impl SelectionPolicy for LeaseBackoff {
     fn name(&self) -> &'static str {
@@ -249,15 +233,10 @@ impl SelectionPolicy for LeaseBackoff {
 
     fn score(&self, c: &Candidate, signals: &SiteSignals) -> f64 {
         c.rank
-            - self.penalty * f64::from(signals.lease_failures)
+            - LEASE_FAILURE_PENALTY * f64::from(signals.lease_failures)
             - STALE_WEIGHT_PER_S * signals.staleness_s
     }
 }
-
-static FREE_CPUS_RANK: FreeCpusRank = FreeCpusRank;
-static QUEUE_FORECAST: QueueForecast = QueueForecast { weight: 1.0 };
-static NETWORK_PROXIMITY: NetworkProximity = NetworkProximity { rtt_weight: 100.0 };
-static LEASE_BACKOFF: LeaseBackoff = LeaseBackoff { penalty: 4.0 };
 
 /// The registered policies, as a copyable configuration token.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -299,10 +278,10 @@ impl PolicyKind {
     #[must_use]
     pub fn policy(self) -> &'static dyn SelectionPolicy {
         match self {
-            PolicyKind::FreeCpusRank => &FREE_CPUS_RANK,
-            PolicyKind::QueueForecast => &QUEUE_FORECAST,
-            PolicyKind::NetworkProximity => &NETWORK_PROXIMITY,
-            PolicyKind::LeaseBackoff => &LEASE_BACKOFF,
+            PolicyKind::FreeCpusRank => &FreeCpusRank,
+            PolicyKind::QueueForecast => &QueueForecast,
+            PolicyKind::NetworkProximity => &NetworkProximity,
+            PolicyKind::LeaseBackoff => &LeaseBackoff,
         }
     }
 }
@@ -585,7 +564,7 @@ mod tests {
 
     #[test]
     fn queue_forecast_prefers_the_emptier_queue() {
-        let p = QueueForecast::default();
+        let p = QueueForecast;
         let busy = SiteSignals {
             queue_forecast: 4.0,
             ..SiteSignals::default()
@@ -626,7 +605,7 @@ mod tests {
 
     #[test]
     fn lease_backoff_penalizes_per_failure() {
-        let p = LeaseBackoff { penalty: 4.0 };
+        let p = LeaseBackoff;
         let c = cand(0, 10.0, 4);
         let fail = |n| SiteSignals {
             lease_failures: n,
@@ -644,12 +623,12 @@ mod tests {
     //           ├─── 15 ms ──── mid    (6 free)
     //           └─── 40 ms ──── far    (8 free)
     //
-    // Under the default rank (free CPUs) `far` wins; proximity at the
-    // default 100 rank-units/s flips the order to near > mid > far
-    // because 4 − 0.03 > 6 − 1.5 > 8 − 4.0.
+    // Under the default rank (free CPUs) `far` wins; proximity at
+    // `RTT_WEIGHT_PER_S` (100 rank units/s) reorders them to
+    // mid > far > near, because 6 − 1.5 > 8 − 4.0 > 4 − 0.03.
     #[test]
     fn network_proximity_triangle_flips_the_free_cpu_order() {
-        let p = NetworkProximity::default();
+        let p = NetworkProximity;
         let triangle = [
             (cand(0, 4.0, 4), 0.000_3),
             (cand(1, 6.0, 6), 0.015),
