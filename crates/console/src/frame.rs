@@ -451,6 +451,77 @@ mod tests {
         round_trip(Frame::AuthFailed);
     }
 
+    /// The exact bytes of one frame of every type, and that they decode
+    /// back: the wire agents and shadows of any build speak to each other.
+    #[test]
+    fn the_wire_bytes_are_pinned() {
+        use std::fmt::Write;
+        // Generic over the payload's type, so the pin reads the same
+        // whatever buffer type `Frame::Data` holds.
+        fn bytes_of<T: From<Vec<u8>>>(b: &[u8]) -> T {
+            T::from(b.to_vec())
+        }
+        let resume = ResumePoint {
+            stdin_received: 7,
+            stdout_received: 0x0102,
+            stderr_received: u64::MAX,
+        };
+        let cases = [
+            (
+                Frame::Hello {
+                    job_id: "job-42/é".into(),
+                    rank: 3,
+                    resume,
+                    nonce: [0xA5; 16],
+                },
+                "a7c60101390000000300000007000000000000000201000000000000ffffffffffffffffa5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5090000006a6f622d34322fc3a9",
+            ),
+            (
+                Frame::Challenge {
+                    nonce: [1; 16],
+                    proof: [2; 16],
+                },
+                "a7c60102200000000101010101010101010101010101010102020202020202020202020202020202",
+            ),
+            (Frame::AuthResponse { proof: [0xFE; 16] }, "a7c6010310000000fefefefefefefefefefefefefefefefe"),
+            (Frame::Welcome { resume }, "a7c601041800000007000000000000000201000000000000ffffffffffffffff"),
+            (
+                Frame::Data {
+                    stream: StreamKind::Stderr,
+                    seq: 0x1234_5678_9ABC,
+                    payload: bytes_of(b"out\n"),
+                },
+                "a7c601050d00000002bc9a7856341200006f75740a",
+            ),
+            (
+                Frame::Ack {
+                    stream: StreamKind::Stdout,
+                    seq: 42,
+                },
+                "a7c6010609000000012a00000000000000",
+            ),
+            (
+                Frame::Eof {
+                    stream: StreamKind::Stdin,
+                },
+                "a7c601070100000000",
+            ),
+            (Frame::Exit { code: -2 }, "a7c6010804000000feffffff"),
+            (Frame::AuthFailed, "a7c6010900000000"),
+        ];
+        for (frame, want) in cases {
+            let encoded = frame.encode();
+            let hex = encoded.iter().fold(String::new(), |mut hex, b| {
+                write!(hex, "{b:02x}").unwrap();
+                hex
+            });
+            assert_eq!(hex, want, "{frame:?}");
+            let mut d = Decoder::new();
+            d.feed(&encoded);
+            assert_eq!(d.next_frame(), Ok(Some(frame)));
+        }
+    }
+
     #[test]
     fn decoder_handles_fragmentation() {
         let f = Frame::Data {
