@@ -1,4 +1,9 @@
-//! Offline shim for the subset of the `bytes` crate the frame codec uses.
+//! Offline shim for the subset of the `bytes` crate the frame codec used.
+//!
+//! No first-party user; declared only because removing the line rewrites
+//! `perf/Cargo.lock`. `crates/lint/tests/workspace.rs` fails on any new use,
+//! so deleting this crate and its manifest lines changes no code.
+//! The Grid Console's frames are written and read with `cg_trace::codec`.
 //!
 //! `Bytes` is a cheaply-cloneable, sliceable view over shared immutable
 //! storage; `BytesMut` is an append buffer with front consumption. Little-

@@ -1,8 +1,13 @@
 //! Offline shim mapping the `crossbeam::channel` API onto `std::sync::mpsc`.
 //!
-//! Only the unbounded MPSC surface the Grid Console threads use is covered:
-//! `unbounded()`, cloneable `Sender`, and a `Receiver` with `recv`,
-//! `recv_timeout`, `try_recv`, and by-value iteration.
+//! No first-party user; declared only because removing the line rewrites
+//! `perf/Cargo.lock`. `crates/lint/tests/workspace.rs` fails on any new use,
+//! so deleting this crate and its manifest lines changes no code.
+//! The Grid Console's threads use `std::sync::mpsc` directly.
+//!
+//! Only the unbounded MPSC surface is covered: `unbounded()`, cloneable
+//! `Sender`, and a `Receiver` with `recv`, `recv_timeout`, `try_recv`, and
+//! by-value iteration.
 
 /// Multi-producer channels.
 pub mod channel {

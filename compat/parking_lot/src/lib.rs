@@ -1,5 +1,9 @@
 //! Offline shim mapping the `parking_lot` lock API onto `std::sync`.
 //!
+//! No first-party user; declared only because removing the line rewrites
+//! `perf/Cargo.lock`. `crates/lint/tests/workspace.rs` fails on any new use,
+//! so deleting this crate and its manifest lines changes no code.
+//!
 //! parking_lot's locks return guards directly (no poison `Result`); this shim
 //! preserves that signature over std's locks by treating poison as the
 //! panic-in-critical-section it represents.

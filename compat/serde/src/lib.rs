@@ -1,9 +1,12 @@
-//! Offline shim for the slice of serde this workspace touches.
+//! Offline shim for the slice of serde the workspace once touched.
 //!
-//! The workspace annotates model types with `#[derive(Serialize, Deserialize)]`
-//! but never instantiates a serializer (all JSON the project emits is written
-//! by hand, see `cg-trace`). This shim keeps those annotations compiling
-//! offline: the derives expand to nothing and the traits are blanket-satisfied.
+//! No first-party user; declared only because removing the line rewrites
+//! `perf/Cargo.lock`. `crates/lint/tests/workspace.rs` fails on any new use,
+//! so deleting this crate and its manifest lines changes no code.
+//!
+//! The derives expand to nothing and the traits are blanket-satisfied: the
+//! project never serialised through serde (all JSON it emits is written by
+//! hand, see `cg-trace`).
 
 pub use serde_derive::{Deserialize, Serialize};
 

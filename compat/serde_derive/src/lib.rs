@@ -1,9 +1,9 @@
 //! No-op `Serialize`/`Deserialize` derives for the offline serde shim.
 //!
-//! The workspace only ever uses serde derives as annotations (there is no
-//! serializer in the dependency tree — JSON emission is hand-rolled where
-//! needed), so deriving nothing is sufficient: the shim traits in `serde`
-//! carry blanket impls.
+//! No first-party user: only `compat/serde` depends on it, and it goes with
+//! that crate. Deriving nothing was sufficient (there is no serializer in
+//! the dependency tree), because the shim traits in `serde` carry blanket
+//! impls.
 
 use proc_macro::TokenStream;
 

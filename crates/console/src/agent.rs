@@ -15,10 +15,9 @@ use std::net::{SocketAddr, TcpStream};
 use std::path::PathBuf;
 use std::process::{Child, Command, Stdio};
 use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::mpsc::{channel, Sender};
 use std::sync::Arc;
 use std::time::Duration;
-
-use crossbeam::channel::{unbounded, Sender};
 
 use crate::buffer::{FlushPolicy, OutputBuffer};
 use crate::frame::{Frame, ResumePoint, StreamKind};
@@ -143,7 +142,7 @@ pub fn run_agent(config: AgentConfig, mut command: Command) -> io::Result<ExitRe
     let kill_child = Arc::new(AtomicBool::new(false));
     let machine = AgentMachine::new(&config, child_stdin, Arc::clone(&kill_child))?;
 
-    let (tx, rx) = unbounded::<AgentInput>();
+    let (tx, rx) = channel::<AgentInput>();
     let stop = Arc::new(AtomicBool::new(false));
 
     // Pumps: child stdout/stderr → the machine.

@@ -9,9 +9,9 @@ use std::cell::RefCell;
 use std::io::{self, Write};
 use std::rc::Rc;
 use std::sync::atomic::AtomicBool;
+use std::sync::mpsc::{channel, Receiver, TryRecvError};
 use std::sync::Arc;
 
-use crossbeam::channel::{unbounded, Receiver, Sender, TryRecvError};
 use proptest::prelude::*;
 
 use crate::agent::{AgentConfig, AgentInput, AgentMachine, ExitReport, Mode, LINGER_NS};
@@ -57,11 +57,12 @@ fn queued<T>(rx: &Receiver<T>) -> impl Iterator<Item = T> + '_ {
     std::iter::from_fn(|| rx.try_recv().ok())
 }
 
-/// One live connection: each end's frame queue.
+/// One live connection: each end's frame queue, and the serial the
+/// shadow knows it by.
 struct Link {
     to_shadow: Receiver<Frame>,
     to_agent: Receiver<Frame>,
-    shadow_conn: Sender<Frame>,
+    serial: u64,
 }
 
 struct Agent {
@@ -78,6 +79,8 @@ struct Console {
     agents: Vec<Agent>,
     /// Frames a dead connection's reader has yet to hand the shadow.
     stale: Vec<(u32, Frame)>,
+    /// Connections opened so far: the next one's serial.
+    connections: u64,
     _spools: Option<TempDir>,
 }
 
@@ -94,7 +97,7 @@ impl Console {
             expected_ranks: ranks,
             ..ShadowConfig::local(secret.clone())
         };
-        let (events_tx, events) = unbounded();
+        let (events_tx, events) = channel();
         let shadow = ShadowMachine::new(&config, events_tx).unwrap();
         let agents = (0..ranks)
             .map(|rank| {
@@ -121,6 +124,7 @@ impl Console {
             seen: Vec::new(),
             agents,
             stale: Vec::new(),
+            connections: 0,
             _spools: spools,
         }
     }
@@ -158,7 +162,7 @@ impl Console {
 
     /// The user types `data`.
     fn stdin(&mut self, data: &[u8]) {
-        let (reply, verdict) = unbounded();
+        let (reply, verdict) = channel();
         self.shadow_takes(ShadowInput::Stdin(data.to_vec(), reply));
         verdict.recv().unwrap().unwrap();
     }
@@ -167,7 +171,7 @@ impl Console {
     /// `Welcome` reaches the agent.
     fn connect(&mut self, rank: u32) {
         assert!(self.agents[rank as usize].link.is_none());
-        let (agent_conn, to_shadow) = unbounded();
+        let (agent_conn, to_shadow) = channel();
         self.agent_takes(rank, AgentInput::Dialed(agent_conn.clone(), [0; 16]));
         let Ok(Frame::Hello {
             job_id,
@@ -179,13 +183,16 @@ impl Console {
             panic!("the agent's first frame is its Hello");
         };
         assert_eq!(hello_rank, rank);
-        let (shadow_conn, to_agent) = unbounded();
-        let (accepted, replayed) = unbounded();
+        let (shadow_conn, to_agent) = channel();
+        let (accepted, replayed) = channel();
+        let serial = self.connections;
+        self.connections += 1;
         self.shadow_takes(ShadowInput::Connected {
             rank,
+            serial,
             job_id,
             stdin_after: resume.stdin_received,
-            conn: shadow_conn.clone(),
+            conn: shadow_conn,
             accepted,
         });
         assert!(
@@ -199,7 +206,7 @@ impl Console {
         self.agents[rank as usize].link = Some(Link {
             to_shadow,
             to_agent,
-            shadow_conn,
+            serial,
         });
     }
 
@@ -207,7 +214,7 @@ impl Console {
     fn cut(&mut self, rank: u32) {
         if let Some(link) = self.agents[rank as usize].link.take() {
             self.agent_takes(rank, AgentInput::ConnDown);
-            self.shadow_takes(ShadowInput::Down(rank, link.shadow_conn));
+            self.shadow_takes(ShadowInput::Down(rank, link.serial));
         }
     }
 
@@ -515,17 +522,18 @@ fn traced_reliable_shadow(name: &str) -> (ShadowMachine, cg_trace::EventLog, Tem
         trace: Some(log.clone()),
         ..ShadowConfig::local(Secret::new("b2b"))
     };
-    let shadow = ShadowMachine::new(&config, unbounded().0).unwrap();
+    let shadow = ShadowMachine::new(&config, channel().0).unwrap();
     (shadow, log, dir)
 }
 
 #[test]
 fn a_rank_first_seen_mid_run_stamps_its_spool_trace_then() {
     let (mut shadow, log, _dir) = traced_reliable_shadow("late-rank");
-    let (conn, _to_agent) = unbounded();
-    let (accepted, _replayed) = unbounded();
+    let (conn, _to_agent) = channel();
+    let (accepted, _replayed) = channel();
     let connected = ShadowInput::Connected {
         rank: 3,
+        serial: 0,
         job_id: "job".into(),
         stdin_after: 0,
         conn,
@@ -550,10 +558,11 @@ fn a_connection_whose_stdin_replay_fails_is_dropped() {
     // The agent claims stdin up to 5, so the replay writes the `.ack` file,
     // into a directory that is gone.
     std::fs::remove_dir_all(dir.path()).unwrap();
-    let (conn, to_agent) = unbounded();
-    let (accepted, replayed) = unbounded();
+    let (conn, to_agent) = channel();
+    let (accepted, replayed) = channel();
     let connected = ShadowInput::Connected {
         rank: 0,
+        serial: 0,
         job_id: "job".into(),
         stdin_after: 5,
         conn: conn.clone(),

@@ -2,7 +2,9 @@
 //!
 //! Frames are length-prefixed binary records. The same codec is used by the
 //! real TCP transport and by tests; the encoding is fixed (little-endian,
-//! explicit magic and version) so captures are debuggable.
+//! explicit magic and version) so captures are debuggable. Fields are
+//! written and read with `cg_trace::codec`'s primitives, the ones the
+//! journal uses: a string is a `u32 LE` length then its UTF-8 bytes.
 //!
 //! ```text
 //! +-------+---------+------+---------+----------------+
@@ -11,7 +13,7 @@
 //! +-------+---------+------+---------+----------------+
 //! ```
 
-use bytes::{Buf, BufMut, Bytes, BytesMut};
+use cg_trace::codec::{put_str, put_u32, put_u64, put_u8, CodecError, Cursor};
 
 /// Protocol magic (identifies Grid Console traffic).
 pub const MAGIC: u16 = 0xC6A7;
@@ -106,7 +108,7 @@ pub enum Frame {
         /// Per-stream sequence number, starting at 1.
         seq: u64,
         /// The bytes.
-        payload: Bytes,
+        payload: Vec<u8>,
     },
     /// Receiver acknowledges everything up to `seq` on `stream`.
     Ack {
@@ -164,6 +166,19 @@ impl std::fmt::Display for FrameError {
 
 impl std::error::Error for FrameError {}
 
+impl From<CodecError> for FrameError {
+    /// A [`Cursor`] fails only on a short buffer or a bad string.
+    fn from(e: CodecError) -> Self {
+        match e {
+            CodecError::BadUtf8 => FrameError::BadUtf8,
+            _ => FrameError::Truncated,
+        }
+    }
+}
+
+/// Magic, version, type and payload length.
+const HEADER: usize = 8;
+
 const T_HELLO: u8 = 1;
 const T_CHALLENGE: u8 = 2;
 const T_AUTH_RESPONSE: u8 = 3;
@@ -174,181 +189,136 @@ const T_EOF: u8 = 7;
 const T_EXIT: u8 = 8;
 const T_AUTH_FAILED: u8 = 9;
 
-fn put_resume(buf: &mut BytesMut, r: &ResumePoint) {
-    buf.put_u64_le(r.stdin_received);
-    buf.put_u64_le(r.stdout_received);
-    buf.put_u64_le(r.stderr_received);
+fn put_resume(out: &mut Vec<u8>, r: &ResumePoint) {
+    put_u64(out, r.stdin_received);
+    put_u64(out, r.stdout_received);
+    put_u64(out, r.stderr_received);
 }
 
-fn get_resume(buf: &mut Bytes) -> Result<ResumePoint, FrameError> {
-    if buf.remaining() < 24 {
-        return Err(FrameError::Truncated);
-    }
+fn read_resume(c: &mut Cursor<'_>) -> Result<ResumePoint, CodecError> {
     Ok(ResumePoint {
-        stdin_received: buf.get_u64_le(),
-        stdout_received: buf.get_u64_le(),
-        stderr_received: buf.get_u64_le(),
+        stdin_received: c.u64()?,
+        stdout_received: c.u64()?,
+        stderr_received: c.u64()?,
     })
-}
-
-fn get_array<const N: usize>(buf: &mut Bytes) -> Result<[u8; N], FrameError> {
-    if buf.remaining() < N {
-        return Err(FrameError::Truncated);
-    }
-    let mut out = [0u8; N];
-    buf.copy_to_slice(&mut out);
-    Ok(out)
 }
 
 impl Frame {
     /// Encodes the frame, including the header.
-    pub fn encode(&self) -> Bytes {
-        let mut payload = BytesMut::new();
-        let ty = match self {
+    pub fn encode(&self) -> Vec<u8> {
+        let mut out = MAGIC.to_le_bytes().to_vec();
+        put_u8(&mut out, VERSION);
+        // The type and the payload length are set once the payload is written.
+        out.resize(HEADER, 0);
+        out[3] = match self {
             Frame::Hello {
                 job_id,
                 rank,
                 resume,
                 nonce,
             } => {
-                payload.put_u32_le(*rank);
-                put_resume(&mut payload, resume);
-                payload.put_slice(nonce);
-                payload.put_u32_le(job_id.len() as u32);
-                payload.put_slice(job_id.as_bytes());
+                put_u32(&mut out, *rank);
+                put_resume(&mut out, resume);
+                out.extend_from_slice(nonce);
+                put_str(&mut out, job_id);
                 T_HELLO
             }
             Frame::Challenge { nonce, proof } => {
-                payload.put_slice(nonce);
-                payload.put_slice(proof);
+                out.extend_from_slice(nonce);
+                out.extend_from_slice(proof);
                 T_CHALLENGE
             }
             Frame::AuthResponse { proof } => {
-                payload.put_slice(proof);
+                out.extend_from_slice(proof);
                 T_AUTH_RESPONSE
             }
             Frame::Welcome { resume } => {
-                put_resume(&mut payload, resume);
+                put_resume(&mut out, resume);
                 T_WELCOME
             }
             Frame::Data {
                 stream,
                 seq,
-                payload: data,
+                payload,
             } => {
-                payload.put_u8(stream.to_byte());
-                payload.put_u64_le(*seq);
-                payload.put_slice(data);
+                put_u8(&mut out, stream.to_byte());
+                put_u64(&mut out, *seq);
+                out.extend_from_slice(payload);
                 T_DATA
             }
             Frame::Ack { stream, seq } => {
-                payload.put_u8(stream.to_byte());
-                payload.put_u64_le(*seq);
+                put_u8(&mut out, stream.to_byte());
+                put_u64(&mut out, *seq);
                 T_ACK
             }
             Frame::Eof { stream } => {
-                payload.put_u8(stream.to_byte());
+                put_u8(&mut out, stream.to_byte());
                 T_EOF
             }
             Frame::Exit { code } => {
-                payload.put_i32_le(*code);
+                out.extend_from_slice(&code.to_le_bytes());
                 T_EXIT
             }
             Frame::AuthFailed => T_AUTH_FAILED,
         };
-        let mut out = BytesMut::with_capacity(8 + payload.len());
-        out.put_u16_le(MAGIC);
-        out.put_u8(VERSION);
-        out.put_u8(ty);
-        out.put_u32_le(payload.len() as u32);
-        out.put_slice(&payload);
-        out.freeze()
+        let len = (out.len() - HEADER) as u32;
+        out[4..HEADER].copy_from_slice(&len.to_le_bytes());
+        out
     }
 
-    /// Decodes one frame's body given its type byte and payload.
-    fn decode_body(ty: u8, mut buf: Bytes) -> Result<Frame, FrameError> {
-        match ty {
-            T_HELLO => {
-                if buf.remaining() < 4 {
-                    return Err(FrameError::Truncated);
-                }
-                let rank = buf.get_u32_le();
-                let resume = get_resume(&mut buf)?;
-                let nonce = get_array::<16>(&mut buf)?;
-                if buf.remaining() < 4 {
-                    return Err(FrameError::Truncated);
-                }
-                let n = buf.get_u32_le() as usize;
-                if buf.remaining() < n {
-                    return Err(FrameError::Truncated);
-                }
-                let job_id =
-                    String::from_utf8(buf.split_to(n).to_vec()).map_err(|_| FrameError::BadUtf8)?;
-                Ok(Frame::Hello {
-                    job_id,
-                    rank,
-                    resume,
-                    nonce,
-                })
-            }
-            T_CHALLENGE => {
-                let nonce = get_array::<16>(&mut buf)?;
-                let proof = get_array::<16>(&mut buf)?;
-                Ok(Frame::Challenge { nonce, proof })
-            }
-            T_AUTH_RESPONSE => {
-                let proof = get_array::<16>(&mut buf)?;
-                Ok(Frame::AuthResponse { proof })
-            }
-            T_WELCOME => Ok(Frame::Welcome {
-                resume: get_resume(&mut buf)?,
-            }),
+    /// Decodes one frame's body given its type byte and payload. Bytes
+    /// past the fields a type needs are ignored (a `Data` frame's are its
+    /// payload).
+    fn decode_body(ty: u8, body: &[u8]) -> Result<Frame, FrameError> {
+        let mut c = Cursor::new(body);
+        Ok(match ty {
+            T_HELLO => Frame::Hello {
+                rank: c.u32()?,
+                resume: read_resume(&mut c)?,
+                nonce: c.array()?,
+                job_id: c.str()?,
+            },
+            T_CHALLENGE => Frame::Challenge {
+                nonce: c.array()?,
+                proof: c.array()?,
+            },
+            T_AUTH_RESPONSE => Frame::AuthResponse { proof: c.array()? },
+            T_WELCOME => Frame::Welcome {
+                resume: read_resume(&mut c)?,
+            },
+            // The stream byte is checked only once `seq` is known to be
+            // there: a short frame is `Truncated` whatever its stream byte.
             T_DATA => {
-                if buf.remaining() < 9 {
-                    return Err(FrameError::Truncated);
-                }
-                let stream = StreamKind::from_byte(buf.get_u8())?;
-                let seq = buf.get_u64_le();
-                Ok(Frame::Data {
-                    stream,
+                let (stream, seq) = (c.u8()?, c.u64()?);
+                Frame::Data {
+                    stream: StreamKind::from_byte(stream)?,
                     seq,
-                    payload: buf,
-                })
+                    payload: c.rest().to_vec(),
+                }
             }
             T_ACK => {
-                if buf.remaining() < 9 {
-                    return Err(FrameError::Truncated);
+                let (stream, seq) = (c.u8()?, c.u64()?);
+                Frame::Ack {
+                    stream: StreamKind::from_byte(stream)?,
+                    seq,
                 }
-                let stream = StreamKind::from_byte(buf.get_u8())?;
-                let seq = buf.get_u64_le();
-                Ok(Frame::Ack { stream, seq })
             }
-            T_EOF => {
-                if buf.remaining() < 1 {
-                    return Err(FrameError::Truncated);
-                }
-                Ok(Frame::Eof {
-                    stream: StreamKind::from_byte(buf.get_u8())?,
-                })
-            }
-            T_EXIT => {
-                if buf.remaining() < 4 {
-                    return Err(FrameError::Truncated);
-                }
-                Ok(Frame::Exit {
-                    code: buf.get_i32_le(),
-                })
-            }
-            T_AUTH_FAILED => Ok(Frame::AuthFailed),
-            other => Err(FrameError::BadType(other)),
-        }
+            T_EOF => Frame::Eof {
+                stream: StreamKind::from_byte(c.u8()?)?,
+            },
+            T_EXIT => Frame::Exit { code: c.i32()? },
+            T_AUTH_FAILED => Frame::AuthFailed,
+            other => return Err(FrameError::BadType(other)),
+        })
     }
 }
 
 /// Incremental decoder: feed bytes, pull frames.
 #[derive(Debug, Default)]
 pub struct Decoder {
-    buf: BytesMut,
+    buf: Vec<u8>,
+    /// Bytes of `buf` already decoded; dropped at the next `feed`.
+    head: usize,
 }
 
 impl Decoder {
@@ -359,40 +329,43 @@ impl Decoder {
 
     /// Appends received bytes.
     pub fn feed(&mut self, data: &[u8]) {
+        self.buf.drain(..self.head);
+        self.head = 0;
         self.buf.extend_from_slice(data);
     }
 
     /// Pulls the next complete frame, if buffered. `Ok(None)` = need more
     /// bytes. Errors are fatal for the connection.
     pub fn next_frame(&mut self) -> Result<Option<Frame>, FrameError> {
-        if self.buf.len() < 8 {
+        let pending = &self.buf[self.head..];
+        if pending.len() < HEADER {
             return Ok(None);
         }
-        let magic = u16::from_le_bytes([self.buf[0], self.buf[1]]);
+        let mut c = Cursor::new(pending);
+        let magic = c.u16()?;
         if magic != MAGIC {
             return Err(FrameError::BadMagic(magic));
         }
-        let version = self.buf[2];
+        let version = c.u8()?;
         if version != VERSION {
             return Err(FrameError::BadVersion(version));
         }
-        let ty = self.buf[3];
-        let len = u32::from_le_bytes([self.buf[4], self.buf[5], self.buf[6], self.buf[7]]);
+        let ty = c.u8()?;
+        let len = c.u32()?;
         if len > MAX_PAYLOAD {
             return Err(FrameError::TooLarge(len));
         }
-        let total = 8 + len as usize;
-        if self.buf.len() < total {
+        let Some(body) = c.rest().get(..len as usize) else {
             return Ok(None);
-        }
-        self.buf.advance(8);
-        let payload = self.buf.split_to(len as usize).freeze();
-        Frame::decode_body(ty, payload).map(Some)
+        };
+        let frame = Frame::decode_body(ty, body);
+        self.head += HEADER + body.len();
+        frame.map(Some)
     }
 
     /// Bytes currently buffered but not yet consumed.
     pub fn buffered(&self) -> usize {
-        self.buf.len()
+        self.buf.len() - self.head
     }
 }
 
@@ -433,12 +406,12 @@ mod tests {
         round_trip(Frame::Data {
             stream: StreamKind::Stdout,
             seq: 99,
-            payload: Bytes::from_static(b"hello world\n"),
+            payload: b"hello world\n".to_vec(),
         });
         round_trip(Frame::Data {
             stream: StreamKind::Stdin,
             seq: 1,
-            payload: Bytes::new(),
+            payload: Vec::new(),
         });
         round_trip(Frame::Ack {
             stream: StreamKind::Stderr,
@@ -527,12 +500,12 @@ mod tests {
         let f = Frame::Data {
             stream: StreamKind::Stdout,
             seq: 5,
-            payload: Bytes::from_static(b"fragmented payload"),
+            payload: b"fragmented payload".to_vec(),
         };
         let encoded = f.encode();
         let mut d = Decoder::new();
         // Feed one byte at a time.
-        for &b in encoded.iter() {
+        for &b in &encoded {
             assert!(d.next_frame().unwrap().is_none());
             d.feed(&[b]);
         }
@@ -548,7 +521,7 @@ mod tests {
         let b = Frame::Eof {
             stream: StreamKind::Stderr,
         };
-        let mut bytes = a.encode().to_vec();
+        let mut bytes = a.encode();
         bytes.extend_from_slice(&b.encode());
         let mut d = Decoder::new();
         d.feed(&bytes);
@@ -615,7 +588,7 @@ mod tests {
     #[test]
     fn version_mismatch_rejected() {
         let f = Frame::Exit { code: 0 };
-        let mut bytes = f.encode().to_vec();
+        let mut bytes = f.encode();
         bytes[2] = 99;
         let mut d = Decoder::new();
         d.feed(&bytes);

@@ -12,11 +12,10 @@ use std::collections::BTreeMap;
 use std::io;
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
+use std::sync::mpsc::{channel, Receiver, RecvTimeoutError, Sender};
+use std::sync::{Arc, Mutex, PoisonError};
 use std::thread::JoinHandle;
 use std::time::Duration;
-
-use crossbeam::channel::{unbounded, Receiver, Sender};
 
 use crate::agent::Mode;
 use crate::buffer::{FlushPolicy, OutputBuffer};
@@ -106,18 +105,19 @@ pub enum ShadowEvent {
 
 /// One thing that happened to the shadow; its step machine takes one at a time.
 pub(crate) enum ShadowInput {
-    /// `rank`'s agent passed the handshake and holds stdin up to `stdin_after`;
-    /// `accepted` hears once its stdin is replayed.
+    /// `rank`'s agent passed the handshake on connection `serial` and holds
+    /// stdin up to `stdin_after`; `accepted` hears once its stdin is replayed.
     Connected {
         rank: u32,
+        serial: u64,
         job_id: String,
         stdin_after: u64,
         conn: Sender<Frame>,
         accepted: Sender<()>,
     },
     Frame(u32, Frame),
-    /// A connection of this rank died; the sender names its frame queue.
-    Down(u32, Sender<Frame>),
+    /// Connection `serial` of this rank died.
+    Down(u32, u64),
     AuthFailure(SocketAddr),
     /// Input for every rank; whether the spools took it goes back on the reply.
     Stdin(Vec<u8>, Sender<io::Result<()>>),
@@ -134,6 +134,8 @@ struct Rank {
     /// The user-side output buffers, in `OUTPUTS` order.
     buffers: [OutputBuffer; 2],
     conn: Option<Sender<Frame>>,
+    /// The serial of the connection `conn` holds.
+    serial: u64,
     connected_before: bool,
 }
 
@@ -181,6 +183,7 @@ impl ShadowMachine {
                 received: StreamReceiver::new(&OUTPUTS),
                 buffers,
                 conn: None,
+                serial: 0,
                 connected_before: false,
             });
         }
@@ -207,6 +210,7 @@ impl ShadowMachine {
         match input {
             ShadowInput::Connected {
                 rank,
+                serial,
                 job_id,
                 stdin_after,
                 conn,
@@ -222,6 +226,7 @@ impl ShadowMachine {
                 let _ = accepted.send(());
                 let reconnect = std::mem::replace(&mut r.connected_before, true);
                 r.conn = Some(conn);
+                r.serial = serial;
                 emit(ShadowEvent::AgentConnected {
                     rank,
                     job_id,
@@ -253,12 +258,12 @@ impl ShadowMachine {
                     _ => {}
                 }
             }
-            ShadowInput::Down(rank, conn) => {
+            ShadowInput::Down(rank, serial) => {
                 let Some(r) = self.ranks.get_mut(&rank) else {
                     return Ok(());
                 };
                 // A newer connection may already have replaced this one.
-                if r.conn.as_ref().is_some_and(|c| c.same_channel(&conn)) {
+                if r.conn.is_some() && r.serial == serial {
                     r.conn = None;
                     r.stdin.disconnected();
                     emit(ShadowEvent::AgentDisconnected { rank });
@@ -315,7 +320,9 @@ impl Machine for ShadowMachine {
 pub struct ConsoleShadow {
     addr: SocketAddr,
     inputs: Sender<ShadowInput>,
-    events_rx: Receiver<ShadowEvent>,
+    /// Locked so that a shared shadow can take stdin on one thread while
+    /// another reads its events.
+    events: Mutex<Receiver<ShadowEvent>>,
     stop: Arc<AtomicBool>,
     /// The thread running the machine, and the accept loop.
     threads: [JoinHandle<()>; 2],
@@ -328,9 +335,9 @@ impl ConsoleShadow {
         let listener = TcpListener::bind(config.bind)?;
         listener.set_nonblocking(true)?;
         let addr = listener.local_addr()?;
-        let (events_tx, events_rx) = unbounded();
+        let (events_tx, events_rx) = channel();
         let machine = ShadowMachine::new(&config, events_tx)?;
-        let (inputs, rx) = unbounded();
+        let (inputs, rx) = channel();
         let runner = std::thread::spawn(move || {
             let _ = drive(machine, &rx);
         });
@@ -343,8 +350,9 @@ impl ConsoleShadow {
                     Ok((sock, peer)) => {
                         let (inputs, stop) = (accept_inputs.clone(), Arc::clone(&accept_stop));
                         let secret = config.secret.clone();
+                        let serial = connections.len() as u64;
                         connections.push(std::thread::spawn(move || {
-                            let _ = serve_connection(sock, peer, &inputs, &stop, &secret);
+                            let _ = serve_connection(sock, peer, serial, &inputs, &stop, &secret);
                         }));
                     }
                     Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
@@ -360,7 +368,7 @@ impl ConsoleShadow {
         Ok(ConsoleShadow {
             addr,
             inputs,
-            events_rx,
+            events: Mutex::new(events_rx),
             stop,
             threads: [runner, acceptor],
         })
@@ -371,16 +379,18 @@ impl ConsoleShadow {
         self.addr
     }
 
-    /// The event stream (output, connections, exits).
-    pub fn events(&self) -> &Receiver<ShadowEvent> {
-        &self.events_rx
+    /// The next event (output, connections, exits), waiting at most
+    /// `timeout` for it.
+    pub fn next_event(&self, timeout: Duration) -> Result<ShadowEvent, RecvTimeoutError> {
+        let events = self.events.lock().unwrap_or_else(PoisonError::into_inner);
+        events.recv_timeout(timeout)
     }
 
     /// Sends stdin bytes to **every** rank (the paper broadcasts input to all
     /// subjobs; applications read on one rank by checking the MPI rank, §4).
     pub fn send_stdin(&self, data: &[u8]) -> io::Result<()> {
         let stopped = || io::Error::other("console shadow stopped");
-        let (reply, verdict) = unbounded();
+        let (reply, verdict) = channel();
         self.inputs
             .send(ShadowInput::Stdin(data.to_vec(), reply))
             .map_err(|_| stopped())?;
@@ -410,10 +420,12 @@ impl ConsoleShadow {
     }
 }
 
-/// One agent connection: the handshake, then its frames to the machine.
+/// One agent connection, the `serial`th accepted: the handshake, then its
+/// frames to the machine.
 fn serve_connection(
     sock: TcpStream,
     peer: SocketAddr,
+    serial: u64,
     inputs: &Sender<ShadowInput>,
     stop: &AtomicBool,
     secret: &Secret,
@@ -451,9 +463,10 @@ fn serve_connection(
     // could not replay, dropping `conn` ends the writer, which shuts the
     // socket.
     let (conn, writer) = spawn_writer(write_sock);
-    let (accepted, replayed) = unbounded();
+    let (accepted, replayed) = channel();
     let _ = inputs.send(ShadowInput::Connected {
         rank,
+        serial,
         job_id,
         stdin_after: resume.stdin_received,
         conn: conn.clone(),
@@ -471,7 +484,8 @@ fn serve_connection(
             }
         }
     }
-    let _ = inputs.send(ShadowInput::Down(rank, conn));
+    let _ = inputs.send(ShadowInput::Down(rank, serial));
+    drop(conn);
     let _ = writer.join();
     Ok(())
 }

@@ -16,13 +16,12 @@
 
 use cg_net::LinkProfile;
 use cg_sim::{SimDuration, SimRng};
-use serde::{Deserialize, Serialize};
 
 /// Frame/packet overhead added per chunk on the wire.
 const FRAME_OVERHEAD_BYTES: u64 = 64;
 
 /// Cost model of one streaming method.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct MethodCosts {
     /// Method name for reports.
     pub name: String,

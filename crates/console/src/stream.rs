@@ -10,9 +10,9 @@
 //! connection waits for it, like bytes in a not-yet-connected socket.
 
 use std::io;
+use std::sync::mpsc::Sender;
 
 use cg_trace::EventLog;
-use crossbeam::channel::Sender;
 
 use crate::agent::Mode;
 use crate::frame::{Frame, ResumePoint, StreamKind};
@@ -232,7 +232,7 @@ fn transmit(conn: &Sender<Frame>, stream: StreamKind, seq: u64, data: Vec<u8>) {
     let _ = conn.send(Frame::Data {
         stream,
         seq,
-        payload: data.into(),
+        payload: data,
     });
 }
 
@@ -240,8 +240,8 @@ fn transmit(conn: &Sender<Frame>, stream: StreamKind, seq: u64, data: Vec<u8>) {
 mod tests {
     use super::*;
     use crate::temp_dir::TempDir;
-    use crossbeam::channel::{unbounded, Receiver};
     use proptest::prelude::*;
+    use std::sync::mpsc::{channel, Receiver};
 
     const OUT: StreamKind = StreamKind::Stdout;
 
@@ -260,7 +260,7 @@ mod tests {
         Frame::Data {
             stream: OUT,
             seq,
-            payload: payload.to_vec().into(),
+            payload: payload.to_vec(),
         }
     }
 
@@ -274,7 +274,7 @@ mod tests {
         let mut s = fast();
         s.send(b"a".to_vec()).unwrap();
         s.send(b"b".to_vec()).unwrap();
-        let (tx, rx) = unbounded();
+        let (tx, rx) = channel();
         s.connected(0, &tx).unwrap();
         s.send(b"c".to_vec()).unwrap();
         assert_eq!(frames(&rx), [data(1, b"a"), data(2, b"b"), data(3, b"c")]);
@@ -285,7 +285,7 @@ mod tests {
     #[test]
     fn fast_mode_loses_and_flags_what_a_dead_connection_held() {
         let mut s = fast();
-        let (tx, rx) = unbounded();
+        let (tx, rx) = channel();
         s.connected(0, &tx).unwrap();
         s.send(b"acked".to_vec()).unwrap();
         s.ack(1).unwrap();
@@ -298,7 +298,7 @@ mod tests {
         );
         assert!(s.is_settled(), "lost data is written off, not awaited");
         s.send(b"no connection".to_vec()).unwrap();
-        let (tx, rx) = unbounded();
+        let (tx, rx) = channel();
         s.connected(1, &tx).unwrap();
         assert!(frames(&rx).is_empty(), "fast mode resends nothing");
         s.send(b"fresh".to_vec()).unwrap();
@@ -312,13 +312,13 @@ mod tests {
         for payload in [b"1", b"2", b"3"] {
             s.send(payload.to_vec()).unwrap();
         }
-        let (tx, rx) = unbounded();
+        let (tx, rx) = channel();
         s.connected(1, &tx).unwrap();
         assert_eq!(frames(&rx), [data(2, b"2"), data(3, b"3")]);
         s.send(b"4".to_vec()).unwrap();
         s.disconnected();
         s.send(b"5".to_vec()).unwrap();
-        let (tx, rx) = unbounded();
+        let (tx, rx) = channel();
         s.connected(3, &tx).unwrap();
         assert_eq!(frames(&rx), [data(4, b"4"), data(5, b"5")]);
         assert!(!s.lost_data());
@@ -336,7 +336,7 @@ mod tests {
         let spool = dir.path().join("out.spool");
         assert_eq!(std::fs::metadata(&spool).unwrap().len(), 0);
         assert_eq!(Spool::open(&spool).unwrap().acked(), 2);
-        let (tx, rx) = unbounded();
+        let (tx, rx) = channel();
         s.connected(0, &tx).unwrap();
         assert!(frames(&rx).is_empty(), "acknowledged data is not replayed");
     }
@@ -345,13 +345,13 @@ mod tests {
     fn eof_is_resent_on_reconnect() {
         let dir = TempDir::new("cg-spool-test", "sender-eof");
         let mut s = reliable(&dir);
-        let (tx, rx) = unbounded();
+        let (tx, rx) = channel();
         s.connected(0, &tx).unwrap();
         s.send(b"last".to_vec()).unwrap();
         s.close();
         assert_eq!(frames(&rx), [data(1, b"last"), Frame::Eof { stream: OUT }]);
         s.disconnected();
-        let (tx, rx) = unbounded();
+        let (tx, rx) = channel();
         s.connected(0, &tx).unwrap();
         assert_eq!(frames(&rx), [data(1, b"last"), Frame::Eof { stream: OUT }]);
     }
@@ -361,7 +361,7 @@ mod tests {
         let mut s = fast();
         s.close();
         s.send(b"late".to_vec()).unwrap();
-        let (tx, rx) = unbounded();
+        let (tx, rx) = channel();
         s.connected(0, &tx).unwrap();
         assert_eq!(frames(&rx), [Frame::Eof { stream: OUT }]);
         assert_eq!(s.bytes(), 0);
@@ -380,7 +380,7 @@ mod tests {
                 if let Frame::Data { seq, payload, .. } = frame {
                     if seq > self.received {
                         self.received = seq;
-                        self.held.push(payload.to_vec());
+                        self.held.push(payload);
                     }
                 }
             }
@@ -406,7 +406,7 @@ mod tests {
                     }
                 }
                 4 if conn.is_none() => {
-                    let (tx, rx) = unbounded();
+                    let (tx, rx) = channel();
                     s.connected(u64::from(arg) % (peer.received + 1), &tx)
                         .unwrap();
                     conn = Some(rx);
@@ -432,7 +432,7 @@ mod tests {
             peer.take(rx);
             s.disconnected();
         }
-        let (tx, rx) = unbounded();
+        let (tx, rx) = channel();
         s.connected(peer.received, &tx).unwrap();
         peer.take(&rx);
         (s, peer, sent)

@@ -3,10 +3,9 @@
 
 use std::io::{self, Read, Write};
 use std::net::{Shutdown, TcpStream};
+use std::sync::mpsc::{channel, Receiver, RecvTimeoutError, Sender};
 use std::thread::JoinHandle;
 use std::time::Duration;
-
-use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError, Sender};
 
 use crate::frame::{Decoder, Frame, FrameError};
 
@@ -23,7 +22,7 @@ pub fn write_frame(sock: &mut TcpStream, frame: &Frame) -> io::Result<()> {
 /// on the returned sender in order and half-closes the socket once the queue
 /// closes (every sender dropped). A failed write ends it early.
 pub(crate) fn spawn_writer(mut sock: TcpStream) -> (Sender<Frame>, JoinHandle<()>) {
-    let (tx, queue) = unbounded::<Frame>();
+    let (tx, queue) = channel::<Frame>();
     let writer = std::thread::spawn(move || {
         for frame in queue {
             if write_frame(&mut sock, &frame).is_err() {

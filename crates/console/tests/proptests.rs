@@ -1,6 +1,5 @@
 //! Property tests on the Grid Console's data-integrity invariants.
 
-use bytes::Bytes;
 use cg_console::{Decoder, FlushPolicy, Frame, InputBuffer, OutputBuffer, Spool, StreamKind};
 use proptest::prelude::*;
 
@@ -94,7 +93,7 @@ proptest! {
             .map(|(s, seq, payload)| Frame::Data {
                 stream: match s { 0 => StreamKind::Stdin, 1 => StreamKind::Stdout, _ => StreamKind::Stderr },
                 seq,
-                payload: Bytes::from(payload),
+                payload,
             })
             .collect();
         let mut wire = Vec::new();

@@ -30,7 +30,7 @@ fn drain_until(
     let start = Instant::now();
     let mut events = Vec::new();
     while start.elapsed() < deadline {
-        match shadow.events().recv_timeout(Duration::from_millis(100)) {
+        match shadow.next_event(Duration::from_millis(100)) {
             Ok(ev) => {
                 events.push(ev);
                 if pred(&events) {

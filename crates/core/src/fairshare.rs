@@ -21,10 +21,9 @@ use std::sync::Arc;
 
 use cg_sim::{SimDuration, SimTime};
 use cg_trace::{Event, EventLog};
-use serde::{Deserialize, Serialize};
 
 /// Engine parameters.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct FairShareConfig {
     /// Half-life `h`: the rate at which priority values improve.
     pub half_life: SimDuration,
@@ -49,7 +48,7 @@ impl Default for FairShareConfig {
 }
 
 /// What a user is currently running, for the `a_f · r(u,t)` term.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum UsageKind {
     /// A plain batch job (`a_f = 1`).
     Batch,

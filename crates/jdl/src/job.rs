@@ -5,14 +5,12 @@ use std::borrow::Cow;
 use std::fmt;
 use std::sync::Arc;
 
-use serde::{Deserialize, Serialize};
-
 use crate::ast::{Ad, Value};
 use crate::expr::Expr;
 use crate::parser::{parse_ad, ParseError};
 
 /// Batch or interactive (first element of `JobType`).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Interactivity {
     /// Classic unattended execution.
     Batch,
@@ -21,7 +19,7 @@ pub enum Interactivity {
 }
 
 /// Sequential or one of the supported MPI flavours.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Parallelism {
     /// Single process.
     Sequential,
@@ -32,7 +30,7 @@ pub enum Parallelism {
 }
 
 /// Streaming mode for the Grid Console (§3).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum StreamingMode {
     /// Disk buffering at both ends, retry across network failures.
     #[default]
@@ -42,7 +40,7 @@ pub enum StreamingMode {
 }
 
 /// Machine-access mode controlling multi-programming (§3).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum MachineAccess {
     /// Run on an idle machine without multi-programming components.
     #[default]

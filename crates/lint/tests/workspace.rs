@@ -1,8 +1,9 @@
 //! The source gates in the default test run: the workspace's own sources
 //! lint clean with warnings fatal, exactly as `cgrun lint-src --check .`
 //! requires (one clock door L101, lock discipline L2, policy purity L3,
-//! allow hygiene W501), no core module passes CI's 800-line budget, and the
-//! `un`-`safe` keyword stays in CI's two allowed files.
+//! allow hygiene W501), no core module passes CI's 800-line budget, the
+//! `un`-`safe` keyword stays in CI's two allowed files, and no first-party
+//! source names one of the retired `compat/` shims.
 
 use cg_lint::lint_root;
 use std::fs;
@@ -61,9 +62,36 @@ fn rust_files(dir: &Path, out: &mut Vec<PathBuf>) {
     }
 }
 
+/// The first-party sources: the `.rs` files under `src/`, `tests/`,
+/// `crates/*/src/`, `crates/*/tests/` and `examples/`, named relative to
+/// `root`.
+fn first_party_sources(root: &Path) -> Vec<(String, String)> {
+    let mut files = Vec::new();
+    for dir in ["src", "tests", "examples"] {
+        rust_files(&root.join(dir), &mut files);
+    }
+    for krate in fs::read_dir(root.join("crates")).expect("crates/ readable") {
+        let krate = krate.expect("directory entry readable").path();
+        rust_files(&krate.join("src"), &mut files);
+        rust_files(&krate.join("tests"), &mut files);
+    }
+    assert!(files.len() > 100, "scanned only {} files", files.len());
+    files
+        .iter()
+        .map(|path| {
+            let name = path.strip_prefix(root).expect("under the root");
+            let source = fs::read_to_string(path).expect("source file readable");
+            (name.to_string_lossy().into_owned(), source)
+        })
+        .collect()
+}
+
+fn is_word(c: char) -> bool {
+    c.is_ascii_alphanumeric() || c == '_'
+}
+
 /// Whether `line` holds `word` as a whole word, as `grep -w` matches it.
 fn has_word(line: &str, word: &str) -> bool {
-    let is_word = |c: char| c.is_ascii_alphanumeric() || c == '_';
     line.match_indices(word).any(|(at, _)| {
         !line[..at].chars().next_back().is_some_and(is_word)
             && !line[at + word.len()..].chars().next().is_some_and(is_word)
@@ -71,30 +99,18 @@ fn has_word(line: &str, word: &str) -> bool {
 }
 
 /// CI's keyword gate, in the default test run: the keyword (spelled
-/// `un` + `safe` here, so this file does not hold it) appears under
-/// `src/`, `tests/`, `crates/*/src/` and `crates/*/tests/` only in the
-/// journal CRC's kernel call and the counting allocator, and every line of
-/// the CRC file that holds it has a `// SAFETY:` line directly above.
+/// `un` + `safe` here, so this file does not hold it) appears in the
+/// first-party sources only in the journal CRC's kernel call and the
+/// counting allocator, and every line of the CRC file that holds it has a
+/// `// SAFETY:` line directly above.
 #[test]
 fn no_unsafe_outside_its_two_allowed_files() {
     const CRC: &str = "crates/trace/src/journal/crc.rs";
     const ALLOC: &str = "tests/support/counting_alloc.rs";
     let keyword = concat!("un", "safe");
     let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
-    let mut files = Vec::new();
-    rust_files(&root.join("src"), &mut files);
-    rust_files(&root.join("tests"), &mut files);
-    for krate in fs::read_dir(root.join("crates")).expect("crates/ readable") {
-        let krate = krate.expect("directory entry readable").path();
-        rust_files(&krate.join("src"), &mut files);
-        rust_files(&krate.join("tests"), &mut files);
-    }
-    assert!(files.len() > 100, "scanned only {} files", files.len());
     let mut stray = Vec::new();
-    for path in &files {
-        let name = path.strip_prefix(&root).expect("under the root");
-        let name = name.to_string_lossy();
-        let source = fs::read_to_string(path).expect("source file readable");
+    for (name, source) in first_party_sources(&root) {
         let lines: Vec<&str> = source.lines().collect();
         for (n, line) in lines
             .iter()
@@ -115,4 +131,67 @@ fn no_unsafe_outside_its_two_allowed_files() {
         "{keyword} outside {CRC} and {ALLOC}:\n{}",
         stray.join("\n")
     );
+}
+
+/// The offline shims under `compat/` that stand in for external crates no
+/// first-party source uses: they are still declared only because removing
+/// a manifest line rewrites `perf/Cargo.lock`.
+const RETIRED_SHIMS: [&str; 4] = ["serde", "crossbeam", "bytes", "parking_lot"];
+
+/// Whether `line` names the crate `krate`: a path through it
+/// (`krate` then `::`) or a `use`/`extern crate` of it.
+fn names_crate(line: &str, krate: &str) -> bool {
+    line.match_indices(krate).any(|(at, _)| {
+        let (before, after) = (&line[..at], &line[at + krate.len()..]);
+        let last_word = before.trim_end().rsplit(|c| !is_word(c)).next();
+        !before.chars().next_back().is_some_and(is_word)
+            && !after.chars().next().is_some_and(is_word)
+            && (after.starts_with("::") || matches!(last_word, Some("use" | "crate")))
+    })
+}
+
+/// No first-party source uses a retired shim, so deleting the shims and
+/// their manifest lines needs no change to the code.
+#[test]
+fn no_first_party_source_uses_a_retired_shim() {
+    let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
+    let mut uses = Vec::new();
+    for (name, source) in first_party_sources(&root) {
+        for (n, line) in source.lines().enumerate() {
+            if RETIRED_SHIMS.iter().any(|shim| names_crate(line, shim)) {
+                uses.push(format!("{name}:{}: {}", n + 1, line.trim()));
+            }
+        }
+    }
+    assert!(
+        uses.is_empty(),
+        "first-party sources use a retired shim ({}):\n{}",
+        RETIRED_SHIMS.join(", "),
+        uses.join("\n")
+    );
+}
+
+/// The lines are built from the names, so this file names no shim itself.
+#[test]
+fn names_crate_matches_uses_and_paths_only() {
+    for shim in RETIRED_SHIMS {
+        for line in [
+            format!("use {shim}::channel::{{unbounded, Sender}};"),
+            format!("    pub use {shim}::Mutex;"),
+            format!("#[derive({shim}::Serialize)]"),
+            format!("extern crate {shim};"),
+            format!("let (tx, rx) = {shim}::channel::unbounded();"),
+        ] {
+            assert!(names_crate(&line, shim), "{line}");
+        }
+        for line in [
+            format!("out.extend_from_slice(&v.to_le_{shim}());"),
+            format!("let n = u32::from_le_{shim}(b);"),
+            format!("// because {shim} arrive in order"),
+            format!("use cg_{shim}::Frame;"),
+            format!("let {shim}_like = {shim}.len();"),
+        ] {
+            assert!(!names_crate(&line, shim), "{line}");
+        }
+    }
 }

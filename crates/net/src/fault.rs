@@ -5,10 +5,9 @@
 //! `[start, end)` outage windows that links consult before delivering.
 
 use cg_sim::{SimDuration, SimRng, SimTime};
-use serde::{Deserialize, Serialize};
 
 /// A set of non-overlapping outage windows, sorted by start time.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct FaultSchedule {
     /// `(start, end)` pairs, `start < end`, non-overlapping, sorted.
     windows: Vec<(SimTime, SimTime)>,

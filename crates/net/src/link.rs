@@ -10,13 +10,12 @@ use std::fmt;
 use std::rc::Rc;
 
 use cg_sim::{EventId, Receiver, Sim, SimDuration, SimTime, TypedEvent};
-use serde::{Deserialize, Serialize};
 
 use crate::fault::FaultSchedule;
 use crate::profile::LinkProfile;
 
 /// Direction of travel over a [`Link`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Dir {
     /// From the A endpoint to the B endpoint.
     AToB,
@@ -35,7 +34,7 @@ impl Dir {
 }
 
 /// Why a network operation failed.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum NetError {
     /// The link was down when the operation started.
     LinkDown,
@@ -94,7 +93,7 @@ pub fn delivery_outcome(event: TypedEvent) -> Result<(), NetError> {
 }
 
 /// Per-link traffic counters.
-#[derive(Debug, Clone, Copy, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default)]
 pub struct LinkStats {
     /// Messages successfully delivered.
     pub delivered: u64,

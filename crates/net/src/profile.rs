@@ -7,10 +7,9 @@
 //! inputs to the models, documented here, and swept by the ablation benches.
 
 use cg_sim::{SimDuration, SimRng};
-use serde::{Deserialize, Serialize};
 
 /// Static description of a network path.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct LinkProfile {
     /// Human-readable name used in reports.
     pub name: String,

@@ -9,12 +9,11 @@
 //! on its data path too.
 
 use cg_sim::{Receiver, Sim, SimDuration, TypedEvent};
-use serde::{Deserialize, Serialize};
 
 use crate::link::{delivery_outcome, Dir, Link, NetError};
 
 /// Handshake shape for establishing a session.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct HandshakeProfile {
     /// Alternating message legs exchanged before the session is usable
     /// (TCP SYN/SYN-ACK/ACK = 3).

@@ -1,13 +1,11 @@
 //! Measurement collection: online moments, sample sets with percentiles,
 //! histograms, and time series — everything the experiment harnesses report.
 
-use serde::{Deserialize, Serialize};
-
 use crate::time::{SimDuration, SimTime};
 
 /// Streaming mean/variance/min/max via Welford's algorithm. O(1) memory,
 /// suitable for counters that live for millions of events.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct OnlineStats {
     n: u64,
     mean: f64,
@@ -104,7 +102,7 @@ impl OnlineStats {
 
 /// Keeps every sample; supports exact percentiles. Use for experiment outputs
 /// (thousands of points), not hot counters.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct SampleSet {
     samples: Vec<f64>,
 }
@@ -205,7 +203,7 @@ impl SampleSet {
 }
 
 /// A `(time, value)` series, e.g. priority trajectories or queue lengths.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct TimeSeries {
     points: Vec<(f64, f64)>,
 }

@@ -29,7 +29,6 @@ use std::rc::Rc;
 
 use cg_console::mono_ns;
 use cg_sim::{Sim, SimDuration};
-use serde::{Deserialize, Serialize};
 
 use crate::lrms::{LocalJobId, LocalJobSpec, Lrms, LrmsEvent, Policy};
 
@@ -40,7 +39,7 @@ pub type BackendCallback = Rc<dyn Fn(&mut Sim, LocalJobId, &LrmsEvent)>;
 
 /// Which executor sits behind a [`BackendHandle`]. Recorded on dispatch
 /// trace events so replays know what ran the job.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum BackendKind {
     /// The simulated batch scheduler ([`Lrms`]) alone — the default.
     SimLrms,
@@ -89,7 +88,7 @@ impl std::error::Error for BackendError {}
 
 /// Declarative backend choice, carried by `SiteConfig` — the one door
 /// through which a site's executor is chosen.
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub enum BackendSpec {
     /// The simulated LRMS (default).
     #[default]

@@ -12,7 +12,6 @@ use std::rc::Rc;
 
 use cg_net::{delivery_outcome, Dir, Handshake, HandshakeProfile, Link, NetError};
 use cg_sim::{Receiver, Sim, SimDuration, Slab, TypedEvent};
-use serde::{Deserialize, Serialize};
 
 use crate::backend::BackendHandle;
 use crate::lrms::{LocalJobId, LocalJobSpec, LrmsEvent};
@@ -21,7 +20,7 @@ use crate::lrms::{LocalJobId, LocalJobSpec, LrmsEvent};
 type GramCallback = Rc<dyn Fn(&mut Sim, &GramEvent)>;
 
 /// Calibrated costs of the Globus-era middleware layers.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct GramCosts {
     /// Median time for the gatekeeper to authenticate, authorize (gridmap
     /// lookup) and fork a jobmanager process, seconds. Globus 2.x was

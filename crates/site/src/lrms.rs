@@ -13,7 +13,6 @@ use std::rc::Rc;
 use std::sync::Arc;
 
 use cg_sim::{EventId, OnlineStats, Receiver, Sim, SimDuration, SimTime, Slab, TypedEvent};
-use serde::{Deserialize, Serialize};
 
 use crate::backend::{BackendCallback, BackendError};
 
@@ -24,7 +23,7 @@ use crate::backend::{BackendCallback, BackendError};
 pub const DEFAULT_DISPOSITION_RETENTION: usize = 4096;
 
 /// Scheduling policy of the local queue.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Policy {
     /// Strict FIFO: the head blocks everything behind it (PBS default-like).
     Fifo,
@@ -35,7 +34,7 @@ pub enum Policy {
 }
 
 /// What a submitted job asks of the LRMS.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct LocalJobSpec {
     /// Nodes required (entire nodes; the testbed scheduled whole WNs).
     pub nodes: u32,

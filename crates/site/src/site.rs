@@ -6,7 +6,6 @@ use std::sync::Arc;
 
 use cg_jdl::{Ad, Value};
 use cg_sim::SimDuration;
-use serde::{Deserialize, Serialize};
 
 use crate::backend::{BackendError, BackendHandle, BackendKind, BackendSpec};
 use crate::gatekeeper::{Gatekeeper, GramCosts};
@@ -14,7 +13,7 @@ use crate::lrms::{Policy, DEFAULT_DISPOSITION_RETENTION};
 use crate::wn::NodeSpec;
 
 /// Configuration for building a [`Site`].
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct SiteConfig {
     /// Site name (e.g. `"uab"`, `"ifca"`).
     pub name: String,

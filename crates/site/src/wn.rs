@@ -4,10 +4,8 @@
 //! based systems, with RAM memories up to 2GB" (§6); node presets mirror
 //! that mix so matchmaking has real heterogeneity to chew on.
 
-use serde::{Deserialize, Serialize};
-
 /// Hardware/software description of one worker node.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct NodeSpec {
     /// CPU architecture string advertised to MDS (e.g. `"i686"`).
     pub arch: String,

@@ -4,7 +4,8 @@
 //! carries and which fields follow it come from the `events!` table in
 //! [`crate::event`] (adding an event is one row there, and a reused tag does
 //! not compile). The state codec in [`crate::replay`] frames its blobs with
-//! the same primitives.
+//! the same primitives, and so does the Grid Console's agent ↔ shadow frame
+//! codec in `cg-console`: they are public for that one other user.
 //!
 //! Layout: `at_ns: u64 LE`, `seq: u64 LE`, `tag: u8`, then the variant's
 //! fields in declaration order. Scalars are little-endian; booleans are one
@@ -53,27 +54,27 @@ impl std::error::Error for CodecError {}
 
 // ── primitive writers ───────────────────────────────────────────────────
 
-pub(crate) fn put_u8(out: &mut Vec<u8>, v: u8) {
+pub fn put_u8(out: &mut Vec<u8>, v: u8) {
     out.push(v);
 }
 
-pub(crate) fn put_u32(out: &mut Vec<u8>, v: u32) {
+pub fn put_u32(out: &mut Vec<u8>, v: u32) {
     out.extend_from_slice(&v.to_le_bytes());
 }
 
-pub(crate) fn put_u64(out: &mut Vec<u8>, v: u64) {
+pub fn put_u64(out: &mut Vec<u8>, v: u64) {
     out.extend_from_slice(&v.to_le_bytes());
 }
 
-pub(crate) fn put_bool(out: &mut Vec<u8>, v: bool) {
+pub fn put_bool(out: &mut Vec<u8>, v: bool) {
     out.push(u8::from(v));
 }
 
-pub(crate) fn put_f64(out: &mut Vec<u8>, v: f64) {
+pub fn put_f64(out: &mut Vec<u8>, v: f64) {
     out.extend_from_slice(&v.to_bits().to_le_bytes());
 }
 
-pub(crate) fn put_str(out: &mut Vec<u8>, s: &str) {
+pub fn put_str(out: &mut Vec<u8>, s: &str) {
     put_u32(out, u32::try_from(s.len()).unwrap_or(u32::MAX));
     out.extend_from_slice(s.as_bytes());
 }
@@ -81,17 +82,17 @@ pub(crate) fn put_str(out: &mut Vec<u8>, s: &str) {
 // ── cursor-based readers ────────────────────────────────────────────────
 
 /// A bounds-checked read cursor over a byte slice.
-pub(crate) struct Cursor<'a> {
+pub struct Cursor<'a> {
     buf: &'a [u8],
     pos: usize,
 }
 
 impl<'a> Cursor<'a> {
-    pub(crate) fn new(buf: &'a [u8]) -> Self {
+    pub fn new(buf: &'a [u8]) -> Self {
         Cursor { buf, pos: 0 }
     }
 
-    pub(crate) fn is_empty(&self) -> bool {
+    pub fn is_empty(&self) -> bool {
         self.pos >= self.buf.len()
     }
 
@@ -105,39 +106,57 @@ impl<'a> Cursor<'a> {
         Ok(s)
     }
 
-    pub(crate) fn u8(&mut self) -> Result<u8, CodecError> {
+    /// The next `N` bytes as an array.
+    pub fn array<const N: usize>(&mut self) -> Result<[u8; N], CodecError> {
+        let mut out = [0; N];
+        out.copy_from_slice(self.take(N)?);
+        Ok(out)
+    }
+
+    /// Everything not yet read; the cursor ends empty.
+    pub fn rest(&mut self) -> &'a [u8] {
+        let rest = &self.buf[self.pos..];
+        self.pos = self.buf.len();
+        rest
+    }
+
+    pub fn u8(&mut self) -> Result<u8, CodecError> {
         Ok(self.take(1)?[0])
     }
 
-    pub(crate) fn u32(&mut self) -> Result<u32, CodecError> {
-        let b = self.take(4)?;
-        Ok(u32::from_le_bytes([b[0], b[1], b[2], b[3]]))
+    pub fn u16(&mut self) -> Result<u16, CodecError> {
+        self.array().map(u16::from_le_bytes)
     }
 
-    pub(crate) fn u64(&mut self) -> Result<u64, CodecError> {
-        let b = self.take(8)?;
-        Ok(u64::from_le_bytes([
-            b[0], b[1], b[2], b[3], b[4], b[5], b[6], b[7],
-        ]))
+    pub fn u32(&mut self) -> Result<u32, CodecError> {
+        self.array().map(u32::from_le_bytes)
     }
 
-    pub(crate) fn bool(&mut self) -> Result<bool, CodecError> {
+    pub fn i32(&mut self) -> Result<i32, CodecError> {
+        self.array().map(i32::from_le_bytes)
+    }
+
+    pub fn u64(&mut self) -> Result<u64, CodecError> {
+        self.array().map(u64::from_le_bytes)
+    }
+
+    pub fn bool(&mut self) -> Result<bool, CodecError> {
         Ok(self.u8()? != 0)
     }
 
-    pub(crate) fn f64(&mut self) -> Result<f64, CodecError> {
+    pub fn f64(&mut self) -> Result<f64, CodecError> {
         Ok(f64::from_bits(self.u64()?))
     }
 
     /// A string field, borrowed from the buffer: the caller makes the one
     /// owned copy it keeps, whatever its type.
-    pub(crate) fn str_ref(&mut self) -> Result<&'a str, CodecError> {
+    pub fn str_ref(&mut self) -> Result<&'a str, CodecError> {
         let len = self.u32()? as usize;
         let bytes = self.take(len)?;
         std::str::from_utf8(bytes).map_err(|_| CodecError::BadUtf8)
     }
 
-    pub(crate) fn str(&mut self) -> Result<String, CodecError> {
+    pub fn str(&mut self) -> Result<String, CodecError> {
         self.str_ref().map(str::to_owned)
     }
 }

@@ -1,7 +1,7 @@
 //! Typed lifecycle events: the one table every view of them comes from.
 //!
-//! The workspace's `serde` is a no-op offline shim, so nothing is derived.
-//! Instead the `events!` invocation below is the schema — one row per
+//! Nothing is derived from a serialization crate: the `events!`
+//! invocation below is the schema — one row per
 //! variant, `<tag> <Variant> { <field>: <type>, … }` — and the macro expands
 //! it to the [`Event`] enum, [`Event::kind`], the JSON field writer behind
 //! [`TimedEvent::to_json`], the bodies of [`crate::encode_event`] /

@@ -153,7 +153,9 @@ impl WriterInner {
     /// Frames one event in the buffer. The group is written out when a sync
     /// is due.
     fn append_event(&mut self, ev: &TimedEvent) -> io::Result<()> {
-        frame(&mut self.buf, KIND_EVENT, |buf| codec::encode_event(ev, buf))?;
+        frame(&mut self.buf, KIND_EVENT, |buf| {
+            codec::encode_event(ev, buf);
+        })?;
         self.last_seq = Some(ev.seq);
         self.appended += 1;
         self.unsynced += 1;

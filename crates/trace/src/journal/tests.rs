@@ -463,10 +463,16 @@ fn a_snapshot_below_an_appended_event_is_refused_and_writes_nothing() {
         j.append_event(&ev(seq)).unwrap();
     }
     let before = std::fs::read(&path).unwrap();
-    let e = j.append_snapshot(3, b"behind").expect_err("seq 4 is above 3");
+    let e = j
+        .append_snapshot(3, b"behind")
+        .expect_err("seq 4 is above 3");
     assert_eq!(e.kind(), io::ErrorKind::InvalidInput);
     assert!(e.to_string().contains("would drop appended event 4"), "{e}");
-    assert_eq!(std::fs::read(&path).unwrap(), before, "the file is untouched");
+    assert_eq!(
+        std::fs::read(&path).unwrap(),
+        before,
+        "the file is untouched"
+    );
     assert!(!next_path(&path).exists(), "no next file was made");
     assert_eq!(j.appended(), 5);
 
@@ -509,7 +515,11 @@ fn a_crash_before_the_rename_reads_the_old_journal() {
     let next = rotated_file();
     for cut in 0..=next.len() {
         std::fs::write(next_path(&path), &next[..cut]).unwrap();
-        assert_eq!(outcome(open_journal(&path)), before, "next file cut at {cut}");
+        assert_eq!(
+            outcome(open_journal(&path)),
+            before,
+            "next file cut at {cut}"
+        );
     }
     let _ = std::fs::remove_file(next_path(&path));
     let _ = std::fs::remove_file(&path);
@@ -522,7 +532,11 @@ fn after_the_rename_the_snapshot_is_the_first_record() {
     let path = tmp("rotate-after.jrnl");
     let j = six_events(&path);
     j.append_snapshot(5, b"rotated").unwrap();
-    assert_eq!(std::fs::read(&path).unwrap(), rotated_file(), "durable on return");
+    assert_eq!(
+        std::fs::read(&path).unwrap(),
+        rotated_file(),
+        "durable on return"
+    );
     assert!(!next_path(&path).exists(), "renamed, not copied");
     for seq in 6..9 {
         j.append_event(&ev(seq)).unwrap();
@@ -566,7 +580,11 @@ fn a_killed_process_loses_at_most_one_open_group_after_a_rotation() {
     std::mem::forget(j);
     let loaded = open_journal(&path).unwrap();
     assert_eq!(loaded.snapshot.map(|s| s.through_seq), Some(5));
-    assert_eq!(loaded.events, (6..10).map(ev).collect::<Vec<_>>(), "one group of 4 closed");
+    assert_eq!(
+        loaded.events,
+        (6..10).map(ev).collect::<Vec<_>>(),
+        "one group of 4 closed"
+    );
     assert_eq!(loaded.truncated_bytes, 0);
     let _ = std::fs::remove_file(&path);
 }
@@ -732,7 +750,10 @@ fn recovery_reads_the_last_snapshot_and_its_tail_whatever_the_uptime() {
         let kinds = frame_kinds(&std::fs::read(&path).unwrap());
         let (first, rest) = kinds.split_first().unwrap();
         assert_eq!(*first, KIND_SNAPSHOT, "the snapshot opens the file");
-        assert!(rest.iter().all(|k| *k == KIND_EVENT), "and only events follow");
+        assert!(
+            rest.iter().all(|k| *k == KIND_EVENT),
+            "and only events follow"
+        );
         let checked = rest.len() as u64;
         assert_eq!(checked, TAIL, "the reader checks the tail and nothing else");
 
@@ -745,10 +766,16 @@ fn recovery_reads_the_last_snapshot_and_its_tail_whatever_the_uptime() {
             + snapshot_frame(horizon, &blob).len()
             + tail.iter().map(|e| event_frame(e).len()).sum::<usize>();
         assert_eq!(src.bytes, want as u64, "{intervals} intervals");
-        assert_eq!(loaded.snapshot.map(|s| (s.through_seq, s.state)), Some((horizon, blob.clone())));
+        assert_eq!(
+            loaded.snapshot.map(|s| (s.through_seq, s.state)),
+            Some((horizon, blob.clone()))
+        );
         assert_eq!(loaded.events, tail);
         reads.push((src.bytes, checked));
         let _ = std::fs::remove_file(&path);
     }
-    assert_eq!(reads[0], reads[1], "10x the uptime reads the same bytes and events");
+    assert_eq!(
+        reads[0], reads[1],
+        "10x the uptime reads the same bytes and events"
+    );
 }

@@ -37,7 +37,7 @@
 //! stream; [`CrashPlan`] provides deterministic kill-point injection for
 //! crash-recovery tests.
 
-mod codec;
+pub mod codec;
 mod event;
 
 /// Lock primitives behind the model-check seam: `std::sync` normally, the

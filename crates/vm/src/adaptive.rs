@@ -9,10 +9,8 @@
 //! thinks for 50 ms between minutes of idling can share with many peers; a
 //! steering-loop burner cannot.
 
-use serde::{Deserialize, Serialize};
-
 /// Controller parameters.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct AdaptiveConfig {
     /// Hard cap on the degree (the paper's base system uses 1).
     pub max_degree: usize,

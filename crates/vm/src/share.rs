@@ -24,7 +24,6 @@
 //! rate `share(eff, max PL)` instead; DESIGN §8 records how the two differ.
 
 use cg_sim::{SampleSet, SimDuration, SimRng};
-use serde::{Deserialize, Serialize};
 
 /// Fraction of the nominal `PL/100` share that priority scheduling
 /// delivers to the batch slot, calibrated on Figure 8. Every shared machine
@@ -80,7 +79,7 @@ impl Credit {
 }
 
 /// Scheduler parameters (calibration constants, swept by the ablations).
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct ShareConfig {
     /// Scheduling quantum.
     pub quantum: SimDuration,
@@ -109,7 +108,7 @@ impl Default for ShareConfig {
 }
 
 /// How the interactive application runs on the machine.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum RunMode {
     /// Alone on an idle machine, no agent (paper's baseline).
     Exclusive,
@@ -124,7 +123,7 @@ pub enum RunMode {
 
 /// The §6.3 test application: iterates `iterations` times, each iteration an
 /// I/O operation followed by a CPU burst.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct LoopAppSpec {
     /// Number of iterations (paper: 1 000).
     pub iterations: u32,

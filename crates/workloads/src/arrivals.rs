@@ -2,10 +2,9 @@
 
 use cg_jdl::JobDescription;
 use cg_sim::{SimDuration, SimRng, SimTime};
-use serde::{Deserialize, Serialize};
 
 /// Shape of one synthetic job population.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct JobMix {
     /// Fraction of arrivals that are interactive (the rest are batch).
     pub interactive_fraction: f64,

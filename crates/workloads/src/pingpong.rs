@@ -9,10 +9,9 @@
 use cg_console::MethodCosts;
 use cg_net::LinkProfile;
 use cg_sim::{SampleSet, SimRng};
-use serde::{Deserialize, Serialize};
 
 /// Parameters of one pingpong experiment.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct PingPongSpec {
     /// Sequences per run (paper: 1 000).
     pub sequences: u32,

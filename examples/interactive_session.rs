@@ -74,7 +74,7 @@ fn wait_for_output(shadow: &ConsoleShadow, needle: &str) {
     let deadline = Instant::now() + Duration::from_secs(15);
     let mut seen = String::new();
     while Instant::now() < deadline {
-        match shadow.events().recv_timeout(Duration::from_millis(200)) {
+        match shadow.next_event(Duration::from_millis(200)) {
             Ok(ShadowEvent::Output {
                 stream: StreamKind::Stdout,
                 data,

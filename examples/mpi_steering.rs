@@ -108,7 +108,7 @@ fn collect_until(
             rank,
             stream: StreamKind::Stdout,
             data,
-        }) = shadow.events().recv_timeout(Duration::from_millis(100))
+        }) = shadow.next_event(Duration::from_millis(100))
         {
             let buf = partial.entry(rank).or_default();
             buf.push_str(&String::from_utf8_lossy(&data));

@@ -66,7 +66,7 @@ fn main() {
     let deadline = Instant::now() + Duration::from_secs(30);
     let mut exited = false;
     while Instant::now() < deadline {
-        match shadow.events().recv_timeout(Duration::from_millis(200)) {
+        match shadow.next_event(Duration::from_millis(200)) {
             Ok(ShadowEvent::Output {
                 stream: StreamKind::Stdout,
                 data,
@@ -108,7 +108,7 @@ fn drain(shadow: &ConsoleShadow, into: &mut String, for_long: Duration) {
             stream: StreamKind::Stdout,
             data,
             ..
-        }) = shadow.events().recv_timeout(Duration::from_millis(100))
+        }) = shadow.next_event(Duration::from_millis(100))
         {
             into.push_str(&String::from_utf8_lossy(&data));
         }

@@ -762,7 +762,7 @@ fn run_shadow_terminal(shadow: ConsoleShadow, ranks: u32) -> i32 {
     }
     let mut exits: std::collections::HashMap<u32, i32> = std::collections::HashMap::new();
     loop {
-        match shadow.events().recv_timeout(Duration::from_millis(200)) {
+        match shadow.next_event(Duration::from_millis(200)) {
             Ok(ShadowEvent::Output { rank, stream, data }) => {
                 let prefix = if ranks > 1 {
                     format!("[{rank}] ")
@@ -796,7 +796,7 @@ fn run_shadow_terminal(shadow: ConsoleShadow, ranks: u32) -> i32 {
                     // cg-lint: allow(wall-clock): same real-terminal drain window
                     while std::time::Instant::now() < until {
                         if let Ok(ShadowEvent::Output { data, .. }) =
-                            shadow.events().recv_timeout(Duration::from_millis(50))
+                            shadow.next_event(Duration::from_millis(50))
                         {
                             print!("{}", String::from_utf8_lossy(&data));
                             let _ = std::io::stdout().flush();
