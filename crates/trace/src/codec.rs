@@ -125,19 +125,25 @@ impl<'a> Cursor<'a> {
     }
 
     pub fn u16(&mut self) -> Result<u16, CodecError> {
-        self.array().map(u16::from_le_bytes)
+        let b = self.take(2)?;
+        Ok(u16::from_le_bytes([b[0], b[1]]))
     }
 
     pub fn u32(&mut self) -> Result<u32, CodecError> {
-        self.array().map(u32::from_le_bytes)
+        let b = self.take(4)?;
+        Ok(u32::from_le_bytes([b[0], b[1], b[2], b[3]]))
     }
 
     pub fn i32(&mut self) -> Result<i32, CodecError> {
-        self.array().map(i32::from_le_bytes)
+        let b = self.take(4)?;
+        Ok(i32::from_le_bytes([b[0], b[1], b[2], b[3]]))
     }
 
     pub fn u64(&mut self) -> Result<u64, CodecError> {
-        self.array().map(u64::from_le_bytes)
+        let b = self.take(8)?;
+        Ok(u64::from_le_bytes([
+            b[0], b[1], b[2], b[3], b[4], b[5], b[6], b[7],
+        ]))
     }
 
     pub fn bool(&mut self) -> Result<bool, CodecError> {
