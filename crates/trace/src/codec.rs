@@ -2,7 +2,7 @@
 //!
 //! This module owns the envelope and the primitives; which tag a variant
 //! carries and which fields follow it come from the `events!` table in
-//! [`crate::event`] (adding an event is one row there, and a reused tag does
+//! `event.rs` (adding an event is one row there, and a reused tag does
 //! not compile). The state codec in [`crate::replay`] frames its blobs with
 //! the same primitives, and so does the Grid Console's agent ↔ shadow frame
 //! codec in `cg-console`: they are public for that one other user.
