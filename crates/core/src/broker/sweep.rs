@@ -19,7 +19,7 @@ use std::sync::Arc;
 
 use cg_jdl::Ad;
 use cg_net::{delivery_outcome, Dir};
-use cg_sim::{EventId, Sim, SimDuration, SimTime, TypedEvent};
+use cg_sim::{EventId, Sim, SimDuration, SimRng, SimTime, TypedEvent};
 use cg_trace::Event;
 
 use super::discovery::Selection;
@@ -28,7 +28,6 @@ use super::settle::backoff_delay;
 use super::CrossBroker;
 use crate::config::BrokerConfig;
 use crate::job::JobId;
-use crate::shard::job_rng;
 
 /// A test's own continuation of a sweep, handed the broker and the live ads.
 #[cfg(test)]
@@ -246,6 +245,19 @@ impl SweepEvent {
 /// Salt folded into [`job_rng`] for query-retry jitter, so the retry
 /// stream never collides with the job's selection stream.
 const QUERY_RETRY_SALT: u64 = 0x515259; // "QRY"
+
+/// Derives a deterministic per-job RNG from a seed and the job id, so a
+/// job's back-off delays do not depend on how many other jobs drew from the
+/// simulation's shared stream before it. The multiply-xor spreads
+/// consecutive ids across the seed space so neighbouring jobs don't draw
+/// correlated streams.
+fn job_rng(seed: u64, job: JobId) -> SimRng {
+    let mut x = seed ^ job.0.wrapping_mul(0x9E37_79B9_7F4A_7C15);
+    // splitmix64 finalizer.
+    x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+    SimRng::new(x ^ (x >> 31))
+}
 
 /// First live-query retry delay; each further attempt doubles it.
 const QUERY_BACKOFF_BASE: SimDuration = SimDuration::from_millis(500);

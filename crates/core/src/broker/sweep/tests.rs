@@ -1,7 +1,7 @@
 //! The sweep's outcomes: answered queries leave nothing queued, deadlines
 //! and late replies, answer order, and sweeps that outlive one another.
 
-use super::{AfterSweep, CrossBroker, JobId};
+use super::{job_rng, AfterSweep, CrossBroker, JobId};
 use crate::broker::SiteHandle;
 use crate::config::BrokerConfig;
 use cg_net::{Link, LinkProfile};
@@ -270,4 +270,22 @@ fn a_reply_that_outlives_its_sweep_is_not_credited_to_the_next_one() {
     );
     assert_eq!(broker.inner.borrow().sweeps.in_flight(), 0);
     assert_eq!(links[0].stats().delivered, 4);
+}
+
+#[test]
+fn job_rng_is_stable_and_per_job() {
+    let a1: Vec<u64> = {
+        let mut r = job_rng(1, JobId(5));
+        (0..4).map(|_| r.u64()).collect()
+    };
+    let a2: Vec<u64> = {
+        let mut r = job_rng(1, JobId(5));
+        (0..4).map(|_| r.u64()).collect()
+    };
+    let b: Vec<u64> = {
+        let mut r = job_rng(1, JobId(6));
+        (0..4).map(|_| r.u64()).collect()
+    };
+    assert_eq!(a1, a2, "same (seed, job) ⇒ same stream");
+    assert_ne!(a1, b, "neighbouring jobs draw different streams");
 }

@@ -52,4 +52,4 @@ pub use policy::{
     PolicyKind, PolicySignals, QueueForecast, QueueForecaster, SelectionPolicy, SiteSignals,
 };
 pub use recovery::RecoveryReport;
-pub use shard::{job_rng, ShardedJobTable, DEFAULT_SHARDS};
+pub use shard::{ShardedJobTable, DEFAULT_SHARDS};

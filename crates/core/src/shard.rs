@@ -1,5 +1,4 @@
-//! The broker's job table, sharded for fine-grained locking, and the
-//! per-job RNG derivation.
+//! The broker's job table, sharded for fine-grained locking.
 //!
 //! The discrete-event simulation drives [`crate::CrossBroker`] from a single
 //! thread, but nothing about the broker's *data* requires that: job records
@@ -14,18 +13,9 @@
 //! event-log mutex is held, and no code path holds two shard locks at once
 //! (every operation touches exactly one job id, and whole-table walks lock
 //! shards strictly one at a time).
-//!
-//! # Per-job randomness
-//!
-//! [`job_rng`] derives a `SimRng` from (salt, job id). The live sweep
-//! draws its query-retry jitter from it, so a job's back-off delays do not
-//! depend on how many other jobs drew from the simulation's shared stream
-//! before it.
 
 use crate::sync::{Mutex, MutexGuard};
 use std::collections::BTreeMap;
-
-use cg_sim::SimRng;
 
 use crate::job::JobId;
 
@@ -176,18 +166,6 @@ impl<T> std::fmt::Debug for ShardedJobTable<T> {
     }
 }
 
-/// Derives a deterministic per-job RNG from a seed and the job id. The
-/// multiply-xor spreads consecutive ids across the seed space so
-/// neighbouring jobs don't draw correlated streams.
-#[must_use]
-pub fn job_rng(seed: u64, job: JobId) -> SimRng {
-    let mut x = seed ^ job.0.wrapping_mul(0x9E37_79B9_7F4A_7C15);
-    // splitmix64 finalizer.
-    x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    SimRng::new(x ^ (x >> 31))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -295,23 +273,5 @@ mod tests {
         });
         assert_eq!(t.get(JobId(0)), Some(20_000));
         assert_eq!(t.get(JobId(4)), Some(20_000));
-    }
-
-    #[test]
-    fn job_rng_is_stable_and_per_job() {
-        let a1: Vec<u64> = {
-            let mut r = job_rng(1, JobId(5));
-            (0..4).map(|_| r.u64()).collect()
-        };
-        let a2: Vec<u64> = {
-            let mut r = job_rng(1, JobId(5));
-            (0..4).map(|_| r.u64()).collect()
-        };
-        let b: Vec<u64> = {
-            let mut r = job_rng(1, JobId(6));
-            (0..4).map(|_| r.u64()).collect()
-        };
-        assert_eq!(a1, a2, "same (seed, job) ⇒ same stream");
-        assert_ne!(a1, b, "neighbouring jobs draw different streams");
     }
 }

@@ -1,9 +1,10 @@
-//! The source gates in the default test run: the workspace's own sources
-//! lint clean with warnings fatal, exactly as `cgrun lint-src --check .`
-//! requires (one clock door L101, lock discipline L2, policy purity L3,
-//! allow hygiene W501), no core module passes CI's 800-line budget, the
-//! `un`-`safe` keyword stays in CI's two allowed files, and no first-party
-//! source names one of the retired `compat/` shims.
+//! The source gates, in the default test run and nowhere else: the
+//! workspace's own sources lint clean with warnings fatal, exactly as
+//! `cgrun lint-src --check .` requires (one clock door L101, lock
+//! discipline L2, policy purity L3, allow hygiene W501), no core module
+//! passes the 800-line budget, the `un`-`safe` keyword stays in its two
+//! allowed files, no first-party source names one of the retired `compat/`
+//! shims, and CI runs no tier-1 test a second time.
 
 use cg_lint::lint_root;
 use std::fs;
@@ -21,7 +22,7 @@ fn the_workspace_lints_clean_with_warnings_fatal() {
     assert!(report.findings.is_empty(), "{}", report.render());
 }
 
-/// CI's "core module size gate": no file under `crates/core/src` may pass
+/// The core module size gate: no file under `crates/core/src` may pass
 /// 800 lines (newlines, as `wc -l` counts them).
 #[test]
 fn no_core_module_is_over_800_lines() {
@@ -98,7 +99,7 @@ fn has_word(line: &str, word: &str) -> bool {
     })
 }
 
-/// CI's keyword gate, in the default test run: the keyword (spelled
+/// The keyword gate: the keyword (spelled
 /// `un` + `safe` here, so this file does not hold it) appears in the
 /// first-party sources only in the journal CRC's kernel call and the
 /// counting allocator, and every line of the CRC file that holds it has a
@@ -194,4 +195,132 @@ fn names_crate_matches_uses_and_paths_only() {
             assert!(!names_crate(&line, shim), "{line}");
         }
     }
+}
+
+/// The commands of `ci`'s `run:` steps, one per shell line: an inline
+/// value with its quotes taken off, and each line of a `|` or `>` block.
+fn run_commands(ci: &str) -> Vec<String> {
+    let mut commands = Vec::new();
+    let mut block_indent = None;
+    for line in ci.lines() {
+        let indent = line.len() - line.trim_start().len();
+        if let Some(key_indent) = block_indent {
+            if line.trim().is_empty() {
+                continue;
+            }
+            if indent > key_indent {
+                commands.push(line.trim().to_string());
+                continue;
+            }
+            block_indent = None;
+        }
+        let item = line.trim_start().trim_start_matches("- ");
+        let Some(value) = item.strip_prefix("run:") else {
+            continue;
+        };
+        let value = value.trim();
+        if value.starts_with('|') || value.starts_with('>') {
+            block_indent = Some(indent);
+        } else {
+            commands.push(value.trim_matches(|c| c == '"' || c == '\'').to_string());
+        }
+    }
+    commands
+}
+
+/// The one run of every tier-1 test.
+const TIER1: &str = "cargo test --workspace --release";
+
+/// What makes a `cargo test` run something [`TIER1`] does not.
+const WIDENING: [&str; 4] = [
+    "PROPTEST_CASES=",
+    "RUSTFLAGS=",
+    "--ignored",
+    "--manifest-path perf/Cargo.toml",
+];
+
+/// Why `command` runs a tier-1 test a second time, if it does. A
+/// `cargo test` other than [`TIER1`] re-runs what that run already ran
+/// unless it changes what runs: more proptest cases, another `cfg`, the
+/// ignored tests, or the separate `perf/` package. `check_gates` runs
+/// `churn_suite --check` and `policy_ab --check`.
+fn tier1_rerun(command: &str) -> Option<&'static str> {
+    let segments = command.split(['&', '|', ';']);
+    for segment in segments.map(str::trim) {
+        if segment.contains("cargo test") {
+            let widened = WIDENING.iter().any(|flag| segment.contains(flag));
+            if segment != TIER1 && !widened {
+                return Some("re-runs tests that the workspace test runs");
+            }
+        } else if segment.contains("cargo run")
+            && (segment.contains("churn_suite")
+                || (segment.contains("policy_ab") && segment.contains("--check")))
+        {
+            return Some("is a --check gate that check_gates runs");
+        }
+    }
+    None
+}
+
+/// CI runs each tier-1 test once, in its one workspace test; every other
+/// `cargo test` or gate it runs does what that run cannot.
+#[test]
+fn ci_reruns_no_tier1_test() {
+    let path = Path::new(env!("CARGO_MANIFEST_DIR")).join("../../.github/workflows/ci.yml");
+    let ci = fs::read_to_string(&path).expect("ci.yml readable");
+    let commands = run_commands(&ci);
+    assert!(commands.len() > 10, "read only {} commands", commands.len());
+    let reruns: Vec<String> = commands
+        .iter()
+        .filter_map(|c| tier1_rerun(c).map(|why| format!("`{c}` {why}")))
+        .collect();
+    assert!(
+        reruns.is_empty(),
+        "ci.yml runs tier-1 tests again:\n{}",
+        reruns.join("\n")
+    );
+    let runs = commands.iter().filter(|c| *c == TIER1).count();
+    assert_eq!(runs, 1, "ci.yml runs `{TIER1}` {runs} times");
+}
+
+/// The guard reads inline, quoted and block steps, and flags a narrowed
+/// re-run or a `--check` gate that `check_gates` runs, but no run that
+/// widens what tier-1 runs.
+#[test]
+fn ci_rerun_guard_flags_narrowed_reruns_only() {
+    let ci = r#"
+jobs:
+  a:
+    steps:
+      - uses: actions/checkout@v4
+      - run: cargo test --workspace --release
+      - run: cargo test --release -p cg-net
+      - run: "PROPTEST_CASES=4096 cargo test --release -p cg-console --lib stream::"
+      - name: block
+        run: |
+          RUSTFLAGS="--cfg cg_loom" cargo test --release -p cg-trace --test loom_model
+          cargo build --bin cgrun && cargo test -p cg-lint
+
+          cargo test --release -p cg-console -- --ignored
+      - run: cargo test --release --locked --manifest-path perf/Cargo.toml
+      - run: cargo run -p cg-bench --release --bin churn_suite -- --check
+      - run: cargo run -p cg-bench --release --bin policy_ab -- --check
+      - run: cargo run -p cg-bench --release --bin policy_ab
+      - run: cargo run -p cg-bench --release --bin selection_scaling -- --check
+"#;
+    let commands = run_commands(ci);
+    assert_eq!(commands.len(), 11, "{commands:#?}");
+    let flagged: Vec<&String> = commands
+        .iter()
+        .filter(|c| tier1_rerun(c).is_some())
+        .collect();
+    assert_eq!(
+        flagged,
+        [
+            "cargo test --release -p cg-net",
+            "cargo build --bin cgrun && cargo test -p cg-lint",
+            "cargo run -p cg-bench --release --bin churn_suite -- --check",
+            "cargo run -p cg-bench --release --bin policy_ab -- --check",
+        ]
+    );
 }

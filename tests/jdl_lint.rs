@@ -12,6 +12,19 @@ fn fixture(rel: &str) -> String {
     p.to_string_lossy().into_owned()
 }
 
+/// Every `*.jdl` file directly under `examples/jdl/{dir}`, sorted.
+fn fixtures_in(dir: &str) -> Vec<String> {
+    let mut files: Vec<String> = std::fs::read_dir(fixture(dir))
+        .expect("fixture directory readable")
+        .map(|entry| entry.expect("directory entry readable").path())
+        .filter(|path| path.extension().is_some_and(|e| e == "jdl"))
+        .map(|path| path.to_string_lossy().into_owned())
+        .collect();
+    files.sort();
+    assert!(!files.is_empty(), "no fixtures in examples/jdl/{dir}");
+    files
+}
+
 fn lint(files: &[&str]) -> Output {
     Command::new(env!("CARGO_BIN_EXE_cgrun"))
         .arg("lint")
@@ -20,18 +33,41 @@ fn lint(files: &[&str]) -> Output {
         .unwrap()
 }
 
+/// Every checked-in good fixture lints clean, in one batch.
 #[test]
 fn clean_fixtures_lint_quietly() {
-    let out = lint(&[
-        &fixture("figure2.jdl"),
-        &fixture("batch.jdl"),
-        &fixture("shared_interactive.jdl"),
-    ]);
+    let files = fixtures_in("");
+    let args: Vec<&str> = files.iter().map(String::as_str).collect();
+    let out = lint(&args);
     let stdout = String::from_utf8_lossy(&out.stdout);
     assert_eq!(out.status.code(), Some(0), "{stdout}");
-    assert!(stdout.contains("3 file(s) clean"), "{stdout}");
+    let clean = format!("{} file(s) clean", files.len());
+    assert!(stdout.contains(&clean), "{stdout}");
     assert!(!stdout.contains("error["), "{stdout}");
     assert!(!stdout.contains("warning["), "{stdout}");
+}
+
+/// Every warn fixture exits 0 but prints its warning: a silent pass means
+/// the diagnostic regressed.
+#[test]
+fn every_warn_fixture_exits_zero_with_a_warning() {
+    for file in fixtures_in("warn") {
+        let out = lint(&[&file]);
+        let stdout = String::from_utf8_lossy(&out.stdout);
+        assert_eq!(out.status.code(), Some(0), "{file}: {stdout}");
+        assert!(stdout.contains("warning["), "{file}: {stdout}");
+    }
+}
+
+/// Every bad fixture fails with exit 1: not 0, not a usage error, not a
+/// crash.
+#[test]
+fn every_bad_fixture_exits_one() {
+    for file in fixtures_in("bad") {
+        let out = lint(&[&file]);
+        let stdout = String::from_utf8_lossy(&out.stdout);
+        assert_eq!(out.status.code(), Some(1), "{file}: {stdout}");
+    }
 }
 
 #[test]
