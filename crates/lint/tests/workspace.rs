@@ -239,15 +239,36 @@ const WIDENING: [&str; 4] = [
     "--manifest-path perf/Cargo.toml",
 ];
 
+/// Whether a `cargo test` selects only property tests: every `--test`
+/// target it names is a `*proptests` file, and it names one, or a `--lib`
+/// test-name filter.
+fn names_property_targets(segment: &str) -> bool {
+    let words: Vec<&str> = segment.split_whitespace().collect();
+    let mut named = false;
+    for pair in words.windows(2) {
+        match pair[0] {
+            "--test" if !pair[1].ends_with("proptests") => return false,
+            "--test" => named = true,
+            "--lib" => named |= !pair[1].starts_with('-'),
+            _ => {}
+        }
+    }
+    named
+}
+
 /// Why `command` runs a tier-1 test a second time, if it does. A
 /// `cargo test` other than [`TIER1`] re-runs what that run already ran
-/// unless it changes what runs: more proptest cases, another `cfg`, the
-/// ignored tests, or the separate `perf/` package. `check_gates` runs
-/// `churn_suite --check` and `policy_ab --check`.
+/// unless it changes what runs: more proptest cases (over property-test
+/// targets only), another `cfg`, the ignored tests, or the separate `perf/`
+/// package. `check_gates` runs `churn_suite --check` and
+/// `policy_ab --check`.
 fn tier1_rerun(command: &str) -> Option<&'static str> {
     let segments = command.split(['&', '|', ';']);
     for segment in segments.map(str::trim) {
         if segment.contains("cargo test") {
+            if segment.contains("PROPTEST_CASES=") && !names_property_targets(segment) {
+                return Some("re-runs more than the crate's property tests");
+            }
             let widened = WIDENING.iter().any(|flag| segment.contains(flag));
             if segment != TIER1 && !widened {
                 return Some("re-runs tests that the workspace test runs");
@@ -296,6 +317,7 @@ jobs:
       - run: cargo test --workspace --release
       - run: cargo test --release -p cg-net
       - run: "PROPTEST_CASES=4096 cargo test --release -p cg-console --lib stream::"
+      - run: PROPTEST_CASES=4096 cargo test --release -p cg-jdl
       - name: block
         run: |
           RUSTFLAGS="--cfg cg_loom" cargo test --release -p cg-trace --test loom_model
@@ -309,7 +331,7 @@ jobs:
       - run: cargo run -p cg-bench --release --bin selection_scaling -- --check
 "#;
     let commands = run_commands(ci);
-    assert_eq!(commands.len(), 11, "{commands:#?}");
+    assert_eq!(commands.len(), 12, "{commands:#?}");
     let flagged: Vec<&String> = commands
         .iter()
         .filter(|c| tier1_rerun(c).is_some())
@@ -318,6 +340,7 @@ jobs:
         flagged,
         [
             "cargo test --release -p cg-net",
+            "PROPTEST_CASES=4096 cargo test --release -p cg-jdl",
             "cargo build --bin cgrun && cargo test -p cg-lint",
             "cargo run -p cg-bench --release --bin churn_suite -- --check",
             "cargo run -p cg-bench --release --bin policy_ab -- --check",

@@ -8,7 +8,7 @@
 use std::collections::{HashMap, HashSet};
 
 use crate::event::{Event, TimedEvent};
-use crate::replay::ReplayState;
+use crate::replay::{ReplayJob, ReplayState};
 
 /// Checks the event stream (oldest first) against the broker-stack
 /// protocol invariants; returns one human-readable line per violation
@@ -238,12 +238,30 @@ pub fn check_recovery_invariants(
     let mut violations = Vec::new();
     let crash_at_ns = expected.last_at_ns;
 
-    // 6a: idempotence of the fold on the comparison core.
-    let mut refolded = expected.clone();
+    // 6a: idempotence of the fold on the comparison core. A job arm of
+    // `apply` touches only the job its event names, so the refold starts
+    // from copies of just the jobs the tail names (the keys of the tail's
+    // own fold); every other entry would come out of the refold unchanged.
+    // A named job `expected` lacks is made by the refold and so differs.
+    let mut refolded = ReplayState {
+        agents: expected.agents.clone(),
+        spools: expected.spools.clone(),
+        site_health: expected.site_health.clone(),
+        ..ReplayState::default()
+    };
+    for id in ReplayState::from_events(tail).jobs.into_keys() {
+        if let Some(job) = expected.jobs.get(&id) {
+            refolded.jobs.insert(id, job.clone());
+        }
+    }
     for ev in tail {
         refolded.apply(ev);
     }
-    if refolded.jobs != expected.jobs {
+    if refolded
+        .jobs
+        .iter()
+        .any(|(id, job)| expected.jobs.get(id) != Some(job))
+    {
         violations.push("replay fold is not idempotent over the job table".into());
     }
     if refolded.agents != expected.agents {
@@ -256,43 +274,27 @@ pub fn check_recovery_invariants(
         violations.push("replay fold is not idempotent over the site-health registry".into());
     }
 
-    // 6b: the broker's reconstruction matches the stream.
+    // 6b: the broker's reconstruction matches the stream. Both tables are
+    // in id order, so one merge walk pairs them; the jobs only `recovered`
+    // holds are reported after every per-job line.
+    let mut got_jobs = recovered.jobs.iter().peekable();
+    let mut appeared = Vec::new();
     for (id, want) in &expected.jobs {
-        let Some(got) = recovered.jobs.get(id) else {
+        while let Some((extra, _)) = got_jobs.next_if(|(got_id, _)| *got_id < id) {
+            appeared.push(*extra);
+        }
+        let Some((_, got)) = got_jobs.next_if(|(got_id, _)| *got_id == id) else {
             violations.push(format!("job {id} in the stream is missing after recovery"));
             continue;
         };
-        if got.phase.bucket() != want.phase.bucket() {
-            violations.push(format!(
-                "job {id} recovered into bucket {:?}, stream says {:?}",
-                got.phase.bucket(),
-                want.phase.bucket()
-            ));
-        }
-        if got.attempts != want.attempts {
-            violations.push(format!(
-                "job {id} recovered with {} resubmission attempts, stream says {}",
-                got.attempts, want.attempts
-            ));
-        }
-        if got.user != want.user {
-            violations.push(format!(
-                "job {id} recovered under user {:?}, stream says {:?}",
-                got.user, want.user
-            ));
-        }
-        if got.started != want.started {
-            violations.push(format!(
-                "job {id} recovered with started={}, stream says {}",
-                got.started, want.started
-            ));
-        }
+        compare_job(*id, got, want, &mut violations);
     }
-    for id in recovered.jobs.keys() {
-        if !expected.jobs.contains_key(id) {
-            violations.push(format!("job {id} appeared from nowhere during recovery"));
-        }
-    }
+    appeared.extend(got_jobs.map(|(extra, _)| *extra));
+    violations.extend(
+        appeared
+            .into_iter()
+            .map(|id| format!("job {id} appeared from nowhere during recovery")),
+    );
     for (id, agent) in &expected.agents {
         if agent.alive && recovered.agents.get(id).is_some_and(|a| a.alive) {
             violations.push(format!(
@@ -328,6 +330,35 @@ pub fn check_recovery_invariants(
     }
 
     violations
+}
+
+/// Rule 6b for one job present in both views.
+fn compare_job(id: u64, got: &ReplayJob, want: &ReplayJob, violations: &mut Vec<String>) {
+    if got.phase.bucket() != want.phase.bucket() {
+        violations.push(format!(
+            "job {id} recovered into bucket {:?}, stream says {:?}",
+            got.phase.bucket(),
+            want.phase.bucket()
+        ));
+    }
+    if got.attempts != want.attempts {
+        violations.push(format!(
+            "job {id} recovered with {} resubmission attempts, stream says {}",
+            got.attempts, want.attempts
+        ));
+    }
+    if got.user != want.user {
+        violations.push(format!(
+            "job {id} recovered under user {:?}, stream says {:?}",
+            got.user, want.user
+        ));
+    }
+    if got.started != want.started {
+        violations.push(format!(
+            "job {id} recovered with started={}, stream says {}",
+            got.started, want.started
+        ));
+    }
 }
 
 #[cfg(test)]
@@ -718,5 +749,193 @@ mod tests {
         // Claiming it alive without a fresh deployment is a violation.
         let v = check_recovery_invariants(&tail, &expected, &expected.clone());
         assert!(v.iter().any(|m| m.contains("resurrected")), "{v:?}");
+    }
+
+    /// The recovery check as it was before its refold was scoped to the
+    /// tail's jobs: a whole-state clone refolded and compared table for
+    /// table, then one lookup per job each way. Kept as the oracle.
+    fn full_clone_check(
+        tail: &[TimedEvent],
+        expected: &ReplayState,
+        recovered: &ReplayState,
+    ) -> Vec<String> {
+        let mut violations = Vec::new();
+        let crash_at_ns = expected.last_at_ns;
+
+        let mut refolded = expected.clone();
+        for ev in tail {
+            refolded.apply(ev);
+        }
+        if refolded.jobs != expected.jobs {
+            violations.push("replay fold is not idempotent over the job table".into());
+        }
+        if refolded.agents != expected.agents {
+            violations.push("replay fold is not idempotent over the agent registry".into());
+        }
+        if refolded.spools != expected.spools {
+            violations.push("replay fold is not idempotent over the spool watermarks".into());
+        }
+        if refolded.site_health != expected.site_health {
+            violations.push("replay fold is not idempotent over the site-health registry".into());
+        }
+
+        for (id, want) in &expected.jobs {
+            let Some(got) = recovered.jobs.get(id) else {
+                violations.push(format!("job {id} in the stream is missing after recovery"));
+                continue;
+            };
+            compare_job(*id, got, want, &mut violations);
+        }
+        for id in recovered.jobs.keys() {
+            if !expected.jobs.contains_key(id) {
+                violations.push(format!("job {id} appeared from nowhere during recovery"));
+            }
+        }
+        for (id, agent) in &expected.agents {
+            if agent.alive && recovered.agents.get(id).is_some_and(|a| a.alive) {
+                violations.push(format!(
+                    "agent {id} resurrected across the crash without redeployment"
+                ));
+            }
+        }
+
+        for (label, view) in [("stream", expected), ("recovered", recovered)] {
+            for (id, job) in &view.jobs {
+                let lease_live = job
+                    .lease
+                    .as_ref()
+                    .is_some_and(|(_, until_ns)| *until_ns > crash_at_ns);
+                if job.queued && lease_live {
+                    violations.push(format!(
+                        "{label}: job {id} is on the broker queue while holding a live lease"
+                    ));
+                }
+            }
+        }
+
+        for (stream, want) in &expected.spools {
+            let got = recovered.spools.get(stream).map_or(0, |m| m.acked);
+            if got < want.acked {
+                violations.push(format!(
+                    "stream {stream}: ack watermark regressed across recovery ({got} < {})",
+                    want.acked
+                ));
+            }
+        }
+
+        violations
+    }
+
+    /// Every `(tail, expected, recovered)` the recovery tests above use, and
+    /// the cases the scoped check must get exactly right: a drifted, a lost
+    /// and an extra job (alone and together, so that the merge walk
+    /// interleaves them) and hand-edited `expected` states the tail does
+    /// not refold to.
+    fn recovery_cases() -> Vec<(&'static str, Vec<TimedEvent>, ReplayState, ReplayState)> {
+        let mut cases = Vec::new();
+        let tail = recovery_stream();
+        let expected = ReplayState::from_events(&tail);
+        let mut add = |name, tail: &[TimedEvent], expected: &ReplayState, recovered| {
+            cases.push((name, tail.to_vec(), expected.clone(), recovered));
+        };
+
+        add("faithful", &tail, &expected, expected.clone());
+        let mut drifted = expected.clone();
+        drifted.jobs.get_mut(&0).unwrap().phase = crate::replay::Phase::Finished;
+        add("drifted", &tail, &expected, drifted.clone());
+        let mut lost = expected.clone();
+        lost.jobs.remove(&1);
+        add("lost", &tail, &expected, lost);
+        let mut extra = expected.clone();
+        extra.jobs.insert(7, expected.jobs[&1].clone());
+        add("extra", &tail, &expected, extra);
+        // Job 9, which the tail never names, puts an extra id (5) between
+        // two jobs both views hold: its line still comes last.
+        let mut wide = expected.clone();
+        wide.jobs.insert(9, expected.jobs[&1].clone());
+        let mut mixed = drifted;
+        mixed.jobs.remove(&1);
+        for id in [5, 9, 1_000] {
+            mixed.jobs.insert(id, expected.jobs[&0].clone());
+        }
+        let job = mixed.jobs.get_mut(&0).unwrap();
+        job.attempts = 3;
+        job.user = "mallory".into();
+        job.started = true;
+        add("drifted, lost and extra", &tail, &wide, mixed);
+        let mut regressed = expected.clone();
+        regressed.spools.get_mut("stdout").unwrap().acked = 3;
+        add("ack regressed", &tail, &expected, regressed);
+
+        let mut queued_tail = recovery_stream();
+        queued_tail.push(TimedEvent {
+            at: SimTime::from_secs(90),
+            seq: queued_tail.len() as u64,
+            event: Event::JobQueued { job: 0 },
+        });
+        let queued = ReplayState::from_events(&queued_tail);
+        add("leased and queued", &queued_tail, &queued, queued.clone());
+
+        let agent_tail = stream(vec![Event::AgentDeployed {
+            agent: 4,
+            site: "a".into(),
+        }]);
+        let agents = ReplayState::from_events(&agent_tail);
+        let mut honest = agents.clone();
+        honest.agents.get_mut(&4).unwrap().alive = false;
+        add("agent honest", &agent_tail, &agents, honest);
+        add("agent resurrected", &agent_tail, &agents, agents.clone());
+
+        // Hand-edited `expected` states: a named job moved back, a named
+        // job dropped, a job the tail never names edited (the refold leaves
+        // it alone in both checks), and each registry off its fold.
+        let mut edits: Vec<(&str, ReplayState)> = Vec::new();
+        let mut back = expected.clone();
+        back.jobs.get_mut(&1).unwrap().phase = crate::replay::Phase::Submitted;
+        edits.push(("named job moved back", back));
+        let mut dropped = expected.clone();
+        dropped.jobs.remove(&0);
+        edits.push(("named job dropped", dropped));
+        let mut unnamed = expected.clone();
+        unnamed.jobs.insert(9, expected.jobs[&1].clone());
+        unnamed.jobs.get_mut(&9).unwrap().attempts = 4;
+        edits.push(("unnamed job edited", unnamed));
+        let mut spools = expected.clone();
+        spools.spools.get_mut("stdout").unwrap().appended = 2;
+        edits.push(("spool mark lowered", spools));
+        for (name, edited) in edits {
+            add(name, &tail, &edited, expected.clone());
+            add(name, &tail, &edited, edited.clone());
+        }
+        let mut agent_edit = agents.clone();
+        agent_edit.agents.get_mut(&4).unwrap().site = "b".into();
+        add("agent site edited", &agent_tail, &agent_edit, agents);
+        let health_tail = stream(vec![Event::SiteSuspect {
+            site: "a".into(),
+            missed_refreshes: 2,
+            failed_queries: 0,
+        }]);
+        let mut health = ReplayState::from_events(&health_tail);
+        health
+            .site_health
+            .insert("a".into(), crate::replay::SiteHealth::Dead);
+        add("site health edited", &health_tail, &health, health.clone());
+        cases
+    }
+
+    #[test]
+    fn the_scoped_check_returns_what_the_full_clone_check_returns() {
+        let mut not_idempotent = 0;
+        for (name, tail, expected, recovered) in recovery_cases() {
+            let want = full_clone_check(&tail, &expected, &recovered);
+            assert_eq!(
+                check_recovery_invariants(&tail, &expected, &recovered),
+                want,
+                "{name}"
+            );
+            not_idempotent += usize::from(want.iter().any(|m| m.contains("not idempotent")));
+        }
+        // Every hand-edited state but the unnamed job's reaches a verdict.
+        assert_eq!(not_idempotent, 8);
     }
 }

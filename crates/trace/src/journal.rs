@@ -416,13 +416,6 @@ impl LoadedJournal {
             .map(|e| e.seq)
             .or(self.snapshot.as_ref().map(|s| s.through_seq))
     }
-
-    /// Sim-time of the last journalled event — the recovery epoch's "crash
-    /// time".
-    #[must_use]
-    pub fn crash_at_ns(&self) -> u64 {
-        self.events.last().map_or(0, |e| e.at.as_nanos())
-    }
 }
 
 /// How much of the file [`open_journal`] holds at a time. A frame larger

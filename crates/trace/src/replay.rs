@@ -268,6 +268,12 @@ impl ReplayState {
     }
 
     /// Applies one event.
+    ///
+    /// A job arm touches only the job its event names, through the one
+    /// accessor `job(id, at_ns)`: it reads and writes no other entry of the
+    /// job table. The recovery check relies on this to refold a tail over
+    /// just the jobs the tail names ([`crate::check_recovery_invariants`],
+    /// rule 6a).
     pub fn apply(&mut self, te: &TimedEvent) {
         let at_ns = te.at.as_nanos();
         self.last_seq = Some(self.last_seq.map_or(te.seq, |s| s.max(te.seq)));
@@ -478,6 +484,21 @@ fn get_name(c: &mut Cursor<'_>) -> Result<Arc<str>, CodecError> {
     c.str_ref().map(Arc::from)
 }
 
+/// The user and site names one blob has decoded so far, so that every job
+/// of a user (every agent at a site) shares one `Arc` as it did live. It
+/// lives for one [`decode_state`] call.
+#[derive(Default)]
+struct SharedNames<'a>(BTreeMap<&'a str, Arc<str>>);
+
+impl<'a> SharedNames<'a> {
+    fn get(&mut self, c: &mut Cursor<'a>) -> Result<Arc<str>, CodecError> {
+        let name = c.str_ref()?;
+        Ok(Arc::clone(
+            self.0.entry(name).or_insert_with(|| Arc::from(name)),
+        ))
+    }
+}
+
 /// Serializes a [`ReplayState`] into the versioned snapshot blob format.
 #[must_use]
 pub fn encode_state(state: &ReplayState) -> Vec<u8> {
@@ -564,11 +585,12 @@ pub fn decode_state(bytes: &[u8]) -> Result<ReplayState, CodecError> {
         ..ReplayState::default()
     };
 
+    let mut names = SharedNames::default();
     let n_jobs = c.u32()?;
     for _ in 0..n_jobs {
         let id = c.u64()?;
         let job = ReplayJob {
-            user: get_name(&mut c)?,
+            user: names.get(&mut c)?,
             interactive: c.bool()?,
             phase: phase_from_tag(c.u8()?)?,
             queued: c.bool()?,
@@ -593,7 +615,7 @@ pub fn decode_state(bytes: &[u8]) -> Result<ReplayState, CodecError> {
     for _ in 0..n_agents {
         let id = c.u64()?;
         let agent = ReplayAgent {
-            site: get_name(&mut c)?,
+            site: names.get(&mut c)?,
             alive: c.bool()?,
             ready: c.bool()?,
         };
@@ -810,9 +832,13 @@ mod tests {
         let mut s = ReplayState::from_events(&little_stream());
         s.site_health.insert("a".into(), SiteHealth::Suspect);
         s.site_health.insert("b".into(), SiteHealth::Dead);
+        let again = s.jobs[&0].clone();
+        s.jobs.insert(2, again);
         let blob = encode_state(&s);
         let back = decode_state(&blob).unwrap();
         assert_eq!(back, s);
+        // Two jobs of one user share the decoded name.
+        assert!(Arc::ptr_eq(&back.jobs[&0].user, &back.jobs[&2].user));
     }
 
     #[test]
