@@ -2,8 +2,8 @@
 //!
 //! §4: "When the reliable mode is selected, both the CA and the CS write data
 //! to the local disk and retry failed operations at regular intervals." The
-//! spool is an append-only log of `(seq, payload)` records per stream; after
-//! a reconnect the peer reports the highest sequence it received and the
+//! spool is a log of `(seq, payload)` journal frames per stream; after a
+//! reconnect the peer reports the highest sequence it received and the
 //! sender replays everything after it, byte-exactly.
 
 use std::fs::{File, OpenOptions};
@@ -12,10 +12,11 @@ use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
 use cg_sim::SimTime;
+use cg_trace::journal::{self, CrcMismatch, FRAME_HEADER, KIND_SPOOL_ACK, KIND_SPOOL_RECORD};
 use cg_trace::{Event, EventLog};
 
-/// On-disk record header: seq (8) + len (4).
-const HEADER: usize = 12;
+/// `(seq, payload_offset, len)` per record, in file order.
+type Index = Vec<(u64, u64, u32)>;
 
 /// Sidecar file persisting the cumulative ack watermark across reopens.
 fn ack_path(path: &Path) -> PathBuf {
@@ -24,17 +25,60 @@ fn ack_path(path: &Path) -> PathBuf {
     PathBuf::from(os)
 }
 
+/// A `kind` frame of `seq u64 LE ‖ payload`.
+fn framed(kind: u8, seq: u64, payload: &[u8]) -> io::Result<Vec<u8>> {
+    let mut buf = Vec::with_capacity(FRAME_HEADER + 8 + payload.len());
+    journal::frame(&mut buf, kind, |buf| {
+        buf.extend_from_slice(&seq.to_le_bytes());
+        buf.extend_from_slice(payload);
+    })?;
+    Ok(buf)
+}
+
+/// The whole frames at the front of `bytes`, and where the last one ends. A
+/// whole frame that fails its CRC, or is not a `want` frame with a seq, is
+/// `InvalidData` naming `path` and the frame's offset.
+fn read_frames(path: &Path, bytes: &[u8], want: u8) -> io::Result<(Index, usize)> {
+    let (mut index, mut at) = (Vec::new(), 0);
+    while let Some((kind, payload)) = journal::next_frame(&bytes[at..])
+        .map_err(|CrcMismatch| invalid(path, at, "CRC mismatch"))?
+    {
+        let Some((seq, data)) = payload.split_first_chunk().filter(|_| kind == want) else {
+            return Err(invalid(path, at, &format!("unexpected kind-{kind} frame")));
+        };
+        let start = at + FRAME_HEADER + 8;
+        at = start + data.len();
+        index.push((u64::from_le_bytes(*seq), start as u64, data.len() as u32));
+    }
+    Ok((index, at))
+}
+
+fn invalid(path: &Path, at: usize, what: &str) -> io::Error {
+    let msg = format!("{}: {what} at byte {at}", path.display());
+    io::Error::new(io::ErrorKind::InvalidData, msg)
+}
+
+/// The watermark in a `.ack` sidecar, which must be one whole kind-4 frame.
+fn read_watermark(path: &Path) -> io::Result<u64> {
+    let bytes = std::fs::read(path)?;
+    let (frames, end) = read_frames(path, &bytes, KIND_SPOOL_ACK)?;
+    match frames[..] {
+        [(acked, _, 0)] if end == bytes.len() => Ok(acked),
+        _ => Err(invalid(path, end, "not one whole watermark frame")),
+    }
+}
+
 /// An append-only, replayable log of sequenced payloads.
 #[derive(Debug)]
 pub struct Spool {
     file: File,
     path: PathBuf,
-    /// `(seq, file_offset, len)` in append order.
-    index: Vec<(u64, u64, u32)>,
+    index: Index,
     /// Highest cumulatively acknowledged sequence.
     acked: u64,
     /// Total payload bytes ever appended (metric).
     appended_bytes: u64,
+    truncated_bytes: u64,
     /// Lifecycle event sink and this spool's stream label.
     trace: Option<(EventLog, Arc<str>)>,
     /// The owner's clock at its current step: the trace events' stamp.
@@ -42,53 +86,34 @@ pub struct Spool {
 }
 
 impl Spool {
-    /// Opens (or creates) a spool file, rebuilding the index from any
-    /// existing records. A trailing partial record (crash mid-append) is
-    /// discarded by truncation. The ack watermark survives reopens via a
-    /// `.ack` sidecar file — without it, a compacted-then-reopened spool
-    /// would accept duplicate sequence numbers and replay ambiguously.
+    /// Opens (or creates) a spool file and indexes its records. A last frame
+    /// cut short (a kill mid-append) is dropped and counted in
+    /// [`Spool::truncated_bytes`]; any other bad frame, and a `.ack` that is
+    /// not one whole watermark frame, is `InvalidData`. No sequence is used
+    /// twice because [`Spool::ack`] renames the watermark into place before
+    /// compaction drops a record: each used one is in the file or under it.
     pub fn open(path: impl AsRef<Path>) -> io::Result<Self> {
         let path = path.as_ref().to_path_buf();
-        let mut file = OpenOptions::new()
+        let file = OpenOptions::new()
             .read(true)
             .write(true)
             .create(true)
             .truncate(false)
             .open(&path)?;
-        let mut index = Vec::new();
-        let mut offset = 0u64;
-        let len = file.metadata()?.len();
-        let mut header = [0u8; HEADER];
-        let mut valid_end = 0u64;
-        file.seek(SeekFrom::Start(0))?;
-        while offset + HEADER as u64 <= len {
-            file.read_exact(&mut header)?;
-            let seq = u64::from_le_bytes(header[..8].try_into().expect("8 bytes"));
-            let dlen = u32::from_le_bytes(header[8..].try_into().expect("4 bytes"));
-            let end = offset + HEADER as u64 + dlen as u64;
-            if end > len {
-                break; // partial record
-            }
-            index.push((seq, offset, dlen));
-            file.seek(SeekFrom::Start(end))?;
-            offset = end;
-            valid_end = end;
-        }
-        if valid_end < len {
-            file.set_len(valid_end)?;
-        }
-        file.seek(SeekFrom::End(0))?;
-        let appended_bytes = index.iter().map(|&(_, _, l)| l as u64).sum();
-        let acked = match std::fs::read(ack_path(&path)) {
-            Ok(bytes) if bytes.len() == 8 => u64::from_le_bytes(bytes.try_into().expect("8 bytes")),
-            _ => 0,
+        let bytes = std::fs::read(&path)?;
+        let (index, end) = read_frames(&path, &bytes, KIND_SPOOL_RECORD)?;
+        file.set_len(end as u64)?;
+        let acked = match read_watermark(&ack_path(&path)) {
+            Err(e) if e.kind() == io::ErrorKind::NotFound => 0,
+            acked => acked?,
         };
         Ok(Spool {
             file,
             path,
+            appended_bytes: index.iter().map(|&(_, _, l)| l as u64).sum(),
             index,
             acked,
-            appended_bytes,
+            truncated_bytes: (bytes.len() - end) as u64,
             trace: None,
             now_ns: 0,
         })
@@ -102,8 +127,7 @@ impl Spool {
 
     fn trace_event(&self, make: impl FnOnce(Arc<str>) -> Event) {
         if let Some((log, stream)) = &self.trace {
-            let stream = Arc::clone(stream);
-            log.record(SimTime::from_nanos(self.now_ns), make(stream));
+            log.record(SimTime::from_nanos(self.now_ns), make(Arc::clone(stream)));
         }
     }
 
@@ -112,27 +136,20 @@ impl Spool {
         self.now_ns = now_ns;
     }
 
-    /// Appends a record. Sequences must be strictly increasing, including
-    /// across acknowledged (compacted-away) records.
+    /// Appends a record in one write, without an fsync: it survives a
+    /// killed process. Sequences start at 1 and must be strictly increasing,
+    /// including across acknowledged (compacted-away) records.
     ///
     /// # Panics
     /// Panics on a sequence at or below [`Spool::highest_seq`] — replay
     /// would be ambiguous.
     pub fn append(&mut self, seq: u64, payload: &[u8]) -> io::Result<()> {
         let high = self.highest_seq();
-        if !self.index.is_empty() || self.acked > 0 {
-            assert!(
-                seq > high,
-                "spool sequence must increase: {seq} after {high}"
-            );
-        }
-        let offset = self.file.seek(SeekFrom::End(0))?;
-        let mut header = [0u8; HEADER];
-        header[..8].copy_from_slice(&seq.to_le_bytes());
-        header[8..].copy_from_slice(&(payload.len() as u32).to_le_bytes());
-        self.file.write_all(&header)?;
-        self.file.write_all(payload)?;
-        self.index.push((seq, offset, payload.len() as u32));
+        assert!(seq > high, "sequence must increase: {seq} after {high}");
+        let record = framed(KIND_SPOOL_RECORD, seq, payload)?;
+        let start = self.file.seek(SeekFrom::End(0))? + (FRAME_HEADER + 8) as u64;
+        self.file.write_all(&record)?;
+        self.index.push((seq, start, payload.len() as u32));
         self.appended_bytes += payload.len() as u64;
         self.trace_event(|stream| Event::SpoolAppend { stream, seq });
         Ok(())
@@ -143,12 +160,11 @@ impl Spool {
         let mut out = Vec::new();
         let start = self.index.partition_point(|&(s, _, _)| s <= after);
         for &(seq, offset, len) in &self.index[start..] {
-            self.file.seek(SeekFrom::Start(offset + HEADER as u64))?;
+            self.file.seek(SeekFrom::Start(offset))?;
             let mut buf = vec![0u8; len as usize];
             self.file.read_exact(&mut buf)?;
             out.push((seq, buf));
         }
-        self.file.seek(SeekFrom::End(0))?;
         self.trace_event(|stream| Event::SpoolReplay {
             stream,
             after,
@@ -157,22 +173,16 @@ impl Spool {
         Ok(out)
     }
 
-    /// Records a cumulative acknowledgement, persisting the watermark so a
-    /// reopen sees it. When everything is acked the file is compacted to
-    /// zero length.
+    /// Records a cumulative acknowledgement. Once the new watermark is in
+    /// place ([`journal::replace_file`]), a fully acked file is compacted.
     pub fn ack(&mut self, seq: u64) -> io::Result<()> {
         if seq > self.acked {
+            journal::replace_file(&ack_path(&self.path), &framed(KIND_SPOOL_ACK, seq, &[])?)?;
             self.acked = seq;
-            std::fs::write(ack_path(&self.path), self.acked.to_le_bytes())?;
         }
-        if self
-            .index
-            .last()
-            .is_some_and(|&(last, _, _)| last <= self.acked)
-        {
+        if !self.index.is_empty() && self.highest_seq() == self.acked {
             self.index.clear();
             self.file.set_len(0)?;
-            self.file.seek(SeekFrom::Start(0))?;
         }
         let acked = self.acked;
         self.trace_event(|stream| Event::SpoolAck { stream, seq: acked });
@@ -183,9 +193,7 @@ impl Spool {
     /// seen neither. Consistent across compaction: acknowledged records are
     /// removed from disk but their sequence numbers stay burned.
     pub fn highest_seq(&self) -> u64 {
-        self.index
-            .last()
-            .map_or(self.acked, |&(s, _, _)| s.max(self.acked))
+        self.index.last().map_or(0, |r| r.0).max(self.acked)
     }
 
     /// Highest cumulative ack received.
@@ -203,32 +211,23 @@ impl Spool {
         self.appended_bytes
     }
 
-    /// Path of the backing file.
-    pub fn path(&self) -> &Path {
-        &self.path
+    /// Bytes of a torn last frame that [`Spool::open`] cut off.
+    pub fn truncated_bytes(&self) -> u64 {
+        self.truncated_bytes
     }
 }
 
-/// Scans `dir` for spool `.ack` sidecars and returns each spool's persisted
-/// ack watermark, keyed by the spool file's name (the stream label),
-/// sorted. Crash recovery seeds the broker's spool watermarks from this
-/// without having to open and index every spool file; the recovery
-/// invariants then enforce that no stream's watermark regresses.
+/// Each spool's watermark in `dir` from its `.ack` sidecar alone, keyed by
+/// the spool file's name (the stream label), sorted; a sidecar that is not
+/// one whole watermark frame is an error naming it. Crash recovery seeds the
+/// broker's spool watermarks from this and checks that none regresses.
 pub fn recover_watermarks(dir: impl AsRef<Path>) -> io::Result<Vec<(String, u64)>> {
     let mut out = Vec::new();
     for entry in std::fs::read_dir(dir)? {
         let path = entry?.path();
-        let Some(name) = path.file_name().and_then(|n| n.to_str()) else {
-            continue;
-        };
-        let Some(stream) = name.strip_suffix(".ack") else {
-            continue;
-        };
-        let Ok(bytes) = std::fs::read(&path) else {
-            continue; // raced a compacting writer; skip
-        };
-        if let Ok(word) = <[u8; 8]>::try_from(bytes.as_slice()) {
-            out.push((stream.to_string(), u64::from_le_bytes(word)));
+        let name = path.file_name().and_then(|n| n.to_str());
+        if let Some(stream) = name.and_then(|n| n.strip_suffix(".ack")) {
+            out.push((stream.to_string(), read_watermark(&path)?));
         }
     }
     out.sort();

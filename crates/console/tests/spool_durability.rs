@@ -5,13 +5,24 @@
 //! watermark, (c) never re-deliver data at or below that watermark, and
 //! (d) surface the surviving unacked records as an exact in-order prefix —
 //! torn writes may only ever drop a suffix, never corrupt the middle.
+//!
+//! The plain tests at the end hold the rest of the crash contract (a killed
+//! process, as in the journal's tests): a kill anywhere in the watermark's
+//! replace leaves the old watermark, a short `.ack` is an error, never
+//! watermark 0, and a flipped bit is reported, never replayed.
 
 use std::fs::OpenOptions;
+use std::io;
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use cg_console::Spool;
+use cg_console::{recover_watermarks, Spool};
 use proptest::prelude::*;
+
+#[path = "support/temp_dir.rs"]
+mod temp_dir;
+use temp_dir::TempDir;
 
 static CASE: AtomicU64 = AtomicU64::new(0);
 
@@ -139,5 +150,144 @@ proptest! {
             prop_assert_eq!(marks, vec![("stdout-r0".to_string(), highest_ack)]);
         }
         std::fs::remove_dir_all(&dir).unwrap();
+    }
+}
+
+fn sidecar(path: &Path, suffix: &str) -> PathBuf {
+    let mut os = path.as_os_str().to_os_string();
+    os.push(suffix);
+    PathBuf::from(os)
+}
+
+/// A spool at `path` holding records 1–3, acked through 2: the watermark is
+/// on disk and the file is not compacted.
+fn three_records_acked_through_two(path: &Path) {
+    let mut s = Spool::open(path).unwrap();
+    for seq in 1..=3 {
+        s.append(seq, format!("record-{seq}").as_bytes()).unwrap();
+    }
+    s.ack(2).unwrap();
+}
+
+/// Every `append(s)` with `s <= high` panics as a reused sequence.
+fn every_burned_sequence_panics(s: &mut Spool, high: u64) {
+    for seq in 0..=high {
+        let reused = catch_unwind(AssertUnwindSafe(|| s.append(seq, b"again")));
+        let err = reused.expect_err("a burned sequence was accepted again");
+        let msg = err
+            .downcast_ref::<String>()
+            .map(String::as_str)
+            .or_else(|| err.downcast_ref::<&str>().copied())
+            .unwrap_or_default();
+        assert!(msg.contains("sequence must increase"), "{msg}");
+    }
+}
+
+/// A kill at any byte of the watermark's replace, before its rename: the
+/// new watermark sits in `.ack.next`, cut at every byte or whole (a stale
+/// file that was never renamed), next to the old `.ack` and the uncompacted
+/// spool. The reopened spool keeps the old watermark and burns every
+/// sequence it had seen; the next ack then goes through.
+#[test]
+fn a_kill_anywhere_in_the_ack_keeps_the_old_watermark() {
+    let dir = TempDir::new("cg-spool-ack-kill", "next");
+    let done = dir.path().join("done.spool");
+    three_records_acked_through_two(&done);
+    Spool::open(&done).unwrap().ack(3).unwrap();
+    let new_mark = std::fs::read(sidecar(&done, ".ack")).unwrap();
+
+    let path = dir.path().join("s.spool");
+    three_records_acked_through_two(&path);
+    let spool = std::fs::read(&path).unwrap();
+    let old_mark = std::fs::read(sidecar(&path, ".ack")).unwrap();
+    for cut in 0..=new_mark.len() {
+        std::fs::write(&path, &spool).unwrap();
+        std::fs::write(sidecar(&path, ".ack"), &old_mark).unwrap();
+        std::fs::write(sidecar(&path, ".ack.next"), &new_mark[..cut]).unwrap();
+        let mut s = Spool::open(&path).unwrap();
+        assert_eq!((s.acked(), s.highest_seq()), (2, 3), "cut {cut}");
+        assert_eq!(s.replay_after(2).unwrap(), vec![(3, b"record-3".to_vec())]);
+        every_burned_sequence_panics(&mut s, 3);
+        assert_eq!(
+            recover_watermarks(dir.path()).unwrap()[1],
+            ("s.spool".into(), 2)
+        );
+    }
+    let mut s = Spool::open(&path).unwrap();
+    s.ack(3).unwrap();
+    assert_eq!(std::fs::read(sidecar(&path, ".ack")).unwrap(), new_mark);
+    assert!(!sidecar(&path, ".ack.next").exists(), "renamed into place");
+    assert_eq!(std::fs::metadata(&path).unwrap().len(), 0, "compacted");
+    drop(s);
+    every_burned_sequence_panics(&mut Spool::open(&path).unwrap(), 3);
+}
+
+/// A `.ack` of 0–7 bytes, as a kill between a truncate and a write would
+/// leave one, is an error for `Spool::open` and `recover_watermarks` alike,
+/// never watermark 0: after a full ack the spool file is empty, so
+/// watermark 0 would hand out sequence 1 again.
+#[test]
+fn a_short_ack_is_an_error_not_watermark_zero() {
+    let dir = TempDir::new("cg-spool-ack-short", "cut");
+    let path = dir.path().join("s.spool");
+    let mut s = Spool::open(&path).unwrap();
+    for seq in 1..=3 {
+        s.append(seq, b"payload").unwrap();
+    }
+    s.ack(3).unwrap();
+    drop(s);
+    assert_eq!(std::fs::metadata(&path).unwrap().len(), 0);
+    let ack = sidecar(&path, ".ack");
+    for len in 0..8 {
+        OpenOptions::new()
+            .write(true)
+            .open(&ack)
+            .unwrap()
+            .set_len(len)
+            .unwrap();
+        let err = Spool::open(&path).expect_err("a short .ack read as a watermark");
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{len} bytes: {err}");
+        let err = recover_watermarks(dir.path()).expect_err("a short .ack was skipped");
+        assert!(err.to_string().contains("s.spool.ack"), "{err}");
+    }
+}
+
+/// One flipped bit anywhere in a five-record spool is reported: `open`
+/// fails with `InvalidData`, or (a length that now runs past the end reads
+/// as a torn tail) keeps exactly the records before the flipped frame and
+/// counts every byte it dropped. A changed payload is never replayed.
+#[test]
+fn a_flipped_bit_is_reported_never_replayed() {
+    let dir = TempDir::new("cg-spool-flip", "bits");
+    let path = dir.path().join("s.spool");
+    let records: Vec<(u64, Vec<u8>)> = (1..=5u64)
+        .map(|seq| {
+            (
+                seq,
+                format!("payload {seq}").repeat(seq as usize).into_bytes(),
+            )
+        })
+        .collect();
+    let mut s = Spool::open(&path).unwrap();
+    let mut starts = Vec::new();
+    for (seq, payload) in &records {
+        starts.push(std::fs::metadata(&path).unwrap().len());
+        s.append(*seq, payload).unwrap();
+    }
+    drop(s);
+    let clean = std::fs::read(&path).unwrap();
+    for bit in 0..clean.len() * 8 {
+        let mut bytes = clean.clone();
+        bytes[bit / 8] ^= 1 << (bit % 8);
+        std::fs::write(&path, &bytes).unwrap();
+        let frame = starts.partition_point(|&start| start <= (bit / 8) as u64) - 1;
+        match Spool::open(&path) {
+            Err(e) => assert_eq!(e.kind(), io::ErrorKind::InvalidData, "bit {bit}: {e}"),
+            Ok(mut s) => {
+                assert_eq!(s.replay_after(0).unwrap(), records[..frame], "bit {bit}");
+                let dropped = clean.len() as u64 - starts[frame];
+                assert_eq!(s.truncated_bytes(), dropped, "bit {bit}");
+            }
+        }
     }
 }

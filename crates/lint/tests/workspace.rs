@@ -4,7 +4,8 @@
 //! discipline L2, policy purity L3, allow hygiene W501), no core module
 //! passes the 800-line budget, the `un`-`safe` keyword stays in its two
 //! allowed files, no first-party source names one of the retired `compat/`
-//! shims, and CI runs no tier-1 test a second time.
+//! shims, CI runs no tier-1 test a second time, and every `DESIGN §…`
+//! reference names a section DESIGN.md has.
 
 use cg_lint::lint_root;
 use std::fs;
@@ -346,4 +347,90 @@ jobs:
             "cargo run -p cg-bench --release --bin policy_ab -- --check",
         ]
     );
+}
+
+/// The first-party `.rs`, `.toml`, `.yml` and `.md` files under `dir`,
+/// recursively, past build output, git's files and the `compat/` shims.
+fn doc_bearing_files(dir: &Path, out: &mut Vec<PathBuf>) {
+    for entry in fs::read_dir(dir).expect("directory readable") {
+        let path = entry.expect("directory entry readable").path();
+        let name = path.file_name().unwrap_or_default().to_string_lossy();
+        if path.is_dir() {
+            let skip = ["target", "out", "compat", ".git", ".bench_build"];
+            if !skip.contains(&name.as_ref()) {
+                doc_bearing_files(&path, out);
+            }
+        } else if [".rs", ".toml", ".yml", ".md"]
+            .iter()
+            .any(|e| name.ends_with(e))
+        {
+            out.push(path);
+        }
+    }
+}
+
+/// The section ids that `DESIGN §X` / `DESIGN.md §X` (the file name
+/// optionally in backticks) cites in `text`: a number and an optional
+/// lower-case letter, as DESIGN.md numbers its `## X.` headings.
+fn design_refs(text: &str) -> Vec<&str> {
+    let mut refs = Vec::new();
+    for (at, _) in text.match_indices('§') {
+        let before = text[..at].trim_end_matches(' ');
+        if !["DESIGN", "DESIGN.md", "DESIGN.md`"]
+            .iter()
+            .any(|name| before.ends_with(name))
+        {
+            continue;
+        }
+        let id = &text[at + '§'.len_utf8()..];
+        let digits = id.find(|c: char| !c.is_ascii_digit()).unwrap_or(id.len());
+        let letter = id[digits..].starts_with(|c: char| c.is_ascii_lowercase());
+        if digits > 0 {
+            refs.push(&id[..digits + usize::from(letter)]);
+        }
+    }
+    refs
+}
+
+#[test]
+fn every_design_section_reference_resolves() {
+    let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
+    let design = fs::read_to_string(root.join("DESIGN.md")).expect("DESIGN.md readable");
+    let heads: Vec<&str> = design
+        .lines()
+        .filter_map(|line| line.strip_prefix("## ")?.split_once('.'))
+        .map(|(id, _)| id)
+        .collect();
+    let mut files = Vec::new();
+    doc_bearing_files(&root, &mut files);
+    let (mut refs, mut dangling) = (0, Vec::new());
+    for path in &files {
+        let Ok(text) = fs::read_to_string(path) else {
+            continue;
+        };
+        for id in design_refs(&text) {
+            refs += 1;
+            if !heads.contains(&id) {
+                let name = path.strip_prefix(&root).unwrap_or(path);
+                dangling.push(format!("{}: DESIGN §{id}", name.display()));
+            }
+        }
+    }
+    assert!(refs > 20, "found only {refs} references");
+    assert!(
+        dangling.is_empty(),
+        "no such DESIGN.md heading:\n{}",
+        dangling.join("\n")
+    );
+}
+
+#[test]
+fn design_refs_reads_each_spelling() {
+    // §10b does not exist: spelled in two halves, so the scan of this file
+    // does not read it.
+    let text = concat!(
+        "DESIGN §7d, `DESIGN.md` §7m. DESIGN.md §8; §3; DESIGN ",
+        "§10b."
+    );
+    assert_eq!(design_refs(text), ["7d", "7m", "8", "10b"]);
 }

@@ -13,8 +13,10 @@
 //!
 //! The checksum is IEEE CRC-32, from the `crc` submodule: a carry-less
 //! multiplication fold on x86-64 hosts with `pclmulqdq`, slicing-by-8
-//! tables elsewhere, the same value either way. The writer frames and the
-//! reader checks every record with it; this file is framing and I/O.
+//! tables elsewhere, the same value either way. [`frame`] writes and
+//! [`next_frame`] checks every frame, the journal's and the reliable console
+//! spool's (kinds 3 and 4, no magic), and [`replace_file`] puts each new
+//! file in place; this file is framing and I/O.
 //!
 //! Event payloads use the binary codec in [`crate::codec`]; snapshot payloads
 //! are `[through_seq: u64 LE]` followed by an opaque state blob (see
@@ -50,8 +52,12 @@ pub const JOURNAL_MAGIC: &[u8; 8] = b"CGJRNL01";
 
 const KIND_EVENT: u8 = 1;
 const KIND_SNAPSHOT: u8 = 2;
+/// A reliable-console spool record: `seq u64 LE ‖ payload`.
+pub const KIND_SPOOL_RECORD: u8 = 3;
+/// A spool's ack watermark: `acked u64 LE`, alone in its `.ack` file.
+pub const KIND_SPOOL_ACK: u8 = 4;
 /// kind + len + crc.
-const FRAME_HEADER: usize = 1 + 4 + 4;
+pub const FRAME_HEADER: usize = 1 + 4 + 4;
 
 // ── errors ──────────────────────────────────────────────────────────────
 
@@ -168,11 +174,9 @@ impl WriterInner {
         }
     }
 
-    /// Starts the file over at a snapshot. The open group is dropped, not
-    /// written: the caller checked that every record in it is at or below
-    /// `through_seq`. The new file is complete and durable under its own
-    /// name before the rename puts it in place, so `path` is always either
-    /// the old journal, intact, or the new one.
+    /// Starts the file over at a snapshot, through [`replace_file`]. The
+    /// open group is dropped, not written: the caller checked that every
+    /// record in it is at or below `through_seq`.
     fn rotate(&mut self, path: &Path, through_seq: u64, state: &[u8]) -> io::Result<()> {
         self.buf.clear();
         self.buf.extend_from_slice(JOURNAL_MAGIC);
@@ -180,20 +184,9 @@ impl WriterInner {
             buf.extend_from_slice(&through_seq.to_le_bytes());
             buf.extend_from_slice(state);
         })?;
-        let next = next_path(path);
-        let mut file = OpenOptions::new()
-            .create(true)
-            .write(true)
-            .truncate(true)
-            .open(&next)?;
-        let written = file.write_all(&self.buf);
+        let replaced = replace_file(path, &self.buf);
         self.buf.clear();
-        written?;
-        // cg-lint: allow(lock-across-io): single-writer journal; the snapshot is durable under its own name before it replaces the old file
-        file.sync_data()?;
-        std::fs::rename(&next, path)?;
-        sync_parent_dir(path)?;
-        self.file = file;
+        self.file = replaced?;
         self.appended += 1;
         self.unsynced = 0;
         Ok(())
@@ -218,8 +211,8 @@ impl WriterInner {
 
 /// Frames one record at the end of `buf`: reserves the header, lets `encode`
 /// write the payload straight behind it, then patches `len` and the CRC
-/// computed in place.
-fn frame(buf: &mut Vec<u8>, kind: u8, encode: impl FnOnce(&mut Vec<u8>)) -> io::Result<()> {
+/// computed in place. Fails only on a payload over 4 GiB.
+pub fn frame(buf: &mut Vec<u8>, kind: u8, encode: impl FnOnce(&mut Vec<u8>)) -> io::Result<()> {
     let start = buf.len();
     buf.push(kind);
     buf.extend_from_slice(&[0; FRAME_HEADER - 1]);
@@ -233,21 +226,50 @@ fn frame(buf: &mut Vec<u8>, kind: u8, encode: impl FnOnce(&mut Vec<u8>)) -> io::
     Ok(())
 }
 
-/// Where a rotation writes the next file before renaming it over `path`.
+/// A whole frame whose CRC does not match its bytes.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct CrcMismatch;
+
+/// Reads the frame at the front of `bytes`: its kind and payload when all of
+/// it is there and its CRC holds, [`CrcMismatch`] when it is whole and does
+/// not, `None` when it runs into the end of the input (torn, or not read).
+pub fn next_frame(bytes: &[u8]) -> Result<Option<(u8, &[u8])>, CrcMismatch> {
+    let Some(frame) = frame_size(bytes).and_then(|size| bytes.get(..size)) else {
+        return Ok(None);
+    };
+    let (header, payload) = frame.split_at(FRAME_HEADER);
+    let stored_crc = u32::from_le_bytes([header[5], header[6], header[7], header[8]]);
+    (frame_crc(&header[..5], payload) == stored_crc)
+        .then_some(Some((header[0], payload)))
+        .ok_or(CrcMismatch)
+}
+
+/// Puts `bytes` in place as the whole of `path`: writes `{path}.next`,
+/// fsyncs it, renames it over `path` and fsyncs the directory, so `path` is
+/// always either the old file, intact, or the new one. Returns the new
+/// file, open for writing at its end.
+pub fn replace_file(path: &Path, bytes: &[u8]) -> io::Result<File> {
+    let next = next_path(path);
+    let mut file = OpenOptions::new()
+        .create(true)
+        .write(true)
+        .truncate(true)
+        .open(&next)?;
+    file.write_all(bytes)?;
+    // cg-lint: allow(lock-across-io): one writer per file; the new file is durable under its own name before it replaces the old one
+    file.sync_data()?;
+    std::fs::rename(&next, path)?;
+    let dir = path.parent().filter(|dir| !dir.as_os_str().is_empty());
+    // cg-lint: allow(lock-across-io): one writer per file; the directory fsync is the rename's durability point
+    File::open(dir.unwrap_or(Path::new(".")))?.sync_all()?;
+    Ok(file)
+}
+
+/// Where [`replace_file`] writes the next file before renaming it over `path`.
 fn next_path(path: &Path) -> PathBuf {
     let mut name = path.as_os_str().to_owned();
     name.push(".next");
     PathBuf::from(name)
-}
-
-/// Makes a rename inside `path`'s directory durable.
-fn sync_parent_dir(path: &Path) -> io::Result<()> {
-    let dir = path
-        .parent()
-        .filter(|dir| !dir.as_os_str().is_empty())
-        .unwrap_or(Path::new("."));
-    // cg-lint: allow(lock-across-io): single-writer journal; the directory fsync under the writer lock is the rename's durability point
-    File::open(dir)?.sync_all()
 }
 
 impl Drop for WriterInner {
@@ -284,19 +306,14 @@ impl fmt::Debug for Journal {
 }
 
 impl Journal {
-    /// Creates (truncating) a journal at `path` and writes the file magic.
+    /// Creates a journal at `path` that holds only the file magic, put in
+    /// place over any file there by [`replace_file`].
     ///
     /// # Errors
-    /// Propagates file-creation and write failures.
+    /// Propagates file-creation, write, sync and rename failures.
     pub fn create(path: impl AsRef<Path>, config: JournalConfig) -> io::Result<Journal> {
         let path = path.as_ref().to_path_buf();
-        let mut file = OpenOptions::new()
-            .create(true)
-            .write(true)
-            .truncate(true)
-            .open(&path)?;
-        file.write_all(JOURNAL_MAGIC)?;
-        file.sync_data()?;
+        let file = replace_file(&path, JOURNAL_MAGIC)?;
         Ok(Journal::over(file, path, config))
     }
 
@@ -343,20 +360,12 @@ impl Journal {
     }
 
     /// Writes a snapshot covering all events with `seq <= through_seq` and
-    /// starts the journal over at it, dropping the prefix it summarises:
-    ///
-    /// 1. the open commit group is dropped (the snapshot covers it);
-    /// 2. `{path}.next` is created or truncated and gets the magic and the
-    ///    snapshot record;
-    /// 3. that file is fsynced;
-    /// 4. it is renamed over `path`;
-    /// 5. the parent directory is fsynced;
-    /// 6. later records are appended to the new file.
-    ///
-    /// A crash before step 4 leaves the old journal intact under `path`
-    /// (a leftover `.next` is never read, and the next rotation truncates
-    /// it), short of at most the dropped group, as a killed process would
-    /// leave it; from step 4 on, `path` is the new one.
+    /// starts the journal over at it, dropping the prefix it summarises: the
+    /// open commit group is dropped (the snapshot covers it), the magic and
+    /// the snapshot record replace the file through [`replace_file`], and
+    /// later records are appended to the new file. A crash before the rename
+    /// leaves the old journal intact, short of at most the dropped group, as
+    /// a killed process would leave it (a leftover `.next` is never read).
     ///
     /// # Errors
     /// [`io::ErrorKind::InvalidInput`], with nothing written, when an event
@@ -441,19 +450,12 @@ pub fn open_journal(path: impl AsRef<Path>) -> Result<LoadedJournal, JournalErro
     read_journal(File::open(path.as_ref())?, READ_WINDOW)
 }
 
-/// Parses journal bytes (see [`open_journal`]).
+/// Parses journal bytes with the reader [`open_journal`] runs over a file.
 ///
 /// # Errors
 /// Same contract as [`open_journal`], minus the I/O.
 pub fn parse_journal(bytes: &[u8]) -> Result<LoadedJournal, JournalError> {
-    let head = &bytes[..bytes.len().min(JOURNAL_MAGIC.len())];
-    if let Some(empty) = check_magic(head)? {
-        return Ok(empty);
-    }
-    let records = &bytes[JOURNAL_MAGIC.len()..];
-    let mut frames = FrameFold::default();
-    let used = frames.consume(JOURNAL_MAGIC.len() as u64, records)?;
-    frames.finish(records.len() - used)
+    read_journal(bytes, READ_WINDOW)
 }
 
 /// `Ok(None)` for a full, correct magic. A crash between file creation and
@@ -534,15 +536,15 @@ impl FrameFold {
     /// is a frame whose bytes stop short (torn, or not yet in the window).
     fn consume(&mut self, base: u64, bytes: &[u8]) -> Result<usize, JournalError> {
         let mut at = 0;
-        while let Some(frame) = frame_size(&bytes[at..]).and_then(|size| bytes[at..].get(..size)) {
-            let (header, payload) = frame.split_at(FRAME_HEADER);
+        loop {
             let offset = base + at as u64;
             let corrupt = |reason: String| JournalError::Corrupt { offset, reason };
-            let stored_crc = u32::from_le_bytes([header[5], header[6], header[7], header[8]]);
-            if frame_crc(&header[..5], payload) != stored_crc {
-                return Err(corrupt("CRC mismatch".into()));
-            }
-            match header[0] {
+            let Some((kind, payload)) =
+                next_frame(&bytes[at..]).map_err(|CrcMismatch| corrupt("CRC mismatch".into()))?
+            else {
+                return Ok(at);
+            };
+            match kind {
                 KIND_EVENT => {
                     let seq = codec::check_event(payload).map_err(|e| undecodable(offset, &e))?;
                     if let Some(prev) = self.last_seq.filter(|prev| seq <= *prev) {
@@ -577,9 +579,8 @@ impl FrameFold {
                 }
                 other => return Err(corrupt(format!("unknown record kind {other}"))),
             }
-            at += frame.len();
+            at += FRAME_HEADER + payload.len();
         }
-        Ok(at)
     }
 
     /// Forgets the tail events a snapshot through `through_seq` summarises:

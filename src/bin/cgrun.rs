@@ -40,7 +40,9 @@
 //!     Fold a broker journal into its recovered state, print a per-job
 //!     summary, and run the recovery invariants offline. With --spool-dir,
 //!     cross-checks journaled spool watermarks against the on-disk `.ack`
-//!     sidecars. Exits 1 when any check fails.
+//!     sidecars (each one CRC'd watermark frame). Exits 1 when any check
+//!     fails, 2 on a usage or I/O error or a sidecar that is not one whole
+//!     watermark frame.
 //!
 //! cgrun backends
 //!     List the execution backends a site can run (`SiteConfig::backend`),
@@ -461,12 +463,6 @@ fn cmd_churn_report(args: &[String]) -> i32 {
     0
 }
 
-/// `cgrun recover FILE [--spool-dir DIR]`: fold a journal into the state a
-/// broker restart would rebuild, print it, and validate it offline — the
-/// whole-stream invariants when the journal carries the complete prefix,
-/// the recovery rules always, and (with `--spool-dir`) the journaled spool
-/// watermarks against the on-disk `.ack` sidecars. Exit 0 = consistent,
-/// 1 = violations found, 2 = usage or I/O failure.
 /// `cgrun backends`: the execution backends a site can run, and the label
 /// each one stamps on `JobDispatched` trace events (visible in `cgrun
 /// journal-dump` output).
@@ -495,6 +491,14 @@ fn cmd_backends() -> i32 {
     0
 }
 
+/// `cgrun recover FILE [--spool-dir DIR]`: fold a journal into the state a
+/// broker restart would rebuild, print it, and validate it offline — the
+/// whole-stream invariants when the journal carries the complete prefix,
+/// the recovery rules always, and (with `--spool-dir`) the journaled spool
+/// watermarks against the on-disk `.ack` sidecars, each one CRC'd
+/// watermark frame. Exit 0 = consistent, 1 = violations found, 2 = usage or
+/// I/O failure, or a sidecar that is not one whole watermark frame (the
+/// error names it).
 fn cmd_recover(args: &[String]) -> i32 {
     use crossgrid::trace::journal::{open_journal, JournalError};
     use crossgrid::trace::{check_invariants, check_recovery_invariants};

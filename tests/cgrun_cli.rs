@@ -235,6 +235,51 @@ fn journal_dump_and_recover_subcommands() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// A `.ack` sidecar whose watermark frame has a flipped bit is not a
+/// watermark: `cgrun recover --spool-dir` exits 2 and names the file.
+#[test]
+fn recover_rejects_a_corrupt_spool_sidecar() {
+    use crossgrid::console::Spool;
+    use crossgrid::sim::SimTime;
+    use crossgrid::trace::journal::{Journal, JournalConfig};
+    use crossgrid::trace::{Event, EventLog};
+
+    let dir = std::env::temp_dir().join(format!("cgrun-test-sidecar-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let spools = dir.join("spool");
+    std::fs::create_dir_all(&spools).unwrap();
+    let journal = dir.join("broker.journal");
+    let log = EventLog::new(64);
+    log.set_journal(Journal::create(&journal, JournalConfig::default()).unwrap());
+    log.record(
+        SimTime::from_secs(1),
+        Event::JobSubmitted {
+            job: 0,
+            user: "alice".into(),
+            interactive: true,
+        },
+    );
+    log.journal().unwrap().sync().unwrap();
+
+    let mut spool = Spool::open(spools.join("stdout-r0")).unwrap();
+    spool.append(1, b"out").unwrap();
+    spool.ack(1).unwrap();
+    let ack = spools.join("stdout-r0.ack");
+    let mut frame = std::fs::read(&ack).unwrap();
+    *frame.last_mut().unwrap() ^= 1;
+    std::fs::write(&ack, &frame).unwrap();
+
+    let out = cgrun()
+        .args(["recover", journal.to_str().unwrap(), "--spool-dir"])
+        .arg(&spools)
+        .output()
+        .unwrap();
+    assert_eq!(out.status.code(), Some(2), "{out:?}");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(stderr.contains("stdout-r0.ack"), "{stderr}");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 #[test]
 fn churn_report_summarizes_membership_transitions() {
     let dir = std::env::temp_dir().join(format!("cgrun-test-churn-{}", std::process::id()));
