@@ -18,13 +18,6 @@ use cg_trace::{Event, EventLog};
 /// `(seq, payload_offset, len)` per record, in file order.
 type Index = Vec<(u64, u64, u32)>;
 
-/// Sidecar file persisting the cumulative ack watermark across reopens.
-fn ack_path(path: &Path) -> PathBuf {
-    let mut os = path.as_os_str().to_os_string();
-    os.push(".ack");
-    PathBuf::from(os)
-}
-
 /// A `kind` frame of `seq u64 LE ‖ payload`.
 fn framed(kind: u8, seq: u64, payload: &[u8]) -> io::Result<Vec<u8>> {
     let mut buf = Vec::with_capacity(FRAME_HEADER + 8 + payload.len());
@@ -43,8 +36,11 @@ fn read_frames(path: &Path, bytes: &[u8], want: u8) -> io::Result<(Index, usize)
     while let Some((kind, payload)) = journal::next_frame(&bytes[at..])
         .map_err(|CrcMismatch| invalid(path, at, "CRC mismatch"))?
     {
-        let Some((seq, data)) = payload.split_first_chunk().filter(|_| kind == want) else {
+        if kind != want {
             return Err(invalid(path, at, &format!("unexpected kind-{kind} frame")));
+        }
+        let Some((seq, data)) = payload.split_first_chunk() else {
+            return Err(invalid(path, at, "frame too short for its seq"));
         };
         let start = at + FRAME_HEADER + 8;
         at = start + data.len();
@@ -72,7 +68,8 @@ fn read_watermark(path: &Path) -> io::Result<u64> {
 #[derive(Debug)]
 pub struct Spool {
     file: File,
-    path: PathBuf,
+    /// `{path}.ack`: the cumulative ack watermark, across reopens.
+    ack_file: PathBuf,
     index: Index,
     /// Highest cumulatively acknowledged sequence.
     acked: u64,
@@ -86,30 +83,33 @@ pub struct Spool {
 }
 
 impl Spool {
-    /// Opens (or creates) a spool file and indexes its records. A last frame
-    /// cut short (a kill mid-append) is dropped and counted in
+    /// Opens (or creates) a spool file and indexes its records, reading the
+    /// file whole once: memory for the unacked backlog, as a replay takes. A
+    /// last frame cut short (a kill mid-append) is dropped and counted in
     /// [`Spool::truncated_bytes`]; any other bad frame, and a `.ack` that is
     /// not one whole watermark frame, is `InvalidData`. No sequence is used
-    /// twice because [`Spool::ack`] renames the watermark into place before
-    /// compaction drops a record: each used one is in the file or under it.
+    /// twice: each used one is in the file or under the watermark, which
+    /// [`Spool::ack`] renames into place before it compacts.
     pub fn open(path: impl AsRef<Path>) -> io::Result<Self> {
-        let path = path.as_ref().to_path_buf();
+        let path = path.as_ref();
         let file = OpenOptions::new()
             .read(true)
             .write(true)
             .create(true)
             .truncate(false)
-            .open(&path)?;
-        let bytes = std::fs::read(&path)?;
-        let (index, end) = read_frames(&path, &bytes, KIND_SPOOL_RECORD)?;
+            .open(path)?;
+        let bytes = std::fs::read(path)?;
+        let (index, end) = read_frames(path, &bytes, KIND_SPOOL_RECORD)?;
         file.set_len(end as u64)?;
-        let acked = match read_watermark(&ack_path(&path)) {
+        let mut ack_file = path.as_os_str().to_owned();
+        ack_file.push(".ack");
+        let acked = match read_watermark(Path::new(&ack_file)) {
             Err(e) if e.kind() == io::ErrorKind::NotFound => 0,
             acked => acked?,
         };
         Ok(Spool {
             file,
-            path,
+            ack_file: ack_file.into(),
             appended_bytes: index.iter().map(|&(_, _, l)| l as u64).sum(),
             index,
             acked,
@@ -177,7 +177,7 @@ impl Spool {
     /// place ([`journal::replace_file`]), a fully acked file is compacted.
     pub fn ack(&mut self, seq: u64) -> io::Result<()> {
         if seq > self.acked {
-            journal::replace_file(&ack_path(&self.path), &framed(KIND_SPOOL_ACK, seq, &[])?)?;
+            journal::replace_file(&self.ack_file, &framed(KIND_SPOOL_ACK, seq, &[])?)?;
             self.acked = seq;
         }
         if !self.index.is_empty() && self.highest_seq() == self.acked {

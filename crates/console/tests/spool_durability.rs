@@ -9,7 +9,8 @@
 //! The plain tests at the end hold the rest of the crash contract (a killed
 //! process, as in the journal's tests): a kill anywhere in the watermark's
 //! replace leaves the old watermark, a short `.ack` is an error, never
-//! watermark 0, and a flipped bit is reported, never replayed.
+//! watermark 0, a flipped bit is reported, never replayed, and a CRC-valid
+//! frame of the wrong shape is named for what is wrong with it.
 
 use std::fs::OpenOptions;
 use std::io;
@@ -18,6 +19,7 @@ use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use cg_console::{recover_watermarks, Spool};
+use cg_trace::journal::{self, KIND_SPOOL_RECORD};
 use proptest::prelude::*;
 
 #[path = "support/temp_dir.rs"]
@@ -289,5 +291,31 @@ fn a_flipped_bit_is_reported_never_replayed() {
                 assert_eq!(s.truncated_bytes(), dropped, "bit {bit}");
             }
         }
+    }
+}
+
+/// A whole, CRC-valid frame that is not a spool record is named for what it
+/// is: another kind, or a record too short to hold its sequence number.
+#[test]
+fn a_valid_frame_of_the_wrong_shape_is_named() {
+    let dir = TempDir::new("cg-spool-shape", "frames");
+    let path = dir.path().join("s.spool");
+    for (kind, payload, what) in [
+        (1, &[0u8; 8][..], "unexpected kind-1 frame"),
+        (
+            KIND_SPOOL_RECORD,
+            &[0u8; 4][..],
+            "frame too short for its seq",
+        ),
+    ] {
+        let mut bytes = Vec::new();
+        journal::frame(&mut bytes, kind, |buf| buf.extend_from_slice(payload)).unwrap();
+        std::fs::write(&path, &bytes).unwrap();
+        let err = Spool::open(&path).expect_err("a misshapen frame was indexed");
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{err}");
+        assert!(
+            err.to_string().ends_with(&format!("{what} at byte 0")),
+            "{err}"
+        );
     }
 }

@@ -14,9 +14,8 @@
 //! The checksum is IEEE CRC-32, from the `crc` submodule: a carry-less
 //! multiplication fold on x86-64 hosts with `pclmulqdq`, slicing-by-8
 //! tables elsewhere, the same value either way. [`frame`] writes and
-//! [`next_frame`] checks every frame, the journal's and the reliable console
-//! spool's (kinds 3 and 4, no magic), and [`replace_file`] puts each new
-//! file in place; this file is framing and I/O.
+//! [`next_frame`] checks every frame, the journal's and the console spool's
+//! (kinds 3 and 4); [`replace_file`] renames a file into place.
 //!
 //! Event payloads use the binary codec in [`crate::codec`]; snapshot payloads
 //! are `[through_seq: u64 LE]` followed by an opaque state blob (see
@@ -184,9 +183,8 @@ impl WriterInner {
             buf.extend_from_slice(&through_seq.to_le_bytes());
             buf.extend_from_slice(state);
         })?;
-        let replaced = replace_file(path, &self.buf);
+        self.file = replace_file(path, &self.buf)?;
         self.buf.clear();
-        self.file = replaced?;
         self.appended += 1;
         self.unsynced = 0;
         Ok(())
@@ -250,11 +248,7 @@ pub fn next_frame(bytes: &[u8]) -> Result<Option<(u8, &[u8])>, CrcMismatch> {
 /// file, open for writing at its end.
 pub fn replace_file(path: &Path, bytes: &[u8]) -> io::Result<File> {
     let next = next_path(path);
-    let mut file = OpenOptions::new()
-        .create(true)
-        .write(true)
-        .truncate(true)
-        .open(&next)?;
+    let mut file = File::create(&next)?;
     file.write_all(bytes)?;
     // cg-lint: allow(lock-across-io): one writer per file; the new file is durable under its own name before it replaces the old one
     file.sync_data()?;
@@ -306,14 +300,19 @@ impl fmt::Debug for Journal {
 }
 
 impl Journal {
-    /// Creates a journal at `path` that holds only the file magic, put in
-    /// place over any file there by [`replace_file`].
+    /// Creates (truncating) a journal at `path` and writes the file magic.
     ///
     /// # Errors
-    /// Propagates file-creation, write, sync and rename failures.
+    /// Propagates file-creation and write failures.
     pub fn create(path: impl AsRef<Path>, config: JournalConfig) -> io::Result<Journal> {
         let path = path.as_ref().to_path_buf();
-        let file = replace_file(&path, JOURNAL_MAGIC)?;
+        let mut file = OpenOptions::new()
+            .create(true)
+            .write(true)
+            .truncate(true)
+            .open(&path)?;
+        file.write_all(JOURNAL_MAGIC)?;
+        file.sync_data()?;
         Ok(Journal::over(file, path, config))
     }
 
