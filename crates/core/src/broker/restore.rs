@@ -1,26 +1,94 @@
 //! Restore: the broker's durable face — projecting live tables into the
-//! stream-state model for journal snapshots, and the hooks crash recovery
-//! (`crate::recovery`) uses to rebuild the tables and re-arm in-flight
-//! work through the same admission gate and routing as `submit`.
+//! stream-state model for journal snapshots, the read-only view crash
+//! recovery (`crate::recovery`) checks its rebuild through, and the hooks it
+//! uses to rebuild the tables and re-arm in-flight work through the same
+//! admission gate and routing as `submit`.
 
-use std::collections::HashSet;
+use std::cell::Ref;
+use std::collections::{BTreeMap, HashSet};
 use std::sync::Arc;
 
 use cg_jdl::JobDescription;
 use cg_sim::{Sim, SimDuration, SimTime};
-use cg_trace::replay::{Phase, ReplayAgent, ReplayJob, ReplayState};
+use cg_trace::replay::{Phase, ReplayAgent, ReplayJob, ReplayState, SpoolMark};
+use cg_trace::{RecoveredJob, RecoveredView};
+use cg_vm::AgentId;
 
 use super::events::Stage;
 use super::settle::Ending;
-use super::{CrossBroker, Live};
+use super::{CrossBroker, Inner, Live};
 use crate::job::{JobId, JobRecord, JobState};
+
+/// A job state in the stream's terms: the one mapping the snapshot
+/// projection and the recovery view share.
+fn phase_of(state: &JobState) -> Phase {
+    match state {
+        JobState::Submitted => Phase::Submitted,
+        JobState::Matching => Phase::Matching,
+        JobState::Scheduled { .. } => Phase::Dispatched,
+        JobState::BrokerQueued => Phase::Queued,
+        JobState::Running { .. } => Phase::Running,
+        JobState::Done => Phase::Finished,
+        JobState::Failed { .. } => Phase::Failed,
+    }
+}
+
+/// The rebuilt broker as the recovery check reads it (rules 6b–8): one
+/// lookup per job in the live tables, with nothing copied out but the
+/// event log's spool marks. Its job records hold no lease, so it reports no
+/// leased-and-queued job, as the snapshot projection shows none.
+pub(crate) struct Rebuilt<'a> {
+    inner: Ref<'a, Inner>,
+    /// The event log's whole-stream spool fold; the seeded recovery
+    /// watermarks are merged in on lookup.
+    spools: BTreeMap<Arc<str>, SpoolMark>,
+}
+
+impl RecoveredView for Rebuilt<'_> {
+    fn job(&self, id: u64) -> Option<RecoveredJob> {
+        self.inner.jobs.with(JobId(id), |r| RecoveredJob {
+            bucket: phase_of(&r.state).bucket(),
+            attempts: r.resubmissions,
+            user: Arc::clone(&r.user),
+            started: r.started_at.is_some(),
+        })
+    }
+
+    fn job_count(&self) -> usize {
+        self.inner.jobs.len()
+    }
+
+    fn job_ids(&self) -> Vec<u64> {
+        let mut ids = Vec::with_capacity(self.inner.jobs.len());
+        self.inner.jobs.for_each(|id, _| ids.push(id.0));
+        ids.sort_unstable();
+        ids
+    }
+
+    fn agent_alive(&self, id: u64) -> bool {
+        self.inner
+            .agents
+            .get(&AgentId(id))
+            .is_some_and(|e| e.agent.borrow().is_alive())
+    }
+
+    fn acked(&self, stream: &str) -> u64 {
+        let folded = self.spools.get(stream).map_or(0, |m| m.acked);
+        let seeded = self.inner.spool_watermarks.get(stream).copied();
+        folded.max(seeded.unwrap_or(0))
+    }
+
+    fn leased_and_queued(&self, _crash_at_ns: u64) -> Vec<u64> {
+        Vec::new()
+    }
+}
 
 impl CrossBroker {
     /// Projects the broker's live tables into the stream-state model
-    /// ([`ReplayState`]) used by journal snapshots and the recovery
-    /// invariants: the job table (with retained JDL commit records), the
-    /// live agent registry, and spool watermarks (seeded recovery marks
-    /// merged with the event log's whole-stream fold).
+    /// ([`ReplayState`]) that journal snapshots encode: the job table (with
+    /// retained JDL commit records), the live agent registry, and spool
+    /// watermarks (seeded recovery marks merged with the event log's
+    /// whole-stream fold).
     pub fn replay_state(&self) -> ReplayState {
         let inner = self.inner.borrow();
         let mut state = ReplayState::default();
@@ -29,21 +97,16 @@ impl CrossBroker {
         // and no intermediate Vec of cloned records is built.
         inner.jobs.for_each(|id, r| {
             let live = inner.live.get(&id);
-            let (phase, fail_reason) = match &r.state {
-                JobState::Submitted => (Phase::Submitted, None),
-                JobState::Matching => (Phase::Matching, None),
-                JobState::Scheduled { .. } => (Phase::Dispatched, None),
-                JobState::BrokerQueued => (Phase::Queued, None),
-                JobState::Running { .. } => (Phase::Running, None),
-                JobState::Done => (Phase::Finished, None),
-                JobState::Failed { reason } => (Phase::Failed, Some(reason.clone())),
+            let fail_reason = match &r.state {
+                JobState::Failed { reason } => Some(reason.clone()),
+                _ => None,
             };
             state.jobs.insert(
                 id.0,
                 ReplayJob {
                     user: Arc::clone(&r.user),
                     interactive: live.is_some_and(|l| l.interactive),
-                    phase,
+                    phase: phase_of(&r.state),
                     queued: matches!(r.state, JobState::BrokerQueued),
                     attempts: r.resubmissions,
                     started: r.started_at.is_some(),
@@ -85,6 +148,15 @@ impl CrossBroker {
             state.last_at_ns = at.as_nanos();
         }
         state
+    }
+
+    /// The rebuilt broker as a [`RecoveredView`], read in place: what
+    /// crash recovery validates its rebuild through instead of a
+    /// [`Self::replay_state`] projection.
+    pub(crate) fn rebuilt(&self) -> Rebuilt<'_> {
+        let inner = self.inner.borrow();
+        let spools = inner.trace.stream_fold().spools;
+        Rebuilt { inner, spools }
     }
 
     /// Writes a snapshot of the broker's current state into the attached
@@ -207,3 +279,6 @@ impl CrossBroker {
         }
     }
 }
+
+#[cfg(test)]
+mod tests;

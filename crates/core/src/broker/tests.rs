@@ -11,6 +11,13 @@ use std::cell::Cell;
 use std::rc::Rc;
 
 fn world(sim: &mut Sim, n: usize, config: BrokerConfig) -> (CrossBroker, Vec<Site>) {
+    let (handles, mds, sites) = parts(n);
+    (CrossBroker::new(sim, handles, mds, config), sites)
+}
+
+/// `n` four-node sites on campus links and an MDS link: what a broker is
+/// built or recovered over.
+pub(super) fn parts(n: usize) -> (Vec<SiteHandle>, Link, Vec<Site>) {
     let sites: Vec<Site> = (0..n)
         .map(|i| {
             Site::new(SiteConfig {
@@ -28,8 +35,7 @@ fn world(sim: &mut Sim, n: usize, config: BrokerConfig) -> (CrossBroker, Vec<Sit
             ui_link: Link::new(LinkProfile::campus()),
         })
         .collect();
-    let mds = Link::new(LinkProfile::wan_mds());
-    (CrossBroker::new(sim, handles, mds, config), sites)
+    (handles, Link::new(LinkProfile::wan_mds()), sites)
 }
 
 #[test]

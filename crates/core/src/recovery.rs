@@ -6,7 +6,8 @@
 //! [`CrossBroker::recover`] folds snapshot + tail into the stream-state
 //! model, rebuilds a fresh broker's tables from it, validates the
 //! reconstruction against the extended invariants (rules 6–8 in
-//! `cg_trace::check_recovery_invariants`, plus the whole-stream rules when
+//! `cg_trace::check_recovery_invariants`, which looks each of the fold's
+//! jobs up in the rebuilt tables in place, plus the whole-stream rules when
 //! the journal carries the complete prefix), and only then re-arms the
 //! in-flight work:
 //!
@@ -134,11 +135,10 @@ impl CrossBroker {
         if loaded.snapshot.is_none() {
             report.violations = check_invariants(&loaded.events);
         }
-        let recovered = broker.replay_state();
         report.violations.extend(check_recovery_invariants(
             &loaded.events,
             &expected,
-            &recovered,
+            &broker.rebuilt(),
         ));
 
         // 3. Re-arm at the crash instant: the new epoch's stream opens with

@@ -6,9 +6,10 @@
 //! whether the handshakes actually happened in order.
 
 use std::collections::{HashMap, HashSet};
+use std::sync::Arc;
 
 use crate::event::{Event, TimedEvent};
-use crate::replay::{ReplayJob, ReplayState};
+use crate::replay::{Bucket, ReplayJob, ReplayState};
 
 /// Checks the event stream (oldest first) against the broker-stack
 /// protocol invariants; returns one human-readable line per violation
@@ -211,12 +212,95 @@ pub fn check_invariants(events: &[TimedEvent]) -> Vec<String> {
     violations
 }
 
+/// One job as the rebuilt broker holds it: the four fields rule 6b
+/// compares with the stream's.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct RecoveredJob {
+    /// Coarse disposition bucket.
+    pub bucket: Bucket,
+    /// Resubmission attempts.
+    pub attempts: u32,
+    /// Submitting user.
+    pub user: Arc<str>,
+    /// Whether the job ever started computing.
+    pub started: bool,
+}
+
+impl From<&ReplayJob> for RecoveredJob {
+    fn from(job: &ReplayJob) -> Self {
+        RecoveredJob {
+            bucket: job.phase.bucket(),
+            attempts: job.attempts,
+            user: Arc::clone(&job.user),
+            started: job.started,
+        }
+    }
+}
+
+/// What [`check_recovery_invariants`] reads of the rebuilt side, one
+/// lookup at a time, so a rebuilt broker is checked in place instead of
+/// being projected into a second [`ReplayState`]. A `ReplayState` is a view
+/// of itself.
+pub trait RecoveredView {
+    /// Job `id`, if the rebuilt side holds it.
+    fn job(&self, id: u64) -> Option<RecoveredJob>;
+    /// How many jobs the rebuilt side holds.
+    fn job_count(&self) -> usize;
+    /// Every job id the rebuilt side holds, in id order. Read only when it
+    /// holds a job the stream lacks.
+    fn job_ids(&self) -> Vec<u64>;
+    /// Whether agent `id` is alive.
+    fn agent_alive(&self, id: u64) -> bool;
+    /// `stream`'s spool ack watermark; 0 for a stream it does not know.
+    fn acked(&self, stream: &str) -> u64;
+    /// The jobs on the broker queue that hold a lease still live at
+    /// `crash_at_ns`, in id order.
+    fn leased_and_queued(&self, crash_at_ns: u64) -> Vec<u64>;
+}
+
+impl RecoveredView for ReplayState {
+    fn job(&self, id: u64) -> Option<RecoveredJob> {
+        self.jobs.get(&id).map(RecoveredJob::from)
+    }
+
+    fn job_count(&self) -> usize {
+        self.jobs.len()
+    }
+
+    fn job_ids(&self) -> Vec<u64> {
+        self.jobs.keys().copied().collect()
+    }
+
+    fn agent_alive(&self, id: u64) -> bool {
+        self.agents.get(&id).is_some_and(|a| a.alive)
+    }
+
+    fn acked(&self, stream: &str) -> u64 {
+        self.spools.get(stream).map_or(0, |m| m.acked)
+    }
+
+    fn leased_and_queued(&self, crash_at_ns: u64) -> Vec<u64> {
+        self.jobs
+            .iter()
+            .filter(|(_, job)| {
+                job.queued
+                    && job
+                        .lease
+                        .as_ref()
+                        .is_some_and(|(_, until_ns)| *until_ns > crash_at_ns)
+            })
+            .map(|(id, _)| *id)
+            .collect()
+    }
+}
+
 /// Checks the three crash-recovery invariants over the journal tail and
 /// the two state views it produces: `expected` is the pure event-stream
 /// fold (snapshot + tail, see [`ReplayState::from_events`]) and
-/// `recovered` is what the reconstructed broker actually holds
-/// (`CrossBroker::replay_state()` taken after state rebuild, before
-/// re-arm). Returns one line per violation (empty = clean).
+/// `recovered` is what the reconstructed broker actually holds, read in
+/// place after state rebuild, before re-arm (`CrossBroker::recover` passes
+/// the rebuilt broker itself). Returns one line per violation (empty =
+/// clean).
 ///
 /// 6. **Fixpoint** — the recovered state is a fixpoint of the event
 ///    stream: (a) re-applying the tail events to `expected` changes
@@ -230,19 +314,88 @@ pub fn check_invariants(events: &[TimedEvent]) -> Vec<String> {
 ///    broker queue while holding a lease still live at crash time.
 /// 8. **Spool acks never regress** — every stream's recovered ack
 ///    watermark is at least the stream's.
+///
+/// Rule 6b looks each of `expected`'s jobs up in `recovered` once; the
+/// jobs only `recovered` holds are reported after every per-job line, in
+/// id order.
 pub fn check_recovery_invariants(
     tail: &[TimedEvent],
     expected: &ReplayState,
-    recovered: &ReplayState,
+    recovered: &impl RecoveredView,
 ) -> Vec<String> {
     let mut violations = Vec::new();
     let crash_at_ns = expected.last_at_ns;
+    check_fold_is_idempotent(tail, expected, &mut violations);
 
-    // 6a: idempotence of the fold on the comparison core. A job arm of
-    // `apply` touches only the job its event names, so the refold starts
-    // from copies of just the jobs the tail names (the keys of the tail's
-    // own fold); every other entry would come out of the refold unchanged.
-    // A named job `expected` lacks is made by the refold and so differs.
+    // 6b: the broker's reconstruction matches the stream.
+    let mut found = 0;
+    for (id, want) in &expected.jobs {
+        let Some(got) = recovered.job(*id) else {
+            violations.push(format!("job {id} in the stream is missing after recovery"));
+            continue;
+        };
+        found += 1;
+        compare_job(*id, &got, want, &mut violations);
+    }
+    if recovered.job_count() > found {
+        violations.extend(
+            recovered
+                .job_ids()
+                .into_iter()
+                .filter(|id| !expected.jobs.contains_key(id))
+                .map(|id| format!("job {id} appeared from nowhere during recovery")),
+        );
+    }
+    for (id, agent) in &expected.agents {
+        if agent.alive && recovered.agent_alive(*id) {
+            violations.push(format!(
+                "agent {id} resurrected across the crash without redeployment"
+            ));
+        }
+    }
+
+    // 7: leased ∧ queued is contradictory in either view.
+    check_leased_and_queued("stream", expected, crash_at_ns, &mut violations);
+    check_leased_and_queued("recovered", recovered, crash_at_ns, &mut violations);
+
+    // 8: ack watermarks are durable.
+    for (stream, want) in &expected.spools {
+        let got = recovered.acked(stream);
+        if got < want.acked {
+            violations.push(format!(
+                "stream {stream}: ack watermark regressed across recovery ({got} < {})",
+                want.acked
+            ));
+        }
+    }
+
+    violations
+}
+
+/// The recovery rules that read the journal alone, for a check with no
+/// rebuilt broker to compare (`cgrun recover`): rule 6a, and rule 7 on the
+/// stream's view. The same code as in [`check_recovery_invariants`], whose
+/// output holds these lines in the same order.
+pub fn check_stream_recovery_invariants(
+    tail: &[TimedEvent],
+    expected: &ReplayState,
+) -> Vec<String> {
+    let mut violations = Vec::new();
+    check_fold_is_idempotent(tail, expected, &mut violations);
+    check_leased_and_queued("stream", expected, expected.last_at_ns, &mut violations);
+    violations
+}
+
+/// Rule 6a: idempotence of the fold on the comparison core. A job arm of
+/// `apply` touches only the job its event names, so the refold starts from
+/// copies of just the jobs the tail names (the keys of the tail's own
+/// fold); every other entry would come out of the refold unchanged. A
+/// named job `expected` lacks is made by the refold and so differs.
+fn check_fold_is_idempotent(
+    tail: &[TimedEvent],
+    expected: &ReplayState,
+    violations: &mut Vec<String>,
+) {
     let mut refolded = ReplayState {
         agents: expected.agents.clone(),
         spools: expected.spools.clone(),
@@ -273,71 +426,28 @@ pub fn check_recovery_invariants(
     if refolded.site_health != expected.site_health {
         violations.push("replay fold is not idempotent over the site-health registry".into());
     }
+}
 
-    // 6b: the broker's reconstruction matches the stream. Both tables are
-    // in id order, so one merge walk pairs them; the jobs only `recovered`
-    // holds are reported after every per-job line.
-    let mut got_jobs = recovered.jobs.iter().peekable();
-    let mut appeared = Vec::new();
-    for (id, want) in &expected.jobs {
-        while let Some((extra, _)) = got_jobs.next_if(|(got_id, _)| *got_id < id) {
-            appeared.push(*extra);
-        }
-        let Some((_, got)) = got_jobs.next_if(|(got_id, _)| *got_id == id) else {
-            violations.push(format!("job {id} in the stream is missing after recovery"));
-            continue;
-        };
-        compare_job(*id, got, want, &mut violations);
+/// Rule 7 for one view, labelled `label` in its lines.
+fn check_leased_and_queued(
+    label: &str,
+    view: &impl RecoveredView,
+    crash_at_ns: u64,
+    violations: &mut Vec<String>,
+) {
+    for id in view.leased_and_queued(crash_at_ns) {
+        violations.push(format!(
+            "{label}: job {id} is on the broker queue while holding a live lease"
+        ));
     }
-    appeared.extend(got_jobs.map(|(extra, _)| *extra));
-    violations.extend(
-        appeared
-            .into_iter()
-            .map(|id| format!("job {id} appeared from nowhere during recovery")),
-    );
-    for (id, agent) in &expected.agents {
-        if agent.alive && recovered.agents.get(id).is_some_and(|a| a.alive) {
-            violations.push(format!(
-                "agent {id} resurrected across the crash without redeployment"
-            ));
-        }
-    }
-
-    // 7: leased ∧ queued is contradictory in either view.
-    for (label, view) in [("stream", expected), ("recovered", recovered)] {
-        for (id, job) in &view.jobs {
-            let lease_live = job
-                .lease
-                .as_ref()
-                .is_some_and(|(_, until_ns)| *until_ns > crash_at_ns);
-            if job.queued && lease_live {
-                violations.push(format!(
-                    "{label}: job {id} is on the broker queue while holding a live lease"
-                ));
-            }
-        }
-    }
-
-    // 8: ack watermarks are durable.
-    for (stream, want) in &expected.spools {
-        let got = recovered.spools.get(stream).map_or(0, |m| m.acked);
-        if got < want.acked {
-            violations.push(format!(
-                "stream {stream}: ack watermark regressed across recovery ({got} < {})",
-                want.acked
-            ));
-        }
-    }
-
-    violations
 }
 
 /// Rule 6b for one job present in both views.
-fn compare_job(id: u64, got: &ReplayJob, want: &ReplayJob, violations: &mut Vec<String>) {
-    if got.phase.bucket() != want.phase.bucket() {
+fn compare_job(id: u64, got: &RecoveredJob, want: &ReplayJob, violations: &mut Vec<String>) {
+    if got.bucket != want.phase.bucket() {
         violations.push(format!(
             "job {id} recovered into bucket {:?}, stream says {:?}",
-            got.phase.bucket(),
+            got.bucket,
             want.phase.bucket()
         ));
     }
@@ -784,7 +894,7 @@ mod tests {
                 violations.push(format!("job {id} in the stream is missing after recovery"));
                 continue;
             };
-            compare_job(*id, got, want, &mut violations);
+            compare_job(*id, &got.into(), want, &mut violations);
         }
         for id in recovered.jobs.keys() {
             if !expected.jobs.contains_key(id) {

@@ -33,8 +33,8 @@
 //! bounding the events recovery decodes and replays. [`open_journal`] reads it back (truncating torn
 //! tails, surfacing corruption as typed [`JournalError`]s), and
 //! [`ReplayState`] folds the stream back into broker-visible state.
-//! [`check_recovery_invariants`] validates a reconstruction against the
-//! stream; [`CrashPlan`] provides deterministic kill-point injection for
+//! [`check_recovery_invariants`] validates a reconstruction, read through a
+//! [`RecoveredView`], against the stream; [`CrashPlan`] provides deterministic kill-point injection for
 //! crash-recovery tests.
 
 pub mod codec;
@@ -59,7 +59,10 @@ pub mod replay;
 
 pub use codec::{decode_event, encode_event, CodecError};
 pub use event::{Event, FieldSamples, TimedEvent, RETIRED_TAGS};
-pub use invariants::{check_invariants, check_recovery_invariants};
+pub use invariants::{
+    check_invariants, check_recovery_invariants, check_stream_recovery_invariants, RecoveredJob,
+    RecoveredView,
+};
 pub use journal::{
     open_journal, parse_journal, Journal, JournalConfig, JournalError, JournalSnapshot,
     LoadedJournal,

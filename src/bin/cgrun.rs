@@ -494,14 +494,15 @@ fn cmd_backends() -> i32 {
 /// `cgrun recover FILE [--spool-dir DIR]`: fold a journal into the state a
 /// broker restart would rebuild, print it, and validate it offline — the
 /// whole-stream invariants when the journal carries the complete prefix,
-/// the recovery rules always, and (with `--spool-dir`) the journaled spool
+/// the recovery rules that read the journal alone always (there is no
+/// rebuilt broker to compare), and (with `--spool-dir`) the journaled spool
 /// watermarks against the on-disk `.ack` sidecars, each one CRC'd
 /// watermark frame. Exit 0 = consistent, 1 = violations found, 2 = usage or
 /// I/O failure, or a sidecar that is not one whole watermark frame (the
 /// error names it).
 fn cmd_recover(args: &[String]) -> i32 {
     use crossgrid::trace::journal::{open_journal, JournalError};
-    use crossgrid::trace::{check_invariants, check_recovery_invariants};
+    use crossgrid::trace::{check_invariants, check_stream_recovery_invariants};
 
     let (path, spool_dir) = match args {
         [path] => (path, None),
@@ -578,7 +579,7 @@ fn cmd_recover(args: &[String]) -> i32 {
     if loaded.snapshot.is_none() {
         violations.extend(check_invariants(&loaded.events));
     }
-    violations.extend(check_recovery_invariants(&loaded.events, &state, &state));
+    violations.extend(check_stream_recovery_invariants(&loaded.events, &state));
     if let Some(dir) = spool_dir {
         match crossgrid::console::recover_watermarks(&dir) {
             Ok(marks) => {

@@ -235,6 +235,73 @@ fn journal_dump_and_recover_subcommands() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// `cgrun recover` has no rebuilt broker, so it runs only the recovery
+/// rules that read the journal: a glide-in alive at the crash is not a
+/// resurrection, and a leased job on the queue is reported once.
+#[test]
+fn recover_checks_the_journal_without_a_rebuilt_broker() {
+    use crossgrid::sim::SimTime;
+    use crossgrid::trace::journal::{Journal, JournalConfig};
+    use crossgrid::trace::{Event, EventLog};
+
+    let dir = std::env::temp_dir().join(format!("cgrun-test-stream-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let write = |name: &str, events: Vec<Event>| {
+        let path = dir.join(name);
+        let log = EventLog::new(64);
+        log.set_journal(Journal::create(&path, JournalConfig::default()).unwrap());
+        for (secs, event) in (1..).zip(events) {
+            log.record(SimTime::from_secs(secs), event);
+        }
+        log.journal().unwrap().sync().unwrap();
+        path
+    };
+    let recover = |path: &std::path::Path| cgrun().arg("recover").arg(path).output().unwrap();
+
+    let alive = write(
+        "alive.journal",
+        vec![Event::AgentDeployed {
+            agent: 4,
+            site: "cesga".into(),
+        }],
+    );
+    let out = recover(&alive);
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert_eq!(out.status.code(), Some(0), "{out:?}");
+    assert!(stdout.contains("1 alive at crash"), "{stdout}");
+    assert!(stdout.contains("recovery checks: ok"), "{stdout}");
+
+    let queued = write(
+        "queued.journal",
+        vec![
+            Event::JobSubmitted {
+                job: 0,
+                user: "alice".into(),
+                interactive: false,
+            },
+            Event::LeaseGranted {
+                job: 0,
+                target: "site:cesga".into(),
+                until_ns: u64::MAX,
+            },
+            Event::JobQueued { job: 0 },
+        ],
+    );
+    let out = recover(&queued);
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert_eq!(out.status.code(), Some(1), "{out:?}");
+    let violations: Vec<&str> = stdout
+        .lines()
+        .filter(|l| l.starts_with("violation:"))
+        .collect();
+    assert_eq!(
+        violations,
+        ["violation: stream: job 0 is on the broker queue while holding a live lease"],
+        "{stdout}"
+    );
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 /// A `.ack` sidecar whose watermark frame has a flipped bit is not a
 /// watermark: `cgrun recover --spool-dir` exits 2 and names the file.
 #[test]

@@ -16,7 +16,7 @@ use crossgrid::trace::journal::{
     open_journal, parse_journal, Journal, JournalConfig, JournalError,
 };
 use crossgrid::trace::replay::{Bucket, ReplayState};
-use crossgrid::trace::CrashPlan;
+use crossgrid::trace::{check_stream_recovery_invariants, CrashPlan};
 
 mod common;
 use common::{bucket_of, fnv1a};
@@ -258,8 +258,9 @@ fn kill_point_sweep_across_a_rotation_recovers_identical_terminal_stats() {
 }
 
 /// Crashes the reference scenario after every event seq (with a snapshot
-/// at `snapshot_at` seconds), recovers each, and checks the buckets against
-/// the uncrashed run's. Returns how many kill points recovered from a
+/// at `snapshot_at` seconds), checks each crashed journal as `cgrun
+/// recover` does, recovers it, and checks the buckets against the
+/// uncrashed run's. Returns how many kill points recovered from a
 /// snapshot.
 fn kill_point_sweep(name: &str, snapshot_at: Option<u64>) -> usize {
     let base = tmp(&format!("{name}-base"));
@@ -282,12 +283,16 @@ fn kill_point_sweep(name: &str, snapshot_at: Option<u64>) -> usize {
 
     let crash = tmp(&format!("{name}-crash"));
     let mut from_snapshot = 0;
+    let mut agent_alive = 0;
     for k in 0..total {
         let (_, crashed) = journaled_run(&crash, Some(k), snapshot_at);
         assert!(crashed, "kill point {k} of {total} must fire");
 
         let loaded = open_journal(&crash).unwrap();
         let expected = loaded.replay_state().unwrap();
+        let offline = check_stream_recovery_invariants(&loaded.events, &expected);
+        assert!(offline.is_empty(), "k={k}: the journal alone: {offline:?}");
+        agent_alive += usize::from(expected.agents.values().any(|a| a.alive));
         let (broker, report, _sim) = recover_and_run(&crash, 1_000 + k);
         assert!(
             report.violations.is_empty(),
@@ -304,6 +309,7 @@ fn kill_point_sweep(name: &str, snapshot_at: Option<u64>) -> usize {
             "k={k}: new-epoch stream broken: {new_epoch:?}"
         );
     }
+    assert!(agent_alive > 0, "no kill point had a glide-in alive");
     let _ = std::fs::remove_file(&base);
     let _ = std::fs::remove_file(&crash);
     from_snapshot
